@@ -13,12 +13,13 @@
 #   make bench-read-scaleout  leased replica reads vs primary-only routing (JSON artifact)
 #   make bench-vm     VM tier: token-threaded dispatch vs interpreter (JSON artifact)
 #   make bench-overload  open-loop latency vs offered load, shed on/off (JSON artifact)
+#   make bench-smoke  vet + smoke-test the benchmark module (it is not part of ./...)
 #   make vet     gofmt + go vet hygiene
 #   make check   everything the CI gate runs
 
 GO ?= go
 
-.PHONY: all build test race chaos bench bench-write bench-read bench-obs bench-recovery bench-rebalance bench-read-scaleout bench-vm bench-overload vet check clean
+.PHONY: all build test race chaos bench bench-write bench-read bench-obs bench-recovery bench-rebalance bench-read-scaleout bench-vm bench-overload bench-smoke vet check clean
 
 all: build
 
@@ -103,6 +104,12 @@ bench-vm:
 bench-overload:
 	$(GO) run ./cmd/lambda-bench -overload -out results/BENCH_overload.json
 
+# benchmark/ is a module of its own (replace lambdastore => ../), so root
+# `go build ./... && go test ./...` never compiles it: a signature change in
+# a package it imports must break here, not in the benchmark driver.
+bench-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
 vet:
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
@@ -110,7 +117,7 @@ vet:
 	fi
 	$(GO) vet ./...
 
-check: vet build test race
+check: vet build test race bench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -34,6 +34,20 @@ import (
 //	invoke(oid, m, mlen) -> packed      sync cross-object invocation
 //	invoke_start(oid, m, mlen) -> h     parallel cross-object invocation
 //	invoke_wait(h) -> packed
+//
+// Ownership at the boundary (the full table is in DESIGN.md §10). A state
+// access copies its bytes once, not once per layer; everything else is
+// borrowed:
+//
+//   - A guest view (vm.Instance.MemView) aliases linear memory: valid until
+//     the host function next calls allocBytes/Alloc — which may grow, i.e.
+//     reallocate, that memory — and never after the host call returns. So a
+//     host function finishes with every view before it allocates in the
+//     guest, and copies exactly once what outlives the call: the result, a
+//     staged argument, a buffered write (txn.put), a method name.
+//   - invocation.key/val hold the storage key built last and the value read
+//     last: names and map keys go view → key scratch; values go store → val
+//     scratch → guest memory, with no slice allocated in between.
 
 // packed return-value helpers.
 const packedNone = int64(-1)
@@ -123,7 +137,7 @@ func newHostTable() *vm.HostTable {
 	})
 
 	reg("set_result", 2, false, 16, func(iv *invocation, inst *vm.Instance, a []int64) (int64, error) {
-		data, err := inst.MemRead(a[0], a[1])
+		data, err := inst.MemRead(a[0], a[1]) // retained: the one copy
 		if err != nil {
 			return 0, err
 		}
@@ -146,7 +160,7 @@ func newHostTable() *vm.HostTable {
 	})
 
 	reg("log", 2, false, 32, func(iv *invocation, inst *vm.Instance, a []int64) (int64, error) {
-		msg, err := inst.MemRead(a[0], a[1])
+		msg, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
@@ -164,7 +178,7 @@ func newHostTable() *vm.HostTable {
 	// --- value fields ---
 
 	reg("val_get", 2, true, 32, func(iv *invocation, inst *vm.Instance, a []int64) (int64, error) {
-		name, err := inst.MemRead(a[0], a[1])
+		name, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
@@ -172,7 +186,7 @@ func newHostTable() *vm.HostTable {
 		if err != nil {
 			return 0, err
 		}
-		v, present, err := iv.tGet(valueKey(iv.obj, f.Name))
+		v, present, err := iv.tGet(iv.fieldKey(subValue, f.Name))
 		if err != nil {
 			return 0, err
 		}
@@ -186,7 +200,7 @@ func newHostTable() *vm.HostTable {
 		if err := iv.requireMutable(); err != nil {
 			return 0, err
 		}
-		name, err := inst.MemRead(a[0], a[1])
+		name, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
@@ -194,18 +208,18 @@ func newHostTable() *vm.HostTable {
 		if err != nil {
 			return 0, err
 		}
-		v, err := inst.MemRead(a[2], a[3])
+		v, err := inst.MemView(a[2], a[3])
 		if err != nil {
 			return 0, err
 		}
-		return 0, iv.tPut(valueKey(iv.obj, f.Name), v)
+		return 0, iv.tPut(iv.fieldKey(subValue, f.Name), v)
 	})
 
 	reg("val_del", 2, false, 32, func(iv *invocation, inst *vm.Instance, a []int64) (int64, error) {
 		if err := iv.requireMutable(); err != nil {
 			return 0, err
 		}
-		name, err := inst.MemRead(a[0], a[1])
+		name, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
@@ -213,13 +227,13 @@ func newHostTable() *vm.HostTable {
 		if err != nil {
 			return 0, err
 		}
-		return 0, iv.tDel(valueKey(iv.obj, f.Name))
+		return 0, iv.tDel(iv.fieldKey(subValue, f.Name))
 	})
 
 	// --- map fields ---
 
 	reg("map_get", 4, true, 32, func(iv *invocation, inst *vm.Instance, a []int64) (int64, error) {
-		name, err := inst.MemRead(a[0], a[1])
+		name, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
@@ -227,11 +241,11 @@ func newHostTable() *vm.HostTable {
 		if err != nil {
 			return 0, err
 		}
-		key, err := inst.MemRead(a[2], a[3])
+		key, err := inst.MemView(a[2], a[3])
 		if err != nil {
 			return 0, err
 		}
-		v, present, err := iv.tGet(mapKey(iv.obj, f.Name, key))
+		v, present, err := iv.tGet(iv.mapKey(f.Name, key))
 		if err != nil {
 			return 0, err
 		}
@@ -245,7 +259,7 @@ func newHostTable() *vm.HostTable {
 		if err := iv.requireMutable(); err != nil {
 			return 0, err
 		}
-		name, err := inst.MemRead(a[0], a[1])
+		name, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
@@ -253,22 +267,22 @@ func newHostTable() *vm.HostTable {
 		if err != nil {
 			return 0, err
 		}
-		key, err := inst.MemRead(a[2], a[3])
+		key, err := inst.MemView(a[2], a[3])
 		if err != nil {
 			return 0, err
 		}
-		v, err := inst.MemRead(a[4], a[5])
+		v, err := inst.MemView(a[4], a[5])
 		if err != nil {
 			return 0, err
 		}
-		return 0, iv.tPut(mapKey(iv.obj, f.Name, key), v)
+		return 0, iv.tPut(iv.mapKey(f.Name, key), v)
 	})
 
 	reg("map_del", 4, false, 32, func(iv *invocation, inst *vm.Instance, a []int64) (int64, error) {
 		if err := iv.requireMutable(); err != nil {
 			return 0, err
 		}
-		name, err := inst.MemRead(a[0], a[1])
+		name, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
@@ -276,15 +290,15 @@ func newHostTable() *vm.HostTable {
 		if err != nil {
 			return 0, err
 		}
-		key, err := inst.MemRead(a[2], a[3])
+		key, err := inst.MemView(a[2], a[3])
 		if err != nil {
 			return 0, err
 		}
-		return 0, iv.tDel(mapKey(iv.obj, f.Name, key))
+		return 0, iv.tDel(iv.mapKey(f.Name, key))
 	})
 
 	reg("map_count", 2, true, 128, func(iv *invocation, inst *vm.Instance, a []int64) (int64, error) {
-		name, err := inst.MemRead(a[0], a[1])
+		name, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
@@ -296,7 +310,7 @@ func newHostTable() *vm.HostTable {
 		// the result cache.
 		iv.nocache = true
 		var n int64
-		err = iv.tScan(mapPrefix(iv.obj, f.Name), func(k, v []byte) bool {
+		err = iv.tScan(iv.mapKey(f.Name, nil), func(k, v []byte) bool {
 			n++
 			return true
 		})
@@ -306,7 +320,7 @@ func newHostTable() *vm.HostTable {
 	// --- list fields ---
 
 	reg("list_len", 2, true, 32, func(iv *invocation, inst *vm.Instance, a []int64) (int64, error) {
-		name, err := inst.MemRead(a[0], a[1])
+		name, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
@@ -314,7 +328,7 @@ func newHostTable() *vm.HostTable {
 		if err != nil {
 			return 0, err
 		}
-		v, _, err := iv.tGet(listLenKey(iv.obj, f.Name))
+		v, _, err := iv.tGet(iv.fieldKey(subListLen, f.Name))
 		if err != nil {
 			return 0, err
 		}
@@ -322,7 +336,7 @@ func newHostTable() *vm.HostTable {
 	})
 
 	reg("list_get", 3, true, 32, func(iv *invocation, inst *vm.Instance, a []int64) (int64, error) {
-		name, err := inst.MemRead(a[0], a[1])
+		name, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
@@ -334,7 +348,7 @@ func newHostTable() *vm.HostTable {
 		if idx < 0 {
 			return packedNone, nil
 		}
-		v, present, err := iv.tGet(listEntryKey(iv.obj, f.Name, uint64(idx)))
+		v, present, err := iv.tGet(iv.listEntryKey(f.Name, uint64(idx)))
 		if err != nil {
 			return 0, err
 		}
@@ -348,7 +362,7 @@ func newHostTable() *vm.HostTable {
 		if err := iv.requireMutable(); err != nil {
 			return 0, err
 		}
-		name, err := inst.MemRead(a[0], a[1])
+		name, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
@@ -356,26 +370,25 @@ func newHostTable() *vm.HostTable {
 		if err != nil {
 			return 0, err
 		}
-		v, err := inst.MemRead(a[2], a[3])
+		v, err := inst.MemView(a[2], a[3])
 		if err != nil {
 			return 0, err
 		}
-		lenKey := listLenKey(iv.obj, f.Name)
-		cur, _, err := iv.tGet(lenKey)
+		cur, _, err := iv.tGet(iv.fieldKey(subListLen, f.Name))
 		if err != nil {
 			return 0, err
 		}
 		n := decodeU64(cur)
-		if err := iv.tPut(listEntryKey(iv.obj, f.Name, n), v); err != nil {
+		if err := iv.tPut(iv.listEntryKey(f.Name, n), v); err != nil {
 			return 0, err
 		}
-		return 0, iv.tPut(lenKey, encodeU64(n+1))
+		return 0, iv.tPutU64(iv.fieldKey(subListLen, f.Name), n+1)
 	})
 
 	// --- cross-object invocation ---
 
 	reg("call_arg", 2, false, 16, func(iv *invocation, inst *vm.Instance, a []int64) (int64, error) {
-		data, err := inst.MemRead(a[0], a[1])
+		data, err := inst.MemRead(a[0], a[1]) // retained: the one copy
 		if err != nil {
 			return 0, err
 		}
@@ -384,7 +397,7 @@ func newHostTable() *vm.HostTable {
 	})
 
 	reg("invoke", 3, true, 256, func(iv *invocation, inst *vm.Instance, a []int64) (int64, error) {
-		method, err := inst.MemRead(a[1], a[2])
+		method, err := inst.MemView(a[1], a[2])
 		if err != nil {
 			return 0, err
 		}
@@ -398,7 +411,7 @@ func newHostTable() *vm.HostTable {
 	})
 
 	reg("invoke_start", 3, true, 256, func(iv *invocation, inst *vm.Instance, a []int64) (int64, error) {
-		method, err := inst.MemRead(a[1], a[2])
+		method, err := inst.MemView(a[1], a[2])
 		if err != nil {
 			return 0, err
 		}

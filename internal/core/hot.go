@@ -1,5 +1,7 @@
 package core
 
+import "sync"
+
 // hotTracker is a bounded Space-Saving (Metwally et al.) top-k counter
 // over per-object invocation counts — the load signal behind hot-object
 // rebalancing. Unlike the unbounded map it replaces, memory is fixed at
@@ -12,9 +14,11 @@ package core
 //
 // The tracker is a binary min-heap on count with a map from object to
 // heap slot, so touch is O(log capacity) worst case and O(1) for the
-// common already-tracked increment that stays in place. Callers
-// serialize access (the runtime's statsMu).
+// common already-tracked increment that stays in place. Its own mutex
+// serializes access: every invocation touches it, so it shares a lock with
+// nothing else.
 type hotTracker struct {
+	mu       sync.Mutex
 	capacity int
 	entries  []hotEntry
 	index    map[ObjectID]int // object -> slot in entries
@@ -43,6 +47,8 @@ func newHotTracker(capacity int) *hotTracker {
 
 // touch counts one invocation of id.
 func (t *hotTracker) touch(id ObjectID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if i, ok := t.index[id]; ok {
 		t.entries[i].count++
 		t.siftDown(i)
@@ -66,12 +72,18 @@ func (t *hotTracker) touch(id ObjectID) {
 	t.siftDown(0)
 }
 
-// top returns up to n entries ordered hottest first.
-func (t *hotTracker) top(n int) []HotObject {
+// top returns up to n entries ordered hottest first; with reset it also
+// starts a new observation window, atomically with respect to touch.
+func (t *hotTracker) top(n int, reset bool) []HotObject {
+	t.mu.Lock()
 	out := make([]HotObject, len(t.entries))
 	for i, e := range t.entries {
 		out[i] = HotObject{ID: e.id, Count: e.count}
 	}
+	if reset {
+		t.clear()
+	}
+	t.mu.Unlock()
 	sortHot(out)
 	if n > 0 && len(out) > n {
 		out = out[:n]
@@ -81,6 +93,12 @@ func (t *hotTracker) top(n int) []HotObject {
 
 // reset clears all counts (start of a new observation window).
 func (t *hotTracker) reset() {
+	t.mu.Lock()
+	t.clear()
+	t.mu.Unlock()
+}
+
+func (t *hotTracker) clear() {
 	t.entries = t.entries[:0]
 	for k := range t.index {
 		delete(t.index, k)

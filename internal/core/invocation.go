@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync"
 	"time"
 
 	"lambdastore/internal/sched"
@@ -54,6 +56,51 @@ type invocation struct {
 	// consumed by the next invoke/invoke_start.
 	pendingArgs [][]byte
 	asyncs      []*asyncCall
+
+	// key and val are the host-call scratch, kept across invocations by
+	// invocationPool (see the ownership rule in hostapi.go). key starts
+	// with the object's key prefix, written once per invocation, followed
+	// by the storage key built last; val holds the value read last.
+	key []byte
+	val []byte
+}
+
+var invocationPool = sync.Pool{New: func() any { return new(invocation) }}
+
+// newInvocation takes an invocation context from the pool and binds it to
+// one call; the caller must recycle() it when the call has returned.
+func newInvocation(rt *Runtime, obj ObjectID, typ *ObjectType, method *MethodInfo, args [][]byte, cc CallCtx, mode sched.Mode) *invocation {
+	iv := invocationPool.Get().(*invocation)
+	iv.rt, iv.obj, iv.typ, iv.method, iv.args = rt, obj, typ, method, args
+	iv.depth, iv.trace, iv.mode = cc.Depth, cc.Trace, mode
+	iv.key = appendObjectPrefix(iv.key[:0], obj)
+	return iv
+}
+
+// recycle returns the context to the pool, keeping only its scratch
+// buffers. Nothing may refer to the invocation afterwards: run has joined
+// its parallel calls and detached it from the VM instance by then.
+func (iv *invocation) recycle() {
+	*iv = invocation{key: retained(iv.key), val: retained(iv.val)}
+	invocationPool.Put(iv)
+}
+
+// The key builders encode a storage key of the invocation's object in the
+// key scratch; the result is valid until the next key is built.
+
+func (iv *invocation) fieldKey(sub byte, field string) []byte {
+	iv.key = appendFieldKey(iv.key[:objectPrefixLen], sub, field)
+	return iv.key
+}
+
+func (iv *invocation) mapKey(field string, key []byte) []byte {
+	iv.key = appendMapKey(iv.key[:objectPrefixLen], field, key)
+	return iv.key
+}
+
+func (iv *invocation) listEntryKey(field string, idx uint64) []byte {
+	iv.key = appendListEntryKey(iv.key[:objectPrefixLen], field, idx)
+	return iv.key
 }
 
 // asyncCall is one in-flight parallel cross-object invocation (the paper's
@@ -103,11 +150,22 @@ func (iv *invocation) unlock() {
 
 // Transactional accessors: every state access is bracketed by admission.
 
+// tGet reads key into the val scratch: the value is valid until the next
+// tGet.
 func (iv *invocation) tGet(key []byte) ([]byte, bool, error) {
 	if err := iv.ensureLocked(); err != nil {
 		return nil, false, err
 	}
-	return iv.txn.get(key)
+	v, present, err := iv.txn.get(iv.val[:0], key)
+	iv.val = v
+	return v, present, err
+}
+
+// tPutU64 buffers a counter write.
+func (iv *invocation) tPutU64(key []byte, v uint64) error {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return iv.tPut(key, b[:])
 }
 
 func (iv *invocation) tPut(key, value []byte) error {
@@ -136,10 +194,8 @@ func (iv *invocation) tScan(prefix []byte, fn func(key, value []byte) bool) erro
 // run executes the method body in a pooled VM instance and commits on
 // success.
 func (iv *invocation) run() ([]byte, error) {
-	iv.rt.statsMu.Lock()
-	iv.rt.invocations++
+	iv.rt.invocations.Add(1)
 	iv.rt.hot.touch(iv.obj)
-	iv.rt.statsMu.Unlock()
 	defer iv.unlock()
 
 	inst, err := iv.rt.pool.get(iv.typ.Module, iv.method.Name)
@@ -225,16 +281,18 @@ func (iv *invocation) commitUnder(ctx telemetry.SpanContext) error {
 	// Re-verify existence under the admission: the object may have been
 	// deleted or migrated away while this invocation waited for the lock
 	// (the type binding alone is a cache and cannot be trusted here).
-	if _, present, err := iv.txn.get(headerKey(iv.obj)); err != nil {
+	if _, present, err := iv.tGet(iv.fieldKey(subHeader, "")); err != nil {
 		return err
 	} else if !present {
 		return fmt.Errorf("%w: %s (deleted or migrated during invocation)", ErrNoSuchObject, iv.obj)
 	}
-	cur, _, err := iv.txn.get(versionKey(iv.obj))
+	cur, _, err := iv.tGet(iv.fieldKey(subVersion, ""))
 	if err != nil {
 		return err
 	}
-	iv.txn.put(versionKey(iv.obj), encodeU64(decodeU64(cur)+1))
+	if err := iv.tPutU64(iv.fieldKey(subVersion, ""), decodeU64(cur)+1); err != nil {
+		return err
+	}
 	b := iv.txn.batch()
 	wsp := iv.rt.tracer.StartSpan(ctx, "wal-sync")
 	err = iv.rt.db.Write(b)
@@ -333,7 +391,7 @@ func (iv *invocation) asyncErr() error {
 
 // fieldOf resolves a field by name and checks its kind.
 func (iv *invocation) fieldOf(name []byte, kind FieldKind) (*FieldDef, error) {
-	f, ok := iv.typ.Field(string(name))
+	f, ok := iv.typ.fieldIdx[string(name)] // no alloc: map lookup special case
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchField, iv.typ.Name, name)
 	}

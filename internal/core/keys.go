@@ -38,59 +38,72 @@ func typeKey(name string) []byte {
 	return append([]byte{keyPrefixType}, name...)
 }
 
-// objectPrefix returns the prefix covering all keys of an object.
-func objectPrefix(id ObjectID) []byte {
-	b := make([]byte, 9, 24)
-	b[0] = keyPrefixObject
-	binary.BigEndian.PutUint64(b[1:], uint64(id))
-	return b
+// objectPrefixLen is the length of the 'o' <id8> prefix of every object key.
+const objectPrefixLen = 9
+
+// appendObjectPrefix appends the prefix covering all keys of an object.
+func appendObjectPrefix(dst []byte, id ObjectID) []byte {
+	dst = append(dst, keyPrefixObject)
+	return binary.BigEndian.AppendUint64(dst, uint64(id))
 }
+
+// The append*Key builders complete a key in place: dst already ends in the
+// object's prefix. Host calls build every key this way in the invocation's
+// scratch buffer (invocation.key), so a state access encodes its key
+// without allocating.
+
+// appendFieldKey covers the sub <field> layouts (and, with an empty field,
+// the header and version keys).
+func appendFieldKey(dst []byte, sub byte, field string) []byte {
+	return append(append(dst, sub), field...)
+}
+
+// appendMapKey with a nil key yields the prefix of all entries of the map.
+func appendMapKey(dst []byte, field string, key []byte) []byte {
+	return append(append(appendFieldKey(dst, subMapEnt, field), 0), key...)
+}
+
+func appendListEntryKey(dst []byte, field string, idx uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(appendFieldKey(dst, subListEnt, field), 0), idx)
+}
+
+// newKey starts a freshly allocated key of the object with room for n more
+// bytes. The builders below are the allocating forms, for everything that
+// is not a host call: one exactly sized allocation per key.
+func newKey(id ObjectID, n int) []byte {
+	return appendObjectPrefix(make([]byte, 0, objectPrefixLen+n), id)
+}
+
+// objectPrefix returns the prefix covering all keys of an object.
+func objectPrefix(id ObjectID) []byte { return newKey(id, 0) }
 
 // headerKey returns the object existence/type record key.
-func headerKey(id ObjectID) []byte {
-	return append(objectPrefix(id), subHeader)
-}
+func headerKey(id ObjectID) []byte { return appendFieldKey(newKey(id, 1), subHeader, "") }
 
 // versionKey returns the object's commit-version counter key.
-func versionKey(id ObjectID) []byte {
-	return append(objectPrefix(id), subVersion)
-}
+func versionKey(id ObjectID) []byte { return appendFieldKey(newKey(id, 1), subVersion, "") }
 
 // valueKey returns the key of a value field.
 func valueKey(id ObjectID, field string) []byte {
-	b := append(objectPrefix(id), subValue)
-	return append(b, field...)
+	return appendFieldKey(newKey(id, 1+len(field)), subValue, field)
 }
 
 // mapKey returns the key of one map entry.
 func mapKey(id ObjectID, field string, key []byte) []byte {
-	b := append(objectPrefix(id), subMapEnt)
-	b = append(b, field...)
-	b = append(b, 0)
-	return append(b, key...)
+	return appendMapKey(newKey(id, 2+len(field)+len(key)), field, key)
 }
 
 // mapPrefix returns the prefix of all entries of a map field.
-func mapPrefix(id ObjectID, field string) []byte {
-	b := append(objectPrefix(id), subMapEnt)
-	b = append(b, field...)
-	return append(b, 0)
-}
+func mapPrefix(id ObjectID, field string) []byte { return mapKey(id, field, nil) }
 
 // listEntryKey returns the key of list element idx.
 func listEntryKey(id ObjectID, field string, idx uint64) []byte {
-	b := append(objectPrefix(id), subListEnt)
-	b = append(b, field...)
-	b = append(b, 0)
-	var ib [8]byte
-	binary.BigEndian.PutUint64(ib[:], idx)
-	return append(b, ib[:]...)
+	return appendListEntryKey(newKey(id, 10+len(field)), field, idx)
 }
 
 // listLenKey returns the key of a list field's length counter.
 func listLenKey(id ObjectID, field string) []byte {
-	b := append(objectPrefix(id), subListLen)
-	return append(b, field...)
+	return appendFieldKey(newKey(id, 1+len(field)), subListLen, field)
 }
 
 // encodeU64 renders a counter value.

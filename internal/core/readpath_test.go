@@ -82,11 +82,12 @@ func TestReadFastPathAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured 11 on the fast path (pooled txn, nil write buffer); the
-	// ablated path measures 13 (eager write buffer + fresh txn struct)
-	// and a regression to per-invocation instantiation is far above
-	// either. Slack for toolchain drift without absorbing a regression.
-	const bound = 16
+	// Measured 4: the snapshot, the scheduler admission (2) and the result
+	// copied out of guest memory. The invocation context, its txn and its
+	// key/value scratch are pooled, and the state-cache hit copies into
+	// that scratch. A regression to per-call scratch, to the write path's
+	// eager maps or to per-invocation instantiation shows up well above.
+	const bound = 4 + 2
 	if allocs > bound {
 		t.Fatalf("read-only invoke allocs/op = %.1f, want <= %d", allocs, bound)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lambdastore/internal/cache"
@@ -105,9 +106,8 @@ type Runtime struct {
 	// objTypes caches object -> type bindings (immutable once created).
 	objTypes sync.Map // ObjectID -> *ObjectType
 
-	invocations uint64
-	commits     uint64
-	statsMu     sync.Mutex
+	invocations atomic.Uint64
+	commits     atomic.Uint64
 	// hot tracks per-object invocation counts in bounded memory — the
 	// load signal behind hot-microshard rebalancing (the paper's
 	// elasticity future work, now the rebalancer's sampling source).
@@ -523,16 +523,8 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 	if mi.RoutableReadOnly() {
 		mode = sched.Read
 	}
-	iv := &invocation{
-		rt:     rt,
-		obj:    id,
-		typ:    typ,
-		method: mi,
-		args:   args,
-		depth:  cc.Depth,
-		trace:  cc.Trace,
-		mode:   mode,
-	}
+	iv := newInvocation(rt, id, typ, mi, args, cc, mode)
+	defer iv.recycle()
 	// Admit before the cache lookup so validation reads cannot interleave
 	// with a writer on this object.
 	if err := iv.ensureLocked(); err != nil {
@@ -579,7 +571,7 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 	}
 
 	if cacheable && !iv.nocache {
-		rt.cache.Store(uint64(id), method, argsHash, result, iv.txn.readSet)
+		rt.cache.Store(uint64(id), method, argsHash, result, iv.txn.readSet())
 	} else if cacheable && rt.cache != nil {
 		// Eligible by signature but poisoned at runtime (clock, randomness,
 		// scans, cross-calls): a bypass, not a miss.
@@ -633,9 +625,7 @@ func (rt *Runtime) committedHash(key []byte) uint64 {
 // not acknowledge) propagates so the client ack is withheld; the local
 // commit stands.
 func (rt *Runtime) notifyCommit(ctx telemetry.SpanContext, id ObjectID, b *store.Batch) error {
-	rt.statsMu.Lock()
-	rt.commits++
-	rt.statsMu.Unlock()
+	rt.commits.Add(1)
 	if rt.metrics != nil {
 		rt.metrics.commits.Inc()
 	}
@@ -650,9 +640,7 @@ func (rt *Runtime) notifyCommit(ctx telemetry.SpanContext, id ObjectID, b *store
 
 // Stats returns cumulative invocation and commit counts.
 func (rt *Runtime) Stats() (invocations, commits uint64) {
-	rt.statsMu.Lock()
-	defer rt.statsMu.Unlock()
-	return rt.invocations, rt.commits
+	return rt.invocations.Load(), rt.commits.Load()
 }
 
 // HotObject is one entry of the per-object load ranking.
@@ -667,25 +655,14 @@ type HotObject struct {
 // come from a bounded Space-Saving tracker, so they are exact for the
 // heavy hitters and slight over-estimates for objects that churned
 // through the tracker's tail.
-func (rt *Runtime) HotObjects(n int) []HotObject {
-	rt.statsMu.Lock()
-	out := rt.hot.top(n)
-	rt.statsMu.Unlock()
-	return out
-}
+func (rt *Runtime) HotObjects(n int) []HotObject { return rt.hot.top(n, false) }
 
 // HotWindow returns the top-n ranking and atomically starts a new
 // observation window — the rebalancer's sample-and-reset primitive, so
 // counts between samples are per-window rates rather than lifetime
 // totals. Single-sampler contract: concurrent samplers would steal each
 // other's windows.
-func (rt *Runtime) HotWindow(n int) []HotObject {
-	rt.statsMu.Lock()
-	out := rt.hot.top(n)
-	rt.hot.reset()
-	rt.statsMu.Unlock()
-	return out
-}
+func (rt *Runtime) HotWindow(n int) []HotObject { return rt.hot.top(n, true) }
 
 // sortHot orders a ranking hottest first with a deterministic tie-break.
 func sortHot(out []HotObject) {
@@ -699,11 +676,7 @@ func sortHot(out []HotObject) {
 
 // ResetHotStats clears the per-object load counters (start of a new
 // observation window).
-func (rt *Runtime) ResetHotStats() {
-	rt.statsMu.Lock()
-	rt.hot.reset()
-	rt.statsMu.Unlock()
-}
+func (rt *Runtime) ResetHotStats() { rt.hot.reset() }
 
 // ApplyReplicated applies a write-set received from a primary, bypassing
 // method execution (the backup path of §4.2.1: "the results of the

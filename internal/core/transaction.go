@@ -110,19 +110,12 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 	results := make([][]byte, len(calls))
 	wrote := false
 	for i, c := range calls {
-		iv := &invocation{
-			rt:       rt,
-			obj:      c.Object,
-			typ:      rcalls[i].typ,
-			method:   rcalls[i].mi,
-			args:     c.Args,
-			txn:      shared,
-			trace:    cc.Trace,
-			mode:     sched.Write,
-			locked:   true, // the transaction holds the admissions
-			external: true, // commit and unlock are managed here
-		}
+		iv := newInvocation(rt, c.Object, rcalls[i].typ, rcalls[i].mi, c.Args, CallCtx{Trace: cc.Trace}, sched.Write)
+		iv.txn = shared
+		iv.locked = true   // the transaction holds the admissions
+		iv.external = true // commit and unlock are managed here
 		res, err := iv.run()
+		iv.recycle()
 		if err != nil {
 			return nil, fmt.Errorf("core: transaction call %d (%s.%s): %w",
 				i, rcalls[i].typ.Name, c.Method, err)
@@ -145,12 +138,12 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 			}
 		}
 		for id := range touched {
-			if _, present, err := shared.get(headerKey(id)); err != nil {
+			if _, present, err := shared.get(nil, headerKey(id)); err != nil {
 				return nil, err
 			} else if !present {
 				return nil, fmt.Errorf("%w: %s (deleted during transaction)", ErrNoSuchObject, id)
 			}
-			cur, _, err := shared.get(versionKey(id))
+			cur, _, err := shared.get(nil, versionKey(id))
 			if err != nil {
 				return nil, err
 			}
@@ -168,9 +161,7 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 		// batch is idempotent, and backups apply it atomically).
 		first := true
 		for id := range touched {
-			rt.statsMu.Lock()
-			rt.commits++
-			rt.statsMu.Unlock()
+			rt.commits.Add(1)
 			if rt.metrics != nil {
 				rt.metrics.commits.Inc()
 			}

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"errors"
+	"bytes"
+	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
@@ -25,12 +26,37 @@ type txn struct {
 	// recordReads enables read-set capture for the consistent result
 	// cache. Only reads that fall through to the snapshot are recorded —
 	// cacheable methods are read-only, so every read falls through.
+	//
+	// The read set is captured in scratch a pooled txn keeps across
+	// invocations — each distinct key once (guests read a key twice: a size
+	// pass, then a copy pass), its bytes in the readKeys slab — and only
+	// readSet() turns it into memory the result cache may own.
 	recordReads bool
-	readSet     []cache.ReadDep
-	readKeys    map[string]struct{}
+	reads       []cache.ReadDep // keys alias readKeys, or a copy it outgrew
+	readKeys    []byte
+	// readIdx maps a key's hash to its index in reads. Two keys sharing a
+	// hash just make the older one record again on its next read; a
+	// duplicate dependency validates the same as a single one.
+	readIdx map[uint64]int32
 
 	// pooled marks a read-path txn recycled through roTxnPool by close.
 	pooled bool
+}
+
+var readKeySeed = maphash.MakeSeed()
+
+// scratchRetainMax is the largest scratch buffer a pooled txn or
+// invocation keeps for its next use; one that grew past it (a huge value,
+// a thousand-key read set) is dropped so the pools' footprint stays small.
+const scratchRetainMax = 4 << 10
+
+// retained empties a scratch buffer for reuse, or drops it if it outgrew
+// scratchRetainMax.
+func retained(b []byte) []byte {
+	if cap(b) > scratchRetainMax {
+		return nil
+	}
+	return b[:0]
 }
 
 type bufferedWrite struct {
@@ -81,50 +107,69 @@ func (t *txn) close() {
 		t.snap = nil
 	}
 	if t.pooled {
-		// The readSet backing array may have been handed to cache.Store —
-		// drop the reference rather than reusing it.
-		*t = txn{}
+		recycled := txn{}
+		if cap(t.readKeys) <= scratchRetainMax && cap(t.reads) <= scratchRetainMax/32 {
+			clear(t.readIdx)
+			clear(t.reads)
+			recycled = txn{reads: t.reads[:0], readKeys: t.readKeys[:0], readIdx: t.readIdx}
+		}
+		*t = recycled
 		roTxnPool.Put(t)
 	}
 }
 
-// get reads key: buffered writes win over the snapshot.
-func (t *txn) get(key []byte) (value []byte, present bool, err error) {
+// get reads key, appending a live value to dst and returning the extended
+// slice (dst itself when the key is absent): buffered writes win over the
+// snapshot.
+func (t *txn) get(dst, key []byte) (val []byte, present bool, err error) {
 	if w, ok := t.writes[string(key)]; ok {
 		if w.del {
-			return nil, false, nil
+			return dst, false, nil
 		}
-		return w.value, true, nil
+		return append(dst, w.value...), true, nil
 	}
 	t.ensureSnap()
-	v, err := t.snap.Get(key)
+	val, present, err = t.snap.GetInto(dst, key)
 	if err != nil {
-		if errors.Is(err, store.ErrNotFound) {
-			t.noteRead(key, nil, false)
-			return nil, false, nil
-		}
-		return nil, false, err
+		return dst, false, err
 	}
-	t.noteRead(key, v, true)
-	return v, true, nil
+	if t.recordReads {
+		t.noteRead(key, val[len(dst):], present)
+	}
+	return val, present, nil
 }
 
 // noteRead records a snapshot read in the read set (once per key).
 func (t *txn) noteRead(key, value []byte, present bool) {
-	if !t.recordReads {
-		return
+	h := maphash.Bytes(readKeySeed, key)
+	if i, seen := t.readIdx[h]; seen {
+		if bytes.Equal(t.reads[i].Key, key) {
+			return
+		}
+	} else if t.readIdx == nil {
+		t.readIdx = make(map[uint64]int32)
 	}
-	if _, seen := t.readKeys[string(key)]; seen {
-		return
+	t.readIdx[h] = int32(len(t.reads))
+	off := len(t.readKeys)
+	t.readKeys = append(t.readKeys, key...)
+	t.reads = append(t.reads, cache.ReadDep{Key: t.readKeys[off:], ValueHash: cache.HashValue(value, present)})
+}
+
+// readSet returns the recorded read set in freshly allocated memory — one
+// []ReadDep over one key slab — for the result cache to keep: it outlives
+// the invocation, and the scratch it was captured in is reused by the next.
+func (t *txn) readSet() []cache.ReadDep {
+	if len(t.reads) == 0 {
+		return nil
 	}
-	if t.readKeys == nil {
-		t.readKeys = make(map[string]struct{}, 8)
+	slab := make([]byte, 0, len(t.readKeys))
+	deps := make([]cache.ReadDep, len(t.reads))
+	for i, r := range t.reads {
+		off := len(slab)
+		slab = append(slab, r.Key...)
+		deps[i] = cache.ReadDep{Key: slab[off:len(slab):len(slab)], ValueHash: r.ValueHash}
 	}
-	t.readKeys[string(key)] = struct{}{}
-	t.readSet = append(t.readSet, cache.ReadDep{
-		Key:       append([]byte(nil), key...),
-		ValueHash: cache.HashValue(value, present),
-	})
+	return deps
 }
 
 // put buffers a write.

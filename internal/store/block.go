@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"lambdastore/internal/wire"
 )
@@ -128,6 +127,10 @@ type blockIter struct {
 
 func (b *block) iterator() *blockIter { return &blockIter{b: b} }
 
+// reset points the iterator at another block (nil to let go of the current
+// one), keeping its key buffer.
+func (it *blockIter) reset(b *block) { *it = blockIter{b: b, key: it.key[:0]} }
+
 // decodeEntryAt parses the entry at off given the key prefix state in
 // it.key; returns false at end of data or on corruption.
 func (it *blockIter) decodeEntryAt(off int) bool {
@@ -180,16 +183,19 @@ func (it *blockIter) SeekToFirst() {
 func (it *blockIter) SeekGE(ik internalKey) {
 	// Binary search restart points for the last restart whose key < ik.
 	b := it.b
-	idx := sort.Search(b.numRestarts, func(i int) bool {
+	lo, hi := 0, b.numRestarts
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
 		it.key = it.key[:0]
-		if !it.decodeEntryAt(int(b.restarts[i])) {
-			return true
+		if it.decodeEntryAt(int(b.restarts[mid])) && compareInternal(internalKey(it.key), ik) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return compareInternal(internalKey(it.key), ik) >= 0
-	})
+	}
 	start := 0
-	if idx > 0 {
-		start = int(b.restarts[idx-1])
+	if lo > 0 {
+		start = int(b.restarts[lo-1])
 	}
 	it.key = it.key[:0]
 	if !it.decodeEntryAt(start) {

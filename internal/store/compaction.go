@@ -127,10 +127,11 @@ func (db *DB) flushMemtable() error {
 	}
 
 	db.mu.Lock()
-	db.current = edit.apply(db.current)
+	old := db.setCurrent(edit.apply(db.current))
 	db.imm = nil
 	db.cond.Broadcast()
 	db.mu.Unlock()
+	db.unref(old)
 
 	os.Remove(walPath(db.dir, immWal))
 	return nil
@@ -233,23 +234,19 @@ func (db *DB) compactOnce() error {
 func (db *DB) runCompaction(level int, inputs, inputs2 []*tableMeta, smallestSnapshot uint64, isBase bool) error {
 	outLevel := level + 1
 
-	// Build the merged input iterator, pinning all tables.
+	// Build the merged input iterator; each table stays open until its
+	// iterator is closed.
 	var iters []internalIterator
-	var refs []func()
-	defer func() {
-		for _, r := range refs {
-			r()
-		}
-	}()
 	for _, t := range append(append([]*tableMeta(nil), inputs...), inputs2...) {
-		r, release, err := db.tcache.acquire(t.fileNum)
+		it, err := db.tcache.tableIterator(t.fileNum)
 		if err != nil {
+			newMergingIter(iters...).Close()
 			return err
 		}
-		refs = append(refs, release)
-		iters = append(iters, r.iterator())
+		iters = append(iters, it)
 	}
 	merged := newMergingIter(iters...)
+	defer merged.Close()
 
 	var (
 		outputs     []editAdd
@@ -360,15 +357,12 @@ func (db *DB) runCompaction(level int, inputs, inputs2 []*tableMeta, smallestSna
 		return err
 	}
 	db.mu.Lock()
-	db.current = edit.apply(db.current)
+	old := db.setCurrent(edit.apply(db.current))
 	db.cond.Broadcast()
 	db.mu.Unlock()
 
-	// Retire the input files: evict readers (closed when drained) and
-	// unlink. Open FDs keep data readable for in-flight users.
-	for _, d := range edit.deleted {
-		db.tcache.evict(d.fileNum)
-		os.Remove(tablePath(db.dir, d.fileNum))
-	}
+	// Retire the inputs: dropping the replaced version's reference unlinks
+	// them, now or when the last read that captured it finishes.
+	db.unref(old)
 	return nil
 }

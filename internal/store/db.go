@@ -124,7 +124,6 @@ func Open(dir string, opts *Options) (*DB, error) {
 		mem:      newMemtable(),
 		lastSeq:  lastSeq,
 		nextFile: nextFile,
-		current:  v,
 		snaps:    make(map[uint64]int),
 		tcache:   newTableCache(dir, opts.BlockCacheBytes),
 		bgWork:   make(chan struct{}, 1),
@@ -138,6 +137,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 		db.sc = newStateCache(opts.StateCacheEntries)
 	}
 	db.cond = sync.NewCond(&db.mu)
+	db.setCurrent(v)
 
 	// Replay every WAL at least as new as the manifest's log number.
 	logs, err := findLogs(dir, logNum)
@@ -594,166 +594,224 @@ func (db *DB) scheduleBackground() {
 	}
 }
 
+// latestSeq as a read's snapshot sequence means "the latest committed
+// state": the state cache serves any live entry, and a miss captures the
+// real sequence (and state-cache generation) under db.mu.
+const latestSeq = ^uint64(0)
+
 // Get returns the value for key at the latest committed state.
 func (db *DB) Get(key []byte) ([]byte, error) {
-	// State-cache fast path: any live entry is valid for the latest state
-	// (entries are write-through-updated before lastSeq advances), and the
-	// hit avoids db.mu entirely.
-	if db.sc != nil {
-		if val, present, ok := db.sc.lookup(key, ^uint64(0)); ok {
-			if !present {
-				return nil, ErrNotFound
-			}
-			return val, nil
-		}
+	return orNotFound(db.getInto(nil, key, latestSeq, 0))
+}
+
+// GetInto appends the latest committed value of key to dst and returns the
+// extended slice; present is false (and dst returned as is) when the key is
+// absent. With a reused dst a read allocates nothing.
+func (db *DB) GetInto(dst, key []byte) (val []byte, present bool, err error) {
+	return db.getInto(dst, key, latestSeq, 0)
+}
+
+// orNotFound adapts getInto's result to the ErrNotFound convention.
+func orNotFound(val []byte, present bool, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
 	}
-	db.mu.Lock()
-	seq := db.lastSeq
-	var gen uint64
-	if db.sc != nil {
-		gen = db.sc.gen.Load()
+	if !present {
+		return nil, ErrNotFound
 	}
-	db.mu.Unlock()
-	return db.getAtFill(key, seq, gen)
+	return val, nil
 }
 
 // VisitLatest calls fn with the current committed value of key (present
-// false when absent), avoiding the defensive copy Get makes: on a
-// state-cache hit fn observes the cached bytes in place, under the
-// cache's shard lock. fn must not retain or mutate the slice. This is the
-// result-cache validation path, which only hashes the value.
+// false when absent) without copying it out: on a state-cache hit fn
+// observes the cached bytes in place, under the cache's shard lock; on a
+// miss, in pooled scratch. fn must not retain or mutate the slice. This is
+// the result-cache validation path, which only hashes the value.
 func (db *DB) VisitLatest(key []byte, fn func(value []byte, present bool)) error {
 	if db.sc != nil && db.sc.visit(key, fn) {
 		return nil
 	}
-	// Miss: take the regular fill path (which populates the state cache)
-	// without re-probing the cache.
-	db.mu.Lock()
-	seq := db.lastSeq
-	var gen uint64
-	if db.sc != nil {
-		gen = db.sc.gen.Load()
+	rs := readScratchPool.Get().(*readScratch)
+	val, present, err := db.getMiss(rs, rs.val[:0], key, latestSeq, 0)
+	if err == nil {
+		fn(val, present)
 	}
-	db.mu.Unlock()
-	v, err := db.getAtFill(key, seq, gen)
-	if err != nil {
-		if err == ErrNotFound {
-			fn(nil, false)
-			return nil
-		}
-		return err
-	}
-	fn(v, true)
-	return nil
+	rs.val = val
+	rs.release()
+	return err
 }
 
-// getAt reads key as of snapshot seq. gen is the state-cache generation
-// captured together with seq (under db.mu), used to gate miss-path
-// population of the state cache.
-func (db *DB) getAt(key []byte, seq, gen uint64) ([]byte, error) {
+// getInto is the one point-read primitive: Get, GetInto, VisitLatest and
+// their Snapshot forms are wrappers over it. It reads key as of snapshot
+// seq and appends a live value to dst. gen is the state-cache generation
+// captured together with seq (under db.mu), which gates miss-path
+// population of the state cache; with seq == latestSeq both are captured
+// here.
+func (db *DB) getInto(dst, key []byte, seq, gen uint64) (val []byte, present bool, err error) {
 	if db.sc != nil {
-		if val, present, ok := db.sc.lookup(key, seq); ok {
-			if !present {
-				return nil, ErrNotFound
-			}
-			return val, nil
+		// Any entry valid at seq answers without touching db.mu.
+		if val, present, ok := db.sc.lookupInto(dst, key, seq); ok {
+			return val, present, nil
 		}
 	}
-	return db.getAtFill(key, seq, gen)
+	rs := readScratchPool.Get().(*readScratch)
+	val, present, err = db.getMiss(rs, dst, key, seq, gen)
+	rs.release()
+	return val, present, err
 }
 
-// getAtFill performs the full lookup and populates the state cache when the
-// captured generation is still current (no commit raced the read).
-func (db *DB) getAtFill(key []byte, seq, gen uint64) ([]byte, error) {
-	val, err := db.getAtSlow(key, seq)
-	if db.sc != nil {
-		if err == nil {
-			db.sc.insert(key, val, true, seq, gen)
-		} else if err == ErrNotFound {
-			db.sc.insert(key, nil, false, seq, gen)
-		}
+// readScratch is the working memory of one point read past the state
+// cache: nothing in it outlives the read, so reads recycle it instead of
+// allocating a lookup key and two block cursors each.
+type readScratch struct {
+	ikey []byte    // internal lookup key, built once and shared by every probe
+	it   blockIter // index-block, then data-block cursor; keeps its key buffer
+	val  []byte    // value buffer of VisitLatest's miss path
+}
+
+var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
+
+// scratchRetainMax is the largest buffer a pooled scratch object or a
+// state-cache slot carries over to its next use: one oversized key or value
+// must not pin its footprint there.
+const scratchRetainMax = 4 << 10
+
+// retained empties a buffer for reuse, or drops it if it outgrew
+// scratchRetainMax.
+func retained(b []byte) []byte {
+	if cap(b) > scratchRetainMax {
+		return nil
 	}
-	return val, err
+	return b[:0]
 }
 
-// getAtSlow is the full LSM lookup: memtables, then L0 newest-first, then
-// binary search per deeper level.
-func (db *DB) getAtSlow(key []byte, seq uint64) ([]byte, error) {
+func (rs *readScratch) release() {
+	*rs = readScratch{ikey: retained(rs.ikey), it: blockIter{key: retained(rs.it.key)}, val: retained(rs.val)}
+	readScratchPool.Put(rs)
+}
+
+// getMiss is getInto past the state cache: it pins what the read needs
+// (memtables and table layout), searches it, and offers the outcome to the
+// state cache.
+func (db *DB) getMiss(rs *readScratch, dst, key []byte, seq, gen uint64) (val []byte, present bool, err error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
-		return nil, ErrClosed
+		return dst, false, ErrClosed
+	}
+	if seq == latestSeq {
+		seq = db.lastSeq
+		if db.sc != nil {
+			gen = db.sc.gen.Load()
+		}
 	}
 	mem, imm, v := db.mem, db.imm, db.current
+	v.refs.Add(1)
 	db.mu.Unlock()
 
-	if val, deleted, present := mem.get(key, seq); present {
-		if deleted {
-			return nil, ErrNotFound
-		}
-		return append([]byte(nil), val...), nil
+	rs.ikey = makeInternalKey(rs.ikey, key, seq, kindSeek)
+	val, present, err = db.search(rs, dst, mem, imm, v)
+	db.unref(v)
+	if err == nil && db.sc != nil {
+		// Populates only if the captured generation is still current (no
+		// commit raced the read).
+		db.sc.insert(key, val[len(dst):], present, seq, gen)
+	}
+	return val, present, err
+}
+
+// search is the full LSM lookup of rs.ikey: memtables, then v's L0 tables
+// newest-first, then one table per deeper level. A live value is copied
+// once, from the skiplist node or the immutable block straight into dst.
+func (db *DB) search(rs *readScratch, dst []byte, mem, imm *memtable, v *version) (val []byte, present bool, err error) {
+	lookup := internalKey(rs.ikey)
+	if value, kind, ok := mem.get(lookup); ok {
+		return appendLive(dst, value, kind)
 	}
 	if imm != nil {
-		if val, deleted, present := imm.get(key, seq); present {
-			if deleted {
-				return nil, ErrNotFound
-			}
-			return append([]byte(nil), val...), nil
+		if value, kind, ok := imm.get(lookup); ok {
+			return appendLive(dst, value, kind)
 		}
 	}
-
-	lookup := makeInternalKey(nil, key, seq, kindSeek)
-
-	// L0: overlapping tables, newest first.
+	key := lookup.userKey()
 	for _, t := range v.levels[0] {
 		if !t.overlaps(key, key) {
 			continue
 		}
-		val, done, err := db.tableGet(t, lookup)
-		if done || err != nil {
-			return val, err
+		if val, present, done, err := db.tableGet(rs, dst, t); done {
+			return val, present, err
 		}
 	}
-	// Deeper levels: binary search by internal key so versions of a user
-	// key that straddle a table boundary are found in the correct file.
 	for level := 1; level < numLevels; level++ {
+		// Search by internal key so versions of a user key that straddle a
+		// table boundary are found in the correct file.
 		tables := v.levels[level]
-		idx := sort.Search(len(tables), func(i int) bool {
-			return compareInternal(tables[i].largest, lookup) >= 0
-		})
-		if idx >= len(tables) {
+		i := findTable(tables, lookup)
+		if i >= len(tables) || bytes.Compare(tables[i].smallest.userKey(), key) > 0 {
 			continue
 		}
-		if bytes.Compare(tables[idx].smallest.userKey(), key) > 0 {
-			continue
-		}
-		val, done, err := db.tableGet(tables[idx], lookup)
-		if done || err != nil {
-			return val, err
+		if val, present, done, err := db.tableGet(rs, dst, tables[i]); done {
+			return val, present, err
 		}
 	}
-	return nil, ErrNotFound
+	return dst, false, nil
 }
 
-// tableGet probes one table. done=true means the lookup is resolved (value
-// or ErrNotFound via tombstone).
-func (db *DB) tableGet(t *tableMeta, lookup internalKey) (val []byte, done bool, err error) {
-	r, release, err := db.tcache.acquire(t.fileNum)
+// appendLive appends value to dst unless the version found is a tombstone.
+func appendLive(dst, value []byte, kind keyKind) ([]byte, bool, error) {
+	if kind == kindDelete {
+		return dst, false, nil
+	}
+	return append(dst, value...), true, nil
+}
+
+// tableGet probes one table for rs.ikey. done=true means the lookup is
+// resolved: a value, a tombstone, or an error.
+func (db *DB) tableGet(rs *readScratch, dst []byte, t *tableMeta) (val []byte, present, done bool, err error) {
+	ct, err := db.tcache.acquire(t.fileNum)
 	if err != nil {
-		return nil, true, err
+		return dst, false, true, err
 	}
-	defer release()
-	ik, v, present, err := r.get(lookup)
-	if err != nil {
-		return nil, true, err
+	value, kind, ok, err := ct.reader.get(rs)
+	if ok {
+		// value aliases the cached block: copy before the table is let go.
+		dst, present, _ = appendLive(dst, value, kind)
 	}
-	if !present {
-		return nil, false, nil
+	db.tcache.release(ct)
+	return dst, present, ok || err != nil, err
+}
+
+// setCurrent installs nv as the current version, taking a reference on it
+// and on each table it names, and returns the version it replaces (nil at
+// open), which the caller must unref once db.mu is released. Called with
+// db.mu held (or from Open, before the DB is shared).
+func (db *DB) setCurrent(nv *version) (old *version) {
+	for _, tables := range nv.levels {
+		for _, t := range tables {
+			t.refs.Add(1)
+		}
 	}
-	if ik.kind() == kindDelete {
-		return nil, true, ErrNotFound
+	nv.refs.Add(1)
+	old, db.current = db.current, nv
+	return old
+}
+
+// unref drops one reference to v: db.current's own, a point read's or an
+// iterator's. Whoever drops the last one releases v's tables, and a table
+// no remaining version names is closed and unlinked — never earlier, so a
+// reader that captured v can still open every table it lists.
+func (db *DB) unref(v *version) {
+	if v == nil || v.refs.Add(-1) > 0 {
+		return
 	}
-	return v, true, nil
+	for _, tables := range v.levels {
+		for _, t := range tables {
+			if t.refs.Add(-1) == 0 {
+				db.tcache.evict(t.fileNum)
+				os.Remove(tablePath(db.dir, t.fileNum))
+			}
+		}
+	}
 }
 
 // Snapshot pins a consistent view of the database.
@@ -779,7 +837,14 @@ func (db *DB) GetSnapshot() *Snapshot {
 }
 
 // Get reads key at the snapshot.
-func (s *Snapshot) Get(key []byte) ([]byte, error) { return s.db.getAt(key, s.seq, s.gen) }
+func (s *Snapshot) Get(key []byte) ([]byte, error) {
+	return orNotFound(s.db.getInto(nil, key, s.seq, s.gen))
+}
+
+// GetInto is DB.GetInto at the snapshot.
+func (s *Snapshot) GetInto(dst, key []byte) (val []byte, present bool, err error) {
+	return s.db.getInto(dst, key, s.seq, s.gen)
+}
 
 // Seq exposes the snapshot's sequence number (used by tests).
 func (s *Snapshot) Seq() uint64 { return s.seq }
@@ -844,7 +909,9 @@ func (s *Snapshot) NewIterator() (*Iterator, error) {
 	return s.db.newIteratorAt(s.seq)
 }
 
-// newIteratorAt assembles the merged iterator stack for sequence seq.
+// newIteratorAt assembles the merged iterator stack for sequence seq. The
+// iterator holds a reference on the version it captured until Close, so
+// the tables it opens lazily are still there when it reaches them.
 func (db *DB) newIteratorAt(seq uint64) (*Iterator, error) {
 	db.mu.Lock()
 	if db.closed {
@@ -852,58 +919,28 @@ func (db *DB) newIteratorAt(seq uint64) (*Iterator, error) {
 		return nil, ErrClosed
 	}
 	mem, imm, v := db.mem, db.imm, db.current
+	v.refs.Add(1)
 	db.mu.Unlock()
 
-	var iters []internalIterator
-	iters = append(iters, mem.iterator())
+	iters := []internalIterator{mem.iterator()}
 	if imm != nil {
 		iters = append(iters, imm.iterator())
 	}
-	// refs holds table-cache references pinned for the iterator's lifetime,
-	// so compaction can never close a reader out from under it.
-	var refs []func()
-	fail := func(err error) (*Iterator, error) {
-		for _, c := range refs {
-			c()
-		}
-		return nil, err
-	}
 	for _, t := range v.levels[0] {
-		r, release, err := db.tcache.acquire(t.fileNum)
+		it, err := db.tcache.tableIterator(t.fileNum)
 		if err != nil {
-			return fail(err)
+			newMergingIter(iters...).Close()
+			db.unref(v)
+			return nil, err
 		}
-		refs = append(refs, release)
-		iters = append(iters, r.iterator())
+		iters = append(iters, it)
 	}
 	for level := 1; level < numLevels; level++ {
-		if len(v.levels[level]) == 0 {
-			continue
-		}
-		for _, t := range v.levels[level] {
-			_, release, err := db.tcache.acquire(t.fileNum)
-			if err != nil {
-				return fail(err)
-			}
-			refs = append(refs, release)
-		}
-		iters = append(iters, newConcatIter(v.levels[level], func(t *tableMeta) (internalIterator, error) {
-			r, release, err := db.tcache.acquire(t.fileNum)
-			if err != nil {
-				return nil, err
-			}
-			return &releasingIter{internalIterator: r.iterator(), release: release}, nil
-		}))
-	}
-
-	merged := newMergingIter(iters...)
-	it := &Iterator{it: merged, seq: seq}
-	it.closer = func() {
-		for _, c := range refs {
-			c()
+		if len(v.levels[level]) > 0 {
+			iters = append(iters, &concatIter{tables: v.levels[level], tcache: db.tcache, idx: -1})
 		}
 	}
-	return it, nil
+	return &Iterator{it: newMergingIter(iters...), seq: seq, closer: func() { db.unref(v) }}, nil
 }
 
 // LastSequence returns the newest committed sequence number.

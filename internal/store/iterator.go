@@ -100,17 +100,14 @@ func (m *mergingIter) Close() error {
 }
 
 // concatIter iterates the tables of one level >= 1 (sorted, non-overlapping)
-// lazily, opening one table iterator at a time.
+// lazily, holding one table open at a time. Whoever builds it keeps the
+// version that lists the tables referenced for as long as it is in use.
 type concatIter struct {
 	tables []*tableMeta
-	open   func(*tableMeta) (internalIterator, error)
-	idx    int
+	tcache *tableCache
+	idx    int // start at -1
 	cur    internalIterator
 	err    error
-}
-
-func newConcatIter(tables []*tableMeta, open func(*tableMeta) (internalIterator, error)) *concatIter {
-	return &concatIter{tables: tables, open: open, idx: -1}
 }
 
 func (c *concatIter) openAt(i int) bool {
@@ -122,7 +119,7 @@ func (c *concatIter) openAt(i int) bool {
 		c.idx = len(c.tables)
 		return false
 	}
-	it, err := c.open(c.tables[i])
+	it, err := c.tcache.tableIterator(c.tables[i].fileNum)
 	if err != nil {
 		c.err = err
 		c.idx = len(c.tables)
@@ -141,17 +138,7 @@ func (c *concatIter) SeekToFirst() {
 }
 
 func (c *concatIter) SeekGE(ik internalKey) {
-	// Binary search for the first table whose largest key is >= ik.
-	lo, hi := 0, len(c.tables)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if compareInternal(c.tables[mid].largest, ik) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if c.openAt(lo) {
+	if c.openAt(findTable(c.tables, ik)) {
 		c.cur.SeekGE(ik)
 		c.skipForward()
 	}

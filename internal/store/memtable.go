@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 )
@@ -107,23 +108,18 @@ func (m *memtable) findGE(ik internalKey) *skipNode {
 	return x.next[0]
 }
 
-// get looks up userKey at snapshot seq. It reports (value, found-tombstone,
-// present). present=false means this memtable holds no visible version.
-func (m *memtable) get(userKey []byte, seq uint64) (value []byte, deleted, present bool) {
-	lookup := makeInternalKey(nil, userKey, seq, kindSeek)
+// get resolves a lookup key (user key, snapshot seq, kindSeek): it returns
+// the newest version of the user key visible at that sequence — its value,
+// aliasing the immutable node, and its kind — or ok=false when this
+// memtable holds none.
+func (m *memtable) get(lookup internalKey) (value []byte, kind keyKind, ok bool) {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
 	n := m.findGE(lookup)
-	if n == nil {
-		return nil, false, false
+	m.mu.RUnlock()
+	if n == nil || !bytes.Equal(n.key.userKey(), lookup.userKey()) {
+		return nil, 0, false
 	}
-	if string(n.key.userKey()) != string(userKey) {
-		return nil, false, false
-	}
-	if n.key.kind() == kindDelete {
-		return nil, true, true
-	}
-	return n.value, false, true
+	return n.value, n.key.kind(), true
 }
 
 // iterator returns an iterator over the memtable's internal keys. The

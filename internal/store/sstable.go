@@ -316,36 +316,38 @@ func (r *tableReader) readBlock(h blockHandle) (*block, error) {
 	return blk, nil
 }
 
-// get returns the first entry with internal key >= the lookup key whose user
-// key matches. present=false if this table holds no visible version.
-func (r *tableReader) get(lookup internalKey) (key internalKey, value []byte, present bool, err error) {
+// get resolves the lookup key rs.ikey: it returns the first entry at or
+// after it whose user key matches — the value, aliasing the immutable
+// block, and the entry's kind. ok=false if this table holds no visible
+// version. The cursor and its key buffer live in rs.
+func (r *tableReader) get(rs *readScratch) (value []byte, kind keyKind, ok bool, err error) {
+	lookup := internalKey(rs.ikey)
 	if r.filter != nil && !bloomMayContain(r.filter, lookup.userKey()) {
-		return nil, nil, false, nil
+		return nil, 0, false, nil
 	}
-	idx := r.index.iterator()
-	idx.SeekGE(lookup)
-	if !idx.Valid() {
-		return nil, nil, false, idx.Error()
+	it := &rs.it
+	it.reset(r.index)
+	it.SeekGE(lookup)
+	if !it.Valid() {
+		return nil, 0, false, it.Error()
 	}
-	h, err := decodeHandle(idx.Value())
+	h, err := decodeHandle(it.Value())
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("%w: index handle: %v", ErrCorrupt, err)
+		return nil, 0, false, fmt.Errorf("%w: index handle: %v", ErrCorrupt, err)
 	}
 	blk, err := r.readBlock(h)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, 0, false, err
 	}
-	it := blk.iterator()
+	it.reset(blk)
 	it.SeekGE(lookup)
 	if !it.Valid() {
-		return nil, nil, false, it.Error()
+		return nil, 0, false, it.Error()
 	}
-	if !bytes.Equal(internalKey(it.key).userKey(), lookup.userKey()) {
-		return nil, nil, false, nil
+	if !bytes.Equal(it.Key().userKey(), lookup.userKey()) {
+		return nil, 0, false, nil
 	}
-	k := append(internalKey(nil), it.Key()...)
-	v := append([]byte(nil), it.Value()...)
-	return k, v, true, nil
+	return it.Value(), it.Key().kind(), true, nil
 }
 
 // close releases the file handle and its cached blocks.

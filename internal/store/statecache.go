@@ -1,7 +1,7 @@
 package store
 
 import (
-	"container/list"
+	"bytes"
 	"sync"
 	"sync/atomic"
 )
@@ -23,6 +23,14 @@ import (
 // current. Writers bump the generation *before* touching the shards, so
 // the only insert that can slip past a concurrent writer's bump is one
 // whose entry the writer then overwrites or invalidates itself.
+//
+// Ownership protocol. An entry's key and value buffers are read and
+// written only under its shard's lock, and nothing outside the lock ever
+// aliases them: a hit copies the value into the caller's buffer (or shows
+// it to a visitor) before unlocking. That is what lets a write-through
+// rewrite a value in place and lets a fill at capacity recycle the LRU
+// victim — entry, key storage and value buffer — for the incoming record
+// instead of allocating: in steady state a fill allocates nothing.
 type stateCache struct {
 	gen    atomic.Uint64
 	shards []*scShard
@@ -32,18 +40,26 @@ type stateCache struct {
 }
 
 type scShard struct {
-	mu       sync.Mutex
-	entries  map[string]*scEntry
-	lru      *list.List // front = most recent
+	mu sync.Mutex
+	// index maps a key's hash to the entries carrying it, chained through
+	// scEntry.chain (distinct keys may share a hash). The key bytes are
+	// compared in the entry, so the index needs no per-key string.
+	index map[uint64]*scEntry
+	// lru is the sentinel of the circular recency list: lru.next is the
+	// most recently used entry, lru.prev the eviction victim.
+	lru      scEntry
+	n        int
 	capacity int
 }
 
 type scEntry struct {
-	key     string
-	val     []byte
-	present bool
-	seq     uint64
-	elem    *list.Element
+	hash       uint64
+	key        []byte
+	val        []byte
+	present    bool
+	seq        uint64
+	prev, next *scEntry // recency list
+	chain      *scEntry // next entry with the same hash
 }
 
 // scShardCount is the lock-stripe width; reads of distinct hot keys should
@@ -61,11 +77,9 @@ func newStateCache(entries int) *stateCache {
 	}
 	sc := &stateCache{shards: make([]*scShard, n), mask: uint64(n - 1)}
 	for i := range sc.shards {
-		sc.shards[i] = &scShard{
-			entries:  make(map[string]*scEntry),
-			lru:      list.New(),
-			capacity: per,
-		}
+		s := &scShard{index: make(map[uint64]*scEntry), capacity: per}
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
+		sc.shards[i] = s
 	}
 	return sc
 }
@@ -81,46 +95,88 @@ func scHash(key []byte) uint64 {
 	return h
 }
 
-func (sc *stateCache) shardFor(key []byte) *scShard {
-	return sc.shards[scHash(key)&sc.mask]
+// find returns key's entry, or nil. Caller holds s.mu.
+func (s *scShard) find(hash uint64, key []byte) *scEntry {
+	for e := s.index[hash]; e != nil; e = e.chain {
+		if bytes.Equal(e.key, key) {
+			return e
+		}
+	}
+	return nil
 }
 
-// lookup serves key at snapshot sequence seq. ok reports whether the cache
-// could answer at all; on ok, present distinguishes a live value from a
-// cached tombstone/absence. The returned slice is a copy.
-func (sc *stateCache) lookup(key []byte, seq uint64) (val []byte, present, ok bool) {
-	s := sc.shardFor(key)
+// touch makes e the most recently used entry. Caller holds s.mu.
+func (s *scShard) touch(e *scEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	s.pushFront(e)
+}
+
+func (s *scShard) pushFront(e *scEntry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// evict unlinks the least recently used entry from the recency list and
+// the index and returns it for reuse. Caller holds s.mu; s.n > 0.
+func (s *scShard) evict() *scEntry {
+	e := s.lru.prev
+	e.prev.next, e.next.prev = e.next, e.prev
+	if head := s.index[e.hash]; head == e {
+		if e.chain == nil {
+			delete(s.index, e.hash)
+		} else {
+			s.index[e.hash] = e.chain
+		}
+	} else {
+		for head.chain != e {
+			head = head.chain
+		}
+		head.chain = e.chain
+	}
+	return e
+}
+
+// recycle overwrites buf with src, reusing its storage unless it outgrew
+// scratchRetainMax.
+func recycle(buf, src []byte) []byte { return append(retained(buf), src...) }
+
+// lookupInto serves key at snapshot sequence seq. ok reports whether the
+// cache could answer at all; on ok, present distinguishes a live value —
+// appended to dst under the shard lock — from a cached tombstone/absence.
+func (sc *stateCache) lookupInto(dst, key []byte, seq uint64) (val []byte, present, ok bool) {
+	h := scHash(key)
+	s := sc.shards[h&sc.mask]
 	s.mu.Lock()
-	e, found := s.entries[string(key)] // no alloc: map lookup special case
-	if !found || seq < e.seq {
+	e := s.find(h, key)
+	if e == nil || seq < e.seq {
 		s.mu.Unlock()
 		sc.misses.Add(1)
-		return nil, false, false
+		return dst, false, false
 	}
-	s.lru.MoveToFront(e.elem)
+	s.touch(e)
 	present = e.present
 	if present {
-		val = append([]byte(nil), e.val...)
+		dst = append(dst, e.val...)
 	}
 	s.mu.Unlock()
 	sc.hits.Add(1)
-	return val, present, true
+	return dst, present, true
 }
 
-// visit is lookup without the copy: on a hit, fn observes the cached
+// visit is lookupInto without the copy: on a hit, fn observes the cached
 // value in place under the shard lock. fn must not retain or mutate the
-// slice. For latest-state reads only (seq condition as in lookup with
-// seq = ^0: any live entry is valid).
+// slice. For latest-state reads only (any live entry is valid).
 func (sc *stateCache) visit(key []byte, fn func(val []byte, present bool)) bool {
-	s := sc.shardFor(key)
+	h := scHash(key)
+	s := sc.shards[h&sc.mask]
 	s.mu.Lock()
-	e, found := s.entries[string(key)]
-	if !found {
+	e := s.find(h, key)
+	if e == nil {
 		s.mu.Unlock()
 		sc.misses.Add(1)
 		return false
 	}
-	s.lru.MoveToFront(e.elem)
+	s.touch(e)
 	fn(e.val, e.present)
 	s.mu.Unlock()
 	sc.hits.Add(1)
@@ -129,37 +185,35 @@ func (sc *stateCache) visit(key []byte, fn func(val []byte, present bool)) bool 
 
 // insert records a value read at snapshot sequence seq, but only if no
 // write has committed since gen was captured (alongside seq, under db.mu).
-// val is copied.
+// val is copied; at capacity the copy lands in the evicted entry's buffers.
 func (sc *stateCache) insert(key, val []byte, present bool, seq, gen uint64) {
-	s := sc.shardFor(key)
+	h := scHash(key)
+	s := sc.shards[h&sc.mask]
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if sc.gen.Load() != gen {
 		// A write landed since this value was read; it may be stale.
-		s.mu.Unlock()
 		return
 	}
-	k := string(key)
-	if e, ok := s.entries[k]; ok {
-		e.val = append(e.val[:0], val...)
-		e.present = present
-		e.seq = seq
-		s.lru.MoveToFront(e.elem)
-		s.mu.Unlock()
-		return
-	}
-	e := &scEntry{key: k, val: append([]byte(nil), val...), present: present, seq: seq}
-	e.elem = s.lru.PushFront(e)
-	s.entries[k] = e
-	for len(s.entries) > s.capacity {
-		back := s.lru.Back()
-		if back == nil {
-			break
+	e := s.find(h, key)
+	if e != nil {
+		s.touch(e)
+	} else {
+		if s.n >= s.capacity {
+			e = s.evict()
+		} else {
+			e = new(scEntry)
+			s.n++
 		}
-		victim := back.Value.(*scEntry)
-		s.lru.Remove(back)
-		delete(s.entries, victim.key)
+		e.hash = h
+		e.key = recycle(e.key, key)
+		e.chain = s.index[h]
+		s.index[h] = e
+		s.pushFront(e)
 	}
-	s.mu.Unlock()
+	e.val = recycle(e.val, val)
+	e.present = present
+	e.seq = seq
 }
 
 // applyBatch write-throughs a committed batch: entries for keys the batch
@@ -173,11 +227,12 @@ func (sc *stateCache) applyBatch(b *Batch) {
 	sc.gen.Add(1)
 	seq := b.startSeq
 	_ = b.ForEach(func(kind byte, key, value []byte) error {
-		s := sc.shardFor(key)
+		h := scHash(key)
+		s := sc.shards[h&sc.mask]
 		s.mu.Lock()
-		if e, ok := s.entries[string(key)]; ok {
+		if e := s.find(h, key); e != nil {
 			if kind == byte(kindSet) {
-				e.val = append(e.val[:0], value...)
+				e.val = recycle(e.val, value)
 				e.present = true
 			} else {
 				e.val = e.val[:0]

@@ -740,13 +740,15 @@ func TestSSTableRoundTrip(t *testing.T) {
 	}
 	defer r.close()
 	// Point lookups.
+	rs := new(readScratch)
 	for i := 0; i < n; i += 37 {
-		lookup := makeInternalKey(nil, []byte(fmt.Sprintf("table-key-%06d", i)), maxSequence, kindSeek)
-		ik, v, present, err := r.get(lookup)
-		if err != nil || !present {
-			t.Fatalf("get %d: present=%v err=%v", i, present, err)
+		rs.ikey = makeInternalKey(rs.ikey, []byte(fmt.Sprintf("table-key-%06d", i)), maxSequence, kindSeek)
+		v, kind, ok, err := r.get(rs)
+		if err != nil || !ok || kind != kindSet {
+			t.Fatalf("get %d: ok=%v kind=%d err=%v", i, ok, kind, err)
 		}
-		if ik.seq() != uint64(i+1) {
+		// The cursor is left on the entry found.
+		if ik := rs.it.Key(); ik.seq() != uint64(i+1) {
 			t.Fatalf("get %d seq = %d", i, ik.seq())
 		}
 		if want := fmt.Sprintf("table-value-%06d", i); string(v) != want {
@@ -754,8 +756,9 @@ func TestSSTableRoundTrip(t *testing.T) {
 		}
 	}
 	// Absent key.
-	if _, _, present, err := r.get(makeInternalKey(nil, []byte("zzz"), maxSequence, kindSeek)); err != nil || present {
-		t.Fatalf("absent key present=%v err=%v", present, err)
+	rs.ikey = makeInternalKey(rs.ikey, []byte("zzz"), maxSequence, kindSeek)
+	if _, _, ok, err := r.get(rs); err != nil || ok {
+		t.Fatalf("absent key ok=%v err=%v", ok, err)
 	}
 	// Full scan.
 	it := r.iterator()
@@ -801,7 +804,7 @@ func TestSSTableCorruptionDetected(t *testing.T) {
 		return
 	}
 	defer r.close()
-	_, _, _, err = r.get(makeInternalKey(nil, []byte("k0000"), maxSequence, kindSeek))
+	_, _, _, err = r.get(&readScratch{ikey: makeInternalKey(nil, []byte("k0000"), maxSequence, kindSeek)})
 	if err == nil {
 		t.Fatal("corrupted block read succeeded")
 	}
@@ -813,16 +816,19 @@ func TestMemtableVersions(t *testing.T) {
 	m.add(2, kindSet, []byte("k"), []byte("v2"))
 	m.add(3, kindDelete, []byte("k"), nil)
 
-	if v, deleted, present := m.get([]byte("k"), 1); !present || deleted || string(v) != "v1" {
-		t.Fatalf("get@1 = %q %v %v", v, deleted, present)
+	get := func(key string, seq uint64) ([]byte, keyKind, bool) {
+		return m.get(makeInternalKey(nil, []byte(key), seq, kindSeek))
 	}
-	if v, deleted, present := m.get([]byte("k"), 2); !present || deleted || string(v) != "v2" {
-		t.Fatalf("get@2 = %q %v %v", v, deleted, present)
+	if v, kind, ok := get("k", 1); !ok || kind != kindSet || string(v) != "v1" {
+		t.Fatalf("get@1 = %q %v %v", v, kind, ok)
 	}
-	if _, deleted, present := m.get([]byte("k"), 3); !present || !deleted {
-		t.Fatalf("get@3 deleted=%v present=%v", deleted, present)
+	if v, kind, ok := get("k", 2); !ok || kind != kindSet || string(v) != "v2" {
+		t.Fatalf("get@2 = %q %v %v", v, kind, ok)
 	}
-	if _, _, present := m.get([]byte("other"), 3); present {
+	if _, kind, ok := get("k", 3); !ok || kind != kindDelete {
+		t.Fatalf("get@3 kind=%v ok=%v", kind, ok)
+	}
+	if _, _, ok := get("other", 3); ok {
 		t.Fatal("absent key reported present")
 	}
 }
@@ -928,12 +934,12 @@ func TestGetSequencePointReads(t *testing.T) {
 		}
 	}
 	for i, seq := range seqs {
-		got, err := db.getAt([]byte("vk"), seq, 0)
-		if err != nil {
-			t.Fatalf("getAt(%d): %v", seq, err)
+		got, present, err := db.getInto(nil, []byte("vk"), seq, 0)
+		if err != nil || !present {
+			t.Fatalf("getInto(%d): present=%v err=%v", seq, present, err)
 		}
 		if want := fmt.Sprintf("version-%d", i); string(got) != want {
-			t.Fatalf("getAt(%d) = %q, want %q", seq, got, want)
+			t.Fatalf("getInto(%d) = %q, want %q", seq, got, want)
 		}
 	}
 }

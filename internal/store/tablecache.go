@@ -28,37 +28,37 @@ func newTableCache(dir string, blockCacheBytes int) *tableCache {
 	}
 }
 
-// acquire returns an open reader for table fileNum and a release function
-// the caller must invoke when done.
-func (c *tableCache) acquire(fileNum uint64) (*tableReader, func(), error) {
+// acquire returns table fileNum's cache entry with a reference taken; the
+// caller reads through ct.reader and must release(ct) when done.
+func (c *tableCache) acquire(fileNum uint64) (*cachedTable, error) {
 	c.mu.Lock()
 	ct, ok := c.tables[fileNum]
 	if ok {
 		ct.refs++
 		c.mu.Unlock()
-		return ct.reader, func() { c.release(fileNum, ct) }, nil
+		return ct, nil
 	}
 	c.mu.Unlock()
 
 	// Open outside the lock; racing opens are reconciled below.
 	r, err := openTable(tablePath(c.dir, fileNum), c.blocks)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c.mu.Lock()
 	if existing, ok := c.tables[fileNum]; ok {
 		existing.refs++
 		c.mu.Unlock()
 		r.close()
-		return existing.reader, func() { c.release(fileNum, existing) }, nil
+		return existing, nil
 	}
 	ct = &cachedTable{reader: r, refs: 2} // 1 residency + 1 caller
 	c.tables[fileNum] = ct
 	c.mu.Unlock()
-	return ct.reader, func() { c.release(fileNum, ct) }, nil
+	return ct, nil
 }
 
-func (c *tableCache) release(fileNum uint64, ct *cachedTable) {
+func (c *tableCache) release(ct *cachedTable) {
 	c.mu.Lock()
 	ct.refs--
 	shouldClose := ct.dead && ct.refs == 0
@@ -98,18 +98,29 @@ func (c *tableCache) closeAll() {
 	}
 }
 
-// releasingIter decorates an internalIterator with a release callback run
-// at Close, tying a table-cache reference to the iterator's lifetime.
+// releasingIter ties a table-cache reference to the lifetime of an
+// iterator over that table: Close releases it.
 type releasingIter struct {
 	internalIterator
-	release func()
+	tcache *tableCache
+	ct     *cachedTable
+}
+
+// tableIterator opens table fileNum and returns an iterator over it that
+// holds the table open until it is closed.
+func (c *tableCache) tableIterator(fileNum uint64) (internalIterator, error) {
+	ct, err := c.acquire(fileNum)
+	if err != nil {
+		return nil, err
+	}
+	return &releasingIter{internalIterator: ct.reader.iterator(), tcache: c, ct: ct}, nil
 }
 
 func (r *releasingIter) Close() error {
 	err := r.internalIterator.Close()
-	if r.release != nil {
-		r.release()
-		r.release = nil
+	if r.ct != nil {
+		r.tcache.release(r.ct)
+		r.ct = nil
 	}
 	return err
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"lambdastore/internal/wire"
 )
@@ -14,12 +15,16 @@ import (
 // numLevels is the depth of the LSM tree (LevelDB's value).
 const numLevels = 7
 
-// tableMeta describes one SSTable in some level.
+// tableMeta describes one SSTable in some level. Versions share metas by
+// pointer.
 type tableMeta struct {
 	fileNum  uint64
 	size     uint64
 	smallest internalKey
 	largest  internalKey
+	// refs counts the installed versions that list this table (see
+	// DB.setCurrent/unref); the file is unlinked when it drops to zero.
+	refs atomic.Int32
 }
 
 // overlaps reports whether the table's user-key range intersects
@@ -39,6 +44,25 @@ func (t *tableMeta) overlaps(lo, hi []byte) bool {
 // and non-overlapping.
 type version struct {
 	levels [numLevels][]*tableMeta
+	// refs counts who may still read this version's tables: one for being
+	// db.current, one per in-flight point read and per open iterator that
+	// captured it (LevelDB's Version::Ref).
+	refs atomic.Int32
+}
+
+// findTable returns the index of the first table of a sorted level whose
+// largest key is >= ik, or len(tables).
+func findTable(tables []*tableMeta, ik internalKey) int {
+	lo, hi := 0, len(tables)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if compareInternal(tables[mid].largest, ik) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // clone returns a shallow copy whose level slices can be mutated

@@ -9,8 +9,10 @@ import (
 // HostFunc is one function the host exposes to guest code. Arguments are
 // popped from the guest value stack (last argument on top); a single result
 // may be pushed back. Byte-string arguments follow the (ptr, len) convention
-// against guest linear memory, with the host using Instance.MemRead and
-// Instance.MemWrite, so guests never see host pointers.
+// against guest linear memory, with the host using Instance.MemView (in
+// place, for bytes it consumes before returning), Instance.MemRead (a copy,
+// for bytes it retains) and Instance.MemWrite, so guests never see host
+// pointers.
 type HostFunc struct {
 	Name   string
 	NArgs  int

@@ -171,6 +171,19 @@ func (inst *Instance) MemRead(ptr, n int64) ([]byte, error) {
 	return append([]byte(nil), inst.mem[ptr:ptr+n]...), nil
 }
 
+// MemView returns guest memory [ptr, ptr+n) in place, without copying. The
+// view aliases the instance's linear memory: it is valid only until the
+// next Alloc (which may grow and reallocate the memory), the next guest
+// instruction, or the next reset, so a host function must finish with
+// every view — or copy what it retains — before any of those. The
+// capacity is clipped so an append can never scribble over guest memory.
+func (inst *Instance) MemView(ptr, n int64) ([]byte, error) {
+	if ptr < 0 || n < 0 || ptr+n > int64(len(inst.mem)) {
+		return nil, ErrMemOutOfBounds
+	}
+	return inst.mem[ptr : ptr+n : ptr+n], nil
+}
+
 // MemWrite copies data into guest memory at ptr.
 func (inst *Instance) MemWrite(ptr int64, data []byte) error {
 	if ptr < 0 || ptr+int64(len(data)) > int64(len(inst.mem)) {
