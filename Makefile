@@ -5,13 +5,9 @@
 #   make race    race-detector pass over the concurrency-heavy packages
 #   make chaos   seeded failover chaos suite under the race detector
 #   make bench   telemetry hot-path benchmarks (must report 0 allocs/op)
-#   make bench-write  write-path batched-vs-unbatched comparison (JSON artifact)
-#   make bench-read   read-path per-layer ablation sweep (JSON artifact)
-#   make bench-obs    telemetry overhead: off / metrics / metrics+tracing (JSON artifact)
 #   make bench-recovery  rejoin cost, digest diff vs full resync (JSON artifact)
 #   make bench-rebalance many-group placement + Zipf hot-spot convergence (JSON artifact)
 #   make bench-read-scaleout  leased replica reads vs primary-only routing (JSON artifact)
-#   make bench-vm     VM tier: token-threaded dispatch vs interpreter (JSON artifact)
 #   make bench-overload  open-loop latency vs offered load, shed on/off (JSON artifact)
 #   make bench-smoke  vet + smoke-test the benchmark module (it is not part of ./...)
 #   make vet     gofmt + go vet hygiene
@@ -19,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos bench bench-write bench-read bench-obs bench-recovery bench-rebalance bench-read-scaleout bench-vm bench-overload bench-smoke vet check clean
+.PHONY: all build test race chaos bench bench-recovery bench-rebalance bench-read-scaleout bench-overload bench-smoke vet check clean
 
 all: build
 
@@ -31,10 +27,12 @@ test:
 
 # The packages where a data race would actually hide: the runtime, the
 # cluster node, the caches on the read path, the store, the telemetry
-# instruments themselves, and the VM (lazy module compilation is shared
-# across instances; the differential test runs both tiers under -race).
+# instruments themselves, the VM (lazy module compilation is shared
+# across instances; the differential test runs both tiers under -race),
+# and rpc (every frame on a connection leaves through the connWriter's
+# single flusher).
 race:
-	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/rebalance/ ./internal/replication/ ./internal/vm/ ./internal/admission/
+	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/rebalance/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/
 
 # Deterministic failover chaos: every seed replays the same kill/partition/
 # fsync-failure schedule (see EXPERIMENTS.md "Chaos runs"). The smoke
@@ -44,25 +42,6 @@ chaos:
 
 bench:
 	$(GO) test -run Telemetry -bench . -benchmem ./internal/telemetry/
-
-# Write-path throughput: WAL group commit + ship coalescing + RPC write
-# coalescing on vs off, Retwis Post with fsync per commit. Emits the perf
-# trajectory artifact later PRs compare against.
-bench-write:
-	$(GO) run ./cmd/lambda-bench -write-path -accounts 512 -concurrency 32 -ops 3000 -out results/BENCH_write_path.json
-
-# Read-path throughput: each fast-read layer (cache sharding, hot-state
-# cache, cheap VM reset, read-only fast path) ablated independently,
-# Retwis GetTimeline over a hot account set at 1/8/64 clients.
-bench-read:
-	$(GO) run ./cmd/lambda-bench -read-path -ops 4000 -out results/BENCH_read_path.json
-
-# Observability overhead: the bench-read all-layers GetTimeline config run
-# with telemetry fully off (registry withheld from every hot-path
-# component), metrics only, and metrics + per-request tracing. The
-# acceptance bar is metrics+tracing within 5% of telemetry-off throughput.
-bench-obs:
-	$(GO) run ./cmd/lambda-bench -obs -ops 4000 -out results/BENCH_observability.json
 
 # Rejoin cost: a crashed backup catches up via range-digest diff vs the
 # full-resync ablation, across store sizes and downtime divergence. The
@@ -86,14 +65,6 @@ bench-rebalance:
 # p99 within 10% of the lease-free baseline.
 bench-read-scaleout:
 	$(GO) run ./cmd/lambda-bench -read-scaleout -ops 4000 -out results/BENCH_read_scaleout.json
-
-# VM execution tier: the AOT token-threaded compiler vs the switch
-# interpreter — compute-heavy and memory-touching kernels measured
-# directly (Call/ResetFast against one warm instance), then end-to-end
-# GetTimeline with the result cache disabled so every read executes the
-# VM. The acceptance bar is >=2x on the compute-heavy microbench.
-bench-vm:
-	$(GO) run ./cmd/lambda-bench -vm -ops 4000 -out results/BENCH_vm_compile.json
 
 # Overload: seeded open-loop Poisson arrivals swept from half the measured
 # closed-loop capacity to 1.8x past it (latency measured CO-safe from each

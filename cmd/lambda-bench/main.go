@@ -7,13 +7,9 @@
 //	lambda-bench -ablation fuel           A3: metering overhead
 //	lambda-bench -ablation sched          A4: per-object scheduling
 //	lambda-bench -ablation netdelay       A5: network-delay sweep
-//	lambda-bench -write-path              batched vs unbatched write pipeline
-//	lambda-bench -read-path               read-path layer ablations (GetTimeline)
-//	lambda-bench -obs                     telemetry overhead: off / metrics / metrics+tracing
 //	lambda-bench -recovery                rejoin cost: digest diff vs full resync
 //	lambda-bench -rebalance               many-group placement + Zipf hot-spot convergence
 //	lambda-bench -read-scaleout           leased replica reads vs primary-only routing
-//	lambda-bench -vm                      VM tier: token-threaded dispatch vs interpreter
 //	lambda-bench -overload                open-loop latency vs offered load, shed on/off
 //	lambda-bench -all                     everything
 package main
@@ -38,13 +34,9 @@ func main() {
 		ablation    = flag.String("ablation", "", "run one ablation: cache|replication|fuel|sched|netdelay")
 		all         = flag.Bool("all", false, "run everything")
 		dataRoot    = flag.String("data", "", "scratch directory root")
-		writePath   = flag.Bool("write-path", false, "run the batched-vs-unbatched write-path benchmark (fsync per commit)")
-		readPath    = flag.Bool("read-path", false, "run the read-path ablation sweep (GetTimeline at 1/8/64 clients)")
-		obs         = flag.Bool("obs", false, "run the observability-overhead sweep (telemetry off / metrics / metrics+tracing)")
 		recov       = flag.Bool("recovery", false, "run the rejoin benchmark (range-digest diff vs full resync)")
 		rebal       = flag.Bool("rebalance", false, "run the rebalance benchmark (throughput vs groups, Zipf hot-spot convergence)")
 		readScale   = flag.Bool("read-scaleout", false, "run the read scale-out benchmark (leased replica reads vs primary-only)")
-		vmCompile   = flag.Bool("vm", false, "run the VM-tier benchmark (token-threaded vs interpreter, micro + end-to-end)")
 		overload    = flag.Bool("overload", false, "run the overload benchmark (open-loop Poisson sweep past saturation, admission shedding on/off)")
 		out         = flag.String("out", "", "write the benchmark report JSON to this path")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -127,27 +119,6 @@ func main() {
 		fmt.Println()
 	}
 
-	if *writePath {
-		ran = true
-		if _, err := bench.RunWritePath(opts, *out, os.Stdout); err != nil {
-			log.Fatalf("lambda-bench: write-path: %v", err)
-		}
-		fmt.Println()
-	}
-	if *readPath {
-		ran = true
-		if _, err := bench.RunReadPath(opts, *out, os.Stdout); err != nil {
-			log.Fatalf("lambda-bench: read-path: %v", err)
-		}
-		fmt.Println()
-	}
-	if *obs {
-		ran = true
-		if _, err := bench.RunObservability(opts, *out, os.Stdout); err != nil {
-			log.Fatalf("lambda-bench: obs: %v", err)
-		}
-		fmt.Println()
-	}
 	if *recov {
 		ran = true
 		if _, err := bench.RunRecovery(opts, *out, os.Stdout); err != nil {
@@ -166,13 +137,6 @@ func main() {
 		ran = true
 		if _, err := bench.RunReadScaleout(opts, *out, os.Stdout); err != nil {
 			log.Fatalf("lambda-bench: read-scaleout: %v", err)
-		}
-		fmt.Println()
-	}
-	if *vmCompile {
-		ran = true
-		if _, err := bench.RunVMCompile(opts, *out, os.Stdout); err != nil {
-			log.Fatalf("lambda-bench: vm: %v", err)
 		}
 		fmt.Println()
 	}

@@ -32,7 +32,6 @@ func main() {
 		coords     = flag.String("coordinators", "", "comma-separated coordinator addresses")
 		cacheSize  = flag.Int("cache", 64<<10, "consistent result cache entries (0 disables)")
 		fuel       = flag.Int64("fuel", core.DefaultFuel, "per-invocation fuel budget")
-		vmTier     = flag.String("vm-tier", "", "bytecode execution tier: threaded (default) or interp")
 		debugAddr  = flag.String("debug", "", "debug HTTP address for /metrics, /traces, /healthz, pprof (empty disables)")
 		tracing    = flag.Bool("trace", false, "record per-stage spans for every traced invocation")
 		traceBuf   = flag.Int("trace-buffer", 0, "span ring-buffer size (0 = default)")
@@ -60,7 +59,6 @@ func main() {
 		Runtime: core.Options{
 			Fuel:         *fuel,
 			CacheEntries: *cacheSize,
-			VMTier:       *vmTier,
 		},
 		DebugAddr:              *debugAddr,
 		Tracing:                *tracing,

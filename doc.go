@@ -17,7 +17,8 @@
 // compares against (internal/baseline), and the Retwis evaluation workload
 // and harness (internal/retwis, internal/workload, internal/bench).
 //
-// The benchmarks in bench_test.go regenerate the paper's Figure 1,
-// Figure 2 and Table 1 plus the design-choice ablations; see DESIGN.md for
-// the system inventory and EXPERIMENTS.md for measured results.
+// cmd/retwis-bench and cmd/lambda-bench regenerate the paper's Figure 1,
+// Figure 2 and Table 1 plus the design-choice ablations from
+// internal/bench; see DESIGN.md for the system inventory and
+// EXPERIMENTS.md for measured results.
 package lambdastore

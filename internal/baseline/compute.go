@@ -218,7 +218,7 @@ func (n *ComputeNode) getInstance(mod *vm.Module) (*vm.Instance, error) {
 			inst := list[len(list)-1]
 			n.idle[mod] = list[:len(list)-1]
 			n.instMu.Unlock()
-			inst.Reset(n.opts.Fuel)
+			inst.ResetFast(n.opts.Fuel)
 			return inst, nil
 		}
 		n.instMu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"lambdastore/internal/cluster"
@@ -43,6 +44,19 @@ const (
 	readScaleoutMixedClients = 8
 )
 
+// readPathPosts posts are seeded per hot account and readPathLimit are
+// read back per GetTimeline, so each op traverses a real timeline: a
+// cache hit re-validates ~readPathLimit read dependencies and a miss
+// re-executes a real VM scan. The default GetTimeline op reads 10 posts
+// of an unseeded (empty) timeline, which measures only RPC dispatch.
+const (
+	readPathPosts = 40
+	readPathLimit = 40
+	// readPathMsgLen is deliberately small: the response payload is floor
+	// cost every configuration pays.
+	readPathMsgLen = 24
+)
+
 // readScaleoutClients are the closed-loop client counts swept per config.
 var readScaleoutClients = []int{1, 8, 64}
 
@@ -63,10 +77,11 @@ type ReadScaleoutPoint struct {
 }
 
 // ReadScaleoutMixed is one mixed 90/10 run's write-ack view: the latency
-// of acknowledged writes while reads ride the same deployment. Leases add
-// invalidation shipping to the write path (the lease grant piggybacks on
-// the same synchronous applyBatch frame), so the leased run's write ack
-// must stay within a few percent of the baseline's.
+// of acknowledged writes while reads ride the same deployment. Both
+// configs run the same nodes (leases are always granted; the grant
+// piggybacks on the synchronous applyBatch frame) and differ only in the
+// client's read policy, so the delta is what serving reads at the backups
+// costs the write path — it must stay within a few percent.
 type ReadScaleoutMixed struct {
 	Config         string  `json:"config"`
 	Clients        int     `json:"clients"`
@@ -93,20 +108,19 @@ type ReadScaleoutReport struct {
 	// client count (the issue's headline number; want >= 2.5x on 3 replicas).
 	Speedup64 float64 `json:"speedup_at_64_clients"`
 	// WriteP99Delta is (leased - baseline)/baseline of the mixed run's
-	// write-ack p99 — the cost of invalidation shipping (want < 0.10).
+	// write-ack p99 — what backup-served reads cost write acks (want < 0.10).
 	WriteP99Delta float64 `json:"write_p99_delta"`
 }
 
-// readScaleoutConfig names one deployment/routing configuration.
+// readScaleoutConfig names one read-routing configuration.
 type readScaleoutConfig struct {
 	name   string
-	leases bool
 	policy cluster.ReadPolicy
 }
 
 var readScaleoutConfigs = []readScaleoutConfig{
-	{"primary-only", false, cluster.ReadPrimaryOnly},
-	{"leased-rr", true, cluster.ReadRoundRobin},
+	{"primary-only", cluster.ReadPrimaryOnly},
+	{"leased-rr", cluster.ReadRoundRobin},
 }
 
 // startReadScaleout boots a 3-replica aggregated deployment plus a client
@@ -114,15 +128,13 @@ var readScaleoutConfigs = []readScaleoutConfig{
 // arms the per-node admission throttle. The returned stop func disarms
 // the throttle and tears everything down.
 func startReadScaleout(opts Options, cfg readScaleoutConfig) (*Deployment, *cluster.Client, func(), error) {
-	o := opts
-	o.DisableLeases = !cfg.leases
-	d, err := StartAggregated(o)
+	d, err := StartAggregated(opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	client, err := cluster.NewClient(cluster.ClientConfig{
 		Directory:  d.Dir,
-		RPC:        o.clientOpts(),
+		RPC:        opts.clientOpts(),
 		ReadPolicy: cfg.policy,
 	})
 	if err != nil {
@@ -135,7 +147,7 @@ func startReadScaleout(opts Options, cfg readScaleoutConfig) (*Deployment, *clus
 		d.Close()
 	}
 
-	wcfg := workload.DefaultConfig(o.Accounts)
+	wcfg := workload.DefaultConfig(opts.Accounts)
 	if err := workload.Populate(wcfg, d.Create, d.Invoker); err != nil {
 		stop()
 		return nil, nil, nil, err
@@ -156,7 +168,7 @@ func startReadScaleout(opts Options, cfg readScaleoutConfig) (*Deployment, *clus
 			return err
 		}, nil
 	}
-	if _, err := workload.RunClosedLoopOps(workload.GetTimeline, warm, 16, 8*o.Accounts*len(d.Nodes)); err != nil {
+	if _, err := workload.RunClosedLoopOps(workload.GetTimeline, warm, 16, 8*opts.Accounts*len(d.Nodes)); err != nil {
 		stop()
 		return nil, nil, nil, err
 	}
@@ -167,6 +179,56 @@ func startReadScaleout(opts Options, cfg readScaleoutConfig) (*Deployment, *clus
 		fault.Add(fault.Rule{Site: fault.SiteRPCRecv, Key: n.Addr(), Action: fault.Delay, Delay: readScaleoutAdmission, P: 1})
 	}
 	return d, client, stop, nil
+}
+
+// seedTimelines appends readPathPosts posts to every account's timeline
+// (store_post directly, no follower fan-out) so GetTimeline reads real
+// data.
+func seedTimelines(cfg workload.Config, inv workload.Invoker) error {
+	msg := make([]byte, readPathMsgLen)
+	for i := range msg {
+		msg[i] = byte('a' + i%26)
+	}
+	const parallel = 32
+	jobs := make(chan uint64, parallel)
+	errs := make(chan error, parallel)
+	var wg sync.WaitGroup
+	for w := 0; w < parallel; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := range jobs {
+				for p := 0; p < readPathPosts; p++ {
+					author := cfg.AccountID(p % cfg.Accounts)
+					args := [][]byte{core.I64Bytes(int64(author)), core.I64Bytes(int64(p)), msg}
+					if _, err := inv.Invoke(id, "store_post", args); err != nil {
+						errs <- fmt.Errorf("store_post %d: %w", id, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	var sendErr error
+	for i := 0; i < cfg.Accounts; i++ {
+		select {
+		case sendErr = <-errs:
+		case jobs <- cfg.AccountID(i):
+			continue
+		}
+		break
+	}
+	close(jobs)
+	wg.Wait()
+	if sendErr != nil {
+		return sendErr
+	}
+	select {
+	case err := <-errs:
+		return err
+	default:
+		return nil
+	}
 }
 
 // leaseReadCounters sums the lease read-routing counters across the group.

@@ -26,12 +26,15 @@ import (
 // Sweep 1 — throughput vs group count. One single-node replica group per
 // shard, uniform Post workload. On one shared machine every group rides
 // the same cores, so raw CPU would flatten the curve; instead each node's
-// capacity is modeled with an injected per-frame receive delay (the fault
-// plane's SiteRPCRecv rule sleeps in the server's per-connection read
-// loop, and the bench client holds exactly one connection per node with
-// write coalescing off, so a node admits at most 1/delay requests per
-// second). More groups = more aggregate admission capacity, exactly the
-// effect partitioned placement buys on real hardware.
+// capacity is modeled, not measured, with an injected per-frame receive
+// delay: the fault plane's SiteRPCRecv rule sleeps once per decoded
+// request frame in the server's per-connection read loop — however many
+// frames the client's writer coalesced into one conn.Write — and the bench
+// client holds exactly one connection per node, so a node admits at most
+// 1/delay requests per second. More groups = more aggregate admission
+// capacity, exactly the effect partitioned placement buys on real
+// hardware; the resulting throughput is the model's, never a capacity
+// figure for this code.
 //
 // Sweep 2 — Zipf hot-spot convergence. Same capacity model at a fixed
 // group count, but the per-op key choice is Zipf(1.1)-skewed with the
@@ -114,14 +117,9 @@ type RebalanceReport struct {
 	Convergence    RebalanceConvergence  `json:"zipf_convergence"`
 }
 
-// rebalanceClientOpts builds the bench client's RPC options. Write
-// coalescing is off so every operation is its own frame — the per-frame
-// receive delay then models per-request admission, not per-batch.
+// rebalanceClientOpts builds the bench client's RPC options.
 func rebalanceClientOpts() *rpc.ClientOptions {
-	return &rpc.ClientOptions{
-		Timeout:                120 * time.Second,
-		DisableWriteCoalescing: true,
-	}
+	return &rpc.ClientOptions{Timeout: 120 * time.Second}
 }
 
 // rebalanceCluster is a G-group single-replica deployment sharing one

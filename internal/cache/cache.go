@@ -117,8 +117,7 @@ func New(capacity int) *Cache {
 }
 
 // NewSharded returns a cache with an explicit shard count (rounded up to a
-// power of two; <=0 means DefaultShards). shards=1 degenerates to the old
-// single-mutex cache and exists for the read-path ablation.
+// power of two; <=0 means DefaultShards).
 func NewSharded(capacity, shards int) *Cache {
 	if capacity <= 0 {
 		capacity = 64 << 10

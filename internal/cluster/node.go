@@ -54,23 +54,10 @@ type NodeOptions struct {
 	// Tracing enables span recording. Off, the tracer costs one predicted
 	// branch per stage; metrics are always collected (atomic increments).
 	Tracing bool
-	// DisableMetrics withholds the telemetry registry from every hot-path
-	// component (rpc, runtime, store, replication, recovery), so invokes
-	// pay no atomic instrument updates at all. The node keeps a registry
-	// for its own bookkeeping counters; it just stays idle. Used by the
-	// observability-overhead benchmark's baseline.
-	DisableMetrics bool
 	// TraceBufferSize bounds the span ring (0 = telemetry.DefaultTraceBuffer).
 	TraceBufferSize int
 	// SlowTraceThreshold logs any root span slower than this (0 = no log).
 	SlowTraceThreshold time.Duration
-	// DisableShipCoalescing turns off the shipper's per-backup batching of
-	// write-sets (each commit then pays its own replication round trip).
-	// Used by the write-path ablation.
-	DisableShipCoalescing bool
-	// DisableRPCCoalescing turns off per-connection coalescing of this
-	// node's outbound response writes. Used by the write-path ablation.
-	DisableRPCCoalescing bool
 	// Rejoin enables the anti-entropy recovery manager: whenever this
 	// node is not a member of its group (a restarted replica), it syncs
 	// from the group's primary via range digests and re-admits itself
@@ -128,9 +115,6 @@ type NodeOptions struct {
 	// entries a leased backup tolerates before bouncing reads to the
 	// primary (0 = replication.DefaultLeaseApplyLagMax).
 	LeaseApplyLagMax int
-	// DisableLeases turns read leasing off entirely: backups bounce
-	// every read to the primary (the read scale-out bench baseline).
-	DisableLeases bool
 }
 
 // DefaultLeaseTTL is the read-lease duration when NodeOptions.LeaseTTL
@@ -174,13 +158,12 @@ type Node struct {
 	invSem chan struct{}
 	adm    *admission.Plane
 
-	// Read-lease plane. leases is this node's backup-side holder (nil
-	// only when leasing is disabled); leaseTTL is the primary-side grant
-	// duration (0 = disabled). leaseBarrier holds a unixnano deadline
-	// before which no write ack may be released (a lease-breaking
-	// membership change happened; orphaned leases must expire first);
-	// objBarrier holds the same per object for migrations into this
-	// group.
+	// Read-lease plane. leases is this node's backup-side holder;
+	// leaseTTL is the primary-side grant duration. leaseBarrier holds a
+	// unixnano deadline before which no write ack may be released (a
+	// lease-breaking membership change happened; orphaned leases must
+	// expire first); objBarrier holds the same per object for migrations
+	// into this group.
 	leases       *replication.LeaseHolder
 	leaseTTL     time.Duration
 	leaseBarrier atomic.Int64
@@ -213,19 +196,12 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	tracer.SetEnabled(opts.Tracing)
 	tracer.SetSlowThreshold(opts.SlowTraceThreshold)
 
-	// hotReg is what hot-path components see: nil under DisableMetrics
-	// (every recorder nil-checks and compiles to nothing), reg otherwise.
-	hotReg := reg
-	if opts.DisableMetrics {
-		hotReg = nil
-	}
-
 	stOpts := &store.Options{}
 	if opts.Store != nil {
 		cp := *opts.Store
 		stOpts = &cp
 	}
-	stOpts.Metrics = hotReg
+	stOpts.Metrics = reg
 
 	db, err := store.Open(opts.DataDir, stOpts)
 	if err != nil {
@@ -261,35 +237,29 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	n.migrations = reg.Counter("cluster.migrations")
 	n.backupServed = reg.Counter("reads.backup_served")
 	n.primaryBounce = reg.Counter("reads.primary_bounced")
-	if !opts.DisableLeases {
-		n.leaseTTL = opts.LeaseTTL
-		if n.leaseTTL <= 0 {
-			n.leaseTTL = DefaultLeaseTTL
-		}
-		n.leases = replication.NewLeaseHolder(
-			func() uint64 { return n.dir.Load().Epoch() },
-			opts.LeaseApplyLagMax, nil)
-		n.leases.SetTelemetry(reg)
-		n.objBarrier = make(map[uint64]int64)
+	n.leaseTTL = opts.LeaseTTL
+	if n.leaseTTL <= 0 {
+		n.leaseTTL = DefaultLeaseTTL
 	}
-	n.srv.SetTelemetry(hotReg)
-	n.srv.SetWriteCoalescing(!opts.DisableRPCCoalescing)
-	n.pool.SetTelemetry(hotReg)
+	n.leases = replication.NewLeaseHolder(
+		func() uint64 { return n.dir.Load().Epoch() },
+		opts.LeaseApplyLagMax, nil)
+	n.leases.SetTelemetry(reg)
+	n.objBarrier = make(map[uint64]int64)
+	n.srv.SetTelemetry(reg)
+	n.pool.SetTelemetry(reg)
 	if opts.Directory == nil {
 		opts.Directory = shard.NewDirectory(nil)
 	}
 	n.dir.Store(opts.Directory)
 
 	n.shipper = replication.NewShipper(n.pool, n.onBackupFailure)
-	n.shipper.SetTelemetry(hotReg)
-	n.shipper.SetCoalescing(!opts.DisableShipCoalescing)
-	if n.leaseTTL > 0 {
-		n.shipper.SetLeaseTTL(n.leaseTTL)
-	}
+	n.shipper.SetTelemetry(reg)
+	n.shipper.SetLeaseTTL(n.leaseTTL)
 
 	rtOpts := opts.Runtime
 	rtOpts.Invoker = &routerInvoker{node: n}
-	rtOpts.Metrics = hotReg
+	rtOpts.Metrics = reg
 	rtOpts.Tracer = tracer
 	rtOpts.OnCommit = func(ctx telemetry.SpanContext, obj core.ObjectID, seq uint64, ws *store.Batch) error {
 		// Synchronous primary-backup shipping: the invocation reply is not
@@ -343,7 +313,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		Epoch:     func() uint64 { return n.dir.Load().Epoch() },
 		IsPrimary: n.isPrimary,
 		Admit:     n.admitJoiner,
-		Metrics:   hotReg,
+		Metrics:   reg,
 		Tracer:    tracer,
 	})
 	n.recmgr = recovery.NewManager(recovery.ManagerOptions{
@@ -358,7 +328,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		Buckets:        opts.RecoveryBuckets,
 		MaxBytesPerSec: opts.RecoveryMaxBytesPerSec,
 		FullResync:     opts.RecoveryFullResync,
-		Metrics:        hotReg,
+		Metrics:        reg,
 		Tracer:         tracer,
 	})
 
@@ -385,7 +355,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 			}
 		},
 		SessionTimeout: opts.MoveSessionTimeout,
-		Metrics:        hotReg,
+		Metrics:        reg,
 	})
 	n.moveSrc = recovery.NewMoveSource(recovery.MoveSourceOptions{
 		DB:        db,
@@ -400,7 +370,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		CutOver:     n.cutOverObject,
 		Apply:       replApply,
 		DirSnapshot: func() []byte { return n.dir.Load().Snapshot() },
-		Metrics:     hotReg,
+		Metrics:     reg,
 		Tracer:      tracer,
 	})
 
@@ -542,7 +512,7 @@ func (n *Node) SetDirectory(d *shard.Directory) {
 // has passed, by which time every such lease has expired (backups honor
 // only 3/4 of the TTL, leaving margin for skew and delivery latency).
 func (n *Node) onDirectoryChange(old, nw *shard.Directory) {
-	if n.leaseTTL <= 0 || old == nil || nw == nil || old == nw || old.Epoch() == nw.Epoch() {
+	if old == nil || nw == nil || old == nw || old.Epoch() == nw.Epoch() {
 		return
 	}
 	n.leases.Revoke()
@@ -609,9 +579,6 @@ func (n *Node) onDirectoryChange(old, nw *shard.Directory) {
 // waitLeaseBarrier blocks until every write-ack barrier covering the
 // object has passed (no-op in the overwhelmingly common case).
 func (n *Node) waitLeaseBarrier(object uint64) {
-	if n.leaseTTL <= 0 {
-		return
-	}
 	now := time.Now().UnixNano()
 	until := n.leaseBarrier.Load()
 	n.objBarrierMu.Lock()
@@ -968,9 +935,9 @@ func (n *Node) routeCheck(obj core.ObjectID, readOnly bool) error {
 				continue
 			}
 			// A backup serves a read only under a valid lease: right
-			// epoch, unexpired, apply lag in bounds. Anything else —
-			// leasing disabled, lease died with a reconfiguration, the
-			// primary stopped renewing — bounces to the primary, which
+			// epoch, unexpired, apply lag in bounds. Anything else — the
+			// lease died with a reconfiguration, the primary stopped
+			// renewing — bounces to the primary, which
 			// is always safe.
 			if n.leases.Valid() {
 				n.backupServed.Inc()

@@ -45,22 +45,6 @@ type Options struct {
 	// Cache enables the consistent result cache with the given capacity;
 	// 0 disables caching.
 	CacheEntries int
-	// CacheShards overrides the result cache's shard count (0 = default;
-	// 1 degenerates to a single global lock — the read-path ablation).
-	CacheShards int
-	// DisableReadFastPath forces read-only deterministic invocations
-	// through the full transactional machinery (write buffer, dirty-set
-	// commit checks) instead of the allocation-light read path. Ablation
-	// knob; production keeps the fast path on.
-	DisableReadFastPath bool
-	// FullVMReset makes warm instance reuse re-image the entire linear
-	// memory instead of zeroing only the dirtied region. Ablation knob;
-	// production uses the cheap reset.
-	FullVMReset bool
-	// VMTier selects the bytecode execution tier: "" or "threaded" for
-	// the AOT token-threaded compiler (default), "interp" to force the
-	// switch interpreter. Ablation knob for the vm-compile benchmark.
-	VMTier string
 	// Clock supplies the time host call; nil means time.Now-based.
 	Clock func() int64
 	// Invoker routes cross-object invocations; nil routes everything to
@@ -169,18 +153,14 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 	if opts.Fuel == 0 {
 		rt.opts.Fuel = DefaultFuel
 	}
-	tier, err := vm.ParseTier(opts.VMTier)
-	if err != nil {
-		return nil, err
-	}
 	rt.hosts = newHostTable()
-	rt.pool = newInstancePool(rt.hosts, rt.opts.Fuel, opts.FullVMReset, tier)
+	rt.pool = newInstancePool(rt.hosts, rt.opts.Fuel)
 	rt.locks = sched.NewTable()
 	if opts.LockTimeout > 0 {
 		rt.locks.Timeout = opts.LockTimeout
 	}
 	if opts.CacheEntries > 0 {
-		rt.cache = cache.NewSharded(opts.CacheEntries, opts.CacheShards)
+		rt.cache = cache.New(opts.CacheEntries)
 	}
 	if rt.opts.Clock == nil {
 		rt.opts.Clock = func() int64 { return time.Now().UnixNano() }
@@ -558,7 +538,7 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 	// Read-only invocations never commit, so they can skip the whole
 	// write-transaction apparatus: a pooled txn with no write buffer reads
 	// straight off the snapshot, and run() sees an always-clean dirty set.
-	if mi.RoutableReadOnly() && !rt.opts.DisableReadFastPath {
+	if mi.RoutableReadOnly() {
 		iv.txn = newReadTxn(rt.db, cacheable)
 	} else {
 		iv.txn = newTxn(rt.db, cacheable)

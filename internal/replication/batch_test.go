@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -235,6 +236,107 @@ func TestBulkApplierReceivesWholeFrame(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if _, err := db.Get([]byte(fmt.Sprintf("bulk-k%d", i))); err != nil {
 			t.Fatalf("bulk-k%d not applied: %v", i, err)
+		}
+	}
+}
+
+// TestLaneFrameErrorFailsExactlyItsMembers pins the failure granularity of
+// the send lane: when the backup rejects one coalesced frame, every ship
+// that rode in that frame fails and is reported, while the ships in the
+// frames before and after it succeed.
+func TestLaneFrameErrorFailsExactlyItsMembers(t *testing.T) {
+	const queued = 5
+	db, err := store.Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	gate := make(chan struct{})
+	var first atomic.Bool
+	srv := rpc.NewServer()
+	RegisterBackup(srv, db, BulkApplierFunc(
+		func(object uint64, b *store.Batch) error {
+			if first.CompareAndSwap(false, true) {
+				<-gate // hold the lane busy so the doomed ships share a frame
+			}
+			return db.Write(b)
+		},
+		func(objects []uint64, batches []*store.Batch) error {
+			return fmt.Errorf("backup rejects frame of %d", len(batches))
+		}))
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	pool := rpc.NewPool(nil)
+	defer pool.Close()
+	var reported atomic.Int64
+	s := NewShipper(pool, func(string, error) { reported.Add(1) })
+	defer s.Close()
+	s.SetBackups([]string{addr})
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := shipOne(s, 0, "before", "v"); err != nil {
+			t.Errorf("ship before the bad frame: %v", err)
+		}
+	}()
+	for !first.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	lane := s.lane(addr)
+	var failed atomic.Int64
+	for i := 0; i < queued; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			err := shipOne(s, uint64(i+1), fmt.Sprintf("doomed-k%d", i), "v")
+			if !errors.Is(err, ErrBackupFailed) {
+				t.Errorf("ship %d in the rejected frame: err = %v, want ErrBackupFailed", i, err)
+				return
+			}
+			failed.Add(1)
+		}(i)
+	}
+	// Release the backup only once every doomed ship sits on the lane, so
+	// they leave in one frame.
+	for {
+		lane.mu.Lock()
+		n := len(lane.pending)
+		lane.mu.Unlock()
+		if n == queued {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+
+	if err := shipOne(s, 99, "after", "v"); err != nil {
+		t.Fatalf("ship after the bad frame: %v", err)
+	}
+	if got := failed.Load(); got != queued {
+		t.Fatalf("failed ships = %d, want %d", got, queued)
+	}
+	if got := reported.Load(); got != queued {
+		t.Fatalf("failure callbacks = %d, want %d", got, queued)
+	}
+	if got := s.Shipped(); got != 2 {
+		t.Fatalf("Shipped = %d, want 2 (before + after)", got)
+	}
+	for _, k := range []string{"before", "after"} {
+		if _, err := db.Get([]byte(k)); err != nil {
+			t.Fatalf("%s not applied: %v", k, err)
+		}
+	}
+	for i := 0; i < queued; i++ {
+		if _, err := db.Get([]byte(fmt.Sprintf("doomed-k%d", i))); err != store.ErrNotFound {
+			t.Fatalf("doomed-k%d landed despite the rejected frame: err = %v", i, err)
 		}
 	}
 }

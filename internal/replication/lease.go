@@ -129,7 +129,7 @@ func NewLeaseHolder(localEpoch func() uint64, lagMax int, now func() time.Time) 
 // SetTelemetry wires the holder's counters and the per-node held-lease
 // gauge into reg. Call before traffic starts.
 func (h *LeaseHolder) SetTelemetry(reg *telemetry.Registry) {
-	if h == nil || reg == nil {
+	if reg == nil {
 		return
 	}
 	h.mu.Lock()
@@ -239,9 +239,6 @@ func (h *LeaseHolder) revokeLocked(cause *telemetry.Counter) {
 // Revoke unconditionally drops the lease (reconfiguration observed by
 // the node — failover, rejoin cutover, migration). Idempotent.
 func (h *LeaseHolder) Revoke() {
-	if h == nil {
-		return
-	}
 	h.mu.Lock()
 	if h.held {
 		h.revokeLocked(h.revokes)
@@ -253,9 +250,6 @@ func (h *LeaseHolder) Revoke() {
 // now. A failed check revokes the lease (counted by cause) so the next
 // grant is a fresh one with fresh lag baselines.
 func (h *LeaseHolder) Valid() bool {
-	if h == nil {
-		return false
-	}
 	now := h.now()
 	local := h.localEpoch()
 	h.mu.Lock()
@@ -286,9 +280,6 @@ func (h *LeaseHolder) Valid() bool {
 // Held reports whether a lease is currently held without re-validating
 // expiry or lag (telemetry/debug).
 func (h *LeaseHolder) Held() bool {
-	if h == nil {
-		return false
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.held

@@ -156,7 +156,7 @@ func decodeApplyBatch(body []byte) (*applyBatchMsg, error) {
 // use; write-sets of different objects ship concurrently (they commute),
 // while per-object ordering is inherited from the object scheduler.
 //
-// By default concurrent ships to the same backup coalesce: each backup has
+// Concurrent ships to the same backup coalesce: each backup has
 // a send lane whose loop drains every queued write-set into one
 // MethodApplyBatch frame, so N concurrent commits cost one RPC round trip
 // instead of N. Acks release all member commits at once; a frame error
@@ -173,10 +173,7 @@ type Shipper struct {
 	// onFailure is invoked (outside the lock) when a backup rejects or
 	// misses a write-set; the cluster layer reports it to the coordinator.
 	onFailure func(addr string, err error)
-	shipped   uint64
-	// noCoalesce disables the per-backup lanes (ablation): every ship then
-	// performs its own single-entry applyBatch round trip.
-	noCoalesce bool
+	shipped   atomic.Uint64
 
 	lanesMu     sync.Mutex
 	lanes       map[string]*shipLane
@@ -304,14 +301,6 @@ func (s *Shipper) SetTelemetry(reg *telemetry.Registry) {
 // Zero (the initial value) ships unfenced frames that any backup accepts.
 func (s *Shipper) SetEpoch(epoch uint64) { s.epoch.Store(epoch) }
 
-// SetCoalescing toggles per-backup ship coalescing (default on). Used by
-// the write-path ablation.
-func (s *Shipper) SetCoalescing(enabled bool) {
-	s.mu.Lock()
-	s.noCoalesce = !enabled
-	s.mu.Unlock()
-}
-
 // Close stops the per-backup send lanes, failing any queued ships. Further
 // ships to lanes fail with a closed error; callers should stop committing
 // first.
@@ -346,11 +335,7 @@ func (s *Shipper) Backups() []string {
 }
 
 // Shipped returns the number of write-sets acknowledged by all backups.
-func (s *Shipper) Shipped() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.shipped
-}
+func (s *Shipper) Shipped() uint64 { return s.shipped.Load() }
 
 // Ship synchronously replicates one committed write-set to every backup.
 // Failures are reported via the failure callback; the write-set is still
@@ -493,7 +478,6 @@ func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Bat
 	s.mu.RLock()
 	backups := s.backups
 	shipUs := s.shipUs
-	coalesce := !s.noCoalesce
 	s.mu.RUnlock()
 	if len(backups) == 0 {
 		return nil
@@ -504,24 +488,17 @@ func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Bat
 	}
 	data := b.Encode()
 
-	// Fan the write-set out to every backup and collect one error per
-	// backup. Coalesced mode enqueues on each backup's lane; the ablation
-	// path performs its own single-entry frame per backup.
+	// Fan the write-set out to every backup's lane and collect one error
+	// per backup.
 	entries := make([]*shipEntry, len(backups))
 	for i, addr := range backups {
 		e := &shipEntry{object: object, data: data, ctx: ctx, done: make(chan error, 1)}
 		entries[i] = e
-		if coalesce {
-			lane := s.lane(addr)
-			if lane == nil {
-				e.done <- errShipperClosed
-			} else if err := lane.enqueue(e); err != nil {
-				e.done <- err
-			}
-		} else {
-			go func(addr string, e *shipEntry) {
-				e.done <- s.shipFrame(addr, []*shipEntry{e})
-			}(addr, e)
+		lane := s.lane(addr)
+		if lane == nil {
+			e.done <- errShipperClosed
+		} else if err := lane.enqueue(e); err != nil {
+			e.done <- err
 		}
 	}
 
@@ -544,9 +521,7 @@ func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Bat
 		shipUs.Record(time.Since(start))
 	}
 	if firstErr == nil {
-		s.mu.Lock()
-		s.shipped++
-		s.mu.Unlock()
+		s.shipped.Add(1)
 		if s.shippedCtr != nil {
 			s.shippedCtr.Inc()
 		}
@@ -620,7 +595,7 @@ func RegisterBackupFenced(srv *rpc.Server, db *store.DB, applier Applier, tracer
 // RegisterBackupLeased is RegisterBackupFenced with a read-lease holder:
 // applyBatch frames feed the holder's applied counter and any piggybacked
 // renewal blob, and the standalone MethodLease renewal handler is
-// registered. holder may be nil (leases disabled on this node).
+// registered. holder is nil for the lease-free RegisterBackup* variants.
 func RegisterBackupLeased(srv *rpc.Server, db *store.DB, applier Applier, tracer *telemetry.Tracer, reg *telemetry.Registry, localEpoch func() uint64, holder *LeaseHolder) {
 	var applied, stale *telemetry.Counter
 	if reg != nil {

@@ -7,6 +7,7 @@ import (
 
 	"lambdastore/internal/core"
 	"lambdastore/internal/store"
+	"lambdastore/internal/vm"
 )
 
 func newRuntime(t *testing.T) *core.Runtime {
@@ -210,5 +211,23 @@ func TestDecodeTimelineNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShippedModulesCompile pins the Retwis guest to the threaded tier. The
+// runtime owns its instances, so the check reads the compiler's counters
+// around the first invocation (which instantiates Source against the real
+// host table): one more compiled module, no interpreter fallback.
+func TestShippedModulesCompile(t *testing.T) {
+	before := vm.CompilerStats()
+	rt := newRuntime(t)
+	mkUser(t, rt, 1, "alice")
+	after := vm.CompilerStats()
+	if after.CompiledModules != before.CompiledModules+1 {
+		t.Fatalf("vm.compiled_modules moved %d -> %d, want +1", before.CompiledModules, after.CompiledModules)
+	}
+	if after.InterpFallbacks != before.InterpFallbacks {
+		t.Fatalf("retwis.Source fell back to the interpreter: vm.interp_fallbacks %d -> %d",
+			before.InterpFallbacks, after.InterpFallbacks)
 	}
 }

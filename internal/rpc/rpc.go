@@ -165,17 +165,18 @@ func readFrame(r io.Reader) (*message, error) {
 	return m, nil
 }
 
-// connWriter serializes outbound frames on one connection. With coalescing
-// enabled (the default), concurrent writers append their encoded frames to
-// a shared buffer and the first writer becomes the flusher: it repeatedly
-// swaps the pending buffer out and issues one conn.Write for everything
-// queued, so N concurrent frames cost one syscall instead of N. Riders
+// connWriter serializes outbound frames on one connection. Concurrent
+// writers append their encoded frames to a shared buffer and the first
+// writer becomes the flusher: it repeatedly swaps the pending buffer out
+// and issues one conn.Write for everything queued, so N concurrent frames
+// cost one syscall instead of N (a write outside the lock is safe only
+// because there is a single flusher: net.Conn loops on partial writes and
+// an interleaved writer would tear frames). Riders
 // return immediately; a failed flush poisons the writer and closes the
 // connection, which surfaces the failure to riders through the reader side
 // (failAll on clients, conn teardown on servers).
 type connWriter struct {
-	conn     net.Conn
-	coalesce bool
+	conn net.Conn
 
 	mu       sync.Mutex
 	buf      []byte // pending encoded frames
@@ -188,13 +189,9 @@ type connWriter struct {
 	coalesced atomic.Pointer[telemetry.Counter]
 }
 
-func newConnWriter(conn net.Conn, coalesce bool) *connWriter {
-	return &connWriter{conn: conn, coalesce: coalesce}
-}
-
-// writeMsg encodes and sends m. With coalescing, a nil return means the
-// frame is queued behind an active flusher and will reach the wire (or the
-// connection will die trying).
+// writeMsg encodes and sends m. A nil return may mean the frame is queued
+// behind an active flusher and will reach the wire (or the connection will
+// die trying).
 func (w *connWriter) writeMsg(m *message) error {
 	w.mu.Lock()
 	if w.err != nil {
@@ -208,22 +205,6 @@ func (w *connWriter) writeMsg(m *message) error {
 	w.buf = m.encode(w.buf)
 	binary.BigEndian.PutUint32(w.buf[off:], uint32(len(w.buf)-off-4))
 
-	if !w.coalesce {
-		// Serialized write under the lock (the pre-coalescing behavior);
-		// the lock must cover conn.Write because net.Conn loops on partial
-		// writes and an interleaved writer would tear frames.
-		buf := w.buf
-		_, err := w.conn.Write(buf)
-		w.buf = buf[:0]
-		if err != nil {
-			w.err = err
-		}
-		w.mu.Unlock()
-		if err != nil {
-			w.conn.Close()
-		}
-		return err
-	}
 	if w.flushing {
 		// An active flusher will pick this frame up on its next round.
 		if c := w.coalesced.Load(); c != nil {
@@ -302,9 +283,6 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	closed   bool
 	wg       sync.WaitGroup
-	// noCoalesce disables per-connection response-write coalescing
-	// (ablation; see SetWriteCoalescing).
-	noCoalesce bool
 
 	metrics *serverMetrics
 
@@ -337,14 +315,6 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry) {
 		handleUs:  reg.Histogram("rpc.server.handle"),
 		coalesced: reg.Counter("rpc.frames_coalesced"),
 	}
-}
-
-// SetWriteCoalescing toggles per-connection coalescing of response writes
-// (default on). Call before Serve; used by the write-path ablation.
-func (s *Server) SetWriteCoalescing(enabled bool) {
-	s.mu.Lock()
-	s.noCoalesce = !enabled
-	s.mu.Unlock()
 }
 
 // Handle registers fn for method, replacing any existing registration.
@@ -420,10 +390,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	s.mu.RLock()
-	coalesce := !s.noCoalesce
 	srvMetrics := s.metrics
 	s.mu.RUnlock()
-	cw := newConnWriter(conn, coalesce)
+	cw := &connWriter{conn: conn}
 	if srvMetrics != nil {
 		cw.coalesced.Store(srvMetrics.coalesced)
 	}
@@ -531,10 +500,6 @@ type ClientOptions struct {
 	Delay time.Duration
 	// DialTimeout bounds connection establishment; zero means 5s.
 	DialTimeout time.Duration
-	// DisableWriteCoalescing turns off per-connection batching of request
-	// writes (every call then pays its own conn.Write). Used by the
-	// write-path ablation.
-	DisableWriteCoalescing bool
 }
 
 func (o *ClientOptions) sanitize() ClientOptions {
@@ -637,7 +602,7 @@ func dialFrom(addr string, opts *ClientOptions, from string) (*Client, error) {
 		from:    from,
 		pending: make(map[uint64]chan *message),
 		conn:    conn,
-		cw:      newConnWriter(conn, !o.DisableWriteCoalescing),
+		cw:      &connWriter{conn: conn},
 	}
 	go c.readLoop()
 	return c, nil

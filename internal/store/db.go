@@ -34,13 +34,6 @@ type DB struct {
 	// released; WAL rotation (Flush) and Close must wait for it so the
 	// log is never swapped out from under an in-flight group.
 	writeActive bool
-	// groupStreak arms the GroupCommitWait linger (the commit_siblings
-	// analog): any multi-member group sets it to groupStreakArm, every
-	// solo group decays it by one, and leaders linger only while it is
-	// positive. The hysteresis keeps the linger engaged across the solo
-	// groups that naturally fall between commit bursts, while strictly
-	// sequential workloads decay to zero and never pay the delay.
-	groupStreak int
 	wal         *walWriter
 	walNum      uint64
 	immWal      uint64 // WAL number backing imm
@@ -321,9 +314,6 @@ func (db *DB) Write(b *Batch) error {
 	if b.Empty() {
 		return nil
 	}
-	if db.opts.DisableGroupCommit {
-		return db.writeSolo(b)
-	}
 	w := &dbWriter{batch: b, ready: make(chan struct{}, 1)}
 	db.mu.Lock()
 	if db.closed {
@@ -339,95 +329,10 @@ func (db *DB) Write(b *Batch) error {
 	if !w.done {
 		// w is the queue head: lead a group commit. commitGroup completes
 		// w (and any members it grouped with it) before returning.
-		db.lingerForGroup()
 		db.commitGroup()
 	}
 	db.mu.Unlock()
 	return w.err
-}
-
-// writeSolo is the pre-group-commit write path: WAL append (and fsync when
-// configured) under the commit lock, one batch at a time. Kept for the
-// write-path ablation (Options.DisableGroupCommit).
-func (db *DB) writeSolo(b *Batch) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if err := db.makeRoomForWrite(); err != nil {
-		return err
-	}
-	b.startSeq = db.lastSeq + 1
-	rec := b.encode(nil)
-	var syncStart time.Time
-	if db.metrics != nil && db.opts.SyncWrites {
-		syncStart = time.Now()
-	}
-	if err := db.wal.append(rec, db.opts.SyncWrites); err != nil {
-		return err
-	}
-	if m := db.metrics; m != nil {
-		m.writes.Inc()
-		m.walBytes.Add(uint64(len(rec)))
-		if db.opts.SyncWrites {
-			m.walSyncs.Inc()
-			m.fsyncUs.Record(time.Since(syncStart))
-		}
-	}
-	if err := b.apply(db.mem); err != nil {
-		return err
-	}
-	if db.sc != nil {
-		db.sc.applyBatch(b)
-	}
-	db.lastSeq += uint64(b.count)
-	return nil
-}
-
-// groupWaitTarget is the queue depth at which a lingering leader stops
-// waiting and commits: past this point the fsync is already amortized
-// well enough that further delay only adds latency.
-const groupWaitTarget = 8
-
-// groupStreakArm is the number of consecutive single-member groups after
-// which the GroupCommitWait linger disarms. One multi-member group re-arms
-// it fully.
-const groupStreakArm = 16
-
-// lingerForGroup implements the GroupCommitWait delay: the queue head
-// briefly holds off its (fsync'd) WAL write so concurrent committers can
-// join the group, turning N fsyncs into one. The delay engages only when
-// writer concurrency is evident — another writer is already queued, or the
-// previous group had several members — so sequential workloads commit
-// immediately. Called and returns with db.mu held; the caller is the queue
-// head, which nothing else can complete, so the identity of db.writers[0]
-// is stable across the unlocked sleeps.
-func (db *DB) lingerForGroup() {
-	wait := db.opts.GroupCommitWait
-	if wait <= 0 || !db.opts.SyncWrites || db.closed {
-		return
-	}
-	if len(db.writers) < 2 && db.groupStreak == 0 {
-		return
-	}
-	slice := wait / 4
-	if slice <= 0 {
-		slice = wait
-	}
-	deadline := time.Now().Add(wait)
-	for len(db.writers) < groupWaitTarget && !db.closed {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			break
-		}
-		if remaining > slice {
-			remaining = slice
-		}
-		db.mu.Unlock()
-		time.Sleep(remaining)
-		db.mu.Lock()
-	}
 }
 
 // commitGroup runs on the writer at the head of db.writers. It forms a
@@ -465,11 +370,6 @@ func (db *DB) commitGroup() {
 		records = append(records, rec)
 		total += len(rec)
 		group = db.writers[:i+1]
-	}
-	if len(group) > 1 {
-		db.groupStreak = groupStreakArm
-	} else if db.groupStreak > 0 {
-		db.groupStreak--
 	}
 
 	sync := db.opts.SyncWrites

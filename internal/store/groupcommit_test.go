@@ -79,9 +79,6 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	opts := testOptions()
 	opts.SyncWrites = true
-	// Arm the leader linger so group formation does not depend on fsync
-	// speed on the test machine.
-	opts.GroupCommitWait = 500 * time.Microsecond
 	opts.Metrics = reg
 	dir := t.TempDir()
 	// Stretch every WAL sync with an injected delay so the leader's fsync
@@ -113,42 +110,6 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 	}
 	if max := reg.Histogram("wal.group_size").Snapshot().Max; max < 2*time.Microsecond {
 		t.Fatalf("wal.group_size max = %v, want a multi-member group", max)
-	}
-}
-
-// TestGroupCommitDisabledMatchesSoloSemantics: with the ablation switch on,
-// every commit pays its own fsync (the unbatched baseline the benchmark
-// compares against) and durability still holds across reopen.
-func TestGroupCommitDisabledMatchesSoloSemantics(t *testing.T) {
-	const writers, perWriter = 4, 20
-	reg := telemetry.NewRegistry()
-	opts := testOptions()
-	opts.SyncWrites = true
-	opts.DisableGroupCommit = true
-	opts.Metrics = reg
-	dir := t.TempDir()
-	db, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	writeConcurrently(t, db, writers, perWriter)
-
-	commits := reg.Counter("store.writes").Value()
-	syncs := reg.Counter("store.wal_syncs").Value()
-	if commits != writers*perWriter || syncs != commits {
-		t.Fatalf("unbatched: commits=%d syncs=%d, want both %d", commits, syncs, writers*perWriter)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	db, err = Open(dir, opts)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer db.Close()
-	v, err := db.Get([]byte("w00-k0000"))
-	if err != nil || len(v) == 0 {
-		t.Fatalf("after reopen: %q, %v", v, err)
 	}
 }
 

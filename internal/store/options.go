@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"time"
 
 	"lambdastore/internal/telemetry"
 )
@@ -46,24 +45,11 @@ type Options struct {
 	LevelBaseBytes int64
 	// LevelMultiplier is the size ratio between adjacent levels.
 	LevelMultiplier int64
-	// DisableGroupCommit turns off WAL group commit: every Write then
-	// performs its own WAL append (and fsync when SyncWrites is set) while
-	// holding the commit lock, instead of joining a write group that
-	// amortizes both across concurrent committers. Used by the write-path
-	// ablation; production keeps group commit on.
-	DisableGroupCommit bool
 	// SyncWrites forces an fsync of the WAL on every committed batch. The
 	// paper's latency numbers do not depend on fsync behaviour; benchmarks
 	// default to false (like LevelDB's default) while durability tests turn
 	// it on.
 	SyncWrites bool
-	// GroupCommitWait is the longest a group-commit leader lingers for
-	// concurrent committers to join its write group before performing the
-	// fsync'd WAL write (PostgreSQL's commit_delay). Zero commits
-	// immediately. The wait only engages under SyncWrites and only once
-	// writer concurrency has actually been observed (the commit_siblings
-	// analog), so strictly sequential workloads never pay the delay.
-	GroupCommitWait time.Duration
 	// DisableCompaction turns off background compaction (used by tests to
 	// control table layout deterministically).
 	DisableCompaction bool

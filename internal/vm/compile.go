@@ -24,13 +24,11 @@ package vm
 // descriptors consumed in place, ALU results flow straight into locals,
 // and compare-and-branch pairs fuse into single closures. A closure that
 // stands in for several source instructions reports the pc of the
-// component that would have trapped. Functions the translator declines
-// fall back to the one-closure-per-instruction emitter in this file.
+// component that would have trapped. A module with a function the
+// translator declines stays on the interpreter as a whole.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync/atomic"
 )
 
@@ -41,27 +39,10 @@ const (
 	// TierThreaded runs compiled token-threaded code, falling back to the
 	// interpreter for modules the compiler rejects. The default.
 	TierThreaded Tier = iota
-	// TierInterp forces the switch interpreter (the ablation baseline).
+	// TierInterp forces the switch interpreter (the differential suites'
+	// reference engine).
 	TierInterp
 )
-
-// ParseTier parses a tier name; the empty string means the default.
-func ParseTier(s string) (Tier, error) {
-	switch s {
-	case "", "threaded":
-		return TierThreaded, nil
-	case "interp", "interpreter":
-		return TierInterp, nil
-	}
-	return TierThreaded, fmt.Errorf("vm: unknown tier %q (want threaded or interp)", s)
-}
-
-func (t Tier) String() string {
-	if t == TierInterp {
-		return "interp"
-	}
-	return "threaded"
-}
 
 // Compilation telemetry, process-global like the fault counters: surfaced
 // as vm.compiled_modules / vm.interp_fallbacks / vm.compile_ns so a
@@ -250,454 +231,9 @@ func compileModule(m *Module, sigs []hostSig) (*thModule, bool) {
 		}
 	}
 	for i := range m.Funcs {
-		emitFunc(m, i, irs[i], tm, sigs)
+		if !emitFuncSym(m, i, irs[i], tm, sigs) {
+			return nil, false
+		}
 	}
 	return tm, true
-}
-
-// emitFunc fills in one function's closure array: block-level symbolic
-// translation (translate.go) when it applies, the one-closure-per-pc
-// emitter below otherwise. Fuel is charged by the trampoline from
-// thFunc.bfuel, never by the closures.
-func emitFunc(m *Module, fi int, ir *funcIR, tm *thModule, sigs []hostSig) {
-	f := &m.Funcs[fi]
-	tf := tm.funcs[fi]
-	if !emitFuncSym(m, fi, ir, tm, sigs) {
-		for pc := range f.code {
-			tf.ops[pc] = emitOp(m, f, tf, ir, tm, sigs, pc)
-		}
-	}
-}
-
-// emitOp lowers code[pc] to a closure over the register form. d is the
-// static stack depth on entry; slot i of the operand stack lives in frame
-// register numLocals+i.
-func emitOp(m *Module, f *Func, tf *thFunc, ir *funcIR, tm *thModule, sigs []hostSig, pc int) thOp {
-	name := f.Name
-	nl := tf.numLocals
-	in := f.code[pc]
-	at := pc // captured trap location
-	if ir.depth[pc] < 0 {
-		// Statically unreachable; can never execute, guard anyway.
-		return func(m *thState) int { return m.failAt(name, at, ErrUnreachable) }
-	}
-	d := int(ir.depth[pc])
-	if ir.under[pc] {
-		// The interpreter would trap here with ErrStackUnderflow — except
-		// at a call site, where the frame-depth limit is checked first.
-		if in.op == opCall {
-			return func(m *thState) int {
-				if m.depth >= maxCallDepth {
-					return m.failAt(name, at, ErrStackOverflow)
-				}
-				return m.failAt(name, at, ErrStackUnderflow)
-			}
-		}
-		return func(m *thState) int { return m.failAt(name, at, ErrStackUnderflow) }
-	}
-	next := pc + 1
-	top := nl + d - 1        // register of the current stack top
-	lim := maxValueStack - d // push headroom: trap when height >= lim
-
-	switch in.op {
-	case opNop, opPop:
-		// Pop at a consistent depth is pure bookkeeping in register form.
-		return func(m *thState) int { return next }
-	case opUnreachable:
-		return func(m *thState) int { return m.failAt(name, at, ErrUnreachable) }
-	case opHalt:
-		return func(m *thState) int { return m.failAt(name, at, ErrHalted) }
-
-	case opPush:
-		val := in.arg
-		dst := nl + d
-		return func(m *thState) int {
-			if m.height >= lim {
-				return m.failAt(name, at, ErrStackOverflow)
-			}
-			m.inst.regFile[m.fp+dst] = val
-			return next
-		}
-	case opDup:
-		dst := nl + d
-		return func(m *thState) int {
-			if m.height >= lim {
-				return m.failAt(name, at, ErrStackOverflow)
-			}
-			rf := m.inst.regFile
-			rf[m.fp+dst] = rf[m.fp+top]
-			return next
-		}
-	case opSwap:
-		a := top - 1
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a], rf[m.fp+a+1] = rf[m.fp+a+1], rf[m.fp+a]
-			return next
-		}
-
-	case opLocalGet:
-		src := int(in.arg)
-		dst := nl + d
-		return func(m *thState) int {
-			if m.height >= lim {
-				return m.failAt(name, at, ErrStackOverflow)
-			}
-			rf := m.inst.regFile
-			rf[m.fp+dst] = rf[m.fp+src]
-			return next
-		}
-	case opLocalSet, opLocalTee:
-		// Identical in register form: tee keeps the slot, set abandons it,
-		// and the depth bookkeeping is static.
-		dst := int(in.arg)
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+dst] = rf[m.fp+top]
-			return next
-		}
-
-	case opJmp:
-		target := int(in.arg)
-		return func(m *thState) int { return target }
-	case opJz:
-		target := int(in.arg)
-		return func(m *thState) int {
-			if m.inst.regFile[m.fp+top] == 0 {
-				return target
-			}
-			return next
-		}
-	case opJnz:
-		target := int(in.arg)
-		return func(m *thState) int {
-			if m.inst.regFile[m.fp+top] != 0 {
-				return target
-			}
-			return next
-		}
-
-	case opRet:
-		return func(m *thState) int { return thDone }
-
-	case opCall:
-		callee := tm.funcs[in.arg]
-		np := callee.numParams
-		cnl := callee.numLocals
-		cneed := callee.need
-		cret := callee.nret
-		// The callee's frame starts at the caller's argument slots, so
-		// params pass by aliasing: caller stack slots [d-np, d) are the
-		// callee's registers [0, np).
-		frameOff := nl + d - np
-		hDelta := d - np
-		return func(m *thState) int {
-			if m.depth >= maxCallDepth {
-				return m.failAt(name, at, ErrStackOverflow)
-			}
-			inst := m.inst
-			cfp := m.fp + frameOff
-			if want := cfp + cneed; want > len(inst.regFile) {
-				inst.growRegs(want)
-			}
-			rf := inst.regFile
-			for i := cfp + np; i < cfp+cnl; i++ {
-				rf[i] = 0
-			}
-			sfp, sh := m.fp, m.height
-			m.fp = cfp
-			m.height += hDelta
-			m.depth++
-			callee.run(m)
-			m.fp, m.height = sfp, sh
-			m.depth--
-			if m.trap != nil {
-				return thDone
-			}
-			if cret > 0 {
-				// Move the callee's results down over its frame, where the
-				// caller's stack continues.
-				rf = inst.regFile
-				copy(rf[cfp:cfp+cret], rf[cfp+cnl:cfp+cnl+cret])
-			}
-			return next
-		}
-
-	case opAdd, opSub, opMul, opDivS, opRemS, opAnd, opOr, opXor, opShl, opShrS, opShrU,
-		opEq, opNe, opLtS, opGtS, opLeS, opGeS:
-		return emitBin(in.op, name, at, top-1, next)
-
-	case opEqz:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+top] = b2i(rf[m.fp+top] == 0)
-			return next
-		}
-
-	case opLoad8U:
-		return func(m *thState) int {
-			inst := m.inst
-			rf := inst.regFile
-			addr := rf[m.fp+top]
-			if addr < 0 || addr >= int64(len(inst.mem)) {
-				return m.failAt(name, at, ErrMemOutOfBounds)
-			}
-			rf[m.fp+top] = int64(inst.mem[addr])
-			return next
-		}
-	case opLoad64:
-		return func(m *thState) int {
-			inst := m.inst
-			rf := inst.regFile
-			addr := rf[m.fp+top]
-			if addr < 0 || addr+8 > int64(len(inst.mem)) {
-				return m.failAt(name, at, ErrMemOutOfBounds)
-			}
-			rf[m.fp+top] = int64(binary.LittleEndian.Uint64(inst.mem[addr:]))
-			return next
-		}
-	case opStore8:
-		a := top - 1
-		return func(m *thState) int {
-			inst := m.inst
-			rf := inst.regFile
-			addr := rf[m.fp+a]
-			if addr < 0 || addr >= int64(len(inst.mem)) {
-				return m.failAt(name, at, ErrMemOutOfBounds)
-			}
-			inst.mem[addr] = byte(rf[m.fp+a+1])
-			inst.noteWrite(addr + 1)
-			return next
-		}
-	case opStore64:
-		a := top - 1
-		return func(m *thState) int {
-			inst := m.inst
-			rf := inst.regFile
-			addr := rf[m.fp+a]
-			if addr < 0 || addr+8 > int64(len(inst.mem)) {
-				return m.failAt(name, at, ErrMemOutOfBounds)
-			}
-			binary.LittleEndian.PutUint64(inst.mem[addr:], uint64(rf[m.fp+a+1]))
-			inst.noteWrite(addr + 8)
-			return next
-		}
-
-	case opMemSize:
-		dst := nl + d
-		return func(m *thState) int {
-			if m.height >= lim {
-				return m.failAt(name, at, ErrStackOverflow)
-			}
-			inst := m.inst
-			inst.regFile[m.fp+dst] = int64(len(inst.mem))
-			return next
-		}
-	case opMemGrow:
-		return func(m *thState) int {
-			inst := m.inst
-			rf := inst.regFile
-			old := int64(len(inst.mem))
-			if err := inst.grow(rf[m.fp+top]); err != nil {
-				return m.failAt(name, at, err)
-			}
-			rf[m.fp+top] = old
-			return next
-		}
-
-	case opHostCall:
-		hidx := int(in.arg)
-		sig := sigs[hidx]
-		na := sig.nargs
-		hasRet := sig.hasRet
-		abase := nl + d - na
-		retLim := maxValueStack - (d - na)
-		return func(m *thState) int {
-			inst := m.inst
-			hf := inst.hosts[hidx]
-			if m.metered {
-				// The precheck does not consume the remainder, matching
-				// the interpreter.
-				if inst.fuel < hf.Cost {
-					return m.failAt(name, at, ErrOutOfFuel)
-				}
-				inst.fuel -= hf.Cost
-				inst.used += hf.Cost
-			}
-			m.hargs = append(m.hargs[:0], inst.regFile[m.fp+abase:m.fp+abase+na]...)
-			ret, err := hf.Fn(inst, m.hargs)
-			if err != nil {
-				return m.failAt(name, at, &HostError{Err: err})
-			}
-			if hasRet {
-				if m.height >= retLim {
-					return m.failAt(name, at, ErrStackOverflow)
-				}
-				inst.regFile[m.fp+abase] = ret
-			}
-			return next
-		}
-
-	case opPushPair:
-		hi := in.arg >> 32
-		lo := in.arg & 0xffffffff
-		dst := nl + d
-		pairLim := maxValueStack - d - 1
-		return func(m *thState) int {
-			if m.height >= pairLim {
-				return m.failAt(name, at, ErrStackOverflow)
-			}
-			rf := m.inst.regFile
-			rf[m.fp+dst] = hi
-			rf[m.fp+dst+1] = lo
-			return next
-		}
-	case opUnpackPtr:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+top] = int64(uint64(rf[m.fp+top]) >> 32)
-			return next
-		}
-	case opUnpackLen:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+top] &= 0xffffffff
-			return next
-		}
-	case opAddI:
-		k := in.arg
-		return func(m *thState) int {
-			m.inst.regFile[m.fp+top] += k
-			return next
-		}
-	case opLocalAddI:
-		dst := int(in.arg >> 32)
-		k := int64(int32(in.arg & 0xffffffff))
-		return func(m *thState) int {
-			m.inst.regFile[m.fp+dst] += k
-			return next
-		}
-	}
-	// Validate rejects unknown opcodes and analyzeFunc re-checks, so this
-	// is unreachable; trap defensively rather than crash.
-	return func(m *thState) int {
-		return m.failAt(name, at, fmt.Errorf("vm: unknown opcode %d", in.op))
-	}
-}
-
-// emitBin lowers a two-operand arithmetic/compare op: operands in
-// registers a, a+1, result in a.
-func emitBin(op opcode, name string, at, a, next int) thOp {
-	switch op {
-	case opAdd:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] += rf[m.fp+a+1]
-			return next
-		}
-	case opSub:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] -= rf[m.fp+a+1]
-			return next
-		}
-	case opMul:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] *= rf[m.fp+a+1]
-			return next
-		}
-	case opDivS:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			x, y := rf[m.fp+a], rf[m.fp+a+1]
-			if y == 0 || (x == math.MinInt64 && y == -1) {
-				return m.failAt(name, at, ErrDivByZero)
-			}
-			rf[m.fp+a] = x / y
-			return next
-		}
-	case opRemS:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			y := rf[m.fp+a+1]
-			if y == 0 {
-				return m.failAt(name, at, ErrDivByZero)
-			}
-			rf[m.fp+a] %= y
-			return next
-		}
-	case opAnd:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] &= rf[m.fp+a+1]
-			return next
-		}
-	case opOr:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] |= rf[m.fp+a+1]
-			return next
-		}
-	case opXor:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] ^= rf[m.fp+a+1]
-			return next
-		}
-	case opShl:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] <<= uint64(rf[m.fp+a+1]) & 63
-			return next
-		}
-	case opShrS:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] >>= uint64(rf[m.fp+a+1]) & 63
-			return next
-		}
-	case opShrU:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] = int64(uint64(rf[m.fp+a]) >> (uint64(rf[m.fp+a+1]) & 63))
-			return next
-		}
-	case opEq:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] = b2i(rf[m.fp+a] == rf[m.fp+a+1])
-			return next
-		}
-	case opNe:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] = b2i(rf[m.fp+a] != rf[m.fp+a+1])
-			return next
-		}
-	case opLtS:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] = b2i(rf[m.fp+a] < rf[m.fp+a+1])
-			return next
-		}
-	case opGtS:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] = b2i(rf[m.fp+a] > rf[m.fp+a+1])
-			return next
-		}
-	case opLeS:
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] = b2i(rf[m.fp+a] <= rf[m.fp+a+1])
-			return next
-		}
-	default: // opGeS
-		return func(m *thState) int {
-			rf := m.inst.regFile
-			rf[m.fp+a] = b2i(rf[m.fp+a] >= rf[m.fp+a+1])
-			return next
-		}
-	}
 }

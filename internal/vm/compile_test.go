@@ -30,32 +30,6 @@ done:
 end
 `
 
-func TestParseTier(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Tier
-		err  bool
-	}{
-		{"", TierThreaded, false},
-		{"threaded", TierThreaded, false},
-		{"interp", TierInterp, false},
-		{"interpreter", TierInterp, false},
-		{"jit", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseTier(c.in)
-		if c.err {
-			if err == nil {
-				t.Fatalf("ParseTier(%q): expected error", c.in)
-			}
-			continue
-		}
-		if err != nil || got != c.want {
-			t.Fatalf("ParseTier(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-}
-
 func TestTierSelection(t *testing.T) {
 	mod := MustAssemble(spinSrc)
 	inst, err := NewInstance(mod, nil, 0)

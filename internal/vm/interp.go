@@ -104,7 +104,9 @@ func (inst *Instance) EffectiveTier() Tier {
 // Reset prepares the instance for reuse by a new invocation: memory is
 // re-imaged from the data segment, the stack cleared and fuel refilled.
 // Reusing instances is the warm-start path (paper §2.1); creating a fresh
-// one is the cold start.
+// one is the cold start. Both warm pools (core and the disaggregated
+// baseline) use ResetFast; Reset is the reference the isolation tests
+// compare it against.
 func (inst *Instance) Reset(fuel int64) {
 	if len(inst.mem) > inst.module.MinPages*PageBytes {
 		inst.mem = inst.mem[:inst.module.MinPages*PageBytes]

@@ -950,7 +950,7 @@ func (g *blockGen) translateBlock(start, end int) bool {
 		}
 		d := int(ir.depth[pc])
 		if len(g.sym) != d {
-			return false // depth bookkeeping disagrees; use the safe path
+			return false // depth bookkeeping disagrees; leave it to the interpreter
 		}
 		if ir.under[pc] {
 			if in.op == opCall {
@@ -1557,7 +1557,7 @@ func (g *blockGen) translateBlock(start, end int) bool {
 			}
 
 		default:
-			return false // unknown op: let the per-instruction path handle it
+			return false // unknown op: leave it to the interpreter
 		}
 	}
 
@@ -1621,8 +1621,8 @@ func isCmpOp(op opcode) bool {
 }
 
 // emitFuncSym translates one function block by block. Returns false when
-// any block falls back, in which case the caller re-emits the whole
-// function with the per-instruction path.
+// the translator declines any block, in which case the module stays on the
+// interpreter.
 func emitFuncSym(m *Module, fi int, ir *funcIR, tm *thModule, sigs []hostSig) bool {
 	f := &m.Funcs[fi]
 	tf := tm.funcs[fi]
