@@ -29,10 +29,11 @@ test:
 # cluster node, the caches on the read path, the store, the telemetry
 # instruments themselves, the VM (lazy module compilation is shared
 # across instances; the differential test runs both tiers under -race),
-# and rpc (every frame on a connection leaves through the connWriter's
-# single flusher).
+# rpc (every frame on a connection leaves through the connWriter's
+# single flusher), and the baseline (its compute node drives core's warm
+# pool and parallel fan-out from RPC handler goroutines).
 race:
-	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/rebalance/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/
+	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/rebalance/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/ ./internal/baseline/
 
 # Deterministic failover chaos: every seed replays the same kill/partition/
 # fsync-failure schedule (see EXPERIMENTS.md "Chaos runs"). The smoke

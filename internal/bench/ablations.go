@@ -40,7 +40,6 @@ func StartDisaggregatedCold(opts Options) (*Deployment, error) {
 		Addr:             "127.0.0.1:0",
 		Storage:          primary.Addr(),
 		Fuel:             opts.Fuel,
-		DisableWarmPool:  true,
 		ColdStartPenalty: 100 * time.Millisecond, // emulated container boot
 		ClientOptions:    opts.clientOpts(),
 	})

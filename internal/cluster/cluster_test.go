@@ -526,11 +526,6 @@ func TestWireRoundTrips(t *testing.T) {
 	if err != nil || dmr.destPrimary != "1.2.3.4:5" || dmr.destGroup != 2 {
 		t.Fatalf("migrate round trip: %+v %v", dmr, err)
 	}
-	ig := &ingestReq{object: 3, keys: [][]byte{[]byte("k")}, values: [][]byte{[]byte("v")}}
-	dig, err := decodeIngestReq(encodeIngestReq(ig))
-	if err != nil || len(dig.keys) != 1 || string(dig.values[0]) != "v" {
-		t.Fatalf("ingest round trip: %+v %v", dig, err)
-	}
 }
 
 func TestClusterTransaction(t *testing.T) {

@@ -175,12 +175,10 @@ type Node struct {
 	stop   chan struct{}
 	done   chan struct{}
 
-	forwarded atomic.Uint64 // cross-object invocations routed off-node
-
 	metrics       *telemetry.Registry
 	tracer        *telemetry.Tracer
 	debugSrv      *debug.Server
-	forwards      *telemetry.Counter
+	forwards      *telemetry.Counter // cross-object invocations routed off-node
 	migrations    *telemetry.Counter
 	backupServed  *telemetry.Counter
 	primaryBounce *telemetry.Counter
@@ -599,7 +597,7 @@ func (n *Node) waitLeaseBarrier(object uint64) {
 }
 
 // Forwarded returns how many cross-object invocations left this node.
-func (n *Node) Forwarded() uint64 { return n.forwarded.Load() }
+func (n *Node) Forwarded() uint64 { return n.forwards.Value() }
 
 // MoveSessions reports the inbound live-migration sessions currently
 // open on this node (a non-zero count after a failed move means the
@@ -653,7 +651,7 @@ func (n *Node) debugGauges() map[string]uint64 {
 	warm, cold := n.rt.PoolStats()
 	out["core.pool_warm"] = warm
 	out["core.pool_cold"] = cold
-	out["cluster.forwarded"] = n.forwarded.Load()
+	out["cluster.forwarded"] = n.forwards.Value()
 	out["repl.shipped_total"] = n.shipper.Shipped()
 	d := n.dir.Load()
 	out["shard.overrides"] = uint64(d.OverrideCount())
@@ -1089,24 +1087,6 @@ func (n *Node) registerHandlers() {
 		return nil, nil
 	})
 
-	n.srv.Handle(MethodIngest, func(body []byte) ([]byte, error) {
-		req, err := decodeIngestReq(body)
-		if err != nil {
-			return nil, err
-		}
-		b := store.NewBatch()
-		for i := range req.keys {
-			b.Put(req.keys[i], req.values[i])
-		}
-		if err := n.rt.ApplyReplicated(req.object, b); err != nil {
-			return nil, err
-		}
-		// Fan the ingested state out to this group's backups so replica
-		// reads work immediately after the migration.
-		n.shipper.Ship(uint64(req.object), b) //nolint:errcheck // best effort
-		return nil, nil
-	})
-
 	n.srv.Handle(MethodHotObjects, func(body []byte) ([]byte, error) {
 		limit, _, err := wire.Uvarint(body)
 		if err != nil {
@@ -1147,19 +1127,10 @@ func (n *Node) registerHandlers() {
 // over RPC (the aggregated design's only extra hop).
 type routerInvoker struct{ node *Node }
 
-func (r *routerInvoker) Invoke(id core.ObjectID, method string, args [][]byte) ([]byte, error) {
-	return r.InvokeCtx(id, method, args, core.CallCtx{})
-}
-
-// InvokeDepth preserves nested-call depth on local hops; remote hops reset
-// it (bounded by RPC timeouts instead).
-func (r *routerInvoker) InvokeDepth(id core.ObjectID, method string, args [][]byte, depth int) ([]byte, error) {
-	return r.InvokeCtx(id, method, args, core.CallCtx{Depth: depth})
-}
-
 // InvokeCtx routes with full call context: local hops keep depth and trace;
-// remote hops record an "rpc" span whose context crosses the wire, so the
-// callee's invoke span nests under it.
+// remote hops reset the depth (bounded by RPC timeouts instead) and record
+// an "rpc" span whose context crosses the wire, so the callee's invoke span
+// nests under it.
 func (r *routerInvoker) InvokeCtx(id core.ObjectID, method string, args [][]byte, cc core.CallCtx) ([]byte, error) {
 	n := r.node
 	d := n.dir.Load()
@@ -1167,7 +1138,6 @@ func (r *routerInvoker) InvokeCtx(id core.ObjectID, method string, args [][]byte
 	if err != nil || g.Primary == n.addr || g.Primary == "" {
 		return n.rt.InvokeCtx(id, method, args, cc)
 	}
-	n.forwarded.Add(1)
 	n.forwards.Inc()
 	sp := n.tracer.StartSpan(cc.Trace, "rpc")
 	wireCtx := sp.Context()

@@ -26,7 +26,6 @@ const (
 	MethodStats        = "node.stats"
 	MethodSetDirectory = "node.setdir"
 	MethodMigrate      = "node.migrate"
-	MethodIngest       = "node.ingest"
 	MethodHotObjects   = "node.hot"
 	MethodHotWindow    = "node.hotwindow"
 )
@@ -165,46 +164,6 @@ func decodeMigrateReq(body []byte) (*migrateReq, error) {
 	}
 	if r.destGroup, _, err = wire.Uvarint(body); err != nil {
 		return nil, err
-	}
-	return r, nil
-}
-
-// ingestReq carries a migrated object's state to its new primary.
-type ingestReq struct {
-	object core.ObjectID
-	keys   [][]byte
-	values [][]byte
-}
-
-func encodeIngestReq(r *ingestReq) []byte {
-	var b []byte
-	b = wire.AppendUvarint(b, uint64(r.object))
-	b = wire.AppendBytesSlice(b, r.keys)
-	b = wire.AppendBytesSlice(b, r.values)
-	return b
-}
-
-func decodeIngestReq(body []byte) (*ingestReq, error) {
-	r := &ingestReq{}
-	var obj uint64
-	var err error
-	if obj, body, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	r.object = core.ObjectID(obj)
-	if r.keys, body, err = wire.BytesSlice(body); err != nil {
-		return nil, err
-	}
-	if r.values, _, err = wire.BytesSlice(body); err != nil {
-		return nil, err
-	}
-	if len(r.keys) != len(r.values) {
-		return nil, fmt.Errorf("cluster: ingest key/value mismatch")
-	}
-	// Copy out of the RPC buffer.
-	for i := range r.keys {
-		r.keys[i] = append([]byte(nil), r.keys[i]...)
-		r.values[i] = append([]byte(nil), r.values[i]...)
 	}
 	return r, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -27,13 +28,12 @@ const maxInvocationDepth = 32
 // both directions) cannot deadlock, which is how "invocation
 // linearizability prevents aborts due to concurrency".
 type invocation struct {
-	rt     *Runtime
-	obj    ObjectID
-	typ    *ObjectType
-	method *MethodInfo
-	args   [][]byte
-	txn    *txn
-	depth  int
+	// guest is what the host table sees (see hostapi.go); its Backend is
+	// this invocation.
+	guest
+	rt    *Runtime
+	txn   *txn
+	depth int
 	// trace is the invocation's own span context (zero when untraced);
 	// stage spans and nested calls parent under it.
 	trace telemetry.SpanContext
@@ -46,16 +46,10 @@ type invocation struct {
 	// shared buffer uncommitted and never releases locks it does not own.
 	external bool
 
-	result []byte
 	// nocache poisons result caching when the method did something the
 	// read-set cannot capture (clock, randomness, scans, cross-object
 	// calls).
 	nocache bool
-
-	// pendingArgs accumulate via the call_arg host function and are
-	// consumed by the next invoke/invoke_start.
-	pendingArgs [][]byte
-	asyncs      []*asyncCall
 
 	// key and val are the host-call scratch, kept across invocations by
 	// invocationPool (see the ownership rule in hostapi.go). key starts
@@ -71,7 +65,8 @@ var invocationPool = sync.Pool{New: func() any { return new(invocation) }}
 // one call; the caller must recycle() it when the call has returned.
 func newInvocation(rt *Runtime, obj ObjectID, typ *ObjectType, method *MethodInfo, args [][]byte, cc CallCtx, mode sched.Mode) *invocation {
 	iv := invocationPool.Get().(*invocation)
-	iv.rt, iv.obj, iv.typ, iv.method, iv.args = rt, obj, typ, method, args
+	iv.guest = guest{be: iv, obj: obj, typ: typ, method: method, args: args}
+	iv.rt = rt
 	iv.depth, iv.trace, iv.mode = cc.Depth, cc.Trace, mode
 	iv.key = appendObjectPrefix(iv.key[:0], obj)
 	return iv
@@ -101,14 +96,6 @@ func (iv *invocation) mapKey(field string, key []byte) []byte {
 func (iv *invocation) listEntryKey(field string, idx uint64) []byte {
 	iv.key = appendListEntryKey(iv.key[:objectPrefixLen], field, idx)
 	return iv.key
-}
-
-// asyncCall is one in-flight parallel cross-object invocation (the paper's
-// create_post fans store_post calls out "in parallel").
-type asyncCall struct {
-	done   chan struct{}
-	result []byte
-	err    error
 }
 
 // ensureLocked (re-)admits the invocation on its object before a state
@@ -191,6 +178,121 @@ func (iv *invocation) tScan(prefix []byte, fn func(key, value []byte) bool) erro
 	return iv.txn.scan(prefix, fn)
 }
 
+// The Backend the host table drives (hostapi.go), over the local
+// transaction. What the aggregated design adds to plain storage access lives
+// here: writes are buffered until commit, read-only methods may not write,
+// what a read set cannot capture poisons result caching, and a nested call
+// first commits the caller and releases its admission.
+
+var hostRandMu sync.Mutex
+var hostRand = rand.New(rand.NewSource(0x1a3b5c7d))
+
+func (iv *invocation) Now() int64 {
+	iv.nocache = true
+	return iv.rt.opts.Clock()
+}
+
+func (iv *invocation) Rand() int64 {
+	iv.nocache = true
+	hostRandMu.Lock()
+	defer hostRandMu.Unlock()
+	return hostRand.Int63()
+}
+
+// stateKey builds the storage key of a value field, a map entry (key) or a
+// list element (idx) in the key scratch.
+func (iv *invocation) stateKey(f *FieldDef, key []byte, idx uint64) []byte {
+	switch f.Kind {
+	case FieldValue:
+		return iv.fieldKey(subValue, f.Name)
+	case FieldMap:
+		return iv.mapKey(f.Name, key)
+	}
+	return iv.listEntryKey(f.Name, idx)
+}
+
+func (iv *invocation) Get(f *FieldDef, key []byte, idx uint64) ([]byte, bool, error) {
+	return iv.tGet(iv.stateKey(f, key, idx))
+}
+
+func (iv *invocation) Put(f *FieldDef, key, value []byte) error {
+	if err := iv.requireMutable(); err != nil {
+		return err
+	}
+	return iv.tPut(iv.stateKey(f, key, 0), value)
+}
+
+func (iv *invocation) Del(f *FieldDef, key []byte) error {
+	if err := iv.requireMutable(); err != nil {
+		return err
+	}
+	return iv.tDel(iv.stateKey(f, key, 0))
+}
+
+func (iv *invocation) Count(f *FieldDef) (int64, error) {
+	// Range reads are not captured by the point read-set; exclude from
+	// the result cache.
+	iv.nocache = true
+	var n int64
+	err := iv.tScan(iv.mapKey(f.Name, nil), func(k, v []byte) bool {
+		n++
+		return true
+	})
+	return n, err
+}
+
+func (iv *invocation) ListLen(f *FieldDef) (int64, error) {
+	v, _, err := iv.tGet(iv.fieldKey(subListLen, f.Name))
+	return int64(decodeU64(v)), err
+}
+
+func (iv *invocation) ListPush(f *FieldDef, value []byte) error {
+	if err := iv.requireMutable(); err != nil {
+		return err
+	}
+	cur, _, err := iv.tGet(iv.fieldKey(subListLen, f.Name))
+	if err != nil {
+		return err
+	}
+	n := decodeU64(cur)
+	if err := iv.tPut(iv.listEntryKey(f.Name, n), value); err != nil {
+		return err
+	}
+	return iv.tPutU64(iv.fieldKey(subListLen, f.Name), n+1)
+}
+
+// BeginCall realizes the paper's nested-call rule (§3.1): before a
+// cross-object invocation, the caller's writes so far commit and the
+// admission is released; the remainder of the caller proceeds as a fresh
+// invocation context. So invoking any object — including this one — takes
+// a fresh admission and cannot deadlock against the caller.
+func (iv *invocation) BeginCall() error {
+	if iv.external {
+		return fmt.Errorf("%w: cross-object invoke (declare the call in the transaction instead)", ErrTxRestricted)
+	}
+	iv.nocache = true
+	if iv.depth+1 >= maxInvocationDepth {
+		return fmt.Errorf("core: invocation depth limit at %s", iv.obj)
+	}
+	if iv.txn.dirty() {
+		if iv.method.ReadOnly {
+			return ErrReadOnly
+		}
+		if err := iv.commit(); err != nil {
+			return err
+		}
+	}
+	iv.txn.reset()
+	iv.unlock()
+	return nil
+}
+
+// Dispatch routes a nested invocation through the configured Invoker,
+// carrying depth and trace across the hop.
+func (iv *invocation) Dispatch(target ObjectID, method string, args [][]byte) ([]byte, error) {
+	return iv.rt.opts.Invoker.InvokeCtx(target, method, args, CallCtx{Depth: iv.depth + 1, Trace: iv.trace})
+}
+
 // run executes the method body in a pooled VM instance and commits on
 // success.
 func (iv *invocation) run() ([]byte, error) {
@@ -198,36 +300,8 @@ func (iv *invocation) run() ([]byte, error) {
 	iv.rt.hot.touch(iv.obj)
 	defer iv.unlock()
 
-	inst, err := iv.rt.pool.get(iv.typ.Module, iv.method.Name)
-	if err != nil {
+	if err := iv.rt.pool.exec(&iv.guest, iv.trace); err != nil {
 		return nil, err
-	}
-	inst.Ctx = iv
-	sp := iv.rt.tracer.StartSpan(iv.trace, "vm-exec")
-	m := iv.rt.metrics
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	fuelBefore := inst.FuelUsed()
-	_, callErr := inst.Call(iv.method.Name)
-	if m != nil {
-		m.vmExecUs.Record(time.Since(start))
-		if d := inst.FuelUsed() - fuelBefore; d > 0 {
-			m.fuelUsed.Add(uint64(d))
-		}
-	}
-	sp.FinishErr(callErr)
-	iv.rt.pool.put(iv.typ.Module, iv.method.Name, inst)
-
-	// Join any stragglers so goroutines never outlive the invocation.
-	iv.waitAsyncs()
-
-	if callErr != nil {
-		return nil, fmt.Errorf("core: %s.%s on %s: %w", iv.typ.Name, iv.method.Name, iv.obj, callErr)
-	}
-	if iv.asyncErr() != nil {
-		return nil, fmt.Errorf("core: %s.%s on %s: parallel call: %w", iv.typ.Name, iv.method.Name, iv.obj, iv.asyncErr())
 	}
 
 	if iv.external {
@@ -301,104 +375,6 @@ func (iv *invocation) commitUnder(ctx telemetry.SpanContext) error {
 		return err
 	}
 	return iv.rt.notifyCommit(iv.trace, iv.obj, b)
-}
-
-// commitIntermediate realizes the paper's nested-call rule (§3.1): before a
-// cross-object invocation, the caller's writes so far commit and the
-// admission is released; the remainder of the caller proceeds as a fresh
-// invocation context.
-func (iv *invocation) commitIntermediate() error {
-	if iv.txn.dirty() {
-		if iv.method.ReadOnly {
-			return ErrReadOnly
-		}
-		if err := iv.commit(); err != nil {
-			return err
-		}
-	}
-	iv.txn.reset()
-	iv.unlock()
-	return nil
-}
-
-// crossInvoke performs a synchronous nested invocation. The admission was
-// released by commitIntermediate, so invoking any object — including this
-// one — takes a fresh admission and cannot deadlock against the caller.
-func (iv *invocation) crossInvoke(target ObjectID, method string, args [][]byte) ([]byte, error) {
-	if iv.external {
-		return nil, fmt.Errorf("%w: cross-object invoke (declare the call in the transaction instead)", ErrTxRestricted)
-	}
-	iv.nocache = true
-	if iv.depth+1 >= maxInvocationDepth {
-		return nil, fmt.Errorf("core: invocation depth limit at %s", iv.obj)
-	}
-	if err := iv.commitIntermediate(); err != nil {
-		return nil, err
-	}
-	return iv.rt.dispatch(target, method, args, CallCtx{Depth: iv.depth + 1, Trace: iv.trace})
-}
-
-// startAsync launches a parallel cross-object invocation and returns its
-// handle index.
-func (iv *invocation) startAsync(target ObjectID, method string, args [][]byte) (int64, error) {
-	if iv.external {
-		return 0, fmt.Errorf("%w: cross-object invoke (declare the call in the transaction instead)", ErrTxRestricted)
-	}
-	iv.nocache = true
-	if iv.depth+1 >= maxInvocationDepth {
-		return 0, fmt.Errorf("core: invocation depth limit at %s", iv.obj)
-	}
-	if err := iv.commitIntermediate(); err != nil {
-		return 0, err
-	}
-	ac := &asyncCall{done: make(chan struct{})}
-	iv.asyncs = append(iv.asyncs, ac)
-	handle := int64(len(iv.asyncs) - 1)
-	cc := CallCtx{Depth: iv.depth + 1, Trace: iv.trace}
-	go func() {
-		defer close(ac.done)
-		ac.result, ac.err = iv.rt.dispatch(target, method, args, cc)
-	}()
-	return handle, nil
-}
-
-// waitAsync joins one parallel call.
-func (iv *invocation) waitAsync(handle int64) ([]byte, error) {
-	if handle < 0 || handle >= int64(len(iv.asyncs)) {
-		return nil, fmt.Errorf("core: bad async handle %d", handle)
-	}
-	ac := iv.asyncs[handle]
-	<-ac.done
-	return ac.result, ac.err
-}
-
-// waitAsyncs joins every outstanding parallel call.
-func (iv *invocation) waitAsyncs() {
-	for _, ac := range iv.asyncs {
-		<-ac.done
-	}
-}
-
-// asyncErr returns the first error among completed parallel calls.
-func (iv *invocation) asyncErr() error {
-	for _, ac := range iv.asyncs {
-		if ac.err != nil {
-			return ac.err
-		}
-	}
-	return nil
-}
-
-// fieldOf resolves a field by name and checks its kind.
-func (iv *invocation) fieldOf(name []byte, kind FieldKind) (*FieldDef, error) {
-	f, ok := iv.typ.fieldIdx[string(name)] // no alloc: map lookup special case
-	if !ok {
-		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchField, iv.typ.Name, name)
-	}
-	if f.Kind != kind {
-		return nil, fmt.Errorf("%w: field %s is %v, not %v", ErrWrongKind, f.Name, f.Kind, kind)
-	}
-	return f, nil
 }
 
 // requireMutable rejects writes from read-only methods.

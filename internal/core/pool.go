@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"sync"
+	"time"
 
+	"lambdastore/internal/telemetry"
 	"lambdastore/internal/vm"
 )
 
@@ -16,32 +19,83 @@ type poolKey struct {
 	method string
 }
 
-// instancePool recycles VM instances per (module, method). A warm
+// InstancePool recycles VM instances per (module, method) and runs guest
+// methods on them against the one host table (hostapi.go). A warm
 // invocation pops a pooled instance and resets it with the cheap
 // dirty-region reset (vm.ResetFast), while a cold one pays full
 // instantiation. The distinction mirrors serverless warm vs cold starts
 // (§2.1), and the pool exports counters so the Table-1 benchmark can
-// report both paths.
-type instancePool struct {
-	mu    sync.Mutex
-	idle  map[poolKey][]*vm.Instance
-	hosts *vm.HostTable
-	fuel  int64
+// report both paths. The Runtime owns one; the disaggregated baseline's
+// compute node owns another and supplies its own Backend.
+type InstancePool struct {
+	mu   sync.Mutex
+	idle map[poolKey][]*vm.Instance
+	fuel int64
 
 	warm uint64
 	cold uint64
+
+	// tracer and metrics are the owning Runtime's (nil for a bare pool).
+	tracer  *telemetry.Tracer
+	metrics *rtMetrics
 }
 
-func newInstancePool(hosts *vm.HostTable, fuel int64) *instancePool {
-	return &instancePool{
-		idle:  make(map[poolKey][]*vm.Instance),
-		hosts: hosts,
-		fuel:  fuel,
+// NewInstancePool returns an empty pool whose instances get fuel per call.
+func NewInstancePool(fuel int64) *InstancePool {
+	return &InstancePool{idle: make(map[poolKey][]*vm.Instance), fuel: fuel}
+}
+
+// Run executes one method of an object of type typ against be and returns
+// what the guest passed to set_result.
+func (p *InstancePool) Run(be Backend, obj ObjectID, typ *ObjectType, method string, args [][]byte) ([]byte, error) {
+	mi, ok := typ.Method(method)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, typ.Name, method)
 	}
+	g := &guest{be: be, obj: obj, typ: typ, method: mi, args: args}
+	if err := p.exec(g, telemetry.SpanContext{}); err != nil {
+		return nil, err
+	}
+	return g.result, nil
+}
+
+// exec runs g's method body in a pooled instance and joins its parallel
+// calls, so goroutines never outlive the invocation.
+func (p *InstancePool) exec(g *guest, trace telemetry.SpanContext) error {
+	inst, err := p.get(g.typ.Module, g.method.Name)
+	if err != nil {
+		return err
+	}
+	inst.Ctx = g
+	sp := p.tracer.StartSpan(trace, "vm-exec")
+	m := p.metrics
+	var start time.Time
+	if m != nil {
+		start = time.Now()
+	}
+	fuelBefore := inst.FuelUsed()
+	_, callErr := inst.Call(g.method.Name)
+	if m != nil {
+		m.vmExecUs.Record(time.Since(start))
+		if d := inst.FuelUsed() - fuelBefore; d > 0 {
+			m.fuelUsed.Add(uint64(d))
+		}
+	}
+	sp.FinishErr(callErr)
+	p.put(g.typ.Module, g.method.Name, inst)
+	g.waitAsyncs()
+
+	if callErr != nil {
+		return fmt.Errorf("core: %s.%s on %s: %w", g.typ.Name, g.method.Name, g.obj, callErr)
+	}
+	if err := g.asyncErr(); err != nil {
+		return fmt.Errorf("core: %s.%s on %s: parallel call: %w", g.typ.Name, g.method.Name, g.obj, err)
+	}
+	return nil
 }
 
 // get returns a ready instance for (module, method).
-func (p *instancePool) get(module *vm.Module, method string) (*vm.Instance, error) {
+func (p *InstancePool) get(module *vm.Module, method string) (*vm.Instance, error) {
 	k := poolKey{module: module, method: method}
 	p.mu.Lock()
 	list := p.idle[k]
@@ -55,11 +109,11 @@ func (p *instancePool) get(module *vm.Module, method string) (*vm.Instance, erro
 	}
 	p.cold++
 	p.mu.Unlock()
-	return vm.NewInstance(module, p.hosts, p.fuel)
+	return vm.NewInstance(module, hostTable, p.fuel)
 }
 
 // put returns an instance for reuse.
-func (p *instancePool) put(module *vm.Module, method string, inst *vm.Instance) {
+func (p *InstancePool) put(module *vm.Module, method string, inst *vm.Instance) {
 	inst.Ctx = nil
 	k := poolKey{module: module, method: method}
 	p.mu.Lock()
@@ -70,15 +124,15 @@ func (p *instancePool) put(module *vm.Module, method string, inst *vm.Instance) 
 	}
 }
 
-// stats returns (warm, cold) start counts.
-func (p *instancePool) stats() (warm, cold uint64) {
+// Stats returns (warm, cold) start counts.
+func (p *InstancePool) Stats() (warm, cold uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.warm, p.cold
 }
 
 // drop empties every method lane of module (used when a type is replaced).
-func (p *instancePool) drop(module *vm.Module) {
+func (p *InstancePool) drop(module *vm.Module) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for k := range p.idle {

@@ -12,14 +12,15 @@ import (
 	"lambdastore/internal/sched"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
-	"lambdastore/internal/vm"
 )
 
-// Invoker routes a cross-object invocation. The Runtime itself is the
+// Invoker routes a cross-object invocation, carrying the call context —
+// nested-call depth and trace — across the hop. The Runtime itself is the
 // single-node Invoker; cluster deployments install a router that forwards
-// to the shard's primary over RPC.
+// to the shard's primary over RPC (a remote hop resets the depth: the RPC
+// boundary bounds recursion with timeouts instead).
 type Invoker interface {
-	Invoke(id ObjectID, method string, args [][]byte) ([]byte, error)
+	InvokeCtx(id ObjectID, method string, args [][]byte, cc CallCtx) ([]byte, error)
 }
 
 // CommitHook observes every committed mutating invocation: the trace
@@ -80,8 +81,7 @@ const DefaultFuel = 16 << 20
 type Runtime struct {
 	db    *store.DB
 	opts  Options
-	hosts *vm.HostTable
-	pool  *instancePool
+	pool  *InstancePool
 	locks *sched.Table
 	cache *cache.Cache
 
@@ -153,8 +153,7 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 	if opts.Fuel == 0 {
 		rt.opts.Fuel = DefaultFuel
 	}
-	rt.hosts = newHostTable()
-	rt.pool = newInstancePool(rt.hosts, rt.opts.Fuel)
+	rt.pool = NewInstancePool(rt.opts.Fuel)
 	rt.locks = sched.NewTable()
 	if opts.LockTimeout > 0 {
 		rt.locks.Timeout = opts.LockTimeout
@@ -172,6 +171,7 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 		rt.metrics = newRTMetrics(opts.Metrics)
 	}
 	rt.tracer = opts.Tracer
+	rt.pool.tracer, rt.pool.metrics = rt.tracer, rt.metrics
 	if err := rt.loadTypes(); err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func (rt *Runtime) DB() *store.DB { return rt.db }
 func (rt *Runtime) Cache() *cache.Cache { return rt.cache }
 
 // PoolStats returns (warm, cold) instance-start counts.
-func (rt *Runtime) PoolStats() (warm, cold uint64) { return rt.pool.stats() }
+func (rt *Runtime) PoolStats() (warm, cold uint64) { return rt.pool.Stats() }
 
 // loadTypes reads all persisted type records.
 func (rt *Runtime) loadTypes() error {
@@ -429,13 +429,6 @@ func (rt *Runtime) LockObject(id ObjectID) (release func(), err error) {
 	return rt.locks.Acquire(uint64(id), sched.Write)
 }
 
-// DepthInvoker is implemented by invokers that can carry the nested-call
-// depth across local hops, bounding synchronous recursion. Remote hops
-// reset the depth (the RPC boundary bounds them with timeouts instead).
-type DepthInvoker interface {
-	InvokeDepth(id ObjectID, method string, args [][]byte, depth int) ([]byte, error)
-}
-
 // CallCtx carries per-call metadata across invocation hops: the nested-call
 // depth and the caller's trace context (zero when untraced).
 type CallCtx struct {
@@ -443,22 +436,10 @@ type CallCtx struct {
 	Trace telemetry.SpanContext
 }
 
-// CtxInvoker is implemented by invokers that propagate the full CallCtx —
-// depth and trace — across hops. The cluster router implements it so traces
-// span forwarded and cross-object calls.
-type CtxInvoker interface {
-	InvokeCtx(id ObjectID, method string, args [][]byte, cc CallCtx) ([]byte, error)
-}
-
 // Invoke runs a method on an object with invocation linearizability. It is
 // the entry point for client jobs and for cross-object calls routed here.
 func (rt *Runtime) Invoke(id ObjectID, method string, args [][]byte) ([]byte, error) {
 	return rt.InvokeCtx(id, method, args, CallCtx{})
-}
-
-// InvokeDepth is Invoke with an explicit nested-call depth.
-func (rt *Runtime) InvokeDepth(id ObjectID, method string, args [][]byte, depth int) ([]byte, error) {
-	return rt.InvokeCtx(id, method, args, CallCtx{Depth: depth})
 }
 
 // InvokeCtx is Invoke with an explicit call context. It records the
@@ -572,18 +553,6 @@ func (rt *Runtime) MethodRoutableReadOnly(id ObjectID, method string) bool {
 	}
 	mi, ok := typ.Method(method)
 	return ok && mi.RoutableReadOnly()
-}
-
-// dispatch routes a nested invocation through the configured Invoker,
-// preserving call context (depth and trace) where the invoker supports it.
-func (rt *Runtime) dispatch(id ObjectID, method string, args [][]byte, cc CallCtx) ([]byte, error) {
-	if ci, ok := rt.opts.Invoker.(CtxInvoker); ok {
-		return ci.InvokeCtx(id, method, args, cc)
-	}
-	if di, ok := rt.opts.Invoker.(DepthInvoker); ok {
-		return di.InvokeDepth(id, method, args, cc.Depth)
-	}
-	return rt.opts.Invoker.Invoke(id, method, args)
 }
 
 // committedHash fingerprints the current committed value of key (cache

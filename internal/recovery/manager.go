@@ -449,7 +449,12 @@ func (m *Manager) round(donor string, epoch uint64, full bool) (int, error) {
 		repaired++
 	}
 	for _, id := range dropIDs {
-		if err := m.dropRange(id); err != nil {
+		// A range the donor no longer has: applyMu is held across
+		// scan+delete for the same atomicity as syncRange.
+		m.applyMu.Lock()
+		err := deleteObjectRange(m.opts.DB, m.opts.Apply, id)
+		m.applyMu.Unlock()
+		if err != nil {
 			return repaired, err
 		}
 		repaired++
@@ -469,7 +474,7 @@ func (m *Manager) syncRange(donor string, epoch uint64, start, end []byte, objec
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
 
-	stale, err := m.localKeys(start, end)
+	stale, err := localRangeKeys(m.opts.DB, start, end)
 	if err != nil {
 		return err
 	}
@@ -517,29 +522,29 @@ func (m *Manager) syncRange(donor string, epoch uint64, start, end []byte, objec
 	}
 }
 
-// dropRange deletes an object range the donor no longer has (applyMu
-// held across scan+delete for the same atomicity as syncRange).
-func (m *Manager) dropRange(id uint64) error {
-	m.applyMu.Lock()
-	defer m.applyMu.Unlock()
-	start, end := objectRange(id)
-	stale, err := m.localKeys(start, end)
+// deleteObjectRange deletes every committed key of the object's range in
+// one batch through apply (the node's replicated-apply path, so the group's
+// backups drop them too).
+func deleteObjectRange(db *store.DB, apply func(object uint64, b *store.Batch) error, object uint64) error {
+	start, end := objectRange(object)
+	keys, err := localRangeKeys(db, start, end)
 	if err != nil {
 		return err
 	}
-	if len(stale) == 0 {
+	if len(keys) == 0 {
 		return nil
 	}
 	b := store.NewBatch()
-	for _, k := range stale {
+	for _, k := range keys {
 		b.Delete(k)
 	}
-	return m.opts.Apply(id, b)
+	return apply(object, b)
 }
 
-// localKeys lists this store's live keys in [start, end).
-func (m *Manager) localKeys(start, end []byte) ([][]byte, error) {
-	snap := m.opts.DB.GetSnapshot()
+// localRangeKeys lists the committed keys in [start, end); an empty bound is
+// open.
+func localRangeKeys(db *store.DB, start, end []byte) ([][]byte, error) {
+	snap := db.GetSnapshot()
 	defer snap.Release()
 	it, err := snap.NewIterator()
 	if err != nil {

@@ -235,26 +235,6 @@ func objectDigest(db *store.DB, object uint64) (uint64, error) {
 	return h, it.Error()
 }
 
-// localRangeKeys lists the committed keys in [start, end).
-func localRangeKeys(db *store.DB, start, end []byte) ([][]byte, error) {
-	snap := db.GetSnapshot()
-	defer snap.Release()
-	it, err := snap.NewIterator()
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out [][]byte
-	for it.Seek(start); it.Valid(); it.Next() {
-		k := it.Key()
-		if len(end) > 0 && string(k) >= string(end) {
-			break
-		}
-		out = append(out, append([]byte(nil), k...))
-	}
-	return out, it.Error()
-}
-
 // ---------------------------------------------------------------------------
 // Source side
 
@@ -547,7 +527,7 @@ func (s *MoveSource) Move(object uint64, targetAddr string, targetGroup uint64) 
 	// Delete the moved range here and on this group's backups. The
 	// fence stays up: it self-clears when this node's view maps the
 	// object elsewhere, and until then it shields stale-view replicas.
-	if derr := s.deleteRange(object); derr != nil {
+	if derr := deleteObjectRange(s.opts.DB, s.opts.Apply, object); derr != nil {
 		// The move committed; a failed local delete only leaves garbage
 		// that the next move or restart sweeps. Log, don't abort.
 		s.opts.Log("move: object %d local delete after cutover: %v", object, derr)
@@ -626,24 +606,6 @@ func (s *MoveSource) streamRange(ctx telemetry.SpanContext, mv *outMove) error {
 		return err
 	}
 	return flush()
-}
-
-// deleteRange removes the object's keys locally and on this group's
-// backups.
-func (s *MoveSource) deleteRange(object uint64) error {
-	start, end := objectRange(object)
-	keys, err := localRangeKeys(s.opts.DB, start, end)
-	if err != nil {
-		return err
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	b := store.NewBatch()
-	for _, k := range keys {
-		b.Delete(k)
-	}
-	return s.opts.Apply(object, b)
 }
 
 // ---------------------------------------------------------------------------
@@ -779,7 +741,7 @@ func (t *MoveTarget) begin(req *moveBeginReq) error {
 	s.buffer = nil
 	s.last = time.Now()
 	s.mu.Unlock()
-	return t.clearRange(req.object)
+	return deleteObjectRange(t.opts.DB, t.opts.Apply, req.object)
 }
 
 // chunk applies one streamed slice through the replicated-apply path.
@@ -884,25 +846,7 @@ func (t *MoveTarget) abort(object uint64) error {
 		t.opts.Log("move: object %d kept on abort (directory maps it here)", object)
 		return nil
 	}
-	return t.clearRange(object)
-}
-
-// clearRange deletes the object's keys locally and on this group's
-// backups.
-func (t *MoveTarget) clearRange(object uint64) error {
-	start, end := objectRange(object)
-	keys, err := localRangeKeys(t.opts.DB, start, end)
-	if err != nil {
-		return err
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	b := store.NewBatch()
-	for _, k := range keys {
-		b.Delete(k)
-	}
-	return t.opts.Apply(object, b)
+	return deleteObjectRange(t.opts.DB, t.opts.Apply, object)
 }
 
 // janitor reclaims sessions whose source went quiet: keep the copy if
