@@ -51,7 +51,7 @@ func TestOverloadErrorRoundTrip(t *testing.T) {
 	}
 	// Across RPC the error arrives as a flattened string, possibly wrapped
 	// again by a retry loop; the prefix must still identify it.
-	remote := fmt.Errorf("cluster: invoke 7.create_post failed after retries: %w",
+	remote := fmt.Errorf("cluster: obj.invoke failed after retries: %w",
 		errors.New("rpc: remote: "+err.Error()))
 	if !IsOverload(remote) {
 		t.Fatalf("IsOverload(remote string form) = false")

@@ -96,9 +96,6 @@ type ComputeNode struct {
 	types  map[string]*core.ObjectType
 
 	vms *core.InstancePool
-
-	statsMu     sync.Mutex
-	invocations uint64
 }
 
 // StartCompute boots a compute node.
@@ -140,13 +137,6 @@ func (n *ComputeNode) SetLoadBalancer(addr string) {
 	n.lbMu.Lock()
 	n.lb = addr
 	n.lbMu.Unlock()
-}
-
-// Invocations returns how many functions this node executed.
-func (n *ComputeNode) Invocations() uint64 {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	return n.invocations
 }
 
 // PoolStats returns (warm, cold) instance-start counts of the warm pool.
@@ -203,10 +193,6 @@ func (n *ComputeNode) typeOf(obj core.ObjectID) (*core.ObjectType, error) {
 
 // run executes one function invocation.
 func (n *ComputeNode) run(req *jobReq) ([]byte, error) {
-	n.statsMu.Lock()
-	n.invocations++
-	n.statsMu.Unlock()
-
 	typ, err := n.typeOf(req.object)
 	if err != nil {
 		return nil, err

@@ -94,13 +94,6 @@ func (lb *LoadBalancer) Addr() string { return lb.addr }
 // Dispatched returns the number of requests dispatched to compute nodes.
 func (lb *LoadBalancer) Dispatched() uint64 { return lb.dispatched.Load() }
 
-// SetComputes replaces the dispatch set.
-func (lb *LoadBalancer) SetComputes(addrs []string) {
-	lb.mu.Lock()
-	lb.computes = append([]string(nil), addrs...)
-	lb.mu.Unlock()
-}
-
 // Close shuts the LB down.
 func (lb *LoadBalancer) Close() error {
 	lb.srv.Close()

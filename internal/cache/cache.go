@@ -157,9 +157,6 @@ func (c *Cache) shardFor(object uint64) *shard {
 	return c.shards[(object*0x9e3779b97f4a7c15)>>33&c.mask]
 }
 
-// Shards reports the shard count (for tests and debug output).
-func (c *Cache) Shards() int { return len(c.shards) }
-
 // Lookup finds a cached result for (object, method, argsHash) and validates
 // its read set with readHash, which must return the fingerprint of the
 // named key's current committed value. It returns (result, true) only if

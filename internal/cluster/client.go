@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,26 +23,16 @@ type Client struct {
 	pool  *rpc.Pool
 	coord *coordinator.Client
 
-	dirMu sync.RWMutex
-	dir   *shard.Directory
-
-	rr atomic.Uint64 // round-robin cursor for replica reads
+	dir atomic.Pointer[shard.Directory]
 
 	readPolicy ReadPolicy
+	rr         atomic.Uint64 // round-robin cursor for replica reads
 
-	// inflight counts this client's outstanding invocations per address;
-	// hints carries externally supplied load scores (e.g. coordinator
-	// rollups). Both feed ReadLeastLoaded replica selection.
-	inflMu   sync.Mutex
-	inflight map[string]int64
-	hints    map[string]float64
-
-	// maxRetries bounds routing retries after stale-config rejections.
-	maxRetries int
-
+	// maxRetries bounds routing retries after stale-config rejections;
 	// retryBase/retryMax shape the capped exponential backoff between
 	// retries; retryBudget bounds one call's total retry time (sleeps
 	// included) so a dead cluster fails the call rather than hanging it.
+	maxRetries  int
 	retryBase   time.Duration
 	retryMax    time.Duration
 	retryBudget time.Duration
@@ -73,10 +62,6 @@ const (
 	// ReadPrimaryOnly sends every read to the primary — the pre-lease
 	// behavior, and the baseline for read scale-out benchmarks.
 	ReadPrimaryOnly
-	// ReadLeastLoaded picks the replica with the lowest load score:
-	// this client's own in-flight invocations plus any external hint
-	// installed via SetLoadHints (ties broken round-robin).
-	ReadLeastLoaded
 )
 
 // ClientConfig configures a Client.
@@ -115,7 +100,6 @@ type ClientConfig struct {
 func NewClient(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		pool:        rpc.NewPool(cfg.RPC),
-		dir:         cfg.Directory,
 		maxRetries:  cfg.MaxRetries,
 		retryBase:   cfg.RetryBaseDelay,
 		retryMax:    cfg.RetryMaxDelay,
@@ -123,7 +107,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		tracing:     cfg.Tracing,
 		tenant:      cfg.Tenant,
 		readPolicy:  cfg.ReadPolicy,
-		inflight:    make(map[string]int64),
 	}
 	if c.maxRetries <= 0 {
 		c.maxRetries = 4
@@ -140,7 +123,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if len(cfg.Coordinators) > 0 {
 		c.coord = coordinator.NewClient(c.pool, cfg.Coordinators)
 	}
-	if c.dir == nil {
+	c.dir.Store(cfg.Directory)
+	if cfg.Directory == nil {
 		if c.coord == nil {
 			return nil, fmt.Errorf("cluster: client needs a directory or coordinators")
 		}
@@ -148,7 +132,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.dir = d
+		c.dir.Store(d)
 	}
 	return c, nil
 }
@@ -161,18 +145,10 @@ func (c *Client) Close() { c.pool.Close() }
 func (c *Client) OverloadRetries() uint64 { return c.overloadRetries.Load() }
 
 // Directory returns the client's current configuration view.
-func (c *Client) Directory() *shard.Directory {
-	c.dirMu.RLock()
-	defer c.dirMu.RUnlock()
-	return c.dir
-}
+func (c *Client) Directory() *shard.Directory { return c.dir.Load() }
 
 // SetDirectory installs a configuration view (static reconfiguration).
-func (c *Client) SetDirectory(d *shard.Directory) {
-	c.dirMu.Lock()
-	c.dir = d
-	c.dirMu.Unlock()
-}
+func (c *Client) SetDirectory(d *shard.Directory) { c.dir.Store(d) }
 
 // refresh pulls a fresh configuration from the coordinator, if any.
 func (c *Client) refresh() bool {
@@ -211,9 +187,7 @@ func (c *Client) backoff(attempt int, deadline time.Time) bool {
 
 // lookup resolves the group for an object.
 func (c *Client) lookup(id core.ObjectID) (shard.Group, error) {
-	c.dirMu.RLock()
-	defer c.dirMu.RUnlock()
-	return c.dir.Lookup(uint64(id))
+	return c.Directory().Lookup(uint64(id))
 }
 
 // rootCtx mints the invocation's trace context (zero when tracing is off).
@@ -245,66 +219,31 @@ func (c *Client) InvokeRead(id core.ObjectID, method string, args [][]byte) ([]b
 	return c.invoke(c.rootCtx(), id, method, args, true)
 }
 
-// SetLoadHints installs per-address load scores (typically fed from the
-// coordinator's cluster rollups) that bias ReadLeastLoaded selection on
-// top of the client's own in-flight counts. Passing nil clears the hints.
-func (c *Client) SetLoadHints(hints map[string]float64) {
-	c.inflMu.Lock()
-	c.hints = hints
-	c.inflMu.Unlock()
-}
-
 // readTarget picks the replica for a read-only invocation per the
 // configured policy.
 func (c *Client) readTarget(g shard.Group) string {
-	replicas := g.Replicas()
-	switch c.readPolicy {
-	case ReadPrimaryOnly:
+	if c.readPolicy == ReadPrimaryOnly {
 		return g.Primary
-	case ReadLeastLoaded:
-		// Rotate the scan start so equally loaded replicas alternate.
-		start := int(c.rr.Add(1) % uint64(len(replicas)))
-		c.inflMu.Lock()
-		defer c.inflMu.Unlock()
-		best, bestScore := "", 0.0
-		for i := 0; i < len(replicas); i++ {
-			a := replicas[(start+i)%len(replicas)]
-			score := float64(c.inflight[a]) + c.hints[a]
-			if best == "" || score < bestScore {
-				best, bestScore = a, score
-			}
-		}
-		return best
-	default:
-		return replicas[c.rr.Add(1)%uint64(len(replicas))]
 	}
+	replicas := g.Replicas()
+	return replicas[c.rr.Add(1)%uint64(len(replicas))]
 }
 
-// track records an in-flight invocation against addr for ReadLeastLoaded
-// scoring; the returned func must be called when the call completes.
-func (c *Client) track(addr string) func() {
-	if c.readPolicy != ReadLeastLoaded {
-		return func() {}
-	}
-	c.inflMu.Lock()
-	c.inflight[addr]++
-	c.inflMu.Unlock()
-	return func() {
-		c.inflMu.Lock()
-		c.inflight[addr]--
-		c.inflMu.Unlock()
-	}
-}
-
-func (c *Client) invoke(ctx telemetry.SpanContext, id core.ObjectID, method string, args [][]byte, readOnly bool) ([]byte, error) {
-	body := encodeInvokeReq(&invokeReq{object: id, method: method, args: args, readOnly: readOnly, tenant: c.tenant})
+// send is the client's one retry loop, and so the definition of its
+// at-least-once semantics: every attempt re-resolves the group with route
+// (the view may have changed), sends the same frame to its primary — or,
+// read-only, to the replica the read policy picks — and classifies a
+// failure as a stale view, an overload shed, or a connection-level fault.
+// Retries are bounded by MaxRetries and RetryBudget; a routing error and a
+// write's connection failure without a coordinator return at once.
+func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, readOnly bool, route func() (shard.Group, error)) ([]byte, error) {
 	deadline := time.Now().Add(c.retryBudget)
 	var lastErr error
 	for attempt := 0; attempt < c.maxRetries; attempt++ {
 		if attempt > 0 && !c.backoff(attempt, deadline) {
 			break
 		}
-		g, err := c.lookup(id)
+		g, err := route()
 		if err != nil {
 			return nil, err
 		}
@@ -312,9 +251,7 @@ func (c *Client) invoke(ctx telemetry.SpanContext, id core.ObjectID, method stri
 		if readOnly {
 			addr = c.readTarget(g)
 		}
-		done := c.track(addr)
-		resp, err := c.pool.CallCtx(addr, ctx, MethodInvoke, body)
-		done()
+		resp, err := c.pool.CallCtx(addr, ctx, method, body)
 		if err == nil {
 			return resp, nil
 		}
@@ -322,7 +259,7 @@ func (c *Client) invoke(ctx telemetry.SpanContext, id core.ObjectID, method stri
 		if hint, ok := ParseNotResponsible(err); ok {
 			// Stale configuration: try the hinted primary directly next.
 			if !c.refresh() && hint != "" {
-				resp, err := c.pool.CallCtx(hint, ctx, MethodInvoke, body)
+				resp, err := c.pool.CallCtx(hint, ctx, method, body)
 				if err == nil {
 					return resp, nil
 				}
@@ -340,12 +277,18 @@ func (c *Client) invoke(ctx telemetry.SpanContext, id core.ObjectID, method stri
 		}
 		// Connection-level failure: the node may have died; refresh config
 		// (failover may have promoted a backup) and retry after backoff.
-		// Read-only requests also fail over to the next replica via rr.
+		// Without a coordinator the view cannot change, so a write fails;
+		// a read still fails over to the next replica via rr.
 		if !c.refresh() && !readOnly {
 			return nil, lastErr
 		}
 	}
-	return nil, fmt.Errorf("cluster: invoke %s.%s failed after retries: %w", id, method, lastErr)
+	return nil, fmt.Errorf("cluster: %s failed after retries: %w", method, lastErr)
+}
+
+func (c *Client) invoke(ctx telemetry.SpanContext, id core.ObjectID, method string, args [][]byte, readOnly bool) ([]byte, error) {
+	body := encodeInvokeReq(&invokeReq{object: id, method: method, args: args, readOnly: readOnly, tenant: c.tenant})
+	return c.send(ctx, MethodInvoke, body, readOnly, func() (shard.Group, error) { return c.lookup(id) })
 }
 
 // InvokeTransaction executes a serializable multi-call transaction
@@ -355,112 +298,47 @@ func (c *Client) InvokeTransaction(calls []core.TxCall) ([][]byte, error) {
 	if len(calls) == 0 {
 		return nil, nil
 	}
-	ctx := c.rootCtx()
-	body := encodeTxReq(&txReq{calls: calls})
-	deadline := time.Now().Add(c.retryBudget)
-	var lastErr error
-	for attempt := 0; attempt < c.maxRetries; attempt++ {
-		if attempt > 0 && !c.backoff(attempt, deadline) {
-			break
-		}
+	resp, err := c.send(c.rootCtx(), MethodInvokeTx, encodeTxReq(&txReq{calls: calls}), false, func() (shard.Group, error) {
 		g, err := c.lookup(calls[0].Object)
 		if err != nil {
-			return nil, err
+			return g, err
 		}
 		for _, call := range calls[1:] {
 			cg, err := c.lookup(call.Object)
 			if err != nil {
-				return nil, err
+				return g, err
 			}
 			if cg.ID != g.ID {
-				return nil, fmt.Errorf("cluster: transaction spans groups %d and %d (objects must share a replica group)", g.ID, cg.ID)
+				return g, fmt.Errorf("cluster: transaction spans groups %d and %d (objects must share a replica group)", g.ID, cg.ID)
 			}
 		}
-		resp, err := c.pool.CallCtx(g.Primary, ctx, MethodInvokeTx, body)
-		if err == nil {
-			return decodeTxResp(resp)
-		}
-		lastErr = err
-		if _, ok := ParseNotResponsible(err); ok {
-			c.refresh()
-			continue
-		}
-		// Connection-level failure: same treatment as Invoke — refresh the
-		// configuration (a backup may have been promoted) and retry after
-		// backoff; without a coordinator the view cannot change, so fail.
-		if !c.refresh() {
-			return nil, err
-		}
+		return g, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("cluster: transaction failed after retries: %w", lastErr)
+	return decodeTxResp(resp)
 }
 
 // CreateObject instantiates an object at its primary.
 func (c *Client) CreateObject(typeName string, id core.ObjectID) error {
 	body := encodeCreateReq(&createReq{object: id, typeName: typeName})
-	deadline := time.Now().Add(c.retryBudget)
-	var lastErr error
-	for attempt := 0; attempt < c.maxRetries; attempt++ {
-		if attempt > 0 && !c.backoff(attempt, deadline) {
-			break
-		}
-		g, err := c.lookup(id)
-		if err != nil {
-			return err
-		}
-		if _, err := c.pool.Call(g.Primary, MethodCreate, body); err == nil {
-			return nil
-		} else {
-			lastErr = err
-			if _, ok := ParseNotResponsible(err); ok {
-				c.refresh()
-				continue
-			}
-			if !c.refresh() {
-				return err
-			}
-		}
-	}
-	return lastErr
+	_, err := c.send(telemetry.SpanContext{}, MethodCreate, body, false, func() (shard.Group, error) { return c.lookup(id) })
+	return err
 }
 
 // DeleteObject removes an object and all its state at its primary.
 func (c *Client) DeleteObject(id core.ObjectID) error {
 	body := wire.AppendUvarint(nil, uint64(id))
-	deadline := time.Now().Add(c.retryBudget)
-	var lastErr error
-	for attempt := 0; attempt < c.maxRetries; attempt++ {
-		if attempt > 0 && !c.backoff(attempt, deadline) {
-			break
-		}
-		g, err := c.lookup(id)
-		if err != nil {
-			return err
-		}
-		if _, err := c.pool.Call(g.Primary, MethodDelete, body); err == nil {
-			return nil
-		} else {
-			lastErr = err
-			if _, ok := ParseNotResponsible(err); ok {
-				c.refresh()
-				continue
-			}
-			if !c.refresh() {
-				return err
-			}
-		}
-	}
-	return lastErr
+	_, err := c.send(telemetry.SpanContext{}, MethodDelete, body, false, func() (shard.Group, error) { return c.lookup(id) })
+	return err
 }
 
 // RegisterType installs a type on every node of every group (code deploy).
 func (c *Client) RegisterType(t *core.ObjectType) error {
 	body := t.Encode()
 	seen := map[string]bool{}
-	c.dirMu.RLock()
-	groups := c.dir.Groups()
-	c.dirMu.RUnlock()
-	for _, g := range groups {
+	for _, g := range c.Directory().Groups() {
 		for _, addr := range g.Replicas() {
 			if seen[addr] {
 				continue
@@ -485,103 +363,25 @@ func (c *Client) Migrate(id core.ObjectID, destGroup uint64) error {
 	if err != nil {
 		return err
 	}
-	var dest shard.Group
-	found := false
-	c.dirMu.RLock()
-	for _, cand := range c.dir.Groups() {
-		if cand.ID == destGroup {
-			dest = cand
-			found = true
-		}
-	}
-	c.dirMu.RUnlock()
+	dest, found := groupIn(c.Directory(), destGroup)
 	if !found {
 		return fmt.Errorf("cluster: no group %d", destGroup)
 	}
 	if g.ID == destGroup {
 		return nil
 	}
-	body := encodeMigrateReq(&migrateReq{object: id, destPrimary: dest.Primary, destGroup: destGroup})
-	if _, err := c.pool.Call(g.Primary, MethodMigrate, body); err != nil {
+	if err := MoveObject(c.pool, g.Primary, uint64(id), dest.Primary, destGroup); err != nil {
 		return err
 	}
 	// Keep the local view coherent for subsequent calls. A move back to
 	// the object's hash home clears the override, mirroring the cutover.
-	c.dirMu.Lock()
-	if home, herr := c.dir.DefaultGroupID(uint64(id)); herr == nil && home == destGroup {
-		c.dir.ClearOverride(uint64(id))
+	d := c.Directory()
+	if home, herr := d.DefaultGroupID(uint64(id)); herr == nil && home == destGroup {
+		d.ClearOverride(uint64(id))
 	} else {
-		c.dir.SetOverride(uint64(id), destGroup)
+		d.SetOverride(uint64(id), destGroup)
 	}
-	c.dirMu.Unlock()
 	return nil
-}
-
-// HotObjects returns the load ranking observed at the given node.
-func (c *Client) HotObjects(addr string, limit int) ([]core.HotObject, error) {
-	body := wire.AppendUvarint(nil, uint64(limit))
-	resp, err := c.pool.Call(addr, MethodHotObjects, body)
-	if err != nil {
-		return nil, err
-	}
-	return decodeHotResp(resp)
-}
-
-// RebalanceHot is the elasticity loop the paper leaves as future work
-// (§7), made possible by objects being microshards: it finds the busiest
-// and idlest replica groups by observed invocation counts and migrates up
-// to k of the busiest group's hottest objects to the idlest group —
-// without disrupting computation on any other object.
-func (c *Client) RebalanceHot(k int) (moved int, err error) {
-	groups := c.Directory().Groups()
-	if len(groups) < 2 {
-		return 0, nil
-	}
-	type groupLoad struct {
-		group shard.Group
-		total uint64
-		hot   []core.HotObject
-	}
-	loads := make([]groupLoad, 0, len(groups))
-	for _, g := range groups {
-		hot, err := c.HotObjects(g.Primary, 4*k)
-		if err != nil {
-			return 0, err
-		}
-		gl := groupLoad{group: g, hot: hot}
-		for _, h := range hot {
-			gl.total += h.Count
-		}
-		loads = append(loads, gl)
-	}
-	busiest, idlest := 0, 0
-	for i := range loads {
-		if loads[i].total > loads[busiest].total {
-			busiest = i
-		}
-		if loads[i].total < loads[idlest].total {
-			idlest = i
-		}
-	}
-	if busiest == idlest || loads[busiest].total == loads[idlest].total {
-		return 0, nil
-	}
-	dest := loads[idlest].group.ID
-	for _, h := range loads[busiest].hot {
-		if moved >= k {
-			break
-		}
-		// Skip objects already homed elsewhere by a previous move.
-		g, err := c.lookup(h.ID)
-		if err != nil || g.ID != loads[busiest].group.ID {
-			continue
-		}
-		if err := c.Migrate(h.ID, dest); err != nil {
-			return moved, err
-		}
-		moved++
-	}
-	return moved, nil
 }
 
 // Stats fetches a node's stats line (debugging).

@@ -641,62 +641,25 @@ func TestNodeRestartRecoversState(t *testing.T) {
 	}
 }
 
-func TestRebalanceHotMovesLoad(t *testing.T) {
-	dir := shard.NewDirectory(nil)
-	var nodes []*Node
-	for gid := uint64(0); gid < 2; gid++ {
-		node, err := StartNode(NodeOptions{
-			Addr: "127.0.0.1:0", DataDir: t.TempDir(), GroupID: gid, Directory: dir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		nodes = append(nodes, node)
-		dir.SetGroup(shard.Group{ID: gid, Primary: node.Addr()})
-	}
-	for _, n := range nodes {
-		n.SetDirectory(dir)
-	}
+// TestDeposedPrimaryWithholdsAck pins the commit-time half of routing: an
+// invocation that passed the route check while this node was primary and
+// commits after the node learnt it was deposed finds an empty replication
+// fan-out — its write lives on this node alone and must not be
+// acknowledged. The runtime is driven directly to land in that window.
+func TestDeposedPrimaryWithholdsAck(t *testing.T) {
+	nodes, dir := startGroup(t, 2, 0)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	// Objects 2,4,6,8 land in group 0; hammer 2 and 4 hard.
-	for _, id := range []core.ObjectID{2, 4, 6, 8, 3} {
-		if err := c.CreateObject("Counter", id); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.CreateObject("Counter", 1); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		for _, id := range []core.ObjectID{2, 4} {
-			if _, err := c.Invoke(id, "add", [][]byte{core.I64Bytes(1)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	moved, err := c.RebalanceHot(2)
-	if err != nil {
-		t.Fatalf("rebalance: %v", err)
-	}
-	if moved != 2 {
-		t.Fatalf("moved %d objects, want 2", moved)
-	}
-	// The hot objects now live in group 1 with state intact.
-	for _, id := range []core.ObjectID{2, 4} {
-		g, err := dir.Lookup(uint64(id))
-		if err != nil || g.ID != 1 {
-			t.Fatalf("object %d in group %d, %v", id, g.ID, err)
-		}
-		res, err := c.Invoke(id, "add", [][]byte{core.I64Bytes(0)})
-		if err != nil || core.BytesI64(res) != 50 {
-			t.Fatalf("object %d count after move = %d, %v", id, core.BytesI64(res), err)
-		}
-	}
-	// Cold objects stayed put.
-	if g, _ := dir.Lookup(6); g.ID != 0 {
-		t.Fatalf("cold object moved to group %d", g.ID)
+	old, promoted := nodes[0], nodes[1]
+	old.SetDirectory(shard.NewDirectory([]shard.Group{{ID: 0, Primary: promoted.Addr()}}))
+	_, err := old.Runtime().Invoke(1, "add", [][]byte{core.I64Bytes(1)})
+	if hint, ok := ParseNotResponsible(err); !ok || hint != promoted.Addr() {
+		t.Fatalf("deposed primary acknowledged an unreplicated commit: err = %v", err)
 	}
 }
 

@@ -63,8 +63,6 @@ type NodeOptions struct {
 	// from the group's primary via range digests and re-admits itself
 	// through the coordinator. Requires Coordinators.
 	Rejoin bool
-	// RecoveryBuckets overrides the digest bucket fan-out (0 = default).
-	RecoveryBuckets int
 	// RecoveryMaxBytesPerSec rate-limits recovery chunk streaming
 	// (0 = unlimited).
 	RecoveryMaxBytesPerSec int
@@ -111,10 +109,6 @@ type NodeOptions struct {
 	// partitioned backup's lease expires before the failure detector
 	// can reconfigure around it.
 	LeaseTTL time.Duration
-	// LeaseApplyLagMax bounds how many shipped-but-unapplied write-set
-	// entries a leased backup tolerates before bouncing reads to the
-	// primary (0 = replication.DefaultLeaseApplyLagMax).
-	LeaseApplyLagMax int
 }
 
 // DefaultLeaseTTL is the read-lease duration when NodeOptions.LeaseTTL
@@ -170,10 +164,14 @@ type Node struct {
 	objBarrierMu sync.Mutex
 	objBarrier   map[uint64]int64
 
-	dir    atomic.Pointer[shard.Directory]
-	stopMu sync.Mutex
-	stop   chan struct{}
-	done   chan struct{}
+	dir atomic.Pointer[shard.Directory]
+	// deposed caches "my view names another node primary of my group" for
+	// the commit path; refreshBackups sets it before it empties the
+	// fan-out, so a commit that shipped to nobody cannot miss it.
+	deposed atomic.Bool
+	stopMu  sync.Mutex
+	stop    chan struct{}
+	done    chan struct{}
 
 	metrics       *telemetry.Registry
 	tracer        *telemetry.Tracer
@@ -241,7 +239,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	}
 	n.leases = replication.NewLeaseHolder(
 		func() uint64 { return n.dir.Load().Epoch() },
-		opts.LeaseApplyLagMax, nil)
+		replication.DefaultLeaseApplyLagMax, nil)
 	n.leases.SetTelemetry(reg)
 	n.objBarrier = make(map[uint64]int64)
 	n.srv.SetTelemetry(reg)
@@ -251,7 +249,9 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	}
 	n.dir.Store(opts.Directory)
 
-	n.shipper = replication.NewShipper(n.pool, n.onBackupFailure)
+	// No failure hook: the coordinator's failure detector learns of a dead
+	// backup from the backup's own missing heartbeats.
+	n.shipper = replication.NewShipper(n.pool, nil)
 	n.shipper.SetTelemetry(reg)
 	n.shipper.SetLeaseTTL(n.leaseTTL)
 
@@ -280,6 +280,14 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		sp.FinishErr(err)
 		if err != nil {
 			return err
+		}
+		// Deposed between routing and commit: the fan-out this commit
+		// shipped to may already have been emptied, so the write may live
+		// here alone. Withhold the ack; the client retries at the new
+		// primary.
+		if n.deposed.Load() {
+			g, _ := n.myGroup()
+			return notResponsibleError(g.Primary)
 		}
 		// Relay the commit to any joiner mid-catch-up (strict sessions
 		// withhold the ack on failure, exactly like a real backup).
@@ -323,7 +331,6 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		},
 		Directory:      func() *shard.Directory { return n.dir.Load() },
 		ReloadTypes:    n.rt.ReloadTypes,
-		Buckets:        opts.RecoveryBuckets,
 		MaxBytesPerSec: opts.RecoveryMaxBytesPerSec,
 		FullResync:     opts.RecoveryFullResync,
 		Metrics:        reg,
@@ -711,21 +718,12 @@ func (n *Node) isPrimary() bool {
 func (n *Node) refreshBackups() {
 	n.shipper.SetEpoch(n.dir.Load().Epoch())
 	g, ok := n.myGroup()
+	n.deposed.Store(ok && g.Primary != n.addr)
 	if !ok || g.Primary != n.addr {
 		n.shipper.SetBackups(nil)
 		return
 	}
 	n.shipper.SetBackups(g.Backups)
-}
-
-// onBackupFailure reports a failed backup to the coordinator (which will
-// reconfigure the group) and keeps serving.
-func (n *Node) onBackupFailure(addr string, err error) {
-	// The coordinator's failure detector learns about it via missing
-	// heartbeats from the backup itself; nothing else to do here, but the
-	// hook is kept for observability.
-	_ = addr
-	_ = err
 }
 
 // coordLoop heartbeats and refreshes configuration.
@@ -950,7 +948,7 @@ func (n *Node) routeCheck(obj core.ObjectID, readOnly bool) error {
 
 // registerHandlers wires the RPC surface.
 func (n *Node) registerHandlers() {
-	replication.RegisterBackupLeased(n.srv, n.db, replication.BulkApplierFunc(
+	replication.RegisterBackupLeased(n.srv, replication.BulkApplierFunc(
 		func(object uint64, b *store.Batch) error {
 			return n.rt.ApplyReplicated(core.ObjectID(object), b)
 		},
@@ -960,10 +958,6 @@ func (n *Node) registerHandlers() {
 	recovery.RegisterDonor(n.srv, n.donor)
 	n.recmgr.RegisterForward(n.srv)
 	recovery.RegisterMover(n.srv, n.moveTgt)
-
-	n.srv.Handle(MethodPing, func(body []byte) ([]byte, error) {
-		return []byte(n.addr), nil
-	})
 
 	n.srv.HandleCtx(MethodInvoke, func(info rpc.CallInfo, body []byte) ([]byte, error) {
 		req, err := decodeInvokeReq(body)
@@ -1066,15 +1060,6 @@ func (n *Node) registerHandlers() {
 		return nil, n.rt.RegisterType(t)
 	})
 
-	n.srv.Handle(MethodSetDirectory, func(body []byte) ([]byte, error) {
-		d, err := shard.Load(body)
-		if err != nil {
-			return nil, err
-		}
-		n.SetDirectory(d)
-		return nil, nil
-	})
-
 	n.srv.Handle(MethodMigrate, func(body []byte) ([]byte, error) {
 		req, err := decodeMigrateReq(body)
 		if err != nil {
@@ -1085,14 +1070,6 @@ func (n *Node) registerHandlers() {
 		}
 		n.migrations.Inc()
 		return nil, nil
-	})
-
-	n.srv.Handle(MethodHotObjects, func(body []byte) ([]byte, error) {
-		limit, _, err := wire.Uvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		return encodeHotResp(n.rt.HotObjects(int(limit))), nil
 	})
 
 	n.srv.Handle(MethodHotWindow, func(body []byte) ([]byte, error) {

@@ -22,11 +22,8 @@ const (
 	MethodCreate       = "obj.create"
 	MethodDelete       = "obj.delete"
 	MethodRegisterType = "type.register"
-	MethodPing         = "node.ping"
 	MethodStats        = "node.stats"
-	MethodSetDirectory = "node.setdir"
 	MethodMigrate      = "node.migrate"
-	MethodHotObjects   = "node.hot"
 	MethodHotWindow    = "node.hotwindow"
 )
 

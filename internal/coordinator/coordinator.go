@@ -159,7 +159,6 @@ type Service struct {
 	debugAddrs map[string]string // rpc addr -> debug HTTP addr (from heartbeats)
 	applied    uint64
 	promotes   map[uint64]uint64 // group -> effective (guard-matched) promotions
-	evicts     map[uint64]uint64 // group -> effective backup evictions
 	rejoins    map[uint64]uint64 // group -> effective backup re-admissions
 	migrations uint64            // effective override installs/clears (cutovers)
 	compacted  uint64            // overrides folded into base placement
@@ -184,7 +183,6 @@ func New(id uint64, peers []uint64, trans paxos.Transport, opts Options) *Servic
 		lastSeen:   make(map[string]time.Time),
 		debugAddrs: make(map[string]string),
 		promotes:   make(map[uint64]uint64),
-		evicts:     make(map[uint64]uint64),
 		rejoins:    make(map[uint64]uint64),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -238,9 +236,7 @@ func (s *Service) apply(slot uint64, value []byte) {
 			}
 		}
 	case cmdEvictBackup:
-		if s.dir.EvictBackup(c.GroupID, c.FailedPrimary) {
-			s.evicts[c.GroupID]++
-		}
+		s.dir.EvictBackup(c.GroupID, c.FailedPrimary)
 	case cmdAddBackup:
 		// Epoch fence: the admission was certified against a specific
 		// configuration; any reconfiguration since (failover, eviction)
@@ -422,17 +418,6 @@ func (s *Service) LastSeen() map[string]time.Duration {
 	out := make(map[string]time.Duration, len(s.lastSeen))
 	for addr, seen := range s.lastSeen {
 		out[addr] = now.Sub(seen)
-	}
-	return out
-}
-
-// EvictCounts returns effective backup evictions applied per group.
-func (s *Service) EvictCounts() map[uint64]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[uint64]uint64, len(s.evicts))
-	for g, n := range s.evicts {
-		out[g] = n
 	}
 	return out
 }

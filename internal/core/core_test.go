@@ -671,15 +671,14 @@ func TestHotObjectsRanking(t *testing.T) {
 	}
 	mustInvoke(t, rt, 1, "add", I64Bytes(1))
 
-	hot := rt.HotObjects(2)
+	hot := rt.HotWindow(2)
 	if len(hot) != 2 || hot[0].ID != 2 || hot[1].ID != 3 {
 		t.Fatalf("ranking = %+v", hot)
 	}
 	if hot[0].Count != 9 {
 		t.Fatalf("hot count = %d", hot[0].Count)
 	}
-	rt.ResetHotStats()
-	if len(rt.HotObjects(10)) != 0 {
-		t.Fatal("reset did not clear counters")
+	if len(rt.HotWindow(10)) != 0 {
+		t.Fatal("sampling did not start a new window")
 	}
 }

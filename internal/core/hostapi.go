@@ -112,10 +112,6 @@ const packedNone = int64(-1)
 
 func packPtrLen(ptr, n int64) int64 { return ptr<<32 | (n & 0xffffffff) }
 
-// UnpackPtrLen splits a packed (ptr, len) handle (exported for tests and
-// documentation).
-func UnpackPtrLen(p int64) (ptr, n int64) { return p >> 32, p & 0xffffffff }
-
 // allocBytes copies data into guest memory and returns the packed handle.
 func allocBytes(inst *vm.Instance, data []byte) (int64, error) {
 	ptr, err := inst.Alloc(int64(len(data)))

@@ -5,7 +5,7 @@ import "sync"
 // hotTracker is a bounded Space-Saving (Metwally et al.) top-k counter
 // over per-object invocation counts — the load signal behind hot-object
 // rebalancing. Unlike the unbounded map it replaces, memory is fixed at
-// capacity entries no matter how many distinct objects a node serves:
+// hotTrackerEntries no matter how many distinct objects a node serves:
 // when a new object arrives at a full tracker it inherits the smallest
 // tracked count plus one (the classic over-estimate bound), evicting
 // that entry. Objects hot enough to matter for placement are never the
@@ -13,15 +13,14 @@ import "sync"
 // the heavy hitters it acts on.
 //
 // The tracker is a binary min-heap on count with a map from object to
-// heap slot, so touch is O(log capacity) worst case and O(1) for the
+// heap slot, so touch is O(log hotTrackerEntries) worst case and O(1) for the
 // common already-tracked increment that stays in place. Its own mutex
 // serializes access: every invocation touches it, so it shares a lock with
 // nothing else.
 type hotTracker struct {
-	mu       sync.Mutex
-	capacity int
-	entries  []hotEntry
-	index    map[ObjectID]int // object -> slot in entries
+	mu      sync.Mutex
+	entries []hotEntry
+	index   map[ObjectID]int // object -> slot in entries
 }
 
 type hotEntry struct {
@@ -29,19 +28,15 @@ type hotEntry struct {
 	count uint64
 }
 
-// defaultHotTrackerEntries bounds the per-node hot-object table. 1024
-// tracked objects is far beyond what any rebalancing policy inspects
-// (it samples the top few dozen) while costing ~32KiB per node.
-const defaultHotTrackerEntries = 1024
+// hotTrackerEntries bounds the per-node hot-object table. 1024 tracked
+// objects is far beyond what any rebalancing policy inspects (it samples
+// the top few dozen) while costing ~32KiB per node.
+const hotTrackerEntries = 1024
 
-func newHotTracker(capacity int) *hotTracker {
-	if capacity <= 0 {
-		capacity = defaultHotTrackerEntries
-	}
+func newHotTracker() *hotTracker {
 	return &hotTracker{
-		capacity: capacity,
-		entries:  make([]hotEntry, 0, capacity),
-		index:    make(map[ObjectID]int, capacity),
+		entries: make([]hotEntry, 0, hotTrackerEntries),
+		index:   make(map[ObjectID]int, hotTrackerEntries),
 	}
 }
 
@@ -54,7 +49,7 @@ func (t *hotTracker) touch(id ObjectID) {
 		t.siftDown(i)
 		return
 	}
-	if len(t.entries) < t.capacity {
+	if len(t.entries) < hotTrackerEntries {
 		t.entries = append(t.entries, hotEntry{id: id, count: 1})
 		i := len(t.entries) - 1
 		t.index[id] = i
@@ -72,37 +67,22 @@ func (t *hotTracker) touch(id ObjectID) {
 	t.siftDown(0)
 }
 
-// top returns up to n entries ordered hottest first; with reset it also
-// starts a new observation window, atomically with respect to touch.
-func (t *hotTracker) top(n int, reset bool) []HotObject {
+// window returns up to n entries ordered hottest first and starts a new
+// observation window, atomically with respect to touch.
+func (t *hotTracker) window(n int) []HotObject {
 	t.mu.Lock()
 	out := make([]HotObject, len(t.entries))
 	for i, e := range t.entries {
 		out[i] = HotObject{ID: e.id, Count: e.count}
 	}
-	if reset {
-		t.clear()
-	}
+	t.entries = t.entries[:0]
+	clear(t.index)
 	t.mu.Unlock()
 	sortHot(out)
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}
 	return out
-}
-
-// reset clears all counts (start of a new observation window).
-func (t *hotTracker) reset() {
-	t.mu.Lock()
-	t.clear()
-	t.mu.Unlock()
-}
-
-func (t *hotTracker) clear() {
-	t.entries = t.entries[:0]
-	for k := range t.index {
-		delete(t.index, k)
-	}
 }
 
 func (t *hotTracker) less(i, j int) bool {

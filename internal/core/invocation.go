@@ -374,7 +374,7 @@ func (iv *invocation) commitUnder(ctx telemetry.SpanContext) error {
 	if err != nil {
 		return err
 	}
-	return iv.rt.notifyCommit(iv.trace, iv.obj, b)
+	return iv.rt.notifyCommit(iv.trace, b, iv.obj)
 }
 
 // requireMutable rejects writes from read-only methods.

@@ -121,19 +121,6 @@ func decodeU64(b []byte) uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// prefixEnd returns the smallest key greater than every key with the given
-// prefix, or nil if the prefix is all 0xff.
-func prefixEnd(prefix []byte) []byte {
-	end := append([]byte(nil), prefix...)
-	for i := len(end) - 1; i >= 0; i-- {
-		if end[i] != 0xff {
-			end[i]++
-			return end[:i+1]
-		}
-	}
-	return nil
-}
-
 // Exported key builders: the disaggregated baseline's storage layer shares
 // the aggregated design's on-disk layout (the paper's baseline "uses our
 // prototype as its storage layer"), so both read and write identical keys.
@@ -167,13 +154,6 @@ func EncodeU64(v uint64) []byte { return encodeU64(v) }
 
 // DecodeU64 parses a list-length counter value.
 func DecodeU64(b []byte) uint64 { return decodeU64(b) }
-
-// ObjectPrefix returns the key prefix covering all of an object's state —
-// the microshard boundary used by migration and deletion.
-func ObjectPrefix(id ObjectID) []byte { return objectPrefix(id) }
-
-// ObjectRangeEnd returns the exclusive upper bound of an object's key range.
-func ObjectRangeEnd(id ObjectID) []byte { return prefixEnd(objectPrefix(id)) }
 
 // parseObjectID extracts the object ID from any object key.
 func parseObjectID(key []byte) (ObjectID, error) {

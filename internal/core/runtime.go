@@ -66,10 +66,6 @@ type Options struct {
 	// commit, wal-sync) for traced invocations. A nil or disabled tracer
 	// costs one predicted branch per stage.
 	Tracer *telemetry.Tracer
-	// HotTrackerEntries bounds the per-object load tracker the
-	// rebalancer samples (0 = default 1024). Memory stays fixed no
-	// matter how many distinct objects the node serves.
-	HotTrackerEntries int
 }
 
 // DefaultFuel is the per-invocation budget used by servers: generous for
@@ -148,7 +144,7 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 		db:    db,
 		opts:  opts,
 		types: make(map[string]*ObjectType),
-		hot:   newHotTracker(opts.HotTrackerEntries),
+		hot:   newHotTracker(),
 	}
 	if opts.Fuel == 0 {
 		rt.opts.Fuel = DefaultFuel
@@ -285,17 +281,6 @@ func (rt *Runtime) Type(name string) (*ObjectType, bool) {
 	return t, ok
 }
 
-// TypeNames lists installed types.
-func (rt *Runtime) TypeNames() []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	names := make([]string, 0, len(rt.types))
-	for n := range rt.types {
-		names = append(names, n)
-	}
-	return names
-}
-
 // CreateObject instantiates an object of the named type.
 func (rt *Runtime) CreateObject(typeName string, id ObjectID) error {
 	rt.mu.RLock()
@@ -320,7 +305,7 @@ func (rt *Runtime) CreateObject(typeName string, id ObjectID) error {
 	if err := rt.db.Write(b); err != nil {
 		return err
 	}
-	return rt.notifyCommit(telemetry.SpanContext{}, id, b)
+	return rt.notifyCommit(telemetry.SpanContext{}, b, id)
 }
 
 // DeleteObject removes an object and all its state.
@@ -343,10 +328,7 @@ func (rt *Runtime) DeleteObject(id ObjectID) error {
 		return err
 	}
 	rt.objTypes.Delete(id)
-	if rt.cache != nil {
-		rt.cache.InvalidateObject(uint64(id))
-	}
-	return rt.notifyCommit(telemetry.SpanContext{}, id, b)
+	return rt.notifyCommit(telemetry.SpanContext{}, b, id)
 }
 
 // forEachObjectKey visits every live key of an object.
@@ -399,15 +381,6 @@ func (rt *Runtime) typeOf(id ObjectID) (*ObjectType, error) {
 	}
 	rt.objTypes.Store(id, t)
 	return t, nil
-}
-
-// TypeOf returns the name of an object's type.
-func (rt *Runtime) TypeOf(id ObjectID) (string, error) {
-	t, err := rt.typeOf(id)
-	if err != nil {
-		return "", err
-	}
-	return t.Name, nil
 }
 
 // ObjectVersion returns the object's committed version counter (number of
@@ -516,14 +489,7 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 		rt.cache.NoteBypass()
 	}
 
-	// Read-only invocations never commit, so they can skip the whole
-	// write-transaction apparatus: a pooled txn with no write buffer reads
-	// straight off the snapshot, and run() sees an always-clean dirty set.
-	if mi.RoutableReadOnly() {
-		iv.txn = newReadTxn(rt.db, cacheable)
-	} else {
-		iv.txn = newTxn(rt.db, cacheable)
-	}
+	iv.txn = openTxn(rt.db, cacheable)
 	defer iv.txn.close()
 
 	result, err := iv.run()
@@ -569,20 +535,25 @@ func (rt *Runtime) committedHash(key []byte) uint64 {
 	return h
 }
 
-// notifyCommit invalidates caches and fires the replication hook, passing
-// along the committing request's trace context. A hook error (backup did
-// not acknowledge) propagates so the client ack is withheld; the local
-// commit stands.
-func (rt *Runtime) notifyCommit(ctx telemetry.SpanContext, id ObjectID, b *store.Batch) error {
-	rt.commits.Add(1)
-	if rt.metrics != nil {
-		rt.metrics.commits.Inc()
-	}
-	if rt.cache != nil {
-		rt.cache.InvalidateObject(uint64(id))
+// notifyCommit is the one place a local commit becomes visible to the
+// rest of the system: it counts one commit per object the write-set
+// touched (a transaction's spans several), invalidates their cached
+// results, and fires the replication hook once for the whole write-set,
+// passing along the committing request's trace context. A hook error
+// (backup did not acknowledge) propagates so the client ack is withheld;
+// the local commit stands.
+func (rt *Runtime) notifyCommit(ctx telemetry.SpanContext, b *store.Batch, ids ...ObjectID) error {
+	for _, id := range ids {
+		rt.commits.Add(1)
+		if rt.metrics != nil {
+			rt.metrics.commits.Inc()
+		}
+		if rt.cache != nil {
+			rt.cache.InvalidateObject(uint64(id))
+		}
 	}
 	if rt.opts.OnCommit != nil {
-		return rt.opts.OnCommit(ctx, id, b.Seq(), b)
+		return rt.opts.OnCommit(ctx, ids[0], b.Seq(), b)
 	}
 	return nil
 }
@@ -598,20 +569,16 @@ type HotObject struct {
 	Count uint64
 }
 
-// HotObjects returns the n most-invoked objects since the last reset —
-// the signal elasticity decisions are made from: because objects are
-// microshards, the hottest ones can be migrated individually. Counts
-// come from a bounded Space-Saving tracker, so they are exact for the
-// heavy hitters and slight over-estimates for objects that churned
-// through the tracker's tail.
-func (rt *Runtime) HotObjects(n int) []HotObject { return rt.hot.top(n, false) }
-
-// HotWindow returns the top-n ranking and atomically starts a new
-// observation window — the rebalancer's sample-and-reset primitive, so
-// counts between samples are per-window rates rather than lifetime
-// totals. Single-sampler contract: concurrent samplers would steal each
-// other's windows.
-func (rt *Runtime) HotWindow(n int) []HotObject { return rt.hot.top(n, true) }
+// HotWindow returns the n most-invoked objects of the current observation
+// window and atomically starts a new one — the rebalancer's
+// sample-and-reset primitive, so counts between samples are per-window
+// rates rather than lifetime totals, and the signal elasticity decisions
+// are made from: because objects are microshards, the hottest ones can be
+// migrated individually. Counts come from a bounded Space-Saving tracker,
+// so they are exact for the heavy hitters and slight over-estimates for
+// objects that churned through the tracker's tail. Single-sampler
+// contract: concurrent samplers would steal each other's windows.
+func (rt *Runtime) HotWindow(n int) []HotObject { return rt.hot.window(n) }
 
 // sortHot orders a ranking hottest first with a deterministic tie-break.
 func sortHot(out []HotObject) {
@@ -622,10 +589,6 @@ func sortHot(out []HotObject) {
 		return out[i].ID < out[j].ID
 	})
 }
-
-// ResetHotStats clears the per-object load counters (start of a new
-// observation window).
-func (rt *Runtime) ResetHotStats() { rt.hot.reset() }
 
 // ApplyReplicated applies a write-set received from a primary, bypassing
 // method execution (the backup path of §4.2.1: "the results of the

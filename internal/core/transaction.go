@@ -104,7 +104,7 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 
 	// One shared buffer over one snapshot: calls see each other's writes,
 	// nothing outside sees any of them until commit.
-	shared := newTxn(rt.db, false)
+	shared := openTxn(rt.db, false)
 	defer shared.close()
 
 	results := make([][]byte, len(calls))
@@ -131,13 +131,17 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 			return nil, ErrReadOnly
 		}
 		// Bump every written object's version inside the same batch.
-		touched := make(map[ObjectID]struct{})
+		seen := make(map[ObjectID]struct{})
+		var touched []ObjectID
 		for k := range shared.writes {
 			if id, err := parseObjectID([]byte(k)); err == nil {
-				touched[id] = struct{}{}
+				if _, dup := seen[id]; !dup {
+					seen[id] = struct{}{}
+					touched = append(touched, id)
+				}
 			}
 		}
-		for id := range touched {
+		for _, id := range touched {
 			if _, present, err := shared.get(nil, headerKey(id)); err != nil {
 				return nil, err
 			} else if !present {
@@ -156,26 +160,10 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 		if err != nil {
 			return nil, err
 		}
-		// One commit notification per touched object: caches invalidate
-		// everywhere; the replication hook ships the full batch once (the
-		// batch is idempotent, and backups apply it atomically).
-		first := true
-		for id := range touched {
-			rt.commits.Add(1)
-			if rt.metrics != nil {
-				rt.metrics.commits.Inc()
-			}
-			if rt.cache != nil {
-				rt.cache.InvalidateObject(uint64(id))
-			}
-			if first && rt.opts.OnCommit != nil {
-				// A replication failure withholds the transaction's ack the
-				// same way it withholds a single invocation's.
-				if err := rt.opts.OnCommit(cc.Trace, id, b.Seq(), b); err != nil {
-					return nil, err
-				}
-			}
-			first = false
+		// A replication failure withholds the transaction's ack the same
+		// way it withholds a single invocation's.
+		if err := rt.notifyCommit(cc.Trace, b, touched...); err != nil {
+			return nil, err
 		}
 	}
 	return results, nil

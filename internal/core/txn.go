@@ -19,8 +19,9 @@ type txn struct {
 	db   *store.DB
 	snap *store.Snapshot // created lazily on first read (after admission)
 
-	// writes maps key -> buffered write. A nil-value entry with del=true
-	// is a buffered delete.
+	// writes maps key -> buffered write, made by the first put or del (most
+	// invocations are reads and never buffer one). A nil-value entry with
+	// del=true is a buffered delete.
 	writes map[string]bufferedWrite
 
 	// recordReads enables read-set capture for the consistent result
@@ -38,9 +39,6 @@ type txn struct {
 	// hash just make the older one record again on its next read; a
 	// duplicate dependency validates the same as a single one.
 	readIdx map[uint64]int32
-
-	// pooled marks a read-path txn recycled through roTxnPool by close.
-	pooled bool
 }
 
 var readKeySeed = maphash.MakeSeed()
@@ -64,30 +62,17 @@ type bufferedWrite struct {
 	del   bool
 }
 
-// newTxn opens a transaction; the snapshot is taken lazily at the first
-// read so it always postdates the scheduler admission.
-func newTxn(db *store.DB, recordReads bool) *txn {
-	return &txn{
-		db:          db,
-		writes:      make(map[string]bufferedWrite),
-		recordReads: recordReads,
-	}
-}
+// txnPool recycles transactions with their scratch: an invocation's txn
+// carries no state worth keeping past close.
+var txnPool = sync.Pool{New: func() any { return new(txn) }}
 
-// roTxnPool recycles the read-path transactions; read-only invocations are
-// the overwhelming majority of Retwis traffic and their txns carry no
-// state worth keeping.
-var roTxnPool = sync.Pool{New: func() any { return new(txn) }}
-
-// newReadTxn opens the read-only fast-path transaction: no write buffer is
-// allocated (put/del create one lazily, only to let the read-only
-// enforcement in run() trip), and the struct itself is pooled. The caller
-// must close() it exactly once.
-func newReadTxn(db *store.DB, recordReads bool) *txn {
-	t := roTxnPool.Get().(*txn)
+// openTxn takes a transaction from the pool; the snapshot is taken lazily
+// at the first read so it always postdates the scheduler admission. The
+// caller must close() it exactly once.
+func openTxn(db *store.DB, recordReads bool) *txn {
+	t := txnPool.Get().(*txn)
 	t.db = db
 	t.recordReads = recordReads
-	t.pooled = true
 	return t
 }
 
@@ -98,24 +83,30 @@ func (t *txn) ensureSnap() {
 	}
 }
 
-// close releases the snapshot and, for fast-path txns, recycles the
-// struct. Idempotent for the non-pooled case; pooled txns must be closed
-// exactly once.
+// close releases the snapshot and recycles the txn, keeping whichever
+// scratch did not outgrow what is worth pooling.
 func (t *txn) close() {
 	if t.snap != nil {
 		t.snap.Release()
-		t.snap = nil
 	}
-	if t.pooled {
-		recycled := txn{}
-		if cap(t.readKeys) <= scratchRetainMax && cap(t.reads) <= scratchRetainMax/32 {
-			clear(t.readIdx)
-			clear(t.reads)
-			recycled = txn{reads: t.reads[:0], readKeys: t.readKeys[:0], readIdx: t.readIdx}
-		}
-		*t = recycled
-		roTxnPool.Put(t)
+	t.dropWrites()
+	recycled := txn{writes: t.writes}
+	if cap(t.readKeys) <= scratchRetainMax && cap(t.reads) <= scratchRetainMax/32 {
+		clear(t.readIdx)
+		clear(t.reads)
+		recycled.reads, recycled.readKeys, recycled.readIdx = t.reads[:0], t.readKeys[:0], t.readIdx
 	}
+	*t = recycled
+	txnPool.Put(t)
+}
+
+// dropWrites empties the write buffer for reuse, or drops it if it grew
+// large: a cleared map keeps (and every later clear walks) all its buckets.
+func (t *txn) dropWrites() {
+	if len(t.writes) > scratchRetainMax/32 {
+		t.writes = nil
+	}
+	clear(t.writes)
 }
 
 // get reads key, appending a live value to dst and returning the extended
@@ -214,14 +205,14 @@ func (t *txn) batch() *store.Batch {
 // reset clears buffered writes and drops the snapshot; the remainder of
 // the method re-pins a fresh snapshot after it is re-admitted (paper §3.1
 // treats the remainder as a separate invocation context). Deliberately not
-// close(): a pooled txn must stay out of roTxnPool until its deferred
-// close, since the invocation keeps using it.
+// close(): the txn must stay out of txnPool until its deferred close, since
+// the invocation keeps using it.
 func (t *txn) reset() {
 	if t.snap != nil {
 		t.snap.Release()
 		t.snap = nil
 	}
-	t.writes = make(map[string]bufferedWrite)
+	t.dropWrites()
 }
 
 // scan iterates all live keys with the given prefix in order, merging

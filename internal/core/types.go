@@ -195,12 +195,6 @@ func (t *ObjectType) init() error {
 	return nil
 }
 
-// Field returns the named field definition.
-func (t *ObjectType) Field(name string) (*FieldDef, bool) {
-	f, ok := t.fieldIdx[name]
-	return f, ok
-}
-
 // Method returns the named method declaration.
 func (t *ObjectType) Method(name string) (*MethodInfo, bool) {
 	m, ok := t.methodIdx[name]

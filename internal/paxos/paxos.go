@@ -43,9 +43,6 @@ func (b Ballot) Less(o Ballot) bool {
 	return b.Node < o.Node
 }
 
-// LessEq reports b <= o.
-func (b Ballot) LessEq(o Ballot) bool { return !o.Less(b) }
-
 func (b Ballot) String() string { return fmt.Sprintf("%d.%d", b.Round, b.Node) }
 
 // IsZero reports whether the ballot is the zero value.
@@ -236,14 +233,6 @@ func (n *Node) HandleLearn(req *LearnReq) {
 			apply(r.slot, r.value)
 		}
 	}
-}
-
-// Chosen returns the chosen value for slot, if known.
-func (n *Node) Chosen(slot uint64) ([]byte, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	v, ok := n.chosen[slot]
-	return v, ok
 }
 
 // NumChosen returns how many consecutive slots from 0 have been applied.

@@ -4,7 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"lambdastore/internal/cluster"
 	"lambdastore/internal/core"
+	"lambdastore/internal/retwis"
+	"lambdastore/internal/rpc"
+	"lambdastore/internal/shard"
 )
 
 func noHome(object uint64) (uint64, bool) { return 0, false }
@@ -144,5 +148,85 @@ func TestPolicyDefaults(t *testing.T) {
 	if cfg.ImbalanceRatio <= 1 || cfg.MinGainFraction <= 0 || cfg.MaxMovesPerTick <= 0 ||
 		cfg.Cooldown < time.Second || cfg.MinWindowOps == 0 {
 		t.Fatalf("defaults not filled: %+v", cfg)
+	}
+}
+
+// TestTickMovesHotObjects is the end-to-end check that observed load moves
+// objects between live groups: two single-node groups, a hot spot on group
+// 0, and one Tick of a Rebalancer wired the way cmd/lambdacoord wires it
+// (hot windows sampled from, and moves sent to, the primaries over RPC).
+func TestTickMovesHotObjects(t *testing.T) {
+	dir := shard.NewDirectory(nil)
+	var nodes []*cluster.Node
+	for gid := uint64(0); gid < 2; gid++ {
+		node, err := cluster.StartNode(cluster.NodeOptions{
+			Addr: "127.0.0.1:0", DataDir: t.TempDir(), GroupID: gid, Directory: dir,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		nodes = append(nodes, node)
+		dir.SetGroup(shard.Group{ID: gid, Primary: node.Addr()})
+	}
+	for _, n := range nodes {
+		n.SetDirectory(dir)
+	}
+	c, err := cluster.NewClient(cluster.ClientConfig{Directory: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.RegisterType(retwis.MustType()); err != nil {
+		t.Fatal(err)
+	}
+	// Even IDs land in group 0. Hammer 2 and 4; 6..12 stay lukewarm, and
+	// carry enough load that group 0 is still the busier group after both
+	// hot objects left — the planner's hysteresis refuses a move that only
+	// relocates the hot spot.
+	hammer := func(id core.ObjectID, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := c.Invoke(id, "add_follower", [][]byte{core.I64Bytes(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, id := range []core.ObjectID{2, 4, 6, 8, 10, 12, 3} {
+		if err := c.CreateObject(retwis.TypeName, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []core.ObjectID{2, 4} {
+		hammer(id, 50)
+	}
+	for _, id := range []core.ObjectID{6, 8, 10, 12} {
+		hammer(id, 30)
+	}
+
+	pool := rpc.NewPool(nil)
+	t.Cleanup(pool.Close)
+	r := New(Options{
+		Pool:   pool,
+		Config: func() (*shard.Directory, error) { return dir, nil },
+	})
+	r.Tick()
+	if got := r.Moves(); got != 2 {
+		t.Fatalf("moved %d objects, want 2 (status %+v)", got, r.Status())
+	}
+	// The hot objects now live in group 1 with state intact.
+	for _, id := range []core.ObjectID{2, 4} {
+		g, err := dir.Lookup(uint64(id))
+		if err != nil || g.ID != 1 {
+			t.Fatalf("object %d in group %d, %v", id, g.ID, err)
+		}
+		res, err := c.Invoke(id, "follower_count", nil)
+		if err != nil || core.BytesI64(res) != 50 {
+			t.Fatalf("object %d count after move = %d, %v", id, core.BytesI64(res), err)
+		}
+	}
+	// Cold objects stayed put.
+	if g, _ := dir.Lookup(6); g.ID != 0 {
+		t.Fatalf("cold object moved to group %d", g.ID)
 	}
 }

@@ -66,8 +66,6 @@ type ManagerOptions struct {
 	// ReloadTypes re-reads persisted type records after a meta-range
 	// sync so newly arrived types are dispatchable.
 	ReloadTypes func() error
-	// Buckets is the digest fan-out (default DefaultBuckets).
-	Buckets int
 	// ChunkEntries bounds one fetch chunk (default 512 entries).
 	ChunkEntries int
 	// MaxBytesPerSec rate-limits chunk streaming (0 = unlimited).
@@ -137,9 +135,6 @@ type Manager struct {
 // NewManager builds a Manager. RegisterForward must be called before
 // the node serves; Run starts the watch loop.
 func NewManager(opts ManagerOptions) *Manager {
-	if opts.Buckets <= 0 {
-		opts.Buckets = DefaultBuckets
-	}
 	if opts.ChunkEntries <= 0 {
 		opts.ChunkEntries = defaultChunkEntries
 	}
@@ -376,11 +371,11 @@ func (m *Manager) syncOnce(donor string, epoch uint64) (err error) {
 // and every range the donor holds streams; verification rounds always
 // run the real diff so the session can converge.
 func (m *Manager) round(donor string, epoch uint64, full bool) (int, error) {
-	local, err := BuildDigest(m.opts.DB, m.opts.Buckets)
+	local, err := BuildDigest(m.opts.DB, DefaultBuckets)
 	if err != nil {
 		return 0, err
 	}
-	body, err := m.callFetchSite(donor, MethodDigest, encodeDigestReq(m.opts.Self, epoch, uint64(m.opts.Buckets)))
+	body, err := m.callFetchSite(donor, MethodDigest, encodeDigestReq(m.opts.Self, epoch, uint64(DefaultBuckets)))
 	if err != nil {
 		return 0, err
 	}
@@ -392,7 +387,7 @@ func (m *Manager) round(donor string, epoch uint64, full bool) (int, error) {
 	var bucketList []uint64
 	if full {
 		// Ablation: skip the diff, drill into everything.
-		for i := 0; i < m.opts.Buckets; i++ {
+		for i := 0; i < DefaultBuckets; i++ {
 			bucketList = append(bucketList, uint64(i))
 		}
 	} else {
@@ -431,7 +426,7 @@ func (m *Manager) round(donor string, epoch uint64, full bool) (int, error) {
 	for _, b := range bucketList {
 		bucketSet[b] = true
 	}
-	syncIDs, dropIDs := ObjectDiff(local, objs.ids, objs.digests, bucketSet, m.opts.Buckets)
+	syncIDs, dropIDs := ObjectDiff(local, objs.ids, objs.digests, bucketSet, DefaultBuckets)
 	if full {
 		// Stream everything the donor holds, not just the mismatches
 		// (ObjectDiff still supplies the local-only ids to drop).

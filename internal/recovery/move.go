@@ -377,16 +377,6 @@ func (s *MoveSource) ForwardCommit(ctx telemetry.SpanContext, object uint64, b *
 	}
 }
 
-// Moving reports whether an outbound move of the object is in flight.
-func (s *MoveSource) Moving(object uint64) bool {
-	if s == nil || s.active.Load() == 0 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.moves[object] != nil
-}
-
 // InFlight returns the number of outbound moves currently running.
 func (s *MoveSource) InFlight() int {
 	if s == nil {

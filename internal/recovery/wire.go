@@ -262,15 +262,6 @@ func encodePromoteResp(r *promoteResp) []byte {
 	return wire.AppendUvarint(nil, r.gaps)
 }
 
-func decodePromoteResp(body []byte) (*promoteResp, error) {
-	r := &promoteResp{}
-	var err error
-	if r.gaps, _, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // forwardMsg is one committed write-set relayed to a syncing joiner.
 type forwardMsg struct {
 	object uint64

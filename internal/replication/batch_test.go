@@ -25,9 +25,9 @@ func startFencedBackup(t *testing.T, epoch uint64) (*store.DB, string, *telemetr
 	t.Cleanup(func() { db.Close() })
 	reg := telemetry.NewRegistry()
 	srv := rpc.NewServer()
-	RegisterBackupFenced(srv, db, ApplierFunc(func(object uint64, b *store.Batch) error {
+	RegisterBackupLeased(srv, ApplierFunc(func(object uint64, b *store.Batch) error {
 		return db.Write(b)
-	}), nil, reg, func() uint64 { return epoch })
+	}), nil, reg, func() uint64 { return epoch }, nil)
 	addr, err := srv.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -4,10 +4,6 @@
 // are shipped synchronously to the backup replicas before the invocation
 // reply is released, so a failover never loses an acknowledged write.
 // Read-only methods may execute at any replica to increase throughput.
-//
-// The package also provides range-based state transfer, used both to
-// bootstrap a new backup and to migrate a single object (microshard) to
-// another replica group.
 package replication
 
 import (
@@ -24,15 +20,10 @@ import (
 	"lambdastore/internal/wire"
 )
 
-// RPC method names.
-const (
-	MethodApply = "repl.apply"
-	// MethodApplyBatch ships N coalesced (object, write-set) pairs plus the
-	// primary's configuration epoch in one frame; the backup fences stale
-	// epochs and acks all members at once.
-	MethodApplyBatch = "repl.applyBatch"
-	MethodFetch      = "repl.fetch"
-)
+// MethodApplyBatch ships N coalesced (object, write-set) pairs plus the
+// primary's configuration epoch in one frame; the backup fences stale
+// epochs and acks all members at once.
+const MethodApplyBatch = "repl.applyBatch"
 
 // ErrBackupFailed reports that one or more backups did not acknowledge a
 // write-set.
@@ -46,32 +37,10 @@ var ErrStaleEpoch = errors.New("replication: stale configuration epoch")
 // errShipperClosed fails in-flight ship requests during shutdown.
 var errShipperClosed = errors.New("replication: shipper closed")
 
-// applyMsg is the wire form of a shipped write-set.
+// applyMsg is one (object, write-set) member of a shipped frame.
 type applyMsg struct {
 	object uint64
 	batch  *store.Batch
-}
-
-func encodeApply(object uint64, b *store.Batch) []byte {
-	var buf []byte
-	buf = wire.AppendUvarint(buf, object)
-	return wire.AppendBytes(buf, b.Encode())
-}
-
-func decodeApply(body []byte) (*applyMsg, error) {
-	object, rest, err := wire.Uvarint(body)
-	if err != nil {
-		return nil, fmt.Errorf("replication: apply object: %w", err)
-	}
-	raw, _, err := wire.Bytes(rest)
-	if err != nil {
-		return nil, fmt.Errorf("replication: apply batch: %w", err)
-	}
-	b, err := store.DecodeBatch(raw)
-	if err != nil {
-		return nil, err
-	}
-	return &applyMsg{object: object, batch: b}, nil
 }
 
 // applyBatchMsg is the wire form of a coalesced ship frame: the sender's
@@ -568,58 +537,30 @@ func BulkApplierFunc(single func(object uint64, b *store.Batch) error,
 	return &bulkApplierFunc{applierFunc: single, bulk: bulk}
 }
 
-// RegisterBackup exposes the backup-side apply and fetch handlers on an RPC
-// server.
+// RegisterBackup registers the backup-side apply handler with no
+// observability, epoch fence or read lease (the disaggregated baseline's
+// storage node). db is unused; the parameter stays because the frozen
+// benchmark compiles against this signature.
 func RegisterBackup(srv *rpc.Server, db *store.DB, applier Applier) {
-	RegisterBackupFenced(srv, db, applier, nil, nil, nil)
+	RegisterBackupLeased(srv, applier, nil, nil, nil, nil)
 }
 
-// RegisterBackupTelemetry is RegisterBackup with observability: applied
-// write-sets are counted in reg ("repl.applied") and each apply records a
-// "repl.apply" span in tracer, parented to the primary's replicate span.
-// Both tracer and reg may be nil.
-func RegisterBackupTelemetry(srv *rpc.Server, db *store.DB, applier Applier, tracer *telemetry.Tracer, reg *telemetry.Registry) {
-	RegisterBackupFenced(srv, db, applier, tracer, reg, nil)
-}
-
-// RegisterBackupFenced is RegisterBackupTelemetry with epoch fencing:
-// localEpoch (nil = unfenced) reports this node's configuration epoch, and
-// any applyBatch frame stamped with an older non-zero epoch is rejected
-// with ErrStaleEpoch — a deposed primary cannot get a write acknowledged
-// after its group has been reconfigured (DESIGN.md §8). Rejections are
-// counted in reg ("repl.stale_epoch").
-func RegisterBackupFenced(srv *rpc.Server, db *store.DB, applier Applier, tracer *telemetry.Tracer, reg *telemetry.Registry, localEpoch func() uint64) {
-	RegisterBackupLeased(srv, db, applier, tracer, reg, localEpoch, nil)
-}
-
-// RegisterBackupLeased is RegisterBackupFenced with a read-lease holder:
-// applyBatch frames feed the holder's applied counter and any piggybacked
-// renewal blob, and the standalone MethodLease renewal handler is
-// registered. holder is nil for the lease-free RegisterBackup* variants.
-func RegisterBackupLeased(srv *rpc.Server, db *store.DB, applier Applier, tracer *telemetry.Tracer, reg *telemetry.Registry, localEpoch func() uint64, holder *LeaseHolder) {
+// RegisterBackupLeased registers the backup-side applyBatch handler; every
+// argument after applier may be nil. Applied write-sets are counted in reg
+// ("repl.applied") and each frame records a "repl.applyBatch" span in
+// tracer, parented to the primary's replicate span. localEpoch reports this
+// node's configuration epoch: a frame stamped with an older non-zero epoch
+// is rejected with ErrStaleEpoch and counted ("repl.stale_epoch") — a
+// deposed primary cannot get a write acknowledged after its group has been
+// reconfigured (DESIGN.md §8). With a read-lease holder, frames feed its
+// applied counter and any piggybacked renewal blob, and the standalone
+// MethodLease renewal handler is registered too.
+func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tracer, reg *telemetry.Registry, localEpoch func() uint64, holder *LeaseHolder) {
 	var applied, stale *telemetry.Counter
 	if reg != nil {
 		applied = reg.Counter("repl.applied")
 		stale = reg.Counter("repl.stale_epoch")
 	}
-	srv.HandleCtx(MethodApply, func(info rpc.CallInfo, body []byte) ([]byte, error) {
-		sp := tracer.StartSpan(info.Trace, "repl.apply")
-		msg, err := decodeApply(body)
-		if err != nil {
-			sp.FinishErr(err)
-			return nil, err
-		}
-		err = applier.ApplyReplicated(msg.object, msg.batch)
-		sp.FinishErr(err)
-		if err != nil {
-			return nil, err
-		}
-		holder.NoteApplied(1)
-		if applied != nil {
-			applied.Inc()
-		}
-		return nil, nil
-	})
 	srv.HandleCtx(MethodApplyBatch, func(info rpc.CallInfo, body []byte) ([]byte, error) {
 		sp := tracer.StartSpan(info.Trace, "repl.applyBatch")
 		msg, err := decodeApplyBatch(body)
@@ -693,141 +634,7 @@ func RegisterBackupLeased(srv *rpc.Server, db *store.DB, applier Applier, tracer
 		sp.Finish()
 		return nil, nil
 	})
-	srv.Handle(MethodFetch, func(body []byte) ([]byte, error) {
-		req, err := decodeFetchReq(body)
-		if err != nil {
-			return nil, err
-		}
-		return serveFetch(db, req)
-	})
 	if holder != nil {
 		registerLease(srv, holder)
-	}
-}
-
-// --- range state transfer ---
-
-// fetchReq asks for up to limit live entries in [start, end).
-type fetchReq struct {
-	start []byte
-	end   []byte
-	limit uint64
-}
-
-func encodeFetchReq(r *fetchReq) []byte {
-	var b []byte
-	b = wire.AppendBytes(b, r.start)
-	b = wire.AppendBytes(b, r.end)
-	return wire.AppendUvarint(b, r.limit)
-}
-
-func decodeFetchReq(body []byte) (*fetchReq, error) {
-	r := &fetchReq{}
-	var err error
-	var raw []byte
-	if raw, body, err = wire.Bytes(body); err != nil {
-		return nil, err
-	}
-	r.start = append([]byte(nil), raw...)
-	if raw, body, err = wire.Bytes(body); err != nil {
-		return nil, err
-	}
-	r.end = append([]byte(nil), raw...)
-	if r.limit, _, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// fetchResp carries entries plus a continuation key ("" = done).
-type fetchResp struct {
-	keys   [][]byte
-	values [][]byte
-	next   []byte
-}
-
-func encodeFetchResp(r *fetchResp) []byte {
-	var b []byte
-	b = wire.AppendBytesSlice(b, r.keys)
-	b = wire.AppendBytesSlice(b, r.values)
-	return wire.AppendBytes(b, r.next)
-}
-
-func decodeFetchResp(body []byte) (*fetchResp, error) {
-	r := &fetchResp{}
-	var err error
-	if r.keys, body, err = wire.BytesSlice(body); err != nil {
-		return nil, err
-	}
-	if r.values, body, err = wire.BytesSlice(body); err != nil {
-		return nil, err
-	}
-	var raw []byte
-	if raw, _, err = wire.Bytes(body); err != nil {
-		return nil, err
-	}
-	r.next = append([]byte(nil), raw...)
-	if len(r.keys) != len(r.values) {
-		return nil, fmt.Errorf("replication: fetch resp key/value count mismatch")
-	}
-	return r, nil
-}
-
-// serveFetch streams one page of a range from a consistent snapshot.
-func serveFetch(db *store.DB, req *fetchReq) ([]byte, error) {
-	snap := db.GetSnapshot()
-	defer snap.Release()
-	it, err := snap.NewIterator()
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-
-	limit := req.limit
-	if limit == 0 || limit > 4096 {
-		limit = 4096
-	}
-	resp := &fetchResp{}
-	it.Seek(req.start)
-	for ; it.Valid(); it.Next() {
-		k := it.Key()
-		if len(req.end) > 0 && string(k) >= string(req.end) {
-			break
-		}
-		if uint64(len(resp.keys)) >= limit {
-			resp.next = append([]byte(nil), k...)
-			break
-		}
-		resp.keys = append(resp.keys, append([]byte(nil), k...))
-		resp.values = append(resp.values, append([]byte(nil), it.Value()...))
-	}
-	if err := it.Error(); err != nil {
-		return nil, err
-	}
-	return encodeFetchResp(resp), nil
-}
-
-// FetchRange copies every live entry in [start, end) from the peer at addr,
-// invoking fn per entry. Used for backup bootstrap and object migration.
-func FetchRange(pool *rpc.Pool, addr string, start, end []byte, fn func(key, value []byte) error) error {
-	cursor := append([]byte(nil), start...)
-	for {
-		body, err := pool.Call(addr, MethodFetch, encodeFetchReq(&fetchReq{start: cursor, end: end, limit: 1024}))
-		if err != nil {
-			return err
-		}
-		resp, err := decodeFetchResp(body)
-		if err != nil {
-			return err
-		}
-		for i := range resp.keys {
-			if err := fn(resp.keys[i], resp.values[i]); err != nil {
-				return err
-			}
-		}
-		if len(resp.next) == 0 {
-			return nil
-		}
-		cursor = resp.next
 	}
 }

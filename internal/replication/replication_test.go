@@ -92,91 +92,6 @@ func TestShipReportsFailedBackup(t *testing.T) {
 	}
 }
 
-func TestApplyMsgRoundTrip(t *testing.T) {
-	b := store.NewBatch()
-	b.Put([]byte("a"), []byte("1"))
-	b.Delete([]byte("b"))
-	enc := encodeApply(42, b)
-	msg, err := decodeApply(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.object != 42 || msg.batch.Len() != 2 {
-		t.Fatalf("decoded %+v", msg)
-	}
-	if _, err := decodeApply([]byte{0xff}); err == nil {
-		t.Fatal("garbage apply decoded")
-	}
-}
-
-func TestFetchRange(t *testing.T) {
-	db, addr := startBackup(t)
-	// Seed data directly (acting as the source primary).
-	const n = 3000 // multiple fetch pages
-	for i := 0; i < n; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Put([]byte("other"), []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-
-	pool := rpc.NewPool(nil)
-	defer pool.Close()
-	got := make(map[string]string)
-	err := FetchRange(pool, addr, []byte("key"), []byte("kez"), func(k, v []byte) error {
-		got[string(k)] = string(v)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("fetched %d entries, want %d", len(got), n)
-	}
-	if got["key00000"] != "val0" || got["key02999"] != "val2999" {
-		t.Fatal("boundary entries wrong")
-	}
-	if _, ok := got["other"]; ok {
-		t.Fatal("out-of-range key fetched")
-	}
-}
-
-func TestFetchRangeCallbackError(t *testing.T) {
-	db, addr := startBackup(t)
-	for i := 0; i < 10; i++ {
-		db.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
-	}
-	pool := rpc.NewPool(nil)
-	defer pool.Close()
-	sentinel := errors.New("stop")
-	err := FetchRange(pool, addr, []byte("k"), nil, func(k, v []byte) error {
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestFetchReqRespCodecs(t *testing.T) {
-	req := &fetchReq{start: []byte("a"), end: []byte("z"), limit: 7}
-	dec, err := decodeFetchReq(encodeFetchReq(req))
-	if err != nil || string(dec.start) != "a" || string(dec.end) != "z" || dec.limit != 7 {
-		t.Fatalf("req: %+v %v", dec, err)
-	}
-	resp := &fetchResp{keys: [][]byte{[]byte("k")}, values: [][]byte{[]byte("v")}, next: []byte("n")}
-	dresp, err := decodeFetchResp(encodeFetchResp(resp))
-	if err != nil || len(dresp.keys) != 1 || string(dresp.next) != "n" {
-		t.Fatalf("resp: %+v %v", dresp, err)
-	}
-	// Mismatched key/value counts rejected.
-	bad := &fetchResp{keys: [][]byte{[]byte("k")}, values: nil}
-	if _, err := decodeFetchResp(encodeFetchResp(bad)); err == nil {
-		t.Fatal("mismatched resp decoded")
-	}
-}
-
 func TestConcurrentShipping(t *testing.T) {
 	db1, addr1 := startBackup(t)
 	pool := rpc.NewPool(nil)

@@ -498,9 +498,10 @@ type ClientOptions struct {
 	// (applied twice: request and response legs). The benchmark harness
 	// uses it to emulate non-loopback networks.
 	Delay time.Duration
-	// DialTimeout bounds connection establishment; zero means 5s.
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
 
 func (o *ClientOptions) sanitize() ClientOptions {
 	var out ClientOptions
@@ -509,9 +510,6 @@ func (o *ClientOptions) sanitize() ClientOptions {
 	}
 	if out.Timeout <= 0 {
 		out.Timeout = 30 * time.Second
-	}
-	if out.DialTimeout <= 0 {
-		out.DialTimeout = 5 * time.Second
 	}
 	return out
 }
@@ -589,7 +587,7 @@ func dialFrom(addr string, opts *ClientOptions, from string) (*Client, error) {
 			return nil, fmt.Errorf("rpc: dial %s: %w", addr, d.Err)
 		}
 	}
-	conn, err := net.DialTimeout("tcp", addr, o.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
 	}

@@ -145,14 +145,6 @@ func (d *Directory) Overrides() map[uint64]uint64 {
 	return out
 }
 
-// Override reports the recorded override target for an object, if any.
-func (d *Directory) Override(id uint64) (uint64, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	gid, ok := d.overrides[id]
-	return gid, ok
-}
-
 // SetOverride records a migrated object's new home.
 func (d *Directory) SetOverride(object, groupID uint64) {
 	d.mu.Lock()

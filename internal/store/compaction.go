@@ -34,7 +34,7 @@ func (db *DB) backgroundLoop() {
 			switch {
 			case db.imm != nil:
 				work = db.meteredFlush
-			case !db.opts.DisableCompaction && db.pickCompactionLevel() >= 0:
+			case db.pickCompactionLevel() >= 0:
 				work = db.meteredCompact
 			}
 			if work == nil {

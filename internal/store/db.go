@@ -866,13 +866,7 @@ func (db *DB) CompactNow() error {
 // hasWork reports whether a flush or compaction is pending. Called with
 // db.mu held.
 func (db *DB) hasWork() bool {
-	if db.imm != nil {
-		return true
-	}
-	if db.opts.DisableCompaction {
-		return false
-	}
-	return db.pickCompactionLevel() >= 0
+	return db.imm != nil || db.pickCompactionLevel() >= 0
 }
 
 // Flush forces the current memtable to disk (used by tests).

@@ -50,14 +50,10 @@ type Options struct {
 	// default to false (like LevelDB's default) while durability tests turn
 	// it on.
 	SyncWrites bool
-	// DisableCompaction turns off background compaction (used by tests to
-	// control table layout deterministically).
-	DisableCompaction bool
 	// StateCacheEntries bounds the hot-object state cache: a sharded LRU of
 	// committed key→value records consulted by Get/Snapshot.Get before the
 	// memtable/SSTable lookup and write-through-updated on commit. Zero
-	// picks the default; negative disables the cache (the read-path
-	// ablation).
+	// picks the default; negative disables the cache.
 	StateCacheEntries int
 	// Metrics, if set, receives storage counters: batch writes, WAL bytes
 	// and syncs, memtable flushes, and compactions.

@@ -110,13 +110,4 @@ func replayWAL(path string, fn func(record []byte) error) error {
 	return nil
 }
 
-// walSize returns the current on-disk size of the log at path, or 0.
-func walSize(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
-}
-
 var _ io.Writer = (*bufio.Writer)(nil) // interface sanity anchor

@@ -53,7 +53,7 @@ func stageOf(name string) string {
 		return "rpc-wire"
 	case "wal-sync":
 		return "wal-fsync"
-	case "replicate", "repl.apply", "repl.applyBatch":
+	case "replicate", "repl.applyBatch":
 		return "repl-ship"
 	case "vm-exec", "tx":
 		return "vm-exec"

@@ -133,8 +133,8 @@ func TestAssembleContainedSiblings(t *testing.T) {
 func TestAssembleOrphansAndFilter(t *testing.T) {
 	spans := []Span{
 		mkSpan(5, 1, 0, "invoke", "n0", 0, 10),
-		mkSpan(5, 2, 99, "repl.apply", "n2", 2, 3), // parent never scraped
-		mkSpan(6, 3, 0, "invoke", "n1", 0, 10),     // different trace
+		mkSpan(5, 2, 99, "repl.applyBatch", "n2", 2, 3), // parent never scraped
+		mkSpan(6, 3, 0, "invoke", "n1", 0, 10),          // different trace
 	}
 	a := AssembleTrace(5, spans)
 	if len(a.Roots) != 2 {

@@ -298,29 +298,3 @@ func (r *Registry) GaugeNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Throughput measures completed operations over a wall-clock window.
-type Throughput struct {
-	ops   Counter
-	start time.Time
-}
-
-// NewThroughput starts a throughput window now.
-func NewThroughput() *Throughput {
-	return &Throughput{start: time.Now()}
-}
-
-// Done records one completed operation.
-func (t *Throughput) Done() { t.ops.Inc() }
-
-// Ops returns the number of completed operations.
-func (t *Throughput) Ops() uint64 { return t.ops.Value() }
-
-// PerSecond returns the observed operations per second so far.
-func (t *Throughput) PerSecond() float64 {
-	elapsed := time.Since(t.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(t.ops.Value()) / elapsed
-}

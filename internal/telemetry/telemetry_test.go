@@ -97,19 +97,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	tp := NewThroughput()
-	for i := 0; i < 100; i++ {
-		tp.Done()
-	}
-	if tp.Ops() != 100 {
-		t.Fatalf("ops = %d", tp.Ops())
-	}
-	if tp.PerSecond() <= 0 {
-		t.Fatal("rate must be positive")
-	}
-}
-
 func TestBucketMonotonicity(t *testing.T) {
 	// Larger latencies must never land in smaller buckets.
 	prev := -1

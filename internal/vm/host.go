@@ -3,7 +3,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // HostFunc is one function the host exposes to guest code. Arguments are
@@ -45,16 +44,6 @@ func (t *HostTable) Register(fn HostFunc) {
 func (t *HostTable) Lookup(name string) (*HostFunc, bool) {
 	f, ok := t.funcs[name]
 	return f, ok
-}
-
-// Names returns all registered host function names, sorted.
-func (t *HostTable) Names() []string {
-	names := make([]string, 0, len(t.funcs))
-	for n := range t.funcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // resolve maps a module's import list to concrete host functions.

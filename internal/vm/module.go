@@ -163,17 +163,6 @@ func (m *Module) ReachableImports(entry string) (map[string]bool, bool) {
 	return imports, true
 }
 
-// ExportNames returns the names of all exported functions.
-func (m *Module) ExportNames() []string {
-	var names []string
-	for _, f := range m.Funcs {
-		if f.Exported {
-			names = append(names, f.Name)
-		}
-	}
-	return names
-}
-
 // buildIndex populates the name index and checks for duplicates.
 func (m *Module) buildIndex() error {
 	m.funcIdx = make(map[string]int, len(m.Funcs))
