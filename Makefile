@@ -4,6 +4,7 @@
 #   make test    full test suite
 #   make race    race-detector pass over the concurrency-heavy packages
 #   make chaos   seeded failover chaos suite under the race detector
+#   make fuzz-smoke  10 s of native fuzzing over the recovery/move wire decoders
 #   make bench   telemetry hot-path benchmarks (must report 0 allocs/op)
 #   make bench-recovery  rejoin cost, digest diff vs full resync (JSON artifact)
 #   make bench-rebalance many-group placement + Zipf hot-spot convergence (JSON artifact)
@@ -15,7 +16,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos bench bench-recovery bench-rebalance bench-read-scaleout bench-overload bench-smoke vet check clean
+.PHONY: all build test race chaos fuzz-smoke bench bench-recovery bench-rebalance bench-read-scaleout bench-overload bench-smoke vet check clean
 
 all: build
 
@@ -30,16 +31,22 @@ test:
 # instruments themselves, the VM (lazy module compilation is shared
 # across instances; the differential test runs both tiers under -race),
 # rpc (every frame on a connection leaves through the connWriter's
-# single flusher), and the baseline (its compute node drives core's warm
-# pool and parallel fan-out from RPC handler goroutines).
+# single flusher), the baseline (its compute node drives core's warm
+# pool and parallel fan-out from RPC handler goroutines), and recovery
+# (its protocol tests race live forwards against range rebuilds).
 race:
-	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/rebalance/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/ ./internal/baseline/
+	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/rebalance/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/
 
 # Deterministic failover chaos: every seed replays the same kill/partition/
 # fsync-failure schedule (see EXPERIMENTS.md "Chaos runs"). The smoke
 # variant already rides in `make test`; this is the full multi-seed pass.
 chaos:
 	$(GO) test -run TestChaos -race -count=1 ./internal/chaos/
+
+# The seed corpus of every fuzz target runs in `make test`; this spends 10 s
+# looking for new inputs (findings land in the package's testdata/fuzz/).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzRecoveryWire -fuzztime 10s ./internal/recovery/
 
 bench:
 	$(GO) test -run Telemetry -bench . -benchmem ./internal/telemetry/

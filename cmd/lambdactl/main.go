@@ -488,6 +488,7 @@ type recoveryEnvelope struct {
 	} `json:"rejoin"`
 	DonorSessions []struct {
 		Joiner     string  `json:"joiner"`
+		Scope      string  `json:"scope"`
 		Epoch      uint64  `json:"epoch"`
 		Strict     bool    `json:"strict"`
 		Forwarded  uint64  `json:"forwarded"`
@@ -543,8 +544,8 @@ func runRecovery(args []string) {
 			if s.Strict {
 				mode = "strict"
 			}
-			fmt.Printf("  donating to %s: epoch=%d mode=%s forwarded=%d gaps=%d age=%.1fs\n",
-				s.Joiner, s.Epoch, mode, s.Forwarded, s.Gaps, s.AgeSeconds)
+			fmt.Printf("  donating to %s: scope=%s epoch=%d mode=%s forwarded=%d gaps=%d age=%.1fs\n",
+				s.Joiner, s.Scope, s.Epoch, mode, s.Forwarded, s.Gaps, s.AgeSeconds)
 		}
 	}
 }

@@ -683,12 +683,13 @@ func (r *runner) runMigrateUnderChaos() error {
 		return fmt.Errorf("target primary %s is not a harness node", g1.Primary)
 	}
 
-	// Phase A — abort mid-transfer. Frames into the target crawl (25ms
-	// each), so the transfer is provably in flight 30ms in; hard-failing
-	// the target's inbound RPCs then kills the next chunk or seal. The
-	// source's abort RPC fails with them, leaving a dangling inbound
-	// session the target's janitor must reclaim.
-	fault.Add(fault.Rule{Site: fault.SiteRPCRecv, Key: g1.Primary, Action: fault.Delay, Delay: 25 * time.Millisecond, P: 1})
+	// Phase A — abort mid-transfer. Frames into the target crawl (50ms
+	// each) and a move makes three calls on it (offer, seal, end), so 30ms
+	// in the offer is provably in flight and the seal not yet sent;
+	// hard-failing the target's inbound RPCs then kills the seal, after the
+	// target pulled its copy. The source's move.end fails with it, leaving
+	// a dangling inbound session the target's janitor must reclaim.
+	fault.Add(fault.Rule{Site: fault.SiteRPCRecv, Key: g1.Primary, Action: fault.Delay, Delay: 50 * time.Millisecond, P: 1})
 	moveDone := make(chan error, 1)
 	go func() { moveDone <- r.client.Migrate(obj, 1) }()
 	time.Sleep(30 * time.Millisecond)

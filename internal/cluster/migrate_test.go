@@ -268,3 +268,42 @@ func TestLiveMigrationUnderWrites(t *testing.T) {
 		t.Fatalf("post-move add = %d, want %d", core.BytesI64(res), acked.Load()+1)
 	}
 }
+
+// TestMigrationRoundTripClearsFence moves an object away and straight back
+// with no request in between. The fence the first source raised self-clears
+// only when a request for the object reaches routeCheck; if it outlived the
+// object's return, the node would bounce every later request to the group it
+// moved the object to — forever.
+func TestMigrationRoundTripClearsFence(t *testing.T) {
+	dir := shard.NewDirectory(nil)
+	for gid := uint64(0); gid < 2; gid++ {
+		node, err := StartNode(NodeOptions{Addr: "127.0.0.1:0", DataDir: t.TempDir(), GroupID: gid, Directory: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		dir.SetGroup(shard.Group{ID: gid, Primary: node.Addr()})
+	}
+	c := newGroupClient(t, dir)
+	if err := c.RegisterType(counterType(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateObject("Counter", 4); err != nil { // group 0 by default
+		t.Fatal(err)
+	}
+	if _, err := c.Invoke(4, "add", [][]byte{core.I64Bytes(42)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, dest := range []uint64{1, 0} {
+		if err := c.Migrate(4, dest); err != nil {
+			t.Fatalf("migrate to group %d: %v", dest, err)
+		}
+	}
+	res, err := c.Invoke(4, "add", [][]byte{core.I64Bytes(1)})
+	if err != nil {
+		t.Fatalf("invoke after the round trip: %v", err)
+	}
+	if got := core.BytesI64(res); got != 43 {
+		t.Fatalf("value after the round trip = %d, want 43", got)
+	}
+}

@@ -129,11 +129,9 @@ type Node struct {
 	shipper *replication.Shipper
 	coord   *coordinator.Client
 
-	donor         *recovery.Donor
-	recmgr        *recovery.Manager
-	recmgrStarted bool
-	moveSrc       *recovery.MoveSource
-	moveTgt       *recovery.MoveTarget
+	// transfer is the state-transfer plane: rejoin and live migration,
+	// sender and receiver side.
+	transfer *recovery.Plane
 
 	// Object fences: while an outbound move quiesces an object, routing
 	// rejects it with not-responsible ahead of the admission queue. The
@@ -269,7 +267,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		// The commit guard brackets ship+forward against rejoin admission:
 		// while a joiner's cutover reconfigures the group, no commit can
 		// slip between "session retired" and "shipper covers the joiner".
-		release := n.donor.GuardCommit()
+		release := n.transfer.GuardCommit()
 		defer release()
 		sp := n.tracer.StartSpan(ctx, "replicate")
 		shipCtx := sp.Context()
@@ -290,13 +288,12 @@ func StartNode(opts NodeOptions) (*Node, error) {
 			return notResponsibleError(g.Primary)
 		}
 		// Relay the commit to any joiner mid-catch-up (strict sessions
-		// withhold the ack on failure, exactly like a real backup).
-		if err := n.donor.ForwardCommitCtx(ctx, uint64(obj), ws); err != nil {
+		// withhold the ack on failure, exactly like a real backup) and to
+		// the target of the object's in-flight move, if any (best effort: a
+		// lost relay is a forward gap the move's seal heals).
+		if err := n.transfer.ForwardCommit(ctx, uint64(obj), ws); err != nil {
 			return err
 		}
-		// Relay to an in-flight outbound move's target, if any (best
-		// effort: a lost relay is a forward gap the move's seal heals).
-		n.moveSrc.ForwardCommit(ctx, uint64(obj), ws)
 		// Lease-breaking reconfigurations stall the ack until any lease
 		// this primary can no longer invalidate has surely expired: the
 		// write is durable and shipped by now, only its client
@@ -310,73 +307,35 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		return nil, err
 	}
 
-	// Recovery plane: every node can donate state (it may be primary at
-	// any point in its life) and serve the joiner side of commit
-	// forwarding; the manager's watch loop only runs with Rejoin set.
-	n.donor = recovery.NewDonor(recovery.DonorOptions{
-		DB:        db,
-		Pool:      n.pool,
-		Epoch:     func() uint64 { return n.dir.Load().Epoch() },
-		IsPrimary: n.isPrimary,
-		Admit:     n.admitJoiner,
-		Metrics:   reg,
-		Tracer:    tracer,
-	})
-	n.recmgr = recovery.NewManager(recovery.ManagerOptions{
-		GroupID: opts.GroupID,
-		Pool:    n.pool,
-		DB:      db,
+	// State-transfer plane: every node can send state (it may be primary
+	// at any point in its life — donating to a rejoining replica, or as the
+	// source of a live move) and receive it (as a move's target; the rejoin
+	// loop only runs with Rejoin set).
+	n.transfer = recovery.New(recovery.Options{
+		GroupID:      opts.GroupID,
+		DB:           db,
+		Pool:         n.pool,
+		Directory:    n.dir.Load,
+		SetDirectory: n.SetDirectory,
 		Apply: func(object uint64, b *store.Batch) error {
-			return n.rt.ApplyReplicated(core.ObjectID(object), b)
-		},
-		Directory:      func() *shard.Directory { return n.dir.Load() },
-		ReloadTypes:    n.rt.ReloadTypes,
-		MaxBytesPerSec: opts.RecoveryMaxBytesPerSec,
-		FullResync:     opts.RecoveryFullResync,
-		Metrics:        reg,
-		Tracer:         tracer,
-	})
-
-	// Live-migration plane: any primary can push one of its objects to
-	// another group (source) or receive one (target). Both reuse the
-	// recovery machinery's snapshot streaming and commit forwarding,
-	// scoped to a single microshard.
-	replApply := func(object uint64, b *store.Batch) error {
-		if err := n.rt.ApplyReplicated(core.ObjectID(object), b); err != nil {
-			return err
-		}
-		return n.shipper.Ship(object, b)
-	}
-	n.moveTgt = recovery.NewMoveTarget(recovery.MoveTargetOptions{
-		DB:    db,
-		Apply: replApply,
-		Owns: func(object uint64) bool {
-			g, err := n.dir.Load().Lookup(object)
-			return err == nil && g.ID == n.opts.GroupID
-		},
-		InstallDirectory: func(snap []byte) {
-			if d, err := shard.Load(snap); err == nil && d.Epoch() > n.dir.Load().Epoch() {
-				n.SetDirectory(d)
+			if err := n.rt.ApplyReplicated(core.ObjectID(object), b); err != nil {
+				return err
 			}
+			return n.shipper.Ship(object, b)
 		},
-		SessionTimeout: opts.MoveSessionTimeout,
-		Metrics:        reg,
-	})
-	n.moveSrc = recovery.NewMoveSource(recovery.MoveSourceOptions{
-		DB:        db,
-		Pool:      n.pool,
-		Epoch:     func() uint64 { return n.dir.Load().Epoch() },
-		IsPrimary: n.isPrimary,
+		ReloadTypes: n.rt.ReloadTypes,
+		Admit:       n.admitJoiner,
 		LockObject: func(object uint64) (func(), error) {
 			return n.rt.LockObject(core.ObjectID(object))
 		},
-		Fence:       n.fenceObject,
-		Unfence:     n.unfenceObject,
-		CutOver:     n.cutOverObject,
-		Apply:       replApply,
-		DirSnapshot: func() []byte { return n.dir.Load().Snapshot() },
-		Metrics:     reg,
-		Tracer:      tracer,
+		Fence:              n.fenceObject,
+		Unfence:            n.unfenceObject,
+		CutOver:            n.cutOverObject,
+		MaxBytesPerSec:     opts.RecoveryMaxBytesPerSec,
+		FullResync:         opts.RecoveryFullResync,
+		MoveSessionTimeout: opts.MoveSessionTimeout,
+		Metrics:            reg,
+		Tracer:             tracer,
 	})
 
 	n.registerHandlers()
@@ -387,8 +346,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	}
 	n.addr = addr
 	tracer.SetNode(addr)
-	n.recmgr.SetSelf(addr)
-	n.moveSrc.SetSelf(addr)
+	n.transfer.SetSelf(addr)
 	// Identify this node's outbound connections to the fault plane so link
 	// partitions can name both endpoints.
 	n.pool.SetFaultLabel(addr)
@@ -407,8 +365,8 @@ func StartNode(opts NodeOptions) (*Node, error) {
 			Faults:   true,
 			Recovery: func() any {
 				return map[string]any{
-					"rejoin":         n.recmgr.Status(),
-					"donor_sessions": n.donor.Sessions(),
+					"rejoin":         n.transfer.Status(),
+					"donor_sessions": n.transfer.Sessions(),
 				}
 			},
 			Admission: func() any {
@@ -438,8 +396,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		close(n.done)
 	}
 	if opts.Rejoin && len(opts.Coordinators) > 0 {
-		n.recmgrStarted = true
-		go n.recmgr.Run()
+		n.transfer.Run()
 	}
 	return n, nil
 }
@@ -609,7 +566,10 @@ func (n *Node) Forwarded() uint64 { return n.forwards.Value() }
 // MoveSessions reports the inbound live-migration sessions currently
 // open on this node (a non-zero count after a failed move means the
 // janitor has not yet reclaimed the partial copy).
-func (n *Node) MoveSessions() int { return n.moveTgt.Sessions() }
+func (n *Node) MoveSessions() int {
+	_, inbound := n.transfer.Moves()
+	return inbound
+}
 
 // Metrics returns the node's telemetry registry.
 func (n *Node) Metrics() *telemetry.Registry { return n.metrics }
@@ -628,13 +588,13 @@ func (n *Node) DebugAddr() string {
 
 // RecoveryStatus snapshots the node's rejoin state machine (tests,
 // tools, bench).
-func (n *Node) RecoveryStatus() recovery.Status { return n.recmgr.Status() }
+func (n *Node) RecoveryStatus() recovery.Status { return n.transfer.Status() }
 
 // RecoveryState returns the rejoin state machine's current position.
-func (n *Node) RecoveryState() recovery.State { return n.recmgr.State() }
+func (n *Node) RecoveryState() recovery.State { return n.transfer.State() }
 
 // DonorSessions lists this node's active donor-side catch-up sessions.
-func (n *Node) DonorSessions() []recovery.SessionStatus { return n.donor.Sessions() }
+func (n *Node) DonorSessions() []recovery.SessionStatus { return n.transfer.Sessions() }
 
 // debugGauges contributes point-in-time values the registry does not track
 // as counters: cache hit rates read from their owners on demand.
@@ -664,8 +624,9 @@ func (n *Node) debugGauges() map[string]uint64 {
 	out["shard.overrides"] = uint64(d.OverrideCount())
 	out["shard.overrides_redundant"] = uint64(d.RedundantOverrides())
 	out["cluster.fenced_objects"] = uint64(n.fenceCount.Load())
-	out["move.in_flight"] = uint64(n.moveSrc.InFlight())
-	out["move.inbound_sessions"] = uint64(n.moveTgt.Sessions())
+	movesOut, movesIn := n.transfer.Moves()
+	out["move.in_flight"] = uint64(movesOut)
+	out["move.inbound_sessions"] = uint64(movesIn)
 	cs := vm.CompilerStats()
 	out["vm.compiled_modules"] = cs.CompiledModules
 	out["vm.interp_fallbacks"] = cs.InterpFallbacks
@@ -762,16 +723,13 @@ func (n *Node) Close() error {
 	}
 	n.stopMu.Unlock()
 	<-n.done
-	if n.recmgrStarted {
-		n.recmgr.Close()
-	}
+	n.transfer.Close()
 	if n.debugSrv != nil {
 		n.debugSrv.Close()
 	}
 	if n.adm != nil {
 		n.adm.Close()
 	}
-	n.moveTgt.Close()
 	n.srv.Close()
 	n.shipper.Close()
 	n.pool.Close()
@@ -955,9 +913,7 @@ func (n *Node) registerHandlers() {
 		n.rt.ApplyReplicatedBulk), n.tracer, n.metrics,
 		func() uint64 { return n.dir.Load().Epoch() }, n.leases)
 
-	recovery.RegisterDonor(n.srv, n.donor)
-	n.recmgr.RegisterForward(n.srv)
-	recovery.RegisterMover(n.srv, n.moveTgt)
+	n.transfer.Register(n.srv)
 
 	n.srv.HandleCtx(MethodInvoke, func(info rpc.CallInfo, body []byte) ([]byte, error) {
 		req, err := decodeInvokeReq(body)
@@ -1065,7 +1021,7 @@ func (n *Node) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		if err := n.moveSrc.Move(uint64(req.object), req.destPrimary, req.destGroup); err != nil {
+		if err := n.transfer.Move(uint64(req.object), req.destPrimary, req.destGroup); err != nil {
 			return nil, err
 		}
 		n.migrations.Inc()

@@ -45,11 +45,12 @@ const (
 	SiteWALSync        = "wal.sync"        // key: database directory
 	SiteReplShip       = "repl.ship"       // key: backup address
 	SiteCoordHeartbeat = "coord.heartbeat" // key: heartbeating node's address
-	// Anti-entropy recovery sites (internal/recovery): chunk fetches are
-	// evaluated on the joiner before applying, forwards on the donor
-	// before relaying a committed write-set to a syncing joiner.
-	SiteRecoveryFetch   = "recovery.fetch"   // key: donor address
-	SiteRecoveryForward = "recovery.forward" // key: joiner address
+	// State-transfer sites (internal/recovery; rejoin and live moves alike):
+	// digest and chunk pulls are evaluated on the receiver of state before
+	// each call, forwards on the sender before relaying a committed
+	// write-set into a session.
+	SiteRecoveryFetch   = "recovery.fetch"   // key: sender (donor / move source) address
+	SiteRecoveryForward = "recovery.forward" // key: receiver (joiner / move target) address
 	// Read-lease renewal sends (internal/replication): delaying or
 	// dropping them models clock skew / renewal loss — the backup's lease
 	// expires and reads bounce to the primary until renewals resume.

@@ -1,29 +1,16 @@
-// Package recovery implements LambdaStore's anti-entropy rejoin
-// subsystem: a restarted (or brand-new) storage node catches up to a
-// live replica group and is re-admitted as a full backup.
-//
-// The protocol has three layers (DESIGN.md §11):
-//
-//  1. Range digests. Donor and joiner each hash their committed latest
-//     state per object range, fold the per-object digests into a small
-//     fixed number of bucket hashes, and exchange only those. Matching
-//     buckets are skipped wholesale; mismatched buckets drill down to
-//     per-object digests, so the bytes transferred scale with the
-//     divergence between the replicas, not with the store size.
-//
-//  2. Snapshot + delta streaming. Each divergent object range streams
-//     from the current primary in bounded chunks served off a storage
-//     snapshot and applied through the runtime's replicated-apply path
-//     (one group commit per chunk). Writes that land during the
-//     transfer are forwarded by the donor and buffered by the joiner,
-//     so the joiner converges instead of chasing a moving target.
-//
-//  3. Coordinator-driven rejoin. Once a digest round is clean under
-//     gap-free forwarding, the donor proposes an epoch-guarded
-//     configuration change re-adding the joiner as a backup. Until
-//     that config lands the joiner is not a group member, so the
-//     existing routing fence rejects its reads and no write is ever
-//     acknowledged by it — a half-synced node can never serve early.
+// Package recovery is LambdaStore's state-transfer subsystem: it copies a
+// key range to another node while commits keep arriving, then cuts over.
+// One protocol (DESIGN.md "State transfer") serves both reasons state moves
+// — a restarted replica rejoining its group (scope: the whole replica, §11)
+// and a live object migration (scope: one object's range, §13). The
+// receiver of state always pulls and the sender always relays: the receiver
+// opens a session, buffers the commits the sender forwards, pulls the range
+// in chunks served off storage snapshots, replays the buffer and goes live;
+// range digests decide what to pull and certify the result, so the bytes a
+// rejoin streams scale with the replicas' divergence, not the store size.
+// Only the orchestrator differs: the joiner drives a rejoin (rejoin.go), the
+// source primary — the only node that can quiesce the object — a move
+// (move.go).
 package recovery
 
 import (
@@ -87,6 +74,80 @@ func bucketOf(id uint64, buckets int) int { return int(id % uint64(buckets)) }
 // donor and joiner need not enumerate objects in the same order.
 func foldObject(id, digest uint64) uint64 { return mix64(id*fnvPrime ^ digest) }
 
+// scanRange calls fn for every committed entry of [start, end) in key order
+// off one consistent snapshot, until fn returns false; an empty bound is
+// open. The slices are only valid during the call. It is the package's one
+// range reader: digests, chunk serving and stale-key listing all go through
+// it.
+func scanRange(db *store.DB, start, end []byte, fn func(key, value []byte) bool) error {
+	snap := db.GetSnapshot()
+	defer snap.Release()
+	it, err := snap.NewIterator()
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	if len(start) == 0 {
+		it.SeekToFirst()
+	} else {
+		it.Seek(start)
+	}
+	for ; it.Valid(); it.Next() {
+		k := it.Key()
+		if len(end) > 0 && string(k) >= string(end) {
+			break
+		}
+		if !fn(k, it.Value()) {
+			break
+		}
+	}
+	return it.Error()
+}
+
+// objectDigest chains one object's committed entries in key order — the same
+// fold BuildDigest computes per object, so both ends of a move compute
+// identical values for identical state.
+func objectDigest(db *store.DB, object uint64) (uint64, error) {
+	start, end := objectRange(object)
+	h := uint64(fnvOffset)
+	err := scanRange(db, start, end, func(k, v []byte) bool {
+		h = hashEntry(h, k, v)
+		return true
+	})
+	return h, err
+}
+
+// rangeKeys lists the committed keys in [start, end).
+func rangeKeys(db *store.DB, start, end []byte) ([][]byte, error) {
+	var out [][]byte
+	err := scanRange(db, start, end, func(k, _ []byte) bool {
+		out = append(out, append([]byte(nil), k...))
+		return true
+	})
+	return out, err
+}
+
+// metaRangeEnd is the exclusive upper bound of the meta key range: all
+// keys below the object keyspace (type records live there).
+func metaRangeEnd() []byte { return []byte{objectKeyPrefix} }
+
+// objectRange returns [start, end) for one object's keys.
+func objectRange(id uint64) (start, end []byte) {
+	start = make([]byte, 9)
+	start[0] = objectKeyPrefix
+	binary.BigEndian.PutUint64(start[1:], id)
+	end = make([]byte, 9)
+	copy(end, start)
+	for i := len(end) - 1; i > 0; i-- {
+		end[i]++
+		if end[i] != 0 {
+			return start, end
+		}
+	}
+	// id == MaxUint64: the range runs to the end of the object keyspace.
+	return start, []byte{objectKeyPrefix + 1}
+}
+
 // BuildDigest scans a consistent snapshot of db and summarizes its
 // committed latest state: a chained hash per object key range (the scan
 // is key-ordered, so chaining is deterministic), the bucket folds, and
@@ -101,14 +162,6 @@ func BuildDigest(db *store.DB, buckets int) (*DigestTable, error) {
 		Buckets: make([]uint64, buckets),
 		Objects: make(map[uint64]uint64),
 	}
-	snap := db.GetSnapshot()
-	defer snap.Release()
-	it, err := snap.NewIterator()
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-
 	var (
 		curID     uint64
 		curHash   uint64 = fnvOffset
@@ -124,8 +177,7 @@ func BuildDigest(db *store.DB, buckets int) (*DigestTable, error) {
 			curHash = fnvOffset
 		}
 	)
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		k := it.Key()
+	err := scanRange(db, nil, nil, func(k, v []byte) bool {
 		if len(k) >= 9 && k[0] == objectKeyPrefix {
 			id := binary.BigEndian.Uint64(k[1:9])
 			if !inObject || id != curID {
@@ -133,16 +185,15 @@ func BuildDigest(db *store.DB, buckets int) (*DigestTable, error) {
 				curID = id
 				inObject = true
 			}
-			curHash = hashEntry(curHash, k, it.Value())
-			continue
-		}
-		if k[0] < objectKeyPrefix {
-			metaHash = hashEntry(metaHash, k, it.Value())
+			curHash = hashEntry(curHash, k, v)
+		} else if k[0] < objectKeyPrefix {
+			metaHash = hashEntry(metaHash, k, v)
 			metaSeen = true
 		}
-	}
+		return true
+	})
 	flushCurr()
-	if err := it.Error(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if metaSeen {

@@ -6,11 +6,9 @@ import (
 	"lambdastore/internal/wire"
 )
 
-// RPC method names. Every donor-side method is epoch-stamped: the donor
-// rejects a request whose epoch differs from its own configuration
-// view, so a joiner working from a stale view (or talking to a deposed
-// primary) restarts its session instead of syncing against the wrong
-// replica.
+// RPC method names of the state-transfer protocol. The first seven are
+// served by the sender of state and called by its receiver; forward goes
+// the other way. Every request names its session as (peer, scope).
 const (
 	MethodBegin   = "recovery.begin"
 	MethodDigest  = "recovery.digest"
@@ -22,91 +20,145 @@ const (
 	MethodForward = "recovery.forward"
 )
 
-// sessionReq identifies the joiner on every session-scoped call.
-type sessionReq struct {
-	joiner string
-	epoch  uint64
+// maxCount bounds any element count a peer may name.
+const maxCount = 1 << 16
+
+// reader decodes a frame field by field; the first failure sticks, so a
+// decoder reads every field and checks err once.
+type reader struct {
+	b   []byte
+	err error
 }
 
-func encodeSessionReq(joiner string, epoch uint64) []byte {
-	b := wire.AppendString(nil, joiner)
-	return wire.AppendUvarint(b, epoch)
+func (r *reader) uvarint() (v uint64) {
+	if r.err == nil {
+		v, r.b, r.err = wire.Uvarint(r.b)
+	}
+	return v
+}
+
+func (r *reader) uint64() (v uint64) {
+	if r.err == nil {
+		v, r.b, r.err = wire.Uint64(r.b)
+	}
+	return v
+}
+
+func (r *reader) bytes() (v []byte) {
+	if r.err == nil {
+		v, r.b, r.err = wire.Bytes(r.b)
+	}
+	return v
+}
+
+func (r *reader) bytesSlice() (v [][]byte) {
+	if r.err == nil {
+		v, r.b, r.err = wire.BytesSlice(r.b)
+	}
+	return v
+}
+
+func (r *reader) flag() bool { return r.uvarint() != 0 }
+
+// count reads an element count. It comes from the peer, so it must fit the
+// bytes that follow — elemSize at least per element — before anything is
+// allocated for it.
+func (r *reader) count(elemSize uint64) uint64 {
+	n := r.uvarint()
+	if r.err == nil && (n > maxCount || n*elemSize > uint64(len(r.b))) {
+		r.err = fmt.Errorf("recovery: count %d out of range", n)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+func appendFlag(b []byte, f bool) []byte {
+	if f {
+		return wire.AppendUvarint(b, 1)
+	}
+	return wire.AppendUvarint(b, 0)
+}
+
+// scope is the key range a session transfers: the whole replica (the zero
+// value, a rejoin) or one object's range (a live move).
+type scope struct {
+	scoped bool
+	object uint64
+}
+
+func objectScope(id uint64) scope { return scope{scoped: true, object: id} }
+
+func (s scope) String() string {
+	if !s.scoped {
+		return "replica"
+	}
+	return fmt.Sprintf("object:%d", s.object)
+}
+
+// sessionReq names the session on every sender-side call: the receiver's
+// address, its scope, and — whole-replica sessions only — the directory
+// epoch the session is pinned to. The sender rejects a replica-scoped
+// request whose epoch differs from its own view, so a joiner working from a
+// stale view (or talking to a deposed primary) restarts its session instead
+// of syncing against the wrong replica.
+type sessionReq struct {
+	peer  string
+	epoch uint64
+	scope scope
+}
+
+func (q *sessionReq) key() sessionKey { return sessionKey{peer: q.peer, scope: q.scope} }
+
+func encodeSessionReq(q *sessionReq) []byte {
+	b := wire.AppendString(nil, q.peer)
+	b = wire.AppendUvarint(b, q.epoch)
+	b = appendFlag(b, q.scope.scoped)
+	if q.scope.scoped {
+		b = wire.AppendUvarint(b, q.scope.object)
+	}
+	return b
+}
+
+// session reads the prefix every sender-side request starts with.
+func (r *reader) session() (q sessionReq) {
+	q.peer = string(r.bytes())
+	q.epoch = r.uvarint()
+	if r.flag() {
+		q.scope = objectScope(r.uvarint())
+	}
+	return q
 }
 
 func decodeSessionReq(body []byte) (*sessionReq, error) {
-	r := &sessionReq{}
-	var err error
-	if r.joiner, body, err = wire.String(body); err != nil {
-		return nil, err
-	}
-	if r.epoch, _, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	return r, nil
+	r := reader{b: body}
+	q := r.session()
+	return &q, r.err
 }
 
-// digestReq asks for the donor's bucket folds at the given fan-out.
-type digestReq struct {
-	sessionReq
-	buckets uint64
-}
-
-func encodeDigestReq(joiner string, epoch, buckets uint64) []byte {
-	b := encodeSessionReq(joiner, epoch)
-	return wire.AppendUvarint(b, buckets)
-}
-
-func decodeDigestReq(body []byte) (*digestReq, error) {
-	r := &digestReq{}
-	var err error
-	if r.joiner, body, err = wire.String(body); err != nil {
-		return nil, err
-	}
-	if r.epoch, body, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	if r.buckets, _, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	if r.buckets == 0 || r.buckets > 1<<16 {
-		return nil, fmt.Errorf("recovery: bucket count %d out of range", r.buckets)
-	}
-	return r, nil
-}
-
-// digestResp carries the donor's bucket folds and meta digest.
+// digestResp carries the sender's bucket folds and meta digest.
 type digestResp struct {
 	buckets []uint64
 	meta    uint64
 }
 
-func encodeDigestResp(r *digestResp) []byte {
-	b := wire.AppendUvarint(nil, uint64(len(r.buckets)))
-	for _, h := range r.buckets {
+func encodeDigestResp(d *digestResp) []byte {
+	b := wire.AppendUvarint(nil, uint64(len(d.buckets)))
+	for _, h := range d.buckets {
 		b = wire.AppendUint64(b, h)
 	}
-	return wire.AppendUint64(b, r.meta)
+	return wire.AppendUint64(b, d.meta)
 }
 
 func decodeDigestResp(body []byte) (*digestResp, error) {
-	r := &digestResp{}
-	n, body, err := wire.Uvarint(body)
-	if err != nil {
-		return nil, err
+	r := reader{b: body}
+	d := &digestResp{buckets: make([]uint64, r.count(8))}
+	for i := range d.buckets {
+		d.buckets[i] = r.uint64()
 	}
-	if n > 1<<16 {
-		return nil, fmt.Errorf("recovery: bucket count %d out of range", n)
-	}
-	r.buckets = make([]uint64, n)
-	for i := range r.buckets {
-		if r.buckets[i], body, err = wire.Uint64(body); err != nil {
-			return nil, err
-		}
-	}
-	if r.meta, _, err = wire.Uint64(body); err != nil {
-		return nil, err
-	}
-	return r, nil
+	d.meta = r.uint64()
+	return d, r.err
 }
 
 // objectsReq drills into the named buckets.
@@ -115,38 +167,23 @@ type objectsReq struct {
 	buckets []uint64
 }
 
-func encodeObjectsReq(joiner string, epoch uint64, buckets []uint64) []byte {
-	b := encodeSessionReq(joiner, epoch)
-	b = wire.AppendUvarint(b, uint64(len(buckets)))
-	for _, i := range buckets {
+func encodeObjectsReq(q *objectsReq) []byte {
+	b := encodeSessionReq(&q.sessionReq)
+	b = wire.AppendUvarint(b, uint64(len(q.buckets)))
+	for _, i := range q.buckets {
 		b = wire.AppendUvarint(b, i)
 	}
 	return b
 }
 
 func decodeObjectsReq(body []byte) (*objectsReq, error) {
-	r := &objectsReq{}
-	var err error
-	if r.joiner, body, err = wire.String(body); err != nil {
-		return nil, err
+	r := reader{b: body}
+	q := &objectsReq{sessionReq: r.session()}
+	q.buckets = make([]uint64, r.count(1))
+	for i := range q.buckets {
+		q.buckets[i] = r.uvarint()
 	}
-	if r.epoch, body, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	var n uint64
-	if n, body, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	if n > 1<<16 {
-		return nil, fmt.Errorf("recovery: bucket list %d out of range", n)
-	}
-	r.buckets = make([]uint64, n)
-	for i := range r.buckets {
-		if r.buckets[i], body, err = wire.Uvarint(body); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
+	return q, r.err
 }
 
 // objectsResp is the per-object digest listing for the drilled buckets.
@@ -155,132 +192,91 @@ type objectsResp struct {
 	digests []uint64
 }
 
-func encodeObjectsResp(r *objectsResp) []byte {
-	b := wire.AppendUvarint(nil, uint64(len(r.ids)))
-	for i := range r.ids {
-		b = wire.AppendUvarint(b, r.ids[i])
-		b = wire.AppendUint64(b, r.digests[i])
+func encodeObjectsResp(o *objectsResp) []byte {
+	b := wire.AppendUvarint(nil, uint64(len(o.ids)))
+	for i := range o.ids {
+		b = wire.AppendUvarint(b, o.ids[i])
+		b = wire.AppendUint64(b, o.digests[i])
 	}
 	return b
 }
 
 func decodeObjectsResp(body []byte) (*objectsResp, error) {
-	r := &objectsResp{}
-	n, body, err := wire.Uvarint(body)
-	if err != nil {
-		return nil, err
+	r := reader{b: body}
+	o := &objectsResp{}
+	for n := r.uvarint(); n > 0 && r.err == nil; n-- {
+		o.ids = append(o.ids, r.uvarint())
+		o.digests = append(o.digests, r.uint64())
 	}
-	for i := uint64(0); i < n; i++ {
-		var id, dig uint64
-		if id, body, err = wire.Uvarint(body); err != nil {
-			return nil, err
-		}
-		if dig, body, err = wire.Uint64(body); err != nil {
-			return nil, err
-		}
-		r.ids = append(r.ids, id)
-		r.digests = append(r.digests, dig)
-	}
-	return r, nil
+	return o, r.err
 }
 
-// fetchReq asks for one bounded chunk of [start, end), limit entries.
+// fetchReq asks for one bounded chunk of [start, end); an empty bound is
+// open.
 type fetchReq struct {
 	sessionReq
 	start []byte
 	end   []byte
-	limit uint64
 }
 
-func encodeFetchReq(r *fetchReq) []byte {
-	b := encodeSessionReq(r.joiner, r.epoch)
-	b = wire.AppendBytes(b, r.start)
-	b = wire.AppendBytes(b, r.end)
-	return wire.AppendUvarint(b, r.limit)
+func encodeFetchReq(q *fetchReq) []byte {
+	b := encodeSessionReq(&q.sessionReq)
+	b = wire.AppendBytes(b, q.start)
+	return wire.AppendBytes(b, q.end)
 }
 
 func decodeFetchReq(body []byte) (*fetchReq, error) {
-	r := &fetchReq{}
-	var err error
-	if r.joiner, body, err = wire.String(body); err != nil {
-		return nil, err
-	}
-	if r.epoch, body, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	if r.start, body, err = wire.Bytes(body); err != nil {
-		return nil, err
-	}
-	if r.end, body, err = wire.Bytes(body); err != nil {
-		return nil, err
-	}
-	if r.limit, _, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	return r, nil
+	r := reader{b: body}
+	q := &fetchReq{sessionReq: r.session(), start: r.bytes(), end: r.bytes()}
+	return q, r.err
 }
 
-// fetchResp carries one chunk plus a continuation key (nil = range done).
+// fetchResp carries one chunk plus a continuation key (empty = range done).
 type fetchResp struct {
 	keys   [][]byte
 	values [][]byte
 	next   []byte
 }
 
-func encodeFetchResp(r *fetchResp) []byte {
-	b := wire.AppendBytesSlice(nil, r.keys)
-	b = wire.AppendBytesSlice(b, r.values)
-	return wire.AppendBytes(b, r.next)
+func encodeFetchResp(f *fetchResp) []byte {
+	b := wire.AppendBytesSlice(nil, f.keys)
+	b = wire.AppendBytesSlice(b, f.values)
+	return wire.AppendBytes(b, f.next)
 }
 
 func decodeFetchResp(body []byte) (*fetchResp, error) {
-	r := &fetchResp{}
-	var err error
-	if r.keys, body, err = wire.BytesSlice(body); err != nil {
-		return nil, err
+	r := reader{b: body}
+	f := &fetchResp{keys: r.bytesSlice(), values: r.bytesSlice(), next: r.bytes()}
+	if r.err == nil && len(f.keys) != len(f.values) {
+		r.err = fmt.Errorf("recovery: fetch chunk %d keys / %d values", len(f.keys), len(f.values))
 	}
-	if r.values, body, err = wire.BytesSlice(body); err != nil {
-		return nil, err
-	}
-	if r.next, _, err = wire.Bytes(body); err != nil {
-		return nil, err
-	}
-	if len(r.keys) != len(r.values) {
-		return nil, fmt.Errorf("recovery: fetch chunk %d keys / %d values", len(r.keys), len(r.values))
-	}
-	return r, nil
+	return f, r.err
 }
 
-// promoteResp reports how many forwards the async phase lost: zero
-// means every post-snapshot commit reached the joiner, so a clean
-// digest round certifies convergence.
-type promoteResp struct {
-	gaps uint64
-}
-
-func encodePromoteResp(r *promoteResp) []byte {
-	return wire.AppendUvarint(nil, r.gaps)
-}
-
-// forwardMsg is one committed write-set relayed to a syncing joiner.
+// forwardMsg is one committed write-set relayed to a session's receiver.
+// scoped names the receiving session: the inbound move of object, or the
+// whole-replica rejoin.
 type forwardMsg struct {
+	scoped bool
 	object uint64
 	batch  []byte
 }
 
-func encodeForward(object uint64, batch []byte) []byte {
-	b := wire.AppendUvarint(nil, object)
-	return wire.AppendBytes(b, batch)
+func (m *forwardMsg) scope() scope {
+	if m.scoped {
+		return objectScope(m.object)
+	}
+	return scope{}
+}
+
+func encodeForward(m *forwardMsg) []byte {
+	b := appendFlag(nil, m.scoped)
+	b = wire.AppendUvarint(b, m.object)
+	return wire.AppendBytes(b, m.batch)
 }
 
 func decodeForward(body []byte) (*forwardMsg, error) {
-	m := &forwardMsg{}
-	var err error
-	if m.object, body, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	if m.batch, _, err = wire.Bytes(body); err != nil {
-		return nil, err
-	}
-	return m, nil
+	r := reader{b: body}
+	m := &forwardMsg{scoped: r.flag(), object: r.uvarint(), batch: r.bytes()}
+	return m, r.err
 }
