@@ -261,12 +261,12 @@ func main() {
 					continue
 				}
 				seen[addr] = true
-				line, err := client.Stats(addr)
+				text, err := client.Stats(addr)
 				if err != nil {
-					fmt.Printf("%s: unreachable (%v)\n", addr, err)
+					fmt.Printf("== %s: unreachable (%v)\n", addr, err)
 					continue
 				}
-				fmt.Println(line)
+				fmt.Printf("== %s\n%s", addr, text)
 			}
 		}
 

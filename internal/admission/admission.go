@@ -181,8 +181,9 @@ func New(opts Options) *Plane {
 
 // Admit requests an execution slot on behalf of tenant ("" = unmetered by
 // quota). On success the returned release must be called exactly once when
-// the request finishes executing; on failure the request was shed, the
-// error matches ErrOverload, and nothing needs releasing.
+// the request finishes executing — it feeds the time since the grant to
+// Observe and frees the slot; on failure the request was shed, the error
+// matches ErrOverload, and nothing needs releasing.
 func (p *Plane) Admit(tenant string) (release func(), err error) {
 	now := p.now()
 	if p.opts.TenantQPS > 0 && tenant != "" && !p.takeToken(tenant, now) {
@@ -199,8 +200,7 @@ func (p *Plane) Admit(tenant string) (release func(), err error) {
 	if p.active < p.opts.Workers && len(p.queue) == 0 {
 		p.active++
 		p.mu.Unlock()
-		p.admitted.Inc()
-		return p.release, nil
+		return p.grant(), nil
 	}
 	if len(p.queue) >= p.opts.QueueLimit {
 		p.mu.Unlock()
@@ -235,8 +235,17 @@ func (p *Plane) Admit(tenant string) (release func(), err error) {
 		return nil, Overloaded(w.reason)
 	}
 	p.waitHist.Record(p.now().Sub(w.enq))
+	return p.grant(), nil
+}
+
+// grant counts one admission and starts its service-time clock.
+func (p *Plane) grant() (release func()) {
 	p.admitted.Inc()
-	return p.release, nil
+	start := p.now()
+	return func() {
+		p.Observe(p.now().Sub(start))
+		p.release()
+	}
 }
 
 // release frees one execution slot, handing it to the next admissible

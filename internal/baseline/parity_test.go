@@ -65,7 +65,7 @@ func TestGuestABIParity(t *testing.T) {
 
 	const users = 4
 	for id := uint64(1); id <= users; id++ {
-		if err := rt.CreateObject(retwis.TypeName, core.ObjectID(id)); err != nil {
+		if err := rt.CreateObject(retwis.TypeName, core.ObjectID(id), core.CallCtx{}); err != nil {
 			t.Fatal(err)
 		}
 		s.create(t, id, retwis.TypeName)
@@ -179,7 +179,7 @@ func TestBaselineWarmPoolLanes(t *testing.T) {
 	s.registerType(t, retwis.MustType())
 	client := NewDirectClient(s.compute.Addr(), nil)
 	defer client.Close()
-	if err := rt.CreateObject(retwis.TypeName, 1); err != nil {
+	if err := rt.CreateObject(retwis.TypeName, 1, core.CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	s.create(t, 1, retwis.TypeName)

@@ -225,8 +225,11 @@ func (c *Client) readTarget(g shard.Group) string {
 	if c.readPolicy == ReadPrimaryOnly {
 		return g.Primary
 	}
-	replicas := g.Replicas()
-	return replicas[c.rr.Add(1)%uint64(len(replicas))]
+	// Index primary + backups in place: no replica slice per read.
+	if i := c.rr.Add(1) % uint64(1+len(g.Backups)); i > 0 {
+		return g.Backups[i-1]
+	}
+	return g.Primary
 }
 
 // send is the client's one retry loop, and so the definition of its
@@ -323,14 +326,14 @@ func (c *Client) InvokeTransaction(calls []core.TxCall) ([][]byte, error) {
 // CreateObject instantiates an object at its primary.
 func (c *Client) CreateObject(typeName string, id core.ObjectID) error {
 	body := encodeCreateReq(&createReq{object: id, typeName: typeName})
-	_, err := c.send(telemetry.SpanContext{}, MethodCreate, body, false, func() (shard.Group, error) { return c.lookup(id) })
+	_, err := c.send(c.rootCtx(), MethodCreate, body, false, func() (shard.Group, error) { return c.lookup(id) })
 	return err
 }
 
 // DeleteObject removes an object and all its state at its primary.
 func (c *Client) DeleteObject(id core.ObjectID) error {
 	body := wire.AppendUvarint(nil, uint64(id))
-	_, err := c.send(telemetry.SpanContext{}, MethodDelete, body, false, func() (shard.Group, error) { return c.lookup(id) })
+	_, err := c.send(c.rootCtx(), MethodDelete, body, false, func() (shard.Group, error) { return c.lookup(id) })
 	return err
 }
 
@@ -363,7 +366,7 @@ func (c *Client) Migrate(id core.ObjectID, destGroup uint64) error {
 	if err != nil {
 		return err
 	}
-	dest, found := groupIn(c.Directory(), destGroup)
+	dest, found := c.Directory().Group(destGroup)
 	if !found {
 		return fmt.Errorf("cluster: no group %d", destGroup)
 	}
@@ -384,7 +387,8 @@ func (c *Client) Migrate(id core.ObjectID, destGroup uint64) error {
 	return nil
 }
 
-// Stats fetches a node's stats line (debugging).
+// Stats fetches a node's metrics as the "name value" lines its /metrics
+// debug endpoint serves, over the node's RPC port.
 func (c *Client) Stats(addr string) (string, error) {
 	resp, err := c.pool.Call(addr, MethodStats, nil)
 	return string(resp), err

@@ -3,7 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,22 +71,22 @@ type NodeOptions struct {
 	// RecoveryFullResync ablates the digest diff: catch-up streams every
 	// object the donor holds regardless of divergence (bench baseline).
 	RecoveryFullResync bool
-	// MaxConcurrentInvokes, when positive, bounds how many inbound
-	// invocations execute at once — an admission gate modeling per-node
-	// compute capacity. In-process multi-node benches share one CPU
-	// pool, so without this gate placement has no throughput effect;
-	// with it, a node saturates at its own limit the way a real machine
-	// saturates its cores. With AdmissionQueue unset this is a bare
-	// blocking semaphore (requests queue without bound or deadline);
-	// with it, it sizes the admission plane's execution slots.
+	// MaxConcurrentInvokes, when positive, bounds how many client
+	// requests (invoke, transaction, create, delete) execute at once — an
+	// admission gate modeling per-node compute capacity. In-process
+	// multi-node benches share one CPU pool, so without this gate
+	// placement has no throughput effect; with it, a node saturates at
+	// its own limit the way a real machine saturates its cores. With
+	// AdmissionQueue unset the gate never sheds (requests queue FIFO
+	// without bound or deadline); with it, this sizes the admission
+	// plane's execution slots.
 	MaxConcurrentInvokes int
-	// AdmissionQueue, when positive, enables the admission plane: a
-	// bounded wait queue of this many requests in front of the execution
-	// slots (MaxConcurrentInvokes, or NumCPU when unset), with
-	// deadline-based shedding and optional per-tenant quotas. Requests
-	// the plane refuses are rejected with a typed overload error the
-	// client retries with capped backoff. Zero keeps the legacy
-	// unbounded semaphore gate.
+	// AdmissionQueue, when positive, bounds the gate's wait queue to this
+	// many requests in front of the execution slots (MaxConcurrentInvokes,
+	// or NumCPU when unset), with deadline-based shedding and optional
+	// per-tenant quotas. Requests the plane refuses are rejected with a
+	// typed overload error the client retries with capped backoff. Zero
+	// with MaxConcurrentInvokes set keeps the unbounded no-shed gate.
 	AdmissionQueue int
 	// AdmissionDeadline bounds queue wait before a request is shed
 	// (0 = admission.DefaultDeadline).
@@ -144,11 +146,11 @@ type Node struct {
 	fenceMu    sync.Mutex
 	fences     map[uint64]string
 
-	// invSem, when non-nil, is the MaxConcurrentInvokes admission gate.
-	// adm, when non-nil, supersedes it (AdmissionQueue > 0): a bounded
-	// queue with deadline shedding and per-tenant quotas.
-	invSem chan struct{}
-	adm    *admission.Plane
+	// adm, when non-nil, is the admit step's gate (MaxConcurrentInvokes or
+	// AdmissionQueue set): execution slots behind a wait queue — bounded,
+	// with deadline shedding and per-tenant quotas, when AdmissionQueue is
+	// set; unbounded FIFO that never sheds otherwise.
+	adm *admission.Plane
 
 	// Read-lease plane. leases is this node's backup-side holder;
 	// leaseTTL is the primary-side grant duration. leaseBarrier holds a
@@ -163,13 +165,12 @@ type Node struct {
 	objBarrier   map[uint64]int64
 
 	dir atomic.Pointer[shard.Directory]
-	// deposed caches "my view names another node primary of my group" for
-	// the commit path; refreshBackups sets it before it empties the
-	// fan-out, so a commit that shipped to nobody cannot miss it.
-	deposed atomic.Bool
-	stopMu  sync.Mutex
-	stop    chan struct{}
-	done    chan struct{}
+	// role is what the view says about this node within its own group,
+	// derived once per view change by refreshRole and never nil.
+	role   atomic.Pointer[role]
+	stopMu sync.Mutex
+	stop   chan struct{}
+	done   chan struct{}
 
 	metrics       *telemetry.Registry
 	tracer        *telemetry.Tracer
@@ -212,10 +213,8 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		tracer:  tracer,
 		fences:  make(map[uint64]string),
 	}
+	n.role.Store(&role{})
 	if opts.AdmissionQueue > 0 {
-		// Admission plane supersedes the bare semaphore: same slot count,
-		// but waits are bounded and overload is shed instead of queued
-		// without limit.
 		n.adm = admission.New(admission.Options{
 			Workers:    opts.MaxConcurrentInvokes,
 			QueueLimit: opts.AdmissionQueue,
@@ -225,7 +224,14 @@ func StartNode(opts NodeOptions) (*Node, error) {
 			Metrics:    reg,
 		})
 	} else if opts.MaxConcurrentInvokes > 0 {
-		n.invSem = make(chan struct{}, opts.MaxConcurrentInvokes)
+		// Slots without a queue bound: the same plane with nothing to shed
+		// on — every request waits its turn, oldest first, however long.
+		n.adm = admission.New(admission.Options{
+			Workers:    opts.MaxConcurrentInvokes,
+			QueueLimit: math.MaxInt,
+			Deadline:   math.MaxInt64,
+			Metrics:    reg,
+		})
 	}
 	n.forwards = reg.Counter("cluster.forwards")
 	n.migrations = reg.Counter("cluster.migrations")
@@ -257,50 +263,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	rtOpts.Invoker = &routerInvoker{node: n}
 	rtOpts.Metrics = reg
 	rtOpts.Tracer = tracer
-	rtOpts.OnCommit = func(ctx telemetry.SpanContext, obj core.ObjectID, seq uint64, ws *store.Batch) error {
-		// Synchronous primary-backup shipping: the invocation reply is not
-		// released until every backup acknowledged. A failed ship withholds
-		// the ack (paper §4.2.1 — no acknowledged write may be lost to a
-		// failover); the coordinator evicts the dead backup and the client
-		// retries into the reconfigured group.
-		//
-		// The commit guard brackets ship+forward against rejoin admission:
-		// while a joiner's cutover reconfigures the group, no commit can
-		// slip between "session retired" and "shipper covers the joiner".
-		release := n.transfer.GuardCommit()
-		defer release()
-		sp := n.tracer.StartSpan(ctx, "replicate")
-		shipCtx := sp.Context()
-		if !shipCtx.Valid() {
-			shipCtx = ctx
-		}
-		err := n.shipper.ShipCtx(shipCtx, uint64(obj), ws)
-		sp.FinishErr(err)
-		if err != nil {
-			return err
-		}
-		// Deposed between routing and commit: the fan-out this commit
-		// shipped to may already have been emptied, so the write may live
-		// here alone. Withhold the ack; the client retries at the new
-		// primary.
-		if n.deposed.Load() {
-			g, _ := n.myGroup()
-			return notResponsibleError(g.Primary)
-		}
-		// Relay the commit to any joiner mid-catch-up (strict sessions
-		// withhold the ack on failure, exactly like a real backup) and to
-		// the target of the object's in-flight move, if any (best effort: a
-		// lost relay is a forward gap the move's seal heals).
-		if err := n.transfer.ForwardCommit(ctx, uint64(obj), ws); err != nil {
-			return err
-		}
-		// Lease-breaking reconfigurations stall the ack until any lease
-		// this primary can no longer invalidate has surely expired: the
-		// write is durable and shipped by now, only its client
-		// visibility waits (bounded by one lease TTL).
-		n.waitLeaseBarrier(uint64(obj))
-		return nil
-	}
+	rtOpts.OnCommit = n.afterCommit
 	n.rt, err = core.NewRuntime(db, rtOpts)
 	if err != nil {
 		db.Close()
@@ -350,7 +313,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	// Identify this node's outbound connections to the fault plane so link
 	// partitions can name both endpoints.
 	n.pool.SetFaultLabel(addr)
-	n.refreshBackups()
+	n.refreshRole(nil)
 
 	if opts.DebugAddr != "" {
 		// Mirror fault-plane firings into this node's registry so injected
@@ -401,6 +364,52 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	return n, nil
 }
 
+// afterCommit is the commit tail's cluster half (core.Options.OnCommit):
+// what stands between a locally durable write-set and its client ack, in
+// the order the ack depends on — guard, replicate, deposed re-check, relay,
+// lease barrier. Any error withholds the ack; the local commit stands and
+// the client's retry is the at-least-once re-execution.
+func (n *Node) afterCommit(ctx telemetry.SpanContext, obj core.ObjectID, _ uint64, ws *store.Batch) error {
+	// The commit guard brackets ship+relay against rejoin admission: while
+	// a joiner's cutover reconfigures the group, no commit can slip between
+	// "session retired" and "shipper covers the joiner".
+	release := n.transfer.GuardCommit()
+	defer release()
+	// Synchronous primary-backup shipping: the reply is not released until
+	// every backup acknowledged (paper §4.2.1 — no acknowledged write may be
+	// lost to a failover); the coordinator evicts a dead backup and the
+	// client retries into the reconfigured group.
+	sp := n.tracer.StartSpan(ctx, "replicate")
+	shipCtx := sp.Context()
+	if !shipCtx.Valid() {
+		shipCtx = ctx
+	}
+	err := n.shipper.ShipCtx(shipCtx, uint64(obj), ws)
+	sp.FinishErr(err)
+	if err != nil {
+		return err
+	}
+	// Deposed between routing and commit: the fan-out this commit shipped
+	// to may already have been emptied, so the write may live here alone.
+	// The client retries at the new primary.
+	if r := n.role.Load(); r.deposed() {
+		return notResponsibleError(r.group.Primary)
+	}
+	// Relay the commit to any joiner mid-catch-up (strict sessions withhold
+	// the ack on failure, exactly like a real backup) and to the target of
+	// the object's in-flight move, if any (best effort: a lost relay is a
+	// forward gap the move's seal heals).
+	if err := n.transfer.ForwardCommit(ctx, uint64(obj), ws); err != nil {
+		return err
+	}
+	// Lease-breaking reconfigurations stall the ack until any lease this
+	// primary can no longer invalidate has surely expired: the write is
+	// durable and shipped by now, only its client visibility waits (bounded
+	// by one lease TTL).
+	n.waitLeaseBarrier(uint64(obj))
+	return nil
+}
+
 // admitJoiner is the donor's cutover callback: propose the epoch-fenced
 // configuration change re-adding the joiner, then confirm it took and
 // refresh this node's view so the shipper covers the joiner before the
@@ -416,16 +425,9 @@ func (n *Node) admitJoiner(joiner string, expectEpoch uint64) error {
 	for {
 		d, err := n.coord.GetConfig()
 		if err == nil {
-			for _, g := range d.Groups() {
-				if g.ID != n.opts.GroupID {
-					continue
-				}
-				for _, b := range g.Backups {
-					if b == joiner {
-						n.SetDirectory(d)
-						return nil
-					}
-				}
+			n.adoptNewer(d)
+			if slices.Contains(n.role.Load().group.Backups, joiner) {
+				return nil
 			}
 			if d.Epoch() > expectEpoch {
 				// The replica we read has applied past the fence point and
@@ -457,45 +459,81 @@ func (n *Node) Directory() *shard.Directory { return n.dir.Load() }
 
 // SetDirectory installs a new configuration view.
 func (n *Node) SetDirectory(d *shard.Directory) {
-	old := n.dir.Load()
-	n.dir.Store(d)
-	n.onDirectoryChange(old, d)
-	n.refreshBackups()
+	n.refreshRole(n.dir.Swap(d))
+}
+
+// adoptNewer installs a view fetched from the coordinator if it is newer
+// than the node's own.
+func (n *Node) adoptNewer(d *shard.Directory) {
+	if d.Epoch() > n.dir.Load().Epoch() {
+		n.SetDirectory(d)
+	}
+}
+
+// role is what a configuration view says about this node within its own
+// group: the group, and whether the node leads it. Everything that asks
+// "am I primary, and of whom" reads the one published by refreshRole.
+type role struct {
+	group   shard.Group // zero when the view has no such group
+	member  bool        // the view has this node's group
+	primary bool        // ... and names this node its primary
+}
+
+// deposed reports that the view names another node primary of this node's
+// group: a commit that finds it must not be acknowledged.
+func (r *role) deposed() bool { return r.member && !r.primary }
+
+// isPrimary reports whether this node's view names it its group's primary.
+func (n *Node) isPrimary() bool { return n.role.Load().primary }
+
+// refreshRole is the one place the node derives its role from its view —
+// after a view change (old is the view it replaces) and after anything that
+// edits a static directory in place (old nil). In order: the read-lease
+// consequences of the change, the shipper's epoch stamp (so every shipped
+// frame carries the configuration it was committed under; backups fence
+// older epochs), the published role, the replication fan-out. The role is
+// published before a deposed primary's fan-out is emptied, so a commit that
+// shipped to nobody cannot miss that it was deposed.
+func (n *Node) refreshRole(old *shard.Directory) {
+	d := n.dir.Load()
+	now := &role{}
+	now.group, now.member = d.Group(n.opts.GroupID)
+	now.primary = now.member && now.group.Primary == n.addr
+	n.onDirectoryChange(old, d, n.role.Load(), now)
+	n.shipper.SetEpoch(d.Epoch())
+	n.role.Store(now)
+	if now.primary {
+		n.shipper.SetBackups(now.group.Backups)
+	} else {
+		n.shipper.SetBackups(nil)
+	}
 }
 
 // onDirectoryChange applies the read-lease consequences of a new
-// configuration view. Backup side: any held lease was granted under the
-// old epoch, so it dies here (Valid would also catch it; revoking
-// eagerly keeps the counters honest). Primary side: if the change could
-// orphan a lease this primary can no longer invalidate — a replica left
-// my group (eviction, failover, this node's own promotion), or an
-// object migrated into my group while the source group's backups may
-// still hold leases covering it — write acks stall until one full TTL
-// has passed, by which time every such lease has expired (backups honor
-// only 3/4 of the TTL, leaving margin for skew and delivery latency).
-func (n *Node) onDirectoryChange(old, nw *shard.Directory) {
+// configuration view (was and now are this node's role under each).
+// Backup side: any held lease was granted under the old epoch, so it dies
+// here (Valid would also catch it; revoking eagerly keeps the counters
+// honest). Primary side: if the change could orphan a lease this primary
+// can no longer invalidate — a replica left my group (eviction, failover,
+// this node's own promotion), or an object migrated into my group while
+// the source group's backups may still hold leases covering it — write
+// acks stall until one full TTL has passed, by which time every such lease
+// has expired (backups honor only 3/4 of the TTL, leaving margin for skew
+// and delivery latency).
+func (n *Node) onDirectoryChange(old, nw *shard.Directory, was, now *role) {
 	if old == nil || nw == nil || old == nw || old.Epoch() == nw.Epoch() {
 		return
 	}
 	n.leases.Revoke()
-	g, ok := groupIn(nw, n.opts.GroupID)
-	if !ok || g.Primary != n.addr {
+	if !now.primary {
 		return
 	}
 	until := time.Now().Add(n.leaseTTL).UnixNano()
-	og, hadGroup := groupIn(old, n.opts.GroupID)
-	shrink := !hadGroup || og.Primary != n.addr
+	shrink := !was.primary
 	if !shrink {
-		now := g.Replicas()
-		for _, m := range og.Replicas() {
-			found := false
-			for _, r := range now {
-				if r == m {
-					found = true
-					break
-				}
-			}
-			if !found {
+		replicas := now.group.Replicas()
+		for _, m := range was.group.Replicas() {
+			if !slices.Contains(replicas, m) {
 				shrink = true
 				break
 			}
@@ -596,17 +634,18 @@ func (n *Node) RecoveryState() recovery.State { return n.transfer.State() }
 // DonorSessions lists this node's active donor-side catch-up sessions.
 func (n *Node) DonorSessions() []recovery.SessionStatus { return n.transfer.Sessions() }
 
-// debugGauges contributes point-in-time values the registry does not track
-// as counters: cache hit rates read from their owners on demand.
+// debugGauges is the node's one enumeration of the point-in-time values
+// their owners hold outside the registry; /metrics and the stats RPC both
+// render it after the registry's own instruments.
 func (n *Node) debugGauges() map[string]uint64 {
-	out := make(map[string]uint64, 8)
+	out := make(map[string]uint64, 32)
+	out["core.invocations"], _ = n.rt.Stats()
 	bh, bm := n.db.BlockCacheStats()
 	out["store.block_cache_hits"] = bh
 	out["store.block_cache_misses"] = bm
 	if c := n.rt.Cache(); c != nil {
+		// Hits and misses are the registry's core.cache_hits/_misses.
 		st := c.Stats()
-		out["cache.hits"] = st.Hits
-		out["cache.misses"] = st.Misses
 		out["cache.validations"] = st.Validations
 		out["cache.evictions"] = st.Evictions
 		out["cache.bypass"] = st.Bypass
@@ -618,11 +657,13 @@ func (n *Node) debugGauges() map[string]uint64 {
 	warm, cold := n.rt.PoolStats()
 	out["core.pool_warm"] = warm
 	out["core.pool_cold"] = cold
-	out["cluster.forwarded"] = n.forwards.Value()
-	out["repl.shipped_total"] = n.shipper.Shipped()
 	d := n.dir.Load()
 	out["shard.overrides"] = uint64(d.OverrideCount())
 	out["shard.overrides_redundant"] = uint64(d.RedundantOverrides())
+	out["cluster.primary"] = 0
+	if n.isPrimary() {
+		out["cluster.primary"] = 1
+	}
 	out["cluster.fenced_objects"] = uint64(n.fenceCount.Load())
 	movesOut, movesIn := n.transfer.Moves()
 	out["move.in_flight"] = uint64(movesOut)
@@ -631,10 +672,9 @@ func (n *Node) debugGauges() map[string]uint64 {
 	out["vm.compiled_modules"] = cs.CompiledModules
 	out["vm.interp_fallbacks"] = cs.InterpFallbacks
 	out["vm.compile_ns"] = uint64(cs.CompileNs)
+	out["lease.held_now"] = 0
 	if n.leases.Held() {
 		out["lease.held_now"] = 1
-	} else {
-		out["lease.held_now"] = 0
 	}
 	if fault.Enabled() {
 		// The plane is process-global; every node's /metrics shows the same
@@ -656,37 +696,6 @@ func (n *Node) health() error {
 	}
 }
 
-// myGroup returns this node's group from the directory view.
-func (n *Node) myGroup() (shard.Group, bool) {
-	for _, g := range n.dir.Load().Groups() {
-		if g.ID == n.opts.GroupID {
-			return g, true
-		}
-	}
-	return shard.Group{}, false
-}
-
-// isPrimary reports whether this node is its group's primary.
-func (n *Node) isPrimary() bool {
-	g, ok := n.myGroup()
-	return ok && g.Primary == n.addr
-}
-
-// refreshBackups re-derives the replication fan-out from the directory and
-// stamps the shipper with the directory's epoch, so every shipped frame
-// carries the configuration it was committed under (backups fence older
-// epochs).
-func (n *Node) refreshBackups() {
-	n.shipper.SetEpoch(n.dir.Load().Epoch())
-	g, ok := n.myGroup()
-	n.deposed.Store(ok && g.Primary != n.addr)
-	if !ok || g.Primary != n.addr {
-		n.shipper.SetBackups(nil)
-		return
-	}
-	n.shipper.SetBackups(g.Backups)
-}
-
 // coordLoop heartbeats and refreshes configuration.
 func (n *Node) coordLoop() {
 	defer close(n.done)
@@ -701,9 +710,7 @@ func (n *Node) coordLoop() {
 		// a booting node as soon as it serves), then on every tick.
 		n.coord.Heartbeat(n.addr, n.DebugAddr())
 		if d, err := n.coord.GetConfig(); err == nil {
-			if d.Epoch() > n.dir.Load().Epoch() {
-				n.SetDirectory(d)
-			}
+			n.adoptNewer(d)
 		}
 		select {
 		case <-n.stop:
@@ -797,7 +804,7 @@ func (n *Node) cutOverObject(object, targetGroup uint64) error {
 		} else {
 			d.SetOverride(object, targetGroup)
 		}
-		n.refreshBackups()
+		n.refreshRole(nil)
 		return nil
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -807,11 +814,11 @@ func (n *Node) cutOverObject(object, targetGroup uint64) error {
 			// Re-validate against the fresh view: the move is only safe
 			// while this node is still the object's primary and the
 			// target group still exists.
-			g, ok := groupIn(d, n.opts.GroupID)
-			if !ok || g.Primary != n.addr {
+			n.adoptNewer(d)
+			if !n.isPrimary() {
 				return fmt.Errorf("cluster: cutover of %d abandoned: no longer primary of group %d", object, n.opts.GroupID)
 			}
-			if _, ok := groupIn(d, targetGroup); !ok {
+			if _, ok := d.Group(targetGroup); !ok {
 				return fmt.Errorf("cluster: cutover of %d abandoned: target group %d is gone", object, targetGroup)
 			}
 			home, herr := d.DefaultGroupID(object)
@@ -842,31 +849,24 @@ func (n *Node) cutOverObject(object, targetGroup uint64) error {
 	}
 }
 
-func groupIn(d *shard.Directory, id uint64) (shard.Group, bool) {
-	for _, g := range d.Groups() {
-		if g.ID == id {
-			return g, true
-		}
-	}
-	return shard.Group{}, false
-}
-
-// routeCheck decides whether this node may execute the invocation:
-// primaries execute everything; backups execute explicitly read-only
-// requests (paper §4.2.1: "read-only functions can execute at any replica").
-func (n *Node) routeCheck(obj core.ObjectID, readOnly bool) error {
-	d := n.dir.Load()
+// routeCheck is the route step's one decision per object: may this node
+// execute a request on obj? Primaries execute everything; a backup executes
+// reads — declared by the client, or proven by module analysis for a request
+// that arrived through the write route (method is the invoked method, "" for
+// requests that always write) — and only under a valid lease (paper §4.2.1:
+// "read-only functions can execute at any replica").
+func (n *Node) routeCheck(obj core.ObjectID, readOnly bool, method string) error {
+	g, err := n.dir.Load().Lookup(uint64(obj))
 	if hint, fenced := n.fencedHint(uint64(obj)); fenced {
 		// Quiesced for (or moved by) a live migration. Once this node's
 		// view maps the object to another group the cutover has
 		// committed and propagated — the fence has done its job.
-		if g, err := d.Lookup(uint64(obj)); err == nil && g.ID != n.opts.GroupID {
+		if err == nil && g.ID != n.opts.GroupID {
 			n.unfenceObject(uint64(obj))
 			return notResponsibleError(g.Primary)
 		}
 		return notResponsibleError(hint)
 	}
-	g, err := d.Lookup(uint64(obj))
 	if err != nil {
 		if len(n.opts.Coordinators) > 0 {
 			// A coordinator-managed node without a configuration cannot
@@ -883,25 +883,72 @@ func (n *Node) routeCheck(obj core.ObjectID, readOnly bool) error {
 	if g.Primary == n.addr {
 		return nil
 	}
-	if readOnly {
-		for _, b := range g.Backups {
-			if b != n.addr {
-				continue
-			}
-			// A backup serves a read only under a valid lease: right
-			// epoch, unexpired, apply lag in bounds. Anything else — the
-			// lease died with a reconfiguration, the primary stopped
-			// renewing — bounces to the primary, which
-			// is always safe.
-			if n.leases.Valid() {
-				n.backupServed.Inc()
-				return nil
-			}
-			n.primaryBounce.Inc()
-			break
+	if slices.Contains(g.Backups, n.addr) && (readOnly || n.rt.MethodRoutableReadOnly(obj, method)) {
+		// A backup serves a read only under a valid lease: right epoch,
+		// unexpired, apply lag in bounds. Anything else — the lease died
+		// with a reconfiguration, the primary stopped renewing — bounces
+		// to the primary, which is always safe.
+		if n.leases.Valid() {
+			n.backupServed.Inc()
+			return nil
 		}
+		n.primaryBounce.Inc()
 	}
 	return notResponsibleError(g.Primary)
+}
+
+// invokeOpts is what only an invoke frame tells the route and admit steps;
+// the zero value is what transactions, creates and deletes pass.
+type invokeOpts struct {
+	readOnly bool   // client-declared replica read
+	method   string // lets a backup prove an undeclared read read-only
+	tenant   string // admission-quota identity ("" = the peer's host)
+}
+
+// serve is the one server-side request path — the twin of Client.send —
+// that invoke, transaction, create and delete all run once their frame is
+// decoded: route → admit → execute → classify. Per method only the decoder,
+// the objects to route — every one must be homed here, a transaction is
+// single-node — and the core call (exec) differ. The order is an
+// invariant, not a convenience: fences and placement reject ahead of the
+// admission queue, so a request this node may not run never takes a slot
+// from one it may; and shedding happens strictly before execution, so no
+// request that reached commit (and thus no acked write) is ever shed.
+func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, opts invokeOpts, exec func(core.CallCtx) ([]byte, error)) ([]byte, error) {
+	// Route.
+	for _, obj := range objects {
+		if err := n.routeCheck(obj, opts.readOnly, opts.method); err != nil {
+			return nil, err
+		}
+	}
+	// Admit.
+	if n.adm != nil {
+		tenant := opts.tenant
+		if tenant == "" {
+			tenant = peerHost(info.Peer)
+		}
+		release, err := n.adm.Admit(tenant)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+	}
+	// Execute; the commit tail (core's commit, then afterCommit) runs
+	// inside it and may withhold the ack.
+	resp, err := exec(core.CallCtx{Trace: info.Trace})
+	// Classify: an object may have been migrated away while its request sat
+	// in the admission queue (a move deletes the local copy under the same
+	// lock). If the view now maps it elsewhere, answer with the routing
+	// redirect the client follows, not a spurious no-such-object.
+	if errors.Is(err, core.ErrNoSuchObject) {
+		d := n.dir.Load()
+		for _, obj := range objects {
+			if g, lerr := d.Lookup(uint64(obj)); lerr == nil && g.ID != n.opts.GroupID {
+				return nil, notResponsibleError(g.Primary)
+			}
+		}
+	}
+	return resp, err
 }
 
 // registerHandlers wires the RPC surface.
@@ -920,52 +967,10 @@ func (n *Node) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		if err := n.routeCheck(req.object, req.readOnly); err != nil {
-			// The client may not have flagged the request read-only, but
-			// the VM's module analysis can prove the method never touches
-			// the write buffer — such invocations are safe at any leased
-			// replica, so re-route them as reads instead of bouncing.
-			if !req.readOnly && n.rt.MethodRoutableReadOnly(req.object, req.method) {
-				err = n.routeCheck(req.object, true)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		if n.adm != nil {
-			// Shed-before-execute: an overload rejection happens strictly
-			// before the runtime sees the request, so no invocation that
-			// reached commit (and thus no acked write) is ever shed.
-			tenant := req.tenant
-			if tenant == "" {
-				tenant = peerHost(info.Peer)
-			}
-			release, aerr := n.adm.Admit(tenant)
-			if aerr != nil {
-				return nil, aerr
-			}
-			t0 := time.Now()
-			defer func() {
-				n.adm.Observe(time.Since(t0))
-				release()
-			}()
-		} else if n.invSem != nil {
-			n.invSem <- struct{}{}
-			defer func() { <-n.invSem }()
-		}
-		resp, err := n.rt.InvokeCtx(req.object, req.method, req.args, core.CallCtx{Trace: info.Trace})
-		if err != nil && errors.Is(err, core.ErrNoSuchObject) {
-			// The object may have been migrated away while this request
-			// sat in the admission queue (a move deletes the local copy
-			// under the same lock). If the directory now maps it
-			// elsewhere, convert to a routing redirect so the client
-			// retries at the new home instead of surfacing a spurious
-			// no-such-object.
-			if g, lerr := n.dir.Load().Lookup(uint64(req.object)); lerr == nil && g.ID != n.opts.GroupID {
-				return nil, notResponsibleError(g.Primary)
-			}
-		}
-		return resp, err
+		opts := invokeOpts{readOnly: req.readOnly, method: req.method, tenant: req.tenant}
+		return n.serve(info, []core.ObjectID{req.object}, opts, func(cc core.CallCtx) ([]byte, error) {
+			return n.rt.InvokeCtx(req.object, req.method, req.args, cc)
+		})
 	})
 
 	n.srv.HandleCtx(MethodInvokeTx, func(info rpc.CallInfo, body []byte) ([]byte, error) {
@@ -973,39 +978,38 @@ func (n *Node) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		// Transactions are single-node: every object must be homed here.
-		for _, c := range req.calls {
-			if err := n.routeCheck(c.Object, false); err != nil {
+		objects := make([]core.ObjectID, len(req.calls))
+		for i, c := range req.calls {
+			objects[i] = c.Object
+		}
+		return n.serve(info, objects, invokeOpts{}, func(cc core.CallCtx) ([]byte, error) {
+			results, err := n.rt.InvokeTransactionCtx(req.calls, cc)
+			if err != nil {
 				return nil, err
 			}
-		}
-		results, err := n.rt.InvokeTransactionCtx(req.calls, core.CallCtx{Trace: info.Trace})
-		if err != nil {
-			return nil, err
-		}
-		return encodeTxResp(results), nil
+			return encodeTxResp(results), nil
+		})
 	})
 
-	n.srv.Handle(MethodCreate, func(body []byte) ([]byte, error) {
+	n.srv.HandleCtx(MethodCreate, func(info rpc.CallInfo, body []byte) ([]byte, error) {
 		req, err := decodeCreateReq(body)
 		if err != nil {
 			return nil, err
 		}
-		if err := n.routeCheck(req.object, false); err != nil {
-			return nil, err
-		}
-		return nil, n.rt.CreateObject(req.typeName, req.object)
+		return n.serve(info, []core.ObjectID{req.object}, invokeOpts{}, func(cc core.CallCtx) ([]byte, error) {
+			return nil, n.rt.CreateObject(req.typeName, req.object, cc)
+		})
 	})
 
-	n.srv.Handle(MethodDelete, func(body []byte) ([]byte, error) {
-		obj, _, err := wire.Uvarint(body)
+	n.srv.HandleCtx(MethodDelete, func(info rpc.CallInfo, body []byte) ([]byte, error) {
+		id, _, err := wire.Uvarint(body)
 		if err != nil {
 			return nil, err
 		}
-		if err := n.routeCheck(core.ObjectID(obj), false); err != nil {
-			return nil, err
-		}
-		return nil, n.rt.DeleteObject(core.ObjectID(obj))
+		obj := core.ObjectID(id)
+		return n.serve(info, []core.ObjectID{obj}, invokeOpts{}, func(cc core.CallCtx) ([]byte, error) {
+			return nil, n.rt.DeleteObject(obj, cc)
+		})
 	})
 
 	n.srv.Handle(MethodRegisterType, func(body []byte) ([]byte, error) {
@@ -1037,21 +1041,7 @@ func (n *Node) registerHandlers() {
 	})
 
 	n.srv.Handle(MethodStats, func(body []byte) ([]byte, error) {
-		inv, com := n.rt.Stats()
-		warm, cold := n.rt.PoolStats()
-		line := fmt.Sprintf("addr=%s primary=%v invocations=%d commits=%d warm=%d cold=%d shipped=%d",
-			n.addr, n.isPrimary(), inv, com, warm, cold, n.shipper.Shipped())
-		line += fmt.Sprintf(" lease_held=%v reads_backup_served=%d reads_primary_bounced=%d",
-			n.leases.Held(), n.backupServed.Value(), n.primaryBounce.Value())
-		if c := n.rt.Cache(); c != nil {
-			st := c.Stats()
-			line += fmt.Sprintf(" cache_hits=%d cache_misses=%d cache_bypass=%d cache_invalidations=%d",
-				st.Hits, st.Misses, st.Bypass, st.Invalidations)
-		}
-		cs := vm.CompilerStats()
-		line += fmt.Sprintf(" vm_compiled=%d vm_fallbacks=%d vm_compile_ns=%d",
-			cs.CompiledModules, cs.InterpFallbacks, cs.CompileNs)
-		return []byte(line), nil
+		return []byte(debug.RenderMetrics(n.metrics, n.debugGauges)), nil
 	})
 }
 

@@ -230,8 +230,8 @@ func rollup(m telemetry.RegistrySnapshot) GroupMetrics {
 	if fsync, ok := m.Histograms["wal.fsync"]; ok {
 		gm.WalFsyncP99Us = fsync.Window.P99Us
 	}
-	hits := m.Counters["core.cache_hits"].RatePerSec + m.Counters["cache.hits"].RatePerSec
-	misses := m.Counters["core.cache_misses"].RatePerSec + m.Counters["cache.misses"].RatePerSec
+	hits := m.Counters["core.cache_hits"].RatePerSec
+	misses := m.Counters["core.cache_misses"].RatePerSec
 	if hits+misses > 0 {
 		gm.CacheHitRate = hits / (hits + misses)
 	}

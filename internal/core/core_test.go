@@ -28,7 +28,7 @@ func TestCounterBasics(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -48,16 +48,16 @@ func TestCounterBasics(t *testing.T) {
 
 func TestCreateObjectErrors(t *testing.T) {
 	rt, _ := newTestRuntime(t, Options{})
-	if err := rt.CreateObject("Nope", 1); !errors.Is(err, ErrNoSuchType) {
+	if err := rt.CreateObject("Nope", 1, CallCtx{}); !errors.Is(err, ErrNoSuchType) {
 		t.Fatalf("err = %v", err)
 	}
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); !errors.Is(err, ErrExists) {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate create err = %v", err)
 	}
 	if _, err := rt.Invoke(99, "get", nil); !errors.Is(err, ErrNoSuchObject) {
@@ -73,7 +73,7 @@ func TestAtomicityOnTrap(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	mustInvoke(t, rt, 1, "add", I64Bytes(10))
@@ -97,7 +97,7 @@ func TestInvocationLinearizabilityConcurrentAdds(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	const workers, perWorker = 8, 50
@@ -131,7 +131,7 @@ func TestRealTimeVisibility(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 100; i++ {
@@ -147,7 +147,7 @@ func TestReadOnlyEnforcement(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := rt.Invoke(1, "bad_write", nil)
@@ -164,7 +164,7 @@ func TestFuelExhaustionIsIsolated(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.Invoke(1, "spin", nil); !errors.Is(err, vm.ErrOutOfFuel) {
@@ -182,7 +182,7 @@ func TestSelfInvocation(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	mustInvoke(t, rt, 1, "add", I64Bytes(21))
@@ -201,7 +201,7 @@ func TestCrossObjectTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []ObjectID{10, 11} {
-		if err := rt.CreateObject("Account", id); err != nil {
+		if err := rt.CreateObject("Account", id, CallCtx{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,7 +222,7 @@ func TestInsufficientFundsAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []ObjectID{10, 11} {
-		if err := rt.CreateObject("Account", id); err != nil {
+		if err := rt.CreateObject("Account", id, CallCtx{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +246,7 @@ func TestNestedCallCommitsCallerWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []ObjectID{10, 11} {
-		if err := rt.CreateObject("Account", id); err != nil {
+		if err := rt.CreateObject("Account", id, CallCtx{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +269,7 @@ func TestParallelFanout(t *testing.T) {
 	}
 	const n = 16
 	for id := ObjectID(100); id < 100+n+1; id++ {
-		if err := rt.CreateObject("Account", id); err != nil {
+		if err := rt.CreateObject("Account", id, CallCtx{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -287,7 +287,7 @@ func TestListAndMapFields(t *testing.T) {
 	if err := rt.RegisterType(newNotebookType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Notebook", 7); err != nil {
+	if err := rt.CreateObject("Notebook", 7, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -325,7 +325,7 @@ func TestConsistentCache(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	mustInvoke(t, rt, 1, "add", I64Bytes(5))
@@ -373,7 +373,7 @@ func TestCacheValidationWithoutProactiveInvalidation(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	mustInvoke(t, rt, 1, "add", I64Bytes(5))
@@ -393,12 +393,12 @@ func TestDeleteObject(t *testing.T) {
 	if err := rt.RegisterType(newNotebookType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Notebook", 5); err != nil {
+	if err := rt.CreateObject("Notebook", 5, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	mustInvoke(t, rt, 5, "append_entry", []byte("x"))
 	mustInvoke(t, rt, 5, "tag_set", []byte("a"), []byte("b"))
-	if err := rt.DeleteObject(5); err != nil {
+	if err := rt.DeleteObject(5, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	if ok, _ := rt.ObjectExists(5); ok {
@@ -407,11 +407,11 @@ func TestDeleteObject(t *testing.T) {
 	if _, err := rt.Invoke(5, "entry_count", nil); !errors.Is(err, ErrNoSuchObject) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := rt.DeleteObject(5); !errors.Is(err, ErrNoSuchObject) {
+	if err := rt.DeleteObject(5, CallCtx{}); !errors.Is(err, ErrNoSuchObject) {
 		t.Fatalf("double delete err = %v", err)
 	}
 	// Re-creation starts fresh.
-	if err := rt.CreateObject("Notebook", 5); err != nil {
+	if err := rt.CreateObject("Notebook", 5, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := BytesI64(mustInvoke(t, rt, 5, "entry_count")); got != 0 {
@@ -432,7 +432,7 @@ func TestTypePersistenceAcrossRestart(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.Invoke(1, "add", [][]byte{I64Bytes(9)}); err != nil {
@@ -477,7 +477,7 @@ func TestOnCommitHookObservesWriteSets(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	mustInvoke(t, rt, 1, "add", I64Bytes(5))
@@ -494,7 +494,7 @@ func TestReadOnlyInvocationsRunConcurrently(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	mustInvoke(t, rt, 1, "add", I64Bytes(1))
@@ -569,7 +569,7 @@ end`
 	if err := rt.RegisterType(typ); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Abuser", 1); err != nil {
+	if err := rt.CreateObject("Abuser", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.Invoke(1, "abuse", nil); err == nil {
@@ -577,26 +577,69 @@ end`
 	}
 }
 
+// TestVersionCounter also pins the shared commit tail: create, a mutating
+// invocation and delete each reach the replication hook exactly once, under
+// the committing request's trace, with the write made durable ("wal-sync")
+// inside one "commit" span of that trace.
 func TestVersionCounter(t *testing.T) {
-	rt, _ := newTestRuntime(t, Options{})
+	tracer := telemetry.NewTracer("n", 0)
+	tracer.SetEnabled(true)
+	var hooked []telemetry.SpanContext
+	rt, _ := newTestRuntime(t, Options{Tracer: tracer,
+		OnCommit: func(ctx telemetry.SpanContext, obj ObjectID, seq uint64, ws *store.Batch) error {
+			hooked = append(hooked, ctx)
+			return nil
+		}})
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	// commitTail checks that the last commit was one hook call under root.
+	commitTail := func(what string, calls int, root telemetry.SpanContext) {
+		t.Helper()
+		if len(hooked) != calls {
+			t.Fatalf("%s: OnCommit ran %d times in total, want %d", what, len(hooked), calls)
+		}
+		if got := hooked[calls-1]; !got.Valid() || got.Trace != root.Trace {
+			t.Fatalf("%s: OnCommit got trace context %+v, want trace %016x", what, got, root.Trace)
+		}
+		names := map[string]telemetry.Span{}
+		for _, sp := range tracer.TraceSpans(root.Trace) {
+			names[sp.Name] = sp
+		}
+		if names["wal-sync"].ID == 0 || names["wal-sync"].Parent != names["commit"].ID {
+			t.Fatalf("%s: trace has no wal-sync under commit: %+v", what, names)
+		}
+	}
+
+	root := telemetry.NewRootContext()
+	if err := rt.CreateObject("Counter", 1, CallCtx{Trace: root}); err != nil {
 		t.Fatal(err)
 	}
+	commitTail("create", 1, root)
+	if v, err := rt.ObjectVersion(1); err != nil || v != 0 {
+		t.Fatalf("version after create = %d, %v", v, err)
+	}
 	for i := uint64(1); i <= 5; i++ {
-		mustInvoke(t, rt, 1, "add", I64Bytes(1))
+		root = telemetry.NewRootContext()
+		if _, err := rt.InvokeCtx(1, "add", [][]byte{I64Bytes(1)}, CallCtx{Trace: root}); err != nil {
+			t.Fatal(err)
+		}
+		commitTail("add", 1+int(i), root)
 		v, err := rt.ObjectVersion(1)
 		if err != nil || v != i {
 			t.Fatalf("version after %d adds = %d, %v", i, v, err)
 		}
 	}
-	// Read-only invocations never bump the version.
+	// Read-only invocations never bump the version, nor reach the hook.
 	mustInvoke(t, rt, 1, "get")
-	if v, _ := rt.ObjectVersion(1); v != 5 {
-		t.Fatalf("version after get = %d", v)
+	if v, _ := rt.ObjectVersion(1); v != 5 || len(hooked) != 6 {
+		t.Fatalf("after get: version %d, %d hook calls", v, len(hooked))
 	}
+	root = telemetry.NewRootContext()
+	if err := rt.DeleteObject(1, CallCtx{Trace: root}); err != nil {
+		t.Fatal(err)
+	}
+	commitTail("delete", 7, root)
 }
 
 func TestInvocationDepthLimit(t *testing.T) {
@@ -619,7 +662,7 @@ end`
 	if err := rt.RegisterType(typ); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Rec", 1); err != nil {
+	if err := rt.CreateObject("Rec", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = rt.Invoke(1, "recurse", nil)
@@ -633,7 +676,7 @@ func TestLockTimeoutSurfacesAsError(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	// Hold the object's admission externally, then invoke: the scheduler
@@ -659,7 +702,7 @@ func TestHotObjectsRanking(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := ObjectID(1); id <= 3; id++ {
-		if err := rt.CreateObject("Counter", id); err != nil {
+		if err := rt.CreateObject("Counter", id, CallCtx{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -138,7 +138,7 @@ func TestRetainedBytesSurviveGuestMemoryReuse(t *testing.T) {
 	if err := rt.RegisterType(newKeeperType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Keeper", 1); err != nil {
+	if err := rt.CreateObject("Keeper", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	check := func(round int, p, result []byte) {
@@ -184,7 +184,7 @@ func TestStoredReadSetSurvivesTxnReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := ObjectID(1); id <= 2; id++ {
-		if err := rt.CreateObject("Counter", id); err != nil {
+		if err := rt.CreateObject("Counter", id, CallCtx{}); err != nil {
 			t.Fatal(err)
 		}
 		mustInvoke(t, rt, id, "add", I64Bytes(int64(id)*100))

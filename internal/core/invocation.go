@@ -340,15 +340,6 @@ func (iv *invocation) ownWrites() bool {
 // version counter in the same batch (real-time visibility: the batch is
 // durable and replicated before the reply).
 func (iv *invocation) commit() error {
-	sp := iv.rt.tracer.StartSpan(iv.trace, "commit")
-	err := iv.commitUnder(sp.Context())
-	sp.FinishErr(err)
-	return err
-}
-
-// commitUnder is commit's body; ctx is the enclosing commit span (zero when
-// untraced) under which the wal-sync span nests.
-func (iv *invocation) commitUnder(ctx telemetry.SpanContext) error {
 	if err := iv.ensureLocked(); err != nil {
 		return err
 	}
@@ -367,14 +358,7 @@ func (iv *invocation) commitUnder(ctx telemetry.SpanContext) error {
 	if err := iv.tPutU64(iv.fieldKey(subVersion, ""), decodeU64(cur)+1); err != nil {
 		return err
 	}
-	b := iv.txn.batch()
-	wsp := iv.rt.tracer.StartSpan(ctx, "wal-sync")
-	err = iv.rt.db.Write(b)
-	wsp.FinishErr(err)
-	if err != nil {
-		return err
-	}
-	return iv.rt.notifyCommit(iv.trace, b, iv.obj)
+	return iv.rt.commit(iv.trace, iv.txn.batch(), iv.obj)
 }
 
 // requireMutable rejects writes from read-only methods.

@@ -15,7 +15,7 @@ func TestNoStaleReadAfterCommit(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,7 +66,7 @@ func TestReadFastPathAllocBound(t *testing.T) {
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CreateObject("Counter", 1); err != nil {
+	if err := rt.CreateObject("Counter", 1, CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	mustInvoke(t, rt, 1, "add", I64Bytes(5))

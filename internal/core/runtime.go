@@ -281,8 +281,9 @@ func (rt *Runtime) Type(name string) (*ObjectType, bool) {
 	return t, ok
 }
 
-// CreateObject instantiates an object of the named type.
-func (rt *Runtime) CreateObject(typeName string, id ObjectID) error {
+// CreateObject instantiates an object of the named type; cc carries the
+// creating request's trace into the commit.
+func (rt *Runtime) CreateObject(typeName string, id ObjectID, cc CallCtx) error {
 	rt.mu.RLock()
 	_, ok := rt.types[typeName]
 	rt.mu.RUnlock()
@@ -302,14 +303,11 @@ func (rt *Runtime) CreateObject(typeName string, id ObjectID) error {
 	b := store.NewBatch()
 	b.Put(headerKey(id), []byte(typeName))
 	b.Put(versionKey(id), encodeU64(0))
-	if err := rt.db.Write(b); err != nil {
-		return err
-	}
-	return rt.notifyCommit(telemetry.SpanContext{}, b, id)
+	return rt.commit(cc.Trace, b, id)
 }
 
 // DeleteObject removes an object and all its state.
-func (rt *Runtime) DeleteObject(id ObjectID) error {
+func (rt *Runtime) DeleteObject(id ObjectID, cc CallCtx) error {
 	release, err := rt.locks.Acquire(uint64(id), sched.Write)
 	if err != nil {
 		return err
@@ -324,11 +322,10 @@ func (rt *Runtime) DeleteObject(id ObjectID) error {
 	if b.Empty() {
 		return fmt.Errorf("%w: %s", ErrNoSuchObject, id)
 	}
-	if err := rt.db.Write(b); err != nil {
-		return err
-	}
+	err = rt.commit(cc.Trace, b, id)
+	// Dropped even when the ack is withheld: the delete stands locally.
 	rt.objTypes.Delete(id)
-	return rt.notifyCommit(telemetry.SpanContext{}, b, id)
+	return err
 }
 
 // forEachObjectKey visits every live key of an object.
@@ -533,6 +530,24 @@ func (rt *Runtime) committedHash(key []byte) uint64 {
 		}
 	})
 	return h
+}
+
+// commit is the one commit tail, shared by an invocation, a transaction,
+// CreateObject and DeleteObject: make the write-set durable (the "wal-sync"
+// span, under a "commit" span covering the whole tail), then publish it with
+// notifyCommit. ctx is the committing request's trace context (zero when
+// untraced); the replication hook's spans parent under it, beside "commit".
+// A failed write leaves nothing to publish.
+func (rt *Runtime) commit(ctx telemetry.SpanContext, b *store.Batch, ids ...ObjectID) error {
+	sp := rt.tracer.StartSpan(ctx, "commit")
+	wsp := rt.tracer.StartSpan(sp.Context(), "wal-sync")
+	err := rt.db.Write(b)
+	wsp.FinishErr(err)
+	if err == nil {
+		err = rt.notifyCommit(ctx, b, ids...)
+	}
+	sp.FinishErr(err)
+	return err
 }
 
 // notifyCommit is the one place a local commit becomes visible to the

@@ -153,16 +153,9 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 			}
 			shared.put(versionKey(id), encodeU64(decodeU64(cur)+1))
 		}
-		b := shared.batch()
-		wsp := rt.tracer.StartSpan(cc.Trace, "wal-sync")
-		err := rt.db.Write(b)
-		wsp.FinishErr(err)
-		if err != nil {
-			return nil, err
-		}
 		// A replication failure withholds the transaction's ack the same
 		// way it withholds a single invocation's.
-		if err := rt.notifyCommit(cc.Trace, b, touched...); err != nil {
+		if err := rt.commit(cc.Trace, shared.batch(), touched...); err != nil {
 			return nil, err
 		}
 	}

@@ -16,7 +16,7 @@ func txTestRuntime(t *testing.T, n int, balance int64) *Runtime {
 		t.Fatal(err)
 	}
 	for id := ObjectID(1); id <= ObjectID(n); id++ {
-		if err := rt.CreateObject("Account", id); err != nil {
+		if err := rt.CreateObject("Account", id, CallCtx{}); err != nil {
 			t.Fatal(err)
 		}
 		if balance > 0 {
@@ -33,6 +33,7 @@ func balanceOf(t *testing.T, rt *Runtime, id ObjectID) int64 {
 
 func TestTransactionAtomicAcrossObjects(t *testing.T) {
 	rt := txTestRuntime(t, 2, 100)
+	_, commitsBefore := rt.Stats()
 	// A transactional transfer: withdraw via deposit(-30) on account 1,
 	// deposit(+30) on account 2 — both or neither.
 	res, err := rt.InvokeTransaction([]TxCall{
@@ -53,6 +54,10 @@ func TestTransactionAtomicAcrossObjects(t *testing.T) {
 	v2, _ := rt.ObjectVersion(2)
 	if v1 != 2 || v2 != 2 { // 1 deposit at setup + 1 tx
 		t.Fatalf("versions = %d, %d", v1, v2)
+	}
+	// One write-set, counted once per object it touched.
+	if _, commits := rt.Stats(); commits != commitsBefore+2 {
+		t.Fatalf("transaction counted %d commits, want 2", commits-commitsBefore)
 	}
 }
 

@@ -83,7 +83,8 @@ func Start(addr string, o Options) (*Server, error) {
 			serveMetricsJSON(w, o)
 			return
 		}
-		serveMetrics(w, o)
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		io.WriteString(w, RenderMetrics(o.Registry, o.Gauges))
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) { serveMetricsJSON(w, o) })
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) { serveTraces(w, r, o.Tracer) })
@@ -140,12 +141,13 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the server.
 func (s *Server) Close() error { return s.http.Close() }
 
-// serveMetrics renders every instrument as "name value" lines; histograms
-// expand into _count/_mean_us/_p50_us/_p99_us/_max_us summaries.
-func serveMetrics(w http.ResponseWriter, o Options) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+// RenderMetrics renders every instrument as "name value" lines; histograms
+// expand into _count/_mean_us/_p50_us/_p99_us/_max_us summaries. gauges, if
+// set, contributes point-in-time values the registry does not hold. It is
+// the text /metrics serves and a node's stats RPC answers with.
+func RenderMetrics(reg *telemetry.Registry, gauges func() map[string]uint64) string {
 	var b strings.Builder
-	if reg := o.Registry; reg != nil {
+	if reg != nil {
 		for _, name := range reg.CounterNames() {
 			fmt.Fprintf(&b, "%s %d\n", name, reg.Counter(name).Value())
 		}
@@ -161,8 +163,8 @@ func serveMetrics(w http.ResponseWriter, o Options) {
 			fmt.Fprintf(&b, "%s_max_us %d\n", name, s.Max.Microseconds())
 		}
 	}
-	if o.Gauges != nil {
-		extra := o.Gauges()
+	if gauges != nil {
+		extra := gauges()
 		names := make([]string, 0, len(extra))
 		for n := range extra {
 			names = append(names, n)
@@ -172,7 +174,7 @@ func serveMetrics(w http.ResponseWriter, o Options) {
 			fmt.Fprintf(&b, "%s %d\n", n, extra[n])
 		}
 	}
-	w.Write([]byte(b.String()))
+	return b.String()
 }
 
 // serveMetricsJSON renders the registry as a telemetry.RegistrySnapshot:

@@ -231,12 +231,7 @@ func (p *Plane) sleep(d time.Duration) bool {
 
 // myGroup returns this node's group from the directory view.
 func (p *Plane) myGroup(d *shard.Directory) (shard.Group, bool) {
-	for _, g := range d.Groups() {
-		if g.ID == p.opts.GroupID {
-			return g, true
-		}
-	}
-	return shard.Group{}, false
+	return d.Group(p.opts.GroupID)
 }
 
 // isPrimary gates the sender half and Move.

@@ -276,6 +276,8 @@ func TestLaneFrameErrorFailsExactlyItsMembers(t *testing.T) {
 	var reported atomic.Int64
 	s := NewShipper(pool, func(string, error) { reported.Add(1) })
 	defer s.Close()
+	reg := telemetry.NewRegistry()
+	s.SetTelemetry(reg)
 	s.SetBackups([]string{addr})
 
 	var wg sync.WaitGroup
@@ -326,8 +328,8 @@ func TestLaneFrameErrorFailsExactlyItsMembers(t *testing.T) {
 	if got := reported.Load(); got != queued {
 		t.Fatalf("failure callbacks = %d, want %d", got, queued)
 	}
-	if got := s.Shipped(); got != 2 {
-		t.Fatalf("Shipped = %d, want 2 (before + after)", got)
+	if got := reg.Counter("repl.shipped").Value(); got != 2 {
+		t.Fatalf("repl.shipped = %d, want 2 (before + after)", got)
 	}
 	for _, k := range []string{"before", "after"} {
 		if _, err := db.Get([]byte(k)); err != nil {

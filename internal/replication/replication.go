@@ -142,7 +142,6 @@ type Shipper struct {
 	// onFailure is invoked (outside the lock) when a backup rejects or
 	// misses a write-set; the cluster layer reports it to the coordinator.
 	onFailure func(addr string, err error)
-	shipped   atomic.Uint64
 
 	lanesMu     sync.Mutex
 	lanes       map[string]*shipLane
@@ -302,9 +301,6 @@ func (s *Shipper) Backups() []string {
 	defer s.mu.RUnlock()
 	return append([]string(nil), s.backups...)
 }
-
-// Shipped returns the number of write-sets acknowledged by all backups.
-func (s *Shipper) Shipped() uint64 { return s.shipped.Load() }
 
 // Ship synchronously replicates one committed write-set to every backup.
 // Failures are reported via the failure callback; the write-set is still
@@ -489,11 +485,8 @@ func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Bat
 	if shipUs != nil {
 		shipUs.Record(time.Since(start))
 	}
-	if firstErr == nil {
-		s.shipped.Add(1)
-		if s.shippedCtr != nil {
-			s.shippedCtr.Inc()
-		}
+	if firstErr == nil && s.shippedCtr != nil {
+		s.shippedCtr.Inc()
 	}
 	return firstErr
 }

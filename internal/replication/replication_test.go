@@ -8,6 +8,7 @@ import (
 
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/store"
+	"lambdastore/internal/telemetry"
 )
 
 // startBackup boots a store with the backup handlers registered.
@@ -36,6 +37,8 @@ func TestShipAppliesAtAllBackups(t *testing.T) {
 	pool := rpc.NewPool(nil)
 	defer pool.Close()
 	s := NewShipper(pool, nil)
+	reg := telemetry.NewRegistry()
+	s.SetTelemetry(reg)
 	s.SetBackups([]string{addr1, addr2})
 
 	b := store.NewBatch()
@@ -50,8 +53,8 @@ func TestShipAppliesAtAllBackups(t *testing.T) {
 			t.Fatalf("backup %d: k1 = %q, %v", i, v, err)
 		}
 	}
-	if s.Shipped() != 1 {
-		t.Fatalf("shipped = %d", s.Shipped())
+	if got := reg.Counter("repl.shipped").Value(); got != 1 {
+		t.Fatalf("repl.shipped = %d", got)
 	}
 }
 

@@ -33,7 +33,7 @@ func newRuntime(t *testing.T) *core.Runtime {
 
 func mkUser(t *testing.T, rt *core.Runtime, id core.ObjectID, name string) {
 	t.Helper()
-	if err := rt.CreateObject(TypeName, id); err != nil {
+	if err := rt.CreateObject(TypeName, id, core.CallCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.Invoke(id, "create_account", [][]byte{[]byte(name)}); err != nil {

@@ -41,6 +41,11 @@ func (g *Group) Clone() Group {
 
 // Directory maps objects to replica groups. It is versioned by an epoch so
 // nodes and clients can detect stale cached copies after reconfigurations.
+//
+// A stored group is immutable: every mutator replaces the group (and its
+// Backups slice) instead of editing it, so Lookup and Group hand out the
+// stored value without copying — one lookup per request on both client and
+// node allocates nothing. Callers must not modify what they are handed.
 type Directory struct {
 	mu        sync.RWMutex
 	epoch     uint64
@@ -51,7 +56,9 @@ type Directory struct {
 // NewDirectory builds a directory over the given groups.
 func NewDirectory(groups []Group) *Directory {
 	d := &Directory{overrides: make(map[uint64]uint64)}
-	d.groups = append(d.groups, groups...)
+	for i := range groups {
+		d.groups = append(d.groups, groups[i].Clone())
+	}
 	d.sortGroups()
 	return d
 }
@@ -67,15 +74,23 @@ func (d *Directory) Epoch() uint64 {
 	return d.epoch
 }
 
-// Groups returns a copy of all groups.
+// Groups returns all groups, in ID order.
 func (d *Directory) Groups() []Group {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]Group, len(d.groups))
+	return append([]Group(nil), d.groups...)
+}
+
+// Group returns the group with the given ID.
+func (d *Directory) Group(gid uint64) (Group, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	for i := range d.groups {
-		out[i] = d.groups[i].Clone()
+		if d.groups[i].ID == gid {
+			return d.groups[i], true
+		}
 	}
-	return out
+	return Group{}, false
 }
 
 // Lookup returns the group responsible for object id: the override if the
@@ -85,22 +100,18 @@ func (d *Directory) Groups() []Group {
 func (d *Directory) Lookup(id uint64) (Group, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.lookupLocked(id)
-}
-
-func (d *Directory) lookupLocked(id uint64) (Group, error) {
 	if len(d.groups) == 0 {
 		return Group{}, ErrNoGroups
 	}
 	if gid, ok := d.overrides[id]; ok {
 		for i := range d.groups {
 			if d.groups[i].ID == gid {
-				return d.groups[i].Clone(), nil
+				return d.groups[i], nil
 			}
 		}
 		// Stale override to a removed group: fall through to default.
 	}
-	return d.groups[id%uint64(len(d.groups))].Clone(), nil
+	return d.groups[id%uint64(len(d.groups))], nil
 }
 
 // SetGroup installs or replaces a group definition, bumping the epoch.
@@ -269,7 +280,7 @@ func (d *Directory) EvictBackup(gid uint64, addr string) bool {
 		}
 		for j, b := range g.Backups {
 			if b == addr {
-				g.Backups = append(g.Backups[:j], g.Backups[j+1:]...)
+				g.Backups = append(append([]string(nil), g.Backups[:j]...), g.Backups[j+1:]...)
 				d.epoch++
 				return true
 			}
@@ -300,7 +311,7 @@ func (d *Directory) AddBackup(gid uint64, addr string) bool {
 				return false
 			}
 		}
-		g.Backups = append(g.Backups, addr)
+		g.Backups = append(append([]string(nil), g.Backups...), addr)
 		d.epoch++
 		return true
 	}

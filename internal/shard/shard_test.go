@@ -154,12 +154,37 @@ func TestSnapshotQuick(t *testing.T) {
 	}
 }
 
-func TestCloneIsolation(t *testing.T) {
-	d := testDirectory()
-	g, _ := d.Lookup(0)
+// TestStoredGroupsImmutable pins what lets Lookup hand out the stored group
+// without copying it: groups are cloned on the way in and every mutator
+// replaces the Backups slice, so a group a caller already holds never
+// changes under it.
+func TestStoredGroupsImmutable(t *testing.T) {
+	in := []Group{{ID: 0, Primary: "a:1", Backups: []string{"a:2", "a:3"}}}
+	d := NewDirectory(in)
+	in[0].Backups[0] = "mutated"
+	g := Group{ID: 1, Primary: "b:1", Backups: []string{"b:2"}}
+	d.SetGroup(g)
 	g.Backups[0] = "mutated"
-	g2, _ := d.Lookup(0)
-	if g2.Backups[0] == "mutated" {
-		t.Fatal("Lookup leaked internal state")
+	if g0, _ := d.Group(0); g0.Backups[0] != "a:2" {
+		t.Fatal("NewDirectory kept the caller's Backups slice")
+	}
+	if g1, _ := d.Group(1); g1.Backups[0] != "b:2" {
+		t.Fatal("SetGroup kept the caller's Backups slice")
+	}
+
+	held, _ := d.Lookup(0)
+	d.EvictBackup(0, "a:2")
+	d.AddBackup(0, "a:4")
+	if _, err := d.Promote(0, "a:3"); err != nil {
+		t.Fatal(err)
+	}
+	if held.Primary != "a:1" || len(held.Backups) != 2 || held.Backups[0] != "a:2" || held.Backups[1] != "a:3" {
+		t.Fatalf("a held group changed under its holder: %+v", held)
+	}
+	if now, _ := d.Lookup(0); now.Primary != "a:3" || len(now.Backups) != 1 || now.Backups[0] != "a:4" {
+		t.Fatalf("mutators lost an update: %+v", now)
+	}
+	if avg := testing.AllocsPerRun(100, func() { d.Lookup(0) }); avg != 0 {
+		t.Fatalf("Lookup allocates %.0f times per call", avg)
 	}
 }

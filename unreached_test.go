@@ -201,3 +201,60 @@ func TestNothingUnreached(t *testing.T) {
 		}
 	})
 }
+
+// TestOneRequestPath is the "one request path" guard: the steps every
+// client-facing request must take are each called from one place, so a new
+// handler that skips one has nowhere else to call it from. It is by-name:
+// callers lists, for a call spelled "….<callee>(", the functions of the
+// package allowed to contain it; each must, and no other may.
+func TestOneRequestPath(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, want := range []struct {
+		dir, callee string // callee is the trailing selector path, e.g. "db.Write"
+		callers     []string
+	}{
+		{"internal/cluster", "routeCheck", []string{"serve"}},
+		{"internal/cluster", "Admit", []string{"serve"}},
+		{"internal/core", "notifyCommit", []string{"commit"}},
+		{"internal/core", "db.Write", []string{"commit", "ApplyReplicated", "ApplyReplicatedBulk"}},
+	} {
+		got := map[string]bool{}
+		for _, s := range parseTree(t, fset, want.dir) {
+			for _, d := range s.file.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				ast.Inspect(fd, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok && strings.HasSuffix("."+selectorPath(call.Fun), "."+want.callee) {
+						got[fd.Name.Name] = true
+					}
+					return true
+				})
+			}
+		}
+		var names []string
+		for name := range got {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		sort.Strings(want.callers)
+		if strings.Join(names, ",") != strings.Join(want.callers, ",") {
+			t.Errorf("%s: %s( is called from %v, want exactly %v", want.dir, want.callee, names, want.callers)
+		}
+	}
+}
+
+// selectorPath renders a.b.c for an identifier or selector chain ("" for
+// anything else).
+func selectorPath(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		if x := selectorPath(e.X); x != "" {
+			return x + "." + e.Sel.Name
+		}
+	}
+	return ""
+}
