@@ -28,16 +28,6 @@ type LBOptions struct {
 	Mirrors []string
 	// Computes are the compute nodes to dispatch to, round-robin.
 	Computes []string
-	// SyncLog fsyncs every log append (off by default, like the
-	// aggregated design's WAL setting, for fairness).
-	SyncLog bool
-	// Spill, when non-nil, batches request-log appends through a spill
-	// buffer flushed by record count, byte volume, or interval, instead
-	// of one storage write per request. This weakens the log's durability
-	// to one flush window (buffered records die with the process) in
-	// exchange for amortized log writes — the knob the overload bench
-	// uses to keep the baseline's log off its own critical path.
-	Spill *SpillOptions
 	// ClientOptions tunes outbound connections (latency injection).
 	ClientOptions *rpc.ClientOptions
 }
@@ -51,7 +41,6 @@ type LoadBalancer struct {
 	addr string
 
 	logDB  *store.DB
-	spill  *spillBuffer // nil = synchronous per-request log writes
 	logSeq atomic.Uint64
 	rr     atomic.Uint64
 
@@ -63,7 +52,9 @@ type LoadBalancer struct {
 
 // StartLB boots a load balancer.
 func StartLB(opts LBOptions) (*LoadBalancer, error) {
-	logDB, err := store.Open(opts.LogDir, &store.Options{SyncWrites: opts.SyncLog})
+	// The log is not fsynced per append — like the aggregated design's WAL
+	// default, for fairness.
+	logDB, err := store.Open(opts.LogDir, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -73,9 +64,6 @@ func StartLB(opts LBOptions) (*LoadBalancer, error) {
 		pool:     rpc.NewPool(opts.ClientOptions),
 		logDB:    logDB,
 		computes: append([]string(nil), opts.Computes...),
-	}
-	if opts.Spill != nil {
-		lb.spill = newSpillBuffer(logDB, *opts.Spill)
 	}
 	lb.srv.Handle(MethodLBInvoke, lb.handleInvoke)
 	lb.srv.Handle(MethodLBMirror, lb.handleMirror)
@@ -98,19 +86,7 @@ func (lb *LoadBalancer) Dispatched() uint64 { return lb.dispatched.Load() }
 func (lb *LoadBalancer) Close() error {
 	lb.srv.Close()
 	lb.pool.Close()
-	if lb.spill != nil {
-		lb.spill.Close() //nolint:errcheck // final flush; the DB close below still runs
-	}
 	return lb.logDB.Close()
-}
-
-// SpillStats reports spill-buffer activity (zero value when spilling is
-// disabled).
-func (lb *LoadBalancer) SpillStats() SpillStats {
-	if lb.spill == nil {
-		return SpillStats{}
-	}
-	return lb.spill.Stats()
 }
 
 // logKey renders a request-log key.
@@ -125,13 +101,9 @@ func logKey(seq uint64) []byte {
 
 // handleInvoke durably logs the request, mirrors it, and dispatches it.
 func (lb *LoadBalancer) handleInvoke(body []byte) ([]byte, error) {
-	// 1. Durable local log (buffered when spilling is on).
+	// 1. Durable local log.
 	seq := lb.logSeq.Add(1)
-	if lb.spill != nil {
-		if err := lb.spill.Append(logKey(seq), body); err != nil {
-			return nil, fmt.Errorf("baseline: lb log: %w", err)
-		}
-	} else if err := lb.logDB.Put(logKey(seq), body); err != nil {
+	if err := lb.logDB.Put(logKey(seq), body); err != nil {
 		return nil, fmt.Errorf("baseline: lb log: %w", err)
 	}
 	// 2. Mirror to peer LBs (the log replication Kafka would provide).
@@ -164,9 +136,6 @@ func (lb *LoadBalancer) handleMirror(body []byte) ([]byte, error) {
 	rec, _, err := wire.Bytes(rest)
 	if err != nil {
 		return nil, err
-	}
-	if lb.spill != nil {
-		return nil, lb.spill.Append(logKey(seq), rec)
 	}
 	return nil, lb.logDB.Put(logKey(seq), rec)
 }

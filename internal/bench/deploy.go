@@ -42,10 +42,6 @@ type Options struct {
 	MaxConcurrentInvokes int           // execution slots per node (0 = ungated)
 	AdmissionQueue       int           // bounded wait queue (0 = plane off)
 	AdmissionDeadline    time.Duration // max queue wait before shedding
-	AdmissionLIFO        bool          // drain newest-first
-	TenantQPS            float64       // per-tenant token-bucket limit
-
-	Verbose bool
 }
 
 // DefaultOptions returns a laptop-scale configuration.
@@ -143,8 +139,6 @@ func StartAggregated(opts Options) (*Deployment, error) {
 			MaxConcurrentInvokes: opts.MaxConcurrentInvokes,
 			AdmissionQueue:       opts.AdmissionQueue,
 			AdmissionDeadline:    opts.AdmissionDeadline,
-			AdmissionLIFO:        opts.AdmissionLIFO,
-			TenantQPS:            opts.TenantQPS,
 		})
 		if err != nil {
 			d.Close()

@@ -1,12 +1,20 @@
 // Package cache implements LambdaStore's consistent function-result cache
 // (paper §4.2.2). For a deterministic read-only method, the storage node
 // records the method's output together with a hash of its input and its
-// read set (the keys it read and hashes of their values). A later identical
-// invocation is answered from the cache only after re-validating every read
-// dependency against the current committed state — which the node can do
-// cheaply and consistently precisely because data and compute are
-// co-located. Commits to an object additionally invalidate its entries
-// proactively.
+// read set (keys and hashes of their values). A later identical invocation
+// is answered from the cache only after re-validating every read dependency
+// against the current committed state — which the node can do cheaply and
+// consistently precisely because data and compute are co-located. Commits
+// to an object additionally invalidate its entries proactively.
+//
+// The package validates whatever read set it is handed. The runtime hands it
+// one dependency: the object's version key, as read by the invocation's own
+// snapshot. A method may only touch its own object's data, and every batch
+// that changes an object's keys rewrites its version key in the same batch
+// (core's TestEveryCommitPathMovesTheVersion), so the version stands for
+// everything the method read. The one thing a version cannot tell apart is
+// an object deleted and re-created up to the same count; LookupAt/StoreAt
+// close that by dropping a result whose execution an invalidation overtook.
 //
 // The cache is sharded by object ID: every entry for an object lives in
 // exactly one shard, so InvalidateObject touches a single shard lock and
@@ -100,6 +108,9 @@ type shard struct {
 	lru      *list.List // front = most recent
 	capacity int
 	stats    Stats
+	// epoch counts InvalidateObject calls on this shard, whether or not they
+	// found an entry: StoreAt compares it with the value LookupAt's miss saw.
+	epoch uint64
 }
 
 // Cache is a bounded, LRU-evicting consistent result cache. Safe for
@@ -162,28 +173,40 @@ func (c *Cache) shardFor(object uint64) *shard {
 // named key's current committed value. It returns (result, true) only if
 // every dependency still matches; stale entries are dropped.
 func (c *Cache) Lookup(object uint64, method string, argsHash uint64, readHash func(key []byte) uint64) ([]byte, bool) {
+	result, _, hit := c.LookupAt(object, method, argsHash, func(key []byte) (uint64, bool) { return readHash(key), true })
+	return result, hit
+}
+
+// LookupAt is Lookup for a caller that executes on a miss and stores what it
+// computed. readHash reports ok=false when it could not read the key, which
+// is a mismatch: a failed read never validates an entry. On a miss, epoch is
+// the shard's invalidation count, taken before the caller can have pinned
+// the snapshot it will execute on; StoreAt takes it back.
+func (c *Cache) LookupAt(object uint64, method string, argsHash uint64, readHash func(key []byte) (hash uint64, ok bool)) (result []byte, epoch uint64, hit bool) {
 	k := entryKey{object: object, method: method, argsHash: argsHash}
 	s := c.shardFor(object)
 	s.mu.Lock()
 	e, ok := s.entries[k]
 	if !ok {
 		s.stats.Misses++
+		epoch = s.epoch
 		s.mu.Unlock()
-		return nil, false
+		return nil, epoch, false
 	}
 	// Copy the read set out so validation runs without the lock (readHash
 	// hits the storage engine).
 	deps := e.ReadSet
-	result := e.Result
+	result = e.Result
 	s.mu.Unlock()
 
 	for _, dep := range deps {
-		if readHash(dep.Key) != dep.ValueHash {
+		if h, ok := readHash(dep.Key); !ok || h != dep.ValueHash {
 			s.mu.Lock()
 			s.stats.Validations++
 			s.removeLocked(k)
+			epoch = s.epoch
 			s.mu.Unlock()
-			return nil, false
+			return nil, epoch, false
 		}
 	}
 	s.mu.Lock()
@@ -192,11 +215,24 @@ func (c *Cache) Lookup(object uint64, method string, argsHash uint64, readHash f
 	}
 	s.stats.Hits++
 	s.mu.Unlock()
-	return result, true
+	return result, 0, true
 }
 
 // Store records a validated result with its read set.
 func (c *Cache) Store(object uint64, method string, argsHash uint64, result []byte, readSet []ReadDep) {
+	c.store(object, method, argsHash, result, readSet, false, 0)
+}
+
+// StoreAt is Store unless an InvalidateObject has reached the object's shard
+// since the LookupAt miss that returned epoch: the result was then computed
+// on a snapshot some commit may have overtaken, and a version that went
+// 3 → deleted → re-created → 3 in the meantime would validate it. Dropping
+// is always safe (the next lookup misses and re-executes).
+func (c *Cache) StoreAt(object uint64, method string, argsHash uint64, result []byte, readSet []ReadDep, epoch uint64) {
+	c.store(object, method, argsHash, result, readSet, true, epoch)
+}
+
+func (c *Cache) store(object uint64, method string, argsHash uint64, result []byte, readSet []ReadDep, atEpoch bool, epoch uint64) {
 	k := entryKey{object: object, method: method, argsHash: argsHash}
 	e := &Entry{
 		Result:  append([]byte(nil), result...),
@@ -206,6 +242,9 @@ func (c *Cache) Store(object uint64, method string, argsHash uint64, result []by
 	s := c.shardFor(object)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if atEpoch && epoch != s.epoch {
+		return
+	}
 	if old, ok := s.entries[k]; ok {
 		s.lru.Remove(old.element)
 	}
@@ -229,14 +268,16 @@ func (c *Cache) Store(object uint64, method string, argsHash uint64, result []by
 	}
 }
 
-// InvalidateObject drops every entry whose invocation ran against object.
-// Called on each commit to the object; read-set validation would also catch
-// staleness, so this is a proactive fast path. All of an object's entries
-// share a shard, so one lock covers the whole invalidation.
+// InvalidateObject drops every entry whose invocation ran against object,
+// and any result still being computed for the shard (see StoreAt). Called
+// after each commit to the object; read-set validation also catches
+// staleness, so for stored entries this is a proactive fast path. All of an
+// object's entries share a shard, so one lock covers the whole invalidation.
 func (c *Cache) InvalidateObject(object uint64) {
 	s := c.shardFor(object)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.epoch++
 	for k := range s.byObject[object] {
 		s.removeLocked(k)
 		s.stats.Invalidations++

@@ -32,16 +32,10 @@ type Options struct {
 	HeartbeatTimeout time.Duration
 	// CheckInterval is the failure-detector sweep period (default 50ms).
 	CheckInterval time.Duration
-	// ClientRetries bounds the cluster client's per-invoke retry loop
-	// (default 4; recovery loops retry whole invokes on top).
-	ClientRetries int
 	// RejoinFullResync ablates the nodes' anti-entropy digest diff:
 	// catch-up streams the donor's whole store regardless of divergence
 	// (the recovery bench's baseline mode).
 	RejoinFullResync bool
-	// RejoinMaxBytesPerSec rate-limits recovery chunk streaming on every
-	// node (0 = unlimited).
-	RejoinMaxBytesPerSec int
 	// ExtraGroupNodes, when > 0, adds a second replica group (ID 1) of
 	// that many nodes — the target side of live-migration scenarios.
 	// Zero keeps the classic single-group topology.
@@ -189,7 +183,6 @@ func Start(opts Options) (*Cluster, error) {
 
 	client, err := cluster.NewClient(cluster.ClientConfig{
 		Coordinators: c.coordAddrs,
-		MaxRetries:   opts.ClientRetries,
 		// Tight backoff pacing: the harness's failure-detector timeouts are
 		// hundreds of milliseconds, so production retry delays would only
 		// slow the schedule down without exercising anything extra.
@@ -273,19 +266,18 @@ func (c *Cluster) Kill(i int) error {
 // outside its group catches up from the primary and re-admits itself.
 func (c *Cluster) nodeOptions(addr, dataDir string, group uint64) cluster.NodeOptions {
 	return cluster.NodeOptions{
-		Addr:                   addr,
-		DataDir:                dataDir,
-		Store:                  &store.Options{SyncWrites: true},
-		GroupID:                group,
-		Coordinators:           c.coordAddrs,
-		HeartbeatInterval:      c.opts.HeartbeatInterval,
-		Rejoin:                 true,
-		RecoveryFullResync:     c.opts.RejoinFullResync,
-		RecoveryMaxBytesPerSec: c.opts.RejoinMaxBytesPerSec,
-		MoveSessionTimeout:     c.opts.MoveSessionTimeout,
-		MaxConcurrentInvokes:   c.opts.AdmissionWorkers,
-		AdmissionQueue:         c.opts.AdmissionQueue,
-		AdmissionDeadline:      c.opts.AdmissionDeadline,
+		Addr:                 addr,
+		DataDir:              dataDir,
+		Store:                &store.Options{SyncWrites: true},
+		GroupID:              group,
+		Coordinators:         c.coordAddrs,
+		HeartbeatInterval:    c.opts.HeartbeatInterval,
+		Rejoin:               true,
+		RecoveryFullResync:   c.opts.RejoinFullResync,
+		MoveSessionTimeout:   c.opts.MoveSessionTimeout,
+		MaxConcurrentInvokes: c.opts.AdmissionWorkers,
+		AdmissionQueue:       c.opts.AdmissionQueue,
+		AdmissionDeadline:    c.opts.AdmissionDeadline,
 		// Leases shorter than the failure-detector timeout: a deposed
 		// primary's barrier (one lease TTL) always ends before the
 		// coordinator can have promoted a successor, so a leased backup

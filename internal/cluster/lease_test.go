@@ -17,16 +17,18 @@ import (
 // TTL (shorter than DefaultLeaseTTL so expiry tests stay fast).
 func startLeasedGroup(t *testing.T, n int, ttl time.Duration) ([]*Node, *shard.Directory) {
 	t.Helper()
+	return startGroupWith(t, n, NodeOptions{LeaseTTL: ttl})
+}
+
+// startGroupWith boots group 0 as n nodes running opts (address, data
+// directory and directory are filled in here), first node primary.
+func startGroupWith(t *testing.T, n int, opts NodeOptions) ([]*Node, *shard.Directory) {
+	t.Helper()
 	dir := shard.NewDirectory(nil)
 	var nodes []*Node
 	for i := 0; i < n; i++ {
-		node, err := StartNode(NodeOptions{
-			Addr:      "127.0.0.1:0",
-			DataDir:   t.TempDir(),
-			GroupID:   0,
-			Directory: dir,
-			LeaseTTL:  ttl,
-		})
+		opts.Addr, opts.DataDir, opts.Directory = "127.0.0.1:0", t.TempDir(), dir
+		node, err := StartNode(opts)
 		if err != nil {
 			t.Fatalf("StartNode: %v", err)
 		}
@@ -241,4 +243,52 @@ type staleReadError struct{ got, floor int64 }
 
 func (e *staleReadError) Error() string {
 	return fmt.Sprintf("stale leased read: got %d after ack floor %d", e.got, e.floor)
+}
+
+// TestLeasedBackupCachedReadSeesPrimaryCommit: a leased backup answers a
+// repeated read from its result cache, validated by the object's version
+// key; a commit at the primary reaches the backup as a replicated write-set,
+// and the same backup's next read must execute again and return the new
+// value.
+func TestLeasedBackupCachedReadSeesPrimaryCommit(t *testing.T) {
+	nodes, dir := startGroupWith(t, 3, NodeOptions{
+		LeaseTTL: 150 * time.Millisecond,
+		Runtime:  core.Options{CacheEntries: 64},
+	})
+	c := newGroupClient(t, dir)
+	if err := c.RegisterType(counterType(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateObject("Counter", 1); err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(t, c, 1, 5)
+
+	pool := rpc.NewPool(nil)
+	t.Cleanup(pool.Close)
+	backup := nodes[1]
+	cached := backup.Runtime().Cache()
+	if v := readAt(t, pool, backup.Addr(), 1); v != 5 { // executes and stores
+		t.Fatalf("backup read = %d, want 5", v)
+	}
+	before := cached.Stats()
+	if v := readAt(t, pool, backup.Addr(), 1); v != 5 {
+		t.Fatalf("repeated backup read = %d, want 5", v)
+	}
+	if after := cached.Stats(); after.Hits != before.Hits+1 {
+		t.Fatalf("repeated backup read did not hit its cache: %+v -> %+v", before, after)
+	}
+
+	mustAdd(t, c, 1, 3) // acknowledged: every backup has applied it
+	before = cached.Stats()
+	if v := readAt(t, pool, backup.Addr(), 1); v != 8 {
+		t.Fatalf("backup read after the primary's commit = %d, want 8", v)
+	}
+	after := cached.Stats()
+	if after.Hits != before.Hits || after.Misses+after.Validations == before.Misses+before.Validations {
+		t.Fatalf("backup read after the commit did not re-execute: %+v -> %+v", before, after)
+	}
+	if backup.Metrics().Counter("reads.backup_served").Value() < 3 {
+		t.Fatal("the reads were not served by the backup")
+	}
 }

@@ -651,9 +651,6 @@ func (n *Node) debugGauges() map[string]uint64 {
 		out["cache.bypass"] = st.Bypass
 		out["cache.invalidations"] = st.Invalidations
 	}
-	sch, scm := n.db.StateCacheStats()
-	out["store.state_cache_hits"] = sch
-	out["store.state_cache_misses"] = scm
 	warm, cold := n.rt.PoolStats()
 	out["core.pool_warm"] = warm
 	out["core.pool_cold"] = cold

@@ -367,8 +367,10 @@ func TestConsistentCache(t *testing.T) {
 }
 
 func TestCacheValidationWithoutProactiveInvalidation(t *testing.T) {
-	// Even if invalidation missed (simulated by writing to the store
-	// directly), read-set validation must reject the stale entry.
+	// A write-set that obeys the commit protocol (the field and the object's
+	// version key in one batch) but reaches the store without
+	// InvalidateObject — what a backup would see if the invalidation were
+	// lost: validation alone must reject the stale entry.
 	rt, db := newTestRuntime(t, Options{CacheEntries: 1024})
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
@@ -379,12 +381,23 @@ func TestCacheValidationWithoutProactiveInvalidation(t *testing.T) {
 	mustInvoke(t, rt, 1, "add", I64Bytes(5))
 	mustInvoke(t, rt, 1, "get") // populate cache
 
-	// Bypass the runtime: overwrite the field under the cache's feet.
-	if err := db.Put(valueKey(1, "count"), I64Bytes(77)); err != nil {
+	version, err := rt.ObjectVersion(1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	b := store.NewBatch()
+	b.Put(valueKey(1, "count"), I64Bytes(77))
+	b.Put(versionKey(1), encodeU64(version+1))
+	if err := db.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	before := rt.Cache().Stats()
 	if got := BytesI64(mustInvoke(t, rt, 1, "get")); got != 77 {
-		t.Fatalf("get = %d, want 77 (read-set validation failed)", got)
+		t.Fatalf("get = %d, want 77 (version validation failed)", got)
+	}
+	after := rt.Cache().Stats()
+	if after.Validations != before.Validations+1 || after.Invalidations != before.Invalidations {
+		t.Fatalf("stats %+v -> %+v: want the entry validated away, not invalidated", before, after)
 	}
 }
 

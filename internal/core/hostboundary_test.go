@@ -175,8 +175,8 @@ func TestRetainedBytesSurviveGuestMemoryReuse(t *testing.T) {
 }
 
 // TestStoredReadSetSurvivesTxnReuse checks that the read set handed to the
-// result cache owns its memory: the pooled read txn it was captured in is
-// reused — and its scratch overwritten — by the next invocation, and the
+// result cache owns its memory: the version key is built in the pooled
+// invocation's key scratch, which the next invocation overwrites, and the
 // cached entry must still validate afterwards.
 func TestStoredReadSetSurvivesTxnReuse(t *testing.T) {
 	rt, _ := newTestRuntime(t, Options{CacheEntries: 64})
@@ -192,7 +192,7 @@ func TestStoredReadSetSurvivesTxnReuse(t *testing.T) {
 	if got := BytesI64(mustInvoke(t, rt, 1, "get")); got != 100 { // miss: stores its read set
 		t.Fatalf("get(1) = %d", got)
 	}
-	if got := BytesI64(mustInvoke(t, rt, 2, "get")); got != 200 { // reuses the txn scratch
+	if got := BytesI64(mustInvoke(t, rt, 2, "get")); got != 200 { // reuses the key scratch
 		t.Fatalf("get(2) = %d", got)
 	}
 	before := rt.Cache().Stats()

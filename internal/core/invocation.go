@@ -46,8 +46,8 @@ type invocation struct {
 	// shared buffer uncommitted and never releases locks it does not own.
 	external bool
 
-	// nocache poisons result caching when the method did something the
-	// read-set cannot capture (clock, randomness, scans, cross-object
+	// nocache poisons result caching when the method did something its
+	// object's version does not cover (clock, randomness, cross-object
 	// calls).
 	nocache bool
 
@@ -181,8 +181,8 @@ func (iv *invocation) tScan(prefix []byte, fn func(key, value []byte) bool) erro
 // The Backend the host table drives (hostapi.go), over the local
 // transaction. What the aggregated design adds to plain storage access lives
 // here: writes are buffered until commit, read-only methods may not write,
-// what a read set cannot capture poisons result caching, and a nested call
-// first commits the caller and releases its admission.
+// what the object's version does not cover poisons result caching, and a
+// nested call first commits the caller and releases its admission.
 
 var hostRandMu sync.Mutex
 var hostRand = rand.New(rand.NewSource(0x1a3b5c7d))
@@ -230,9 +230,6 @@ func (iv *invocation) Del(f *FieldDef, key []byte) error {
 }
 
 func (iv *invocation) Count(f *FieldDef) (int64, error) {
-	// Range reads are not captured by the point read-set; exclude from
-	// the result cache.
-	iv.nocache = true
 	var n int64
 	err := iv.tScan(iv.mapKey(f.Name, nil), func(k, v []byte) bool {
 		n++

@@ -7,9 +7,9 @@ import (
 
 // TestNoStaleReadAfterCommit is the read-path staleness guarantee: a
 // commit to object X is never followed by a read of X that sees the
-// pre-commit state, no matter which cache layer (consistent result cache,
-// store state cache) the read is served from. Concurrent readers keep the
-// caches hot and racing while the writer commits.
+// pre-commit state, whether or not the read is served from the consistent
+// result cache. Concurrent readers keep the cache hot and racing while the
+// writer commits.
 func TestNoStaleReadAfterCommit(t *testing.T) {
 	rt, _ := newTestRuntime(t, Options{CacheEntries: 1024})
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
@@ -71,7 +71,7 @@ func TestReadFastPathAllocBound(t *testing.T) {
 	}
 	mustInvoke(t, rt, 1, "add", I64Bytes(5))
 
-	// Warm the instance pool and the store's state cache.
+	// Warm the instance pool.
 	for i := 0; i < 8; i++ {
 		mustInvoke(t, rt, 1, "get")
 	}
@@ -84,8 +84,8 @@ func TestReadFastPathAllocBound(t *testing.T) {
 	})
 	// Measured 4: the snapshot, the scheduler admission (2) and the result
 	// copied out of guest memory. The invocation context, its txn and its
-	// key/value scratch are pooled, and the state-cache hit copies into
-	// that scratch. A regression to per-call scratch, to the write path's
+	// key/value scratch are pooled, and the point read copies into that
+	// scratch. A regression to per-call scratch, to the write path's
 	// eager maps or to per-invocation instantiation shows up well above.
 	const bound = 4 + 2
 	if allocs > bound {

@@ -462,13 +462,14 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 		return nil, err
 	}
 
-	// Consistent result cache: hit only if every recorded read dependency
-	// still matches the committed state (§4.2.2).
+	// Consistent result cache: hit only if the object's committed version
+	// is still the one the cached execution read (§4.2.2).
 	cacheable := mi.ReadOnly && mi.Deterministic && rt.cache != nil
-	var argsHash uint64
+	var argsHash, epoch uint64
 	if cacheable {
 		argsHash = cache.HashArgs(method, args)
-		if result, ok := rt.cache.Lookup(uint64(id), method, argsHash, rt.committedHash); ok {
+		result, missEpoch, ok := rt.cache.LookupAt(uint64(id), method, argsHash, rt.committedHash)
+		if ok {
 			iv.unlock()
 			if rt.metrics != nil {
 				rt.metrics.cacheHits.Inc()
@@ -479,6 +480,7 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 			rt.tracer.StartSpan(cc.Trace, "cache-hit").Finish()
 			return result, nil
 		}
+		epoch = missEpoch
 		if rt.metrics != nil {
 			rt.metrics.cacheMisses.Inc()
 		}
@@ -486,7 +488,7 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 		rt.cache.NoteBypass()
 	}
 
-	iv.txn = openTxn(rt.db, cacheable)
+	iv.txn = openTxn(rt.db)
 	defer iv.txn.close()
 
 	result, err := iv.run()
@@ -495,13 +497,30 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 	}
 
 	if cacheable && !iv.nocache {
-		rt.cache.Store(uint64(id), method, argsHash, result, iv.txn.readSet())
-	} else if cacheable && rt.cache != nil {
+		if readSet := iv.versionReadSet(); readSet != nil {
+			rt.cache.StoreAt(uint64(id), method, argsHash, result, readSet, epoch)
+		}
+	} else if cacheable {
 		// Eligible by signature but poisoned at runtime (clock, randomness,
-		// scans, cross-calls): a bypass, not a miss.
+		// cross-calls): a bypass, not a miss.
 		rt.cache.NoteBypass()
 	}
 	return result, nil
+}
+
+// versionReadSet is the read set of a finished cacheable invocation: its
+// object's version key as the invocation's own snapshot sees it, which
+// covers every read the method made, scans included (see package cache for
+// the invariant). nil (store nothing) if the object has no version at the
+// snapshot — deleted under the reader — or the read failed.
+func (iv *invocation) versionReadSet() []cache.ReadDep {
+	key := iv.fieldKey(subVersion, "")
+	v, present, err := iv.txn.get(iv.val[:0], key)
+	iv.val = v
+	if err != nil || !present {
+		return nil
+	}
+	return []cache.ReadDep{{Key: append([]byte(nil), key...), ValueHash: cache.HashValue(v, true)}}
 }
 
 // MethodRoutableReadOnly reports whether the named method of the object's
@@ -519,17 +538,15 @@ func (rt *Runtime) MethodRoutableReadOnly(id ObjectID, method string) bool {
 }
 
 // committedHash fingerprints the current committed value of key (cache
-// validation).
-func (rt *Runtime) committedHash(key []byte) uint64 {
-	h := cache.HashValue(nil, false)
+// validation); ok is false when the read failed, which must not validate
+// anything.
+func (rt *Runtime) committedHash(key []byte) (h uint64, ok bool) {
 	// VisitLatest hashes the committed value in place — validation never
 	// needs a copy of it.
-	_ = rt.db.VisitLatest(key, func(v []byte, present bool) {
-		if present {
-			h = cache.HashValue(v, true)
-		}
+	err := rt.db.VisitLatest(key, func(v []byte, present bool) {
+		h = cache.HashValue(v, present)
 	})
-	return h
+	return h, err == nil
 }
 
 // commit is the one commit tail, shared by an invocation, a transaction,

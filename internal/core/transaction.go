@@ -104,7 +104,7 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 
 	// One shared buffer over one snapshot: calls see each other's writes,
 	// nothing outside sees any of them until commit.
-	shared := openTxn(rt.db, false)
+	shared := openTxn(rt.db)
 	defer shared.close()
 
 	results := make([][]byte, len(calls))

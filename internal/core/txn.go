@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
 
-	"lambdastore/internal/cache"
 	"lambdastore/internal/store"
 )
 
@@ -23,29 +20,11 @@ type txn struct {
 	// invocations are reads and never buffer one). A nil-value entry with
 	// del=true is a buffered delete.
 	writes map[string]bufferedWrite
-
-	// recordReads enables read-set capture for the consistent result
-	// cache. Only reads that fall through to the snapshot are recorded —
-	// cacheable methods are read-only, so every read falls through.
-	//
-	// The read set is captured in scratch a pooled txn keeps across
-	// invocations — each distinct key once (guests read a key twice: a size
-	// pass, then a copy pass), its bytes in the readKeys slab — and only
-	// readSet() turns it into memory the result cache may own.
-	recordReads bool
-	reads       []cache.ReadDep // keys alias readKeys, or a copy it outgrew
-	readKeys    []byte
-	// readIdx maps a key's hash to its index in reads. Two keys sharing a
-	// hash just make the older one record again on its next read; a
-	// duplicate dependency validates the same as a single one.
-	readIdx map[uint64]int32
 }
 
-var readKeySeed = maphash.MakeSeed()
-
 // scratchRetainMax is the largest scratch buffer a pooled txn or
-// invocation keeps for its next use; one that grew past it (a huge value,
-// a thousand-key read set) is dropped so the pools' footprint stays small.
+// invocation keeps for its next use; one that grew past it (a huge value)
+// is dropped so the pools' footprint stays small.
 const scratchRetainMax = 4 << 10
 
 // retained empties a scratch buffer for reuse, or drops it if it outgrew
@@ -69,10 +48,9 @@ var txnPool = sync.Pool{New: func() any { return new(txn) }}
 // openTxn takes a transaction from the pool; the snapshot is taken lazily
 // at the first read so it always postdates the scheduler admission. The
 // caller must close() it exactly once.
-func openTxn(db *store.DB, recordReads bool) *txn {
+func openTxn(db *store.DB) *txn {
 	t := txnPool.Get().(*txn)
 	t.db = db
-	t.recordReads = recordReads
 	return t
 }
 
@@ -83,20 +61,14 @@ func (t *txn) ensureSnap() {
 	}
 }
 
-// close releases the snapshot and recycles the txn, keeping whichever
-// scratch did not outgrow what is worth pooling.
+// close releases the snapshot and recycles the txn, keeping the write
+// buffer if it did not outgrow what is worth pooling.
 func (t *txn) close() {
 	if t.snap != nil {
 		t.snap.Release()
 	}
 	t.dropWrites()
-	recycled := txn{writes: t.writes}
-	if cap(t.readKeys) <= scratchRetainMax && cap(t.reads) <= scratchRetainMax/32 {
-		clear(t.readIdx)
-		clear(t.reads)
-		recycled.reads, recycled.readKeys, recycled.readIdx = t.reads[:0], t.readKeys[:0], t.readIdx
-	}
-	*t = recycled
+	*t = txn{writes: t.writes}
 	txnPool.Put(t)
 }
 
@@ -120,47 +92,7 @@ func (t *txn) get(dst, key []byte) (val []byte, present bool, err error) {
 		return append(dst, w.value...), true, nil
 	}
 	t.ensureSnap()
-	val, present, err = t.snap.GetInto(dst, key)
-	if err != nil {
-		return dst, false, err
-	}
-	if t.recordReads {
-		t.noteRead(key, val[len(dst):], present)
-	}
-	return val, present, nil
-}
-
-// noteRead records a snapshot read in the read set (once per key).
-func (t *txn) noteRead(key, value []byte, present bool) {
-	h := maphash.Bytes(readKeySeed, key)
-	if i, seen := t.readIdx[h]; seen {
-		if bytes.Equal(t.reads[i].Key, key) {
-			return
-		}
-	} else if t.readIdx == nil {
-		t.readIdx = make(map[uint64]int32)
-	}
-	t.readIdx[h] = int32(len(t.reads))
-	off := len(t.readKeys)
-	t.readKeys = append(t.readKeys, key...)
-	t.reads = append(t.reads, cache.ReadDep{Key: t.readKeys[off:], ValueHash: cache.HashValue(value, present)})
-}
-
-// readSet returns the recorded read set in freshly allocated memory — one
-// []ReadDep over one key slab — for the result cache to keep: it outlives
-// the invocation, and the scratch it was captured in is reused by the next.
-func (t *txn) readSet() []cache.ReadDep {
-	if len(t.reads) == 0 {
-		return nil
-	}
-	slab := make([]byte, 0, len(t.readKeys))
-	deps := make([]cache.ReadDep, len(t.reads))
-	for i, r := range t.reads {
-		off := len(slab)
-		slab = append(slab, r.Key...)
-		deps[i] = cache.ReadDep{Key: slab[off:len(slab):len(slab)], ValueHash: r.ValueHash}
-	}
-	return deps
+	return t.snap.GetInto(dst, key)
 }
 
 // put buffers a write.

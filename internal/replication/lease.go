@@ -26,8 +26,8 @@
 // Staleness argument: the primary ships a committed write-set to every
 // backup before releasing the client ack, and a frame error withholds the
 // ack. So at the instant any write is client-visible, every backup that
-// could validly serve a read has already applied it (invalidating its
-// result/state caches in ApplyReplicated). The residual hazards are
+// could validly serve a read has already applied it (moving the object's
+// version key and invalidating its cached results in ApplyReplicated). The residual hazards are
 // backups that stopped receiving frames — eviction, cutover — and those
 // are covered by the epoch check plus the primary-side barrier that
 // stalls write acks for a full TTL after any lease-breaking

@@ -10,11 +10,10 @@ import (
 )
 
 // The cold-timeline fixture is the benchmark's timeline_cold workload at
-// the core.Runtime surface: every account's 40-post timeline sits in L1,
-// the state cache holds a small fraction of the key set and the result
-// cache a small fraction of the accounts, so rotating through the accounts
-// makes every get_timeline execute the guest, cross the host-call boundary
-// ~80 times and read the LSM ~40 times.
+// the core.Runtime surface: every account's 40-post timeline sits in L1
+// and the result cache holds a small fraction of the accounts, so rotating
+// through the accounts makes every get_timeline execute the guest, cross
+// the host-call boundary ~80 times and read the LSM ~40 times.
 const (
 	coldAccounts = 512
 	coldPosts    = 40
@@ -23,7 +22,7 @@ const (
 
 func coldRuntime(tb testing.TB) *core.Runtime {
 	tb.Helper()
-	db, err := store.Open(tb.TempDir(), &store.Options{StateCacheEntries: 1024})
+	db, err := store.Open(tb.TempDir(), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -84,12 +83,11 @@ func coldReader(tb testing.TB, rt *core.Runtime) func() {
 }
 
 // TestColdTimelineAllocBound guards the uncached read path end to end:
-// host-call boundary, read set, state-cache fill and LSM point read.
+// host-call boundary, LSM point reads and the one-element read set.
 func TestColdTimelineAllocBound(t *testing.T) {
 	rt := coldRuntime(t)
 	read := coldReader(t, rt)
-	// Two rotations warm the instance pool, the block cache and the
-	// read-set size hint, and fill the state cache so fills evict.
+	// Two rotations warm the instance pool and the block cache.
 	for i := 0; i < 2*coldAccounts; i++ {
 		read()
 	}

@@ -50,11 +50,6 @@ type DB struct {
 
 	tcache *tableCache
 
-	// sc is the hot-object state cache (nil when disabled): a sharded LRU
-	// of committed key→value records write-through-updated by the commit
-	// paths. See statecache.go for the staleness protocol.
-	sc *stateCache
-
 	bgWork chan struct{}
 	bgQuit chan struct{}
 	bgDone chan struct{}
@@ -125,9 +120,6 @@ func Open(dir string, opts *Options) (*DB, error) {
 	}
 	if opts.Metrics != nil {
 		db.metrics = newDBMetrics(opts.Metrics)
-	}
-	if opts.StateCacheEntries > 0 {
-		db.sc = newStateCache(opts.StateCacheEntries)
 	}
 	db.cond = sync.NewCond(&db.mu)
 	db.setCurrent(v)
@@ -391,11 +383,6 @@ func (db *DB) commitGroup() {
 				// consumed either way, so later members stay consistent.
 				w.err = aerr
 			}
-			if db.sc != nil {
-				// Write-through before lastSeq advances, so no reader can
-				// pair the new sequence with a stale cached record.
-				db.sc.applyBatch(w.batch)
-			}
 			if m := db.metrics; m != nil {
 				m.writes.Inc()
 				m.walBytes.Add(uint64(len(records[i])))
@@ -495,20 +482,19 @@ func (db *DB) scheduleBackground() {
 }
 
 // latestSeq as a read's snapshot sequence means "the latest committed
-// state": the state cache serves any live entry, and a miss captures the
-// real sequence (and state-cache generation) under db.mu.
+// state": getInto captures the real sequence under db.mu.
 const latestSeq = ^uint64(0)
 
 // Get returns the value for key at the latest committed state.
 func (db *DB) Get(key []byte) ([]byte, error) {
-	return orNotFound(db.getInto(nil, key, latestSeq, 0))
+	return orNotFound(db.getInto(nil, key, latestSeq))
 }
 
 // GetInto appends the latest committed value of key to dst and returns the
 // extended slice; present is false (and dst returned as is) when the key is
 // absent. With a reused dst a read allocates nothing.
 func (db *DB) GetInto(dst, key []byte) (val []byte, present bool, err error) {
-	return db.getInto(dst, key, latestSeq, 0)
+	return db.getInto(dst, key, latestSeq)
 }
 
 // orNotFound adapts getInto's result to the ErrNotFound convention.
@@ -523,16 +509,12 @@ func orNotFound(val []byte, present bool, err error) ([]byte, error) {
 }
 
 // VisitLatest calls fn with the current committed value of key (present
-// false when absent) without copying it out: on a state-cache hit fn
-// observes the cached bytes in place, under the cache's shard lock; on a
-// miss, in pooled scratch. fn must not retain or mutate the slice. This is
-// the result-cache validation path, which only hashes the value.
+// false when absent) in pooled scratch instead of copying it out. fn must
+// not retain or mutate the slice. This is the result-cache validation path,
+// which only hashes the value.
 func (db *DB) VisitLatest(key []byte, fn func(value []byte, present bool)) error {
-	if db.sc != nil && db.sc.visit(key, fn) {
-		return nil
-	}
 	rs := readScratchPool.Get().(*readScratch)
-	val, present, err := db.getMiss(rs, rs.val[:0], key, latestSeq, 0)
+	val, present, err := db.read(rs, rs.val[:0], key, latestSeq)
 	if err == nil {
 		fn(val, present)
 	}
@@ -541,28 +523,19 @@ func (db *DB) VisitLatest(key []byte, fn func(value []byte, present bool)) error
 	return err
 }
 
-// getInto is the one point-read primitive: Get, GetInto, VisitLatest and
-// their Snapshot forms are wrappers over it. It reads key as of snapshot
-// seq and appends a live value to dst. gen is the state-cache generation
-// captured together with seq (under db.mu), which gates miss-path
-// population of the state cache; with seq == latestSeq both are captured
-// here.
-func (db *DB) getInto(dst, key []byte, seq, gen uint64) (val []byte, present bool, err error) {
-	if db.sc != nil {
-		// Any entry valid at seq answers without touching db.mu.
-		if val, present, ok := db.sc.lookupInto(dst, key, seq); ok {
-			return val, present, nil
-		}
-	}
+// getInto is the one point-read primitive: Get, GetInto and their Snapshot
+// forms are wrappers over it. It reads key as of snapshot seq (memtables,
+// then tables) and appends a live value to dst.
+func (db *DB) getInto(dst, key []byte, seq uint64) (val []byte, present bool, err error) {
 	rs := readScratchPool.Get().(*readScratch)
-	val, present, err = db.getMiss(rs, dst, key, seq, gen)
+	val, present, err = db.read(rs, dst, key, seq)
 	rs.release()
 	return val, present, err
 }
 
-// readScratch is the working memory of one point read past the state
-// cache: nothing in it outlives the read, so reads recycle it instead of
-// allocating a lookup key and two block cursors each.
+// readScratch is the working memory of one point read: nothing in it
+// outlives the read, so reads recycle it instead of allocating a lookup key
+// and two block cursors each.
 type readScratch struct {
 	ikey []byte    // internal lookup key, built once and shared by every probe
 	it   blockIter // index-block, then data-block cursor; keeps its key buffer
@@ -571,9 +544,9 @@ type readScratch struct {
 
 var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
 
-// scratchRetainMax is the largest buffer a pooled scratch object or a
-// state-cache slot carries over to its next use: one oversized key or value
-// must not pin its footprint there.
+// scratchRetainMax is the largest buffer a pooled scratch object carries
+// over to its next use: one oversized key or value must not pin its
+// footprint there.
 const scratchRetainMax = 4 << 10
 
 // retained empties a buffer for reuse, or drops it if it outgrew
@@ -590,10 +563,9 @@ func (rs *readScratch) release() {
 	readScratchPool.Put(rs)
 }
 
-// getMiss is getInto past the state cache: it pins what the read needs
-// (memtables and table layout), searches it, and offers the outcome to the
-// state cache.
-func (db *DB) getMiss(rs *readScratch, dst, key []byte, seq, gen uint64) (val []byte, present bool, err error) {
+// read is getInto with the caller's scratch: it pins what the read needs
+// (memtables and table layout) and searches it.
+func (db *DB) read(rs *readScratch, dst, key []byte, seq uint64) (val []byte, present bool, err error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
@@ -601,9 +573,6 @@ func (db *DB) getMiss(rs *readScratch, dst, key []byte, seq, gen uint64) (val []
 	}
 	if seq == latestSeq {
 		seq = db.lastSeq
-		if db.sc != nil {
-			gen = db.sc.gen.Load()
-		}
 	}
 	mem, imm, v := db.mem, db.imm, db.current
 	v.refs.Add(1)
@@ -612,11 +581,6 @@ func (db *DB) getMiss(rs *readScratch, dst, key []byte, seq, gen uint64) (val []
 	rs.ikey = makeInternalKey(rs.ikey, key, seq, kindSeek)
 	val, present, err = db.search(rs, dst, mem, imm, v)
 	db.unref(v)
-	if err == nil && db.sc != nil {
-		// Populates only if the captured generation is still current (no
-		// commit raced the read).
-		db.sc.insert(key, val[len(dst):], present, seq, gen)
-	}
 	return val, present, err
 }
 
@@ -718,9 +682,6 @@ func (db *DB) unref(v *version) {
 type Snapshot struct {
 	db  *DB
 	seq uint64
-	// gen is the state-cache generation at snapshot creation; reads through
-	// the snapshot may populate the state cache only while it is unchanged.
-	gen uint64
 }
 
 // GetSnapshot returns a handle to the current state; callers must Release
@@ -729,21 +690,17 @@ func (db *DB) GetSnapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.snaps[db.lastSeq]++
-	s := &Snapshot{db: db, seq: db.lastSeq}
-	if db.sc != nil {
-		s.gen = db.sc.gen.Load()
-	}
-	return s
+	return &Snapshot{db: db, seq: db.lastSeq}
 }
 
 // Get reads key at the snapshot.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
-	return orNotFound(s.db.getInto(nil, key, s.seq, s.gen))
+	return orNotFound(s.db.getInto(nil, key, s.seq))
 }
 
 // GetInto is DB.GetInto at the snapshot.
 func (s *Snapshot) GetInto(dst, key []byte) (val []byte, present bool, err error) {
-	return s.db.getInto(dst, key, s.seq, s.gen)
+	return s.db.getInto(dst, key, s.seq)
 }
 
 // Seq exposes the snapshot's sequence number (used by tests).
@@ -923,14 +880,10 @@ func (db *DB) BlockCacheStats() (hits, misses uint64) {
 	return db.tcache.blocks.stats()
 }
 
-// StateCacheStats reports cumulative hot-object state cache hits and
-// misses (both zero when the cache is disabled).
-func (db *DB) StateCacheStats() (hits, misses uint64) {
-	if db.sc == nil {
-		return 0, 0
-	}
-	return db.sc.stats()
-}
+// StateCacheStats reports zeros: the state cache is gone, and this shim stays
+// only because the frozen benchmark/counts.go still calls it (ROADMAP,
+// benchmark-variant item).
+func (db *DB) StateCacheStats() (hits, misses uint64) { return 0, 0 }
 
 // TableCount returns the number of live tables per level (for tests and the
 // stats endpoint).

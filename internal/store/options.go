@@ -50,11 +50,6 @@ type Options struct {
 	// default to false (like LevelDB's default) while durability tests turn
 	// it on.
 	SyncWrites bool
-	// StateCacheEntries bounds the hot-object state cache: a sharded LRU of
-	// committed key→value records consulted by Get/Snapshot.Get before the
-	// memtable/SSTable lookup and write-through-updated on commit. Zero
-	// picks the default; negative disables the cache.
-	StateCacheEntries int
 	// Metrics, if set, receives storage counters: batch writes, WAL bytes
 	// and syncs, memtable flushes, and compactions.
 	Metrics *telemetry.Registry
@@ -63,7 +58,6 @@ type Options struct {
 // NewOptions returns production defaults scaled for test-friendly sizes.
 func NewOptions() *Options {
 	return &Options{
-		StateCacheEntries:    16 << 10,
 		MemtableBytes:        4 << 20,
 		BlockBytes:           4 << 10,
 		BlockRestartInterval: 16,
@@ -85,12 +79,6 @@ func (o *Options) sanitize() *Options {
 	out := *o
 	if out.MemtableBytes <= 0 {
 		out.MemtableBytes = def.MemtableBytes
-	}
-	if out.StateCacheEntries == 0 {
-		out.StateCacheEntries = def.StateCacheEntries
-	}
-	if out.StateCacheEntries < 0 {
-		out.StateCacheEntries = 0
 	}
 	if out.BlockBytes <= 0 {
 		out.BlockBytes = def.BlockBytes

@@ -934,7 +934,7 @@ func TestGetSequencePointReads(t *testing.T) {
 		}
 	}
 	for i, seq := range seqs {
-		got, present, err := db.getInto(nil, []byte("vk"), seq, 0)
+		got, present, err := db.getInto(nil, []byte("vk"), seq)
 		if err != nil || !present {
 			t.Fatalf("getInto(%d): present=%v err=%v", seq, present, err)
 		}

@@ -48,25 +48,39 @@ var testOnly = map[string]string{
 	"MustAssemble":      "vm and core tests assemble fixture modules",
 }
 
-// source is one parsed non-test file.
+// source is one parsed file.
 type source struct {
 	dir  string // slash-separated, relative to the repo root
+	path string
 	file *ast.File
 }
 
+// parseTree parses the non-test files under roots.
 func parseTree(t *testing.T, fset *token.FileSet, roots ...string) []source {
+	t.Helper()
+	var out []source
+	for _, s := range parseAll(t, fset, roots...) {
+		if !strings.HasSuffix(s.path, "_test.go") {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// parseAll parses every Go file under roots, tests included.
+func parseAll(t *testing.T, fset *token.FileSet, roots ...string) []source {
 	t.Helper()
 	var out []source
 	for _, root := range roots {
 		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") {
 				return err
 			}
 			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 			if err != nil {
 				return err
 			}
-			out = append(out, source{dir: filepath.ToSlash(filepath.Dir(p)), file: f})
+			out = append(out, source{dir: filepath.ToSlash(filepath.Dir(p)), path: filepath.ToSlash(p), file: f})
 			return nil
 		})
 		if err != nil {
@@ -78,6 +92,25 @@ func parseTree(t *testing.T, fset *token.FileSet, roots ...string) []source {
 
 func isProduct(dir string) bool {
 	return strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")
+}
+
+// importDirs maps the local name of each lambdastore package a file imports
+// to its directory.
+func importDirs(f *ast.File) map[string]string {
+	imports := map[string]string{}
+	for _, im := range f.Imports {
+		p, _ := strconv.Unquote(im.Path.Value)
+		dir, ok := strings.CutPrefix(p, "lambdastore/")
+		if !ok {
+			continue
+		}
+		name := path.Base(dir)
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		imports[name] = dir
+	}
+	return imports
 }
 
 func TestNothingUnreached(t *testing.T) {
@@ -130,19 +163,7 @@ func TestNothingUnreached(t *testing.T) {
 		declared := map[key]token.Pos{}
 		sent := map[key]bool{}
 		for _, s := range srcs {
-			imports := map[string]string{} // local package name -> dir
-			for _, im := range s.file.Imports {
-				p, _ := strconv.Unquote(im.Path.Value)
-				dir, ok := strings.CutPrefix(p, "lambdastore/")
-				if !ok {
-					continue
-				}
-				name := path.Base(dir)
-				if im.Name != nil {
-					name = im.Name.Name
-				}
-				imports[name] = dir
-			}
+			imports := importDirs(s.file)
 			// skip holds the nodes that declare or register a method rather
 			// than send it.
 			skip := map[ast.Node]bool{}
@@ -257,4 +278,138 @@ func selectorPath(e ast.Expr) string {
 		}
 	}
 	return ""
+}
+
+// defaultsOnly lists option fields nothing sets, each with why it is still
+// there. Like testOnly it is a worklist, not a steady state: a sizing value
+// only its own defaults() ever writes is a constant with a field's syntax.
+var defaultsOnly = map[string]string{
+	"admission.Options.TenantBurst": "bucket depth; every plane runs the default, one second of TenantQPS",
+	"cluster.ClientConfig.Tenant":   "the identity TenantQPS meters: no client in the repo sends one, so the per-tenant bucket runs only under admission's own tests",
+
+	"chaos.Options.HeartbeatInterval":      "chaos timing: every scenario runs the 50ms default",
+	"chaos.RunOptions.MaxRecoveryAttempts": "chaos timeout: every schedule runs the default",
+	"chaos.RunOptions.PromoteTimeout":      "chaos timeout: every schedule runs the default",
+	"chaos.RunOptions.RejoinTimeout":       "chaos timeout: every schedule runs the default",
+
+	"rebalance.Options.TopK":                 "hot-sample size: default only",
+	"rebalance.PolicyConfig.HomeSlack":       "policy threshold: default only",
+	"rebalance.PolicyConfig.ImbalanceRatio":  "policy threshold: default only",
+	"rebalance.PolicyConfig.MinGainFraction": "policy threshold: default only",
+
+	"store.Options.BlockRestartInterval": "table format sizing: default only",
+	"store.Options.BloomBitsPerKey":      "table format sizing: default only (and nothing runs without filters)",
+
+	"workload.Config.MeanFollowers": "generator shape: default only",
+	"workload.Config.MsgLen":        "generator shape: default only",
+	"workload.Config.Seed":          "generator shape: default only",
+	"workload.Config.ZipfS":         "generator shape: default only",
+}
+
+// TestEveryOptionIsSet is the "no dead knobs" guard: an exported field of a
+// product struct named *Options or *Config must be set — as a composite-
+// literal key or by assignment, tests included — by some file other than the
+// one declaring it, or the paths it selects are paths nobody takes (the funcs
+// check above cannot see those: their code is reached through the field). A
+// keyed literal is matched to its struct by package and type name, an
+// assignment `x.Field = ...` or an untyped literal by field name alone, so
+// the guard is conservative.
+func TestEveryOptionIsSet(t *testing.T) {
+	fset := token.NewFileSet()
+	type field struct{ dir, typ, name string }
+	declared := map[field]source{}
+	all := parseAll(t, fset, "internal", "cmd", "examples", "benchmark")
+	for _, s := range all {
+		if !isProduct(s.dir) || strings.HasSuffix(s.path, "_test.go") {
+			continue
+		}
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || !(strings.HasSuffix(ts.Name.Name, "Options") || strings.HasSuffix(ts.Name.Name, "Config")) {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.IsExported() {
+							declared[field{s.dir, ts.Name.Name, id.Name}] = s
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(declared) == 0 {
+		t.Fatal("found no option structs: the guard is not looking at the source")
+	}
+
+	set := map[field]bool{}
+	byName := map[string]map[string]bool{} // field name -> files that set some x.<name>
+	noteByName := func(name, file string) {
+		if byName[name] == nil {
+			byName[name] = map[string]bool{}
+		}
+		byName[name][file] = true
+	}
+	for _, s := range all {
+		imports := importDirs(s.file)
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				dir, typ := "", ""
+				switch tx := n.Type.(type) {
+				case *ast.Ident:
+					dir, typ = s.dir, tx.Name
+				case *ast.SelectorExpr:
+					if x, ok := tx.X.(*ast.Ident); ok {
+						dir, typ = imports[x.Name], tx.Sel.Name
+					}
+				}
+				for _, e := range n.Elts {
+					kv, ok := e.(*ast.KeyValueExpr)
+					if !ok {
+						continue
+					}
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						if f := (field{dir, typ, id.Name}); n.Type == nil {
+							noteByName(id.Name, s.path)
+						} else if decl, ok := declared[f]; ok && decl.path != s.path {
+							set[f] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						noteByName(sel.Sel.Name, s.path)
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	var dead []string
+	unset := map[string]bool{}
+	for f, decl := range declared {
+		files := byName[f.name]
+		if set[f] || len(files) > 1 || (len(files) == 1 && !files[decl.path]) {
+			continue
+		}
+		name := path.Base(f.dir) + "." + f.typ + "." + f.name
+		unset[name] = true
+		if _, ok := defaultsOnly[name]; !ok {
+			dead = append(dead, decl.path+": "+name)
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s is set by no file but its own: delete the field and pass what the zero value passed, or list it in defaultsOnly with the reason", d)
+	}
+	for name := range defaultsOnly {
+		if !unset[name] {
+			t.Errorf("defaultsOnly entry %q is stale (not declared, or something sets it now)", name)
+		}
+	}
 }
