@@ -4,7 +4,7 @@
 #   make test    full test suite
 #   make race    race-detector pass over the concurrency-heavy packages
 #   make chaos   seeded failover chaos suite under the race detector
-#   make fuzz-smoke  10 s of native fuzzing over the recovery/move wire decoders
+#   make fuzz-smoke  5 s of native fuzzing per Fuzz* target in the module (FUZZTIME=10s for longer)
 #   make bench   telemetry hot-path benchmarks (must report 0 allocs/op)
 #   make bench-recovery  rejoin cost, digest diff vs full resync (JSON artifact)
 #   make bench-rebalance many-group placement + Zipf hot-spot convergence (JSON artifact)
@@ -43,10 +43,18 @@ race:
 chaos:
 	$(GO) test -run TestChaos -race -count=1 ./internal/chaos/
 
-# The seed corpus of every fuzz target runs in `make test`; this spends 10 s
-# looking for new inputs (findings land in the package's testdata/fuzz/).
+# The seed corpus of every fuzz target runs in `make test`; this finds every
+# Fuzz* function in the module and spends FUZZTIME looking for new inputs to
+# each. A finding fails the run and lands in the package's testdata/fuzz/:
+# fix the decoder and commit the file as a seed.
+FUZZTIME ?= 5s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzRecoveryWire -fuzztime 10s ./internal/recovery/
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "== $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 bench:
 	$(GO) test -run Telemetry -bench . -benchmem ./internal/telemetry/

@@ -73,8 +73,7 @@ Commands:
   recovery        -debug HOST:PORT,...       show each node's rejoin state and
                                              donor catch-up sessions
   admission       -debug HOST:PORT,...       show each node's admission plane:
-                                             queue depth, shed counters,
-                                             per-tenant quota state
+                                             queue depth, shed counters
   rebalance       -debug HOST:PORT           show the load-aware rebalancer:
                                              last load window, recent move
                                              decisions, counters (coordinator
@@ -587,13 +586,9 @@ func runAdmission(args []string) {
 		fmt.Printf("  slots %d/%d busy, queue %d/%d (%s), deadline %.1fms\n",
 			st.Active, st.Workers, st.QueueDepth, st.QueueLimit,
 			map[bool]string{true: "LIFO", false: "FIFO"}[st.LIFO], st.DeadlineMs)
-		fmt.Printf("  admitted=%d queued=%d shed: deadline=%d quota=%d full=%d\n",
-			st.Admitted, st.Queued, st.ShedDeadline, st.ShedQuota, st.ShedFull)
-		fmt.Printf("  ewma service latency %dus", st.EWMALatencyUs)
-		if st.TenantQPS > 0 {
-			fmt.Printf(", %d tenant bucket(s) at %.1f qps", st.Tenants, st.TenantQPS)
-		}
-		fmt.Println()
+		fmt.Printf("  admitted=%d queued=%d shed: deadline=%d full=%d\n",
+			st.Admitted, st.Queued, st.ShedDeadline, st.ShedFull)
+		fmt.Printf("  ewma service latency %dus\n", st.EWMALatencyUs)
 	}
 }
 

@@ -43,7 +43,6 @@ func main() {
 		admDead    = flag.Duration("admission-deadline", 0, "admission plane: max queue wait before a request is shed (0 = default)")
 		admLIFO    = flag.Bool("admission-lifo", false, "admission plane: drain the wait queue newest-first")
 		admWorkers = flag.Int("admission-workers", 0, "admission plane: concurrent execution slots (0 = NumCPU)")
-		tenantQPS  = flag.Float64("tenant-qps", 0, "admission plane: per-tenant token-bucket rate limit in requests/sec (0 disables)")
 	)
 	flag.Parse()
 	if *dataDir == "" {
@@ -71,7 +70,6 @@ func main() {
 		AdmissionQueue:         *admQueue,
 		AdmissionDeadline:      *admDead,
 		AdmissionLIFO:          *admLIFO,
-		TenantQPS:              *tenantQPS,
 	}
 	if *configPath != "" {
 		cfg, err := cluster.LoadConfigFile(*configPath)

@@ -3,7 +3,7 @@
 // overload, instead of letting an unbounded backlog destroy every
 // in-flight request's latency.
 //
-// Three mechanisms compose:
+// Two mechanisms compose:
 //
 //   - A bounded wait queue in front of a fixed pool of execution slots.
 //     Arrivals beyond the queue limit are shed immediately (queue-full).
@@ -13,8 +13,6 @@
 //     already given up on. The queue drains FIFO (fairness) or LIFO
 //     (fresh-first: under a burst the newest requests still meet their
 //     deadline while the oldest, already doomed, are shed).
-//   - Per-tenant token buckets keyed off the RPC frame identity, so one
-//     greedy client cannot starve the rest of the node's capacity.
 //
 // Rejections carry the "overloaded:" wire prefix so they survive the RPC
 // error round trip as strings; clients test with IsOverload and retry
@@ -85,12 +83,6 @@ type Options struct {
 	Deadline time.Duration
 	// LIFO drains the queue newest-first instead of oldest-first.
 	LIFO bool
-	// TenantQPS, when positive, enforces a per-tenant token-bucket rate
-	// limit ahead of the queue. Zero disables quotas.
-	TenantQPS float64
-	// TenantBurst is the bucket capacity in tokens (default
-	// max(1, TenantQPS): one second of quota).
-	TenantBurst float64
 	// Metrics receives the plane's instruments; nil keeps private ones.
 	Metrics *telemetry.Registry
 	// Now overrides the clock (deterministic tests).
@@ -107,16 +99,6 @@ type waiter struct {
 	reason  string
 }
 
-// bucket is one tenant's token state.
-type bucket struct {
-	tokens float64
-	last   time.Time
-}
-
-// maxTenants bounds the bucket map; when full, buckets that have refilled
-// to capacity (idle tenants) are pruned before a new one is added.
-const maxTenants = 4096
-
 // Plane is one node's admission control state. All methods are safe for
 // concurrent use.
 type Plane struct {
@@ -128,13 +110,9 @@ type Plane struct {
 	queue  []*waiter
 	closed bool
 
-	bktMu   sync.Mutex
-	buckets map[string]*bucket
-
 	queued       *telemetry.Counter
 	admitted     *telemetry.Counter
 	shedDeadline *telemetry.Counter
-	shedQuota    *telemetry.Counter
 	shedFull     *telemetry.Counter
 	depth        *telemetry.Gauge
 	ewmaGauge    *telemetry.Gauge
@@ -154,13 +132,7 @@ func New(opts Options) *Plane {
 	if opts.Deadline <= 0 {
 		opts.Deadline = DefaultDeadline
 	}
-	if opts.TenantBurst <= 0 {
-		opts.TenantBurst = opts.TenantQPS
-		if opts.TenantBurst < 1 {
-			opts.TenantBurst = 1
-		}
-	}
-	p := &Plane{opts: opts, now: opts.Now, buckets: make(map[string]*bucket)}
+	p := &Plane{opts: opts, now: opts.Now}
 	if p.now == nil {
 		p.now = time.Now
 	}
@@ -171,7 +143,6 @@ func New(opts Options) *Plane {
 	p.queued = reg.Counter("admission.queued")
 	p.admitted = reg.Counter("admission.admitted")
 	p.shedDeadline = reg.Counter("admission.shed_deadline")
-	p.shedQuota = reg.Counter("admission.shed_quota")
 	p.shedFull = reg.Counter("admission.shed_full")
 	p.depth = reg.Gauge("admission.queue_depth")
 	p.ewmaGauge = reg.Gauge("admission.ewma_latency_us")
@@ -179,18 +150,12 @@ func New(opts Options) *Plane {
 	return p
 }
 
-// Admit requests an execution slot on behalf of tenant ("" = unmetered by
-// quota). On success the returned release must be called exactly once when
-// the request finishes executing — it feeds the time since the grant to
-// Observe and frees the slot; on failure the request was shed, the error
-// matches ErrOverload, and nothing needs releasing.
-func (p *Plane) Admit(tenant string) (release func(), err error) {
+// Admit requests an execution slot. On success the returned release must be
+// called exactly once when the request finishes executing — it feeds the
+// time since the grant to Observe and frees the slot; on failure the request
+// was shed, the error matches ErrOverload, and nothing needs releasing.
+func (p *Plane) Admit() (release func(), err error) {
 	now := p.now()
-	if p.opts.TenantQPS > 0 && tenant != "" && !p.takeToken(tenant, now) {
-		p.shedQuota.Inc()
-		return nil, Overloaded("tenant " + tenant + " over quota")
-	}
-
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -297,41 +262,6 @@ func (p *Plane) removeLocked(w *waiter) bool {
 	return false
 }
 
-// takeToken refills tenant's bucket for elapsed time and consumes one
-// token if available.
-func (p *Plane) takeToken(tenant string, now time.Time) bool {
-	p.bktMu.Lock()
-	defer p.bktMu.Unlock()
-	b, ok := p.buckets[tenant]
-	if !ok {
-		if len(p.buckets) >= maxTenants {
-			p.pruneLocked(now)
-		}
-		b = &bucket{tokens: p.opts.TenantBurst, last: now}
-		p.buckets[tenant] = b
-	}
-	b.tokens += now.Sub(b.last).Seconds() * p.opts.TenantQPS
-	if b.tokens > p.opts.TenantBurst {
-		b.tokens = p.opts.TenantBurst
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// pruneLocked evicts buckets that have refilled to capacity — tenants idle
-// long enough that forgetting them loses nothing.
-func (p *Plane) pruneLocked(now time.Time) {
-	for t, b := range p.buckets {
-		if b.tokens+now.Sub(b.last).Seconds()*p.opts.TenantQPS >= p.opts.TenantBurst {
-			delete(p.buckets, t)
-		}
-	}
-}
-
 // ewmaAlpha weights a new observation 1/8: smooth enough to ride out one
 // slow request, fresh enough to track a load shift within tens of them.
 const ewmaAlpha = 0.125
@@ -388,12 +318,9 @@ type Status struct {
 	QueueLimit    int     `json:"queue_limit"`
 	LIFO          bool    `json:"lifo"`
 	DeadlineMs    float64 `json:"deadline_ms"`
-	TenantQPS     float64 `json:"tenant_qps"`
-	Tenants       int     `json:"tenants"`
 	Queued        uint64  `json:"queued"`
 	Admitted      uint64  `json:"admitted"`
 	ShedDeadline  uint64  `json:"shed_deadline"`
-	ShedQuota     uint64  `json:"shed_quota"`
 	ShedFull      uint64  `json:"shed_full"`
 	EWMALatencyUs uint64  `json:"ewma_latency_us"`
 }
@@ -403,9 +330,6 @@ func (p *Plane) Status() Status {
 	p.mu.Lock()
 	active, depth := p.active, len(p.queue)
 	p.mu.Unlock()
-	p.bktMu.Lock()
-	tenants := len(p.buckets)
-	p.bktMu.Unlock()
 	return Status{
 		Enabled:       true,
 		Workers:       p.opts.Workers,
@@ -414,12 +338,9 @@ func (p *Plane) Status() Status {
 		QueueLimit:    p.opts.QueueLimit,
 		LIFO:          p.opts.LIFO,
 		DeadlineMs:    float64(p.opts.Deadline) / float64(time.Millisecond),
-		TenantQPS:     p.opts.TenantQPS,
-		Tenants:       tenants,
 		Queued:        p.queued.Value(),
 		Admitted:      p.admitted.Value(),
 		ShedDeadline:  p.shedDeadline.Value(),
-		ShedQuota:     p.shedQuota.Value(),
 		ShedFull:      p.shedFull.Value(),
 		EWMALatencyUs: p.ewmaUs.Load(),
 	}

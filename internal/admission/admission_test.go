@@ -66,13 +66,13 @@ func TestOverloadErrorRoundTrip(t *testing.T) {
 
 func TestAdmitGrantAndHandoff(t *testing.T) {
 	p := New(Options{Workers: 1, QueueLimit: 8, Deadline: time.Second})
-	rel, err := p.Admit("a")
+	rel, err := p.Admit()
 	if err != nil {
 		t.Fatalf("first admit: %v", err)
 	}
 	granted := make(chan error, 1)
 	go func() {
-		rel2, err := p.Admit("b")
+		rel2, err := p.Admit()
 		if err == nil {
 			rel2()
 		}
@@ -88,7 +88,7 @@ func TestAdmitGrantAndHandoff(t *testing.T) {
 		t.Fatalf("admitted=%d queued=%d, want 2 and 1", st.Admitted, st.Queued)
 	}
 	// Both slots released; a fresh admit goes straight through.
-	rel3, err := p.Admit("c")
+	rel3, err := p.Admit()
 	if err != nil {
 		t.Fatalf("admit after drain: %v", err)
 	}
@@ -97,12 +97,12 @@ func TestAdmitGrantAndHandoff(t *testing.T) {
 
 func TestDeadlineShedWhileWaiting(t *testing.T) {
 	p := New(Options{Workers: 1, QueueLimit: 8, Deadline: 5 * time.Millisecond})
-	rel, err := p.Admit("")
+	rel, err := p.Admit()
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
 	defer rel()
-	_, err = p.Admit("") // queues behind the held slot, times out
+	_, err = p.Admit() // queues behind the held slot, times out
 	if err == nil {
 		t.Fatalf("expected deadline shed")
 	}
@@ -123,13 +123,13 @@ func TestDrainShedsExpiredWaiters(t *testing.T) {
 	// exceeds the deadline must be shed at drain time, not granted.
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	p := New(Options{Workers: 1, QueueLimit: 8, Deadline: time.Hour, Now: clk.now})
-	rel, err := p.Admit("")
+	rel, err := p.Admit()
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
 	res := make(chan error, 1)
 	go func() {
-		rel2, err := p.Admit("")
+		rel2, err := p.Admit()
 		if err == nil {
 			rel2()
 		}
@@ -146,7 +146,7 @@ func TestDrainShedsExpiredWaiters(t *testing.T) {
 		t.Fatalf("shed_deadline=%d, want 1", st.ShedDeadline)
 	}
 	// The slot was freed, not leaked: an immediate admit succeeds.
-	rel3, err := p.Admit("")
+	rel3, err := p.Admit()
 	if err != nil {
 		t.Fatalf("admit after drain shed: %v", err)
 	}
@@ -155,14 +155,14 @@ func TestDrainShedsExpiredWaiters(t *testing.T) {
 
 func TestQueueFullShedsImmediately(t *testing.T) {
 	p := New(Options{Workers: 1, QueueLimit: 1, Deadline: time.Second})
-	rel, err := p.Admit("")
+	rel, err := p.Admit()
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
 	defer rel()
-	go p.Admit("") //nolint:errcheck // occupies the single queue slot
+	go p.Admit() //nolint:errcheck // occupies the single queue slot
 	waitFor(t, "queue to fill", func() bool { return p.Status().QueueDepth == 1 })
-	if _, err := p.Admit(""); err == nil || !IsOverload(err) {
+	if _, err := p.Admit(); err == nil || !IsOverload(err) {
 		t.Fatalf("expected queue-full shed, got %v", err)
 	}
 	if st := p.Status(); st.ShedFull != 1 {
@@ -172,7 +172,7 @@ func TestQueueFullShedsImmediately(t *testing.T) {
 
 func TestLIFODrainsNewestFirst(t *testing.T) {
 	p := New(Options{Workers: 1, QueueLimit: 8, Deadline: 5 * time.Second, LIFO: true})
-	rel, err := p.Admit("")
+	rel, err := p.Admit()
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestLIFODrainsNewestFirst(t *testing.T) {
 	enqueue := func(name string) chan func() {
 		got := make(chan func(), 1)
 		go func() {
-			r, err := p.Admit("")
+			r, err := p.Admit()
 			if err != nil {
 				t.Errorf("admit %s: %v", name, err)
 				got <- func() {}
@@ -206,47 +206,6 @@ func TestLIFODrainsNewestFirst(t *testing.T) {
 	(<-ra)()
 }
 
-func TestTokenBucketRefill(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	p := New(Options{Workers: 64, QueueLimit: 8, Deadline: time.Second,
-		TenantQPS: 10, Now: clk.now}) // burst defaults to 10 tokens
-	for i := 0; i < 10; i++ {
-		rel, err := p.Admit("tenant-a")
-		if err != nil {
-			t.Fatalf("admit %d within burst: %v", i, err)
-		}
-		rel()
-	}
-	if _, err := p.Admit("tenant-a"); err == nil || !IsOverload(err) {
-		t.Fatalf("11th admit should be over quota, got %v", err)
-	}
-	if st := p.Status(); st.ShedQuota != 1 {
-		t.Fatalf("shed_quota=%d, want 1", st.ShedQuota)
-	}
-	// Another tenant has its own bucket.
-	if rel, err := p.Admit("tenant-b"); err != nil {
-		t.Fatalf("tenant-b admit: %v", err)
-	} else {
-		rel()
-	}
-	// 100ms at 10 QPS refills exactly one token.
-	clk.advance(100 * time.Millisecond)
-	rel, err := p.Admit("tenant-a")
-	if err != nil {
-		t.Fatalf("admit after refill: %v", err)
-	}
-	rel()
-	if _, err := p.Admit("tenant-a"); err == nil {
-		t.Fatalf("bucket should be empty again")
-	}
-	// An untagged request is never quota-limited.
-	if rel, err := p.Admit(""); err != nil {
-		t.Fatalf("untagged admit: %v", err)
-	} else {
-		rel()
-	}
-}
-
 func TestEWMAObserve(t *testing.T) {
 	p := New(Options{Workers: 1})
 	p.Observe(1 * time.Millisecond)
@@ -264,13 +223,13 @@ func TestEWMAObserve(t *testing.T) {
 
 func TestCloseShedsWaiters(t *testing.T) {
 	p := New(Options{Workers: 1, QueueLimit: 8, Deadline: time.Minute})
-	rel, err := p.Admit("")
+	rel, err := p.Admit()
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
 	res := make(chan error, 1)
 	go func() {
-		_, err := p.Admit("")
+		_, err := p.Admit()
 		res <- err
 	}()
 	waitFor(t, "waiter to queue", func() bool { return p.Status().QueueDepth == 1 })
@@ -278,7 +237,7 @@ func TestCloseShedsWaiters(t *testing.T) {
 	if err := <-res; err == nil || !IsOverload(err) {
 		t.Fatalf("close should shed the waiter with an overload error, got %v", err)
 	}
-	if _, err := p.Admit(""); err == nil {
+	if _, err := p.Admit(); err == nil {
 		t.Fatalf("admit after close should be rejected")
 	}
 	rel()
@@ -291,7 +250,7 @@ func TestCloseShedsWaiters(t *testing.T) {
 func TestConcurrentEnqueueShedDrain(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := New(Options{Workers: 4, QueueLimit: 32, Deadline: 2 * time.Millisecond,
-		TenantQPS: 1e6, Metrics: reg})
+		Metrics: reg})
 	const goroutines = 16
 	const perG = 200
 	var admitted, shed atomic.Uint64
@@ -300,9 +259,8 @@ func TestConcurrentEnqueueShedDrain(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tenant := fmt.Sprintf("t%d", g%4)
 			for i := 0; i < perG; i++ {
-				rel, err := p.Admit(tenant)
+				rel, err := p.Admit()
 				if err != nil {
 					if !IsOverload(err) {
 						t.Errorf("non-overload rejection: %v", err)
@@ -343,16 +301,16 @@ func TestConcurrentEnqueueShedDrain(t *testing.T) {
 	if st.Admitted != admitted.Load() {
 		t.Fatalf("plane admitted=%d, callers saw %d", st.Admitted, admitted.Load())
 	}
-	if st.ShedDeadline+st.ShedQuota+st.ShedFull != shed.Load() {
-		t.Fatalf("plane sheds=%d+%d+%d, callers saw %d",
-			st.ShedDeadline, st.ShedQuota, st.ShedFull, shed.Load())
+	if st.ShedDeadline+st.ShedFull != shed.Load() {
+		t.Fatalf("plane sheds=%d+%d, callers saw %d",
+			st.ShedDeadline, st.ShedFull, shed.Load())
 	}
 	if st.Active != 0 || st.QueueDepth != 0 {
 		t.Fatalf("leaked state after drain: active=%d depth=%d", st.Active, st.QueueDepth)
 	}
 	// All slots free again: a burst of Workers admits succeeds instantly.
 	for i := 0; i < 4; i++ {
-		rel, err := p.Admit("")
+		rel, err := p.Admit()
 		if err != nil {
 			t.Fatalf("post-drain admit %d: %v", i, err)
 		}

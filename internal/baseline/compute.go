@@ -33,24 +33,9 @@ func encodeJobReq(r *jobReq) []byte {
 }
 
 func decodeJobReq(body []byte) (*jobReq, error) {
-	r := &jobReq{}
-	var obj uint64
-	var err error
-	if obj, body, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	r.object = core.ObjectID(obj)
-	if r.method, body, err = wire.String(body); err != nil {
-		return nil, err
-	}
-	items, _, err := wire.BytesSlice(body)
-	if err != nil {
-		return nil, err
-	}
-	for _, it := range items {
-		r.args = append(r.args, append([]byte(nil), it...))
-	}
-	return r, nil
+	r := wire.NewReader(body)
+	q := &jobReq{object: core.ObjectID(r.Uvarint()), method: r.Str(), args: r.BytesSliceCopy()}
+	return q, r.ErrIn("baseline: job request")
 }
 
 // ComputeOptions configures a compute node.

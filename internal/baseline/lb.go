@@ -129,12 +129,9 @@ func (lb *LoadBalancer) handleInvoke(body []byte) ([]byte, error) {
 
 // handleMirror appends a peer's log record.
 func (lb *LoadBalancer) handleMirror(body []byte) ([]byte, error) {
-	seq, rest, err := wire.Uvarint(body)
-	if err != nil {
-		return nil, err
-	}
-	rec, _, err := wire.Bytes(rest)
-	if err != nil {
+	r := wire.NewReader(body)
+	seq, rec := r.Uvarint(), r.Bytes()
+	if err := r.ErrIn("baseline: mirror record"); err != nil {
 		return nil, err
 	}
 	return nil, lb.logDB.Put(logKey(seq), rec)

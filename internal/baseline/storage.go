@@ -84,29 +84,9 @@ func encodeFieldReq(r *fieldReq) []byte {
 }
 
 func decodeFieldReq(body []byte) (*fieldReq, error) {
-	r := &fieldReq{}
-	var obj uint64
-	var err error
-	if obj, body, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	r.object = core.ObjectID(obj)
-	if r.field, body, err = wire.String(body); err != nil {
-		return nil, err
-	}
-	var raw []byte
-	if raw, body, err = wire.Bytes(body); err != nil {
-		return nil, err
-	}
-	r.key = append([]byte(nil), raw...)
-	if raw, body, err = wire.Bytes(body); err != nil {
-		return nil, err
-	}
-	r.value = append([]byte(nil), raw...)
-	if r.idx, _, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	return r, nil
+	r := wire.NewReader(body)
+	q := &fieldReq{object: core.ObjectID(r.Uvarint()), field: r.Str(), key: r.BytesCopy(), value: r.BytesCopy(), idx: r.Uvarint()}
+	return q, r.ErrIn("baseline: field request")
 }
 
 // EncodeCreateReq builds the body of a MethodCreate request (used by the
@@ -357,8 +337,9 @@ func (n *StorageNode) register() {
 		return nil, n.applyAndShip(r.object, b)
 	})
 	h(MethodGetType, func(body []byte) ([]byte, error) {
-		name, _, err := wire.String(body)
-		if err != nil {
+		r := wire.NewReader(body)
+		name := r.Str()
+		if err := r.ErrIn("baseline: type request"); err != nil {
 			return nil, err
 		}
 		return n.get(core.TypeRecordKey(name))

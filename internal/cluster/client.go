@@ -41,9 +41,6 @@ type Client struct {
 	// decide whether spans are actually recorded.
 	tracing bool
 
-	// tenant tags invocations for per-tenant admission quotas.
-	tenant string
-
 	// overloadRetries counts invocations that were shed by a node's
 	// admission plane and retried with backoff — kept separate from
 	// routing/fault retries so overload is visible as overload.
@@ -91,9 +88,6 @@ type ClientConfig struct {
 	// ReadPolicy selects the replica for read-only invocations
 	// (default ReadRoundRobin).
 	ReadPolicy ReadPolicy
-	// Tenant tags every invocation with an admission-quota identity.
-	// Empty, nodes attribute requests to the client's host.
-	Tenant string
 }
 
 // NewClient builds a client.
@@ -105,7 +99,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		retryMax:    cfg.RetryMaxDelay,
 		retryBudget: cfg.RetryBudget,
 		tracing:     cfg.Tracing,
-		tenant:      cfg.Tenant,
 		readPolicy:  cfg.ReadPolicy,
 	}
 	if c.maxRetries <= 0 {
@@ -290,7 +283,7 @@ func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, rea
 }
 
 func (c *Client) invoke(ctx telemetry.SpanContext, id core.ObjectID, method string, args [][]byte, readOnly bool) ([]byte, error) {
-	body := encodeInvokeReq(&invokeReq{object: id, method: method, args: args, readOnly: readOnly, tenant: c.tenant})
+	body := encodeInvokeReq(&invokeReq{object: id, method: method, args: args, readOnly: readOnly})
 	return c.send(ctx, MethodInvoke, body, readOnly, func() (shard.Group, error) { return c.lookup(id) })
 }
 

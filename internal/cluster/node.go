@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -83,10 +82,10 @@ type NodeOptions struct {
 	MaxConcurrentInvokes int
 	// AdmissionQueue, when positive, bounds the gate's wait queue to this
 	// many requests in front of the execution slots (MaxConcurrentInvokes,
-	// or NumCPU when unset), with deadline-based shedding and optional
-	// per-tenant quotas. Requests the plane refuses are rejected with a
-	// typed overload error the client retries with capped backoff. Zero
-	// with MaxConcurrentInvokes set keeps the unbounded no-shed gate.
+	// or NumCPU when unset), with deadline-based shedding. Requests the
+	// plane refuses are rejected with a typed overload error the client
+	// retries with capped backoff. Zero with MaxConcurrentInvokes set keeps
+	// the unbounded no-shed gate.
 	AdmissionQueue int
 	// AdmissionDeadline bounds queue wait before a request is shed
 	// (0 = admission.DefaultDeadline).
@@ -95,10 +94,6 @@ type NodeOptions struct {
 	// burst the freshest requests still meet their deadline while the
 	// oldest — whose clients have likely given up — are shed.
 	AdmissionLIFO bool
-	// TenantQPS, when positive, token-bucket rate-limits each tenant at
-	// the admission plane. The tenant is the client-declared tenant tag
-	// on the invoke frame, falling back to the peer's host.
-	TenantQPS float64
 	// MoveSessionTimeout bounds inbound live-migration session
 	// inactivity before the target reclaims the partial copy (0 =
 	// default 10s; chaos tests shrink it).
@@ -148,8 +143,8 @@ type Node struct {
 
 	// adm, when non-nil, is the admit step's gate (MaxConcurrentInvokes or
 	// AdmissionQueue set): execution slots behind a wait queue — bounded,
-	// with deadline shedding and per-tenant quotas, when AdmissionQueue is
-	// set; unbounded FIFO that never sheds otherwise.
+	// with deadline shedding, when AdmissionQueue is set; unbounded FIFO
+	// that never sheds otherwise.
 	adm *admission.Plane
 
 	// Read-lease plane. leases is this node's backup-side holder;
@@ -220,7 +215,6 @@ func StartNode(opts NodeOptions) (*Node, error) {
 			QueueLimit: opts.AdmissionQueue,
 			Deadline:   opts.AdmissionDeadline,
 			LIFO:       opts.AdmissionLIFO,
-			TenantQPS:  opts.TenantQPS,
 			Metrics:    reg,
 		})
 	} else if opts.MaxConcurrentInvokes > 0 {
@@ -740,16 +734,6 @@ func (n *Node) Close() error {
 	return n.db.Close()
 }
 
-// peerHost reduces a remote address to its host for tenant attribution:
-// every connection from a machine dials from a fresh ephemeral port, and
-// per-port buckets would give each connection its own quota.
-func peerHost(addr string) string {
-	if host, _, err := net.SplitHostPort(addr); err == nil {
-		return host
-	}
-	return addr
-}
-
 // fenceObject makes routing reject the object with not-responsible
 // plus a hint at its (future) home, ahead of the admission queue.
 func (n *Node) fenceObject(object uint64, hint string) {
@@ -899,7 +883,6 @@ func (n *Node) routeCheck(obj core.ObjectID, readOnly bool, method string) error
 type invokeOpts struct {
 	readOnly bool   // client-declared replica read
 	method   string // lets a backup prove an undeclared read read-only
-	tenant   string // admission-quota identity ("" = the peer's host)
 }
 
 // serve is the one server-side request path — the twin of Client.send —
@@ -920,11 +903,7 @@ func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, opts invokeOpts
 	}
 	// Admit.
 	if n.adm != nil {
-		tenant := opts.tenant
-		if tenant == "" {
-			tenant = peerHost(info.Peer)
-		}
-		release, err := n.adm.Admit(tenant)
+		release, err := n.adm.Admit()
 		if err != nil {
 			return nil, err
 		}
@@ -964,7 +943,7 @@ func (n *Node) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		opts := invokeOpts{readOnly: req.readOnly, method: req.method, tenant: req.tenant}
+		opts := invokeOpts{readOnly: req.readOnly, method: req.method}
 		return n.serve(info, []core.ObjectID{req.object}, opts, func(cc core.CallCtx) ([]byte, error) {
 			return n.rt.InvokeCtx(req.object, req.method, req.args, cc)
 		})
@@ -999,11 +978,11 @@ func (n *Node) registerHandlers() {
 	})
 
 	n.srv.HandleCtx(MethodDelete, func(info rpc.CallInfo, body []byte) ([]byte, error) {
-		id, _, err := wire.Uvarint(body)
-		if err != nil {
+		r := wire.NewReader(body)
+		obj := core.ObjectID(r.Uvarint())
+		if err := r.ErrIn("cluster: delete request"); err != nil {
 			return nil, err
 		}
-		obj := core.ObjectID(id)
 		return n.serve(info, []core.ObjectID{obj}, invokeOpts{}, func(cc core.CallCtx) ([]byte, error) {
 			return nil, n.rt.DeleteObject(obj, cc)
 		})
@@ -1030,8 +1009,9 @@ func (n *Node) registerHandlers() {
 	})
 
 	n.srv.Handle(MethodHotWindow, func(body []byte) ([]byte, error) {
-		limit, _, err := wire.Uvarint(body)
-		if err != nil {
+		r := wire.NewReader(body)
+		limit := r.Uvarint()
+		if err := r.ErrIn("cluster: hot-window request"); err != nil {
 			return nil, err
 		}
 		return encodeHotResp(n.rt.HotWindow(int(limit))), nil

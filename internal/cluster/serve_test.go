@@ -59,7 +59,7 @@ func wantRedirect(t *testing.T, err error, hint string) {
 // that lets them all go.
 func holdGate(t *testing.T, n *Node, queued int) (release func()) {
 	t.Helper()
-	slot, err := n.adm.Admit("holder")
+	slot, err := n.adm.Admit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func holdGate(t *testing.T, n *Node, queued int) (release func()) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if rel, err := n.adm.Admit("holder"); err == nil {
+			if rel, err := n.adm.Admit(); err == nil {
 				rel()
 			}
 		}()
@@ -337,7 +337,7 @@ func TestSemaphoreGateQueuesWithoutShedding(t *testing.T) {
 	if c.OverloadRetries() != 0 {
 		t.Fatalf("the no-shed gate shed %d requests", c.OverloadRetries())
 	}
-	for _, name := range []string{"admission.shed_deadline", "admission.shed_quota", "admission.shed_full"} {
+	for _, name := range []string{"admission.shed_deadline", "admission.shed_full"} {
 		if v := node.Metrics().Counter(name).Value(); v != 0 {
 			t.Fatalf("%s = %d on the no-shed gate", name, v)
 		}

@@ -54,58 +54,21 @@ type invokeReq struct {
 	object   core.ObjectID
 	method   string
 	args     [][]byte
-	readOnly bool   // client-requested replica-read
-	tenant   string // admission-quota identity ("" = derive from the peer)
+	readOnly bool // client-requested replica-read
 }
 
 func encodeInvokeReq(r *invokeReq) []byte {
 	var b []byte
 	b = wire.AppendUvarint(b, uint64(r.object))
 	b = wire.AppendString(b, r.method)
-	var ro uint64
-	if r.readOnly {
-		ro = 1
-	}
-	b = wire.AppendUvarint(b, ro)
-	b = wire.AppendBytesSlice(b, r.args)
-	// The tenant tag rides after the args, appended only when set: frames
-	// from tenant-less clients are byte-identical to the pre-tenant format,
-	// and decoders treat a missing tail as no tenant.
-	if r.tenant != "" {
-		b = wire.AppendString(b, r.tenant)
-	}
-	return b
+	b = wire.AppendFlag(b, r.readOnly)
+	return wire.AppendBytesSlice(b, r.args)
 }
 
 func decodeInvokeReq(body []byte) (*invokeReq, error) {
-	r := &invokeReq{}
-	var obj uint64
-	var err error
-	if obj, body, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	r.object = core.ObjectID(obj)
-	if r.method, body, err = wire.String(body); err != nil {
-		return nil, err
-	}
-	var ro uint64
-	if ro, body, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	r.readOnly = ro != 0
-	items, rest, err := wire.BytesSlice(body)
-	if err != nil {
-		return nil, err
-	}
-	for _, it := range items {
-		r.args = append(r.args, append([]byte(nil), it...))
-	}
-	if len(rest) > 0 {
-		if r.tenant, _, err = wire.String(rest); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
+	r := wire.NewReader(body)
+	q := &invokeReq{object: core.ObjectID(r.Uvarint()), method: r.Str(), readOnly: r.Flag(), args: r.BytesSliceCopy()}
+	return q, r.ErrIn("cluster: invoke request")
 }
 
 // createReq is the wire form of object creation.
@@ -121,17 +84,9 @@ func encodeCreateReq(r *createReq) []byte {
 }
 
 func decodeCreateReq(body []byte) (*createReq, error) {
-	r := &createReq{}
-	var obj uint64
-	var err error
-	if obj, body, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	r.object = core.ObjectID(obj)
-	if r.typeName, _, err = wire.String(body); err != nil {
-		return nil, err
-	}
-	return r, nil
+	r := wire.NewReader(body)
+	q := &createReq{object: core.ObjectID(r.Uvarint()), typeName: r.Str()}
+	return q, r.ErrIn("cluster: create request")
 }
 
 // migrateReq asks a primary to move an object to another group.
@@ -149,20 +104,9 @@ func encodeMigrateReq(r *migrateReq) []byte {
 }
 
 func decodeMigrateReq(body []byte) (*migrateReq, error) {
-	r := &migrateReq{}
-	var obj uint64
-	var err error
-	if obj, body, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	r.object = core.ObjectID(obj)
-	if r.destPrimary, body, err = wire.String(body); err != nil {
-		return nil, err
-	}
-	if r.destGroup, _, err = wire.Uvarint(body); err != nil {
-		return nil, err
-	}
-	return r, nil
+	r := wire.NewReader(body)
+	q := &migrateReq{object: core.ObjectID(r.Uvarint()), destPrimary: r.Str(), destGroup: r.Uvarint()}
+	return q, r.ErrIn("cluster: migrate request")
 }
 
 // txReq is the wire form of a multi-call transaction.
@@ -182,31 +126,13 @@ func encodeTxReq(r *txReq) []byte {
 }
 
 func decodeTxReq(body []byte) (*txReq, error) {
-	r := &txReq{}
-	n, rest, err := wire.Uvarint(body)
-	if err != nil {
-		return nil, err
+	r := wire.NewReader(body)
+	// A call is at least an object id, a method length and an arg count.
+	q := &txReq{calls: make([]core.TxCall, r.Count(3))}
+	for i := range q.calls {
+		q.calls[i] = core.TxCall{Object: core.ObjectID(r.Uvarint()), Method: r.Str(), Args: r.BytesSliceCopy()}
 	}
-	for i := uint64(0); i < n; i++ {
-		var c core.TxCall
-		var obj uint64
-		if obj, rest, err = wire.Uvarint(rest); err != nil {
-			return nil, err
-		}
-		c.Object = core.ObjectID(obj)
-		if c.Method, rest, err = wire.String(rest); err != nil {
-			return nil, err
-		}
-		var items [][]byte
-		if items, rest, err = wire.BytesSlice(rest); err != nil {
-			return nil, err
-		}
-		for _, it := range items {
-			c.Args = append(c.Args, append([]byte(nil), it...))
-		}
-		r.calls = append(r.calls, c)
-	}
-	return r, nil
+	return q, r.ErrIn("cluster: transaction request")
 }
 
 // encodeTxResp / decodeTxResp carry the per-call results.
@@ -215,15 +141,8 @@ func encodeTxResp(results [][]byte) []byte {
 }
 
 func decodeTxResp(body []byte) ([][]byte, error) {
-	items, _, err := wire.BytesSlice(body)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(items))
-	for i, it := range items {
-		out[i] = append([]byte(nil), it...)
-	}
-	return out, nil
+	r := wire.NewReader(body)
+	return r.BytesSliceCopy(), r.ErrIn("cluster: transaction response")
 }
 
 // encodeHotResp / decodeHotResp serialize a load ranking.
@@ -238,22 +157,12 @@ func encodeHotResp(hot []core.HotObject) []byte {
 }
 
 func decodeHotResp(body []byte) ([]core.HotObject, error) {
-	n, rest, err := wire.Uvarint(body)
-	if err != nil {
-		return nil, err
+	r := wire.NewReader(body)
+	out := make([]core.HotObject, r.Count(2))
+	for i := range out {
+		out[i] = core.HotObject{ID: core.ObjectID(r.Uvarint()), Count: r.Uvarint()}
 	}
-	out := make([]core.HotObject, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var id, count uint64
-		if id, rest, err = wire.Uvarint(rest); err != nil {
-			return nil, err
-		}
-		if count, rest, err = wire.Uvarint(rest); err != nil {
-			return nil, err
-		}
-		out = append(out, core.HotObject{ID: core.ObjectID(id), Count: count})
-	}
-	return out, nil
+	return out, r.ErrIn("cluster: hot-window response")
 }
 
 // MoveObject asks the source primary to live-migrate one object to the

@@ -55,7 +55,7 @@ type GroupMetrics struct {
 	BackupReadsPerSec  float64 `json:"backup_reads_per_sec"`
 	BouncedReadsPerSec float64 `json:"bounced_reads_per_sec"`
 	// ShedPerSec is the windowed rate of invocations refused by the
-	// admission plane, all causes (deadline, quota, queue full) summed.
+	// admission plane, both causes (deadline, queue full) summed.
 	ShedPerSec float64 `json:"shed_per_sec"`
 	// AdmissionQueueDepth is the summed admission.queue_depth gauge.
 	AdmissionQueueDepth int64 `json:"admission_queue_depth"`
@@ -240,7 +240,6 @@ func rollup(m telemetry.RegistrySnapshot) GroupMetrics {
 	gm.BackupReadsPerSec = m.Counters["reads.backup_served"].RatePerSec
 	gm.BouncedReadsPerSec = m.Counters["reads.primary_bounced"].RatePerSec
 	gm.ShedPerSec = m.Counters["admission.shed_deadline"].RatePerSec +
-		m.Counters["admission.shed_quota"].RatePerSec +
 		m.Counters["admission.shed_full"].RatePerSec
 	gm.AdmissionQueueDepth = m.Gauges["admission.queue_depth"]
 	return gm

@@ -92,48 +92,16 @@ func (c *Command) Encode() []byte {
 
 // DecodeCommand parses a command.
 func DecodeCommand(data []byte) (*Command, error) {
-	if len(data) < 1 {
-		return nil, fmt.Errorf("coordinator: empty command")
+	r := wire.NewReader(data)
+	c := &Command{Kind: r.Byte()}
+	c.Group.ID, c.Group.Primary = r.Uvarint(), r.Str()
+	c.Group.Backups = make([]string, r.Count(1))
+	for i := range c.Group.Backups {
+		c.Group.Backups[i] = r.Str()
 	}
-	c := &Command{Kind: data[0]}
-	rest := data[1:]
-	var err error
-	if c.Group.ID, rest, err = wire.Uvarint(rest); err != nil {
-		return nil, err
-	}
-	if c.Group.Primary, rest, err = wire.String(rest); err != nil {
-		return nil, err
-	}
-	var nb uint64
-	if nb, rest, err = wire.Uvarint(rest); err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nb; i++ {
-		var bk string
-		if bk, rest, err = wire.String(rest); err != nil {
-			return nil, err
-		}
-		c.Group.Backups = append(c.Group.Backups, bk)
-	}
-	if c.GroupID, rest, err = wire.Uvarint(rest); err != nil {
-		return nil, err
-	}
-	if c.FailedPrimary, rest, err = wire.String(rest); err != nil {
-		return nil, err
-	}
-	if c.NewPrimary, rest, err = wire.String(rest); err != nil {
-		return nil, err
-	}
-	if c.Object, rest, err = wire.Uvarint(rest); err != nil {
-		return nil, err
-	}
-	if c.TargetGroup, rest, err = wire.Uvarint(rest); err != nil {
-		return nil, err
-	}
-	if c.Epoch, _, err = wire.Uvarint(rest); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c.GroupID, c.FailedPrimary, c.NewPrimary = r.Uvarint(), r.Str(), r.Str()
+	c.Object, c.TargetGroup, c.Epoch = r.Uvarint(), r.Uvarint(), r.Uvarint()
+	return c, r.ErrIn("coordinator: command")
 }
 
 // Options tunes a coordinator replica.
@@ -466,19 +434,14 @@ func RegisterServer(srv *rpc.Server, s *Service) {
 		return s.dir.Snapshot(), nil
 	})
 	srv.Handle(MethodHeartbeat, func(body []byte) ([]byte, error) {
-		addr, rest, err := wire.String(body)
-		if err != nil {
+		// A node with a debug HTTP endpoint appends its address for the
+		// metrics aggregator; Str on an exhausted frame reads "".
+		r := wire.NewReader(body)
+		addr := r.Str()
+		if err := r.ErrIn("coordinator: heartbeat"); err != nil {
 			return nil, err
 		}
-		// Older nodes send only the rpc address; newer ones append their
-		// debug HTTP address for the metrics aggregator.
-		debugAddr := ""
-		if len(rest) > 0 {
-			if d, _, derr := wire.String(rest); derr == nil {
-				debugAddr = d
-			}
-		}
-		s.HeartbeatWithDebug(addr, debugAddr)
+		s.HeartbeatWithDebug(addr, r.Str())
 		return nil, nil
 	})
 	srv.Handle(MethodSetGroup, func(body []byte) ([]byte, error) {

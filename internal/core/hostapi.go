@@ -184,17 +184,10 @@ func (g *guest) asyncErr() error {
 // requests (shared with the cluster wire format).
 func EncodeArgs(args [][]byte) []byte { return wire.AppendBytesSlice(nil, args) }
 
-// DecodeArgs parses an argument vector.
+// DecodeArgs parses an argument vector into memory of its own.
 func DecodeArgs(b []byte) ([][]byte, error) {
-	items, _, err := wire.BytesSlice(b)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(items))
-	for i, it := range items {
-		out[i] = append([]byte(nil), it...)
-	}
-	return out, nil
+	r := wire.NewReader(b)
+	return r.BytesSliceCopy(), r.ErrIn("core: args")
 }
 
 // hostTable is the complete host API: immutable, and shared by every

@@ -229,51 +229,29 @@ func (t *ObjectType) Encode() []byte {
 
 // DecodeObjectType parses and validates a serialized type.
 func DecodeObjectType(data []byte) (*ObjectType, error) {
-	t := &ObjectType{}
-	var err error
-	var rest []byte
-	if t.Name, rest, err = wire.String(data); err != nil {
-		return nil, fmt.Errorf("%w: name: %v", ErrBadType, err)
-	}
-	var n uint64
-	if n, rest, err = wire.Uvarint(rest); err != nil {
-		return nil, fmt.Errorf("%w: field count: %v", ErrBadType, err)
-	}
-	for i := uint64(0); i < n; i++ {
-		var f FieldDef
-		if f.Name, rest, err = wire.String(rest); err != nil {
-			return nil, fmt.Errorf("%w: field name: %v", ErrBadType, err)
-		}
-		if len(rest) == 0 {
-			return nil, fmt.Errorf("%w: truncated field kind", ErrBadType)
-		}
-		f.Kind = FieldKind(rest[0])
-		rest = rest[1:]
+	r := wire.NewReader(data)
+	t := &ObjectType{Name: r.Str()}
+	// A field or a method is at least a name length and one byte.
+	t.Fields = make([]FieldDef, r.Count(2))
+	for i := range t.Fields {
+		f := &t.Fields[i]
+		f.Name, f.Kind = r.Str(), FieldKind(r.Byte())
 		if f.Kind > FieldList {
 			return nil, fmt.Errorf("%w: unknown field kind %d", ErrBadType, f.Kind)
 		}
-		t.Fields = append(t.Fields, f)
 	}
-	if n, rest, err = wire.Uvarint(rest); err != nil {
-		return nil, fmt.Errorf("%w: method count: %v", ErrBadType, err)
+	t.Methods = make([]MethodInfo, r.Count(2))
+	for i := range t.Methods {
+		m := &t.Methods[i]
+		m.Name = r.Str()
+		flags := r.Byte()
+		m.ReadOnly, m.Deterministic = flags&1 != 0, flags&2 != 0
 	}
-	for i := uint64(0); i < n; i++ {
-		var m MethodInfo
-		if m.Name, rest, err = wire.String(rest); err != nil {
-			return nil, fmt.Errorf("%w: method name: %v", ErrBadType, err)
-		}
-		if len(rest) == 0 {
-			return nil, fmt.Errorf("%w: truncated method flags", ErrBadType)
-		}
-		m.ReadOnly = rest[0]&1 != 0
-		m.Deterministic = rest[0]&2 != 0
-		rest = rest[1:]
-		t.Methods = append(t.Methods, m)
+	modBytes := r.Bytes()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadType, err)
 	}
-	var modBytes []byte
-	if modBytes, _, err = wire.Bytes(rest); err != nil {
-		return nil, fmt.Errorf("%w: module: %v", ErrBadType, err)
-	}
+	var err error
 	if t.Module, err = vm.Decode(modBytes); err != nil {
 		return nil, err
 	}

@@ -56,8 +56,7 @@ type Options struct {
 	// as JSON.
 	Rebalance func() any
 	// Admission, if set, backs /admission: the node's admission-plane
-	// status (queue depth, shed counters, per-tenant quota state), as
-	// JSON.
+	// status (queue depth, shed counters), as JSON.
 	Admission func() any
 	// Window is the sliding-window length for /metrics.json windowed
 	// values; zero selects telemetry.DefaultWindow.

@@ -412,27 +412,20 @@ func EncodePrepareReq(req *PrepareReq) []byte {
 
 // DecodePrepareReq parses a serialized PrepareReq.
 func DecodePrepareReq(b []byte) (*PrepareReq, error) {
-	req := &PrepareReq{}
-	var err error
-	if req.Slot, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	if req.Ballot.Round, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	if req.Ballot.Node, _, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	return req, nil
+	r := wire.NewReader(b)
+	req := &PrepareReq{Slot: r.Uvarint(), Ballot: readBallot(&r)}
+	return req, r.ErrIn("paxos: prepare request")
 }
+
+func readBallot(r *wire.Reader) Ballot { return Ballot{Round: r.Uvarint(), Node: r.Uvarint()} }
 
 // EncodePrepareResp serializes resp.
 func EncodePrepareResp(r *PrepareResp) []byte {
 	var b []byte
-	b = wire.AppendUvarint(b, boolU(r.OK))
+	b = wire.AppendFlag(b, r.OK)
 	b = wire.AppendUvarint(b, r.Promised.Round)
 	b = wire.AppendUvarint(b, r.Promised.Node)
-	b = wire.AppendUvarint(b, boolU(r.HasAccepted))
+	b = wire.AppendFlag(b, r.HasAccepted)
 	b = wire.AppendUvarint(b, r.AcceptedBallot.Round)
 	b = wire.AppendUvarint(b, r.AcceptedBallot.Node)
 	b = wire.AppendBytes(b, r.AcceptedValue)
@@ -441,35 +434,10 @@ func EncodePrepareResp(r *PrepareResp) []byte {
 
 // DecodePrepareResp parses a serialized PrepareResp.
 func DecodePrepareResp(b []byte) (*PrepareResp, error) {
-	r := &PrepareResp{}
-	var u uint64
-	var err error
-	if u, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	r.OK = u != 0
-	if r.Promised.Round, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	if r.Promised.Node, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	if u, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	r.HasAccepted = u != 0
-	if r.AcceptedBallot.Round, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	if r.AcceptedBallot.Node, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	var raw []byte
-	if raw, _, err = wire.Bytes(b); err != nil {
-		return nil, err
-	}
-	r.AcceptedValue = append([]byte(nil), raw...)
-	return r, nil
+	r := wire.NewReader(b)
+	resp := &PrepareResp{OK: r.Flag(), Promised: readBallot(&r),
+		HasAccepted: r.Flag(), AcceptedBallot: readBallot(&r), AcceptedValue: r.BytesCopy()}
+	return resp, r.ErrIn("paxos: prepare response")
 }
 
 // EncodeAcceptReq serializes req.
@@ -484,29 +452,15 @@ func EncodeAcceptReq(req *AcceptReq) []byte {
 
 // DecodeAcceptReq parses a serialized AcceptReq.
 func DecodeAcceptReq(b []byte) (*AcceptReq, error) {
-	req := &AcceptReq{}
-	var err error
-	if req.Slot, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	if req.Ballot.Round, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	if req.Ballot.Node, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	var raw []byte
-	if raw, _, err = wire.Bytes(b); err != nil {
-		return nil, err
-	}
-	req.Value = append([]byte(nil), raw...)
-	return req, nil
+	r := wire.NewReader(b)
+	req := &AcceptReq{Slot: r.Uvarint(), Ballot: readBallot(&r), Value: r.BytesCopy()}
+	return req, r.ErrIn("paxos: accept request")
 }
 
 // EncodeAcceptResp serializes resp.
 func EncodeAcceptResp(r *AcceptResp) []byte {
 	var b []byte
-	b = wire.AppendUvarint(b, boolU(r.OK))
+	b = wire.AppendFlag(b, r.OK)
 	b = wire.AppendUvarint(b, r.Promised.Round)
 	b = wire.AppendUvarint(b, r.Promised.Node)
 	return b
@@ -514,20 +468,9 @@ func EncodeAcceptResp(r *AcceptResp) []byte {
 
 // DecodeAcceptResp parses a serialized AcceptResp.
 func DecodeAcceptResp(b []byte) (*AcceptResp, error) {
-	r := &AcceptResp{}
-	var u uint64
-	var err error
-	if u, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	r.OK = u != 0
-	if r.Promised.Round, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	if r.Promised.Node, _, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	return r, nil
+	r := wire.NewReader(b)
+	resp := &AcceptResp{OK: r.Flag(), Promised: readBallot(&r)}
+	return resp, r.ErrIn("paxos: accept response")
 }
 
 // EncodeLearnReq serializes req.
@@ -540,22 +483,7 @@ func EncodeLearnReq(req *LearnReq) []byte {
 
 // DecodeLearnReq parses a serialized LearnReq.
 func DecodeLearnReq(b []byte) (*LearnReq, error) {
-	req := &LearnReq{}
-	var err error
-	if req.Slot, b, err = wire.Uvarint(b); err != nil {
-		return nil, err
-	}
-	var raw []byte
-	if raw, _, err = wire.Bytes(b); err != nil {
-		return nil, err
-	}
-	req.Value = append([]byte(nil), raw...)
-	return req, nil
-}
-
-func boolU(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
+	r := wire.NewReader(b)
+	req := &LearnReq{Slot: r.Uvarint(), Value: r.BytesCopy()}
+	return req, r.ErrIn("paxos: learn request")
 }

@@ -84,42 +84,32 @@ func (s *FileStable) Load(fn func(slot uint64, promised Ballot, accepted bool, a
 	if err != nil {
 		return err
 	}
-	rest := data
-	for len(rest) > 0 {
-		payload, next, err := wire.Frame(rest)
-		if err != nil {
+	log := wire.NewReader(data)
+	for log.Len() > 0 {
+		payload := log.Frame()
+		if log.Err() != nil {
 			return nil // torn tail
 		}
-		rest = next
 		if len(payload) < 1 {
 			continue
 		}
-		kind := payload[0]
-		body := payload[1:]
-		var slot uint64
-		var b Ballot
-		if slot, body, err = wire.Uvarint(body); err != nil {
-			return fmt.Errorf("paxos: stable record: %w", err)
+		r := wire.NewReader(payload)
+		kind, slot, b := r.Byte(), r.Uvarint(), readBallot(&r)
+		var value []byte
+		if kind == stableAccept {
+			value = r.BytesCopy()
 		}
-		if b.Round, body, err = wire.Uvarint(body); err != nil {
-			return fmt.Errorf("paxos: stable record: %w", err)
-		}
-		if b.Node, body, err = wire.Uvarint(body); err != nil {
-			return fmt.Errorf("paxos: stable record: %w", err)
+		if err := r.ErrIn("paxos: stable record"); err != nil {
+			return err
 		}
 		switch kind {
 		case stablePromise:
-			if err := fn(slot, b, false, Ballot{}, nil); err != nil {
-				return err
-			}
+			err = fn(slot, b, false, Ballot{}, nil)
 		case stableAccept:
-			var value []byte
-			if value, _, err = wire.Bytes(body); err != nil {
-				return fmt.Errorf("paxos: stable record: %w", err)
-			}
-			if err := fn(slot, Ballot{}, true, b, append([]byte(nil), value...)); err != nil {
-				return err
-			}
+			err = fn(slot, Ballot{}, true, b, value)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -42,9 +42,9 @@ func encodeMoveSeal(q *moveSealReq) []byte {
 }
 
 func decodeMoveSeal(body []byte) (*moveSealReq, error) {
-	r := reader{b: body}
-	q := &moveSealReq{object: r.uvarint(), digest: r.uint64()}
-	return q, r.err
+	r := wire.NewReader(body)
+	q := &moveSealReq{object: r.Uvarint(), digest: r.Uint64()}
+	return q, r.ErrIn("recovery: move seal")
 }
 
 // moveEndReq retires the session; dir, when non-empty, is the source's
@@ -59,9 +59,9 @@ func encodeMoveEnd(q *moveEndReq) []byte {
 }
 
 func decodeMoveEnd(body []byte) (*moveEndReq, error) {
-	r := reader{b: body}
-	q := &moveEndReq{object: r.uvarint(), dir: r.bytes()}
-	return q, r.err
+	r := wire.NewReader(body)
+	q := &moveEndReq{object: r.Uvarint(), dir: r.Bytes()}
+	return q, r.ErrIn("recovery: move end")
 }
 
 // Move transfers one object to the target group's primary and commits the

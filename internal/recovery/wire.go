@@ -20,67 +20,6 @@ const (
 	MethodForward = "recovery.forward"
 )
 
-// maxCount bounds any element count a peer may name.
-const maxCount = 1 << 16
-
-// reader decodes a frame field by field; the first failure sticks, so a
-// decoder reads every field and checks err once.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) uvarint() (v uint64) {
-	if r.err == nil {
-		v, r.b, r.err = wire.Uvarint(r.b)
-	}
-	return v
-}
-
-func (r *reader) uint64() (v uint64) {
-	if r.err == nil {
-		v, r.b, r.err = wire.Uint64(r.b)
-	}
-	return v
-}
-
-func (r *reader) bytes() (v []byte) {
-	if r.err == nil {
-		v, r.b, r.err = wire.Bytes(r.b)
-	}
-	return v
-}
-
-func (r *reader) bytesSlice() (v [][]byte) {
-	if r.err == nil {
-		v, r.b, r.err = wire.BytesSlice(r.b)
-	}
-	return v
-}
-
-func (r *reader) flag() bool { return r.uvarint() != 0 }
-
-// count reads an element count. It comes from the peer, so it must fit the
-// bytes that follow — elemSize at least per element — before anything is
-// allocated for it.
-func (r *reader) count(elemSize uint64) uint64 {
-	n := r.uvarint()
-	if r.err == nil && (n > maxCount || n*elemSize > uint64(len(r.b))) {
-		r.err = fmt.Errorf("recovery: count %d out of range", n)
-	}
-	if r.err != nil {
-		return 0
-	}
-	return n
-}
-
-func appendFlag(b []byte, f bool) []byte {
-	if f {
-		return wire.AppendUvarint(b, 1)
-	}
-	return wire.AppendUvarint(b, 0)
-}
-
 // scope is the key range a session transfers: the whole replica (the zero
 // value, a rejoin) or one object's range (a live move).
 type scope struct {
@@ -114,27 +53,26 @@ func (q *sessionReq) key() sessionKey { return sessionKey{peer: q.peer, scope: q
 func encodeSessionReq(q *sessionReq) []byte {
 	b := wire.AppendString(nil, q.peer)
 	b = wire.AppendUvarint(b, q.epoch)
-	b = appendFlag(b, q.scope.scoped)
+	b = wire.AppendFlag(b, q.scope.scoped)
 	if q.scope.scoped {
 		b = wire.AppendUvarint(b, q.scope.object)
 	}
 	return b
 }
 
-// session reads the prefix every sender-side request starts with.
-func (r *reader) session() (q sessionReq) {
-	q.peer = string(r.bytes())
-	q.epoch = r.uvarint()
-	if r.flag() {
-		q.scope = objectScope(r.uvarint())
+// readSession reads the prefix every sender-side request starts with.
+func readSession(r *wire.Reader) (q sessionReq) {
+	q.peer, q.epoch = r.Str(), r.Uvarint()
+	if r.Flag() {
+		q.scope = objectScope(r.Uvarint())
 	}
 	return q
 }
 
 func decodeSessionReq(body []byte) (*sessionReq, error) {
-	r := reader{b: body}
-	q := r.session()
-	return &q, r.err
+	r := wire.NewReader(body)
+	q := readSession(&r)
+	return &q, r.ErrIn("recovery: session request")
 }
 
 // digestResp carries the sender's bucket folds and meta digest.
@@ -152,13 +90,13 @@ func encodeDigestResp(d *digestResp) []byte {
 }
 
 func decodeDigestResp(body []byte) (*digestResp, error) {
-	r := reader{b: body}
-	d := &digestResp{buckets: make([]uint64, r.count(8))}
+	r := wire.NewReader(body)
+	d := &digestResp{buckets: make([]uint64, r.Count(8))}
 	for i := range d.buckets {
-		d.buckets[i] = r.uint64()
+		d.buckets[i] = r.Uint64()
 	}
-	d.meta = r.uint64()
-	return d, r.err
+	d.meta = r.Uint64()
+	return d, r.ErrIn("recovery: digest response")
 }
 
 // objectsReq drills into the named buckets.
@@ -177,13 +115,13 @@ func encodeObjectsReq(q *objectsReq) []byte {
 }
 
 func decodeObjectsReq(body []byte) (*objectsReq, error) {
-	r := reader{b: body}
-	q := &objectsReq{sessionReq: r.session()}
-	q.buckets = make([]uint64, r.count(1))
+	r := wire.NewReader(body)
+	q := &objectsReq{sessionReq: readSession(&r)}
+	q.buckets = make([]uint64, r.Count(1))
 	for i := range q.buckets {
-		q.buckets[i] = r.uvarint()
+		q.buckets[i] = r.Uvarint()
 	}
-	return q, r.err
+	return q, r.ErrIn("recovery: objects request")
 }
 
 // objectsResp is the per-object digest listing for the drilled buckets.
@@ -202,13 +140,13 @@ func encodeObjectsResp(o *objectsResp) []byte {
 }
 
 func decodeObjectsResp(body []byte) (*objectsResp, error) {
-	r := reader{b: body}
-	o := &objectsResp{}
-	for n := r.uvarint(); n > 0 && r.err == nil; n-- {
-		o.ids = append(o.ids, r.uvarint())
-		o.digests = append(o.digests, r.uint64())
+	r := wire.NewReader(body)
+	n := r.Count(9)
+	o := &objectsResp{ids: make([]uint64, n), digests: make([]uint64, n)}
+	for i := range o.ids {
+		o.ids[i], o.digests[i] = r.Uvarint(), r.Uint64()
 	}
-	return o, r.err
+	return o, r.ErrIn("recovery: objects response")
 }
 
 // fetchReq asks for one bounded chunk of [start, end); an empty bound is
@@ -226,9 +164,9 @@ func encodeFetchReq(q *fetchReq) []byte {
 }
 
 func decodeFetchReq(body []byte) (*fetchReq, error) {
-	r := reader{b: body}
-	q := &fetchReq{sessionReq: r.session(), start: r.bytes(), end: r.bytes()}
-	return q, r.err
+	r := wire.NewReader(body)
+	q := &fetchReq{sessionReq: readSession(&r), start: r.Bytes(), end: r.Bytes()}
+	return q, r.ErrIn("recovery: fetch request")
 }
 
 // fetchResp carries one chunk plus a continuation key (empty = range done).
@@ -245,12 +183,15 @@ func encodeFetchResp(f *fetchResp) []byte {
 }
 
 func decodeFetchResp(body []byte) (*fetchResp, error) {
-	r := reader{b: body}
-	f := &fetchResp{keys: r.bytesSlice(), values: r.bytesSlice(), next: r.bytes()}
-	if r.err == nil && len(f.keys) != len(f.values) {
-		r.err = fmt.Errorf("recovery: fetch chunk %d keys / %d values", len(f.keys), len(f.values))
+	r := wire.NewReader(body)
+	f := &fetchResp{keys: r.BytesSlice(), values: r.BytesSlice(), next: r.Bytes()}
+	if err := r.ErrIn("recovery: fetch response"); err != nil {
+		return nil, err
 	}
-	return f, r.err
+	if len(f.keys) != len(f.values) {
+		return nil, fmt.Errorf("recovery: fetch chunk %d keys / %d values", len(f.keys), len(f.values))
+	}
+	return f, nil
 }
 
 // forwardMsg is one committed write-set relayed to a session's receiver.
@@ -270,13 +211,13 @@ func (m *forwardMsg) scope() scope {
 }
 
 func encodeForward(m *forwardMsg) []byte {
-	b := appendFlag(nil, m.scoped)
+	b := wire.AppendFlag(nil, m.scoped)
 	b = wire.AppendUvarint(b, m.object)
 	return wire.AppendBytes(b, m.batch)
 }
 
 func decodeForward(body []byte) (*forwardMsg, error) {
-	r := reader{b: body}
-	m := &forwardMsg{scoped: r.flag(), object: r.uvarint(), batch: r.bytes()}
-	return m, r.err
+	r := wire.NewReader(body)
+	m := &forwardMsg{scoped: r.Flag(), object: r.Uvarint(), batch: r.Bytes()}
+	return m, r.ErrIn("recovery: forward")
 }

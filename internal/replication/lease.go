@@ -71,19 +71,9 @@ func encodeLease(m leaseMsg) []byte {
 }
 
 func decodeLease(body []byte) (leaseMsg, error) {
-	var m leaseMsg
-	var err error
-	if m.epoch, body, err = wire.Uvarint(body); err != nil {
-		return m, err
-	}
-	if m.ttlUs, body, err = wire.Uvarint(body); err != nil {
-		return m, err
-	}
-	if m.enq, body, err = wire.Uvarint(body); err != nil {
-		return m, err
-	}
-	m.grantNs, _, err = wire.Uvarint(body)
-	return m, err
+	r := wire.NewReader(body)
+	m := leaseMsg{epoch: r.Uvarint(), ttlUs: r.Uvarint(), enq: r.Uvarint(), grantNs: r.Uvarint()}
+	return m, r.ErrIn("replication: lease")
 }
 
 // LeaseHolder is the backup-side lease state machine. All methods are

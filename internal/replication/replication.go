@@ -46,9 +46,8 @@ type applyMsg struct {
 // applyBatchMsg is the wire form of a coalesced ship frame: the sender's
 // configuration epoch (0 = unfenced, for pre-epoch senders) followed by N
 // (object, write-set) pairs, optionally followed by a lease renewal blob
-// (granted TTL in microseconds + cumulative lane-enqueued entry count).
-// Pre-lease decoders read exactly N pairs and ignore the trailing bytes,
-// so the extension is wire-compatible in both directions.
+// (granted TTL in microseconds + cumulative lane-enqueued entry count +
+// the sender's clock at the grant), present only when a renewal rides along.
 type applyBatchMsg struct {
 	epoch uint64
 	msgs  []applyMsg
@@ -75,48 +74,27 @@ func encodeApplyBatch(epoch uint64, entries []*shipEntry, leaseTTLUs, leaseEnq, 
 }
 
 func decodeApplyBatch(body []byte) (*applyBatchMsg, error) {
-	epoch, rest, err := wire.Uvarint(body)
-	if err != nil {
-		return nil, fmt.Errorf("replication: applyBatch epoch: %w", err)
-	}
-	count, rest, err := wire.Uvarint(rest)
-	if err != nil {
-		return nil, fmt.Errorf("replication: applyBatch count: %w", err)
-	}
-	if count > uint64(len(rest)) {
-		return nil, fmt.Errorf("replication: applyBatch count %d exceeds body", count)
-	}
-	out := &applyBatchMsg{epoch: epoch, msgs: make([]applyMsg, 0, count)}
-	for i := uint64(0); i < count; i++ {
-		object, next, err := wire.Uvarint(rest)
-		if err != nil {
-			return nil, fmt.Errorf("replication: applyBatch object: %w", err)
+	r := wire.NewReader(body)
+	out := &applyBatchMsg{epoch: r.Uvarint()}
+	// A member is at least an object id and a write-set length.
+	out.msgs = make([]applyMsg, r.Count(2))
+	for i := range out.msgs {
+		m := &out.msgs[i]
+		m.object = r.Uvarint()
+		raw := r.Bytes()
+		if r.Err() != nil {
+			break
 		}
-		raw, next, err := wire.Bytes(next)
-		if err != nil {
-			return nil, fmt.Errorf("replication: applyBatch batch: %w", err)
-		}
-		b, err := store.DecodeBatch(raw)
-		if err != nil {
+		var err error
+		if m.batch, err = store.DecodeBatch(raw); err != nil {
 			return nil, err
 		}
-		out.msgs = append(out.msgs, applyMsg{object: object, batch: b})
-		rest = next
 	}
-	if len(rest) > 0 {
-		ttl, next, err := wire.Uvarint(rest)
-		if err != nil {
-			return nil, fmt.Errorf("replication: applyBatch lease ttl: %w", err)
-		}
-		enq, next, err := wire.Uvarint(next)
-		if err != nil {
-			return nil, fmt.Errorf("replication: applyBatch lease enq: %w", err)
-		}
-		grant, _, err := wire.Uvarint(next)
-		if err != nil {
-			return nil, fmt.Errorf("replication: applyBatch lease grant: %w", err)
-		}
-		out.leaseTTLUs, out.leaseEnq, out.leaseGrantNs = ttl, enq, grant
+	if r.Len() > 0 {
+		out.leaseTTLUs, out.leaseEnq, out.leaseGrantNs = r.Uvarint(), r.Uvarint(), r.Uvarint()
+	}
+	if err := r.ErrIn("replication: applyBatch"); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

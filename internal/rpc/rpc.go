@@ -109,34 +109,14 @@ func (m *message) encode(dst []byte) []byte {
 }
 
 func decodeMessage(b []byte) (*message, error) {
-	if len(b) < 1 {
-		return nil, fmt.Errorf("rpc: empty message")
-	}
-	m := &message{kind: b[0]}
-	rest := b[1:]
-	var err error
-	if m.id, rest, err = wire.Uvarint(rest); err != nil {
-		return nil, fmt.Errorf("rpc: message id: %w", err)
-	}
-	if m.trace, rest, err = wire.Uvarint(rest); err != nil {
-		return nil, fmt.Errorf("rpc: message trace: %w", err)
-	}
-	if m.parent, rest, err = wire.Uvarint(rest); err != nil {
-		return nil, fmt.Errorf("rpc: message parent span: %w", err)
-	}
-	if m.method, rest, err = wire.String(rest); err != nil {
-		return nil, fmt.Errorf("rpc: message method: %w", err)
-	}
-	if m.errStr, rest, err = wire.String(rest); err != nil {
-		return nil, fmt.Errorf("rpc: message error: %w", err)
-	}
-	var body []byte
-	if body, _, err = wire.Bytes(rest); err != nil {
-		return nil, fmt.Errorf("rpc: message body: %w", err)
-	}
+	r := wire.NewReader(b)
 	// The body aliases b; when b is a pooled frame buffer the caller sets
 	// m.raw and controls the buffer's lifetime (no copy on the hot path).
-	m.body = body
+	m := &message{kind: r.Byte(), id: r.Uvarint(), trace: r.Uvarint(), parent: r.Uvarint(),
+		method: r.Str(), errStr: r.Str(), body: r.Bytes()}
+	if err := r.ErrIn("rpc: message"); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -251,12 +231,9 @@ func (w *connWriter) fail(err error) {
 type Handler func(body []byte) ([]byte, error)
 
 // CallInfo carries per-request metadata into a handler: the caller's trace
-// context, restored from the request frame, and the connection's remote
-// address — the frame identity admission quotas key off when the client
-// did not declare a tenant.
+// context, restored from the request frame.
 type CallInfo struct {
 	Trace telemetry.SpanContext
-	Peer  string
 }
 
 // HandlerCtx is a Handler that also receives the request's CallInfo.
@@ -396,7 +373,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	if srvMetrics != nil {
 		cw.coalesced.Store(srvMetrics.coalesced)
 	}
-	peer := conn.RemoteAddr().String()
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
 	for {
@@ -447,7 +423,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if m != nil {
 				start = time.Now()
 			}
-			info := CallInfo{Trace: telemetry.SpanContext{Trace: msg.trace, Span: msg.parent}, Peer: peer}
+			info := CallInfo{Trace: telemetry.SpanContext{Trace: msg.trace, Span: msg.parent}}
 			resp := &message{kind: msgResponse, id: msg.id}
 			if h == nil {
 				resp.errStr = ErrNoMethod.Error() + ": " + msg.method

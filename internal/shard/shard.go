@@ -349,48 +349,27 @@ func (d *Directory) Snapshot() []byte {
 
 // Load replaces the directory contents from a snapshot.
 func Load(data []byte) (*Directory, error) {
-	d := &Directory{overrides: make(map[uint64]uint64)}
-	var err error
-	if d.epoch, data, err = wire.Uvarint(data); err != nil {
-		return nil, fmt.Errorf("shard: snapshot epoch: %w", err)
+	r := wire.NewReader(data)
+	d := &Directory{epoch: r.Uvarint()}
+	// A group is at least an id, a primary length and a backup count; an
+	// override two varints.
+	d.groups = make([]Group, r.Count(3))
+	for i := range d.groups {
+		g := &d.groups[i]
+		g.ID, g.Primary = r.Uvarint(), r.Str()
+		g.Backups = make([]string, r.Count(1))
+		for j := range g.Backups {
+			g.Backups[j] = r.Str()
+		}
 	}
-	var n uint64
-	if n, data, err = wire.Uvarint(data); err != nil {
-		return nil, fmt.Errorf("shard: snapshot group count: %w", err)
+	n := r.Count(2)
+	d.overrides = make(map[uint64]uint64, n)
+	for ; n > 0; n-- {
+		obj := r.Uvarint()
+		d.overrides[obj] = r.Uvarint()
 	}
-	for i := uint64(0); i < n; i++ {
-		var g Group
-		if g.ID, data, err = wire.Uvarint(data); err != nil {
-			return nil, err
-		}
-		if g.Primary, data, err = wire.String(data); err != nil {
-			return nil, err
-		}
-		var nb uint64
-		if nb, data, err = wire.Uvarint(data); err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < nb; j++ {
-			var bk string
-			if bk, data, err = wire.String(data); err != nil {
-				return nil, err
-			}
-			g.Backups = append(g.Backups, bk)
-		}
-		d.groups = append(d.groups, g)
-	}
-	if n, data, err = wire.Uvarint(data); err != nil {
-		return nil, fmt.Errorf("shard: snapshot override count: %w", err)
-	}
-	for i := uint64(0); i < n; i++ {
-		var obj, gid uint64
-		if obj, data, err = wire.Uvarint(data); err != nil {
-			return nil, err
-		}
-		if gid, data, err = wire.Uvarint(data); err != nil {
-			return nil, err
-		}
-		d.overrides[obj] = gid
+	if err := r.ErrIn("shard: directory snapshot"); err != nil {
+		return nil, err
 	}
 	d.sortGroups()
 	return d, nil

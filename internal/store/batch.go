@@ -93,25 +93,19 @@ func (b *Batch) encode(dst []byte) []byte {
 
 // decodeBatch parses an encoded batch (e.g. a WAL record).
 func decodeBatch(payload []byte) (*Batch, error) {
-	startSeq, rest, err := wire.Uvarint(payload)
-	if err != nil {
+	r := wire.NewReader(payload)
+	// A record is at least a kind byte and a key length.
+	b := &Batch{startSeq: r.Uvarint(), count: r.Count(2), data: r.Rest()}
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("%w: batch header: %v", ErrCorrupt, err)
 	}
-	count, rest, err := wire.Uvarint(rest)
-	if err != nil {
-		return nil, fmt.Errorf("%w: batch count: %v", ErrCorrupt, err)
-	}
-	b := &Batch{startSeq: startSeq, count: int(count), data: rest}
 	// Validate the records eagerly so corruption is caught at decode time.
-	n := 0
-	if err := b.ForEach(func(kind byte, key, value []byte) error {
-		n++
-		return nil
-	}); err != nil {
-		return nil, err
+	trailing, err := b.each(func(byte, []byte, []byte) error { return nil })
+	if err == nil && trailing > 0 {
+		err = fmt.Errorf("%w: %d bytes after the last batch record", ErrCorrupt, trailing)
 	}
-	if n != int(count) {
-		return nil, fmt.Errorf("%w: batch count %d != decoded %d", ErrCorrupt, count, n)
+	if err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -120,32 +114,30 @@ func decodeBatch(payload []byte) (*Batch, error) {
 // byte(kindDelete); value is nil for deletes. Returning an error stops the
 // walk.
 func (b *Batch) ForEach(fn func(kind byte, key, value []byte) error) error {
-	rest := b.data
+	_, err := b.each(fn)
+	return err
+}
+
+// each is ForEach, also returning how many bytes follow the last record.
+func (b *Batch) each(fn func(kind byte, key, value []byte) error) (trailing int, err error) {
+	r := wire.NewReader(b.data)
 	for i := 0; i < b.count; i++ {
-		if len(rest) == 0 {
-			return fmt.Errorf("%w: batch truncated at record %d", ErrCorrupt, i)
-		}
-		kind := rest[0]
-		rest = rest[1:]
-		var key, value []byte
-		var err error
-		key, rest, err = wire.Bytes(rest)
-		if err != nil {
-			return fmt.Errorf("%w: batch key: %v", ErrCorrupt, err)
-		}
+		kind, key := r.Byte(), r.Bytes()
+		var value []byte
 		if kind == byte(kindSet) {
-			value, rest, err = wire.Bytes(rest)
-			if err != nil {
-				return fmt.Errorf("%w: batch value: %v", ErrCorrupt, err)
-			}
-		} else if kind != byte(kindDelete) {
-			return fmt.Errorf("%w: unknown batch record kind %d", ErrCorrupt, kind)
+			value = r.Bytes()
+		}
+		if err := r.Err(); err != nil {
+			return 0, fmt.Errorf("%w: batch record %d: %v", ErrCorrupt, i, err)
+		}
+		if kind != byte(kindSet) && kind != byte(kindDelete) {
+			return 0, fmt.Errorf("%w: unknown batch record kind %d", ErrCorrupt, kind)
 		}
 		if err := fn(kind, key, value); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return r.Len(), nil
 }
 
 // apply inserts every record into the memtable with ascending sequence

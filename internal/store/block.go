@@ -20,6 +20,10 @@ import (
 //	restarts: uint32 offset * numRestarts | uint32 numRestarts
 //	trailer:  uint32 crc32c(everything above)
 
+// dataRestartInterval is the restart interval of data blocks (index blocks
+// restart at every entry, so a seek lands on the entry itself).
+const dataRestartInterval = 16
+
 // blockBuilder accumulates entries for one block.
 type blockBuilder struct {
 	restartInterval int
@@ -139,31 +143,21 @@ func (it *blockIter) decodeEntryAt(off int) bool {
 		it.valid = false
 		return false
 	}
-	rest := data[off:]
-	shared, rest, err := wire.Uvarint(rest)
-	if err != nil {
-		it.fail(err)
+	r := wire.NewReader(data[off:])
+	shared, unshared, valueLen := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	suffix, value := r.Raw(unshared), r.Raw(valueLen)
+	if err := r.Err(); err != nil {
+		it.fail(fmt.Errorf("%w: block entry: %v", ErrCorrupt, err))
 		return false
 	}
-	unshared, rest, err := wire.Uvarint(rest)
-	if err != nil {
-		it.fail(err)
+	if shared > uint64(len(it.key)) {
+		it.fail(fmt.Errorf("%w: block entry shares %d of a %d-byte key", ErrCorrupt, shared, len(it.key)))
 		return false
 	}
-	valueLen, rest, err := wire.Uvarint(rest)
-	if err != nil {
-		it.fail(err)
-		return false
-	}
-	if shared > uint64(len(it.key)) || unshared+valueLen > uint64(len(rest)) {
-		it.fail(fmt.Errorf("%w: block entry lengths", ErrCorrupt))
-		return false
-	}
-	it.key = append(it.key[:shared], rest[:unshared]...)
-	it.value = rest[unshared : unshared+valueLen]
-	consumed := len(data[off:]) - len(rest) + int(unshared) + int(valueLen)
+	it.key = append(it.key[:shared], suffix...)
+	it.value = value
 	it.offset = off
-	it.next = off + consumed
+	it.next = len(data) - r.Len()
 	it.valid = true
 	return true
 }

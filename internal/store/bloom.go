@@ -36,32 +36,32 @@ func bloomHash(b []byte) uint32 {
 	return h
 }
 
-// buildBloom creates a filter over keys with bitsPerKey bits per key. The
-// final byte records the probe count so readers are self-describing.
-func buildBloom(keys [][]byte, bitsPerKey int) []byte {
-	if bitsPerKey <= 0 || len(keys) == 0 {
+// Filter sizing is part of the table format, not a knob: 10 bits per key
+// gives ~1% false positives, and k = bitsPerKey * ln2 probes minimizes that
+// rate.
+const (
+	bloomBitsPerKey = 10
+	bloomProbes     = 6
+)
+
+// buildBloom creates a filter over the keys whose bloomHash values are
+// hashes. The final byte records the probe count so readers are
+// self-describing.
+func buildBloom(hashes []uint32) []byte {
+	if len(hashes) == 0 {
 		return nil
 	}
-	// k = bitsPerKey * ln2 probes minimizes the false-positive rate.
-	k := uint8(float64(bitsPerKey) * 0.69)
-	if k < 1 {
-		k = 1
-	}
-	if k > 30 {
-		k = 30
-	}
-	bits := len(keys) * bitsPerKey
+	bits := len(hashes) * bloomBitsPerKey
 	if bits < 64 {
 		bits = 64
 	}
 	nBytes := (bits + 7) / 8
 	bits = nBytes * 8
 	filter := make([]byte, nBytes+1)
-	filter[nBytes] = k
-	for _, key := range keys {
-		h := bloomHash(key)
+	filter[nBytes] = bloomProbes
+	for _, h := range hashes {
 		delta := h>>17 | h<<15 // rotate right 17 bits
-		for i := uint8(0); i < k; i++ {
+		for i := 0; i < bloomProbes; i++ {
 			pos := h % uint32(bits)
 			filter[pos/8] |= 1 << (pos % 8)
 			h += delta

@@ -25,12 +25,6 @@ type Options struct {
 	MemtableBytes int
 	// BlockBytes is the uncompressed target size of an SSTable data block.
 	BlockBytes int
-	// BlockRestartInterval is the number of entries between prefix
-	// compression restart points within a block.
-	BlockRestartInterval int
-	// BloomBitsPerKey sizes the per-table bloom filter; 10 gives ~1% false
-	// positives. Zero disables filters.
-	BloomBitsPerKey int
 	// BlockCacheBytes bounds the shared cache of parsed data blocks;
 	// negative disables it.
 	BlockCacheBytes int
@@ -58,15 +52,13 @@ type Options struct {
 // NewOptions returns production defaults scaled for test-friendly sizes.
 func NewOptions() *Options {
 	return &Options{
-		MemtableBytes:        4 << 20,
-		BlockBytes:           4 << 10,
-		BlockRestartInterval: 16,
-		BloomBitsPerKey:      10,
-		BlockCacheBytes:      8 << 20,
-		L0CompactionTrigger:  4,
-		L0StopWritesTrigger:  12,
-		LevelBaseBytes:       10 << 20,
-		LevelMultiplier:      10,
+		MemtableBytes:       4 << 20,
+		BlockBytes:          4 << 10,
+		BlockCacheBytes:     8 << 20,
+		L0CompactionTrigger: 4,
+		L0StopWritesTrigger: 12,
+		LevelBaseBytes:      10 << 20,
+		LevelMultiplier:     10,
 	}
 }
 
@@ -82,12 +74,6 @@ func (o *Options) sanitize() *Options {
 	}
 	if out.BlockBytes <= 0 {
 		out.BlockBytes = def.BlockBytes
-	}
-	if out.BlockRestartInterval <= 0 {
-		out.BlockRestartInterval = def.BlockRestartInterval
-	}
-	if out.BloomBitsPerKey < 0 {
-		out.BloomBitsPerKey = 0
 	}
 	if out.BlockCacheBytes == 0 {
 		out.BlockCacheBytes = def.BlockCacheBytes

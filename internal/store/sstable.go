@@ -36,15 +36,9 @@ func (h blockHandle) encode(dst []byte) []byte {
 }
 
 func decodeHandle(b []byte) (blockHandle, error) {
-	off, rest, err := wire.Uvarint(b)
-	if err != nil {
-		return blockHandle{}, err
-	}
-	length, _, err := wire.Uvarint(rest)
-	if err != nil {
-		return blockHandle{}, err
-	}
-	return blockHandle{offset: off, length: length}, nil
+	r := wire.NewReader(b)
+	h := blockHandle{offset: r.Uvarint(), length: r.Uvarint()}
+	return h, r.ErrIn("store: block handle")
 }
 
 // tableWriter streams sorted entries into an SSTable file.
@@ -56,10 +50,10 @@ type tableWriter struct {
 	dataBlk *blockBuilder
 	idxBlk  *blockBuilder
 
-	bloomKeys  [][]byte
-	numEntries uint64
-	smallest   internalKey
-	largest    internalKey
+	bloomHashes []uint32 // bloomHash of every user key added
+	numEntries  uint64
+	smallest    internalKey
+	largest     internalKey
 
 	pendingHandle blockHandle
 	pendingLast   internalKey
@@ -77,7 +71,7 @@ func newTableWriter(path string, opts *Options) (*tableWriter, error) {
 		f:       f,
 		w:       bufio.NewWriterSize(f, 256<<10),
 		opts:    opts,
-		dataBlk: newBlockBuilder(opts.BlockRestartInterval),
+		dataBlk: newBlockBuilder(dataRestartInterval),
 		idxBlk:  newBlockBuilder(1),
 	}, nil
 }
@@ -94,9 +88,7 @@ func (t *tableWriter) add(key internalKey, value []byte) {
 		t.smallest = append(internalKey(nil), key...)
 	}
 	t.largest = append(t.largest[:0], key...)
-	if t.opts.BloomBitsPerKey > 0 {
-		t.bloomKeys = append(t.bloomKeys, append([]byte(nil), key.userKey()...))
-	}
+	t.bloomHashes = append(t.bloomHashes, bloomHash(key.userKey()))
 	t.dataBlk.add(key, value)
 	t.numEntries++
 	if t.dataBlk.sizeEstimate() >= t.opts.BlockBytes {
@@ -169,7 +161,7 @@ func (t *tableWriter) finish() (smallest, largest internalKey, fileSize uint64, 
 		return nil, nil, 0, t.err
 	}
 
-	filter := buildBloom(t.bloomKeys, t.opts.BloomBitsPerKey)
+	filter := buildBloom(t.bloomHashes)
 	filterHandle, err := t.writeBlock(filter)
 	if err != nil {
 		t.f.Close()

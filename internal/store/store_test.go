@@ -647,7 +647,11 @@ func TestBloomFilter(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		keys = append(keys, []byte(fmt.Sprintf("bloomkey%d", i)))
 	}
-	filter := buildBloom(keys, 10)
+	hashes := make([]uint32, len(keys))
+	for i, k := range keys {
+		hashes[i] = bloomHash(k)
+	}
+	filter := buildBloom(hashes)
 	for _, k := range keys {
 		if !bloomMayContain(filter, k) {
 			t.Fatalf("false negative for %q", k)
@@ -666,7 +670,7 @@ func TestBloomFilter(t *testing.T) {
 }
 
 func TestBloomEmptyAndNil(t *testing.T) {
-	if buildBloom(nil, 10) != nil {
+	if buildBloom(nil) != nil {
 		t.Fatal("empty key set should produce nil filter")
 	}
 	if !bloomMayContain(nil, []byte("x")) {

@@ -154,69 +154,37 @@ func (e *versionEdit) encode(dst []byte) []byte {
 
 func decodeVersionEdit(b []byte) (*versionEdit, error) {
 	e := &versionEdit{}
-	rest := b
-	for len(rest) > 0 {
-		var tag uint64
-		var err error
-		tag, rest, err = wire.Uvarint(rest)
-		if err != nil {
-			return nil, fmt.Errorf("%w: edit tag: %v", ErrCorrupt, err)
-		}
-		switch tag {
+	r := wire.NewReader(b)
+	// No count to bound: each record appended below was read from the frame.
+	for r.Len() > 0 {
+		var level uint64
+		switch tag := r.Uvarint(); tag {
 		case tagLogNumber:
-			e.logNumber, rest, err = wire.Uvarint(rest)
+			e.logNumber = r.Uvarint()
 		case tagNextFileNum:
-			e.nextFileNum, rest, err = wire.Uvarint(rest)
+			e.nextFileNum = r.Uvarint()
 		case tagLastSeq:
-			e.lastSeq, rest, err = wire.Uvarint(rest)
+			e.lastSeq = r.Uvarint()
 		case tagAddTable:
-			var level, num, size uint64
-			var smallest, largest []byte
-			level, rest, err = wire.Uvarint(rest)
-			if err == nil {
-				num, rest, err = wire.Uvarint(rest)
-			}
-			if err == nil {
-				size, rest, err = wire.Uvarint(rest)
-			}
-			if err == nil {
-				smallest, rest, err = wire.Bytes(rest)
-			}
-			if err == nil {
-				largest, rest, err = wire.Bytes(rest)
-			}
-			if err == nil {
-				if level >= numLevels {
-					return nil, fmt.Errorf("%w: edit level %d", ErrCorrupt, level)
-				}
-				e.added = append(e.added, editAdd{
-					level: int(level),
-					meta: &tableMeta{
-						fileNum:  num,
-						size:     size,
-						smallest: append(internalKey(nil), smallest...),
-						largest:  append(internalKey(nil), largest...),
-					},
-				})
-			}
+			level = r.Uvarint()
+			e.added = append(e.added, editAdd{level: int(level), meta: &tableMeta{
+				fileNum: r.Uvarint(), size: r.Uvarint(),
+				smallest: internalKey(r.BytesCopy()), largest: internalKey(r.BytesCopy()),
+			}})
 		case tagDeleteTable:
-			var level, num uint64
-			level, rest, err = wire.Uvarint(rest)
-			if err == nil {
-				num, rest, err = wire.Uvarint(rest)
-			}
-			if err == nil {
-				if level >= numLevels {
-					return nil, fmt.Errorf("%w: edit level %d", ErrCorrupt, level)
-				}
-				e.deleted = append(e.deleted, editDelete{level: int(level), fileNum: num})
-			}
+			level = r.Uvarint()
+			e.deleted = append(e.deleted, editDelete{level: int(level), fileNum: r.Uvarint()})
 		default:
-			return nil, fmt.Errorf("%w: unknown edit tag %d", ErrCorrupt, tag)
+			if r.Err() == nil {
+				return nil, fmt.Errorf("%w: unknown edit tag %d", ErrCorrupt, tag)
+			}
 		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: edit field: %v", ErrCorrupt, err)
+		if level >= numLevels {
+			return nil, fmt.Errorf("%w: edit level %d", ErrCorrupt, level)
 		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: edit: %v", ErrCorrupt, err)
 	}
 	return e, nil
 }
@@ -335,11 +303,10 @@ func loadManifest(dir string) (v *version, logNum, nextFileNum, lastSeq uint64, 
 		return nil, 0, 0, 0, err
 	}
 	nextFileNum = 1
-	rest := data
-	for len(rest) > 0 {
-		var payload []byte
-		payload, rest, err = wire.Frame(rest)
-		if err != nil {
+	r := wire.NewReader(data)
+	for r.Len() > 0 {
+		payload := r.Frame()
+		if r.Err() != nil {
 			// Torn tail from a crash during append: stop replay.
 			break
 		}

@@ -95,17 +95,16 @@ func replayWAL(path string, fn func(record []byte) error) error {
 		}
 		return fmt.Errorf("store: read wal: %w", err)
 	}
-	rest := data
-	for len(rest) > 0 {
-		payload, next, err := wire.Frame(rest)
-		if err != nil {
+	r := wire.NewReader(data)
+	for r.Len() > 0 {
+		payload := r.Frame()
+		if r.Err() != nil {
 			// A damaged final record is a torn write from a crash: stop.
 			return nil
 		}
 		if err := fn(payload); err != nil {
 			return err
 		}
-		rest = next
 	}
 	return nil
 }

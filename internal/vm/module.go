@@ -198,7 +198,7 @@ func (m *Module) Validate() error {
 	if m.MaxPages <= 0 {
 		m.MaxPages = 256 // 16 MiB default ceiling
 	}
-	if m.MaxPages*PageBytes > maxMemoryMax {
+	if m.MaxPages > maxMemoryMax/PageBytes {
 		return fmt.Errorf("%w: max memory too large", ErrBadModule)
 	}
 	if m.MinPages > m.MaxPages {
@@ -212,7 +212,9 @@ func (m *Module) Validate() error {
 	}
 	for fi := range m.Funcs {
 		f := &m.Funcs[fi]
-		if f.NumParams < 0 || f.NumLocals < 0 || f.NumParams+f.NumLocals > maxLocals {
+		// Each is bounded on its own first: decoded from a varint, their sum
+		// can wrap.
+		if uint(f.NumParams) > maxLocals || uint(f.NumLocals) > maxLocals || f.NumParams+f.NumLocals > maxLocals {
 			return fmt.Errorf("%w: func %q locals", ErrBadModule, f.Name)
 		}
 		if len(f.code) == 0 || len(f.code) > maxCodeLen {
@@ -311,11 +313,7 @@ func (m *Module) Encode() []byte {
 		b = wire.AppendString(b, f.Name)
 		b = wire.AppendUvarint(b, uint64(f.NumParams))
 		b = wire.AppendUvarint(b, uint64(f.NumLocals))
-		exported := uint64(0)
-		if f.Exported {
-			exported = 1
-		}
-		b = wire.AppendUvarint(b, exported)
+		b = wire.AppendFlag(b, f.Exported)
 		b = wire.AppendUvarint(b, uint64(len(f.code)))
 		for _, in := range f.code {
 			b = append(b, byte(in.op))
@@ -329,80 +327,34 @@ func (m *Module) Encode() []byte {
 
 // Decode parses and validates a serialized module.
 func Decode(data []byte) (*Module, error) {
-	magic, rest, err := wire.Uint32(data)
-	if err != nil || magic != moduleMagic {
+	r := wire.NewReader(data)
+	if r.Uint32() != moduleMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadModule)
 	}
-	version, rest, err := wire.Uint32(rest)
-	if err != nil || version != moduleVersion {
+	if r.Uint32() != moduleVersion {
 		return nil, fmt.Errorf("%w: unsupported version", ErrBadModule)
 	}
-	m := &Module{}
-	var u uint64
-	if u, rest, err = wire.Uvarint(rest); err != nil {
-		return nil, fmt.Errorf("%w: min pages", ErrBadModule)
+	m := &Module{MinPages: int(r.Uvarint()), MaxPages: int(r.Uvarint()), Data: r.BytesCopy()}
+	m.Imports = make([]string, r.Count(1))
+	for i := range m.Imports {
+		m.Imports[i] = r.Str()
 	}
-	m.MinPages = int(u)
-	if u, rest, err = wire.Uvarint(rest); err != nil {
-		return nil, fmt.Errorf("%w: max pages", ErrBadModule)
-	}
-	m.MaxPages = int(u)
-	var raw []byte
-	if raw, rest, err = wire.Bytes(rest); err != nil {
-		return nil, fmt.Errorf("%w: data segment", ErrBadModule)
-	}
-	m.Data = append([]byte(nil), raw...)
-	if u, rest, err = wire.Uvarint(rest); err != nil || u > maxImports {
-		return nil, fmt.Errorf("%w: import count", ErrBadModule)
-	}
-	for i := uint64(0); i < u; i++ {
-		var s string
-		if s, rest, err = wire.String(rest); err != nil {
-			return nil, fmt.Errorf("%w: import name", ErrBadModule)
-		}
-		m.Imports = append(m.Imports, s)
-	}
-	var nf uint64
-	if nf, rest, err = wire.Uvarint(rest); err != nil || nf > maxFunctions {
-		return nil, fmt.Errorf("%w: function count", ErrBadModule)
-	}
-	for i := uint64(0); i < nf; i++ {
-		var f Func
-		if f.Name, rest, err = wire.String(rest); err != nil {
-			return nil, fmt.Errorf("%w: func name", ErrBadModule)
-		}
-		if u, rest, err = wire.Uvarint(rest); err != nil {
-			return nil, fmt.Errorf("%w: func params", ErrBadModule)
-		}
-		f.NumParams = int(u)
-		if u, rest, err = wire.Uvarint(rest); err != nil {
-			return nil, fmt.Errorf("%w: func locals", ErrBadModule)
-		}
-		f.NumLocals = int(u)
-		if u, rest, err = wire.Uvarint(rest); err != nil {
-			return nil, fmt.Errorf("%w: func export flag", ErrBadModule)
-		}
-		f.Exported = u != 0
-		var codeLen uint64
-		if codeLen, rest, err = wire.Uvarint(rest); err != nil || codeLen > maxCodeLen {
-			return nil, fmt.Errorf("%w: func code length", ErrBadModule)
-		}
-		f.code = make([]instr, 0, codeLen)
-		for c := uint64(0); c < codeLen; c++ {
-			if len(rest) == 0 {
-				return nil, fmt.Errorf("%w: truncated code", ErrBadModule)
+	// A function is at least a name length, three varints and a code length.
+	m.Funcs = make([]Func, r.Count(5))
+	for i := range m.Funcs {
+		f := &m.Funcs[i]
+		f.Name, f.NumParams, f.NumLocals, f.Exported = r.Str(), int(r.Uvarint()), int(r.Uvarint()), r.Flag()
+		f.code = make([]instr, r.Count(1))
+		for c := range f.code {
+			in := instr{op: opcode(r.Byte())}
+			if in.op < opMax && hasOperand[in.op] {
+				in.arg = r.Varint()
 			}
-			op := opcode(rest[0])
-			rest = rest[1:]
-			var arg int64
-			if op < opMax && hasOperand[op] {
-				if arg, rest, err = wire.Varint(rest); err != nil {
-					return nil, fmt.Errorf("%w: instruction operand", ErrBadModule)
-				}
-			}
-			f.code = append(f.code, instr{op: op, arg: arg})
+			f.code[c] = in
 		}
-		m.Funcs = append(m.Funcs, f)
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadModule, err)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -4,18 +4,18 @@
 // CRC-checksummed frames.
 //
 // All encoders append to a caller-supplied buffer and return the extended
-// slice; all decoders consume from the front of a slice and return the
-// remainder, so callers can chain them without extra allocation.
+// slice. All decoding goes through Reader (reader.go), the one cursor over a
+// frame: there is no other way to read a varint or a length prefix out of
+// this package.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 )
 
-// Encoding errors returned by the decode helpers.
+// Decoding errors a Reader reports, each wrapped with the offset it happened at.
 var (
 	ErrShortBuffer = errors.New("wire: buffer too short")
 	ErrOverflow    = errors.New("wire: varint overflows 64 bits")
@@ -42,32 +42,6 @@ func AppendVarint(dst []byte, v int64) []byte {
 	return binary.AppendVarint(dst, v)
 }
 
-// Uvarint decodes an unsigned varint from the front of b and returns the
-// value and the remaining bytes.
-func Uvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n > 0 {
-		return v, b[n:], nil
-	}
-	if n == 0 {
-		return 0, b, ErrShortBuffer
-	}
-	return 0, b, ErrOverflow
-}
-
-// Varint decodes a signed varint from the front of b and returns the value
-// and the remaining bytes.
-func Varint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n > 0 {
-		return v, b[n:], nil
-	}
-	if n == 0 {
-		return 0, b, ErrShortBuffer
-	}
-	return 0, b, ErrOverflow
-}
-
 // AppendUint32 appends v in little-endian fixed width.
 func AppendUint32(dst []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, v)
@@ -78,24 +52,8 @@ func AppendUint64(dst []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, v)
 }
 
-// Uint32 decodes a fixed-width little-endian uint32 from the front of b.
-func Uint32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, b, ErrShortBuffer
-	}
-	return binary.LittleEndian.Uint32(b), b[4:], nil
-}
-
-// Uint64 decodes a fixed-width little-endian uint64 from the front of b.
-func Uint64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, b, ErrShortBuffer
-	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
-}
-
-// MaxBytesLen bounds the length prefix accepted by Bytes to guard against
-// corrupted or malicious inputs requesting absurd allocations.
+// MaxBytesLen bounds the length prefix Reader.Bytes accepts, to guard
+// against corrupted or malicious inputs requesting absurd allocations.
 const MaxBytesLen = 64 << 20 // 64 MiB
 
 // AppendBytes appends a length-prefixed byte string.
@@ -110,29 +68,12 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// Bytes decodes a length-prefixed byte string. The returned slice aliases b;
-// callers that retain it across buffer reuse must copy.
-func Bytes(b []byte) ([]byte, []byte, error) {
-	n, rest, err := Uvarint(b)
-	if err != nil {
-		return nil, b, err
+// AppendFlag appends a boolean as a one-byte uvarint.
+func AppendFlag(dst []byte, f bool) []byte {
+	if f {
+		return append(dst, 1)
 	}
-	if n > MaxBytesLen {
-		return nil, b, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
-	}
-	if uint64(len(rest)) < n {
-		return nil, b, ErrShortBuffer
-	}
-	return rest[:n], rest[n:], nil
-}
-
-// String decodes a length-prefixed string (copying out of b).
-func String(b []byte) (string, []byte, error) {
-	raw, rest, err := Bytes(b)
-	if err != nil {
-		return "", b, err
-	}
-	return string(raw), rest, nil
+	return append(dst, 0)
 }
 
 // AppendFrame appends payload wrapped in a checksummed frame:
@@ -147,23 +88,6 @@ func AppendFrame(dst, payload []byte) []byte {
 	return AppendUint32(dst, Checksum(payload))
 }
 
-// Frame decodes a checksummed frame, verifying the CRC. The returned payload
-// aliases b.
-func Frame(b []byte) ([]byte, []byte, error) {
-	payload, rest, err := Bytes(b)
-	if err != nil {
-		return nil, b, err
-	}
-	sum, rest, err := Uint32(rest)
-	if err != nil {
-		return nil, b, err
-	}
-	if sum != Checksum(payload) {
-		return nil, b, ErrChecksum
-	}
-	return payload, rest, nil
-}
-
 // AppendBytesSlice appends a count-prefixed sequence of byte strings.
 func AppendBytesSlice(dst []byte, items [][]byte) []byte {
 	dst = AppendUvarint(dst, uint64(len(items)))
@@ -171,28 +95,4 @@ func AppendBytesSlice(dst []byte, items [][]byte) []byte {
 		dst = AppendBytes(dst, it)
 	}
 	return dst
-}
-
-// BytesSlice decodes a count-prefixed sequence of byte strings. Each element
-// aliases b.
-func BytesSlice(b []byte) ([][]byte, []byte, error) {
-	n, rest, err := Uvarint(b)
-	if err != nil {
-		return nil, b, err
-	}
-	// Each element needs at least one length byte, so the count can never
-	// exceed the remaining buffer — reject early instead of trusting it.
-	if n > uint64(len(rest)) {
-		return nil, b, fmt.Errorf("%w: %d items in %d bytes", ErrTooLarge, n, len(rest))
-	}
-	items := make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var it []byte
-		it, rest, err = Bytes(rest)
-		if err != nil {
-			return nil, b, err
-		}
-		items = append(items, it)
-	}
-	return items, rest, nil
 }

@@ -38,7 +38,6 @@ var testOnly = map[string]string{
 	"CatchUp":           "paxos: paxos_test drives catch-up without waiting for the ticker",
 	"NumChosen":         "paxos: paxos_test waits for a replica's applied prefix",
 	"Dial":              "rpc: rpc_test talks to a server without a pool",
-	"Len":               "cache_test, sched_test (lock-table leak check) and store's groupcommit_test count entries",
 	"LastSequence":      "store: store_test checks sequence numbers survive reopen",
 	"TableCount":        "store and retwis tests assert the table layout they set up",
 	"AsHostError":       "vm: vm_test and core_test tell a host failure from a guest trap",
@@ -46,6 +45,8 @@ var testOnly = map[string]string{
 	"EffectiveTier":     "vm: compile_test observes which tier a module compiled to",
 	"SetTier":           "vm: diff_test runs both tiers over the same programs",
 	"MustAssemble":      "vm and core tests assemble fixture modules",
+	"Of":                "wiretest: every Fuzz* target describes its package's frames with it",
+	"Fuzz":              "wiretest: every Fuzz* target runs it",
 }
 
 // source is one parsed file.
@@ -266,6 +267,27 @@ func TestOneRequestPath(t *testing.T) {
 	}
 }
 
+// TestOneDecoder is the "one decoding cursor" guard. wire exports no
+// function that threads (value, rest, err), so the only door left for a
+// second private reader is the standard library's varint decoders: no
+// product file outside internal/wire may call them.
+func TestOneDecoder(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, s := range parseTree(t, fset, "internal", "cmd", "examples", "benchmark") {
+		if s.dir == "internal/wire" {
+			continue
+		}
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if fn := selectorPath(call.Fun); fn == "binary.Uvarint" || fn == "binary.Varint" {
+					t.Errorf("%s: %s outside internal/wire: decode through wire.Reader", fset.Position(call.Pos()), fn)
+				}
+			}
+			return true
+		})
+	}
+}
+
 // selectorPath renders a.b.c for an identifier or selector chain ("" for
 // anything else).
 func selectorPath(e ast.Expr) string {
@@ -284,9 +306,6 @@ func selectorPath(e ast.Expr) string {
 // there. Like testOnly it is a worklist, not a steady state: a sizing value
 // only its own defaults() ever writes is a constant with a field's syntax.
 var defaultsOnly = map[string]string{
-	"admission.Options.TenantBurst": "bucket depth; every plane runs the default, one second of TenantQPS",
-	"cluster.ClientConfig.Tenant":   "the identity TenantQPS meters: no client in the repo sends one, so the per-tenant bucket runs only under admission's own tests",
-
 	"chaos.Options.HeartbeatInterval":      "chaos timing: every scenario runs the 50ms default",
 	"chaos.RunOptions.MaxRecoveryAttempts": "chaos timeout: every schedule runs the default",
 	"chaos.RunOptions.PromoteTimeout":      "chaos timeout: every schedule runs the default",
@@ -296,9 +315,6 @@ var defaultsOnly = map[string]string{
 	"rebalance.PolicyConfig.HomeSlack":       "policy threshold: default only",
 	"rebalance.PolicyConfig.ImbalanceRatio":  "policy threshold: default only",
 	"rebalance.PolicyConfig.MinGainFraction": "policy threshold: default only",
-
-	"store.Options.BlockRestartInterval": "table format sizing: default only",
-	"store.Options.BloomBitsPerKey":      "table format sizing: default only (and nothing runs without filters)",
 
 	"workload.Config.MeanFollowers": "generator shape: default only",
 	"workload.Config.MsgLen":        "generator shape: default only",
