@@ -110,8 +110,8 @@ func main() {
 			for _, d := range delays {
 				pair := out[d]
 				fmt.Printf("  delay=%-8v agg p50=%-10v dis p50=%-10v gap=%v\n",
-					d, pair[0].Latency.Median, pair[1].Latency.Median,
-					pair[1].Latency.Median-pair[0].Latency.Median)
+					d, pair[0].Latency.Quantile(0.5), pair[1].Latency.Quantile(0.5),
+					pair[1].Latency.Quantile(0.5)-pair[0].Latency.Quantile(0.5))
 			}
 		default:
 			log.Fatalf("lambda-bench: unknown ablation %q", name)

@@ -75,7 +75,7 @@ func main() {
 			Addr:     *withLB,
 			LogDir:   *lbLog,
 			Computes: []string{compute.Addr()},
-		})
+		}, reg)
 		if err != nil {
 			log.Fatalf("lambdacompute: lb: %v", err)
 		}

@@ -81,9 +81,10 @@ func main() {
 		log.Fatalf("lambdacoord: -peers must include this replica (id %d)", *id)
 	}
 
+	reg := telemetry.NewRegistry()
 	svc := coordinator.New(*id, peerIDs, nil, coordinator.Options{
 		HeartbeatTimeout: *hbTimeout,
-	})
+	}, reg)
 	if *dataDir != "" {
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 			log.Fatalf("lambdacoord: %v", err)
@@ -99,7 +100,6 @@ func main() {
 	} else {
 		log.Printf("lambdacoord: WARNING: running without -data; acceptor state will not survive restarts")
 	}
-	reg := telemetry.NewRegistry()
 	srv := rpc.NewServer()
 	srv.SetTelemetry(reg)
 	coordinator.RegisterServer(srv, svc)
@@ -133,10 +133,10 @@ func main() {
 					return
 				case <-ticker.C:
 				}
-				snap := agg.Snapshot()
-				if snap.Cluster.ShedPerSec > *shedAlert {
-					log.Printf("lambdacoord: OVERLOAD: cluster shedding %.1f req/s (threshold %.1f), admission queue depth %d",
-						snap.Cluster.ShedPerSec, *shedAlert, snap.Cluster.AdmissionQueueDepth)
+				all := agg.Snapshot().Cluster.Values
+				if all["shed_per_sec"] > *shedAlert {
+					log.Printf("lambdacoord: OVERLOAD: cluster shedding %.1f req/s (threshold %.1f), admission queue depth %.0f",
+						all["shed_per_sec"], *shedAlert, all["admission_queue_depth"])
 				}
 			}
 		}()
@@ -165,8 +165,8 @@ func main() {
 				for _, g := range snap.Groups {
 					out[g.ID] = rebalance.GroupLoad{
 						ID:         g.ID,
-						P99Us:      g.P99Us,
-						QueueDepth: g.QueueDepth,
+						P99Us:      uint64(g.Values["p99_us"]),
+						QueueDepth: int64(g.Values["queue_depth"]),
 					}
 				}
 				return out
@@ -179,22 +179,11 @@ func main() {
 
 	var dbg *debug.Server
 	if *debugAddr != "" {
-		opts := debug.Options{
-			Registry: reg,
-			Cluster:  func() any { return agg.Snapshot() },
-			Gauges: func() map[string]uint64 {
-				cutovers, compacted, overrides := svc.MigrationCounts()
-				return map[string]uint64{
-					"coord.migrations.cutovers":  cutovers,
-					"coord.migrations.compacted": compacted,
-					"coord.directory.overrides":  uint64(overrides),
-				}
-			},
-		}
+		docs := map[string]func() any{"/cluster/metrics": func() any { return agg.Snapshot() }}
 		if reb != nil {
-			opts.Rebalance = func() any { return reb.Status() }
+			docs["/rebalance"] = func() any { return reb.Status() }
 		}
-		dbg, err = debug.Start(*debugAddr, opts)
+		dbg, err = debug.Start(*debugAddr, debug.Options{Registry: reg, JSON: docs})
 		if err != nil {
 			log.Fatalf("lambdacoord: debug: %v", err)
 		}

@@ -29,6 +29,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,8 +58,9 @@ Commands:
                   [-out raw|str|i64|hex]     invoke a method
   migrate         -id N -dest GROUP          move a microshard
   register-retwis                            deploy the Retwis User type
-  stats           [-debug HOST:PORT,...]     print per-node stats (RPC), or
-                                             fetch /metrics from debug servers
+  stats           [-debug HOST:PORT,...]     print each node's metrics snapshot
+                                             (totals and 1 s rates), over RPC or
+                                             from debug servers' /metrics.json
   traces          -debug HOST:PORT,...       fetch and pretty-print /traces
                   [-trace ID] [-min DUR]     (filter one trace / slow spans)
   trace           ID -debug HOST:PORT,...    assemble one trace across nodes:
@@ -135,13 +137,14 @@ func main() {
 		return
 	case "stats":
 		// With -debug, stats reads the HTTP endpoints and needs no cluster
-		// config; without it, it falls through to the RPC path below.
+		// config; without it, it falls through to the RPC fetch below.
 		fs := flag.NewFlagSet("stats", flag.ExitOnError)
 		debugAddrs := fs.String("debug", "", "comma-separated debug HTTP addresses")
-		raw := fs.Bool("raw", false, "dump the plain-text /metrics instead of the windowed summary")
 		fs.Parse(rest)
 		if *debugAddrs != "" {
-			runStatsDebug(strings.Split(*debugAddrs, ","), *raw)
+			runStats(strings.Split(*debugAddrs, ","), func(addr string) ([]byte, error) {
+				return httpGet("http://" + strings.TrimSpace(addr) + "/metrics.json")
+			})
 			return
 		}
 	}
@@ -253,113 +256,82 @@ func main() {
 		fmt.Println("registered type User on all replicas")
 
 	case "stats":
-		seen := map[string]bool{}
+		var addrs []string
 		for _, g := range client.Directory().Groups() {
 			for _, addr := range g.Replicas() {
-				if seen[addr] {
-					continue
+				if !slices.Contains(addrs, addr) {
+					addrs = append(addrs, addr)
 				}
-				seen[addr] = true
-				text, err := client.Stats(addr)
-				if err != nil {
-					fmt.Printf("== %s: unreachable (%v)\n", addr, err)
-					continue
-				}
-				fmt.Printf("== %s\n%s", addr, text)
 			}
 		}
+		runStats(addrs, client.Stats)
 
 	default:
 		usage()
 	}
 }
 
-// runStatsDebug prints each node's metrics. The default view reads the
-// windowed /metrics.json snapshot: cumulative totals next to windowed rates
-// and quantiles, so rates don't have to be eyeballed from two scrapes. -raw
-// dumps the plain-text /metrics instead.
-func runStatsDebug(addrs []string, raw bool) {
+// statsWindow is how far apart runStats takes its two samples.
+const statsWindow = time.Second
+
+// runStats prints each node's metrics: the cumulative snapshot next to the
+// rates and percentiles of the window between two samples statsWindow apart,
+// so rates don't have to be eyeballed from two runs. fetch returns a node's
+// snapshot JSON — the node.stats RPC and /metrics.json serve the same bytes.
+func runStats(addrs []string, fetch func(addr string) ([]byte, error)) {
+	sample := func(addr string) (snap telemetry.RegistrySnapshot, err error) {
+		body, err := fetch(addr)
+		if err == nil {
+			err = json.Unmarshal(body, &snap)
+		}
+		return snap, err
+	}
+	// A node that fails its first sample reports since its start.
+	prev := make(map[string]telemetry.RegistrySnapshot, len(addrs))
 	for _, addr := range addrs {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		if raw {
-			body, err := httpGet("http://" + addr + "/metrics")
-			if err != nil {
-				fmt.Printf("== %s: unreachable (%v)\n", addr, err)
-				continue
-			}
-			fmt.Printf("== %s\n", addr)
-			for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
-				fmt.Printf("  %s\n", line)
-			}
-			continue
-		}
-		body, err := httpGet("http://" + addr + "/metrics.json")
+		prev[addr], _ = sample(addr)
+	}
+	time.Sleep(statsWindow)
+	for _, addr := range addrs {
+		cur, err := sample(addr)
 		if err != nil {
 			fmt.Printf("== %s: unreachable (%v)\n", addr, err)
 			continue
 		}
-		var snap telemetry.RegistrySnapshot
-		if err := json.Unmarshal(body, &snap); err != nil {
-			log.Fatalf("lambdactl: %s: bad /metrics.json response: %v", addr, err)
-		}
-		fmt.Printf("== %s (window %.1fs)\n", addr, snap.WindowSecs)
-		printRegistrySnapshot(snap)
+		win := cur.Sub(prev[addr])
+		fmt.Printf("== %s (rates over %.1fs)\n", addr, win.Seconds)
+		printSnapshot(cur, win)
 	}
 }
 
-// printRegistrySnapshot renders one node's snapshot: histograms with
-// windowed quantiles and rates, then counters with windowed rates, then
-// gauges. Idle instruments (no samples in the window, zero totals) are
-// skipped to keep the summary readable.
-func printRegistrySnapshot(snap telemetry.RegistrySnapshot) {
-	names := make([]string, 0, len(snap.Histograms))
-	for n := range snap.Histograms {
-		names = append(names, n)
+// printSnapshot renders one node's instruments, one line each: counters
+// with their rate over win, gauges, then histograms with cumulative and
+// windowed percentiles in the histogram's own unit.
+func printSnapshot(cur, win telemetry.RegistrySnapshot) {
+	for _, n := range telemetry.SortedNames(cur.Counters) {
+		fmt.Printf("%-32s %12d  %10.1f/s\n", n, cur.Counters[n], win.Rate(n))
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		hw := snap.Histograms[n]
-		if hw.Cumulative.Count == 0 {
-			continue
+	for _, n := range telemetry.SortedNames(cur.Gauges) {
+		fmt.Printf("%-32s %12d\n", n, cur.Gauges[n])
+	}
+	for _, n := range telemetry.SortedNames(cur.Histograms) {
+		h, w := cur.Histograms[n], win.Histograms[n]
+		unit := "us"
+		if h.Unit == telemetry.UnitCount {
+			unit = ""
 		}
-		rate := float64(hw.Window.Count) / snap.WindowSecs
-		fmt.Printf("  %-28s %8.1f/s  p50=%-7s p99=%-7s p999=%-7s (total n=%d p99=%s)\n",
-			n, rate,
-			hw.Window.Quantile(0.5), hw.Window.Quantile(0.99), hw.Window.Quantile(0.999),
-			hw.Cumulative.Count, hw.Cumulative.Quantile(0.99))
-		if len(hw.Window.Exemplars) > 0 {
-			idx := make([]int, 0, len(hw.Window.Exemplars))
-			for i := range hw.Window.Exemplars {
-				idx = append(idx, i)
-			}
-			sort.Ints(idx)
-			top := idx[len(idx)-1]
-			fmt.Printf("  %-28s slowest-bucket exemplar trace=%s\n", "", hw.Window.Exemplars[top])
+		rate := 0.0
+		if win.Seconds > 0 {
+			rate = float64(w.Count) / win.Seconds
 		}
-	}
-	names = names[:0]
-	for n := range snap.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		c := snap.Counters[n]
-		if c.Total == 0 {
-			continue
+		fmt.Printf("%-32s %12d  %10.1f/s  p50=%d%s p99=%d%s p999=%d%s max=%d%s  (window p50=%d%s p99=%d%s)\n",
+			n, h.Count, rate, h.P50Us, unit, h.P99Us, unit, h.P999Us, unit, h.MaxUs, unit, w.P50Us, unit, w.P99Us, unit)
+		top := -1
+		for bucket := range w.Exemplars {
+			top = max(top, bucket)
 		}
-		fmt.Printf("  %-28s %8.1f/s  (total %d)\n", n, c.RatePerSec, c.Total)
-	}
-	names = names[:0]
-	for n := range snap.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if v := snap.Gauges[n]; v != 0 {
-			fmt.Printf("  %-28s %d\n", n, v)
+		if top >= 0 {
+			fmt.Printf("%-32s slowest-bucket exemplar trace=%s\n", "", w.Exemplars[top])
 		}
 	}
 }

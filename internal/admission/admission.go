@@ -83,7 +83,7 @@ type Options struct {
 	Deadline time.Duration
 	// LIFO drains the queue newest-first instead of oldest-first.
 	LIFO bool
-	// Metrics receives the plane's instruments; nil keeps private ones.
+	// Metrics, if set, publishes the plane's instruments.
 	Metrics *telemetry.Registry
 	// Now overrides the clock (deterministic tests).
 	Now func() time.Time
@@ -115,7 +115,6 @@ type Plane struct {
 	shedDeadline *telemetry.Counter
 	shedFull     *telemetry.Counter
 	depth        *telemetry.Gauge
-	ewmaGauge    *telemetry.Gauge
 	waitHist     *telemetry.Histogram
 
 	ewmaUs atomic.Uint64
@@ -137,15 +136,12 @@ func New(opts Options) *Plane {
 		p.now = time.Now
 	}
 	reg := opts.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
 	p.queued = reg.Counter("admission.queued")
 	p.admitted = reg.Counter("admission.admitted")
 	p.shedDeadline = reg.Counter("admission.shed_deadline")
 	p.shedFull = reg.Counter("admission.shed_full")
 	p.depth = reg.Gauge("admission.queue_depth")
-	p.ewmaGauge = reg.Gauge("admission.ewma_latency_us")
+	reg.GaugeFunc("admission.ewma_latency_us", func() int64 { return int64(p.ewmaUs.Load()) })
 	p.waitHist = reg.Histogram("admission.queue_wait")
 	return p
 }
@@ -278,15 +274,9 @@ func (p *Plane) Observe(d time.Duration) {
 			next = uint64(float64(cur)*(1-ewmaAlpha) + float64(us)*ewmaAlpha)
 		}
 		if p.ewmaUs.CompareAndSwap(cur, next) {
-			p.ewmaGauge.Set(int64(next))
 			return
 		}
 	}
-}
-
-// EWMALatency returns the current service-latency EWMA.
-func (p *Plane) EWMALatency() time.Duration {
-	return time.Duration(p.ewmaUs.Load()) * time.Microsecond
 }
 
 // Close sheds every queued waiter and refuses future admissions. Requests

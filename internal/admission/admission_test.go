@@ -207,15 +207,19 @@ func TestLIFODrainsNewestFirst(t *testing.T) {
 }
 
 func TestEWMAObserve(t *testing.T) {
-	p := New(Options{Workers: 1})
+	reg := telemetry.NewRegistry()
+	ewma := func() time.Duration {
+		return time.Duration(reg.Snapshot().Gauges["admission.ewma_latency_us"]) * time.Microsecond
+	}
+	p := New(Options{Workers: 1, Metrics: reg})
 	p.Observe(1 * time.Millisecond)
-	if got := p.EWMALatency(); got != 1*time.Millisecond {
+	if got := ewma(); got != 1*time.Millisecond {
 		t.Fatalf("first observation should seed the EWMA, got %v", got)
 	}
 	for i := 0; i < 100; i++ {
 		p.Observe(3 * time.Millisecond)
 	}
-	got := p.EWMALatency()
+	got := ewma()
 	if got < 2500*time.Microsecond || got > 3100*time.Microsecond {
 		t.Fatalf("EWMA %v did not converge toward 3ms", got)
 	}

@@ -52,7 +52,7 @@ func startStack(t *testing.T, nBackups int) *stack {
 
 	s.lb, err = StartLB(LBOptions{
 		Addr: "127.0.0.1:0", LogDir: t.TempDir(), Computes: []string{s.compute.Addr()},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDisaggregatedRetwisEndToEnd(t *testing.T) {
 		t.Fatalf("timeline %+v, %v", posts, err)
 	}
 	// Nested calls went through the LB.
-	if s.lb.Dispatched() == 0 {
+	if s.lb.dispatched.Value() == 0 {
 		t.Fatal("no request traversed the load balancer")
 	}
 	// Writes replicated to storage backups.
@@ -134,8 +134,8 @@ func TestLBClientPath(t *testing.T) {
 	if err != nil || string(got) != "a" {
 		t.Fatalf("get_name = %q, %v", got, err)
 	}
-	if s.lb.Dispatched() != 2 {
-		t.Fatalf("dispatched = %d", s.lb.Dispatched())
+	if got := s.lb.dispatched.Value(); got != 2 {
+		t.Fatalf("lb.dispatched = %d", got)
 	}
 	// Both requests are durably logged.
 	if _, err := s.lb.logDB.Get(logKey(1)); err != nil {
@@ -152,7 +152,7 @@ func TestLBMirrors(t *testing.T) {
 	s.registerType(t, retwis.MustType())
 	s.create(t, 1, retwis.TypeName)
 
-	mirror, err := StartLB(LBOptions{Addr: "127.0.0.1:0", LogDir: t.TempDir()})
+	mirror, err := StartLB(LBOptions{Addr: "127.0.0.1:0", LogDir: t.TempDir()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestLBMirrors(t *testing.T) {
 		Addr: "127.0.0.1:0", LogDir: t.TempDir(),
 		Computes: []string{s.compute.Addr()},
 		Mirrors:  []string{mirror.Addr()},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

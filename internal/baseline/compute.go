@@ -56,8 +56,8 @@ type ComputeOptions struct {
 	ColdStartPenalty time.Duration
 	// ClientOptions tunes outbound connections (latency injection).
 	ClientOptions *rpc.ClientOptions
-	// Metrics, if set, receives the node's RPC counters (requests,
-	// in-flight, bytes on the wire).
+	// Metrics, if set, publishes the node's RPC counters (requests,
+	// in-flight, bytes on the wire) and its warm pool's.
 	Metrics *telemetry.Registry
 }
 
@@ -93,12 +93,10 @@ func StartCompute(opts ComputeOptions) (*ComputeNode, error) {
 		srv:   rpc.NewServer(),
 		pool:  rpc.NewPool(opts.ClientOptions),
 		types: make(map[string]*core.ObjectType),
-		vms:   core.NewInstancePool(opts.Fuel),
+		vms:   core.NewInstancePool(opts.Fuel, opts.Metrics, nil),
 	}
-	if opts.Metrics != nil {
-		n.srv.SetTelemetry(opts.Metrics)
-		n.pool.SetTelemetry(opts.Metrics)
-	}
+	n.srv.SetTelemetry(opts.Metrics)
+	n.pool.SetTelemetry(opts.Metrics)
 	n.srv.Handle(MethodRun, func(body []byte) ([]byte, error) {
 		req, err := decodeJobReq(body)
 		if err != nil {
@@ -187,7 +185,7 @@ func (n *ComputeNode) run(req *jobReq) ([]byte, error) {
 		// A cold start is a run on an empty pool, after the provisioning
 		// time has passed.
 		time.Sleep(n.opts.ColdStartPenalty)
-		vms = core.NewInstancePool(n.opts.Fuel)
+		vms = core.NewInstancePool(n.opts.Fuel, nil, nil)
 	}
 	return vms.Run(&remoteState{node: n, obj: req.object}, req.object, typ, req.method, req.args)
 }

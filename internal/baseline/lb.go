@@ -8,6 +8,7 @@ import (
 	"lambdastore/internal/core"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/store"
+	"lambdastore/internal/telemetry"
 	"lambdastore/internal/wire"
 )
 
@@ -47,11 +48,12 @@ type LoadBalancer struct {
 	mu       sync.RWMutex
 	computes []string
 
-	dispatched atomic.Uint64
+	dispatched *telemetry.Counter // requests dispatched to compute nodes
 }
 
-// StartLB boots a load balancer.
-func StartLB(opts LBOptions) (*LoadBalancer, error) {
+// StartLB boots a load balancer, publishing its dispatch count in reg (nil
+// for none).
+func StartLB(opts LBOptions, reg *telemetry.Registry) (*LoadBalancer, error) {
 	// The log is not fsynced per append — like the aggregated design's WAL
 	// default, for fairness.
 	logDB, err := store.Open(opts.LogDir, nil)
@@ -64,6 +66,8 @@ func StartLB(opts LBOptions) (*LoadBalancer, error) {
 		pool:     rpc.NewPool(opts.ClientOptions),
 		logDB:    logDB,
 		computes: append([]string(nil), opts.Computes...),
+
+		dispatched: reg.Counter("lb.dispatched"),
 	}
 	lb.srv.Handle(MethodLBInvoke, lb.handleInvoke)
 	lb.srv.Handle(MethodLBMirror, lb.handleMirror)
@@ -78,9 +82,6 @@ func StartLB(opts LBOptions) (*LoadBalancer, error) {
 
 // Addr returns the LB's RPC address.
 func (lb *LoadBalancer) Addr() string { return lb.addr }
-
-// Dispatched returns the number of requests dispatched to compute nodes.
-func (lb *LoadBalancer) Dispatched() uint64 { return lb.dispatched.Load() }
 
 // Close shuts the LB down.
 func (lb *LoadBalancer) Close() error {
@@ -123,7 +124,7 @@ func (lb *LoadBalancer) handleInvoke(body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("baseline: no compute nodes")
 	}
 	target := computes[lb.rr.Add(1)%uint64(len(computes))]
-	lb.dispatched.Add(1)
+	lb.dispatched.Inc()
 	return lb.pool.Call(target, MethodRun, body)
 }
 

@@ -59,7 +59,7 @@ func StartDisaggregatedCold(opts Options) (*Deployment, error) {
 		LogDir:        logDir,
 		Computes:      []string{compute.Addr()},
 		ClientOptions: opts.clientOpts(),
-	})
+	}, nil)
 	if err != nil {
 		d.Close()
 		return nil, err

@@ -91,9 +91,9 @@ func comparisonShapeProblems(t *testing.T, agg, dis *RetwisResults) []string {
 			problems = append(problems, fmt.Sprintf("%s: aggregated throughput %.1f <= disaggregated %.1f (paper shape violated)",
 				wl, a.Throughput, d.Throughput))
 		}
-		if a.Latency.Median >= d.Latency.Median {
+		if a.Latency.Quantile(0.5) >= d.Latency.Quantile(0.5) {
 			problems = append(problems, fmt.Sprintf("%s: aggregated median %v >= disaggregated %v",
-				wl, a.Latency.Median, d.Latency.Median))
+				wl, a.Latency.Quantile(0.5), d.Latency.Quantile(0.5)))
 		}
 	}
 	if raceEnabled {
@@ -237,14 +237,14 @@ func TestNetDelayAblation(t *testing.T) {
 	}
 	for delay, pair := range out {
 		t.Logf("A5 delay=%v: agg %v p50, dis %v p50", delay,
-			pair[0].Latency.Median, pair[1].Latency.Median)
+			pair[0].Latency.Quantile(0.5), pair[1].Latency.Quantile(0.5))
 	}
 	// With injected delay, the disaggregated design pays per storage op and
 	// must be slower than aggregated by a larger absolute margin.
 	zero := out[0]
 	delayed := out[200*time.Microsecond]
-	gapZero := zero[1].Latency.Median - zero[0].Latency.Median
-	gapDelayed := delayed[1].Latency.Median - delayed[0].Latency.Median
+	gapZero := zero[1].Latency.Quantile(0.5) - zero[0].Latency.Quantile(0.5)
+	gapDelayed := delayed[1].Latency.Quantile(0.5) - delayed[0].Latency.Quantile(0.5)
 	if gapDelayed <= gapZero {
 		t.Errorf("network delay did not widen the gap: %v -> %v", gapZero, gapDelayed)
 	}

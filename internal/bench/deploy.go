@@ -261,7 +261,7 @@ func StartDisaggregated(opts Options) (*Deployment, error) {
 		LogDir:        logDir,
 		Computes:      []string{compute.Addr()},
 		ClientOptions: opts.clientOpts(),
-	})
+	}, nil)
 	if err != nil {
 		d.Close()
 		return nil, err

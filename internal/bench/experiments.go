@@ -87,7 +87,7 @@ func PrintFigure2(w io.Writer, agg, dis *RetwisResults) {
 		a := agg.Results[wl]
 		d := dis.Results[wl]
 		fmt.Fprintf(w, "%-12s  %10v / %-12v  %10v / %-12v\n",
-			wl, a.Latency.Median, a.Latency.P99, d.Latency.Median, d.Latency.P99)
+			wl, a.Latency.Quantile(0.5), a.Latency.Quantile(0.99), d.Latency.Quantile(0.5), d.Latency.Quantile(0.99))
 	}
 }
 
@@ -143,7 +143,7 @@ func RunTable1(opts Options) ([]Table1Row, error) {
 	}
 	rows = append(rows, Table1Row{
 		System: "Custom (micro-)service", PaperBand: "<1ms",
-		Median: custom.Latency.Median, P99: custom.Latency.P99, Throughput: custom.Throughput,
+		Median: custom.Latency.Quantile(0.5), P99: custom.Latency.Quantile(0.99), Throughput: custom.Throughput,
 	})
 
 	// --- LambdaObjects (aggregated). ---
@@ -158,7 +158,7 @@ func RunTable1(opts Options) ([]Table1Row, error) {
 	}
 	rows = append(rows, Table1Row{
 		System: "LambdaObjects", PaperBand: "1-10ms",
-		Median: aggRes.Latency.Median, P99: aggRes.Latency.P99, Throughput: aggRes.Throughput,
+		Median: aggRes.Latency.Quantile(0.5), P99: aggRes.Latency.Quantile(0.99), Throughput: aggRes.Throughput,
 	})
 
 	// --- Conventional serverless, warm path. ---
@@ -173,7 +173,7 @@ func RunTable1(opts Options) ([]Table1Row, error) {
 	}
 	rows = append(rows, Table1Row{
 		System: "Conventional serverless (warm)", PaperBand: ">100ms (with cold starts)",
-		Median: disRes.Latency.Median, P99: disRes.Latency.P99, Throughput: disRes.Throughput,
+		Median: disRes.Latency.Quantile(0.5), P99: disRes.Latency.Quantile(0.99), Throughput: disRes.Throughput,
 	})
 
 	// --- Conventional serverless with per-invocation cold starts. ---
@@ -190,7 +190,7 @@ func RunTable1(opts Options) ([]Table1Row, error) {
 	}
 	rows = append(rows, Table1Row{
 		System: "Conventional serverless (cold)", PaperBand: ">100ms",
-		Median: coldRes.Latency.Median, P99: coldRes.Latency.P99, Throughput: coldRes.Throughput,
+		Median: coldRes.Latency.Quantile(0.5), P99: coldRes.Latency.Quantile(0.99), Throughput: coldRes.Throughput,
 	})
 	return rows, nil
 }
@@ -220,18 +220,14 @@ func measureMix(d *Deployment, opts Options, ops int) (workload.Result, error) {
 	if err != nil {
 		return workload.Result{}, err
 	}
-	// Merge: weight by op count.
 	total := res.Ops + post.Ops
 	merged := workload.Result{
 		Workload:   "Mix90/10",
 		Ops:        total,
 		Elapsed:    res.Elapsed + post.Elapsed,
 		Throughput: float64(total) / (res.Elapsed + post.Elapsed).Seconds(),
-		Latency:    res.Latency,
+		Latency:    res.Latency.Merge(post.Latency),
 		Errors:     res.Errors + post.Errors,
-	}
-	if post.Latency.P99 > merged.Latency.P99 {
-		merged.Latency.P99 = post.Latency.P99
 	}
 	return merged, nil
 }

@@ -187,9 +187,9 @@ func runOverloadSweep(opts Options, shed bool, capacity float64, w io.Writer) ([
 			Shed:       res.Shed,
 			ShedRate:   res.ShedRate(),
 			Throughput: res.Throughput,
-			P50Us:      res.Latency.Median.Microseconds(),
-			P99Us:      res.Latency.P99.Microseconds(),
-			P999Us:     int64(res.Hist.P999Us),
+			P50Us:      int64(res.Latency.P50Us),
+			P99Us:      int64(res.Latency.P99Us),
+			P999Us:     int64(res.Latency.P999Us),
 			Errors:     res.Errors,
 		}
 		points = append(points, p)

@@ -235,9 +235,6 @@ func seedTimelines(cfg workload.Config, inv workload.Invoker) error {
 func leaseReadCounters(d *Deployment) (served, bounced uint64) {
 	for _, n := range d.Nodes {
 		reg := n.Metrics()
-		if reg == nil {
-			continue
-		}
 		served += reg.Counter("reads.backup_served").Value()
 		bounced += reg.Counter("reads.primary_bounced").Value()
 	}
@@ -272,8 +269,8 @@ func runReadScaleoutPoint(opts Options, cfg readScaleoutConfig, clients int) (Re
 
 	out.Ops = uint64(res.Ops)
 	out.Throughput = res.Throughput
-	out.P50Micros = res.Latency.Median.Microseconds()
-	out.P99Micros = res.Latency.P99.Microseconds()
+	out.P50Micros = int64(res.Latency.P50Us)
+	out.P99Micros = int64(res.Latency.P99Us)
 	out.Errors = res.Errors
 	out.BackupServed = served - baseServed
 	out.PrimaryBounced = bounced - baseBounced
@@ -318,11 +315,11 @@ func runReadScaleoutMixed(opts Options, cfg readScaleoutConfig, clients int) (Re
 	if err != nil {
 		return out, err
 	}
-	wsnap := writeHist.Snapshot()
-	out.WriteOps = writeHist.Count()
-	out.WriteP50Us = wsnap.Median.Microseconds()
-	out.WriteP99Us = wsnap.P99.Microseconds()
-	out.ReadOps = uint64(res.Ops) - writeHist.Count()
+	wsnap := writeHist.Data()
+	out.WriteOps = wsnap.Count
+	out.WriteP50Us = int64(wsnap.P50Us)
+	out.WriteP99Us = int64(wsnap.P99Us)
+	out.ReadOps = uint64(res.Ops) - wsnap.Count
 	out.TotalOpsPerSec = res.Throughput
 	out.Errors = res.Errors
 	return out, nil

@@ -295,8 +295,8 @@ func runRebalanceGroupPoint(opts Options, groups int) (RebalanceGroupPoint, erro
 	}
 	out.Ops = res.Ops
 	out.ThroughputOps = res.Throughput
-	out.P50Ms = float64(res.Latency.Median) / float64(time.Millisecond)
-	out.P99Ms = float64(res.Latency.P99) / float64(time.Millisecond)
+	out.P50Ms = float64(res.Latency.Quantile(0.5)) / float64(time.Millisecond)
+	out.P99Ms = float64(res.Latency.Quantile(0.99)) / float64(time.Millisecond)
 	out.Errors = res.Errors
 	return out, nil
 }
@@ -393,7 +393,7 @@ func runRebalanceConvergence(opts Options, on bool, conv *RebalanceConvergence) 
 	if on {
 		st := reb.Status()
 		conv.OnThroughput = meas.Throughput
-		conv.OnP99Ms = float64(meas.Latency.P99) / float64(time.Millisecond)
+		conv.OnP99Ms = float64(meas.Latency.Quantile(0.99)) / float64(time.Millisecond)
 		conv.OnErrors = warm.Errors + meas.Errors
 		for _, s := range timeline {
 			if s.CumulativeMoves == st.Moves {
@@ -411,7 +411,7 @@ func runRebalanceConvergence(opts Options, on bool, conv *RebalanceConvergence) 
 		conv.Overrides = c.dir.OverrideCount()
 	} else {
 		conv.OffThroughput = meas.Throughput
-		conv.OffP99Ms = float64(meas.Latency.P99) / float64(time.Millisecond)
+		conv.OffP99Ms = float64(meas.Latency.Quantile(0.99)) / float64(time.Millisecond)
 		conv.OffErrors = warm.Errors + meas.Errors
 	}
 	return nil

@@ -26,6 +26,8 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
+
+	"lambdastore/internal/telemetry"
 )
 
 // HashValue produces the value fingerprint stored in read sets. A presence
@@ -124,12 +126,14 @@ type Cache struct {
 // New returns a cache bounded to capacity entries (<=0 means 64k), split
 // across DefaultShards shards.
 func New(capacity int) *Cache {
-	return NewSharded(capacity, DefaultShards)
+	return NewSharded(capacity, DefaultShards, nil)
 }
 
 // NewSharded returns a cache with an explicit shard count (rounded up to a
-// power of two; <=0 means DefaultShards).
-func NewSharded(capacity, shards int) *Cache {
+// power of two; <=0 means DefaultShards), publishing its outcome counts in
+// reg as sampled gauges (hits and misses are counted by the caller that
+// knows whether a lookup was even eligible: core.cache_hits/_misses).
+func NewSharded(capacity, shards int, reg *telemetry.Registry) *Cache {
 	if capacity <= 0 {
 		capacity = 64 << 10
 	}
@@ -159,6 +163,10 @@ func NewSharded(capacity, shards int) *Cache {
 			capacity: per,
 		}
 	}
+	reg.GaugeFunc("cache.validations", func() int64 { return int64(c.Stats().Validations) })
+	reg.GaugeFunc("cache.evictions", func() int64 { return int64(c.Stats().Evictions) })
+	reg.GaugeFunc("cache.bypass", func() int64 { return int64(c.Stats().Bypass) })
+	reg.GaugeFunc("cache.invalidations", func() int64 { return int64(c.Stats().Invalidations) })
 	return c
 }
 

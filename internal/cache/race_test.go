@@ -13,7 +13,7 @@ import (
 // objects — and asserts no stale result is ever served. Run under -race
 // (make race), this is also the lock-striping correctness check.
 func TestConcurrentReadersWithInvalidatingWriter(t *testing.T) {
-	c := NewSharded(4096, 8)
+	c := NewSharded(4096, 8, nil)
 	st := newFakeStore()
 
 	const objects = 64
@@ -114,7 +114,7 @@ func TestConcurrentReadersWithInvalidatingWriter(t *testing.T) {
 // TestStatsMergeDuringChurn verifies Stats() (which locks one shard at a
 // time) is safe to call while every shard is being written.
 func TestStatsMergeDuringChurn(t *testing.T) {
-	c := NewSharded(1024, 8)
+	c := NewSharded(1024, 8, nil)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {

@@ -116,7 +116,7 @@ func Start(opts Options) (*Cluster, error) {
 		svc := coordinator.New(id, ids, nil, coordinator.Options{
 			HeartbeatTimeout: opts.HeartbeatTimeout,
 			CheckInterval:    opts.CheckInterval,
-		})
+		}, nil)
 		srv := rpc.NewServer()
 		coordinator.RegisterServer(srv, svc)
 		addr, err := srv.Serve("127.0.0.1:0")

@@ -53,7 +53,7 @@ func TestCoordinatorAggregationAndTimelineTrace(t *testing.T) {
 	// One coordinator replica behind a real RPC server, so heartbeats carry
 	// the debug address over the wire exactly as a production node's
 	// coordLoop sends it.
-	svc := coordinator.New(1, []uint64{1}, nil, coordinator.Options{DisableFailureDetector: true})
+	svc := coordinator.New(1, []uint64{1}, nil, coordinator.Options{DisableFailureDetector: true}, nil)
 	srv := rpc.NewServer()
 	coordinator.RegisterServer(srv, svc)
 	coordAddr, err := srv.Serve("127.0.0.1:0")
@@ -192,20 +192,20 @@ func TestCoordinatorAggregationAndTimelineTrace(t *testing.T) {
 	if g0.Primary != n0.Addr() || g0.Scraped != 2 {
 		t.Errorf("group 0 rollup %+v, want primary %s scraped from both replicas", g0, n0.Addr())
 	}
-	if g0.P99Us == 0 || g0.OpsPerSec == 0 {
+	if g0.Values["p99_us"] == 0 || g0.Values["ops_per_sec"] == 0 {
 		t.Errorf("group 0 windowed invoke quantiles empty: %+v", g0)
 	}
-	if g0.WalFsyncP99Us == 0 {
+	if g0.Values["wal_fsync_p99_us"] == 0 {
 		t.Errorf("group 0 WAL fsync p99 empty: %+v", g0)
 	}
-	if g1.P99Us == 0 {
+	if g1.Values["p99_us"] == 0 {
 		t.Errorf("group 1 windowed p99 empty: %+v", g1)
 	}
-	if cm.Cluster.P99Us == 0 || cm.Cluster.Scraped != 3 {
+	if cm.Cluster.Values["p99_us"] == 0 || cm.Cluster.Scraped != 3 {
 		t.Errorf("cluster rollup %+v", cm.Cluster)
 	}
-	if cm.Cluster.CacheHitRate <= 0 {
-		t.Errorf("cluster cache hit rate = %v, want > 0 after warmed reads", cm.Cluster.CacheHitRate)
+	if pct := cm.Cluster.Values["cache_hit_pct"]; pct <= 0 || pct > 100 {
+		t.Errorf("cluster cache hit rate = %v%%, want in (0, 100] after warmed reads", pct)
 	}
 
 	// Aggregator.Snapshot serves the same rollup (what /cluster/metrics

@@ -380,9 +380,8 @@ func (c *Client) Migrate(id core.ObjectID, destGroup uint64) error {
 	return nil
 }
 
-// Stats fetches a node's metrics as the "name value" lines its /metrics
-// debug endpoint serves, over the node's RPC port.
-func (c *Client) Stats(addr string) (string, error) {
-	resp, err := c.pool.Call(addr, MethodStats, nil)
-	return string(resp), err
+// Stats fetches a node's metrics snapshot — the JSON its /metrics.json debug
+// endpoint serves (a telemetry.RegistrySnapshot) — over the node's RPC port.
+func (c *Client) Stats(addr string) ([]byte, error) {
+	return c.pool.Call(addr, MethodStats, nil)
 }

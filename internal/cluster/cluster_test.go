@@ -219,8 +219,7 @@ func TestReplicaReads(t *testing.T) {
 	// Backups served some of those reads.
 	var backupInvocations uint64
 	for _, node := range nodes[1:] {
-		inv, _ := node.Runtime().Stats()
-		backupInvocations += inv
+		backupInvocations += node.Metrics().Counter("core.invocations").Value()
 	}
 	if backupInvocations == 0 {
 		t.Fatal("no read executed at a backup")
@@ -378,7 +377,7 @@ func TestFailoverWithCoordinator(t *testing.T) {
 		svc := coordinator.New(id, coordIDs, nil, coordinator.Options{
 			HeartbeatTimeout: 400 * time.Millisecond,
 			CheckInterval:    100 * time.Millisecond,
-		})
+		}, nil)
 		services = append(services, svc)
 		srv := rpc.NewServer()
 		coordinator.RegisterServer(srv, svc)

@@ -30,7 +30,7 @@ func startCoordinatedCluster(t *testing.T, groups, replicas int) ([]*Node, []str
 		svc := coordinator.New(id, coordIDs, nil, coordinator.Options{
 			HeartbeatTimeout: 400 * time.Millisecond,
 			CheckInterval:    100 * time.Millisecond,
-		})
+		}, nil)
 		services = append(services, svc)
 		srv := rpc.NewServer()
 		coordinator.RegisterServer(srv, svc)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -20,7 +21,6 @@ import (
 	"lambdastore/internal/shard"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
-	"lambdastore/internal/vm"
 	"lambdastore/internal/wire"
 )
 
@@ -237,8 +237,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	}
 	n.leases = replication.NewLeaseHolder(
 		func() uint64 { return n.dir.Load().Epoch() },
-		replication.DefaultLeaseApplyLagMax, nil)
-	n.leases.SetTelemetry(reg)
+		replication.DefaultLeaseApplyLagMax, nil, reg)
 	n.objBarrier = make(map[uint64]int64)
 	n.srv.SetTelemetry(reg)
 	n.pool.SetTelemetry(reg)
@@ -246,11 +245,19 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		opts.Directory = shard.NewDirectory(nil)
 	}
 	n.dir.Store(opts.Directory)
+	reg.GaugeFunc("cluster.primary", func() int64 {
+		if n.isPrimary() {
+			return 1
+		}
+		return 0
+	})
+	reg.GaugeFunc("cluster.fenced_objects", func() int64 { return int64(n.fenceCount.Load()) })
+	reg.GaugeFunc("shard.overrides", func() int64 { return int64(n.dir.Load().OverrideCount()) })
+	reg.GaugeFunc("shard.overrides_redundant", func() int64 { return int64(n.dir.Load().RedundantOverrides()) })
 
 	// No failure hook: the coordinator's failure detector learns of a dead
 	// backup from the backup's own missing heartbeats.
 	n.shipper = replication.NewShipper(n.pool, nil)
-	n.shipper.SetTelemetry(reg)
 	n.shipper.SetLeaseTTL(n.leaseTTL)
 
 	rtOpts := opts.Runtime
@@ -317,20 +324,21 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		n.debugSrv, err = debug.Start(opts.DebugAddr, debug.Options{
 			Registry: reg,
 			Tracer:   tracer,
-			Gauges:   n.debugGauges,
 			Health:   n.health,
 			Faults:   true,
-			Recovery: func() any {
-				return map[string]any{
-					"rejoin":         n.transfer.Status(),
-					"donor_sessions": n.transfer.Sessions(),
-				}
-			},
-			Admission: func() any {
-				if n.adm == nil {
-					return map[string]any{"enabled": false}
-				}
-				return n.adm.Status()
+			JSON: map[string]func() any{
+				"/recovery": func() any {
+					return map[string]any{
+						"rejoin":         n.transfer.Status(),
+						"donor_sessions": n.transfer.Sessions(),
+					}
+				},
+				"/admission": func() any {
+					if n.adm == nil {
+						return map[string]any{"enabled": false}
+					}
+					return n.adm.Status()
+				},
 			},
 		})
 		if err != nil {
@@ -627,55 +635,6 @@ func (n *Node) RecoveryState() recovery.State { return n.transfer.State() }
 
 // DonorSessions lists this node's active donor-side catch-up sessions.
 func (n *Node) DonorSessions() []recovery.SessionStatus { return n.transfer.Sessions() }
-
-// debugGauges is the node's one enumeration of the point-in-time values
-// their owners hold outside the registry; /metrics and the stats RPC both
-// render it after the registry's own instruments.
-func (n *Node) debugGauges() map[string]uint64 {
-	out := make(map[string]uint64, 32)
-	out["core.invocations"], _ = n.rt.Stats()
-	bh, bm := n.db.BlockCacheStats()
-	out["store.block_cache_hits"] = bh
-	out["store.block_cache_misses"] = bm
-	if c := n.rt.Cache(); c != nil {
-		// Hits and misses are the registry's core.cache_hits/_misses.
-		st := c.Stats()
-		out["cache.validations"] = st.Validations
-		out["cache.evictions"] = st.Evictions
-		out["cache.bypass"] = st.Bypass
-		out["cache.invalidations"] = st.Invalidations
-	}
-	warm, cold := n.rt.PoolStats()
-	out["core.pool_warm"] = warm
-	out["core.pool_cold"] = cold
-	d := n.dir.Load()
-	out["shard.overrides"] = uint64(d.OverrideCount())
-	out["shard.overrides_redundant"] = uint64(d.RedundantOverrides())
-	out["cluster.primary"] = 0
-	if n.isPrimary() {
-		out["cluster.primary"] = 1
-	}
-	out["cluster.fenced_objects"] = uint64(n.fenceCount.Load())
-	movesOut, movesIn := n.transfer.Moves()
-	out["move.in_flight"] = uint64(movesOut)
-	out["move.inbound_sessions"] = uint64(movesIn)
-	cs := vm.CompilerStats()
-	out["vm.compiled_modules"] = cs.CompiledModules
-	out["vm.interp_fallbacks"] = cs.InterpFallbacks
-	out["vm.compile_ns"] = uint64(cs.CompileNs)
-	out["lease.held_now"] = 0
-	if n.leases.Held() {
-		out["lease.held_now"] = 1
-	}
-	if fault.Enabled() {
-		// The plane is process-global; every node's /metrics shows the same
-		// injected-fault truth, keyed fault.<site>.<action>.
-		for k, v := range fault.Counters() {
-			out["fault."+k] = v
-		}
-	}
-	return out
-}
 
 // health backs /healthz: serving stops reporting healthy once Close began.
 func (n *Node) health() error {
@@ -1017,8 +976,10 @@ func (n *Node) registerHandlers() {
 		return encodeHotResp(n.rt.HotWindow(int(limit))), nil
 	})
 
+	// The same bytes /metrics.json serves, for operators without a debug
+	// port to reach.
 	n.srv.Handle(MethodStats, func(body []byte) ([]byte, error) {
-		return []byte(debug.RenderMetrics(n.metrics, n.debugGauges)), nil
+		return json.Marshal(n.metrics.Snapshot())
 	})
 }
 

@@ -368,3 +368,95 @@ func names(spans []telemetry.Span) []string {
 	}
 	return out
 }
+
+// TestOneSnapshotThreeExits boots a node and checks the one-surface
+// property end to end: the registry's snapshot is what /metrics renders,
+// what /metrics.json serves and what the node.stats RPC answers with —
+// instrument for instrument — and every point-in-time value that the node
+// used to re-enumerate by hand is there because its owner registered it.
+func TestOneSnapshotThreeExits(t *testing.T) {
+	node, err := StartNode(NodeOptions{
+		Addr: "127.0.0.1:0", DataDir: t.TempDir(), DebugAddr: "127.0.0.1:0",
+		Runtime: core.Options{CacheEntries: 64},
+	})
+	if err != nil {
+		t.Fatalf("StartNode: %v", err)
+	}
+	defer node.Close()
+	dir := shard.NewDirectory(nil)
+	dir.SetGroup(shard.Group{ID: 0, Primary: node.Addr()})
+	node.SetDirectory(dir)
+	c, err := NewClient(ClientConfig{Directory: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.RegisterType(counterType(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateObject("Counter", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Invoke(1, "add", [][]byte{core.I64Bytes(1)}); err != nil {
+		t.Fatal(err)
+	}
+
+	want := node.Metrics().Snapshot()
+	text := fetchMetrics(t, node.DebugAddr())
+	var overHTTP, overRPC telemetry.RegistrySnapshot
+	body, err := httpGetBody(node.DebugAddr() + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(body), &overHTTP); err != nil {
+		t.Fatalf("/metrics.json: %v", err)
+	}
+	raw, err := c.Stats(node.Addr())
+	if err != nil {
+		t.Fatalf("node.stats: %v", err)
+	}
+	if err := json.Unmarshal(raw, &overRPC); err != nil {
+		t.Fatalf("node.stats: %v", err)
+	}
+	for name := range want.Counters {
+		_, inText := text[name]
+		_, inHTTP := overHTTP.Counters[name]
+		_, inRPC := overRPC.Counters[name]
+		if !inText || !inHTTP || !inRPC {
+			t.Errorf("counter %s: /metrics %v, /metrics.json %v, node.stats %v", name, inText, inHTTP, inRPC)
+		}
+	}
+	for name := range want.Gauges {
+		_, inText := text[name]
+		_, inHTTP := overHTTP.Gauges[name]
+		_, inRPC := overRPC.Gauges[name]
+		if !inText || !inHTTP || !inRPC {
+			t.Errorf("gauge %s: /metrics %v, /metrics.json %v, node.stats %v", name, inText, inHTTP, inRPC)
+		}
+	}
+	for name := range want.Histograms {
+		_, inText := text[name+"_count"]
+		_, inHTTP := overHTTP.Histograms[name]
+		_, inRPC := overRPC.Histograms[name]
+		if !inText || !inHTTP || !inRPC {
+			t.Errorf("histogram %s: /metrics %v, /metrics.json %v, node.stats %v", name, inText, inHTTP, inRPC)
+		}
+	}
+	for _, name := range []string{
+		"core.invocations", "core.pool_warm", "core.pool_cold",
+		"store.block_cache_hits", "store.block_cache_misses",
+		"cache.validations", "cache.evictions", "cache.bypass", "cache.invalidations",
+		"shard.overrides", "shard.overrides_redundant", "cluster.primary", "cluster.fenced_objects",
+		"move.in_flight", "move.inbound_sessions",
+		"vm.compiled_modules", "vm.interp_fallbacks", "vm.compile_ns",
+		"lease.held", "lease.held_now",
+	} {
+		if _, ok := text[name]; !ok {
+			t.Errorf("%s is not on /metrics: its owner did not register it", name)
+		}
+	}
+	if text["cluster.primary"] != 1 || text["core.invocations"] != 1 || text["core.pool_cold"] != 1 {
+		t.Errorf("sampled values: cluster.primary=%d core.invocations=%d core.pool_cold=%d, want 1/1/1",
+			text["cluster.primary"], text["core.invocations"], text["core.pool_cold"])
+	}
+}

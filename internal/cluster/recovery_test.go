@@ -48,7 +48,7 @@ func startRejoinCluster(t *testing.T, mod func(i int, o *NodeOptions)) *rejoinCl
 		svc := coordinator.New(id, coordIDs, nil, coordinator.Options{
 			HeartbeatTimeout: 400 * time.Millisecond,
 			CheckInterval:    50 * time.Millisecond,
-		})
+		}, nil)
 		services = append(services, svc)
 		srv := rpc.NewServer()
 		coordinator.RegisterServer(srv, svc)

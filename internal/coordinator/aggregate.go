@@ -1,8 +1,8 @@
 // The coordinator's metrics aggregation plane. Nodes advertise their debug
 // HTTP address in heartbeats; the Aggregator periodically scrapes each
-// member's /metrics.json snapshot and merges the histograms (exact bucket
-// addition — every histogram in the system shares one layout) into per-group
-// and cluster-wide rollups. The result is served on the coordinator's
+// member's /metrics.json snapshot, subtracts its previous scrape of that
+// member, and merges the windows (exact bucket addition — every histogram in
+// the system shares one layout) into per-group and cluster-wide rollups. The result is served on the coordinator's
 // /cluster/metrics endpoint and rendered by `lambdactl top`.
 //
 // The paper's division of labor motivates putting this here: placement and
@@ -24,8 +24,86 @@ import (
 	"lambdastore/internal/telemetry"
 )
 
+// column is one scalar of the rollup, written once: its key in
+// GroupMetrics.Values (and so in /cluster/metrics), how `lambdactl top`
+// heads and formats it, and how it reduces from a merged window — which
+// instruments it reads is part of that. A column added here shows up in the
+// JSON, the table and to every reader of Values without another edit.
+type column struct {
+	Key, Header string
+	Width       int
+	Format      string // fmt verb for the value
+	Value       func(w telemetry.RegistrySnapshot) float64
+}
+
+var columns = []column{
+	{"ops_per_sec", "OPS/S", 8, "%.1f", histPerSec("core.invoke")},
+	{"p50_us", "P50(us)", 9, "%.0f", quantileUs("core.invoke", 0.5)},
+	{"p99_us", "P99(us)", 9, "%.0f", quantileUs("core.invoke", 0.99)},
+	{"p999_us", "P999(us)", 9, "%.0f", quantileUs("core.invoke", 0.999)},
+	{"wal_fsync_p99_us", "FSYNC99(us)", 11, "%.0f", quantileUs("wal.fsync", 0.99)},
+	// Result cache and client/cluster cache tier alike count into these.
+	{"cache_hit_pct", "CACHE", 6, "%.1f%%", hitPct("core.cache_hits", "core.cache_misses")},
+	{"queue_depth", "QD", 5, "%.0f", level("rpc.server.in_flight")},
+	// How many of the group's backups currently hold a read lease.
+	{"leases", "LEASES", 6, "%.0f", level("lease.held")},
+	// Reads served locally by leased backups, and reads a backup refused
+	// (no valid lease) and redirected to the primary.
+	{"backup_reads_per_sec", "BKRD/S", 8, "%.1f", perSec("reads.backup_served")},
+	{"bounced_reads_per_sec", "BNC/S", 8, "%.1f", perSec("reads.primary_bounced")},
+	// Invocations refused by the admission plane, both causes summed.
+	{"shed_per_sec", "SHED/S", 8, "%.1f", perSec("admission.shed_deadline", "admission.shed_full")},
+	{"admission_queue_depth", "QDEPTH", 6, "%.0f", level("admission.queue_depth")},
+}
+
+// The reductions: each returns a column's Value.
+
+// histPerSec is the named histogram's samples per window second.
+func histPerSec(hist string) func(telemetry.RegistrySnapshot) float64 {
+	return func(w telemetry.RegistrySnapshot) float64 { return over(w.Histograms[hist].Count, w.Seconds) }
+}
+
+// quantileUs is a quantile of the named histogram, in microseconds.
+func quantileUs(hist string, q float64) func(telemetry.RegistrySnapshot) float64 {
+	return func(w telemetry.RegistrySnapshot) float64 {
+		return float64(w.Histograms[hist].Quantile(q).Microseconds())
+	}
+}
+
+// perSec is the named counters' increments, summed, per window second.
+func perSec(counters ...string) func(telemetry.RegistrySnapshot) float64 {
+	return func(w telemetry.RegistrySnapshot) float64 {
+		var n uint64
+		for _, c := range counters {
+			n += w.Counters[c]
+		}
+		return over(n, w.Seconds)
+	}
+}
+
+// level is the named gauge, summed over the members.
+func level(gauge string) func(telemetry.RegistrySnapshot) float64 {
+	return func(w telemetry.RegistrySnapshot) float64 { return float64(w.Gauges[gauge]) }
+}
+
+// hitPct is 100·hits/(hits+misses) over the window's increments.
+func hitPct(hits, misses string) func(telemetry.RegistrySnapshot) float64 {
+	return func(w telemetry.RegistrySnapshot) float64 {
+		return 100 * over(w.Counters[hits], float64(w.Counters[hits]+w.Counters[misses]))
+	}
+}
+
+// over is n/d, zero when there is nothing to divide by.
+func over(n uint64, d float64) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(n) / d
+}
+
 // GroupMetrics is one row of the cluster rollup: a replica group's merged
-// windowed view. The same shape describes the whole cluster (ID ignored).
+// view of the window since the aggregator's previous scrape. The same shape
+// describes the whole cluster (ID ignored).
 type GroupMetrics struct {
 	ID      uint64   `json:"id"`
 	Primary string   `json:"primary,omitempty"`
@@ -33,34 +111,10 @@ type GroupMetrics struct {
 	Scraped int      `json:"scraped"`
 
 	WindowSecs float64 `json:"window_seconds"`
-	// OpsPerSec is the windowed invocation completion rate.
-	OpsPerSec float64 `json:"ops_per_sec"`
-	// Windowed invoke latency quantiles, microseconds.
-	P50Us  uint64 `json:"p50_us"`
-	P99Us  uint64 `json:"p99_us"`
-	P999Us uint64 `json:"p999_us"`
-	// WalFsyncP99Us is the windowed p99 of WAL fsync latency.
-	WalFsyncP99Us uint64 `json:"wal_fsync_p99_us"`
-	// CacheHitRate is hits/(hits+misses) over the window, counting both the
-	// result cache and the client/cluster cache tier.
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	// QueueDepth is the summed rpc.server.in_flight gauge.
-	QueueDepth int64 `json:"queue_depth"`
-	// Leases is the summed lease.held gauge — how many of the group's
-	// backups currently hold a read lease.
-	Leases int64 `json:"leases"`
-	// BackupReadsPerSec is the windowed rate of reads served locally by
-	// leased backups; BouncedReadsPerSec counts reads a backup refused
-	// (no valid lease) and redirected to the primary.
-	BackupReadsPerSec  float64 `json:"backup_reads_per_sec"`
-	BouncedReadsPerSec float64 `json:"bounced_reads_per_sec"`
-	// ShedPerSec is the windowed rate of invocations refused by the
-	// admission plane, both causes (deadline, queue full) summed.
-	ShedPerSec float64 `json:"shed_per_sec"`
-	// AdmissionQueueDepth is the summed admission.queue_depth gauge.
-	AdmissionQueueDepth int64 `json:"admission_queue_depth"`
+	// Values holds one scalar per column, by the column's key.
+	Values map[string]float64 `json:"values"`
 	// Invoke is the merged windowed invoke histogram (with exemplars), for
-	// consumers that want more than the precomputed quantiles.
+	// consumers that want more than the columns' quantiles.
 	Invoke telemetry.HistData `json:"invoke,omitempty"`
 }
 
@@ -75,12 +129,16 @@ type ClusterMetrics struct {
 }
 
 // Aggregator periodically scrapes member metrics snapshots and merges them.
+// The window it reports is its own: it keeps each member's previous scrape
+// and rolls up what happened since, so other scrapers of the same nodes
+// neither shorten nor lengthen it.
 type Aggregator struct {
 	svc      *Service
 	interval time.Duration
 	client   *http.Client
 
 	mu   sync.Mutex
+	prev map[string]telemetry.RegistrySnapshot // by member; ScrapeOnce's baseline
 	cur  ClusterMetrics
 	stop chan struct{}
 	done chan struct{}
@@ -98,6 +156,7 @@ func NewAggregator(svc *Service, interval time.Duration) *Aggregator {
 		svc:      svc,
 		interval: interval,
 		client:   &http.Client{Timeout: 2 * time.Second},
+		prev:     make(map[string]telemetry.RegistrySnapshot),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -169,6 +228,14 @@ func (a *Aggregator) ScrapeOnce() ClusterMetrics {
 	}
 	wg.Wait()
 
+	// Turn each scrape into the member's window since the previous one (a
+	// member seen for the first time reports since its start).
+	a.mu.Lock()
+	for m, cur := range snaps {
+		snaps[m], a.prev[m] = cur.Sub(a.prev[m]), cur
+	}
+	a.mu.Unlock()
+
 	out := ClusterMetrics{
 		UpdatedUnixNano: time.Now().UnixNano(),
 		Members:         len(members),
@@ -215,33 +282,16 @@ func (a *Aggregator) fetch(debugAddr string) (telemetry.RegistrySnapshot, error)
 	return snap, err
 }
 
-// rollup derives the operator-facing scalars from a merged snapshot.
-func rollup(m telemetry.RegistrySnapshot) GroupMetrics {
-	gm := GroupMetrics{WindowSecs: m.WindowSecs}
-	if inv, ok := m.Histograms["core.invoke"]; ok {
-		gm.Invoke = inv.Window
-		gm.P50Us = inv.Window.P50Us
-		gm.P99Us = inv.Window.P99Us
-		gm.P999Us = inv.Window.P999Us
-		if m.WindowSecs > 0 {
-			gm.OpsPerSec = float64(inv.Window.Count) / m.WindowSecs
-		}
+// rollup derives the operator-facing scalars from a merged window.
+func rollup(w telemetry.RegistrySnapshot) GroupMetrics {
+	gm := GroupMetrics{
+		WindowSecs: w.Seconds,
+		Values:     make(map[string]float64, len(columns)),
+		Invoke:     w.Histograms["core.invoke"],
 	}
-	if fsync, ok := m.Histograms["wal.fsync"]; ok {
-		gm.WalFsyncP99Us = fsync.Window.P99Us
+	for _, c := range columns {
+		gm.Values[c.Key] = c.Value(w)
 	}
-	hits := m.Counters["core.cache_hits"].RatePerSec
-	misses := m.Counters["core.cache_misses"].RatePerSec
-	if hits+misses > 0 {
-		gm.CacheHitRate = hits / (hits + misses)
-	}
-	gm.QueueDepth = m.Gauges["rpc.server.in_flight"]
-	gm.Leases = m.Gauges["lease.held"]
-	gm.BackupReadsPerSec = m.Counters["reads.backup_served"].RatePerSec
-	gm.BouncedReadsPerSec = m.Counters["reads.primary_bounced"].RatePerSec
-	gm.ShedPerSec = m.Counters["admission.shed_deadline"].RatePerSec +
-		m.Counters["admission.shed_full"].RatePerSec
-	gm.AdmissionQueueDepth = m.Gauges["admission.queue_depth"]
 	return gm
 }
 
@@ -255,14 +305,17 @@ func FormatClusterMetrics(cm ClusterMetrics) string {
 	}
 	fmt.Fprintf(&b, "cluster: %d/%d member(s) scraped, window %.1fs, updated %v ago\n",
 		cm.Scraped, cm.Members, cm.Cluster.WindowSecs, age)
-	fmt.Fprintf(&b, "%-6s %-22s %8s %9s %9s %9s %11s %6s %5s %6s %8s %8s %8s %6s\n",
-		"GROUP", "PRIMARY", "OPS/S", "P50(us)", "P99(us)", "P999(us)", "FSYNC99(us)", "CACHE", "QD", "LEASES", "BKRD/S", "BNC/S", "SHED/S", "QDEPTH")
+	fmt.Fprintf(&b, "%-6s %-22s", "GROUP", "PRIMARY")
+	for _, c := range columns {
+		fmt.Fprintf(&b, " %*s", c.Width, c.Header)
+	}
+	b.WriteByte('\n')
 	row := func(name, primary string, g GroupMetrics) {
-		fmt.Fprintf(&b, "%-6s %-22s %8.1f %9d %9d %9d %11d %5.1f%% %5d %6d %8.1f %8.1f %8.1f %6d\n",
-			name, primary, g.OpsPerSec, g.P50Us, g.P99Us, g.P999Us,
-			g.WalFsyncP99Us, 100*g.CacheHitRate, g.QueueDepth,
-			g.Leases, g.BackupReadsPerSec, g.BouncedReadsPerSec,
-			g.ShedPerSec, g.AdmissionQueueDepth)
+		fmt.Fprintf(&b, "%-6s %-22s", name, primary)
+		for _, c := range columns {
+			fmt.Fprintf(&b, " %*s", c.Width, fmt.Sprintf(c.Format, g.Values[c.Key]))
+		}
+		b.WriteByte('\n')
 	}
 	for _, g := range cm.Groups {
 		row(fmt.Sprintf("%d", g.ID), g.Primary, g)

@@ -16,6 +16,7 @@ import (
 	"lambdastore/internal/paxos"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
+	"lambdastore/internal/telemetry"
 	"lambdastore/internal/wire"
 )
 
@@ -127,18 +128,22 @@ type Service struct {
 	debugAddrs map[string]string // rpc addr -> debug HTTP addr (from heartbeats)
 	applied    uint64
 	promotes   map[uint64]uint64 // group -> effective (guard-matched) promotions
-	rejoins    map[uint64]uint64 // group -> effective backup re-admissions
-	migrations uint64            // effective override installs/clears (cutovers)
-	compacted  uint64            // overrides folded into base placement
+
+	// What this replica applied, published for the operator: a healthy
+	// cluster shows cutovers rising while coord.directory.overrides decays
+	// back toward zero as objects migrate home or compaction folds them.
+	reg        *telemetry.Registry // for coord.rejoins.<group>, resolved when a group first re-admits
+	migrations *telemetry.Counter  // effective override installs/clears (cutovers)
+	compacted  *telemetry.Counter  // overrides folded into base placement
 
 	stop chan struct{}
 	done chan struct{}
 }
 
 // New creates a coordinator replica with Paxos identity id among peers,
-// using trans for consensus traffic. Call Start after registering the
-// transport.
-func New(id uint64, peers []uint64, trans paxos.Transport, opts Options) *Service {
+// using trans for consensus traffic, and publishing what it applies in reg
+// (nil for none). Call Start after registering the transport.
+func New(id uint64, peers []uint64, trans paxos.Transport, opts Options, reg *telemetry.Registry) *Service {
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 2 * time.Second
 	}
@@ -151,10 +156,17 @@ func New(id uint64, peers []uint64, trans paxos.Transport, opts Options) *Servic
 		lastSeen:   make(map[string]time.Time),
 		debugAddrs: make(map[string]string),
 		promotes:   make(map[uint64]uint64),
-		rejoins:    make(map[uint64]uint64),
+		reg:        reg,
+		migrations: reg.Counter("coord.migrations.cutovers"),
+		compacted:  reg.Counter("coord.migrations.compacted"),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
+	reg.GaugeFunc("coord.directory.overrides", func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return int64(s.dir.OverrideCount())
+	})
 	s.node = paxos.NewNode(id, peers, trans, s.apply)
 	return s
 }
@@ -214,7 +226,8 @@ func (s *Service) apply(slot uint64, value []byte) {
 			return
 		}
 		if s.dir.AddBackup(c.GroupID, c.NewPrimary) {
-			s.rejoins[c.GroupID]++
+			// Effective backup re-admissions, per group.
+			s.reg.Counter(fmt.Sprintf("coord.rejoins.%d", c.GroupID)).Inc()
 		}
 	case cmdSetOverride:
 		// Same fence as cmdAddBackup: a live migration certifies its
@@ -224,15 +237,15 @@ func (s *Service) apply(slot uint64, value []byte) {
 			return
 		}
 		s.dir.SetOverride(c.Object, c.TargetGroup)
-		s.migrations++
+		s.migrations.Inc()
 	case cmdClearOverride:
 		if c.Epoch != 0 && s.dir.Epoch() != c.Epoch {
 			return
 		}
 		s.dir.ClearOverride(c.Object)
-		s.migrations++
+		s.migrations.Inc()
 	case cmdCompactOverrides:
-		s.compacted += uint64(s.dir.CompactOverrides())
+		s.compacted.Add(uint64(s.dir.CompactOverrides()))
 	}
 }
 
@@ -386,28 +399,6 @@ func (s *Service) LastSeen() map[string]time.Duration {
 	out := make(map[string]time.Duration, len(s.lastSeen))
 	for addr, seen := range s.lastSeen {
 		out[addr] = now.Sub(seen)
-	}
-	return out
-}
-
-// MigrationCounts returns (effective cutovers applied, overrides folded
-// by compaction) on this replica, plus the live override-table size —
-// the observability triple behind the rebalancer's /metrics gauges: a
-// healthy cluster shows cutovers rising while the override count decays
-// back toward zero as objects migrate home or compaction folds them.
-func (s *Service) MigrationCounts() (cutovers, compacted uint64, overrides int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.migrations, s.compacted, s.dir.OverrideCount()
-}
-
-// RejoinCounts returns effective backup re-admissions applied per group.
-func (s *Service) RejoinCounts() map[uint64]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[uint64]uint64, len(s.rejoins))
-	for g, n := range s.rejoins {
-		out[g] = n
 	}
 	return out
 }

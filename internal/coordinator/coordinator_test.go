@@ -6,6 +6,7 @@ import (
 
 	"lambdastore/internal/paxos"
 	"lambdastore/internal/shard"
+	"lambdastore/internal/telemetry"
 )
 
 // newCluster builds n coordinator replicas over an in-process transport.
@@ -18,7 +19,7 @@ func newCluster(t *testing.T, n int, opts Options) ([]*Service, *paxos.LocalTran
 	}
 	var services []*Service
 	for _, id := range ids {
-		svc := New(id, ids, trans, opts)
+		svc := New(id, ids, trans, opts, telemetry.NewRegistry())
 		trans.Register(svc.Node())
 		svc.Start()
 		t.Cleanup(svc.Close)
@@ -140,7 +141,7 @@ func TestAddBackupEpochFence(t *testing.T) {
 			t.Fatalf("replica %d after admit: %+v %v", i, got, err)
 		}
 	}
-	if got := services[0].RejoinCounts()[0]; got != 1 {
+	if got := services[0].reg.Counter("coord.rejoins.0").Value(); got != 1 {
 		t.Fatalf("rejoins = %d, want 1", got)
 	}
 
@@ -155,7 +156,7 @@ func TestAddBackupEpochFence(t *testing.T) {
 			t.Fatalf("stale-fenced admission took effect: %+v", got)
 		}
 	}
-	if got := services[0].RejoinCounts()[0]; got != 1 {
+	if got := services[0].reg.Counter("coord.rejoins.0").Value(); got != 1 {
 		t.Fatalf("rejoins after fenced no-op = %d, want 1", got)
 	}
 
@@ -164,7 +165,7 @@ func TestAddBackupEpochFence(t *testing.T) {
 	if err := services[0].ProposeCommand(&Command{Kind: cmdAddBackup, GroupID: 0, NewPrimary: "b2", Epoch: cur}); err != nil {
 		t.Fatal(err)
 	}
-	if got := services[0].RejoinCounts()[0]; got != 1 {
+	if got := services[0].reg.Counter("coord.rejoins.0").Value(); got != 1 {
 		t.Fatalf("rejoins after duplicate = %d, want 1", got)
 	}
 
@@ -176,7 +177,7 @@ func TestAddBackupEpochFence(t *testing.T) {
 	if len(got.Backups) != 3 || got.Backups[2] != "b3" {
 		t.Fatalf("unfenced admission: %+v", got)
 	}
-	if got := services[2].RejoinCounts()[0]; got != 2 {
+	if got := services[2].reg.Counter("coord.rejoins.0").Value(); got != 2 {
 		t.Fatalf("rejoins after unfenced = %d, want 2", got)
 	}
 }

@@ -105,15 +105,9 @@ func (iv *invocation) ensureLocked() error {
 		return nil
 	}
 	sp := iv.rt.tracer.StartSpan(iv.trace, "lock-wait")
-	m := iv.rt.metrics
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	release, err := iv.rt.locks.Acquire(uint64(iv.obj), iv.mode)
-	if m != nil {
-		m.lockWaitUs.Record(time.Since(start))
-	}
+	iv.rt.metrics.lockWaitUs.Record(time.Since(start))
 	sp.FinishErr(err)
 	if err != nil {
 		return err
@@ -293,7 +287,7 @@ func (iv *invocation) Dispatch(target ObjectID, method string, args [][]byte) ([
 // run executes the method body in a pooled VM instance and commits on
 // success.
 func (iv *invocation) run() ([]byte, error) {
-	iv.rt.invocations.Add(1)
+	iv.rt.metrics.invocations.Inc()
 	iv.rt.hot.touch(iv.obj)
 	defer iv.unlock()
 

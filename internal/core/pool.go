@@ -32,17 +32,25 @@ type InstancePool struct {
 	idle map[poolKey][]*vm.Instance
 	fuel int64
 
-	warm uint64
-	cold uint64
-
-	// tracer and metrics are the owning Runtime's (nil for a bare pool).
-	tracer  *telemetry.Tracer
-	metrics *rtMetrics
+	tracer   *telemetry.Tracer
+	warm     *telemetry.Counter // instance starts served from the pool
+	cold     *telemetry.Counter // instance starts that paid instantiation
+	vmExecUs *telemetry.Histogram
+	fuelUsed *telemetry.Counter
 }
 
 // NewInstancePool returns an empty pool whose instances get fuel per call.
-func NewInstancePool(fuel int64) *InstancePool {
-	return &InstancePool{idle: make(map[poolKey][]*vm.Instance), fuel: fuel}
+// Its start counts, guest execution time and fuel are published in reg, and
+// each guest call records a vm-exec span in tracer; either may be nil.
+func NewInstancePool(fuel int64, reg *telemetry.Registry, tracer *telemetry.Tracer) *InstancePool {
+	vm.RegisterMetrics(reg)
+	return &InstancePool{
+		idle: make(map[poolKey][]*vm.Instance), fuel: fuel, tracer: tracer,
+		warm:     reg.Counter("core.pool_warm"),
+		cold:     reg.Counter("core.pool_cold"),
+		vmExecUs: reg.Histogram("core.vm_exec"),
+		fuelUsed: reg.Counter("core.fuel_used"),
+	}
 }
 
 // Run executes one method of an object of type typ against be and returns
@@ -68,18 +76,12 @@ func (p *InstancePool) exec(g *guest, trace telemetry.SpanContext) error {
 	}
 	inst.Ctx = g
 	sp := p.tracer.StartSpan(trace, "vm-exec")
-	m := p.metrics
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	fuelBefore := inst.FuelUsed()
 	_, callErr := inst.Call(g.method.Name)
-	if m != nil {
-		m.vmExecUs.Record(time.Since(start))
-		if d := inst.FuelUsed() - fuelBefore; d > 0 {
-			m.fuelUsed.Add(uint64(d))
-		}
+	p.vmExecUs.Record(time.Since(start))
+	if d := inst.FuelUsed() - fuelBefore; d > 0 {
+		p.fuelUsed.Add(uint64(d))
 	}
 	sp.FinishErr(callErr)
 	p.put(g.typ.Module, g.method.Name, inst)
@@ -102,13 +104,13 @@ func (p *InstancePool) get(module *vm.Module, method string) (*vm.Instance, erro
 	if n := len(list); n > 0 {
 		inst := list[n-1]
 		p.idle[k] = list[:n-1]
-		p.warm++
 		p.mu.Unlock()
+		p.warm.Inc()
 		inst.ResetFast(p.fuel)
 		return inst, nil
 	}
-	p.cold++
 	p.mu.Unlock()
+	p.cold.Inc()
 	return vm.NewInstance(module, hostTable, p.fuel)
 }
 
@@ -125,11 +127,7 @@ func (p *InstancePool) put(module *vm.Module, method string, inst *vm.Instance) 
 }
 
 // Stats returns (warm, cold) start counts.
-func (p *InstancePool) Stats() (warm, cold uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.warm, p.cold
-}
+func (p *InstancePool) Stats() (warm, cold uint64) { return p.warm.Value(), p.cold.Value() }
 
 // drop empties every method lane of module (used when a type is replaced).
 func (p *InstancePool) drop(module *vm.Module) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lambdastore/internal/cache"
@@ -59,8 +58,9 @@ type Options struct {
 	// uses this to show why the combined scheduler/concurrency-control
 	// matters; with it disabled, invocation isolation is lost).
 	DisableScheduler bool
-	// Metrics, if set, receives hot-path counters and histograms
-	// (invocations by method, fuel, cache and lock-wait behaviour).
+	// Metrics, if set, publishes the runtime's counters and histograms
+	// (invocations by method, fuel, cache and lock-wait behaviour) and
+	// those of its warm pool and result cache.
 	Metrics *telemetry.Registry
 	// Tracer, if set, records per-stage spans (invoke, lock-wait, vm-exec,
 	// commit, wal-sync) for traced invocations. A nil or disabled tracer
@@ -86,15 +86,13 @@ type Runtime struct {
 	// objTypes caches object -> type bindings (immutable once created).
 	objTypes sync.Map // ObjectID -> *ObjectType
 
-	invocations atomic.Uint64
-	commits     atomic.Uint64
 	// hot tracks per-object invocation counts in bounded memory — the
 	// load signal behind hot-microshard rebalancing (the paper's
 	// elasticity future work, now the rebalancer's sampling source).
 	hot *hotTracker
 
-	// metrics holds pre-resolved instruments (nil when Options.Metrics is
-	// unset) so hot paths never touch the registry mutex.
+	// metrics holds pre-resolved instruments so hot paths never touch the
+	// registry mutex.
 	metrics *rtMetrics
 	tracer  *telemetry.Tracer
 }
@@ -102,10 +100,9 @@ type Runtime struct {
 // rtMetrics caches the runtime's instruments; resolved once at startup.
 type rtMetrics struct {
 	reg         *telemetry.Registry
+	invocations *telemetry.Counter // method bodies run (cache hits excluded)
 	invokeUs    *telemetry.Histogram
 	lockWaitUs  *telemetry.Histogram
-	vmExecUs    *telemetry.Histogram
-	fuelUsed    *telemetry.Counter
 	cacheHits   *telemetry.Counter
 	cacheMisses *telemetry.Counter
 	commits     *telemetry.Counter
@@ -117,10 +114,9 @@ type rtMetrics struct {
 func newRTMetrics(reg *telemetry.Registry) *rtMetrics {
 	return &rtMetrics{
 		reg:         reg,
+		invocations: reg.Counter("core.invocations"),
 		invokeUs:    reg.Histogram("core.invoke"),
 		lockWaitUs:  reg.Histogram("sched.lock_wait"),
-		vmExecUs:    reg.Histogram("core.vm_exec"),
-		fuelUsed:    reg.Counter("core.fuel_used"),
 		cacheHits:   reg.Counter("core.cache_hits"),
 		cacheMisses: reg.Counter("core.cache_misses"),
 		commits:     reg.Counter("core.commits"),
@@ -149,13 +145,15 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 	if opts.Fuel == 0 {
 		rt.opts.Fuel = DefaultFuel
 	}
-	rt.pool = NewInstancePool(rt.opts.Fuel)
+	rt.tracer = opts.Tracer
+	rt.metrics = newRTMetrics(opts.Metrics)
+	rt.pool = NewInstancePool(rt.opts.Fuel, opts.Metrics, rt.tracer)
 	rt.locks = sched.NewTable()
 	if opts.LockTimeout > 0 {
 		rt.locks.Timeout = opts.LockTimeout
 	}
 	if opts.CacheEntries > 0 {
-		rt.cache = cache.New(opts.CacheEntries)
+		rt.cache = cache.NewSharded(opts.CacheEntries, cache.DefaultShards, opts.Metrics)
 	}
 	if rt.opts.Clock == nil {
 		rt.opts.Clock = func() int64 { return time.Now().UnixNano() }
@@ -163,11 +161,6 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 	if rt.opts.Invoker == nil {
 		rt.opts.Invoker = rt
 	}
-	if opts.Metrics != nil {
-		rt.metrics = newRTMetrics(opts.Metrics)
-	}
-	rt.tracer = opts.Tracer
-	rt.pool.tracer, rt.pool.metrics = rt.tracer, rt.metrics
 	if err := rt.loadTypes(); err != nil {
 		return nil, err
 	}
@@ -421,16 +414,10 @@ func (rt *Runtime) InvokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 	if span.Recording() {
 		cc.Trace = span.Context()
 	}
-	m := rt.metrics
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	result, err := rt.invokeCtx(id, method, args, cc)
-	if m != nil {
-		m.invokeUs.RecordTraced(time.Since(start), cc.Trace.Trace)
-		m.methodCounter(method).Inc()
-	}
+	rt.metrics.invokeUs.RecordTraced(time.Since(start), cc.Trace.Trace)
+	rt.metrics.methodCounter(method).Inc()
 	span.FinishErr(err)
 	return result, err
 }
@@ -471,9 +458,7 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 		result, missEpoch, ok := rt.cache.LookupAt(uint64(id), method, argsHash, rt.committedHash)
 		if ok {
 			iv.unlock()
-			if rt.metrics != nil {
-				rt.metrics.cacheHits.Inc()
-			}
+			rt.metrics.cacheHits.Inc()
 			// A traced hit records a zero-width-ish "cache-hit" span so
 			// the assembled critical path shows the invoke was served
 			// from the consistent result cache rather than the VM.
@@ -481,9 +466,7 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 			return result, nil
 		}
 		epoch = missEpoch
-		if rt.metrics != nil {
-			rt.metrics.cacheMisses.Inc()
-		}
+		rt.metrics.cacheMisses.Inc()
 	} else if rt.cache != nil {
 		rt.cache.NoteBypass()
 	}
@@ -576,10 +559,7 @@ func (rt *Runtime) commit(ctx telemetry.SpanContext, b *store.Batch, ids ...Obje
 // the local commit stands.
 func (rt *Runtime) notifyCommit(ctx telemetry.SpanContext, b *store.Batch, ids ...ObjectID) error {
 	for _, id := range ids {
-		rt.commits.Add(1)
-		if rt.metrics != nil {
-			rt.metrics.commits.Inc()
-		}
+		rt.metrics.commits.Inc()
 		if rt.cache != nil {
 			rt.cache.InvalidateObject(uint64(id))
 		}
@@ -588,11 +568,6 @@ func (rt *Runtime) notifyCommit(ctx telemetry.SpanContext, b *store.Batch, ids .
 		return rt.opts.OnCommit(ctx, ids[0], b.Seq(), b)
 	}
 	return nil
-}
-
-// Stats returns cumulative invocation and commit counts.
-func (rt *Runtime) Stats() (invocations, commits uint64) {
-	return rt.invocations.Load(), rt.commits.Load()
 }
 
 // HotObject is one entry of the per-object load ranking.

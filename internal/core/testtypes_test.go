@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lambdastore/internal/store"
+	"lambdastore/internal/telemetry"
 	"lambdastore/internal/vm"
 )
 
@@ -595,7 +596,10 @@ func newTestRuntime(t *testing.T, opts Options) (*Runtime, *store.DB) {
 // instantiated against the runtime's real host table each must compile,
 // so a translator regression cannot silently move it onto the interpreter.
 func TestShippedModulesCompile(t *testing.T) {
-	before := vm.CompilerStats().InterpFallbacks
+	reg := telemetry.NewRegistry()
+	vm.RegisterMetrics(reg)
+	fallbacks := func() int64 { return reg.Snapshot().Gauges["vm.interp_fallbacks"] }
+	before := fallbacks()
 	for name, src := range map[string]string{
 		"counter": counterSrc, "account": accountSrc, "notebook": notebookSrc,
 	} {
@@ -611,7 +615,7 @@ func TestShippedModulesCompile(t *testing.T) {
 			t.Errorf("%s guest runs on the interpreter, want the threaded tier", name)
 		}
 	}
-	if after := vm.CompilerStats().InterpFallbacks; after != before {
+	if after := fallbacks(); after != before {
 		t.Fatalf("vm.interp_fallbacks moved %d -> %d instantiating the test guests", before, after)
 	}
 }

@@ -33,7 +33,7 @@ func balanceOf(t *testing.T, rt *Runtime, id ObjectID) int64 {
 
 func TestTransactionAtomicAcrossObjects(t *testing.T) {
 	rt := txTestRuntime(t, 2, 100)
-	_, commitsBefore := rt.Stats()
+	commitsBefore := rt.metrics.commits.Value()
 	// A transactional transfer: withdraw via deposit(-30) on account 1,
 	// deposit(+30) on account 2 — both or neither.
 	res, err := rt.InvokeTransaction([]TxCall{
@@ -56,7 +56,7 @@ func TestTransactionAtomicAcrossObjects(t *testing.T) {
 		t.Fatalf("versions = %d, %d", v1, v2)
 	}
 	// One write-set, counted once per object it touched.
-	if _, commits := rt.Stats(); commits != commitsBefore+2 {
+	if commits := rt.metrics.commits.Value(); commits != commitsBefore+2 {
 		t.Fatalf("transaction counted %d commits, want 2", commits-commitsBefore)
 	}
 }

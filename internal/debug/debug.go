@@ -1,8 +1,9 @@
 // Package debug serves a node's observability surface over HTTP: /metrics
-// (plain-text counters, gauges and histogram summaries), /traces (recorded
-// spans as JSON, filterable by trace ID and minimum duration), /healthz,
-// the standard net/http/pprof profiling endpoints, and — when enabled —
-// /faults, the runtime control surface for the deterministic
+// and /metrics.json (the registry's one snapshot, as text and as JSON),
+// /traces (recorded spans as JSON, filterable by trace ID and minimum
+// duration), /healthz, the standard net/http/pprof profiling endpoints,
+// whatever status documents the owner hands over in Options.JSON, and —
+// when enabled — /faults, the runtime control surface for the deterministic
 // fault-injection plane (internal/fault).
 //
 // The server is strictly opt-in (NodeOptions.DebugAddr / the -debug flag).
@@ -19,7 +20,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -30,13 +30,10 @@ import (
 
 // Options selects what the debug server exposes. All fields are optional.
 type Options struct {
-	// Registry supplies /metrics counters, gauges and histograms.
+	// Registry supplies /metrics and /metrics.json.
 	Registry *telemetry.Registry
 	// Tracer supplies /traces spans.
 	Tracer *telemetry.Tracer
-	// Gauges, if set, contributes extra point-in-time values to /metrics
-	// (e.g. block-cache hit counts read from the store on demand).
-	Gauges func() map[string]uint64
 	// Health, if set, backs /healthz; a non-nil error reports 503.
 	Health func() error
 	// Faults exposes the process fault-injection plane at /faults: GET
@@ -45,22 +42,10 @@ type Options struct {
 	// process-global, so on a node with Faults enabled this endpoint is
 	// the live-cluster counterpart of the chaos harness.
 	Faults bool
-	// Recovery, if set, backs /recovery: the node's anti-entropy rejoin
-	// state machine and active donor sessions, as JSON.
-	Recovery func() any
-	// Cluster, if set, backs /cluster/metrics: the coordinator's merged
-	// per-group and cluster-wide metric rollups, as JSON.
-	Cluster func() any
-	// Rebalance, if set, backs /rebalance: the load-aware rebalancer's
-	// status (last observation window, recent decisions, move counters),
-	// as JSON.
-	Rebalance func() any
-	// Admission, if set, backs /admission: the node's admission-plane
-	// status (queue depth, shed counters), as JSON.
-	Admission func() any
-	// Window is the sliding-window length for /metrics.json windowed
-	// values; zero selects telemetry.DefaultWindow.
-	Window time.Duration
+	// JSON maps a path ("/recovery", "/admission", "/cluster/metrics",
+	// "/rebalance") to the status document served there, encoded as JSON
+	// on every request.
+	JSON map[string]func() any
 }
 
 // Server is a running debug HTTP endpoint.
@@ -78,14 +63,19 @@ func Start(addr string, o Options) (*Server, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "json" {
-			serveMetricsJSON(w, o)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, RenderMetrics(o.Registry, o.Gauges))
+		io.WriteString(w, RenderMetrics(o.Registry.Snapshot()))
 	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) { serveMetricsJSON(w, o) })
+	serveJSON := func(path string, doc func() any) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(doc())
+		})
+	}
+	serveJSON("/metrics.json", func() any { return o.Registry.Snapshot() })
+	for path, doc := range o.JSON {
+		serveJSON(path, doc)
+	}
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) { serveTraces(w, r, o.Tracer) })
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if o.Health != nil {
@@ -98,30 +88,6 @@ func Start(addr string, o Options) (*Server, error) {
 	})
 	if o.Faults {
 		mux.HandleFunc("/faults", serveFaults)
-	}
-	if o.Recovery != nil {
-		mux.HandleFunc("/recovery", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(o.Recovery())
-		})
-	}
-	if o.Cluster != nil {
-		mux.HandleFunc("/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(o.Cluster())
-		})
-	}
-	if o.Rebalance != nil {
-		mux.HandleFunc("/rebalance", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(o.Rebalance())
-		})
-	}
-	if o.Admission != nil {
-		mux.HandleFunc("/admission", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(o.Admission())
-		})
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -140,59 +106,36 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the server.
 func (s *Server) Close() error { return s.http.Close() }
 
-// RenderMetrics renders every instrument as "name value" lines; histograms
-// expand into _count/_mean_us/_p50_us/_p99_us/_max_us summaries. gauges, if
-// set, contributes point-in-time values the registry does not hold. It is
-// the text /metrics serves and a node's stats RPC answers with.
-func RenderMetrics(reg *telemetry.Registry, gauges func() map[string]uint64) string {
+// RenderMetrics renders a snapshot as "name value" lines — counters, then
+// gauges, then histograms, each sorted by name. A histogram expands into
+// _count/_mean/_p50/_p99/_max summaries whose names carry the histogram's
+// unit ("_us" for latencies, nothing for plain magnitudes). It is the text
+// /metrics serves; everything in it is in /metrics.json too.
+func RenderMetrics(s telemetry.RegistrySnapshot) string {
 	var b strings.Builder
-	if reg != nil {
-		for _, name := range reg.CounterNames() {
-			fmt.Fprintf(&b, "%s %d\n", name, reg.Counter(name).Value())
-		}
-		for _, name := range reg.GaugeNames() {
-			fmt.Fprintf(&b, "%s %d\n", name, reg.Gauge(name).Value())
-		}
-		for _, name := range reg.HistogramNames() {
-			s := reg.Histogram(name).Snapshot()
-			fmt.Fprintf(&b, "%s_count %d\n", name, s.Count)
-			fmt.Fprintf(&b, "%s_mean_us %d\n", name, s.Mean.Microseconds())
-			fmt.Fprintf(&b, "%s_p50_us %d\n", name, s.Median.Microseconds())
-			fmt.Fprintf(&b, "%s_p99_us %d\n", name, s.P99.Microseconds())
-			fmt.Fprintf(&b, "%s_max_us %d\n", name, s.Max.Microseconds())
-		}
+	for _, name := range telemetry.SortedNames(s.Counters) {
+		fmt.Fprintf(&b, "%s %d\n", name, s.Counters[name])
 	}
-	if gauges != nil {
-		extra := gauges()
-		names := make([]string, 0, len(extra))
-		for n := range extra {
-			names = append(names, n)
+	for _, name := range telemetry.SortedNames(s.Gauges) {
+		fmt.Fprintf(&b, "%s %d\n", name, s.Gauges[name])
+	}
+	for _, name := range telemetry.SortedNames(s.Histograms) {
+		h := s.Histograms[name]
+		unit := "_us"
+		if h.Unit == telemetry.UnitCount {
+			unit = ""
 		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(&b, "%s %d\n", n, extra[n])
+		var mean uint64
+		if h.Count > 0 {
+			mean = h.SumUs / h.Count
 		}
+		fmt.Fprintf(&b, "%s_count %d\n", name, h.Count)
+		fmt.Fprintf(&b, "%s_mean%s %d\n", name, unit, mean)
+		fmt.Fprintf(&b, "%s_p50%s %d\n", name, unit, h.P50Us)
+		fmt.Fprintf(&b, "%s_p99%s %d\n", name, unit, h.P99Us)
+		fmt.Fprintf(&b, "%s_max%s %d\n", name, unit, h.MaxUs)
 	}
 	return b.String()
-}
-
-// serveMetricsJSON renders the registry as a telemetry.RegistrySnapshot:
-// every histogram cumulative and windowed (with quantiles, sparse buckets
-// and trace exemplars), every counter with its windowed rate, every gauge.
-// Extra gauges from Options.Gauges are folded into the counter section so
-// they get windowed rates too. This is the form the coordinator scrapes and
-// merges.
-func serveMetricsJSON(w http.ResponseWriter, o Options) {
-	w.Header().Set("Content-Type", "application/json")
-	if o.Registry == nil {
-		json.NewEncoder(w).Encode(telemetry.RegistrySnapshot{})
-		return
-	}
-	var extra map[string]uint64
-	if o.Gauges != nil {
-		extra = o.Gauges()
-	}
-	json.NewEncoder(w).Encode(o.Registry.Snapshot(o.Window, extra))
 }
 
 // serveFaults is the fault plane's HTTP surface: GET describes, POST

@@ -184,9 +184,10 @@ var (
 // atomic load every injection site pays when the plane is idle.
 func Enabled() bool { return armed.Load() != 0 }
 
-// SetRegistry mirrors fault firings into reg as counters named
-// "fault.injected.<action>" (plus "fault.injected.total"). Per-site counts
-// remain available from Counters for /metrics gauges.
+// SetRegistry mirrors fault firings into reg as counters: per site
+// ("fault.<site>.<action>"), per action ("fault.injected.<action>") and
+// "fault.injected.total". They are cumulative; Reset zeroes only the counts
+// Describe reports.
 func SetRegistry(reg *telemetry.Registry) { registry.Store(reg) }
 
 // SetSeed reseeds the plane and re-derives every armed rule's draw stream,
@@ -428,17 +429,17 @@ func (p *plane) eval(site, key string) Decision {
 				}
 			}
 		}
-		if reg := registry.Load(); reg != nil {
-			reg.Counter("fault.injected." + r.Action.String()).Inc()
-			reg.Counter("fault.injected.total").Inc()
-		}
+		reg := registry.Load()
+		reg.Counter("fault." + site + "." + r.Action.String()).Inc()
+		reg.Counter("fault.injected." + r.Action.String()).Inc()
+		reg.Counter("fault.injected.total").Inc()
 	}
 	p.mu.Unlock()
 	return d
 }
 
-// Counters snapshots cumulative firings as "<site>.<action>" -> count.
-// Node debug servers merge these into /metrics under a "fault." prefix.
+// Counters snapshots cumulative firings as "<site>.<action>" -> count
+// (what Describe reports; zeroed by Reset).
 func Counters() map[string]uint64 {
 	global.mu.Lock()
 	defer global.mu.Unlock()

@@ -221,7 +221,7 @@ type Options struct {
 	Policy PolicyConfig
 	// DryRun plans and records decisions without executing moves.
 	DryRun bool
-	// Metrics, if set, receives the rebalancer's counters.
+	// Metrics, if set, publishes the rebalancer's counters.
 	Metrics *telemetry.Registry
 	// Log, if set, receives decision lines.
 	Log func(format string, args ...any)
@@ -293,11 +293,10 @@ func New(opts Options) *Rebalancer {
 		cool:    make(map[uint64]time.Time),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-	}
-	if opts.Metrics != nil {
-		r.movesCtr = opts.Metrics.Counter("rebalance.moves")
-		r.errsCtr = opts.Metrics.Counter("rebalance.move_errors")
-		r.ticksCtr = opts.Metrics.Counter("rebalance.ticks")
+
+		movesCtr: opts.Metrics.Counter("rebalance.moves"),
+		errsCtr:  opts.Metrics.Counter("rebalance.move_errors"),
+		ticksCtr: opts.Metrics.Counter("rebalance.ticks"),
 	}
 	return r
 }
@@ -356,9 +355,7 @@ func (r *Rebalancer) Moves() uint64 {
 // Tick runs one observe→plan→execute cycle (exported for tests and
 // benches that drive the cadence themselves).
 func (r *Rebalancer) Tick() {
-	if r.ticksCtr != nil {
-		r.ticksCtr.Inc()
-	}
+	r.ticksCtr.Inc()
 	r.mu.Lock()
 	r.ticks++
 	enabled := r.enabled
@@ -430,15 +427,11 @@ func (r *Rebalancer) execute(byID map[uint64]*GroupLoad, mv Move) error {
 	}
 	r.mu.Unlock()
 	if err != nil {
-		if r.errsCtr != nil {
-			r.errsCtr.Inc()
-		}
+		r.errsCtr.Inc()
 		r.opts.Log("rebalance: move object %d %d→%d (%s): %v", mv.Object, mv.From, mv.To, mv.Reason, err)
 		return err
 	}
-	if r.movesCtr != nil {
-		r.movesCtr.Inc()
-	}
+	r.movesCtr.Inc()
 	r.opts.Log("rebalance: moved object %d %d→%d (%d window ops, %s)", mv.Object, mv.From, mv.To, mv.Count, mv.Reason)
 	return nil
 }

@@ -88,8 +88,7 @@ type Options struct {
 	// MoveSessionTimeout is how long a move's target keeps an inactive
 	// inbound session before its janitor reclaims it (default 10s).
 	MoveSessionTimeout time.Duration
-	// Metrics receives the recovery.* and move.* instruments (nil = a
-	// private registry).
+	// Metrics, if set, publishes the recovery.* and move.* instruments.
 	Metrics *telemetry.Registry
 	// Tracer, if set, records each rejoin and each move as one trace and
 	// threads commit traces through forwards.
@@ -168,9 +167,6 @@ func New(opts Options) *Plane {
 		opts.MoveSessionTimeout = defaultMoveSessionTimeout
 	}
 	reg := opts.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
 	p := &Plane{
 		opts:        opts,
 		failTimeout: sessionFailTimeout,
@@ -197,6 +193,8 @@ func New(opts Options) *Plane {
 	for _, a := range []*atomic.Pointer[string]{&p.self, &p.senderAddr, &p.lastErr} {
 		a.Store(new(string)) // never nil: status reads dereference them
 	}
+	reg.GaugeFunc("move.in_flight", func() int64 { out, _ := p.Moves(); return int64(out) })
+	reg.GaugeFunc("move.inbound_sessions", func() int64 { _, in := p.Moves(); return int64(in) })
 	p.loops.Add(1)
 	go p.janitor()
 	return p

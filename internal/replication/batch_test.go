@@ -273,11 +273,11 @@ func TestLaneFrameErrorFailsExactlyItsMembers(t *testing.T) {
 
 	pool := rpc.NewPool(nil)
 	defer pool.Close()
+	reg := telemetry.NewRegistry()
+	pool.SetTelemetry(reg)
 	var reported atomic.Int64
 	s := NewShipper(pool, func(string, error) { reported.Add(1) })
 	defer s.Close()
-	reg := telemetry.NewRegistry()
-	s.SetTelemetry(reg)
 	s.SetBackups([]string{addr})
 
 	var wg sync.WaitGroup

@@ -97,7 +97,6 @@ type LeaseHolder struct {
 	renews  *telemetry.Counter
 	revokes *telemetry.Counter
 	expired *telemetry.Counter
-	heldG   *telemetry.Gauge
 }
 
 // DefaultLeaseApplyLagMax bounds how many shipped-but-unapplied write-set
@@ -105,30 +104,32 @@ type LeaseHolder struct {
 const DefaultLeaseApplyLagMax = 256
 
 // NewLeaseHolder builds a holder fenced by localEpoch (required). lagMax
-// <= 0 uses DefaultLeaseApplyLagMax; now == nil uses time.Now.
-func NewLeaseHolder(localEpoch func() uint64, lagMax int, now func() time.Time) *LeaseHolder {
+// <= 0 uses DefaultLeaseApplyLagMax; now == nil uses time.Now. The holder's
+// counters and its sampled held-lease gauge are published in reg.
+func NewLeaseHolder(localEpoch func() uint64, lagMax int, now func() time.Time, reg *telemetry.Registry) *LeaseHolder {
 	if lagMax <= 0 {
 		lagMax = DefaultLeaseApplyLagMax
 	}
 	if now == nil {
 		now = time.Now
 	}
-	return &LeaseHolder{localEpoch: localEpoch, lagMax: uint64(lagMax), now: now}
-}
-
-// SetTelemetry wires the holder's counters and the per-node held-lease
-// gauge into reg. Call before traffic starts.
-func (h *LeaseHolder) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
+	h := &LeaseHolder{
+		localEpoch: localEpoch, lagMax: uint64(lagMax), now: now,
+		grants:  reg.Counter("lease.grants"),
+		renews:  reg.Counter("lease.renews"),
+		revokes: reg.Counter("lease.revokes"),
+		expired: reg.Counter("lease.expired"),
 	}
-	h.mu.Lock()
-	h.grants = reg.Counter("lease.grants")
-	h.renews = reg.Counter("lease.renews")
-	h.revokes = reg.Counter("lease.revokes")
-	h.expired = reg.Counter("lease.expired")
-	h.heldG = reg.Gauge("lease.held")
-	h.mu.Unlock()
+	held := func() int64 {
+		if h.Held() {
+			return 1
+		}
+		return 0
+	}
+	reg.GaugeFunc("lease.held", held)
+	// Served since the debug gauges were a hand-kept map; same value.
+	reg.GaugeFunc("lease.held_now", held)
+	return h
 }
 
 // NoteApplied records write-set entries this backup applied from the
@@ -174,9 +175,7 @@ func (h *LeaseHolder) Renew(m leaseMsg) {
 		// Expired in flight: the grant spent more than 3/4 TTL getting
 		// here. Honoring it from receipt time is exactly the hazard the
 		// stamp exists to close, so drop it on the floor.
-		if h.expired != nil {
-			h.expired.Inc()
-		}
+		h.expired.Inc()
 		return
 	}
 	if m.epoch != local {
@@ -196,9 +195,7 @@ func (h *LeaseHolder) Renew(m leaseMsg) {
 		if m.enq > h.enqSeen {
 			h.enqSeen = m.enq
 		}
-		if h.renews != nil {
-			h.renews.Inc()
-		}
+		h.renews.Inc()
 		return
 	}
 	h.held = true
@@ -207,23 +204,13 @@ func (h *LeaseHolder) Renew(m leaseMsg) {
 	h.enqSeen = m.enq
 	h.enqBase = m.enq
 	h.appBase = h.applied
-	if h.grants != nil {
-		h.grants.Inc()
-	}
-	if h.heldG != nil {
-		h.heldG.Set(1)
-	}
+	h.grants.Inc()
 }
 
 // revokeLocked drops the lease, crediting the given cause counter.
 func (h *LeaseHolder) revokeLocked(cause *telemetry.Counter) {
 	h.held = false
-	if cause != nil {
-		cause.Inc()
-	}
-	if h.heldG != nil {
-		h.heldG.Set(0)
-	}
+	cause.Inc()
 }
 
 // Revoke unconditionally drops the lease (reconfiguration observed by
@@ -268,7 +255,7 @@ func (h *LeaseHolder) Valid() bool {
 }
 
 // Held reports whether a lease is currently held without re-validating
-// expiry or lag (telemetry/debug).
+// expiry or lag (what the lease.held gauge samples).
 func (h *LeaseHolder) Held() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -29,7 +29,7 @@ const testTTL = 100 * time.Millisecond
 
 func testHolder(epoch *uint64, lagMax int) (*LeaseHolder, *fakeClock) {
 	clk := newFakeClock()
-	h := NewLeaseHolder(func() uint64 { return *epoch }, lagMax, clk.now)
+	h := NewLeaseHolder(func() uint64 { return *epoch }, lagMax, clk.now, nil)
 	return h, clk
 }
 
@@ -183,10 +183,13 @@ func TestLeaseApplyLagRevocation(t *testing.T) {
 
 func TestLeaseExplicitRevoke(t *testing.T) {
 	epoch := uint64(1)
-	h, clk := testHolder(&epoch, 0)
+	clk := newFakeClock()
 	reg := telemetry.NewRegistry()
-	h.SetTelemetry(reg)
+	h := NewLeaseHolder(func() uint64 { return epoch }, 0, clk.now, reg)
 	grant(h, clk, 1, 0)
+	if got := reg.Snapshot().Gauges["lease.held"]; got != 1 {
+		t.Fatalf("lease.held gauge = %d under a grant, want 1", got)
+	}
 	if !h.Valid() {
 		t.Fatal("grant not valid")
 	}
@@ -201,7 +204,7 @@ func TestLeaseExplicitRevoke(t *testing.T) {
 	if got := reg.Counter("lease.revokes").Value(); got != 1 {
 		t.Fatalf("lease.revokes = %d, want 1", got)
 	}
-	if got := reg.Gauge("lease.held").Value(); got != 0 {
+	if got := reg.Snapshot().Gauges["lease.held"]; got != 0 {
 		t.Fatalf("lease.held gauge = %d, want 0", got)
 	}
 }

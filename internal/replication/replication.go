@@ -135,18 +135,26 @@ type Shipper struct {
 	laneEnqMu sync.Mutex
 	laneEnq   map[string]uint64
 
-	// telemetry (all nil-safe): shippedCtr counts acknowledged write-sets,
-	// failures counts backup rejections, shipUs tracks fan-out latency,
-	// batchSize the member count of each shipped frame.
+	// shippedCtr counts acknowledged write-sets, failures counts backup
+	// rejections, shipUs tracks fan-out latency, batchSize the member count
+	// of each shipped frame.
 	shippedCtr *telemetry.Counter
 	failures   *telemetry.Counter
 	shipUs     *telemetry.Histogram
 	batchSize  *telemetry.Histogram
 }
 
-// NewShipper returns a shipper over the given connection pool.
+// NewShipper returns a shipper over the given connection pool, counting
+// into the pool's registry (rpc.Pool.SetTelemetry; none is fine).
 func NewShipper(pool *rpc.Pool, onFailure func(addr string, err error)) *Shipper {
-	return &Shipper{pool: pool, onFailure: onFailure, renewStop: make(chan struct{})}
+	reg := pool.Registry()
+	return &Shipper{
+		pool: pool, onFailure: onFailure, renewStop: make(chan struct{}),
+		shippedCtr: reg.Counter("repl.shipped"),
+		failures:   reg.Counter("repl.backup_failures"),
+		shipUs:     reg.Histogram("repl.ship"),
+		batchSize:  reg.CountHistogram("repl.batch_size"),
+	}
 }
 
 // SetLeaseTTL arms (ttl > 0) or disarms (ttl <= 0) read-lease granting.
@@ -226,21 +234,6 @@ func (s *Shipper) renewLoop() {
 			}(addr)
 		}
 	}
-}
-
-// SetTelemetry wires the shipper's counters into reg: shipped write-sets,
-// backup failures, ship latency, and per-frame batch size. Call before
-// traffic starts.
-func (s *Shipper) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	s.mu.Lock()
-	s.shippedCtr = reg.Counter("repl.shipped")
-	s.failures = reg.Counter("repl.backup_failures")
-	s.shipUs = reg.Histogram("repl.ship")
-	s.batchSize = reg.Histogram("repl.batch_size")
-	s.mu.Unlock()
 }
 
 // SetEpoch records the configuration epoch stamped on subsequent frames.
@@ -409,9 +402,7 @@ func (s *Shipper) shipFrame(addr string, entries []*shipEntry) error {
 	}
 	body := encodeApplyBatch(epoch, entries, ttlUs, enq, grantNs)
 	_, err := s.pool.CallCtx(addr, entries[0].ctx, MethodApplyBatch, body)
-	if bs := s.batchSize; bs != nil {
-		bs.Record(time.Duration(len(entries)) * time.Microsecond)
-	}
+	s.batchSize.Observe(uint64(len(entries)))
 	return err
 }
 
@@ -420,15 +411,11 @@ func (s *Shipper) shipFrame(addr string, entries []*shipEntry) error {
 func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Batch) error {
 	s.mu.RLock()
 	backups := s.backups
-	shipUs := s.shipUs
 	s.mu.RUnlock()
 	if len(backups) == 0 {
 		return nil
 	}
-	var start time.Time
-	if shipUs != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	data := b.Encode()
 
 	// Fan the write-set out to every backup's lane and collect one error
@@ -455,15 +442,11 @@ func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Bat
 			if s.onFailure != nil {
 				s.onFailure(addr, err)
 			}
-			if s.failures != nil {
-				s.failures.Inc()
-			}
+			s.failures.Inc()
 		}
 	}
-	if shipUs != nil {
-		shipUs.Record(time.Since(start))
-	}
-	if firstErr == nil && s.shippedCtr != nil {
+	s.shipUs.Record(time.Since(start))
+	if firstErr == nil {
 		s.shippedCtr.Inc()
 	}
 	return firstErr
@@ -527,11 +510,7 @@ func RegisterBackup(srv *rpc.Server, db *store.DB, applier Applier) {
 // applied counter and any piggybacked renewal blob, and the standalone
 // MethodLease renewal handler is registered too.
 func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tracer, reg *telemetry.Registry, localEpoch func() uint64, holder *LeaseHolder) {
-	var applied, stale *telemetry.Counter
-	if reg != nil {
-		applied = reg.Counter("repl.applied")
-		stale = reg.Counter("repl.stale_epoch")
-	}
+	applied, stale := reg.Counter("repl.applied"), reg.Counter("repl.stale_epoch")
 	srv.HandleCtx(MethodApplyBatch, func(info rpc.CallInfo, body []byte) ([]byte, error) {
 		sp := tracer.StartSpan(info.Trace, "repl.applyBatch")
 		msg, err := decodeApplyBatch(body)
@@ -545,9 +524,7 @@ func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tr
 		if msg.epoch != 0 && localEpoch != nil {
 			if local := localEpoch(); msg.epoch < local {
 				err := fmt.Errorf("%w: shipped epoch %d < local epoch %d", ErrStaleEpoch, msg.epoch, local)
-				if stale != nil {
-					stale.Inc()
-				}
+				stale.Inc()
 				sp.FinishErr(err)
 				return nil, err
 			}
@@ -599,9 +576,7 @@ func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tr
 		if msg.leaseTTLUs > 0 {
 			holder.Renew(leaseMsg{epoch: msg.epoch, ttlUs: msg.leaseTTLUs, enq: msg.leaseEnq, grantNs: msg.leaseGrantNs})
 		}
-		if applied != nil {
-			applied.Add(uint64(len(msg.msgs)))
-		}
+		applied.Add(uint64(len(msg.msgs)))
 		sp.Finish()
 		return nil, nil
 	})

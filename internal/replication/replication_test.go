@@ -36,9 +36,9 @@ func TestShipAppliesAtAllBackups(t *testing.T) {
 	db2, addr2 := startBackup(t)
 	pool := rpc.NewPool(nil)
 	defer pool.Close()
-	s := NewShipper(pool, nil)
 	reg := telemetry.NewRegistry()
-	s.SetTelemetry(reg)
+	pool.SetTelemetry(reg)
+	s := NewShipper(pool, nil)
 	s.SetBackups([]string{addr1, addr2})
 
 	b := store.NewBatch()

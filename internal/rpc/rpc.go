@@ -166,7 +166,7 @@ type connWriter struct {
 
 	// coalesced counts frames that rode an existing flush instead of
 	// paying their own Write ("rpc.frames_coalesced").
-	coalesced atomic.Pointer[telemetry.Counter]
+	coalesced *telemetry.Counter
 }
 
 // writeMsg encodes and sends m. A nil return may mean the frame is queued
@@ -187,9 +187,7 @@ func (w *connWriter) writeMsg(m *message) error {
 
 	if w.flushing {
 		// An active flusher will pick this frame up on its next round.
-		if c := w.coalesced.Load(); c != nil {
-			c.Inc()
-		}
+		w.coalesced.Inc()
 		w.mu.Unlock()
 		return nil
 	}
@@ -239,8 +237,8 @@ type CallInfo struct {
 // HandlerCtx is a Handler that also receives the request's CallInfo.
 type HandlerCtx func(info CallInfo, body []byte) ([]byte, error)
 
-// serverMetrics holds the pre-resolved instruments of an instrumented
-// server; nil means uninstrumented (zero overhead beyond one branch).
+// serverMetrics holds a server's pre-resolved instruments. They always
+// exist; until SetTelemetry they belong to no registry.
 type serverMetrics struct {
 	requests  *telemetry.Counter
 	inFlight  *telemetry.Gauge
@@ -248,6 +246,17 @@ type serverMetrics struct {
 	txBytes   *telemetry.Counter
 	handleUs  *telemetry.Histogram
 	coalesced *telemetry.Counter
+}
+
+func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
+	return &serverMetrics{
+		requests:  reg.Counter("rpc.server.requests"),
+		inFlight:  reg.Gauge("rpc.server.in_flight"),
+		rxBytes:   reg.Counter("rpc.server.rx_bytes"),
+		txBytes:   reg.Counter("rpc.server.tx_bytes"),
+		handleUs:  reg.Histogram("rpc.server.handle"),
+		coalesced: reg.Counter("rpc.frames_coalesced"),
+	}
 }
 
 // Server accepts connections and dispatches requests to registered
@@ -273,25 +282,16 @@ func NewServer() *Server {
 	return &Server{
 		handlers: make(map[string]HandlerCtx),
 		conns:    make(map[net.Conn]struct{}),
+		metrics:  newServerMetrics(nil),
 	}
 }
 
-// SetTelemetry wires the server's hot-path counters into reg: requests,
+// SetTelemetry publishes the server's hot-path instruments in reg: requests,
 // in-flight requests, and bytes on the wire. Call before Serve.
 func (s *Server) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.metrics = &serverMetrics{
-		requests:  reg.Counter("rpc.server.requests"),
-		inFlight:  reg.Gauge("rpc.server.in_flight"),
-		rxBytes:   reg.Counter("rpc.server.rx_bytes"),
-		txBytes:   reg.Counter("rpc.server.tx_bytes"),
-		handleUs:  reg.Histogram("rpc.server.handle"),
-		coalesced: reg.Counter("rpc.frames_coalesced"),
-	}
+	s.metrics = newServerMetrics(reg)
 }
 
 // Handle registers fn for method, replacing any existing registration.
@@ -367,12 +367,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	s.mu.RLock()
-	srvMetrics := s.metrics
+	m := s.metrics
 	s.mu.RUnlock()
-	cw := &connWriter{conn: conn}
-	if srvMetrics != nil {
-		cw.coalesced.Store(srvMetrics.coalesced)
-	}
+	cw := &connWriter{conn: conn, coalesced: m.coalesced}
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
 	for {
@@ -409,20 +406,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.mu.RLock()
 		h := s.handlers[msg.method]
-		m := s.metrics
 		s.mu.RUnlock()
-		if m != nil {
-			m.requests.Inc()
-			m.rxBytes.Add(uint64(len(msg.body)))
-			m.inFlight.Inc()
-		}
+		m.requests.Inc()
+		m.rxBytes.Add(uint64(len(msg.body)))
+		m.inFlight.Inc()
 		reqWG.Add(1)
 		go func(msg *message) {
 			defer reqWG.Done()
-			start := time.Time{}
-			if m != nil {
-				start = time.Now()
-			}
+			start := time.Now()
 			info := CallInfo{Trace: telemetry.SpanContext{Trace: msg.trace, Span: msg.parent}}
 			resp := &message{kind: msgResponse, id: msg.id}
 			if h == nil {
@@ -432,11 +423,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			} else {
 				resp.body = body
 			}
-			if m != nil {
-				m.handleUs.RecordTraced(time.Since(start), msg.trace)
-				m.txBytes.Add(uint64(len(resp.body)))
-				m.inFlight.Dec()
-			}
+			m.handleUs.RecordTraced(time.Since(start), msg.trace)
+			m.txBytes.Add(uint64(len(resp.body)))
+			m.inFlight.Dec()
 			// The handler has run and writeMsg has copied the response
 			// into the connection buffer, so the request's pooled frame —
 			// which resp.body may alias via the handler — can be recycled.
@@ -490,8 +479,9 @@ func (o *ClientOptions) sanitize() ClientOptions {
 	return out
 }
 
-// clientMetrics holds the pre-resolved instruments of an instrumented
-// client; nil means uninstrumented.
+// clientMetrics holds the pre-resolved outbound-call instruments every
+// connection of a pool shares. They always exist; until SetTelemetry they
+// belong to no registry.
 type clientMetrics struct {
 	calls     *telemetry.Counter
 	inFlight  *telemetry.Gauge
@@ -503,9 +493,6 @@ type clientMetrics struct {
 
 // newClientMetrics resolves the shared outbound-call instruments.
 func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
-	if reg == nil {
-		return nil
-	}
 	return &clientMetrics{
 		calls:     reg.Counter("rpc.client.calls"),
 		inFlight:  reg.Gauge("rpc.client.in_flight"),
@@ -529,27 +516,18 @@ type Client struct {
 	pending map[uint64]chan *message
 	closed  bool
 	cw      *connWriter
-
-	metrics atomic.Pointer[clientMetrics]
-}
-
-// setMetrics installs the shared instruments, including the connWriter's
-// coalesced-frames counter.
-func (c *Client) setMetrics(m *clientMetrics) {
-	c.metrics.Store(m)
-	if m != nil {
-		c.cw.coalesced.Store(m.coalesced)
-	}
+	metrics *clientMetrics
 }
 
 // Dial connects to addr.
 func Dial(addr string, opts *ClientOptions) (*Client, error) {
-	return dialFrom(addr, opts, "")
+	return dialFrom(addr, opts, "", newClientMetrics(nil))
 }
 
 // dialFrom is Dial labelled with the caller's fault-plane identity (pools
-// propagate their owner's label so link partitions can name both ends).
-func dialFrom(addr string, opts *ClientOptions, from string) (*Client, error) {
+// propagate their owner's label so link partitions can name both ends) and
+// counting into the caller's instruments.
+func dialFrom(addr string, opts *ClientOptions, from string, m *clientMetrics) (*Client, error) {
 	o := opts.sanitize()
 	if fault.Enabled() {
 		if fault.Partitioned(from, addr) {
@@ -576,7 +554,8 @@ func dialFrom(addr string, opts *ClientOptions, from string) (*Client, error) {
 		from:    from,
 		pending: make(map[uint64]chan *message),
 		conn:    conn,
-		cw:      &connWriter{conn: conn},
+		cw:      &connWriter{conn: conn, coalesced: m.coalesced},
+		metrics: m,
 	}
 	go c.readLoop()
 	return c, nil
@@ -623,20 +602,15 @@ func (c *Client) Call(method string, body []byte) ([]byte, error) {
 // CallCtx invokes method with body, attaching the caller's trace context to
 // the request frame so the server's spans join the caller's trace.
 func (c *Client) CallCtx(ctx telemetry.SpanContext, method string, body []byte) ([]byte, error) {
-	m := c.metrics.Load()
-	var start time.Time
-	if m != nil {
-		m.calls.Inc()
-		m.txBytes.Add(uint64(len(body)))
-		m.inFlight.Inc()
-		defer m.inFlight.Dec()
-		start = time.Now()
-	}
+	m := c.metrics
+	m.calls.Inc()
+	m.txBytes.Add(uint64(len(body)))
+	m.inFlight.Inc()
+	start := time.Now()
 	resp, err := c.call(ctx, method, body)
-	if m != nil {
-		m.callUs.RecordTraced(time.Since(start), ctx.Trace)
-		m.rxBytes.Add(uint64(len(resp)))
-	}
+	m.callUs.RecordTraced(time.Since(start), ctx.Trace)
+	m.rxBytes.Add(uint64(len(resp)))
+	m.inFlight.Dec()
 	return resp, err
 }
 
@@ -731,25 +705,35 @@ type Pool struct {
 
 	mu      sync.Mutex
 	clients map[string]*Client
+	reg     *telemetry.Registry
 	metrics *clientMetrics
 	label   string // fault-plane identity of the pool's owner
 }
 
 // NewPool returns an empty pool using opts for every connection.
 func NewPool(opts *ClientOptions) *Pool {
-	return &Pool{opts: opts.sanitize(), clients: make(map[string]*Client)}
+	return &Pool{opts: opts.sanitize(), clients: make(map[string]*Client), metrics: newClientMetrics(nil)}
 }
 
-// SetTelemetry wires outbound-call counters (calls, in-flight, bytes on the
-// wire) into reg for every connection the pool hands out.
+// SetTelemetry publishes the pool's outbound-call instruments (calls,
+// in-flight, bytes on the wire) in reg, and makes reg the registry of
+// whatever is built over the pool (Registry). Call before traffic; existing
+// connections keep the instruments they were dialed with.
 func (p *Pool) SetTelemetry(reg *telemetry.Registry) {
-	m := newClientMetrics(reg)
 	p.mu.Lock()
-	p.metrics = m
-	for _, c := range p.clients {
-		c.setMetrics(m)
-	}
+	p.reg = reg
+	p.metrics = newClientMetrics(reg)
 	p.mu.Unlock()
+}
+
+// Registry returns the registry the pool counts into (nil until
+// SetTelemetry). A component constructed over the pool — the replication
+// shipper — publishes its own instruments there, so one SetTelemetry call
+// instruments the whole outbound side.
+func (p *Pool) Registry() *telemetry.Registry {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.reg
 }
 
 // SetFaultLabel names the pool's owner (usually its node's RPC address) to
@@ -765,7 +749,7 @@ func (p *Pool) SetFaultLabel(label string) {
 func (p *Pool) Get(addr string) (*Client, error) {
 	p.mu.Lock()
 	c, ok := p.clients[addr]
-	label := p.label
+	label, m := p.label, p.metrics
 	if ok && !c.Closed() {
 		p.mu.Unlock()
 		return c, nil
@@ -773,14 +757,11 @@ func (p *Pool) Get(addr string) (*Client, error) {
 	delete(p.clients, addr)
 	p.mu.Unlock()
 
-	nc, err := dialFrom(addr, &p.opts, label)
+	nc, err := dialFrom(addr, &p.opts, label, m)
 	if err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
-	if p.metrics != nil {
-		nc.setMetrics(p.metrics)
-	}
 	if existing, ok := p.clients[addr]; ok && !existing.Closed() {
 		p.mu.Unlock()
 		nc.Close()

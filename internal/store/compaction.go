@@ -65,7 +65,7 @@ func (db *DB) backgroundLoop() {
 // meteredFlush runs flushMemtable, counting successful flushes.
 func (db *DB) meteredFlush() error {
 	err := db.flushMemtable()
-	if err == nil && db.metrics != nil {
+	if err == nil {
 		db.metrics.flushes.Inc()
 	}
 	return err
@@ -76,7 +76,7 @@ func (db *DB) meteredFlush() error {
 func (db *DB) meteredCompact() error {
 	start := time.Now()
 	err := db.compactOnce()
-	if err == nil && db.metrics != nil {
+	if err == nil {
 		db.metrics.compactions.Inc()
 		db.metrics.compactUs.Record(time.Since(start))
 	}

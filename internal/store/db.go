@@ -54,8 +54,7 @@ type DB struct {
 	bgQuit chan struct{}
 	bgDone chan struct{}
 
-	// metrics holds pre-resolved instruments (nil when Options.Metrics is
-	// unset); see dbMetrics.
+	// metrics holds pre-resolved instruments; see dbMetrics.
 	metrics *dbMetrics
 }
 
@@ -67,15 +66,16 @@ type dbMetrics struct {
 	flushes     *telemetry.Counter
 	compactions *telemetry.Counter
 	compactUs   *telemetry.Histogram
-	// groupSize records the member count of each committed write group
-	// (unit: batches, not time — read the quantiles as counts in µs form).
+	// groupSize records the member count of each committed write group.
 	groupSize *telemetry.Histogram
 	// fsyncUs records the latency of each synced WAL append — the
 	// "WAL fsync lag" column of the cluster rollup.
 	fsyncUs *telemetry.Histogram
 }
 
-func newDBMetrics(reg *telemetry.Registry) *dbMetrics {
+func newDBMetrics(reg *telemetry.Registry, db *DB) *dbMetrics {
+	reg.GaugeFunc("store.block_cache_hits", func() int64 { h, _ := db.BlockCacheStats(); return int64(h) })
+	reg.GaugeFunc("store.block_cache_misses", func() int64 { _, m := db.BlockCacheStats(); return int64(m) })
 	return &dbMetrics{
 		writes:      reg.Counter("store.writes"),
 		walBytes:    reg.Counter("store.wal_bytes"),
@@ -83,7 +83,7 @@ func newDBMetrics(reg *telemetry.Registry) *dbMetrics {
 		flushes:     reg.Counter("store.flushes"),
 		compactions: reg.Counter("store.compactions"),
 		compactUs:   reg.Histogram("store.compact"),
-		groupSize:   reg.Histogram("wal.group_size"),
+		groupSize:   reg.CountHistogram("wal.group_size"),
 		fsyncUs:     reg.Histogram("wal.fsync"),
 	}
 }
@@ -118,9 +118,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 		bgQuit:   make(chan struct{}),
 		bgDone:   make(chan struct{}),
 	}
-	if opts.Metrics != nil {
-		db.metrics = newDBMetrics(opts.Metrics)
-	}
+	db.metrics = newDBMetrics(opts.Metrics, db)
 	db.cond = sync.NewCond(&db.mu)
 	db.setCurrent(v)
 
@@ -369,7 +367,7 @@ func (db *DB) commitGroup() {
 	db.writeActive = true
 	db.mu.Unlock()
 	var syncStart time.Time
-	if db.metrics != nil && sync {
+	if sync {
 		syncStart = time.Now()
 	}
 	err := wal.appendAll(records, sync)
@@ -383,19 +381,15 @@ func (db *DB) commitGroup() {
 				// consumed either way, so later members stay consistent.
 				w.err = aerr
 			}
-			if m := db.metrics; m != nil {
-				m.writes.Inc()
-				m.walBytes.Add(uint64(len(records[i])))
-			}
+			db.metrics.writes.Inc()
+			db.metrics.walBytes.Add(uint64(len(records[i])))
 		}
 		db.lastSeq = seq
-		if m := db.metrics; m != nil {
-			if sync {
-				m.walSyncs.Inc()
-				m.fsyncUs.Record(time.Since(syncStart))
-			}
-			m.groupSize.Record(time.Duration(len(group)) * time.Microsecond)
+		if sync {
+			db.metrics.walSyncs.Inc()
+			db.metrics.fsyncUs.Record(time.Since(syncStart))
 		}
+		db.metrics.groupSize.Observe(uint64(len(group)))
 	}
 
 	// Complete the group and promote the next head.

@@ -8,7 +8,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 	"sync"
@@ -37,7 +36,17 @@ type Histogram struct {
 	// landed in bucket i, so a latency spike in /metrics links directly to
 	// an assembled trace.
 	exemplars [bucketCount]atomic.Uint64
+	// unit is what one recorded value means; set by the registry that
+	// created the histogram and immutable after ("" reads as UnitMicros).
+	unit string
 }
+
+// The units a histogram's values can carry. Every histogram shares the
+// bucket layout; the unit only decides how a snapshot is labelled.
+const (
+	UnitMicros = "us"
+	UnitCount  = "count"
+)
 
 // bucketIndex maps a latency in microseconds to its bucket: the exponent
 // selects the octave, the top four mantissa bits select the linear
@@ -83,6 +92,10 @@ func (h *Histogram) RecordTraced(d time.Duration, trace uint64) {
 	}
 }
 
+// Observe adds one plain magnitude (a batch size, a group size) to a
+// CountHistogram.
+func (h *Histogram) Observe(n uint64) { h.add(n) }
+
 func (h *Histogram) add(us uint64) int {
 	idx := bucketIndex(us)
 	h.buckets[idx].Add(1)
@@ -98,73 +111,6 @@ func (h *Histogram) add(us uint64) int {
 
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Mean returns the mean latency.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sumUs.Load()/n) * time.Microsecond
-}
-
-// Max returns the largest recorded latency.
-func (h *Histogram) Max() time.Duration {
-	return time.Duration(h.maxUs.Load()) * time.Microsecond
-}
-
-// Quantile returns the latency at quantile q in [0,1], e.g. 0.5 for the
-// median and 0.99 for the 99th percentile.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(total))
-	if target >= total {
-		target = total - 1
-	}
-	var seen uint64
-	for i := 0; i < bucketCount; i++ {
-		seen += h.buckets[i].Load()
-		if seen > target {
-			return time.Duration(bucketValueUs(i)) * time.Microsecond
-		}
-	}
-	return h.Max()
-}
-
-// Snapshot summarizes the histogram.
-type Snapshot struct {
-	Count  uint64
-	Mean   time.Duration
-	Median time.Duration
-	P99    time.Duration
-	Max    time.Duration
-}
-
-// Snapshot returns a point-in-time summary.
-func (h *Histogram) Snapshot() Snapshot {
-	return Snapshot{
-		Count:  h.Count(),
-		Mean:   h.Mean(),
-		Median: h.Quantile(0.5),
-		P99:    h.Quantile(0.99),
-		Max:    h.Max(),
-	}
-}
-
-// String renders the snapshot for harness output.
-func (s Snapshot) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		s.Count, s.Mean, s.Median, s.P99, s.Max)
-}
 
 // Counter is a monotonically increasing event counter.
 type Counter struct{ n atomic.Uint64 }
@@ -197,43 +143,54 @@ func (g *Gauge) Set(v int64) { g.n.Store(v) }
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.n.Load() }
 
-// Registry names and aggregates histograms, counters and gauges for one
-// node or experiment run. Lookups take a mutex, so hot paths should resolve
-// their instruments once and hold the pointer; recording on the returned
-// instrument is atomic and allocation-free.
+// Registry names the histograms, counters and gauges of one node or
+// experiment run; its Snapshot is the one form in which they leave the
+// process. Lookups take a mutex, so hot paths resolve their instruments once
+// and hold the pointer; recording on the returned instrument is atomic and
+// allocation-free.
+//
+// A nil *Registry is valid, exactly as a nil *Tracer is: it hands out working
+// instruments that nothing will ever read, so a component records
+// unconditionally whether or not its owner publishes the numbers.
 type Registry struct {
+	created time.Time
+
 	mu         sync.Mutex
 	histograms map[string]*Histogram
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-
-	// Sliding-window state for Snapshot: the cumulative values captured at
-	// the last window rotation. Guarded separately from mu so snapshotting
-	// never blocks instrument creation.
-	created  time.Time
-	winMu    sync.Mutex
-	winStart time.Time
-	winHist  map[string]HistData
-	winCtr   map[string]uint64
+	funcs      map[string]func() int64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
+		created:    time.Now(),
 		histograms: make(map[string]*Histogram),
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		created:    time.Now(),
+		funcs:      make(map[string]func() int64),
 	}
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
+// Histogram returns the named latency histogram (unit UnitMicros), creating
+// it on first use.
+func (r *Registry) Histogram(name string) *Histogram { return r.histogram(name, UnitMicros) }
+
+// CountHistogram returns the named histogram of plain magnitudes (batch
+// sizes, group sizes; unit UnitCount), creating it on first use. Feed it
+// with Observe.
+func (r *Registry) CountHistogram(name string) *Histogram { return r.histogram(name, UnitCount) }
+
+func (r *Registry) histogram(name, unit string) *Histogram {
+	if r == nil {
+		return &Histogram{unit: unit}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		h = &Histogram{}
+		h = &Histogram{unit: unit}
 		r.histograms[name] = h
 	}
 	return h
@@ -241,58 +198,71 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	if r == nil {
+		return &Counter{}
 	}
-	return c
-}
-
-// HistogramNames returns the sorted names of all histograms.
-func (r *Registry) HistogramNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.histograms))
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return lookup(r, r.counters, name)
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return &Gauge{}
+	}
+	return lookup(r, r.gauges, name)
+}
+
+// lookup returns table[name], inserting a zero instrument on first use.
+func lookup[T any](r *Registry, table map[string]*T, name string) *T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
+	v, ok := table[name]
 	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+		v = new(T)
+		table[name] = v
 	}
-	return g
+	return v
+}
+
+// GaugeFunc registers a sampled gauge: fn is called once per Snapshot, off
+// every hot path, and its value is reported beside the stored gauges. It is
+// how the owner of a point-in-time value (a pool's warm count, whether a
+// lease is held) publishes it without mirroring it into an instrument.
+// Registering a name again replaces the sampler (a restarted component).
+func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.funcs[name] = fn
+	r.mu.Unlock()
+}
+
+// HistogramNames returns the sorted names of all histograms.
+func (r *Registry) HistogramNames() []string {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return SortedNames(r.histograms)
 }
 
 // CounterNames returns the sorted names of all counters.
 func (r *Registry) CounterNames() []string {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return SortedNames(r.counters)
 }
 
-// GaugeNames returns the sorted names of all gauges.
-func (r *Registry) GaugeNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
+// SortedNames returns the keys of a by-name instrument map in order, for
+// anything that renders one.
+func SortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)

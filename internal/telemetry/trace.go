@@ -76,7 +76,8 @@ type Tracer struct {
 	slowNs  atomic.Int64
 
 	mu    sync.Mutex
-	ring  []Span
+	size  int
+	ring  []Span // allocated by the first SetEnabled(true)
 	next  uint64 // ring cursor; total spans recorded
 	total uint64
 }
@@ -86,19 +87,29 @@ const DefaultTraceBuffer = 4096
 
 // NewTracer returns a tracer labelled with the node's identity (usually its
 // RPC address). size <= 0 selects DefaultTraceBuffer. The tracer starts
-// disabled; SetEnabled turns recording on.
+// disabled and holds no ring; SetEnabled turns recording on.
 func NewTracer(node string, size int) *Tracer {
 	if size <= 0 {
 		size = DefaultTraceBuffer
 	}
-	return &Tracer{node: node, ring: make([]Span, size)}
+	return &Tracer{node: node, size: size}
 }
 
-// SetEnabled turns span recording on or off.
+// SetEnabled turns span recording on or off. The span ring (88 bytes a
+// slot) is allocated the first time recording is turned on, so a node that
+// never traces never pays for it.
 func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
+	if t == nil {
+		return
 	}
+	if on {
+		t.mu.Lock()
+		if t.ring == nil {
+			t.ring = make([]Span, t.size)
+		}
+		t.mu.Unlock()
+	}
+	t.enabled.Store(on)
 }
 
 // Enabled reports whether spans are being recorded.

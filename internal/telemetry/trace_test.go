@@ -219,8 +219,34 @@ func TestGauge(t *testing.T) {
 	if g2 := r.Gauge("inflight"); g2 != g {
 		t.Fatal("gauge not memoized")
 	}
-	if names := r.GaugeNames(); len(names) != 1 || names[0] != "inflight" {
-		t.Fatalf("gauge names = %v", names)
+	if got := r.Snapshot().Gauges; len(got) != 1 || got["inflight"] != 5 {
+		t.Fatalf("snapshot gauges = %v", got)
+	}
+}
+
+// TestTracerRingAllocatedOnEnable is the regression test for the ring being
+// paid for by nodes that never trace: a tracer holds no ring (352 KB at the
+// default size) until recording is first turned on, keeps it across a
+// disable, and a never-enabled tracer still reads out as empty.
+func TestTracerRingAllocatedOnEnable(t *testing.T) {
+	tr := NewTracer("n", 0)
+	tr.SetEnabled(false)
+	if tr.ring != nil {
+		t.Fatalf("disabled tracer holds a %d-slot ring", len(tr.ring))
+	}
+	tr.StartSpan(SpanContext{}, "invoke").Finish()
+	if spans := tr.Spans(); len(spans) != 0 || tr.Total() != 0 {
+		t.Fatalf("disabled tracer recorded %v", spans)
+	}
+	tr.SetEnabled(true)
+	if len(tr.ring) != DefaultTraceBuffer {
+		t.Fatalf("enabled tracer ring = %d slots, want %d", len(tr.ring), DefaultTraceBuffer)
+	}
+	tr.StartSpan(SpanContext{}, "invoke").Finish()
+	tr.SetEnabled(false)
+	tr.SetEnabled(true)
+	if spans := tr.Spans(); len(spans) != 1 {
+		t.Fatalf("re-enabling dropped the ring: %v", spans)
 	}
 }
 

@@ -1,23 +1,25 @@
-// Coordinated-omission-safe recording, mergeable histogram snapshots, and
-// registry-level sliding windows.
+// Coordinated-omission-safe recording and the snapshot a registry leaves
+// the process as.
 //
 // Three concerns live here because they share the bucket layout:
 //
 //   - RecordWithIntended backfills the samples a stalled closed-loop client
-//     never issued (HdrHistogram's expected-interval correction), so windowed
-//     p99/p999 reflect what an open-loop arrival process would have seen.
-//   - HistData is the wire form of a histogram: a sparse copy of the bucket
+//     never issued (HdrHistogram's expected-interval correction), so
+//     percentiles reflect what an open-loop arrival process would have seen.
+//   - HistData is the one summary of a histogram: a sparse copy of the bucket
 //     array plus derived quantiles. Because every histogram in the system
 //     shares one bucket layout, HistData merge is plain bucket addition —
 //     commutative and associative by construction — which is what lets the
 //     coordinator roll node snapshots up into group and cluster views.
-//   - Registry.Snapshot reports each instrument twice, cumulative and over a
-//     sliding window, so rates and windowed percentiles don't have to be
-//     eyeballed from two scrapes.
+//   - RegistrySnapshot is every instrument's cumulative value at one instant.
+//     The registry keeps no window: whoever wants rates or windowed
+//     percentiles keeps its own previous snapshot and takes cur.Sub(prev),
+//     so any number of scrapers each see their own full interval.
 package telemetry
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 )
@@ -63,6 +65,10 @@ func (h *Histogram) recordWithIntendedAt(end, start, intended time.Time) {
 // bucket counts plus derived summary fields. All histograms share one bucket
 // layout, so Merge is exact (no re-sampling error) and associative.
 type HistData struct {
+	// Unit says what the *Us fields and bucket values measure: UnitMicros
+	// (the default, omitted) or UnitCount for a CountHistogram, whose
+	// "microseconds" are plain magnitudes.
+	Unit   string `json:"unit,omitempty"`
 	Count  uint64 `json:"count"`
 	SumUs  uint64 `json:"sum_us"`
 	MaxUs  uint64 `json:"max_us"`
@@ -79,6 +85,9 @@ type HistData struct {
 // Data snapshots the histogram, including exemplars.
 func (h *Histogram) Data() HistData {
 	d := HistData{SumUs: h.sumUs.Load(), MaxUs: h.maxUs.Load()}
+	if h.unit != UnitMicros {
+		d.Unit = h.unit
+	}
 	for i := 0; i < bucketCount; i++ {
 		if n := h.buckets[i].Load(); n > 0 {
 			if d.Buckets == nil {
@@ -154,21 +163,17 @@ func (d HistData) Quantile(q float64) time.Duration {
 	return time.Duration(d.quantileUs(q)) * time.Microsecond
 }
 
-// Mean returns the mean latency.
-func (d HistData) Mean() time.Duration {
-	if d.Count == 0 {
-		return 0
-	}
-	return time.Duration(d.SumUs/d.Count) * time.Microsecond
-}
-
 // Merge returns the union of two snapshots: bucket-wise addition, summed
 // totals, max of maxima. Exemplar conflicts resolve to the lexicographically
 // larger trace ID so Merge stays commutative.
 func (d HistData) Merge(o HistData) HistData {
 	out := HistData{
+		Unit:  d.Unit,
 		SumUs: d.SumUs + o.SumUs,
 		MaxUs: d.MaxUs,
+	}
+	if out.Unit == "" {
+		out.Unit = o.Unit
 	}
 	if o.MaxUs > out.MaxUs {
 		out.MaxUs = o.MaxUs
@@ -209,7 +214,7 @@ func (d HistData) Merge(o HistData) HistData {
 // recoverable from cumulative state). Exemplars carry over from the current
 // snapshot.
 func (d HistData) Sub(prev HistData) HistData {
-	out := HistData{}
+	out := HistData{Unit: d.Unit}
 	for i, n := range d.Buckets {
 		p := prev.Buckets[i]
 		if n <= p {
@@ -231,147 +236,121 @@ func (d HistData) Sub(prev HistData) HistData {
 	return out
 }
 
-// CounterSnap is one counter in a registry snapshot: the cumulative total and
-// the rate over the reported window.
-type CounterSnap struct {
-	Total      uint64  `json:"total"`
-	RatePerSec float64 `json:"rate_per_sec"`
-}
-
-// HistWindow pairs the cumulative view of a histogram with the view over the
-// current sliding window.
-type HistWindow struct {
-	Cumulative HistData `json:"cumulative"`
-	Window     HistData `json:"window"`
-}
-
-// RegistrySnapshot is the JSON form of a registry: every histogram
-// (cumulative + windowed), every counter (total + windowed rate), and every
-// gauge. It is what the debug server serves and the coordinator merges.
+// RegistrySnapshot is every instrument of a registry at one instant, all
+// cumulative since the registry was created: histograms, counter totals,
+// and gauges (stored and sampled alike). It is the one thing that leaves a
+// node — /metrics renders it as text, /metrics.json and the node.stats RPC
+// serve it as JSON, the coordinator merges it — and it is also what a window
+// looks like: Sub of two snapshots has the same shape, counting only what
+// happened between them.
 type RegistrySnapshot struct {
-	UnixNano   int64                  `json:"unix_nano"`
-	WindowSecs float64                `json:"window_seconds"`
-	Histograms map[string]HistWindow  `json:"histograms,omitempty"`
-	Counters   map[string]CounterSnap `json:"counters,omitempty"`
-	Gauges     map[string]int64       `json:"gauges,omitempty"`
+	UnixNano int64 `json:"unix_nano"`
+	// Seconds is the span the counts cover: since the registry was created
+	// for a snapshot, since the earlier snapshot for a Sub, the shortest
+	// input span for a merge.
+	Seconds    float64             `json:"seconds"`
+	Histograms map[string]HistData `json:"histograms,omitempty"`
+	Counters   map[string]uint64   `json:"counters,omitempty"`
+	Gauges     map[string]int64    `json:"gauges,omitempty"`
 }
 
-// DefaultWindow is the sliding-window length used when a snapshot caller
-// passes zero.
-const DefaultWindow = 10 * time.Second
+// Snapshot reads every instrument once. It keeps nothing: two callers, or
+// the same caller twice, get independent values.
+func (r *Registry) Snapshot() RegistrySnapshot { return r.snapshotAt(time.Now()) }
 
-// Snapshot reports every instrument cumulatively and over a sliding window.
-// The window state is kept in the registry: the first call measures from
-// registry creation, and whenever the open window has run at least `window`
-// long it is rotated, so the reported window length varies between window and
-// 2x window under steady scraping. extra folds externally-tracked cumulative
-// counters (e.g. node-level gauges that are really monotonic counts) into the
-// counter section so they get windowed rates too.
-func (r *Registry) Snapshot(window time.Duration, extra map[string]uint64) RegistrySnapshot {
-	if window <= 0 {
-		window = DefaultWindow
+// snapshotAt is Snapshot with an explicit clock for deterministic tests.
+func (r *Registry) snapshotAt(now time.Time) RegistrySnapshot {
+	snap := RegistrySnapshot{
+		UnixNano:   now.UnixNano(),
+		Histograms: make(map[string]HistData),
+		Counters:   make(map[string]uint64),
+		Gauges:     make(map[string]int64),
 	}
-	now := time.Now()
+	if r == nil {
+		return snap
+	}
+	snap.Seconds = now.Sub(r.created).Seconds()
 
+	// Copy the instrument pointers out so reading them (and calling the
+	// samplers, which take their owners' locks) never holds the registry
+	// mutex against instrument creation.
 	r.mu.Lock()
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for n, h := range r.histograms {
-		hists[n] = h
-	}
-	ctrs := make(map[string]*Counter, len(r.counters))
+	hists, funcs := maps.Clone(r.histograms), maps.Clone(r.funcs)
 	for n, c := range r.counters {
-		ctrs[n] = c
+		snap.Counters[n] = c.Value()
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
 	for n, g := range r.gauges {
-		gauges[n] = g
+		snap.Gauges[n] = g.Value()
 	}
 	r.mu.Unlock()
 
-	curHist := make(map[string]HistData, len(hists))
 	for n, h := range hists {
-		curHist[n] = h.Data()
+		snap.Histograms[n] = h.Data()
 	}
-	curCtr := make(map[string]uint64, len(ctrs)+len(extra))
-	for n, c := range ctrs {
-		curCtr[n] = c.Value()
+	for n, fn := range funcs {
+		snap.Gauges[n] = fn()
 	}
-	for n, v := range extra {
-		curCtr[n] = v
-	}
-
-	r.winMu.Lock()
-	start := r.winStart
-	if start.IsZero() {
-		start = r.created
-	}
-	elapsed := now.Sub(start)
-	if elapsed < time.Millisecond {
-		elapsed = time.Millisecond
-	}
-	secs := elapsed.Seconds()
-
-	snap := RegistrySnapshot{
-		UnixNano:   now.UnixNano(),
-		WindowSecs: secs,
-		Histograms: make(map[string]HistWindow, len(curHist)),
-		Counters:   make(map[string]CounterSnap, len(curCtr)),
-		Gauges:     make(map[string]int64, len(gauges)),
-	}
-	for n, cur := range curHist {
-		snap.Histograms[n] = HistWindow{Cumulative: cur, Window: cur.Sub(r.winHist[n])}
-	}
-	for n, cur := range curCtr {
-		delta := cur - r.winCtr[n]
-		if cur < r.winCtr[n] {
-			delta = 0
-		}
-		snap.Counters[n] = CounterSnap{Total: cur, RatePerSec: float64(delta) / secs}
-	}
-	for n, g := range gauges {
-		snap.Gauges[n] = g.Value()
-	}
-
-	if elapsed >= window {
-		r.winStart = now
-		r.winHist = curHist
-		r.winCtr = curCtr
-	}
-	r.winMu.Unlock()
 	return snap
 }
 
-// MergeSnapshots folds several registry snapshots (typically one per node)
-// into one: histograms merge bucket-wise, counter totals add and rates sum,
-// gauges add (levels across nodes accumulate). The reported window is the
-// minimum of the inputs' windows — the span over which every input
-// contributed.
+// Sub returns what happened between prev and s, two snapshots of the same
+// registry: histogram samples and counter increments since prev, over the
+// seconds between them; gauges are levels and carry over from s. A counter
+// that went backwards (the node restarted between the two) clamps to zero
+// rather than wrapping. Sub of the zero snapshot is s itself, so a consumer's
+// first window is "since the registry was created" with no special case.
+func (s RegistrySnapshot) Sub(prev RegistrySnapshot) RegistrySnapshot {
+	if prev.UnixNano == 0 {
+		return s
+	}
+	out := RegistrySnapshot{
+		UnixNano:   s.UnixNano,
+		Seconds:    time.Duration(s.UnixNano - prev.UnixNano).Seconds(),
+		Histograms: make(map[string]HistData, len(s.Histograms)),
+		Counters:   make(map[string]uint64, len(s.Counters)),
+		Gauges:     s.Gauges,
+	}
+	for n, cur := range s.Histograms {
+		out.Histograms[n] = cur.Sub(prev.Histograms[n])
+	}
+	for n, cur := range s.Counters {
+		out.Counters[n] = cur - min(cur, prev.Counters[n])
+	}
+	return out
+}
+
+// Rate returns the named counter's increments per second over the span the
+// snapshot covers (meaningful on a Sub; on a cumulative snapshot it is the
+// lifetime average).
+func (s RegistrySnapshot) Rate(counter string) float64 {
+	if s.Seconds <= 0 {
+		return 0
+	}
+	return float64(s.Counters[counter]) / s.Seconds
+}
+
+// MergeSnapshots folds several snapshots (typically one per node) into one:
+// histograms merge bucket-wise, counters add, gauges add (levels across
+// nodes accumulate). The merged span is the shortest input span — the span
+// over which every input contributed — and the timestamp the latest.
 func MergeSnapshots(snaps []RegistrySnapshot) RegistrySnapshot {
 	out := RegistrySnapshot{
-		Histograms: make(map[string]HistWindow),
-		Counters:   make(map[string]CounterSnap),
+		Histograms: make(map[string]HistData),
+		Counters:   make(map[string]uint64),
 		Gauges:     make(map[string]int64),
 	}
 	for _, s := range snaps {
 		if s.UnixNano > out.UnixNano {
 			out.UnixNano = s.UnixNano
 		}
-		if out.WindowSecs == 0 || (s.WindowSecs > 0 && s.WindowSecs < out.WindowSecs) {
-			out.WindowSecs = s.WindowSecs
+		if out.Seconds == 0 || (s.Seconds > 0 && s.Seconds < out.Seconds) {
+			out.Seconds = s.Seconds
 		}
-		for n, hw := range s.Histograms {
-			prev := out.Histograms[n]
-			out.Histograms[n] = HistWindow{
-				Cumulative: prev.Cumulative.Merge(hw.Cumulative),
-				Window:     prev.Window.Merge(hw.Window),
-			}
+		for n, h := range s.Histograms {
+			out.Histograms[n] = out.Histograms[n].Merge(h)
 		}
 		for n, c := range s.Counters {
-			prev := out.Counters[n]
-			out.Counters[n] = CounterSnap{
-				Total:      prev.Total + c.Total,
-				RatePerSec: prev.RatePerSec + c.RatePerSec,
-			}
+			out.Counters[n] += c
 		}
 		for n, v := range s.Gauges {
 			out.Gauges[n] += v

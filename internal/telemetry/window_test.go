@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -29,9 +30,9 @@ func TestQuantileBucketBoundaries(t *testing.T) {
 				t.Errorf("value %dus q=%v: quantile %dus exceeds bucket bound %.1fus", us, q, got, upper)
 			}
 		}
-		// The quantile from HistData must agree with the live histogram's.
-		if d.Quantile(0.99) != h.Quantile(0.99) {
-			t.Errorf("value %dus: HistData p99 %v != Histogram p99 %v", us, d.Quantile(0.99), h.Quantile(0.99))
+		// The precomputed fields come from the same walk.
+		if uint64(d.Quantile(0.99).Microseconds()) != d.P99Us {
+			t.Errorf("value %dus: Quantile(0.99) %v != P99Us %d", us, d.Quantile(0.99), d.P99Us)
 		}
 	}
 }
@@ -143,7 +144,7 @@ func TestRecordWithIntendedBackfill(t *testing.T) {
 	if n := h1.Count(); n != 1 {
 		t.Fatalf("no-omission count = %d, want 1", n)
 	}
-	if got := h1.Quantile(1); got < 10*time.Millisecond || got > 11*time.Millisecond {
+	if got := h1.Data().Quantile(1); got < 10*time.Millisecond || got > 11*time.Millisecond {
 		t.Fatalf("no-omission sample = %v, want ~10ms", got)
 	}
 
@@ -162,10 +163,10 @@ func TestRecordWithIntendedBackfill(t *testing.T) {
 	if n := h3.Count(); n != 11 {
 		t.Fatalf("backfill count = %d, want 11", n)
 	}
-	if got := h3.Max(); got < 110*time.Millisecond {
-		t.Errorf("backfill max = %v, want >= 110ms (the total intended-to-finish time)", got)
+	if got := h3.Data().MaxUs; got < 110_000 {
+		t.Errorf("backfill max = %dus, want >= 110ms (the total intended-to-finish time)", got)
 	}
-	if got := h3.Quantile(0); got > 11*time.Millisecond {
+	if got := h3.Data().Quantile(0); got > 11*time.Millisecond {
 		t.Errorf("backfill min = %v, want ~10ms (the last synthetic sample)", got)
 	}
 
@@ -195,90 +196,193 @@ func TestExemplarRecorded(t *testing.T) {
 	}
 }
 
-// TestRegistrySnapshotWindows checks that Snapshot reports cumulative and
-// windowed views and rotates the window once it has run long enough.
-func TestRegistrySnapshotWindows(t *testing.T) {
+// TestRegistrySnapshotSub checks that a snapshot is cumulative and a window
+// is the difference of two: what the registry's own rotating window used to
+// report, now computed by whoever holds the earlier snapshot.
+func TestRegistrySnapshotSub(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("op")
 	c := r.Counter("ops")
+	r.Gauge("depth").Set(3)
 	for i := 0; i < 50; i++ {
 		h.Record(time.Millisecond)
 		c.Inc()
 	}
+	t0 := r.created
+	s1 := r.snapshotAt(t0.Add(2 * time.Second))
+	if s1.Histograms["op"].Count != 50 || s1.Counters["ops"] != 50 || s1.Seconds != 2 {
+		t.Fatalf("first snapshot: %+v", s1)
+	}
+	// The first window of a consumer with no earlier snapshot is the
+	// cumulative one: since the registry was created.
+	if first := s1.Sub(RegistrySnapshot{}); !reflect.DeepEqual(first, s1) {
+		t.Fatalf("Sub(zero) = %+v, want the snapshot itself", first)
+	}
+	if got := s1.Rate("ops"); got != 25 {
+		t.Errorf("lifetime rate = %v, want 25/s", got)
+	}
 
-	// Let the first window run past its 1ms length so s1 rotates it.
-	time.Sleep(2 * time.Millisecond)
-	s1 := r.Snapshot(time.Millisecond, map[string]uint64{"extern": 100})
-	if s1.Histograms["op"].Cumulative.Count != 50 || s1.Histograms["op"].Window.Count != 50 {
-		t.Fatalf("first snapshot: %+v", s1.Histograms["op"])
-	}
-	if s1.Counters["ops"].Total != 50 || s1.Counters["ops"].RatePerSec <= 0 {
-		t.Fatalf("first counter snap: %+v", s1.Counters["ops"])
-	}
-	if s1.Counters["extern"].Total != 100 {
-		t.Fatalf("extra counter not folded in: %+v", s1.Counters)
-	}
-
-	// The 1ms window above has elapsed, so s1 rotated it. New samples land
-	// in the fresh window only.
-	time.Sleep(2 * time.Millisecond)
 	for i := 0; i < 7; i++ {
 		h.Record(30 * time.Millisecond)
 		c.Inc()
 	}
-	s2 := r.Snapshot(time.Millisecond, map[string]uint64{"extern": 104})
-	hw := s2.Histograms["op"]
-	if hw.Cumulative.Count != 57 {
-		t.Fatalf("cumulative count = %d, want 57", hw.Cumulative.Count)
+	r.Gauge("depth").Set(5)
+	s2 := r.snapshotAt(t0.Add(2500 * time.Millisecond))
+	if s2.Histograms["op"].Count != 57 || s2.Counters["ops"] != 57 {
+		t.Fatalf("second snapshot not cumulative: %+v", s2)
 	}
-	if hw.Window.Count != 7 {
-		t.Fatalf("window count = %d, want 7 (window did not rotate)", hw.Window.Count)
+	win := s2.Sub(s1)
+	if win.Seconds != 0.5 {
+		t.Errorf("window = %vs, want 0.5", win.Seconds)
 	}
-	if got := hw.Window.Quantile(0.5); got < 30*time.Millisecond {
-		t.Errorf("window p50 = %v, want >= 30ms", got)
+	if hw := win.Histograms["op"]; hw.Count != 7 || hw.Quantile(0.5) < 30*time.Millisecond {
+		t.Errorf("window histogram = %+v, want the 7 new 30ms samples only", hw)
 	}
-	if s2.Counters["ops"].Total != 57 {
-		t.Errorf("counter total = %d, want 57", s2.Counters["ops"].Total)
+	if win.Counters["ops"] != 7 || win.Rate("ops") != 14 {
+		t.Errorf("window counter = %d (%v/s), want 7 (14/s)", win.Counters["ops"], win.Rate("ops"))
 	}
-	if s2.Counters["extern"].Total != 104 {
-		t.Errorf("extern total = %d, want 104", s2.Counters["extern"].Total)
-	}
-	if s2.WindowSecs <= 0 {
-		t.Errorf("window secs = %v", s2.WindowSecs)
+	if win.Gauges["depth"] != 5 {
+		t.Errorf("window gauge = %d, want the current level 5", win.Gauges["depth"])
 	}
 }
 
-// TestMergeSnapshots checks cross-node snapshot aggregation: counters add,
-// rates sum, gauges add, histograms merge, window is the minimum.
+// TestInterleavedScrapersOwnTheirWindows is the regression test for scrapers
+// stealing each other's window: when the registry rotated one shared window,
+// a 2s scraper and a 3s scraper each saw rates over whatever interval the
+// other had left open. With stateless snapshots each consumer subtracts its
+// own previous sample and sees its own full interval, however the two
+// interleave.
+func TestInterleavedScrapersOwnTheirWindows(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("ops")
+	t0 := r.created
+	var a, b RegistrySnapshot // each consumer's previous sample
+	at := func(sec int) RegistrySnapshot { return r.snapshotAt(t0.Add(time.Duration(sec) * time.Second)) }
+	a, b = at(0), at(0)
+	// 10 ops every second; A scrapes every 2s, B every 3s.
+	for sec := 1; sec <= 12; sec++ {
+		c.Add(10)
+		if sec%2 == 0 {
+			cur := at(sec)
+			if w := cur.Sub(a); w.Seconds != 2 || w.Counters["ops"] != 20 || w.Rate("ops") != 10 {
+				t.Fatalf("t=%ds: scraper A saw %d ops over %vs, want its own 20 over 2s", sec, w.Counters["ops"], w.Seconds)
+			}
+			a = cur
+		}
+		if sec%3 == 0 {
+			cur := at(sec)
+			if w := cur.Sub(b); w.Seconds != 3 || w.Counters["ops"] != 30 || w.Rate("ops") != 10 {
+				t.Fatalf("t=%ds: scraper B saw %d ops over %vs, want its own 30 over 3s", sec, w.Counters["ops"], w.Seconds)
+			}
+			b = cur
+		}
+	}
+}
+
+// randSnapshot builds a snapshot whose instruments and values are drawn
+// from rng, over a small name space so merges collide.
+func randSnapshot(rng *rand.Rand) RegistrySnapshot {
+	s := RegistrySnapshot{
+		UnixNano:   1 + rng.Int63n(1e12),
+		Seconds:    float64(1 + rng.Intn(20)),
+		Histograms: map[string]HistData{},
+		Counters:   map[string]uint64{},
+		Gauges:     map[string]int64{},
+	}
+	for _, n := range []string{"a", "b", "c"} {
+		if rng.Intn(3) > 0 {
+			s.Counters[n] = uint64(rng.Intn(1000))
+		}
+		if rng.Intn(3) > 0 {
+			s.Gauges[n] = int64(rng.Intn(50))
+		}
+		if rng.Intn(3) > 0 {
+			var h Histogram
+			for i := rng.Intn(40); i > 0; i-- {
+				h.RecordTraced(time.Duration(1+rng.Intn(100000))*time.Microsecond, uint64(rng.Intn(4)))
+			}
+			s.Histograms[n] = h.Data()
+		}
+	}
+	return s
+}
+
+// TestSnapshotMergeSubProperties is the property test behind the
+// aggregation plane: merging is commutative and associative (so scrape
+// order cannot change a rollup), a snapshot minus itself is empty, and a
+// counter that went backwards — the node restarted between the samples —
+// clamps to zero instead of wrapping.
+func TestSnapshotMergeSubProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	merge := func(s ...RegistrySnapshot) RegistrySnapshot { return MergeSnapshots(s) }
+	for i := 0; i < 200; i++ {
+		a, b, c := randSnapshot(rng), randSnapshot(rng), randSnapshot(rng)
+		if ab, ba := merge(a, b), merge(b, a); !reflect.DeepEqual(ab, ba) {
+			t.Fatalf("merge not commutative:\nab=%+v\nba=%+v", ab, ba)
+		}
+		if l, r := merge(merge(a, b), c), merge(a, merge(b, c)); !reflect.DeepEqual(l, r) {
+			t.Fatalf("merge not associative:\n(ab)c=%+v\na(bc)=%+v", l, r)
+		}
+		if all := merge(a, b, c); all.Counters["a"] != a.Counters["a"]+b.Counters["a"]+c.Counters["a"] ||
+			all.Gauges["b"] != a.Gauges["b"]+b.Gauges["b"]+c.Gauges["b"] ||
+			all.Histograms["c"].Count != a.Histograms["c"].Count+b.Histograms["c"].Count+c.Histograms["c"].Count {
+			t.Fatalf("merge does not add: %+v", all)
+		}
+		self := a.Sub(a)
+		if self.Seconds != 0 {
+			t.Fatalf("a.Sub(a) spans %vs", self.Seconds)
+		}
+		for n, v := range self.Counters {
+			if v != 0 {
+				t.Fatalf("a.Sub(a) counter %s = %d", n, v)
+			}
+		}
+		for n, h := range self.Histograms {
+			if h.Count != 0 || h.SumUs != 0 || len(h.Buckets) != 0 {
+				t.Fatalf("a.Sub(a) histogram %s = %+v", n, h)
+			}
+		}
+		// b as the "earlier" sample of an unrelated registry: wherever it is
+		// ahead of a, the difference clamps.
+		for n, v := range a.Sub(b).Counters {
+			if want := a.Counters[n] - b.Counters[n]; a.Counters[n] < b.Counters[n] {
+				if v != 0 {
+					t.Fatalf("counter %s went backwards (%d -> %d) and Sub gave %d, want 0", n, b.Counters[n], a.Counters[n], v)
+				}
+			} else if v != want {
+				t.Fatalf("counter %s: Sub = %d, want %d", n, v, want)
+			}
+		}
+	}
+}
+
+// TestMergeSnapshots checks cross-node aggregation on a hand-built case:
+// counters add, gauges add, histograms merge, the span is the minimum.
 func TestMergeSnapshots(t *testing.T) {
-	mk := func(n uint64, win float64) RegistrySnapshot {
+	mk := func(n uint64, secs float64) RegistrySnapshot {
 		var h Histogram
 		for i := uint64(0); i < n; i++ {
 			h.Record(time.Millisecond)
 		}
-		d := h.Data()
 		return RegistrySnapshot{
-			WindowSecs: win,
-			Histograms: map[string]HistWindow{"op": {Cumulative: d, Window: d}},
-			Counters:   map[string]CounterSnap{"ops": {Total: n, RatePerSec: float64(n) / win}},
+			Seconds:    secs,
+			Histograms: map[string]HistData{"op": h.Data()},
+			Counters:   map[string]uint64{"ops": n},
 			Gauges:     map[string]int64{"inflight": int64(n)},
 		}
 	}
 	m := MergeSnapshots([]RegistrySnapshot{mk(10, 10), mk(30, 5)})
-	if m.Histograms["op"].Window.Count != 40 {
-		t.Errorf("merged window count = %d, want 40", m.Histograms["op"].Window.Count)
+	if m.Histograms["op"].Count != 40 {
+		t.Errorf("merged count = %d, want 40", m.Histograms["op"].Count)
 	}
-	if m.Counters["ops"].Total != 40 {
-		t.Errorf("merged total = %d, want 40", m.Counters["ops"].Total)
-	}
-	if got := m.Counters["ops"].RatePerSec; got != 10.0/10+30.0/5 {
-		t.Errorf("merged rate = %v, want 7", got)
+	if m.Counters["ops"] != 40 {
+		t.Errorf("merged total = %d, want 40", m.Counters["ops"])
 	}
 	if m.Gauges["inflight"] != 40 {
 		t.Errorf("merged gauge = %d, want 40", m.Gauges["inflight"])
 	}
-	if m.WindowSecs != 5 {
-		t.Errorf("merged window = %v, want 5 (minimum)", m.WindowSecs)
+	if m.Seconds != 5 {
+		t.Errorf("merged span = %v, want 5 (minimum)", m.Seconds)
 	}
 }
 
@@ -306,23 +410,21 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			s := r.Snapshot(time.Millisecond, nil)
-			hw := s.Histograms["op"]
 			// Count is derived from the buckets, so it can never exceed
-			// what has been recorded, and windows never go negative.
-			if hw.Cumulative.Count > workers*perWorker {
-				t.Errorf("cumulative count %d > recorded %d", hw.Cumulative.Count, workers*perWorker)
+			// what has been recorded.
+			if n := r.Snapshot().Histograms["op"].Count; n > workers*perWorker {
+				t.Errorf("cumulative count %d > recorded %d", n, workers*perWorker)
 				return
 			}
 		}
 	}()
 	wg.Wait()
 	<-done
-	final := r.Snapshot(time.Millisecond, nil)
-	if got := final.Histograms["op"].Cumulative.Count; got != workers*perWorker {
+	final := r.Snapshot()
+	if got := final.Histograms["op"].Count; got != workers*perWorker {
 		t.Fatalf("final count = %d, want %d", got, workers*perWorker)
 	}
-	if got := final.Counters["ops"].Total; got != workers*perWorker {
+	if got := final.Counters["ops"]; got != workers*perWorker {
 		t.Fatalf("final counter = %d, want %d", got, workers*perWorker)
 	}
 }

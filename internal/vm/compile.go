@@ -30,6 +30,8 @@ package vm
 import (
 	"fmt"
 	"sync/atomic"
+
+	"lambdastore/internal/telemetry"
 )
 
 // Tier selects the execution engine for an instance.
@@ -44,35 +46,25 @@ const (
 	TierInterp
 )
 
-// Compilation telemetry, process-global like the fault counters: surfaced
-// as vm.compiled_modules / vm.interp_fallbacks / vm.compile_ns so a
-// production fallback to the interpreter is visible, not silent.
+// Compilation counters, process-global like the fault counters because a
+// Module is compiled once whoever instantiates it: modules translated to
+// threaded code; modules the compiler rejected plus instantiations that fell
+// back because the host-function arities differed from the ones the module
+// was compiled against; total nanoseconds spent compiling.
 var (
 	statCompiledModules atomic.Uint64
 	statInterpFallbacks atomic.Uint64
 	statCompileNs       atomic.Int64
 )
 
-// CompileStats is a snapshot of the compilation counters.
-type CompileStats struct {
-	// CompiledModules counts modules successfully translated to threaded
-	// code.
-	CompiledModules uint64
-	// InterpFallbacks counts modules the compiler rejected plus
-	// instantiations that fell back because the host-function arities
-	// differed from the ones the module was compiled against.
-	InterpFallbacks uint64
-	// CompileNs is the total time spent compiling, in nanoseconds.
-	CompileNs int64
-}
-
-// CompilerStats returns the process-wide compilation counters.
-func CompilerStats() CompileStats {
-	return CompileStats{
-		CompiledModules: statCompiledModules.Load(),
-		InterpFallbacks: statInterpFallbacks.Load(),
-		CompileNs:       statCompileNs.Load(),
-	}
+// RegisterMetrics publishes the compilation counters in reg as sampled
+// gauges, so a production fallback to the interpreter is visible, not
+// silent. Whoever instantiates modules on a node calls it with the node's
+// registry.
+func RegisterMetrics(reg *telemetry.Registry) {
+	reg.GaugeFunc("vm.compiled_modules", func() int64 { return int64(statCompiledModules.Load()) })
+	reg.GaugeFunc("vm.interp_fallbacks", func() int64 { return int64(statInterpFallbacks.Load()) })
+	reg.GaugeFunc("vm.compile_ns", statCompileNs.Load)
 }
 
 // thDone is the sentinel "ip" a closure returns to leave the function:

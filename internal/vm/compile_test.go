@@ -80,7 +80,7 @@ func TestDepthInconsistentFallback(t *testing.T) {
 		},
 	}
 	mod := &Module{Funcs: []Func{f}}
-	before := CompilerStats().InterpFallbacks
+	before := statInterpFallbacks.Load()
 	if err := mod.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDepthInconsistentFallback(t *testing.T) {
 	if inst.EffectiveTier() != TierInterp {
 		t.Fatal("depth-inconsistent module should fall back to the interpreter")
 	}
-	if CompilerStats().InterpFallbacks <= before {
+	if statInterpFallbacks.Load() <= before {
 		t.Fatal("fallback counter did not advance")
 	}
 	// Both arms still execute correctly through the interpreter.

@@ -8,7 +8,7 @@ package vm
 // the compilability check — a module where any function has inconsistent
 // depths, or whose call graph never settles on a fixed per-function return
 // count, is left to the interpreter (the automatic fallback that
-// CompilerStats.InterpFallbacks counts).
+// vm.interp_fallbacks counts).
 
 // hostSig is the shape of a resolved host function that stack analysis
 // depends on. It is recorded at compile time so a later instantiation

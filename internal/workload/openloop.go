@@ -69,8 +69,7 @@ type OpenLoopResult struct {
 	Shed        uint64
 	Errors      uint64
 	Throughput  float64 // completed/sec over the full drain
-	Latency     telemetry.Snapshot
-	Hist        telemetry.HistData
+	Latency     telemetry.HistData
 }
 
 // ShedRate is the fraction of issued requests shed by admission control.
@@ -85,7 +84,7 @@ func (r OpenLoopResult) ShedRate() float64 {
 func (r OpenLoopResult) String() string {
 	return fmt.Sprintf("%-12s offered=%8.1f/s done=%-7d shed=%5.1f%% thr=%9.1f/s  p50=%-10v p99=%-10v errs=%d",
 		r.Workload, r.OfferedRate, r.Completed, 100*r.ShedRate(), r.Throughput,
-		r.Latency.Median, r.Latency.P99, r.Errors)
+		r.Latency.Quantile(0.5), r.Latency.Quantile(0.99), r.Errors)
 }
 
 // RunOpenLoop offers cfg's workload at o.Rate requests per second for
@@ -177,8 +176,7 @@ func RunOpenLoop(cfg Config, workloadName string, inv Invoker, o OpenLoopOptions
 		Shed:        shed.Load(),
 		Errors:      errCount.Load(),
 		Throughput:  float64(completed.Load()) / elapsed.Seconds(),
-		Latency:     hist.Snapshot(),
-		Hist:        hist.Data(),
+		Latency:     hist.Data(),
 	}
 	if res.Completed == 0 && res.Errors > 0 {
 		select {

@@ -241,14 +241,14 @@ type Result struct {
 	Ops        uint64
 	Elapsed    time.Duration
 	Throughput float64 // jobs/sec
-	Latency    telemetry.Snapshot
+	Latency    telemetry.HistData
 	Errors     uint64
 }
 
 // String renders a harness row.
 func (r Result) String() string {
 	return fmt.Sprintf("%-12s ops=%-7d thr=%9.1f jobs/s  p50=%-10v p99=%-10v errs=%d",
-		r.Workload, r.Ops, r.Throughput, r.Latency.Median, r.Latency.P99, r.Errors)
+		r.Workload, r.Ops, r.Throughput, r.Latency.Quantile(0.5), r.Latency.Quantile(0.99), r.Errors)
 }
 
 // RunClosedLoop drives `concurrency` workers, each issuing operations
@@ -309,7 +309,7 @@ func RunClosedLoopOps(workload string, opFor func(worker int) (func() error, err
 		Ops:        hist.Count(),
 		Elapsed:    elapsed,
 		Throughput: float64(hist.Count()) / elapsed.Seconds(),
-		Latency:    hist.Snapshot(),
+		Latency:    hist.Data(),
 		Errors:     errCount.Value(),
 	}
 	// Surface the first error if everything failed.

@@ -131,7 +131,7 @@ func TestRunClosedLoopCompletesExactly(t *testing.T) {
 	if res.Ops != 500 || res.Errors != 0 {
 		t.Fatalf("result %+v", res)
 	}
-	if res.Throughput <= 0 || res.Latency.Median <= 0 {
+	if res.Throughput <= 0 || res.Latency.Quantile(0.5) <= 0 {
 		t.Fatalf("metrics %+v", res)
 	}
 	if b.calls["add_follower"] != 500 {

@@ -10,6 +10,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"sort"
@@ -24,10 +25,7 @@ import (
 var testOnly = map[string]string{
 	"Unwrap": "vm.HostError: errors.Is/As call it through the error chain, never by name",
 
-	"EWMALatency":       "admission: TestObserveFeedsEWMA reads the service-time estimate",
-	"Dispatched":        "baseline: baseline_test counts jobs the load balancer spread",
 	"InvokeTraced":      "cluster: observability_test fetches one request's spans by trace ID",
-	"RejoinCounts":      "coordinator: coordinator_test counts effective re-admissions",
 	"ObjectExists":      "core: core_test checks create/delete took effect",
 	"ObjectVersion":     "core: core_test and transaction_test check one version bump per commit",
 	"GetMapEntry":       "core: hostboundary_test reads committed map state past the guest",
@@ -285,6 +283,193 @@ func TestOneDecoder(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// instrumentMethods maps the registry method a name is declared with to the
+// catalogue's "kind" and "unit" columns.
+var instrumentMethods = map[string][2]string{
+	"Counter":        {"counter", "—"},
+	"Gauge":          {"gauge", "—"},
+	"GaugeFunc":      {"sampled", "—"},
+	"Histogram":      {"histogram", "us"},
+	"CountHistogram": {"histogram", "count"},
+}
+
+// instrumentName is the name a registry call declares: a string literal, or
+// the literal prefix of a name built at run time ("core.invoke." + method,
+// fmt.Sprintf("coord.rejoins.%d", g)), which the catalogue spells
+// `core.invoke.<method>`. ok is false for anything else.
+func instrumentName(arg ast.Expr) (name string, ok bool) {
+	switch a := arg.(type) {
+	case *ast.BasicLit:
+		if a.Kind == token.STRING {
+			name, _ = strconv.Unquote(a.Value)
+			return name, true
+		}
+	case *ast.BinaryExpr:
+		for a.Op == token.ADD {
+			left, isBin := a.X.(*ast.BinaryExpr)
+			if !isBin {
+				if prefix, ok := instrumentName(a.X); ok {
+					return prefix + "<", true
+				}
+				break
+			}
+			a = left
+		}
+	case *ast.CallExpr:
+		if selectorPath(a.Fun) == "fmt.Sprintf" && len(a.Args) > 0 {
+			if format, ok := instrumentName(a.Args[0]); ok {
+				prefix, _, _ := strings.Cut(format, "%")
+				return prefix + "<", true
+			}
+		}
+	}
+	return "", false
+}
+
+// TestOneMetricsSurface is the "one metrics surface" guard: a number reaches
+// an operator by being declared once, by its owner, on the registry it was
+// constructed with — and DESIGN §7's catalogue says so for every name.
+func TestOneMetricsSurface(t *testing.T) {
+	fset := token.NewFileSet()
+	srcs := parseTree(t, fset, "internal", "cmd")
+
+	// (a) Telemetry is constructor wiring. rpc keeps its two setters only
+	// because the frozen benchmark constructs rpc.NewServer()/NewPool(opts)
+	// bare.
+	// (b) Instruments are never nil, so nothing tests for one before
+	// recording: the uninstrumented twin of a hot path is a fork only unit
+	// tests would take.
+	records := map[string]bool{"Inc": true, "Dec": true, "Add": true, "Set": true, "Record": true, "RecordTraced": true, "Observe": true}
+	onlyRecords := func(guarded string, body *ast.BlockStmt) bool {
+		for _, st := range body.List {
+			es, ok := st.(*ast.ExprStmt)
+			if !ok {
+				return false
+			}
+			call, ok := es.X.(*ast.CallExpr)
+			if !ok {
+				return false
+			}
+			// m.requests.Inc() under "if m != nil": the recorded-on
+			// instrument hangs off the value the guard tested.
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !records[sel.Sel.Name] || !strings.HasPrefix(selectorPath(sel.X)+".", guarded+".") {
+				return false
+			}
+		}
+		return guarded != "" && len(body.List) > 0
+	}
+	type decl struct{ file, method string }
+	declared := map[string][]decl{} // instrument name -> where and how it is declared
+	for _, s := range srcs {
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil && (n.Name.Name == "SetTelemetry" || n.Name.Name == "setMetrics") && s.dir != "internal/rpc" {
+					t.Errorf("%s: %s outside internal/rpc: take the registry in the constructor", fset.Position(n.Pos()), n.Name.Name)
+				}
+			case *ast.IfStmt:
+				if cond, ok := n.Cond.(*ast.BinaryExpr); ok && cond.Op == token.NEQ && selectorPath(cond.Y) == "nil" && n.Else == nil && onlyRecords(selectorPath(cond.X), n.Body) {
+					t.Errorf("%s: nil guard in front of an instrument: a nil registry hands out working instruments, record unconditionally", fset.Position(n.Pos()))
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || len(n.Args) == 0 || s.dir == "internal/telemetry" {
+					return true
+				}
+				if _, ok := instrumentMethods[sel.Sel.Name]; !ok {
+					return true
+				}
+				// Only calls on a registry: the receiver is spelled reg,
+				// Metrics, Registry(), … everywhere.
+				if recv := strings.ToLower(selectorPath(sel.X)); !strings.Contains(recv, "reg") && !strings.Contains(recv, "metrics") {
+					return true
+				}
+				name, ok := instrumentName(n.Args[0])
+				if !ok {
+					t.Errorf("%s: instrument name is not a literal (or literal prefix): the catalogue cannot list it", fset.Position(n.Pos()))
+					return true
+				}
+				declared[name] = append(declared[name], decl{s.path, sel.Sel.Name})
+			}
+			return true
+		})
+	}
+	if len(declared) < 50 {
+		t.Fatalf("found %d instrument declarations: the guard is not looking at the source", len(declared))
+	}
+
+	// (c) DESIGN §7's catalogue and the source agree, row for row: name,
+	// kind, unit and owner file.
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, _ := strings.Cut(string(design), "\n## 7. ")
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	catalogued := map[string]bool{}
+	for _, line := range strings.Split(sec, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 6 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		for i := range cells {
+			cells[i] = strings.Trim(strings.TrimSpace(cells[i]), "`")
+		}
+		name, kind, unit, owner := cells[1], cells[2], cells[3], cells[4]
+		if prefix, _, dynamic := strings.Cut(name, "<"); dynamic {
+			name = prefix + "<"
+		}
+		catalogued[name] = true
+		found := false
+		for _, d := range declared[name] {
+			if d.file == owner {
+				found = true
+				if want := instrumentMethods[d.method]; kind != want[0] || unit != want[1] {
+					t.Errorf("DESIGN §7 lists %s as %s/%s, %s declares it with %s (%s/%s)", cells[1], kind, unit, owner, d.method, want[0], want[1])
+				}
+			}
+		}
+		if !found {
+			t.Errorf("DESIGN §7 lists %s owned by %s, which does not declare it (declared in %v)", cells[1], owner, declared[name])
+		}
+	}
+	var missing []string
+	for name, ds := range declared {
+		if !catalogued[name] {
+			missing = append(missing, name+" ("+ds[0].file+")")
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("instrument %s is not in DESIGN §7's catalogue", m)
+	}
+
+	// (d) The names the frozen benchmark reads by string are declared, so a
+	// rename fails here and not in the driver at run time.
+	counts, err := parser.ParseFile(fset, "benchmark/counts.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := 0
+	ast.Inspect(counts, func(n ast.Node) bool {
+		lit, ok := n.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return true
+		}
+		if name, _ := strconv.Unquote(lit.Value); strings.Contains(name, ".") {
+			read++
+			if len(declared[name]) == 0 {
+				t.Errorf("benchmark/counts.go reads %q, which nothing declares any more", name)
+			}
+		}
+		return true
+	})
+	if read != 13 {
+		t.Errorf("benchmark/counts.go names %d instruments, want the 12 regCounters and repl.batch_size", read)
 	}
 }
 
