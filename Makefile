@@ -12,11 +12,12 @@
 #   make bench-overload  open-loop latency vs offered load, shed on/off (JSON artifact)
 #   make bench-smoke  vet + smoke-test the benchmark module (it is not part of ./...)
 #   make vet     gofmt + go vet hygiene
-#   make check   everything the CI gate runs
+#   make loc     lines of Go outside benchmark/: product total and per package, tests apart
+#   make check   everything the CI gate runs, then loc
 
 GO ?= go
 
-.PHONY: all build test race chaos fuzz-smoke bench bench-recovery bench-rebalance bench-read-scaleout bench-overload bench-smoke vet check clean
+.PHONY: all build test race chaos fuzz-smoke bench bench-recovery bench-rebalance bench-read-scaleout bench-overload bench-smoke vet loc check clean
 
 all: build
 
@@ -104,7 +105,16 @@ vet:
 	fi
 	$(GO) vet ./...
 
-check: vet build test race bench-smoke
+# The size every simplicity PR reports before -> after: lines of gofmt'd Go
+# outside benchmark/ (which is frozen), product code per package and in
+# total, tests apart. `make vet` is what guarantees the files are gofmt'd.
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs wc -l | \
+		awk '$$2 != "total" { n = split($$2, p, "/"); d = $$2; sub("/" p[n] "$$", "", d); pkg[d] += $$1; sum += $$1 } \
+		     END { for (d in pkg) printf "%7d  %s\n", pkg[d], d; printf "%7d  non-test total\n", sum }' | sort -k2
+	@find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l | awk '{ printf "%7d  test total\n", $$1 }'
+
+check: vet build test race bench-smoke loc
 
 clean:
 	$(GO) clean ./...

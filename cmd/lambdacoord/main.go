@@ -25,33 +25,30 @@ import (
 	"lambdastore/internal/debug"
 	"lambdastore/internal/paxos"
 	"lambdastore/internal/rebalance"
-	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
 	"lambdastore/internal/telemetry"
 )
 
-func parsePeers(s string) (map[uint64]string, []uint64, error) {
+func parsePeers(s string) (map[uint64]string, error) {
 	addrs := make(map[uint64]string)
-	var ids []uint64
 	for _, part := range strings.Split(s, ",") {
 		if part == "" {
 			continue
 		}
 		idStr, addr, ok := strings.Cut(part, "=")
 		if !ok {
-			return nil, nil, fmt.Errorf("bad peer %q (want id=addr)", part)
+			return nil, fmt.Errorf("bad peer %q (want id=addr)", part)
 		}
 		id, err := strconv.ParseUint(idStr, 10, 64)
 		if err != nil {
-			return nil, nil, fmt.Errorf("bad peer id %q", idStr)
+			return nil, fmt.Errorf("bad peer id %q", idStr)
 		}
 		addrs[id] = addr
-		ids = append(ids, id)
 	}
-	if len(ids) == 0 {
-		return nil, nil, fmt.Errorf("no peers given")
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("no peers given")
 	}
-	return addrs, ids, nil
+	return addrs, nil
 }
 
 func main() {
@@ -73,7 +70,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	peerAddrs, peerIDs, err := parsePeers(*peers)
+	peerAddrs, err := parsePeers(*peers)
 	if err != nil {
 		log.Fatalf("lambdacoord: %v", err)
 	}
@@ -82,36 +79,28 @@ func main() {
 	}
 
 	reg := telemetry.NewRegistry()
-	svc := coordinator.New(*id, peerIDs, nil, coordinator.Options{
-		HeartbeatTimeout: *hbTimeout,
-	}, reg)
+	var stable paxos.Stable
 	if *dataDir != "" {
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 			log.Fatalf("lambdacoord: %v", err)
 		}
-		stable, err := paxos.OpenFileStable(fmt.Sprintf("%s/acceptor-%d.log", *dataDir, *id))
+		file, err := paxos.OpenFileStable(fmt.Sprintf("%s/acceptor-%d.log", *dataDir, *id))
 		if err != nil {
 			log.Fatalf("lambdacoord: %v", err)
 		}
-		defer stable.Close()
-		if err := svc.Node().SetStable(stable); err != nil {
-			log.Fatalf("lambdacoord: load acceptor state: %v", err)
-		}
+		defer file.Close()
+		stable = file
 	} else {
 		log.Printf("lambdacoord: WARNING: running without -data; acceptor state will not survive restarts")
 	}
-	srv := rpc.NewServer()
-	srv.SetTelemetry(reg)
-	coordinator.RegisterServer(srv, svc)
-	bound, err := srv.Serve(*addr)
+	member, err := coordinator.Serve(*id, peerAddrs, *addr, stable, coordinator.Options{
+		HeartbeatTimeout: *hbTimeout,
+	}, reg)
 	if err != nil {
-		log.Fatalf("lambdacoord: listen: %v", err)
+		log.Fatalf("lambdacoord: %v", err)
 	}
-	pool := rpc.NewPool(nil)
-	pool.SetTelemetry(reg)
-	svc.SetTransport(paxos.NewRPCTransport(svc.Node(), pool, peerAddrs))
-	svc.Start()
-	log.Printf("lambdacoord: replica %d serving on %s (%d peers)", *id, bound, len(peerIDs))
+	svc, pool := member.Service, member.Pool
+	log.Printf("lambdacoord: replica %d serving on %s (%d peers)", *id, member.Addr, len(peerAddrs))
 
 	var agg *coordinator.Aggregator
 	if *debugAddr != "" {
@@ -204,7 +193,5 @@ func main() {
 	if agg != nil {
 		agg.Close()
 	}
-	svc.Close()
-	srv.Close()
-	pool.Close()
+	member.Close()
 }

@@ -42,7 +42,7 @@ func main() {
 	opts.OpsPerWorkload = *ops
 	opts.Replicas = *replicas
 	opts.NetDelay = *delay
-	opts.CacheEntries = *cache
+	opts.Node.Runtime.CacheEntries = *cache
 	opts.DataRoot = *dataRoot
 
 	fmt.Printf("retwis-bench: %d accounts, %d clients, %d ops/workload, %d replicas, delay %v\n",

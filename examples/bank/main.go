@@ -15,12 +15,10 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
 	"sync"
 
 	"lambdastore/internal/cluster"
 	"lambdastore/internal/core"
-	"lambdastore/internal/shard"
 	"lambdastore/internal/vm"
 )
 
@@ -145,27 +143,12 @@ func main() {
 		log.Fatalf("type: %v", err)
 	}
 
-	dataDir, err := os.MkdirTemp("", "bank-*")
+	local, err := cluster.StartLocal(cluster.LocalOptions{Groups: []int{1}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.RemoveAll(dataDir)
-	dir := shard.NewDirectory(nil)
-	node, err := cluster.StartNode(cluster.NodeOptions{
-		Addr: "127.0.0.1:0", DataDir: dataDir, Directory: dir,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer node.Close()
-	dir.SetGroup(shard.Group{ID: 0, Primary: node.Addr()})
-	node.SetDirectory(dir)
-
-	client, err := cluster.NewClient(cluster.ClientConfig{Directory: dir})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
+	defer local.Close()
+	client := local.Client
 	if err := client.RegisterType(accountType); err != nil {
 		log.Fatal(err)
 	}

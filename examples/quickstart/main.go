@@ -7,11 +7,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"lambdastore/internal/cluster"
 	"lambdastore/internal/core"
-	"lambdastore/internal/shard"
 	"lambdastore/internal/vm"
 )
 
@@ -97,32 +95,16 @@ func main() {
 		log.Fatalf("type: %v", err)
 	}
 
-	// 2. Boot one storage node (in production these are lambdastore
-	// daemons on separate machines).
-	dataDir, err := os.MkdirTemp("", "quickstart-*")
+	// 2. Boot one storage node with a client connected to it (in
+	// production the nodes are lambdastore daemons on separate machines).
+	local, err := cluster.StartLocal(cluster.LocalOptions{Groups: []int{1}})
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("boot: %v", err)
 	}
-	defer os.RemoveAll(dataDir)
-	dir := shard.NewDirectory(nil)
-	node, err := cluster.StartNode(cluster.NodeOptions{
-		Addr:      "127.0.0.1:0",
-		DataDir:   dataDir,
-		Directory: dir,
-	})
-	if err != nil {
-		log.Fatalf("node: %v", err)
-	}
-	defer node.Close()
-	dir.SetGroup(shard.Group{ID: 0, Primary: node.Addr()})
-	node.SetDirectory(dir)
+	defer local.Close()
+	client := local.Client
 
-	// 3. Connect a client, deploy the type, create an object.
-	client, err := cluster.NewClient(cluster.ClientConfig{Directory: dir})
-	if err != nil {
-		log.Fatalf("client: %v", err)
-	}
-	defer client.Close()
+	// 3. Deploy the type, create an object.
 	if err := client.RegisterType(counterType); err != nil {
 		log.Fatalf("register: %v", err)
 	}

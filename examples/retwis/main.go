@@ -10,48 +10,23 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"lambdastore/internal/cluster"
 	"lambdastore/internal/core"
 	"lambdastore/internal/retwis"
-	"lambdastore/internal/shard"
 )
 
 func main() {
 	// Boot a 3-node replica group (1 primary + 2 backups).
-	dir := shard.NewDirectory(nil)
-	var nodes []*cluster.Node
-	for i := 0; i < 3; i++ {
-		dataDir, err := os.MkdirTemp("", fmt.Sprintf("retwis-node%d-*", i))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(dataDir)
-		node, err := cluster.StartNode(cluster.NodeOptions{
-			Addr:      "127.0.0.1:0",
-			DataDir:   dataDir,
-			Directory: dir,
-		})
-		if err != nil {
-			log.Fatalf("node %d: %v", i, err)
-		}
-		defer node.Close()
-		nodes = append(nodes, node)
-	}
-	g := shard.Group{ID: 0, Primary: nodes[0].Addr(),
-		Backups: []string{nodes[1].Addr(), nodes[2].Addr()}}
-	dir.SetGroup(g)
-	for _, n := range nodes {
-		n.SetDirectory(dir)
-	}
-	fmt.Printf("replica group: primary %s, backups %v\n\n", g.Primary, g.Backups)
-
-	client, err := cluster.NewClient(cluster.ClientConfig{Directory: dir})
+	local, err := cluster.StartLocal(cluster.LocalOptions{Groups: []int{3}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer client.Close()
+	defer local.Close()
+	client := local.Client
+	g, _ := local.Group(0)
+	fmt.Printf("replica group: primary %s, backups %v\n\n", g.Primary, g.Backups)
+
 	if err := client.RegisterType(retwis.MustType()); err != nil {
 		log.Fatal(err)
 	}

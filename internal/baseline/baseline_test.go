@@ -12,65 +12,36 @@ import (
 	"lambdastore/internal/vm"
 )
 
-// stack boots storage (1 primary + backups), one compute node and an LB.
+// stack is StartLocal's deployment under the names the tests read.
 type stack struct {
 	primary *StorageNode
 	backups []*StorageNode
 	compute *ComputeNode
 	lb      *LoadBalancer
 	pool    *rpc.Pool
+	local   *Local
 }
 
 func startStack(t *testing.T, nBackups int) *stack {
 	t.Helper()
-	s := &stack{pool: rpc.NewPool(nil)}
-	t.Cleanup(s.pool.Close)
-	var backupAddrs []string
-	for i := 0; i < nBackups; i++ {
-		b, err := StartStorage(StorageOptions{Addr: "127.0.0.1:0", DataDir: t.TempDir()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { b.Close() })
-		s.backups = append(s.backups, b)
-		backupAddrs = append(backupAddrs, b.Addr())
-	}
-	var err error
-	s.primary, err = StartStorage(StorageOptions{
-		Addr: "127.0.0.1:0", DataDir: t.TempDir(), Backups: backupAddrs,
-	})
+	l, err := StartLocal(LocalOptions{Replicas: 1 + nBackups, DataRoot: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.primary.Close() })
-
-	s.compute, err = StartCompute(ComputeOptions{Addr: "127.0.0.1:0", Storage: s.primary.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.compute.Close() })
-
-	s.lb, err = StartLB(LBOptions{
-		Addr: "127.0.0.1:0", LogDir: t.TempDir(), Computes: []string{s.compute.Addr()},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.lb.Close() })
-	s.compute.SetLoadBalancer(s.lb.Addr())
-	return s
+	t.Cleanup(l.Close)
+	return &stack{primary: l.Primary, backups: l.Backups, compute: l.Compute, lb: l.LB, pool: l.pool, local: l}
 }
 
 func (s *stack) registerType(t *testing.T, typ *core.ObjectType) {
 	t.Helper()
-	if _, err := s.pool.Call(s.primary.Addr(), MethodRegType, typ.Encode()); err != nil {
+	if err := s.local.RegisterType(typ); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func (s *stack) create(t *testing.T, id uint64, typeName string) {
 	t.Helper()
-	if _, err := s.pool.Call(s.primary.Addr(), MethodCreate, EncodeCreateReq(id, typeName)); err != nil {
+	if err := s.local.Create(id, typeName); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,89 +7,9 @@ import (
 	"time"
 
 	"lambdastore/internal/baseline"
-	"lambdastore/internal/retwis"
-	"lambdastore/internal/rpc"
 	"lambdastore/internal/vm"
 	"lambdastore/internal/workload"
 )
-
-// StartDisaggregatedCold is the disaggregated deployment paying a cold
-// start per invocation: no warm instance pool, a documented provisioning
-// penalty per instantiation, and every job routed through the durable
-// request log (Table 1's "conventional serverless" row).
-func StartDisaggregatedCold(opts Options) (*Deployment, error) {
-	d := &Deployment{Name: "Disaggregated (cold)"}
-
-	dataDir, err := d.scratch(&opts, "cold-storage")
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	primary, err := baseline.StartStorage(baseline.StorageOptions{
-		Addr:          "127.0.0.1:0",
-		DataDir:       dataDir,
-		ClientOptions: opts.clientOpts(),
-	})
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.closers = append(d.closers, func() { primary.Close() })
-
-	compute, err := baseline.StartCompute(baseline.ComputeOptions{
-		Addr:             "127.0.0.1:0",
-		Storage:          primary.Addr(),
-		Fuel:             opts.Fuel,
-		ColdStartPenalty: 100 * time.Millisecond, // emulated container boot
-		ClientOptions:    opts.clientOpts(),
-	})
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.closers = append(d.closers, func() { compute.Close() })
-
-	logDir, err := d.scratch(&opts, "cold-lblog")
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	lb, err := baseline.StartLB(baseline.LBOptions{
-		Addr:          "127.0.0.1:0",
-		LogDir:        logDir,
-		Computes:      []string{compute.Addr()},
-		ClientOptions: opts.clientOpts(),
-	}, nil)
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.closers = append(d.closers, func() { lb.Close() })
-	compute.SetLoadBalancer(lb.Addr())
-
-	typ, err := retwis.NewType()
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	pool := rpc.NewPool(opts.clientOpts())
-	d.closers = append(d.closers, pool.Close)
-	if _, err := pool.Call(primary.Addr(), baseline.MethodRegType, typ.Encode()); err != nil {
-		d.Close()
-		return nil, err
-	}
-
-	// Jobs go through the LB (log + dispatch), like a real FaaS front door.
-	client := baseline.NewClient(lb.Addr(), opts.clientOpts())
-	d.closers = append(d.closers, client.Close)
-	d.Invoker = workload.InvokerFunc(client.Invoke)
-	d.Create = func(id uint64) error {
-		_, err := pool.Call(primary.Addr(), baseline.MethodCreate,
-			baseline.EncodeCreateReq(id, retwis.TypeName))
-		return err
-	}
-	return d, nil
-}
 
 // AblationResult is one (configuration, measurement) pair.
 type AblationResult struct {
@@ -107,7 +27,7 @@ func RunAblationCache(opts Options) ([]AblationResult, error) {
 	var out []AblationResult
 	for _, entries := range []int{0, 64 << 10} {
 		o := opts
-		o.CacheEntries = entries
+		o.Node.Runtime.CacheEntries = entries
 		if o.Accounts > 64 {
 			o.Accounts = 64
 		}
@@ -216,7 +136,7 @@ func RunAblationSched(opts Options) ([]AblationResult, []SchedProbe, error) {
 	var probesOut []SchedProbe
 	for _, disabled := range []bool{false, true} {
 		o := opts
-		o.DisableSched = disabled
+		o.Node.Runtime.DisableScheduler = disabled
 		d, err := StartAggregated(o)
 		if err != nil {
 			return nil, nil, err
@@ -313,7 +233,7 @@ func runOneWorkloadBoth(opts Options, wl string) (agg, dis workload.Result, err 
 		return agg, dis, err
 	}
 
-	disD, err := StartDisaggregated(opts)
+	disD, err := StartDisaggregated(opts, baseline.ComputeOptions{})
 	if err != nil {
 		return agg, dis, err
 	}

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"lambdastore/internal/cluster"
+	"lambdastore/internal/core"
 	"lambdastore/internal/workload"
 )
 
@@ -21,7 +23,7 @@ func smallOptions(t *testing.T) Options {
 		Concurrency:    12,
 		OpsPerWorkload: 400,
 		Replicas:       3,
-		CacheEntries:   8 << 10,
+		Node:           cluster.NodeOptions{Runtime: core.Options{CacheEntries: 8 << 10}},
 		DataRoot:       t.TempDir(),
 	}
 }

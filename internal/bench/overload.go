@@ -11,6 +11,7 @@ import (
 	"lambdastore/internal/admission"
 	"lambdastore/internal/cluster"
 	"lambdastore/internal/core"
+	"lambdastore/internal/store"
 	"lambdastore/internal/workload"
 )
 
@@ -101,37 +102,13 @@ func overloadOptions(opts Options, shed bool) Options {
 	}
 	// Durability-honest writes: the fsync is what gives the node a real,
 	// modest per-slot service time (and thus a measurable knee).
-	o.SyncWrites = true
-	o.MaxConcurrentInvokes = overloadWorkers
+	o.Node.Store = &store.Options{SyncWrites: true}
+	o.Node.MaxConcurrentInvokes = overloadWorkers
+	o.Node.AdmissionQueue, o.Node.AdmissionDeadline = 0, 0
 	if shed {
-		o.AdmissionQueue = overloadQueue
-		o.AdmissionDeadline = overloadDeadline
-	} else {
-		o.AdmissionQueue = 0
+		o.Node.AdmissionQueue, o.Node.AdmissionDeadline = overloadQueue, overloadDeadline
 	}
 	return o
-}
-
-// startOverload boots one aggregated deployment plus the measurement
-// client: no retries, so a shed arrival is observed as a shed instead of
-// being masked by backoff-and-retry (the retry path is exercised by the
-// chaos probe; here it would unbound the very latency being measured).
-func startOverload(opts Options, shed bool) (*Deployment, *cluster.Client, error) {
-	d, err := StartAggregated(overloadOptions(opts, shed))
-	if err != nil {
-		return nil, nil, err
-	}
-	meas, err := cluster.NewClient(cluster.ClientConfig{
-		Directory:  d.Dir,
-		RPC:        opts.clientOpts(),
-		MaxRetries: 1,
-	})
-	if err != nil {
-		d.Close()
-		return nil, nil, err
-	}
-	d.closers = append(d.closers, meas.Close)
-	return d, meas, nil
 }
 
 // runOverloadSweep populates one deployment and walks the offered-load
@@ -142,11 +119,24 @@ func runOverloadSweep(opts Options, shed bool, capacity float64, w io.Writer) ([
 	if shed {
 		name = "shed"
 	}
-	d, meas, err := startOverload(opts, shed)
+	d, err := StartAggregated(overloadOptions(opts, shed))
 	if err != nil {
 		return nil, 0, err
 	}
 	defer d.Close()
+	// The measurement client does not retry, so a shed arrival is observed
+	// as a shed instead of being masked by backoff-and-retry (the retry path
+	// is exercised by the chaos probe; here it would unbound the very
+	// latency being measured).
+	meas, err := cluster.NewClient(cluster.ClientConfig{
+		Directory:  d.Agg.Dir,
+		RPC:        opts.clientOpts(),
+		MaxRetries: 1,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	defer meas.Close()
 
 	cfg := workload.DefaultConfig(overloadOptions(opts, shed).Accounts)
 	if err := workload.Populate(cfg, d.Create, d.Invoker); err != nil {

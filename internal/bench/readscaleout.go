@@ -133,7 +133,7 @@ func startReadScaleout(opts Options, cfg readScaleoutConfig) (*Deployment, *clus
 		return nil, nil, nil, err
 	}
 	client, err := cluster.NewClient(cluster.ClientConfig{
-		Directory:  d.Dir,
+		Directory:  d.Agg.Dir,
 		RPC:        opts.clientOpts(),
 		ReadPolicy: cfg.policy,
 	})
@@ -161,21 +161,21 @@ func startReadScaleout(opts Options, cfg readScaleoutConfig) (*Deployment, *clus
 	// primary — exactly the caches each run will hit), with bounded
 	// retries for the pre-first-grant window where backups still bounce.
 	warm := func(worker int) (func() error, error) {
-		rng := rand.New(rand.NewSource(wcfg.Seed + int64(worker)*7919))
+		rng := rand.New(rand.NewSource(workload.Seed + int64(worker)*7919))
 		return func() error {
 			id := wcfg.AccountID(rng.Intn(wcfg.Accounts))
 			_, err := client.InvokeRead(core.ObjectID(id), "get_timeline", [][]byte{core.I64Bytes(readPathLimit)})
 			return err
 		}, nil
 	}
-	if _, err := workload.RunClosedLoopOps(workload.GetTimeline, warm, 16, 8*opts.Accounts*len(d.Nodes)); err != nil {
+	if _, err := workload.RunClosedLoopOps(workload.GetTimeline, warm, 16, 8*opts.Accounts*len(d.Agg.Slots)); err != nil {
 		stop()
 		return nil, nil, nil, err
 	}
 
 	// Arm the admission throttle only for the measured run — populate and
 	// warmup would crawl under it.
-	for _, n := range d.Nodes {
+	for _, n := range d.Agg.Nodes() {
 		fault.Add(fault.Rule{Site: fault.SiteRPCRecv, Key: n.Addr(), Action: fault.Delay, Delay: readScaleoutAdmission, P: 1})
 	}
 	return d, client, stop, nil
@@ -233,7 +233,7 @@ func seedTimelines(cfg workload.Config, inv workload.Invoker) error {
 
 // leaseReadCounters sums the lease read-routing counters across the group.
 func leaseReadCounters(d *Deployment) (served, bounced uint64) {
-	for _, n := range d.Nodes {
+	for _, n := range d.Agg.Nodes() {
 		reg := n.Metrics()
 		served += reg.Counter("reads.backup_served").Value()
 		bounced += reg.Counter("reads.primary_bounced").Value()
@@ -254,7 +254,7 @@ func runReadScaleoutPoint(opts Options, cfg readScaleoutConfig, clients int) (Re
 	wcfg := workload.DefaultConfig(opts.Accounts)
 	baseServed, baseBounced := leaseReadCounters(d)
 	ops := func(worker int) (func() error, error) {
-		rng := rand.New(rand.NewSource(wcfg.Seed + 31 + int64(worker)*7919))
+		rng := rand.New(rand.NewSource(workload.Seed + 31 + int64(worker)*7919))
 		return func() error {
 			id := wcfg.AccountID(rng.Intn(wcfg.Accounts))
 			_, err := client.InvokeRead(core.ObjectID(id), "get_timeline", [][]byte{core.I64Bytes(readPathLimit)})
@@ -294,7 +294,7 @@ func runReadScaleoutMixed(opts Options, cfg readScaleoutConfig, clients int) (Re
 		msg[i] = byte('z' - i%26)
 	}
 	ops := func(worker int) (func() error, error) {
-		rng := rand.New(rand.NewSource(wcfg.Seed + 67 + int64(worker)*7919))
+		rng := rand.New(rand.NewSource(workload.Seed + 67 + int64(worker)*7919))
 		return func() error {
 			id := wcfg.AccountID(rng.Intn(wcfg.Accounts))
 			if rng.Intn(100) < readScaleoutWritePct {

@@ -10,13 +10,10 @@ import (
 	"time"
 
 	"lambdastore/internal/cluster"
-	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
 	"lambdastore/internal/rebalance"
-	"lambdastore/internal/retwis"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
-	"lambdastore/internal/store"
 	"lambdastore/internal/workload"
 )
 
@@ -117,99 +114,26 @@ type RebalanceReport struct {
 	Convergence    RebalanceConvergence  `json:"zipf_convergence"`
 }
 
-// rebalanceClientOpts builds the bench client's RPC options.
-func rebalanceClientOpts() *rpc.ClientOptions {
-	return &rpc.ClientOptions{Timeout: 120 * time.Second}
-}
-
-// rebalanceCluster is a G-group single-replica deployment sharing one
+// startRebalanceCluster boots `groups` single-node groups sharing one
 // static directory (nodes and client see cutovers the instant the move
-// commits them).
-type rebalanceCluster struct {
-	dep   *Deployment
-	dir   *shard.Directory
-	nodes []*cluster.Node
-}
-
-// Close tears the deployment down and clears the fault plane's capacity
-// rules (the plane is process-global; the bench owns it for the run).
-func (c *rebalanceCluster) Close() {
-	c.dep.Close()
-	fault.Reset()
-}
-
-// startRebalanceCluster boots G single-node groups on a shared directory.
-func startRebalanceCluster(opts Options, groups int) (*rebalanceCluster, error) {
-	d := &Deployment{Name: fmt.Sprintf("rebalance-%dg", groups)}
-	c := &rebalanceCluster{dep: d, dir: shard.NewDirectory(nil)}
-	for g := 0; g < groups; g++ {
-		dataDir, err := d.scratch(&opts, fmt.Sprintf("reb-g%d", g))
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		node, err := cluster.StartNode(cluster.NodeOptions{
-			Addr:    "127.0.0.1:0",
-			DataDir: dataDir,
-			GroupID: uint64(g),
-			Store:   &store.Options{},
-			Runtime: core.Options{
-				CacheEntries: opts.CacheEntries,
-			},
-			Directory:     c.dir,
-			ClientOptions: rebalanceClientOpts(),
-			// A second admission bound alongside the frame delay: at most
-			// 8 invocations executing per node, like a real per-node
-			// worker pool.
-			MaxConcurrentInvokes: 8,
-		})
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.closers = append(d.closers, func() { node.Close() })
-		c.nodes = append(c.nodes, node)
-		c.dir.SetGroup(shard.Group{ID: uint64(g), Primary: node.Addr()})
+// commits them). Callers reset the fault plane after closing it: the
+// capacity rules live there, and the plane is process-global.
+func startRebalanceCluster(opts Options, groups int) (*Deployment, error) {
+	// A second admission bound alongside the frame delay: at most 8
+	// invocations executing per node, like a real per-node worker pool.
+	opts.Node.MaxConcurrentInvokes = 8
+	topology := make([]int, groups)
+	for g := range topology {
+		topology[g] = 1
 	}
-	for _, n := range c.nodes {
-		n.SetDirectory(c.dir)
-	}
-
-	client, err := cluster.NewClient(cluster.ClientConfig{
-		Directory: c.dir,
-		RPC:       rebalanceClientOpts(),
-	})
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.closers = append(d.closers, client.Close)
-	typ, err := retwis.NewType()
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	if err := client.RegisterType(typ); err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.Invoker = workload.InvokerFunc(func(object uint64, method string, args [][]byte) ([]byte, error) {
-		if readOnlyMethods[method] {
-			return client.InvokeRead(core.ObjectID(object), method, args)
-		}
-		return client.Invoke(core.ObjectID(object), method, args)
-	})
-	d.Create = func(id uint64) error {
-		return client.CreateObject(retwis.TypeName, core.ObjectID(id))
-	}
-	return c, nil
+	return StartAggregated(opts, topology...)
 }
 
 // populateFlat creates the accounts with NO follower edges: create_post
 // then stays a single-object write (no store_post fan-out), so a group's
 // observed load is exactly its keys' load and the capacity model is
 // per-key. Runs before the capacity rules are installed.
-func populateFlat(cfg workload.Config, c *rebalanceCluster) error {
+func populateFlat(cfg workload.Config, d *Deployment) error {
 	const parallel = 32
 	jobs := make(chan int, parallel)
 	errs := make(chan error, parallel)
@@ -220,12 +144,12 @@ func populateFlat(cfg workload.Config, c *rebalanceCluster) error {
 			defer wg.Done()
 			for i := range jobs {
 				id := cfg.AccountID(i)
-				if err := c.dep.Create(id); err != nil {
+				if err := d.Create(id); err != nil {
 					errs <- fmt.Errorf("create %d: %w", id, err)
 					return
 				}
 				name := fmt.Sprintf("user%06d", i)
-				if _, err := c.dep.Invoker.Invoke(id, "create_account", [][]byte{[]byte(name)}); err != nil {
+				if _, err := d.Invoker.Invoke(id, "create_account", [][]byte{[]byte(name)}); err != nil {
 					errs <- fmt.Errorf("create_account %d: %w", id, err)
 					return
 				}
@@ -279,17 +203,18 @@ func rebalanceOps(opts Options, groups int) int {
 // runRebalanceGroupPoint measures uniform Post throughput at one group count.
 func runRebalanceGroupPoint(opts Options, groups int) (RebalanceGroupPoint, error) {
 	out := RebalanceGroupPoint{Groups: groups}
-	c, err := startRebalanceCluster(opts, groups)
+	d, err := startRebalanceCluster(opts, groups)
 	if err != nil {
 		return out, err
 	}
-	defer c.Close()
+	defer fault.Reset()
+	defer d.Close()
 	cfg := workload.DefaultConfig(opts.Accounts)
-	if err := populateFlat(cfg, c); err != nil {
+	if err := populateFlat(cfg, d); err != nil {
 		return out, err
 	}
-	installCapacityRules(c.nodes)
-	res, err := workload.RunClosedLoop(cfg, workload.Post, c.dep.Invoker, opts.Concurrency, rebalanceOps(opts, groups))
+	installCapacityRules(d.Agg.Nodes())
+	res, err := workload.RunClosedLoop(cfg, workload.Post, d.Invoker, opts.Concurrency, rebalanceOps(opts, groups))
 	if err != nil {
 		return out, err
 	}
@@ -307,20 +232,21 @@ func runRebalanceGroupPoint(opts Options, groups int) (RebalanceGroupPoint, erro
 // once a second for the timeline.
 func runRebalanceConvergence(opts Options, on bool, conv *RebalanceConvergence) error {
 	groups := rebalanceConvergenceGroups
-	c, err := startRebalanceCluster(opts, groups)
+	d, err := startRebalanceCluster(opts, groups)
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	defer fault.Reset()
+	defer d.Close()
 	cfg := workload.DefaultConfig(opts.Accounts)
 	cfg.HotspotS = rebalanceZipfS
 	// Stride = group count: every Zipf rank maps to a key that is
 	// congruent mod the group count — all hot keys pile onto one group.
 	cfg.HotspotStride = uint64(groups)
-	if err := populateFlat(cfg, c); err != nil {
+	if err := populateFlat(cfg, d); err != nil {
 		return err
 	}
-	installCapacityRules(c.nodes)
+	installCapacityRules(d.Agg.Nodes())
 
 	var (
 		reb      *rebalance.Rebalancer
@@ -329,11 +255,11 @@ func runRebalanceConvergence(opts Options, on bool, conv *RebalanceConvergence) 
 		timeline []RebalanceMovesSample
 	)
 	if on {
-		pool := rpc.NewPool(rebalanceClientOpts())
+		pool := rpc.NewPool(opts.clientOpts())
 		defer pool.Close()
 		reb = rebalance.New(rebalance.Options{
 			Pool:     pool,
-			Config:   func() (*shard.Directory, error) { return c.dir, nil },
+			Config:   func() (*shard.Directory, error) { return d.Agg.Dir, nil },
 			Interval: 250 * time.Millisecond,
 			Policy: rebalance.PolicyConfig{
 				// Short cooldown: the bench's whole run fits in a few
@@ -373,7 +299,7 @@ func runRebalanceConvergence(opts Options, on bool, conv *RebalanceConvergence) 
 	measureOps := opts.OpsPerWorkload * 4
 	// Warm phase: with the planner on this is the convergence window —
 	// hot objects migrate out under full load.
-	warm, err := workload.RunClosedLoop(cfg, workload.Post, c.dep.Invoker, opts.Concurrency, warmOps)
+	warm, err := workload.RunClosedLoop(cfg, workload.Post, d.Invoker, opts.Concurrency, warmOps)
 	if err != nil {
 		return err
 	}
@@ -381,7 +307,7 @@ func runRebalanceConvergence(opts Options, on bool, conv *RebalanceConvergence) 
 	if reb != nil {
 		movesAtMeasure = reb.Moves()
 	}
-	meas, err := workload.RunClosedLoop(cfg, workload.Post, c.dep.Invoker, opts.Concurrency, measureOps)
+	meas, err := workload.RunClosedLoop(cfg, workload.Post, d.Invoker, opts.Concurrency, measureOps)
 	if err != nil {
 		return err
 	}
@@ -408,7 +334,7 @@ func runRebalanceConvergence(opts Options, on bool, conv *RebalanceConvergence) 
 		// cooldowns from the convergence window expire.
 		conv.Plateaued = conv.MovesDuringMeasure <= 2
 		conv.Timeline = timeline
-		conv.Overrides = c.dir.OverrideCount()
+		conv.Overrides = d.Agg.Dir.OverrideCount()
 	} else {
 		conv.OffThroughput = meas.Throughput
 		conv.OffP99Ms = float64(meas.Latency.Quantile(0.99)) / float64(time.Millisecond)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,34 +75,21 @@ func runRecoveryPoint(opts Options, fullResync bool, storeObjects, downtimeWrite
 	}
 	out := RecoveryPoint{Mode: mode, StoreObjects: storeObjects, DowntimeWrites: downtimeWrites}
 
-	dir, err := opts.tempDir("recovery")
-	if err != nil {
-		return out, err
-	}
-	defer os.RemoveAll(dir)
-	c, err := chaos.Start(chaos.Options{BaseDir: dir, RejoinFullResync: fullResync})
+	deployment := chaos.Deployment(opts.DataRoot)
+	deployment.Node.RecoveryFullResync = fullResync
+	c, err := cluster.StartLocal(deployment)
 	if err != nil {
 		return out, err
 	}
 	defer c.Close()
-	client := c.Client()
+	client := c.Client
 
 	typ, err := chaos.LedgerType()
 	if err != nil {
 		return out, err
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		err = c.RefreshClientConfig()
-		if err == nil && len(client.Directory().Groups()) > 0 {
-			if err = client.RegisterType(typ); err == nil {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			return out, fmt.Errorf("cluster never became configurable: %v", err)
-		}
-		time.Sleep(25 * time.Millisecond)
+	if err := client.RegisterType(typ); err != nil {
+		return out, err
 	}
 
 	// Base store: storeObjects ledgers, one entry each, written through
@@ -111,25 +99,34 @@ func runRecoveryPoint(opts Options, fullResync bool, storeObjects, downtimeWrite
 	}
 
 	// Crash a backup and let the failure detector evict it.
-	pi, err := c.PrimaryIndex()
+	pi, err := c.Primary(0)
 	if err != nil {
 		return out, err
 	}
-	bi := (pi + 1) % c.Nodes()
+	bi := (pi + 1) % len(c.Slots)
 	if err := c.Kill(bi); err != nil {
 		return out, err
 	}
-	if err := c.WaitEvicted(bi, 10*time.Second); err != nil {
+	backup := func(want bool) func() bool {
+		return func() bool {
+			g, err := c.Group(0)
+			return err == nil && slices.Contains(g.Backups, c.Slots[bi].Addr) == want
+		}
+	}
+	if err := c.Await(10*time.Second, "the crashed backup's eviction", backup(false)); err != nil {
 		return out, err
 	}
 
 	// Downtime divergence: one append to each of the first downtimeWrites
-	// objects. Retried because the surviving replicas' views settle
+	// objects. Awaited because the surviving replicas' views settle
 	// asynchronously after the eviction.
 	for i := 0; i < downtimeWrites; i++ {
-		id := core.ObjectID(i%storeObjects + 1)
-		if err := appendRetry(client, id, int64(1_000_000+i)); err != nil {
-			return out, fmt.Errorf("downtime write %d: %w", i, err)
+		var werr error
+		if c.Await(10*time.Second, "a downtime write", func() bool {
+			werr = appendLedger(client, core.ObjectID(i%storeObjects+1), int64(1_000_000+i))
+			return werr == nil
+		}) != nil {
+			return out, fmt.Errorf("downtime write %d: %w", i, werr)
 		}
 	}
 
@@ -137,17 +134,13 @@ func runRecoveryPoint(opts Options, fullResync bool, storeObjects, downtimeWrite
 	if err := c.Restart(bi); err != nil {
 		return out, err
 	}
-	if err := c.WaitBackup(bi, 60*time.Second); err != nil {
+	joiner := c.Slots[bi].Node
+	if err := c.Await(60*time.Second, "the restarted backup to rejoin and settle on member", func() bool {
+		return backup(true)() && joiner.RecoveryState() == recovery.StateMember
+	}); err != nil {
 		return out, err
 	}
-	deadline = time.Now().Add(10 * time.Second)
-	for c.Node(bi).RecoveryState() != recovery.StateMember {
-		if time.Now().After(deadline) {
-			return out, fmt.Errorf("node %d never reached member state", bi)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	st := c.Node(bi).RecoveryStatus()
+	st := joiner.RecoveryStatus()
 	out.RejoinSeconds = st.LastRejoinSeconds
 	out.BytesStreamed = st.BytesStreamed
 	out.RangesDiverged = st.RangesDiverged
@@ -169,19 +162,11 @@ func populateLedgers(client *cluster.Client, n int) error {
 			defer wg.Done()
 			for i := range jobs {
 				id := core.ObjectID(i + 1)
-				// Retried: routing views settle asynchronously right
-				// after the cluster comes up.
-				deadline := time.Now().Add(15 * time.Second)
-				for {
-					if err := client.CreateObject("Ledger", id); err == nil {
-						break
-					} else if time.Now().After(deadline) {
-						errs <- fmt.Errorf("create %d: %w", id, err)
-						return
-					}
-					time.Sleep(25 * time.Millisecond)
+				if err := client.CreateObject("Ledger", id); err != nil {
+					errs <- fmt.Errorf("create %d: %w", id, err)
+					return
 				}
-				if err := appendRetry(client, id, int64(i)); err != nil {
+				if err := appendLedger(client, id, int64(i)); err != nil {
 					errs <- fmt.Errorf("append %d: %w", id, err)
 					return
 				}
@@ -210,20 +195,9 @@ func populateLedgers(client *cluster.Client, n int) error {
 	}
 }
 
-// appendRetry retries one ledger append through the client until it is
-// acknowledged (reconfiguration windows reject writes transiently).
-func appendRetry(client *cluster.Client, id core.ObjectID, v int64) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, err := client.Invoke(id, "append", [][]byte{core.I64Bytes(v)})
-		if err == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return err
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+func appendLedger(client *cluster.Client, id core.ObjectID, v int64) error {
+	_, err := client.Invoke(id, "append", [][]byte{core.I64Bytes(v)})
+	return err
 }
 
 // RunRecovery sweeps rejoin cost over (store size × divergence × digest

@@ -4,15 +4,20 @@ import (
 	"testing"
 	"time"
 
+	"lambdastore/internal/cluster"
 	"lambdastore/internal/fault"
 )
 
 // newChaosCluster boots a 3-node group plus a 3-replica coordinator
 // ensemble. The fault plane is process-global, so chaos tests must not
 // run in parallel (they don't: no t.Parallel here by design).
-func newChaosCluster(t *testing.T) *Cluster {
+func newChaosCluster(t *testing.T) *cluster.Local {
+	return startChaosCluster(t, Deployment(t.TempDir()))
+}
+
+func startChaosCluster(t *testing.T, opts cluster.LocalOptions) *cluster.Local {
 	t.Helper()
-	c, err := Start(Options{BaseDir: t.TempDir()})
+	c, err := cluster.StartLocal(opts)
 	if err != nil {
 		t.Fatalf("chaos start: %v", err)
 	}
@@ -94,18 +99,13 @@ func TestChaosRestartRejoin(t *testing.T) {
 	// must hold every acknowledged write (verify checked this), and each
 	// node's own state machine must settle on member (its local view can
 	// lag the coordinator majority by a poll interval).
-	for i := 0; i < c.Nodes(); i++ {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			st := c.Node(i).RecoveryStatus()
-			if st.State == "member" || st.State == "idle" {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Errorf("node %d recovery state %q after schedule", i, st.State)
-				break
-			}
-			time.Sleep(25 * time.Millisecond)
+	for i, s := range c.Slots {
+		var st string
+		if c.Await(5*time.Second, "recovery to settle", func() bool {
+			st = s.Node.RecoveryStatus().State
+			return st == "member" || st == "idle"
+		}) != nil {
+			t.Errorf("node %d recovery state %q after schedule", i, st)
 		}
 	}
 	t.Logf("restart-rejoin: %d acked, %d failed, recovery attempts %v",
@@ -119,20 +119,12 @@ func TestChaosRestartRejoin(t *testing.T) {
 // copy) or commit cleanly (the target group serves it) — with every
 // acknowledged write intact either way.
 func TestChaosMigrateUnderChaos(t *testing.T) {
-	c, err := Start(Options{
-		BaseDir:         t.TempDir(),
-		ExtraGroupNodes: 1,
-		// Tight janitor so an aborted move's partial copy is reclaimed
-		// within the test's patience.
-		MoveSessionTimeout: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("chaos start: %v", err)
-	}
-	t.Cleanup(func() {
-		c.Close()
-		fault.Reset()
-	})
+	opts := Deployment(t.TempDir())
+	opts.Groups = []int{3, 1}
+	// Tight janitor so an aborted move's partial copy is reclaimed
+	// within the test's patience.
+	opts.Node.MoveSessionTimeout = 2 * time.Second
+	c := startChaosCluster(t, opts)
 	rep, err := Run(c, RunOptions{
 		Seed:      0x317a,
 		Scenarios: []Scenario{ScenarioMigrateUnderChaos},
@@ -162,19 +154,11 @@ func TestChaosMigrateUnderChaos(t *testing.T) {
 // survive the subsequent failover onto the rejoined node (Run's
 // end-of-run verifier checks the ledgers).
 func TestChaosOverloadRestartRejoin(t *testing.T) {
-	c, err := Start(Options{
-		BaseDir:           t.TempDir(),
-		AdmissionQueue:    8,
-		AdmissionDeadline: 5 * time.Millisecond,
-		AdmissionWorkers:  2,
-	})
-	if err != nil {
-		t.Fatalf("chaos start: %v", err)
-	}
-	t.Cleanup(func() {
-		c.Close()
-		fault.Reset()
-	})
+	opts := Deployment(t.TempDir())
+	opts.Node.AdmissionQueue = 8
+	opts.Node.AdmissionDeadline = 5 * time.Millisecond
+	opts.Node.MaxConcurrentInvokes = 2
+	c := startChaosCluster(t, opts)
 	rep, err := Run(c, RunOptions{
 		Seed:      0x0ad1,
 		Scenarios: []Scenario{ScenarioRestartRejoin},
@@ -235,9 +219,9 @@ func TestChaosPromotionUnderHeartbeatLoss(t *testing.T) {
 	// Safety: no replica ever applies more promotions than failures.
 	// Liveness: a majority applied exactly that many.
 	exact := 0
-	coords := c.Coordinators()
-	for i, svc := range coords {
-		got := svc.PromoteCounts()[0]
+	coords := c.Coord.Members
+	for i, m := range coords {
+		got := m.Service.PromoteCounts()[0]
 		if got > rep.ExpectedPromotions {
 			t.Errorf("coordinator %d applied %d promotions, want at most %d (single-primary violation)",
 				i, got, rep.ExpectedPromotions)

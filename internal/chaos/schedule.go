@@ -2,14 +2,68 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"lambdastore/internal/admission"
 	"lambdastore/internal/cluster"
+	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
+	"lambdastore/internal/shard"
+	"lambdastore/internal/store"
 )
+
+// Schedule timing. Every scenario runs these values; they are sized against
+// each other (heartbeat < lease < detector timeout), not tuned per run.
+const (
+	// maxRecoveryAttempts bounds the post-heal availability probe — the
+	// third invariant — at 25ms spacing.
+	maxRecoveryAttempts = 400
+	// promoteTimeout bounds the wait for an expected promotion (or
+	// eviction) to land on a coordinator majority.
+	promoteTimeout = 10 * time.Second
+	// rejoinTimeout bounds the wait for a restarted replica's anti-entropy
+	// catch-up to end in re-admission.
+	rejoinTimeout = 30 * time.Second
+)
+
+// Deployment is the cluster every chaos schedule runs against, for
+// cluster.StartLocal: a three-replica coordinator ensemble with a 300ms
+// failure detector, and one group of three nodes (first node primary) with
+// fsynced write-ahead logs — so a restart is a real crash recovery — and the
+// rejoin manager armed, so a node that finds itself outside its group
+// catches up from the primary and re-admits itself. Scenarios that need
+// more (a second group, an admission plane) edit the returned value.
+func Deployment(dataRoot string) cluster.LocalOptions {
+	return cluster.LocalOptions{
+		Groups:       []int{3},
+		Coordinators: 3,
+		Coord: coordinator.Options{
+			HeartbeatTimeout: 300 * time.Millisecond,
+			CheckInterval:    50 * time.Millisecond,
+		},
+		DataRoot: dataRoot,
+		Node: cluster.NodeOptions{
+			Store:             &store.Options{SyncWrites: true},
+			HeartbeatInterval: 50 * time.Millisecond,
+			Rejoin:            true,
+			// Leases shorter than the failure-detector timeout: a deposed
+			// primary's barrier (one lease TTL) always ends before the
+			// coordinator can have promoted a successor, so a leased backup
+			// can never serve state older than an acked write.
+			LeaseTTL: 150 * time.Millisecond,
+		},
+		// Tight backoff pacing: the failure-detector timeouts are hundreds
+		// of milliseconds, so production retry delays would only slow the
+		// schedule down without exercising anything extra.
+		Client: cluster.ClientConfig{
+			RetryBaseDelay: 2 * time.Millisecond,
+			RetryMaxDelay:  25 * time.Millisecond,
+		},
+	}
+}
 
 // Scenario is one fault class the schedule can inject against the
 // current primary.
@@ -48,7 +102,7 @@ const (
 	// of a live object migration: the move must either abort cleanly
 	// (the target's janitor reclaims the partial copy) or commit cleanly
 	// (the object is served by the target group), never both or neither.
-	// It needs a second replica group (Options.ExtraGroupNodes) so it is
+	// It needs a second replica group (LocalOptions.Groups) so it is
 	// NOT part of AllScenarios — default schedules and their seeds are
 	// unchanged; run it explicitly via RunOptions.Scenarios.
 	ScenarioMigrateUnderChaos Scenario = numScenarios
@@ -96,15 +150,6 @@ type RunOptions struct {
 	BurstOps int
 	// Objects is the ledger object count (default 4).
 	Objects int
-	// MaxRecoveryAttempts bounds the post-heal availability probe — the
-	// harness's third invariant (default 400 attempts at 25ms spacing).
-	MaxRecoveryAttempts int
-	// PromoteTimeout bounds the wait for an expected promotion to land
-	// on a coordinator majority (default 10s).
-	PromoteTimeout time.Duration
-	// RejoinTimeout bounds the wait for a restarted replica's
-	// anti-entropy catch-up to end in re-admission (default 30s).
-	RejoinTimeout time.Duration
 	// Log, if set, receives progress lines (t.Logf fits).
 	Log func(format string, args ...any)
 }
@@ -115,15 +160,6 @@ func (o *RunOptions) defaults() {
 	}
 	if o.Objects <= 0 {
 		o.Objects = 4
-	}
-	if o.MaxRecoveryAttempts <= 0 {
-		o.MaxRecoveryAttempts = 400
-	}
-	if o.PromoteTimeout <= 0 {
-		o.PromoteTimeout = 10 * time.Second
-	}
-	if o.RejoinTimeout <= 0 {
-		o.RejoinTimeout = 30 * time.Second
 	}
 	if o.Log == nil {
 		o.Log = func(string, ...any) {}
@@ -182,7 +218,7 @@ func shuffledScenarios(r *rng) []Scenario {
 
 // runner threads one chaos run's state.
 type runner struct {
-	c       *Cluster
+	c       *cluster.Local
 	client  *cluster.Client
 	opts    RunOptions
 	rng     rng
@@ -197,7 +233,7 @@ type runner struct {
 // Run executes a seeded fault schedule against the cluster and checks
 // the invariants. The fault plane is reset before and after: a Run owns
 // the process-global plane for its duration, so runs must not overlap.
-func Run(c *Cluster, opts RunOptions) (*Report, error) {
+func Run(c *cluster.Local, opts RunOptions) (*Report, error) {
 	opts.defaults()
 	fault.Reset()
 	fault.SetSeed(opts.Seed)
@@ -205,7 +241,7 @@ func Run(c *Cluster, opts RunOptions) (*Report, error) {
 
 	r := &runner{
 		c:         c,
-		client:    c.Client(),
+		client:    c.Client,
 		opts:      opts,
 		rng:       rng{s: opts.Seed ^ 0x5851f42d4c957f2d},
 		report:    &Report{Acked: make(map[core.ObjectID][]uint64)},
@@ -235,41 +271,55 @@ func Run(c *Cluster, opts RunOptions) (*Report, error) {
 	return r.report, nil
 }
 
-// setup installs the Ledger type and creates the workload objects,
-// waiting out the initial configuration propagation.
+// setup installs the Ledger type and creates the workload objects.
+// StartLocal returned a cluster ready for traffic, so neither needs a retry.
 func (r *runner) setup() error {
 	typ, err := LedgerType()
 	if err != nil {
 		return err
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		err := r.c.RefreshClientConfig()
-		if err == nil && len(r.client.Directory().Groups()) > 0 {
-			if err = r.client.RegisterType(typ); err == nil {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: cluster never became configurable: %v", err)
-		}
-		time.Sleep(25 * time.Millisecond)
+	if err := r.client.RegisterType(typ); err != nil {
+		return fmt.Errorf("chaos: register type: %w", err)
 	}
 	for i := 0; i < r.opts.Objects; i++ {
 		id := core.ObjectID(i + 1)
-		var lastErr error
-		for {
-			if lastErr = r.client.CreateObject("Ledger", id); lastErr == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("chaos: create object %d: %w", id, lastErr)
-			}
-			time.Sleep(25 * time.Millisecond)
+		if err := r.client.CreateObject("Ledger", id); err != nil {
+			return fmt.Errorf("chaos: create object %d: %w", id, err)
 		}
 		r.objects = append(r.objects, id)
 	}
 	return nil
+}
+
+// awaitEvicted waits until node i is neither primary nor backup of its
+// group on the coordinator majority's view: the failure detector noticed
+// its death.
+func (r *runner) awaitEvicted(i int) error {
+	s := r.c.Slots[i]
+	return r.c.Await(promoteTimeout, fmt.Sprintf("node %d to be evicted", i), func() bool {
+		g, err := r.c.Group(s.Group)
+		return err == nil && !slices.Contains(g.Replicas(), s.Addr)
+	})
+}
+
+// awaitRejoined waits until node i is a backup of its group again: a
+// completed rejoin.
+func (r *runner) awaitRejoined(i int) error {
+	s := r.c.Slots[i]
+	return r.c.Await(rejoinTimeout, fmt.Sprintf("node %d to rejoin as backup", i), func() bool {
+		g, err := r.c.Group(s.Group)
+		return err == nil && slices.Contains(g.Backups, s.Addr)
+	})
+}
+
+// groupFor resolves the group currently serving an object (overrides
+// included) on the coordinator majority's view.
+func (r *runner) groupFor(obj core.ObjectID) (shard.Group, error) {
+	d, err := r.c.View()
+	if err != nil {
+		return shard.Group{}, err
+	}
+	return d.Lookup(uint64(obj))
 }
 
 // burst appends n unique ids across the workload objects, recording
@@ -302,15 +352,15 @@ func (r *runner) runScenario(s Scenario) error {
 	}
 	r.burst(r.opts.BurstOps)
 
-	pi, err := r.c.PrimaryIndex()
+	pi, err := r.c.Primary(0)
 	if err != nil {
 		return fmt.Errorf("resolve primary: %w", err)
 	}
-	g, err := r.c.Group()
+	g, err := r.c.Group(0)
 	if err != nil {
 		return err
 	}
-	addr, dataDir := r.c.NodeAddr(pi), r.c.NodeDataDir(pi)
+	addr, dataDir := r.c.Slots[pi].Addr, r.c.Slots[pi].DataDir
 
 	expectPromote := false
 	var heal func() error
@@ -388,7 +438,7 @@ func (r *runner) startLeaseProbe(obj core.ObjectID) (stop func() error) {
 	// sampling during unavailability windows instead of blocking inside
 	// one call's 10s retry loop.
 	pc, err := cluster.NewClient(cluster.ClientConfig{
-		Coordinators: r.c.CoordAddrs(),
+		Coordinators: r.c.Coord.Addrs(),
 		MaxRetries:   2,
 		RetryBudget:  300 * time.Millisecond,
 	})
@@ -457,7 +507,7 @@ func (r *runner) overloadBurst(clients, perClient int) error {
 	// retry is observed as a shed instead of being hidden by the main
 	// client's patient backoff loop.
 	bc, err := cluster.NewClient(cluster.ClientConfig{
-		Coordinators:   r.c.CoordAddrs(),
+		Coordinators:   r.c.Coord.Addrs(),
 		MaxRetries:     2,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  5 * time.Millisecond,
@@ -523,20 +573,18 @@ func (r *runner) runRestartRejoin() error {
 	}
 	r.burst(r.opts.BurstOps)
 
-	pi, err := r.c.PrimaryIndex()
+	pi, err := r.c.Primary(0)
 	if err != nil {
 		return fmt.Errorf("resolve primary: %w", err)
 	}
-	g, err := r.c.Group()
+	g, err := r.c.Group(0)
 	if err != nil {
 		return err
 	}
 	backups := make([]int, 0, len(g.Backups))
-	for i := 0; i < r.c.Nodes(); i++ {
-		for _, b := range g.Backups {
-			if r.c.NodeAddr(i) == b {
-				backups = append(backups, i)
-			}
+	for i, s := range r.c.Slots {
+		if slices.Contains(g.Backups, s.Addr) {
+			backups = append(backups, i)
 		}
 	}
 	if len(backups) == 0 {
@@ -550,7 +598,7 @@ func (r *runner) runRestartRejoin() error {
 	if err := r.c.Kill(bi); err != nil {
 		return err
 	}
-	if err := r.c.WaitEvicted(bi, r.opts.PromoteTimeout); err != nil {
+	if err := r.awaitEvicted(bi); err != nil {
 		return err
 	}
 	r.burst(r.opts.BurstOps)
@@ -566,7 +614,7 @@ func (r *runner) runRestartRejoin() error {
 	if err := r.overloadBurst(16, 8); err != nil {
 		return err
 	}
-	if err := r.c.WaitBackup(bi, r.opts.RejoinTimeout); err != nil {
+	if err := r.awaitRejoined(bi); err != nil {
 		return err
 	}
 	r.burst(r.opts.BurstOps)
@@ -586,7 +634,7 @@ func (r *runner) runRestartRejoin() error {
 		if err := r.c.Kill(oi); err != nil {
 			return err
 		}
-		if err := r.c.WaitEvicted(oi, r.opts.PromoteTimeout); err != nil {
+		if err := r.awaitEvicted(oi); err != nil {
 			return err
 		}
 		killed = append(killed, oi)
@@ -603,11 +651,11 @@ func (r *runner) runRestartRejoin() error {
 	if err := r.awaitPromotions(r.report.ExpectedPromotions); err != nil {
 		return err
 	}
-	if g, err = r.c.Group(); err != nil {
+	if g, err = r.c.Group(0); err != nil {
 		return err
 	}
-	if g.Primary != r.c.NodeAddr(bi) {
-		return fmt.Errorf("failover went to %s, not the rejoined node %s", g.Primary, r.c.NodeAddr(bi))
+	if g.Primary != r.c.Slots[bi].Addr {
+		return fmt.Errorf("failover went to %s, not the rejoined node %s", g.Primary, r.c.Slots[bi].Addr)
 	}
 	r.opts.Log("chaos: rejoined node %d promoted to primary", bi)
 
@@ -627,7 +675,7 @@ func (r *runner) runRestartRejoin() error {
 		return err
 	}
 	for _, i := range killed {
-		if err := r.c.WaitBackup(i, r.opts.RejoinTimeout); err != nil {
+		if err := r.awaitRejoined(i); err != nil {
 			return err
 		}
 	}
@@ -645,15 +693,20 @@ func (r *runner) runRestartRejoin() error {
 // acknowledged write must survive, which the end-of-run verifier checks
 // against whichever group the directory settles on.
 func (r *runner) runMigrateUnderChaos() error {
-	if r.c.GroupNodes(1) == 0 {
-		return fmt.Errorf("migrate-under-chaos needs a second group (Options.ExtraGroupNodes)")
+	g1, err := r.c.Group(1)
+	if err != nil {
+		return fmt.Errorf("migrate-under-chaos needs a second group (LocalOptions.Groups): %w", err)
+	}
+	ti, err := r.c.Primary(1)
+	if err != nil {
+		return err
 	}
 	r.burst(r.opts.BurstOps)
 
 	// Pick a workload object currently served by group 0.
 	var obj core.ObjectID
 	for _, o := range r.objects {
-		g, err := r.c.GroupFor(uint64(o))
+		g, err := r.groupFor(o)
 		if err != nil {
 			return err
 		}
@@ -665,22 +718,9 @@ func (r *runner) runMigrateUnderChaos() error {
 	if obj == 0 {
 		return fmt.Errorf("no workload object served by group 0")
 	}
-	pi, err := r.c.PrimaryIndex()
+	pi, err := r.c.Primary(0)
 	if err != nil {
 		return fmt.Errorf("resolve primary: %w", err)
-	}
-	g1, err := r.c.GroupByID(1)
-	if err != nil {
-		return err
-	}
-	ti := -1
-	for i := 0; i < r.c.Nodes(); i++ {
-		if r.c.NodeAddr(i) == g1.Primary {
-			ti = i
-		}
-	}
-	if ti < 0 {
-		return fmt.Errorf("target primary %s is not a harness node", g1.Primary)
 	}
 
 	// Phase A — abort mid-transfer. Frames into the target crawl (50ms
@@ -704,7 +744,7 @@ func (r *runner) runMigrateUnderChaos() error {
 			return fmt.Errorf("move unexpectedly committed and could not be undone: %w", err)
 		}
 	} else {
-		owner, err := r.c.GroupFor(uint64(obj))
+		owner, err := r.groupFor(obj)
 		if err != nil {
 			return err
 		}
@@ -713,12 +753,10 @@ func (r *runner) runMigrateUnderChaos() error {
 		}
 		// Janitor reclaim: the dangling session (and any partial copy)
 		// must be gone within the session timeout.
-		deadline := time.Now().Add(r.opts.RejoinTimeout)
-		for r.c.Node(ti).MoveSessions() != 0 {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("target janitor never reclaimed the dangling move session")
-			}
-			time.Sleep(25 * time.Millisecond)
+		if err := r.c.Await(rejoinTimeout, "the target's janitor to reclaim the dangling move session", func() bool {
+			return r.c.Slots[ti].Node.MoveSessions() == 0
+		}); err != nil {
+			return err
 		}
 		if err := r.awaitObjectAbsent(obj, 1); err != nil {
 			return err
@@ -773,7 +811,7 @@ func (r *runner) runMigrateUnderChaos() error {
 	// the target's janitor reclaims the partial range; on an acknowledged
 	// commit the source deleted the range (and shipped the delete to its
 	// backups) before the move reported success.
-	owner, err := r.c.GroupFor(uint64(obj))
+	owner, err := r.groupFor(obj)
 	if err != nil {
 		return err
 	}
@@ -798,33 +836,24 @@ func (r *runner) runMigrateUnderChaos() error {
 // awaitObjectAbsent polls the live members of one group until none of
 // them holds the object's state.
 func (r *runner) awaitObjectAbsent(obj core.ObjectID, group uint64) error {
-	deadline := time.Now().Add(r.opts.RejoinTimeout)
-	for {
-		stray := ""
-		for i := 0; i < r.c.Nodes(); i++ {
-			if r.c.NodeGroup(i) != group || !r.c.Alive(i) {
+	return r.c.Await(rejoinTimeout, fmt.Sprintf("group %d, not the owner of object %d, to shed its copy", group, obj), func() bool {
+		for _, s := range r.c.Slots {
+			if s.Group != group || s.Node == nil {
 				continue
 			}
-			if _, err := r.c.Node(i).Runtime().GetValueField(obj, "log"); err == nil {
-				stray = r.c.NodeAddr(i)
-				break
+			if _, err := s.Node.Runtime().GetValueField(obj, "log"); err == nil {
+				return false
 			}
 		}
-		if stray == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("object %d still held by non-owner %s (group %d)", obj, stray, group)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+		return true
+	})
 }
 
 // awaitWriteObject retries appends against one specific object until
 // one is acknowledged.
 func (r *runner) awaitWriteObject(obj core.ObjectID) error {
 	var lastErr error
-	for attempt := 1; attempt <= r.opts.MaxRecoveryAttempts; attempt++ {
+	for attempt := 1; attempt <= maxRecoveryAttempts; attempt++ {
 		id := r.nextID
 		r.nextID++
 		if _, lastErr = r.client.Invoke(obj, "append", [][]byte{core.I64Bytes(int64(id))}); lastErr == nil {
@@ -840,66 +869,60 @@ func (r *runner) awaitWriteObject(obj core.ObjectID) error {
 // waitFullMembership blocks until every harness node is alive and a
 // member of group 0 (pending heal-time rejoins have completed).
 func (r *runner) waitFullMembership() error {
-	for i := 0; i < r.c.Nodes(); i++ {
-		if !r.c.Alive(i) {
+	members := 0
+	for i, s := range r.c.Slots {
+		if s.Node == nil {
 			return fmt.Errorf("node %d is down at scenario start", i)
 		}
-	}
-	deadline := time.Now().Add(r.opts.RejoinTimeout)
-	for {
-		g, err := r.c.Group()
-		if err == nil && g.Primary != "" && len(g.Backups) == r.c.GroupNodes(0)-1 {
-			return nil
+		if s.Group == 0 {
+			members++
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("full membership never restored (group %+v, err %v)", g, err)
-		}
-		time.Sleep(25 * time.Millisecond)
 	}
+	return r.c.Await(rejoinTimeout, "full membership of group 0", func() bool {
+		g, err := r.c.Group(0)
+		return err == nil && g.Primary != "" && len(g.Backups) == members-1
+	})
 }
 
 // awaitPromotions waits until a majority of coordinator replicas have
 // applied exactly want effective promotions for group 0, failing fast
 // if any replica ever exceeds it (two primaries in one epoch).
 func (r *runner) awaitPromotions(want uint64) error {
-	coords := r.c.Coordinators()
-	deadline := time.Now().Add(r.opts.PromoteTimeout)
-	for {
+	coords := r.c.Coord.Members
+	var violation error
+	err := r.c.Await(promoteTimeout, fmt.Sprintf("promotion %d to reach a coordinator majority", want), func() bool {
 		reached := 0
-		for _, svc := range coords {
-			got := svc.PromoteCounts()[0]
+		for _, m := range coords {
+			got := m.Service.PromoteCounts()[0]
 			if got > want {
-				return fmt.Errorf("coordinator applied %d promotions for group 0, want %d (single-primary violation)", got, want)
+				violation = fmt.Errorf("coordinator applied %d promotions for group 0, want %d (single-primary violation)", got, want)
+				return true
 			}
 			if got == want {
 				reached++
 			}
 		}
-		if reached > len(coords)/2 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			detail := ""
-			for i, svc := range coords {
-				var prim string
-				for _, g := range svc.Directory().Groups() {
-					if g.ID == 0 {
-						prim = fmt.Sprintf("%s+%v", g.Primary, g.Backups)
-					}
-				}
-				detail += fmt.Sprintf(" coord%d{promotes=%v group=%s}", i, svc.PromoteCounts(), prim)
-			}
-			return fmt.Errorf("promotion %d never reached a coordinator majority:%s", want, detail)
-		}
-		time.Sleep(25 * time.Millisecond)
+		return reached > len(coords)/2
+	})
+	if violation != nil {
+		return violation
 	}
+	if err != nil {
+		detail := ""
+		for i, m := range coords {
+			g, _ := m.Service.Directory().Group(0)
+			detail += fmt.Sprintf(" coord%d{promotes=%v group=%s+%v}", i, m.Service.PromoteCounts(), g.Primary, g.Backups)
+		}
+		return fmt.Errorf("%w:%s", err, detail)
+	}
+	return nil
 }
 
 // awaitWrite retries appends until one is acknowledged, bounding the
 // attempt count.
 func (r *runner) awaitWrite() (int, error) {
 	var lastErr error
-	for attempt := 1; attempt <= r.opts.MaxRecoveryAttempts; attempt++ {
+	for attempt := 1; attempt <= maxRecoveryAttempts; attempt++ {
 		obj := r.objects[r.rng.intn(len(r.objects))]
 		id := r.nextID
 		r.nextID++
@@ -910,7 +933,7 @@ func (r *runner) awaitWrite() (int, error) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	return r.opts.MaxRecoveryAttempts, lastErr
+	return maxRecoveryAttempts, lastErr
 }
 
 // verify checks invariants 1 and 2 after the schedule completes: every
@@ -922,23 +945,25 @@ func (r *runner) verify() error {
 	if err := r.awaitPromotions(r.report.ExpectedPromotions); err != nil {
 		return err
 	}
-	// Convergence: give stragglers a moment, then insist on exactness.
-	deadline := time.Now().Add(r.opts.PromoteTimeout)
-	for {
+	// Convergence: give stragglers a moment, then insist on exactness. A
+	// minority replica still lagging at the deadline is a liveness gap, not
+	// a safety violation.
+	var violation error
+	_ = r.c.Await(promoteTimeout, "every coordinator replica to apply the promotions", func() bool {
 		exact := true
-		for _, svc := range r.c.Coordinators() {
-			if got := svc.PromoteCounts()[0]; got != r.report.ExpectedPromotions {
-				if got > r.report.ExpectedPromotions {
-					return fmt.Errorf("coordinator applied %d promotions, want %d (single-primary violation)",
-						got, r.report.ExpectedPromotions)
-				}
+		for _, m := range r.c.Coord.Members {
+			if got := m.Service.PromoteCounts()[0]; got > r.report.ExpectedPromotions {
+				violation = fmt.Errorf("coordinator applied %d promotions, want %d (single-primary violation)",
+					got, r.report.ExpectedPromotions)
+				return true
+			} else if got != r.report.ExpectedPromotions {
 				exact = false
 			}
 		}
-		if exact || time.Now().After(deadline) {
-			break // a lagging minority replica is a liveness gap, not a safety violation
-		}
-		time.Sleep(25 * time.Millisecond)
+		return exact
+	})
+	if violation != nil {
+		return violation
 	}
 
 	for _, obj := range r.objects {
@@ -948,20 +973,17 @@ func (r *runner) verify() error {
 		}
 		// Resolve the object's owning group — a migration scenario may
 		// have moved it off group 0.
-		g, err := r.c.GroupFor(uint64(obj))
+		g, err := r.groupFor(obj)
 		if err != nil {
 			return err
 		}
 		// Through the client (routed to the current primary).
 		var raw []byte
 		var lastErr error
-		for attempt := 0; attempt < 40; attempt++ {
-			if raw, lastErr = r.client.Invoke(obj, "list", nil); lastErr == nil {
-				break
-			}
-			time.Sleep(25 * time.Millisecond)
-		}
-		if lastErr != nil {
+		if r.c.Await(time.Second, "a read through the primary", func() bool {
+			raw, lastErr = r.client.Invoke(obj, "list", nil)
+			return lastErr == nil
+		}) != nil {
 			return fmt.Errorf("read back object %d: %w", obj, lastErr)
 		}
 		if err := requireAll(acked, DecodeLog(raw), fmt.Sprintf("object %d via primary", obj)); err != nil {
@@ -969,35 +991,25 @@ func (r *runner) verify() error {
 		}
 		// Directly from every live replica's store: strict replication
 		// means an acknowledged write is on every group member.
-		replicas := map[string]bool{g.Primary: true}
-		for _, b := range g.Backups {
-			replicas[b] = true
-		}
-		for i := 0; i < r.c.Nodes(); i++ {
-			if !r.c.Alive(i) || !replicas[r.c.NodeAddr(i)] {
+		for _, s := range r.c.Slots {
+			if s.Node == nil || !slices.Contains(g.Replicas(), s.Addr) {
 				continue
 			}
-			// Bounded retry: on a loaded single-core box the backup's
+			// Bounded wait: on a loaded single-core box the backup's
 			// apply goroutine can lag the primary's acknowledgement by a
 			// scheduling quantum; the write must still land within the
 			// window or it is genuinely lost.
-			where := fmt.Sprintf("object %d at replica %s (group primary=%s backups=%v)", obj, r.c.NodeAddr(i), g.Primary, g.Backups)
+			where := fmt.Sprintf("object %d at replica %s (group primary=%s backups=%v)", obj, s.Addr, g.Primary, g.Backups)
 			var checkErr error
-			for attempt := 0; attempt < 40; attempt++ {
-				if attempt > 0 {
-					time.Sleep(25 * time.Millisecond)
-				}
-				v, err := r.c.slots[i].node.Runtime().GetValueField(obj, "log")
+			if r.c.Await(time.Second, where, func() bool {
+				v, err := s.Node.Runtime().GetValueField(obj, "log")
 				if err != nil {
-					checkErr = fmt.Errorf("object %d missing at replica %s: %w", obj, r.c.NodeAddr(i), err)
-					continue
+					checkErr = fmt.Errorf("object %d missing at replica %s: %w", obj, s.Addr, err)
+				} else {
+					checkErr = requireAll(acked, DecodeLog(v), where)
 				}
-				checkErr = requireAll(acked, DecodeLog(v), where)
-				if checkErr == nil {
-					break
-				}
-			}
-			if checkErr != nil {
+				return checkErr == nil
+			}) != nil {
 				return checkErr
 			}
 		}

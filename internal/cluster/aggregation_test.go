@@ -7,10 +7,8 @@ import (
 
 	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
-	"lambdastore/internal/paxos"
 	"lambdastore/internal/retwis"
 	"lambdastore/internal/rpc"
-	"lambdastore/internal/shard"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
 )
@@ -23,49 +21,27 @@ import (
 // addresses from heartbeats scrapes and merges per-group windowed quantiles
 // into the /cluster/metrics rollup (what `lambdactl top` renders).
 func TestCoordinatorAggregationAndTimelineTrace(t *testing.T) {
-	dir := shard.NewDirectory(nil)
-	mkNode := func(gid uint64) *Node {
-		node, err := StartNode(NodeOptions{
-			Addr:      "127.0.0.1:0",
-			DataDir:   t.TempDir(),
-			GroupID:   gid,
-			Directory: dir,
-			DebugAddr: "127.0.0.1:0",
-			Tracing:   true,
-			Store:     &store.Options{SyncWrites: true},
-			Runtime:   core.Options{CacheEntries: 1024},
-		})
-		if err != nil {
-			t.Fatalf("StartNode: %v", err)
-		}
-		t.Cleanup(func() { node.Close() })
-		return node
-	}
-	n0 := mkNode(0) // group 0 primary
-	n2 := mkNode(0) // group 0 backup
-	n1 := mkNode(1) // group 1 primary
-	dir.SetGroup(shard.Group{ID: 0, Primary: n0.Addr(), Backups: []string{n2.Addr()}})
-	dir.SetGroup(shard.Group{ID: 1, Primary: n1.Addr()})
-	for _, n := range []*Node{n0, n2, n1} {
-		n.SetDirectory(dir)
-	}
+	// Group 0 is n0 (primary) and n2 (backup), group 1 is n1.
+	l := startLocal(t, LocalOptions{Groups: []int{2, 1}, Node: NodeOptions{
+		DebugAddr: "127.0.0.1:0",
+		Tracing:   true,
+		Store:     &store.Options{SyncWrites: true},
+		Runtime:   core.Options{CacheEntries: 1024},
+	}})
+	dir := l.Dir
+	n0, n2, n1 := l.Slots[0].Node, l.Slots[1].Node, l.Slots[2].Node
 
 	// One coordinator replica behind a real RPC server, so heartbeats carry
 	// the debug address over the wire exactly as a production node's
 	// coordLoop sends it.
-	svc := coordinator.New(1, []uint64{1}, nil, coordinator.Options{DisableFailureDetector: true}, nil)
-	srv := rpc.NewServer()
-	coordinator.RegisterServer(srv, svc)
-	coordAddr, err := srv.Serve("127.0.0.1:0")
+	ensemble, err := coordinator.StartEnsemble(1, coordinator.Options{DisableFailureDetector: true})
 	if err != nil {
-		t.Fatalf("coordinator serve: %v", err)
+		t.Fatalf("coordinator: %v", err)
 	}
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(ensemble.Close)
+	svc, coordAddr := ensemble.Members[0].Service, ensemble.Members[0].Addr
 	pool := rpc.NewPool(nil)
-	t.Cleanup(func() { pool.Close() })
-	svc.SetTransport(paxos.NewRPCTransport(svc.Node(), pool, map[uint64]string{1: coordAddr}))
-	svc.Start()
-	t.Cleanup(svc.Close)
+	t.Cleanup(pool.Close)
 
 	cc := coordinator.NewClient(pool, []string{coordAddr})
 	for _, g := range dir.Groups() {
@@ -227,21 +203,20 @@ func TestCoordinatorAggregationAndTimelineTrace(t *testing.T) {
 // rooted at the joiner's "rejoin" span, with the donor's handler spans
 // parented under the joiner's call spans.
 func TestRejoinAssemblesAsOneTrace(t *testing.T) {
-	tracing := func(i int, o *NodeOptions) { o.Tracing = true }
-	rc := startRejoinCluster(t, tracing)
+	rc := startRejoinCluster(t, NodeOptions{Tracing: true})
 	if err := rc.client.CreateObject("Counter", 1); err != nil {
 		t.Fatal(err)
 	}
 	mustAdd(t, rc.client, 1, 5)
 
-	oldAddr := rc.nodes[2].Addr()
+	oldAddr := rc.node(2).Addr()
 	rc.kill(2)
 	rc.waitEvicted(oldAddr)
 	mustAdd(t, rc.client, 1, 7)
 
-	rc.startNode(2, tracing)
+	rc.restart(2)
 	rc.waitMember(2)
-	joiner := rc.nodes[2]
+	joiner := rc.node(2)
 	if got := readAt(t, rc.pool, joiner.Addr(), 1); got != 12 {
 		t.Fatalf("rejoined value = %d, want 12", got)
 	}
@@ -262,7 +237,7 @@ func TestRejoinAssemblesAsOneTrace(t *testing.T) {
 
 	var all []telemetry.Span
 	perNode := make(map[int]int)
-	for i, n := range rc.nodes {
+	for i, n := range rc.Nodes() {
 		spans := n.Tracer().TraceSpans(root.Trace)
 		perNode[i] = len(spans)
 		all = append(all, spans...)

@@ -8,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
-	"lambdastore/internal/paxos"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
 	"lambdastore/internal/vm"
@@ -125,36 +123,6 @@ end
 	return typ
 }
 
-// startGroup boots n nodes forming one replica group with a static
-// directory, first node primary.
-func startGroup(t *testing.T, n int, groupID uint64) ([]*Node, *shard.Directory) {
-	t.Helper()
-	dir := shard.NewDirectory(nil)
-	var nodes []*Node
-	for i := 0; i < n; i++ {
-		node, err := StartNode(NodeOptions{
-			Addr:      "127.0.0.1:0",
-			DataDir:   t.TempDir(),
-			GroupID:   groupID,
-			Directory: dir,
-		})
-		if err != nil {
-			t.Fatalf("StartNode: %v", err)
-		}
-		t.Cleanup(func() { node.Close() })
-		nodes = append(nodes, node)
-	}
-	g := shard.Group{ID: groupID, Primary: nodes[0].Addr()}
-	for _, b := range nodes[1:] {
-		g.Backups = append(g.Backups, b.Addr())
-	}
-	dir.SetGroup(g)
-	for _, node := range nodes {
-		node.SetDirectory(dir)
-	}
-	return nodes, dir
-}
-
 func newGroupClient(t *testing.T, dir *shard.Directory) *Client {
 	t.Helper()
 	c, err := NewClient(ClientConfig{Directory: dir})
@@ -166,7 +134,7 @@ func newGroupClient(t *testing.T, dir *shard.Directory) *Client {
 }
 
 func TestSingleGroupInvokeAndReplicate(t *testing.T) {
-	nodes, dir := startGroup(t, 3, 0)
+	nodes, dir := startStatic(t, NodeOptions{}, 3)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -195,7 +163,7 @@ func TestSingleGroupInvokeAndReplicate(t *testing.T) {
 }
 
 func TestReplicaReads(t *testing.T) {
-	nodes, dir := startGroup(t, 3, 0)
+	nodes, dir := startStatic(t, NodeOptions{}, 3)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -227,7 +195,7 @@ func TestReplicaReads(t *testing.T) {
 }
 
 func TestBackupRejectsMutation(t *testing.T) {
-	nodes, dir := startGroup(t, 2, 0)
+	nodes, dir := startStatic(t, NodeOptions{}, 2)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -251,25 +219,7 @@ func TestBackupRejectsMutation(t *testing.T) {
 func TestCrossObjectRoutingAcrossGroups(t *testing.T) {
 	// Two groups; objects land by id%2. A method on an object in group 0
 	// invokes an object in group 1 — the node must forward it.
-	dir := shard.NewDirectory(nil)
-	var nodes []*Node
-	for gid := uint64(0); gid < 2; gid++ {
-		node, err := StartNode(NodeOptions{
-			Addr:      "127.0.0.1:0",
-			DataDir:   t.TempDir(),
-			GroupID:   gid,
-			Directory: dir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		nodes = append(nodes, node)
-		dir.SetGroup(shard.Group{ID: gid, Primary: node.Addr()})
-	}
-	for _, n := range nodes {
-		n.SetDirectory(dir)
-	}
+	nodes, dir := startStatic(t, NodeOptions{}, 1, 1)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -299,25 +249,7 @@ func TestCrossObjectRoutingAcrossGroups(t *testing.T) {
 }
 
 func TestMigrationMovesObject(t *testing.T) {
-	dir := shard.NewDirectory(nil)
-	var nodes []*Node
-	for gid := uint64(0); gid < 2; gid++ {
-		node, err := StartNode(NodeOptions{
-			Addr:      "127.0.0.1:0",
-			DataDir:   t.TempDir(),
-			GroupID:   gid,
-			Directory: dir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		nodes = append(nodes, node)
-		dir.SetGroup(shard.Group{ID: gid, Primary: node.Addr()})
-	}
-	for _, n := range nodes {
-		n.SetDirectory(dir)
-	}
+	nodes, dir := startStatic(t, NodeOptions{}, 1, 1)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -366,93 +298,8 @@ func TestMigrationMovesObject(t *testing.T) {
 func TestFailoverWithCoordinator(t *testing.T) {
 	// Three coordinator replicas + one 3-node group; kill the primary and
 	// expect a backup promotion, then keep invoking through the client.
-	coordIDs := []uint64{1, 2, 3}
-	var services []*coordinator.Service
-	var coordSrvs []*rpc.Server
-	coordAddrs := make(map[uint64]string)
-	pool := rpc.NewPool(nil)
-	defer pool.Close()
-
-	for _, id := range coordIDs {
-		svc := coordinator.New(id, coordIDs, nil, coordinator.Options{
-			HeartbeatTimeout: 400 * time.Millisecond,
-			CheckInterval:    100 * time.Millisecond,
-		}, nil)
-		services = append(services, svc)
-		srv := rpc.NewServer()
-		coordinator.RegisterServer(srv, svc)
-		addr, err := srv.Serve("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		coordSrvs = append(coordSrvs, srv)
-		coordAddrs[id] = addr
-	}
-	t.Cleanup(func() {
-		for _, s := range coordSrvs {
-			s.Close()
-		}
-	})
-	var coordList []string
-	for i, svc := range services {
-		trans := paxos.NewRPCTransport(svc.Node(), pool, coordAddrs)
-		svc.SetTransport(trans)
-		svc.Start()
-		coordList = append(coordList, coordAddrs[coordIDs[i]])
-	}
-	t.Cleanup(func() {
-		for _, svc := range services {
-			svc.Close()
-		}
-	})
-
-	// Boot 3 storage nodes using the coordinator.
-	var nodes []*Node
-	for i := 0; i < 3; i++ {
-		node, err := StartNode(NodeOptions{
-			Addr:              "127.0.0.1:0",
-			DataDir:           t.TempDir(),
-			GroupID:           0,
-			Coordinators:      coordList,
-			HeartbeatInterval: 100 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, node)
-	}
-	closed := make(map[int]bool)
-	t.Cleanup(func() {
-		for i, n := range nodes {
-			if !closed[i] {
-				n.Close()
-			}
-		}
-	})
-
-	cc := coordinator.NewClient(pool, coordList)
-	g := shard.Group{ID: 0, Primary: nodes[0].Addr(), Backups: []string{nodes[1].Addr(), nodes[2].Addr()}}
-	if err := cc.SetGroup(g); err != nil {
-		t.Fatal(err)
-	}
-
-	// Wait for nodes to pick the config up.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if nodes[0].isPrimary() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("primary never learned configuration")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	client, err := NewClient(ClientConfig{Coordinators: coordList})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	l := startLocal(t, coordinated([]int{3}, NodeOptions{}))
+	client := l.Client
 	if err := client.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -464,11 +311,12 @@ func TestFailoverWithCoordinator(t *testing.T) {
 	}
 
 	// Kill the primary.
-	closed[0] = true
-	nodes[0].Close()
+	if err := l.Kill(0); err != nil {
+		t.Fatal(err)
+	}
 
 	// The coordinator must promote a backup; the client must recover.
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		res, err := client.Invoke(1, "get", nil)
 		if err == nil {
@@ -494,7 +342,7 @@ func TestFailoverWithCoordinator(t *testing.T) {
 }
 
 func TestRegisterTypeReachesAllReplicas(t *testing.T) {
-	nodes, dir := startGroup(t, 3, 0)
+	nodes, dir := startStatic(t, NodeOptions{}, 3)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -528,7 +376,7 @@ func TestWireRoundTrips(t *testing.T) {
 }
 
 func TestClusterTransaction(t *testing.T) {
-	_, dir := startGroup(t, 3, 0)
+	_, dir := startStatic(t, NodeOptions{}, 3)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -560,22 +408,7 @@ func TestClusterTransaction(t *testing.T) {
 }
 
 func TestClusterTransactionSpanningGroupsRejected(t *testing.T) {
-	dir := shard.NewDirectory(nil)
-	var nodes []*Node
-	for gid := uint64(0); gid < 2; gid++ {
-		node, err := StartNode(NodeOptions{
-			Addr: "127.0.0.1:0", DataDir: t.TempDir(), GroupID: gid, Directory: dir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		nodes = append(nodes, node)
-		dir.SetGroup(shard.Group{ID: gid, Primary: node.Addr()})
-	}
-	for _, n := range nodes {
-		n.SetDirectory(dir)
-	}
+	_, dir := startStatic(t, NodeOptions{}, 1, 1)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -591,15 +424,8 @@ func TestClusterTransactionSpanningGroupsRejected(t *testing.T) {
 }
 
 func TestNodeRestartRecoversState(t *testing.T) {
-	dir := shard.NewDirectory(nil)
-	dataDir := t.TempDir()
-	node, err := StartNode(NodeOptions{Addr: "127.0.0.1:0", DataDir: dataDir, Directory: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir.SetGroup(shard.Group{ID: 0, Primary: node.Addr()})
-	node.SetDirectory(dir)
-	c := newGroupClient(t, dir)
+	l := startLocal(t, LocalOptions{Groups: []int{1}})
+	c := l.Client
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -609,17 +435,15 @@ func TestNodeRestartRecoversState(t *testing.T) {
 	if _, err := c.Invoke(1, "add", [][]byte{core.I64Bytes(21)}); err != nil {
 		t.Fatal(err)
 	}
-	addr := node.Addr()
-	if err := node.Close(); err != nil {
+	if err := l.Kill(0); err != nil {
 		t.Fatal(err)
 	}
 
 	// Restart on the same data directory and address.
-	node2, err := StartNode(NodeOptions{Addr: addr, DataDir: dataDir, Directory: dir})
-	if err != nil {
+	if err := l.Restart(0); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	t.Cleanup(func() { node2.Close() })
+	node2 := l.Slots[0].Node
 	// Types and object state recovered from WAL/SSTs.
 	if _, ok := node2.Runtime().Type("Counter"); !ok {
 		t.Fatal("type lost across restart")
@@ -646,7 +470,7 @@ func TestNodeRestartRecoversState(t *testing.T) {
 // fan-out — its write lives on this node alone and must not be
 // acknowledged. The runtime is driven directly to land in that window.
 func TestDeposedPrimaryWithholdsAck(t *testing.T) {
-	nodes, dir := startGroup(t, 2, 0)
+	nodes, dir := startStatic(t, NodeOptions{}, 2)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -700,22 +524,7 @@ func TestMigrationUnderConcurrentLoad(t *testing.T) {
 	// The microshard claim (§4.2): migrating one object must not disrupt
 	// computation on other objects, and the migrated object itself must
 	// lose no committed writes.
-	dir := shard.NewDirectory(nil)
-	var nodes []*Node
-	for gid := uint64(0); gid < 2; gid++ {
-		node, err := StartNode(NodeOptions{
-			Addr: "127.0.0.1:0", DataDir: t.TempDir(), GroupID: gid, Directory: dir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		nodes = append(nodes, node)
-		dir.SetGroup(shard.Group{ID: gid, Primary: node.Addr()})
-	}
-	for _, n := range nodes {
-		n.SetDirectory(dir)
-	}
+	_, dir := startStatic(t, NodeOptions{}, 1, 1)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)

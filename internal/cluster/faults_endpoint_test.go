@@ -8,7 +8,6 @@ import (
 
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
-	"lambdastore/internal/shard"
 )
 
 // postFaults POSTs a fault-grammar script to a node's /faults endpoint and
@@ -34,25 +33,8 @@ func postFaults(t *testing.T, debugAddr, script string) (string, int) {
 // and watch the same invocation succeed.
 func TestFaultsEndpoint(t *testing.T) {
 	defer fault.Reset()
-	node, err := StartNode(NodeOptions{
-		Addr:      "127.0.0.1:0",
-		DataDir:   t.TempDir(),
-		GroupID:   0,
-		DebugAddr: "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatalf("StartNode: %v", err)
-	}
-	defer node.Close()
-	dir := shard.NewDirectory(nil)
-	dir.SetGroup(shard.Group{ID: 0, Primary: node.Addr()})
-	node.SetDirectory(dir)
-
-	c, err := NewClient(ClientConfig{Directory: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	l := startLocal(t, LocalOptions{Groups: []int{1}, Node: NodeOptions{DebugAddr: "127.0.0.1:0"}})
+	node, c := l.Slots[0].Node, l.Client
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}

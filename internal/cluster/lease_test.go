@@ -10,41 +10,7 @@ import (
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
 	"lambdastore/internal/rpc"
-	"lambdastore/internal/shard"
 )
-
-// startLeasedGroup boots a static replica group with an explicit lease
-// TTL (shorter than DefaultLeaseTTL so expiry tests stay fast).
-func startLeasedGroup(t *testing.T, n int, ttl time.Duration) ([]*Node, *shard.Directory) {
-	t.Helper()
-	return startGroupWith(t, n, NodeOptions{LeaseTTL: ttl})
-}
-
-// startGroupWith boots group 0 as n nodes running opts (address, data
-// directory and directory are filled in here), first node primary.
-func startGroupWith(t *testing.T, n int, opts NodeOptions) ([]*Node, *shard.Directory) {
-	t.Helper()
-	dir := shard.NewDirectory(nil)
-	var nodes []*Node
-	for i := 0; i < n; i++ {
-		opts.Addr, opts.DataDir, opts.Directory = "127.0.0.1:0", t.TempDir(), dir
-		node, err := StartNode(opts)
-		if err != nil {
-			t.Fatalf("StartNode: %v", err)
-		}
-		t.Cleanup(func() { node.Close() })
-		nodes = append(nodes, node)
-	}
-	g := shard.Group{ID: 0, Primary: nodes[0].Addr()}
-	for _, b := range nodes[1:] {
-		g.Backups = append(g.Backups, b.Addr())
-	}
-	dir.SetGroup(g)
-	for _, node := range nodes {
-		node.SetDirectory(dir)
-	}
-	return nodes, dir
-}
 
 // TestLeaseRenewalLossBouncesReads drives the full lease lifecycle
 // through the fault plane: a backup serves reads while renewals flow,
@@ -52,7 +18,7 @@ func startGroupWith(t *testing.T, n int, opts NodeOptions) ([]*Node, *shard.Dire
 // expires, and serves again after renewals resume.
 func TestLeaseRenewalLossBouncesReads(t *testing.T) {
 	const ttl = 120 * time.Millisecond
-	nodes, dir := startLeasedGroup(t, 3, ttl)
+	nodes, dir := startStatic(t, NodeOptions{LeaseTTL: ttl}, 3)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -137,7 +103,7 @@ func TestInferredReadOnlyServedAtBackup(t *testing.T) {
 		t.Fatal("mutating method classified routable-read-only")
 	}
 
-	nodes, dir := startLeasedGroup(t, 3, 150*time.Millisecond)
+	nodes, dir := startStatic(t, NodeOptions{LeaseTTL: 150 * time.Millisecond}, 3)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(typ); err != nil {
 		t.Fatal(err)
@@ -186,7 +152,7 @@ func TestInferredReadOnlyServedAtBackup(t *testing.T) {
 // race detector: a read that starts after a write is acknowledged
 // observes that write, wherever it is served.
 func TestLeasedReadsDuringWrites(t *testing.T) {
-	_, dir := startLeasedGroup(t, 3, 150*time.Millisecond)
+	_, dir := startStatic(t, NodeOptions{LeaseTTL: 150 * time.Millisecond}, 3)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -251,10 +217,10 @@ func (e *staleReadError) Error() string {
 // and the same backup's next read must execute again and return the new
 // value.
 func TestLeasedBackupCachedReadSeesPrimaryCommit(t *testing.T) {
-	nodes, dir := startGroupWith(t, 3, NodeOptions{
+	nodes, dir := startStatic(t, NodeOptions{
 		LeaseTTL: 150 * time.Millisecond,
 		Runtime:  core.Options{CacheEntries: 64},
-	})
+	}, 3)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)

@@ -7,97 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
-	"lambdastore/internal/paxos"
-	"lambdastore/internal/rpc"
-	"lambdastore/internal/shard"
 )
-
-// startCoordinatedCluster boots a coordinator quorum plus `groups` replica
-// groups of `replicas` nodes each, registered through the coordinator log.
-// Returns the storage nodes (group-major order) and the coordinator list.
-func startCoordinatedCluster(t *testing.T, groups, replicas int) ([]*Node, []string) {
-	t.Helper()
-	coordIDs := []uint64{1, 2, 3}
-	var services []*coordinator.Service
-	coordAddrs := make(map[uint64]string)
-	pool := rpc.NewPool(nil)
-	t.Cleanup(pool.Close)
-
-	var coordSrvs []*rpc.Server
-	for _, id := range coordIDs {
-		svc := coordinator.New(id, coordIDs, nil, coordinator.Options{
-			HeartbeatTimeout: 400 * time.Millisecond,
-			CheckInterval:    100 * time.Millisecond,
-		}, nil)
-		services = append(services, svc)
-		srv := rpc.NewServer()
-		coordinator.RegisterServer(srv, svc)
-		addr, err := srv.Serve("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		coordSrvs = append(coordSrvs, srv)
-		coordAddrs[id] = addr
-	}
-	t.Cleanup(func() {
-		for _, s := range coordSrvs {
-			s.Close()
-		}
-	})
-	var coordList []string
-	for i, svc := range services {
-		trans := paxos.NewRPCTransport(svc.Node(), pool, coordAddrs)
-		svc.SetTransport(trans)
-		svc.Start()
-		coordList = append(coordList, coordAddrs[coordIDs[i]])
-	}
-	t.Cleanup(func() {
-		for _, svc := range services {
-			svc.Close()
-		}
-	})
-
-	var nodes []*Node
-	for g := 0; g < groups; g++ {
-		for r := 0; r < replicas; r++ {
-			node, err := StartNode(NodeOptions{
-				Addr:              "127.0.0.1:0",
-				DataDir:           t.TempDir(),
-				GroupID:           uint64(g),
-				Coordinators:      coordList,
-				HeartbeatInterval: 100 * time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { node.Close() })
-			nodes = append(nodes, node)
-		}
-	}
-	cc := coordinator.NewClient(pool, coordList)
-	for g := 0; g < groups; g++ {
-		grp := shard.Group{ID: uint64(g), Primary: nodes[g*replicas].Addr()}
-		for r := 1; r < replicas; r++ {
-			grp.Backups = append(grp.Backups, nodes[g*replicas+r].Addr())
-		}
-		if err := cc.SetGroup(grp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Wait for every primary to learn the configuration.
-	deadline := time.Now().Add(5 * time.Second)
-	for g := 0; g < groups; g++ {
-		for !nodes[g*replicas].isPrimary() {
-			if time.Now().After(deadline) {
-				t.Fatalf("group %d primary never learned configuration", g)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-	return nodes, coordList
-}
 
 // TestLiveMigrationUnderWrites hammers one object with concurrent writers
 // while it is live-migrated between groups through the coordinator's
@@ -106,7 +17,8 @@ func startCoordinatedCluster(t *testing.T, groups, replicas int) ([]*Node, []str
 // Run under -race this also exercises the fence/forward/seal paths for
 // data races.
 func TestLiveMigrationUnderWrites(t *testing.T) {
-	nodes, coordList := startCoordinatedCluster(t, 2, 2)
+	l := startLocal(t, coordinated([]int{2, 2}, NodeOptions{}))
+	nodes, coordList := l.Nodes(), l.Coord.Addrs()
 
 	client, err := NewClient(ClientConfig{
 		Coordinators: coordList,
@@ -275,15 +187,7 @@ func TestLiveMigrationUnderWrites(t *testing.T) {
 // object's return, the node would bounce every later request to the group it
 // moved the object to — forever.
 func TestMigrationRoundTripClearsFence(t *testing.T) {
-	dir := shard.NewDirectory(nil)
-	for gid := uint64(0); gid < 2; gid++ {
-		node, err := StartNode(NodeOptions{Addr: "127.0.0.1:0", DataDir: t.TempDir(), GroupID: gid, Directory: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		dir.SetGroup(shard.Group{ID: gid, Primary: node.Addr()})
-	}
+	_, dir := startStatic(t, NodeOptions{}, 1, 1)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)

@@ -165,7 +165,7 @@ type Node struct {
 	role   atomic.Pointer[role]
 	stopMu sync.Mutex
 	stop   chan struct{}
-	done   chan struct{}
+	done   chan struct{} // closed when coordLoop exits; nil without one
 
 	metrics       *telemetry.Registry
 	tracer        *telemetry.Tracer
@@ -177,7 +177,7 @@ type Node struct {
 }
 
 // StartNode opens the store and starts serving.
-func StartNode(opts NodeOptions) (*Node, error) {
+func StartNode(opts NodeOptions) (_ *Node, err error) {
 	// Every node gets a registry and a tracer; tracing is enabled only on
 	// request, and the registry's instruments are atomic counters whose
 	// cost is negligible.
@@ -203,11 +203,19 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		srv:     rpc.NewServer(),
 		pool:    rpc.NewPool(opts.ClientOptions),
 		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 		metrics: reg,
 		tracer:  tracer,
 		fences:  make(map[uint64]string),
 	}
+	// Every later failure tears down whatever exists by then — the store's
+	// directory lock, but also the lease-renewal and session-janitor
+	// goroutines, the pool and the admission plane: a restart retried on an
+	// address not yet released must not leave one half-built node per try.
+	defer func() {
+		if err != nil {
+			n.Close()
+		}
+	}()
 	n.role.Store(&role{})
 	if opts.AdmissionQueue > 0 {
 		n.adm = admission.New(admission.Options{
@@ -265,9 +273,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	rtOpts.Metrics = reg
 	rtOpts.Tracer = tracer
 	rtOpts.OnCommit = n.afterCommit
-	n.rt, err = core.NewRuntime(db, rtOpts)
-	if err != nil {
-		db.Close()
+	if n.rt, err = core.NewRuntime(db, rtOpts); err != nil {
 		return nil, err
 	}
 
@@ -305,7 +311,6 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	n.registerHandlers()
 	addr, err := n.srv.Serve(opts.Addr)
 	if err != nil {
-		db.Close()
 		return nil, err
 	}
 	n.addr = addr
@@ -342,8 +347,6 @@ func StartNode(opts NodeOptions) (*Node, error) {
 			},
 		})
 		if err != nil {
-			n.srv.Close()
-			db.Close()
 			return nil, err
 		}
 	}
@@ -356,9 +359,8 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		if d, err := n.coord.GetConfig(); err == nil {
 			n.SetDirectory(d)
 		}
+		n.done = make(chan struct{})
 		go n.coordLoop()
-	} else {
-		close(n.done)
 	}
 	if opts.Rejoin && len(opts.Coordinators) > 0 {
 		n.transfer.Run()
@@ -420,17 +422,8 @@ func (n *Node) admitJoiner(joiner string, expectEpoch uint64) error {
 	if n.coord == nil {
 		return fmt.Errorf("cluster: no coordinator to admit %s through", joiner)
 	}
-	if err := n.coord.AddBackup(n.opts.GroupID, joiner, expectEpoch); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		d, err := n.coord.GetConfig()
-		if err == nil {
-			n.adoptNewer(d)
-			if slices.Contains(n.role.Load().group.Backups, joiner) {
-				return nil
-			}
+	return n.proposeFenced(fmt.Sprintf("admission of %s did not take effect (epoch %d)", joiner, expectEpoch),
+		func(d *shard.Directory) error {
 			if d.Epoch() > expectEpoch {
 				// The replica we read has applied past the fence point and
 				// the joiner is not in the group: the epoch fence rejected
@@ -439,9 +432,38 @@ func (n *Node) admitJoiner(joiner string, expectEpoch uint64) error {
 				return fmt.Errorf("cluster: admission of %s fenced out at epoch %d (expected %d)",
 					joiner, d.Epoch(), expectEpoch)
 			}
+			return n.coord.AddBackup(n.opts.GroupID, joiner, expectEpoch)
+		},
+		func(*shard.Directory) bool { return slices.Contains(n.role.Load().group.Backups, joiner) })
+}
+
+// proposeFenced is the node's one way to change the configuration through
+// the coordinator: fetch the view and adopt it, propose an epoch-fenced
+// change against it, and confirm by read-back — a fenced proposal that lost
+// its race is a silent no-op, so only the directory's own answer (landed)
+// proves the change took. A proposal that did not land is made again against
+// a fresh view every 10ms for 5s; then the error is "cluster: " + what. An
+// error from propose abandons the change for good.
+func (n *Node) proposeFenced(what string, propose func(*shard.Directory) error, landed func(*shard.Directory) bool) error {
+	deadline := time.Now().Add(5 * time.Second)
+	proposed := false
+	for {
+		if d, err := n.coord.GetConfig(); err == nil {
+			n.adoptNewer(d)
+			if landed(d) {
+				return nil
+			}
+			if !proposed {
+				if err := propose(d); err != nil {
+					return err
+				}
+				proposed = true
+				continue // read straight back
+			}
 		}
+		proposed = false
 		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: admission of %s did not take effect (epoch %d)", joiner, expectEpoch)
+			return fmt.Errorf("cluster: %s", what)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -670,7 +692,8 @@ func (n *Node) coordLoop() {
 	}
 }
 
-// Close shuts the node down.
+// Close shuts the node down. It is also StartNode's teardown, so it copes
+// with a node built only part of the way.
 func (n *Node) Close() error {
 	n.stopMu.Lock()
 	select {
@@ -679,8 +702,12 @@ func (n *Node) Close() error {
 		close(n.stop)
 	}
 	n.stopMu.Unlock()
-	<-n.done
-	n.transfer.Close()
+	if n.done != nil {
+		<-n.done
+	}
+	if n.transfer != nil {
+		n.transfer.Close()
+	}
 	if n.debugSrv != nil {
 		n.debugSrv.Close()
 	}
@@ -747,46 +774,33 @@ func (n *Node) cutOverObject(object, targetGroup uint64) error {
 		n.refreshRole(nil)
 		return nil
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		d, err := n.coord.GetConfig()
-		if err == nil {
+	return n.proposeFenced(fmt.Sprintf("cutover of %d to group %d did not take effect", object, targetGroup),
+		func(d *shard.Directory) error {
 			// Re-validate against the fresh view: the move is only safe
 			// while this node is still the object's primary and the
 			// target group still exists.
-			n.adoptNewer(d)
 			if !n.isPrimary() {
 				return fmt.Errorf("cluster: cutover of %d abandoned: no longer primary of group %d", object, n.opts.GroupID)
 			}
 			if _, ok := d.Group(targetGroup); !ok {
 				return fmt.Errorf("cluster: cutover of %d abandoned: target group %d is gone", object, targetGroup)
 			}
-			home, herr := d.DefaultGroupID(object)
-			if herr != nil {
-				return herr
+			home, err := d.DefaultGroupID(object)
+			if err != nil {
+				return err
 			}
+			// A proposal the coordinator could not take is made again.
 			if home == targetGroup {
-				err = n.coord.ClearOverride(object, d.Epoch())
+				_ = n.coord.ClearOverride(object, d.Epoch())
 			} else {
-				err = n.coord.SetOverrideFenced(object, targetGroup, d.Epoch())
+				_ = n.coord.SetOverrideFenced(object, targetGroup, d.Epoch())
 			}
-			if err == nil {
-				// Confirm by readback: an epoch-fenced proposal that lost
-				// the race is a silent no-op, so only the directory's own
-				// answer proves the cutover landed.
-				if nd, gerr := n.coord.GetConfig(); gerr == nil {
-					if g, lerr := nd.Lookup(object); lerr == nil && g.ID == targetGroup {
-						n.SetDirectory(nd)
-						return nil
-					}
-				}
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: cutover of %d to group %d did not take effect", object, targetGroup)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+			return nil
+		},
+		func(d *shard.Directory) bool {
+			g, err := d.Lookup(object)
+			return err == nil && g.ID == targetGroup
+		})
 }
 
 // routeCheck is the route step's one decision per object: may this node

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"lambdastore/internal/core"
-	"lambdastore/internal/shard"
 	"lambdastore/internal/telemetry"
 	"lambdastore/internal/vm"
 )
@@ -192,31 +191,14 @@ end
 // trace, retrieved over the debug HTTP endpoints, spans all three nodes
 // with correct parent/child nesting.
 func TestEndToEndTraceAcrossNodes(t *testing.T) {
-	dir := shard.NewDirectory(nil)
-	mkNode := func(gid uint64) *Node {
-		node, err := StartNode(NodeOptions{
-			Addr:      "127.0.0.1:0",
-			DataDir:   t.TempDir(),
-			GroupID:   gid,
-			Directory: dir,
-			DebugAddr: "127.0.0.1:0",
-			Tracing:   true,
-			Runtime:   core.Options{CacheEntries: 1024},
-		})
-		if err != nil {
-			t.Fatalf("StartNode: %v", err)
-		}
-		t.Cleanup(func() { node.Close() })
-		return node
-	}
-	n0 := mkNode(0) // group 0 primary
-	n2 := mkNode(0) // group 0 backup
-	n1 := mkNode(1) // group 1 primary
-	dir.SetGroup(shard.Group{ID: 0, Primary: n0.Addr(), Backups: []string{n2.Addr()}})
-	dir.SetGroup(shard.Group{ID: 1, Primary: n1.Addr()})
-	for _, n := range []*Node{n0, n2, n1} {
-		n.SetDirectory(dir)
-	}
+	// Group 0 is n0 (primary) and n2 (backup), group 1 is n1.
+	l := startLocal(t, LocalOptions{Groups: []int{2, 1}, Node: NodeOptions{
+		DebugAddr: "127.0.0.1:0",
+		Tracing:   true,
+		Runtime:   core.Options{CacheEntries: 1024},
+	}})
+	dir := l.Dir
+	n0, n2, n1 := l.Slots[0].Node, l.Slots[1].Node, l.Slots[2].Node
 
 	c, err := NewClient(ClientConfig{Directory: dir, Tracing: true})
 	if err != nil {
@@ -375,22 +357,11 @@ func names(spans []telemetry.Span) []string {
 // instrument for instrument — and every point-in-time value that the node
 // used to re-enumerate by hand is there because its owner registered it.
 func TestOneSnapshotThreeExits(t *testing.T) {
-	node, err := StartNode(NodeOptions{
-		Addr: "127.0.0.1:0", DataDir: t.TempDir(), DebugAddr: "127.0.0.1:0",
-		Runtime: core.Options{CacheEntries: 64},
-	})
-	if err != nil {
-		t.Fatalf("StartNode: %v", err)
-	}
-	defer node.Close()
-	dir := shard.NewDirectory(nil)
-	dir.SetGroup(shard.Group{ID: 0, Primary: node.Addr()})
-	node.SetDirectory(dir)
-	c, err := NewClient(ClientConfig{Directory: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	l := startLocal(t, LocalOptions{Groups: []int{1}, Node: NodeOptions{
+		DebugAddr: "127.0.0.1:0",
+		Runtime:   core.Options{CacheEntries: 64},
+	}})
+	node, c := l.Slots[0].Node, l.Client
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}

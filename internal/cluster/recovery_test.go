@@ -1,16 +1,15 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
-	"lambdastore/internal/paxos"
 	"lambdastore/internal/recovery"
 	"lambdastore/internal/replication"
 	"lambdastore/internal/rpc"
@@ -24,112 +23,41 @@ import (
 // can be killed and restarted on their original data directories; the
 // fault plane is reset around every test (it is process-global).
 type rejoinCluster struct {
-	t         *testing.T
-	pool      *rpc.Pool
-	coordList []string
-	cc        *coordinator.Client
-	client    *Client
-	nodes     []*Node
-	dirs      []string
-	closed    []bool
+	*Local
+	t      *testing.T
+	pool   *rpc.Pool
+	client *Client
 }
 
-func startRejoinCluster(t *testing.T, mod func(i int, o *NodeOptions)) *rejoinCluster {
+// startRejoinCluster boots the fixture with every node running node.
+func startRejoinCluster(t *testing.T, node NodeOptions) *rejoinCluster {
 	t.Helper()
 	fault.Reset()
 	t.Cleanup(fault.Reset)
-	rc := &rejoinCluster{t: t, pool: rpc.NewPool(nil)}
-	t.Cleanup(func() { rc.pool.Close() })
-
-	coordIDs := []uint64{1, 2, 3}
-	var services []*coordinator.Service
-	coordAddrs := make(map[uint64]string)
-	for _, id := range coordIDs {
-		svc := coordinator.New(id, coordIDs, nil, coordinator.Options{
-			HeartbeatTimeout: 400 * time.Millisecond,
-			CheckInterval:    50 * time.Millisecond,
-		}, nil)
-		services = append(services, svc)
-		srv := rpc.NewServer()
-		coordinator.RegisterServer(srv, svc)
-		addr, err := srv.Serve("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		coordAddrs[id] = addr
-	}
-	for i, svc := range services {
-		svc.SetTransport(paxos.NewRPCTransport(svc.Node(), rc.pool, coordAddrs))
-		svc.Start()
-		rc.coordList = append(rc.coordList, coordAddrs[coordIDs[i]])
-	}
-	t.Cleanup(func() {
-		for _, svc := range services {
-			svc.Close()
-		}
-	})
-
-	for i := 0; i < 3; i++ {
-		rc.dirs = append(rc.dirs, t.TempDir())
-		rc.closed = append(rc.closed, true)
-		rc.nodes = append(rc.nodes, nil)
-		rc.startNode(i, mod)
-	}
-	t.Cleanup(func() {
-		for i := range rc.nodes {
-			if !rc.closed[i] {
-				rc.nodes[i].Close()
-			}
-		}
-	})
-
-	rc.cc = coordinator.NewClient(rc.pool, rc.coordList)
-	g := shard.Group{ID: 0, Primary: rc.nodes[0].Addr(),
-		Backups: []string{rc.nodes[1].Addr(), rc.nodes[2].Addr()}}
-	if err := rc.cc.SetGroup(g); err != nil {
+	node.Rejoin = true
+	opts := coordinated([]int{3}, node)
+	opts.Coord.CheckInterval = 50 * time.Millisecond
+	l := startLocal(t, opts)
+	if err := l.Client.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "initial primary", rc.nodes[0].isPrimary)
-
-	client, err := NewClient(ClientConfig{Coordinators: rc.coordList})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc.client = client
-	t.Cleanup(func() { client.Close() })
-	if err := client.RegisterType(counterType(t)); err != nil {
-		t.Fatal(err)
-	}
-	return rc
+	return &rejoinCluster{Local: l, t: t, pool: l.Client.pool, client: l.Client}
 }
 
-// startNode boots (or restarts) node i on its data directory.
-func (rc *rejoinCluster) startNode(i int, mod func(i int, o *NodeOptions)) {
+// node returns node i's current incarnation.
+func (rc *rejoinCluster) node(i int) *Node { return rc.Slots[i].Node }
+
+// restart boots node i again on its data directory and address.
+func (rc *rejoinCluster) restart(i int) {
 	rc.t.Helper()
-	opts := NodeOptions{
-		Addr:              "127.0.0.1:0",
-		DataDir:           rc.dirs[i],
-		GroupID:           0,
-		Coordinators:      rc.coordList,
-		HeartbeatInterval: 100 * time.Millisecond,
-		Rejoin:            true,
+	if err := rc.Restart(i); err != nil {
+		rc.t.Fatal(err)
 	}
-	if mod != nil {
-		mod(i, &opts)
-	}
-	node, err := StartNode(opts)
-	if err != nil {
-		rc.t.Fatalf("StartNode %d: %v", i, err)
-	}
-	rc.nodes[i] = node
-	rc.closed[i] = false
 }
 
 func (rc *rejoinCluster) kill(i int) {
 	rc.t.Helper()
-	rc.closed[i] = true
-	if err := rc.nodes[i].Close(); err != nil {
+	if err := rc.Kill(i); err != nil {
 		rc.t.Fatalf("close node %d: %v", i, err)
 	}
 }
@@ -137,22 +65,16 @@ func (rc *rejoinCluster) kill(i int) {
 // group fetches the group-0 view from the coordinator majority.
 func (rc *rejoinCluster) group() shard.Group {
 	rc.t.Helper()
-	d, err := rc.cc.GetConfig()
+	g, err := rc.Group(0)
 	if err != nil {
-		rc.t.Fatalf("GetConfig: %v", err)
+		rc.t.Fatal(err)
 	}
-	for _, g := range d.Groups() {
-		if g.ID == 0 {
-			return g
-		}
-	}
-	rc.t.Fatal("group 0 missing from configuration")
-	return shard.Group{}
+	return g
 }
 
 func (rc *rejoinCluster) epoch() uint64 {
 	rc.t.Helper()
-	d, err := rc.cc.GetConfig()
+	d, err := rc.View()
 	if err != nil {
 		rc.t.Fatalf("GetConfig: %v", err)
 	}
@@ -164,29 +86,15 @@ func (rc *rejoinCluster) epoch() uint64 {
 // still ships to the dead address and fails its ack.
 func (rc *rejoinCluster) waitEvicted(addr string) {
 	rc.t.Helper()
-	gone := func(g shard.Group) bool {
-		if g.Primary == addr {
+	gone := func(g shard.Group, ok bool) bool { return ok && !slices.Contains(g.Replicas(), addr) }
+	await(rc.t, rc.Local, 10*time.Second, "eviction of "+addr, func() bool {
+		g, err := rc.Group(0)
+		if !gone(g, err == nil) {
 			return false
 		}
-		for _, b := range g.Backups {
-			if b == addr {
+		for _, n := range rc.Nodes() {
+			if !gone(n.Directory().Group(0)) {
 				return false
-			}
-		}
-		return true
-	}
-	waitFor(rc.t, 10*time.Second, "eviction of "+addr, func() bool {
-		if !gone(rc.group()) {
-			return false
-		}
-		for i, n := range rc.nodes {
-			if rc.closed[i] {
-				continue
-			}
-			for _, g := range n.Directory().Groups() {
-				if g.ID == 0 && !gone(g) {
-					return false
-				}
 			}
 		}
 		return true
@@ -197,28 +105,10 @@ func (rc *rejoinCluster) waitEvicted(addr string) {
 // the coordinator's view and its own state machine has settled on member.
 func (rc *rejoinCluster) waitMember(i int) {
 	rc.t.Helper()
-	waitFor(rc.t, 30*time.Second, "rejoin of node "+rc.nodes[i].Addr(), func() bool {
-		if rc.nodes[i].RecoveryState() != recovery.StateMember {
-			return false
-		}
-		for _, b := range rc.group().Backups {
-			if b == rc.nodes[i].Addr() {
-				return true
-			}
-		}
-		return false
+	await(rc.t, rc.Local, 30*time.Second, "rejoin of node "+rc.Slots[i].Addr, func() bool {
+		return rc.node(i).RecoveryState() == recovery.StateMember &&
+			slices.Contains(rc.group().Backups, rc.Slots[i].Addr)
 	})
-}
-
-func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 // directInvoke bypasses the client's routing and hits one node's invoke
@@ -260,14 +150,14 @@ func readAt(t *testing.T, pool *rpc.Pool, addr string, obj core.ObjectID) int64 
 // only holds through streaming. A frame stamped with the pre-rejoin epoch
 // must still be fenced off by the rejoined node.
 func TestRejoinAfterDowntimeWrites(t *testing.T) {
-	rc := startRejoinCluster(t, nil)
+	rc := startRejoinCluster(t, NodeOptions{})
 	if err := rc.client.CreateObject("Counter", 1); err != nil {
 		t.Fatal(err)
 	}
 	mustAdd(t, rc.client, 1, 5)
 
 	preEpoch := rc.epoch()
-	oldAddr := rc.nodes[2].Addr()
+	oldAddr := rc.node(2).Addr()
 	rc.kill(2)
 	rc.waitEvicted(oldAddr)
 
@@ -278,9 +168,9 @@ func TestRejoinAfterDowntimeWrites(t *testing.T) {
 	}
 	mustAdd(t, rc.client, 2, 3)
 
-	rc.startNode(2, nil)
+	rc.restart(2)
 	rc.waitMember(2)
-	joiner := rc.nodes[2]
+	joiner := rc.node(2)
 
 	for obj, want := range map[core.ObjectID]int64{1: 12, 2: 3} {
 		if got := readAt(t, rc.pool, joiner.Addr(), obj); got != want {
@@ -300,8 +190,8 @@ func TestRejoinAfterDowntimeWrites(t *testing.T) {
 		t.Errorf("last_rejoin_seconds = %v, want > 0", st.LastRejoinSeconds)
 	}
 	// The donor retires the catch-up session at admission.
-	waitFor(t, 5*time.Second, "donor session retirement", func() bool {
-		return len(rc.nodes[0].DonorSessions()) == 0
+	await(t, rc.Local, 5*time.Second, "donor session retirement", func() bool {
+		return len(rc.node(0).DonorSessions()) == 0
 	})
 
 	// A deposed primary from before the rejoin ships frames at preEpoch;
@@ -329,13 +219,13 @@ func TestRejoinAfterDowntimeWrites(t *testing.T) {
 // reads (it could return downtime-stale state) nor accept writes (its
 // acks are covered by nobody).
 func TestJoinerFencedDuringCatchUp(t *testing.T) {
-	rc := startRejoinCluster(t, nil)
+	rc := startRejoinCluster(t, NodeOptions{})
 	if err := rc.client.CreateObject("Counter", 1); err != nil {
 		t.Fatal(err)
 	}
 	mustAdd(t, rc.client, 1, 4)
 
-	oldAddr := rc.nodes[2].Addr()
+	oldAddr := rc.node(2).Addr()
 	rc.kill(2)
 	rc.waitEvicted(oldAddr)
 	mustAdd(t, rc.client, 1, 6)
@@ -343,9 +233,9 @@ func TestJoinerFencedDuringCatchUp(t *testing.T) {
 	// Stall the catch-up: every digest/chunk fetch fails until healed,
 	// holding the restarted node in syncing indefinitely.
 	fault.Add(fault.Rule{Site: fault.SiteRecoveryFetch, Action: fault.Error})
-	rc.startNode(2, nil)
-	joiner := rc.nodes[2]
-	waitFor(t, 10*time.Second, "first (failing) sync attempt", func() bool {
+	rc.restart(2)
+	joiner := rc.node(2)
+	await(t, rc.Local, 10*time.Second, "first (failing) sync attempt", func() bool {
 		return joiner.RecoveryStatus().Attempts >= 1
 	})
 
@@ -376,26 +266,26 @@ func TestJoinerFencedDuringCatchUp(t *testing.T) {
 // RPCs of the transfer; the manager must retry the sync until the stream
 // completes, without help.
 func TestRejoinRetriesThroughChunkFaults(t *testing.T) {
-	rc := startRejoinCluster(t, nil)
+	rc := startRejoinCluster(t, NodeOptions{})
 	if err := rc.client.CreateObject("Counter", 1); err != nil {
 		t.Fatal(err)
 	}
 	mustAdd(t, rc.client, 1, 2)
 
-	oldAddr := rc.nodes[2].Addr()
+	oldAddr := rc.node(2).Addr()
 	rc.kill(2)
 	rc.waitEvicted(oldAddr)
 	mustAdd(t, rc.client, 1, 9)
 
 	fault.Add(fault.Rule{Site: fault.SiteRecoveryFetch, Action: fault.Error, Count: 2})
 	fault.Add(fault.Rule{Site: fault.SiteRecoveryFetch, Action: fault.Drop, Count: 1})
-	rc.startNode(2, nil)
+	rc.restart(2)
 	rc.waitMember(2)
 
-	if got := readAt(t, rc.pool, rc.nodes[2].Addr(), 1); got != 11 {
+	if got := readAt(t, rc.pool, rc.node(2).Addr(), 1); got != 11 {
 		t.Fatalf("rejoined value = %d, want 11", got)
 	}
-	if st := rc.nodes[2].RecoveryStatus(); st.Attempts < 2 {
+	if st := rc.node(2).RecoveryStatus(); st.Attempts < 2 {
 		t.Errorf("attempts = %d, want >= 2 (injected faults must have failed at least one)", st.Attempts)
 	}
 }
@@ -405,41 +295,41 @@ func TestRejoinRetriesThroughChunkFaults(t *testing.T) {
 // coordinator promotes the remaining backup, and the joiner must re-sync
 // from — and be admitted by — the new primary.
 func TestRejoinSurvivesDonorFailover(t *testing.T) {
-	rc := startRejoinCluster(t, nil)
+	rc := startRejoinCluster(t, NodeOptions{})
 	if err := rc.client.CreateObject("Counter", 1); err != nil {
 		t.Fatal(err)
 	}
 	mustAdd(t, rc.client, 1, 5)
 
-	oldAddr := rc.nodes[2].Addr()
+	oldAddr := rc.node(2).Addr()
 	rc.kill(2)
 	rc.waitEvicted(oldAddr)
 	mustAdd(t, rc.client, 1, 6)
 
 	fault.Add(fault.Rule{Site: fault.SiteRecoveryFetch, Action: fault.Error})
-	rc.startNode(2, nil)
-	waitFor(t, 10*time.Second, "first (failing) sync attempt", func() bool {
-		return rc.nodes[2].RecoveryStatus().Attempts >= 1
+	rc.restart(2)
+	await(t, rc.Local, 10*time.Second, "first (failing) sync attempt", func() bool {
+		return rc.node(2).RecoveryStatus().Attempts >= 1
 	})
 
 	// The donor dies mid-catch-up; nodes[1] is the only live backup.
 	oldPrimary := rc.group().Primary
 	rc.kill(0)
-	waitFor(t, 10*time.Second, "promotion of the surviving backup", func() bool {
+	await(t, rc.Local, 10*time.Second, "promotion of the surviving backup", func() bool {
 		g := rc.group()
 		return g.Primary != "" && g.Primary != oldPrimary
 	})
 
 	fault.Remove(fault.SiteRecoveryFetch, "")
 	rc.waitMember(2)
-	if got := readAt(t, rc.pool, rc.nodes[2].Addr(), 1); got != 11 {
+	if got := readAt(t, rc.pool, rc.node(2).Addr(), 1); got != 11 {
 		t.Fatalf("value after donor failover = %d, want 11", got)
 	}
 
 	// Writes flow through the new primary and replicate synchronously to
 	// the rejoined backup.
 	mustAdd(t, rc.client, 1, 1)
-	if got := readAt(t, rc.pool, rc.nodes[2].Addr(), 1); got != 12 {
+	if got := readAt(t, rc.pool, rc.node(2).Addr(), 1); got != 12 {
 		t.Fatalf("post-rejoin replicated value = %d, want 12", got)
 	}
 }
@@ -448,16 +338,13 @@ func TestRejoinSurvivesDonorFailover(t *testing.T) {
 // (SyncWrites on): chunk applies hit the injected wal.sync error, the
 // sync attempt fails, and the manager retries to convergence.
 func TestRejoinRetriesThroughWALSyncFaults(t *testing.T) {
-	durable := func(i int, o *NodeOptions) {
-		o.Store = &store.Options{SyncWrites: true}
-	}
-	rc := startRejoinCluster(t, durable)
+	rc := startRejoinCluster(t, NodeOptions{Store: &store.Options{SyncWrites: true}})
 	if err := rc.client.CreateObject("Counter", 1); err != nil {
 		t.Fatal(err)
 	}
 	mustAdd(t, rc.client, 1, 5)
 
-	oldAddr := rc.nodes[2].Addr()
+	oldAddr := rc.node(2).Addr()
 	rc.kill(2)
 	rc.waitEvicted(oldAddr)
 	mustAdd(t, rc.client, 1, 6)
@@ -466,18 +353,18 @@ func TestRejoinRetriesThroughWALSyncFaults(t *testing.T) {
 	// fetch site first, then arm the fsync fault: the next two commits on
 	// the joiner are catch-up applies, and both fail at fsync.
 	fault.Add(fault.Rule{Site: fault.SiteRecoveryFetch, Action: fault.Error})
-	rc.startNode(2, durable)
-	waitFor(t, 10*time.Second, "first (failing) sync attempt", func() bool {
-		return rc.nodes[2].RecoveryStatus().Attempts >= 1
+	rc.restart(2)
+	await(t, rc.Local, 10*time.Second, "first (failing) sync attempt", func() bool {
+		return rc.node(2).RecoveryStatus().Attempts >= 1
 	})
-	fault.Add(fault.Rule{Site: fault.SiteWALSync, Key: rc.dirs[2], Action: fault.Error, Count: 2})
+	fault.Add(fault.Rule{Site: fault.SiteWALSync, Key: rc.Slots[2].DataDir, Action: fault.Error, Count: 2})
 	fault.Remove(fault.SiteRecoveryFetch, "")
 	rc.waitMember(2)
 
-	if got := readAt(t, rc.pool, rc.nodes[2].Addr(), 1); got != 11 {
+	if got := readAt(t, rc.pool, rc.node(2).Addr(), 1); got != 11 {
 		t.Fatalf("rejoined value = %d, want 11", got)
 	}
-	if st := rc.nodes[2].RecoveryStatus(); st.Attempts < 2 {
+	if st := rc.node(2).RecoveryStatus(); st.Attempts < 2 {
 		t.Errorf("attempts = %d, want >= 2 (fsync faults must have failed at least one)", st.Attempts)
 	}
 }
@@ -489,7 +376,8 @@ func TestRejoinRetriesThroughWALSyncFaults(t *testing.T) {
 // crash, during downtime, and concurrent with the transfer — must be
 // present at the rejoined replica.
 func TestRejoinConcurrentWithWrites(t *testing.T) {
-	rc := startRejoinCluster(t, nil)
+	// The throttle binds whoever rejoins: the restarted node below.
+	rc := startRejoinCluster(t, NodeOptions{RecoveryMaxBytesPerSec: 64 << 10})
 	const objects = 4
 	for id := core.ObjectID(1); id <= objects; id++ {
 		if err := rc.client.CreateObject("Counter", id); err != nil {
@@ -498,7 +386,7 @@ func TestRejoinConcurrentWithWrites(t *testing.T) {
 		mustAdd(t, rc.client, id, 1)
 	}
 
-	oldAddr := rc.nodes[2].Addr()
+	oldAddr := rc.node(2).Addr()
 	rc.kill(2)
 	rc.waitEvicted(oldAddr)
 	for id := core.ObjectID(1); id <= objects; id++ {
@@ -528,9 +416,7 @@ func TestRejoinConcurrentWithWrites(t *testing.T) {
 		}(w)
 	}
 
-	rc.startNode(2, func(i int, o *NodeOptions) {
-		o.RecoveryMaxBytesPerSec = 64 << 10
-	})
+	rc.restart(2)
 	rc.waitMember(2)
 	close(stop)
 	wg.Wait()
@@ -540,7 +426,7 @@ func TestRejoinConcurrentWithWrites(t *testing.T) {
 	// streaming or commit forwarding.
 	for id := core.ObjectID(1); id <= objects; id++ {
 		want := 3 + totals[id].Load()
-		if got := readAt(t, rc.pool, rc.nodes[2].Addr(), id); got != want {
+		if got := readAt(t, rc.pool, rc.node(2).Addr(), id); got != want {
 			t.Fatalf("object %d at rejoined node = %d, want %d (lost a concurrent write)", id, got, want)
 		}
 	}

@@ -73,7 +73,9 @@ func holdGate(t *testing.T, n *Node, queued int) (release func()) {
 			}
 		}()
 	}
-	waitFor(t, 5*time.Second, "gate queue to fill", func() bool { return n.adm.Status().QueueDepth == queued })
+	if !poll(5*time.Second, func() bool { return n.adm.Status().QueueDepth == queued }) {
+		t.Fatal("timed out waiting for gate queue to fill")
+	}
 	return func() { slot(); wg.Wait() }
 }
 
@@ -93,7 +95,7 @@ func TestServeUniform(t *testing.T) {
 	}
 
 	t.Run("fenced", func(t *testing.T) {
-		nodes, dir := startGroup(t, 1, 0)
+		nodes, dir := startStatic(t, NodeOptions{}, 1)
 		c := newGroupClient(t, dir)
 		if err := c.RegisterType(quietCounterType(t)); err != nil {
 			t.Fatal(err)
@@ -119,7 +121,7 @@ func TestServeUniform(t *testing.T) {
 	})
 
 	t.Run("backup", func(t *testing.T) {
-		nodes, dir := startLeasedGroup(t, 2, 150*time.Millisecond)
+		nodes, dir := startStatic(t, NodeOptions{LeaseTTL: 150 * time.Millisecond}, 2)
 		primary, backup := nodes[0], nodes[1]
 		c := newGroupClient(t, dir)
 		if err := c.RegisterType(quietCounterType(t)); err != nil {
@@ -175,17 +177,10 @@ func TestServeUniform(t *testing.T) {
 	})
 
 	t.Run("gate full", func(t *testing.T) {
-		dir := shard.NewDirectory(nil)
-		node, err := StartNode(NodeOptions{
-			Addr: "127.0.0.1:0", DataDir: t.TempDir(), Directory: dir,
+		nodes, dir := startStatic(t, NodeOptions{
 			MaxConcurrentInvokes: 1, AdmissionQueue: 1, AdmissionDeadline: time.Minute,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		dir.SetGroup(shard.Group{ID: 0, Primary: node.Addr()})
-		node.SetDirectory(dir)
+		}, 1)
+		node := nodes[0]
 		c := newGroupClient(t, dir)
 		if err := c.RegisterType(quietCounterType(t)); err != nil {
 			t.Fatal(err)
@@ -224,23 +219,7 @@ func TestServeUniform(t *testing.T) {
 	// (A create has no such outcome to convert: it does not need the object
 	// to exist.)
 	t.Run("moved away while queued", func(t *testing.T) {
-		dir := shard.NewDirectory(nil)
-		var nodes []*Node
-		for gid := uint64(0); gid < 2; gid++ {
-			node, err := StartNode(NodeOptions{
-				Addr: "127.0.0.1:0", DataDir: t.TempDir(), GroupID: gid, Directory: dir,
-				MaxConcurrentInvokes: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { node.Close() })
-			nodes = append(nodes, node)
-			dir.SetGroup(shard.Group{ID: gid, Primary: node.Addr()})
-		}
-		for _, n := range nodes {
-			n.SetDirectory(dir)
-		}
+		nodes, dir := startStatic(t, NodeOptions{MaxConcurrentInvokes: 1}, 1, 1)
 		oldHome, newHome := nodes[0], nodes[1]
 		c := newGroupClient(t, dir)
 		if err := c.RegisterType(quietCounterType(t)); err != nil {
@@ -258,9 +237,9 @@ func TestServeUniform(t *testing.T) {
 			release := holdGate(t, oldHome, 0)
 			errc := make(chan error, 1)
 			go func() { errc <- e.send(pool, oldHome.Addr(), obj) }()
-			waitFor(t, 5*time.Second, e.name+" to queue behind the held slot", func() bool {
-				return oldHome.adm.Status().QueueDepth == 1
-			})
+			if !poll(5*time.Second, func() bool { return oldHome.adm.Status().QueueDepth == 1 }) {
+				t.Fatalf("timed out waiting for %s to queue behind the held slot", e.name)
+			}
 			if err := c.Migrate(obj, 1); err != nil {
 				t.Fatalf("migrate %d: %v", obj, err)
 			}
@@ -289,9 +268,7 @@ func TestSemaphoreGateQueuesWithoutShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	var running, peak atomic.Int32
-	dir := shard.NewDirectory(nil)
-	node, err := StartNode(NodeOptions{
-		Addr: "127.0.0.1:0", DataDir: t.TempDir(), Directory: dir,
+	nodes, dir := startStatic(t, NodeOptions{
 		MaxConcurrentInvokes: 1,
 		// The guest's one host call is where each execution is observed.
 		Runtime: core.Options{Clock: func() int64 {
@@ -302,13 +279,8 @@ func TestSemaphoreGateQueuesWithoutShedding(t *testing.T) {
 			running.Add(-1)
 			return 0
 		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { node.Close() })
-	dir.SetGroup(shard.Group{ID: 0, Primary: node.Addr()})
-	node.SetDirectory(dir)
+	}, 1)
+	node := nodes[0]
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(typ); err != nil {
 		t.Fatal(err)
@@ -384,7 +356,7 @@ func TestCommitTailOrder(t *testing.T) {
 	}
 
 	t.Run("ship failure withholds the ack", func(t *testing.T) {
-		nodes, _ := startGroup(t, 2, 0)
+		nodes, _ := startStatic(t, NodeOptions{}, 2)
 		armBarrier(nodes[0])
 		fault.Add(fault.Rule{Site: fault.SiteReplShip, Key: nodes[1].Addr(), Action: fault.Error})
 		t.Cleanup(fault.Reset)
@@ -397,7 +369,7 @@ func TestCommitTailOrder(t *testing.T) {
 	})
 
 	t.Run("deposed after ship answers not-responsible before relaying", func(t *testing.T) {
-		nodes, _ := startGroup(t, 2, 0)
+		nodes, _ := startStatic(t, NodeOptions{}, 2)
 		old, promoted := nodes[0], nodes[1]
 		strictSession(t, old)
 		armBarrier(old)
@@ -409,7 +381,7 @@ func TestCommitTailOrder(t *testing.T) {
 	})
 
 	t.Run("strict relay failure withholds the ack", func(t *testing.T) {
-		nodes, _ := startGroup(t, 2, 0)
+		nodes, _ := startStatic(t, NodeOptions{}, 2)
 		strictSession(t, nodes[0])
 		armBarrier(nodes[0])
 		err := nodes[0].afterCommit(telemetry.SpanContext{}, obj, 0, writeSet())
@@ -422,7 +394,7 @@ func TestCommitTailOrder(t *testing.T) {
 	})
 
 	t.Run("lease barrier is waited last", func(t *testing.T) {
-		nodes, _ := startGroup(t, 2, 0)
+		nodes, _ := startStatic(t, NodeOptions{}, 2)
 		armBarrier(nodes[0])
 		if err := nodes[0].afterCommit(telemetry.SpanContext{}, obj, 0, writeSet()); err != nil {
 			t.Fatal(err)

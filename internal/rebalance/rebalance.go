@@ -47,16 +47,26 @@ type Move struct {
 	Reason string `json:"reason"`
 }
 
+// The policy's thresholds, as fractions of the cluster's mean window ops.
+const (
+	// imbalanceRatio is the trigger: a group is overloaded when its
+	// window ops exceed the mean by this factor.
+	imbalanceRatio = 1.25
+	// minGainFraction is the hysteresis margin: a move must leave the
+	// source at least this far above the target. Without it, an object
+	// whose load roughly equals the imbalance ping-pongs between two
+	// groups forever.
+	minGainFraction = 0.1
+	// homeSlack prefers the object's default hash placement as the target
+	// when its load is within this much of the best target's — going home
+	// clears a directory override instead of recording one.
+	homeSlack = 0.1
+	// topK bounds the per-group hot sample.
+	topK = 32
+)
+
 // PolicyConfig tunes the hysteresis placement policy.
 type PolicyConfig struct {
-	// ImbalanceRatio is the trigger: a group is overloaded when its
-	// window ops exceed the cluster mean by this factor (default 1.25).
-	ImbalanceRatio float64
-	// MinGainFraction is the hysteresis margin, as a fraction of the
-	// mean: a move must leave the source at least this far above the
-	// target (default 0.1). Without it, an object whose load roughly
-	// equals the imbalance ping-pongs between two groups forever.
-	MinGainFraction float64
 	// MaxMovesPerTick bounds migrations planned per observation window
 	// (default 2) — the in-flight cap; moves execute before the next
 	// window is sampled.
@@ -68,20 +78,9 @@ type PolicyConfig struct {
 	// MinWindowOps mutes the policy on idle clusters: no group below
 	// this many window ops is ever a source (default 50).
 	MinWindowOps uint64
-	// HomeSlack prefers the object's default hash placement as the
-	// target when its load is within this fraction of the mean of the
-	// best target's (default 0.1) — going home clears a directory
-	// override instead of recording one.
-	HomeSlack float64
 }
 
 func (c *PolicyConfig) fill() {
-	if c.ImbalanceRatio <= 1 {
-		c.ImbalanceRatio = 1.25
-	}
-	if c.MinGainFraction <= 0 {
-		c.MinGainFraction = 0.1
-	}
 	if c.MaxMovesPerTick <= 0 {
 		c.MaxMovesPerTick = 2
 	}
@@ -90,9 +89,6 @@ func (c *PolicyConfig) fill() {
 	}
 	if c.MinWindowOps == 0 {
 		c.MinWindowOps = 50
-	}
-	if c.HomeSlack <= 0 {
-		c.HomeSlack = 0.1
 	}
 }
 
@@ -117,7 +113,7 @@ func Plan(cfg PolicyConfig, loads []GroupLoad, home func(object uint64) (uint64,
 		total += float64(g.Ops)
 	}
 	mean := total / float64(len(loads))
-	margin := cfg.MinGainFraction * mean
+	margin := minGainFraction * mean
 
 	// Hottest groups first: the worst outlier is fixed before budget is
 	// spent on milder ones.
@@ -141,14 +137,14 @@ func Plan(cfg PolicyConfig, loads []GroupLoad, home func(object uint64) (uint64,
 		if src.Primary == "" || src.Ops < cfg.MinWindowOps {
 			continue
 		}
-		if sim[srcID] <= mean*cfg.ImbalanceRatio {
+		if sim[srcID] <= mean*imbalanceRatio {
 			continue
 		}
 		for _, h := range src.Hot {
 			if len(plan) >= cfg.MaxMovesPerTick {
 				break
 			}
-			if sim[srcID] <= mean*cfg.ImbalanceRatio {
+			if sim[srcID] <= mean*imbalanceRatio {
 				break // this source is balanced now
 			}
 			c := float64(h.Count)
@@ -173,7 +169,7 @@ func Plan(cfg PolicyConfig, loads []GroupLoad, home func(object uint64) (uint64,
 			reason := "imbalance"
 			if hid, ok := home(uint64(h.ID)); ok && hid != srcID && hid != best.ID {
 				if hg, exists := byID[hid]; exists && hg.Primary != "" &&
-					sim[hid] <= sim[best.ID]+cfg.HomeSlack*mean {
+					sim[hid] <= sim[best.ID]+homeSlack*mean {
 					target = hg
 					reason = "imbalance,prefer-home"
 				}
@@ -215,8 +211,6 @@ type Options struct {
 	// samples-and-resets every primary's hot counters, so the interval
 	// is also the averaging horizon.
 	Interval time.Duration
-	// TopK bounds the per-group hot sample (default 32).
-	TopK int
 	// Policy tunes the planner.
 	Policy PolicyConfig
 	// DryRun plans and records decisions without executing moves.
@@ -279,9 +273,6 @@ type Rebalancer struct {
 func New(opts Options) *Rebalancer {
 	if opts.Interval <= 0 {
 		opts.Interval = 2 * time.Second
-	}
-	if opts.TopK <= 0 {
-		opts.TopK = 32
 	}
 	if opts.Log == nil {
 		opts.Log = func(string, ...any) {}
@@ -451,7 +442,7 @@ func (r *Rebalancer) sample(d *shard.Directory) []GroupLoad {
 	for _, g := range groups {
 		gl := GroupLoad{ID: g.ID, Primary: g.Primary}
 		if g.Primary != "" {
-			if hot, err := cluster.HotWindow(r.opts.Pool, g.Primary, r.opts.TopK); err == nil {
+			if hot, err := cluster.HotWindow(r.opts.Pool, g.Primary, topK); err == nil {
 				gl.Hot = hot
 				for _, h := range hot {
 					gl.Ops += h.Count

@@ -145,7 +145,7 @@ func TestPlanSimulatesChosenMoves(t *testing.T) {
 func TestPolicyDefaults(t *testing.T) {
 	var cfg PolicyConfig
 	cfg.fill()
-	if cfg.ImbalanceRatio <= 1 || cfg.MinGainFraction <= 0 || cfg.MaxMovesPerTick <= 0 ||
+	if imbalanceRatio <= 1 || minGainFraction <= 0 || homeSlack <= 0 || topK <= 0 || cfg.MaxMovesPerTick <= 0 ||
 		cfg.Cooldown < time.Second || cfg.MinWindowOps == 0 {
 		t.Fatalf("defaults not filled: %+v", cfg)
 	}
@@ -156,27 +156,12 @@ func TestPolicyDefaults(t *testing.T) {
 // 0, and one Tick of a Rebalancer wired the way cmd/lambdacoord wires it
 // (hot windows sampled from, and moves sent to, the primaries over RPC).
 func TestTickMovesHotObjects(t *testing.T) {
-	dir := shard.NewDirectory(nil)
-	var nodes []*cluster.Node
-	for gid := uint64(0); gid < 2; gid++ {
-		node, err := cluster.StartNode(cluster.NodeOptions{
-			Addr: "127.0.0.1:0", DataDir: t.TempDir(), GroupID: gid, Directory: dir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		nodes = append(nodes, node)
-		dir.SetGroup(shard.Group{ID: gid, Primary: node.Addr()})
-	}
-	for _, n := range nodes {
-		n.SetDirectory(dir)
-	}
-	c, err := cluster.NewClient(cluster.ClientConfig{Directory: dir})
+	l, err := cluster.StartLocal(cluster.LocalOptions{Groups: []int{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
+	t.Cleanup(l.Close)
+	dir, c := l.Dir, l.Client
 	if err := c.RegisterType(retwis.MustType()); err != nil {
 		t.Fatal(err)
 	}

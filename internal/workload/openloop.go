@@ -122,7 +122,7 @@ func RunOpenLoop(cfg Config, workloadName string, inv Invoker, o OpenLoopOptions
 	var issued, completed, shed, errCount atomic.Uint64
 	errCh := make(chan error, 1)
 
-	gen := NewPoisson(cfg.Seed, o.Rate)
+	gen := NewPoisson(Seed, o.Rate)
 	start := time.Now()
 	end := start.Add(o.Duration)
 	var wg sync.WaitGroup

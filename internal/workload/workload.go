@@ -34,23 +34,13 @@ func (f InvokerFunc) Invoke(object uint64, method string, args [][]byte) ([]byte
 type Config struct {
 	// Accounts is the number of User objects (paper: 10,000).
 	Accounts int
-	// MeanFollowers is the average follower-list size; actual sizes are
-	// Zipf-skewed so a few accounts have many followers, as in real social
-	// graphs.
-	MeanFollowers int
-	// ZipfS is the skew parameter (>1; higher = more skew).
-	ZipfS float64
-	// MsgLen is the post message size in bytes.
-	MsgLen int
-	// Seed makes population and op streams reproducible.
-	Seed int64
 	// FirstID is the object ID of the first account (accounts occupy
 	// [FirstID, FirstID+Accounts)).
 	FirstID uint64
 	// HotspotS, when > 1, Zipf-skews which account each operation
 	// targets (rank 0 hottest): the hot-spot workloads the rebalancer
 	// is judged against. Zero keeps the original uniform pick. This is
-	// separate from ZipfS, which skews the follower-graph shape.
+	// separate from zipfS, which skews the follower-graph shape.
 	HotspotS float64
 	// HotspotStride spreads Zipf ranks across account indexes as
 	// (rank*stride) mod Accounts. With stride 1 the hottest accounts
@@ -62,16 +52,22 @@ type Config struct {
 	HotspotStride uint64
 }
 
-// DefaultConfig mirrors the paper's setup scaled by accounts.
+// The generator's shape, mirroring the paper's setup.
+const (
+	// meanFollowers is the average follower-list size; actual sizes are
+	// Zipf-skewed (zipfS > 1; higher = more skew) so a few accounts have
+	// many followers, as in real social graphs.
+	meanFollowers = 8
+	zipfS         = 1.3
+	// msgLen is the post message size in bytes.
+	msgLen = 100
+	// Seed makes population and op streams reproducible.
+	Seed int64 = 42
+)
+
+// DefaultConfig is the paper's population scaled by accounts.
 func DefaultConfig(accounts int) Config {
-	return Config{
-		Accounts:      accounts,
-		MeanFollowers: 8,
-		ZipfS:         1.3,
-		MsgLen:        100,
-		Seed:          42,
-		FirstID:       1,
-	}
+	return Config{Accounts: accounts, FirstID: 1}
 }
 
 // AccountID returns the object ID of account index i.
@@ -83,8 +79,8 @@ func (c Config) AccountID(i int) uint64 {
 // called to instantiate each object before its create_account invocation
 // (the two architectures create objects differently).
 func Populate(cfg Config, create func(id uint64) error, inv Invoker) error {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(4*cfg.MeanFollowers))
+	rng := rand.New(rand.NewSource(Seed))
+	zipf := rand.NewZipf(rng, zipfS, 1, uint64(4*meanFollowers))
 
 	// Parallelize account creation: accounts are independent objects.
 	const parallel = 32
@@ -206,9 +202,9 @@ func keyPicker(cfg Config, rng *rand.Rand) func() uint64 {
 // OpStream produces the per-worker operation closure for one workload.
 // Each worker gets an independent deterministic RNG.
 func OpStream(cfg Config, workload string, inv Invoker, worker int) (func() error, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(worker)*7919))
+	rng := rand.New(rand.NewSource(Seed + int64(worker)*7919))
 	pick := keyPicker(cfg, rng)
-	msg := make([]byte, cfg.MsgLen)
+	msg := make([]byte, msgLen)
 	for i := range msg {
 		msg[i] = byte('a' + i%26)
 	}

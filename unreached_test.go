@@ -265,6 +265,77 @@ func TestOneRequestPath(t *testing.T) {
 	}
 }
 
+// TestOneDeployment is the "one way to stand a deployment up" guard: each
+// assembly is written once, in the package that owns its parts, so the parts'
+// constructors are called from there, from the daemon that runs one part per
+// process, and (until the thaw) from the frozen benchmark's own boot. Tests
+// may start a bare node when that is their subject, but not re-encode the
+// static boot protocol around it.
+func TestOneDeployment(t *testing.T) {
+	fset := token.NewFileSet()
+	// part constructor (as spelled outside its package) -> where product
+	// code may call it: a file, or a directory with its trailing slash.
+	allowed := map[string][]string{
+		"cluster.StartNode":     {"internal/cluster/local.go", "cmd/lambdastore/", "benchmark/"},
+		"coordinator.New":       {"internal/coordinator/"},
+		"baseline.StartStorage": {"internal/baseline/", "cmd/lambdacompute/"},
+		"baseline.StartCompute": {"internal/baseline/", "cmd/lambdacompute/"},
+		"baseline.StartLB":      {"internal/baseline/", "cmd/lambdacompute/"},
+	}
+	seen := 0
+	for _, s := range parseAll(t, fset, "internal", "cmd", "examples", "benchmark") {
+		isTest := strings.HasSuffix(s.path, "_test.go")
+		for _, d := range s.file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			var startsNode, spellsGroup token.Pos
+			ast.Inspect(fd, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					// Inside its own package a constructor is called bare.
+					callee := selectorPath(n.Fun)
+					if !strings.Contains(callee, ".") {
+						callee = path.Base(s.dir) + "." + callee
+					}
+					where, guarded := allowed[callee]
+					if !guarded {
+						return true
+					}
+					seen++
+					if callee == "cluster.StartNode" {
+						startsNode = n.Pos()
+					}
+					ok := isTest
+					for _, w := range where {
+						ok = ok || s.path == w || strings.HasPrefix(s.path, w)
+					}
+					if !ok {
+						t.Errorf("%s: %s( outside %v: boot through cluster.StartLocal, coordinator.Serve/StartEnsemble or baseline.StartLocal", fset.Position(n.Pos()), callee, where)
+					}
+				case *ast.CompositeLit:
+					if typ := selectorPath(n.Type); typ == "shard.Group" || (typ == "Group" && s.dir == "internal/shard") {
+						for _, e := range n.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok && selectorPath(kv.Key) == "Primary" {
+								spellsGroup = n.Pos()
+							}
+						}
+					}
+				}
+				return true
+			})
+			if isTest && startsNode.IsValid() && spellsGroup.IsValid() {
+				t.Errorf("%s: %s starts a node and spells out its group (%s): that is the static boot protocol by hand — call StartLocal",
+					fset.Position(startsNode), fd.Name.Name, fset.Position(spellsGroup))
+			}
+		}
+	}
+	if seen < 8 {
+		t.Fatalf("saw %d part-constructor calls: the guard is not looking at the source", seen)
+	}
+}
+
 // TestOneDecoder is the "one decoding cursor" guard. wire exports no
 // function that threads (value, rest, err), so the only door left for a
 // second private reader is the standard library's varint decoders: no
@@ -487,26 +558,6 @@ func selectorPath(e ast.Expr) string {
 	return ""
 }
 
-// defaultsOnly lists option fields nothing sets, each with why it is still
-// there. Like testOnly it is a worklist, not a steady state: a sizing value
-// only its own defaults() ever writes is a constant with a field's syntax.
-var defaultsOnly = map[string]string{
-	"chaos.Options.HeartbeatInterval":      "chaos timing: every scenario runs the 50ms default",
-	"chaos.RunOptions.MaxRecoveryAttempts": "chaos timeout: every schedule runs the default",
-	"chaos.RunOptions.PromoteTimeout":      "chaos timeout: every schedule runs the default",
-	"chaos.RunOptions.RejoinTimeout":       "chaos timeout: every schedule runs the default",
-
-	"rebalance.Options.TopK":                 "hot-sample size: default only",
-	"rebalance.PolicyConfig.HomeSlack":       "policy threshold: default only",
-	"rebalance.PolicyConfig.ImbalanceRatio":  "policy threshold: default only",
-	"rebalance.PolicyConfig.MinGainFraction": "policy threshold: default only",
-
-	"workload.Config.MeanFollowers": "generator shape: default only",
-	"workload.Config.MsgLen":        "generator shape: default only",
-	"workload.Config.Seed":          "generator shape: default only",
-	"workload.Config.ZipfS":         "generator shape: default only",
-}
-
 // TestEveryOptionIsSet is the "no dead knobs" guard: an exported field of a
 // product struct named *Options or *Config must be set — as a composite-
 // literal key or by assignment, tests included — by some file other than the
@@ -592,25 +643,15 @@ func TestEveryOptionIsSet(t *testing.T) {
 	}
 
 	var dead []string
-	unset := map[string]bool{}
 	for f, decl := range declared {
 		files := byName[f.name]
 		if set[f] || len(files) > 1 || (len(files) == 1 && !files[decl.path]) {
 			continue
 		}
-		name := path.Base(f.dir) + "." + f.typ + "." + f.name
-		unset[name] = true
-		if _, ok := defaultsOnly[name]; !ok {
-			dead = append(dead, decl.path+": "+name)
-		}
+		dead = append(dead, decl.path+": "+path.Base(f.dir)+"."+f.typ+"."+f.name)
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s is set by no file but its own: delete the field and pass what the zero value passed, or list it in defaultsOnly with the reason", d)
-	}
-	for name := range defaultsOnly {
-		if !unset[name] {
-			t.Errorf("defaultsOnly entry %q is stale (not declared, or something sets it now)", name)
-		}
+		t.Errorf("%s is set by no file but its own: a value only its own defaults ever write is a constant — delete the field", d)
 	}
 }
