@@ -29,8 +29,9 @@ test:
 
 # The packages where a data race would actually hide: the runtime, the
 # cluster node, the caches on the read path, the store, the telemetry
-# instruments themselves, the VM (lazy module compilation is shared
-# across instances; the differential test runs both tiers under -race),
+# instruments themselves, the VM (a module's linked code is shared across
+# instances; the differential test runs it against the reference
+# interpreter under -race),
 # rpc (every frame on a connection leaves through the connWriter's
 # single flusher), the baseline (its compute node drives core's warm
 # pool and parallel fan-out from RPC handler goroutines), and recovery

@@ -799,6 +799,9 @@ func runAsm(args []string) {
 	if err != nil {
 		log.Fatalf("lambdactl: %v", err)
 	}
+	if err := core.LinkModule(mod); err != nil {
+		log.Fatalf("lambdactl: %s would be refused as an object type's module: %v", *file, err)
+	}
 	enc := mod.Encode()
 	if *out == "" {
 		fmt.Println(hex.EncodeToString(enc))

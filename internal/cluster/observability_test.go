@@ -419,7 +419,7 @@ func TestOneSnapshotThreeExits(t *testing.T) {
 		"cache.validations", "cache.evictions", "cache.bypass", "cache.invalidations",
 		"shard.overrides", "shard.overrides_redundant", "cluster.primary", "cluster.fenced_objects",
 		"move.in_flight", "move.inbound_sessions",
-		"vm.compiled_modules", "vm.interp_fallbacks", "vm.compile_ns",
+		"vm.compiled_modules", "vm.compile_ns",
 		"lease.held", "lease.held_now",
 	} {
 		if _, ok := text[name]; !ok {

@@ -562,6 +562,41 @@ func TestTypeValidation(t *testing.T) {
 	}
 }
 
+// TestUnrunnableTypeRefused: a type whose methods could only ever fail at
+// their first invocation is refused wherever a type is accepted — before
+// RegisterType persists it, when a peer's record is decoded, and when a
+// stored record is loaded — with an error naming the type and the defect.
+func TestUnrunnableTypeRefused(t *testing.T) {
+	for _, c := range []struct{ name, src, want string }{
+		{"stack parameters", "func m params=2 export\n  ret\nend", `method "m" declares 2 stack parameters`},
+		{"missing import", "func m params=0 export\n  hostcall no_such_host_fn\n  ret\nend", `unresolved import "no_such_host_fn"`},
+		{"untypeable stack", "func m params=0 export\n  add\n  ret\nend", `func "m" pc 0 (add): pops 2 with 0 on the stack`},
+	} {
+		typ := &ObjectType{Name: "Bad", Methods: []MethodInfo{{Name: "m"}}, Module: vm.MustAssemble(c.src)}
+		check := func(path string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrBadType) || !strings.Contains(err.Error(), `type "Bad"`) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s, %s: err = %v\nwant ErrBadType naming type \"Bad\" and %s", c.name, path, err, c.want)
+			}
+		}
+		rt, db := newTestRuntime(t, Options{})
+		check("RegisterType", rt.RegisterType(typ))
+		if _, ok := rt.Type("Bad"); ok {
+			t.Errorf("%s: refused type was installed", c.name)
+		}
+		if _, err := db.Get(typeKey("Bad")); err == nil {
+			t.Errorf("%s: refused type was persisted", c.name)
+		}
+		_, err := DecodeObjectType(typ.Encode())
+		check("DecodeObjectType", err)
+		if err := db.Put(typeKey("Bad"), typ.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewRuntime(db, Options{})
+		check("loading the store", err)
+	}
+}
+
 func TestWrongFieldKindRejected(t *testing.T) {
 	// A method that treats a value field as a list must fail cleanly.
 	src := `

@@ -12,7 +12,7 @@ import (
 )
 
 // maxInvocationDepth bounds synchronous nested-invocation chains that stay
-// on this node (each level nests the interpreter on the Go stack).
+// on this node (each level nests a guest call on the Go stack).
 const maxInvocationDepth = 32
 
 // invocation is the per-call execution context: the object under

@@ -137,10 +137,9 @@ func (m *rtMetrics) methodCounter(method string) *telemetry.Counter {
 // NewRuntime builds a runtime on db, loading persisted types.
 func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 	rt := &Runtime{
-		db:    db,
-		opts:  opts,
-		types: make(map[string]*ObjectType),
-		hot:   newHotTracker(),
+		db:   db,
+		opts: opts,
+		hot:  newHotTracker(),
 	}
 	if opts.Fuel == 0 {
 		rt.opts.Fuel = DefaultFuel
@@ -161,7 +160,8 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 	if rt.opts.Invoker == nil {
 		rt.opts.Invoker = rt
 	}
-	if err := rt.loadTypes(); err != nil {
+	var err error
+	if rt.types, err = rt.readTypes(); err != nil {
 		return nil, err
 	}
 	return rt, nil
@@ -177,11 +177,14 @@ func (rt *Runtime) Cache() *cache.Cache { return rt.cache }
 // PoolStats returns (warm, cold) instance-start counts.
 func (rt *Runtime) PoolStats() (warm, cold uint64) { return rt.pool.Stats() }
 
-// loadTypes reads all persisted type records.
-func (rt *Runtime) loadTypes() error {
+// readTypes decodes every persisted type record. A record that no longer
+// decodes — or whose module no longer links against this build's host API —
+// fails the read, naming the type.
+func (rt *Runtime) readTypes() (map[string]*ObjectType, error) {
+	types := make(map[string]*ObjectType)
 	it, err := rt.db.NewIterator()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer it.Close()
 	prefix := []byte{keyPrefixType}
@@ -192,11 +195,11 @@ func (rt *Runtime) loadTypes() error {
 		}
 		t, err := DecodeObjectType(it.Value())
 		if err != nil {
-			return fmt.Errorf("core: corrupt type record %q: %w", k, err)
+			return nil, fmt.Errorf("core: stored type %q: %w", k[1:], err)
 		}
-		rt.types[t.Name] = t
+		types[t.Name] = t
 	}
-	return it.Error()
+	return types, it.Error()
 }
 
 // ReloadTypes re-reads the persisted type records and replaces the
@@ -204,25 +207,8 @@ func (rt *Runtime) loadTypes() error {
 // range from a donor, making types that were deployed during the
 // node's downtime dispatchable without a restart.
 func (rt *Runtime) ReloadTypes() error {
-	fresh := make(map[string]*ObjectType)
-	it, err := rt.db.NewIterator()
+	fresh, err := rt.readTypes()
 	if err != nil {
-		return err
-	}
-	defer it.Close()
-	prefix := []byte{keyPrefixType}
-	for it.Seek(prefix); it.Valid(); it.Next() {
-		k := it.Key()
-		if len(k) == 0 || k[0] != keyPrefixType {
-			break
-		}
-		t, err := DecodeObjectType(it.Value())
-		if err != nil {
-			return fmt.Errorf("core: corrupt type record %q: %w", k, err)
-		}
-		fresh[t.Name] = t
-	}
-	if err := it.Error(); err != nil {
 		return err
 	}
 	rt.mu.Lock()

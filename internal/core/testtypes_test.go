@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"lambdastore/internal/store"
-	"lambdastore/internal/telemetry"
 	"lambdastore/internal/vm"
 )
 
@@ -590,32 +589,4 @@ func newTestRuntime(t *testing.T, opts Options) (*Runtime, *store.DB) {
 		t.Fatalf("NewRuntime: %v", err)
 	}
 	return rt, db
-}
-
-// TestShippedModulesCompile pins every guest above to the threaded tier:
-// instantiated against the runtime's real host table each must compile,
-// so a translator regression cannot silently move it onto the interpreter.
-func TestShippedModulesCompile(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	vm.RegisterMetrics(reg)
-	fallbacks := func() int64 { return reg.Snapshot().Gauges["vm.interp_fallbacks"] }
-	before := fallbacks()
-	for name, src := range map[string]string{
-		"counter": counterSrc, "account": accountSrc, "notebook": notebookSrc,
-	} {
-		mod, err := vm.Assemble(src)
-		if err != nil {
-			t.Fatalf("assemble %s: %v", name, err)
-		}
-		inst, err := vm.NewInstance(mod, newHostTable(), DefaultFuel)
-		if err != nil {
-			t.Fatalf("instantiate %s: %v", name, err)
-		}
-		if inst.EffectiveTier() != vm.TierThreaded {
-			t.Errorf("%s guest runs on the interpreter, want the threaded tier", name)
-		}
-	}
-	if after := fallbacks(); after != before {
-		t.Fatalf("vm.interp_fallbacks moved %d -> %d instantiating the test guests", before, after)
-	}
 }

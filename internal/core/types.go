@@ -134,7 +134,8 @@ type ObjectType struct {
 }
 
 // NewObjectType validates and indexes a type definition. Every declared
-// method must be an exported function of the module.
+// method must be an exported, parameterless function of the module, and the
+// module must link against the host API.
 func NewObjectType(name string, fields []FieldDef, methods []MethodInfo, module *vm.Module) (*ObjectType, error) {
 	t := &ObjectType{Name: name, Fields: fields, Methods: methods, Module: module}
 	if err := t.init(); err != nil {
@@ -174,6 +175,11 @@ func (t *ObjectType) init() error {
 		if !t.Module.HasExport(m.Name) {
 			return fmt.Errorf("%w: method %q is not an exported module function", ErrBadType, m.Name)
 		}
+		// A method receives its arguments through the host API (arg), and
+		// the pool calls it with none on the stack.
+		if np := t.Module.Funcs[t.Module.FuncIndex(m.Name)].NumParams; np != 0 {
+			return fmt.Errorf("%w: type %q: method %q declares %d stack parameters; methods are called with none", ErrBadType, t.Name, m.Name, np)
+		}
 		// Classify once at validation time: a method none of whose
 		// reachable host calls can mutate is read-only in fact, whatever
 		// its declaration says. The flag is advisory for routing only —
@@ -192,8 +198,21 @@ func (t *ObjectType) init() error {
 		}
 		t.methodIdx[m.Name] = m
 	}
+	// Link here, where a type is accepted (registered, decoded from a peer,
+	// loaded from the store), so a module that imports what the host API
+	// lacks or whose stack cannot be typed is refused before it is persisted
+	// and replicated, not at its first invocation.
+	if err := LinkModule(t.Module); err != nil {
+		return fmt.Errorf("%w: type %q: %w", ErrBadType, t.Name, err)
+	}
 	return nil
 }
+
+// LinkModule links mod against the host API object methods run with, the
+// check every type's module must pass; tooling that produces modules
+// (lambdactl asm) runs it so the author meets a stack-typing or import
+// error before any cluster does.
+func LinkModule(mod *vm.Module) error { return mod.Link(hostTable) }
 
 // Method returns the named method declaration.
 func (t *ObjectType) Method(name string) (*MethodInfo, bool) {
@@ -253,7 +272,7 @@ func DecodeObjectType(data []byte) (*ObjectType, error) {
 	}
 	var err error
 	if t.Module, err = vm.Decode(modBytes); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: type %q: %w", ErrBadType, t.Name, err)
 	}
 	if err := t.init(); err != nil {
 		return nil, err

@@ -7,8 +7,6 @@ import (
 
 	"lambdastore/internal/core"
 	"lambdastore/internal/store"
-	"lambdastore/internal/telemetry"
-	"lambdastore/internal/vm"
 )
 
 func newRuntime(t *testing.T) *core.Runtime {
@@ -212,25 +210,5 @@ func TestDecodeTimelineNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestShippedModulesCompile pins the Retwis guest to the threaded tier. The
-// runtime owns its instances, so the check reads the compiler's instruments
-// around the first invocation (which instantiates Source against the real
-// host table): one more compiled module, no interpreter fallback.
-func TestShippedModulesCompile(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	vm.RegisterMetrics(reg)
-	before := reg.Snapshot().Gauges
-	rt := newRuntime(t)
-	mkUser(t, rt, 1, "alice")
-	after := reg.Snapshot().Gauges
-	if after["vm.compiled_modules"] != before["vm.compiled_modules"]+1 {
-		t.Fatalf("vm.compiled_modules moved %d -> %d, want +1", before["vm.compiled_modules"], after["vm.compiled_modules"])
-	}
-	if after["vm.interp_fallbacks"] != before["vm.interp_fallbacks"] {
-		t.Fatalf("retwis.Source fell back to the interpreter: vm.interp_fallbacks %d -> %d",
-			before["vm.interp_fallbacks"], after["vm.interp_fallbacks"])
 	}
 }

@@ -1,31 +1,26 @@
 package vm
 
-// The ahead-of-time compilation tier: validated bytecode is translated
-// once per module into token-threaded code — per-function arrays of Go
-// closures over the register form computed in ir.go — and every instance
-// of the module executes the closures instead of the switch interpreter.
-//
-// The tier is behaviorally identical to the interpreter by construction:
-//   - Fuel is charged from the same blockFuel array at the same block
-//     leaders, with the same exhaustion semantics (the remainder is
-//     consumed so FuelUsed reports the full budget) and the same
-//     non-consuming host-call precheck, so FuelUsed matches to the unit.
-//   - Every trap (bounds, division, stack limits, unreachable, halt, host
-//     errors) fires at the same pc with the same wrapped error. Stack
-//     underflow is decided statically (a pc whose depth is too shallow
-//     compiles to a trap closure); overflow remains a runtime check
-//     against the frame's precomputed headroom.
-//   - Stores and memory growth go through the same dirty-region tracking
-//     (noteWrite / grow), so ResetFast isolation is preserved for pooled
-//     instances running compiled code.
+// The execution engine: a linked module (Module.Link) is translated once
+// into token-threaded code — per-function arrays of Go closures over the
+// register form typed in ir.go — and every instance of the module executes
+// the closures. There is no other engine in the product; the switch
+// interpreter in interp_test.go is the reference the differential suites
+// hold this one to, trap for trap:
+//   - Fuel is charged from Func.blockFuel at block leaders; exhaustion
+//     consumes the remainder so FuelUsed reports the full budget, and the
+//     host-call precheck consumes nothing when it fails.
+//   - Every trap (bounds, division, call depth, unreachable, halt, host
+//     errors) is reported at the pc of the source instruction that caused
+//     it. The operand stack cannot underflow or overflow: linking typed it.
+//   - Stores and memory growth go through the dirty-region tracking
+//     (noteWrite / grow), so ResetFast isolation holds for pooled instances.
 //
 // Within a basic block the symbolic translator (translate.go) collapses
 // stack traffic entirely: constant pushes and local reads become operand
 // descriptors consumed in place, ALU results flow straight into locals,
 // and compare-and-branch pairs fuse into single closures. A closure that
 // stands in for several source instructions reports the pc of the
-// component that would have trapped. A module with a function the
-// translator declines stays on the interpreter as a whole.
+// component that trapped.
 
 import (
 	"fmt"
@@ -34,36 +29,19 @@ import (
 	"lambdastore/internal/telemetry"
 )
 
-// Tier selects the execution engine for an instance.
-type Tier uint8
-
-const (
-	// TierThreaded runs compiled token-threaded code, falling back to the
-	// interpreter for modules the compiler rejects. The default.
-	TierThreaded Tier = iota
-	// TierInterp forces the switch interpreter (the differential suites'
-	// reference engine).
-	TierInterp
-)
-
 // Compilation counters, process-global like the fault counters because a
-// Module is compiled once whoever instantiates it: modules translated to
-// threaded code; modules the compiler rejected plus instantiations that fell
-// back because the host-function arities differed from the ones the module
-// was compiled against; total nanoseconds spent compiling.
+// Module is compiled once whoever links it: modules translated to threaded
+// code, and total nanoseconds spent doing so.
 var (
 	statCompiledModules atomic.Uint64
-	statInterpFallbacks atomic.Uint64
 	statCompileNs       atomic.Int64
 )
 
 // RegisterMetrics publishes the compilation counters in reg as sampled
-// gauges, so a production fallback to the interpreter is visible, not
-// silent. Whoever instantiates modules on a node calls it with the node's
+// gauges. Whoever instantiates modules on a node calls it with the node's
 // registry.
 func RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("vm.compiled_modules", func() int64 { return int64(statCompiledModules.Load()) })
-	reg.GaugeFunc("vm.interp_fallbacks", func() int64 { return int64(statInterpFallbacks.Load()) })
 	reg.GaugeFunc("vm.compile_ns", statCompileNs.Load)
 }
 
@@ -102,32 +80,25 @@ type thState struct {
 	// fp is the current frame's base register. Frame layout: params,
 	// declared locals, then one register per operand-stack slot.
 	fp int
-	// height is the interpreter-equivalent total value-stack height at
-	// frame entry (operand slots only — locals never counted, exactly as
-	// the interpreter keeps locals off the value stack). Push sites
-	// compare it against precomputed headroom to reproduce the
-	// maxValueStack trap.
-	height int
-	// depth is the live frame count, bounded by maxCallDepth.
+	// depth is the live frame count, bounded by maxCallDepth; zero while
+	// no call is running.
 	depth   int
 	metered bool
-	active  bool // a threaded call is running (reentry falls back to interp)
 	trap    error
 	hargs   []int64 // reusable host-call argument scratch
 }
 
-// failAt records the trap exactly as the interpreter's trapf would.
+// failAt records a trap annotated with its location.
 func (m *thState) failAt(name string, pc int, err error) int {
 	m.trap = fmt.Errorf("%w (in %s at pc %d)", err, name, pc)
 	return thDone
 }
 
 // run drives the threaded loop for one frame. The metered loop charges
-// block fuel from bfuel before dispatching a leader, with the same
-// exhaustion semantics as the interpreter (the remainder is consumed so
-// FuelUsed reports the full budget). Control only ever lands on block
-// leaders or pcs inside a block whose bfuel is zero, so the per-dispatch
-// check reproduces per-block accounting exactly.
+// block fuel from bfuel before dispatching a leader; exhaustion consumes
+// the remainder so FuelUsed reports the full budget. Control only ever
+// lands on block leaders or pcs inside a block whose bfuel is zero, so the
+// per-dispatch check reproduces per-block accounting exactly.
 func (tf *thFunc) run(m *thState) {
 	ops := tf.ops
 	if !m.metered {
@@ -163,15 +134,30 @@ func (inst *Instance) growRegs(need int) {
 	inst.regFile = grown
 }
 
-// callThreaded runs function idx on the compiled tier. Arguments are
-// already length-checked by CallIndex.
-func (inst *Instance) callThreaded(idx int, args []int64) (int64, error) {
+// Call runs the named function with args and returns the value left on top
+// of the stack (0 if the function leaves none).
+func (inst *Instance) Call(name string, args ...int64) (int64, error) {
+	idx := inst.module.FuncIndex(name)
+	if idx < 0 {
+		return 0, fmt.Errorf("%w: %q", ErrNoSuchFunction, name)
+	}
+	return inst.CallIndex(idx, args...)
+}
+
+// CallIndex runs function idx. See Call. An instance runs one call tree at
+// a time: a host function calling back into the instance that called it is
+// refused.
+func (inst *Instance) CallIndex(idx int, args ...int64) (int64, error) {
 	tf := inst.thmod.funcs[idx]
+	if len(args) != tf.numParams {
+		return 0, fmt.Errorf("vm: %q takes %d args, got %d", tf.name, tf.numParams, len(args))
+	}
 	m := &inst.tstate
+	if m.depth != 0 {
+		return 0, fmt.Errorf("vm: %q called while the instance is running", tf.name)
+	}
 	m.inst = inst
-	m.active = true
 	m.fp = 0
-	m.height = 0
 	m.depth = 1
 	m.metered = inst.fuel > 0
 	m.trap = nil
@@ -187,7 +173,7 @@ func (inst *Instance) callThreaded(idx int, args []int64) (int64, error) {
 		rf[i] = 0
 	}
 	tf.run(m)
-	m.active = false
+	m.depth = 0
 	if m.trap != nil {
 		return 0, m.trap
 	}
@@ -197,12 +183,12 @@ func (inst *Instance) callThreaded(idx int, args []int64) (int64, error) {
 	return 0, nil
 }
 
-// compileModule translates a validated module. ok=false means the module
-// stays on the interpreter.
-func compileModule(m *Module, sigs []hostSig) (*thModule, bool) {
-	irs, ok := analyzeModule(m, sigs)
-	if !ok {
-		return nil, false
+// compileModule types and translates a validated module against the host
+// arities sigs.
+func compileModule(m *Module, sigs []hostSig) (*thModule, error) {
+	irs, err := analyzeModule(m, sigs)
+	if err != nil {
+		return nil, err
 	}
 	tm := &thModule{funcs: make([]*thFunc, len(m.Funcs))}
 	for i := range m.Funcs {
@@ -223,9 +209,7 @@ func compileModule(m *Module, sigs []hostSig) (*thModule, bool) {
 		}
 	}
 	for i := range m.Funcs {
-		if !emitFuncSym(m, i, irs[i], tm, sigs) {
-			return nil, false
-		}
+		emitFuncSym(m, i, irs[i], tm, sigs)
 	}
-	return tm, true
+	return tm, nil
 }

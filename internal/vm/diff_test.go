@@ -1,24 +1,26 @@
 package vm
 
 // Differential execution tests: seeded generators produce modules that
-// run through both tiers — the switch interpreter and the AOT threaded
-// code — asserting identical results, error strings (trap identity and
-// location), FuelUsed, final linear memory, and host-call sequences.
-// Each module is then ResetFast and re-run, so a compiled store that
-// failed to raise the dirty high-water mark would leak state into the
+// run through both engines — the compiled one and the reference switch
+// interpreter (interp_test.go) — asserting identical results, error strings
+// (trap identity and location), FuelUsed, final linear memory, and host-call
+// sequences. Each module is then ResetFast and re-run, so a compiled store
+// that failed to raise the dirty high-water mark would leak state into the
 // second round and diverge.
 //
 // The structured generator emits depth-disciplined assembly (every
 // function returns one value, loops use dedicated counters so unmetered
-// runs terminate) that must always compile; the raw generator emits
-// random valid-but-undisciplined bytecode that exercises static
-// underflow traps and the interpreter fallback, and runs metered only.
+// runs terminate); the raw generator emits random bytecode with arbitrary
+// control flow, typed by construction but for the occasional undisciplined
+// instruction that linking must refuse, and runs metered only.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -240,9 +242,9 @@ func genStructured(r *rand.Rand) string {
 	return g.b.String()
 }
 
-// rawOps is the opcode palette of the undisciplined generator: no calls
-// or host calls, so modules are import-free (compiled — or rejected — at
-// Validate) and every loop is bounded by the metered fuel budget.
+// rawOps is the opcode palette of the raw generator: no calls or host
+// calls, so modules are import-free and every loop is bounded by the
+// metered fuel budget.
 var rawOps = []opcode{
 	opNop, opPush, opPop, opDup, opSwap,
 	opLocalGet, opLocalSet, opLocalTee,
@@ -254,47 +256,100 @@ var rawOps = []opcode{
 	opMemSize, opAddI, opUnpackPtr, opUnpackLen,
 }
 
-// genRaw builds a random valid-by-Validate module directly from opcodes,
-// with no stack discipline: depth-inconsistent programs fall back to the
-// interpreter, depth-consistent ones often compile with static-underflow
-// trap sites — both still must match the interpreter exactly.
+// genRaw builds a random module directly from opcodes, tracking the operand
+// depth as it goes: an op is drawn from those whose pops fit the current
+// depth, a backward branch targets a pc of equal depth, and a forward branch
+// stays open until the stream reaches its depth again (or is closed by a
+// stub after the final ret that adjusts to the return depth). One module in
+// six carries one instruction drawn with no regard to depth, so linking's
+// refusals are exercised on random programs too.
 func genRaw(r *rand.Rand) *Module {
 	n := 5 + r.Intn(24)
-	code := make([]instr, 0, n+1)
-	for i := 0; i < n; i++ {
+	sloppy := -1
+	if r.Intn(6) == 0 {
+		sloppy = r.Intn(n)
+	}
+	type fix struct{ pc, depth int } // a forward branch awaiting its target
+	var open []fix
+	code := make([]instr, 0, n+8)
+	depthAt := make([]int, 0, n)
+	d := 0
+	for pc := 0; pc < n; pc++ {
+		kept := open[:0]
+		for _, fx := range open {
+			if fx.depth == d && r.Intn(2) == 0 {
+				code[fx.pc].arg = int64(pc)
+			} else {
+				kept = append(kept, fx)
+			}
+		}
+		open = kept
+		depthAt = append(depthAt, d)
+
 		op := rawOps[r.Intn(len(rawOps))]
-		var arg int64
+		for pc != sloppy && int(stackEffect[op].pop) > d {
+			op = rawOps[r.Intn(len(rawOps))]
+		}
+		in := instr{op: op}
+		nd := max(d-int(stackEffect[op].pop), 0) + int(stackEffect[op].push)
 		switch {
 		case isBranch[op]:
-			arg = int64(r.Intn(n + 1))
+			var back []int
+			for t, td := range depthAt {
+				if td == nd {
+					back = append(back, t)
+				}
+			}
+			if len(back) > 0 && r.Intn(2) == 0 {
+				in.arg = int64(back[r.Intn(len(back))])
+			} else {
+				open = append(open, fix{pc, nd})
+			}
+			if op == opJmp && len(open) > 0 {
+				// Nothing falls through a jmp: continue from an open branch.
+				nd = open[r.Intn(len(open))].depth
+			}
 		case op == opLocalGet || op == opLocalSet || op == opLocalTee:
-			arg = int64(r.Intn(3))
+			in.arg = int64(r.Intn(3))
 		case op == opPush:
-			arg = int64(r.Intn(4000) - 10)
+			in.arg = int64(r.Intn(4000) - 10)
 		case op == opAddI:
-			arg = int64(r.Intn(64) - 8)
+			in.arg = int64(r.Intn(64) - 8)
 		}
-		code = append(code, instr{op: op, arg: arg})
+		code = append(code, in)
+		d = nd
 	}
+	ret := len(code)
 	code = append(code, instr{op: opRet})
+	for _, fx := range open {
+		code[fx.pc].arg = int64(len(code))
+		for ; fx.depth > d; fx.depth-- {
+			code = append(code, instr{op: opPop})
+		}
+		for ; fx.depth < d; fx.depth++ {
+			code = append(code, instr{op: opPush, arg: 1})
+		}
+		code = append(code, instr{op: opJmp, arg: int64(ret)})
+	}
 	m := &Module{Funcs: []Func{{
 		Name: "main", NumParams: 1, NumLocals: 2, Exported: true, code: code,
 	}}}
 	if err := m.Validate(); err != nil {
-		return nil
+		panic(err)
 	}
 	return m
 }
 
-// runDiff executes entry(arg) on both tiers of mod and fails on any
+// runDiff executes function idx of mod on both engines and fails on any
 // observable divergence, then ResetFasts both instances and runs a second
-// round to catch dirty-region leaks across pooled reuse.
-func runDiff(t *testing.T, mod *Module, withHosts bool, arg, fuel int64, tag string) {
+// round to catch dirty-region leaks across pooled reuse. hosts, when not
+// nil, builds each engine's host table over that engine's call log.
+func runDiff(t testing.TB, mod *Module, hosts func(log *[]int64) *HostTable, idx int, args []int64, fuel int64, tag string) {
 	t.Helper()
 	var logA, logB []int64
 	var htA, htB *HostTable
-	if withHosts {
-		htA, htB = diffHosts(&logA), diffHosts(&logB)
+	if hosts != nil {
+		htA, htB = hosts(&logA), hosts(&logB)
 	}
 	ia, err := NewInstance(mod, htA, fuel)
 	if err != nil {
@@ -304,12 +359,12 @@ func runDiff(t *testing.T, mod *Module, withHosts bool, arg, fuel int64, tag str
 	if err != nil {
 		t.Fatalf("%s: threaded instance: %v", tag, err)
 	}
-	ia.SetTier(TierInterp)
+	ref := newReference(ia)
 
 	round := func(n int) {
 		t.Helper()
-		ra, ea := ia.Call("main", arg)
-		rb, eb := ib.Call("main", arg)
+		ra, ea := ref.CallIndex(idx, args...)
+		rb, eb := ib.CallIndex(idx, args...)
 		if (ea == nil) != (eb == nil) || (ea != nil && ea.Error() != eb.Error()) {
 			t.Fatalf("%s round %d: trap divergence\ninterp:   %v\nthreaded: %v", tag, n, ea, eb)
 		}
@@ -323,13 +378,8 @@ func runDiff(t *testing.T, mod *Module, withHosts bool, arg, fuel int64, tag str
 		if ia.MemSize() != ib.MemSize() || !bytes.Equal(ia.mem, ib.mem) {
 			t.Fatalf("%s round %d: memory divergence (sizes %d vs %d)", tag, n, ia.MemSize(), ib.MemSize())
 		}
-		if len(logA) != len(logB) {
-			t.Fatalf("%s round %d: host-call count divergence: %d vs %d", tag, n, len(logA), len(logB))
-		}
-		for i := range logA {
-			if logA[i] != logB[i] {
-				t.Fatalf("%s round %d: host-call log divergence at %d: %d vs %d", tag, n, i, logA[i], logB[i])
-			}
+		if !slices.Equal(logA, logB) {
+			t.Fatalf("%s round %d: host-call log divergence:\ninterp:   %v\nthreaded: %v", tag, n, logA, logB)
 		}
 	}
 	round(1)
@@ -347,57 +397,44 @@ func TestDifferentialStructured(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)*9176 + 7))
 		src := genStructured(r)
+		// Structured programs are depth-disciplined by construction: every
+		// one of them must assemble and (in runDiff) link.
 		mod, err := Assemble(src)
 		if err != nil {
 			t.Fatalf("seed %d: assemble: %v\n%s", seed, err, src)
 		}
-		// Structured programs are depth-disciplined by construction: the
-		// compiler must accept every one of them.
-		probe, err := NewInstance(mod, diffHosts(new([]int64)), 1)
-		if err != nil {
-			t.Fatalf("seed %d: instance: %v", seed, err)
-		}
-		if probe.EffectiveTier() != TierThreaded {
-			t.Fatalf("seed %d: structured module fell back to the interpreter\n%s", seed, src)
-		}
 		arg := r.Int63n(1000)
 		for _, fuel := range []int64{0, int64(40 + r.Intn(400)), 1 << 20} {
-			runDiff(t, mod, true, arg, fuel, fmt.Sprintf("seed %d fuel %d", seed, fuel))
+			runDiff(t, mod, diffHosts, mod.FuncIndex("main"), []int64{arg}, fuel, fmt.Sprintf("seed %d fuel %d\n%s", seed, fuel, src))
 		}
 	}
 }
 
 func TestDifferentialRaw(t *testing.T) {
-	seeds := 600
+	seeds, floor := 600, 400
 	if raceEnabled {
-		seeds = 150
+		seeds, floor = 150, 100
 	}
-	compiled, fallbacks := 0, 0
+	linked := 0
 	for seed := 0; seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)*31337 + 11))
 		mod := genRaw(r)
-		if mod == nil {
+		if err := mod.Link(nil); err != nil {
+			if !errors.Is(err, ErrBadModule) {
+				t.Fatalf("raw seed %d: link: %v", seed, err)
+			}
 			continue
 		}
-		probe, err := NewInstance(mod, nil, 1)
-		if err != nil {
-			t.Fatalf("seed %d: instance: %v", seed, err)
-		}
-		if probe.EffectiveTier() == TierThreaded {
-			compiled++
-		} else {
-			fallbacks++
-		}
+		linked++
 		// Raw programs may loop forever: metered budgets only.
 		for _, fuel := range []int64{int64(30 + r.Intn(200)), 5000} {
-			runDiff(t, mod, false, r.Int63n(100), fuel, fmt.Sprintf("raw seed %d fuel %d", seed, fuel))
+			runDiff(t, mod, nil, 0, []int64{r.Int63n(100)}, fuel, fmt.Sprintf("raw seed %d fuel %d", seed, fuel))
 		}
 	}
-	t.Logf("raw modules: %d compiled, %d interpreter fallbacks", compiled, fallbacks)
-	// The symbolic translator accepts almost everything the validator
-	// does, so module-level fallbacks are rare (roughly one per few
-	// hundred seeds); only the full corpus is guaranteed to hit one.
-	if compiled == 0 || (!raceEnabled && fallbacks == 0) {
-		t.Fatalf("raw generator lost coverage: compiled=%d fallbacks=%d (want both >0)", compiled, fallbacks)
+	t.Logf("raw modules: %d of %d linked", linked, seeds)
+	// Non-vacuity: the suite compares engines only on what links, and every
+	// seed links but the ones given an undisciplined instruction.
+	if linked < floor || linked == seeds {
+		t.Fatalf("raw generator lost coverage: %d of %d seeds linked (want at least %d, and some refused)", linked, seeds, floor)
 	}
 }

@@ -20,7 +20,7 @@ type HostFunc struct {
 	Fn     func(inst *Instance, args []int64) (int64, error)
 }
 
-// HostTable resolves import names at instantiation time.
+// HostTable resolves import names at link time.
 type HostTable struct {
 	funcs map[string]*HostFunc
 }
@@ -46,15 +46,17 @@ func (t *HostTable) Lookup(name string) (*HostFunc, bool) {
 	return f, ok
 }
 
-// resolve maps a module's import list to concrete host functions.
+// resolve maps a module's import list to concrete host functions. A nil
+// table resolves only an empty list.
 func (t *HostTable) resolve(imports []string) ([]*HostFunc, error) {
 	out := make([]*HostFunc, len(imports))
 	for i, name := range imports {
-		f, ok := t.funcs[name]
-		if !ok {
+		if t != nil {
+			out[i] = t.funcs[name]
+		}
+		if out[i] == nil {
 			return nil, fmt.Errorf("vm: unresolved import %q", name)
 		}
-		out[i] = f
 	}
 	return out, nil
 }

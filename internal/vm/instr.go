@@ -79,8 +79,8 @@ const (
 	// the Retwis get_timeline loop) executes constantly. They are emitted
 	// by the assembler — `str` compiles to one push2, the unpack pseudo-ops
 	// to one instruction each, and a peephole pass fuses immediate
-	// arithmetic — so interpreter dispatch and fuel accounting are paid
-	// once per idiom instead of once per component instruction. Appended
+	// arithmetic — so fuel accounting is paid once per idiom instead of once
+	// per component instruction. Appended
 	// after opHostCall so existing encoded modules keep their opcode
 	// values.
 	opPushPair  // operand: hi<<32|lo (both non-negative); pushes hi, then lo
@@ -112,52 +112,47 @@ var hasOperand = [opMax]bool{
 // validation must range-check.
 var isBranch = [opMax]bool{opJmp: true, opJz: true, opJnz: true}
 
-// stackEffect gives the fixed pop/push arity of the straight-line opcodes,
-// used by the threaded-tier depth analysis (ir.go). Control flow, calls
-// and host calls have context-dependent effects and are handled explicitly
-// there; fixed=false marks them (and any future opcode the analysis does
-// not know), which routes the module to the interpreter.
-var stackEffect = [opMax]struct {
-	pop, push int8
-	fixed     bool
-}{
-	opNop:       {0, 0, true},
-	opPush:      {0, 1, true},
-	opPop:       {1, 0, true},
-	opDup:       {1, 2, true},
-	opSwap:      {2, 2, true},
-	opLocalGet:  {0, 1, true},
-	opLocalSet:  {1, 0, true},
-	opLocalTee:  {1, 1, true},
-	opAdd:       {2, 1, true},
-	opSub:       {2, 1, true},
-	opMul:       {2, 1, true},
-	opDivS:      {2, 1, true},
-	opRemS:      {2, 1, true},
-	opAnd:       {2, 1, true},
-	opOr:        {2, 1, true},
-	opXor:       {2, 1, true},
-	opShl:       {2, 1, true},
-	opShrS:      {2, 1, true},
-	opShrU:      {2, 1, true},
-	opEq:        {2, 1, true},
-	opNe:        {2, 1, true},
-	opLtS:       {2, 1, true},
-	opGtS:       {2, 1, true},
-	opLeS:       {2, 1, true},
-	opGeS:       {2, 1, true},
-	opEqz:       {1, 1, true},
-	opLoad8U:    {1, 1, true},
-	opLoad64:    {1, 1, true},
-	opStore8:    {2, 0, true},
-	opStore64:   {2, 0, true},
-	opMemSize:   {0, 1, true},
-	opMemGrow:   {1, 1, true},
-	opPushPair:  {0, 2, true},
-	opUnpackPtr: {1, 1, true},
-	opUnpackLen: {1, 1, true},
-	opAddI:      {1, 1, true},
-	opLocalAddI: {0, 0, true},
+// stackEffect gives the pop/push arity stack typing (ir.go) applies to each
+// opcode. jmp, ret, halt, unreachable, nop and local.addi touch no operand;
+// call and hostcall take theirs from the callee and the host signature.
+var stackEffect = [opMax]struct{ pop, push int8 }{
+	opPush:      {0, 1},
+	opPop:       {1, 0},
+	opDup:       {1, 2},
+	opSwap:      {2, 2},
+	opLocalGet:  {0, 1},
+	opLocalSet:  {1, 0},
+	opLocalTee:  {1, 1},
+	opJz:        {1, 0},
+	opJnz:       {1, 0},
+	opAdd:       {2, 1},
+	opSub:       {2, 1},
+	opMul:       {2, 1},
+	opDivS:      {2, 1},
+	opRemS:      {2, 1},
+	opAnd:       {2, 1},
+	opOr:        {2, 1},
+	opXor:       {2, 1},
+	opShl:       {2, 1},
+	opShrS:      {2, 1},
+	opShrU:      {2, 1},
+	opEq:        {2, 1},
+	opNe:        {2, 1},
+	opLtS:       {2, 1},
+	opGtS:       {2, 1},
+	opLeS:       {2, 1},
+	opGeS:       {2, 1},
+	opEqz:       {1, 1},
+	opLoad8U:    {1, 1},
+	opLoad64:    {1, 1},
+	opStore8:    {2, 0},
+	opStore64:   {2, 0},
+	opMemSize:   {0, 1},
+	opMemGrow:   {1, 1},
+	opPushPair:  {0, 2},
+	opUnpackPtr: {1, 1},
+	opUnpackLen: {1, 1},
+	opAddI:      {1, 1},
 }
 
 // opNames maps opcodes to their assembly mnemonics.

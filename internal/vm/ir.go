@@ -1,222 +1,198 @@
 package vm
 
-// Static analysis for the token-threaded tier (compile.go). The stack
-// bytecode is lowered to a register form: because validated control flow
-// gives every pc a single consistent stack depth on all paths reaching it,
-// the stack slot at depth d can live in a fixed frame register (locals
-// first, then one register per stack slot). The same analysis doubles as
-// the compilability check — a module where any function has inconsistent
-// depths, or whose call graph never settles on a fixed per-function return
-// count, is left to the interpreter (the automatic fallback that
-// vm.interp_fallbacks counts).
+import "fmt"
 
-// hostSig is the shape of a resolved host function that stack analysis
-// depends on. It is recorded at compile time so a later instantiation
-// against a host table with different arities falls back to the
-// interpreter instead of running miscompiled code.
+// Stack typing: the link-time rule that makes every loadable module a
+// compiled one, as WebAssembly's validator types the operand stack. A depth
+// dataflow gives every reachable pc one operand-stack depth (relative to its
+// frame base) on all paths reaching it, and linking rejects a module where
+// it cannot: a merge point reached at two depths, a pop below the frame
+// base, returns at different depths, a recursive function whose return
+// count no call-free path settles, or a depth above maxFrameDepth. What
+// linking accepts therefore cannot underflow at run time, and the slot at
+// depth d can live in a fixed frame register (locals first, then one
+// register per stack slot) — the form translate.go emits. Statically
+// unreachable code is neither typed nor emitted.
+
+// Execution limits. A frame holds at most maxFrameDepth operands and at most
+// maxCallDepth frames are live, so the operand stack as a whole stays within
+// maxValueStack without a run-time check: ErrStackOverflow means call depth.
+const (
+	maxCallDepth  = 128
+	maxValueStack = 64 << 10
+	maxFrameDepth = maxValueStack / maxCallDepth
+)
+
+// hostSig is the shape of a resolved host function that stack typing
+// depends on. A module is typed against one set of them (Module.Link).
 type hostSig struct {
 	nargs  int
 	hasRet bool
 }
 
-// funcIR is the register-form lowering of one function.
+// funcIR is the typing of one function.
 type funcIR struct {
-	// depth[pc] is the operand-stack depth (relative to the frame base) on
-	// entry to pc, identical on every path; -1 marks statically unreachable
-	// code.
+	// depth[pc] is the operand-stack depth on entry to pc, identical on
+	// every path; -1 marks statically unreachable code.
 	depth []int32
-	// under[pc] marks a reachable pc whose depth is too shallow for its
-	// opcode: the interpreter would trap with ErrStackUnderflow there at
-	// run time, so the compiled form traps identically and the pc's
-	// successors are not propagated.
-	under []bool
 	// maxDepth sizes the frame: the function needs numLocals+maxDepth
 	// registers.
 	maxDepth int
 	// nret is the number of values every return leaves above the frame
-	// base (what the caller's depth advances by).
+	// base (what the caller's depth advances by); -1 while analyzeFunc has
+	// reached no ret, 0 for a function that never returns.
 	nret int
+	// openCall is the pc of a call whose callee's return count was not
+	// settled when an optimistic pass ended the path there; -1 otherwise.
+	openCall int
 }
 
-// analyzeStatus is the outcome of one per-function analysis pass.
-type analyzeStatus int
-
-const (
-	analyzeOK analyzeStatus = iota
-	// analyzeDeferred means the function calls a function whose return
-	// count is not known yet; retry after more of the module resolves.
-	analyzeDeferred
-	// analyzeFail means the function cannot be lowered (inconsistent
-	// depths, inconsistent return depths): the whole module stays on the
-	// interpreter.
-	analyzeFail
-)
+// typeErr reports the instruction at pc as one linking cannot type.
+func (f *Func) typeErr(pc int, format string, args ...any) error {
+	return fmt.Errorf("%w: func %q pc %d (%s): %s", ErrBadModule, f.Name, pc, opNames[f.code[pc].op], fmt.Sprintf(format, args...))
+}
 
 // analyzeFunc runs the depth dataflow over one function. nret/known carry
-// the per-function return counts resolved so far. In optimistic mode a
-// call to an unresolved function ends the path instead of deferring —
-// used to extract a candidate return count for functions on call cycles,
-// later verified by a strict pass.
-func analyzeFunc(m *Module, fi int, nret []int, known []bool, sigs []hostSig, optimistic bool) (*funcIR, analyzeStatus) {
+// the per-function return counts settled so far. A call to an unsettled
+// function defers the whole analysis (nil, nil) — or, in optimistic mode,
+// only ends the path, which yields a candidate return count for a function
+// on a call cycle from its call-free return paths.
+func analyzeFunc(m *Module, fi int, nret []int, known []bool, sigs []hostSig, optimistic bool) (*funcIR, error) {
 	f := &m.Funcs[fi]
 	code := f.code
-	ir := &funcIR{
-		depth: make([]int32, len(code)),
-		under: make([]bool, len(code)),
-	}
+	ir := &funcIR{depth: make([]int32, len(code)), nret: -1, openCall: -1}
 	for i := range ir.depth {
 		ir.depth[i] = -1
 	}
 	ir.depth[0] = 0
-	work := make([]int, 0, 16)
-	work = append(work, 0)
-	retDepth := -1
-	fail := false
+	work := append(make([]int, 0, 16), 0)
+	retPC := -1
 
-	// succ merges depth nd into pc; a conflicting merge fails the function.
-	succ := func(pc, nd int) {
-		if nd > ir.maxDepth {
-			ir.maxDepth = nd
-		}
-		if cur := ir.depth[pc]; cur < 0 {
-			ir.depth[pc] = int32(nd)
-			work = append(work, pc)
-		} else if int(cur) != nd {
-			fail = true
-		}
-	}
-
-	for len(work) > 0 && !fail {
+	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
 		d := int(ir.depth[pc])
 		in := code[pc]
+		pop, push := int(stackEffect[in.op].pop), int(stackEffect[in.op].push)
+		switch in.op {
+		case opCall:
+			pop = m.Funcs[in.arg].NumParams
+			push = nret[in.arg]
+		case opHostCall:
+			pop = sigs[in.arg].nargs
+			push = int(b2i(sigs[in.arg].hasRet))
+		}
+		if d < pop {
+			return nil, f.typeErr(pc, "pops %d with %d on the stack", pop, d)
+		}
+		if in.op == opCall && !known[in.arg] {
+			if !optimistic {
+				return nil, nil
+			}
+			if ir.openCall < 0 {
+				ir.openCall = pc
+			}
+			continue
+		}
+		nd := d - pop + push
+		if nd > maxFrameDepth {
+			return nil, f.typeErr(pc, "stack depth %d exceeds the frame limit %d", nd, maxFrameDepth)
+		}
+		if nd > ir.maxDepth {
+			ir.maxDepth = nd
+		}
+
+		var succs [2]int
+		n := 0
 		switch in.op {
 		case opRet:
-			if retDepth < 0 {
-				retDepth = d
-			} else if retDepth != d {
-				return nil, analyzeFail
+			if retPC >= 0 && ir.nret != d {
+				return nil, f.typeErr(pc, "stack depth %d here, %d on another path (the ret at pc %d)", d, ir.nret, retPC)
 			}
+			retPC, ir.nret = pc, d
 		case opHalt, opUnreachable:
-			// No successors.
 		case opJmp:
-			succ(int(in.arg), d)
+			succs[0], n = int(in.arg), 1
 		case opJz, opJnz:
-			if d < 1 {
-				ir.under[pc] = true
-				continue
-			}
-			succ(int(in.arg), d-1)
-			succ(pc+1, d-1)
-		case opCall:
-			callee := int(in.arg)
-			np := m.Funcs[callee].NumParams
-			if d < np {
-				ir.under[pc] = true
-				continue
-			}
-			if !known[callee] {
-				if optimistic {
-					continue // path ends here; resolved by the strict pass
-				}
-				return nil, analyzeDeferred
-			}
-			succ(pc+1, d-np+nret[callee])
-		case opHostCall:
-			sig := sigs[in.arg]
-			if d < sig.nargs {
-				ir.under[pc] = true
-				continue
-			}
-			nd := d - sig.nargs
-			if sig.hasRet {
-				nd++
-			}
-			succ(pc+1, nd)
+			succs[0], succs[1], n = int(in.arg), pc+1, 2
 		default:
-			eff := stackEffect[in.op]
-			if !eff.fixed {
-				// Unknown/unsupported opcode: leave the module to the
-				// interpreter.
-				return nil, analyzeFail
+			succs[0], n = pc+1, 1
+		}
+		for _, to := range succs[:n] {
+			if cur := int(ir.depth[to]); cur < 0 {
+				ir.depth[to] = int32(nd)
+				work = append(work, to)
+			} else if cur != nd {
+				return nil, f.typeErr(to, "stack depth %d here, %d on another path", nd, cur)
 			}
-			if d < int(eff.pop) {
-				ir.under[pc] = true
-				continue
-			}
-			succ(pc+1, d-int(eff.pop)+int(eff.push))
 		}
 	}
-	if fail {
-		return nil, analyzeFail
-	}
-	if retDepth > 0 {
-		ir.nret = retDepth
-	}
-	return ir, analyzeOK
+	return ir, nil
 }
 
-// analyzeModule lowers every function, resolving per-function return
-// counts by fixpoint over the call graph; functions on call cycles get a
-// candidate count from their call-free return paths, verified by a final
-// strict pass. Returns ok=false when the module must stay interpreted.
-func analyzeModule(m *Module, sigs []hostSig) ([]*funcIR, bool) {
+// analyzeModule types every function, settling per-function return counts
+// by fixpoint over the call graph. When only call cycles remain, each
+// function on one takes a candidate count from the return paths it reaches
+// without recursing; the final strict pass over those functions verifies
+// every candidate against the paths that do recurse.
+func analyzeModule(m *Module, sigs []hostSig) ([]*funcIR, error) {
 	n := len(m.Funcs)
 	irs := make([]*funcIR, n)
 	known := make([]bool, n)
 	nret := make([]int, n)
-	for {
-		progress := false
-		remaining := 0
-		for i := 0; i < n; i++ {
+	var guessed []int
+	for left := n; left > 0; {
+		before := left
+		for i := range m.Funcs {
 			if known[i] {
 				continue
 			}
-			ir, st := analyzeFunc(m, i, nret, known, sigs, false)
-			switch st {
-			case analyzeFail:
-				return nil, false
-			case analyzeOK:
-				irs[i] = ir
-				nret[i] = ir.nret
-				known[i] = true
-				progress = true
-			default:
-				remaining++
+			ir, err := analyzeFunc(m, i, nret, known, sigs, false)
+			if err != nil {
+				return nil, err
+			}
+			if ir != nil {
+				ir.nret = max(ir.nret, 0)
+				irs[i], nret[i], known[i] = ir, ir.nret, true
+				left--
 			}
 		}
-		if remaining == 0 {
-			return irs, true
-		}
-		if !progress {
-			break
-		}
-	}
-	// The remaining functions sit on call cycles (recursion). Guess each
-	// one's return count from the return paths reachable without entering
-	// the cycle, then verify every guess with a strict pass.
-	var cyclic []int
-	for i := 0; i < n; i++ {
-		if known[i] {
+		if left < before {
 			continue
 		}
-		ir, st := analyzeFunc(m, i, nret, known, sigs, true)
-		if st != analyzeOK {
-			return nil, false
+		first := len(guessed)
+		var stuck error
+		for i := range m.Funcs {
+			if known[i] {
+				continue
+			}
+			ir, err := analyzeFunc(m, i, nret, known, sigs, true)
+			if err != nil {
+				return nil, err
+			}
+			if ir.nret >= 0 {
+				nret[i] = ir.nret
+				guessed = append(guessed, i)
+			} else if stuck == nil {
+				f := &m.Funcs[i]
+				stuck = f.typeErr(ir.openCall, "the return count of %q is unsettled: no path of %q returns without recursing",
+					m.Funcs[f.code[ir.openCall].arg].Name, f.Name)
+			}
 		}
-		nret[i] = ir.nret
-		cyclic = append(cyclic, i)
+		if len(guessed) == first {
+			return nil, stuck
+		}
+		for _, i := range guessed[first:] {
+			known[i] = true
+			left--
+		}
 	}
-	for _, i := range cyclic {
-		known[i] = true
-	}
-	for _, i := range cyclic {
-		ir, st := analyzeFunc(m, i, nret, known, sigs, false)
-		if st != analyzeOK || ir.nret != nret[i] {
-			return nil, false
+	for _, i := range guessed {
+		ir, err := analyzeFunc(m, i, nret, known, sigs, false)
+		if err != nil {
+			return nil, err
 		}
 		irs[i] = ir
 	}
-	return irs, true
+	return irs, nil
 }

@@ -40,9 +40,9 @@ type Func struct {
 	Exported  bool
 	code      []instr
 	// blockFuel, aligned with code, carries the fuel cost of the basic
-	// block starting at each instruction (0 for non-leaders). The
-	// interpreter charges fuel once per block entry instead of once per
-	// instruction. Computed by Validate.
+	// block starting at each instruction (0 for non-leaders): fuel is
+	// charged once per block entry instead of once per instruction.
+	// Computed by Validate.
 	blockFuel []int32
 }
 
@@ -58,59 +58,64 @@ type Module struct {
 	MaxPages int
 
 	funcIdx map[string]int
-	// thc holds the module's compiled (threaded-tier) form, built once on
-	// first instantiation when the host-call arities are known. A pointer
-	// so Module values stay copyable and copies share the compilation.
-	thc *thCompiled
+	// lk holds the module's linked form (see Link). A pointer so Module
+	// values stay copyable and copies share the compilation.
+	lk *linkage
 }
 
-// thCompiled caches one module's AOT compilation (compile.go).
-type thCompiled struct {
-	once sync.Once
-	th   *thModule // nil after a compile failure (interpreter fallback)
-	sigs []hostSig // host arities the module was compiled against
+// linkage is a module's one executable form: the host arities its operand
+// stack was typed against and the code compiled from that typing.
+type linkage struct {
+	mu   sync.Mutex
+	sigs []hostSig
+	th   *thModule // nil until a link succeeds
 }
 
-// threadedFor returns the module's compiled form for instantiation
-// against the given resolved hosts, compiling on first use. It returns
-// nil — leaving the instance on the interpreter — when the module is not
-// compilable or when the host arities differ from the ones recorded at
-// compile time (compiled argument offsets would be wrong).
-func (m *Module) threadedFor(hosts []*HostFunc) *thModule {
-	if m.thc == nil {
-		// Never validated; the interpreter path will surface the error.
-		return nil
+// Link resolves the module's imports against hosts, types its operand stack
+// (ir.go) and compiles it (compile.go), once; NewInstance links too, so
+// linking ahead only moves the error to where a module is accepted. It fails
+// with ErrBadModule, naming function, pc and mnemonic, for a module whose
+// stack cannot be typed, and for a host table whose arities differ from the
+// ones the module is already linked against: the compiled operand offsets
+// are only right for those.
+func (m *Module) Link(hosts *HostTable) error {
+	_, _, err := m.link(hosts)
+	return err
+}
+
+func (m *Module) link(hosts *HostTable) (*thModule, []*HostFunc, error) {
+	if m.lk == nil {
+		return nil, nil, fmt.Errorf("%w: not validated", ErrBadModule)
 	}
-	m.thc.once.Do(func() {
-		sigs := make([]hostSig, len(hosts))
-		for i, h := range hosts {
+	resolved, err := hosts.resolve(m.Imports)
+	if err != nil {
+		return nil, nil, err
+	}
+	lk := m.lk
+	lk.mu.Lock()
+	defer lk.mu.Unlock()
+	if lk.th == nil {
+		sigs := make([]hostSig, len(resolved))
+		for i, h := range resolved {
 			sigs[i] = hostSig{nargs: h.NArgs, hasRet: h.HasRet}
 		}
 		start := time.Now()
-		th, ok := compileModule(m, sigs)
+		th, err := compileModule(m, sigs)
 		statCompileNs.Add(time.Since(start).Nanoseconds())
-		if ok {
-			m.thc.th = th
-			m.thc.sigs = sigs
-			statCompiledModules.Add(1)
-		} else {
-			statInterpFallbacks.Add(1)
+		if err != nil {
+			return nil, nil, err
 		}
-	})
-	if m.thc.th == nil {
-		return nil
+		lk.th, lk.sigs = th, sigs
+		statCompiledModules.Add(1)
+		return th, resolved, nil
 	}
-	if len(hosts) != len(m.thc.sigs) {
-		statInterpFallbacks.Add(1)
-		return nil
-	}
-	for i, h := range hosts {
-		if m.thc.sigs[i].nargs != h.NArgs || m.thc.sigs[i].hasRet != h.HasRet {
-			statInterpFallbacks.Add(1)
-			return nil
+	for i, h := range resolved {
+		if was := lk.sigs[i]; was.nargs != h.NArgs || was.hasRet != h.HasRet {
+			return nil, nil, fmt.Errorf("%w: import %q is linked as %d args, result %v; this host table offers %d args, result %v",
+				ErrBadModule, m.Imports[i], was.nargs, was.hasRet, h.NArgs, h.HasRet)
 		}
 	}
-	return m.thc.th
+	return lk.th, resolved, nil
 }
 
 // FuncIndex returns the index of the named function, or -1.
@@ -178,10 +183,10 @@ func (m *Module) buildIndex() error {
 	return nil
 }
 
-// Validate checks structural invariants so the interpreter can execute
-// without re-checking: known opcodes, in-range branch targets, local
-// indices, function and import indices. (Memory accesses and stack depth
-// are necessarily checked at runtime.)
+// Validate checks the invariants that need no host table: known opcodes,
+// in-range branch targets, local, function and import indices. The shape of
+// the operand stack is typed at link time (Link), once the host arities are
+// known; only memory accesses are left to run-time checks.
 func (m *Module) Validate() error {
 	if len(m.Funcs) == 0 || len(m.Funcs) > maxFunctions {
 		return fmt.Errorf("%w: %d functions", ErrBadModule, len(m.Funcs))
@@ -256,13 +261,8 @@ func (m *Module) Validate() error {
 		}
 		f.blockFuel = computeBlockFuel(f.code)
 	}
-	if m.thc == nil {
-		m.thc = &thCompiled{}
-	}
-	if len(m.Imports) == 0 {
-		// No host arities to wait for: compile at validation time, so the
-		// first instantiation is already warm.
-		m.threadedFor(nil)
+	if m.lk == nil {
+		m.lk = &linkage{}
 	}
 	return nil
 }
@@ -271,8 +271,8 @@ func (m *Module) Validate() error {
 // aligned with code, holding each block leader's instruction count (zero
 // for non-leaders). Leaders are instruction 0, every branch target, and
 // the instruction after every branch; a block's cost is the straight-line
-// instruction count up to (exclusive) the next leader, so the interpreter
-// charges a block's whole cost once on entry. Calls and host calls do not
+// instruction count up to (exclusive) the next leader, so a block's whole
+// cost is charged once on entry. Calls and host calls do not
 // end blocks: execution resumes mid-block at pc+1, which was already paid
 // for at the leader.
 func computeBlockFuel(code []instr) []int32 {

@@ -1,36 +1,29 @@
 package vm
 
-// Symbolic block translation: the high-performance emission path of the
-// threaded tier. Within a basic block the operand stack is tracked
-// symbolically — pushes of constants and local reads cost zero dispatches;
-// an ALU instruction compiles to one closure that reads its operands
-// directly from locals/constants and writes the result to its statically
-// known frame register (or straight into a local when a local.set
-// immediately consumes it). Compare-and-branch pairs fuse into a single
-// closure, as do bounds-checked loads and stores whose operands are
-// register-resident.
+// Symbolic block translation: how the engine emits code. Within a basic
+// block the operand stack is tracked symbolically — pushes of constants and
+// local reads cost zero dispatches; an ALU instruction compiles to one
+// closure that reads its operands directly from locals/constants and writes
+// the result to its statically known frame register (or straight into a
+// local when a local.set immediately consumes it). Compare-and-branch pairs
+// fuse into a single closure, as do bounds-checked loads and stores whose
+// operands are register-resident.
 //
-// Parity with the interpreter is preserved instruction by instruction:
-//   - Value-stack overflow checks for elided pushes accumulate as
-//     "pending sites" and are re-checked, in program order, by a guard
-//     folded into the next emitted closure — which always runs before any
-//     trap or side effect that follows those pushes, so the trapping pc
-//     (and therefore the error string) is identical. The hot closure
-//     kinds carry the guard inline as a single comparison against the
-//     earliest headroom limit (a maxInt sentinel when nothing is owed);
-//     the rest absorb it as a wrapper.
+// What the reference interpreter observes is preserved instruction by
+// instruction:
 //   - Every trapping operation (loads, stores, division, calls, host
 //     calls, memory growth) keeps its own closure and its own pc.
 //   - Fuel stays per-block: translation never crosses a block leader, and
 //     the trampoline in compile.go charges from the same blockFuel values
 //     at the same leaders.
 //
-// Translation is conservative: any structural surprise makes the function
-// fall back to the straightforward one-closure-per-instruction emitter in
-// compile.go, which is always available.
+// The translator is total over what linking typed (ir.go): every reachable
+// pc has one depth, every pop has its operands, and Validate admitted only
+// known opcodes, so no block is ever declined.
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 )
 
@@ -60,35 +53,6 @@ type ref struct {
 	reg     int
 }
 
-// ovSite is one elided push whose overflow check is still owed: the
-// interpreter would trap at pc when height >= lim.
-type ovSite struct {
-	pc  int
-	lim int
-}
-
-// ovNone makes the inline guard comparison always false.
-const ovNone = int(^uint(0) >> 1)
-
-// ovInfo carries owed overflow checks into a closure: the fast path
-// compares the frame height against minLim once; the slow path finds the
-// first violating site in program order, exactly as the interpreter
-// would have trapped.
-type ovInfo struct {
-	minLim int
-	name   string
-	sites  []ovSite
-}
-
-func ovFail(m *thState, ov *ovInfo) int {
-	for _, s := range ov.sites {
-		if m.height >= s.lim {
-			return m.failAt(ov.name, s.pc, ErrStackOverflow)
-		}
-	}
-	return m.failAt(ov.name, ov.sites[0].pc, ErrStackOverflow)
-}
-
 // blockGen translates one basic block.
 type blockGen struct {
 	f    *Func
@@ -101,7 +65,6 @@ type blockGen struct {
 
 	sym       []symVal
 	factories []func(next int) thOp
-	pending   []ovSite
 }
 
 func (g *blockGen) refOf(pos int) ref {
@@ -115,81 +78,40 @@ func (g *blockGen) refOf(pos int) ref {
 	}
 }
 
-// takeOv drains the pending overflow sites into an inline-guard
-// descriptor for the specialized closure constructors.
-func (g *blockGen) takeOv() ovInfo {
-	if len(g.pending) == 0 {
-		return ovInfo{minLim: ovNone}
-	}
-	sites := append([]ovSite(nil), g.pending...)
-	g.pending = g.pending[:0]
-	min := sites[0].lim
-	for _, s := range sites[1:] {
-		if s.lim < min {
-			min = s.lim
-		}
-	}
-	return ovInfo{minLim: min, name: g.name, sites: sites}
-}
-
-// emit appends a closure factory, folding any pending overflow sites into
-// a wrapper guard that runs first — the generic path for closure kinds
-// that do not take an ovInfo inline.
+// emit appends a closure factory; the block's layout hands each its
+// successor ip.
 func (g *blockGen) emit(fac func(next int) thOp) {
-	if len(g.pending) > 0 {
-		ov := g.takeOv()
-		inner := fac
-		fac = func(next int) thOp {
-			op := inner(next)
-			lim := ov.minLim
-			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
-				return op(m)
-			}
-		}
-	}
 	g.factories = append(g.factories, fac)
 }
 
-// flushPending emits a pass-through closure when overflow checks are
-// still owed at a point where no further closure would absorb them
-// (block exits via elided jumps, returns, and fallthroughs).
-func (g *blockGen) flushPending() {
-	if len(g.pending) == 0 {
-		return
-	}
-	g.emit(func(next int) thOp {
-		return func(m *thState) int { return next }
-	})
-}
-
-// materialize copies one symbolic entry into its canonical register.
-func (g *blockGen) materialize(pos int) {
-	e := g.sym[pos]
-	if e.kind == symCanon {
-		return
-	}
-	dst := g.nl + pos
-	if e.kind == symConst {
-		c := e.c
+// move emits dst = r.
+func (g *blockGen) move(dst int, r ref) {
+	if r.isConst {
+		c := r.c
 		g.emit(func(next int) thOp {
 			return func(m *thState) int {
 				m.inst.regFile[m.fp+dst] = c
 				return next
 			}
 		})
-	} else {
-		src := e.local
-		g.emit(func(next int) thOp {
-			return func(m *thState) int {
-				rf := m.inst.regFile
-				rf[m.fp+dst] = rf[m.fp+src]
-				return next
-			}
-		})
+		return
 	}
+	src := r.reg
+	g.emit(func(next int) thOp {
+		return func(m *thState) int {
+			rf := m.inst.regFile
+			rf[m.fp+dst] = rf[m.fp+src]
+			return next
+		}
+	})
+}
+
+// materialize copies one symbolic entry into its canonical register.
+func (g *blockGen) materialize(pos int) {
+	if g.sym[pos].kind == symCanon {
+		return
+	}
+	g.move(g.nl+pos, g.refOf(pos))
 	g.sym[pos] = symVal{kind: symCanon}
 }
 
@@ -301,17 +223,12 @@ func swapCmp(op opcode) (opcode, bool) {
 	return op, false
 }
 
-// aluRR emits OP with both operands in registers. The leading comparison
-// is the inline overflow guard for elided pushes this closure absorbed.
-func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) thOp {
-	lim := ov.minLim
+// aluRR emits OP with both operands in registers.
+func aluRR(op opcode, a, b, dst int, name string, at int) func(int) thOp {
 	switch op {
 	case opAdd:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] + rf[m.fp+b]
 				return next
@@ -320,9 +237,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opSub:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] - rf[m.fp+b]
 				return next
@@ -331,9 +245,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opMul:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] * rf[m.fp+b]
 				return next
@@ -342,9 +253,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opDivS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				x, y := rf[m.fp+a], rf[m.fp+b]
 				if y == 0 || (x == math.MinInt64 && y == -1) {
@@ -357,9 +265,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opRemS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				y := rf[m.fp+b]
 				if y == 0 {
@@ -372,9 +277,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opAnd:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] & rf[m.fp+b]
 				return next
@@ -383,9 +285,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opOr:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] | rf[m.fp+b]
 				return next
@@ -394,9 +293,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opXor:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] ^ rf[m.fp+b]
 				return next
@@ -405,9 +301,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opShl:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] << (uint64(rf[m.fp+b]) & 63)
 				return next
@@ -416,9 +309,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opShrS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] >> (uint64(rf[m.fp+b]) & 63)
 				return next
@@ -427,9 +317,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opShrU:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = int64(uint64(rf[m.fp+a]) >> (uint64(rf[m.fp+b]) & 63))
 				return next
@@ -438,9 +325,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opEq:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = b2i(rf[m.fp+a] == rf[m.fp+b])
 				return next
@@ -449,9 +333,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opNe:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = b2i(rf[m.fp+a] != rf[m.fp+b])
 				return next
@@ -460,9 +341,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opLtS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = b2i(rf[m.fp+a] < rf[m.fp+b])
 				return next
@@ -471,9 +349,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opGtS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = b2i(rf[m.fp+a] > rf[m.fp+b])
 				return next
@@ -482,9 +357,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	case opLeS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = b2i(rf[m.fp+a] <= rf[m.fp+b])
 				return next
@@ -493,9 +365,6 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 	default: // opGeS
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = b2i(rf[m.fp+a] >= rf[m.fp+b])
 				return next
@@ -505,15 +374,11 @@ func aluRR(op opcode, a, b, dst int, name string, at int, ov ovInfo) func(int) t
 }
 
 // aluRC emits OP with the right operand a compile-time constant.
-func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) func(int) thOp {
-	lim := ov.minLim
+func aluRC(op opcode, a int, c int64, dst int, name string, at int) func(int) thOp {
 	switch op {
 	case opAdd:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] + c
 				return next
@@ -522,9 +387,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 	case opSub:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] - c
 				return next
@@ -533,9 +395,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 	case opMul:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] * c
 				return next
@@ -545,18 +404,12 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 		if c == 0 {
 			return func(next int) thOp {
 				return func(m *thState) int {
-					if m.height >= lim {
-						return ovFail(m, &ov)
-					}
 					return m.failAt(name, at, ErrDivByZero)
 				}
 			}
 		}
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				x := rf[m.fp+a]
 				if x == math.MinInt64 && c == -1 {
@@ -570,18 +423,12 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 		if c == 0 {
 			return func(next int) thOp {
 				return func(m *thState) int {
-					if m.height >= lim {
-						return ovFail(m, &ov)
-					}
 					return m.failAt(name, at, ErrDivByZero)
 				}
 			}
 		}
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] % c
 				return next
@@ -590,9 +437,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 	case opAnd:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] & c
 				return next
@@ -601,9 +445,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 	case opOr:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] | c
 				return next
@@ -612,9 +453,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 	case opXor:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] ^ c
 				return next
@@ -624,9 +462,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 		sh := uint64(c) & 63
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] << sh
 				return next
@@ -636,9 +471,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 		sh := uint64(c) & 63
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = rf[m.fp+a] >> sh
 				return next
@@ -648,9 +480,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 		sh := uint64(c) & 63
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = int64(uint64(rf[m.fp+a]) >> sh)
 				return next
@@ -659,9 +488,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 	case opEq:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = b2i(rf[m.fp+a] == c)
 				return next
@@ -670,9 +496,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 	case opNe:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = b2i(rf[m.fp+a] != c)
 				return next
@@ -681,9 +504,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 	case opLtS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = b2i(rf[m.fp+a] < c)
 				return next
@@ -692,9 +512,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 	case opGtS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = b2i(rf[m.fp+a] > c)
 				return next
@@ -703,9 +520,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 	case opLeS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = b2i(rf[m.fp+a] <= c)
 				return next
@@ -714,9 +528,6 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 	default: // opGeS
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				rf[m.fp+dst] = b2i(rf[m.fp+a] >= c)
 				return next
@@ -727,15 +538,11 @@ func aluRC(op opcode, a int, c int64, dst int, name string, at int, ov ovInfo) f
 
 // cmpBranchRR emits a fused compare-and-branch in jnz sense: jump to
 // taken when `a OP b` holds, fall through to next otherwise.
-func cmpBranchRR(op opcode, a, b, taken int, ov ovInfo) func(int) thOp {
-	lim := ov.minLim
+func cmpBranchRR(op opcode, a, b, taken int) func(int) thOp {
 	switch op {
 	case opEq:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				if rf[m.fp+a] == rf[m.fp+b] {
 					return taken
@@ -746,9 +553,6 @@ func cmpBranchRR(op opcode, a, b, taken int, ov ovInfo) func(int) thOp {
 	case opNe:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				if rf[m.fp+a] != rf[m.fp+b] {
 					return taken
@@ -759,9 +563,6 @@ func cmpBranchRR(op opcode, a, b, taken int, ov ovInfo) func(int) thOp {
 	case opLtS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				if rf[m.fp+a] < rf[m.fp+b] {
 					return taken
@@ -772,9 +573,6 @@ func cmpBranchRR(op opcode, a, b, taken int, ov ovInfo) func(int) thOp {
 	case opGtS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				if rf[m.fp+a] > rf[m.fp+b] {
 					return taken
@@ -785,9 +583,6 @@ func cmpBranchRR(op opcode, a, b, taken int, ov ovInfo) func(int) thOp {
 	case opLeS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				if rf[m.fp+a] <= rf[m.fp+b] {
 					return taken
@@ -798,9 +593,6 @@ func cmpBranchRR(op opcode, a, b, taken int, ov ovInfo) func(int) thOp {
 	default: // opGeS
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				rf := m.inst.regFile
 				if rf[m.fp+a] >= rf[m.fp+b] {
 					return taken
@@ -812,15 +604,11 @@ func cmpBranchRR(op opcode, a, b, taken int, ov ovInfo) func(int) thOp {
 }
 
 // cmpBranchRC is cmpBranchRR with a constant right operand.
-func cmpBranchRC(op opcode, a int, c int64, taken int, ov ovInfo) func(int) thOp {
-	lim := ov.minLim
+func cmpBranchRC(op opcode, a int, c int64, taken int) func(int) thOp {
 	switch op {
 	case opEq:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				if m.inst.regFile[m.fp+a] == c {
 					return taken
 				}
@@ -830,9 +618,6 @@ func cmpBranchRC(op opcode, a int, c int64, taken int, ov ovInfo) func(int) thOp
 	case opNe:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				if m.inst.regFile[m.fp+a] != c {
 					return taken
 				}
@@ -842,9 +627,6 @@ func cmpBranchRC(op opcode, a int, c int64, taken int, ov ovInfo) func(int) thOp
 	case opLtS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				if m.inst.regFile[m.fp+a] < c {
 					return taken
 				}
@@ -854,9 +636,6 @@ func cmpBranchRC(op opcode, a int, c int64, taken int, ov ovInfo) func(int) thOp
 	case opGtS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				if m.inst.regFile[m.fp+a] > c {
 					return taken
 				}
@@ -866,9 +645,6 @@ func cmpBranchRC(op opcode, a int, c int64, taken int, ov ovInfo) func(int) thOp
 	case opLeS:
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				if m.inst.regFile[m.fp+a] <= c {
 					return taken
 				}
@@ -878,9 +654,6 @@ func cmpBranchRC(op opcode, a int, c int64, taken int, ov ovInfo) func(int) thOp
 	default: // opGeS
 		return func(next int) thOp {
 			return func(m *thState) int {
-				if m.height >= lim {
-					return ovFail(m, &ov)
-				}
 				if m.inst.regFile[m.fp+a] >= c {
 					return taken
 				}
@@ -895,35 +668,31 @@ func cmpBranchRC(op opcode, a int, c int64, taken int, ov ovInfo) func(int) thOp
 // local.set was folded in, the local itself).
 func (g *blockGen) emitBinOp(op opcode, a, b ref, dst int, at int) {
 	name := g.name
-	ov := g.takeOv()
 	switch {
 	case !a.isConst && !b.isConst:
-		g.emit(aluRR(op, a.reg, b.reg, dst, name, at, ov))
+		g.emit(aluRR(op, a.reg, b.reg, dst, name, at))
 	case !a.isConst && b.isConst:
-		g.emit(aluRC(op, a.reg, b.c, dst, name, at, ov))
+		g.emit(aluRC(op, a.reg, b.c, dst, name, at))
 	case a.isConst && !b.isConst && commutes(op):
-		g.emit(aluRC(op, b.reg, a.c, dst, name, at, ov))
+		g.emit(aluRC(op, b.reg, a.c, dst, name, at))
 	default:
 		// const OP reg for a non-commutative op: compares flip; the rest
 		// were materialized by the caller, so this arm only sees reg on
 		// the left.
 		if sw, ok := swapCmp(op); ok && a.isConst && !b.isConst {
-			g.emit(aluRC(sw, b.reg, a.c, dst, name, at, ov))
+			g.emit(aluRC(sw, b.reg, a.c, dst, name, at))
 			return
 		}
-		g.emit(aluRR(op, a.reg, b.reg, dst, name, at, ov))
+		g.emit(aluRR(op, a.reg, b.reg, dst, name, at))
 	}
 }
 
-// translateBlock translates code[start:end) (one basic block) into
-// tf.ops. Returns false when the block defeats symbolic translation and
-// the caller should fall back to per-instruction emission.
-func (g *blockGen) translateBlock(start, end int) bool {
+// translateBlock translates code[start:end) (one basic block) into tf.ops.
+func (g *blockGen) translateBlock(start, end int) {
 	f, tf, ir := g.f, g.tf, g.ir
 	nl := g.nl
 	name := g.name
 	g.factories = g.factories[:0]
-	g.pending = g.pending[:0]
 
 	if ir.depth[start] < 0 {
 		// The whole block is statically unreachable; guard defensively.
@@ -931,7 +700,7 @@ func (g *blockGen) translateBlock(start, end int) bool {
 			at := pc
 			tf.ops[pc] = func(m *thState) int { return m.failAt(name, at, ErrUnreachable) }
 		}
-		return true
+		return
 	}
 	d0 := int(ir.depth[start])
 	g.sym = g.sym[:0]
@@ -950,25 +719,7 @@ func (g *blockGen) translateBlock(start, end int) bool {
 		}
 		d := int(ir.depth[pc])
 		if len(g.sym) != d {
-			return false // depth bookkeeping disagrees; leave it to the interpreter
-		}
-		if ir.under[pc] {
-			if in.op == opCall {
-				g.emit(func(int) thOp {
-					return func(m *thState) int {
-						if m.depth >= maxCallDepth {
-							return m.failAt(name, at, ErrStackOverflow)
-						}
-						return m.failAt(name, at, ErrStackUnderflow)
-					}
-				})
-			} else {
-				g.emit(func(int) thOp {
-					return func(m *thState) int { return m.failAt(name, at, ErrStackUnderflow) }
-				})
-			}
-			terminated = true
-			break
+			panic(fmt.Sprintf("vm: %s pc %d: translating at depth %d, typed %d", name, pc, len(g.sym), d))
 		}
 
 		switch in.op {
@@ -977,34 +728,18 @@ func (g *blockGen) translateBlock(start, end int) bool {
 		case opPop:
 			g.sym = g.sym[:d-1]
 		case opPush:
-			g.pending = append(g.pending, ovSite{pc: at, lim: maxValueStack - d})
 			g.sym = append(g.sym, symVal{kind: symConst, c: in.arg})
 		case opPushPair:
-			g.pending = append(g.pending, ovSite{pc: at, lim: maxValueStack - d - 1})
 			g.sym = append(g.sym, symVal{kind: symConst, c: in.arg >> 32},
 				symVal{kind: symConst, c: in.arg & 0xffffffff})
 		case opLocalGet:
-			g.pending = append(g.pending, ovSite{pc: at, lim: maxValueStack - d})
 			g.sym = append(g.sym, symVal{kind: symLocal, local: int(in.arg)})
 		case opDup:
-			top := g.sym[d-1]
-			if top.kind != symCanon {
-				g.pending = append(g.pending, ovSite{pc: at, lim: maxValueStack - d})
+			if top := g.sym[d-1]; top.kind != symCanon {
 				g.sym = append(g.sym, top)
 				break
 			}
-			src, dst := nl+d-1, nl+d
-			lim := maxValueStack - d
-			g.emit(func(next int) thOp {
-				return func(m *thState) int {
-					if m.height >= lim {
-						return m.failAt(name, at, ErrStackOverflow)
-					}
-					rf := m.inst.regFile
-					rf[m.fp+dst] = rf[m.fp+src]
-					return next
-				}
-			})
+			g.move(nl+d, ref{reg: nl + d - 1})
 			g.sym = append(g.sym, symVal{kind: symCanon})
 		case opSwap:
 			a, b := g.sym[d-2], g.sym[d-1]
@@ -1024,82 +759,27 @@ func (g *blockGen) translateBlock(start, end int) bool {
 
 		case opLocalSet:
 			y := int(in.arg)
-			e := g.sym[d-1]
+			v := g.refOf(d - 1)
 			g.sym = g.sym[:d-1]
 			g.materializeLocalRefs(y, len(g.sym))
-			switch e.kind {
-			case symConst:
-				c := e.c
-				g.emit(func(next int) thOp {
-					return func(m *thState) int {
-						m.inst.regFile[m.fp+y] = c
-						return next
-					}
-				})
-			case symLocal:
-				if e.local == y {
-					break // x -> x, no-op
-				}
-				src := e.local
-				g.emit(func(next int) thOp {
-					return func(m *thState) int {
-						rf := m.inst.regFile
-						rf[m.fp+y] = rf[m.fp+src]
-						return next
-					}
-				})
-			default:
-				src := nl + d - 1
-				g.emit(func(next int) thOp {
-					return func(m *thState) int {
-						rf := m.inst.regFile
-						rf[m.fp+y] = rf[m.fp+src]
-						return next
-					}
-				})
+			if v.isConst || v.reg != y { // x -> x is a no-op
+				g.move(y, v)
 			}
 		case opLocalTee:
 			y := int(in.arg)
-			e := g.sym[d-1]
-			if e.kind == symLocal && e.local == y {
+			v := g.refOf(d - 1)
+			if !v.isConst && v.reg == y {
 				break // the local already holds this value
 			}
 			// Materialize other references to y; the top entry keeps its
 			// descriptor (its value is unchanged by the tee).
 			g.materializeLocalRefs(y, d-1)
-			switch e.kind {
-			case symConst:
-				c := e.c
-				g.emit(func(next int) thOp {
-					return func(m *thState) int {
-						m.inst.regFile[m.fp+y] = c
-						return next
-					}
-				})
-			case symLocal:
-				src := e.local
-				g.emit(func(next int) thOp {
-					return func(m *thState) int {
-						rf := m.inst.regFile
-						rf[m.fp+y] = rf[m.fp+src]
-						return next
-					}
-				})
-			default:
-				src := nl + d - 1
-				g.emit(func(next int) thOp {
-					return func(m *thState) int {
-						rf := m.inst.regFile
-						rf[m.fp+y] = rf[m.fp+src]
-						return next
-					}
-				})
-			}
+			g.move(y, v)
 		case opLocalAddI:
 			y := int(in.arg >> 32)
 			k := int64(int32(in.arg & 0xffffffff))
 			g.materializeLocalRefs(y, len(g.sym))
-			g.emit(aluRC(opAdd, y, k, y, name, at, g.takeOv()))
+			g.emit(aluRC(opAdd, y, k, y, name, at))
 
 		case opAdd, opSub, opMul, opDivS, opRemS, opAnd, opOr, opXor,
 			opShl, opShrS, opShrU, opEq, opNe, opLtS, opGtS, opLeS, opGeS:
@@ -1131,15 +811,14 @@ func (g *blockGen) translateBlock(start, end int) bool {
 					}
 					target := int(br.arg)
 					g.sym = g.sym[:d-2]
-					ov := g.takeOv()
 					switch {
 					case !a.isConst && !b.isConst:
-						g.emit(cmpBranchRR(cop, a.reg, b.reg, target, ov))
+						g.emit(cmpBranchRR(cop, a.reg, b.reg, target))
 					case !a.isConst && b.isConst:
-						g.emit(cmpBranchRC(cop, a.reg, b.c, target, ov))
+						g.emit(cmpBranchRC(cop, a.reg, b.c, target))
 					default: // const OP reg: swap operands and the sense
 						sw, _ := swapCmp(cop)
-						g.emit(cmpBranchRC(sw, b.reg, a.c, target, ov))
+						g.emit(cmpBranchRC(sw, b.reg, a.c, target))
 					}
 					exit = end
 					terminated = true
@@ -1186,7 +865,7 @@ func (g *blockGen) translateBlock(start, end int) bool {
 					if br.op == opJz {
 						cop = opNe
 					}
-					g.emit(cmpBranchRC(cop, a.reg, 0, target, g.takeOv()))
+					g.emit(cmpBranchRC(cop, a.reg, 0, target))
 					exit = end
 					terminated = true
 					break
@@ -1201,7 +880,7 @@ func (g *blockGen) translateBlock(start, end int) bool {
 				skip = 1
 			}
 			g.sym = g.sym[:d-1]
-			g.emit(aluRC(opEq, a.reg, 0, dst, name, at, g.takeOv()))
+			g.emit(aluRC(opEq, a.reg, 0, dst, name, at))
 			if skip == 0 {
 				g.sym = append(g.sym, symVal{kind: symCanon})
 			}
@@ -1223,7 +902,7 @@ func (g *blockGen) translateBlock(start, end int) bool {
 				skip = 1
 			}
 			g.sym = g.sym[:d-1]
-			g.emit(aluRC(opAdd, a.reg, k, dst, name, at, g.takeOv()))
+			g.emit(aluRC(opAdd, a.reg, k, dst, name, at))
 			if skip == 0 {
 				g.sym = append(g.sym, symVal{kind: symCanon})
 			}
@@ -1271,14 +950,9 @@ func (g *blockGen) translateBlock(start, end int) bool {
 				skip = 1
 			}
 			src := a.reg
-			ov := g.takeOv()
-			lim := ov.minLim
 			if wide {
 				g.emit(func(next int) thOp {
 					return func(m *thState) int {
-						if m.height >= lim {
-							return ovFail(m, &ov)
-						}
 						inst := m.inst
 						rf := inst.regFile
 						addr := rf[m.fp+src]
@@ -1292,9 +966,6 @@ func (g *blockGen) translateBlock(start, end int) bool {
 			} else {
 				g.emit(func(next int) thOp {
 					return func(m *thState) int {
-						if m.height >= lim {
-							return ovFail(m, &ov)
-						}
 						inst := m.inst
 						rf := inst.regFile
 						addr := rf[m.fp+src]
@@ -1317,16 +988,11 @@ func (g *blockGen) translateBlock(start, end int) bool {
 			wide := in.op == opStore64
 			g.sym = g.sym[:d-2]
 			aReg := addr.reg
-			ov := g.takeOv()
-			lim := ov.minLim
 			switch {
 			case !val.isConst && wide:
 				vReg := val.reg
 				g.emit(func(next int) thOp {
 					return func(m *thState) int {
-						if m.height >= lim {
-							return ovFail(m, &ov)
-						}
 						inst := m.inst
 						rf := inst.regFile
 						a := rf[m.fp+aReg]
@@ -1342,9 +1008,6 @@ func (g *blockGen) translateBlock(start, end int) bool {
 				c := uint64(val.c)
 				g.emit(func(next int) thOp {
 					return func(m *thState) int {
-						if m.height >= lim {
-							return ovFail(m, &ov)
-						}
 						inst := m.inst
 						a := inst.regFile[m.fp+aReg]
 						if a < 0 || a+8 > int64(len(inst.mem)) {
@@ -1359,9 +1022,6 @@ func (g *blockGen) translateBlock(start, end int) bool {
 				vReg := val.reg
 				g.emit(func(next int) thOp {
 					return func(m *thState) int {
-						if m.height >= lim {
-							return ovFail(m, &ov)
-						}
 						inst := m.inst
 						rf := inst.regFile
 						a := rf[m.fp+aReg]
@@ -1377,9 +1037,6 @@ func (g *blockGen) translateBlock(start, end int) bool {
 				c := byte(val.c)
 				g.emit(func(next int) thOp {
 					return func(m *thState) int {
-						if m.height >= lim {
-							return ovFail(m, &ov)
-						}
 						inst := m.inst
 						a := inst.regFile[m.fp+aReg]
 						if a < 0 || a >= int64(len(inst.mem)) {
@@ -1394,12 +1051,8 @@ func (g *blockGen) translateBlock(start, end int) bool {
 
 		case opMemSize:
 			dst := nl + d
-			lim := maxValueStack - d
 			g.emit(func(next int) thOp {
 				return func(m *thState) int {
-					if m.height >= lim {
-						return m.failAt(name, at, ErrStackOverflow)
-					}
 					inst := m.inst
 					inst.regFile[m.fp+dst] = int64(len(inst.mem))
 					return next
@@ -1428,7 +1081,6 @@ func (g *blockGen) translateBlock(start, end int) bool {
 			// The jump itself is free: it becomes the previous closure's
 			// exit ip (or the block's single landing closure when empty).
 			g.materializeFrom(0)
-			g.flushPending()
 			exit = int(in.arg)
 			terminated = true
 		case opJz, opJnz:
@@ -1440,7 +1092,6 @@ func (g *blockGen) translateBlock(start, end int) bool {
 			target := int(in.arg)
 			if c.isConst {
 				// Statically decided branch: fold into the exit ip.
-				g.flushPending()
 				if (c.c == 0) == (in.op == opJz) {
 					exit = target
 				} else {
@@ -1453,14 +1104,13 @@ func (g *blockGen) translateBlock(start, end int) bool {
 			if in.op == opJz {
 				cop = opEq
 			}
-			g.emit(cmpBranchRC(cop, c.reg, 0, target, g.takeOv()))
+			g.emit(cmpBranchRC(cop, c.reg, 0, target))
 			exit = end
 			terminated = true
 		case opRet:
 			// All nret values must sit in their canonical slots for the
 			// caller; the return itself is the previous closure's thDone.
 			g.materializeFrom(0)
-			g.flushPending()
 			exit = thDone
 			terminated = true
 		case opHalt:
@@ -1482,7 +1132,6 @@ func (g *blockGen) translateBlock(start, end int) bool {
 			cneed := callee.need
 			cret := callee.nret
 			frameOff := nl + d - np
-			hDelta := d - np
 			g.emit(func(next int) thOp {
 				return func(m *thState) int {
 					if m.depth >= maxCallDepth {
@@ -1497,12 +1146,11 @@ func (g *blockGen) translateBlock(start, end int) bool {
 					for i := cfp + np; i < cfp+cnl; i++ {
 						rf[i] = 0
 					}
-					sfp, sh := m.fp, m.height
+					sfp := m.fp
 					m.fp = cfp
-					m.height += hDelta
 					m.depth++
 					callee.run(m)
-					m.fp, m.height = sfp, sh
+					m.fp = sfp
 					m.depth--
 					if m.trap != nil {
 						return thDone
@@ -1525,7 +1173,6 @@ func (g *blockGen) translateBlock(start, end int) bool {
 			hasRet := sig.hasRet
 			g.materializeFrom(d - na)
 			abase := nl + d - na
-			retLim := maxValueStack - (d - na)
 			g.emit(func(next int) thOp {
 				return func(m *thState) int {
 					inst := m.inst
@@ -1543,9 +1190,6 @@ func (g *blockGen) translateBlock(start, end int) bool {
 						return m.failAt(name, at, &HostError{Err: err})
 					}
 					if hasRet {
-						if m.height >= retLim {
-							return m.failAt(name, at, ErrStackOverflow)
-						}
 						inst.regFile[m.fp+abase] = ret
 					}
 					return next
@@ -1556,8 +1200,6 @@ func (g *blockGen) translateBlock(start, end int) bool {
 				g.sym = append(g.sym, symVal{kind: symCanon})
 			}
 
-		default:
-			return false // unknown op: leave it to the interpreter
 		}
 	}
 
@@ -1565,7 +1207,6 @@ func (g *blockGen) translateBlock(start, end int) bool {
 		// Fall through into the next block: successors assume canonical
 		// registers.
 		g.materializeFrom(0)
-		g.flushPending()
 		exit = end
 	}
 
@@ -1609,7 +1250,6 @@ func (g *blockGen) translateBlock(start, end int) bool {
 		at := pc
 		tf.ops[pc] = func(m *thState) int { return m.failAt(name, at, ErrUnreachable) }
 	}
-	return true
 }
 
 func isCmpOp(op opcode) bool {
@@ -1620,10 +1260,8 @@ func isCmpOp(op opcode) bool {
 	return false
 }
 
-// emitFuncSym translates one function block by block. Returns false when
-// the translator declines any block, in which case the module stays on the
-// interpreter.
-func emitFuncSym(m *Module, fi int, ir *funcIR, tm *thModule, sigs []hostSig) bool {
+// emitFuncSym translates one function block by block.
+func emitFuncSym(m *Module, fi int, ir *funcIR, tm *thModule, sigs []hostSig) {
 	f := &m.Funcs[fi]
 	tf := tm.funcs[fi]
 	g := &blockGen{
@@ -1652,10 +1290,14 @@ func emitFuncSym(m *Module, fi int, ir *funcIR, tm *thModule, sigs []hostSig) bo
 		for end < n && !leader[end] {
 			end++
 		}
-		if !g.translateBlock(start, end) {
-			return false
-		}
+		g.translateBlock(start, end)
 		start = end
 	}
-	return true
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -260,52 +260,6 @@ end`
 	}
 }
 
-func TestGuestRecursionBounded(t *testing.T) {
-	src := `
-func rec params=0
-  call rec
-  ret
-end`
-	m := MustAssemble(src)
-	inst, _ := NewInstance(m, nil, 10_000_000)
-	if _, err := inst.Call("rec"); !errors.Is(err, ErrStackOverflow) {
-		t.Fatalf("err = %v, want ErrStackOverflow", err)
-	}
-}
-
-func TestStackUnderflowTrap(t *testing.T) {
-	src := `
-func main params=0
-  add
-  ret
-end`
-	m := MustAssemble(src)
-	inst, _ := NewInstance(m, nil, 1000)
-	if _, err := inst.Call("main"); !errors.Is(err, ErrStackUnderflow) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestCalleeCannotUnderflowCallerStack(t *testing.T) {
-	// The callee tries to pop more values than it owns; the caller's stack
-	// must be protected by the frame base.
-	src := `
-func evil params=0
-  pop
-  ret
-end
-func main params=0
-  push 42
-  call evil
-  ret
-end`
-	m := MustAssemble(src)
-	inst, _ := NewInstance(m, nil, 1000)
-	if _, err := inst.Call("main"); !errors.Is(err, ErrStackUnderflow) {
-		t.Fatalf("err = %v, want ErrStackUnderflow", err)
-	}
-}
-
 func TestHostCall(t *testing.T) {
 	hosts := NewHostTable()
 	var captured []int64

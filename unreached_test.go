@@ -39,9 +39,7 @@ var testOnly = map[string]string{
 	"LastSequence":      "store: store_test checks sequence numbers survive reopen",
 	"TableCount":        "store and retwis tests assert the table layout they set up",
 	"AsHostError":       "vm: vm_test and core_test tell a host failure from a guest trap",
-	"MemSize":           "vm: compile_test and diff_test compare the tiers' memory growth",
-	"EffectiveTier":     "vm: compile_test observes which tier a module compiled to",
-	"SetTier":           "vm: diff_test runs both tiers over the same programs",
+	"MemSize":           "vm: compile_test and diff_test compare the engines' memory growth",
 	"MustAssemble":      "vm and core tests assemble fixture modules",
 	"Of":                "wiretest: every Fuzz* target describes its package's frames with it",
 	"Fuzz":              "wiretest: every Fuzz* target runs it",
