@@ -5,7 +5,7 @@
 #   make race    race-detector pass over the concurrency-heavy packages
 #   make chaos   seeded failover chaos suite under the race detector
 #   make fuzz-smoke  5 s of native fuzzing per Fuzz* target in the module (FUZZTIME=10s for longer)
-#   make bench   telemetry hot-path benchmarks (must report 0 allocs/op)
+#   make bench   telemetry hot-path benchmarks (must report 0 allocs/op), then the store's insert and commit costs
 #   make bench-recovery  rejoin cost, digest diff vs full resync (JSON artifact)
 #   make bench-rebalance many-group placement + Zipf hot-spot convergence (JSON artifact)
 #   make bench-read-scaleout  leased replica reads vs primary-only routing (JSON artifact)
@@ -60,6 +60,7 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -run Telemetry -bench . -benchmem ./internal/telemetry/
+	$(GO) test -run '^$$' -bench 'MemtableAdd|DBWriteSync8' -benchmem ./internal/store/
 
 # Rejoin cost: a crashed backup catches up via range-digest diff vs the
 # full-resync ablation, across store sizes and downtime divergence. The

@@ -58,8 +58,8 @@ func TestEveryCommitPathMovesTheVersion(t *testing.T) {
 	// (each step's write-sets are for distinct objects, as a frame's are).
 	decode := func(ws writeSet) *store.Batch {
 		t.Helper()
-		b, err := store.DecodeBatch(ws.batch)
-		if err != nil {
+		b := store.NewBatch()
+		if err := b.Decode(ws.batch); err != nil {
 			t.Fatal(err)
 		}
 		return b

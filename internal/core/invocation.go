@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -318,9 +319,9 @@ func (iv *invocation) run() ([]byte, error) {
 // (a heuristic used only for read-only enforcement inside transactions,
 // where the buffer is shared).
 func (iv *invocation) ownWrites() bool {
-	prefix := string(objectPrefix(iv.obj))
-	for k := range iv.txn.writes {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
+	prefix := objectPrefix(iv.obj)
+	for i := range iv.txn.writes {
+		if bytes.HasPrefix(iv.txn.keyAt(i), prefix) {
 			return true
 		}
 	}

@@ -35,6 +35,9 @@ type Invoker interface {
 // released", so a failover never loses an acknowledged write). Callers see
 // the error and retry; the state machine tolerates the resulting
 // at-least-once re-execution.
+//
+// writeSet is the committing transaction's own batch, reused by its next
+// commit: the hook encodes what it needs of it before returning.
 type CommitHook func(ctx telemetry.SpanContext, obj ObjectID, seq uint64, writeSet *store.Batch) error
 
 // Options configures a Runtime.
@@ -598,16 +601,23 @@ func (rt *Runtime) ApplyReplicated(id ObjectID, b *store.Batch) error {
 	return nil
 }
 
+// mergedPool recycles ApplyReplicatedBulk's merged batches: the store has
+// copied a batch into its memtable by the time Write returns.
+var mergedPool = sync.Pool{New: func() any { return store.NewBatch() }}
+
 // ApplyReplicatedBulk applies several replicated write-sets — the members
 // of one coalesced replication frame, all for distinct objects — in a
 // single storage commit: one WAL append, and with SyncWrites one fsync,
 // for the whole frame. Per-object invalidation matches ApplyReplicated.
 func (rt *Runtime) ApplyReplicatedBulk(objects []uint64, batches []*store.Batch) error {
-	merged := store.NewBatch()
+	merged := mergedPool.Get().(*store.Batch)
 	for _, b := range batches {
 		merged.Append(b)
 	}
-	if err := rt.db.Write(merged); err != nil {
+	err := rt.db.Write(merged)
+	merged.Reset()
+	mergedPool.Put(merged)
+	if err != nil {
 		return err
 	}
 	for _, object := range objects {

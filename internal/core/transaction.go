@@ -133,8 +133,8 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 		// Bump every written object's version inside the same batch.
 		seen := make(map[ObjectID]struct{})
 		var touched []ObjectID
-		for k := range shared.writes {
-			if id, err := parseObjectID([]byte(k)); err == nil {
+		for i := range shared.writes {
+			if id, err := parseObjectID(shared.keyAt(i)); err == nil {
 				if _, dup := seen[id]; !dup {
 					seen[id] = struct{}{}
 					touched = append(touched, id)

@@ -107,11 +107,11 @@ func (s *inbound) forward(msg *forwardMsg) error {
 
 // apply commits one forwarded write-set (applyMu held).
 func (s *inbound) apply(msg *forwardMsg) error {
-	b, err := store.DecodeBatch(msg.batch)
-	if err != nil {
+	var b store.Batch
+	if err := b.Decode(msg.batch); err != nil {
 		return err
 	}
-	return s.p.opts.Apply(msg.object, b)
+	return s.p.opts.Apply(msg.object, &b)
 }
 
 // goLive replays the buffered commit stream in arrival order and switches

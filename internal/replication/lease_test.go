@@ -223,11 +223,11 @@ func TestLeaseWireRoundTrip(t *testing.T) {
 func TestApplyBatchLeaseTrailerRoundTrip(t *testing.T) {
 	b := store.NewBatch()
 	b.Put([]byte("k"), []byte("v"))
-	entries := []*shipEntry{{object: 7, data: b.Encode()}}
+	entries := []*shipment{{object: 7, data: b.Encode()}}
 
 	// With a lease trailer.
-	msg, err := decodeApplyBatch(encodeApplyBatch(4, entries, 150_000, 42, 987_654_321))
-	if err != nil {
+	msg := new(applyBatchMsg)
+	if err := msg.decode(appendApplyBatch(nil, 4, entries, 150_000, 42, 987_654_321)); err != nil {
 		t.Fatal(err)
 	}
 	if msg.epoch != 4 || len(msg.msgs) != 1 || msg.msgs[0].object != 7 {
@@ -238,8 +238,7 @@ func TestApplyBatchLeaseTrailerRoundTrip(t *testing.T) {
 	}
 
 	// Without one (leasing disabled): trailer absent, fields zero.
-	msg, err = decodeApplyBatch(encodeApplyBatch(4, entries, 0, 0, 0))
-	if err != nil {
+	if err := msg.decode(appendApplyBatch(nil, 4, entries, 0, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if msg.leaseTTLUs != 0 || msg.leaseEnq != 0 || msg.leaseGrantNs != 0 {

@@ -9,6 +9,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +41,7 @@ var errShipperClosed = errors.New("replication: shipper closed")
 // applyMsg is one (object, write-set) member of a shipped frame.
 type applyMsg struct {
 	object uint64
-	batch  *store.Batch
+	batch  store.Batch
 }
 
 // applyBatchMsg is the wire form of a coalesced ship frame: the sender's
@@ -48,6 +49,10 @@ type applyMsg struct {
 // (object, write-set) pairs, optionally followed by a lease renewal blob
 // (granted TTL in microseconds + cumulative lane-enqueued entry count +
 // the sender's clock at the grant), present only when a renewal rides along.
+//
+// A decoded message's write-sets alias the frame it was decoded from, and
+// the backup handler recycles the message with its slices: both are good
+// for the length of one handler call and no longer.
 type applyBatchMsg struct {
 	epoch uint64
 	msgs  []applyMsg
@@ -55,48 +60,68 @@ type applyBatchMsg struct {
 	leaseTTLUs   uint64
 	leaseEnq     uint64
 	leaseGrantNs uint64
+
+	// objects and batches are msgs as a BulkApplier takes them.
+	objects []uint64
+	batches []*store.Batch
 }
 
-func encodeApplyBatch(epoch uint64, entries []*shipEntry, leaseTTLUs, leaseEnq, leaseGrantNs uint64) []byte {
-	var buf []byte
-	buf = wire.AppendUvarint(buf, epoch)
-	buf = wire.AppendUvarint(buf, uint64(len(entries)))
+// appendApplyBatch appends the frame carrying entries to dst.
+func appendApplyBatch(dst []byte, epoch uint64, entries []*shipment, leaseTTLUs, leaseEnq, leaseGrantNs uint64) []byte {
+	dst = wire.AppendUvarint(dst, epoch)
+	dst = wire.AppendUvarint(dst, uint64(len(entries)))
 	for _, e := range entries {
-		buf = wire.AppendUvarint(buf, e.object)
-		buf = wire.AppendBytes(buf, e.data)
+		dst = wire.AppendUvarint(dst, e.object)
+		dst = wire.AppendBytes(dst, e.data)
 	}
 	if leaseTTLUs > 0 {
-		buf = wire.AppendUvarint(buf, leaseTTLUs)
-		buf = wire.AppendUvarint(buf, leaseEnq)
-		buf = wire.AppendUvarint(buf, leaseGrantNs)
+		dst = wire.AppendUvarint(dst, leaseTTLUs)
+		dst = wire.AppendUvarint(dst, leaseEnq)
+		dst = wire.AppendUvarint(dst, leaseGrantNs)
 	}
-	return buf
+	return dst
 }
 
-func decodeApplyBatch(body []byte) (*applyBatchMsg, error) {
+// decode makes m the frame in body, reusing m's slices.
+func (m *applyBatchMsg) decode(body []byte) error {
 	r := wire.NewReader(body)
-	out := &applyBatchMsg{epoch: r.Uvarint()}
+	*m = applyBatchMsg{epoch: r.Uvarint(), msgs: m.msgs[:0], objects: m.objects[:0], batches: m.batches[:0]}
 	// A member is at least an object id and a write-set length.
-	out.msgs = make([]applyMsg, r.Count(2))
-	for i := range out.msgs {
-		m := &out.msgs[i]
-		m.object = r.Uvarint()
+	n := r.Count(2)
+	m.msgs = slices.Grow(m.msgs, n)[:n]
+	for i := range m.msgs {
+		am := &m.msgs[i]
+		am.object = r.Uvarint()
 		raw := r.Bytes()
 		if r.Err() != nil {
 			break
 		}
-		var err error
-		if m.batch, err = store.DecodeBatch(raw); err != nil {
-			return nil, err
+		if err := am.batch.Decode(raw); err != nil {
+			return err
 		}
 	}
 	if r.Len() > 0 {
-		out.leaseTTLUs, out.leaseEnq, out.leaseGrantNs = r.Uvarint(), r.Uvarint(), r.Uvarint()
+		m.leaseTTLUs, m.leaseEnq, m.leaseGrantNs = r.Uvarint(), r.Uvarint(), r.Uvarint()
 	}
-	if err := r.ErrIn("replication: applyBatch"); err != nil {
-		return nil, err
+	return r.ErrIn("replication: applyBatch")
+}
+
+// applyBatchPool recycles the backup handler's decoded frames.
+var applyBatchPool = sync.Pool{New: func() any { return new(applyBatchMsg) }}
+
+// maxPooledMembers is the largest frame whose slices a recycled message
+// keeps: a burst that coalesced hundreds of write-sets must not pin its
+// footprint in the pool.
+const maxPooledMembers = 64
+
+// release recycles m, dropping every reference into the handler's frame.
+func (m *applyBatchMsg) release() {
+	if cap(m.msgs) > maxPooledMembers {
+		*m = applyBatchMsg{}
 	}
-	return out, nil
+	clear(m.msgs)
+	clear(m.batches)
+	applyBatchPool.Put(m)
 }
 
 // Shipper is the primary-side replication endpoint. Safe for concurrent
@@ -282,13 +307,36 @@ func (s *Shipper) Ship(object uint64, b *store.Batch) error {
 	return s.ShipCtx(telemetry.SpanContext{}, object, b)
 }
 
-// shipEntry is one write-set queued on a backup's send lane. done is
-// buffered so the lane loop never blocks completing it.
-type shipEntry struct {
+// shipment is one write-set on its way to every backup: the pooled state of
+// one ShipCtx call, queued on each backup's send lane. Every lane answers
+// once on done, which is buffered to the fan-out so that none blocks.
+type shipment struct {
 	object uint64
 	data   []byte // encoded batch
 	ctx    telemetry.SpanContext
-	done   chan error
+	done   chan shipAck
+}
+
+// shipAck is one backup's answer to a shipment.
+type shipAck struct {
+	addr string
+	err  error
+}
+
+// shipmentPool recycles shipments with their buffers and channels.
+var shipmentPool = sync.Pool{New: func() any { return new(shipment) }}
+
+// maxPooledShipBytes is the largest encode buffer a shipment, and the
+// largest frame buffer a lane, keeps for its next use.
+const maxPooledShipBytes = 64 << 10
+
+// retained empties a buffer for reuse, or drops it if it outgrew
+// maxPooledShipBytes.
+func retained(b []byte) []byte {
+	if cap(b) > maxPooledShipBytes {
+		return nil
+	}
+	return b[:0]
 }
 
 // shipLane is the per-backup send queue. A lane's loop drains all pending
@@ -299,11 +347,11 @@ type shipLane struct {
 	stop chan struct{}
 
 	mu      sync.Mutex
-	pending []*shipEntry
+	pending []*shipment
 	closed  bool
 }
 
-func (l *shipLane) enqueue(e *shipEntry) error {
+func (l *shipLane) enqueue(e *shipment) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -316,6 +364,18 @@ func (l *shipLane) enqueue(e *shipEntry) error {
 	default:
 	}
 	return nil
+}
+
+// drain moves the pending queue into batch and, with closing set, closes
+// the lane.
+func (l *shipLane) drain(batch []*shipment, closing bool) []*shipment {
+	l.mu.Lock()
+	batch = append(batch[:0], l.pending...)
+	clear(l.pending)
+	l.pending = l.pending[:0]
+	l.closed = l.closed || closing
+	l.mu.Unlock()
+	return batch
 }
 
 // lane returns (creating if needed) the send lane for addr, or nil after
@@ -338,57 +398,56 @@ func (s *Shipper) lane(addr string) *shipLane {
 	return l
 }
 
-// laneLoop drains the lane: every wakeup swaps out the whole pending queue
-// and ships it as one frame, so the batch size adapts to how many commits
+// laneLoop drains the lane: every wakeup takes the whole pending queue and
+// ships it as one frame, so the batch size adapts to how many commits
 // arrived during the previous round trip (group-commit shaped, like the WAL
-// write queue).
+// write queue). The queue copy and the frame are the loop's own and reused.
 func (s *Shipper) laneLoop(l *shipLane) {
+	var batch []*shipment
+	var frame []byte
+	answer := func(err error) {
+		for _, e := range batch {
+			e.done <- shipAck{l.addr, err}
+		}
+		clear(batch)
+	}
 	for {
 		select {
 		case <-l.stop:
-			l.mu.Lock()
-			l.closed = true
-			pending := l.pending
-			l.pending = nil
-			l.mu.Unlock()
-			for _, e := range pending {
-				e.done <- errShipperClosed
-			}
+			batch = l.drain(batch, true)
+			answer(errShipperClosed)
 			return
 		case <-l.kick:
 		}
 		for {
-			l.mu.Lock()
-			pending := l.pending
-			l.pending = nil
-			l.mu.Unlock()
-			if len(pending) == 0 {
+			if batch = l.drain(batch, false); len(batch) == 0 {
 				break
 			}
-			err := s.shipFrame(l.addr, pending)
-			for _, e := range pending {
-				e.done <- err
-			}
+			var err error
+			frame, err = s.shipFrame(l.addr, frame[:0], batch)
+			frame = retained(frame)
+			answer(err)
 		}
 	}
 }
 
-// shipFrame sends one applyBatch frame carrying entries to addr. The trace
-// context of the first entry parents the backup-side span.
-func (s *Shipper) shipFrame(addr string, entries []*shipEntry) error {
+// shipFrame sends one applyBatch frame carrying entries to addr, built in
+// frame, which it returns for reuse. The trace context of the first entry
+// parents the backup-side span.
+func (s *Shipper) shipFrame(addr string, frame []byte, entries []*shipment) ([]byte, error) {
 	if fault.Enabled() {
 		d := fault.Eval(fault.SiteReplShip, addr)
 		if d.Delay > 0 {
 			time.Sleep(d.Delay)
 		}
 		if d.Err != nil {
-			return d.Err
+			return frame, d.Err
 		}
 		if d.Drop {
 			// Silently lost write-set: the backup diverges while the
 			// primary believes it shipped. This is the divergence probe —
 			// only chaos experiments arm it.
-			return nil
+			return frame, nil
 		}
 	}
 	var ttlUs, enq, grantNs uint64
@@ -400,14 +459,17 @@ func (s *Shipper) shipFrame(addr string, entries []*shipEntry) error {
 		// any time this frame spends in flight is burned off the lease.
 		grantNs = uint64(time.Now().UnixNano())
 	}
-	body := encodeApplyBatch(epoch, entries, ttlUs, enq, grantNs)
-	_, err := s.pool.CallCtx(addr, entries[0].ctx, MethodApplyBatch, body)
+	// The rpc client copies the body into its connection buffer before
+	// CallCtx returns, so the frame is free to reuse afterwards.
+	frame = appendApplyBatch(frame, epoch, entries, ttlUs, enq, grantNs)
+	_, err := s.pool.CallCtx(addr, entries[0].ctx, MethodApplyBatch, frame)
 	s.batchSize.Observe(uint64(len(entries)))
-	return err
+	return frame, err
 }
 
 // ShipCtx is Ship carrying the committing request's trace context, so the
-// backup-side apply spans join the caller's trace.
+// backup-side apply spans join the caller's trace. The write-set is encoded
+// before ShipCtx returns; b is the caller's again afterwards.
 func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Batch) error {
 	s.mu.RLock()
 	backups := s.backups
@@ -416,35 +478,41 @@ func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Bat
 		return nil
 	}
 	start := time.Now()
-	data := b.Encode()
+	sh := shipmentPool.Get().(*shipment)
+	sh.object, sh.ctx = object, ctx
+	sh.data = b.AppendTo(sh.data)
+	if cap(sh.done) < len(backups) {
+		sh.done = make(chan shipAck, len(backups))
+	}
 
-	// Fan the write-set out to every backup's lane and collect one error
+	// Fan the write-set out to every backup's lane and collect one answer
 	// per backup.
-	entries := make([]*shipEntry, len(backups))
-	for i, addr := range backups {
-		e := &shipEntry{object: object, data: data, ctx: ctx, done: make(chan error, 1)}
-		entries[i] = e
-		lane := s.lane(addr)
-		if lane == nil {
-			e.done <- errShipperClosed
-		} else if err := lane.enqueue(e); err != nil {
-			e.done <- err
+	for _, addr := range backups {
+		err := errShipperClosed
+		if lane := s.lane(addr); lane != nil {
+			err = lane.enqueue(sh)
+		}
+		if err != nil {
+			sh.done <- shipAck{addr, err}
 		}
 	}
-
 	var firstErr error
-	for i, e := range entries {
-		if err := <-e.done; err != nil {
-			addr := backups[i]
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: %s: %v", ErrBackupFailed, addr, err)
-			}
-			if s.onFailure != nil {
-				s.onFailure(addr, err)
-			}
-			s.failures.Inc()
+	for range backups {
+		ack := <-sh.done
+		if ack.err == nil {
+			continue
 		}
+		if firstErr == nil {
+			firstErr = fmt.Errorf("%w: %s: %v", ErrBackupFailed, ack.addr, ack.err)
+		}
+		if s.onFailure != nil {
+			s.onFailure(ack.addr, ack.err)
+		}
+		s.failures.Inc()
 	}
+	// Every lane has answered, so none refers to the shipment any more.
+	*sh = shipment{data: retained(sh.data), done: sh.done}
+	shipmentPool.Put(sh)
 	s.shipUs.Record(time.Since(start))
 	if firstErr == nil {
 		s.shippedCtr.Inc()
@@ -453,7 +521,8 @@ func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Bat
 }
 
 // Applier is the backup-side sink for shipped write-sets (implemented by
-// core.Runtime).
+// core.Runtime). b aliases the request frame and is recycled with it: an
+// applier writes it to its store before returning and keeps nothing of it.
 type Applier interface {
 	ApplyReplicated(object uint64, b *store.Batch) error
 }
@@ -469,7 +538,8 @@ func ApplierFunc(fn func(object uint64, b *store.Batch) error) Applier { return 
 // BulkApplier is an optional Applier extension: a backup that implements it
 // applies all member write-sets of a coalesced frame in one storage commit
 // — one WAL append and one fsync for the whole frame — instead of one
-// commit per member.
+// commit per member. The slices and batches are the handler's, as an
+// Applier's b is.
 type BulkApplier interface {
 	ApplyReplicatedBulk(objects []uint64, batches []*store.Batch) error
 }
@@ -513,7 +583,9 @@ func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tr
 	applied, stale := reg.Counter("repl.applied"), reg.Counter("repl.stale_epoch")
 	srv.HandleCtx(MethodApplyBatch, func(info rpc.CallInfo, body []byte) ([]byte, error) {
 		sp := tracer.StartSpan(info.Trace, "repl.applyBatch")
-		msg, err := decodeApplyBatch(body)
+		msg := applyBatchPool.Get().(*applyBatchMsg)
+		defer msg.release()
+		err := msg.decode(body)
 		if err != nil {
 			sp.FinishErr(err)
 			return nil, err
@@ -539,20 +611,18 @@ func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tr
 		// make frame latency grow linearly with batch size.
 		switch bulk, ok := applier.(BulkApplier); {
 		case len(msg.msgs) == 1:
-			err = applier.ApplyReplicated(msg.msgs[0].object, msg.msgs[0].batch)
+			err = applier.ApplyReplicated(msg.msgs[0].object, &msg.msgs[0].batch)
 		case ok:
-			objects := make([]uint64, len(msg.msgs))
-			batches := make([]*store.Batch, len(msg.msgs))
 			for i := range msg.msgs {
-				objects[i] = msg.msgs[i].object
-				batches[i] = msg.msgs[i].batch
+				msg.objects = append(msg.objects, msg.msgs[i].object)
+				msg.batches = append(msg.batches, &msg.msgs[i].batch)
 			}
-			err = bulk.ApplyReplicatedBulk(objects, batches)
+			err = bulk.ApplyReplicatedBulk(msg.objects, msg.batches)
 		default:
 			errs := make(chan error, len(msg.msgs))
 			for i := range msg.msgs {
 				go func(m *applyMsg) {
-					errs <- applier.ApplyReplicated(m.object, m.batch)
+					errs <- applier.ApplyReplicated(m.object, &m.batch)
 				}(&msg.msgs[i])
 			}
 			for range msg.msgs {

@@ -126,3 +126,62 @@ func TestConcurrentShipping(t *testing.T) {
 		}
 	}
 }
+
+// TestShipAllocBound guards the replication half of a commit: shipping one
+// write-set to two backups and applying it there costs, over the two RPC
+// round trips that carry it, a handful of allocations — no entry, channel,
+// encode buffer or frame per ship, no message, batch or copy per apply.
+// The round trips' own cost is measured beside it, on the same pool and
+// servers, and subtracted.
+func TestShipAllocBound(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		db, err := store.Open(t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		srv := rpc.NewServer()
+		RegisterBackup(srv, db, ApplierFunc(func(_ uint64, b *store.Batch) error { return db.Write(b) }))
+		srv.Handle("noop", func([]byte) ([]byte, error) { return nil, nil })
+		addr, err := srv.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		addrs = append(addrs, addr)
+	}
+	pool := rpc.NewPool(nil)
+	defer pool.Close()
+	s := NewShipper(pool, nil)
+	defer s.Close()
+	s.SetBackups(addrs)
+
+	b := store.NewBatch()
+	for i := 0; i < 8; i++ {
+		b.Put([]byte(fmt.Sprintf("key%d", i)), make([]byte, 100))
+	}
+	body := b.Encode()
+	ship := func() {
+		if err := s.Ship(7, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrips := func() {
+		for _, addr := range addrs {
+			if _, err := pool.Call(addr, "noop", body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 50; i++ {
+		ship()
+		roundTrips()
+	}
+	rpcs := testing.AllocsPerRun(300, roundTrips)
+	total := testing.AllocsPerRun(300, ship)
+	if own := total - rpcs; own > 4 && !raceEnabled {
+		t.Fatalf("Ship to two backups allocates %.1f objects over its round trips' %.1f, want <= 4", own, rpcs)
+	}
+	t.Logf("Ship to two backups: %.1f allocs, %.1f of them the two round trips", total, rpcs)
+}

@@ -66,3 +66,35 @@ func TestReadFrameAllocBound(t *testing.T) {
 		t.Fatalf("readFrame allocs/op = %.1f, want <= 3 (body must alias the pooled buffer)", allocs)
 	}
 }
+
+// TestCallAllocBound guards one round trip on a warm connection, client
+// and server side together: the response channel and request message at the
+// caller, the frame's message and its handler goroutine at the server, the
+// response message on the way back — and no timer, which calls take from a
+// pool.
+func TestCallAllocBound(t *testing.T) {
+	srv := NewServer()
+	srv.Handle("noop", func([]byte) ([]byte, error) { return nil, nil })
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	body := make([]byte, 512)
+	call := func() {
+		if _, err := c.Call("noop", body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		call()
+	}
+	if allocs := testing.AllocsPerRun(300, call); allocs > 11 && !raceEnabled {
+		t.Fatalf("one call allocates %.1f objects, want <= 11", allocs)
+	}
+}

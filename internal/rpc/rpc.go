@@ -663,8 +663,8 @@ func (c *Client) call(ctx telemetry.SpanContext, method string, body []byte) ([]
 		}
 	}
 
-	timer := time.NewTimer(c.opts.Timeout)
-	defer timer.Stop()
+	timer := getTimer(c.opts.Timeout)
+	defer putTimer(timer)
 	select {
 	case resp := <-ch:
 		if c.opts.Delay > 0 {
@@ -683,6 +683,30 @@ func (c *Client) call(ctx telemetry.SpanContext, method string, body []byte) ([]
 		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrTimeout, method)
 	}
+}
+
+// timerPool recycles the per-call timeout timers.
+var timerPool sync.Pool
+
+func getTimer(d time.Duration) *time.Timer {
+	if t, ok := timerPool.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// putTimer stops t and recycles it. This module's go line predates 1.23,
+// so a timer that fired keeps its tick buffered in C: it is drained here,
+// or the timer's next user would time out at once.
+func putTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	timerPool.Put(t)
 }
 
 // Close tears the connection down, failing in-flight calls.

@@ -58,57 +58,46 @@ func (b *Batch) Seq() uint64 { return b.startSeq }
 
 // Encode serializes the batch (with its assigned sequence) for shipping to
 // backup replicas.
-func (b *Batch) Encode() []byte { return b.encode(nil) }
+func (b *Batch) Encode() []byte { return b.AppendTo(nil) }
 
-// DecodeBatch parses a batch serialized with Encode.
-func DecodeBatch(data []byte) (*Batch, error) {
-	b, err := decodeBatch(data)
-	if err != nil {
-		return nil, err
-	}
-	// Copy out of the caller's buffer: the batch may outlive it.
-	b.data = append([]byte(nil), b.data...)
-	return b, nil
-}
-
-// Empty reports whether the batch has no operations.
-func (b *Batch) Empty() bool { return b.count == 0 }
-
-// Reset clears the batch for reuse.
-func (b *Batch) Reset() {
-	b.startSeq = 0
-	b.count = 0
-	b.data = b.data[:0]
-}
-
-// ApproximateBytes returns the encoded payload size.
-func (b *Batch) ApproximateBytes() int { return len(b.data) + 16 }
-
-// encode serializes the batch with its assigned start sequence.
-func (b *Batch) encode(dst []byte) []byte {
+// AppendTo appends the batch's encoding to dst: Encode into a buffer the
+// caller reuses.
+func (b *Batch) AppendTo(dst []byte) []byte {
 	dst = wire.AppendUvarint(dst, b.startSeq)
 	dst = wire.AppendUvarint(dst, uint64(b.count))
 	return append(dst, b.data...)
 }
 
-// decodeBatch parses an encoded batch (e.g. a WAL record).
-func decodeBatch(payload []byte) (*Batch, error) {
-	r := wire.NewReader(payload)
+// Decode makes b the batch serialized in data, every record validated. The
+// batch aliases data — the copy is the one DB.Write makes into the memtable
+// — so data must stay unchanged for as long as b is used: a handler that
+// decodes out of its request frame may Write the batch before it returns,
+// and must copy data to queue the batch beyond that.
+func (b *Batch) Decode(data []byte) error {
+	r := wire.NewReader(data)
 	// A record is at least a kind byte and a key length.
-	b := &Batch{startSeq: r.Uvarint(), count: r.Count(2), data: r.Rest()}
+	*b = Batch{startSeq: r.Uvarint(), count: r.Count(2), data: r.Rest()}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: batch header: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: batch header: %v", ErrCorrupt, err)
 	}
-	// Validate the records eagerly so corruption is caught at decode time.
 	trailing, err := b.each(func(byte, []byte, []byte) error { return nil })
 	if err == nil && trailing > 0 {
 		err = fmt.Errorf("%w: %d bytes after the last batch record", ErrCorrupt, trailing)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+	return err
 }
+
+// Empty reports whether the batch has no operations.
+func (b *Batch) Empty() bool { return b.count == 0 }
+
+// Reset clears the batch for reuse, keeping its buffer unless one large
+// write-set grew it past what is worth carrying to the next.
+func (b *Batch) Reset() {
+	*b = Batch{data: retained(b.data)}
+}
+
+// ApproximateBytes returns the encoded payload size.
+func (b *Batch) ApproximateBytes() int { return len(b.data) + 16 }
 
 // ForEach calls fn for every operation in order. kind is byte(kindSet) or
 // byte(kindDelete); value is nil for deletes. Returning an error stops the
@@ -141,19 +130,13 @@ func (b *Batch) each(fn func(kind byte, key, value []byte) error) (trailing int,
 }
 
 // apply inserts every record into the memtable with ascending sequence
-// numbers starting at b.startSeq.
+// numbers starting at b.startSeq. The memtable copies each record into its
+// arena, so b's buffer is free once apply returns.
 func (b *Batch) apply(m *memtable) error {
 	seq := b.startSeq
 	return b.ForEach(func(kind byte, key, value []byte) error {
-		// Copy out of the shared encode buffer: the memtable retains
-		// references for its lifetime.
-		k := append([]byte(nil), key...)
-		var v []byte
-		if kind == byte(kindSet) {
-			v = append([]byte(nil), value...)
-		}
-		m.add(seq, keyKind(kind), k, v)
+		err := m.add(seq, keyKind(kind), key, value)
 		seq++
-		return nil
+		return err
 	})
 }

@@ -30,6 +30,11 @@ type DB struct {
 	// I/O for all members with mu released, then completes them and
 	// promotes the next head. Guarded by mu.
 	writers []*dbWriter
+	// groupBuf and groupEnds are the leader's scratch: the encoded records
+	// of the group it is committing, back to back, and where each ends.
+	// Only the queue head touches them, so they need no lock of their own.
+	groupBuf  []byte
+	groupEnds []int
 	// writeActive is true while a group leader performs WAL I/O with mu
 	// released; WAL rotation (Flush) and Close must wait for it so the
 	// log is never swapped out from under an in-flight group.
@@ -129,23 +134,12 @@ func Open(dir string, opts *Options) (*DB, error) {
 		return nil, err
 	}
 	for _, num := range logs {
-		err := replayWAL(walPath(dir, num), func(record []byte) error {
-			b, err := decodeBatch(record)
-			if err != nil {
-				return err
-			}
-			if err := b.apply(db.mem); err != nil {
-				return err
-			}
-			if end := b.startSeq + uint64(b.count) - 1; end > db.lastSeq {
-				db.lastSeq = end
-			}
-			return nil
-		})
+		last, err := recoverLog(walPath(dir, num), db.mem)
 		if err != nil {
 			lock.Close()
 			return nil, err
 		}
+		db.lastSeq = max(db.lastSeq, last)
 		if num >= db.nextFile {
 			db.nextFile = num + 1
 		}
@@ -185,6 +179,25 @@ func Open(dir string, opts *Options) (*DB, error) {
 	return db, nil
 }
 
+// recoverLog replays the WAL at path into mem and returns the newest
+// sequence number it held, 0 for none.
+func recoverLog(path string, mem *memtable) (last uint64, err error) {
+	var b Batch
+	err = replayWAL(path, func(record []byte) error {
+		if err := b.Decode(record); err != nil {
+			return err
+		}
+		if err := b.apply(mem); err != nil {
+			return err
+		}
+		if b.count > 0 {
+			last = max(last, b.startSeq+uint64(b.count)-1)
+		}
+		return nil
+	})
+	return last, err
+}
+
 // relogMemtable rewrites the recovered memtable into the fresh WAL as one
 // batch so recovery is idempotent across repeated crashes.
 func (db *DB) relogMemtable() error {
@@ -222,7 +235,7 @@ func (db *DB) relogMemtable() error {
 		return nil
 	}
 	b.startSeq = minSeq
-	return db.wal.append(b.encode(nil), true)
+	return db.wal.append(b.Encode(), true)
 }
 
 // acquireDirLock takes an exclusive flock on dir/LOCK, preventing two
@@ -287,6 +300,21 @@ type dbWriter struct {
 	ready chan struct{}
 }
 
+// dbWriterPool recycles writers with their channels: a Write that has seen
+// itself done under db.mu is out of the queue, so nothing signals it again.
+var dbWriterPool = sync.Pool{New: func() any { return &dbWriter{ready: make(chan struct{}, 1)} }}
+
+// release returns a finished writer to the pool, taking back the token a
+// leader is left with when it completes its own group.
+func (w *dbWriter) release() {
+	select {
+	case <-w.ready:
+	default:
+	}
+	*w = dbWriter{ready: w.ready}
+	dbWriterPool.Put(w)
+}
+
 // maxGroupBytes bounds the encoded size of one write group so a burst of
 // large batches cannot turn into one unbounded WAL write. The first batch
 // always commits regardless of size.
@@ -304,12 +332,13 @@ func (db *DB) Write(b *Batch) error {
 	if b.Empty() {
 		return nil
 	}
-	w := &dbWriter{batch: b, ready: make(chan struct{}, 1)}
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
 		return ErrClosed
 	}
+	w := dbWriterPool.Get().(*dbWriter)
+	w.batch = b
 	db.writers = append(db.writers, w)
 	for !w.done && db.writers[0] != w {
 		db.mu.Unlock()
@@ -322,7 +351,9 @@ func (db *DB) Write(b *Batch) error {
 		db.commitGroup()
 	}
 	db.mu.Unlock()
-	return w.err
+	err := w.err
+	w.release()
+	return err
 }
 
 // commitGroup runs on the writer at the head of db.writers. It forms a
@@ -347,18 +378,16 @@ func (db *DB) commitGroup() {
 	// advanced after the WAL write succeeds so readers never observe
 	// sequences that might not commit.
 	group := db.writers[:1]
-	records := make([][]byte, 0, len(db.writers))
-	total := 0
+	buf, ends := db.groupBuf[:0], db.groupEnds[:0]
 	seq := db.lastSeq
 	for i, w := range db.writers {
-		if i > 0 && total >= maxGroupBytes {
+		if i > 0 && len(buf) >= maxGroupBytes {
 			break
 		}
 		w.batch.startSeq = seq + 1
 		seq += uint64(w.batch.count)
-		rec := w.batch.encode(nil)
-		records = append(records, rec)
-		total += len(rec)
+		buf = w.batch.AppendTo(buf)
+		ends = append(ends, len(buf))
 		group = db.writers[:i+1]
 	}
 
@@ -370,20 +399,21 @@ func (db *DB) commitGroup() {
 	if sync {
 		syncStart = time.Now()
 	}
-	err := wal.appendAll(records, sync)
+	err := wal.appendAll(buf, ends, sync)
 	db.mu.Lock()
 	db.writeActive = false
+	db.groupBuf, db.groupEnds = retained(buf), ends[:0]
 
 	if err == nil {
-		for i, w := range group {
+		for _, w := range group {
 			if aerr := w.batch.apply(db.mem); aerr != nil {
 				// Apply failures are per-member; sequence space was
 				// consumed either way, so later members stay consistent.
 				w.err = aerr
 			}
-			db.metrics.writes.Inc()
-			db.metrics.walBytes.Add(uint64(len(records[i])))
 		}
+		db.metrics.writes.Add(uint64(len(group)))
+		db.metrics.walBytes.Add(uint64(len(buf)))
 		db.lastSeq = seq
 		if sync {
 			db.metrics.walSyncs.Inc()
@@ -392,25 +422,30 @@ func (db *DB) commitGroup() {
 		db.metrics.groupSize.Observe(uint64(len(group)))
 	}
 
-	// Complete the group and promote the next head.
-	db.writers = db.writers[len(group):]
+	// Complete the group, close the queue up over it (group aliases the
+	// queue's head, so in that order) and promote the next head.
 	for _, w := range group {
 		if err != nil {
 			w.err = err
 		}
 		w.done = true
-		select {
-		case w.ready <- struct{}{}:
-		default:
-		}
+		w.signal()
 	}
-	if len(db.writers) > 0 {
-		select {
-		case db.writers[0].ready <- struct{}{}:
-		default:
-		}
+	n := copy(db.writers, db.writers[len(group):])
+	clear(db.writers[n:])
+	db.writers = db.writers[:n]
+	if n > 0 {
+		db.writers[0].signal()
 	}
 	db.cond.Broadcast()
+}
+
+// signal wakes the writer if it waits; its channel holds one token at most.
+func (w *dbWriter) signal() {
+	select {
+	case w.ready <- struct{}{}:
+	default:
+	}
 }
 
 // failAllWriters completes every queued writer with err and clears the
@@ -419,11 +454,9 @@ func (db *DB) failAllWriters(err error) {
 	for _, w := range db.writers {
 		w.err = err
 		w.done = true
-		select {
-		case w.ready <- struct{}{}:
-		default:
-		}
+		w.signal()
 	}
+	clear(db.writers)
 	db.writers = db.writers[:0]
 	db.cond.Broadcast()
 }

@@ -62,6 +62,11 @@ func NewOptions() *Options {
 	}
 }
 
+// maxMemtableBytes caps MemtableBytes at a quarter of what the memtable
+// arena's 32-bit refs address, so a memtable rotates long before its arena
+// runs out of chunks.
+const maxMemtableBytes = arenaMaxChunks * arenaMaxChunkBytes / 4
+
 // sanitize fills zero fields with defaults.
 func (o *Options) sanitize() *Options {
 	def := NewOptions()
@@ -72,6 +77,7 @@ func (o *Options) sanitize() *Options {
 	if out.MemtableBytes <= 0 {
 		out.MemtableBytes = def.MemtableBytes
 	}
+	out.MemtableBytes = min(out.MemtableBytes, maxMemtableBytes)
 	if out.BlockBytes <= 0 {
 		out.BlockBytes = def.BlockBytes
 	}

@@ -102,9 +102,8 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 	b.Delete([]byte("k2"))
 	b.Put([]byte(""), []byte(""))
 	b.startSeq = 42
-	enc := b.encode(nil)
-	dec, err := decodeBatch(enc)
-	if err != nil {
+	dec := NewBatch()
+	if err := dec.Decode(b.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if dec.startSeq != 42 || dec.count != 3 {
@@ -126,8 +125,8 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 func TestBatchDecodeCorrupt(t *testing.T) {
 	b := NewBatch()
 	b.Put([]byte("key"), []byte("value"))
-	enc := b.encode(nil)
-	if _, err := decodeBatch(enc[:len(enc)-3]); err == nil {
+	enc := b.Encode()
+	if err := NewBatch().Decode(enc[:len(enc)-3]); err == nil {
 		t.Fatal("truncated batch decoded without error")
 	}
 }

@@ -37,16 +37,19 @@ func newWALWriter(path, faultKey string) (*walWriter, error) {
 // append writes one record. If sync is true the record is fsynced before
 // returning.
 func (w *walWriter) append(record []byte, sync bool) error {
-	return w.appendAll([][]byte{record}, sync)
+	return w.appendAll(record, []int{len(record)}, sync)
 }
 
-// appendAll writes a group of records with one buffered flush and — when
-// sync is set — one fsync covering all of them. This is the durability half
-// of group commit: every record in the group becomes durable together, at
-// the cost of a single disk synchronization.
-func (w *walWriter) appendAll(records [][]byte, sync bool) error {
-	for _, record := range records {
-		w.buf = wire.AppendFrame(w.buf[:0], record)
+// appendAll writes a group of records — laid back to back in group, each
+// ending at its entry of ends — with one buffered flush and, when sync is
+// set, one fsync covering all of them. This is the durability half of group
+// commit: every record in the group becomes durable together, at the cost
+// of a single disk synchronization.
+func (w *walWriter) appendAll(group []byte, ends []int, sync bool) error {
+	start := 0
+	for _, end := range ends {
+		w.buf = wire.AppendFrame(w.buf[:0], group[start:end])
+		start = end
 		if _, err := w.w.Write(w.buf); err != nil {
 			return fmt.Errorf("store: wal write: %w", err)
 		}
