@@ -6,10 +6,7 @@
 #   make chaos   seeded failover chaos suite under the race detector
 #   make fuzz-smoke  5 s of native fuzzing per Fuzz* target in the module (FUZZTIME=10s for longer)
 #   make bench   telemetry hot-path benchmarks (must report 0 allocs/op), then the store's insert and commit costs
-#   make bench-recovery  rejoin cost, digest diff vs full resync (JSON artifact)
-#   make bench-rebalance many-group placement + Zipf hot-spot convergence (JSON artifact)
-#   make bench-read-scaleout  leased replica reads vs primary-only routing (JSON artifact)
-#   make bench-overload  open-loop latency vs offered load, shed on/off (JSON artifact)
+#   make bench-paper  the paper's Figures 1-2, Table 1 and a delay sweep at quick scale (paper scale: go run ./cmd/retwis-bench)
 #   make bench-smoke  vet + smoke-test the benchmark module (it is not part of ./...)
 #   make vet     gofmt + go vet hygiene
 #   make loc     lines of Go outside benchmark/: product total and per package, tests apart
@@ -17,7 +14,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos fuzz-smoke bench bench-recovery bench-rebalance bench-read-scaleout bench-overload bench-smoke vet loc check clean
+.PHONY: all build test race chaos fuzz-smoke bench bench-paper bench-smoke vet loc check clean
 
 all: build
 
@@ -34,10 +31,12 @@ test:
 # interpreter under -race),
 # rpc (every frame on a connection leaves through the connWriter's
 # single flusher), the baseline (its compute node drives core's warm
-# pool and parallel fan-out from RPC handler goroutines), and recovery
-# (its protocol tests race live forwards against range rebuilds).
+# pool and parallel fan-out from RPC handler goroutines), recovery
+# (its protocol tests race live forwards against range rebuilds), and
+# retwis (its allocation guards must stand down under -race, where
+# sync.Pool drops puts).
 race:
-	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/rebalance/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/
+	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/rebalance/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/ ./internal/retwis/
 
 # Deterministic failover chaos: every seed replays the same kill/partition/
 # fsync-failure schedule (see EXPERIMENTS.md "Chaos runs"). The smoke
@@ -62,37 +61,11 @@ bench:
 	$(GO) test -run Telemetry -bench . -benchmem ./internal/telemetry/
 	$(GO) test -run '^$$' -bench 'MemtableAdd|DBWriteSync8' -benchmem ./internal/store/
 
-# Rejoin cost: a crashed backup catches up via range-digest diff vs the
-# full-resync ablation, across store sizes and downtime divergence. The
-# artifact shows streamed bytes track divergence, not store size.
-bench-recovery:
-	$(GO) run ./cmd/lambda-bench -recovery -out results/BENCH_recovery.json
-
-# Rebalance: uniform Post throughput at 1/4/16/48 single-node groups
-# (per-node admission modeled with an injected per-frame receive delay),
-# then the Zipf(1.1) correlated hot spot at 16 groups with the rebalancer
-# off vs on. The acceptance bar is >=1.5x from rebalancing and a move
-# count that plateaus instead of oscillating.
-bench-rebalance:
-	$(GO) run ./cmd/lambda-bench -rebalance -accounts 512 -concurrency 64 -ops 3000 -out results/BENCH_rebalance.json
-
-# Read scale-out: GetTimeline at 1/8/64 clients on a 3-replica group,
-# reads pinned to the primary vs spread over lease-holding backups
-# (per-node admission modeled with an injected per-request receive
-# delay), plus a mixed 90/10 run comparing write-ack latency. The
-# acceptance bar is >=2.5x read throughput at 64 clients and a write-ack
-# p99 within 10% of the lease-free baseline.
-bench-read-scaleout:
-	$(GO) run ./cmd/lambda-bench -read-scaleout -ops 4000 -out results/BENCH_read_scaleout.json
-
-# Overload: seeded open-loop Poisson arrivals swept from half the measured
-# closed-loop capacity to 1.8x past it (latency measured CO-safe from each
-# intended arrival slot), against the same deployment with the admission
-# plane off (unbounded queueing) vs on (bounded queue + deadline shed).
-# The acceptance bar is a shed-config admitted-request p99 that stays a
-# small multiple of its pre-knee value while the no-shed p99 collapses.
-bench-overload:
-	$(GO) run ./cmd/lambda-bench -overload -out results/BENCH_overload.json
+# The paper's comparison (Figures 1-2, Table 1) at quick scale, with the
+# A5 delay sweep: aggregated vs disaggregated on loopback, one deployment
+# at a time. Drop the flags for the paper's 10,000 accounts and 100 clients.
+bench-paper:
+	$(GO) run ./cmd/retwis-bench -accounts 1000 -concurrency 32 -ops 1000 -delay 0,1ms
 
 # benchmark/ is a module of its own (replace lambdastore => ../), so root
 # `go build ./... && go test ./...` never compiles it: a signature change in

@@ -582,12 +582,8 @@ func runRebalanceStatus(args []string) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		log.Fatalf("lambdactl: %s: bad /rebalance response: %v", *debugAddr, err)
 	}
-	state := "enabled"
-	if !st.Enabled {
-		state = "disabled"
-	}
-	fmt.Printf("rebalancer %s: window=%.1fs ticks=%d moves=%d errors=%d cooling=%d\n",
-		state, st.IntervalSec, st.Ticks, st.Moves, st.MoveErrors, st.Cooling)
+	fmt.Printf("rebalancer: window=%.1fs ticks=%d moves=%d errors=%d cooling=%d\n",
+		st.IntervalSec, st.Ticks, st.Moves, st.MoveErrors, st.Cooling)
 	if len(st.LastWindow) > 0 {
 		fmt.Println("last window:")
 		for _, g := range st.LastWindow {

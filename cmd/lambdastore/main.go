@@ -38,7 +38,6 @@ func main() {
 		slow       = flag.Duration("slow", 0, "log invocations slower than this (0 disables)")
 		rejoin     = flag.Bool("rejoin", false, "anti-entropy rejoin: when deposed from the group, catch up from the primary via range digests and re-admit through the coordinator")
 		recRate    = flag.Int("recovery-rate", 0, "rejoin catch-up streaming rate limit in bytes/sec (0 = unlimited)")
-		recFull    = flag.Bool("recovery-full-resync", false, "ablation: stream every object on rejoin instead of only digest-divergent ranges")
 		admQueue   = flag.Int("admission-queue", 0, "admission plane: bounded wait-queue size in front of execution; overload is shed with a retryable error (0 disables)")
 		admDead    = flag.Duration("admission-deadline", 0, "admission plane: max queue wait before a request is shed (0 = default)")
 		admLIFO    = flag.Bool("admission-lifo", false, "admission plane: drain the wait queue newest-first")
@@ -65,7 +64,6 @@ func main() {
 		SlowTraceThreshold:     *slow,
 		Rejoin:                 *rejoin,
 		RecoveryMaxBytesPerSec: *recRate,
-		RecoveryFullResync:     *recFull,
 		MaxConcurrentInvokes:   *admWorkers,
 		AdmissionQueue:         *admQueue,
 		AdmissionDeadline:      *admDead,

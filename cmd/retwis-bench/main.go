@@ -1,16 +1,22 @@
 // Command retwis-bench reproduces the paper's evaluation (§5): it boots
-// the aggregated LambdaStore architecture and the disaggregated serverless
-// baseline on loopback, runs the Retwis workloads (Post, GetTimeline,
-// Follow) against both at the paper's scale, and prints Figure 1
-// (normalized throughput) and Figure 2 (median/p99 latency).
+// the aggregated LambdaStore deployment and the disaggregated serverless
+// baseline on loopback, one at a time, drives the Retwis workloads (Post,
+// GetTimeline, Follow) against each and prints Figures 1–2 as one table —
+// jobs/s normalized to the aggregated design, median and p99 latency, and
+// the disaggregated compute node's storage and nested RPCs per job — then
+// Table 1's latency bands: a native-Go custom service, LambdaObjects, and
+// conventional serverless warm and cold (the cold start is an emulated
+// 100 ms provisioning time, so that row is modeled). -delay takes a
+// comma-separated list of injected one-way network delays and measures
+// Figures 1–2 at each (ablation A5); Table 1 runs at the first.
 //
-// Paper-scale run (10,000 accounts, 100 concurrent clients, 3 replicas):
+// Paper scale (10,000 accounts, 100 concurrent clients, 3 replicas):
 //
 //	retwis-bench
 //
-// Quick run:
+// Quick run with a delay sweep:
 //
-//	retwis-bench -accounts 1000 -ops 1000 -concurrency 32
+//	retwis-bench -accounts 1000 -ops 1000 -concurrency 32 -delay 0,200us,1ms
 package main
 
 import (
@@ -18,48 +24,34 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
-
-	"lambdastore/internal/bench"
 )
 
 func main() {
-	var (
-		accounts    = flag.Int("accounts", 10000, "number of user accounts")
-		concurrency = flag.Int("concurrency", 100, "concurrent closed-loop clients")
-		ops         = flag.Int("ops", 5000, "operations per workload")
-		replicas    = flag.Int("replicas", 3, "storage nodes per replica group")
-		delay       = flag.Duration("delay", 0, "injected one-way network delay per RPC")
-		cache       = flag.Int("cache", 64<<10, "result cache entries (0 disables)")
-		fig         = flag.Int("fig", 0, "print only figure 1 or 2 (0 = both)")
-		dataRoot    = flag.String("data", "", "scratch directory root (default: $TMPDIR)")
-	)
+	cfg := config{}
+	flag.IntVar(&cfg.accounts, "accounts", 10000, "number of user accounts")
+	flag.IntVar(&cfg.concurrency, "concurrency", 100, "concurrent closed-loop clients")
+	flag.IntVar(&cfg.ops, "ops", 5000, "operations per workload")
+	flag.IntVar(&cfg.replicas, "replicas", 3, "storage nodes per replica group")
+	delays := flag.String("delay", "0", "comma-separated injected one-way network delays per RPC; Figures 1-2 are measured at each")
+	flag.StringVar(&cfg.dataRoot, "data", "", "scratch directory root (default: $TMPDIR)")
 	flag.Parse()
+	for _, s := range strings.Split(*delays, ",") {
+		d, err := time.ParseDuration(strings.TrimSpace(s))
+		if err != nil {
+			log.Fatalf("retwis-bench: -delay: %v", err)
+		}
+		cfg.delays = append(cfg.delays, d)
+	}
 
-	opts := bench.DefaultOptions()
-	opts.Accounts = *accounts
-	opts.Concurrency = *concurrency
-	opts.OpsPerWorkload = *ops
-	opts.Replicas = *replicas
-	opts.NetDelay = *delay
-	opts.Node.Runtime.CacheEntries = *cache
-	opts.DataRoot = *dataRoot
-
-	fmt.Printf("retwis-bench: %d accounts, %d clients, %d ops/workload, %d replicas, delay %v\n",
-		opts.Accounts, opts.Concurrency, opts.OpsPerWorkload, opts.Replicas, opts.NetDelay)
-
+	fmt.Printf("retwis-bench: %d accounts, %d clients, %d ops/workload, %d replicas, delays %v\n",
+		cfg.accounts, cfg.concurrency, cfg.ops, cfg.replicas, cfg.delays)
 	start := time.Now()
-	agg, dis, err := bench.RunComparison(opts)
+	rep, err := run(cfg)
 	if err != nil {
 		log.Fatalf("retwis-bench: %v", err)
 	}
 	fmt.Printf("completed in %v\n\n", time.Since(start).Round(time.Millisecond))
-
-	if *fig == 0 || *fig == 1 {
-		bench.PrintFigure1(os.Stdout, agg, dis)
-		fmt.Println()
-	}
-	if *fig == 0 || *fig == 2 {
-		bench.PrintFigure2(os.Stdout, agg, dis)
-	}
+	rep.print(os.Stdout)
 }

@@ -15,10 +15,9 @@
 // caching (internal/cache), the full aggregated node and client
 // (internal/cluster), the disaggregated serverless baseline the paper
 // compares against (internal/baseline), and the Retwis evaluation workload
-// and harness (internal/retwis, internal/workload, internal/bench).
+// generator (internal/retwis, internal/workload).
 //
-// cmd/retwis-bench and cmd/lambda-bench regenerate the paper's Figure 1,
-// Figure 2 and Table 1 plus the design-choice ablations from
-// internal/bench; see DESIGN.md for the system inventory and
-// EXPERIMENTS.md for measured results.
+// cmd/retwis-bench regenerates the paper's Figure 1, Figure 2 and Table 1
+// and sweeps an injected network delay; see DESIGN.md for the system
+// inventory and EXPERIMENTS.md for measured results.
 package lambdastore

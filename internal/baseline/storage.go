@@ -117,7 +117,6 @@ type StorageNode struct {
 type StorageOptions struct {
 	Addr    string
 	DataDir string
-	Store   *store.Options
 	// Backups receive every applied write batch.
 	Backups []string
 	// ClientOptions tunes replication connections.
@@ -126,7 +125,7 @@ type StorageOptions struct {
 
 // StartStorage opens the store and serves.
 func StartStorage(opts StorageOptions) (*StorageNode, error) {
-	db, err := store.Open(opts.DataDir, opts.Store)
+	db, err := store.Open(opts.DataDir, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,14 +5,52 @@ import (
 	"time"
 
 	"lambdastore/internal/cluster"
+	"lambdastore/internal/coordinator"
 	"lambdastore/internal/fault"
+	"lambdastore/internal/store"
 )
+
+// deployment is the cluster every chaos schedule runs against, for
+// cluster.StartLocal: a three-replica coordinator ensemble with a 300ms
+// failure detector, and one group of three nodes (first node primary) with
+// fsynced write-ahead logs — so a restart is a real crash recovery — and the
+// rejoin manager armed, so a node that finds itself outside its group
+// catches up from the primary and re-admits itself. Scenarios that need
+// more (a second group, an admission plane) edit the returned value.
+func deployment(dataRoot string) cluster.LocalOptions {
+	return cluster.LocalOptions{
+		Groups:       []int{3},
+		Coordinators: 3,
+		Coord: coordinator.Options{
+			HeartbeatTimeout: 300 * time.Millisecond,
+			CheckInterval:    50 * time.Millisecond,
+		},
+		DataRoot: dataRoot,
+		Node: cluster.NodeOptions{
+			Store:             &store.Options{SyncWrites: true},
+			HeartbeatInterval: 50 * time.Millisecond,
+			Rejoin:            true,
+			// Leases shorter than the failure-detector timeout: a deposed
+			// primary's barrier (one lease TTL) always ends before the
+			// coordinator can have promoted a successor, so a leased backup
+			// can never serve state older than an acked write.
+			LeaseTTL: 150 * time.Millisecond,
+		},
+		// Tight backoff pacing: the failure-detector timeouts are hundreds
+		// of milliseconds, so production retry delays would only slow the
+		// schedule down without exercising anything extra.
+		Client: cluster.ClientConfig{
+			RetryBaseDelay: 2 * time.Millisecond,
+			RetryMaxDelay:  25 * time.Millisecond,
+		},
+	}
+}
 
 // newChaosCluster boots a 3-node group plus a 3-replica coordinator
 // ensemble. The fault plane is process-global, so chaos tests must not
 // run in parallel (they don't: no t.Parallel here by design).
 func newChaosCluster(t *testing.T) *cluster.Local {
-	return startChaosCluster(t, Deployment(t.TempDir()))
+	return startChaosCluster(t, deployment(t.TempDir()))
 }
 
 func startChaosCluster(t *testing.T, opts cluster.LocalOptions) *cluster.Local {
@@ -119,7 +157,7 @@ func TestChaosRestartRejoin(t *testing.T) {
 // copy) or commit cleanly (the target group serves it) — with every
 // acknowledged write intact either way.
 func TestChaosMigrateUnderChaos(t *testing.T) {
-	opts := Deployment(t.TempDir())
+	opts := deployment(t.TempDir())
 	opts.Groups = []int{3, 1}
 	// Tight janitor so an aborted move's partial copy is reclaimed
 	// within the test's patience.
@@ -154,7 +192,7 @@ func TestChaosMigrateUnderChaos(t *testing.T) {
 // survive the subsequent failover onto the rejoined node (Run's
 // end-of-run verifier checks the ledgers).
 func TestChaosOverloadRestartRejoin(t *testing.T) {
-	opts := Deployment(t.TempDir())
+	opts := deployment(t.TempDir())
 	opts.Node.AdmissionQueue = 8
 	opts.Node.AdmissionDeadline = 5 * time.Millisecond
 	opts.Node.MaxConcurrentInvokes = 2

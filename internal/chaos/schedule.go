@@ -8,11 +8,9 @@ import (
 
 	"lambdastore/internal/admission"
 	"lambdastore/internal/cluster"
-	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
 	"lambdastore/internal/shard"
-	"lambdastore/internal/store"
 )
 
 // Schedule timing. Every scenario runs these values; they are sized against
@@ -28,42 +26,6 @@ const (
 	// catch-up to end in re-admission.
 	rejoinTimeout = 30 * time.Second
 )
-
-// Deployment is the cluster every chaos schedule runs against, for
-// cluster.StartLocal: a three-replica coordinator ensemble with a 300ms
-// failure detector, and one group of three nodes (first node primary) with
-// fsynced write-ahead logs — so a restart is a real crash recovery — and the
-// rejoin manager armed, so a node that finds itself outside its group
-// catches up from the primary and re-admits itself. Scenarios that need
-// more (a second group, an admission plane) edit the returned value.
-func Deployment(dataRoot string) cluster.LocalOptions {
-	return cluster.LocalOptions{
-		Groups:       []int{3},
-		Coordinators: 3,
-		Coord: coordinator.Options{
-			HeartbeatTimeout: 300 * time.Millisecond,
-			CheckInterval:    50 * time.Millisecond,
-		},
-		DataRoot: dataRoot,
-		Node: cluster.NodeOptions{
-			Store:             &store.Options{SyncWrites: true},
-			HeartbeatInterval: 50 * time.Millisecond,
-			Rejoin:            true,
-			// Leases shorter than the failure-detector timeout: a deposed
-			// primary's barrier (one lease TTL) always ends before the
-			// coordinator can have promoted a successor, so a leased backup
-			// can never serve state older than an acked write.
-			LeaseTTL: 150 * time.Millisecond,
-		},
-		// Tight backoff pacing: the failure-detector timeouts are hundreds
-		// of milliseconds, so production retry delays would only slow the
-		// schedule down without exercising anything extra.
-		Client: cluster.ClientConfig{
-			RetryBaseDelay: 2 * time.Millisecond,
-			RetryMaxDelay:  25 * time.Millisecond,
-		},
-	}
-}
 
 // Scenario is one fault class the schedule can inject against the
 // current primary.

@@ -25,8 +25,7 @@ type Client struct {
 
 	dir atomic.Pointer[shard.Directory]
 
-	readPolicy ReadPolicy
-	rr         atomic.Uint64 // round-robin cursor for replica reads
+	rr atomic.Uint64 // round-robin cursor for replica reads
 
 	// maxRetries bounds routing retries after stale-config rejections;
 	// retryBase/retryMax shape the capped exponential backoff between
@@ -46,20 +45,6 @@ type Client struct {
 	// routing/fault retries so overload is visible as overload.
 	overloadRetries atomic.Uint64
 }
-
-// ReadPolicy selects which replica serves a read-only invocation. With
-// leases enabled, every choice returns committed-then-acked state: backups
-// only answer while holding a valid lease and bounce otherwise, so policies
-// trade load spreading against bounce-retry latency, never consistency.
-type ReadPolicy int
-
-const (
-	// ReadRoundRobin spreads reads across all replicas in turn (default).
-	ReadRoundRobin ReadPolicy = iota
-	// ReadPrimaryOnly sends every read to the primary — the pre-lease
-	// behavior, and the baseline for read scale-out benchmarks.
-	ReadPrimaryOnly
-)
 
 // ClientConfig configures a Client.
 type ClientConfig struct {
@@ -85,9 +70,6 @@ type ClientConfig struct {
 	// Tracing stamps every invocation with a fresh trace ID so nodes with
 	// tracing enabled record its spans.
 	Tracing bool
-	// ReadPolicy selects the replica for read-only invocations
-	// (default ReadRoundRobin).
-	ReadPolicy ReadPolicy
 }
 
 // NewClient builds a client.
@@ -99,7 +81,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		retryMax:    cfg.RetryMaxDelay,
 		retryBudget: cfg.RetryBudget,
 		tracing:     cfg.Tracing,
-		readPolicy:  cfg.ReadPolicy,
 	}
 	if c.maxRetries <= 0 {
 		c.maxRetries = 4
@@ -212,13 +193,11 @@ func (c *Client) InvokeRead(id core.ObjectID, method string, args [][]byte) ([]b
 	return c.invoke(c.rootCtx(), id, method, args, true)
 }
 
-// readTarget picks the replica for a read-only invocation per the
-// configured policy.
+// readTarget picks the replica for a read-only invocation: primary and
+// backups in turn. A backup answers only while it holds a valid lease and
+// bounces otherwise, so spreading never costs consistency. It indexes the
+// replicas in place: no replica slice per read.
 func (c *Client) readTarget(g shard.Group) string {
-	if c.readPolicy == ReadPrimaryOnly {
-		return g.Primary
-	}
-	// Index primary + backups in place: no replica slice per read.
 	if i := c.rr.Add(1) % uint64(1+len(g.Backups)); i > 0 {
 		return g.Backups[i-1]
 	}
@@ -228,7 +207,7 @@ func (c *Client) readTarget(g shard.Group) string {
 // send is the client's one retry loop, and so the definition of its
 // at-least-once semantics: every attempt re-resolves the group with route
 // (the view may have changed), sends the same frame to its primary — or,
-// read-only, to the replica the read policy picks — and classifies a
+// read-only, to the replica readTarget picks — and classifies a
 // failure as a stale view, an overload shed, or a connection-level fault.
 // Retries are bounded by MaxRetries and RetryBudget; a routing error and a
 // write's connection failure without a coordinator return at once.

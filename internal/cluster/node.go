@@ -67,9 +67,6 @@ type NodeOptions struct {
 	// RecoveryMaxBytesPerSec rate-limits recovery chunk streaming
 	// (0 = unlimited).
 	RecoveryMaxBytesPerSec int
-	// RecoveryFullResync ablates the digest diff: catch-up streams every
-	// object the donor holds regardless of divergence (bench baseline).
-	RecoveryFullResync bool
 	// MaxConcurrentInvokes, when positive, bounds how many client
 	// requests (invoke, transaction, create, delete) execute at once — an
 	// admission gate modeling per-node compute capacity. In-process
@@ -302,7 +299,6 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		Unfence:            n.unfenceObject,
 		CutOver:            n.cutOverObject,
 		MaxBytesPerSec:     opts.RecoveryMaxBytesPerSec,
-		FullResync:         opts.RecoveryFullResync,
 		MoveSessionTimeout: opts.MoveSessionTimeout,
 		Metrics:            reg,
 		Tracer:             tracer,
@@ -334,7 +330,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 			JSON: map[string]func() any{
 				"/recovery": func() any {
 					return map[string]any{
-						"rejoin":         n.transfer.Status(),
+						"rejoin":         n.RecoveryStatus(),
 						"donor_sessions": n.transfer.Sessions(),
 					}
 				},
@@ -648,12 +644,8 @@ func (n *Node) DebugAddr() string {
 	return n.debugSrv.Addr()
 }
 
-// RecoveryStatus snapshots the node's rejoin state machine (tests,
-// tools, bench).
+// RecoveryStatus snapshots the node's rejoin state machine.
 func (n *Node) RecoveryStatus() recovery.Status { return n.transfer.Status() }
-
-// RecoveryState returns the rejoin state machine's current position.
-func (n *Node) RecoveryState() recovery.State { return n.transfer.State() }
 
 // DonorSessions lists this node's active donor-side catch-up sessions.
 func (n *Node) DonorSessions() []recovery.SessionStatus { return n.transfer.Sessions() }

@@ -420,7 +420,7 @@ func TestOneSnapshotThreeExits(t *testing.T) {
 		"shard.overrides", "shard.overrides_redundant", "cluster.primary", "cluster.fenced_objects",
 		"move.in_flight", "move.inbound_sessions",
 		"vm.compiled_modules", "vm.compile_ns",
-		"lease.held", "lease.held_now",
+		"lease.held",
 	} {
 		if _, ok := text[name]; !ok {
 			t.Errorf("%s is not on /metrics: its owner did not register it", name)

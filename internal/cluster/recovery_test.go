@@ -106,7 +106,7 @@ func (rc *rejoinCluster) waitEvicted(addr string) {
 func (rc *rejoinCluster) waitMember(i int) {
 	rc.t.Helper()
 	await(rc.t, rc.Local, 30*time.Second, "rejoin of node "+rc.Slots[i].Addr, func() bool {
-		return rc.node(i).RecoveryState() == recovery.StateMember &&
+		return rc.node(i).RecoveryStatus().State == recovery.StateMember.String() &&
 			slices.Contains(rc.group().Backups, rc.Slots[i].Addr)
 	})
 }
@@ -149,8 +149,34 @@ func readAt(t *testing.T, pool *rpc.Pool, addr string, obj core.ObjectID) int64 
 // via range digests, be re-admitted, and serve replica reads of state it
 // only holds through streaming. A frame stamped with the pre-rejoin epoch
 // must still be fenced off by the rejoined node.
+//
+// It runs twice, over a base of 0 and of 200 untouched objects the joiner
+// already holds: the catch-up must cost the same at both sizes, because a
+// rejoin streams what diverged, not what the store holds.
 func TestRejoinAfterDowntimeWrites(t *testing.T) {
+	small := rejoinAfterDowntime(t, 0)
+	large := rejoinAfterDowntime(t, 200)
+	if small.RangesDiverged != large.RangesDiverged {
+		t.Errorf("ranges diverged = %d over 0 base objects but %d over 200: rejoin cost tracks store size",
+			small.RangesDiverged, large.RangesDiverged)
+	}
+	if float64(large.BytesStreamed) > 1.1*float64(small.BytesStreamed) {
+		t.Errorf("bytes streamed = %d over 200 base objects, > 1.1x the %d over 0: rejoin cost tracks store size",
+			large.BytesStreamed, small.BytesStreamed)
+	}
+}
+
+// rejoinAfterDowntime runs TestRejoinAfterDowntimeWrites's scenario on a
+// fresh cluster whose joiner already holds base untouched objects, and
+// returns the joiner's recovery status.
+func rejoinAfterDowntime(t *testing.T, base int) recovery.Status {
 	rc := startRejoinCluster(t, NodeOptions{})
+	defer rc.Close() // before the next run boots its own
+	for i := 0; i < base; i++ {
+		if err := rc.client.CreateObject("Counter", core.ObjectID(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := rc.client.CreateObject("Counter", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +238,8 @@ func TestRejoinAfterDowntimeWrites(t *testing.T) {
 	if _, err := joiner.DB().Get([]byte("zombie-key")); err != store.ErrNotFound {
 		t.Fatalf("stale frame landed on rejoined node: %v", err)
 	}
+	t.Logf("base %d objects: %d ranges diverged, %d bytes streamed", base, st.RangesDiverged, st.BytesStreamed)
+	return st
 }
 
 // TestJoinerFencedDuringCatchUp pins the acceptance invariant: a node

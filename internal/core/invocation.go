@@ -102,7 +102,7 @@ func (iv *invocation) listEntryKey(field string, idx uint64) []byte {
 // ensureLocked (re-)admits the invocation on its object before a state
 // access or commit.
 func (iv *invocation) ensureLocked() error {
-	if iv.locked || iv.external || iv.rt.opts.DisableScheduler {
+	if iv.locked || iv.external {
 		return nil
 	}
 	sp := iv.rt.tracer.StartSpan(iv.trace, "lock-wait")

@@ -57,10 +57,6 @@ type Options struct {
 	OnCommit CommitHook
 	// LockTimeout bounds scheduler admission (default 10s).
 	LockTimeout time.Duration
-	// DisableScheduler removes per-object admission control (ablation A4
-	// uses this to show why the combined scheduler/concurrency-control
-	// matters; with it disabled, invocation isolation is lost).
-	DisableScheduler bool
 	// Metrics, if set, publishes the runtime's counters and histograms
 	// (invocations by method, fuel, cache and lock-wait behaviour) and
 	// those of its warm pool and result cache.

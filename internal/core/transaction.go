@@ -92,14 +92,12 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 			releases[i]()
 		}
 	}()
-	if !rt.opts.DisableScheduler {
-		for _, o := range objs {
-			release, err := rt.locks.Acquire(uint64(o), sched.Write)
-			if err != nil {
-				return nil, err
-			}
-			releases = append(releases, release)
+	for _, o := range objs {
+		release, err := rt.locks.Acquire(uint64(o), sched.Write)
+		if err != nil {
+			return nil, err
 		}
+		releases = append(releases, release)
 	}
 
 	// One shared buffer over one snapshot: calls see each other's writes,

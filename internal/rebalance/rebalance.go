@@ -63,6 +63,10 @@ const (
 	homeSlack = 0.1
 	// topK bounds the per-group hot sample.
 	topK = 32
+	// cooldown is how long a just-moved object is immune to further moves.
+	// It also brackets failed moves, so a flapping target cannot be
+	// hammered.
+	cooldown = 10 * time.Second
 )
 
 // PolicyConfig tunes the hysteresis placement policy.
@@ -71,10 +75,6 @@ type PolicyConfig struct {
 	// (default 2) — the in-flight cap; moves execute before the next
 	// window is sampled.
 	MaxMovesPerTick int
-	// Cooldown is how long a just-moved object is immune to further
-	// moves (default 10s). It also brackets failed moves, so a flapping
-	// target cannot be hammered.
-	Cooldown time.Duration
 	// MinWindowOps mutes the policy on idle clusters: no group below
 	// this many window ops is ever a source (default 50).
 	MinWindowOps uint64
@@ -83,9 +83,6 @@ type PolicyConfig struct {
 func (c *PolicyConfig) fill() {
 	if c.MaxMovesPerTick <= 0 {
 		c.MaxMovesPerTick = 2
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 10 * time.Second
 	}
 	if c.MinWindowOps == 0 {
 		c.MinWindowOps = 50
@@ -211,8 +208,6 @@ type Options struct {
 	// samples-and-resets every primary's hot counters, so the interval
 	// is also the averaging horizon.
 	Interval time.Duration
-	// Policy tunes the planner.
-	Policy PolicyConfig
 	// DryRun plans and records decisions without executing moves.
 	DryRun bool
 	// Metrics, if set, publishes the rebalancer's counters.
@@ -233,7 +228,6 @@ type Decision struct {
 // Status is the rebalancer's state as served by /rebalance and
 // lambdactl rebalance.
 type Status struct {
-	Enabled     bool        `json:"enabled"`
 	Ticks       uint64      `json:"ticks"`
 	Moves       uint64      `json:"moves"`
 	MoveErrors  uint64      `json:"move_errors"`
@@ -251,7 +245,6 @@ type Rebalancer struct {
 	opts Options
 
 	mu       sync.Mutex
-	enabled  bool
 	started  bool
 	cool     map[uint64]time.Time
 	window   []GroupLoad
@@ -277,13 +270,11 @@ func New(opts Options) *Rebalancer {
 	if opts.Log == nil {
 		opts.Log = func(string, ...any) {}
 	}
-	opts.Policy.fill()
 	r := &Rebalancer{
-		opts:    opts,
-		enabled: true,
-		cool:    make(map[uint64]time.Time),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		opts: opts,
+		cool: make(map[uint64]time.Time),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 
 		movesCtr: opts.Metrics.Counter("rebalance.moves"),
 		errsCtr:  opts.Metrics.Counter("rebalance.move_errors"),
@@ -328,14 +319,6 @@ func (r *Rebalancer) Close() {
 	}
 }
 
-// SetEnabled toggles planning (the sampling keeps running so windows
-// stay fresh — re-enabling acts on current data, not a stale window).
-func (r *Rebalancer) SetEnabled(on bool) {
-	r.mu.Lock()
-	r.enabled = on
-	r.mu.Unlock()
-}
-
 // Moves returns how many migrations the rebalancer has executed.
 func (r *Rebalancer) Moves() uint64 {
 	r.mu.Lock()
@@ -349,7 +332,6 @@ func (r *Rebalancer) Tick() {
 	r.ticksCtr.Inc()
 	r.mu.Lock()
 	r.ticks++
-	enabled := r.enabled
 	r.mu.Unlock()
 
 	d, err := r.opts.Config()
@@ -371,10 +353,7 @@ func (r *Rebalancer) Tick() {
 	}
 	r.mu.Unlock()
 
-	if !enabled {
-		return
-	}
-	plan := Plan(r.opts.Policy, loads,
+	plan := Plan(PolicyConfig{}, loads,
 		func(object uint64) (uint64, bool) {
 			gid, err := d.DefaultGroupID(object)
 			return gid, err == nil
@@ -407,7 +386,7 @@ func (r *Rebalancer) execute(byID map[uint64]*GroupLoad, mv Move) error {
 	}
 	// Cooldown starts at attempt time: failures back off too.
 	r.mu.Lock()
-	r.cool[mv.Object] = time.Now().Add(r.opts.Policy.Cooldown)
+	r.cool[mv.Object] = time.Now().Add(cooldown)
 	r.mu.Unlock()
 	err := cluster.MoveObject(r.opts.Pool, src.Primary, mv.Object, dst.Primary, mv.To)
 	r.mu.Lock()
@@ -473,7 +452,6 @@ func (r *Rebalancer) Status() Status {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := Status{
-		Enabled:     r.enabled,
 		Ticks:       r.ticks,
 		Moves:       r.moves,
 		MoveErrors:  r.moveErrs,

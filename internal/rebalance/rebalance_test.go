@@ -146,7 +146,7 @@ func TestPolicyDefaults(t *testing.T) {
 	var cfg PolicyConfig
 	cfg.fill()
 	if imbalanceRatio <= 1 || minGainFraction <= 0 || homeSlack <= 0 || topK <= 0 || cfg.MaxMovesPerTick <= 0 ||
-		cfg.Cooldown < time.Second || cfg.MinWindowOps == 0 {
+		cooldown < time.Second || cfg.MinWindowOps == 0 {
 		t.Fatalf("defaults not filled: %+v", cfg)
 	}
 }

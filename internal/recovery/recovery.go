@@ -82,9 +82,6 @@ type Options struct {
 	// MaxBytesPerSec rate-limits a rejoin's chunk streaming (0 = unlimited);
 	// moves are never throttled.
 	MaxBytesPerSec int
-	// FullResync ablates a rejoin's digest diff: every object the sender
-	// holds is streamed regardless of divergence (the bench's baseline).
-	FullResync bool
 	// MoveSessionTimeout is how long a move's target keeps an inactive
 	// inbound session before its janitor reclaims it (default 10s).
 	MoveSessionTimeout time.Duration

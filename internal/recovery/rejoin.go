@@ -95,7 +95,7 @@ func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 	}()
 
 	// Initial transfer while forwards buffer.
-	if _, err := p.round(s, p.opts.FullResync); err != nil {
+	if _, err := p.round(s); err != nil {
 		return fmt.Errorf("transfer: %w", err)
 	}
 	// Replay the buffered commit stream and go live.
@@ -113,7 +113,7 @@ func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 	// or writes racing the digest scans).
 	clean := false
 	for i := 0; i < verifyRounds && !clean; i++ {
-		n, err := p.round(s, false)
+		n, err := p.round(s)
 		if err != nil {
 			return fmt.Errorf("verify: %w", err)
 		}
@@ -152,17 +152,12 @@ func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 }
 
 // round runs one digest-diff-repair cycle against the sender and returns
-// how many ranges (objects + meta) it had to repair. With full set (the
-// FullResync ablation's initial transfer) the diff runs against an empty
-// table, so every range the sender holds streams; verification rounds always
-// run the real diff, which is also what drops ranges only this node has.
-func (p *Plane) round(s *inbound, full bool) (int, error) {
-	local := &DigestTable{Buckets: make([]uint64, DefaultBuckets), Objects: map[uint64]uint64{}}
-	if !full {
-		var err error
-		if local, err = BuildDigest(p.opts.DB, DefaultBuckets); err != nil {
-			return 0, err
-		}
+// how many ranges (objects + meta) it had to repair: only what diverges
+// streams, and ranges only this node has are dropped.
+func (p *Plane) round(s *inbound) (int, error) {
+	local, err := BuildDigest(p.opts.DB, DefaultBuckets)
+	if err != nil {
+		return 0, err
 	}
 	body, err := s.pull(MethodDigest, encodeSessionReq(&s.req))
 	if err != nil {
@@ -173,7 +168,7 @@ func (p *Plane) round(s *inbound, full bool) (int, error) {
 		return 0, err
 	}
 	repaired := 0
-	if local.Meta != remote.meta || full {
+	if local.Meta != remote.meta {
 		if err := s.syncRange(nil, metaRangeEnd(), 0); err != nil {
 			return repaired, err
 		}

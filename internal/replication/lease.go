@@ -120,15 +120,12 @@ func NewLeaseHolder(localEpoch func() uint64, lagMax int, now func() time.Time, 
 		revokes: reg.Counter("lease.revokes"),
 		expired: reg.Counter("lease.expired"),
 	}
-	held := func() int64 {
+	reg.GaugeFunc("lease.held", func() int64 {
 		if h.Held() {
 			return 1
 		}
 		return 0
-	}
-	reg.GaugeFunc("lease.held", held)
-	// Served since the debug gauges were a hand-kept map; same value.
-	reg.GaugeFunc("lease.held_now", held)
+	})
 	return h
 }
 

@@ -290,6 +290,13 @@ func TestCrashConsistencyViaDirectoryCopy(t *testing.T) {
 	}()
 
 	copyDir := func(round int) string {
+		// A crash image is the directory at one instant. Holding db.mu
+		// keeps the current version installed, and compaction unlinks a
+		// table only after installing a version without it, so every table
+		// the copied manifest names is still on disk when the copy reaches
+		// it.
+		db.mu.Lock()
+		defer db.mu.Unlock()
 		dst := t.TempDir()
 		// Phase 1: metadata.
 		for _, name := range []string{"CURRENT", "MANIFEST"} {

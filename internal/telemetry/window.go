@@ -1,11 +1,7 @@
-// Coordinated-omission-safe recording and the snapshot a registry leaves
-// the process as.
+// The snapshot a histogram and a registry leave the process as.
 //
-// Three concerns live here because they share the bucket layout:
+// Two concerns live here because they share the bucket layout:
 //
-//   - RecordWithIntended backfills the samples a stalled closed-loop client
-//     never issued (HdrHistogram's expected-interval correction), so
-//     percentiles reflect what an open-loop arrival process would have seen.
 //   - HistData is the one summary of a histogram: a sparse copy of the bucket
 //     array plus derived quantiles. Because every histogram in the system
 //     shares one bucket layout, HistData merge is plain bucket addition —
@@ -23,43 +19,6 @@ import (
 	"sort"
 	"time"
 )
-
-// maxBackfill bounds the synthetic samples one RecordWithIntended call may
-// add, so a single multi-second stall cannot spin the recorder.
-const maxBackfill = 4096
-
-// RecordWithIntended records the latency of an operation that finished now,
-// started at start, but was *intended* to start at intendedStart (the slot an
-// open-loop arrival schedule assigned to it). The full intended-to-finish
-// time is recorded, and the coordinator-omission gap is backfilled with
-// synthetic samples at the actual service time interval, HdrHistogram-style:
-// if one 100ms stall absorbed ten 10ms operations, ten degraded samples are
-// recorded, not one.
-func (h *Histogram) RecordWithIntended(start, intendedStart time.Time) {
-	h.recordWithIntendedAt(time.Now(), start, intendedStart)
-}
-
-// recordWithIntendedAt is RecordWithIntended with an explicit clock for
-// deterministic tests.
-func (h *Histogram) recordWithIntendedAt(end, start, intended time.Time) {
-	actual := end.Sub(start)
-	if actual < 0 {
-		actual = 0
-	}
-	if !intended.Before(start) {
-		h.Record(actual)
-		return
-	}
-	total := end.Sub(intended)
-	h.Record(total)
-	interval := actual
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
-	for v, n := total-interval, 0; v >= interval && n < maxBackfill; v, n = v-interval, n+1 {
-		h.Record(v)
-	}
-}
 
 // HistData is a point-in-time, mergeable histogram snapshot: the sparse
 // bucket counts plus derived summary fields. All histograms share one bucket

@@ -132,53 +132,6 @@ func TestSubWindowDelta(t *testing.T) {
 	}
 }
 
-// TestRecordWithIntendedBackfill checks the coordinated-omission correction
-// with a fixed clock: a stall spanning k intended intervals must record the
-// total plus k-1 decreasing synthetic samples.
-func TestRecordWithIntendedBackfill(t *testing.T) {
-	base := time.Unix(1000, 0)
-
-	// No omission: intended == start records exactly one sample.
-	var h1 Histogram
-	h1.recordWithIntendedAt(base.Add(10*time.Millisecond), base, base)
-	if n := h1.Count(); n != 1 {
-		t.Fatalf("no-omission count = %d, want 1", n)
-	}
-	if got := h1.Data().Quantile(1); got < 10*time.Millisecond || got > 11*time.Millisecond {
-		t.Fatalf("no-omission sample = %v, want ~10ms", got)
-	}
-
-	// Intended after start (scheduler ran early): also a single sample.
-	var h2 Histogram
-	h2.recordWithIntendedAt(base.Add(10*time.Millisecond), base, base.Add(time.Millisecond))
-	if n := h2.Count(); n != 1 {
-		t.Fatalf("intended-after-start count = %d, want 1", n)
-	}
-
-	// 100ms of omission before a 10ms service time: record total=110ms,
-	// then backfill 100, 90, ..., 10 — eleven samples in all.
-	var h3 Histogram
-	start := base.Add(100 * time.Millisecond)
-	h3.recordWithIntendedAt(start.Add(10*time.Millisecond), start, base)
-	if n := h3.Count(); n != 11 {
-		t.Fatalf("backfill count = %d, want 11", n)
-	}
-	if got := h3.Data().MaxUs; got < 110_000 {
-		t.Errorf("backfill max = %dus, want >= 110ms (the total intended-to-finish time)", got)
-	}
-	if got := h3.Data().Quantile(0); got > 11*time.Millisecond {
-		t.Errorf("backfill min = %v, want ~10ms (the last synthetic sample)", got)
-	}
-
-	// Zero-duration service time must not spin: interval clamps to 1us and
-	// the backfill loop is bounded by maxBackfill.
-	var h4 Histogram
-	h4.recordWithIntendedAt(base.Add(time.Second), base.Add(time.Second), base)
-	if n := h4.Count(); n == 0 || n > maxBackfill+1 {
-		t.Fatalf("zero-duration backfill count = %d, want in [1, %d]", n, maxBackfill+1)
-	}
-}
-
 // TestExemplarRecorded checks that a traced observation leaves its trace ID
 // on the bucket it landed in, and untraced observations do not.
 func TestExemplarRecorded(t *testing.T) {

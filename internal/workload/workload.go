@@ -32,24 +32,9 @@ func (f InvokerFunc) Invoke(object uint64, method string, args [][]byte) ([]byte
 
 // Config describes the benchmark population.
 type Config struct {
-	// Accounts is the number of User objects (paper: 10,000).
+	// Accounts is the number of User objects (paper: 10,000). They occupy
+	// object IDs [1, Accounts].
 	Accounts int
-	// FirstID is the object ID of the first account (accounts occupy
-	// [FirstID, FirstID+Accounts)).
-	FirstID uint64
-	// HotspotS, when > 1, Zipf-skews which account each operation
-	// targets (rank 0 hottest): the hot-spot workloads the rebalancer
-	// is judged against. Zero keeps the original uniform pick. This is
-	// separate from zipfS, which skews the follower-graph shape.
-	HotspotS float64
-	// HotspotStride spreads Zipf ranks across account indexes as
-	// (rank*stride) mod Accounts. With stride 1 the hottest accounts
-	// are consecutive indexes — under id-mod-groups placement they land
-	// on different groups. A stride that is a multiple of the group
-	// count instead piles the hottest accounts onto one group, modeling
-	// the correlated-collision worst case rebalancing exists to fix.
-	// Zero means 1.
-	HotspotStride uint64
 }
 
 // The generator's shape, mirroring the paper's setup.
@@ -65,14 +50,9 @@ const (
 	Seed int64 = 42
 )
 
-// DefaultConfig is the paper's population scaled by accounts.
-func DefaultConfig(accounts int) Config {
-	return Config{Accounts: accounts, FirstID: 1}
-}
-
 // AccountID returns the object ID of account index i.
 func (c Config) AccountID(i int) uint64 {
-	return c.FirstID + uint64(i%c.Accounts)
+	return 1 + uint64(i%c.Accounts)
 }
 
 // Populate creates the accounts and follower graph through inv. create is
@@ -180,30 +160,12 @@ const (
 // Workloads lists the evaluation workloads in paper order.
 var Workloads = []string{Post, GetTimeline, Follow}
 
-// keyPicker returns the per-op account selector: uniform by default,
-// Zipf-skewed ranks mapped through the hotspot stride when HotspotS is
-// set.
-func keyPicker(cfg Config, rng *rand.Rand) func() uint64 {
-	if cfg.HotspotS <= 1 || cfg.Accounts <= 1 {
-		return func() uint64 { return cfg.AccountID(rng.Intn(cfg.Accounts)) }
-	}
-	zipf := rand.NewZipf(rng, cfg.HotspotS, 1, uint64(cfg.Accounts-1))
-	stride := cfg.HotspotStride
-	if stride == 0 {
-		stride = 1
-	}
-	n := uint64(cfg.Accounts)
-	return func() uint64 {
-		rank := zipf.Uint64()
-		return cfg.AccountID(int((rank * stride) % n))
-	}
-}
-
 // OpStream produces the per-worker operation closure for one workload.
-// Each worker gets an independent deterministic RNG.
+// Each worker gets an independent deterministic RNG and picks the target
+// account uniformly.
 func OpStream(cfg Config, workload string, inv Invoker, worker int) (func() error, error) {
 	rng := rand.New(rand.NewSource(Seed + int64(worker)*7919))
-	pick := keyPicker(cfg, rng)
+	pick := func() uint64 { return cfg.AccountID(rng.Intn(cfg.Accounts)) }
 	msg := make([]byte, msgLen)
 	for i := range msg {
 		msg[i] = byte('a' + i%26)
@@ -251,15 +213,6 @@ func (r Result) String() string {
 // back-to-back, until totalOps complete (the paper's closed-loop client
 // model: "up to 100 concurrent client requests").
 func RunClosedLoop(cfg Config, workload string, inv Invoker, concurrency, totalOps int) (Result, error) {
-	return RunClosedLoopOps(workload, func(worker int) (func() error, error) {
-		return OpStream(cfg, workload, inv, worker)
-	}, concurrency, totalOps)
-}
-
-// RunClosedLoopOps is RunClosedLoop with a caller-supplied op stream —
-// for benchmarks that need a variation of a named workload (e.g. the
-// read-path sweep's deeper timeline reads).
-func RunClosedLoopOps(workload string, opFor func(worker int) (func() error, error), concurrency, totalOps int) (Result, error) {
 	if concurrency <= 0 {
 		concurrency = 1
 	}
@@ -276,7 +229,7 @@ func RunClosedLoopOps(workload string, opFor func(worker int) (func() error, err
 	var wg sync.WaitGroup
 	errCh := make(chan error, concurrency)
 	for w := 0; w < concurrency; w++ {
-		op, err := opFor(w)
+		op, err := OpStream(cfg, workload, inv, w)
 		if err != nil {
 			return Result{}, err
 		}

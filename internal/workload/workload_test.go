@@ -49,7 +49,7 @@ func (f *fakeBackend) Invoke(object uint64, method string, args [][]byte) ([]byt
 }
 
 func TestPopulateCreatesEveryAccountOnce(t *testing.T) {
-	cfg := DefaultConfig(250)
+	cfg := Config{Accounts: 250}
 	b := newFakeBackend()
 	if err := Populate(cfg, b.create, b); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestPopulateCreatesEveryAccountOnce(t *testing.T) {
 	if b.calls["add_follower"] == 0 {
 		t.Fatal("no follower edges created")
 	}
-	// IDs occupy [FirstID, FirstID+Accounts).
+	// IDs occupy [1, Accounts].
 	for i := 0; i < cfg.Accounts; i++ {
 		if !b.created[cfg.AccountID(i)] {
 			t.Fatalf("account %d missing", i)
@@ -72,7 +72,7 @@ func TestPopulateCreatesEveryAccountOnce(t *testing.T) {
 }
 
 func TestPopulateDeterministic(t *testing.T) {
-	cfg := DefaultConfig(100)
+	cfg := Config{Accounts: 100}
 	b1, b2 := newFakeBackend(), newFakeBackend()
 	if err := Populate(cfg, b1.create, b1); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestPopulateDeterministic(t *testing.T) {
 }
 
 func TestPopulatePropagatesErrors(t *testing.T) {
-	cfg := DefaultConfig(50)
+	cfg := Config{Accounts: 50}
 	b := newFakeBackend()
 	b.fail = func(method string) error {
 		if method == "create_account" {
@@ -100,7 +100,7 @@ func TestPopulatePropagatesErrors(t *testing.T) {
 }
 
 func TestOpStreams(t *testing.T) {
-	cfg := DefaultConfig(100)
+	cfg := Config{Accounts: 100}
 	b := newFakeBackend()
 	for _, wl := range Workloads {
 		op, err := OpStream(cfg, wl, b, 0)
@@ -122,7 +122,7 @@ func TestOpStreams(t *testing.T) {
 }
 
 func TestRunClosedLoopCompletesExactly(t *testing.T) {
-	cfg := DefaultConfig(100)
+	cfg := Config{Accounts: 100}
 	b := newFakeBackend()
 	res, err := RunClosedLoop(cfg, Follow, b, 8, 500)
 	if err != nil {
@@ -140,7 +140,7 @@ func TestRunClosedLoopCompletesExactly(t *testing.T) {
 }
 
 func TestRunClosedLoopAllFailing(t *testing.T) {
-	cfg := DefaultConfig(10)
+	cfg := Config{Accounts: 10}
 	b := newFakeBackend()
 	b.fail = func(string) error { return fmt.Errorf("down") }
 	res, err := RunClosedLoop(cfg, Follow, b, 4, 50)
@@ -164,65 +164,5 @@ func TestResultString(t *testing.T) {
 	r := Result{Workload: "Post", Ops: 10, Throughput: 123.4}
 	if r.String() == "" {
 		t.Fatal("empty render")
-	}
-}
-
-func TestHotspotZipfSkew(t *testing.T) {
-	be := newFakeBackend()
-	cfg := DefaultConfig(64)
-	cfg.HotspotS = 1.2
-	op, err := OpStream(cfg, Post, be, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ops = 5000
-	for i := 0; i < ops; i++ {
-		if err := op(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	// Rank 0 (account index 0) must dominate: with s=1.2 over 64
-	// accounts it should carry well over a tenth of all traffic, which
-	// a uniform pick (1/64) never approaches.
-	hottest := be.byObj[cfg.AccountID(0)]
-	if hottest < ops/10 {
-		t.Fatalf("hotspot account got %d/%d ops; zipf skew not applied", hottest, ops)
-	}
-}
-
-func TestHotspotStrideConcentratesGroups(t *testing.T) {
-	be := newFakeBackend()
-	const groups = 4
-	cfg := DefaultConfig(64)
-	cfg.FirstID = 0 // align account index with object id for the mod check
-	cfg.HotspotS = 1.2
-	cfg.HotspotStride = groups
-	op, err := OpStream(cfg, Post, be, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ops = 5000
-	for i := 0; i < ops; i++ {
-		if err := op(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	perGroup := make([]int, groups)
-	for id, n := range be.byObj {
-		perGroup[id%groups] += n
-	}
-	// Every rank maps to a multiple of the stride, so under id-mod-4
-	// placement all traffic must land on group 0.
-	for g := 1; g < groups; g++ {
-		if perGroup[g] != 0 {
-			t.Fatalf("stride leak: group %d got %d ops (%v)", g, perGroup[g], perGroup)
-		}
-	}
-	if perGroup[0] != ops {
-		t.Fatalf("group 0 got %d/%d ops", perGroup[0], ops)
 	}
 }
