@@ -36,7 +36,7 @@ test:
 # retwis (its allocation guards must stand down under -race, where
 # sync.Pool drops puts).
 race:
-	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/rebalance/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/ ./internal/retwis/
+	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/ ./internal/retwis/
 
 # Deterministic failover chaos: every seed replays the same kill/partition/
 # fsync-failure schedule (see EXPERIMENTS.md "Chaos runs"). The smoke

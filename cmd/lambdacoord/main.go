@@ -24,8 +24,6 @@ import (
 	"lambdastore/internal/coordinator"
 	"lambdastore/internal/debug"
 	"lambdastore/internal/paxos"
-	"lambdastore/internal/rebalance"
-	"lambdastore/internal/shard"
 	"lambdastore/internal/telemetry"
 )
 
@@ -58,10 +56,8 @@ func main() {
 		peers     = flag.String("peers", "", "all replicas as id=addr,... (including self)")
 		hbTimeout = flag.Duration("heartbeat-timeout", 2*time.Second, "declare a node dead after this silence")
 		dataDir   = flag.String("data", "", "directory for the durable acceptor log (strongly recommended)")
-		debugAddr = flag.String("debug", "", "debug HTTP address for /metrics, /cluster/metrics, /rebalance, /healthz, pprof (empty disables)")
+		debugAddr = flag.String("debug", "", "debug HTTP address for /metrics, /cluster/metrics, /healthz, pprof (empty disables)")
 		scrape    = flag.Duration("scrape-interval", coordinator.DefaultScrapeInterval, "member metrics scrape period for /cluster/metrics")
-		rebalInt  = flag.Duration("rebalance-interval", 0, "load-aware rebalancer observation window; 0 disables (enable on ONE replica only)")
-		rebalDry  = flag.Bool("rebalance-dry-run", false, "plan and record migrations without executing them")
 		shedAlert = flag.Float64("overload-alert", 0, "log an overload alert when the cluster-wide shed rate exceeds this many requests/sec (0 disables; needs -debug for the scraper)")
 	)
 	flag.Parse()
@@ -99,7 +95,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("lambdacoord: %v", err)
 	}
-	svc, pool := member.Service, member.Pool
+	svc := member.Service
 	log.Printf("lambdacoord: replica %d serving on %s (%d peers)", *id, member.Addr, len(peerAddrs))
 
 	var agg *coordinator.Aggregator
@@ -131,47 +127,9 @@ func main() {
 		}()
 	}
 
-	// The load-aware rebalancer: samples every primary's windowed hot-object
-	// counters, folds in the aggregator's tail-latency rollups, and moves
-	// hot microshards through the live-migration machinery. Cutovers are
-	// epoch-fenced through the replicated log, so a second replica running
-	// the planner cannot corrupt placement — but it would double the move
-	// traffic, hence "one replica only".
-	var reb *rebalance.Rebalancer
-	if *rebalInt > 0 {
-		ropts := rebalance.Options{
-			Pool:     pool,
-			Config:   func() (*shard.Directory, error) { return svc.Directory(), nil },
-			Interval: *rebalInt,
-			DryRun:   *rebalDry,
-			Metrics:  reg,
-			Log:      log.Printf,
-		}
-		if agg != nil {
-			ropts.Rollup = func() map[uint64]rebalance.GroupLoad {
-				snap := agg.Snapshot()
-				out := make(map[uint64]rebalance.GroupLoad, len(snap.Groups))
-				for _, g := range snap.Groups {
-					out[g.ID] = rebalance.GroupLoad{
-						ID:         g.ID,
-						P99Us:      uint64(g.Values["p99_us"]),
-						QueueDepth: int64(g.Values["queue_depth"]),
-					}
-				}
-				return out
-			}
-		}
-		reb = rebalance.New(ropts)
-		reb.Start()
-		log.Printf("lambdacoord: rebalancer on (window %v, dry-run %v)", *rebalInt, *rebalDry)
-	}
-
 	var dbg *debug.Server
 	if *debugAddr != "" {
 		docs := map[string]func() any{"/cluster/metrics": func() any { return agg.Snapshot() }}
-		if reb != nil {
-			docs["/rebalance"] = func() any { return reb.Status() }
-		}
 		dbg, err = debug.Start(*debugAddr, debug.Options{Registry: reg, JSON: docs})
 		if err != nil {
 			log.Fatalf("lambdacoord: debug: %v", err)
@@ -186,9 +144,6 @@ func main() {
 	close(alertStop)
 	if dbg != nil {
 		dbg.Close()
-	}
-	if reb != nil {
-		reb.Close()
 	}
 	if agg != nil {
 		agg.Close()

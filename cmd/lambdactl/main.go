@@ -35,12 +35,10 @@ import (
 	"strings"
 	"time"
 
-	"lambdastore/internal/admission"
 	"lambdastore/internal/cluster"
 	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
 	"lambdastore/internal/debug"
-	"lambdastore/internal/rebalance"
 	"lambdastore/internal/retwis"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
@@ -74,12 +72,6 @@ Commands:
                   [-file SCRIPT]             apply one command, or POST a script
   recovery        -debug HOST:PORT,...       show each node's rejoin state and
                                              donor catch-up sessions
-  admission       -debug HOST:PORT,...       show each node's admission plane:
-                                             queue depth, shed counters
-  rebalance       -debug HOST:PORT           show the load-aware rebalancer:
-                                             last load window, recent move
-                                             decisions, counters (coordinator
-                                             /rebalance endpoint)
   set-group       -coordinators HOST:PORT,... -group N -primary HOST:PORT
                   [-backups HOST:PORT,...]   install a replica group on a live
                                              coordinator (cluster bootstrap)
@@ -125,12 +117,6 @@ func main() {
 		return
 	case "recovery":
 		runRecovery(rest)
-		return
-	case "admission":
-		runAdmission(rest)
-		return
-	case "rebalance":
-		runRebalanceStatus(rest)
 		return
 	case "set-group":
 		runSetGroup(rest)
@@ -518,100 +504,6 @@ func runRecovery(args []string) {
 			fmt.Printf("  donating to %s: scope=%s epoch=%d mode=%s forwarded=%d gaps=%d age=%.1fs\n",
 				s.Joiner, s.Scope, s.Epoch, mode, s.Forwarded, s.Gaps, s.AgeSeconds)
 		}
-	}
-}
-
-// runAdmission prints each node's admission-plane picture from its
-// /admission debug endpoint: slot occupancy, queue depth, and the shed
-// counters broken down by cause.
-func runAdmission(args []string) {
-	fs := flag.NewFlagSet("admission", flag.ExitOnError)
-	debugAddrs := fs.String("debug", "", "comma-separated debug HTTP addresses (required)")
-	asJSON := fs.Bool("json", false, "dump the raw JSON status per node")
-	fs.Parse(args)
-	if *debugAddrs == "" {
-		log.Fatal("lambdactl: admission needs -debug")
-	}
-	for _, addr := range strings.Split(*debugAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		body, err := httpGet("http://" + addr + "/admission")
-		if err != nil {
-			fmt.Printf("== %s: unreachable (%v)\n", addr, err)
-			continue
-		}
-		if *asJSON {
-			fmt.Printf("== %s\n%s\n", addr, strings.TrimSpace(string(body)))
-			continue
-		}
-		var st admission.Status
-		if err := json.Unmarshal(body, &st); err != nil {
-			log.Fatalf("lambdactl: %s: bad /admission response: %v", addr, err)
-		}
-		fmt.Printf("== %s\n", addr)
-		if !st.Enabled {
-			fmt.Println("  admission plane disabled")
-			continue
-		}
-		fmt.Printf("  slots %d/%d busy, queue %d/%d (%s), deadline %.1fms\n",
-			st.Active, st.Workers, st.QueueDepth, st.QueueLimit,
-			map[bool]string{true: "LIFO", false: "FIFO"}[st.LIFO], st.DeadlineMs)
-		fmt.Printf("  admitted=%d queued=%d shed: deadline=%d full=%d\n",
-			st.Admitted, st.Queued, st.ShedDeadline, st.ShedFull)
-		fmt.Printf("  ewma service latency %dus\n", st.EWMALatencyUs)
-	}
-}
-
-// runRebalanceStatus prints the load-aware rebalancer's view from a
-// coordinator's /rebalance debug endpoint: the last observation window
-// per group, the recent move decisions, and the lifetime counters.
-func runRebalanceStatus(args []string) {
-	fs := flag.NewFlagSet("rebalance", flag.ExitOnError)
-	debugAddr := fs.String("debug", "", "coordinator debug HTTP address (required)")
-	fs.Parse(args)
-	if *debugAddr == "" {
-		log.Fatal("lambdactl: rebalance needs -debug")
-	}
-	body, err := httpGet("http://" + *debugAddr + "/rebalance")
-	if err != nil {
-		log.Fatalf("lambdactl: %v (is -rebalance-interval set on this coordinator?)", err)
-	}
-	var st rebalance.Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		log.Fatalf("lambdactl: %s: bad /rebalance response: %v", *debugAddr, err)
-	}
-	fmt.Printf("rebalancer: window=%.1fs ticks=%d moves=%d errors=%d cooling=%d\n",
-		st.IntervalSec, st.Ticks, st.Moves, st.MoveErrors, st.Cooling)
-	if len(st.LastWindow) > 0 {
-		fmt.Println("last window:")
-		for _, g := range st.LastWindow {
-			fmt.Printf("  group %-4d %-21s ops=%-7d", g.ID, g.Primary, g.Ops)
-			if g.P99Us > 0 {
-				fmt.Printf(" p99=%dus", g.P99Us)
-			}
-			if g.QueueDepth > 0 {
-				fmt.Printf(" queue=%d", g.QueueDepth)
-			}
-			fmt.Println()
-		}
-	}
-	if len(st.Decisions) == 0 {
-		fmt.Println("recent decisions: (none)")
-		return
-	}
-	fmt.Println("recent decisions:")
-	for _, d := range st.Decisions {
-		when := time.Unix(0, d.UnixNano).Format("15:04:05.000")
-		verdict := "planned"
-		if d.Executed {
-			verdict = "moved"
-		} else if d.Error != "" {
-			verdict = "failed: " + d.Error
-		}
-		fmt.Printf("  %s object %-8d %d -> %d (%d window ops, %s): %s\n",
-			when, d.Move.Object, d.Move.From, d.Move.To, d.Move.Count, d.Move.Reason, verdict)
 	}
 }
 

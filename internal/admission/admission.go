@@ -26,7 +26,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lambdastore/internal/telemetry"
@@ -116,8 +115,6 @@ type Plane struct {
 	shedFull     *telemetry.Counter
 	depth        *telemetry.Gauge
 	waitHist     *telemetry.Histogram
-
-	ewmaUs atomic.Uint64
 }
 
 // New builds a Plane.
@@ -141,15 +138,14 @@ func New(opts Options) *Plane {
 	p.shedDeadline = reg.Counter("admission.shed_deadline")
 	p.shedFull = reg.Counter("admission.shed_full")
 	p.depth = reg.Gauge("admission.queue_depth")
-	reg.GaugeFunc("admission.ewma_latency_us", func() int64 { return int64(p.ewmaUs.Load()) })
 	p.waitHist = reg.Histogram("admission.queue_wait")
 	return p
 }
 
 // Admit requests an execution slot. On success the returned release must be
-// called exactly once when the request finishes executing — it feeds the
-// time since the grant to Observe and frees the slot; on failure the request
-// was shed, the error matches ErrOverload, and nothing needs releasing.
+// called exactly once when the request finishes executing — it frees the
+// slot; on failure the request was shed, the error matches ErrOverload, and
+// nothing needs releasing.
 func (p *Plane) Admit() (release func(), err error) {
 	now := p.now()
 	p.mu.Lock()
@@ -161,7 +157,8 @@ func (p *Plane) Admit() (release func(), err error) {
 	if p.active < p.opts.Workers && len(p.queue) == 0 {
 		p.active++
 		p.mu.Unlock()
-		return p.grant(), nil
+		p.admitted.Inc()
+		return p.release, nil
 	}
 	if len(p.queue) >= p.opts.QueueLimit {
 		p.mu.Unlock()
@@ -196,17 +193,8 @@ func (p *Plane) Admit() (release func(), err error) {
 		return nil, Overloaded(w.reason)
 	}
 	p.waitHist.Record(p.now().Sub(w.enq))
-	return p.grant(), nil
-}
-
-// grant counts one admission and starts its service-time clock.
-func (p *Plane) grant() (release func()) {
 	p.admitted.Inc()
-	start := p.now()
-	return func() {
-		p.Observe(p.now().Sub(start))
-		p.release()
-	}
+	return p.release, nil
 }
 
 // release frees one execution slot, handing it to the next admissible
@@ -258,27 +246,6 @@ func (p *Plane) removeLocked(w *waiter) bool {
 	return false
 }
 
-// ewmaAlpha weights a new observation 1/8: smooth enough to ride out one
-// slow request, fresh enough to track a load shift within tens of them.
-const ewmaAlpha = 0.125
-
-// Observe feeds one completed request's service latency into the plane's
-// EWMA, exported as the admission.ewma_latency_us gauge so the coordinator
-// aggregator sees each node's service-time trend next to its shed rate.
-func (p *Plane) Observe(d time.Duration) {
-	us := uint64(d.Microseconds())
-	for {
-		cur := p.ewmaUs.Load()
-		next := us
-		if cur != 0 {
-			next = uint64(float64(cur)*(1-ewmaAlpha) + float64(us)*ewmaAlpha)
-		}
-		if p.ewmaUs.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
 // Close sheds every queued waiter and refuses future admissions. Requests
 // already executing finish normally; their release calls still run.
 func (p *Plane) Close() {
@@ -297,41 +264,4 @@ func (p *Plane) Close() {
 	p.queue = nil
 	p.depth.Set(0)
 	p.mu.Unlock()
-}
-
-// Status is the /admission debug endpoint's JSON shape.
-type Status struct {
-	Enabled       bool    `json:"enabled"`
-	Workers       int     `json:"workers"`
-	Active        int     `json:"active"`
-	QueueDepth    int     `json:"queue_depth"`
-	QueueLimit    int     `json:"queue_limit"`
-	LIFO          bool    `json:"lifo"`
-	DeadlineMs    float64 `json:"deadline_ms"`
-	Queued        uint64  `json:"queued"`
-	Admitted      uint64  `json:"admitted"`
-	ShedDeadline  uint64  `json:"shed_deadline"`
-	ShedFull      uint64  `json:"shed_full"`
-	EWMALatencyUs uint64  `json:"ewma_latency_us"`
-}
-
-// Status snapshots the plane.
-func (p *Plane) Status() Status {
-	p.mu.Lock()
-	active, depth := p.active, len(p.queue)
-	p.mu.Unlock()
-	return Status{
-		Enabled:       true,
-		Workers:       p.opts.Workers,
-		Active:        active,
-		QueueDepth:    depth,
-		QueueLimit:    p.opts.QueueLimit,
-		LIFO:          p.opts.LIFO,
-		DeadlineMs:    float64(p.opts.Deadline) / float64(time.Millisecond),
-		Queued:        p.queued.Value(),
-		Admitted:      p.admitted.Value(),
-		ShedDeadline:  p.shedDeadline.Value(),
-		ShedFull:      p.shedFull.Value(),
-		EWMALatencyUs: p.ewmaUs.Load(),
-	}
 }

@@ -23,6 +23,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// newPlane builds a plane publishing into a registry of its own, which the
+// test reads back through counter and depth — the plane's one surface.
+func newPlane(opts Options) (*Plane, *telemetry.Registry) {
+	opts.Metrics = telemetry.NewRegistry()
+	return New(opts), opts.Metrics
+}
+
+func counter(reg *telemetry.Registry, name string) uint64 {
+	return reg.Snapshot().Counters["admission."+name]
+}
+
+func depth(reg *telemetry.Registry) int64 {
+	return reg.Snapshot().Gauges["admission.queue_depth"]
+}
+
 // fakeClock is a mutex-guarded manual clock for deterministic shed tests.
 type fakeClock struct {
 	mu sync.Mutex
@@ -65,7 +80,7 @@ func TestOverloadErrorRoundTrip(t *testing.T) {
 }
 
 func TestAdmitGrantAndHandoff(t *testing.T) {
-	p := New(Options{Workers: 1, QueueLimit: 8, Deadline: time.Second})
+	p, reg := newPlane(Options{Workers: 1, QueueLimit: 8, Deadline: time.Second})
 	rel, err := p.Admit()
 	if err != nil {
 		t.Fatalf("first admit: %v", err)
@@ -78,14 +93,13 @@ func TestAdmitGrantAndHandoff(t *testing.T) {
 		}
 		granted <- err
 	}()
-	waitFor(t, "waiter to queue", func() bool { return p.Status().QueueDepth == 1 })
+	waitFor(t, "waiter to queue", func() bool { return depth(reg) == 1 })
 	rel()
 	if err := <-granted; err != nil {
 		t.Fatalf("queued admit after release: %v", err)
 	}
-	st := p.Status()
-	if st.Admitted != 2 || st.Queued != 1 {
-		t.Fatalf("admitted=%d queued=%d, want 2 and 1", st.Admitted, st.Queued)
+	if a, q := counter(reg, "admitted"), counter(reg, "queued"); a != 2 || q != 1 {
+		t.Fatalf("admitted=%d queued=%d, want 2 and 1", a, q)
 	}
 	// Both slots released; a fresh admit goes straight through.
 	rel3, err := p.Admit()
@@ -96,7 +110,7 @@ func TestAdmitGrantAndHandoff(t *testing.T) {
 }
 
 func TestDeadlineShedWhileWaiting(t *testing.T) {
-	p := New(Options{Workers: 1, QueueLimit: 8, Deadline: 5 * time.Millisecond})
+	p, reg := newPlane(Options{Workers: 1, QueueLimit: 8, Deadline: 5 * time.Millisecond})
 	rel, err := p.Admit()
 	if err != nil {
 		t.Fatalf("admit: %v", err)
@@ -109,11 +123,11 @@ func TestDeadlineShedWhileWaiting(t *testing.T) {
 	if !IsOverload(err) {
 		t.Fatalf("shed error not an overload: %v", err)
 	}
-	if st := p.Status(); st.ShedDeadline != 1 {
-		t.Fatalf("shed_deadline=%d, want 1", st.ShedDeadline)
+	if n := counter(reg, "shed_deadline"); n != 1 {
+		t.Fatalf("shed_deadline=%d, want 1", n)
 	}
-	if st := p.Status(); st.QueueDepth != 0 {
-		t.Fatalf("queue depth %d after shed, want 0", st.QueueDepth)
+	if d := depth(reg); d != 0 {
+		t.Fatalf("queue depth %d after shed, want 0", d)
 	}
 }
 
@@ -122,7 +136,7 @@ func TestDrainShedsExpiredWaiters(t *testing.T) {
 	// driven by a manual clock, decides. A waiter whose wait already
 	// exceeds the deadline must be shed at drain time, not granted.
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	p := New(Options{Workers: 1, QueueLimit: 8, Deadline: time.Hour, Now: clk.now})
+	p, reg := newPlane(Options{Workers: 1, QueueLimit: 8, Deadline: time.Hour, Now: clk.now})
 	rel, err := p.Admit()
 	if err != nil {
 		t.Fatalf("admit: %v", err)
@@ -135,15 +149,15 @@ func TestDrainShedsExpiredWaiters(t *testing.T) {
 		}
 		res <- err
 	}()
-	waitFor(t, "waiter to queue", func() bool { return p.Status().QueueDepth == 1 })
+	waitFor(t, "waiter to queue", func() bool { return depth(reg) == 1 })
 	clk.advance(2 * time.Hour) // the queued request is now long past its deadline
 	rel()
 	err = <-res
 	if err == nil || !IsOverload(err) {
 		t.Fatalf("expired waiter granted a slot (err=%v)", err)
 	}
-	if st := p.Status(); st.ShedDeadline != 1 {
-		t.Fatalf("shed_deadline=%d, want 1", st.ShedDeadline)
+	if n := counter(reg, "shed_deadline"); n != 1 {
+		t.Fatalf("shed_deadline=%d, want 1", n)
 	}
 	// The slot was freed, not leaked: an immediate admit succeeds.
 	rel3, err := p.Admit()
@@ -154,24 +168,24 @@ func TestDrainShedsExpiredWaiters(t *testing.T) {
 }
 
 func TestQueueFullShedsImmediately(t *testing.T) {
-	p := New(Options{Workers: 1, QueueLimit: 1, Deadline: time.Second})
+	p, reg := newPlane(Options{Workers: 1, QueueLimit: 1, Deadline: time.Second})
 	rel, err := p.Admit()
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
 	defer rel()
 	go p.Admit() //nolint:errcheck // occupies the single queue slot
-	waitFor(t, "queue to fill", func() bool { return p.Status().QueueDepth == 1 })
+	waitFor(t, "queue to fill", func() bool { return depth(reg) == 1 })
 	if _, err := p.Admit(); err == nil || !IsOverload(err) {
 		t.Fatalf("expected queue-full shed, got %v", err)
 	}
-	if st := p.Status(); st.ShedFull != 1 {
-		t.Fatalf("shed_full=%d, want 1", st.ShedFull)
+	if n := counter(reg, "shed_full"); n != 1 {
+		t.Fatalf("shed_full=%d, want 1", n)
 	}
 }
 
 func TestLIFODrainsNewestFirst(t *testing.T) {
-	p := New(Options{Workers: 1, QueueLimit: 8, Deadline: 5 * time.Second, LIFO: true})
+	p, reg := newPlane(Options{Workers: 1, QueueLimit: 8, Deadline: 5 * time.Second, LIFO: true})
 	rel, err := p.Admit()
 	if err != nil {
 		t.Fatalf("admit: %v", err)
@@ -192,9 +206,9 @@ func TestLIFODrainsNewestFirst(t *testing.T) {
 		return got
 	}
 	ra := enqueue("A")
-	waitFor(t, "A queued", func() bool { return p.Status().QueueDepth == 1 })
+	waitFor(t, "A queued", func() bool { return depth(reg) == 1 })
 	rb := enqueue("B")
-	waitFor(t, "B queued", func() bool { return p.Status().QueueDepth == 2 })
+	waitFor(t, "B queued", func() bool { return depth(reg) == 2 })
 	rel()
 	if first := <-order; first != "B" {
 		t.Fatalf("LIFO drained %q first, want B", first)
@@ -206,27 +220,8 @@ func TestLIFODrainsNewestFirst(t *testing.T) {
 	(<-ra)()
 }
 
-func TestEWMAObserve(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	ewma := func() time.Duration {
-		return time.Duration(reg.Snapshot().Gauges["admission.ewma_latency_us"]) * time.Microsecond
-	}
-	p := New(Options{Workers: 1, Metrics: reg})
-	p.Observe(1 * time.Millisecond)
-	if got := ewma(); got != 1*time.Millisecond {
-		t.Fatalf("first observation should seed the EWMA, got %v", got)
-	}
-	for i := 0; i < 100; i++ {
-		p.Observe(3 * time.Millisecond)
-	}
-	got := ewma()
-	if got < 2500*time.Microsecond || got > 3100*time.Microsecond {
-		t.Fatalf("EWMA %v did not converge toward 3ms", got)
-	}
-}
-
 func TestCloseShedsWaiters(t *testing.T) {
-	p := New(Options{Workers: 1, QueueLimit: 8, Deadline: time.Minute})
+	p, reg := newPlane(Options{Workers: 1, QueueLimit: 8, Deadline: time.Minute})
 	rel, err := p.Admit()
 	if err != nil {
 		t.Fatalf("admit: %v", err)
@@ -236,7 +231,7 @@ func TestCloseShedsWaiters(t *testing.T) {
 		_, err := p.Admit()
 		res <- err
 	}()
-	waitFor(t, "waiter to queue", func() bool { return p.Status().QueueDepth == 1 })
+	waitFor(t, "waiter to queue", func() bool { return depth(reg) == 1 })
 	p.Close()
 	if err := <-res; err == nil || !IsOverload(err) {
 		t.Fatalf("close should shed the waiter with an overload error, got %v", err)
@@ -248,16 +243,15 @@ func TestCloseShedsWaiters(t *testing.T) {
 }
 
 // TestConcurrentEnqueueShedDrain is the -race workout: admits, deadline
-// sheds, drain handoffs and status reads all interleave. The invariants —
-// every grant released, accounting consistent, no deadlock — are what the
-// race detector and the final counters check.
+// sheds, drain handoffs and registry snapshots all interleave. The invariants —
+// never more grants outstanding than slots, every grant released, accounting
+// consistent, no deadlock — are what the race detector and the counters check.
 func TestConcurrentEnqueueShedDrain(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	p := New(Options{Workers: 4, QueueLimit: 32, Deadline: 2 * time.Millisecond,
-		Metrics: reg})
+	p, reg := newPlane(Options{Workers: 4, QueueLimit: 32, Deadline: 2 * time.Millisecond})
 	const goroutines = 16
 	const perG = 200
 	var admitted, shed atomic.Uint64
+	var holding, peak atomic.Int32
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -274,10 +268,12 @@ func TestConcurrentEnqueueShedDrain(t *testing.T) {
 					continue
 				}
 				admitted.Add(1)
+				for h, pk := holding.Add(1), peak.Load(); h > pk && !peak.CompareAndSwap(pk, h); pk = peak.Load() {
+				}
 				if i%8 == 0 {
 					time.Sleep(100 * time.Microsecond) // hold the slot: force queueing
 				}
-				p.Observe(time.Duration(i%50) * time.Microsecond)
+				holding.Add(-1)
 				rel()
 			}
 		}(g)
@@ -289,7 +285,7 @@ func TestConcurrentEnqueueShedDrain(t *testing.T) {
 			case <-done:
 				return
 			default:
-				p.Status()
+				reg.Snapshot()
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -301,16 +297,20 @@ func TestConcurrentEnqueueShedDrain(t *testing.T) {
 		t.Fatalf("admitted %d + shed %d != %d issued",
 			admitted.Load(), shed.Load(), goroutines*perG)
 	}
-	st := p.Status()
-	if st.Admitted != admitted.Load() {
-		t.Fatalf("plane admitted=%d, callers saw %d", st.Admitted, admitted.Load())
+	if pk := peak.Load(); pk > 4 {
+		t.Fatalf("%d grants outstanding at once through 4 slots", pk)
 	}
-	if st.ShedDeadline+st.ShedFull != shed.Load() {
-		t.Fatalf("plane sheds=%d+%d, callers saw %d",
-			st.ShedDeadline, st.ShedFull, shed.Load())
+	if n := counter(reg, "admitted"); n != admitted.Load() {
+		t.Fatalf("plane admitted=%d, callers saw %d", n, admitted.Load())
 	}
-	if st.Active != 0 || st.QueueDepth != 0 {
-		t.Fatalf("leaked state after drain: active=%d depth=%d", st.Active, st.QueueDepth)
+	if dl, full := counter(reg, "shed_deadline"), counter(reg, "shed_full"); dl+full != shed.Load() {
+		t.Fatalf("plane sheds=%d+%d, callers saw %d", dl, full, shed.Load())
+	}
+	p.mu.Lock()
+	active := p.active
+	p.mu.Unlock()
+	if active != 0 || depth(reg) != 0 {
+		t.Fatalf("leaked state after drain: active=%d depth=%d", active, depth(reg))
 	}
 	// All slots free again: a burst of Workers admits succeeds instantly.
 	for i := 0; i < 4; i++ {

@@ -5,10 +5,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lambdastore/internal/core"
+	"lambdastore/internal/fault"
 	"lambdastore/internal/retwis"
 	"lambdastore/internal/rpc"
+	"lambdastore/internal/store"
 	"lambdastore/internal/vm"
 )
 
@@ -285,5 +288,57 @@ func TestStorageOpsDirect(t *testing.T) {
 	if _, err := pool.Call(addr, MethodCreate, EncodeCreateReq(7, "T")); err == nil ||
 		!strings.Contains(err.Error(), "exists") {
 		t.Fatalf("duplicate create err = %v", err)
+	}
+}
+
+// TestListPushLocksPerObject pins the storage node's list-push lock: held
+// per object, across the ship. Under an injected replication delay, pushes
+// to distinct objects overlap — their write-sets share replication frames —
+// while concurrent pushes to one list still number its entries 0…n-1 and
+// reach the backup in that order.
+func TestListPushLocksPerObject(t *testing.T) {
+	s := startStack(t, 1)
+	fault.Add(fault.Rule{Site: fault.SiteReplShip, Key: s.backups[0].Addr(), Action: fault.Delay, Delay: 20 * time.Millisecond})
+	t.Cleanup(fault.Reset)
+	frames := func() uint64 { return fault.Counters()[fault.SiteReplShip+"."+fault.Delay.String()] }
+	const n = 8
+	pushAll := func(object func(i int) core.ObjectID) {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				body := encodeFieldReq(&fieldReq{object: object(i), field: "l", value: []byte(fmt.Sprint(i))})
+				if _, err := s.pool.Call(s.primary.Addr(), MethodListPush, body); err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+
+	// Distinct objects: a lock per list lets the pushes ship together.
+	before := frames()
+	pushAll(func(i int) core.ObjectID { return core.ObjectID(100 + i) })
+	if got := frames() - before; got >= n {
+		t.Fatalf("%d pushes to distinct lists shipped in %d frames: they ran one at a time", n, got)
+	}
+
+	// One list: every push took the next index, and the backup holds the
+	// same list — a stale length shipped last would have shrunk it.
+	pushAll(func(int) core.ObjectID { return 7 })
+	for _, db := range []*store.DB{s.primary.DB(), s.backups[0].DB()} {
+		seen := map[string]bool{}
+		for i := uint64(0); i < n; i++ {
+			v, err := db.Get(core.ListEntryKey(7, "l", i))
+			if err != nil {
+				t.Fatalf("entry %d: %v", i, err)
+			}
+			seen[string(v)] = true
+		}
+		v, err := db.Get(core.ListLenKey(7, "l"))
+		if err != nil || core.DecodeU64(v) != n || len(seen) != n {
+			t.Fatalf("list of %d distinct pushes holds %d distinct entries, length %v (%v)", n, len(seen), v, err)
+		}
 	}
 }

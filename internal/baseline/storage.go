@@ -18,6 +18,7 @@ import (
 	"lambdastore/internal/core"
 	"lambdastore/internal/replication"
 	"lambdastore/internal/rpc"
+	"lambdastore/internal/sched"
 	"lambdastore/internal/store"
 	"lambdastore/internal/wire"
 )
@@ -105,10 +106,11 @@ type StorageNode struct {
 	shipper *replication.Shipper
 	addr    string
 
-	// listMu serializes list-push read-modify-writes per object so a
-	// single operation stays atomic (Redis-style). There is still no
-	// cross-operation isolation — that is the baseline's defining gap.
-	listMu sync.Mutex
+	// lists serializes list-push read-modify-writes per object so a single
+	// operation stays atomic (Redis-style) while pushes to different
+	// objects proceed in parallel. There is still no cross-operation
+	// isolation — that is the baseline's defining gap.
+	lists *sched.Table
 
 	ops sync.Map // method -> *uint64 (counters)
 }
@@ -130,9 +132,10 @@ func StartStorage(opts StorageOptions) (*StorageNode, error) {
 		return nil, err
 	}
 	n := &StorageNode{
-		db:   db,
-		srv:  rpc.NewServer(),
-		pool: rpc.NewPool(opts.ClientOptions),
+		db:    db,
+		srv:   rpc.NewServer(),
+		pool:  rpc.NewPool(opts.ClientOptions),
+		lists: sched.NewTable(),
 	}
 	n.shipper = replication.NewShipper(n.pool, nil)
 	n.shipper.SetBackups(opts.Backups)
@@ -299,9 +302,13 @@ func (n *StorageNode) register() {
 			return nil, err
 		}
 		// Read-modify-write of the length counter: atomic per operation,
-		// serialized node-wide (the baseline's storage is one primary).
-		n.listMu.Lock()
-		defer n.listMu.Unlock()
+		// serialized per object. The lock is held across the ship too, so two
+		// pushes to one list reach a backup in the order they were numbered.
+		release, err := n.lists.Acquire(uint64(r.object), sched.Write)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
 		lenKey := core.ListLenKey(r.object, r.field)
 		var cur uint64
 		if v, err := n.db.Get(lenKey); err == nil {

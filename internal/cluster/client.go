@@ -12,7 +12,6 @@ import (
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
 	"lambdastore/internal/telemetry"
-	"lambdastore/internal/wire"
 )
 
 // Client is the application-facing library: it resolves objects to their
@@ -304,8 +303,7 @@ func (c *Client) CreateObject(typeName string, id core.ObjectID) error {
 
 // DeleteObject removes an object and all its state at its primary.
 func (c *Client) DeleteObject(id core.ObjectID) error {
-	body := wire.AppendUvarint(nil, uint64(id))
-	_, err := c.send(c.rootCtx(), MethodDelete, body, false, func() (shard.Group, error) { return c.lookup(id) })
+	_, err := c.send(c.rootCtx(), MethodDelete, encodeDeleteReq(id), false, func() (shard.Group, error) { return c.lookup(id) })
 	return err
 }
 
@@ -345,7 +343,8 @@ func (c *Client) Migrate(id core.ObjectID, destGroup uint64) error {
 	if g.ID == destGroup {
 		return nil
 	}
-	if err := MoveObject(c.pool, g.Primary, uint64(id), dest.Primary, destGroup); err != nil {
+	body := encodeMigrateReq(&migrateReq{object: id, destPrimary: dest.Primary, destGroup: destGroup})
+	if _, err := c.pool.Call(g.Primary, MethodMigrate, body); err != nil {
 		return err
 	}
 	// Keep the local view coherent for subsequent calls. A move back to

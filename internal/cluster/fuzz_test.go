@@ -16,24 +16,23 @@ func FuzzClusterWire(f *testing.F) {
 		wiretest.Of("migrateReq", &migrateReq{object: 7, destPrimary: "127.0.0.1:7413", destGroup: 3}, encodeMigrateReq, decodeMigrateReq),
 		wiretest.Of("txReq", &txReq{calls: []core.TxCall{{Object: 1, Method: "debit", Args: args}, {Object: 2, Method: "credit"}}}, encodeTxReq, decodeTxReq),
 		wiretest.Of("txResp", args, encodeTxResp, decodeTxResp),
-		wiretest.Of("hotResp", []core.HotObject{{ID: 5, Count: 1 << 20}, {ID: 6, Count: 1}}, encodeHotResp, decodeHotResp),
+		wiretest.Of("deleteReq", core.ObjectID(1<<33), encodeDeleteReq, decodeDeleteReq),
 	)
 }
 
-// TestHotRespCountIsBounded is the regression test for a reply that names
-// more entries than it carries: the count used to size the result slice
-// straight off the wire, so three bytes could panic or exhaust the
-// rebalancer's sampler.
-func TestHotRespCountIsBounded(t *testing.T) {
-	frame := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x3f} // uvarint 2^41-1, no entries
-	if _, err := decodeHotResp(frame); err == nil {
-		t.Fatal("a hot-window reply announcing 2^41 entries in 0 bytes decoded")
+// TestTxReqCountIsBounded is the regression test for a frame that names
+// more entries than it carries: a count that sized the result slice
+// straight off the wire would let three bytes panic or exhaust the node.
+func TestTxReqCountIsBounded(t *testing.T) {
+	frame := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x3f} // uvarint 2^41-1, no calls
+	if _, err := decodeTxReq(frame); err == nil {
+		t.Fatal("a transaction announcing 2^41 calls in 0 bytes decoded")
 	}
 	// The counter is process-wide and other tests' nodes are still winding
 	// down: the quietest of a few runs is the decoder's own cost.
 	allocated := ^uint64(0)
 	for try := 0; try < 5 && allocated > 1<<10; try++ {
-		allocated = min(allocated, wiretest.AllocBytes(func() { decodeHotResp(frame) })) //nolint:errcheck // checked above
+		allocated = min(allocated, wiretest.AllocBytes(func() { decodeTxReq(frame) })) //nolint:errcheck // checked above
 	}
 	if allocated > 1<<10 {
 		t.Fatalf("rejecting it allocated %d bytes", allocated)

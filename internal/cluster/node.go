@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -21,7 +20,6 @@ import (
 	"lambdastore/internal/shard"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
-	"lambdastore/internal/wire"
 )
 
 // NodeOptions configures a storage node.
@@ -67,22 +65,15 @@ type NodeOptions struct {
 	// RecoveryMaxBytesPerSec rate-limits recovery chunk streaming
 	// (0 = unlimited).
 	RecoveryMaxBytesPerSec int
-	// MaxConcurrentInvokes, when positive, bounds how many client
-	// requests (invoke, transaction, create, delete) execute at once — an
-	// admission gate modeling per-node compute capacity. In-process
-	// multi-node benches share one CPU pool, so without this gate
-	// placement has no throughput effect; with it, a node saturates at
-	// its own limit the way a real machine saturates its cores. With
-	// AdmissionQueue unset the gate never sheds (requests queue FIFO
-	// without bound or deadline); with it, this sizes the admission
-	// plane's execution slots.
+	// MaxConcurrentInvokes sizes the admission plane's execution slots:
+	// how many client requests (invoke, transaction, create, delete)
+	// execute at once (0 = NumCPU). Only with AdmissionQueue set.
 	MaxConcurrentInvokes int
-	// AdmissionQueue, when positive, bounds the gate's wait queue to this
-	// many requests in front of the execution slots (MaxConcurrentInvokes,
-	// or NumCPU when unset), with deadline-based shedding. Requests the
-	// plane refuses are rejected with a typed overload error the client
-	// retries with capped backoff. Zero with MaxConcurrentInvokes set keeps
-	// the unbounded no-shed gate.
+	// AdmissionQueue, when positive, turns the admission plane on: a wait
+	// queue of this many requests in front of the execution slots, with
+	// deadline-based shedding. Requests the plane refuses are rejected
+	// with a typed overload error the client retries with capped backoff.
+	// Zero admits everything at once.
 	AdmissionQueue int
 	// AdmissionDeadline bounds queue wait before a request is shed
 	// (0 = admission.DefaultDeadline).
@@ -138,10 +129,8 @@ type Node struct {
 	fenceMu    sync.Mutex
 	fences     map[uint64]string
 
-	// adm, when non-nil, is the admit step's gate (MaxConcurrentInvokes or
-	// AdmissionQueue set): execution slots behind a wait queue — bounded,
-	// with deadline shedding, when AdmissionQueue is set; unbounded FIFO
-	// that never sheds otherwise.
+	// adm, when non-nil (AdmissionQueue set), is the admit step's gate:
+	// execution slots behind a bounded wait queue with deadline shedding.
 	adm *admission.Plane
 
 	// Read-lease plane. leases is this node's backup-side holder;
@@ -222,15 +211,6 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 			LIFO:       opts.AdmissionLIFO,
 			Metrics:    reg,
 		})
-	} else if opts.MaxConcurrentInvokes > 0 {
-		// Slots without a queue bound: the same plane with nothing to shed
-		// on — every request waits its turn, oldest first, however long.
-		n.adm = admission.New(admission.Options{
-			Workers:    opts.MaxConcurrentInvokes,
-			QueueLimit: math.MaxInt,
-			Deadline:   math.MaxInt64,
-			Metrics:    reg,
-		})
 	}
 	n.forwards = reg.Counter("cluster.forwards")
 	n.migrations = reg.Counter("cluster.migrations")
@@ -258,7 +238,6 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	})
 	reg.GaugeFunc("cluster.fenced_objects", func() int64 { return int64(n.fenceCount.Load()) })
 	reg.GaugeFunc("shard.overrides", func() int64 { return int64(n.dir.Load().OverrideCount()) })
-	reg.GaugeFunc("shard.overrides_redundant", func() int64 { return int64(n.dir.Load().RedundantOverrides()) })
 
 	// No failure hook: the coordinator's failure detector learns of a dead
 	// backup from the backup's own missing heartbeats.
@@ -333,12 +312,6 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 						"rejoin":         n.RecoveryStatus(),
 						"donor_sessions": n.transfer.Sessions(),
 					}
-				},
-				"/admission": func() any {
-					if n.adm == nil {
-						return map[string]any{"enabled": false}
-					}
-					return n.adm.Status()
 				},
 			},
 		})
@@ -750,7 +723,7 @@ func (n *Node) fencedHint(object uint64) (string, bool) {
 // quiesced state at both ends stays valid across retries. Moves back
 // to the object's default hash placement clear the override instead of
 // recording one, which is what keeps the override table from growing
-// with every migration (compaction folds the rest).
+// with every migration.
 func (n *Node) cutOverObject(object, targetGroup uint64) error {
 	if n.coord == nil {
 		d := n.dir.Load()
@@ -943,9 +916,8 @@ func (n *Node) registerHandlers() {
 	})
 
 	n.srv.HandleCtx(MethodDelete, func(info rpc.CallInfo, body []byte) ([]byte, error) {
-		r := wire.NewReader(body)
-		obj := core.ObjectID(r.Uvarint())
-		if err := r.ErrIn("cluster: delete request"); err != nil {
+		obj, err := decodeDeleteReq(body)
+		if err != nil {
 			return nil, err
 		}
 		return n.serve(info, []core.ObjectID{obj}, invokeOpts{}, func(cc core.CallCtx) ([]byte, error) {
@@ -971,15 +943,6 @@ func (n *Node) registerHandlers() {
 		}
 		n.migrations.Inc()
 		return nil, nil
-	})
-
-	n.srv.Handle(MethodHotWindow, func(body []byte) ([]byte, error) {
-		r := wire.NewReader(body)
-		limit := r.Uvarint()
-		if err := r.ErrIn("cluster: hot-window request"); err != nil {
-			return nil, err
-		}
-		return encodeHotResp(n.rt.HotWindow(int(limit))), nil
 	})
 
 	// The same bytes /metrics.json serves, for operators without a debug

@@ -417,7 +417,7 @@ func TestOneSnapshotThreeExits(t *testing.T) {
 		"core.invocations", "core.pool_warm", "core.pool_cold",
 		"store.block_cache_hits", "store.block_cache_misses",
 		"cache.validations", "cache.evictions", "cache.bypass", "cache.invalidations",
-		"shard.overrides", "shard.overrides_redundant", "cluster.primary", "cluster.fenced_objects",
+		"shard.overrides", "cluster.primary", "cluster.fenced_objects",
 		"move.in_flight", "move.inbound_sessions",
 		"vm.compiled_modules", "vm.compile_ns",
 		"lease.held",

@@ -3,7 +3,6 @@ package cluster
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"lambdastore/internal/shard"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
-	"lambdastore/internal/vm"
 	"lambdastore/internal/wire"
 )
 
@@ -41,7 +39,7 @@ var serveEntries = []serveEntry{
 		return err
 	}},
 	{"delete", func(pool *rpc.Pool, addr string, obj core.ObjectID) error {
-		_, err := pool.Call(addr, MethodDelete, wire.AppendUvarint(nil, uint64(obj)))
+		_, err := pool.Call(addr, MethodDelete, encodeDeleteReq(obj))
 		return err
 	}},
 }
@@ -73,7 +71,8 @@ func holdGate(t *testing.T, n *Node, queued int) (release func()) {
 			}
 		}()
 	}
-	if !poll(5*time.Second, func() bool { return n.adm.Status().QueueDepth == queued }) {
+	depth := n.Metrics().Gauge("admission.queue_depth")
+	if !poll(5*time.Second, func() bool { return depth.Value() == int64(queued) }) {
 		t.Fatal("timed out waiting for gate queue to fill")
 	}
 	return func() { slot(); wg.Wait() }
@@ -219,7 +218,9 @@ func TestServeUniform(t *testing.T) {
 	// (A create has no such outcome to convert: it does not need the object
 	// to exist.)
 	t.Run("moved away while queued", func(t *testing.T) {
-		nodes, dir := startStatic(t, NodeOptions{MaxConcurrentInvokes: 1}, 1, 1)
+		nodes, dir := startStatic(t, NodeOptions{
+			MaxConcurrentInvokes: 1, AdmissionQueue: 1, AdmissionDeadline: time.Minute,
+		}, 1, 1)
 		oldHome, newHome := nodes[0], nodes[1]
 		c := newGroupClient(t, dir)
 		if err := c.RegisterType(quietCounterType(t)); err != nil {
@@ -237,7 +238,8 @@ func TestServeUniform(t *testing.T) {
 			release := holdGate(t, oldHome, 0)
 			errc := make(chan error, 1)
 			go func() { errc <- e.send(pool, oldHome.Addr(), obj) }()
-			if !poll(5*time.Second, func() bool { return oldHome.adm.Status().QueueDepth == 1 }) {
+			depth := oldHome.Metrics().Gauge("admission.queue_depth")
+			if !poll(5*time.Second, func() bool { return depth.Value() == 1 }) {
 				t.Fatalf("timed out waiting for %s to queue behind the held slot", e.name)
 			}
 			if err := c.Migrate(obj, 1); err != nil {
@@ -251,69 +253,6 @@ func TestServeUniform(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestSemaphoreGateQueuesWithoutShedding pins the no-shed arm of the gate
-// (execution slots, no AdmissionQueue — the baseline the overload
-// experiment compares shedding against): requests beyond the slots wait,
-// however many and however long; none is refused and no more than the slot
-// count ever execute at once.
-func TestSemaphoreGateQueuesWithoutShedding(t *testing.T) {
-	mod, err := vm.Assemble("func tick params=0 export\n  hostcall time\n  ret\nend\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	typ, err := core.NewObjectType("Ticker", nil, []core.MethodInfo{{Name: "tick"}}, mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var running, peak atomic.Int32
-	nodes, dir := startStatic(t, NodeOptions{
-		MaxConcurrentInvokes: 1,
-		// The guest's one host call is where each execution is observed.
-		Runtime: core.Options{Clock: func() int64 {
-			now := running.Add(1)
-			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
-			}
-			time.Sleep(2 * time.Millisecond)
-			running.Add(-1)
-			return 0
-		}},
-	}, 1)
-	node := nodes[0]
-	c := newGroupClient(t, dir)
-	if err := c.RegisterType(typ); err != nil {
-		t.Fatal(err)
-	}
-	// Distinct objects: nothing but the gate serializes them.
-	const n = 16
-	var wg sync.WaitGroup
-	for id := core.ObjectID(1); id <= n; id++ {
-		if err := c.CreateObject("Ticker", id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := core.ObjectID(1); id <= n; id++ {
-		wg.Add(1)
-		go func(id core.ObjectID) {
-			defer wg.Done()
-			if _, err := c.Invoke(id, "tick", nil); err != nil {
-				t.Errorf("invoke %d behind a full gate: %v", id, err)
-			}
-		}(id)
-	}
-	wg.Wait()
-	if p := peak.Load(); p != 1 {
-		t.Fatalf("%d invocations executed at once through 1 slot", p)
-	}
-	if c.OverloadRetries() != 0 {
-		t.Fatalf("the no-shed gate shed %d requests", c.OverloadRetries())
-	}
-	for _, name := range []string{"admission.shed_deadline", "admission.shed_full"} {
-		if v := node.Metrics().Counter(name).Value(); v != 0 {
-			t.Fatalf("%s = %d on the no-shed gate", name, v)
-		}
-	}
 }
 
 // TestCommitTailOrder drives Node.afterCommit directly and pins the order

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"lambdastore/internal/core"
-	"lambdastore/internal/rpc"
 	"lambdastore/internal/wire"
 )
 
@@ -24,7 +23,6 @@ const (
 	MethodRegisterType = "type.register"
 	MethodStats        = "node.stats"
 	MethodMigrate      = "node.migrate"
-	MethodHotWindow    = "node.hotwindow"
 )
 
 // notResponsiblePrefix marks routing errors; the payload after the prefix
@@ -145,45 +143,11 @@ func decodeTxResp(body []byte) ([][]byte, error) {
 	return r.BytesSliceCopy(), r.ErrIn("cluster: transaction response")
 }
 
-// encodeHotResp / decodeHotResp serialize a load ranking.
-func encodeHotResp(hot []core.HotObject) []byte {
-	var b []byte
-	b = wire.AppendUvarint(b, uint64(len(hot)))
-	for _, h := range hot {
-		b = wire.AppendUvarint(b, uint64(h.ID))
-		b = wire.AppendUvarint(b, h.Count)
-	}
-	return b
-}
+// encodeDeleteReq / decodeDeleteReq carry the object a delete names.
+func encodeDeleteReq(id core.ObjectID) []byte { return wire.AppendUvarint(nil, uint64(id)) }
 
-func decodeHotResp(body []byte) ([]core.HotObject, error) {
+func decodeDeleteReq(body []byte) (core.ObjectID, error) {
 	r := wire.NewReader(body)
-	out := make([]core.HotObject, r.Count(2))
-	for i := range out {
-		out[i] = core.HotObject{ID: core.ObjectID(r.Uvarint()), Count: r.Uvarint()}
-	}
-	return out, r.ErrIn("cluster: hot-window response")
-}
-
-// MoveObject asks the source primary to live-migrate one object to the
-// destination group (the rebalancer's actuator — wire codecs are
-// unexported, so external drivers go through this helper).
-func MoveObject(pool *rpc.Pool, sourcePrimary string, object uint64, destPrimary string, destGroup uint64) error {
-	_, err := pool.Call(sourcePrimary, MethodMigrate, encodeMigrateReq(&migrateReq{
-		object:      core.ObjectID(object),
-		destPrimary: destPrimary,
-		destGroup:   destGroup,
-	}))
-	return err
-}
-
-// HotWindow samples and resets one node's hot-object counters — the
-// rebalancer's per-window load signal. The sample-and-reset contract
-// assumes a single sampler per node.
-func HotWindow(pool *rpc.Pool, addr string, limit int) ([]core.HotObject, error) {
-	body, err := pool.Call(addr, MethodHotWindow, wire.AppendUvarint(nil, uint64(limit)))
-	if err != nil {
-		return nil, err
-	}
-	return decodeHotResp(body)
+	id := core.ObjectID(r.Uvarint())
+	return id, r.ErrIn("cluster: delete request")
 }

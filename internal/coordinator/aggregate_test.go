@@ -79,8 +79,7 @@ func TestTopGolden(t *testing.T) {
 	}
 
 	// Every column is in the JSON under its key, and the keys product code
-	// reads by name (lambdacoord's overload alert, the rebalancer's group
-	// load) are real columns.
+	// reads by name (lambdacoord's overload alert) carry the group's values.
 	raw, err := json.Marshal(cm)
 	if err != nil {
 		t.Fatal(err)

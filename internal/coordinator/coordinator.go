@@ -37,11 +37,6 @@ const (
 	// moved since the donor certified the joiner, the admission no-ops and
 	// the joiner must re-sync against the new configuration.
 	cmdAddBackup
-	// cmdCompactOverrides folds redundant placement overrides (those
-	// matching the default hash placement, or pointing at removed groups)
-	// into the base placement on every replica — the decay that keeps the
-	// override table bounded by the number of currently displaced objects.
-	cmdCompactOverrides
 )
 
 // Command is one replicated configuration change.
@@ -131,10 +126,9 @@ type Service struct {
 
 	// What this replica applied, published for the operator: a healthy
 	// cluster shows cutovers rising while coord.directory.overrides decays
-	// back toward zero as objects migrate home or compaction folds them.
+	// back toward zero as objects migrate home.
 	reg        *telemetry.Registry // for coord.rejoins.<group>, resolved when a group first re-admits
 	migrations *telemetry.Counter  // effective override installs/clears (cutovers)
-	compacted  *telemetry.Counter  // overrides folded into base placement
 
 	stop chan struct{}
 	done chan struct{}
@@ -158,7 +152,6 @@ func New(id uint64, peers []uint64, trans paxos.Transport, opts Options, reg *te
 		promotes:   make(map[uint64]uint64),
 		reg:        reg,
 		migrations: reg.Counter("coord.migrations.cutovers"),
-		compacted:  reg.Counter("coord.migrations.compacted"),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -244,8 +237,6 @@ func (s *Service) apply(slot uint64, value []byte) {
 		}
 		s.dir.ClearOverride(c.Object)
 		s.migrations.Inc()
-	case cmdCompactOverrides:
-		s.compacted.Add(uint64(s.dir.CompactOverrides()))
 	}
 }
 
@@ -464,7 +455,7 @@ func RegisterServer(srv *rpc.Server, s *Service) {
 		if err != nil {
 			return nil, err
 		}
-		if c.Kind != cmdClearOverride && c.Kind != cmdCompactOverrides {
+		if c.Kind != cmdClearOverride {
 			c.Kind = cmdSetOverride
 		}
 		return nil, s.ProposeCommand(c)
@@ -575,14 +566,6 @@ func (c *Client) SetOverrideFenced(object, group, expectEpoch uint64) error {
 // way (0 = unfenced).
 func (c *Client) ClearOverride(object, expectEpoch uint64) error {
 	cmd := Command{Kind: cmdClearOverride, Object: object, Epoch: expectEpoch}
-	_, err := c.call(MethodMigrate, cmd.Encode())
-	return err
-}
-
-// CompactOverrides proposes folding redundant overrides into the base
-// placement on every replica.
-func (c *Client) CompactOverrides() error {
-	cmd := Command{Kind: cmdCompactOverrides}
 	_, err := c.call(MethodMigrate, cmd.Encode())
 	return err
 }

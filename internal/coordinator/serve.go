@@ -14,11 +14,8 @@ import (
 type Member struct {
 	Service *Service
 	// Addr is the bound RPC address.
-	Addr string
-	// Pool carries the replica's consensus traffic (cmd/lambdacoord's
-	// rebalancer shares it).
-	Pool *rpc.Pool
-
+	Addr    string
+	pool    *rpc.Pool // the replica's consensus traffic
 	srv     *rpc.Server
 	started bool // the failure detector runs; Service.Close has something to wait for
 }
@@ -46,19 +43,19 @@ func Serve(id uint64, peers map[uint64]string, addr string, stable paxos.Stable,
 // connect is the rest. An ensemble on ephemeral ports needs every member
 // listening before any can be told where its peers are.
 func listen(id uint64, ids []uint64, addr string, stable paxos.Stable, opts Options, reg *telemetry.Registry) (*Member, error) {
-	m := &Member{Service: New(id, ids, nil, opts, reg), Pool: rpc.NewPool(nil), srv: rpc.NewServer()}
+	m := &Member{Service: New(id, ids, nil, opts, reg), pool: rpc.NewPool(nil), srv: rpc.NewServer()}
 	if stable != nil {
 		if err := m.Service.Node().SetStable(stable); err != nil {
-			m.Pool.Close()
+			m.pool.Close()
 			return nil, fmt.Errorf("coordinator: load acceptor state: %w", err)
 		}
 	}
 	m.srv.SetTelemetry(reg)
-	m.Pool.SetTelemetry(reg)
+	m.pool.SetTelemetry(reg)
 	RegisterServer(m.srv, m.Service)
 	bound, err := m.srv.Serve(addr)
 	if err != nil {
-		m.Pool.Close()
+		m.pool.Close()
 		return nil, fmt.Errorf("coordinator: replica %d: %w", id, err)
 	}
 	m.Addr = bound
@@ -66,7 +63,7 @@ func listen(id uint64, ids []uint64, addr string, stable paxos.Stable, opts Opti
 }
 
 func (m *Member) connect(peers map[uint64]string) {
-	m.Service.SetTransport(paxos.NewRPCTransport(m.Service.Node(), m.Pool, peers))
+	m.Service.SetTransport(paxos.NewRPCTransport(m.Service.Node(), m.pool, peers))
 	m.Service.Start()
 	m.started = true
 }
@@ -77,7 +74,7 @@ func (m *Member) Close() {
 		m.Service.Close()
 	}
 	m.srv.Close()
-	m.Pool.Close()
+	m.pool.Close()
 }
 
 // Ensemble is a whole coordinator ensemble in one process.

@@ -743,33 +743,3 @@ func TestLockTimeoutSurfacesAsError(t *testing.T) {
 		t.Fatal("timeout took far too long")
 	}
 }
-
-func TestHotObjectsRanking(t *testing.T) {
-	rt, _ := newTestRuntime(t, Options{})
-	if err := rt.RegisterType(newCounterType(t)); err != nil {
-		t.Fatal(err)
-	}
-	for id := ObjectID(1); id <= 3; id++ {
-		if err := rt.CreateObject("Counter", id, CallCtx{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 9; i++ {
-		mustInvoke(t, rt, 2, "add", I64Bytes(1))
-	}
-	for i := 0; i < 4; i++ {
-		mustInvoke(t, rt, 3, "add", I64Bytes(1))
-	}
-	mustInvoke(t, rt, 1, "add", I64Bytes(1))
-
-	hot := rt.HotWindow(2)
-	if len(hot) != 2 || hot[0].ID != 2 || hot[1].ID != 3 {
-		t.Fatalf("ranking = %+v", hot)
-	}
-	if hot[0].Count != 9 {
-		t.Fatalf("hot count = %d", hot[0].Count)
-	}
-	if len(rt.HotWindow(10)) != 0 {
-		t.Fatal("sampling did not start a new window")
-	}
-}

@@ -184,7 +184,7 @@ var hostRand = rand.New(rand.NewSource(0x1a3b5c7d))
 
 func (iv *invocation) Now() int64 {
 	iv.nocache = true
-	return iv.rt.opts.Clock()
+	return time.Now().UnixNano()
 }
 
 func (iv *invocation) Rand() int64 {
@@ -289,7 +289,6 @@ func (iv *invocation) Dispatch(target ObjectID, method string, args [][]byte) ([
 // success.
 func (iv *invocation) run() ([]byte, error) {
 	iv.rt.metrics.invocations.Inc()
-	iv.rt.hot.touch(iv.obj)
 	defer iv.unlock()
 
 	if err := iv.rt.pool.exec(&iv.guest, iv.trace); err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -48,8 +47,6 @@ type Options struct {
 	// Cache enables the consistent result cache with the given capacity;
 	// 0 disables caching.
 	CacheEntries int
-	// Clock supplies the time host call; nil means time.Now-based.
-	Clock func() int64
 	// Invoker routes cross-object invocations; nil routes everything to
 	// this runtime (single-node).
 	Invoker Invoker
@@ -84,11 +81,6 @@ type Runtime struct {
 	types map[string]*ObjectType
 	// objTypes caches object -> type bindings (immutable once created).
 	objTypes sync.Map // ObjectID -> *ObjectType
-
-	// hot tracks per-object invocation counts in bounded memory — the
-	// load signal behind hot-microshard rebalancing (the paper's
-	// elasticity future work, now the rebalancer's sampling source).
-	hot *hotTracker
 
 	// metrics holds pre-resolved instruments so hot paths never touch the
 	// registry mutex.
@@ -138,7 +130,6 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 	rt := &Runtime{
 		db:   db,
 		opts: opts,
-		hot:  newHotTracker(),
 	}
 	if opts.Fuel == 0 {
 		rt.opts.Fuel = DefaultFuel
@@ -152,9 +143,6 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 	}
 	if opts.CacheEntries > 0 {
 		rt.cache = cache.NewSharded(opts.CacheEntries, cache.DefaultShards, opts.Metrics)
-	}
-	if rt.opts.Clock == nil {
-		rt.opts.Clock = func() int64 { return time.Now().UnixNano() }
 	}
 	if rt.opts.Invoker == nil {
 		rt.opts.Invoker = rt
@@ -553,33 +541,6 @@ func (rt *Runtime) notifyCommit(ctx telemetry.SpanContext, b *store.Batch, ids .
 		return rt.opts.OnCommit(ctx, ids[0], b.Seq(), b)
 	}
 	return nil
-}
-
-// HotObject is one entry of the per-object load ranking.
-type HotObject struct {
-	ID    ObjectID
-	Count uint64
-}
-
-// HotWindow returns the n most-invoked objects of the current observation
-// window and atomically starts a new one — the rebalancer's
-// sample-and-reset primitive, so counts between samples are per-window
-// rates rather than lifetime totals, and the signal elasticity decisions
-// are made from: because objects are microshards, the hottest ones can be
-// migrated individually. Counts come from a bounded Space-Saving tracker,
-// so they are exact for the heavy hitters and slight over-estimates for
-// objects that churned through the tracker's tail. Single-sampler
-// contract: concurrent samplers would steal each other's windows.
-func (rt *Runtime) HotWindow(n int) []HotObject { return rt.hot.window(n) }
-
-// sortHot orders a ranking hottest first with a deterministic tie-break.
-func sortHot(out []HotObject) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].ID < out[j].ID
-	})
 }
 
 // ApplyReplicated applies a write-set received from a primary, bypassing

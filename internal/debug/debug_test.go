@@ -132,10 +132,8 @@ func TestJSONEndpointMap(t *testing.T) {
 	if body, code := get(t, srv, "/cluster/metrics"); code != http.StatusOK || strings.TrimSpace(body) != `["g0"]` {
 		t.Errorf("/cluster/metrics = %d %q", code, body)
 	}
-	for _, path := range []string{"/admission", "/rebalance", "/faults"} {
-		if body, code := get(t, srv, path); code != http.StatusNotFound {
-			t.Errorf("%s = %d %q, want 404: it was not handed over", path, code, body)
-		}
+	if body, code := get(t, srv, "/faults"); code != http.StatusNotFound {
+		t.Errorf("/faults = %d %q, want 404: it was not handed over", code, body)
 	}
 	// /metrics is text whatever the query says; JSON has its own path.
 	if body, code := get(t, srv, "/metrics?format=json"); code != http.StatusOK || strings.HasPrefix(strings.TrimSpace(body), "{") {

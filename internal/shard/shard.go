@@ -180,63 +180,6 @@ func (d *Directory) OverrideCount() int {
 	return len(d.overrides)
 }
 
-// redundantLocked reports whether an override adds no information: it
-// points at the object's default hash placement (the object migrated
-// back home, or the group set changed so the hash now agrees), or at a
-// group that no longer exists (Lookup already falls through to the
-// default for those).
-func (d *Directory) redundantLocked(object, gid uint64) bool {
-	if len(d.groups) == 0 {
-		return false
-	}
-	if d.groups[object%uint64(len(d.groups))].ID == gid {
-		return true
-	}
-	for i := range d.groups {
-		if d.groups[i].ID == gid {
-			return false
-		}
-	}
-	return true // stale target: group removed
-}
-
-// RedundantOverrides counts overrides that compaction would fold into
-// the base placement, without mutating anything.
-func (d *Directory) RedundantOverrides() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n := 0
-	for obj, gid := range d.overrides {
-		if d.redundantLocked(obj, gid) {
-			n++
-		}
-	}
-	return n
-}
-
-// CompactOverrides folds redundant overrides into the base placement:
-// every override whose removal does not change any Lookup result is
-// deleted. The epoch bumps once if anything was removed (views must
-// refresh so their override tables shrink too). Returns the number of
-// overrides folded. Applied as a replicated coordinator command, the
-// walk is deterministic — map order does not matter because removals
-// are independent.
-func (d *Directory) CompactOverrides() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for obj, gid := range d.overrides {
-		if d.redundantLocked(obj, gid) {
-			delete(d.overrides, obj)
-			n++
-		}
-	}
-	if n > 0 {
-		d.epoch++
-	}
-	return n
-}
-
 // Promote makes the named backup the primary of group gid (failover),
 // removing the failed primary from the group. Returns the updated group.
 func (d *Directory) Promote(gid uint64, newPrimary string) (Group, error) {

@@ -274,9 +274,11 @@ func openTable(path string, blocks *blockCache) (*tableReader, error) {
 	return r, nil
 }
 
-// readRawBlock reads and CRC-verifies the block at h.
+// readRawBlock reads and CRC-verifies the block at h. The footer's handles
+// carry no checksum, so h may hold anything: the bound is written so that
+// no sum of its fields can wrap.
 func (r *tableReader) readRawBlock(h blockHandle) ([]byte, error) {
-	if h.offset+h.length+4 > r.size {
+	if h.offset > r.size || r.size-h.offset < 4 || h.length > r.size-h.offset-4 {
 		return nil, fmt.Errorf("%w: block handle out of range", ErrCorrupt)
 	}
 	buf := make([]byte, h.length+4)
