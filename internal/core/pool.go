@@ -19,6 +19,18 @@ type poolKey struct {
 	method string
 }
 
+// lane is one (module, method)'s idle instances. The first is held
+// outright, so a method that has run once on a node starts warm however
+// long the node then sits idle. The rest — one per invocation that ran
+// concurrently with another of the same method — wait in a sync.Pool:
+// reused while load keeps them busy, reclaimed by the collector once a
+// burst has passed. What an idle node retains is therefore one instance
+// per method it has run, not as many as its busiest moment ran at once.
+type lane struct {
+	first *vm.Instance
+	spare sync.Pool // *vm.Instance
+}
+
 // InstancePool recycles VM instances per (module, method) and runs guest
 // methods on them against the one host table (hostapi.go). A warm
 // invocation pops a pooled instance and resets it with the cheap
@@ -28,9 +40,9 @@ type poolKey struct {
 // report both paths. The Runtime owns one; the disaggregated baseline's
 // compute node owns another and supplies its own Backend.
 type InstancePool struct {
-	mu   sync.Mutex
-	idle map[poolKey][]*vm.Instance
-	fuel int64
+	mu    sync.Mutex
+	lanes map[poolKey]*lane
+	fuel  int64
 
 	tracer   *telemetry.Tracer
 	warm     *telemetry.Counter // instance starts served from the pool
@@ -45,7 +57,7 @@ type InstancePool struct {
 func NewInstancePool(fuel int64, reg *telemetry.Registry, tracer *telemetry.Tracer) *InstancePool {
 	vm.RegisterMetrics(reg)
 	return &InstancePool{
-		idle: make(map[poolKey][]*vm.Instance), fuel: fuel, tracer: tracer,
+		lanes: make(map[poolKey]*lane), fuel: fuel, tracer: tracer,
 		warm:     reg.Counter("core.pool_warm"),
 		cold:     reg.Counter("core.pool_cold"),
 		vmExecUs: reg.Histogram("core.vm_exec"),
@@ -100,29 +112,40 @@ func (p *InstancePool) exec(g *guest, trace telemetry.SpanContext) error {
 func (p *InstancePool) get(module *vm.Module, method string) (*vm.Instance, error) {
 	k := poolKey{module: module, method: method}
 	p.mu.Lock()
-	list := p.idle[k]
-	if n := len(list); n > 0 {
-		inst := list[n-1]
-		p.idle[k] = list[:n-1]
-		p.mu.Unlock()
-		p.warm.Inc()
-		inst.ResetFast(p.fuel)
-		return inst, nil
+	l := p.lanes[k]
+	if l == nil {
+		l = new(lane)
+		p.lanes[k] = l
 	}
+	inst := l.first
+	l.first = nil
 	p.mu.Unlock()
-	p.cold.Inc()
-	return vm.NewInstance(module, hostTable, p.fuel)
+	if inst == nil {
+		inst, _ = l.spare.Get().(*vm.Instance)
+	}
+	if inst == nil {
+		p.cold.Inc()
+		return vm.NewInstance(module, hostTable, p.fuel)
+	}
+	p.warm.Inc()
+	inst.ResetFast(p.fuel)
+	return inst, nil
 }
 
-// put returns an instance for reuse.
+// put returns an instance for reuse. An instance whose lane was dropped
+// while it ran is discarded.
 func (p *InstancePool) put(module *vm.Module, method string, inst *vm.Instance) {
 	inst.Ctx = nil
 	k := poolKey{module: module, method: method}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	const maxIdlePerMethod = 64
-	if len(p.idle[k]) < maxIdlePerMethod {
-		p.idle[k] = append(p.idle[k], inst)
+	l := p.lanes[k]
+	if l != nil && l.first == nil {
+		l.first = inst
+		l = nil
+	}
+	p.mu.Unlock()
+	if l != nil {
+		l.spare.Put(inst)
 	}
 }
 
@@ -133,9 +156,9 @@ func (p *InstancePool) Stats() (warm, cold uint64) { return p.warm.Value(), p.co
 func (p *InstancePool) drop(module *vm.Module) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for k := range p.idle {
+	for k := range p.lanes {
 		if k.module == module {
-			delete(p.idle, k)
+			delete(p.lanes, k)
 		}
 	}
 }
