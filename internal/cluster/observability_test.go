@@ -415,7 +415,6 @@ func TestOneSnapshotThreeExits(t *testing.T) {
 	}
 	for _, name := range []string{
 		"core.invocations", "core.pool_warm", "core.pool_cold",
-		"store.block_cache_hits", "store.block_cache_misses",
 		"cache.validations", "cache.evictions", "cache.bypass", "cache.invalidations",
 		"shard.overrides", "cluster.primary", "cluster.fenced_objects",
 		"move.in_flight", "move.inbound_sessions",

@@ -90,37 +90,46 @@ func (b *blockBuilder) reset() {
 	b.lastKey = b.lastKey[:0]
 }
 
-// block is a parsed, immutable block ready for iteration.
+// block is an immutable block ready for iteration: two views of the bytes
+// it was parsed from, read in place.
 type block struct {
-	data        []byte // entries only
-	restarts    []uint32
-	numRestarts int
+	data     []byte // entries only
+	restarts []byte // numRestarts little-endian uint32 entry offsets
 }
 
-// parseBlock validates the restart array of a raw (CRC-stripped) block.
-func parseBlock(raw []byte) (*block, error) {
+// parseBlock splits a raw (CRC-stripped) block into its entries and its
+// restart array, checking the restart count; check verifies the offsets.
+func parseBlock(raw []byte) (block, error) {
 	if len(raw) < 4 {
-		return nil, fmt.Errorf("%w: block shorter than restart count", ErrCorrupt)
+		return block{}, fmt.Errorf("%w: block shorter than restart count", ErrCorrupt)
 	}
 	n := int(binary.LittleEndian.Uint32(raw[len(raw)-4:]))
 	restartsLen := 4 * n
 	if n <= 0 || restartsLen+4 > len(raw) {
-		return nil, fmt.Errorf("%w: block restart count %d invalid", ErrCorrupt, n)
+		return block{}, fmt.Errorf("%w: block restart count %d invalid", ErrCorrupt, n)
 	}
 	dataLen := len(raw) - restartsLen - 4
-	restarts := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		restarts[i] = binary.LittleEndian.Uint32(raw[dataLen+4*i:])
-		if int(restarts[i]) > dataLen {
-			return nil, fmt.Errorf("%w: restart offset beyond block data", ErrCorrupt)
+	return block{data: raw[:dataLen], restarts: raw[dataLen : len(raw)-4]}, nil
+}
+
+func (b block) numRestarts() int { return len(b.restarts) / 4 }
+
+// restart returns the offset of the i-th restart entry.
+func (b block) restart(i int) int { return int(binary.LittleEndian.Uint32(b.restarts[4*i:])) }
+
+// check verifies that every restart offset lies within the entries.
+func (b block) check() error {
+	for i := 0; i < b.numRestarts(); i++ {
+		if b.restart(i) > len(b.data) {
+			return fmt.Errorf("%w: restart offset beyond block data", ErrCorrupt)
 		}
 	}
-	return &block{data: raw[:dataLen], restarts: restarts, numRestarts: n}, nil
+	return nil
 }
 
 // blockIter iterates a block in internal-key order.
 type blockIter struct {
-	b      *block
+	b      block
 	offset int // offset of the current entry
 	next   int // offset just past the current entry
 	key    []byte
@@ -129,11 +138,11 @@ type blockIter struct {
 	valid  bool
 }
 
-func (b *block) iterator() *blockIter { return &blockIter{b: b} }
+func (b block) iterator() *blockIter { return &blockIter{b: b} }
 
-// reset points the iterator at another block (nil to let go of the current
-// one), keeping its key buffer.
-func (it *blockIter) reset(b *block) { *it = blockIter{b: b, key: it.key[:0]} }
+// reset points the iterator at another block (the zero block to let go of
+// the current one), keeping its key buffer.
+func (it *blockIter) reset(b block) { *it = blockIter{b: b, key: it.key[:0]} }
 
 // decodeEntryAt parses the entry at off given the key prefix state in
 // it.key; returns false at end of data or on corruption.
@@ -177,11 +186,11 @@ func (it *blockIter) SeekToFirst() {
 func (it *blockIter) SeekGE(ik internalKey) {
 	// Binary search restart points for the last restart whose key < ik.
 	b := it.b
-	lo, hi := 0, b.numRestarts
+	lo, hi := 0, b.numRestarts()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		it.key = it.key[:0]
-		if it.decodeEntryAt(int(b.restarts[mid])) && compareInternal(internalKey(it.key), ik) < 0 {
+		if it.decodeEntryAt(b.restart(mid)) && compareInternal(internalKey(it.key), ik) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -189,7 +198,7 @@ func (it *blockIter) SeekGE(ik internalKey) {
 	}
 	start := 0
 	if lo > 0 {
-		start = int(b.restarts[lo-1])
+		start = b.restart(lo - 1)
 	}
 	it.key = it.key[:0]
 	if !it.decodeEntryAt(start) {

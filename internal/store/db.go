@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,9 +79,7 @@ type dbMetrics struct {
 	fsyncUs *telemetry.Histogram
 }
 
-func newDBMetrics(reg *telemetry.Registry, db *DB) *dbMetrics {
-	reg.GaugeFunc("store.block_cache_hits", func() int64 { h, _ := db.BlockCacheStats(); return int64(h) })
-	reg.GaugeFunc("store.block_cache_misses", func() int64 { _, m := db.BlockCacheStats(); return int64(m) })
+func newDBMetrics(reg *telemetry.Registry) *dbMetrics {
 	return &dbMetrics{
 		writes:      reg.Counter("store.writes"),
 		walBytes:    reg.Counter("store.wal_bytes"),
@@ -118,22 +117,26 @@ func Open(dir string, opts *Options) (*DB, error) {
 		lastSeq:  lastSeq,
 		nextFile: nextFile,
 		snaps:    make(map[uint64]int),
-		tcache:   newTableCache(dir, opts.BlockCacheBytes),
+		tcache:   newTableCache(dir),
+		metrics:  newDBMetrics(opts.Metrics),
 		bgWork:   make(chan struct{}, 1),
 		bgQuit:   make(chan struct{}),
 		bgDone:   make(chan struct{}),
 	}
-	db.metrics = newDBMetrics(opts.Metrics, db)
 	db.cond = sync.NewCond(&db.mu)
 	db.setCurrent(v)
 
-	// Replay every WAL at least as new as the manifest's log number.
-	logs, err := findLogs(dir, logNum)
+	// Replay every WAL at least as new as the manifest's log number; older
+	// ones were flushed before a crash kept them from being removed.
+	logs, err := fileNums(dir, ".log")
 	if err != nil {
 		lock.Close()
 		return nil, err
 	}
 	for _, num := range logs {
+		if num < logNum {
+			continue
+		}
 		last, err := recoverLog(walPath(dir, num), db.mem)
 		if err != nil {
 			lock.Close()
@@ -168,15 +171,32 @@ func Open(dir string, opts *Options) (*DB, error) {
 		return nil, err
 	}
 
-	// Old logs are now superseded.
-	for _, num := range logs {
-		if num != db.walNum {
-			os.Remove(walPath(dir, num))
-		}
-	}
-
+	db.removeObsoleteFiles(logs)
 	go db.backgroundLoop()
 	return db, nil
+}
+
+// removeObsoleteFiles deletes what the manifest Open just wrote does not
+// name: the logs listed before the fresh one was created, and every table
+// outside the recovered version — written but never installed, or retired
+// but never unlinked, when a crash fell in between (LevelDB's
+// RemoveObsoleteFiles). Called from Open, before the DB is shared.
+func (db *DB) removeObsoleteFiles(logs []uint64) {
+	for _, num := range logs {
+		os.Remove(walPath(db.dir, num))
+	}
+	live := make(map[uint64]bool)
+	for _, tables := range db.current.levels {
+		for _, t := range tables {
+			live[t.fileNum] = true
+		}
+	}
+	tables, _ := fileNums(db.dir, ".sst")
+	for _, num := range tables {
+		if !live[num] {
+			os.Remove(tablePath(db.dir, num))
+		}
+	}
 }
 
 // recoverLog replays the WAL at path into mem and returns the newest
@@ -252,27 +272,21 @@ func acquireDirLock(dir string) (*os.File, error) {
 	return f, nil
 }
 
-// findLogs returns WAL file numbers >= minNum in ascending order.
-func findLogs(dir string, minNum uint64) ([]uint64, error) {
+// fileNums returns, ascending, the numbers of dir's files named
+// <number><ext> — the store's logs or tables.
+func fileNums(dir, ext string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var nums []uint64
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		n, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64)
-		if err != nil {
-			continue
-		}
-		if n >= minNum {
+		name, ok := strings.CutSuffix(e.Name(), ext)
+		if n, err := strconv.ParseUint(name, 10, 64); ok && err == nil {
 			nums = append(nums, n)
 		}
 	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
+	slices.Sort(nums)
 	return nums, nil
 }
 
@@ -482,22 +496,28 @@ func (db *DB) makeRoomForWrite() error {
 				return ErrClosed
 			}
 		default:
-			// Freeze the memtable and start a new WAL.
-			newNum := db.nextFile
-			db.nextFile++
-			wal, err := newWALWriter(walPath(db.dir, newNum), db.dir)
-			if err != nil {
+			if err := db.rotateLocked(); err != nil {
 				return err
 			}
-			db.wal.close()
-			db.imm = db.mem
-			db.immWal = db.walNum
-			db.mem = newMemtable()
-			db.wal = wal
-			db.walNum = newNum
-			db.scheduleBackground()
 		}
 	}
+}
+
+// rotateLocked freezes the memtable as imm behind a new WAL and schedules
+// its flush. Called with db.mu held, imm nil and no group commit writing to
+// the log.
+func (db *DB) rotateLocked() error {
+	newNum := db.nextFile
+	db.nextFile++
+	wal, err := newWALWriter(walPath(db.dir, newNum), db.dir)
+	if err != nil {
+		return err
+	}
+	db.wal.close()
+	db.imm, db.immWal = db.mem, db.walNum
+	db.mem, db.wal, db.walNum = newMemtable(), wal, newNum
+	db.scheduleBackground()
+	return nil
 }
 
 // scheduleBackground nudges the background loop. Called with db.mu held.
@@ -665,7 +685,7 @@ func (db *DB) tableGet(rs *readScratch, dst []byte, t *tableMeta) (val []byte, p
 	}
 	value, kind, ok, err := ct.reader.get(rs)
 	if ok {
-		// value aliases the cached block: copy before the table is let go.
+		// value aliases the mapped table: copy before it is let go.
 		dst, present, _ = appendLive(dst, value, kind)
 	}
 	db.tcache.release(ct)
@@ -875,20 +895,10 @@ func (db *DB) Flush() error {
 			}
 			return err
 		}
-		newNum := db.nextFile
-		db.nextFile++
-		wal, err := newWALWriter(walPath(db.dir, newNum), db.dir)
-		if err != nil {
+		if err := db.rotateLocked(); err != nil {
 			db.mu.Unlock()
 			return err
 		}
-		db.wal.close()
-		db.imm = db.mem
-		db.immWal = db.walNum
-		db.mem = newMemtable()
-		db.wal = wal
-		db.walNum = newNum
-		db.scheduleBackground()
 	}
 	for db.imm != nil && db.bgErr == nil && !db.closed {
 		db.cond.Wait()
@@ -898,18 +908,13 @@ func (db *DB) Flush() error {
 	return err
 }
 
-// BlockCacheStats returns the shared block cache's cumulative (hits,
-// misses); both zero when the cache is disabled.
-func (db *DB) BlockCacheStats() (hits, misses uint64) {
-	if db.tcache == nil || db.tcache.blocks == nil {
-		return 0, 0
-	}
-	return db.tcache.blocks.stats()
-}
+// BlockCacheStats and StateCacheStats report zeros: both caches are gone
+// (tables are read in place from a mapping; one-key validation replaced the
+// state cache), and these shims stay only because the frozen
+// benchmark/counts.go still calls them (ROADMAP, benchmark-variant item).
+func (db *DB) BlockCacheStats() (hits, misses uint64) { return 0, 0 }
 
-// StateCacheStats reports zeros: the state cache is gone, and this shim stays
-// only because the frozen benchmark/counts.go still calls it (ROADMAP,
-// benchmark-variant item).
+// StateCacheStats: see BlockCacheStats.
 func (db *DB) StateCacheStats() (hits, misses uint64) { return 0, 0 }
 
 // TableCount returns the number of live tables per level (for tests and the

@@ -183,12 +183,12 @@ func writeFuzzTable(f *testing.F, path string) []tableFuzzEntry {
 	return entries
 }
 
-// FuzzOpenTable covers reading a damaged table: the footer, the block
-// handles and checksums, the index and the block cursor. Arbitrary bytes as
-// a table never panic, and every error they raise is ErrCorrupt. A valid
-// table cut anywhere and with any one bit flipped either refuses with
-// ErrCorrupt or serves exactly what was written — on open, over a full
-// iteration and on a Get of every key.
+// FuzzOpenTable covers reading a damaged table through its mapping: the
+// footer, the block handles and checksums, the index and the block cursor.
+// Arbitrary bytes as a table never panic or fault, and every error they
+// raise is ErrCorrupt. A valid table cut anywhere and with any one bit
+// flipped either refuses with ErrCorrupt or serves exactly what was written
+// — on open, over a full iteration and on a Get of every key.
 func FuzzOpenTable(f *testing.F) {
 	dir := f.TempDir()
 	validPath := filepath.Join(dir, "valid.sst")
@@ -205,6 +205,10 @@ func FuzzOpenTable(f *testing.F) {
 	f.Add([]byte{}, uint32(len(valid)-1), uint32(0))
 	f.Add([]byte{}, uint32(len(valid)), uint32(8*(len(valid)-footerLen)+3))
 	f.Add(valid[len(valid)-footerLen:], uint32(len(valid)/2), uint32(17))
+	// Shorter than a footer, down to 0 bytes: refused before anything is
+	// mapped (a mapping of 0 bytes fails with EINVAL).
+	f.Add(valid[len(valid)-footerLen+1:], uint32(0), uint32(0))
+	f.Add([]byte{0}, uint32(footerLen-1), uint32(3))
 
 	path := filepath.Join(dir, "fuzz.sst")
 	f.Fuzz(func(t *testing.T, data []byte, cut, flip uint32) {
@@ -237,7 +241,7 @@ func checkTable(t *testing.T, path string, data []byte, want []tableFuzzEntry) b
 			t.Fatalf("%s: %v, want ErrCorrupt", what, err)
 		}
 	}
-	r, err := openTable(path, newBlockCache(1<<20))
+	r, err := openTable(path)
 	if err != nil {
 		corrupt("open", err)
 		return false

@@ -25,9 +25,6 @@ type Options struct {
 	MemtableBytes int
 	// BlockBytes is the uncompressed target size of an SSTable data block.
 	BlockBytes int
-	// BlockCacheBytes bounds the shared cache of parsed data blocks;
-	// negative disables it.
-	BlockCacheBytes int
 	// L0CompactionTrigger is the number of L0 tables that triggers a
 	// compaction into L1.
 	L0CompactionTrigger int
@@ -39,10 +36,10 @@ type Options struct {
 	LevelBaseBytes int64
 	// LevelMultiplier is the size ratio between adjacent levels.
 	LevelMultiplier int64
-	// SyncWrites forces an fsync of the WAL on every committed batch. The
-	// paper's latency numbers do not depend on fsync behaviour; benchmarks
-	// default to false (like LevelDB's default) while durability tests turn
-	// it on.
+	// SyncWrites forces an fsync of the WAL on every committed write group.
+	// Off by default, as in LevelDB: cmd/retwis-bench and the daemons leave
+	// it off; the benchmark/ yardstick, the chaos suite and the durability
+	// tests turn it on.
 	SyncWrites bool
 	// Metrics, if set, receives storage counters: batch writes, WAL bytes
 	// and syncs, memtable flushes, and compactions.
@@ -54,7 +51,6 @@ func NewOptions() *Options {
 	return &Options{
 		MemtableBytes:       4 << 20,
 		BlockBytes:          4 << 10,
-		BlockCacheBytes:     8 << 20,
 		L0CompactionTrigger: 4,
 		L0StopWritesTrigger: 12,
 		LevelBaseBytes:      10 << 20,
@@ -80,12 +76,6 @@ func (o *Options) sanitize() *Options {
 	out.MemtableBytes = min(out.MemtableBytes, maxMemtableBytes)
 	if out.BlockBytes <= 0 {
 		out.BlockBytes = def.BlockBytes
-	}
-	if out.BlockCacheBytes == 0 {
-		out.BlockCacheBytes = def.BlockCacheBytes
-	}
-	if out.BlockCacheBytes < 0 {
-		out.BlockCacheBytes = 0
 	}
 	if out.L0CompactionTrigger <= 0 {
 		out.L0CompactionTrigger = def.L0CompactionTrigger

@@ -2,34 +2,57 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
 	"testing"
 )
 
-// coldDB returns a DB whose n keys sit in tables (none in the memtable).
-func coldDB(t *testing.T, n int) (*DB, [][]byte) {
-	t.Helper()
-	db, _ := openTestDB(t, testOptions())
+// coldDB returns a DB whose n keys sit in tables (none in the memtable),
+// flushed in four rounds and compacted, with every table open: a point read
+// then touches no state but the mapped table.
+func coldDB(tb testing.TB, n int) (*DB, [][]byte) {
+	tb.Helper()
+	db, _ := openTestDB(tb, testOptions())
 	keys := make([][]byte, n)
-	b := NewBatch()
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("cold-key-%05d", i))
-		b.Put(keys[i], bytes.Repeat([]byte{byte(i)}, 100))
 	}
-	if err := db.Write(b); err != nil {
-		t.Fatal(err)
+	for round := 0; round < 4; round++ {
+		b := NewBatch()
+		for i := round; i < n; i += 4 {
+			b.Put(keys[i], bytes.Repeat([]byte{byte(i)}, 100))
+		}
+		if err := db.Write(b); err != nil {
+			tb.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
+	if err := db.CompactNow(); err != nil {
+		tb.Fatal(err)
+	}
+	db.mu.Lock()
+	v := db.current
+	db.mu.Unlock()
+	for _, tables := range v.levels {
+		for _, t := range tables {
+			ct, err := db.tcache.acquire(t.fileNum)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			db.tcache.release(ct)
+		}
 	}
 	return db, keys
 }
 
 // TestPointReadAllocs is the store-level allocation guard of the read
-// path: with a reused buffer, a point read served from the block cache does
-// not allocate, for one hot key or rotating over all of them.
+// path: with a reused buffer, a point read from an open table does not
+// allocate — the first read of each block, one hot key, or rotating over
+// all of them.
 func TestPointReadAllocs(t *testing.T) {
 	db, keys := coldDB(t, 1024)
 	buf := make([]byte, 0, 256)
@@ -39,14 +62,17 @@ func TestPointReadAllocs(t *testing.T) {
 			t.Fatalf("GetInto(%q): len=%d present=%v err=%v", key, len(v), present, err)
 		}
 	}
-	for _, k := range keys { // fill the block cache
-		read(k)
+	// Every read takes its scratch from a pool, so under the race detector
+	// (see raceEnabled) the zero bounds cannot hold.
+	next := 0
+	if allocs := testing.AllocsPerRun(len(keys)-1, func() {
+		read(keys[next])
+		next++
+	}); allocs != 0 && !raceEnabled {
+		t.Errorf("first touch: %.1f allocs per GetInto, want 0", allocs)
 	}
 
 	hot := keys[0]
-	read(hot)
-	// Every read takes its scratch from a pool now, so under the race
-	// detector (see raceEnabled) the zero bounds cannot hold.
 	if allocs := testing.AllocsPerRun(200, func() { read(hot) }); allocs != 0 && !raceEnabled {
 		t.Errorf("hot key: %.1f allocs per GetInto, want 0", allocs)
 	}
@@ -60,21 +86,147 @@ func TestPointReadAllocs(t *testing.T) {
 		t.Errorf("hot key: %.1f allocs per VisitLatest (visited %d bytes), want 0", allocs, visited)
 	}
 
-	_, blockMissesBefore := db.BlockCacheStats()
-	next := 0
-	const runs = 500
-	allocs := testing.AllocsPerRun(runs, func() {
-		next = (next + 1) % len(keys)
+	if allocs := testing.AllocsPerRun(500, func() {
+		next = (next + 7) % len(keys)
 		read(keys[next])
+	}); allocs != 0 && !raceEnabled {
+		t.Errorf("rotating: %.1f allocs per GetInto, want 0", allocs)
+	}
+}
+
+// BenchmarkTableGet is a point read of rotating keys from a flushed and
+// compacted DB: the cost of one probe of the mapped tables. It must report
+// 0 allocs/op.
+func BenchmarkTableGet(b *testing.B) {
+	db, keys := coldDB(b, 4096)
+	buf := make([]byte, 0, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, _, err = db.GetInto(buf[:0], keys[(i*7)%len(keys)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestTableLifetime races point reads, VisitLatest and full scans against
+// flushes and compactions that unlink and unmap tables, then holds an
+// iterator across DB.Close and reads on: a table's mapped bytes must outlive
+// every reference to them, so nothing here may fault. Run under -race.
+func TestTableLifetime(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nKeys = 200
+	key := func(i int) []byte { return []byte(fmt.Sprintf("life-%03d", i)) }
+	// Every byte of a value is its round, so a value read from an unmapped
+	// or reused page shows as mixed bytes.
+	write := func(round int) {
+		b := NewBatch()
+		for i := 0; i < nKeys; i++ {
+			b.Put(key(i), bytes.Repeat([]byte{byte(round)}, 64))
+		}
+		if err := db.Write(b); err != nil {
+			t.Error(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Error(err)
+		}
+	}
+	uniform := func(v []byte) bool { return len(v) == 64 && bytes.Count(v, v[:1]) == 64 }
+	write(1)
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	reader := func(read func(n int) error) {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := read(n); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var held []byte
+	reader(func(n int) error {
+		v, present, err := db.GetInto(held[:0], key(n%nKeys))
+		if err != nil || !present || !uniform(v) {
+			return fmt.Errorf("GetInto = %x present=%v err=%v", v, present, err)
+		}
+		held = v
+		return nil
 	})
-	_, blockMissesAfter := db.BlockCacheStats()
-	if blockMissesAfter != blockMissesBefore {
-		t.Fatalf("%d block-cache misses: reads went to disk", blockMissesAfter-blockMissesBefore)
+	reader(func(n int) error {
+		var bad []byte
+		err := db.VisitLatest(key(n%nKeys), func(v []byte, present bool) {
+			if !present || !uniform(v) {
+				bad = append([]byte(nil), v...)
+			}
+		})
+		if err != nil || bad != nil {
+			return fmt.Errorf("VisitLatest saw %x err=%v", bad, err)
+		}
+		return nil
+	})
+	reader(func(int) error {
+		it, err := db.NewIterator()
+		if err != nil {
+			return err
+		}
+		n := 0
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			if !uniform(it.Value()) {
+				it.Close()
+				return fmt.Errorf("scan at %q = %x", it.Key(), it.Value())
+			}
+			n++
+		}
+		if err := it.Close(); err != nil || n != nKeys {
+			return fmt.Errorf("scan: %d keys, err=%v", n, err)
+		}
+		return nil
+	})
+	for round := 2; round < 40; round++ {
+		write(round)
 	}
-	if allocs > 1 && !raceEnabled {
-		t.Errorf("rotating reads from the block cache: %.1f allocs per GetInto, want <= 1", allocs)
+	close(done)
+	readers.Wait()
+
+	// An iterator held across Close: the tables it holds stay mapped until
+	// it lets go, and it reaches no new table once the DB is closed.
+	it, err := db.NewIterator()
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("rotating reads from the block cache: %.1f allocs per GetInto", allocs)
+	it.SeekToFirst()
+	if !it.Valid() {
+		t.Fatalf("iterator over a full DB is empty: %v", it.Error())
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for ; it.Valid(); it.Next() {
+		if !uniform(it.Value()) {
+			t.Fatalf("after Close: %q = %x", it.Key(), it.Value())
+		}
+		n++
+	}
+	if err := it.Close(); err != nil && !errors.Is(err, ErrClosed) {
+		t.Fatalf("iterator closed after the DB: %v", err)
+	}
+	t.Logf("read %d of %d keys after Close", n, nKeys)
 }
 
 // TestCompactionKeepsTablesOfPinnedVersion is the regression test for the

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"syscall"
 
 	"lambdastore/internal/wire"
 )
@@ -205,46 +206,50 @@ func (t *tableWriter) abandon(path string) {
 	os.Remove(path)
 }
 
-// tableReader serves reads from one SSTable via pread, so it is safe for
-// concurrent use.
+// tableReader reads one SSTable in place from a read-only mapping of the
+// whole file (LevelDB's mmap reader: the page cache is the block cache), so
+// it is safe for concurrent use. The footer, index, filter and every block
+// a read returns are slices of the mapping, valid until close — which the
+// table cache calls only when the last reference is released.
 type tableReader struct {
-	f          *os.File
-	index      *block
-	filter     []byte
-	numEntries uint64
-	size       uint64
-	blocks     *blockCache // shared, may be nil
+	data   []byte // the mapped file
+	index  block
+	filter []byte
 }
 
-// openTable memory-parses the footer, index and filter of the table at path.
-func openTable(path string, blocks *blockCache) (*tableReader, error) {
+// openTable maps the table at path and checks it whole: the footer, then
+// every block's checksum and restart array once, so reads trust the mapping.
+func openTable(path string) (*tableReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: open sstable: %w", err)
 	}
+	defer f.Close() // the mapping outlives the descriptor
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	if fi.Size() < footerLen {
-		f.Close()
 		return nil, fmt.Errorf("%w: table %s shorter than footer", ErrCorrupt, path)
 	}
-	var footer [footerLen]byte
-	if _, err := f.ReadAt(footer[:], fi.Size()-footerLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: read footer: %w", err)
+	data, err := syscall.Mmap(int(f.Fd()), 0, int(fi.Size()), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, fmt.Errorf("store: map sstable: %w", err)
 	}
+	r := &tableReader{data: data}
+	if err := r.load(); err != nil {
+		r.close()
+		return nil, fmt.Errorf("%w (table %s)", err, path)
+	}
+	return r, nil
+}
+
+// load parses the footer, the index and the filter, and verifies every data
+// block the index points at.
+func (r *tableReader) load() (err error) {
+	footer := r.data[len(r.data)-footerLen:]
 	if binary.LittleEndian.Uint64(footer[40:]) != tableMagic {
-		f.Close()
-		return nil, fmt.Errorf("%w: bad table magic in %s", ErrCorrupt, path)
-	}
-	r := &tableReader{
-		f:          f,
-		numEntries: binary.LittleEndian.Uint64(footer[32:]),
-		size:       uint64(fi.Size()),
-		blocks:     blocks,
+		return fmt.Errorf("%w: bad table magic", ErrCorrupt)
 	}
 	filterHandle := blockHandle{
 		offset: binary.LittleEndian.Uint64(footer[0:]),
@@ -254,66 +259,66 @@ func openTable(path string, blocks *blockCache) (*tableReader, error) {
 		offset: binary.LittleEndian.Uint64(footer[16:]),
 		length: binary.LittleEndian.Uint64(footer[24:]),
 	}
-	rawIndex, err := r.readRawBlock(indexHandle)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r.index, err = parseBlock(rawIndex)
-	if err != nil {
-		f.Close()
-		return nil, err
+	if r.index, err = r.block(indexHandle, true); err != nil {
+		return err
 	}
 	if filterHandle.length > 0 {
-		r.filter, err = r.readRawBlock(filterHandle)
-		if err != nil {
-			f.Close()
-			return nil, err
+		if r.filter, err = r.blockBytes(filterHandle, true); err != nil {
+			return err
 		}
 	}
-	return r, nil
+	it := r.index.iterator()
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		if _, err := r.dataBlock(it.Value(), true); err != nil {
+			return err
+		}
+	}
+	return it.Error()
 }
 
-// readRawBlock reads and CRC-verifies the block at h. The footer's handles
-// carry no checksum, so h may hold anything: the bound is written so that
-// no sum of its fields can wrap.
-func (r *tableReader) readRawBlock(h blockHandle) ([]byte, error) {
-	if h.offset > r.size || r.size-h.offset < 4 || h.length > r.size-h.offset-4 {
+// blockBytes returns the block at h, verifying its checksum if verify is
+// set. The footer's handles carry no checksum, so h may hold anything: the
+// bound is written so that no sum of its fields can wrap.
+func (r *tableReader) blockBytes(h blockHandle, verify bool) ([]byte, error) {
+	size := uint64(len(r.data))
+	if h.offset > size || size-h.offset < 4 || h.length > size-h.offset-4 {
 		return nil, fmt.Errorf("%w: block handle out of range", ErrCorrupt)
 	}
-	buf := make([]byte, h.length+4)
-	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
-		return nil, fmt.Errorf("store: read block: %w", err)
-	}
-	raw := buf[:h.length]
-	crc := binary.LittleEndian.Uint32(buf[h.length:])
-	if crc != wire.Checksum(raw) {
+	raw := r.data[h.offset : h.offset+h.length]
+	if verify && binary.LittleEndian.Uint32(r.data[h.offset+h.length:]) != wire.Checksum(raw) {
 		return nil, fmt.Errorf("%w: block checksum mismatch", ErrCorrupt)
 	}
 	return raw, nil
 }
 
-// readBlock parses the data block at h, consulting the shared block cache.
-func (r *tableReader) readBlock(h blockHandle) (*block, error) {
-	if blk := r.blocks.get(r, h.offset); blk != nil {
-		return blk, nil
-	}
-	raw, err := r.readRawBlock(h)
+// block parses the block at h, verifying its checksum and restart array if
+// verify is set.
+func (r *tableReader) block(h blockHandle, verify bool) (block, error) {
+	raw, err := r.blockBytes(h, verify)
 	if err != nil {
-		return nil, err
+		return block{}, err
 	}
 	blk, err := parseBlock(raw)
-	if err != nil {
-		return nil, err
+	if err == nil && verify {
+		err = blk.check()
 	}
-	r.blocks.put(r, h.offset, blk, len(raw)+64)
-	return blk, nil
+	return blk, err
+}
+
+// dataBlock parses the data block an index entry's value points at. load
+// verified them all, so a read passes verify=false.
+func (r *tableReader) dataBlock(handle []byte, verify bool) (block, error) {
+	h, err := decodeHandle(handle)
+	if err != nil {
+		return block{}, fmt.Errorf("%w: index handle: %v", ErrCorrupt, err)
+	}
+	return r.block(h, verify)
 }
 
 // get resolves the lookup key rs.ikey: it returns the first entry at or
-// after it whose user key matches — the value, aliasing the immutable
-// block, and the entry's kind. ok=false if this table holds no visible
-// version. The cursor and its key buffer live in rs.
+// after it whose user key matches — the value, aliasing the mapping, and
+// the entry's kind. ok=false if this table holds no visible version. The
+// cursor and its key buffer live in rs.
 func (r *tableReader) get(rs *readScratch) (value []byte, kind keyKind, ok bool, err error) {
 	lookup := internalKey(rs.ikey)
 	if r.filter != nil && !bloomMayContain(r.filter, lookup.userKey()) {
@@ -325,11 +330,7 @@ func (r *tableReader) get(rs *readScratch) (value []byte, kind keyKind, ok bool,
 	if !it.Valid() {
 		return nil, 0, false, it.Error()
 	}
-	h, err := decodeHandle(it.Value())
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("%w: index handle: %v", ErrCorrupt, err)
-	}
-	blk, err := r.readBlock(h)
+	blk, err := r.dataBlock(it.Value(), false)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -344,44 +345,38 @@ func (r *tableReader) get(rs *readScratch) (value []byte, kind keyKind, ok bool,
 	return it.Value(), it.Key().kind(), true, nil
 }
 
-// close releases the file handle and its cached blocks.
-func (r *tableReader) close() error {
-	r.blocks.drop(r)
-	return r.f.Close()
-}
+// close unmaps the table: nothing may touch its bytes afterwards.
+func (r *tableReader) close() error { return syscall.Munmap(r.data) }
 
 // iterator returns a two-level iterator over the whole table.
 func (r *tableReader) iterator() internalIterator {
-	return &tableIter{r: r, idx: r.index.iterator()}
+	it := &tableIter{r: r}
+	it.idx.reset(r.index)
+	return it
 }
 
-// tableIter chains the index iterator with per-block data iterators.
+// tableIter chains the index iterator with a data-block iterator.
 type tableIter struct {
-	r    *tableReader
-	idx  *blockIter
-	data *blockIter
-	err  error
+	r      *tableReader
+	idx    blockIter
+	data   blockIter
+	loaded bool // data iterates the block at idx
+	err    error
 }
 
 // loadBlock opens the data block at the current index position.
 func (it *tableIter) loadBlock() bool {
+	it.loaded = false
 	if !it.idx.Valid() {
-		it.data = nil
 		return false
 	}
-	h, err := decodeHandle(it.idx.Value())
-	if err != nil {
-		it.err = fmt.Errorf("%w: index handle: %v", ErrCorrupt, err)
-		it.data = nil
-		return false
-	}
-	blk, err := it.r.readBlock(h)
+	blk, err := it.r.dataBlock(it.idx.Value(), false)
 	if err != nil {
 		it.err = err
-		it.data = nil
 		return false
 	}
-	it.data = blk.iterator()
+	it.data.reset(blk)
+	it.loaded = true
 	return true
 }
 
@@ -403,10 +398,10 @@ func (it *tableIter) SeekGE(ik internalKey) {
 
 // skipEmptyForward advances past exhausted data blocks.
 func (it *tableIter) skipEmptyForward() {
-	for it.data != nil && !it.data.Valid() {
+	for it.loaded && !it.data.Valid() {
 		if it.data.Error() != nil {
 			it.err = it.data.Error()
-			it.data = nil
+			it.loaded = false
 			return
 		}
 		it.idx.Next()
@@ -418,14 +413,14 @@ func (it *tableIter) skipEmptyForward() {
 }
 
 func (it *tableIter) Next() {
-	if it.data == nil {
+	if !it.loaded {
 		return
 	}
 	it.data.Next()
 	it.skipEmptyForward()
 }
 
-func (it *tableIter) Valid() bool { return it.data != nil && it.data.Valid() }
+func (it *tableIter) Valid() bool { return it.loaded && it.data.Valid() }
 
 func (it *tableIter) Key() internalKey {
 	if !it.Valid() {
@@ -448,7 +443,7 @@ func (it *tableIter) Error() error {
 	if it.idx.Error() != nil {
 		return it.idx.Error()
 	}
-	if it.data != nil && it.data.Error() != nil {
+	if it.loaded && it.data.Error() != nil {
 		return it.data.Error()
 	}
 	return nil

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -21,7 +22,7 @@ func testOptions() *Options {
 	return o
 }
 
-func openTestDB(t *testing.T, opts *Options) (*DB, string) {
+func openTestDB(t testing.TB, opts *Options) (*DB, string) {
 	t.Helper()
 	dir := t.TempDir()
 	db, err := Open(dir, opts)
@@ -275,9 +276,9 @@ func TestTornWALTailIgnored(t *testing.T) {
 	}
 
 	// Truncate the WAL mid-record to simulate a torn write.
-	logs, err := findLogs(dir, 0)
+	logs, err := fileNums(dir, ".log")
 	if err != nil || len(logs) == 0 {
-		t.Fatalf("findLogs: %v %v", logs, err)
+		t.Fatalf("fileNums: %v %v", logs, err)
 	}
 	path := walPath(dir, logs[len(logs)-1])
 	data, err := os.ReadFile(path)
@@ -737,7 +738,7 @@ func TestSSTableRoundTrip(t *testing.T) {
 	if size == 0 || smallest == nil || largest == nil {
 		t.Fatal("bad table metadata")
 	}
-	r, err := openTable(path, newBlockCache(1<<20))
+	r, err := openTable(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -796,20 +797,69 @@ func TestSSTableCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte in the first data block.
+	// Flip a byte in the first data block: open checks every block once.
 	data[10] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := openTable(path, newBlockCache(1<<20))
-	if err != nil {
-		// Corruption in index region also acceptable.
-		return
+	if r, err := openTable(path); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			r.close()
+		}
+		t.Fatalf("open of a table with a corrupt data block: %v, want ErrCorrupt", err)
 	}
-	defer r.close()
-	_, _, _, err = r.get(&readScratch{ikey: makeInternalKey(nil, []byte("k0000"), maxSequence, kindSeek)})
-	if err == nil {
-		t.Fatal("corrupted block read succeeded")
+}
+
+// TestOpenRemovesObsoleteFiles plants what a crash can leave in a closed
+// DB's directory — a table no version names, a log below the manifest's log
+// number — and reopens it: both must go, and every named table and key stay.
+func TestOpenRemovesObsoleteFiles(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		mustPut(t, db, fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", i))
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	named := db.current.levels[0][0].fileNum
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A copy of a real table under an unused number, and an empty log
+	// below every number the DB has used.
+	orphan := tablePath(dir, 999)
+	table, err := os.ReadFile(tablePath(dir, named))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(orphan, table, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	oldLog := walPath(dir, 0)
+	if err := os.WriteFile(oldLog, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(dir, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, path := range []string{orphan, oldLog} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s survived reopening (err=%v)", path, err)
+		}
+	}
+	if _, err := os.Stat(tablePath(dir, named)); err != nil {
+		t.Errorf("named table: %v", err)
+	}
+	for i := 0; i < 100; i++ {
+		mustGet(t, db, fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", i))
 	}
 }
 
@@ -944,71 +994,5 @@ func TestGetSequencePointReads(t *testing.T) {
 		if want := fmt.Sprintf("version-%d", i); string(got) != want {
 			t.Fatalf("getInto(%d) = %q, want %q", seq, got, want)
 		}
-	}
-}
-
-func TestBlockCache(t *testing.T) {
-	c := newBlockCache(1024)
-	r1 := &tableReader{}
-	r2 := &tableReader{}
-	blk := &block{}
-	c.put(r1, 0, blk, 400)
-	c.put(r1, 400, blk, 400)
-	if got := c.get(r1, 0); got != blk {
-		t.Fatal("miss on cached block")
-	}
-	// Third insert exceeds capacity: LRU (offset 400, not recently used)
-	// must go; offset 0 was just touched.
-	c.put(r2, 0, blk, 400)
-	if c.get(r1, 400) != nil {
-		t.Fatal("LRU victim survived")
-	}
-	if c.get(r1, 0) == nil {
-		t.Fatal("recently used block evicted")
-	}
-	// drop removes all of one reader's blocks.
-	c.drop(r1)
-	if c.get(r1, 0) != nil {
-		t.Fatal("dropped block still cached")
-	}
-	if c.get(r2, 0) == nil {
-		t.Fatal("other reader's block dropped")
-	}
-	hits, misses := c.stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("stats = %d, %d", hits, misses)
-	}
-	// Nil cache is inert.
-	var nilCache *blockCache
-	nilCache.put(r1, 0, blk, 1)
-	if nilCache.get(r1, 0) != nil {
-		t.Fatal("nil cache returned a block")
-	}
-	nilCache.drop(r1)
-	// Oversized entries are rejected rather than evicting everything.
-	c.put(r2, 999, blk, 10_000)
-	if c.get(r2, 999) != nil {
-		t.Fatal("oversized block cached")
-	}
-}
-
-func TestBlockCacheServesRepeatedReads(t *testing.T) {
-	opts := testOptions()
-	opts.BlockCacheBytes = 1 << 20
-	db, _ := openTestDB(t, opts)
-	for i := 0; i < 500; i++ {
-		mustPut(t, db, fmt.Sprintf("bc%04d", i), fmt.Sprintf("v%d", i))
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 500; i += 25 {
-			mustGet(t, db, fmt.Sprintf("bc%04d", i), fmt.Sprintf("v%d", i))
-		}
-	}
-	hits, _ := db.tcache.blocks.stats()
-	if hits == 0 {
-		t.Fatal("block cache never hit on repeated reads")
 	}
 }
