@@ -34,13 +34,11 @@ func main() {
 		fuel       = flag.Int64("fuel", core.DefaultFuel, "per-invocation fuel budget")
 		debugAddr  = flag.String("debug", "", "debug HTTP address for /metrics, /traces, /healthz, pprof (empty disables)")
 		tracing    = flag.Bool("trace", false, "record per-stage spans for every traced invocation")
-		traceBuf   = flag.Int("trace-buffer", 0, "span ring-buffer size (0 = default)")
 		slow       = flag.Duration("slow", 0, "log invocations slower than this (0 disables)")
 		rejoin     = flag.Bool("rejoin", false, "anti-entropy rejoin: when deposed from the group, catch up from the primary via range digests and re-admit through the coordinator")
 		recRate    = flag.Int("recovery-rate", 0, "rejoin catch-up streaming rate limit in bytes/sec (0 = unlimited)")
 		admQueue   = flag.Int("admission-queue", 0, "admission plane: bounded wait-queue size in front of execution; overload is shed with a retryable error (0 disables)")
 		admDead    = flag.Duration("admission-deadline", 0, "admission plane: max queue wait before a request is shed (0 = default)")
-		admLIFO    = flag.Bool("admission-lifo", false, "admission plane: drain the wait queue newest-first")
 		admWorkers = flag.Int("admission-workers", 0, "admission plane: concurrent execution slots (0 = NumCPU)")
 	)
 	flag.Parse()
@@ -60,14 +58,12 @@ func main() {
 		},
 		DebugAddr:              *debugAddr,
 		Tracing:                *tracing,
-		TraceBufferSize:        *traceBuf,
 		SlowTraceThreshold:     *slow,
 		Rejoin:                 *rejoin,
 		RecoveryMaxBytesPerSec: *recRate,
 		MaxConcurrentInvokes:   *admWorkers,
 		AdmissionQueue:         *admQueue,
 		AdmissionDeadline:      *admDead,
-		AdmissionLIFO:          *admLIFO,
 	}
 	if *configPath != "" {
 		cfg, err := cluster.LoadConfigFile(*configPath)

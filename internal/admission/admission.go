@@ -10,9 +10,7 @@
 //   - Deadline shedding: a request whose queue wait exceeds its deadline
 //     is rejected — both by its own timer while waiting and by the drain
 //     path before a worker is wasted on a request the client has likely
-//     already given up on. The queue drains FIFO (fairness) or LIFO
-//     (fresh-first: under a burst the newest requests still meet their
-//     deadline while the oldest, already doomed, are shed).
+//     already given up on. The queue drains oldest-first.
 //
 // Rejections carry the "overloaded:" wire prefix so they survive the RPC
 // error round trip as strings; clients test with IsOverload and retry
@@ -80,8 +78,6 @@ type Options struct {
 	// Deadline bounds queue wait before a request is shed (default
 	// DefaultDeadline).
 	Deadline time.Duration
-	// LIFO drains the queue newest-first instead of oldest-first.
-	LIFO bool
 	// Metrics, if set, publishes the plane's instruments.
 	Metrics *telemetry.Registry
 	// Now overrides the clock (deterministic tests).
@@ -204,16 +200,9 @@ func (p *Plane) release() {
 	now := p.now()
 	p.mu.Lock()
 	for len(p.queue) > 0 {
-		var w *waiter
-		if p.opts.LIFO {
-			w = p.queue[len(p.queue)-1]
-			p.queue[len(p.queue)-1] = nil
-			p.queue = p.queue[:len(p.queue)-1]
-		} else {
-			w = p.queue[0]
-			p.queue[0] = nil
-			p.queue = p.queue[1:]
-		}
+		w := p.queue[0]
+		p.queue[0] = nil
+		p.queue = p.queue[1:]
 		if now.Sub(w.enq) > p.opts.Deadline {
 			w.granted = false
 			w.reason = "queue wait exceeded deadline"

@@ -184,42 +184,6 @@ func TestQueueFullShedsImmediately(t *testing.T) {
 	}
 }
 
-func TestLIFODrainsNewestFirst(t *testing.T) {
-	p, reg := newPlane(Options{Workers: 1, QueueLimit: 8, Deadline: 5 * time.Second, LIFO: true})
-	rel, err := p.Admit()
-	if err != nil {
-		t.Fatalf("admit: %v", err)
-	}
-	order := make(chan string, 2)
-	enqueue := func(name string) chan func() {
-		got := make(chan func(), 1)
-		go func() {
-			r, err := p.Admit()
-			if err != nil {
-				t.Errorf("admit %s: %v", name, err)
-				got <- func() {}
-				return
-			}
-			order <- name
-			got <- r
-		}()
-		return got
-	}
-	ra := enqueue("A")
-	waitFor(t, "A queued", func() bool { return depth(reg) == 1 })
-	rb := enqueue("B")
-	waitFor(t, "B queued", func() bool { return depth(reg) == 2 })
-	rel()
-	if first := <-order; first != "B" {
-		t.Fatalf("LIFO drained %q first, want B", first)
-	}
-	(<-rb)()
-	if second := <-order; second != "A" {
-		t.Fatalf("second grant %q, want A", second)
-	}
-	(<-ra)()
-}
-
 func TestCloseShedsWaiters(t *testing.T) {
 	p, reg := newPlane(Options{Workers: 1, QueueLimit: 8, Deadline: time.Minute})
 	rel, err := p.Admit()

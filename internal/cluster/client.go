@@ -204,20 +204,20 @@ func (c *Client) readTarget(g shard.Group) string {
 }
 
 // send is the client's one retry loop, and so the definition of its
-// at-least-once semantics: every attempt re-resolves the group with route
+// at-least-once semantics: every attempt calls resolve for the group afresh
 // (the view may have changed), sends the same frame to its primary — or,
 // read-only, to the replica readTarget picks — and classifies a
 // failure as a stale view, an overload shed, or a connection-level fault.
 // Retries are bounded by MaxRetries and RetryBudget; a routing error and a
 // write's connection failure without a coordinator return at once.
-func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, readOnly bool, route func() (shard.Group, error)) ([]byte, error) {
+func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, readOnly bool, resolve func() (shard.Group, error)) ([]byte, error) {
 	deadline := time.Now().Add(c.retryBudget)
 	var lastErr error
 	for attempt := 0; attempt < c.maxRetries; attempt++ {
 		if attempt > 0 && !c.backoff(attempt, deadline) {
 			break
 		}
-		g, err := route()
+		g, err := resolve()
 		if err != nil {
 			return nil, err
 		}

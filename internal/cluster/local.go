@@ -137,7 +137,7 @@ func StartLocal(opts LocalOptions) (_ *Local, err error) {
 		}
 		for _, s := range l.Slots {
 			g, _ := view.Group(s.Group)
-			if r := s.Node.role.Load(); r.primary != (g.Primary == s.Addr) || !slices.Equal(r.group.Replicas(), g.Replicas()) {
+			if r := s.Node.role.load(); r.primary != (g.Primary == s.Addr) || !slices.Equal(r.group.Replicas(), g.Replicas()) {
 				return false
 			}
 		}

@@ -75,7 +75,7 @@ func TestLocalBootInvariant(t *testing.T) {
 			primaries := map[uint64]int{}
 			for i, s := range l.Slots {
 				g, ok := view.Group(s.Group)
-				r := s.Node.role.Load()
+				r := s.Node.role.load()
 				if !ok || !r.member || r.primary != (g.Primary == s.Addr) || !slices.Equal(r.group.Replicas(), g.Replicas()) {
 					t.Errorf("node %d (%s) publishes role %+v, the configuration says %+v", i, s.Addr, *r, g)
 				}
@@ -134,7 +134,7 @@ func TestLocalBootInvariant(t *testing.T) {
 				t.Fatalf("restarted on %s, the slot's address is %s", node.Addr(), addr)
 			}
 			await(t, l, 30*time.Second, "the restarted backup to be a member again", func() bool {
-				return member() && node.role.Load().member
+				return member() && node.role.load().member
 			})
 			v, err := node.Runtime().GetValueField(2, "count")
 			if err != nil || core.BytesI64(v) != want {

@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lambdastore/internal/admission"
@@ -53,8 +51,6 @@ type NodeOptions struct {
 	// Tracing enables span recording. Off, the tracer costs one predicted
 	// branch per stage; metrics are always collected (atomic increments).
 	Tracing bool
-	// TraceBufferSize bounds the span ring (0 = telemetry.DefaultTraceBuffer).
-	TraceBufferSize int
 	// SlowTraceThreshold logs any root span slower than this (0 = no log).
 	SlowTraceThreshold time.Duration
 	// Rejoin enables the anti-entropy recovery manager: whenever this
@@ -78,10 +74,6 @@ type NodeOptions struct {
 	// AdmissionDeadline bounds queue wait before a request is shed
 	// (0 = admission.DefaultDeadline).
 	AdmissionDeadline time.Duration
-	// AdmissionLIFO drains the admission queue newest-first: under a
-	// burst the freshest requests still meet their deadline while the
-	// oldest — whose clients have likely given up — are shed.
-	AdmissionLIFO bool
 	// MoveSessionTimeout bounds inbound live-migration session
 	// inactivity before the target reclaims the partial copy (0 =
 	// default 10s; chaos tests shrink it).
@@ -118,48 +110,24 @@ type Node struct {
 	// sender and receiver side.
 	transfer *recovery.Plane
 
-	// Object fences: while an outbound move quiesces an object, routing
-	// rejects it with not-responsible ahead of the admission queue. The
-	// atomic count keeps the routeCheck fast path to one load when no
-	// fence is up (the overwhelmingly common case). A fence outlives a
-	// successful cutover on purpose — it self-clears only once this
-	// node's directory view maps the object elsewhere, so a stale view
-	// can never let the old home serve post-move requests.
-	fenceCount atomic.Int32
-	fenceMu    sync.Mutex
-	fences     map[uint64]string
-
 	// adm, when non-nil (AdmissionQueue set), is the admit step's gate:
 	// execution slots behind a bounded wait queue with deadline shedding.
 	adm *admission.Plane
 
-	// Read-lease plane. leases is this node's backup-side holder;
-	// leaseTTL is the primary-side grant duration. leaseBarrier holds a
-	// unixnano deadline before which no write ack may be released (a
-	// lease-breaking membership change happened; orphaned leases must
-	// expire first); objBarrier holds the same per object for migrations
-	// into this group.
-	leases       *replication.LeaseHolder
-	leaseTTL     time.Duration
-	leaseBarrier atomic.Int64
-	objBarrierMu sync.Mutex
-	objBarrier   map[uint64]int64
-
-	dir atomic.Pointer[shard.Directory]
-	// role is what the view says about this node within its own group,
-	// derived once per view change by refreshRole and never nil.
-	role   atomic.Pointer[role]
+	// leases is this node's backup-side read-lease holder.
+	leases *replication.LeaseHolder
+	// role is the node's view of itself: its configuration view, role,
+	// write-ack barriers and object fences (role.go).
+	role   *roleMachine
 	stopMu sync.Mutex
 	stop   chan struct{}
 	done   chan struct{} // closed when coordLoop exits; nil without one
 
-	metrics       *telemetry.Registry
-	tracer        *telemetry.Tracer
-	debugSrv      *debug.Server
-	forwards      *telemetry.Counter // cross-object invocations routed off-node
-	migrations    *telemetry.Counter
-	backupServed  *telemetry.Counter
-	primaryBounce *telemetry.Counter
+	metrics    *telemetry.Registry
+	tracer     *telemetry.Tracer
+	debugSrv   *debug.Server
+	forwards   *telemetry.Counter // cross-object invocations routed off-node
+	migrations *telemetry.Counter
 }
 
 // StartNode opens the store and starts serving.
@@ -168,7 +136,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	// request, and the registry's instruments are atomic counters whose
 	// cost is negligible.
 	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(opts.Addr, opts.TraceBufferSize)
+	tracer := telemetry.NewTracer(opts.Addr, telemetry.DefaultTraceBuffer)
 	tracer.SetEnabled(opts.Tracing)
 	tracer.SetSlowThreshold(opts.SlowTraceThreshold)
 
@@ -191,7 +159,6 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		stop:    make(chan struct{}),
 		metrics: reg,
 		tracer:  tracer,
-		fences:  make(map[uint64]string),
 	}
 	// Every later failure tears down whatever exists by then — the store's
 	// directory lock, but also the lease-renewal and session-janitor
@@ -202,47 +169,30 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 			n.Close()
 		}
 	}()
-	n.role.Store(&role{})
 	if opts.AdmissionQueue > 0 {
 		n.adm = admission.New(admission.Options{
 			Workers:    opts.MaxConcurrentInvokes,
 			QueueLimit: opts.AdmissionQueue,
 			Deadline:   opts.AdmissionDeadline,
-			LIFO:       opts.AdmissionLIFO,
 			Metrics:    reg,
 		})
 	}
 	n.forwards = reg.Counter("cluster.forwards")
 	n.migrations = reg.Counter("cluster.migrations")
-	n.backupServed = reg.Counter("reads.backup_served")
-	n.primaryBounce = reg.Counter("reads.primary_bounced")
-	n.leaseTTL = opts.LeaseTTL
-	if n.leaseTTL <= 0 {
-		n.leaseTTL = DefaultLeaseTTL
+	leaseTTL := opts.LeaseTTL
+	if leaseTTL <= 0 {
+		leaseTTL = DefaultLeaseTTL
 	}
 	n.leases = replication.NewLeaseHolder(
-		func() uint64 { return n.dir.Load().Epoch() },
+		func() uint64 { return n.Directory().Epoch() },
 		replication.DefaultLeaseApplyLagMax, nil, reg)
-	n.objBarrier = make(map[uint64]int64)
 	n.srv.SetTelemetry(reg)
 	n.pool.SetTelemetry(reg)
-	if opts.Directory == nil {
-		opts.Directory = shard.NewDirectory(nil)
-	}
-	n.dir.Store(opts.Directory)
-	reg.GaugeFunc("cluster.primary", func() int64 {
-		if n.isPrimary() {
-			return 1
-		}
-		return 0
-	})
-	reg.GaugeFunc("cluster.fenced_objects", func() int64 { return int64(n.fenceCount.Load()) })
-	reg.GaugeFunc("shard.overrides", func() int64 { return int64(n.dir.Load().OverrideCount()) })
 
 	// No failure hook: the coordinator's failure detector learns of a dead
 	// backup from the backup's own missing heartbeats.
 	n.shipper = replication.NewShipper(n.pool, nil)
-	n.shipper.SetLeaseTTL(n.leaseTTL)
+	n.shipper.SetLeaseTTL(leaseTTL)
 
 	rtOpts := opts.Runtime
 	rtOpts.Invoker = &routerInvoker{node: n}
@@ -253,6 +203,31 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		return nil, err
 	}
 
+	n.role = &roleMachine{
+		group:       opts.GroupID,
+		coordinated: len(opts.Coordinators) > 0,
+		ttl:         leaseTTL,
+		leases:      n.leases,
+		shipper:     n.shipper,
+		readOnly:    n.rt.MethodRoutableReadOnly,
+		served:      reg.Counter("reads.backup_served"),
+		bounced:     reg.Counter("reads.primary_bounced"),
+		now:         time.Now,
+		fences:      make(map[uint64]string),
+	}
+	if opts.Directory == nil {
+		opts.Directory = shard.NewDirectory(nil)
+	}
+	n.role.cur.Store(&view{dir: opts.Directory})
+	reg.GaugeFunc("cluster.primary", func() int64 {
+		if n.role.load().primary {
+			return 1
+		}
+		return 0
+	})
+	reg.GaugeFunc("cluster.fenced_objects", func() int64 { return int64(n.role.fenceCount.Load()) })
+	reg.GaugeFunc("shard.overrides", func() int64 { return int64(n.Directory().OverrideCount()) })
+
 	// State-transfer plane: every node can send state (it may be primary
 	// at any point in its life — donating to a rejoining replica, or as the
 	// source of a live move) and receive it (as a move's target; the rejoin
@@ -261,8 +236,8 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		GroupID:      opts.GroupID,
 		DB:           db,
 		Pool:         n.pool,
-		Directory:    n.dir.Load,
-		SetDirectory: n.SetDirectory,
+		Directory:    n.Directory,
+		SetDirectory: func(d *shard.Directory) { n.role.install(d, true) },
 		Apply: func(object uint64, b *store.Batch) error {
 			if err := n.rt.ApplyReplicated(core.ObjectID(object), b); err != nil {
 				return err
@@ -274,8 +249,8 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		LockObject: func(object uint64) (func(), error) {
 			return n.rt.LockObject(core.ObjectID(object))
 		},
-		Fence:              n.fenceObject,
-		Unfence:            n.unfenceObject,
+		Fence:              n.role.fence,
+		Unfence:            n.role.unfence,
 		CutOver:            n.cutOverObject,
 		MaxBytesPerSec:     opts.RecoveryMaxBytesPerSec,
 		MoveSessionTimeout: opts.MoveSessionTimeout,
@@ -294,7 +269,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	// Identify this node's outbound connections to the fault plane so link
 	// partitions can name both endpoints.
 	n.pool.SetFaultLabel(addr)
-	n.refreshRole(nil)
+	n.role.bind(addr)
 
 	if opts.DebugAddr != "" {
 		// Mirror fault-plane firings into this node's registry so injected
@@ -365,8 +340,8 @@ func (n *Node) afterCommit(ctx telemetry.SpanContext, obj core.ObjectID, _ uint6
 	// Deposed between routing and commit: the fan-out this commit shipped
 	// to may already have been emptied, so the write may live here alone.
 	// The client retries at the new primary.
-	if r := n.role.Load(); r.deposed() {
-		return notResponsibleError(r.group.Primary)
+	if v := n.role.load(); v.deposed() {
+		return notResponsibleError(v.group.Primary)
 	}
 	// Relay the commit to any joiner mid-catch-up (strict sessions withhold
 	// the ack on failure, exactly like a real backup) and to the target of
@@ -379,63 +354,8 @@ func (n *Node) afterCommit(ctx telemetry.SpanContext, obj core.ObjectID, _ uint6
 	// primary can no longer invalidate has surely expired: the write is
 	// durable and shipped by now, only its client visibility waits (bounded
 	// by one lease TTL).
-	n.waitLeaseBarrier(uint64(obj))
+	time.Sleep(n.role.load().ackDelay(uint64(obj), n.role.now()))
 	return nil
-}
-
-// admitJoiner is the donor's cutover callback: propose the epoch-fenced
-// configuration change re-adding the joiner, then confirm it took and
-// refresh this node's view so the shipper covers the joiner before the
-// commit fence is released.
-func (n *Node) admitJoiner(joiner string, expectEpoch uint64) error {
-	if n.coord == nil {
-		return fmt.Errorf("cluster: no coordinator to admit %s through", joiner)
-	}
-	return n.proposeFenced(fmt.Sprintf("admission of %s did not take effect (epoch %d)", joiner, expectEpoch),
-		func(d *shard.Directory) error {
-			if d.Epoch() > expectEpoch {
-				// The replica we read has applied past the fence point and
-				// the joiner is not in the group: the epoch fence rejected
-				// the proposal (the configuration changed under the
-				// session). The joiner re-syncs against the new one.
-				return fmt.Errorf("cluster: admission of %s fenced out at epoch %d (expected %d)",
-					joiner, d.Epoch(), expectEpoch)
-			}
-			return n.coord.AddBackup(n.opts.GroupID, joiner, expectEpoch)
-		},
-		func(*shard.Directory) bool { return slices.Contains(n.role.Load().group.Backups, joiner) })
-}
-
-// proposeFenced is the node's one way to change the configuration through
-// the coordinator: fetch the view and adopt it, propose an epoch-fenced
-// change against it, and confirm by read-back — a fenced proposal that lost
-// its race is a silent no-op, so only the directory's own answer (landed)
-// proves the change took. A proposal that did not land is made again against
-// a fresh view every 10ms for 5s; then the error is "cluster: " + what. An
-// error from propose abandons the change for good.
-func (n *Node) proposeFenced(what string, propose func(*shard.Directory) error, landed func(*shard.Directory) bool) error {
-	deadline := time.Now().Add(5 * time.Second)
-	proposed := false
-	for {
-		if d, err := n.coord.GetConfig(); err == nil {
-			n.adoptNewer(d)
-			if landed(d) {
-				return nil
-			}
-			if !proposed {
-				if err := propose(d); err != nil {
-					return err
-				}
-				proposed = true
-				continue // read straight back
-			}
-		}
-		proposed = false
-		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: %s", what)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 // Addr returns the node's RPC address.
@@ -446,150 +366,6 @@ func (n *Node) Runtime() *core.Runtime { return n.rt }
 
 // DB exposes the node's storage engine (tests, tools).
 func (n *Node) DB() *store.DB { return n.db }
-
-// Directory returns the node's current view of the configuration.
-func (n *Node) Directory() *shard.Directory { return n.dir.Load() }
-
-// SetDirectory installs a new configuration view.
-func (n *Node) SetDirectory(d *shard.Directory) {
-	n.refreshRole(n.dir.Swap(d))
-}
-
-// adoptNewer installs a view fetched from the coordinator if it is newer
-// than the node's own.
-func (n *Node) adoptNewer(d *shard.Directory) {
-	if d.Epoch() > n.dir.Load().Epoch() {
-		n.SetDirectory(d)
-	}
-}
-
-// role is what a configuration view says about this node within its own
-// group: the group, and whether the node leads it. Everything that asks
-// "am I primary, and of whom" reads the one published by refreshRole.
-type role struct {
-	group   shard.Group // zero when the view has no such group
-	member  bool        // the view has this node's group
-	primary bool        // ... and names this node its primary
-}
-
-// deposed reports that the view names another node primary of this node's
-// group: a commit that finds it must not be acknowledged.
-func (r *role) deposed() bool { return r.member && !r.primary }
-
-// isPrimary reports whether this node's view names it its group's primary.
-func (n *Node) isPrimary() bool { return n.role.Load().primary }
-
-// refreshRole is the one place the node derives its role from its view —
-// after a view change (old is the view it replaces) and after anything that
-// edits a static directory in place (old nil). In order: the read-lease
-// consequences of the change, the shipper's epoch stamp (so every shipped
-// frame carries the configuration it was committed under; backups fence
-// older epochs), the published role, the replication fan-out. The role is
-// published before a deposed primary's fan-out is emptied, so a commit that
-// shipped to nobody cannot miss that it was deposed.
-func (n *Node) refreshRole(old *shard.Directory) {
-	d := n.dir.Load()
-	now := &role{}
-	now.group, now.member = d.Group(n.opts.GroupID)
-	now.primary = now.member && now.group.Primary == n.addr
-	n.onDirectoryChange(old, d, n.role.Load(), now)
-	n.shipper.SetEpoch(d.Epoch())
-	n.role.Store(now)
-	if now.primary {
-		n.shipper.SetBackups(now.group.Backups)
-	} else {
-		n.shipper.SetBackups(nil)
-	}
-}
-
-// onDirectoryChange applies the read-lease consequences of a new
-// configuration view (was and now are this node's role under each).
-// Backup side: any held lease was granted under the old epoch, so it dies
-// here (Valid would also catch it; revoking eagerly keeps the counters
-// honest). Primary side: if the change could orphan a lease this primary
-// can no longer invalidate — a replica left my group (eviction, failover,
-// this node's own promotion), or an object migrated into my group while
-// the source group's backups may still hold leases covering it — write
-// acks stall until one full TTL has passed, by which time every such lease
-// has expired (backups honor only 3/4 of the TTL, leaving margin for skew
-// and delivery latency).
-func (n *Node) onDirectoryChange(old, nw *shard.Directory, was, now *role) {
-	if old == nil || nw == nil || old == nw || old.Epoch() == nw.Epoch() {
-		return
-	}
-	n.leases.Revoke()
-	if !now.primary {
-		return
-	}
-	until := time.Now().Add(n.leaseTTL).UnixNano()
-	shrink := !was.primary
-	if !shrink {
-		replicas := now.group.Replicas()
-		for _, m := range was.group.Replicas() {
-			if !slices.Contains(replicas, m) {
-				shrink = true
-				break
-			}
-		}
-	}
-	if shrink {
-		for {
-			cur := n.leaseBarrier.Load()
-			if until <= cur || n.leaseBarrier.CompareAndSwap(cur, until) {
-				break
-			}
-		}
-	}
-	// Objects newly mapped into my group (override installed, or an
-	// override back to a default placement here cleared): the previous
-	// home's backups may serve leased reads of them until their view
-	// catches up or their lease expires — stall acks per object.
-	oldOv, newOv := old.Overrides(), nw.Overrides()
-	seen := make(map[uint64]bool, len(oldOv)+len(newOv))
-	for obj := range newOv {
-		seen[obj] = true
-	}
-	for obj := range oldOv {
-		seen[obj] = true
-	}
-	for obj := range seen {
-		ng, nerr := nw.Lookup(obj)
-		if nerr != nil || ng.ID != n.opts.GroupID {
-			continue
-		}
-		ogr, oerr := old.Lookup(obj)
-		if oerr == nil && ogr.ID == n.opts.GroupID {
-			continue // was already ours
-		}
-		n.objBarrierMu.Lock()
-		if n.objBarrier[obj] < until {
-			n.objBarrier[obj] = until
-		}
-		n.objBarrierMu.Unlock()
-	}
-}
-
-// waitLeaseBarrier blocks until every write-ack barrier covering the
-// object has passed (no-op in the overwhelmingly common case).
-func (n *Node) waitLeaseBarrier(object uint64) {
-	now := time.Now().UnixNano()
-	until := n.leaseBarrier.Load()
-	n.objBarrierMu.Lock()
-	if len(n.objBarrier) > 0 {
-		if t, ok := n.objBarrier[object]; ok {
-			if t > until {
-				until = t
-			}
-			if t <= now {
-				delete(n.objBarrier, object)
-			}
-		}
-	}
-	n.objBarrierMu.Unlock()
-	if until > now {
-		time.Sleep(time.Duration(until - now))
-	}
-}
 
 // Forwarded returns how many cross-object invocations left this node.
 func (n *Node) Forwarded() uint64 { return n.forwards.Value() }
@@ -633,30 +409,6 @@ func (n *Node) health() error {
 	}
 }
 
-// coordLoop heartbeats and refreshes configuration.
-func (n *Node) coordLoop() {
-	defer close(n.done)
-	interval := n.opts.HeartbeatInterval
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		// Heartbeat immediately on entry (the failure detector should see
-		// a booting node as soon as it serves), then on every tick.
-		n.coord.Heartbeat(n.addr, n.DebugAddr())
-		if d, err := n.coord.GetConfig(); err == nil {
-			n.adoptNewer(d)
-		}
-		select {
-		case <-n.stop:
-			return
-		case <-ticker.C:
-		}
-	}
-}
-
 // Close shuts the node down. It is also StartNode's teardown, so it copes
 // with a node built only part of the way.
 func (n *Node) Close() error {
@@ -685,137 +437,6 @@ func (n *Node) Close() error {
 	return n.db.Close()
 }
 
-// fenceObject makes routing reject the object with not-responsible
-// plus a hint at its (future) home, ahead of the admission queue.
-func (n *Node) fenceObject(object uint64, hint string) {
-	n.fenceMu.Lock()
-	n.fences[object] = hint
-	n.fenceCount.Store(int32(len(n.fences)))
-	n.fenceMu.Unlock()
-}
-
-// unfenceObject lifts a fence (move abort, or self-clear once the
-// directory view caught up with a committed cutover).
-func (n *Node) unfenceObject(object uint64) {
-	n.fenceMu.Lock()
-	delete(n.fences, object)
-	n.fenceCount.Store(int32(len(n.fences)))
-	n.fenceMu.Unlock()
-}
-
-// fencedHint reports whether the object is fenced; one atomic load when
-// no fence is up.
-func (n *Node) fencedHint(object uint64) (string, bool) {
-	if n.fenceCount.Load() == 0 {
-		return "", false
-	}
-	n.fenceMu.Lock()
-	hint, ok := n.fences[object]
-	n.fenceMu.Unlock()
-	return hint, ok
-}
-
-// cutOverObject is the move's commit point: record the object's new
-// home in the directory. Static mode mutates the (possibly shared)
-// directory in place; coordinator mode proposes through the replicated
-// log with the epoch fence, retrying with a refreshed view when a
-// concurrent configuration change fences the proposal out — the
-// quiesced state at both ends stays valid across retries. Moves back
-// to the object's default hash placement clear the override instead of
-// recording one, which is what keeps the override table from growing
-// with every migration.
-func (n *Node) cutOverObject(object, targetGroup uint64) error {
-	if n.coord == nil {
-		d := n.dir.Load()
-		home, err := d.DefaultGroupID(object)
-		if err != nil {
-			return err
-		}
-		if home == targetGroup {
-			d.ClearOverride(object)
-		} else {
-			d.SetOverride(object, targetGroup)
-		}
-		n.refreshRole(nil)
-		return nil
-	}
-	return n.proposeFenced(fmt.Sprintf("cutover of %d to group %d did not take effect", object, targetGroup),
-		func(d *shard.Directory) error {
-			// Re-validate against the fresh view: the move is only safe
-			// while this node is still the object's primary and the
-			// target group still exists.
-			if !n.isPrimary() {
-				return fmt.Errorf("cluster: cutover of %d abandoned: no longer primary of group %d", object, n.opts.GroupID)
-			}
-			if _, ok := d.Group(targetGroup); !ok {
-				return fmt.Errorf("cluster: cutover of %d abandoned: target group %d is gone", object, targetGroup)
-			}
-			home, err := d.DefaultGroupID(object)
-			if err != nil {
-				return err
-			}
-			// A proposal the coordinator could not take is made again.
-			if home == targetGroup {
-				_ = n.coord.ClearOverride(object, d.Epoch())
-			} else {
-				_ = n.coord.SetOverrideFenced(object, targetGroup, d.Epoch())
-			}
-			return nil
-		},
-		func(d *shard.Directory) bool {
-			g, err := d.Lookup(object)
-			return err == nil && g.ID == targetGroup
-		})
-}
-
-// routeCheck is the route step's one decision per object: may this node
-// execute a request on obj? Primaries execute everything; a backup executes
-// reads — declared by the client, or proven by module analysis for a request
-// that arrived through the write route (method is the invoked method, "" for
-// requests that always write) — and only under a valid lease (paper §4.2.1:
-// "read-only functions can execute at any replica").
-func (n *Node) routeCheck(obj core.ObjectID, readOnly bool, method string) error {
-	g, err := n.dir.Load().Lookup(uint64(obj))
-	if hint, fenced := n.fencedHint(uint64(obj)); fenced {
-		// Quiesced for (or moved by) a live migration. Once this node's
-		// view maps the object to another group the cutover has
-		// committed and propagated — the fence has done its job.
-		if err == nil && g.ID != n.opts.GroupID {
-			n.unfenceObject(uint64(obj))
-			return notResponsibleError(g.Primary)
-		}
-		return notResponsibleError(hint)
-	}
-	if err != nil {
-		if len(n.opts.Coordinators) > 0 {
-			// A coordinator-managed node without a configuration cannot
-			// assume it is anyone's primary: a deposed primary restarting
-			// with an empty view would otherwise acknowledge writes without
-			// replicating them (zombie primary). Reject until the first
-			// config refresh; the client refreshes and re-routes.
-			return notResponsibleError("")
-		}
-		// No configuration, static mode: single-node deployments execute
-		// everything.
-		return nil
-	}
-	if g.Primary == n.addr {
-		return nil
-	}
-	if slices.Contains(g.Backups, n.addr) && (readOnly || n.rt.MethodRoutableReadOnly(obj, method)) {
-		// A backup serves a read only under a valid lease: right epoch,
-		// unexpired, apply lag in bounds. Anything else — the lease died
-		// with a reconfiguration, the primary stopped renewing — bounces
-		// to the primary, which is always safe.
-		if n.leases.Valid() {
-			n.backupServed.Inc()
-			return nil
-		}
-		n.primaryBounce.Inc()
-	}
-	return notResponsibleError(g.Primary)
-}
-
 // invokeOpts is what only an invoke frame tells the route and admit steps;
 // the zero value is what transactions, creates and deletes pass.
 type invokeOpts struct {
@@ -835,7 +456,7 @@ type invokeOpts struct {
 func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, opts invokeOpts, exec func(core.CallCtx) ([]byte, error)) ([]byte, error) {
 	// Route.
 	for _, obj := range objects {
-		if err := n.routeCheck(obj, opts.readOnly, opts.method); err != nil {
+		if err := n.role.route(obj, opts.readOnly, opts.method); err != nil {
 			return nil, err
 		}
 	}
@@ -855,7 +476,7 @@ func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, opts invokeOpts
 	// lock). If the view now maps it elsewhere, answer with the routing
 	// redirect the client follows, not a spurious no-such-object.
 	if errors.Is(err, core.ErrNoSuchObject) {
-		d := n.dir.Load()
+		d := n.Directory()
 		for _, obj := range objects {
 			if g, lerr := d.Lookup(uint64(obj)); lerr == nil && g.ID != n.opts.GroupID {
 				return nil, notResponsibleError(g.Primary)
@@ -867,12 +488,8 @@ func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, opts invokeOpts
 
 // registerHandlers wires the RPC surface.
 func (n *Node) registerHandlers() {
-	replication.RegisterBackupLeased(n.srv, replication.BulkApplierFunc(
-		func(object uint64, b *store.Batch) error {
-			return n.rt.ApplyReplicated(core.ObjectID(object), b)
-		},
-		n.rt.ApplyReplicatedBulk), n.tracer, n.metrics,
-		func() uint64 { return n.dir.Load().Epoch() }, n.leases)
+	replication.RegisterBackupLeased(n.srv, n.rt.ApplyReplicatedBulk, n.tracer, n.metrics,
+		func() uint64 { return n.Directory().Epoch() }, n.leases)
 
 	n.transfer.Register(n.srv)
 
@@ -911,6 +528,7 @@ func (n *Node) registerHandlers() {
 			return nil, err
 		}
 		return n.serve(info, []core.ObjectID{req.object}, invokeOpts{}, func(cc core.CallCtx) ([]byte, error) {
+			cc.Guard = n.role.createGuard
 			return nil, n.rt.CreateObject(req.typeName, req.object, cc)
 		})
 	})
@@ -963,8 +581,7 @@ type routerInvoker struct{ node *Node }
 // nests under it.
 func (r *routerInvoker) InvokeCtx(id core.ObjectID, method string, args [][]byte, cc core.CallCtx) ([]byte, error) {
 	n := r.node
-	d := n.dir.Load()
-	g, err := d.Lookup(uint64(id))
+	g, err := n.Directory().Lookup(uint64(id))
 	if err != nil || g.Primary == n.addr || g.Primary == "" {
 		return n.rt.InvokeCtx(id, method, args, cc)
 	}

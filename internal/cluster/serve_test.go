@@ -3,6 +3,7 @@ package cluster
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,8 +103,8 @@ func TestServeUniform(t *testing.T) {
 		if err := c.CreateObject("QuietCounter", 1); err != nil {
 			t.Fatal(err)
 		}
-		nodes[0].fenceObject(1, "new-home:1")
-		nodes[0].fenceObject(2, "new-home:1")
+		nodes[0].role.fence(1, "new-home:1")
+		nodes[0].role.fence(2, "new-home:1")
 		for _, e := range serveEntries {
 			obj := core.ObjectID(1)
 			if e.name == "create" {
@@ -214,9 +215,9 @@ func TestServeUniform(t *testing.T) {
 
 	// A request that passed routing and then waited in the gate while a
 	// live move took its object away must come back as a redirect to the
-	// new home — the error Client.send follows — not as no-such-object.
-	// (A create has no such outcome to convert: it does not need the object
-	// to exist.)
+	// new home — the error Client.send follows — not as no-such-object, and
+	// a create must not find the header gone and re-create the object at
+	// its old home.
 	t.Run("moved away while queued", func(t *testing.T) {
 		nodes, dir := startStatic(t, NodeOptions{
 			MaxConcurrentInvokes: 1, AdmissionQueue: 1, AdmissionDeadline: time.Minute,
@@ -228,9 +229,6 @@ func TestServeUniform(t *testing.T) {
 		}
 		obj := core.ObjectID(2)
 		for _, e := range serveEntries {
-			if e.name == "create" {
-				continue
-			}
 			obj += 2 // even ids hash to group 0
 			if err := c.CreateObject("QuietCounter", obj); err != nil {
 				t.Fatal(err)
@@ -251,6 +249,9 @@ func TestServeUniform(t *testing.T) {
 			} else {
 				wantRedirect(t, err, newHome.Addr())
 			}
+			if ok, _ := oldHome.Runtime().ObjectExists(obj); ok {
+				t.Fatalf("%s left object %d at its old home after the move", e.name, obj)
+			}
 		}
 	})
 }
@@ -258,8 +259,8 @@ func TestServeUniform(t *testing.T) {
 // TestCommitTailOrder drives Node.afterCommit directly and pins the order
 // of what stands between a durable write-set and its ack: replicate →
 // deposed re-check → relay → lease barrier. The barrier's turn is observed
-// without a clock: waiting on an object's already-expired barrier clears
-// its entry, so an entry still present means the tail stopped before it.
+// through the role machine's clock: the tail reads it to ask ackDelay, and
+// a read outside install (which holds the machine's lock) is that question.
 func TestCommitTailOrder(t *testing.T) {
 	const obj = 1
 	writeSet := func() *store.Batch {
@@ -267,17 +268,19 @@ func TestCommitTailOrder(t *testing.T) {
 		b.Put([]byte("commit-tail-probe"), []byte("v"))
 		return b
 	}
+	asked := map[*Node]*atomic.Bool{}
 	armBarrier := func(n *Node) {
-		n.objBarrierMu.Lock()
-		n.objBarrier[obj] = 1 // long expired
-		n.objBarrierMu.Unlock()
+		a := new(atomic.Bool)
+		asked[n] = a
+		n.role.now = func() time.Time {
+			if n.role.mu.TryLock() {
+				n.role.mu.Unlock()
+				a.Store(true)
+			}
+			return time.Now()
+		}
 	}
-	barrierWaited := func(n *Node) bool {
-		n.objBarrierMu.Lock()
-		defer n.objBarrierMu.Unlock()
-		_, armed := n.objBarrier[obj]
-		return !armed
-	}
+	barrierWaited := func(n *Node) bool { return asked[n].Load() }
 	// strictSession opens a strict whole-replica catch-up session from a
 	// joiner nobody listens at: every relay to it fails.
 	strictSession := func(t *testing.T, primary *Node) {

@@ -261,6 +261,11 @@ func (rt *Runtime) CreateObject(typeName string, id ObjectID, cc CallCtx) error 
 		return err
 	}
 	defer release()
+	if cc.Guard != nil {
+		if err := cc.Guard(id); err != nil {
+			return err
+		}
+	}
 	if _, err := rt.db.Get(headerKey(id)); err == nil {
 		return fmt.Errorf("%w: %s", ErrExists, id)
 	} else if !errors.Is(err, store.ErrNotFound) {
@@ -370,6 +375,9 @@ func (rt *Runtime) LockObject(id ObjectID) (release func(), err error) {
 type CallCtx struct {
 	Depth int
 	Trace telemetry.SpanContext
+	// Guard, if set, runs under the object's write admission before
+	// CreateObject looks for the header; its error refuses the create.
+	Guard func(ObjectID) error
 }
 
 // Invoke runs a method on an object with invocation linearizability. It is
@@ -562,10 +570,10 @@ func (rt *Runtime) ApplyReplicated(id ObjectID, b *store.Batch) error {
 // copied a batch into its memtable by the time Write returns.
 var mergedPool = sync.Pool{New: func() any { return store.NewBatch() }}
 
-// ApplyReplicatedBulk applies several replicated write-sets — the members
-// of one coalesced replication frame, all for distinct objects — in a
-// single storage commit: one WAL append, and with SyncWrites one fsync,
-// for the whole frame. Per-object invalidation matches ApplyReplicated.
+// ApplyReplicatedBulk applies the members of one replication frame — the
+// write-sets of distinct objects — in a single storage commit: one WAL
+// append, and with SyncWrites one fsync, for the whole frame. Per-object
+// invalidation matches ApplyReplicated.
 func (rt *Runtime) ApplyReplicatedBulk(objects []uint64, batches []*store.Batch) error {
 	merged := mergedPool.Get().(*store.Batch)
 	for _, b := range batches {

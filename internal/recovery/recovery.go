@@ -50,9 +50,10 @@ type Options struct {
 	// replica session is pinned to, whether this node is its group's
 	// primary, and whether the group owns an object all derive from it.
 	Directory func() *shard.Directory
-	// SetDirectory installs a newer view: the source's post-cutover
-	// directory rides move.end so the target serves at once instead of
-	// waiting for a heartbeat.
+	// SetDirectory installs a view if it is newer than the node's own,
+	// checked and swapped atomically: the source's post-cutover directory
+	// rides move.end so the target serves at once instead of waiting for a
+	// heartbeat.
 	SetDirectory func(*shard.Directory)
 	// Apply commits a batch through the node's replicated-apply path: local
 	// write, cache invalidation, ship to this group's backups. A joiner is
@@ -365,9 +366,10 @@ func (p *Plane) Register(srv *rpc.Server) {
 		if err != nil {
 			return nil, err
 		}
-		// Install the view first: it is what makes this group the owner.
+		// Install the view first, unless the node's own already makes this
+		// group the owner (SetDirectory keeps whichever view is newer).
 		if len(req.dir) > 0 {
-			if d, err := shard.Load(req.dir); err == nil && d.Epoch() > p.opts.Directory().Epoch() {
+			if d, err := shard.Load(req.dir); err == nil && !p.owns(req.object) {
 				p.opts.SetDirectory(d)
 			}
 		}

@@ -36,6 +36,15 @@ func startFencedBackup(t *testing.T, epoch uint64) (*store.DB, string, *telemetr
 	return db, addr, reg
 }
 
+// writeFrame commits a frame's write-sets as one merged batch.
+func writeFrame(db *store.DB, batches []*store.Batch) error {
+	merged := store.NewBatch()
+	for _, b := range batches {
+		merged.Append(b)
+	}
+	return db.Write(merged)
+}
+
 func shipOne(s *Shipper, object uint64, key, val string) error {
 	b := store.NewBatch()
 	b.Put([]byte(key), []byte(val))
@@ -101,23 +110,13 @@ func TestShipCoalescingMergesFrames(t *testing.T) {
 	var frames, members atomic.Int64
 	gate := make(chan struct{})
 	srv := rpc.NewServer()
-	RegisterBackup(srv, db, BulkApplierFunc(
-		func(object uint64, b *store.Batch) error {
-			if frames.Add(1) == 1 {
-				<-gate // hold the lane busy so later ships pile up
-			}
-			members.Add(1)
-			return db.Write(b)
-		},
-		func(objects []uint64, batches []*store.Batch) error {
-			frames.Add(1)
-			members.Add(int64(len(batches)))
-			merged := store.NewBatch()
-			for _, b := range batches {
-				merged.Append(b)
-			}
-			return db.Write(merged)
-		}))
+	RegisterBackup(srv, db, func(objects []uint64, batches []*store.Batch) error {
+		if frames.Add(1) == 1 {
+			<-gate // hold the lane busy so later ships pile up
+		}
+		members.Add(int64(len(batches)))
+		return writeFrame(db, batches)
+	})
 	addr, err := srv.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +167,10 @@ func TestShipCoalescingMergesFrames(t *testing.T) {
 	}
 }
 
-// TestBulkApplierReceivesWholeFrame checks the wiring that lets a backup
+// TestApplierReceivesWholeFrame checks the wiring that lets a backup
 // collapse a multi-member frame into one storage commit: a coalesced frame
-// with several members must arrive through ApplyReplicatedBulk.
-func TestBulkApplierReceivesWholeFrame(t *testing.T) {
+// with several members must arrive in one Applier call.
+func TestApplierReceivesWholeFrame(t *testing.T) {
 	db, err := store.Open(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -182,22 +181,15 @@ func TestBulkApplierReceivesWholeFrame(t *testing.T) {
 	gate := make(chan struct{})
 	var first atomic.Bool
 	srv := rpc.NewServer()
-	RegisterBackup(srv, db, BulkApplierFunc(
-		func(object uint64, b *store.Batch) error {
-			if first.CompareAndSwap(false, true) {
-				<-gate
-			}
-			return db.Write(b)
-		},
-		func(objects []uint64, batches []*store.Batch) error {
+	RegisterBackup(srv, db, func(objects []uint64, batches []*store.Batch) error {
+		if first.CompareAndSwap(false, true) {
+			<-gate
+		} else if len(batches) > 1 {
 			bulkCalls.Add(1)
 			bulkMembers.Add(int64(len(batches)))
-			merged := store.NewBatch()
-			for _, b := range batches {
-				merged.Append(b)
-			}
-			return db.Write(merged)
-		}))
+		}
+		return writeFrame(db, batches)
+	})
 	addr, err := srv.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -255,16 +247,15 @@ func TestLaneFrameErrorFailsExactlyItsMembers(t *testing.T) {
 	gate := make(chan struct{})
 	var first atomic.Bool
 	srv := rpc.NewServer()
-	RegisterBackup(srv, db, BulkApplierFunc(
-		func(object uint64, b *store.Batch) error {
-			if first.CompareAndSwap(false, true) {
-				<-gate // hold the lane busy so the doomed ships share a frame
-			}
-			return db.Write(b)
-		},
-		func(objects []uint64, batches []*store.Batch) error {
+	RegisterBackup(srv, db, func(objects []uint64, batches []*store.Batch) error {
+		if first.CompareAndSwap(false, true) {
+			<-gate // hold the lane busy so the doomed ships share a frame
+		}
+		if len(batches) > 1 {
 			return fmt.Errorf("backup rejects frame of %d", len(batches))
-		}))
+		}
+		return writeFrame(db, batches)
+	})
 	addr, err := srv.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

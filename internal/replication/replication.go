@@ -61,7 +61,7 @@ type applyBatchMsg struct {
 	leaseEnq     uint64
 	leaseGrantNs uint64
 
-	// objects and batches are msgs as a BulkApplier takes them.
+	// objects and batches are msgs as an Applier takes them.
 	objects []uint64
 	batches []*store.Batch
 }
@@ -520,45 +520,24 @@ func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Bat
 	return firstErr
 }
 
-// Applier is the backup-side sink for shipped write-sets (implemented by
-// core.Runtime). b aliases the request frame and is recycled with it: an
-// applier writes it to its store before returning and keeps nothing of it.
-type Applier interface {
-	ApplyReplicated(object uint64, b *store.Batch) error
-}
+// Applier is the backup-side sink for one shipped frame: its members'
+// objects and write-sets, in frame order (core.Runtime.ApplyReplicatedBulk
+// commits them as one storage write — one WAL append, one fsync). The
+// slices and the batches alias the request frame and are recycled with it:
+// an applier writes them to its store before returning and keeps nothing.
+type Applier func(objects []uint64, batches []*store.Batch) error
 
-// applierFunc adapts a function to Applier.
-type applierFunc func(object uint64, b *store.Batch) error
-
-func (f applierFunc) ApplyReplicated(object uint64, b *store.Batch) error { return f(object, b) }
-
-// ApplierFunc wraps fn as an Applier.
-func ApplierFunc(fn func(object uint64, b *store.Batch) error) Applier { return applierFunc(fn) }
-
-// BulkApplier is an optional Applier extension: a backup that implements it
-// applies all member write-sets of a coalesced frame in one storage commit
-// — one WAL append and one fsync for the whole frame — instead of one
-// commit per member. The slices and batches are the handler's, as an
-// Applier's b is.
-type BulkApplier interface {
-	ApplyReplicatedBulk(objects []uint64, batches []*store.Batch) error
-}
-
-// bulkApplierFunc adapts a (single, bulk) function pair to both interfaces.
-type bulkApplierFunc struct {
-	applierFunc
-	bulk func(objects []uint64, batches []*store.Batch) error
-}
-
-func (f *bulkApplierFunc) ApplyReplicatedBulk(objects []uint64, batches []*store.Batch) error {
-	return f.bulk(objects, batches)
-}
-
-// BulkApplierFunc wraps a single-write-set apply and a bulk apply as an
-// Applier that also satisfies BulkApplier.
-func BulkApplierFunc(single func(object uint64, b *store.Batch) error,
-	bulk func(objects []uint64, batches []*store.Batch) error) Applier {
-	return &bulkApplierFunc{applierFunc: single, bulk: bulk}
+// ApplierFunc makes an Applier of a per-write-set apply: it applies a
+// frame's members in order and stops at the first error.
+func ApplierFunc(fn func(object uint64, b *store.Batch) error) Applier {
+	return func(objects []uint64, batches []*store.Batch) error {
+		for i, b := range batches {
+			if err := fn(objects[i], b); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // RegisterBackup registers the backup-side apply handler with no
@@ -603,35 +582,13 @@ func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tr
 		}
 		// The frame's members are write-sets of distinct objects
 		// (same-object write-sets are serialized by the primary's object
-		// scheduler, so one frame never carries two); order within the
-		// frame is therefore free. A BulkApplier collapses them into one
-		// storage commit — one WAL append, one fsync. Otherwise apply
-		// concurrently so the store's WAL group commit can still merge
-		// the fsyncs; sequential apply would pay one fsync per member and
-		// make frame latency grow linearly with batch size.
-		switch bulk, ok := applier.(BulkApplier); {
-		case len(msg.msgs) == 1:
-			err = applier.ApplyReplicated(msg.msgs[0].object, &msg.msgs[0].batch)
-		case ok:
-			for i := range msg.msgs {
-				msg.objects = append(msg.objects, msg.msgs[i].object)
-				msg.batches = append(msg.batches, &msg.msgs[i].batch)
-			}
-			err = bulk.ApplyReplicatedBulk(msg.objects, msg.batches)
-		default:
-			errs := make(chan error, len(msg.msgs))
-			for i := range msg.msgs {
-				go func(m *applyMsg) {
-					errs <- applier.ApplyReplicated(m.object, &m.batch)
-				}(&msg.msgs[i])
-			}
-			for range msg.msgs {
-				if e := <-errs; e != nil && err == nil {
-					err = e
-				}
-			}
+		// scheduler, so one frame never carries two); the applier gets the
+		// whole frame.
+		for i := range msg.msgs {
+			msg.objects = append(msg.objects, msg.msgs[i].object)
+			msg.batches = append(msg.batches, &msg.msgs[i].batch)
 		}
-		if err != nil {
+		if err = applier(msg.objects, msg.batches); err != nil {
 			// The whole frame fails: the ack is withheld for every member,
 			// so no primary releases a client reply for a write-set this
 			// backup does not hold.

@@ -231,8 +231,12 @@ func TestOneRequestPath(t *testing.T) {
 		dir, callee string // callee is the trailing selector path, e.g. "db.Write"
 		callers     []string
 	}{
-		{"internal/cluster", "routeCheck", []string{"serve"}},
+		{"internal/cluster", "route", []string{"serve", "createGuard"}},
 		{"internal/cluster", "Admit", []string{"serve"}},
+		// The role machine's one writer applies every view.
+		{"internal/cluster", "SetEpoch", []string{"install"}},
+		{"internal/cluster", "SetBackups", []string{"install"}},
+		{"internal/cluster", "leases.Revoke", []string{"install"}},
 		{"internal/core", "notifyCommit", []string{"commit"}},
 		{"internal/core", "db.Write", []string{"commit", "ApplyReplicated", "ApplyReplicatedBulk"}},
 	} {
