@@ -5,7 +5,7 @@
 #   make race    race-detector pass over the concurrency-heavy packages
 #   make chaos   seeded failover chaos suite under the race detector
 #   make fuzz-smoke  5 s of native fuzzing per Fuzz* target in the module (FUZZTIME=10s for longer)
-#   make bench   telemetry hot-path benchmarks (must report 0 allocs/op), then the store's insert, commit and table point-read (0 allocs/op) costs
+#   make bench   telemetry hot-path benchmarks (must report 0 allocs/op), the store's insert, commit and table point-read (0 allocs/op) costs, one rpc round trip (<= 2 allocs/op) and one lock-table admission (0 allocs/op)
 #   make bench-paper  the paper's Figures 1-2, Table 1 and a delay sweep at quick scale (paper scale: go run ./cmd/retwis-bench)
 #   make bench-smoke  vet + smoke-test the benchmark module (it is not part of ./...)
 #   make vet     gofmt + go vet hygiene
@@ -32,11 +32,12 @@ test:
 # rpc (every frame on a connection leaves through the connWriter's
 # single flusher), the baseline (its compute node drives core's warm
 # pool and parallel fan-out from RPC handler goroutines), recovery
-# (its protocol tests race live forwards against range rebuilds), and
+# (its protocol tests race live forwards against range rebuilds),
 # retwis (its allocation guards must stand down under -race, where
-# sync.Pool drops puts).
+# sync.Pool drops puts), and sched (every invocation is admitted through
+# its lock table, which recycles idle entries).
 race:
-	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/ ./internal/retwis/
+	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/ ./internal/retwis/ ./internal/sched/
 
 # Deterministic failover chaos: every seed replays the same kill/partition/
 # fsync-failure schedule (see EXPERIMENTS.md "Chaos runs"). The smoke
@@ -60,6 +61,8 @@ fuzz-smoke:
 bench:
 	$(GO) test -run Telemetry -bench . -benchmem ./internal/telemetry/
 	$(GO) test -run '^$$' -bench 'MemtableAdd|DBWriteSync8|TableGet' -benchmem ./internal/store/
+	$(GO) test -run '^$$' -bench '^BenchmarkCall$$' -benchmem ./internal/rpc/
+	$(GO) test -run '^$$' -bench '^BenchmarkAcquire$$' -benchmem ./internal/sched/
 
 # The paper's comparison (Figures 1-2, Table 1) at quick scale, with the
 # A5 delay sweep: aggregated vs disaggregated on loopback, one deployment

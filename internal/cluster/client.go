@@ -262,7 +262,8 @@ func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, rea
 
 func (c *Client) invoke(ctx telemetry.SpanContext, id core.ObjectID, method string, args [][]byte, readOnly bool) ([]byte, error) {
 	body := encodeInvokeReq(&invokeReq{object: id, method: method, args: args, readOnly: readOnly})
-	return c.send(ctx, MethodInvoke, body, readOnly, func() (shard.Group, error) { return c.lookup(id) })
+	defer putInvokeBuf(body)
+	return c.send(ctx, MethodInvoke, *body, readOnly, func() (shard.Group, error) { return c.lookup(id) })
 }
 
 // InvokeTransaction executes a serializable multi-call transaction

@@ -207,7 +207,7 @@ func TestBackupRejectsMutation(t *testing.T) {
 	pool := rpc.NewPool(nil)
 	defer pool.Close()
 	body := encodeInvokeReq(&invokeReq{object: 1, method: "add", args: [][]byte{core.I64Bytes(1)}})
-	_, err := pool.Call(nodes[1].Addr(), MethodInvoke, body)
+	_, err := pool.Call(nodes[1].Addr(), MethodInvoke, *body)
 	if err == nil {
 		t.Fatal("backup executed a mutating invocation")
 	}
@@ -356,8 +356,8 @@ func TestRegisterTypeReachesAllReplicas(t *testing.T) {
 
 func TestWireRoundTrips(t *testing.T) {
 	ir := &invokeReq{object: 7, method: "m", args: [][]byte{[]byte("a"), nil, []byte("ccc")}, readOnly: true}
-	dec, err := decodeInvokeReq(encodeInvokeReq(ir))
-	if err != nil {
+	dec := new(invokeReq)
+	if err := dec.decode(*encodeInvokeReq(ir)); err != nil {
 		t.Fatal(err)
 	}
 	if dec.object != 7 || dec.method != "m" || !dec.readOnly || len(dec.args) != 3 || string(dec.args[2]) != "ccc" {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"lambdastore/internal/core"
@@ -8,10 +9,26 @@ import (
 )
 
 // FuzzClusterWire covers every frame of the node's client-facing surface.
+// The invoke request runs the handler's in-place decoder, from a method name
+// too long to intern and more args than invokeReq.argv holds to a count the
+// frame cannot carry.
 func FuzzClusterWire(f *testing.F) {
 	args := [][]byte{[]byte("alice"), nil, {0, 1, 2}}
+	encInvoke := func(q *invokeReq) []byte { return *encodeInvokeReq(q) }
+	decInvoke := func(b []byte) (*invokeReq, error) {
+		q := new(invokeReq)
+		return q, q.decode(b)
+	}
+	manyArgs := make([][]byte, 2*len(invokeReq{}.argv)+1)
+	for i := range manyArgs {
+		manyArgs[i] = []byte{byte(i)}
+	}
+	// object 1, method "m", not read-only, 300 args, and no bytes for them.
+	f.Add(uint8(0), []byte{1, 1, 'm', 0, 0xac, 0x02})
 	wiretest.Fuzz(f,
-		wiretest.Of("invokeReq", &invokeReq{object: 1 << 33, method: "get_timeline", args: args, readOnly: true}, encodeInvokeReq, decodeInvokeReq),
+		wiretest.Of("invokeReq", &invokeReq{object: 1 << 33, method: "get_timeline", args: args, readOnly: true}, encInvoke, decInvoke),
+		wiretest.Of("invokeReq, long method", &invokeReq{object: 2, method: strings.Repeat("m", maxInternedLen+1), args: args}, encInvoke, decInvoke),
+		wiretest.Of("invokeReq, many args", &invokeReq{object: 3, method: "store_post", args: manyArgs}, encInvoke, decInvoke),
 		wiretest.Of("createReq", &createReq{object: 7, typeName: "User"}, encodeCreateReq, decodeCreateReq),
 		wiretest.Of("migrateReq", &migrateReq{object: 7, destPrimary: "127.0.0.1:7413", destGroup: 3}, encodeMigrateReq, decodeMigrateReq),
 		wiretest.Of("txReq", &txReq{calls: []core.TxCall{{Object: 1, Method: "debit", Args: args}, {Object: 2, Method: "credit"}}}, encodeTxReq, decodeTxReq),

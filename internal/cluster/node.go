@@ -494,12 +494,12 @@ func (n *Node) registerHandlers() {
 	n.transfer.Register(n.srv)
 
 	n.srv.HandleCtx(MethodInvoke, func(info rpc.CallInfo, body []byte) ([]byte, error) {
-		req, err := decodeInvokeReq(body)
-		if err != nil {
+		req := invokeReqs.Get().(*invokeReq)
+		defer req.recycle()
+		if err := req.decode(body); err != nil {
 			return nil, err
 		}
-		opts := invokeOpts{readOnly: req.readOnly, method: req.method}
-		return n.serve(info, []core.ObjectID{req.object}, opts, func(cc core.CallCtx) ([]byte, error) {
+		return n.serve(info, []core.ObjectID{req.object}, invokeOpts{readOnly: req.readOnly, method: req.method}, func(cc core.CallCtx) ([]byte, error) {
 			return n.rt.InvokeCtx(req.object, req.method, req.args, cc)
 		})
 	})
@@ -592,7 +592,8 @@ func (r *routerInvoker) InvokeCtx(id core.ObjectID, method string, args [][]byte
 		wireCtx = cc.Trace
 	}
 	body := encodeInvokeReq(&invokeReq{object: id, method: method, args: args})
-	resp, err := n.pool.CallCtx(g.Primary, wireCtx, MethodInvoke, body)
+	resp, err := n.pool.CallCtx(g.Primary, wireCtx, MethodInvoke, *body)
+	putInvokeBuf(body)
 	sp.FinishErr(err)
 	return resp, err
 }

@@ -115,7 +115,7 @@ func (rc *rejoinCluster) waitMember(i int) {
 // handler, the way a stale client or replica-read would.
 func directInvoke(pool *rpc.Pool, addr string, obj core.ObjectID, method string, args [][]byte, readOnly bool) ([]byte, error) {
 	body := encodeInvokeReq(&invokeReq{object: obj, method: method, args: args, readOnly: readOnly})
-	return pool.Call(addr, MethodInvoke, body)
+	return pool.Call(addr, MethodInvoke, *body)
 }
 
 func mustAdd(t *testing.T, c *Client, obj core.ObjectID, delta int64) {

@@ -9,6 +9,7 @@ package cluster
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"lambdastore/internal/core"
 	"lambdastore/internal/wire"
@@ -53,20 +54,93 @@ type invokeReq struct {
 	method   string
 	args     [][]byte
 	readOnly bool // client-requested replica-read
+
+	// argv backs a decoded args vector that fits it.
+	argv [4][]byte
 }
 
-func encodeInvokeReq(r *invokeReq) []byte {
-	var b []byte
-	b = wire.AppendUvarint(b, uint64(r.object))
+// invokeBufs recycles encoded invoke requests: the rpc layer has copied a
+// request into its connection buffer by the time the call returns.
+var invokeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledInvoke bounds the encoded requests that go back to invokeBufs.
+const maxPooledInvoke = 64 << 10
+
+// encodeInvokeReq encodes r into a pooled buffer; putInvokeBuf returns it
+// once the call has returned.
+func encodeInvokeReq(r *invokeReq) *[]byte {
+	p := invokeBufs.Get().(*[]byte)
+	b := wire.AppendUvarint((*p)[:0], uint64(r.object))
 	b = wire.AppendString(b, r.method)
 	b = wire.AppendFlag(b, r.readOnly)
-	return wire.AppendBytesSlice(b, r.args)
+	*p = wire.AppendBytesSlice(b, r.args)
+	return p
 }
 
-func decodeInvokeReq(body []byte) (*invokeReq, error) {
+func putInvokeBuf(p *[]byte) {
+	if cap(*p) <= maxPooledInvoke {
+		invokeBufs.Put(p)
+	}
+}
+
+// invokeReqs recycles the invoke handler's decoded requests. They are pooled
+// rather than on the handler's stack because core's invocation context holds
+// the args for the call, which would move a stack request to the heap.
+var invokeReqs = sync.Pool{New: func() any { return new(invokeReq) }}
+
+// decode fills q from body in place. The args are views into body, in argv
+// when they fit, so they are valid only while body is: the rpc server
+// releases a request's frame after the handler has returned and its
+// response is written, and core keeps nothing of an invocation's args past
+// InvokeCtx (DESIGN §5b). The method is interned.
+func (q *invokeReq) decode(body []byte) error {
 	r := wire.NewReader(body)
-	q := &invokeReq{object: core.ObjectID(r.Uvarint()), method: r.Str(), readOnly: r.Flag(), args: r.BytesSliceCopy()}
-	return q, r.ErrIn("cluster: invoke request")
+	q.object = core.ObjectID(r.Uvarint())
+	q.method = internMethod(r.Bytes())
+	q.readOnly = r.Flag()
+	if n := r.Count(1); n <= len(q.argv) {
+		q.args = q.argv[:n]
+	} else {
+		q.args = make([][]byte, n)
+	}
+	for i := range q.args {
+		q.args[i] = r.Bytes()
+	}
+	return r.ErrIn("cluster: invoke request")
+}
+
+// recycle drops q's views of its frame and returns it to invokeReqs.
+func (q *invokeReq) recycle() {
+	*q = invokeReq{}
+	invokeReqs.Put(q)
+}
+
+// methodNames interns invoked method names, so that decoding one does not
+// allocate. It is bounded in entries and in name length: past either, a name
+// is allocated per request, so a peer cannot grow the table.
+var methodNames = struct {
+	sync.RWMutex
+	m map[string]string
+}{m: make(map[string]string)}
+
+const (
+	maxInternedNames = 1024
+	maxInternedLen   = 64
+)
+
+func internMethod(b []byte) string {
+	methodNames.RLock()
+	s, ok := methodNames.m[string(b)]
+	methodNames.RUnlock()
+	if !ok {
+		s = string(b)
+		methodNames.Lock()
+		if len(s) <= maxInternedLen && len(methodNames.m) < maxInternedNames {
+			methodNames.m[s] = s
+		}
+		methodNames.Unlock()
+	}
+	return s
 }
 
 // createReq is the wire form of object creation.

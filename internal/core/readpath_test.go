@@ -82,12 +82,13 @@ func TestReadFastPathAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured 4: the snapshot, the scheduler admission (2) and the result
-	// copied out of guest memory. The invocation context, its txn and its
-	// key/value scratch are pooled, and the point read copies into that
-	// scratch. A regression to per-call scratch, to the write path's
-	// eager maps or to per-invocation instantiation shows up well above.
-	const bound = 4 + 2
+	// Measured 2: the snapshot and the result copied out of guest memory.
+	// The invocation context, its txn and its key/value scratch are pooled,
+	// the scheduler recycles its lock entries, and the point read copies
+	// into that scratch. A regression to per-call scratch, to the write
+	// path's eager maps or to per-invocation instantiation shows up well
+	// above.
+	const bound = 2 + 2
 	if allocs > bound {
 		t.Fatalf("read-only invoke allocs/op = %.1f, want <= %d", allocs, bound)
 	}

@@ -107,7 +107,10 @@ type Node struct {
 	applyF func(slot uint64, value []byte)
 	stable Stable // optional durable acceptor storage
 
-	mu sync.Mutex
+	// applyMu serializes HandleLearn from computing the ready run to
+	// applying it, so two learns racing past mu still apply in slot order.
+	applyMu sync.Mutex
+	mu      sync.Mutex
 	// Acceptor state.
 	promised map[uint64]Ballot // slot -> highest promise
 	accepted map[uint64]acceptedEntry
@@ -204,6 +207,8 @@ func (n *Node) HandleAccept(req *AcceptReq) *AcceptResp {
 
 // HandleLearn records a chosen value and applies ready slots in order.
 func (n *Node) HandleLearn(req *LearnReq) {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
 	n.mu.Lock()
 	if _, ok := n.chosen[req.Slot]; !ok {
 		n.chosen[req.Slot] = append([]byte(nil), req.Value...)

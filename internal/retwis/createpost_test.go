@@ -10,9 +10,9 @@ import (
 // TestCreatePostAllocBound guards the commit path end to end on one
 // runtime: a create_post to 8 followers is 9 commits (the author's, then
 // one store_post per follower) of 3 keys each, and its allocations are
-// bounded per commit — the guest boundary, admission, the nested call —
-// with nothing per key: the write buffer, the batch, the WAL group and the
-// memtable insert allocate nothing once warm.
+// bounded per commit — the guest boundary and the nested call — with
+// nothing per key: admission, the write buffer, the batch, the WAL group and
+// the memtable insert allocate nothing once warm. Measured 11.2 per commit.
 func TestCreatePostAllocBound(t *testing.T) {
 	rt := newRuntime(t)
 	const followers = 8
@@ -32,7 +32,7 @@ func TestCreatePostAllocBound(t *testing.T) {
 		post()
 	}
 	const commits = 1 + followers
-	const perCommit = 16
+	const perCommit = 12
 	allocs := testing.AllocsPerRun(200, post)
 	if allocs > perCommit*commits && !raceEnabled {
 		t.Fatalf("create_post to %d followers allocates %.1f objects, want <= %d per commit", followers, allocs, perCommit)

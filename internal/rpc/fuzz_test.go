@@ -7,11 +7,17 @@ import (
 )
 
 // FuzzRPCFrame covers the message envelope every request and response
-// crosses the wire in.
+// crosses the wire in, through the in-place decoder the reader runs.
 func FuzzRPCFrame(f *testing.F) {
 	enc := func(m *message) []byte { return m.encode(nil) }
+	dec := func(b []byte) (*message, error) {
+		m := new(message)
+		name, err := m.decode(b)
+		m.method = string(name)
+		return m, err
+	}
 	wiretest.Fuzz(f,
-		wiretest.Of("request", &message{kind: msgRequest, id: 9, trace: 1 << 40, parent: 77, method: "obj.invoke", body: []byte("args")}, enc, decodeMessage),
-		wiretest.Of("response", &message{kind: msgResponse, id: 9, errStr: "overloaded: queue full"}, enc, decodeMessage),
+		wiretest.Of("request", &message{kind: msgRequest, id: 9, trace: 1 << 40, parent: 77, method: "obj.invoke", body: []byte("args")}, enc, dec),
+		wiretest.Of("response", &message{kind: msgResponse, id: 9, errStr: "overloaded: queue full"}, enc, dec),
 	)
 }

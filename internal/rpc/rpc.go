@@ -54,47 +54,9 @@ type message struct {
 	id     uint64
 	trace  uint64 // requests only: trace the call belongs to
 	parent uint64 // requests only: caller's span, parent of callee spans
-	method string // requests only
+	method string // requests only, outbound (decode returns an inbound name)
 	errStr string // responses only
 	body   []byte
-	// raw, when set, is the pooled frame buffer that body aliases; release
-	// returns it for reuse. Servers release after the handler and response
-	// write; clients never release (body ownership passes to the caller).
-	raw *[]byte
-}
-
-// release recycles the message's pooled frame buffer. The body must not be
-// used after release.
-func (m *message) release() {
-	if m.raw != nil {
-		putFrameBuf(m.raw)
-		m.raw = nil
-		m.body = nil
-	}
-}
-
-// framePool recycles inbound frame buffers. Entries are *[]byte so Put does
-// not allocate an interface header per recycle.
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// maxPooledFrame bounds what readFrame returns to the pool, so one huge
-// state-transfer frame does not pin megabytes in every pool shard.
-const maxPooledFrame = 1 << 20
-
-func getFrameBuf(n int) *[]byte {
-	p := framePool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putFrameBuf(p *[]byte) {
-	if cap(*p) > maxPooledFrame {
-		return
-	}
-	framePool.Put(p)
 }
 
 func (m *message) encode(dst []byte) []byte {
@@ -108,41 +70,84 @@ func (m *message) encode(dst []byte) []byte {
 	return dst
 }
 
-func decodeMessage(b []byte) (*message, error) {
+// decode fills m from b in place and returns a request's method name. The
+// name and the body alias b; only an error string (a response's failure
+// path) is copied out.
+func (m *message) decode(b []byte) (name []byte, err error) {
 	r := wire.NewReader(b)
-	// The body aliases b; when b is a pooled frame buffer the caller sets
-	// m.raw and controls the buffer's lifetime (no copy on the hot path).
-	m := &message{kind: r.Byte(), id: r.Uvarint(), trace: r.Uvarint(), parent: r.Uvarint(),
-		method: r.Str(), errStr: r.Str(), body: r.Bytes()}
-	if err := r.ErrIn("rpc: message"); err != nil {
-		return nil, err
-	}
-	return m, nil
+	m.kind, m.id, m.trace, m.parent = r.Byte(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	name = r.Bytes()
+	m.errStr, m.body = r.Str(), r.Bytes()
+	return name, r.ErrIn("rpc: message")
 }
 
-// readFrame receives one message. The message body aliases a pooled buffer:
-// the caller owns it until message.release (or forever, if never released).
-func readFrame(r io.Reader) (*message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// inFrame is one received frame, decoded in place into the buffer it keeps
+// from frame to frame: the body and a request's method name alias buf until
+// the next read. hdr, the length prefix's scratch, is a field so that it is
+// allocated once with the frame rather than per read.
+type inFrame struct {
+	msg  message
+	name []byte
+	buf  []byte
+	hdr  [4]byte
+}
+
+// inFrames recycles a server's request frames, buffers included.
+var inFrames = sync.Pool{New: func() any { return new(inFrame) }}
+
+// maxPooledFrame bounds the buffer a frame keeps, so one huge
+// state-transfer frame does not pin megabytes in every pool shard or
+// client connection.
+const maxPooledFrame = 1 << 20
+
+// read receives one frame and decodes it in place.
+func (f *inFrame) read(r io.Reader) error {
+	if _, err := io.ReadFull(r, f.hdr[:]); err != nil {
+		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(f.hdr[:])
 	if n > maxFrame {
-		return nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
-	p := getFrameBuf(int(n))
-	if _, err := io.ReadFull(r, *p); err != nil {
-		putFrameBuf(p)
-		return nil, err
+	if cap(f.buf) < int(n) {
+		f.buf = make([]byte, n)
 	}
-	m, err := decodeMessage(*p)
-	if err != nil {
-		putFrameBuf(p)
-		return nil, err
+	f.buf = f.buf[:n]
+	if _, err := io.ReadFull(r, f.buf); err != nil {
+		return err
 	}
-	m.raw = p
-	return m, nil
+	var err error
+	f.name, err = f.msg.decode(f.buf)
+	return err
+}
+
+// recycle returns a server's request frame to inFrames; nothing may use its
+// body or name afterwards.
+func (f *inFrame) recycle() {
+	if cap(f.buf) > maxPooledFrame {
+		f.buf = nil
+	}
+	f.msg.body, f.name = nil, nil
+	inFrames.Put(f)
+}
+
+// reply is a response frame's outcome for its caller. A body is copied into
+// a slice the caller owns, so the buffer serves the next frame, except from
+// a frame too large to keep: that buffer is handed over as it is.
+func (f *inFrame) reply() ([]byte, error) {
+	m := &f.msg
+	switch {
+	case m.errStr == ErrClosed.Error():
+		return nil, ErrClosed
+	case m.errStr != "":
+		return nil, &RemoteError{Msg: m.errStr}
+	case cap(f.buf) > maxPooledFrame:
+		f.buf = nil
+		return m.body, nil
+	case len(m.body) == 0:
+		return nil, nil
+	}
+	return append([]byte(nil), m.body...), nil
 }
 
 // connWriter serializes outbound frames on one connection. Concurrent
@@ -373,12 +378,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
 	for {
-		msg, err := readFrame(conn)
-		if err != nil {
+		f := inFrames.Get().(*inFrame)
+		if err := f.read(conn); err != nil {
 			return
 		}
-		if msg.kind != msgRequest {
-			msg.release()
+		if f.msg.kind != msgRequest {
+			f.recycle()
 			continue
 		}
 		if fault.Enabled() {
@@ -388,51 +393,55 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			d := fault.Eval(fault.SiteRPCRecv, label)
 			if d.CrashConn {
-				msg.release()
 				return // deferred cleanup closes the connection
 			}
 			if d.Drop {
-				msg.release()
+				f.recycle()
 				continue // the request vanishes; the caller times out
 			}
 			if d.Delay > 0 {
 				time.Sleep(d.Delay)
 			}
 			if d.Err != nil {
-				cw.writeMsg(&message{kind: msgResponse, id: msg.id, errStr: d.Err.Error()}) //nolint:errcheck // writeMsg closes the conn on failure
-				msg.release()
+				cw.writeMsg(&message{kind: msgResponse, id: f.msg.id, errStr: d.Err.Error()}) //nolint:errcheck // writeMsg closes the conn on failure
+				f.recycle()
 				continue
 			}
 		}
 		s.mu.RLock()
-		h := s.handlers[msg.method]
+		h := s.handlers[string(f.name)]
 		s.mu.RUnlock()
 		m.requests.Inc()
-		m.rxBytes.Add(uint64(len(msg.body)))
+		m.rxBytes.Add(uint64(len(f.msg.body)))
 		m.inFlight.Inc()
 		reqWG.Add(1)
-		go func(msg *message) {
-			defer reqWG.Done()
-			start := time.Now()
-			info := CallInfo{Trace: telemetry.SpanContext{Trace: msg.trace, Span: msg.parent}}
-			resp := &message{kind: msgResponse, id: msg.id}
-			if h == nil {
-				resp.errStr = ErrNoMethod.Error() + ": " + msg.method
-			} else if body, err := h(info, msg.body); err != nil {
-				resp.errStr = err.Error()
-			} else {
-				resp.body = body
-			}
-			m.handleUs.RecordTraced(time.Since(start), msg.trace)
-			m.txBytes.Add(uint64(len(resp.body)))
-			m.inFlight.Dec()
-			// The handler has run and writeMsg has copied the response
-			// into the connection buffer, so the request's pooled frame —
-			// which resp.body may alias via the handler — can be recycled.
-			cw.writeMsg(resp) //nolint:errcheck // writeMsg closes the conn on failure
-			msg.release()
-		}(msg)
+		go s.handle(f, h, cw, m, &reqWG)
 	}
+}
+
+// handle runs one request's handler on a goroutine of its own and writes
+// the response. Spawning it is the request's one allocation on this end:
+// the frame is pooled and the response lives on this goroutine's stack.
+func (s *Server) handle(f *inFrame, h HandlerCtx, cw *connWriter, m *serverMetrics, wg *sync.WaitGroup) {
+	defer wg.Done()
+	start := time.Now()
+	info := CallInfo{Trace: telemetry.SpanContext{Trace: f.msg.trace, Span: f.msg.parent}}
+	resp := message{kind: msgResponse, id: f.msg.id}
+	if h == nil {
+		resp.errStr = ErrNoMethod.Error() + ": " + string(f.name)
+	} else if body, err := h(info, f.msg.body); err != nil {
+		resp.errStr = err.Error()
+	} else {
+		resp.body = body
+	}
+	m.handleUs.RecordTraced(time.Since(start), f.msg.trace)
+	m.txBytes.Add(uint64(len(resp.body)))
+	m.inFlight.Dec()
+	// The handler has run and writeMsg has copied the response into the
+	// connection buffer, so the request's frame — which the response may
+	// alias, and the handler's views of the body do — can be recycled.
+	cw.writeMsg(&resp) //nolint:errcheck // writeMsg closes the conn on failure
+	f.recycle()
 }
 
 // Close stops accepting, closes all connections and waits for handlers.
@@ -513,7 +522,7 @@ type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	nextID  uint64
-	pending map[uint64]chan *message
+	pending map[uint64]*waiter
 	closed  bool
 	cw      *connWriter
 	metrics *clientMetrics
@@ -552,7 +561,7 @@ func dialFrom(addr string, opts *ClientOptions, from string, m *clientMetrics) (
 		opts:    o,
 		peer:    addr,
 		from:    from,
-		pending: make(map[uint64]chan *message),
+		pending: make(map[uint64]*waiter),
 		conn:    conn,
 		cw:      &connWriter{conn: conn, coalesced: m.coalesced},
 		metrics: m,
@@ -561,22 +570,45 @@ func dialFrom(addr string, opts *ClientOptions, from string, m *clientMetrics) (
 	return c, nil
 }
 
+// waiter is one in-flight call's rendezvous with the reader, pooled. The
+// one who claims it — takes it out of pending: the reader with the reply,
+// or failAll — delivers into its 1-buffered done, so delivery never blocks
+// and happens at most once.
+//
+// A waiter goes back to the pool only after its own reply was delivered
+// through it. A call that timed out or failed to send abandons its waiter
+// to the GC: the reader or failAll may have claimed it a moment before and
+// will still deliver, and a recycled waiter would hand that late reply to
+// an unrelated call.
+type waiter struct {
+	done chan struct{}
+	body []byte
+	err  error
+}
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{done: make(chan struct{}, 1)} }}
+
+func (w *waiter) deliver(body []byte, err error) {
+	w.body, w.err = body, err
+	w.done <- struct{}{}
+}
+
 func (c *Client) readLoop() {
+	f := new(inFrame)
 	for {
-		msg, err := readFrame(c.conn)
-		if err != nil {
+		if err := f.read(c.conn); err != nil {
 			c.failAll(err)
 			return
 		}
-		if msg.kind != msgResponse {
+		if f.msg.kind != msgResponse {
 			continue
 		}
 		c.mu.Lock()
-		ch := c.pending[msg.id]
-		delete(c.pending, msg.id)
+		w := c.pending[f.msg.id]
+		delete(c.pending, f.msg.id)
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- msg
+		if w != nil {
+			w.deliver(f.reply())
 		}
 	}
 }
@@ -585,12 +617,12 @@ func (c *Client) readLoop() {
 func (c *Client) failAll(err error) {
 	c.mu.Lock()
 	pending := c.pending
-	c.pending = make(map[uint64]chan *message)
+	c.pending = make(map[uint64]*waiter)
 	c.closed = true
 	c.mu.Unlock()
 	c.conn.Close()
-	for _, ch := range pending {
-		ch <- &message{kind: msgResponse, errStr: ErrClosed.Error()}
+	for _, w := range pending {
+		w.deliver(nil, ErrClosed)
 	}
 }
 
@@ -643,45 +675,44 @@ func (c *Client) call(ctx telemetry.SpanContext, method string, body []byte) ([]
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan *message, 1)
-	c.pending[id] = ch
+	w := waiterPool.Get().(*waiter)
+	c.pending[id] = w
 	c.mu.Unlock()
 
-	req := &message{kind: msgRequest, id: id, trace: ctx.Trace, parent: ctx.Span, method: method, body: body}
+	// writeMsg copies the request into the connection buffer: the message
+	// stays on this stack and the caller may reuse body once call returns.
+	req := message{kind: msgRequest, id: id, trace: ctx.Trace, parent: ctx.Span, method: method, body: body}
 	if !drop {
-		err := c.cw.writeMsg(req)
+		err := c.cw.writeMsg(&req)
 		if err == nil && dup {
 			// Injected duplicate: the server dispatches the request twice;
 			// the response matcher drops the second reply.
-			err = c.cw.writeMsg(req)
+			err = c.cw.writeMsg(&req)
 		}
 		if err != nil {
 			c.mu.Lock()
 			delete(c.pending, id)
 			c.mu.Unlock()
-			return nil, fmt.Errorf("rpc: send: %w", err)
+			return nil, fmt.Errorf("rpc: send: %w", err) // w is abandoned
 		}
 	}
 
 	timer := getTimer(c.opts.Timeout)
 	defer putTimer(timer)
 	select {
-	case resp := <-ch:
+	case <-w.done:
+		resp, err := w.body, w.err
+		w.body, w.err = nil, nil
+		waiterPool.Put(w)
 		if c.opts.Delay > 0 {
 			time.Sleep(c.opts.Delay)
 		}
-		if resp.errStr != "" {
-			if resp.errStr == ErrClosed.Error() {
-				return nil, ErrClosed
-			}
-			return nil, &RemoteError{Msg: resp.errStr}
-		}
-		return resp.body, nil
+		return resp, err
 	case <-timer.C:
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrTimeout, method)
+		return nil, fmt.Errorf("%w: %s", ErrTimeout, method) // w is abandoned
 	}
 }
 

@@ -241,17 +241,18 @@ func TestPoolRedialsAfterFailure(t *testing.T) {
 
 func TestMessageEncodeDecode(t *testing.T) {
 	m := &message{kind: msgRequest, id: 77, method: "do.thing", body: []byte{1, 2, 3}}
-	dec, err := decodeMessage(m.encode(nil))
+	var dec message
+	name, err := dec.decode(m.encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.kind != msgRequest || dec.id != 77 || dec.method != "do.thing" || !bytes.Equal(dec.body, []byte{1, 2, 3}) {
-		t.Fatalf("decoded %+v", dec)
+	if dec.kind != msgRequest || dec.id != 77 || string(name) != "do.thing" || !bytes.Equal(dec.body, []byte{1, 2, 3}) {
+		t.Fatalf("decoded %+v, method %q", dec, name)
 	}
-	if _, err := decodeMessage(nil); err == nil {
+	if _, err := dec.decode(nil); err == nil {
 		t.Fatal("empty message decoded")
 	}
-	if _, err := decodeMessage([]byte{1}); err == nil {
+	if _, err := dec.decode([]byte{1}); err == nil {
 		t.Fatal("truncated message decoded")
 	}
 }

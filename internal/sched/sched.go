@@ -37,7 +37,8 @@ type waiter struct {
 	ready chan struct{}
 }
 
-// objLock is a FIFO reader/writer lock for a single object.
+// objLock is a FIFO reader/writer lock for a single object. Idle entries
+// are recycled through their shard's free list.
 type objLock struct {
 	readers int
 	writer  bool
@@ -45,17 +46,31 @@ type objLock struct {
 	// refs counts holders plus waiters so the table can garbage-collect
 	// idle entries.
 	refs int
+
+	id    uint64
+	shard *tableShard
+	// releases holds the entry's release funcs, indexed by Mode: method
+	// values bound once, when the entry is allocated, so a grant hands one
+	// out without allocating.
+	releases [2]func()
 }
+
+func (l *objLock) releaseRead()  { l.shard.release(l, Read) }
+func (l *objLock) releaseWrite() { l.shard.release(l, Write) }
 
 // numShards is the lock-table fan-out. Admissions for different objects
 // rarely contend: they only share a shard's mutex with the other objects
 // that hash to it, never a global one.
 const numShards = 64
 
+// maxFreeLocks bounds each shard's free list of idle entries.
+const maxFreeLocks = 16
+
 // tableShard is one independently locked slice of the table.
 type tableShard struct {
 	mu    sync.Mutex
 	locks map[uint64]*objLock
+	free  []*objLock
 }
 
 // Table is a sharded lock table keyed by object ID: object state lives in
@@ -77,6 +92,24 @@ func NewTable() *Table {
 	return t
 }
 
+// lock returns id's entry, taking an idle one from the free list or
+// allocating one when there is none. Caller holds the shard mutex.
+func (s *tableShard) lock(id uint64) *objLock {
+	if l, ok := s.locks[id]; ok {
+		return l
+	}
+	var l *objLock
+	if n := len(s.free); n > 0 {
+		l, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		l = &objLock{shard: s}
+		l.releases = [2]func(){Read: l.releaseRead, Write: l.releaseWrite}
+	}
+	l.id = id
+	s.locks[id] = l
+	return l
+}
+
 // shard maps an object ID to its shard. Object IDs are often sequential, so
 // mix the bits (Fibonacci hashing) before taking the top bits.
 func (t *Table) shard(id uint64) *tableShard {
@@ -93,15 +126,12 @@ func (t *Table) timeout() time.Duration {
 
 // Acquire admits an invocation on object id in the given mode, blocking
 // until admitted or timed out. On success the returned release function
-// must be called exactly once.
+// must be called exactly once: it is bound to the object's entry, which is
+// recycled for another object once idle.
 func (t *Table) Acquire(id uint64, mode Mode) (release func(), err error) {
 	s := t.shard(id)
 	s.mu.Lock()
-	l, ok := s.locks[id]
-	if !ok {
-		l = &objLock{}
-		s.locks[id] = l
-	}
+	l := s.lock(id)
 	l.refs++
 
 	// Fast path: grant immediately if compatible and nobody is queued
@@ -110,7 +140,7 @@ func (t *Table) Acquire(id uint64, mode Mode) (release func(), err error) {
 	if len(l.queue) == 0 && grantable(l, mode) {
 		grant(l, mode)
 		s.mu.Unlock()
-		return func() { s.release(id, mode) }, nil
+		return l.releases[mode], nil
 	}
 
 	w := &waiter{mode: mode, ready: make(chan struct{})}
@@ -121,14 +151,14 @@ func (t *Table) Acquire(id uint64, mode Mode) (release func(), err error) {
 	defer timer.Stop()
 	select {
 	case <-w.ready:
-		return func() { s.release(id, mode) }, nil
+		return l.releases[mode], nil
 	case <-timer.C:
 		s.mu.Lock()
 		// Re-check: the grant may have raced the timeout.
 		select {
 		case <-w.ready:
 			s.mu.Unlock()
-			return func() { s.release(id, mode) }, nil
+			return l.releases[mode], nil
 		default:
 		}
 		for i, q := range l.queue {
@@ -138,7 +168,7 @@ func (t *Table) Acquire(id uint64, mode Mode) (release func(), err error) {
 			}
 		}
 		l.refs--
-		s.maybeDrop(id, l)
+		s.maybeDrop(l)
 		s.mu.Unlock()
 		return nil, ErrTimeout
 	}
@@ -166,13 +196,9 @@ func grant(l *objLock, mode Mode) {
 }
 
 // release ends an admission and wakes compatible queued waiters in order.
-func (s *tableShard) release(id uint64, mode Mode) {
+func (s *tableShard) release(l *objLock, mode Mode) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := s.locks[id]
-	if l == nil {
-		return
-	}
 	if mode == Write {
 		l.writer = false
 	} else {
@@ -194,14 +220,18 @@ func (s *tableShard) release(id uint64, mode Mode) {
 			break
 		}
 	}
-	s.maybeDrop(id, l)
+	s.maybeDrop(l)
 }
 
-// maybeDrop garbage-collects an idle lock entry. Caller holds the shard
-// mutex.
-func (s *tableShard) maybeDrop(id uint64, l *objLock) {
+// maybeDrop garbage-collects an idle lock entry onto the free list, while
+// the list has room. Caller holds the shard mutex.
+func (s *tableShard) maybeDrop(l *objLock) {
 	if l.refs == 0 && !l.writer && l.readers == 0 && len(l.queue) == 0 {
-		delete(s.locks, id)
+		delete(s.locks, l.id)
+		if len(s.free) < maxFreeLocks {
+			l.queue = nil
+			s.free = append(s.free, l)
+		}
 	}
 }
 

@@ -223,3 +223,50 @@ func TestStressManyObjects(t *testing.T) {
 		t.Fatalf("lock table leaked %d entries", tbl.Len())
 	}
 }
+
+// TestAcquireReleaseAllocFree guards the uncontended path: a warm table
+// hands out an idle entry and its release func bound at allocation, so an
+// admission and its release allocate nothing.
+func TestAcquireReleaseAllocFree(t *testing.T) {
+	tbl := NewTable()
+	id := uint64(0)
+	cycle := func() {
+		id++ // a fresh object each time: the entry comes off the free list
+		for _, mode := range []Mode{Read, Write} {
+			release, err := tbl.Acquire(id, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("uncontended acquire/release allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestIdleEntriesRecycled checks that idle entries leave the table and
+// that the free lists they go to stay bounded.
+func TestIdleEntriesRecycled(t *testing.T) {
+	tbl := NewTable()
+	releases := make([]func(), 0, 10000)
+	for id := uint64(0); id < 10000; id++ {
+		release, err := tbl.Acquire(id, Write)
+		if err != nil {
+			t.Fatal(err)
+		}
+		releases = append(releases, release)
+	}
+	for _, release := range releases {
+		release()
+	}
+	if n := tbl.Len(); n != 0 {
+		t.Fatalf("%d idle entries left in the table", n)
+	}
+	for i := range tbl.shards {
+		if n := len(tbl.shards[i].free); n > maxFreeLocks {
+			t.Fatalf("shard %d keeps %d free entries, cap %d", i, n, maxFreeLocks)
+		}
+	}
+}
