@@ -34,10 +34,13 @@ test:
 # pool and parallel fan-out from RPC handler goroutines), recovery
 # (its protocol tests race live forwards against range rebuilds),
 # retwis (its allocation guards must stand down under -race, where
-# sync.Pool drops puts), and sched (every invocation is admitted through
-# its lock table, which recycles idle entries).
+# sync.Pool drops puts), sched (every invocation is admitted through
+# its lock table, which recycles idle entries), paxos and the coordinator
+# (learners apply slots in order from concurrent handlers; a node
+# heartbeats every replica at once), and the fault plane (process-global
+# state every connection's sends read).
 race:
-	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/ ./internal/retwis/ ./internal/sched/
+	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/ ./internal/retwis/ ./internal/sched/ ./internal/paxos/ ./internal/coordinator/ ./internal/fault/
 
 # Deterministic failover chaos: every seed replays the same kill/partition/
 # fsync-failure schedule (see EXPERIMENTS.md "Chaos runs"). The smoke

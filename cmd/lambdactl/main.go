@@ -13,7 +13,7 @@
 //	lambdactl stats -debug 127.0.0.1:8080,127.0.0.1:8081
 //	lambdactl traces -debug 127.0.0.1:8080 -trace 1f3a... [-min 10ms]
 //	lambdactl fault -debug 127.0.0.1:8080
-//	lambdactl fault -debug 127.0.0.1:8080 rule rpc.send@10.0.0.2:7001 drop p=0.3
+//	lambdactl fault -debug 127.0.0.1:8080 rule *@10.0.0.2:7001 drop p=0.3
 //	lambdactl fault -debug 127.0.0.1:8080 -file scenario.fault
 //	lambdactl asm -file user.s -o user.mod
 //	lambdactl disasm -file user.mod

@@ -9,6 +9,7 @@ import (
 
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
+	"lambdastore/internal/replication"
 	"lambdastore/internal/retwis"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/store"
@@ -298,9 +299,9 @@ func TestStorageOpsDirect(t *testing.T) {
 // reach the backup in that order.
 func TestListPushLocksPerObject(t *testing.T) {
 	s := startStack(t, 1)
-	fault.Add(fault.Rule{Site: fault.SiteReplShip, Key: s.backups[0].Addr(), Action: fault.Delay, Delay: 20 * time.Millisecond})
+	fault.Add(fault.Rule{Site: replication.MethodApplyBatch, To: s.backups[0].Addr(), Action: fault.Delay, Delay: 20 * time.Millisecond})
 	t.Cleanup(fault.Reset)
-	frames := func() uint64 { return fault.Counters()[fault.SiteReplShip+"."+fault.Delay.String()] }
+	frames := func() uint64 { return fault.Counters()[replication.MethodApplyBatch+"."+fault.Delay.String()] }
 	const n = 8
 	pushAll := func(object func(i int) core.ObjectID) {
 		var wg sync.WaitGroup

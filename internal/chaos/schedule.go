@@ -8,6 +8,7 @@ import (
 
 	"lambdastore/internal/admission"
 	"lambdastore/internal/cluster"
+	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
 	"lambdastore/internal/shard"
@@ -36,15 +37,15 @@ const (
 	// it on the same address and data directory (WAL recovery).
 	ScenarioCrashPrimary Scenario = iota
 	// ScenarioPartitionPrimary isolates the primary from every other
-	// endpoint (coordinators, backups, clients) via the partition
-	// matrix; heartbeats stop, so a backup is promoted.
+	// endpoint (coordinators, backups, clients) with a partition's pair of
+	// rules; heartbeats stop, so a backup is promoted.
 	ScenarioPartitionPrimary
 	// ScenarioWALSyncFail makes every fsync on the primary's database
 	// fail: commits error, no write is acknowledged, no promotion
 	// happens (the node stays live).
 	ScenarioWALSyncFail
 	// ScenarioHeartbeatLoss is a gray failure: the primary keeps
-	// serving but its liveness reports are dropped, so the coordinator
+	// serving but its liveness reports fail to send, so the coordinator
 	// promotes a backup out from under it.
 	ScenarioHeartbeatLoss
 	// ScenarioDupDelay duplicates and delays frames to the primary —
@@ -338,20 +339,16 @@ func (r *runner) runScenario(s Scenario) error {
 		fault.Partition(addr, fault.Wildcard)
 		heal = func() error { fault.Heal(addr, fault.Wildcard); return nil }
 	case ScenarioWALSyncFail:
-		fault.Add(fault.Rule{Site: fault.SiteWALSync, Key: dataDir, Action: fault.Error, Err: "injected fsync failure"})
+		fault.Add(fault.Rule{Site: fault.SiteWALSync, To: dataDir, Action: fault.Error, Err: "injected-fsync-failure"})
 		heal = func() error { fault.Remove(fault.SiteWALSync, dataDir); return nil }
 	case ScenarioHeartbeatLoss:
 		expectPromote = len(g.Backups) > 0
-		fault.Add(fault.Rule{Site: fault.SiteCoordHeartbeat, Key: addr, Action: fault.Drop})
-		heal = func() error { fault.Remove(fault.SiteCoordHeartbeat, addr); return nil }
+		fault.Add(fault.Rule{Site: coordinator.MethodHeartbeat, From: addr, Action: fault.Error})
+		heal = func() error { fault.Remove(coordinator.MethodHeartbeat, ""); return nil }
 	case ScenarioDupDelay:
-		fault.Add(fault.Rule{Site: fault.SiteRPCSend, Key: addr, Action: fault.Duplicate, P: 0.4})
-		fault.Add(fault.Rule{Site: fault.SiteRPCRecv, Key: addr, Action: fault.Delay, Delay: 2 * time.Millisecond, P: 0.4})
-		heal = func() error {
-			fault.Remove(fault.SiteRPCSend, addr)
-			fault.Remove(fault.SiteRPCRecv, addr)
-			return nil
-		}
+		fault.Add(fault.Rule{Site: fault.Wildcard, To: addr, Action: fault.Duplicate, P: 0.4})
+		fault.Add(fault.Rule{Site: fault.Wildcard, To: addr, Action: fault.Delay, Delay: 2 * time.Millisecond, P: 0.4})
+		heal = func() error { fault.Remove(fault.Wildcard, addr); return nil }
 	default:
 		return fmt.Errorf("unknown scenario %d", int(s))
 	}
@@ -647,7 +644,7 @@ func (r *runner) runRestartRejoin() error {
 
 // runMigrateUnderChaos live-migrates a workload object from group 0 to
 // group 1 and kills the source primary with the transfer in flight
-// (frames into the target are delayed so the kill reliably lands inside
+// (calls into the target are delayed so the kill reliably lands inside
 // the move). The move must resolve to exactly one owner: either the
 // cutover never committed — the object stays with group 0's promoted
 // backup and the target's janitor reclaims the partial copy — or it
@@ -685,23 +682,23 @@ func (r *runner) runMigrateUnderChaos() error {
 		return fmt.Errorf("resolve primary: %w", err)
 	}
 
-	// Phase A — abort mid-transfer. Frames into the target crawl (50ms
-	// each) and a move makes three calls on it (offer, seal, end), so 30ms
-	// in the offer is provably in flight and the seal not yet sent;
-	// hard-failing the target's inbound RPCs then kills the seal, after the
+	// Phase A — abort mid-transfer. Calls into the target crawl (each held
+	// 50ms at send) and a move makes three calls on it (offer, seal, end),
+	// so 30ms in the offer is provably in flight and the seal not yet sent;
+	// failing every call into the target then kills the seal, after the
 	// target pulled its copy. The source's move.end fails with it, leaving
 	// a dangling inbound session the target's janitor must reclaim.
-	fault.Add(fault.Rule{Site: fault.SiteRPCRecv, Key: g1.Primary, Action: fault.Delay, Delay: 50 * time.Millisecond, P: 1})
+	fault.Add(fault.Rule{Site: fault.Wildcard, To: g1.Primary, Action: fault.Delay, Delay: 50 * time.Millisecond})
 	moveDone := make(chan error, 1)
 	go func() { moveDone <- r.client.Migrate(obj, 1) }()
 	time.Sleep(30 * time.Millisecond)
-	fault.Add(fault.Rule{Site: fault.SiteRPCRecv, Key: g1.Primary, Action: fault.Error, Err: "injected target failure"})
+	fault.Add(fault.Rule{Site: fault.Wildcard, To: g1.Primary, Action: fault.Error, Err: "injected-target-failure"})
 	moveErr := <-moveDone
-	fault.Remove(fault.SiteRPCRecv, g1.Primary)
+	fault.Remove(fault.Wildcard, g1.Primary)
 	r.opts.Log("chaos: migrate of object %d into a failing target returned: %v", obj, moveErr)
 	if moveErr == nil {
 		// The move outran the injection (should not happen under the
-		// frame delay); park the object back so phase B starts at group 0.
+		// call delay); park the object back so phase B starts at group 0.
 		if err := r.client.Migrate(obj, 0); err != nil {
 			return fmt.Errorf("move unexpectedly committed and could not be undone: %w", err)
 		}
@@ -740,7 +737,7 @@ func (r *runner) runMigrateUnderChaos() error {
 	// leases die on the override install, target-group leases only cover
 	// state shipped after the cutover.
 	probeStop := r.startLeaseProbe(obj)
-	fault.Add(fault.Rule{Site: fault.SiteRPCRecv, Key: g1.Primary, Action: fault.Delay, Delay: 25 * time.Millisecond, P: 1})
+	fault.Add(fault.Rule{Site: fault.Wildcard, To: g1.Primary, Action: fault.Delay, Delay: 25 * time.Millisecond})
 	moveDone = make(chan error, 1)
 	go func() { moveDone <- r.client.Migrate(obj, 1) }()
 	time.Sleep(30 * time.Millisecond)
@@ -750,7 +747,7 @@ func (r *runner) runMigrateUnderChaos() error {
 		return err
 	}
 	moveErr = <-moveDone
-	fault.Remove(fault.SiteRPCRecv, g1.Primary)
+	fault.Remove(fault.Wildcard, g1.Primary)
 	r.opts.Log("chaos: migrate of object %d against a primary crash returned: %v", obj, moveErr)
 
 	r.burst(r.opts.BurstOps)

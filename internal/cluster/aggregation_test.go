@@ -50,7 +50,7 @@ func TestCoordinatorAggregationAndTimelineTrace(t *testing.T) {
 		}
 	}
 	for _, n := range []*Node{n0, n2, n1} {
-		cc.Heartbeat(n.Addr(), n.DebugAddr())
+		cc.Heartbeat(coordAddr, n.Addr(), n.DebugAddr())
 	}
 
 	// Retwis workload: user 2 lives in group 0 (replicated to n2), user 3

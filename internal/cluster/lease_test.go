@@ -9,16 +9,19 @@ import (
 
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
+	"lambdastore/internal/replication"
 	"lambdastore/internal/rpc"
 )
 
 // TestLeaseRenewalLossBouncesReads drives the full lease lifecycle
 // through the fault plane: a backup serves reads while renewals flow,
-// bounces them to the primary once renewals are dropped and the lease
-// expires, and serves again after renewals resume.
+// bounces them to the primary once renewals are lost and the lease
+// expires, and serves again after renewals resume. A lost renewal holds its
+// backup's one renewal slot until the call times out, so the nodes' calls
+// time out quickly.
 func TestLeaseRenewalLossBouncesReads(t *testing.T) {
 	const ttl = 120 * time.Millisecond
-	nodes, dir := startStatic(t, NodeOptions{LeaseTTL: ttl}, 3)
+	nodes, dir := startStatic(t, NodeOptions{LeaseTTL: ttl, ClientOptions: &rpc.ClientOptions{Timeout: 500 * time.Millisecond}}, 3)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -43,7 +46,7 @@ func TestLeaseRenewalLossBouncesReads(t *testing.T) {
 	// Cut every renewal path: no standalone renewals, and no writes flow
 	// so no frame piggybacks either. The lease must expire on its own
 	// and the backup must start bouncing.
-	fault.Add(fault.Rule{Site: fault.SiteLeaseRenew, Action: fault.Drop})
+	fault.Add(fault.Rule{Site: replication.MethodLease, Action: fault.Drop})
 	t.Cleanup(fault.Reset)
 	deadline := time.Now().Add(10 * ttl)
 	for {

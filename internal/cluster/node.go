@@ -11,7 +11,6 @@ import (
 	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
 	"lambdastore/internal/debug"
-	"lambdastore/internal/fault"
 	"lambdastore/internal/recovery"
 	"lambdastore/internal/replication"
 	"lambdastore/internal/rpc"
@@ -121,7 +120,8 @@ type Node struct {
 	role   *roleMachine
 	stopMu sync.Mutex
 	stop   chan struct{}
-	done   chan struct{} // closed when coordLoop exits; nil without one
+	done   chan struct{}  // closed when coordLoop exits; nil without one
+	beats  sync.WaitGroup // coordLoop's heartbeat loops
 
 	metrics    *telemetry.Registry
 	tracer     *telemetry.Tracer
@@ -266,16 +266,11 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	n.addr = addr
 	tracer.SetNode(addr)
 	n.transfer.SetSelf(addr)
-	// Identify this node's outbound connections to the fault plane so link
-	// partitions can name both endpoints.
+	// This node's messages carry its address: a fault rule's from.
 	n.pool.SetFaultLabel(addr)
 	n.role.bind(addr)
 
 	if opts.DebugAddr != "" {
-		// Mirror fault-plane firings into this node's registry so injected
-		// drops/delays/errors show up as first-class /metrics counters
-		// (fault.injected.<action>) alongside the per-site gauges.
-		fault.SetRegistry(reg)
 		n.debugSrv, err = debug.Start(opts.DebugAddr, debug.Options{
 			Registry: reg,
 			Tracer:   tracer,
@@ -434,6 +429,7 @@ func (n *Node) Close() error {
 	n.srv.Close()
 	n.shipper.Close()
 	n.pool.Close()
+	n.beats.Wait()
 	return n.db.Close()
 }
 

@@ -258,9 +258,9 @@ func TestJoinerFencedDuringCatchUp(t *testing.T) {
 	rc.waitEvicted(oldAddr)
 	mustAdd(t, rc.client, 1, 6)
 
-	// Stall the catch-up: every digest/chunk fetch fails until healed,
-	// holding the restarted node in syncing indefinitely.
-	fault.Add(fault.Rule{Site: fault.SiteRecoveryFetch, Action: fault.Error})
+	// Stall the catch-up: every chunk fetch fails until healed, holding the
+	// restarted node in syncing indefinitely.
+	fault.Add(fault.Rule{Site: recovery.MethodFetch, Action: fault.Error})
 	rc.restart(2)
 	joiner := rc.node(2)
 	await(t, rc.Local, 10*time.Second, "first (failing) sync attempt", func() bool {
@@ -282,7 +282,7 @@ func TestJoinerFencedDuringCatchUp(t *testing.T) {
 		}
 	}
 
-	fault.Remove(fault.SiteRecoveryFetch, "")
+	fault.Remove(recovery.MethodFetch, "")
 	rc.waitMember(2)
 	// Converged: the downtime write is visible, the fenced +100 is not.
 	if got := readAt(t, rc.pool, joiner.Addr(), 1); got != 10 {
@@ -290,11 +290,11 @@ func TestJoinerFencedDuringCatchUp(t *testing.T) {
 	}
 }
 
-// TestRejoinRetriesThroughChunkFaults drops and errors the first fetch
-// RPCs of the transfer; the manager must retry the sync until the stream
-// completes, without help.
+// TestRejoinRetriesThroughChunkFaults fails the first two digest pulls of
+// the transfer and loses its first chunk fetch (the call times out); the
+// manager must retry the sync until the stream completes, without help.
 func TestRejoinRetriesThroughChunkFaults(t *testing.T) {
-	rc := startRejoinCluster(t, NodeOptions{})
+	rc := startRejoinCluster(t, NodeOptions{ClientOptions: &rpc.ClientOptions{Timeout: time.Second}})
 	if err := rc.client.CreateObject("Counter", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -305,16 +305,19 @@ func TestRejoinRetriesThroughChunkFaults(t *testing.T) {
 	rc.waitEvicted(oldAddr)
 	mustAdd(t, rc.client, 1, 9)
 
-	fault.Add(fault.Rule{Site: fault.SiteRecoveryFetch, Action: fault.Error, Count: 2})
-	fault.Add(fault.Rule{Site: fault.SiteRecoveryFetch, Action: fault.Drop, Count: 1})
+	fault.Add(fault.Rule{Site: recovery.MethodDigest, Action: fault.Error, Count: 2})
+	fault.Add(fault.Rule{Site: recovery.MethodFetch, Action: fault.Drop, Count: 1})
 	rc.restart(2)
 	rc.waitMember(2)
 
 	if got := readAt(t, rc.pool, rc.node(2).Addr(), 1); got != 11 {
 		t.Fatalf("rejoined value = %d, want 11", got)
 	}
-	if st := rc.node(2).RecoveryStatus(); st.Attempts < 2 {
-		t.Errorf("attempts = %d, want >= 2 (injected faults must have failed at least one)", st.Attempts)
+	if st := rc.node(2).RecoveryStatus(); st.Attempts < 4 {
+		t.Errorf("attempts = %d, want >= 4 (each injected fault fails one)", st.Attempts)
+	}
+	if n := fault.Counters()[recovery.MethodFetch+".drop"]; n != 1 {
+		t.Errorf("%d chunk fetches lost, want 1", n)
 	}
 }
 
@@ -334,7 +337,7 @@ func TestRejoinSurvivesDonorFailover(t *testing.T) {
 	rc.waitEvicted(oldAddr)
 	mustAdd(t, rc.client, 1, 6)
 
-	fault.Add(fault.Rule{Site: fault.SiteRecoveryFetch, Action: fault.Error})
+	fault.Add(fault.Rule{Site: recovery.MethodFetch, Action: fault.Error})
 	rc.restart(2)
 	await(t, rc.Local, 10*time.Second, "first (failing) sync attempt", func() bool {
 		return rc.node(2).RecoveryStatus().Attempts >= 1
@@ -348,7 +351,7 @@ func TestRejoinSurvivesDonorFailover(t *testing.T) {
 		return g.Primary != "" && g.Primary != oldPrimary
 	})
 
-	fault.Remove(fault.SiteRecoveryFetch, "")
+	fault.Remove(recovery.MethodFetch, "")
 	rc.waitMember(2)
 	if got := readAt(t, rc.pool, rc.node(2).Addr(), 1); got != 11 {
 		t.Fatalf("value after donor failover = %d, want 11", got)
@@ -380,13 +383,13 @@ func TestRejoinRetriesThroughWALSyncFaults(t *testing.T) {
 	// Boot performs its own sync'd WAL write, so hold the catch-up at the
 	// fetch site first, then arm the fsync fault: the next two commits on
 	// the joiner are catch-up applies, and both fail at fsync.
-	fault.Add(fault.Rule{Site: fault.SiteRecoveryFetch, Action: fault.Error})
+	fault.Add(fault.Rule{Site: recovery.MethodFetch, Action: fault.Error})
 	rc.restart(2)
 	await(t, rc.Local, 10*time.Second, "first (failing) sync attempt", func() bool {
 		return rc.node(2).RecoveryStatus().Attempts >= 1
 	})
-	fault.Add(fault.Rule{Site: fault.SiteWALSync, Key: rc.Slots[2].DataDir, Action: fault.Error, Count: 2})
-	fault.Remove(fault.SiteRecoveryFetch, "")
+	fault.Add(fault.Rule{Site: fault.SiteWALSync, To: rc.Slots[2].DataDir, Action: fault.Error, Count: 2})
+	fault.Remove(recovery.MethodFetch, "")
 	rc.waitMember(2)
 
 	if got := readAt(t, rc.pool, rc.node(2).Addr(), 1); got != 11 {

@@ -358,21 +358,44 @@ func (n *Node) cutOverObject(object, targetGroup uint64) error {
 		})
 }
 
-// coordLoop heartbeats and adopts newer configurations.
+// coordLoop adopts newer configurations, and heartbeats every coordinator
+// replica on a loop of the replica's own: neither a configuration fetch nor
+// another replica stuck on an unanswered call delays a heartbeat, and each
+// loop has at most one in flight. Close joins the heartbeat loops only after
+// its pool teardown has failed any call stuck on a replica that never
+// answers.
 func (n *Node) coordLoop() {
 	defer close(n.done)
 	interval := n.opts.HeartbeatInterval
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
+	for _, replica := range n.opts.Coordinators {
+		n.beats.Add(1)
+		go func() {
+			defer n.beats.Done()
+			n.every(interval, func() { n.coord.Heartbeat(replica, n.addr, n.DebugAddr()) })
+		}()
+	}
+	n.every(interval, func() {
+		if d, err := n.coord.GetConfig(); err == nil {
+			n.role.install(d, true)
+		}
+	})
+}
+
+// every runs f at once (the failure detector should see a booting node as
+// soon as it serves) and then on every tick of interval, never once the
+// node is stopping.
+func (n *Node) every(interval time.Duration, f func()) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
-		// Heartbeat immediately on entry (the failure detector should see
-		// a booting node as soon as it serves), then on every tick.
-		n.coord.Heartbeat(n.addr, n.DebugAddr())
-		if d, err := n.coord.GetConfig(); err == nil {
-			n.role.install(d, true)
+		select {
+		case <-n.stop:
+			return
+		default:
+			f()
 		}
 		select {
 		case <-n.stop:

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
+	"lambdastore/internal/fault"
 	"lambdastore/internal/replication"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
@@ -251,5 +253,34 @@ func TestInstallKeepsNewestView(t *testing.T) {
 		if got := m.load().dir.Epoch(); got != views {
 			t.Fatalf("round %d: installed epoch %d, want the newest, %d", round, got, views)
 		}
+	}
+}
+
+// TestStalledCoordinatorReplicaSparesHeartbeats: one coordinator replica
+// (not the first a node asks for its configuration) stalls toward a primary
+// — the primary's messages to it are lost, each waiting out the pool's 30s
+// timeout — and its own messages fail, so its detector, which no longer
+// hears the primary, cannot act. The other replicas still get every
+// heartbeat, so the primary keeps its group for three detector timeouts and
+// more.
+func TestStalledCoordinatorReplicaSparesHeartbeats(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	opts := coordinated([]int{2}, NodeOptions{})
+	l := startLocal(t, opts)
+	primary, stalled := l.Slots[0].Addr, l.Coord.Members[2].Addr
+	fault.Add(fault.Rule{Site: fault.Wildcard, From: primary, To: stalled, Action: fault.Drop})
+	fault.Add(fault.Rule{Site: fault.Wildcard, From: stalled, Action: fault.Error})
+	for end := time.Now().Add(3*opts.Coord.HeartbeatTimeout + 2*opts.Coord.CheckInterval); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+		g, err := l.Group(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Primary != primary {
+			t.Fatalf("primary %s deposed (group now %s+%v) while only one coordinator replica was stalled", primary, g.Primary, g.Backups)
+		}
+	}
+	if n := fault.Counters()[coordinator.MethodHeartbeat+".drop"]; n != 1 {
+		t.Errorf("%d heartbeats lost to the stalled replica, want 1 (the one in flight)", n)
 	}
 }

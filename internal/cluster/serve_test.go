@@ -11,6 +11,7 @@ import (
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
 	"lambdastore/internal/recovery"
+	"lambdastore/internal/replication"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
 	"lambdastore/internal/store"
@@ -164,7 +165,7 @@ func TestServeUniform(t *testing.T) {
 		}
 
 		// Without a lease both bounce.
-		fault.Add(fault.Rule{Site: fault.SiteLeaseRenew, Action: fault.Drop})
+		fault.Add(fault.Rule{Site: replication.MethodLease, Action: fault.Drop})
 		t.Cleanup(fault.Reset)
 		backup.leases.Revoke()
 		for _, declared := range []bool{true, false} {
@@ -300,7 +301,7 @@ func TestCommitTailOrder(t *testing.T) {
 	t.Run("ship failure withholds the ack", func(t *testing.T) {
 		nodes, _ := startStatic(t, NodeOptions{}, 2)
 		armBarrier(nodes[0])
-		fault.Add(fault.Rule{Site: fault.SiteReplShip, Key: nodes[1].Addr(), Action: fault.Error})
+		fault.Add(fault.Rule{Site: replication.MethodApplyBatch, To: nodes[1].Addr(), Action: fault.Error})
 		t.Cleanup(fault.Reset)
 		if err := nodes[0].afterCommit(telemetry.SpanContext{}, obj, 0, writeSet()); err == nil {
 			t.Fatal("commit acknowledged though its backup never got it")

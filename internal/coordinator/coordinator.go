@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"lambdastore/internal/fault"
 	"lambdastore/internal/paxos"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
@@ -495,29 +494,18 @@ func (c *Client) GetConfig() (*shard.Directory, error) {
 	return shard.Load(body)
 }
 
-// Heartbeat reports node addr as alive to every reachable replica (each
-// replica runs its own failure detector). debugAddr, if non-empty, tells the
-// coordinator where the node's debug HTTP endpoint lives so the metrics
-// aggregator can scrape it.
-func (c *Client) Heartbeat(addr, debugAddr string) {
-	if fault.Enabled() {
-		// Targeted heartbeat loss: the node keeps serving but looks dead to
-		// the failure detector (the gray-failure half of a partition).
-		d := fault.Eval(fault.SiteCoordHeartbeat, addr)
-		if d.Delay > 0 {
-			time.Sleep(d.Delay)
-		}
-		if d.Drop || d.Err != nil {
-			return
-		}
-	}
+// Heartbeat reports node addr as alive to one coordinator replica. Each
+// replica runs its own failure detector, so a node heartbeats every one,
+// each on a loop of its own: a replica that never answers then holds one
+// call, and never the heartbeats to the others. debugAddr, if non-empty,
+// tells the coordinator where the node's debug HTTP endpoint lives so the
+// metrics aggregator can scrape it.
+func (c *Client) Heartbeat(replica, addr, debugAddr string) {
 	body := wire.AppendString(nil, addr)
 	if debugAddr != "" {
 		body = wire.AppendString(body, debugAddr)
 	}
-	for _, a := range c.addrs {
-		c.pool.Call(a, MethodHeartbeat, body) //nolint:errcheck // best effort
-	}
+	c.pool.Call(replica, MethodHeartbeat, body) //nolint:errcheck // best effort
 }
 
 // SetGroup installs a replica group.

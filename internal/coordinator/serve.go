@@ -59,6 +59,9 @@ func listen(id uint64, ids []uint64, addr string, stable paxos.Stable, opts Opti
 		return nil, fmt.Errorf("coordinator: replica %d: %w", id, err)
 	}
 	m.Addr = bound
+	// The replica's own messages carry its address, so a fault rule's from
+	// (and a partition) can name this end of a link too.
+	m.pool.SetFaultLabel(bound)
 	return m, nil
 }
 

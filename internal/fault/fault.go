@@ -1,114 +1,98 @@
-// Package fault is LambdaStore's deterministic fault-injection plane: a
-// process-wide set of named injection points threaded through the network
-// substrate (rpc), the storage engine's WAL sync, the replication shipper
-// and the coordinator's heartbeat path. The chaos harness (internal/chaos),
-// the /faults debug endpoint and the `lambdactl fault` subcommand all drive
-// the same plane, so a failure scenario explored in a test can be replayed
-// against a live cluster verbatim.
+// Package fault is LambdaStore's deterministic fault-injection plane. Faults
+// live in two places, the network and the disk, and each is decided at one
+// seam: every message an rpc client sends (and every dial), and every WAL
+// fsync. The chaos harness (internal/chaos), the /faults debug endpoint and
+// the `lambdactl fault` subcommand all drive the same plane, so a failure
+// scenario explored in a test can be replayed against a live cluster
+// verbatim.
+//
+// A network rule is one shape: an RPC method (or Wildcard for every method
+// and the dial), narrowed to one caller (From, the label of the caller's
+// rpc pool: its node's address) and one peer (To). The disk's one site is
+// SiteWALSync, narrowed to one database directory.
 //
 // Design constraints, in order:
 //
-//  1. Zero overhead when disarmed. Every injection site is gated on one
-//     atomic load (Enabled), mirroring the tracer's disabled-branch
-//     discipline; a disarmed plane costs no allocation and no lock.
+//  1. Zero overhead when disarmed. Both seams are gated on one atomic load
+//     (Enabled), mirroring the tracer's disabled-branch discipline; a
+//     disarmed plane costs no allocation and no lock.
 //  2. Determinism. Every probabilistic rule draws from its own splitmix64
-//     stream seeded from (plane seed, site, key, rule index), so a given
-//     seed produces the same per-rule firing sequence run after run. The
-//     assignment of draws to concurrent callers follows goroutine
+//     stream seeded from (plane seed, site, endpoints, rule index), so a
+//     given seed produces the same per-rule firing sequence run after run.
+//     The assignment of draws to concurrent callers follows goroutine
 //     interleaving; harnesses therefore assert safety invariants (nothing
 //     acknowledged is lost, at most one primary per epoch), never exact
 //     event orderings.
 //  3. One plane per process. The in-process chaos cluster runs many nodes
 //     in one address space; a process-global plane is what lets a single
-//     schedule partition links between them. Sites disambiguate nodes by
-//     key: the peer address at rpc sites, the database directory at
-//     wal.sync, the backup address at repl.ship.
+//     schedule partition links between them. Rules tell nodes apart by
+//     address (From, To) and by database directory.
 package fault
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"lambdastore/internal/telemetry"
 )
 
-// Injection site names. Sites are plain strings so subsystems can add their
-// own without touching this package; these are the ones wired today.
-const (
-	SiteRPCDial        = "rpc.dial"        // key: target address
-	SiteRPCSend        = "rpc.send"        // key: target address
-	SiteRPCRecv        = "rpc.recv"        // key: receiving server's address
-	SiteWALSync        = "wal.sync"        // key: database directory
-	SiteReplShip       = "repl.ship"       // key: backup address
-	SiteCoordHeartbeat = "coord.heartbeat" // key: heartbeating node's address
-	// State-transfer sites (internal/recovery; rejoin and live moves alike):
-	// digest and chunk pulls are evaluated on the receiver of state before
-	// each call, forwards on the sender before relaying a committed
-	// write-set into a session.
-	SiteRecoveryFetch   = "recovery.fetch"   // key: sender (donor / move source) address
-	SiteRecoveryForward = "recovery.forward" // key: receiver (joiner / move target) address
-	// Read-lease renewal sends (internal/replication): delaying or
-	// dropping them models clock skew / renewal loss — the backup's lease
-	// expires and reads bounce to the primary until renewals resume.
-	SiteLeaseRenew = "lease.renew" // key: backup address
-)
+// SiteWALSync is the disk's injection site: every WAL fsync, narrowed by
+// database directory. Every other site a rule names is an RPC method.
+const SiteWALSync = "wal.sync"
+
+// Wildcard, as a rule's site, matches every RPC method and the dial, but not
+// the disk; as an endpoint it matches every endpoint, as "" does.
+const Wildcard = "*"
 
 // Action is what an armed rule does when it fires.
 type Action uint8
 
 const (
-	// Drop loses the message: an rpc.send request is never written (the
-	// caller observes a timeout), an rpc.recv request is silently ignored,
-	// a repl.ship write-set is reported shipped without being delivered
-	// (divergence injection), a heartbeat is not sent.
+	// Drop loses the message: it is never written, and the caller waits
+	// out its timeout.
 	Drop Action = iota + 1
-	// Delay sleeps the site for the rule's Delay before proceeding.
+	// Delay holds the message (or the fsync) for the rule's Delay.
 	Delay
-	// Error fails the site with ErrInjected (or the rule's message).
+	// Error fails the send (or the fsync, or the dial) at once.
 	Error
-	// Duplicate delivers the message twice (at-least-once probing).
+	// Duplicate delivers the message twice: the handler runs twice, the
+	// caller gets one reply.
 	Duplicate
-	// CrashConn tears down the underlying connection mid-operation.
+	// CrashConn tears down the caller's connection; the next call redials.
 	CrashConn
 )
 
+var actionNames = [...]string{Drop: "drop", Delay: "delay", Error: "error", Duplicate: "dup", CrashConn: "crash"}
+
 // String names the action in rule-grammar form.
 func (a Action) String() string {
-	switch a {
-	case Drop:
-		return "drop"
-	case Delay:
-		return "delay"
-	case Error:
-		return "error"
-	case Duplicate:
-		return "dup"
-	case CrashConn:
-		return "crash"
-	default:
+	if a == 0 || int(a) >= len(actionNames) {
 		return fmt.Sprintf("action(%d)", a)
 	}
+	return actionNames[a]
 }
 
-// Errors surfaced by injected faults. Sites wrap them with context.
+// Errors surfaced by injected faults. The seams wrap them with context.
 var (
 	ErrInjected    = errors.New("fault: injected error")
 	ErrPartitioned = errors.New("fault: link partitioned")
 )
 
-// Wildcard matches every key (rules) or every peer (partitions).
-const Wildcard = "*"
+// partitioned is the Err of the rules Partition arms.
+const partitioned = "partitioned"
 
-// Rule arms one fault at one site.
+// Rule arms one fault.
 type Rule struct {
-	// Site is the injection point name (SiteRPCSend, ...).
+	// Site is the RPC method the rule fires on, Wildcard for every method
+	// and the dial, or SiteWALSync.
 	Site string
-	// Key narrows the rule to one key at the site; "" or "*" match all.
-	Key string
+	// From narrows a network rule to one caller, by its pool's label; ""
+	// matches every caller, unlabelled ones included.
+	From string
+	// To narrows the rule to one peer address (for SiteWALSync, one database
+	// directory); "" matches all.
+	To string
 	// Action is what happens when the rule fires.
 	Action Action
 	// P is the firing probability per evaluation in (0,1]; 0 means 1
@@ -118,24 +102,26 @@ type Rule struct {
 	Count uint64
 	// Delay is the injected latency for Delay rules.
 	Delay time.Duration
-	// Err overrides the injected error text for Error rules.
+	// Err overrides the injected error text for Error rules; "partitioned"
+	// injects ErrPartitioned instead.
 	Err string
 }
 
-// String renders the rule in the grammar Parse accepts.
+// String renders the rule in the grammar ParseRule accepts.
 func (r Rule) String() string {
 	s := r.Site
-	if r.Key != "" && r.Key != Wildcard {
-		s += "@" + r.Key
+	if r.To != "" {
+		s += "@" + r.To
 	}
 	s += " " + r.Action.String()
-	switch r.Action {
-	case Delay:
+	switch {
+	case r.Action == Delay:
 		s += ":" + r.Delay.String()
-	case Error:
-		if r.Err != "" {
-			s += ":" + r.Err
-		}
+	case r.Action == Error && r.Err != "":
+		s += ":" + r.Err
+	}
+	if r.From != "" {
+		s += " from=" + r.From
 	}
 	if r.P > 0 && r.P < 1 {
 		s += fmt.Sprintf(" p=%g", r.P)
@@ -146,7 +132,24 @@ func (r Rule) String() string {
 	return s
 }
 
-// Decision is the merged outcome of every rule that fired at a site.
+// matches reports whether the rule covers a message from → to on site.
+func (r *Rule) matches(site, from, to string) bool {
+	return (r.Site == site || r.Site == Wildcard && site != SiteWALSync) &&
+		(r.From == "" || r.From == from) && (r.To == "" || r.To == to)
+}
+
+// err is the error an Error rule injects.
+func (r *Rule) err() error {
+	switch r.Err {
+	case "":
+		return ErrInjected
+	case partitioned:
+		return ErrPartitioned
+	}
+	return fmt.Errorf("%w: %s", ErrInjected, r.Err)
+}
+
+// Decision is the merged outcome of every rule that fired on one message.
 type Decision struct {
 	Drop      bool
 	Duplicate bool
@@ -163,32 +166,40 @@ type activeRule struct {
 	fired uint64
 }
 
-// plane is the process-global rule set. armed counts installed rules plus
-// partitioned pairs so the hot path is a single atomic load.
+// fires draws the rule's firing decision for one evaluation and counts a
+// firing.
+func (r *activeRule) fires() bool {
+	if r.Count > 0 && r.fired >= r.Count {
+		return false
+	}
+	if r.P > 0 && r.P < 1 {
+		r.rng = splitmix64(r.rng)
+		// Uniform in [0,1) from the top 53 bits.
+		if float64(r.rng>>11)/(1<<53) >= r.P {
+			return false
+		}
+	}
+	r.fired++
+	return true
+}
+
+// plane is the process-global rule set; armed mirrors "it has rules" so that
+// a seam's idle check is a single atomic load.
 type plane struct {
 	mu    sync.Mutex
 	seed  uint64
 	rules []*activeRule
-	parts map[[2]string]struct{}
 	fired map[string]uint64 // "<site>.<action>" -> firings
 }
 
 var (
-	armed  atomic.Int64
-	global = &plane{parts: make(map[[2]string]struct{}), fired: make(map[string]uint64)}
-	// registry mirrors firing counts into a telemetry registry when set.
-	registry atomic.Pointer[telemetry.Registry]
+	armed  atomic.Bool
+	global = &plane{fired: make(map[string]uint64)}
 )
 
-// Enabled reports whether any rule or partition is armed. This is the one
-// atomic load every injection site pays when the plane is idle.
-func Enabled() bool { return armed.Load() != 0 }
-
-// SetRegistry mirrors fault firings into reg as counters: per site
-// ("fault.<site>.<action>"), per action ("fault.injected.<action>") and
-// "fault.injected.total". They are cumulative; Reset zeroes only the counts
-// Describe reports.
-func SetRegistry(reg *telemetry.Registry) { registry.Store(reg) }
+// Enabled reports whether any rule is armed. This is the one atomic load
+// each seam pays when the plane is idle.
+func Enabled() bool { return armed.Load() }
 
 // SetSeed reseeds the plane and re-derives every armed rule's draw stream,
 // so SetSeed(s) followed by the same evaluation sequence replays the same
@@ -230,54 +241,80 @@ func fnv1a(s string) uint64 {
 }
 
 func ruleSeed(seed uint64, r Rule, idx int) uint64 {
-	return splitmix64(seed ^ fnv1a(r.Site) ^ fnv1a(r.Key)<<1 ^ uint64(idx)<<32 | 1)
+	return splitmix64(seed ^ fnv1a(r.Site) ^ fnv1a(r.To)<<1 ^ fnv1a(r.From)<<2 ^ uint64(idx)<<32 | 1)
 }
 
-// Add arms a rule. Rules at the same site stack: each is evaluated
-// independently and their effects merge.
-func Add(r Rule) {
-	if r.Key == Wildcard {
-		r.Key = ""
+// endpoint normalizes a rule endpoint: Wildcard and "" both match all.
+func endpoint(s string) string {
+	if s == Wildcard {
+		return ""
 	}
+	return s
+}
+
+// Add arms a rule. Rules stack: each is evaluated independently and their
+// effects merge.
+func Add(r Rule) {
+	r.From, r.To = endpoint(r.From), endpoint(r.To)
 	if r.P < 0 || r.P > 1 {
 		r.P = 1
 	}
 	global.mu.Lock()
+	defer global.mu.Unlock()
 	global.rules = append(global.rules, &activeRule{Rule: r, rng: ruleSeed(global.seed, r, len(global.rules))})
-	global.mu.Unlock()
-	armed.Add(1)
+	armed.Store(true)
 }
 
-// Remove disarms every rule at site (all keys if key is ""/"*").
-func Remove(site, key string) {
-	if key == Wildcard {
-		key = ""
-	}
+// removeIf disarms every rule drop reports true for.
+func removeIf(drop func(r *Rule) bool) {
 	global.mu.Lock()
+	defer global.mu.Unlock()
 	kept := global.rules[:0]
-	removed := int64(0)
 	for _, r := range global.rules {
-		if r.Site == site && (key == "" || r.Key == key) {
-			removed++
-			continue
+		if !drop(&r.Rule) {
+			kept = append(kept, r)
 		}
-		kept = append(kept, r)
 	}
+	clear(global.rules[len(kept):])
 	global.rules = kept
-	global.mu.Unlock()
-	armed.Add(-removed)
+	armed.Store(len(kept) > 0)
 }
 
-// Clear disarms every rule and heals every partition; firing counters and
-// the seed are preserved (counters describe the finished experiment).
-func Clear() {
-	global.mu.Lock()
-	n := int64(len(global.rules) + len(global.parts))
-	global.rules = nil
-	global.parts = make(map[[2]string]struct{})
-	global.mu.Unlock()
-	armed.Add(-n)
+// Remove disarms every rule at site toward to (every peer if to is ""/"*"),
+// whoever the caller.
+func Remove(site, to string) {
+	to = endpoint(to)
+	removeIf(func(r *Rule) bool { return r.Site == site && (to == "" || r.To == to) })
 }
+
+// partitionRules is the pair of rules that sever the link between a and b:
+// every message from one to the other fails with ErrPartitioned.
+func partitionRules(a, b string) [2]Rule {
+	a, b = endpoint(a), endpoint(b)
+	return [2]Rule{
+		{Site: Wildcard, From: a, To: b, Action: Error, Err: partitioned},
+		{Site: Wildcard, From: b, To: a, Action: Error, Err: partitioned},
+	}
+}
+
+// Partition severs the link between a and b in both directions, at the dial
+// and at every send. b may be Wildcard to isolate a from every peer.
+func Partition(a, b string) {
+	Heal(a, b)
+	for _, r := range partitionRules(a, b) {
+		Add(r)
+	}
+}
+
+// Heal restores the link between a and b.
+func Heal(a, b string) {
+	pair := partitionRules(a, b)
+	removeIf(func(r *Rule) bool { return *r == pair[0] || *r == pair[1] })
+}
+
+// Clear disarms every rule; firing counters and the seed are preserved
+// (counters describe the finished experiment).
+func Clear() { removeIf(func(*Rule) bool { return true }) }
 
 // Reset is Clear plus zeroing the firing counters (test isolation).
 func Reset() {
@@ -298,116 +335,25 @@ func Rules() []Rule {
 	return out
 }
 
-// pairKey normalizes an unordered address pair.
-func pairKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]string{a, b}
-}
-
-// Partition blocks the link between a and b in both directions (checked at
-// rpc.dial and rpc.send). b may be Wildcard to isolate a from every peer.
-func Partition(a, b string) {
-	global.mu.Lock()
-	k := pairKey(a, b)
-	_, dup := global.parts[k]
-	global.parts[k] = struct{}{}
-	global.mu.Unlock()
-	if !dup {
-		armed.Add(1)
-	}
-}
-
-// Heal unblocks the link between a and b.
-func Heal(a, b string) {
-	global.mu.Lock()
-	k := pairKey(a, b)
-	_, ok := global.parts[k]
-	delete(global.parts, k)
-	global.mu.Unlock()
-	if ok {
-		armed.Add(-1)
-	}
-}
-
-// HealAll removes every partition.
-func HealAll() {
-	global.mu.Lock()
-	n := int64(len(global.parts))
-	global.parts = make(map[[2]string]struct{})
-	global.mu.Unlock()
-	armed.Add(-n)
-}
-
-// Partitions returns the partitioned pairs, sorted.
-func Partitions() [][2]string {
-	global.mu.Lock()
-	out := make([][2]string, 0, len(global.parts))
-	for k := range global.parts {
-		out = append(out, k)
-	}
-	global.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-// Partitioned reports whether the from->to link is severed, honoring
-// wildcard partitions on either endpoint. Callers gate on Enabled.
-func Partitioned(from, to string) bool {
-	if armed.Load() == 0 {
-		return false
-	}
-	global.mu.Lock()
-	defer global.mu.Unlock()
-	if len(global.parts) == 0 {
-		return false
-	}
-	if _, ok := global.parts[pairKey(from, to)]; ok {
-		return true
-	}
-	if _, ok := global.parts[pairKey(from, Wildcard)]; ok && from != "" {
-		return true
-	}
-	if _, ok := global.parts[pairKey(to, Wildcard)]; ok && to != "" {
-		return true
-	}
-	return false
-}
-
-// Eval evaluates every armed rule for site/key and merges the fired
-// actions. With the plane disarmed it returns the zero Decision after one
-// atomic load and performs no allocation.
-func Eval(site, key string) Decision {
-	if armed.Load() == 0 {
+// Eval is the plane's one decision: it evaluates every armed rule for a
+// message on site from → to (for SiteWALSync, "" and the database
+// directory) and merges the fired actions. With the plane disarmed it
+// returns the zero Decision after one atomic load and performs no
+// allocation.
+func Eval(site, from, to string) Decision {
+	if !armed.Load() {
 		return Decision{}
 	}
-	return global.eval(site, key)
+	return global.eval(site, from, to)
 }
 
-func (p *plane) eval(site, key string) Decision {
-	var d Decision
+func (p *plane) eval(site, from, to string) (d Decision) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, r := range p.rules {
-		if r.Site != site || (r.Key != "" && r.Key != key) {
+		if !r.matches(site, from, to) || !r.fires() {
 			continue
 		}
-		if r.Count > 0 && r.fired >= r.Count {
-			continue
-		}
-		if r.P > 0 && r.P < 1 {
-			r.rng = splitmix64(r.rng)
-			// Uniform in [0,1) from the top 53 bits.
-			if float64(r.rng>>11)/(1<<53) >= r.P {
-				continue
-			}
-		}
-		r.fired++
 		p.fired[site+"."+r.Action.String()]++
 		switch r.Action {
 		case Drop:
@@ -417,28 +363,18 @@ func (p *plane) eval(site, key string) Decision {
 		case CrashConn:
 			d.CrashConn = true
 		case Delay:
-			if r.Delay > d.Delay {
-				d.Delay = r.Delay
-			}
+			d.Delay = max(d.Delay, r.Delay)
 		case Error:
 			if d.Err == nil {
-				if r.Err != "" {
-					d.Err = fmt.Errorf("%w: %s", ErrInjected, r.Err)
-				} else {
-					d.Err = ErrInjected
-				}
+				d.Err = r.err()
 			}
 		}
-		reg := registry.Load()
-		reg.Counter("fault." + site + "." + r.Action.String()).Inc()
-		reg.Counter("fault.injected." + r.Action.String()).Inc()
-		reg.Counter("fault.injected.total").Inc()
 	}
-	p.mu.Unlock()
 	return d
 }
 
-// Counters snapshots cumulative firings as "<site>.<action>" -> count
+// Counters snapshots cumulative firings as "<site>.<action>" -> count, the
+// site being the method (or "*" for a dial) a message was evaluated on
 // (what Describe reports; zeroed by Reset).
 func Counters() map[string]uint64 {
 	global.mu.Lock()

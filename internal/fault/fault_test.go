@@ -8,18 +8,15 @@ import (
 )
 
 // TestDisabledPlaneIsFree pins the acceptance bar: a disarmed plane costs
-// no allocation at an injection site.
+// no allocation at a seam.
 func TestDisabledPlaneIsFree(t *testing.T) {
 	Reset()
 	if Enabled() {
 		t.Fatal("plane armed after Reset")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if d := Eval(SiteRPCSend, "127.0.0.1:1"); d.Drop || d.Err != nil {
+		if d := Eval("obj.invoke", "a", "127.0.0.1:1"); d.Drop || d.Err != nil {
 			t.Fatal("disarmed plane fired")
-		}
-		if Partitioned("a", "b") {
-			t.Fatal("disarmed plane partitioned")
 		}
 	})
 	if allocs != 0 {
@@ -30,13 +27,13 @@ func TestDisabledPlaneIsFree(t *testing.T) {
 func TestRuleFiresAndCounts(t *testing.T) {
 	Reset()
 	defer Reset()
-	Add(Rule{Site: SiteWALSync, Key: "dir1", Action: Error, Err: "disk gone", Count: 2})
+	Add(Rule{Site: SiteWALSync, To: "dir1", Action: Error, Err: "disk gone", Count: 2})
 
-	if d := Eval(SiteWALSync, "other"); d.Err != nil {
-		t.Fatal("key-scoped rule fired for wrong key")
+	if d := Eval(SiteWALSync, "", "other"); d.Err != nil {
+		t.Fatal("directory-scoped rule fired for another directory")
 	}
 	for i := 0; i < 2; i++ {
-		d := Eval(SiteWALSync, "dir1")
+		d := Eval(SiteWALSync, "", "dir1")
 		if !errors.Is(d.Err, ErrInjected) {
 			t.Fatalf("firing %d: err = %v", i, d.Err)
 		}
@@ -44,11 +41,35 @@ func TestRuleFiresAndCounts(t *testing.T) {
 			t.Fatalf("err text lost: %v", d.Err)
 		}
 	}
-	if d := Eval(SiteWALSync, "dir1"); d.Err != nil {
+	if d := Eval(SiteWALSync, "", "dir1"); d.Err != nil {
 		t.Fatal("rule fired beyond its count cap")
 	}
 	if got := Counters()["wal.sync.error"]; got != 2 {
 		t.Fatalf("counter = %d, want 2", got)
+	}
+}
+
+// TestRuleNarrowing pins the one rule shape: a method rule fires only for
+// its method, Wildcard for every method but never for the disk, a from rule
+// only for that caller (never an unlabelled one), a to rule only toward that
+// peer.
+func TestRuleNarrowing(t *testing.T) {
+	Reset()
+	defer Reset()
+	fired := func(site, from, to string) bool { return Eval(site, from, to).Drop }
+	Add(Rule{Site: "m.a", Action: Drop})
+	if !fired("m.a", "", "x") || fired("m.b", "", "x") || fired(Wildcard, "", "x") {
+		t.Fatal("method rule fired off its method (or at the dial)")
+	}
+	Clear()
+	Add(Rule{Site: Wildcard, Action: Drop})
+	if !fired("m.a", "", "x") || !fired(Wildcard, "", "x") || fired(SiteWALSync, "", "x") {
+		t.Fatal("wildcard rule missed a method or the dial, or reached the disk")
+	}
+	Clear()
+	Add(Rule{Site: Wildcard, From: "n1", To: "c3", Action: Drop})
+	if !fired("m.a", "n1", "c3") || fired("m.a", "", "c3") || fired("m.a", "n2", "c3") || fired("m.a", "n1", "c2") {
+		t.Fatal("from/to rule fired for another link")
 	}
 }
 
@@ -60,17 +81,14 @@ func TestSeededDeterminism(t *testing.T) {
 	run := func(seed uint64) []bool {
 		Clear()
 		SetSeed(seed)
-		Add(Rule{Site: SiteRPCSend, Action: Drop, P: 0.5})
+		Add(Rule{Site: Wildcard, Action: Drop, P: 0.5})
 		out := make([]bool, 64)
 		for i := range out {
-			out[i] = Eval(SiteRPCSend, "x").Drop
+			out[i] = Eval("m", "", "x").Drop
 		}
 		return out
 	}
 	a1, a2, b := run(7), run(7), run(8)
-	if len(a1) != len(a2) {
-		t.Fatal("length mismatch")
-	}
 	same := true
 	for i := range a1 {
 		if a1[i] != a2[i] {
@@ -94,39 +112,40 @@ func TestSeededDeterminism(t *testing.T) {
 	}
 }
 
+// TestPartitionMatrix pins partitions as rules: symmetric, wildcard-capable,
+// failing with ErrPartitioned, and healed by removing exactly their rules.
 func TestPartitionMatrix(t *testing.T) {
 	Reset()
 	defer Reset()
+	cut := func(from, to string) bool { return errors.Is(Eval("m", from, to).Err, ErrPartitioned) }
 	Partition("a", "b")
-	if !Partitioned("a", "b") || !Partitioned("b", "a") {
+	if !cut("a", "b") || !cut("b", "a") {
 		t.Fatal("partition is not symmetric")
 	}
-	if Partitioned("a", "c") {
-		t.Fatal("unrelated pair partitioned")
+	if cut("a", "c") || cut("", "b") {
+		t.Fatal("unrelated link partitioned")
 	}
 	Partition("c", Wildcard)
-	if !Partitioned("c", "z") || !Partitioned("z", "c") || !Partitioned("", "c") {
+	if !cut("c", "z") || !cut("z", "c") || !cut("", "c") {
 		t.Fatal("wildcard partition did not isolate c")
 	}
-	Heal("a", "b")
-	if Partitioned("a", "b") {
-		t.Fatal("healed pair still partitioned")
+	Heal("b", "a")
+	if cut("a", "b") || !cut("c", "z") {
+		t.Fatal("heal restored the wrong link")
 	}
-	HealAll()
-	if Partitioned("c", "z") {
-		t.Fatal("HealAll left a partition")
-	}
-	if Enabled() {
-		t.Fatal("plane armed with no rules or partitions")
+	Heal(Wildcard, "c")
+	if cut("c", "z") || Enabled() {
+		t.Fatal("plane armed with every link healed")
 	}
 }
 
 func TestDelayAndMerge(t *testing.T) {
 	Reset()
 	defer Reset()
-	Add(Rule{Site: SiteRPCRecv, Action: Delay, Delay: 3 * time.Millisecond})
-	Add(Rule{Site: SiteRPCRecv, Action: Drop})
-	d := Eval(SiteRPCRecv, "n")
+	Add(Rule{Site: Wildcard, Action: Delay, Delay: 3 * time.Millisecond})
+	Add(Rule{Site: "m", Action: Delay, Delay: time.Millisecond})
+	Add(Rule{Site: "m", Action: Drop})
+	d := Eval("m", "", "n")
 	if d.Delay != 3*time.Millisecond || !d.Drop {
 		t.Fatalf("merged decision = %+v", d)
 	}
@@ -138,9 +157,9 @@ func TestGrammarRoundTrip(t *testing.T) {
 	script := `
 # a comment
 seed 42
-rule rpc.send@127.0.0.1:9 drop p=0.25 count=10
+rule *@127.0.0.1:9 drop p=0.25 count=10
 rule wal.sync error:enospc
-rule rpc.recv delay:5ms
+rule coord.heartbeat delay:5ms from=127.0.0.1:8
 partition 127.0.0.1:9 *
 `
 	if err := ApplyAll(script); err != nil {
@@ -150,13 +169,13 @@ partition 127.0.0.1:9 *
 		t.Fatalf("seed = %d", Seed())
 	}
 	rules := Rules()
-	if len(rules) != 3 {
-		t.Fatalf("rules = %d", len(rules))
+	if len(rules) != 5 {
+		t.Fatalf("rules = %d, want 3 + a partition's 2", len(rules))
 	}
-	if rules[0].P != 0.25 || rules[0].Count != 10 || rules[0].Key != "127.0.0.1:9" {
+	if rules[0].P != 0.25 || rules[0].Count != 10 || rules[0].To != "127.0.0.1:9" || rules[0].Site != Wildcard {
 		t.Fatalf("rule 0 = %+v", rules[0])
 	}
-	if rules[2].Delay != 5*time.Millisecond {
+	if rules[2].Delay != 5*time.Millisecond || rules[2].From != "127.0.0.1:8" {
 		t.Fatalf("rule 2 = %+v", rules[2])
 	}
 	// Describe output must re-apply cleanly onto a fresh plane.
@@ -165,26 +184,56 @@ partition 127.0.0.1:9 *
 	if err := ApplyAll(desc); err != nil {
 		t.Fatalf("describe output not re-appliable: %v\n%s", err, desc)
 	}
-	if len(Rules()) != 3 || len(Partitions()) != 1 {
-		t.Fatalf("round trip lost state: %d rules %d partitions", len(Rules()), len(Partitions()))
+	if got := Rules(); len(got) != len(rules) || got[4] != rules[4] {
+		t.Fatalf("round trip lost state: %+v", got)
 	}
-	if err := Apply("rule rpc.send explode"); err == nil {
-		t.Fatal("bad action accepted")
+	if err := ApplyAll("heal * 127.0.0.1:9\nremove coord.heartbeat"); err != nil || len(Rules()) != 2 {
+		t.Fatalf("heal + remove left %d rules (%v)", len(Rules()), err)
 	}
-	if err := Apply("bogus"); err == nil {
-		t.Fatal("bad command accepted")
+	for _, bad := range []string{"rule rpc.send explode", "rule @x drop", "rule * drop p=NaN", "bogus", "heal *"} {
+		if err := Apply(bad); err == nil {
+			t.Fatalf("%q accepted", bad)
+		}
 	}
-	Reset()
 }
 
-// BenchmarkDisabledSite must report 0 allocs/op: the per-site cost of an
+// FuzzFaultGrammar: the grammar POST /faults parses never panics, and a
+// parsed rule's String re-parses to an equal rule.
+func FuzzFaultGrammar(f *testing.F) {
+	for _, s := range []string{
+		"rule *@127.0.0.1:9 drop p=0.25 count=10",
+		"rule wal.sync@/data/n0 error:enospc",
+		"rule repl.applyBatch delay:1.5ms from=a p=1",
+		"partition a *\nheal * a",
+		"remove *@b",
+		"seed 0x2a\nclear\nreset",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, script string) {
+		defer Reset()
+		_ = ApplyAll(script)
+		for _, line := range strings.Split(script, "\n") {
+			r, err := ParseRule(strings.TrimPrefix(strings.TrimSpace(line), "rule "))
+			if err != nil {
+				continue
+			}
+			again, err := ParseRule(r.String())
+			if err != nil || again != r {
+				t.Fatalf("%q parsed to %+v, whose String %q re-parsed to %+v, %v", line, r, r.String(), again, err)
+			}
+		}
+	})
+}
+
+// BenchmarkDisabledSite must report 0 allocs/op: the per-message cost of an
 // idle plane on every RPC and WAL sync.
 func BenchmarkDisabledSite(b *testing.B) {
 	Reset()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if Enabled() {
-			_ = Eval(SiteRPCSend, "127.0.0.1:1")
+			_ = Eval("obj.invoke", "", "127.0.0.1:1")
 		}
 	}
 }
@@ -198,7 +247,7 @@ func BenchmarkArmedOtherSite(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if Enabled() {
-			_ = Eval(SiteRPCSend, "127.0.0.1:1")
+			_ = Eval("obj.invoke", "", "127.0.0.1:1")
 		}
 	}
 }

@@ -13,63 +13,66 @@ import (
 // speaks; blank lines and #-comments are ignored.
 //
 //	seed <n>                        reseed the plane (decimal or 0x hex)
-//	rule <site>[@<key>] <action>[:<arg>] [p=<prob>] [count=<n>]
-//	partition <a> <b>               sever a link (b may be *)
-//	heal <a> <b>                    restore a link
-//	heal *                          restore every link
-//	remove <site>[@<key>]           disarm rules at a site
-//	clear                           disarm everything, heal everything
+//	rule <site>[@<to>] <action>[:<arg>] [from=<label>] [p=<prob>] [count=<n>]
+//	partition <a> <b>               sever a link both ways (b may be *)
+//	heal <a> <b>                    restore it
+//	remove <site>[@<to>]            disarm a site's rules, whoever the caller
+//	clear                           disarm everything
 //	reset                           clear + zero the firing counters
 //
-// Actions: drop | delay:<duration> | error[:<msg>] | dup | crash.
-// Example: rule rpc.send@127.0.0.1:7001 drop p=0.3 count=10
+// <site> is an RPC method (repl.applyBatch, coord.heartbeat, ...), * for
+// every method and the dial, or wal.sync (<to> is then a database
+// directory). from= names the caller by its pool's label, its node's
+// address. Actions: drop | delay:<duration> | error[:<msg>] | dup | crash;
+// a partition is the pair of error:partitioned rules it arms.
+// Example: rule *@127.0.0.1:7001 drop from=127.0.0.1:7002 p=0.3 count=10
 
-// ParseRule parses "<site>[@<key>] <action>[:<arg>] [p=..] [count=..]".
+// ParseRule parses "<site>[@<to>] <action>[:<arg>] [from=..] [p=..] [count=..]".
 func ParseRule(s string) (Rule, error) {
 	fields := strings.Fields(s)
 	if len(fields) < 2 {
-		return Rule{}, fmt.Errorf("fault: rule needs \"<site>[@key] <action>\": %q", s)
+		return Rule{}, fmt.Errorf("fault: rule needs \"<site>[@to] <action>\": %q", s)
 	}
 	var r Rule
-	r.Site = fields[0]
-	if at := strings.IndexByte(r.Site, '@'); at >= 0 {
-		r.Site, r.Key = r.Site[:at], r.Site[at+1:]
+	r.Site, r.To, _ = strings.Cut(fields[0], "@")
+	if r.Site == "" {
+		return Rule{}, fmt.Errorf("fault: rule has no site: %q", s)
 	}
-	act := fields[1]
-	arg := ""
-	if c := strings.IndexByte(act, ':'); c >= 0 {
-		act, arg = act[:c], act[c+1:]
+	r.To = endpoint(r.To)
+	act, arg, _ := strings.Cut(fields[1], ":")
+	for a := Drop; a <= CrashConn; a++ {
+		if a.String() == act {
+			r.Action = a
+		}
 	}
-	switch act {
-	case "drop":
-		r.Action = Drop
-	case "dup", "duplicate":
-		r.Action = Duplicate
-	case "crash", "crash-conn":
-		r.Action = CrashConn
-	case "error":
-		r.Action = Error
+	switch r.Action {
+	case 0:
+		return Rule{}, fmt.Errorf("fault: unknown action %q (drop|delay|error|dup|crash)", act)
+	case Error:
 		r.Err = arg
-	case "delay":
-		r.Action = Delay
+	case Delay:
 		d, err := time.ParseDuration(arg)
 		if err != nil {
 			return Rule{}, fmt.Errorf("fault: delay needs a duration (delay:5ms): %v", err)
 		}
 		r.Delay = d
-	default:
-		return Rule{}, fmt.Errorf("fault: unknown action %q (drop|delay|error|dup|crash)", act)
 	}
 	for _, f := range fields[2:] {
-		switch {
-		case strings.HasPrefix(f, "p="):
-			p, err := strconv.ParseFloat(f[2:], 64)
-			if err != nil || p <= 0 || p > 1 {
+		k, v, _ := strings.Cut(f, "=")
+		switch k {
+		case "from":
+			r.From = endpoint(v)
+		case "p":
+			p, err := strconv.ParseFloat(v, 64)
+			if err != nil || !(p > 0 && p <= 1) {
 				return Rule{}, fmt.Errorf("fault: p must be in (0,1]: %q", f)
 			}
 			r.P = p
-		case strings.HasPrefix(f, "count="):
-			n, err := strconv.ParseUint(f[6:], 10, 64)
+			if p == 1 {
+				r.P = 0 // always, as no p= says
+			}
+		case "count":
+			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
 				return Rule{}, fmt.Errorf("fault: bad count: %q", f)
 			}
@@ -83,11 +86,10 @@ func ParseRule(s string) (Rule, error) {
 
 // Apply executes one grammar command against the process plane.
 func Apply(line string) error {
-	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
+	fields := strings.Fields(line)
+	if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 		return nil
 	}
-	fields := strings.Fields(line)
 	cmd, rest := fields[0], fields[1:]
 	switch cmd {
 	case "seed":
@@ -110,32 +112,21 @@ func Apply(line string) error {
 			return err
 		}
 		Add(r)
-	case "partition":
+	case "partition", "heal":
 		if len(rest) != 2 {
-			return fmt.Errorf("fault: partition needs two endpoints")
+			return fmt.Errorf("fault: %s needs two endpoints", cmd)
 		}
-		Partition(rest[0], rest[1])
-	case "heal":
-		switch len(rest) {
-		case 1:
-			if rest[0] != Wildcard {
-				return fmt.Errorf("fault: heal needs two endpoints or *")
-			}
-			HealAll()
-		case 2:
+		if cmd == "partition" {
+			Partition(rest[0], rest[1])
+		} else {
 			Heal(rest[0], rest[1])
-		default:
-			return fmt.Errorf("fault: heal needs two endpoints or *")
 		}
 	case "remove":
 		if len(rest) != 1 {
-			return fmt.Errorf("fault: remove needs <site>[@key]")
+			return fmt.Errorf("fault: remove needs <site>[@to]")
 		}
-		site, key := rest[0], ""
-		if at := strings.IndexByte(site, '@'); at >= 0 {
-			site, key = site[:at], site[at+1:]
-		}
-		Remove(site, key)
+		site, to, _ := strings.Cut(rest[0], "@")
+		Remove(site, to)
 	case "clear":
 		Clear()
 	case "reset":
@@ -164,9 +155,6 @@ func Describe() string {
 	fmt.Fprintf(&b, "seed %d\n", Seed())
 	for _, r := range Rules() {
 		fmt.Fprintf(&b, "rule %s\n", r)
-	}
-	for _, p := range Partitions() {
-		fmt.Fprintf(&b, "partition %s %s\n", p[0], p[1])
 	}
 	counters := Counters()
 	names := make([]string, 0, len(counters))

@@ -308,7 +308,7 @@ func TestForwardsBufferThenDrainInOrder(t *testing.T) {
 	}
 }
 
-// (c), replica scope: a forward dropped during the initial transfer leaves
+// (c), replica scope: a forward that fails during the initial transfer leaves
 // the joiner behind; the post-promote verify round finds and repairs it, and
 // only then is the joiner admitted.
 func TestRejoinHealsDroppedForward(t *testing.T) {
@@ -321,8 +321,8 @@ func TestRejoinHealsDroppedForward(t *testing.T) {
 	go func() { done <- rcv.plane.syncOnce(snd.addr, dir.Epoch()) }()
 	<-parked
 	// Object 3's chunk is fetched: this commit is in no snapshot, and its
-	// forward is lost.
-	fault.Add(fault.Rule{Site: fault.SiteRecoveryForward, Key: rcv.addr, Action: fault.Drop, Count: 1})
+	// forward fails.
+	fault.Add(fault.Rule{Site: MethodForward, To: rcv.addr, Action: fault.Error, Count: 1})
 	snd.mustCommit(3, "f", "v1")
 	release()
 	if err := <-done; err != nil {
@@ -405,7 +405,7 @@ func TestMoveStreamsPayloadOnce(t *testing.T) {
 	}
 }
 
-// (c), object scope: a forward dropped while the target pulls is healed by
+// (c), object scope: a forward that fails while the target pulls is healed by
 // the seal — one re-pull of the frozen range — before the cutover.
 func TestMoveSealHealsDroppedForward(t *testing.T) {
 	_, src, tgt, _ := moveFixture(t, 0)
@@ -413,7 +413,7 @@ func TestMoveSealHealsDroppedForward(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- src.plane.Move(6, tgt.addr, 1) }()
 	<-parked
-	fault.Add(fault.Rule{Site: fault.SiteRecoveryForward, Key: tgt.addr, Action: fault.Drop, Count: 1})
+	fault.Add(fault.Rule{Site: MethodForward, To: tgt.addr, Action: fault.Error, Count: 1})
 	src.mustCommit(6, "b", "rewritten")
 	want := dump(t, src.db)
 	release()
@@ -439,8 +439,8 @@ func TestMoveAbortLeavesObjectAtSource(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- src.plane.Move(6, tgt.addr, 1) }()
 	<-parked
-	fault.Add(fault.Rule{Site: fault.SiteRecoveryForward, Key: tgt.addr, Action: fault.Drop})
-	fault.Add(fault.Rule{Site: fault.SiteRecoveryFetch, Key: src.addr, Action: fault.Error})
+	fault.Add(fault.Rule{Site: MethodForward, To: tgt.addr, Action: fault.Error})
+	fault.Add(fault.Rule{Site: MethodFetch, To: src.addr, Action: fault.Error})
 	src.mustCommit(6, "d", "unseen")
 	want += fmt.Sprintf("%x=unseen\n", objKey(6, "d"))
 	release()
@@ -504,7 +504,7 @@ func TestObjectSessionRelaysOnlyItsObject(t *testing.T) {
 	}
 	// Not epoch-pinned: another reconfiguration does not end the session.
 	src.dir.SetOverride(99, 1)
-	if _, err := s.pull(MethodFetch, encodeFetchReq(&fetchReq{sessionReq: s.req})); err != nil {
+	if _, err := s.call(MethodFetch, encodeFetchReq(&fetchReq{sessionReq: s.req})); err != nil {
 		t.Fatalf("fetch after an unrelated epoch bump: %v", err)
 	}
 	for _, m := range []string{MethodPromote, MethodAdmit} {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"lambdastore/internal/fault"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
 )
@@ -156,7 +155,7 @@ func (s *inbound) syncRange(start, end []byte, object uint64) error {
 	}
 	req := &fetchReq{sessionReq: s.req, start: start, end: end}
 	for first := true; ; first = false {
-		body, err := s.pull(MethodFetch, encodeFetchReq(req))
+		body, err := s.call(MethodFetch, encodeFetchReq(req))
 		if err != nil {
 			return err
 		}
@@ -214,16 +213,6 @@ func (p *Plane) deleteObjectRange(object uint64) error {
 		b.Delete(k)
 	}
 	return p.opts.Apply(object, b)
-}
-
-// pull issues one read of the sender's state under the recovery.fetch fault
-// site (keyed by sender address), so chaos schedules can drop or fail chunk
-// RPCs mid-transfer.
-func (s *inbound) pull(method string, body []byte) ([]byte, error) {
-	if err := injected(fault.SiteRecoveryFetch, s.sender, method); err != nil {
-		return nil, err
-	}
-	return s.call(method, body)
 }
 
 // call issues one session RPC to the sender under the orchestrator's trace.

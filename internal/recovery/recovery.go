@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lambdastore/internal/fault"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
 	"lambdastore/internal/store"
@@ -390,20 +389,4 @@ func (p *Plane) call(trace telemetry.SpanContext, addr, method string, body []by
 	resp, err := p.opts.Pool.CallCtx(addr, trace, method, body)
 	span.FinishErr(err)
 	return resp, err
-}
-
-// injected evaluates a fault site before a call: it sleeps an injected
-// delay and returns the injected failure, if any.
-func injected(site, key, method string) error {
-	if !fault.Enabled() {
-		return nil
-	}
-	dec := fault.Eval(site, key)
-	if dec.Delay > 0 {
-		time.Sleep(dec.Delay)
-	}
-	if dec.Drop {
-		return fmt.Errorf("recovery: %s to %s dropped (injected)", method, key)
-	}
-	return dec.Err
 }

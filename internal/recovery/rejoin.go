@@ -159,7 +159,7 @@ func (p *Plane) round(s *inbound) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	body, err := s.pull(MethodDigest, encodeSessionReq(&s.req))
+	body, err := s.call(MethodDigest, encodeSessionReq(&s.req))
 	if err != nil {
 		return 0, err
 	}
@@ -182,7 +182,7 @@ func (p *Plane) round(s *inbound) (int, error) {
 		return repaired, nil
 	}
 
-	body, err = s.pull(MethodObjects, encodeObjectsReq(&objectsReq{sessionReq: s.req, buckets: bucketList}))
+	body, err = s.call(MethodObjects, encodeObjectsReq(&objectsReq{sessionReq: s.req, buckets: bucketList}))
 	if err != nil {
 		return repaired, err
 	}

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lambdastore/internal/fault"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
 )
@@ -173,13 +172,7 @@ func (p *Plane) ForwardCommit(ctx telemetry.SpanContext, object uint64, b *store
 	var firstErr error
 	for _, s := range sessions {
 		sc := s.key.scope
-		// The relay runs under the recovery.forward fault site, keyed by
-		// receiver address.
-		err := injected(fault.SiteRecoveryForward, s.key.peer, MethodForward)
-		if err == nil {
-			frame := encodeForward(&forwardMsg{scoped: sc.scoped, object: object, batch: batch})
-			_, err = p.call(ctx, s.key.peer, MethodForward, frame)
-		}
+		_, err := p.call(ctx, s.key.peer, MethodForward, encodeForward(&forwardMsg{scoped: sc.scoped, object: object, batch: batch}))
 		if err == nil {
 			s.failingSince.Store(0)
 			s.fwd.Add(1)

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"lambdastore/internal/fault"
+	"lambdastore/internal/rpc"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
 )
@@ -244,4 +246,55 @@ func TestApplyBatchLeaseTrailerRoundTrip(t *testing.T) {
 	if msg.leaseTTLUs != 0 || msg.leaseEnq != 0 || msg.leaseGrantNs != 0 {
 		t.Fatalf("unleased frame grew a trailer: %+v", msg)
 	}
+}
+
+// TestLeaseRenewalsBoundedWhileLost: while every renewal to a backup is
+// lost, at most one is in flight to it at a time (each waits out the pool's
+// timeout), and the lease is granted again once the loss ends.
+func TestLeaseRenewalsBoundedWhileLost(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	holder := NewLeaseHolder(func() uint64 { return 1 }, 0, nil, nil)
+	srv := rpc.NewServer()
+	RegisterBackupLeased(srv, ApplierFunc(func(uint64, *store.Batch) error { return nil }), nil, nil, nil, holder)
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	pool := rpc.NewPool(&rpc.ClientOptions{Timeout: 300 * time.Millisecond})
+	t.Cleanup(pool.Close)
+	reg := telemetry.NewRegistry()
+	pool.SetTelemetry(reg)
+	s := NewShipper(pool, nil)
+	t.Cleanup(s.Close)
+	s.SetEpoch(1)
+	s.SetBackups([]string{addr})
+	s.SetLeaseTTL(testTTL)
+	leased := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(3 * time.Second); !holder.Valid(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	leased("the first grant")
+
+	fault.Add(fault.Rule{Site: MethodLease, To: addr, Action: fault.Drop})
+	inFlight, peak := reg.Gauge("rpc.client.in_flight"), int64(0)
+	for end := time.Now().Add(2 * time.Second); time.Now().Before(end); time.Sleep(2 * time.Millisecond) {
+		peak = max(peak, inFlight.Value())
+	}
+	if peak != 1 {
+		t.Fatalf("%d renewals in flight at once to a backup that never answers, want 1", peak)
+	}
+	if holder.Valid() {
+		t.Fatal("the lease outlived 2s of lost renewals")
+	}
+	if lost := fault.Counters()[MethodLease+".drop"]; lost > uint64(2*time.Second/(300*time.Millisecond))+2 {
+		t.Fatalf("%d renewals sent in 2s at a 300ms timeout: they piled up", lost)
+	}
+	fault.Remove(MethodLease, addr)
+	leased("the lease to be granted again")
 }

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lambdastore/internal/fault"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
@@ -217,8 +216,12 @@ func (s *Shipper) laneEnqGet(addr string) uint64 {
 // renewLoop keeps every current backup's lease fresh while the group is
 // idle; frames piggyback renewals on their own when writes flow. Send
 // failures are ignored — the backup's lease simply expires and it
-// bounces reads to the primary until renewals get through again.
+// bounces reads to the primary until renewals get through again. At most
+// one renewal per backup is in flight: a tick finding the last one still
+// out (a lost renewal, a frozen backup) skips that backup rather than pile
+// up calls that each wait out the pool's timeout.
 func (s *Shipper) renewLoop() {
+	var renewing sync.Map // backup address -> a renewal is in flight
 	for {
 		ttl := time.Duration(s.leaseTTL.Load())
 		if ttl <= 0 {
@@ -235,27 +238,20 @@ func (s *Shipper) renewLoop() {
 			continue
 		}
 		for _, addr := range s.Backups() {
+			if _, busy := renewing.LoadOrStore(addr, true); busy {
+				continue
+			}
 			go func(addr string) {
-				// Stamp before the fault-plane delay: an injected renewal
-				// delay models in-flight latency, which must eat into the
-				// granted window rather than shift it.
-				grantNs := uint64(time.Now().UnixNano())
-				if fault.Enabled() {
-					d := fault.Eval(fault.SiteLeaseRenew, addr)
-					if d.Delay > 0 {
-						time.Sleep(d.Delay)
-					}
-					if d.Err != nil || d.Drop {
-						return
-					}
-				}
+				defer renewing.Delete(addr)
+				// Stamped before the send: time in flight eats into the
+				// granted window rather than shifting it.
 				body := encodeLease(leaseMsg{
 					epoch:   epoch,
 					ttlUs:   uint64(ttl / time.Microsecond),
 					enq:     s.laneEnqGet(addr),
-					grantNs: grantNs,
+					grantNs: uint64(time.Now().UnixNano()),
 				})
-				s.pool.Call(addr, MethodLease, body)
+				s.pool.Call(addr, MethodLease, body) //nolint:errcheck // a lost renewal lets the lease expire
 			}(addr)
 		}
 	}
@@ -435,21 +431,6 @@ func (s *Shipper) laneLoop(l *shipLane) {
 // frame, which it returns for reuse. The trace context of the first entry
 // parents the backup-side span.
 func (s *Shipper) shipFrame(addr string, frame []byte, entries []*shipment) ([]byte, error) {
-	if fault.Enabled() {
-		d := fault.Eval(fault.SiteReplShip, addr)
-		if d.Delay > 0 {
-			time.Sleep(d.Delay)
-		}
-		if d.Err != nil {
-			return frame, d.Err
-		}
-		if d.Drop {
-			// Silently lost write-set: the backup diverges while the
-			// primary believes it shipped. This is the divergence probe —
-			// only chaos experiments arm it.
-			return frame, nil
-		}
-	}
 	var ttlUs, enq, grantNs uint64
 	epoch := s.epoch.Load()
 	if ttl := time.Duration(s.leaseTTL.Load()); ttl > 0 && epoch != 0 {

@@ -2,7 +2,9 @@
 // length-framed request/response protocol over TCP with per-connection
 // multiplexing (many in-flight requests share one connection), per-call
 // timeouts, and an injectable artificial delay used by the benchmark
-// harness to emulate LAN/WAN round-trip times on loopback.
+// harness to emulate LAN/WAN round-trip times on loopback. It is also the
+// network's one fault seam: internal/fault decides each call (and each dial)
+// once, as a message from the caller's pool label to the peer.
 //
 // In the paper's architecture this carries client→node invocations,
 // compute→storage accesses in the disaggregated baseline, primary→backup
@@ -16,7 +18,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lambdastore/internal/fault"
@@ -276,10 +277,6 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	metrics *serverMetrics
-
-	// faultLabel identifies this server to the fault plane (rpc.recv key);
-	// Serve sets it to the bound address.
-	faultLabel atomic.Pointer[string]
 }
 
 // NewServer returns a server with no handlers.
@@ -326,9 +323,6 @@ func (s *Server) Serve(addr string) (string, error) {
 	}
 	s.ln = ln
 	s.mu.Unlock()
-
-	label := ln.Addr().String()
-	s.faultLabel.Store(&label)
 
 	s.wg.Add(1)
 	go func() {
@@ -385,28 +379,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		if f.msg.kind != msgRequest {
 			f.recycle()
 			continue
-		}
-		if fault.Enabled() {
-			label := ""
-			if l := s.faultLabel.Load(); l != nil {
-				label = *l
-			}
-			d := fault.Eval(fault.SiteRPCRecv, label)
-			if d.CrashConn {
-				return // deferred cleanup closes the connection
-			}
-			if d.Drop {
-				f.recycle()
-				continue // the request vanishes; the caller times out
-			}
-			if d.Delay > 0 {
-				time.Sleep(d.Delay)
-			}
-			if d.Err != nil {
-				cw.writeMsg(&message{kind: msgResponse, id: f.msg.id, errStr: d.Err.Error()}) //nolint:errcheck // writeMsg closes the conn on failure
-				f.recycle()
-				continue
-			}
 		}
 		s.mu.RLock()
 		h := s.handlers[string(f.name)]
@@ -516,8 +488,8 @@ func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
 // use; a failed connection fails all in-flight calls.
 type Client struct {
 	opts ClientOptions
-	peer string // remote address (fault-plane key for rpc.send)
-	from string // owner's fault label (partition-matrix endpoint)
+	peer string // remote address: a fault rule's to
+	from string // owner's fault label: a fault rule's from
 
 	mu      sync.Mutex
 	conn    net.Conn
@@ -534,18 +506,15 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 }
 
 // dialFrom is Dial labelled with the caller's fault-plane identity (pools
-// propagate their owner's label so link partitions can name both ends) and
-// counting into the caller's instruments.
+// propagate their owner's label, which a rule's from matches) and counting
+// into the caller's instruments.
 func dialFrom(addr string, opts *ClientOptions, from string, m *clientMetrics) (*Client, error) {
 	o := opts.sanitize()
 	if fault.Enabled() {
-		if fault.Partitioned(from, addr) {
-			return nil, fmt.Errorf("rpc: dial %s: %w", addr, fault.ErrPartitioned)
-		}
-		d := fault.Eval(fault.SiteRPCDial, addr)
-		if d.Delay > 0 {
-			time.Sleep(d.Delay)
-		}
+		// A dial is a message on every method: only Wildcard rules see it,
+		// and of their actions only a delay or an error acts on it.
+		d := fault.Eval(fault.Wildcard, from, addr)
+		time.Sleep(d.Delay)
 		if d.Err != nil {
 			return nil, fmt.Errorf("rpc: dial %s: %w", addr, d.Err)
 		}
@@ -647,26 +616,21 @@ func (c *Client) CallCtx(ctx telemetry.SpanContext, method string, body []byte) 
 }
 
 func (c *Client) call(ctx telemetry.SpanContext, method string, body []byte) ([]byte, error) {
-	if c.opts.Delay > 0 {
-		time.Sleep(c.opts.Delay)
-	}
-	var drop, dup bool
+	// The network's one fault seam: each call is one message from this
+	// client's owner to its peer, decided once.
+	var d fault.Decision
 	if fault.Enabled() {
-		if fault.Partitioned(c.from, c.peer) {
-			return nil, fmt.Errorf("rpc: send %s: %w", c.peer, fault.ErrPartitioned)
-		}
-		d := fault.Eval(fault.SiteRPCSend, c.peer)
-		if d.Delay > 0 {
-			time.Sleep(d.Delay)
-		}
-		if d.Err != nil {
-			return nil, fmt.Errorf("rpc: send %s: %w", c.peer, d.Err)
-		}
-		if d.CrashConn {
-			c.failAll(ErrClosed)
-			return nil, ErrClosed
-		}
-		drop, dup = d.Drop, d.Duplicate
+		d = fault.Eval(method, c.from, c.peer)
+	}
+	if delay := c.opts.Delay + d.Delay; delay > 0 {
+		time.Sleep(delay)
+	}
+	if d.Err != nil {
+		return nil, fmt.Errorf("rpc: send %s: %w", c.peer, d.Err)
+	}
+	if d.CrashConn {
+		c.failAll(ErrClosed)
+		return nil, ErrClosed
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -682,9 +646,9 @@ func (c *Client) call(ctx telemetry.SpanContext, method string, body []byte) ([]
 	// writeMsg copies the request into the connection buffer: the message
 	// stays on this stack and the caller may reuse body once call returns.
 	req := message{kind: msgRequest, id: id, trace: ctx.Trace, parent: ctx.Span, method: method, body: body}
-	if !drop {
+	if !d.Drop {
 		err := c.cw.writeMsg(&req)
-		if err == nil && dup {
+		if err == nil && d.Duplicate {
 			// Injected duplicate: the server dispatches the request twice;
 			// the response matcher drops the second reply.
 			err = c.cw.writeMsg(&req)
@@ -792,8 +756,8 @@ func (p *Pool) Registry() *telemetry.Registry {
 }
 
 // SetFaultLabel names the pool's owner (usually its node's RPC address) to
-// the fault plane, so link partitions can match this end of the pool's
-// connections. Call before traffic; existing connections keep their label.
+// the fault plane: it is what a rule's from matches on this pool's dials and
+// calls. Call before traffic; existing connections keep their label.
 func (p *Pool) SetFaultLabel(label string) {
 	p.mu.Lock()
 	p.label = label

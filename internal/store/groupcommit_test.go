@@ -87,7 +87,7 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 	// serial chunks) commits can stay perfectly interleaved and no group
 	// ever forms, making the amortization assertion below flaky.
 	fault.Reset()
-	fault.Add(fault.Rule{Site: fault.SiteWALSync, Key: dir, Action: fault.Delay, Delay: time.Millisecond})
+	fault.Add(fault.Rule{Site: fault.SiteWALSync, To: dir, Action: fault.Delay, Delay: time.Millisecond})
 	defer fault.Reset()
 	db, err := Open(dir, opts)
 	if err != nil {

@@ -62,7 +62,7 @@ func (w *walWriter) appendAll(group []byte, ends []int, sync bool) error {
 			// An injected sync failure models a failed fsync: the record
 			// reached the OS (Flush above) but durability is not promised,
 			// exactly the torn-tail shape replayWAL tolerates.
-			d := fault.Eval(fault.SiteWALSync, w.faultKey)
+			d := fault.Eval(fault.SiteWALSync, "", w.faultKey)
 			if d.Delay > 0 {
 				time.Sleep(d.Delay)
 			}

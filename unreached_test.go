@@ -359,6 +359,42 @@ func TestOneDecoder(t *testing.T) {
 	}
 }
 
+// TestTwoFaultSeams is the "faults live on the network and the disk" guard:
+// the fault plane's decision (fault.Eval, behind its fault.Enabled gate) is
+// made in internal/rpc and internal/store and nowhere else, and besides them
+// only the plane's two drivers, the chaos harness and the debug endpoint,
+// import it. A component cannot grow a private injection site.
+func TestTwoFaultSeams(t *testing.T) {
+	fset := token.NewFileSet()
+	seams := map[string]bool{"internal/rpc": false, "internal/store": false}
+	drivers := map[string]bool{"internal/chaos": true, "internal/debug": true}
+	for _, s := range parseTree(t, fset, "internal", "cmd", "examples") {
+		if _, ok := importDirs(s.file)["fault"]; ok && !drivers[s.dir] {
+			if _, seam := seams[s.dir]; !seam {
+				t.Errorf("%s imports internal/fault: decide faults at the rpc send or the WAL sync", s.path)
+			}
+		}
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if fn := selectorPath(call.Fun); fn == "fault.Eval" || fn == "fault.Enabled" {
+				if _, seam := seams[s.dir]; !seam {
+					t.Errorf("%s: %s( outside the network and disk seams", fset.Position(call.Pos()), fn)
+				}
+				seams[s.dir] = true
+			}
+			return true
+		})
+	}
+	for dir, seen := range seams {
+		if !seen {
+			t.Errorf("%s decides no fault: the guard is not looking at the source", dir)
+		}
+	}
+}
+
 // instrumentMethods maps the registry method a name is declared with to the
 // catalogue's "kind" and "unit" columns.
 var instrumentMethods = map[string][2]string{
