@@ -75,7 +75,9 @@ Commands:
   set-group       -coordinators HOST:PORT,... -group N -primary HOST:PORT
                   [-backups HOST:PORT,...]   install a replica group on a live
                                              coordinator (cluster bootstrap)
-  asm             -file SRC [-o OUT]         assemble a guest module
+  asm             -file SRC [-o OUT]         assemble a guest module; print what
+                                             each export is as a method (read or
+                                             write, cacheable or not)
   disasm          -file MOD                  disassemble a guest module`)
 	os.Exit(2)
 }
@@ -689,6 +691,13 @@ func runAsm(args []string) {
 	}
 	if err := core.LinkModule(mod); err != nil {
 		log.Fatalf("lambdactl: %s would be refused as an object type's module: %v", *file, err)
+	}
+	// What the platform infers about each export as a method: nothing about
+	// a method is declared. Stderr, so the hex on stdout stays pipeable.
+	for _, f := range mod.Funcs {
+		if f.Exported {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", f.Name, core.MethodEffects(mod, f.Name))
+		}
 	}
 	enc := mod.Encode()
 	if *out == "" {

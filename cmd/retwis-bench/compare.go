@@ -166,18 +166,16 @@ func boot(cfg config, delay time.Duration, sys system) (*deployment, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := l.Client.RegisterType(retwis.MustType()); err != nil {
+		typ := retwis.MustType()
+		if err := l.Client.RegisterType(typ); err != nil {
 			l.Close()
 			return nil, err
 		}
-		// The methods Retwis declares read-only go out as replica reads.
-		readOnly := make(map[string]bool)
-		for _, mi := range retwis.Methods {
-			readOnly[mi.Name] = mi.ReadOnly
-		}
 		return &deployment{
 			inv: workload.InvokerFunc(func(object uint64, method string, args [][]byte) ([]byte, error) {
-				if readOnly[method] {
+				// The methods the linked type proves read-only go out as
+				// replica reads.
+				if mi, ok := typ.Method(method); ok && mi.ReadOnly() {
 					return l.Client.InvokeRead(core.ObjectID(object), method, args)
 				}
 				return l.Client.Invoke(core.ObjectID(object), method, args)

@@ -212,9 +212,9 @@ func main() {
 		[]core.MethodInfo{
 			{Name: "register"},
 			{Name: "login"},
-			{Name: "validate", ReadOnly: true, Deterministic: true},
+			{Name: "validate"},
 			{Name: "logout"},
-			{Name: "session_count", ReadOnly: true},
+			{Name: "session_count"},
 		}, module)
 	if err != nil {
 		log.Fatalf("type: %v", err)

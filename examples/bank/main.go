@@ -136,7 +136,7 @@ func main() {
 		[]core.FieldDef{{Name: "balance", Kind: core.FieldValue}},
 		[]core.MethodInfo{
 			{Name: "deposit"},
-			{Name: "balance", ReadOnly: true, Deterministic: true},
+			{Name: "balance"},
 			{Name: "transfer"},
 		}, module)
 	if err != nil {

@@ -89,7 +89,7 @@ func main() {
 		[]core.FieldDef{{Name: "count", Kind: core.FieldValue}},
 		[]core.MethodInfo{
 			{Name: "add"},
-			{Name: "get", ReadOnly: true, Deterministic: true},
+			{Name: "get"},
 		}, module)
 	if err != nil {
 		log.Fatalf("type: %v", err)

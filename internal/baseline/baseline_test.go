@@ -183,7 +183,7 @@ end`
 	mod := vm.MustAssemble(src)
 	typ, err := core.NewObjectType("Trapper",
 		[]core.FieldDef{{Name: "v", Kind: core.FieldValue}},
-		[]core.MethodInfo{{Name: "write_then_trap"}, {Name: "read_v", ReadOnly: true}}, mod)
+		[]core.MethodInfo{{Name: "write_then_trap"}, {Name: "read_v"}}, mod)
 	if err != nil {
 		t.Fatal(err)
 	}

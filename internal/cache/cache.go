@@ -88,8 +88,9 @@ type Stats struct {
 	Validations uint64 // entries found but re-validated away
 	Stores      uint64
 	Evictions   uint64
-	// Bypass counts invocations that were not cache-eligible (mutating,
-	// non-deterministic, or poisoned by time/rand/scans mid-run).
+	// Bypass counts invocations of methods that are not cacheable: their
+	// module can reach a write, a nested call, the clock or randomness.
+	// Scans are covered by the version read set and bypass nothing.
 	Bypass uint64
 	// Invalidations counts entries dropped by proactive InvalidateObject.
 	Invalidations uint64
@@ -292,8 +293,8 @@ func (c *Cache) InvalidateObject(object uint64) {
 	}
 }
 
-// NoteBypass records an invocation that skipped the cache entirely
-// (mutating method, non-deterministic method, or nocache-poisoned run).
+// NoteBypass records an invocation that skipped the cache entirely because
+// its method is not cacheable, which is decided when its type is linked.
 func (c *Cache) NoteBypass() {
 	c.bypass.Add(1)
 }

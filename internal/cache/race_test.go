@@ -96,7 +96,7 @@ func TestConcurrentReadersWithInvalidatingWriter(t *testing.T) {
 		t.Fatalf("degenerate run: stats %+v", s)
 	}
 
-	// Deterministic invalidation check (the race above may remove every
+	// Race-free invalidation check (the race above may remove every
 	// entry via failed validation before the writer reaches it): a live
 	// entry dropped by InvalidateObject must count and must stop hitting.
 	c.InvalidateObject(7) // flush entries left over from the race phase

@@ -160,7 +160,7 @@ func LedgerType() (*core.ObjectType, error) {
 		[]core.FieldDef{{Name: "log", Kind: core.FieldValue}},
 		[]core.MethodInfo{
 			{Name: "append"},
-			{Name: "list", ReadOnly: true, Deterministic: true},
+			{Name: "list"},
 		}, mod)
 }
 

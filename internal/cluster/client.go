@@ -186,8 +186,8 @@ func (c *Client) InvokeTraced(id core.ObjectID, method string, args [][]byte) ([
 }
 
 // InvokeRead runs a read-only method at one of the object's replicas,
-// spreading load round-robin. The server rejects the request if the method
-// is not actually read-only for routing purposes (backups refuse writes).
+// spreading load round-robin. A backup serves only a method whose link-time
+// facts prove it a read; any other it redirects to the primary.
 func (c *Client) InvokeRead(id core.ObjectID, method string, args [][]byte) ([]byte, error) {
 	return c.invoke(c.rootCtx(), id, method, args, true)
 }
@@ -206,11 +206,11 @@ func (c *Client) readTarget(g shard.Group) string {
 // send is the client's one retry loop, and so the definition of its
 // at-least-once semantics: every attempt calls resolve for the group afresh
 // (the view may have changed), sends the same frame to its primary — or,
-// read-only, to the replica readTarget picks — and classifies a
+// spread, to the replica readTarget picks — and classifies a
 // failure as a stale view, an overload shed, or a connection-level fault.
 // Retries are bounded by MaxRetries and RetryBudget; a routing error and a
 // write's connection failure without a coordinator return at once.
-func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, readOnly bool, resolve func() (shard.Group, error)) ([]byte, error) {
+func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, spread bool, resolve func() (shard.Group, error)) ([]byte, error) {
 	deadline := time.Now().Add(c.retryBudget)
 	var lastErr error
 	for attempt := 0; attempt < c.maxRetries; attempt++ {
@@ -222,7 +222,7 @@ func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, rea
 			return nil, err
 		}
 		addr := g.Primary
-		if readOnly {
+		if spread {
 			addr = c.readTarget(g)
 		}
 		resp, err := c.pool.CallCtx(addr, ctx, method, body)
@@ -252,18 +252,20 @@ func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, rea
 		// Connection-level failure: the node may have died; refresh config
 		// (failover may have promoted a backup) and retry after backoff.
 		// Without a coordinator the view cannot change, so a write fails;
-		// a read still fails over to the next replica via rr.
-		if !c.refresh() && !readOnly {
+		// a spread read still fails over to the next replica via rr.
+		if !c.refresh() && !spread {
 			return nil, lastErr
 		}
 	}
 	return nil, fmt.Errorf("cluster: %s failed after retries: %w", method, lastErr)
 }
 
-func (c *Client) invoke(ctx telemetry.SpanContext, id core.ObjectID, method string, args [][]byte, readOnly bool) ([]byte, error) {
-	body := encodeInvokeReq(&invokeReq{object: id, method: method, args: args, readOnly: readOnly})
+// invoke sends one invoke frame; spread picks its replica round-robin
+// (InvokeRead) instead of the primary. The frame is the same either way.
+func (c *Client) invoke(ctx telemetry.SpanContext, id core.ObjectID, method string, args [][]byte, spread bool) ([]byte, error) {
+	body := encodeInvokeReq(&invokeReq{object: id, method: method, args: args})
 	defer putInvokeBuf(body)
-	return c.send(ctx, MethodInvoke, *body, readOnly, func() (shard.Group, error) { return c.lookup(id) })
+	return c.send(ctx, MethodInvoke, *body, spread, func() (shard.Group, error) { return c.lookup(id) })
 }
 
 // InvokeTransaction executes a serializable multi-call transaction

@@ -114,7 +114,7 @@ end
 		[]core.FieldDef{{Name: "count", Kind: core.FieldValue}},
 		[]core.MethodInfo{
 			{Name: "add"},
-			{Name: "get", ReadOnly: true, Deterministic: true},
+			{Name: "get"},
 			{Name: "ping_add"},
 		}, mod)
 	if err != nil {
@@ -355,12 +355,12 @@ func TestRegisterTypeReachesAllReplicas(t *testing.T) {
 }
 
 func TestWireRoundTrips(t *testing.T) {
-	ir := &invokeReq{object: 7, method: "m", args: [][]byte{[]byte("a"), nil, []byte("ccc")}, readOnly: true}
+	ir := &invokeReq{object: 7, method: "m", args: [][]byte{[]byte("a"), nil, []byte("ccc")}}
 	dec := new(invokeReq)
 	if err := dec.decode(*encodeInvokeReq(ir)); err != nil {
 		t.Fatal(err)
 	}
-	if dec.object != 7 || dec.method != "m" || !dec.readOnly || len(dec.args) != 3 || string(dec.args[2]) != "ccc" {
+	if dec.object != 7 || dec.method != "m" || len(dec.args) != 3 || string(dec.args[2]) != "ccc" {
 		t.Fatalf("decoded %+v", dec)
 	}
 	cr := &createReq{object: 9, typeName: "T"}

@@ -26,7 +26,7 @@ func FuzzClusterWire(f *testing.F) {
 	// object 1, method "m", not read-only, 300 args, and no bytes for them.
 	f.Add(uint8(0), []byte{1, 1, 'm', 0, 0xac, 0x02})
 	wiretest.Fuzz(f,
-		wiretest.Of("invokeReq", &invokeReq{object: 1 << 33, method: "get_timeline", args: args, readOnly: true}, encInvoke, decInvoke),
+		wiretest.Of("invokeReq", &invokeReq{object: 1 << 33, method: "get_timeline", args: args}, encInvoke, decInvoke),
 		wiretest.Of("invokeReq, long method", &invokeReq{object: 2, method: strings.Repeat("m", maxInternedLen+1), args: args}, encInvoke, decInvoke),
 		wiretest.Of("invokeReq, many args", &invokeReq{object: 3, method: "store_post", args: manyArgs}, encInvoke, decInvoke),
 		wiretest.Of("createReq", &createReq{object: 7, typeName: "User"}, encodeCreateReq, decodeCreateReq),

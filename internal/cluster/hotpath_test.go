@@ -66,8 +66,8 @@ end
 		[]core.FieldDef{{Name: "v", Kind: core.FieldValue}},
 		[]core.MethodInfo{
 			{Name: "put"},
-			{Name: "get", ReadOnly: true, Deterministic: true},
-			{Name: "echo", ReadOnly: true, Deterministic: true},
+			{Name: "get"},
+			{Name: "echo"},
 		}, mod)
 	if err != nil {
 		t.Fatalf("type: %v", err)

@@ -50,7 +50,7 @@ func TestLeaseRenewalLossBouncesReads(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	deadline := time.Now().Add(10 * ttl)
 	for {
-		_, err := directInvoke(pool, backup.Addr(), 1, "get", nil, true)
+		_, err := directInvoke(pool, backup.Addr(), 1, "get", nil)
 		if _, bounced := ParseNotResponsible(err); bounced {
 			break
 		}
@@ -77,33 +77,16 @@ func TestLeaseRenewalLossBouncesReads(t *testing.T) {
 	}
 }
 
-// quietCounterType is counterType with nothing declared about "get":
-// module analysis alone must classify it routable-read-only.
-func quietCounterType(t *testing.T) *core.ObjectType {
-	t.Helper()
-	base := counterType(t)
-	typ, err := core.NewObjectType("QuietCounter",
-		[]core.FieldDef{{Name: "count", Kind: core.FieldValue}},
-		[]core.MethodInfo{{Name: "add"}, {Name: "get"}},
-		base.Module)
-	if err != nil {
-		t.Fatalf("type: %v", err)
-	}
-	return typ
-}
-
-// TestInferredReadOnlyServedAtBackup covers the routing fix for provably
-// read-only methods: a method never declared ReadOnly whose reachable
-// call graph cannot mutate is (a) classified at validation time and (b)
-// served by a leased backup even when the request arrives un-flagged
-// through the write route, while genuinely mutating methods still bounce.
+// TestInferredReadOnlyServedAtBackup: a method whose reachable call graph
+// cannot write is (a) classified read-only when its type is linked and
+// (b) served by a leased backup, while a mutating method bounces.
 func TestInferredReadOnlyServedAtBackup(t *testing.T) {
-	typ := quietCounterType(t)
-	if m, ok := typ.Method("get"); !ok || !m.RoutableReadOnly() {
-		t.Fatal("undeclared read-only method not inferred routable")
+	typ := counterType(t)
+	if m, ok := typ.Method("get"); !ok || !m.ReadOnly() {
+		t.Fatal("a method that cannot write was not inferred read-only")
 	}
-	if m, ok := typ.Method("add"); !ok || m.RoutableReadOnly() {
-		t.Fatal("mutating method classified routable-read-only")
+	if m, ok := typ.Method("add"); !ok || m.ReadOnly() {
+		t.Fatal("a mutating method was classified read-only")
 	}
 
 	nodes, dir := startStatic(t, NodeOptions{LeaseTTL: 150 * time.Millisecond}, 3)
@@ -111,7 +94,7 @@ func TestInferredReadOnlyServedAtBackup(t *testing.T) {
 	if err := c.RegisterType(typ); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateObject("QuietCounter", 1); err != nil {
+	if err := c.CreateObject("Counter", 1); err != nil {
 		t.Fatal(err)
 	}
 	mustAdd(t, c, 1, 7)
@@ -120,13 +103,12 @@ func TestInferredReadOnlyServedAtBackup(t *testing.T) {
 	t.Cleanup(pool.Close)
 	backup := nodes[2]
 
-	// Un-flagged invocation of the inferred-read-only method at a backup:
-	// a stale-directory client would send exactly this. The backup must
+	// A stale-directory client would send exactly this. The backup must
 	// serve it under its lease rather than bounce (retry through the
 	// pre-first-grant window).
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		res, err := directInvoke(pool, backup.Addr(), 1, "get", nil, false)
+		res, err := directInvoke(pool, backup.Addr(), 1, "get", nil)
 		if err == nil {
 			if core.BytesI64(res) != 7 {
 				t.Fatalf("backup served get = %d, want 7", core.BytesI64(res))
@@ -139,14 +121,66 @@ func TestInferredReadOnlyServedAtBackup(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if backup.Metrics().Counter("reads.backup_served").Value() == 0 {
-		t.Fatal("downgraded invoke not counted as backup-served")
+		t.Fatal("a read at a backup was not counted as backup-served")
 	}
 
 	// The mutating method must still bounce to the primary, lease or not.
-	if _, err := directInvoke(pool, backup.Addr(), 1, "add", [][]byte{core.I64Bytes(1)}, false); err == nil {
+	if _, err := directInvoke(pool, backup.Addr(), 1, "add", [][]byte{core.I64Bytes(1)}); err == nil {
 		t.Fatal("backup executed a mutating invoke")
 	} else if hint, bounced := ParseNotResponsible(err); !bounced || hint != nodes[0].Addr() {
 		t.Fatalf("mutating invoke at backup: %v (hint %q)", err, hint)
+	}
+}
+
+// TestMutatingInvokeNeverRunsAtBackup: which replica a request reaches says
+// nothing about its method. An add sent straight to a leased backup — a
+// replica read of a mutating method, on the wire — is redirected before it
+// executes, and InvokeRead of it runs once, at the primary, reaching every
+// replica through replication alone.
+func TestMutatingInvokeNeverRunsAtBackup(t *testing.T) {
+	nodes, dir := startStatic(t, NodeOptions{LeaseTTL: 150 * time.Millisecond}, 3)
+	c := newGroupClient(t, dir)
+	if err := c.RegisterType(counterType(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateObject("Counter", 1); err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(t, c, 1, 5)
+	pool := rpc.NewPool(nil)
+	t.Cleanup(pool.Close)
+	primary, backup := nodes[0], nodes[1]
+	if v := readAt(t, pool, backup.Addr(), 1); v != 5 { // the backup holds its lease
+		t.Fatalf("leased backup read = %d, want 5", v)
+	}
+	count := func(n *Node) int64 {
+		t.Helper()
+		v, err := n.Runtime().GetValueField(1, "count")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.BytesI64(v)
+	}
+
+	_, err := directInvoke(pool, backup.Addr(), 1, "add", [][]byte{core.I64Bytes(100)})
+	wantRedirect(t, err, primary.Addr())
+	if b, p := count(backup), count(primary); b != p {
+		t.Fatalf("backup count = %d, primary count = %d: the add ran at the backup", b, p)
+	}
+
+	before := make([]int64, len(nodes))
+	for i, n := range nodes {
+		before[i] = count(n)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := c.InvokeRead(1, "add", [][]byte{core.I64Bytes(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, n := range nodes {
+		if d := count(n) - before[i]; d != 6 {
+			t.Fatalf("replica %d rose by %d after 6 adds, want 6", i, d)
+		}
 	}
 }
 

@@ -209,7 +209,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		ttl:         leaseTTL,
 		leases:      n.leases,
 		shipper:     n.shipper,
-		readOnly:    n.rt.MethodRoutableReadOnly,
+		readOnly:    n.rt.MethodReadOnly,
 		served:      reg.Counter("reads.backup_served"),
 		bounced:     reg.Counter("reads.primary_bounced"),
 		now:         time.Now,
@@ -433,26 +433,20 @@ func (n *Node) Close() error {
 	return n.db.Close()
 }
 
-// invokeOpts is what only an invoke frame tells the route and admit steps;
-// the zero value is what transactions, creates and deletes pass.
-type invokeOpts struct {
-	readOnly bool   // client-declared replica read
-	method   string // lets a backup prove an undeclared read read-only
-}
-
 // serve is the one server-side request path — the twin of Client.send —
 // that invoke, transaction, create and delete all run once their frame is
 // decoded: route → admit → execute → classify. Per method only the decoder,
 // the objects to route — every one must be homed here, a transaction is
-// single-node — and the core call (exec) differ. The order is an
-// invariant, not a convenience: fences and placement reject ahead of the
-// admission queue, so a request this node may not run never takes a slot
-// from one it may; and shedding happens strictly before execution, so no
-// request that reached commit (and thus no acked write) is ever shed.
-func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, opts invokeOpts, exec func(core.CallCtx) ([]byte, error)) ([]byte, error) {
+// single-node — the invoked method ("" for requests that always write) and
+// the core call (exec) differ. The order is an invariant, not a
+// convenience: fences and placement reject ahead of the admission queue, so
+// a request this node may not run never takes a slot from one it may; and
+// shedding happens strictly before execution, so no request that reached
+// commit (and thus no acked write) is ever shed.
+func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, method string, exec func(core.CallCtx) ([]byte, error)) ([]byte, error) {
 	// Route.
 	for _, obj := range objects {
-		if err := n.role.route(obj, opts.readOnly, opts.method); err != nil {
+		if err := n.role.route(obj, method); err != nil {
 			return nil, err
 		}
 	}
@@ -495,7 +489,7 @@ func (n *Node) registerHandlers() {
 		if err := req.decode(body); err != nil {
 			return nil, err
 		}
-		return n.serve(info, []core.ObjectID{req.object}, invokeOpts{readOnly: req.readOnly, method: req.method}, func(cc core.CallCtx) ([]byte, error) {
+		return n.serve(info, []core.ObjectID{req.object}, req.method, func(cc core.CallCtx) ([]byte, error) {
 			return n.rt.InvokeCtx(req.object, req.method, req.args, cc)
 		})
 	})
@@ -509,7 +503,7 @@ func (n *Node) registerHandlers() {
 		for i, c := range req.calls {
 			objects[i] = c.Object
 		}
-		return n.serve(info, objects, invokeOpts{}, func(cc core.CallCtx) ([]byte, error) {
+		return n.serve(info, objects, "", func(cc core.CallCtx) ([]byte, error) {
 			results, err := n.rt.InvokeTransactionCtx(req.calls, cc)
 			if err != nil {
 				return nil, err
@@ -523,7 +517,7 @@ func (n *Node) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		return n.serve(info, []core.ObjectID{req.object}, invokeOpts{}, func(cc core.CallCtx) ([]byte, error) {
+		return n.serve(info, []core.ObjectID{req.object}, "", func(cc core.CallCtx) ([]byte, error) {
 			cc.Guard = n.role.createGuard
 			return nil, n.rt.CreateObject(req.typeName, req.object, cc)
 		})
@@ -534,7 +528,7 @@ func (n *Node) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		return n.serve(info, []core.ObjectID{obj}, invokeOpts{}, func(cc core.CallCtx) ([]byte, error) {
+		return n.serve(info, []core.ObjectID{obj}, "", func(cc core.CallCtx) ([]byte, error) {
 			return nil, n.rt.DeleteObject(obj, cc)
 		})
 	})

@@ -176,7 +176,7 @@ end
 		[]core.FieldDef{{Name: "count", Kind: core.FieldValue}},
 		[]core.MethodInfo{
 			{Name: "add"},
-			{Name: "get", ReadOnly: true, Deterministic: true},
+			{Name: "get"},
 			{Name: "relay_add"},
 		}, mod)
 	if err != nil {

@@ -113,8 +113,8 @@ func (rc *rejoinCluster) waitMember(i int) {
 
 // directInvoke bypasses the client's routing and hits one node's invoke
 // handler, the way a stale client or replica-read would.
-func directInvoke(pool *rpc.Pool, addr string, obj core.ObjectID, method string, args [][]byte, readOnly bool) ([]byte, error) {
-	body := encodeInvokeReq(&invokeReq{object: obj, method: method, args: args, readOnly: readOnly})
+func directInvoke(pool *rpc.Pool, addr string, obj core.ObjectID, method string, args [][]byte) ([]byte, error) {
+	body := encodeInvokeReq(&invokeReq{object: obj, method: method, args: args})
 	return pool.Call(addr, MethodInvoke, *body)
 }
 
@@ -132,7 +132,7 @@ func readAt(t *testing.T, pool *rpc.Pool, addr string, obj core.ObjectID) int64 
 	// became a member); retry briefly before declaring failure.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		res, err := directInvoke(pool, addr, obj, "get", nil, true)
+		res, err := directInvoke(pool, addr, obj, "get", nil)
 		if err == nil {
 			return core.BytesI64(res)
 		}
@@ -267,12 +267,12 @@ func TestJoinerFencedDuringCatchUp(t *testing.T) {
 		return joiner.RecoveryStatus().Attempts >= 1
 	})
 
-	if _, err := directInvoke(rc.pool, joiner.Addr(), 1, "get", nil, true); err == nil ||
+	if _, err := directInvoke(rc.pool, joiner.Addr(), 1, "get", nil); err == nil ||
 		!strings.Contains(err.Error(), notResponsiblePrefix) {
 		t.Fatalf("joiner served a replica read mid-catch-up: err=%v", err)
 	}
 	if _, err := directInvoke(rc.pool, joiner.Addr(), 1, "add",
-		[][]byte{core.I64Bytes(100)}, false); err == nil ||
+		[][]byte{core.I64Bytes(100)}); err == nil ||
 		!strings.Contains(err.Error(), notResponsiblePrefix) {
 		t.Fatalf("joiner acknowledged a write mid-catch-up: err=%v", err)
 	}

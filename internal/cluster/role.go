@@ -23,7 +23,7 @@ type roleMachine struct {
 	ttl         time.Duration
 	leases      leaseHolder
 	shipper     *replication.Shipper
-	readOnly    func(core.ObjectID, string) bool // module analysis proved the method a read
+	readOnly    func(core.ObjectID, string) bool // the method's link-time facts prove it a read
 	served      *telemetry.Counter
 	bounced     *telemetry.Counter
 	now         func() time.Time // time.Now; same-package tests inject a clock
@@ -173,12 +173,12 @@ func (m *roleMachine) bind(self string) {
 }
 
 // route is the route step's one decision per object: may this node execute
-// a request on obj? Primaries execute everything; a backup executes reads —
-// declared by the client, or proven by module analysis for a request that
-// arrived through the write route (method is the invoked method, "" for
-// requests that always write) — and only under a valid lease (paper §4.2.1:
-// "read-only functions can execute at any replica").
-func (m *roleMachine) route(obj core.ObjectID, readOnly bool, method string) error {
+// a request on obj? Primaries execute everything; a backup executes only a
+// method whose link-time facts prove it a read (method is the invoked
+// method, "" for requests that always write), and only under a valid lease
+// (paper §4.2.1: "read-only functions can execute at any replica"). Which
+// replica the client picked says nothing about the method.
+func (m *roleMachine) route(obj core.ObjectID, method string) error {
 	v := m.load()
 	g, err := v.dir.Lookup(uint64(obj))
 	if hint, fenced := m.fencedHint(uint64(obj)); fenced {
@@ -203,7 +203,7 @@ func (m *roleMachine) route(obj core.ObjectID, readOnly bool, method string) err
 	if g.Primary == v.self {
 		return nil
 	}
-	if slices.Contains(g.Backups, v.self) && (readOnly || m.readOnly(obj, method)) {
+	if slices.Contains(g.Backups, v.self) && m.readOnly(obj, method) {
 		// Only under a valid lease (right epoch, unexpired, apply lag in
 		// bounds); otherwise the read bounces to the primary, always safe.
 		if m.leases.Valid() {
@@ -219,7 +219,7 @@ func (m *roleMachine) route(obj core.ObjectID, readOnly bool, method string) err
 // admission (core.CallCtx.Guard): a move may have fenced, cut over and
 // deleted the object while the create queued, and the header it then finds
 // absent must not re-create the object at its old home.
-func (m *roleMachine) createGuard(obj core.ObjectID) error { return m.route(obj, false, "") }
+func (m *roleMachine) createGuard(obj core.ObjectID) error { return m.route(obj, "") }
 
 // fence makes route reject the object with not-responsible plus a hint at
 // its (future) home, ahead of the admission queue.

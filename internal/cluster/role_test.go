@@ -188,37 +188,36 @@ func TestRoute(t *testing.T) {
 	}
 
 	publish(dirAt(2, nil, g0("me", "b1"), g1))
-	check(t, m.route(2, false, "put"), "-")
-	check(t, m.route(3, false, "put"), "other") // object 3 hashes to group 1
+	check(t, m.route(2, "put"), "-")
+	check(t, m.route(3, "put"), "other") // object 3 hashes to group 1
 
 	publish(dirAt(2, nil, g0("p", "me"), g1))
 	leases.valid.Store(true)
-	check(t, m.route(2, true, "scan"), "-") // declared read
-	check(t, m.route(2, false, "get"), "-") // inferred read
-	check(t, m.route(2, false, "put"), "p") // a write
+	check(t, m.route(2, "get"), "-") // a read, by the method's facts
+	check(t, m.route(2, "put"), "p") // a write
+	check(t, m.route(2, ""), "p")    // a create, delete or transaction
 	leases.valid.Store(false)
-	check(t, m.route(2, true, "scan"), "p")
-	check(t, m.route(2, false, "get"), "p")
-	if s, b := m.served.Value(), m.bounced.Value(); s != 2 || b != 2 {
-		t.Fatalf("served %d bounced %d, want 2 and 2", s, b)
+	check(t, m.route(2, "get"), "p")
+	if s, b := m.served.Value(), m.bounced.Value(); s != 1 || b != 1 {
+		t.Fatalf("served %d bounced %d, want 1 and 1", s, b)
 	}
 
 	publish(dirAt(2, nil, g0("me", "b1"), g1))
 	m.fence(2, "next:1")
-	check(t, m.route(2, false, "put"), "next:1")
+	check(t, m.route(2, "put"), "next:1")
 	if _, fenced := m.fencedHint(2); !fenced {
 		t.Fatal("the fence cleared before the view moved the object")
 	}
 	publish(dirAt(3, map[uint64]uint64{2: 1}, g0("me", "b1"), g1))
-	check(t, m.route(2, false, "put"), "other")
+	check(t, m.route(2, "put"), "other")
 	if _, fenced := m.fencedHint(2); fenced || m.fenceCount.Load() != 0 {
 		t.Fatal("the fence outlived a view that maps the object elsewhere")
 	}
 
 	publish(shard.NewDirectory(nil))
-	check(t, m.route(2, false, "put"), "-") // static: a single node runs everything
+	check(t, m.route(2, "put"), "-") // static: a single node runs everything
 	m.coordinated = true
-	check(t, m.route(2, false, "put"), "")
+	check(t, m.route(2, "put"), "")
 }
 
 // TestInstallKeepsNewestView races adopters of views with shuffled epochs:

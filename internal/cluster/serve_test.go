@@ -28,7 +28,7 @@ type serveEntry struct {
 
 var serveEntries = []serveEntry{
 	{"invoke", func(pool *rpc.Pool, addr string, obj core.ObjectID) error {
-		_, err := directInvoke(pool, addr, obj, "add", [][]byte{core.I64Bytes(1)}, false)
+		_, err := directInvoke(pool, addr, obj, "add", [][]byte{core.I64Bytes(1)})
 		return err
 	}},
 	{"tx", func(pool *rpc.Pool, addr string, obj core.ObjectID) error {
@@ -37,7 +37,7 @@ var serveEntries = []serveEntry{
 		return err
 	}},
 	{"create", func(pool *rpc.Pool, addr string, obj core.ObjectID) error {
-		_, err := pool.Call(addr, MethodCreate, encodeCreateReq(&createReq{object: obj, typeName: "QuietCounter"}))
+		_, err := pool.Call(addr, MethodCreate, encodeCreateReq(&createReq{object: obj, typeName: "Counter"}))
 		return err
 	}},
 	{"delete", func(pool *rpc.Pool, addr string, obj core.ObjectID) error {
@@ -98,10 +98,10 @@ func TestServeUniform(t *testing.T) {
 	t.Run("fenced", func(t *testing.T) {
 		nodes, dir := startStatic(t, NodeOptions{}, 1)
 		c := newGroupClient(t, dir)
-		if err := c.RegisterType(quietCounterType(t)); err != nil {
+		if err := c.RegisterType(counterType(t)); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.CreateObject("QuietCounter", 1); err != nil {
+		if err := c.CreateObject("Counter", 1); err != nil {
 			t.Fatal(err)
 		}
 		nodes[0].role.fence(1, "new-home:1")
@@ -125,10 +125,10 @@ func TestServeUniform(t *testing.T) {
 		nodes, dir := startStatic(t, NodeOptions{LeaseTTL: 150 * time.Millisecond}, 2)
 		primary, backup := nodes[0], nodes[1]
 		c := newGroupClient(t, dir)
-		if err := c.RegisterType(quietCounterType(t)); err != nil {
+		if err := c.RegisterType(counterType(t)); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.CreateObject("QuietCounter", 1); err != nil {
+		if err := c.CreateObject("Counter", 1); err != nil {
 			t.Fatal(err)
 		}
 		mustAdd(t, c, 1, 7)
@@ -147,33 +147,29 @@ func TestServeUniform(t *testing.T) {
 			t.Fatalf("writes at a backup counted as reads: served %d, bounced %d", served.Value(), bounced.Value())
 		}
 
-		// A declared read is served under the lease (readAt retries through
-		// the pre-first-grant window) ...
+		// A read the method's link-time facts prove is served under the
+		// lease (readAt retries through the pre-first-grant window), with
+		// one routing decision: one served read, no bounce on the way to it.
 		if v := readAt(t, pool, backup.Addr(), 1); v != 7 {
 			t.Fatalf("leased backup read = %d, want 7", v)
 		}
-		// ... and so is a read the client did not declare but module
-		// analysis proves, with one routing decision: one served read, no
-		// bounce on the way to it.
 		servedBefore, bouncedBefore := served.Value(), bounced.Value()
-		res, err := directInvoke(pool, backup.Addr(), 1, "get", nil, false)
+		res, err := directInvoke(pool, backup.Addr(), 1, "get", nil)
 		if err != nil || core.BytesI64(res) != 7 {
-			t.Fatalf("inferred read-only invoke at a leased backup = %v, %v", res, err)
+			t.Fatalf("read-only invoke at a leased backup = %v, %v", res, err)
 		}
 		if s, b := served.Value()-servedBefore, bounced.Value()-bouncedBefore; s != 1 || b != 0 {
-			t.Fatalf("one inferred read counted %d served + %d bounced routing decisions, want 1 + 0", s, b)
+			t.Fatalf("one read counted %d served + %d bounced routing decisions, want 1 + 0", s, b)
 		}
 
-		// Without a lease both bounce.
+		// Without a lease it bounces.
 		fault.Add(fault.Rule{Site: replication.MethodLease, Action: fault.Drop})
 		t.Cleanup(fault.Reset)
 		backup.leases.Revoke()
-		for _, declared := range []bool{true, false} {
-			_, err := directInvoke(pool, backup.Addr(), 1, "get", nil, declared)
-			wantRedirect(t, err, primary.Addr())
-		}
-		if b := bounced.Value() - bouncedBefore; b != 2 {
-			t.Fatalf("two unleased reads counted %d bounces", b)
+		_, err = directInvoke(pool, backup.Addr(), 1, "get", nil)
+		wantRedirect(t, err, primary.Addr())
+		if b := bounced.Value() - bouncedBefore; b != 1 {
+			t.Fatalf("one unleased read counted %d bounces", b)
 		}
 	})
 
@@ -183,10 +179,10 @@ func TestServeUniform(t *testing.T) {
 		}, 1)
 		node := nodes[0]
 		c := newGroupClient(t, dir)
-		if err := c.RegisterType(quietCounterType(t)); err != nil {
+		if err := c.RegisterType(counterType(t)); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.CreateObject("QuietCounter", 1); err != nil {
+		if err := c.CreateObject("Counter", 1); err != nil {
 			t.Fatal(err)
 		}
 		release := holdGate(t, node, 1)
@@ -225,13 +221,13 @@ func TestServeUniform(t *testing.T) {
 		}, 1, 1)
 		oldHome, newHome := nodes[0], nodes[1]
 		c := newGroupClient(t, dir)
-		if err := c.RegisterType(quietCounterType(t)); err != nil {
+		if err := c.RegisterType(counterType(t)); err != nil {
 			t.Fatal(err)
 		}
 		obj := core.ObjectID(2)
 		for _, e := range serveEntries {
 			obj += 2 // even ids hash to group 0
-			if err := c.CreateObject("QuietCounter", obj); err != nil {
+			if err := c.CreateObject("Counter", obj); err != nil {
 				t.Fatal(err)
 			}
 			release := holdGate(t, oldHome, 0)

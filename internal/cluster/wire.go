@@ -50,10 +50,9 @@ func ParseNotResponsible(err error) (string, bool) {
 
 // invokeReq is the wire form of a method invocation.
 type invokeReq struct {
-	object   core.ObjectID
-	method   string
-	args     [][]byte
-	readOnly bool // client-requested replica-read
+	object core.ObjectID
+	method string
+	args   [][]byte
 
 	// argv backs a decoded args vector that fits it.
 	argv [4][]byte
@@ -72,7 +71,6 @@ func encodeInvokeReq(r *invokeReq) *[]byte {
 	p := invokeBufs.Get().(*[]byte)
 	b := wire.AppendUvarint((*p)[:0], uint64(r.object))
 	b = wire.AppendString(b, r.method)
-	b = wire.AppendFlag(b, r.readOnly)
 	*p = wire.AppendBytesSlice(b, r.args)
 	return p
 }
@@ -97,7 +95,6 @@ func (q *invokeReq) decode(body []byte) error {
 	r := wire.NewReader(body)
 	q.object = core.ObjectID(r.Uvarint())
 	q.method = internMethod(r.Bytes())
-	q.readOnly = r.Flag()
 	if n := r.Count(1); n <= len(q.argv) {
 		q.args = q.argv[:n]
 	} else {

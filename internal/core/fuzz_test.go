@@ -14,7 +14,7 @@ func FuzzObjectType(f *testing.F) {
 	mod := vm.MustAssemble("func get params=0 export\n  push 1\n  ret\nend\nfunc set params=0 export\n  ret\nend")
 	typ, err := NewObjectType("Account",
 		[]FieldDef{{Name: "name", Kind: FieldValue}, {Name: "followers", Kind: FieldMap}, {Name: "timeline", Kind: FieldList}},
-		[]MethodInfo{{Name: "get", ReadOnly: true, Deterministic: true}, {Name: "set"}}, mod)
+		[]MethodInfo{{Name: "get"}, {Name: "set"}}, mod)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -47,9 +47,14 @@ import (
 //   - A value a Backend returns is valid until its next call; the table
 //     moves it into guest memory before making one.
 //
-// This file is the only place the ABI is written down. What differs between
-// the aggregated runtime and the disaggregated baseline — where state lives
-// and how a nested call travels — is behind Backend.
+// This file is the only place the ABI is written down, and each function is
+// registered with its effect class: the val_/map_/list_ writes and the
+// nested-call family (call_arg with the invokes it stages for) are Writes,
+// time and rand are Nondet, the rest is pure. A method's effects are the
+// union over the imports it can reach (MethodEffects); they decide its
+// admission, its route and whether its result is cached. What differs
+// between the aggregated runtime and the disaggregated baseline — where
+// state lives and how a nested call travels — is behind Backend.
 
 // Backend is where a running guest's state lives and how its nested calls
 // travel. The aggregated runtime implements it over the invocation's local
@@ -191,14 +196,17 @@ func DecodeArgs(b []byte) ([][]byte, error) {
 }
 
 // hostTable is the complete host API: immutable, and shared by every
-// instance of every type on either architecture.
-var hostTable = newHostTable()
+// instance of every type on either architecture. hostEffects holds the class
+// each of its functions is registered with.
+var hostTable, hostEffects = newHostTable()
 
-func newHostTable() *vm.HostTable {
+func newHostTable() (*vm.HostTable, map[string]Effects) {
 	t := vm.NewHostTable()
+	effects := make(map[string]Effects)
 
-	reg := func(name string, nargs int, hasRet bool, cost int64,
+	reg := func(name string, nargs int, hasRet bool, cost int64, fx Effects,
 		fn func(g *guest, inst *vm.Instance, a []int64) (int64, error)) {
+		effects[name] = fx
 		t.Register(vm.HostFunc{
 			Name: name, NArgs: nargs, HasRet: hasRet, Cost: cost,
 			Fn: func(inst *vm.Instance, a []int64) (int64, error) {
@@ -213,15 +221,15 @@ func newHostTable() *vm.HostTable {
 
 	// --- identity, arguments, result ---
 
-	reg("self_id", 0, true, 4, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("self_id", 0, true, 4, pure, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		return int64(g.obj), nil
 	})
 
-	reg("arg_count", 0, true, 4, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("arg_count", 0, true, 4, pure, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		return int64(len(g.args)), nil
 	})
 
-	reg("arg", 1, true, 16, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("arg", 1, true, 16, pure, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		i := a[0]
 		if i < 0 || i >= int64(len(g.args)) {
 			return 0, fmt.Errorf("core: argument index %d out of range (have %d)", i, len(g.args))
@@ -229,7 +237,7 @@ func newHostTable() *vm.HostTable {
 		return allocBytes(inst, g.args[i])
 	})
 
-	reg("set_result", 2, false, 16, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("set_result", 2, false, 16, pure, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		data, err := inst.MemRead(a[0], a[1]) // retained: the one copy
 		if err != nil {
 			return 0, err
@@ -240,15 +248,15 @@ func newHostTable() *vm.HostTable {
 
 	// --- utilities ---
 
-	reg("time", 0, true, 8, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("time", 0, true, 8, Nondet, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		return g.be.Now(), nil
 	})
 
-	reg("rand", 0, true, 8, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("rand", 0, true, 8, Nondet, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		return g.be.Rand(), nil
 	})
 
-	reg("log", 2, false, 32, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("log", 2, false, 32, pure, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		msg, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
@@ -257,6 +265,7 @@ func newHostTable() *vm.HostTable {
 		return 0, nil
 	})
 
+	effects["alloc"] = pure
 	t.Register(vm.HostFunc{
 		Name: "alloc", NArgs: 1, HasRet: true, Cost: 8,
 		Fn: func(inst *vm.Instance, a []int64) (int64, error) {
@@ -266,7 +275,7 @@ func newHostTable() *vm.HostTable {
 
 	// --- value fields ---
 
-	reg("val_get", 2, true, 32, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("val_get", 2, true, 32, pure, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		f, err := g.field(inst, a[0], a[1], FieldValue)
 		if err != nil {
 			return 0, err
@@ -274,7 +283,7 @@ func newHostTable() *vm.HostTable {
 		return g.read(inst, f, nil, 0)
 	})
 
-	reg("val_set", 4, false, 48, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("val_set", 4, false, 48, Writes, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		f, err := g.field(inst, a[0], a[1], FieldValue)
 		if err != nil {
 			return 0, err
@@ -286,7 +295,7 @@ func newHostTable() *vm.HostTable {
 		return 0, g.be.Put(f, nil, v)
 	})
 
-	reg("val_del", 2, false, 32, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("val_del", 2, false, 32, Writes, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		f, err := g.field(inst, a[0], a[1], FieldValue)
 		if err != nil {
 			return 0, err
@@ -296,7 +305,7 @@ func newHostTable() *vm.HostTable {
 
 	// --- map fields ---
 
-	reg("map_get", 4, true, 32, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("map_get", 4, true, 32, pure, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		f, err := g.field(inst, a[0], a[1], FieldMap)
 		if err != nil {
 			return 0, err
@@ -308,7 +317,7 @@ func newHostTable() *vm.HostTable {
 		return g.read(inst, f, key, 0)
 	})
 
-	reg("map_set", 6, false, 48, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("map_set", 6, false, 48, Writes, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		f, err := g.field(inst, a[0], a[1], FieldMap)
 		if err != nil {
 			return 0, err
@@ -324,7 +333,7 @@ func newHostTable() *vm.HostTable {
 		return 0, g.be.Put(f, key, v)
 	})
 
-	reg("map_del", 4, false, 32, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("map_del", 4, false, 32, Writes, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		f, err := g.field(inst, a[0], a[1], FieldMap)
 		if err != nil {
 			return 0, err
@@ -336,7 +345,7 @@ func newHostTable() *vm.HostTable {
 		return 0, g.be.Del(f, key)
 	})
 
-	reg("map_count", 2, true, 128, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("map_count", 2, true, 128, pure, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		f, err := g.field(inst, a[0], a[1], FieldMap)
 		if err != nil {
 			return 0, err
@@ -346,7 +355,7 @@ func newHostTable() *vm.HostTable {
 
 	// --- list fields ---
 
-	reg("list_len", 2, true, 32, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("list_len", 2, true, 32, pure, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		f, err := g.field(inst, a[0], a[1], FieldList)
 		if err != nil {
 			return 0, err
@@ -354,7 +363,7 @@ func newHostTable() *vm.HostTable {
 		return g.be.ListLen(f)
 	})
 
-	reg("list_get", 3, true, 32, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("list_get", 3, true, 32, pure, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		f, err := g.field(inst, a[0], a[1], FieldList)
 		if err != nil {
 			return 0, err
@@ -365,7 +374,7 @@ func newHostTable() *vm.HostTable {
 		return g.read(inst, f, nil, uint64(a[2]))
 	})
 
-	reg("list_push", 4, false, 48, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("list_push", 4, false, 48, Writes, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		f, err := g.field(inst, a[0], a[1], FieldList)
 		if err != nil {
 			return 0, err
@@ -379,7 +388,7 @@ func newHostTable() *vm.HostTable {
 
 	// --- cross-object invocation ---
 
-	reg("call_arg", 2, false, 16, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("call_arg", 2, false, 16, Writes, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		data, err := inst.MemRead(a[0], a[1]) // retained: the one copy
 		if err != nil {
 			return 0, err
@@ -388,7 +397,7 @@ func newHostTable() *vm.HostTable {
 		return 0, nil
 	})
 
-	reg("invoke", 3, true, 256, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("invoke", 3, true, 256, Writes, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		method, args, err := g.takeCall(inst, a[1], a[2])
 		if err != nil {
 			return 0, err
@@ -400,7 +409,7 @@ func newHostTable() *vm.HostTable {
 		return allocBytes(inst, result)
 	})
 
-	reg("invoke_start", 3, true, 256, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("invoke_start", 3, true, 256, Writes, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		method, args, err := g.takeCall(inst, a[1], a[2])
 		if err != nil {
 			return 0, err
@@ -415,7 +424,7 @@ func newHostTable() *vm.HostTable {
 		return int64(len(g.asyncs) - 1), nil
 	})
 
-	reg("invoke_wait", 1, true, 64, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
+	reg("invoke_wait", 1, true, 64, Writes, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
 		if a[0] < 0 || a[0] >= int64(len(g.asyncs)) {
 			return 0, fmt.Errorf("core: bad async handle %d", a[0])
 		}
@@ -427,7 +436,7 @@ func newHostTable() *vm.HostTable {
 		return allocBytes(inst, ac.result)
 	})
 
-	return t
+	return t, effects
 }
 
 // I64Bytes renders an int64 as its 8-byte little-endian representation —

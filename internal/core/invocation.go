@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -46,11 +45,6 @@ type invocation struct {
 	// by an enclosing transaction (see transaction.go): run leaves the
 	// shared buffer uncommitted and never releases locks it does not own.
 	external bool
-
-	// nocache poisons result caching when the method did something its
-	// object's version does not cover (clock, randomness, cross-object
-	// calls).
-	nocache bool
 
 	// key and val are the host-call scratch, kept across invocations by
 	// invocationPool (see the ownership rule in hostapi.go). key starts
@@ -175,20 +169,17 @@ func (iv *invocation) tScan(prefix []byte, fn func(key, value []byte) bool) erro
 
 // The Backend the host table drives (hostapi.go), over the local
 // transaction. What the aggregated design adds to plain storage access lives
-// here: writes are buffered until commit, read-only methods may not write,
-// what the object's version does not cover poisons result caching, and a
-// nested call first commits the caller and releases its admission.
+// here: writes are buffered until commit, and a nested call first commits
+// the caller and releases its admission.
 
 var hostRandMu sync.Mutex
 var hostRand = rand.New(rand.NewSource(0x1a3b5c7d))
 
 func (iv *invocation) Now() int64 {
-	iv.nocache = true
 	return time.Now().UnixNano()
 }
 
 func (iv *invocation) Rand() int64 {
-	iv.nocache = true
 	hostRandMu.Lock()
 	defer hostRandMu.Unlock()
 	return hostRand.Int63()
@@ -211,16 +202,10 @@ func (iv *invocation) Get(f *FieldDef, key []byte, idx uint64) ([]byte, bool, er
 }
 
 func (iv *invocation) Put(f *FieldDef, key, value []byte) error {
-	if err := iv.requireMutable(); err != nil {
-		return err
-	}
 	return iv.tPut(iv.stateKey(f, key, 0), value)
 }
 
 func (iv *invocation) Del(f *FieldDef, key []byte) error {
-	if err := iv.requireMutable(); err != nil {
-		return err
-	}
 	return iv.tDel(iv.stateKey(f, key, 0))
 }
 
@@ -239,9 +224,6 @@ func (iv *invocation) ListLen(f *FieldDef) (int64, error) {
 }
 
 func (iv *invocation) ListPush(f *FieldDef, value []byte) error {
-	if err := iv.requireMutable(); err != nil {
-		return err
-	}
 	cur, _, err := iv.tGet(iv.fieldKey(subListLen, f.Name))
 	if err != nil {
 		return err
@@ -262,14 +244,10 @@ func (iv *invocation) BeginCall() error {
 	if iv.external {
 		return fmt.Errorf("%w: cross-object invoke (declare the call in the transaction instead)", ErrTxRestricted)
 	}
-	iv.nocache = true
 	if iv.depth+1 >= maxInvocationDepth {
 		return fmt.Errorf("core: invocation depth limit at %s", iv.obj)
 	}
 	if iv.txn.dirty() {
-		if iv.method.ReadOnly {
-			return ErrReadOnly
-		}
 		if err := iv.commit(); err != nil {
 			return err
 		}
@@ -295,36 +273,14 @@ func (iv *invocation) run() ([]byte, error) {
 		return nil, err
 	}
 
-	if iv.external {
-		// The enclosing transaction owns commit; a read-only member that
-		// buffered writes is still an error.
-		if iv.txn.dirty() && iv.method.ReadOnly && iv.ownWrites() {
-			return nil, ErrReadOnly
-		}
-		return iv.result, nil
-	}
-	if iv.txn.dirty() {
-		if iv.method.ReadOnly {
-			return nil, ErrReadOnly
-		}
+	// An enclosing transaction owns commit. A read-only method never gets
+	// here dirty: it can reach no host import that writes.
+	if !iv.external && iv.txn.dirty() {
 		if err := iv.commit(); err != nil {
 			return nil, err
 		}
 	}
 	return iv.result, nil
-}
-
-// ownWrites reports whether this invocation's object has buffered writes
-// (a heuristic used only for read-only enforcement inside transactions,
-// where the buffer is shared).
-func (iv *invocation) ownWrites() bool {
-	prefix := objectPrefix(iv.obj)
-	for i := range iv.txn.writes {
-		if bytes.HasPrefix(iv.txn.keyAt(i), prefix) {
-			return true
-		}
-	}
-	return false
 }
 
 // commit atomically publishes the buffered write-set, bumping the object's
@@ -350,12 +306,4 @@ func (iv *invocation) commit() error {
 		return err
 	}
 	return iv.rt.commit(iv.trace, iv.txn.batch(), iv.obj)
-}
-
-// requireMutable rejects writes from read-only methods.
-func (iv *invocation) requireMutable() error {
-	if iv.method.ReadOnly {
-		return fmt.Errorf("%w: %s.%s", ErrReadOnly, iv.typ.Name, iv.method.Name)
-	}
-	return nil
 }

@@ -413,13 +413,10 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, typ.Name, method)
 	}
 
-	// Inferred read-only methods (module analysis proved no reachable
-	// mutating host call) take the same shared admission and commit-free
-	// path as declared ones: the proof is static, so the write buffer is
-	// never touched. Result caching stays declared-only — Deterministic
-	// is a promise only the author can make.
+	// A read-only method (no reachable host import writes) takes a shared
+	// admission: the proof is static, so it never touches the write buffer.
 	mode := sched.Write
-	if mi.RoutableReadOnly() {
+	if mi.ReadOnly() {
 		mode = sched.Read
 	}
 	iv := newInvocation(rt, id, typ, mi, args, cc, mode)
@@ -432,7 +429,7 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 
 	// Consistent result cache: hit only if the object's committed version
 	// is still the one the cached execution read (§4.2.2).
-	cacheable := mi.ReadOnly && mi.Deterministic && rt.cache != nil
+	cacheable := mi.Cacheable() && rt.cache != nil
 	var argsHash, epoch uint64
 	if cacheable {
 		argsHash = cache.HashArgs(method, args)
@@ -460,14 +457,10 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 		return nil, err
 	}
 
-	if cacheable && !iv.nocache {
+	if cacheable {
 		if readSet := iv.versionReadSet(); readSet != nil {
 			rt.cache.StoreAt(uint64(id), method, argsHash, result, readSet, epoch)
 		}
-	} else if cacheable {
-		// Eligible by signature but poisoned at runtime (clock, randomness,
-		// cross-calls): a bypass, not a miss.
-		rt.cache.NoteBypass()
 	}
 	return result, nil
 }
@@ -487,18 +480,17 @@ func (iv *invocation) versionReadSet() []cache.ReadDep {
 	return []cache.ReadDep{{Key: append([]byte(nil), key...), ValueHash: cache.HashValue(v, true)}}
 }
 
-// MethodRoutableReadOnly reports whether the named method of the object's
-// type may execute at a backup replica: declared read-only, or proven
-// read-only by module analysis at validation time. Unknown objects,
-// types, or methods report false (the router then applies its normal
-// primary-only rule and the primary surfaces the real error).
-func (rt *Runtime) MethodRoutableReadOnly(id ObjectID, method string) bool {
+// MethodReadOnly reports whether the named method of the object's type is
+// read-only, and so may execute at a leased backup. Unknown objects, types
+// or methods report false: the router then sends the request to the
+// primary, which surfaces the real error.
+func (rt *Runtime) MethodReadOnly(id ObjectID, method string) bool {
 	typ, err := rt.typeOf(id)
 	if err != nil {
 		return false
 	}
 	mi, ok := typ.Method(method)
-	return ok && mi.RoutableReadOnly()
+	return ok && mi.ReadOnly()
 }
 
 // committedHash fingerprints the current committed value of key (cache

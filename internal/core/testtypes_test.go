@@ -107,14 +107,6 @@ func get_time params=0 locals=1 export
   ret
 end
 
-;; bad_write: declared read-only in the type but tries to write.
-func bad_write params=0 export
-  str "count"
-  str "x"
-  hostcall val_set
-  ret
-end
-
 ;; double(): self-invocation — calls add() on itself with the current count.
 func double params=0 locals=2 export
   call read_count
@@ -513,11 +505,10 @@ func newCounterType(t *testing.T) *ObjectType {
 		[]FieldDef{{Name: "count", Kind: FieldValue}},
 		[]MethodInfo{
 			{Name: "add"},
-			{Name: "get", ReadOnly: true, Deterministic: true},
+			{Name: "get"},
 			{Name: "add_then_trap"},
 			{Name: "spin"},
-			{Name: "get_time", ReadOnly: true, Deterministic: true},
-			{Name: "bad_write", ReadOnly: true},
+			{Name: "get_time"},
 			{Name: "double"},
 		}, mod)
 	if err != nil {
@@ -537,7 +528,7 @@ func newAccountType(t *testing.T) *ObjectType {
 		[]FieldDef{{Name: "balance", Kind: FieldValue}},
 		[]MethodInfo{
 			{Name: "deposit"},
-			{Name: "balance", ReadOnly: true, Deterministic: true},
+			{Name: "balance"},
 			{Name: "transfer"},
 			{Name: "transfer_then_trap"},
 			{Name: "fanout_deposit"},
@@ -562,12 +553,12 @@ func newNotebookType(t *testing.T) *ObjectType {
 		},
 		[]MethodInfo{
 			{Name: "append_entry"},
-			{Name: "entry_count", ReadOnly: true, Deterministic: true},
-			{Name: "entry_at", ReadOnly: true, Deterministic: true},
+			{Name: "entry_count"},
+			{Name: "entry_at"},
 			{Name: "tag_set"},
-			{Name: "tag_get", ReadOnly: true, Deterministic: true},
+			{Name: "tag_get"},
 			{Name: "tag_del"},
-			{Name: "tag_count", ReadOnly: true, Deterministic: true},
+			{Name: "tag_count"},
 		}, mod)
 	if err != nil {
 		t.Fatalf("notebook type: %v", err)

@@ -106,7 +106,6 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 	defer shared.close()
 
 	results := make([][]byte, len(calls))
-	wrote := false
 	for i, c := range calls {
 		iv := newInvocation(rt, c.Object, rcalls[i].typ, rcalls[i].mi, c.Args, CallCtx{Trace: cc.Trace}, sched.Write)
 		iv.txn = shared
@@ -118,16 +117,10 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 			return nil, fmt.Errorf("core: transaction call %d (%s.%s): %w",
 				i, rcalls[i].typ.Name, c.Method, err)
 		}
-		if !rcalls[i].mi.ReadOnly {
-			wrote = true
-		}
 		results[i] = res
 	}
 
 	if shared.dirty() {
-		if !wrote {
-			return nil, ErrReadOnly
-		}
 		// Bump every written object's version inside the same batch.
 		seen := make(map[ObjectID]struct{})
 		var touched []ObjectID

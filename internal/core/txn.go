@@ -189,7 +189,7 @@ func (t *txn) sorted(prefix []byte) []int {
 // consumer of a write-set (WAL, shipper, relay) encodes it before returning.
 func (t *txn) batch() *store.Batch {
 	t.out.Reset()
-	// Deterministic order makes replication streams and tests stable.
+	// Key order makes replication streams and tests stable.
 	for _, i := range t.sorted(nil) {
 		if t.writes[i].del {
 			t.out.Delete(t.keyAt(i))

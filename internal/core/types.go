@@ -20,6 +20,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"lambdastore/internal/vm"
@@ -65,59 +66,77 @@ type FieldDef struct {
 	Kind FieldKind
 }
 
-// MethodInfo declares one public method of an object type.
+// MethodInfo names one public method of an object type. Only the name is
+// declared: what the method may do is derived from its module when the type
+// is accepted (init) and never serialized.
 type MethodInfo struct {
-	Name string
-	// ReadOnly methods never mutate the object; they take a shared
-	// scheduler admission and may execute at backup replicas.
-	ReadOnly bool
-	// Deterministic read-only methods are eligible for consistent result
-	// caching (§4.2.2). Methods that consult the clock, randomness, or
-	// other objects are automatically excluded at run time regardless of
-	// this flag.
-	Deterministic bool
-
-	// inferredReadOnly is computed at validation time (never serialized;
-	// init recomputes it on decode): the method's reachable call graph
-	// contains no mutating host import and no cross-object invocation,
-	// so it provably never touches the write buffer even though its
-	// author did not declare it ReadOnly. Such methods are routable to
-	// leased backup replicas exactly like declared read-only ones.
-	inferredReadOnly bool
+	Name    string
+	effects Effects
 }
 
-// RoutableReadOnly reports whether the method may execute at a backup
-// replica: declared read-only, or proven read-only by module analysis.
-func (m *MethodInfo) RoutableReadOnly() bool { return m.ReadOnly || m.inferredReadOnly }
+// ReadOnly reports that the method can reach no host import that writes or
+// nests a call: it takes a shared admission, never commits, and may run at a
+// leased backup (paper §4.2.1).
+func (m *MethodInfo) ReadOnly() bool { return m.effects.ReadOnly() }
 
-// mutatingImports are the host functions that touch the write buffer.
-// invoke/invoke_start are excluded from read-only inference too: a
-// cross-object call may mutate the callee and must run where forwarding
-// is safe (the scheduler also commits the caller before nested calls).
-var mutatingImports = map[string]bool{
-	"val_set":      true,
-	"val_del":      true,
-	"map_set":      true,
-	"map_del":      true,
-	"list_push":    true,
-	"invoke":       true,
-	"invoke_start": true,
-	"invoke_wait":  true,
-	"call_arg":     true,
+// Cacheable reports that the method's result is a function of its object's
+// committed version and its arguments alone (§4.2.2).
+func (m *MethodInfo) Cacheable() bool { return m.effects.Cacheable() }
+
+// Effects are what a host import — and so a method that can reach it — may
+// do beyond computing on its arguments and its object's state. hostapi.go
+// classes every import where it registers it.
+type Effects uint8
+
+const (
+	// Writes buffers a write to the object, or nests a call that may.
+	Writes Effects = 1 << iota
+	// Nondet answers from the clock or randomness.
+	Nondet
+
+	pure Effects = 0
+)
+
+// ReadOnly reports that e cannot write.
+func (e Effects) ReadOnly() bool { return e&Writes == 0 }
+
+// Cacheable reports that e neither writes nor answers nondeterministically.
+func (e Effects) Cacheable() bool { return e == pure }
+
+// String is e as tooling prints it: "read, cacheable", "read, not
+// cacheable" or "write, not cacheable".
+func (e Effects) String() string {
+	switch {
+	case e.Cacheable():
+		return "read, cacheable"
+	case e.ReadOnly():
+		return "read, not cacheable"
+	}
+	return "write, not cacheable"
+}
+
+// MethodEffects is the union of the effects of every host import the
+// module's function name can reach — the summary ObjectType.init derives for
+// each method, conservative because every static call site counts.
+func MethodEffects(mod *vm.Module, name string) Effects {
+	imports, _ := mod.ReachableImports(name)
+	fx := pure
+	for imp := range imports {
+		fx |= hostEffects[imp]
+	}
+	return fx
 }
 
 // Errors of the object model.
 var (
-	ErrNoSuchType     = errors.New("core: no such object type")
-	ErrNoSuchObject   = errors.New("core: no such object")
-	ErrNoSuchMethod   = errors.New("core: no such method")
-	ErrNoSuchField    = errors.New("core: no such field")
-	ErrWrongKind      = errors.New("core: field kind mismatch")
-	ErrExists         = errors.New("core: already exists")
-	ErrReadOnly       = errors.New("core: mutation from read-only method")
-	ErrBadType        = errors.New("core: invalid object type")
-	ErrNotFound       = errors.New("core: not found")
-	ErrInvalidUpgrade = errors.New("core: self-invocation cannot upgrade read-only to mutating")
+	ErrNoSuchType   = errors.New("core: no such object type")
+	ErrNoSuchObject = errors.New("core: no such object")
+	ErrNoSuchMethod = errors.New("core: no such method")
+	ErrNoSuchField  = errors.New("core: no such field")
+	ErrWrongKind    = errors.New("core: field kind mismatch")
+	ErrExists       = errors.New("core: already exists")
+	ErrBadType      = errors.New("core: invalid object type")
+	ErrNotFound     = errors.New("core: not found")
 )
 
 // ObjectType bundles fields and methods; objects are instantiated from it
@@ -133,11 +152,12 @@ type ObjectType struct {
 	methodIdx map[string]*MethodInfo
 }
 
-// NewObjectType validates and indexes a type definition. Every declared
-// method must be an exported, parameterless function of the module, and the
-// module must link against the host API.
+// NewObjectType validates and indexes a type definition. Every named method
+// must be an exported, parameterless function of the module, and the module
+// must link against the host API. The type keeps its own copy of methods,
+// which init fills in.
 func NewObjectType(name string, fields []FieldDef, methods []MethodInfo, module *vm.Module) (*ObjectType, error) {
-	t := &ObjectType{Name: name, Fields: fields, Methods: methods, Module: module}
+	t := &ObjectType{Name: name, Fields: fields, Methods: slices.Clone(methods), Module: module}
 	if err := t.init(); err != nil {
 		return nil, err
 	}
@@ -180,22 +200,7 @@ func (t *ObjectType) init() error {
 		if np := t.Module.Funcs[t.Module.FuncIndex(m.Name)].NumParams; np != 0 {
 			return fmt.Errorf("%w: type %q: method %q declares %d stack parameters; methods are called with none", ErrBadType, t.Name, m.Name, np)
 		}
-		// Classify once at validation time: a method none of whose
-		// reachable host calls can mutate is read-only in fact, whatever
-		// its declaration says. The flag is advisory for routing only —
-		// execution still enforces ReadOnly via the write-buffer guard.
-		if !m.ReadOnly {
-			if imports, ok := t.Module.ReachableImports(m.Name); ok {
-				mutates := false
-				for imp := range imports {
-					if mutatingImports[imp] {
-						mutates = true
-						break
-					}
-				}
-				m.inferredReadOnly = !mutates
-			}
-		}
+		m.effects = MethodEffects(t.Module, m.Name)
 		t.methodIdx[m.Name] = m
 	}
 	// Link here, where a type is accepted (registered, decoded from a peer,
@@ -233,14 +238,6 @@ func (t *ObjectType) Encode() []byte {
 	b = wire.AppendUvarint(b, uint64(len(t.Methods)))
 	for _, m := range t.Methods {
 		b = wire.AppendString(b, m.Name)
-		var flags byte
-		if m.ReadOnly {
-			flags |= 1
-		}
-		if m.Deterministic {
-			flags |= 2
-		}
-		b = append(b, flags)
 	}
 	b = wire.AppendBytes(b, t.Module.Encode())
 	return b
@@ -250,7 +247,7 @@ func (t *ObjectType) Encode() []byte {
 func DecodeObjectType(data []byte) (*ObjectType, error) {
 	r := wire.NewReader(data)
 	t := &ObjectType{Name: r.Str()}
-	// A field or a method is at least a name length and one byte.
+	// A field is at least a name length and its kind, a method a name length.
 	t.Fields = make([]FieldDef, r.Count(2))
 	for i := range t.Fields {
 		f := &t.Fields[i]
@@ -259,12 +256,9 @@ func DecodeObjectType(data []byte) (*ObjectType, error) {
 			return nil, fmt.Errorf("%w: unknown field kind %d", ErrBadType, f.Kind)
 		}
 	}
-	t.Methods = make([]MethodInfo, r.Count(2))
+	t.Methods = make([]MethodInfo, r.Count(1))
 	for i := range t.Methods {
-		m := &t.Methods[i]
-		m.Name = r.Str()
-		flags := r.Byte()
-		m.ReadOnly, m.Deterministic = flags&1 != 0, flags&2 != 0
+		t.Methods[i].Name = r.Str()
 	}
 	modBytes := r.Bytes()
 	if err := r.Err(); err != nil {

@@ -452,19 +452,19 @@ finish:
 end
 `
 
-// Methods declares the public surface with its consistency/caching
-// attributes.
+// Methods names the public surface. Which methods are reads, and which of
+// those are cached, the runtime derives from Source when the type is linked.
 var Methods = []core.MethodInfo{
 	{Name: "create_account"},
-	{Name: "get_name", ReadOnly: true, Deterministic: true},
+	{Name: "get_name"},
 	{Name: "add_follower"},
 	{Name: "follow"},
 	{Name: "block"},
-	{Name: "follower_count", ReadOnly: true, Deterministic: true},
-	{Name: "timeline_len", ReadOnly: true, Deterministic: true},
+	{Name: "follower_count"},
+	{Name: "timeline_len"},
 	{Name: "store_post"},
 	{Name: "create_post"},
-	{Name: "get_timeline", ReadOnly: true, Deterministic: true},
+	{Name: "get_timeline"},
 }
 
 // Fields declares the User object's state.

@@ -277,7 +277,7 @@ func (d *Directory) Snapshot() []byte {
 		}
 	}
 	b = wire.AppendUvarint(b, uint64(len(d.overrides)))
-	// Deterministic order for testability.
+	// Sorted, so the encoding is stable for tests.
 	keys := make([]uint64, 0, len(d.overrides))
 	for k := range d.overrides {
 		keys = append(keys, k)

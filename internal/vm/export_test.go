@@ -69,7 +69,10 @@ func ShapeSeeds() [][]byte {
 
 // DiffLinked decodes and links data against a's hosts and, if that is
 // accepted, runs up to eight exported functions on both engines at two fuel
-// budgets, failing t on any divergence. It reports whether the module linked.
+// budgets, failing t on any divergence, and fails t if a run calls an import
+// its summary (ReachableImports) omits — the summary every method's effects
+// are derived from must over-approximate what it does. It reports whether
+// the module linked.
 func DiffLinked(t testing.TB, data []byte, a FuzzArities) bool {
 	mod, err := Decode(data)
 	// An instance allocates MinPages up front and memgrow up to MaxPages.
@@ -92,6 +95,30 @@ func DiffLinked(t testing.TB, data []byte, a FuzzArities) bool {
 		for _, fuel := range []int64{64, 4096} {
 			runDiff(t, mod, a.hosts, idx, args, fuel, fmt.Sprintf("%s fuel %d", f.Name, fuel))
 		}
+		reach, _ := mod.ReachableImports(f.Name)
+		for name := range a.called(mod, idx, args) {
+			if !reach[name] {
+				t.Fatalf("%s called import %q, which ReachableImports omits (%v)", f.Name, name, reach)
+			}
+		}
 	}
 	return true
+}
+
+// called runs function idx once, at the larger fuel budget, against a's
+// hosts and returns the names of the imports it called.
+func (a FuzzArities) called(mod *Module, idx int, args []int64) map[string]bool {
+	t := a.hosts(new([]int64))
+	names := make(map[string]bool)
+	for name, f := range t.funcs {
+		fn := f.Fn
+		f.Fn = func(inst *Instance, args []int64) (int64, error) {
+			names[name] = true
+			return fn(inst, args)
+		}
+	}
+	if inst, err := NewInstance(mod, t, 4096); err == nil {
+		inst.CallIndex(idx, args...) //nolint:errcheck // a trap still called what it called
+	}
+	return names
 }

@@ -135,10 +135,10 @@ func (m *Module) HasExport(name string) bool {
 // ReachableImports returns the set of host import names any execution of
 // the named function could reach, following guest call edges (opCall)
 // transitively. The walk is conservative — every statically present call
-// site counts, reachable or not at run time — which is exactly what the
-// read-only method classifier wants: a method whose reachable imports
-// include no mutating host function provably never touches the write
-// buffer. ok is false when no such function exists.
+// site counts, reachable or not at run time — which is exactly what a
+// summary of a method's effects wants: an import outside the set is one no
+// run can call (FuzzLinkedModuleRuns checks it). ok is false when no such
+// function exists.
 func (m *Module) ReachableImports(entry string) (map[string]bool, bool) {
 	start := m.FuncIndex(entry)
 	if start < 0 {

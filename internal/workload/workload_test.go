@@ -71,7 +71,7 @@ func TestPopulateCreatesEveryAccountOnce(t *testing.T) {
 	}
 }
 
-func TestPopulateDeterministic(t *testing.T) {
+func TestPopulateReproducible(t *testing.T) {
 	cfg := Config{Accounts: 100}
 	b1, b2 := newFakeBackend(), newFakeBackend()
 	if err := Populate(cfg, b1.create, b1); err != nil {
