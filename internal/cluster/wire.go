@@ -94,7 +94,7 @@ var invokeReqs = sync.Pool{New: func() any { return new(invokeReq) }}
 func (q *invokeReq) decode(body []byte) error {
 	r := wire.NewReader(body)
 	q.object = core.ObjectID(r.Uvarint())
-	q.method = internMethod(r.Bytes())
+	q.method = core.InternMethod(r.Bytes())
 	if n := r.Count(1); n <= len(q.argv) {
 		q.args = q.argv[:n]
 	} else {
@@ -110,34 +110,6 @@ func (q *invokeReq) decode(body []byte) error {
 func (q *invokeReq) recycle() {
 	*q = invokeReq{}
 	invokeReqs.Put(q)
-}
-
-// methodNames interns invoked method names, so that decoding one does not
-// allocate. It is bounded in entries and in name length: past either, a name
-// is allocated per request, so a peer cannot grow the table.
-var methodNames = struct {
-	sync.RWMutex
-	m map[string]string
-}{m: make(map[string]string)}
-
-const (
-	maxInternedNames = 1024
-	maxInternedLen   = 64
-)
-
-func internMethod(b []byte) string {
-	methodNames.RLock()
-	s, ok := methodNames.m[string(b)]
-	methodNames.RUnlock()
-	if !ok {
-		s = string(b)
-		methodNames.Lock()
-		if len(s) <= maxInternedLen && len(methodNames.m) < maxInternedNames {
-			methodNames.m[s] = s
-		}
-		methodNames.Unlock()
-	}
-	return s
 }
 
 // createReq is the wire form of object creation.

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log"
+	"sync"
+	"unsafe"
 
 	"lambdastore/internal/vm"
 	"lambdastore/internal/wire"
@@ -42,8 +44,11 @@ import (
 //     reallocate, that memory — and never after the host call returns. So a
 //     host function finishes with every view before it allocates in the
 //     guest, and copies exactly once what outlives the call: the result, a
-//     staged argument, a method name. A Backend is handed views and copies
-//     what it keeps (a buffered write, a request body).
+//     staged argument (into the guest's argument slab), a method name (into
+//     the intern table, once per name). A Backend is handed views and copies
+//     what it keeps (a buffered write, a request body); a nested call's
+//     arguments are views of the caller's slab that Dispatch encodes or runs
+//     the callee on before it returns, and never keeps.
 //   - A value a Backend returns is valid until its next call; the table
 //     moves it into guest memory before making one.
 //
@@ -90,6 +95,13 @@ type Backend interface {
 // guest is the half of a running method that is the same on every
 // architecture: who runs, with which arguments, the result sink, and the
 // nested-call staging. Host functions reach it through vm.Instance.Ctx.
+//
+// The staging is scratch its owner keeps from call to call — the pooled
+// invocation on the aggregated side, guestPool under InstancePool.Run — so a
+// fan-out allocates nothing per callee once warm. argBuf and argv only grow
+// while the method runs: an append that reallocates leaves the old array to
+// the views already handed out, and nothing writes where a view points until
+// reset, which runs after every parallel call has been joined.
 type guest struct {
 	be     Backend
 	obj    ObjectID
@@ -98,18 +110,98 @@ type guest struct {
 	args   [][]byte
 	result []byte
 
-	// pendingArgs accumulate via the call_arg host function and are
-	// consumed by the next invoke/invoke_start.
-	pendingArgs [][]byte
-	asyncs      []*asyncCall
+	// argBuf holds every argument call_arg staged, back to back; argv has
+	// one cap-clipped view of argBuf per staged argument, and argv[staged:]
+	// are the ones the next invoke/invoke_start takes.
+	argBuf []byte
+	argv   [][]byte
+	staged int
+	asyncs []*asyncCall
 }
 
-// asyncCall is one in-flight parallel cross-object invocation (the paper's
-// create_post fans store_post calls out "in parallel").
+// guestPool recycles InstancePool.Run's guests with their staging scratch.
+var guestPool = sync.Pool{New: func() any { return new(guest) }}
+
+// bind points g at one call, keeping its scratch.
+func (g *guest) bind(be Backend, obj ObjectID, typ *ObjectType, method *MethodInfo, args [][]byte) {
+	g.be, g.obj, g.typ, g.method, g.args = be, obj, typ, method, args
+}
+
+// reset unbinds g from its call and empties its scratch for the next one.
+// Every parallel call must have been joined (exec's waitAsyncs): their
+// records go back to asyncCalls, and no callee holds a view of argBuf any
+// more.
+func (g *guest) reset() {
+	for _, ac := range g.asyncs {
+		ac.recycle()
+	}
+	clear(g.argv)
+	clear(g.asyncs)
+	*g = guest{argBuf: retainedStaging(g.argBuf), argv: retainedStaging(g.argv), asyncs: retainedStaging(g.asyncs)}
+}
+
+// stagingRetainMax bounds, in bytes, each staging buffer a pooled guest
+// keeps. A fan-out stages its width times its arguments, so the bound is four
+// times a txn's scratch: a create_post to 64 followers stages about 5 KB.
+const stagingRetainMax = 4 * scratchRetainMax
+
+// retainedStaging empties a staging buffer for reuse, or drops it if it
+// outgrew stagingRetainMax.
+func retainedStaging[T any](s []T) []T {
+	if uintptr(cap(s))*unsafe.Sizeof(*new(T)) > stagingRetainMax {
+		return nil
+	}
+	return s[:0]
+}
+
+// stage copies one argument of the next nested call into argBuf.
+func (g *guest) stage(arg []byte) {
+	start := len(g.argBuf)
+	g.argBuf = append(g.argBuf, arg...)
+	g.argv = append(g.argv, g.argBuf[start:len(g.argBuf):len(g.argBuf)])
+}
+
+// asyncCall is one parallel cross-object invocation (the paper's
+// create_post fans store_post calls out "in parallel"). Records are pooled:
+// run is the record's dispatch method bound once, so `go ac.run()` allocates
+// nothing, and done has room for the one completion, so the callee's
+// goroutine never waits for the caller. A record is recycled only after it
+// was joined.
 type asyncCall struct {
-	done   chan struct{}
+	be     Backend
+	target ObjectID
+	method string
+	args   [][]byte
 	result []byte
 	err    error
+	done   chan struct{}
+	waited bool // joined: done has been received from, once
+	run    func()
+}
+
+var asyncCalls = sync.Pool{New: func() any {
+	ac := &asyncCall{done: make(chan struct{}, 1)}
+	ac.run = ac.dispatch
+	return ac
+}}
+
+func (ac *asyncCall) dispatch() {
+	ac.result, ac.err = ac.be.Dispatch(ac.target, ac.method, ac.args)
+	ac.done <- struct{}{}
+}
+
+// join waits for the call to finish; a record is joined at most once, so
+// invoke_wait on a handle twice, or on one waitAsyncs will also see, is safe.
+func (ac *asyncCall) join() {
+	if !ac.waited {
+		<-ac.done
+		ac.waited = true
+	}
+}
+
+func (ac *asyncCall) recycle() {
+	*ac = asyncCall{done: ac.done, run: ac.run}
+	asyncCalls.Put(ac)
 }
 
 // packed return-value helpers.
@@ -158,20 +250,22 @@ func (g *guest) read(inst *vm.Instance, f *FieldDef, key []byte, idx uint64) (in
 }
 
 // takeCall reads the method name of a nested call, takes the arguments
-// staged for it and clears the call with the backend.
+// staged for it — views into argBuf, valid until g is reset — and clears the
+// call with the backend.
 func (g *guest) takeCall(inst *vm.Instance, ptr, n int64) (method string, args [][]byte, err error) {
 	name, err := inst.MemView(ptr, n)
 	if err != nil {
 		return "", nil, err
 	}
-	args, g.pendingArgs = g.pendingArgs, nil
-	return string(name), args, g.be.BeginCall()
+	args = g.argv[g.staged:len(g.argv):len(g.argv)]
+	g.staged = len(g.argv)
+	return InternMethod(name), args, g.be.BeginCall()
 }
 
 // waitAsyncs joins every outstanding parallel call.
 func (g *guest) waitAsyncs() {
 	for _, ac := range g.asyncs {
-		<-ac.done
+		ac.join()
 	}
 }
 
@@ -389,11 +483,11 @@ func newHostTable() (*vm.HostTable, map[string]Effects) {
 	// --- cross-object invocation ---
 
 	reg("call_arg", 2, false, 16, Writes, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
-		data, err := inst.MemRead(a[0], a[1]) // retained: the one copy
+		data, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
-		g.pendingArgs = append(g.pendingArgs, data)
+		g.stage(data) // retained: the one copy
 		return 0, nil
 	})
 
@@ -414,13 +508,10 @@ func newHostTable() (*vm.HostTable, map[string]Effects) {
 		if err != nil {
 			return 0, err
 		}
-		ac := &asyncCall{done: make(chan struct{})}
+		ac := asyncCalls.Get().(*asyncCall)
+		ac.be, ac.target, ac.method, ac.args = g.be, ObjectID(a[0]), method, args
 		g.asyncs = append(g.asyncs, ac)
-		target := ObjectID(a[0])
-		go func() {
-			defer close(ac.done)
-			ac.result, ac.err = g.be.Dispatch(target, method, args)
-		}()
+		go ac.run()
 		return int64(len(g.asyncs) - 1), nil
 	})
 
@@ -429,7 +520,7 @@ func newHostTable() (*vm.HostTable, map[string]Effects) {
 			return 0, fmt.Errorf("core: bad async handle %d", a[0])
 		}
 		ac := g.asyncs[a[0]]
-		<-ac.done
+		ac.join()
 		if ac.err != nil {
 			return 0, ac.err
 		}

@@ -60,7 +60,7 @@ var invocationPool = sync.Pool{New: func() any { return new(invocation) }}
 // one call; the caller must recycle() it when the call has returned.
 func newInvocation(rt *Runtime, obj ObjectID, typ *ObjectType, method *MethodInfo, args [][]byte, cc CallCtx, mode sched.Mode) *invocation {
 	iv := invocationPool.Get().(*invocation)
-	iv.guest = guest{be: iv, obj: obj, typ: typ, method: method, args: args}
+	iv.guest.bind(iv, obj, typ, method, args)
 	iv.rt = rt
 	iv.depth, iv.trace, iv.mode = cc.Depth, cc.Trace, mode
 	iv.key = appendObjectPrefix(iv.key[:0], obj)
@@ -68,10 +68,12 @@ func newInvocation(rt *Runtime, obj ObjectID, typ *ObjectType, method *MethodInf
 }
 
 // recycle returns the context to the pool, keeping only its scratch
-// buffers. Nothing may refer to the invocation afterwards: run has joined
-// its parallel calls and detached it from the VM instance by then.
+// buffers and its guest's nested-call staging. Nothing may refer to the
+// invocation afterwards: run has joined its parallel calls and detached it
+// from the VM instance by then.
 func (iv *invocation) recycle() {
-	*iv = invocation{key: retained(iv.key), val: retained(iv.val)}
+	iv.guest.reset()
+	*iv = invocation{guest: iv.guest, key: retained(iv.key), val: retained(iv.val)}
 	invocationPool.Put(iv)
 }
 

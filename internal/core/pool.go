@@ -72,11 +72,16 @@ func (p *InstancePool) Run(be Backend, obj ObjectID, typ *ObjectType, method str
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, typ.Name, method)
 	}
-	g := &guest{be: be, obj: obj, typ: typ, method: mi, args: args}
-	if err := p.exec(g, telemetry.SpanContext{}); err != nil {
+	g := guestPool.Get().(*guest)
+	g.bind(be, obj, typ, mi, args)
+	err := p.exec(g, telemetry.SpanContext{})
+	result := g.result
+	g.reset()
+	guestPool.Put(g)
+	if err != nil {
 		return nil, err
 	}
-	return g.result, nil
+	return result, nil
 }
 
 // exec runs g's method body in a pooled instance and joins its parallel

@@ -14,8 +14,11 @@ import (
 // the buffer until commit, giving the atomicity and isolation halves of
 // invocation linearizability.
 type txn struct {
-	db   *store.DB
-	snap *store.Snapshot // created lazily on first read (after admission)
+	db *store.DB
+	// snap is pinned lazily, on first read (after admission), and pinned
+	// again after each reset: the txn owns it, so a pin allocates nothing.
+	snap   store.Snapshot
+	pinned bool
 
 	// The write buffer costs no allocation per write once warm. slab holds
 	// every buffered key and value back to back; writes has one entry per
@@ -73,8 +76,9 @@ func openTxn(db *store.DB) *txn {
 
 // ensureSnap pins the read snapshot on first use.
 func (t *txn) ensureSnap() {
-	if t.snap == nil {
-		t.snap = t.db.GetSnapshot()
+	if !t.pinned {
+		t.db.Pin(&t.snap)
+		t.pinned = true
 	}
 }
 
@@ -206,10 +210,8 @@ func (t *txn) batch() *store.Batch {
 // close(): the txn must stay out of txnPool until its deferred close, since
 // the invocation keeps using it.
 func (t *txn) reset() {
-	if t.snap != nil {
-		t.snap.Release()
-		t.snap = nil
-	}
+	t.snap.Release()
+	t.pinned = false
 	t.dropWrites()
 }
 

@@ -9,7 +9,7 @@ import (
 	"lambdastore/internal/store"
 )
 
-func newRuntime(t *testing.T) *core.Runtime {
+func newRuntime(t testing.TB) *core.Runtime {
 	t.Helper()
 	db, err := store.Open(t.TempDir(), nil)
 	if err != nil {
@@ -30,7 +30,7 @@ func newRuntime(t *testing.T) *core.Runtime {
 	return rt
 }
 
-func mkUser(t *testing.T, rt *core.Runtime, id core.ObjectID, name string) {
+func mkUser(t testing.TB, rt *core.Runtime, id core.ObjectID, name string) {
 	t.Helper()
 	if err := rt.CreateObject(TypeName, id, core.CallCtx{}); err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func mkUser(t *testing.T, rt *core.Runtime, id core.ObjectID, name string) {
 	}
 }
 
-func call(t *testing.T, rt *core.Runtime, id core.ObjectID, method string, args ...[]byte) []byte {
+func call(t testing.TB, rt *core.Runtime, id core.ObjectID, method string, args ...[]byte) []byte {
 	t.Helper()
 	res, err := rt.Invoke(id, method, args)
 	if err != nil {

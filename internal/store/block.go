@@ -69,7 +69,8 @@ func (b *blockBuilder) sizeEstimate() int {
 }
 
 // finish seals the block and returns its bytes (without trailer CRC, which
-// the table writer adds per-block).
+// the table writer adds per-block). They alias the builder's buffer: valid
+// until its next reset.
 func (b *blockBuilder) finish() []byte {
 	if len(b.restarts) == 0 {
 		b.restarts = append(b.restarts, 0)
@@ -78,13 +79,13 @@ func (b *blockBuilder) finish() []byte {
 		b.buf = wire.AppendUint32(b.buf, r)
 	}
 	b.buf = wire.AppendUint32(b.buf, uint32(len(b.restarts)))
-	out := b.buf
-	return out
+	return b.buf
 }
 
-// reset prepares the builder for the next block.
+// reset prepares the builder for the next block, keeping its buffer: the
+// table writer has copied a finished block out before it resets.
 func (b *blockBuilder) reset() {
-	b.buf = nil
+	b.buf = b.buf[:0]
 	b.restarts = b.restarts[:0]
 	b.counter = 0
 	b.lastKey = b.lastKey[:0]

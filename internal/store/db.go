@@ -734,10 +734,18 @@ type Snapshot struct {
 // GetSnapshot returns a handle to the current state; callers must Release
 // it so compaction can reclaim shadowed versions.
 func (db *DB) GetSnapshot() *Snapshot {
+	s := new(Snapshot)
+	db.Pin(s)
+	return s
+}
+
+// Pin is GetSnapshot into a Snapshot the caller owns — one kept from use to
+// use allocates nothing. s must not be pinned: Release it first.
+func (db *DB) Pin(s *Snapshot) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.snaps[db.lastSeq]++
-	return &Snapshot{db: db, seq: db.lastSeq}
+	*s = Snapshot{db: db, seq: db.lastSeq}
+	db.mu.Unlock()
 }
 
 // Get reads key at the snapshot.
@@ -784,16 +792,8 @@ func (db *DB) smallestSnapshot() uint64 {
 
 // NewIterator returns a cursor over the latest committed state.
 func (db *DB) NewIterator() (*Iterator, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil, ErrClosed
-	}
-	seq := db.lastSeq
-	db.snaps[seq]++
-	db.mu.Unlock()
-	snap := &Snapshot{db: db, seq: seq}
-	it, err := db.newIteratorAt(seq)
+	snap := db.GetSnapshot()
+	it, err := db.newIteratorAt(snap.seq) // ErrClosed on a closed DB
 	if err != nil {
 		snap.Release()
 		return nil, err

@@ -97,31 +97,32 @@ func compareInternal(a, b internalKey) int {
 	return 0
 }
 
-// separator returns a short key k with a <= k < b (user-key order) carrying
-// a maximal trailer, used as an index separator between data blocks.
-func separator(a, b []byte) []byte {
+// separator returns a short key k with a <= k < b (user-key order), used as
+// an index separator between data blocks. It is built in dst's storage.
+func separator(dst, a, b []byte) []byte {
 	n := 0
 	for n < len(a) && n < len(b) && a[n] == b[n] {
 		n++
 	}
 	if n < len(a) && n < len(b) && a[n]+1 < b[n] {
-		sep := append([]byte(nil), a[:n+1]...)
+		sep := append(dst[:0], a[:n+1]...)
 		sep[n]++
 		if bytes.Compare(sep, b) < 0 {
 			return sep
 		}
 	}
-	return append([]byte(nil), a...)
+	return append(dst[:0], a...)
 }
 
 // successor returns a short key k >= a, used as the final index separator.
-func successor(a []byte) []byte {
+// It is built in dst's storage.
+func successor(dst, a []byte) []byte {
 	for i := range a {
 		if a[i] != 0xff {
-			s := append([]byte(nil), a[:i+1]...)
+			s := append(dst[:0], a[:i+1]...)
 			s[i]++
 			return s
 		}
 	}
-	return append([]byte(nil), a...)
+	return append(dst[:0], a...)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"sync"
 	"syscall"
 
 	"lambdastore/internal/wire"
@@ -20,9 +21,8 @@ import (
 //	               u64 filterOff | u64 filterLen | u64 indexOff
 //	               | u64 indexLen | u64 numEntries | u64 magic
 const (
-	tableMagic  = 0x4c414d4244415354 // "LAMBDAST"
-	footerLen   = 48
-	handleBytes = 2 * binary.MaxVarintLen64
+	tableMagic = 0x4c414d4244415354 // "LAMBDAST"
+	footerLen  = 48
 )
 
 // blockHandle locates a block within the file (length excludes the CRC).
@@ -44,23 +44,47 @@ func decodeHandle(b []byte) (blockHandle, error) {
 
 // tableWriter streams sorted entries into an SSTable file.
 type tableWriter struct {
-	f       *os.File
-	w       *bufio.Writer
-	opts    *Options
-	offset  uint64
-	dataBlk *blockBuilder
-	idxBlk  *blockBuilder
+	*tableScratch
+	f      *os.File
+	opts   *Options
+	offset uint64
 
-	bloomHashes []uint32 // bloomHash of every user key added
-	numEntries  uint64
-	smallest    internalKey
-	largest     internalKey
+	numEntries uint64
+	smallest   internalKey
+	largest    internalKey
 
 	pendingHandle blockHandle
-	pendingLast   internalKey
 	havePending   bool
 	err           error
 }
+
+// tableScratch is a table write's working memory, reused from block to block
+// and, through tableScratches, from table to table, so a write allocates
+// nothing per block and none of it is regrown per table. Nothing in it
+// outlives the write: w copies out every block before its builder resets,
+// buildBloom copies out the hashes, and idxBlk.add the index entry's parts.
+type tableScratch struct {
+	w           *bufio.Writer
+	dataBlk     *blockBuilder
+	idxBlk      *blockBuilder
+	bloomHashes []uint32 // bloomHash of every user key added
+
+	// The index entry of the last block flushed: its last key, the
+	// separator, its internal key and the encoded handle.
+	pendingLast internalKey
+	sep         []byte
+	indexKey    internalKey
+	handle      []byte
+	crc         [4]byte // a block's CRC on its way into w (a stack array would escape)
+}
+
+var tableScratches = sync.Pool{New: func() any {
+	return &tableScratch{
+		w:       bufio.NewWriterSize(nil, 256<<10),
+		dataBlk: newBlockBuilder(dataRestartInterval),
+		idxBlk:  newBlockBuilder(1),
+	}
+}}
 
 // newTableWriter creates the table file at path.
 func newTableWriter(path string, opts *Options) (*tableWriter, error) {
@@ -68,13 +92,24 @@ func newTableWriter(path string, opts *Options) (*tableWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: create sstable: %w", err)
 	}
-	return &tableWriter{
-		f:       f,
-		w:       bufio.NewWriterSize(f, 256<<10),
-		opts:    opts,
-		dataBlk: newBlockBuilder(dataRestartInterval),
-		idxBlk:  newBlockBuilder(1),
-	}, nil
+	s := tableScratches.Get().(*tableScratch)
+	s.w.Reset(f)
+	return &tableWriter{tableScratch: s, f: f, opts: opts}, nil
+}
+
+// release returns the scratch to tableScratches once the write is over,
+// finished or abandoned.
+func (t *tableWriter) release() {
+	s := t.tableScratch
+	if s == nil {
+		return
+	}
+	t.tableScratch = nil
+	s.w.Reset(nil)
+	s.dataBlk.reset()
+	s.idxBlk.reset()
+	s.bloomHashes = s.bloomHashes[:0]
+	tableScratches.Put(s)
 }
 
 // add appends an entry; keys must be in ascending internal order.
@@ -103,7 +138,7 @@ func (t *tableWriter) flushDataBlock() {
 	if t.dataBlk.empty() || t.err != nil {
 		return
 	}
-	last := append(internalKey(nil), t.dataBlk.lastKey...)
+	t.pendingLast = append(t.pendingLast[:0], t.dataBlk.lastKey...)
 	h, err := t.writeBlock(t.dataBlk.finish())
 	t.dataBlk.reset()
 	if err != nil {
@@ -111,39 +146,37 @@ func (t *tableWriter) flushDataBlock() {
 		return
 	}
 	t.pendingHandle = h
-	t.pendingLast = last
 	t.havePending = true
 }
 
 // emitIndexEntry records the deferred index entry for the most recently
 // flushed block, shortening the separator toward nextUser (nil at finish).
 func (t *tableWriter) emitIndexEntry(nextUser []byte) {
-	var indexKey internalKey
 	lastUser := t.pendingLast.userKey()
-	var sep []byte
 	if nextUser == nil {
-		sep = successor(lastUser)
+		t.sep = successor(t.sep, lastUser)
 	} else {
-		sep = separator(lastUser, nextUser)
+		t.sep = separator(t.sep, lastUser, nextUser)
 	}
-	if bytes.Equal(sep, lastUser) {
-		indexKey = t.pendingLast
-	} else {
-		indexKey = makeInternalKey(nil, sep, maxSequence, kindSeek)
+	indexKey := t.pendingLast
+	if !bytes.Equal(t.sep, lastUser) {
+		t.indexKey = makeInternalKey(t.indexKey, t.sep, maxSequence, kindSeek)
+		indexKey = t.indexKey
 	}
-	t.idxBlk.add(indexKey, t.pendingHandle.encode(make([]byte, 0, handleBytes)))
+	t.handle = t.pendingHandle.encode(t.handle[:0])
+	t.idxBlk.add(indexKey, t.handle)
 	t.havePending = false
 }
 
-// writeBlock appends raw block bytes plus CRC and returns its handle.
+// writeBlock appends raw block bytes plus CRC and returns its handle. It
+// copies raw out before returning, so the caller may reuse it.
 func (t *tableWriter) writeBlock(raw []byte) (blockHandle, error) {
 	h := blockHandle{offset: t.offset, length: uint64(len(raw))}
 	if _, err := t.w.Write(raw); err != nil {
 		return h, fmt.Errorf("store: write block: %w", err)
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], wire.Checksum(raw))
-	if _, err := t.w.Write(crc[:]); err != nil {
+	binary.LittleEndian.PutUint32(t.crc[:], wire.Checksum(raw))
+	if _, err := t.w.Write(t.crc[:]); err != nil {
 		return h, fmt.Errorf("store: write block crc: %w", err)
 	}
 	t.offset += uint64(len(raw)) + 4
@@ -153,6 +186,7 @@ func (t *tableWriter) writeBlock(raw []byte) (blockHandle, error) {
 // finish flushes remaining blocks, writes filter, index and footer, and
 // syncs the file. It returns the table's metadata.
 func (t *tableWriter) finish() (smallest, largest internalKey, fileSize uint64, err error) {
+	defer t.release()
 	t.flushDataBlock()
 	if t.havePending {
 		t.emitIndexEntry(nil)
@@ -202,6 +236,7 @@ func (t *tableWriter) finish() (smallest, largest internalKey, fileSize uint64, 
 
 // abandon closes and deletes a partially written table.
 func (t *tableWriter) abandon(path string) {
+	t.release()
 	t.f.Close()
 	os.Remove(path)
 }

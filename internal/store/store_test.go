@@ -606,7 +606,7 @@ func TestInternalKeyOrdering(t *testing.T) {
 
 func TestSeparatorProperties(t *testing.T) {
 	check := func(a, b string) {
-		sep := separator([]byte(a), []byte(b))
+		sep := separator(nil, []byte(a), []byte(b))
 		if bytes.Compare(sep, []byte(a)) < 0 {
 			t.Fatalf("separator(%q,%q)=%q < a", a, b, sep)
 		}
@@ -619,11 +619,11 @@ func TestSeparatorProperties(t *testing.T) {
 	check("a", "b")
 	check("axxx", "ay")
 	// Adjacent keys: fallback to a.
-	sep := separator([]byte("ab"), []byte("ab\x00"))
+	sep := separator(nil, []byte("ab"), []byte("ab\x00"))
 	if !bytes.Equal(sep, []byte("ab")) {
 		t.Fatalf("adjacent separator = %q", sep)
 	}
-	suc := successor([]byte("ab\xff"))
+	suc := successor(nil, []byte("ab\xff"))
 	if bytes.Compare(suc, []byte("ab\xff")) < 0 {
 		t.Fatalf("successor = %q", suc)
 	}
@@ -634,7 +634,7 @@ func TestSeparatorQuick(t *testing.T) {
 		if bytes.Compare(a, b) >= 0 {
 			return true // precondition: a < b
 		}
-		sep := separator(a, b)
+		sep := separator(nil, a, b)
 		return bytes.Compare(sep, a) >= 0 && bytes.Compare(sep, b) < 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
