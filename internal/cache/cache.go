@@ -22,7 +22,6 @@
 package cache
 
 import (
-	"container/list"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -65,13 +64,26 @@ type ReadDep struct {
 	ValueHash uint64
 }
 
-// Entry is one cached result.
-type Entry struct {
-	Result  []byte
-	ReadSet []ReadDep
+// inlineKey is the longest read-set key an entry keeps inside itself. The
+// runtime's one dependency, an object's version key, fits.
+const inlineKey = 24
 
-	key     entryKey
-	element *list.Element
+// entry is one cached result, and a store's one allocation: its LRU and
+// per-object links are its own fields, and a one-dependency read set whose
+// key fits inlineKey lives in dep and depKey. Nothing in an entry changes
+// after it is published except its links, which only the shard lock's
+// holder touches, so a reader may validate its read set without the lock.
+type entry struct {
+	result  []byte
+	readSet []ReadDep
+
+	key entryKey
+	// prev and next link the shard's LRU ring; objPrev and objNext the
+	// entries of one object, headed by the shard's byObject.
+	prev, next       *entry
+	objPrev, objNext *entry
+	dep              [1]ReadDep
+	depKey           [inlineKey]byte
 }
 
 // entryKey identifies a cached invocation.
@@ -106,9 +118,9 @@ const DefaultShards = 32
 // single-lock operation.
 type shard struct {
 	mu       sync.Mutex
-	entries  map[entryKey]*Entry
-	byObject map[uint64]map[entryKey]struct{}
-	lru      *list.List // front = most recent
+	entries  map[entryKey]*entry
+	byObject map[uint64]*entry // the first of each object's entries
+	lru      entry             // ring sentinel: lru.next is the most recent entry, lru.prev the next victim
 	capacity int
 	stats    Stats
 	// epoch counts InvalidateObject calls on this shard, whether or not they
@@ -157,12 +169,13 @@ func NewSharded(capacity, shards int, reg *telemetry.Registry) *Cache {
 		per = 1
 	}
 	for i := range c.shards {
-		c.shards[i] = &shard{
-			entries:  make(map[entryKey]*Entry),
-			byObject: make(map[uint64]map[entryKey]struct{}),
-			lru:      list.New(),
+		s := &shard{
+			entries:  make(map[entryKey]*entry),
+			byObject: make(map[uint64]*entry),
 			capacity: per,
 		}
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
+		c.shards[i] = s
 	}
 	reg.GaugeFunc("cache.validations", func() int64 { return int64(c.Stats().Validations) })
 	reg.GaugeFunc("cache.evictions", func() int64 { return int64(c.Stats().Evictions) })
@@ -204,15 +217,17 @@ func (c *Cache) LookupAt(object uint64, method string, argsHash uint64, readHash
 	}
 	// Copy the read set out so validation runs without the lock (readHash
 	// hits the storage engine).
-	deps := e.ReadSet
-	result = e.Result
+	deps := e.readSet
+	result = e.result
 	s.mu.Unlock()
 
 	for _, dep := range deps {
 		if h, ok := readHash(dep.Key); !ok || h != dep.ValueHash {
 			s.mu.Lock()
 			s.stats.Validations++
-			s.removeLocked(k)
+			if cur, ok := s.entries[k]; ok {
+				s.removeLocked(cur)
+			}
 			epoch = s.epoch
 			s.mu.Unlock()
 			return nil, epoch, false
@@ -220,14 +235,17 @@ func (c *Cache) LookupAt(object uint64, method string, argsHash uint64, readHash
 	}
 	s.mu.Lock()
 	if cur, ok := s.entries[k]; ok {
-		s.lru.MoveToFront(cur.element)
+		s.unlinkLRU(cur)
+		s.pushFront(cur)
 	}
 	s.stats.Hits++
 	s.mu.Unlock()
 	return result, 0, true
 }
 
-// Store records a validated result with its read set.
+// Store records a validated result with its read set. The cache keeps
+// result itself: the caller hands it over and must not modify it afterwards,
+// and every hit returns it. The read set is copied.
 func (c *Cache) Store(object uint64, method string, argsHash uint64, result []byte, readSet []ReadDep) {
 	c.store(object, method, argsHash, result, readSet, false, 0)
 }
@@ -242,39 +260,56 @@ func (c *Cache) StoreAt(object uint64, method string, argsHash uint64, result []
 }
 
 func (c *Cache) store(object uint64, method string, argsHash uint64, result []byte, readSet []ReadDep, atEpoch bool, epoch uint64) {
-	k := entryKey{object: object, method: method, argsHash: argsHash}
-	e := &Entry{
-		Result:  append([]byte(nil), result...),
-		ReadSet: readSet,
-		key:     k,
-	}
+	// The capacity is clipped so that no holder of the result can append
+	// into bytes another holder sees.
+	e := &entry{result: result[:len(result):len(result)], key: entryKey{object: object, method: method, argsHash: argsHash}}
+	e.readSet = e.copyReadSet(readSet)
 	s := c.shardFor(object)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if atEpoch && epoch != s.epoch {
 		return
 	}
-	if old, ok := s.entries[k]; ok {
-		s.lru.Remove(old.element)
+	if old, ok := s.entries[e.key]; ok {
+		s.removeLocked(old)
 	}
-	e.element = s.lru.PushFront(e)
-	s.entries[k] = e
-	objSet, ok := s.byObject[object]
-	if !ok {
-		objSet = make(map[entryKey]struct{})
-		s.byObject[object] = objSet
+	s.entries[e.key] = e
+	s.pushFront(e)
+	if head := s.byObject[object]; head != nil {
+		head.objPrev, e.objNext = e, head
 	}
-	objSet[k] = struct{}{}
+	s.byObject[object] = e
 	s.stats.Stores++
 
 	for len(s.entries) > s.capacity {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		s.removeLocked(back.Value.(*Entry).key)
+		s.removeLocked(s.lru.prev)
 		s.stats.Evictions++
 	}
+}
+
+// copyReadSet copies deps into storage e owns: inside e when it is one
+// dependency with a short key (the runtime's version key), else one slice
+// and one slab of keys.
+func (e *entry) copyReadSet(deps []ReadDep) []ReadDep {
+	switch {
+	case len(deps) == 0:
+		return nil
+	case len(deps) == 1 && len(deps[0].Key) <= inlineKey:
+		n := copy(e.depKey[:], deps[0].Key)
+		e.dep[0] = ReadDep{Key: e.depKey[:n:n], ValueHash: deps[0].ValueHash}
+		return e.dep[:]
+	}
+	n := 0
+	for _, d := range deps {
+		n += len(d.Key)
+	}
+	keys := make([]byte, 0, n)
+	out := make([]ReadDep, len(deps))
+	for i, d := range deps {
+		keys = append(keys, d.Key...)
+		out[i] = ReadDep{Key: keys[len(keys)-len(d.Key) : len(keys) : len(keys)], ValueHash: d.ValueHash}
+	}
+	return out
 }
 
 // InvalidateObject drops every entry whose invocation ran against object,
@@ -287,8 +322,8 @@ func (c *Cache) InvalidateObject(object uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.epoch++
-	for k := range s.byObject[object] {
-		s.removeLocked(k)
+	for e := s.byObject[object]; e != nil; e = s.byObject[object] {
+		s.removeLocked(e)
 		s.stats.Invalidations++
 	}
 }
@@ -299,20 +334,35 @@ func (c *Cache) NoteBypass() {
 	c.bypass.Add(1)
 }
 
-// removeLocked unlinks an entry from all indexes. Caller holds s.mu.
-func (s *shard) removeLocked(k entryKey) {
-	e, ok := s.entries[k]
-	if !ok {
-		return
+// pushFront makes e the shard's most recent entry. Caller holds s.mu.
+func (s *shard) pushFront(e *entry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	s.lru.next.prev = e
+	s.lru.next = e
+}
+
+// unlinkLRU takes e out of the LRU ring. Caller holds s.mu.
+func (s *shard) unlinkLRU(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// removeLocked unlinks a stored entry from all indexes. Caller holds s.mu.
+func (s *shard) removeLocked(e *entry) {
+	delete(s.entries, e.key)
+	s.unlinkLRU(e)
+	switch {
+	case e.objPrev != nil:
+		e.objPrev.objNext = e.objNext
+	case e.objNext != nil:
+		s.byObject[e.key.object] = e.objNext
+	default:
+		delete(s.byObject, e.key.object)
 	}
-	delete(s.entries, k)
-	s.lru.Remove(e.element)
-	if objSet, ok := s.byObject[k.object]; ok {
-		delete(objSet, k)
-		if len(objSet) == 0 {
-			delete(s.byObject, k.object)
-		}
+	if e.objNext != nil {
+		e.objNext.objPrev = e.objPrev
 	}
+	e.objPrev, e.objNext = nil, nil
 }
 
 // Len returns the number of live entries.

@@ -174,10 +174,10 @@ func TestRetainedBytesSurviveGuestMemoryReuse(t *testing.T) {
 	}
 }
 
-// TestStoredReadSetSurvivesTxnReuse checks that the read set handed to the
-// result cache owns its memory: the version key is built in the pooled
-// invocation's key scratch, which the next invocation overwrites, and the
-// cached entry must still validate afterwards.
+// TestStoredReadSetSurvivesTxnReuse checks that the result cache copies the
+// read set it is handed into the entry: the version key is built in the
+// pooled invocation's key scratch, which the next invocation overwrites, and
+// the cached entry must still validate afterwards.
 func TestStoredReadSetSurvivesTxnReuse(t *testing.T) {
 	rt, _ := newTestRuntime(t, Options{CacheEntries: 64})
 	if err := rt.RegisterType(newCounterType(t)); err != nil {

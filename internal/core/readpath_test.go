@@ -82,14 +82,61 @@ func TestReadFastPathAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured 2: the snapshot and the result copied out of guest memory.
-	// The invocation context, its txn and its key/value scratch are pooled,
-	// the scheduler recycles its lock entries, and the point read copies
-	// into that scratch. A regression to per-call scratch, to the write
+	// Measured 1: the result copied out of guest memory. The invocation
+	// context, its txn (which pins its snapshot in place) and its key/value
+	// scratch are pooled, the scheduler recycles its lock entries, and the
+	// point read copies into that scratch. A regression to per-call scratch, to the write
 	// path's eager maps or to per-invocation instantiation shows up well
 	// above.
 	const bound = 2 + 2
 	if allocs > bound {
 		t.Fatalf("read-only invoke allocs/op = %.1f, want <= %d", allocs, bound)
+	}
+}
+
+// TestCacheMissStoresTheReturnedBytes: a cacheable miss allocates the bytes
+// it returns and the cache entry that keeps them, nothing else. The entry
+// holds the very result set_result copied out of the guest — the next hit
+// returns the same bytes, not a second copy — and the version read set is
+// copied from the invocation's scratch into the entry. Every store here
+// also evicts (two entries, rotating over eight objects).
+func TestCacheMissStoresTheReturnedBytes(t *testing.T) {
+	rt, _ := newTestRuntime(t, Options{CacheEntries: 2})
+	if err := rt.RegisterType(newCounterType(t)); err != nil {
+		t.Fatal(err)
+	}
+	const objects = 8
+	for id := ObjectID(1); id <= objects; id++ {
+		if err := rt.CreateObject("Counter", id, CallCtx{}); err != nil {
+			t.Fatal(err)
+		}
+		mustInvoke(t, rt, id, "add", I64Bytes(int64(id)))
+	}
+
+	miss := mustInvoke(t, rt, 1, "get")
+	hit := mustInvoke(t, rt, 1, "get")
+	if BytesI64(hit) != 1 || &hit[0] != &miss[0] {
+		t.Fatalf("the hit returned %d at %p, the miss stored %p: want the stored bytes themselves", BytesI64(hit), &hit[0], &miss[0])
+	}
+
+	args := [][]byte{}
+	next := ObjectID(0)
+	read := func() {
+		next = next%objects + 1
+		if res, err := rt.Invoke(next, "get", args); err != nil || BytesI64(res) != int64(next) {
+			t.Fatalf("get %s = %d, %v", next, BytesI64(res), err)
+		}
+	}
+	for i := 0; i < 4*objects; i++ {
+		read()
+	}
+	before := rt.Cache().Stats()
+	allocs := testing.AllocsPerRun(8*objects, read)
+	if after := rt.Cache().Stats(); after.Hits != before.Hits || after.Stores == before.Stores {
+		t.Fatalf("the rotation hit or stored nothing: %+v -> %+v", before, after)
+	}
+	// Under -race sync.Pool drops puts, so pooled scratch is re-made.
+	if allocs > 2 && !raceEnabled {
+		t.Fatalf("a cacheable miss allocates %.1f objects, want 2 (the result and its entry)", allocs)
 	}
 }

@@ -458,26 +458,30 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 	}
 
 	if cacheable {
-		if readSet := iv.versionReadSet(); readSet != nil {
-			rt.cache.StoreAt(uint64(id), method, argsHash, result, readSet, epoch)
+		// The cache copies the read set into its entry and keeps result,
+		// the bytes set_result copied out of the guest, so storing a miss
+		// allocates only the entry.
+		if dep, ok := iv.versionDep(); ok {
+			rt.cache.StoreAt(uint64(id), method, argsHash, result, []cache.ReadDep{dep}, epoch)
 		}
 	}
 	return result, nil
 }
 
-// versionReadSet is the read set of a finished cacheable invocation: its
+// versionDep is the read set of a finished cacheable invocation: its
 // object's version key as the invocation's own snapshot sees it, which
 // covers every read the method made, scans included (see package cache for
-// the invariant). nil (store nothing) if the object has no version at the
-// snapshot — deleted under the reader — or the read failed.
-func (iv *invocation) versionReadSet() []cache.ReadDep {
+// the invariant). The key is the invocation's scratch. ok is false (store
+// nothing) if the object has no version at the snapshot — deleted under the
+// reader — or the read failed.
+func (iv *invocation) versionDep() (dep cache.ReadDep, ok bool) {
 	key := iv.fieldKey(subVersion, "")
 	v, present, err := iv.txn.get(iv.val[:0], key)
 	iv.val = v
 	if err != nil || !present {
-		return nil
+		return dep, false
 	}
-	return []cache.ReadDep{{Key: append([]byte(nil), key...), ValueHash: cache.HashValue(v, true)}}
+	return cache.ReadDep{Key: key, ValueHash: cache.HashValue(v, true)}, true
 }
 
 // MethodReadOnly reports whether the named method of the object's type is

@@ -86,15 +86,37 @@ func (m *message) decode(b []byte) (name []byte, err error) {
 // from frame to frame: the body and a request's method name alias buf until
 // the next read. hdr, the length prefix's scratch, is a field so that it is
 // allocated once with the frame rather than per read.
+//
+// A server's request frame also carries what its handler goroutine needs —
+// the handler and the connection — so the goroutine is spawned as
+// `go f.run()`: run is f.handle, bound once when the pool makes the frame,
+// and a go statement calling a func value without arguments allocates
+// nothing.
 type inFrame struct {
 	msg  message
 	name []byte
 	buf  []byte
 	hdr  [4]byte
+
+	h    HandlerCtx
+	conn *serverConn
+	run  func()
 }
 
-// inFrames recycles a server's request frames, buffers included.
-var inFrames = sync.Pool{New: func() any { return new(inFrame) }}
+// inFrames recycles a server's request frames, buffers and bound run
+// included.
+var inFrames sync.Pool
+
+// getInFrame takes a request frame from inFrames, or makes one and binds
+// its run.
+func getInFrame() *inFrame {
+	if f, ok := inFrames.Get().(*inFrame); ok {
+		return f
+	}
+	f := new(inFrame)
+	f.run = f.handle
+	return f
+}
 
 // maxPooledFrame bounds the buffer a frame keeps, so one huge
 // state-transfer frame does not pin megabytes in every pool shard or
@@ -129,6 +151,7 @@ func (f *inFrame) recycle() {
 		f.buf = nil
 	}
 	f.msg.body, f.name = nil, nil
+	f.h, f.conn = nil, nil
 	inFrames.Put(f)
 }
 
@@ -357,6 +380,15 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
+// serverConn is what one connection's request handlers share: the
+// response writer, the server's instruments and the join of the handlers
+// still running when the connection ends.
+type serverConn struct {
+	cw   connWriter
+	m    *serverMetrics
+	reqs sync.WaitGroup
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -368,11 +400,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.mu.RLock()
 	m := s.metrics
 	s.mu.RUnlock()
-	cw := &connWriter{conn: conn, coalesced: m.coalesced}
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
+	sc := &serverConn{cw: connWriter{conn: conn, coalesced: m.coalesced}, m: m}
+	defer sc.reqs.Wait()
 	for {
-		f := inFrames.Get().(*inFrame)
+		f := getInFrame()
 		if err := f.read(conn); err != nil {
 			return
 		}
@@ -386,16 +417,20 @@ func (s *Server) serveConn(conn net.Conn) {
 		m.requests.Inc()
 		m.rxBytes.Add(uint64(len(f.msg.body)))
 		m.inFlight.Inc()
-		reqWG.Add(1)
-		go s.handle(f, h, cw, m, &reqWG)
+		sc.reqs.Add(1)
+		f.h, f.conn = h, sc
+		go f.run()
 	}
 }
 
-// handle runs one request's handler on a goroutine of its own and writes
-// the response. Spawning it is the request's one allocation on this end:
-// the frame is pooled and the response lives on this goroutine's stack.
-func (s *Server) handle(f *inFrame, h HandlerCtx, cw *connWriter, m *serverMetrics, wg *sync.WaitGroup) {
-	defer wg.Done()
+// handle runs one request's handler on a goroutine of its own (f.run) and
+// writes the response. The request allocates nothing on this end: the frame
+// is pooled, it carries the goroutine's arguments, and the response lives
+// on the goroutine's stack.
+func (f *inFrame) handle() {
+	sc, h := f.conn, f.h
+	m := sc.m
+	defer sc.reqs.Done()
 	start := time.Now()
 	info := CallInfo{Trace: telemetry.SpanContext{Trace: f.msg.trace, Span: f.msg.parent}}
 	resp := message{kind: msgResponse, id: f.msg.id}
@@ -412,7 +447,7 @@ func (s *Server) handle(f *inFrame, h HandlerCtx, cw *connWriter, m *serverMetri
 	// The handler has run and writeMsg has copied the response into the
 	// connection buffer, so the request's frame — which the response may
 	// alias, and the handler's views of the body do — can be recycled.
-	cw.writeMsg(&resp) //nolint:errcheck // writeMsg closes the conn on failure
+	sc.cw.writeMsg(&resp) //nolint:errcheck // writeMsg closes the conn on failure
 	f.recycle()
 }
 
