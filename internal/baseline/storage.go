@@ -20,6 +20,7 @@ import (
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/sched"
 	"lambdastore/internal/store"
+	"lambdastore/internal/telemetry"
 	"lambdastore/internal/wire"
 )
 
@@ -127,18 +128,23 @@ type StorageOptions struct {
 
 // StartStorage opens the store and serves.
 func StartStorage(opts StorageOptions) (*StorageNode, error) {
-	db, err := store.Open(opts.DataDir, nil)
-	if err != nil {
-		return nil, err
-	}
 	n := &StorageNode{
-		db:    db,
 		srv:   rpc.NewServer(),
 		pool:  rpc.NewPool(opts.ClientOptions),
 		lists: sched.NewTable(),
 	}
 	n.shipper = replication.NewShipper(n.pool, nil)
 	n.shipper.SetBackups(opts.Backups)
+	// Every applied batch replicates through its write group, one frame per
+	// group; a failed ship is left to reconfiguration, as in the system the
+	// baseline stands for.
+	db, err := store.Open(opts.DataDir, &store.Options{OnGroup: func(g *store.Group) {
+		n.shipper.ShipGroup(telemetry.SpanContext{}, g) //nolint:errcheck // reconfig handles failures
+	}})
+	if err != nil {
+		return nil, err
+	}
+	n.db = db
 	n.register()
 	addr, err := n.srv.Serve(opts.Addr)
 	if err != nil {
@@ -166,13 +172,11 @@ func (n *StorageNode) Close() error {
 	return n.db.Close()
 }
 
-// applyAndShip commits a batch locally and replicates it.
-func (n *StorageNode) applyAndShip(object core.ObjectID, b *store.Batch) error {
-	if err := n.db.Write(b); err != nil {
-		return err
-	}
-	n.shipper.Ship(uint64(object), b) //nolint:errcheck // reconfig handles failures
-	return nil
+// commitOp commits one operation's batch locally; its write group
+// replicates it.
+func (n *StorageNode) commitOp(object core.ObjectID, b *store.Batch) error {
+	b.Replicate(uint64(object), telemetry.SpanContext{})
+	return n.db.Write(b)
 }
 
 // get reads one key with presence marking.
@@ -215,7 +219,7 @@ func (n *StorageNode) register() {
 		}
 		b := store.NewBatch()
 		b.Put(core.ValueFieldKey(r.object, r.field), r.value)
-		return nil, n.applyAndShip(r.object, b)
+		return nil, n.commitOp(r.object, b)
 	})
 	h(MethodValDel, func(body []byte) ([]byte, error) {
 		r, err := decodeFieldReq(body)
@@ -224,7 +228,7 @@ func (n *StorageNode) register() {
 		}
 		b := store.NewBatch()
 		b.Delete(core.ValueFieldKey(r.object, r.field))
-		return nil, n.applyAndShip(r.object, b)
+		return nil, n.commitOp(r.object, b)
 	})
 	h(MethodMapGet, func(body []byte) ([]byte, error) {
 		r, err := decodeFieldReq(body)
@@ -240,7 +244,7 @@ func (n *StorageNode) register() {
 		}
 		b := store.NewBatch()
 		b.Put(core.MapEntryKey(r.object, r.field, r.key), r.value)
-		return nil, n.applyAndShip(r.object, b)
+		return nil, n.commitOp(r.object, b)
 	})
 	h(MethodMapDel, func(body []byte) ([]byte, error) {
 		r, err := decodeFieldReq(body)
@@ -249,7 +253,7 @@ func (n *StorageNode) register() {
 		}
 		b := store.NewBatch()
 		b.Delete(core.MapEntryKey(r.object, r.field, r.key))
-		return nil, n.applyAndShip(r.object, b)
+		return nil, n.commitOp(r.object, b)
 	})
 	h(MethodMapCount, func(body []byte) ([]byte, error) {
 		r, err := decodeFieldReq(body)
@@ -319,7 +323,7 @@ func (n *StorageNode) register() {
 		b := store.NewBatch()
 		b.Put(core.ListEntryKey(r.object, r.field, cur), r.value)
 		b.Put(lenKey, core.EncodeU64(cur+1))
-		return nil, n.applyAndShip(r.object, b)
+		return nil, n.commitOp(r.object, b)
 	})
 	h(MethodHeader, func(body []byte) ([]byte, error) {
 		r, err := decodeFieldReq(body)
@@ -340,7 +344,7 @@ func (n *StorageNode) register() {
 		}
 		b := store.NewBatch()
 		b.Put(core.HeaderKey(r.object), r.value) // value = type name
-		return nil, n.applyAndShip(r.object, b)
+		return nil, n.commitOp(r.object, b)
 	})
 	h(MethodGetType, func(body []byte) ([]byte, error) {
 		r := wire.NewReader(body)
@@ -357,6 +361,6 @@ func (n *StorageNode) register() {
 		}
 		b := store.NewBatch()
 		b.Put(core.TypeRecordKey(t.Name), body)
-		return nil, n.applyAndShip(0, b)
+		return nil, n.commitOp(0, b)
 	})
 }

@@ -108,6 +108,9 @@ type Node struct {
 	// transfer is the state-transfer plane: rejoin and live migration,
 	// sender and receiver side.
 	transfer *recovery.Plane
+	// shipSpans is replicateGroup's scratch, one "replicate" span per
+	// member; only the group holding the writer queue touches it.
+	shipSpans []telemetry.ActiveSpan
 
 	// adm, when non-nil (AdmissionQueue set), is the admit step's gate:
 	// execution slots behind a bounded wait queue with deadline shedding.
@@ -140,25 +143,23 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	tracer.SetEnabled(opts.Tracing)
 	tracer.SetSlowThreshold(opts.SlowTraceThreshold)
 
+	n := &Node{
+		opts:    opts,
+		srv:     rpc.NewServer(),
+		pool:    rpc.NewPool(opts.ClientOptions),
+		stop:    make(chan struct{}),
+		metrics: reg,
+		tracer:  tracer,
+	}
 	stOpts := &store.Options{}
 	if opts.Store != nil {
 		cp := *opts.Store
 		stOpts = &cp
 	}
 	stOpts.Metrics = reg
-
-	db, err := store.Open(opts.DataDir, stOpts)
-	if err != nil {
+	stOpts.OnGroup = n.replicateGroup
+	if n.db, err = store.Open(opts.DataDir, stOpts); err != nil {
 		return nil, err
-	}
-	n := &Node{
-		opts:    opts,
-		db:      db,
-		srv:     rpc.NewServer(),
-		pool:    rpc.NewPool(opts.ClientOptions),
-		stop:    make(chan struct{}),
-		metrics: reg,
-		tracer:  tracer,
 	}
 	// Every later failure tears down whatever exists by then — the store's
 	// directory lock, but also the lease-renewal and session-janitor
@@ -199,7 +200,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	rtOpts.Metrics = reg
 	rtOpts.Tracer = tracer
 	rtOpts.OnCommit = n.afterCommit
-	if n.rt, err = core.NewRuntime(db, rtOpts); err != nil {
+	if n.rt, err = core.NewRuntime(n.db, rtOpts); err != nil {
 		return nil, err
 	}
 
@@ -234,18 +235,13 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	// loop only runs with Rejoin set).
 	n.transfer = recovery.New(recovery.Options{
 		GroupID:      opts.GroupID,
-		DB:           db,
+		DB:           n.db,
 		Pool:         n.pool,
 		Directory:    n.Directory,
 		SetDirectory: func(d *shard.Directory) { n.role.install(d, true) },
-		Apply: func(object uint64, b *store.Batch) error {
-			if err := n.rt.ApplyReplicated(core.ObjectID(object), b); err != nil {
-				return err
-			}
-			return n.shipper.Ship(object, b)
-		},
-		ReloadTypes: n.rt.ReloadTypes,
-		Admit:       n.admitJoiner,
+		Apply:        n.applyTransferred,
+		ReloadTypes:  n.rt.ReloadTypes,
+		Admit:        n.admitJoiner,
 		LockObject: func(object uint64) (func(), error) {
 			return n.rt.LockObject(core.ObjectID(object))
 		},
@@ -307,48 +303,70 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	return n, nil
 }
 
-// afterCommit is the commit tail's cluster half (core.Options.OnCommit):
-// what stands between a locally durable write-set and its client ack, in
-// the order the ack depends on — guard, replicate, deposed re-check, relay,
-// lease barrier. Any error withholds the ack; the local commit stands and
-// the client's retry is the at-least-once re-execution.
-func (n *Node) afterCommit(ctx telemetry.SpanContext, obj core.ObjectID, _ uint64, ws *store.Batch) error {
+// replicateGroup is the store's group hook: what stands between a durable
+// write group and its members' acks — guard, ship, release the writer
+// queue, deposed re-check, relay. A failure withholds the acks of the
+// members it covers; the client's retry is the at-least-once re-execution.
+func (n *Node) replicateGroup(g *store.Group) {
 	// The commit guard brackets ship+relay against rejoin admission: while
 	// a joiner's cutover reconfigures the group, no commit can slip between
 	// "session retired" and "shipper covers the joiner".
 	release := n.transfer.GuardCommit()
 	defer release()
-	// Synchronous primary-backup shipping: the reply is not released until
-	// every backup acknowledged (paper §4.2.1 — no acknowledged write may be
-	// lost to a failover); the coordinator evicts a dead backup and the
-	// client retries into the reconfigured group.
-	sp := n.tracer.StartSpan(ctx, "replicate")
-	shipCtx := sp.Context()
-	if !shipCtx.Valid() {
-		shipCtx = ctx
+	// Synchronous shipping (paper §4.2.1: no acknowledged write may be lost
+	// to a failover), holding the writer queue, so the commits that arrive
+	// meanwhile form the next group and frame. Each member gets a
+	// "replicate" span in its request's trace; the frame goes under the
+	// first member's.
+	for i := range g.Len() {
+		n.shipSpans = append(n.shipSpans, n.tracer.StartSpan(g.Batch(i).Trace(), "replicate"))
 	}
-	err := n.shipper.ShipCtx(shipCtx, uint64(obj), ws)
-	sp.FinishErr(err)
+	ctx := n.shipSpans[0].Context()
+	if !ctx.Valid() {
+		ctx = g.Batch(0).Trace()
+	}
+	err := n.shipper.ShipGroup(ctx, g)
+	for _, sp := range n.shipSpans {
+		sp.FinishErr(err)
+	}
+	clear(n.shipSpans)
+	n.shipSpans = n.shipSpans[:0]
+	g.Release()
+	// Deposed between routing and commit: the fan-out this group shipped to
+	// may already have been emptied, so the write may live here alone. The
+	// client retries at the new primary.
+	if v := n.role.load(); err == nil && v.deposed() {
+		err = notResponsibleError(v.group.Primary)
+	}
 	if err != nil {
-		return err
+		for i := range g.Len() {
+			g.Fail(i, err)
+		}
+		return
 	}
-	// Deposed between routing and commit: the fan-out this commit shipped
-	// to may already have been emptied, so the write may live here alone.
-	// The client retries at the new primary.
-	if v := n.role.load(); v.deposed() {
-		return notResponsibleError(v.group.Primary)
+	// Relay the members to any joiner mid-catch-up (strict sessions withhold
+	// the acks on failure, exactly like a real backup) and to the target of
+	// an in-flight move of their object (best effort: a lost relay is a gap
+	// the move's seal heals).
+	n.transfer.Relay(g)
+}
+
+// applyTransferred is the state-transfer plane's Apply. A primary (a move's
+// target or source) replicates it like a commit; a joiner, with nobody to
+// ship or relay to, logs it as a backup logs a frame — a commit's deposed
+// re-check would refuse it.
+func (n *Node) applyTransferred(object uint64, b *store.Batch) error {
+	if n.role.load().primary {
+		return n.rt.ApplyReplicated(core.ObjectID(object), b)
 	}
-	// Relay the commit to any joiner mid-catch-up (strict sessions withhold
-	// the ack on failure, exactly like a real backup) and to the target of
-	// the object's in-flight move, if any (best effort: a lost relay is a
-	// forward gap the move's seal heals).
-	if err := n.transfer.ForwardCommit(ctx, uint64(obj), ws); err != nil {
-		return err
-	}
-	// Lease-breaking reconfigurations stall the ack until any lease this
-	// primary can no longer invalidate has surely expired: the write is
-	// durable and shipped by now, only its client visibility waits (bounded
-	// by one lease TTL).
+	return n.rt.ApplyReplicatedBulk([]uint64{object}, []*store.Batch{b})
+}
+
+// afterCommit is the commit tail's last step (core.Options.OnCommit): a
+// lease-breaking reconfiguration stalls the ack of a durable, replicated
+// write until any lease this primary can no longer invalidate has surely
+// expired (at most one lease TTL).
+func (n *Node) afterCommit(_ telemetry.SpanContext, obj core.ObjectID, _ uint64, _ *store.Batch) error {
 	time.Sleep(n.role.load().ackDelay(uint64(obj), n.role.now()))
 	return nil
 }
@@ -458,8 +476,8 @@ func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, method string, 
 		}
 		defer release()
 	}
-	// Execute; the commit tail (core's commit, then afterCommit) runs
-	// inside it and may withhold the ack.
+	// Execute; the commit tail (core's commit, with replicateGroup inside
+	// its write, then afterCommit) runs inside it and may withhold the ack.
 	resp, err := exec(core.CallCtx{Trace: info.Trace})
 	// Classify: an object may have been migrated away while its request sat
 	// in the admission queue (a move deletes the local copy under the same

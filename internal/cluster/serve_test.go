@@ -15,7 +15,6 @@ import (
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
 	"lambdastore/internal/store"
-	"lambdastore/internal/telemetry"
 	"lambdastore/internal/wire"
 )
 
@@ -253,18 +252,31 @@ func TestServeUniform(t *testing.T) {
 	})
 }
 
-// TestCommitTailOrder drives Node.afterCommit directly and pins the order
-// of what stands between a durable write-set and its ack: replicate →
-// deposed re-check → relay → lease barrier. The barrier's turn is observed
-// through the role machine's clock: the tail reads it to ask ackDelay, and
-// a read outside install (which holds the machine's lock) is that question.
+// strictSession opens a strict whole-replica catch-up session at primary
+// from a joiner nobody listens at: every relay to it fails.
+func strictSession(t *testing.T, primary *Node) {
+	t.Helper()
+	pool := rpc.NewPool(nil)
+	t.Cleanup(pool.Close)
+	req := wire.AppendString(nil, "127.0.0.1:1")
+	req = wire.AppendUvarint(req, primary.Directory().Epoch())
+	req = wire.AppendUvarint(req, 0) // whole-replica scope
+	for _, m := range []string{recovery.MethodBegin, recovery.MethodPromote} {
+		if _, err := pool.Call(primary.Addr(), m, req); err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+	}
+}
+
+// TestCommitTailOrder commits through a node's runtime — past routing, which
+// would turn a deposed node away first — and pins the order of what stands
+// between a write and its ack: fsync, then (in the write group's hook) ship
+// → deposed re-check → relay, then the lease barrier. The barrier's turn is
+// observed through the role machine's clock: the tail reads it to ask
+// ackDelay, and a read outside install (which holds the machine's lock) is
+// that question.
 func TestCommitTailOrder(t *testing.T) {
 	const obj = 1
-	writeSet := func() *store.Batch {
-		b := store.NewBatch()
-		b.Put([]byte("commit-tail-probe"), []byte("v"))
-		return b
-	}
 	asked := map[*Node]*atomic.Bool{}
 	armBarrier := func(n *Node) {
 		a := new(atomic.Bool)
@@ -278,29 +290,40 @@ func TestCommitTailOrder(t *testing.T) {
 		}
 	}
 	barrierWaited := func(n *Node) bool { return asked[n].Load() }
-	// strictSession opens a strict whole-replica catch-up session from a
-	// joiner nobody listens at: every relay to it fails.
-	strictSession := func(t *testing.T, primary *Node) {
+	// group boots a group of the given size holding the object, and arms
+	// the primary's barrier probe.
+	group := func(t *testing.T, size int, opts NodeOptions) []*Node {
 		t.Helper()
-		pool := rpc.NewPool(nil)
-		t.Cleanup(pool.Close)
-		req := wire.AppendString(nil, "127.0.0.1:1")
-		req = wire.AppendUvarint(req, primary.Directory().Epoch())
-		req = wire.AppendUvarint(req, 0) // whole-replica scope
-		for _, m := range []string{recovery.MethodBegin, recovery.MethodPromote} {
-			if _, err := pool.Call(primary.Addr(), m, req); err != nil {
-				t.Fatalf("%s: %v", m, err)
-			}
+		nodes, dir := startStatic(t, opts, size)
+		c := newGroupClient(t, dir)
+		if err := c.RegisterType(counterType(t)); err != nil {
+			t.Fatal(err)
 		}
+		if err := c.CreateObject("Counter", obj); err != nil {
+			t.Fatal(err)
+		}
+		armBarrier(nodes[0])
+		return nodes
+	}
+	commit := func(n *Node) error {
+		_, err := n.Runtime().InvokeCtx(obj, "add", [][]byte{core.I64Bytes(1)}, core.CallCtx{})
+		return err
 	}
 
 	t.Run("ship failure withholds the ack", func(t *testing.T) {
-		nodes, _ := startStatic(t, NodeOptions{}, 2)
-		armBarrier(nodes[0])
+		nodes := group(t, 2, NodeOptions{})
 		fault.Add(fault.Rule{Site: replication.MethodApplyBatch, To: nodes[1].Addr(), Action: fault.Error})
 		t.Cleanup(fault.Reset)
-		if err := nodes[0].afterCommit(telemetry.SpanContext{}, obj, 0, writeSet()); err == nil {
+		commits := nodes[0].Metrics().Counter("core.commits")
+		before := commits.Value()
+		if err := commit(nodes[0]); err == nil {
 			t.Fatal("commit acknowledged though its backup never got it")
+		}
+		if got := commits.Value(); got != before+1 {
+			t.Fatalf("core.commits moved %d → %d: an unacknowledged local commit still counts", before, got)
+		}
+		if v, err := nodes[0].Runtime().ObjectVersion(obj); err != nil || v != 1 {
+			t.Fatalf("version %d, %v at the primary: want the commit applied there", v, err)
 		}
 		if barrierWaited(nodes[0]) {
 			t.Fatal("lease barrier waited after a failed ship")
@@ -308,23 +331,20 @@ func TestCommitTailOrder(t *testing.T) {
 	})
 
 	t.Run("deposed after ship answers not-responsible before relaying", func(t *testing.T) {
-		nodes, _ := startStatic(t, NodeOptions{}, 2)
+		nodes := group(t, 2, NodeOptions{})
 		old, promoted := nodes[0], nodes[1]
 		strictSession(t, old)
-		armBarrier(old)
 		old.SetDirectory(shard.NewDirectory([]shard.Group{{ID: 0, Primary: promoted.Addr()}}))
-		wantRedirect(t, old.afterCommit(telemetry.SpanContext{}, obj, 0, writeSet()), promoted.Addr())
+		wantRedirect(t, commit(old), promoted.Addr())
 		if barrierWaited(old) {
 			t.Fatal("lease barrier waited on a deposed primary's commit")
 		}
 	})
 
 	t.Run("strict relay failure withholds the ack", func(t *testing.T) {
-		nodes, _ := startStatic(t, NodeOptions{}, 2)
+		nodes := group(t, 2, NodeOptions{})
 		strictSession(t, nodes[0])
-		armBarrier(nodes[0])
-		err := nodes[0].afterCommit(telemetry.SpanContext{}, obj, 0, writeSet())
-		if err == nil || !strings.Contains(err.Error(), "strict forward") {
+		if err := commit(nodes[0]); err == nil || !strings.Contains(err.Error(), "strict forward") {
 			t.Fatalf("err = %v, want the strict relay's failure", err)
 		}
 		if barrierWaited(nodes[0]) {
@@ -333,13 +353,57 @@ func TestCommitTailOrder(t *testing.T) {
 	})
 
 	t.Run("lease barrier is waited last", func(t *testing.T) {
-		nodes, _ := startStatic(t, NodeOptions{}, 2)
-		armBarrier(nodes[0])
-		if err := nodes[0].afterCommit(telemetry.SpanContext{}, obj, 0, writeSet()); err != nil {
+		nodes := group(t, 2, NodeOptions{})
+		if err := commit(nodes[0]); err != nil {
 			t.Fatal(err)
 		}
 		if !barrierWaited(nodes[0]) {
 			t.Fatal("an acknowledged commit never consulted the lease barrier")
 		}
 	})
+
+	t.Run("a failed fsync ships nothing", func(t *testing.T) {
+		nodes := group(t, 3, NodeOptions{Store: &store.Options{SyncWrites: true}})
+		applied := func() (n uint64) {
+			for _, b := range nodes[1:] {
+				n += b.Metrics().Counter("repl.applied").Value()
+			}
+			return n
+		}
+		before := applied()
+		fault.Add(fault.Rule{Site: fault.SiteWALSync, To: nodes[0].opts.DataDir, Action: fault.Error, Count: 1})
+		t.Cleanup(fault.Reset)
+		if err := commit(nodes[0]); err == nil || !strings.Contains(err.Error(), "wal sync") {
+			t.Fatalf("err = %v, want the failed fsync", err)
+		}
+		if got := applied(); got != before {
+			t.Fatalf("backups' repl.applied moved %d → %d: a group shipped before its fsync", before, got)
+		}
+		if barrierWaited(nodes[0]) {
+			t.Fatal("lease barrier waited after a failed fsync")
+		}
+	})
+}
+
+// TestTransferredApplyJoinsTheGroupPath: what state transfer applies at a
+// primary — here a move target's chunks — replicates like a commit, so a
+// strict catch-up session at the target holds it to a backup's standard: a
+// joiner admitted right after a move cannot lack the moved object.
+func TestTransferredApplyJoinsTheGroupPath(t *testing.T) {
+	nodes, dir := startStatic(t, NodeOptions{}, 1, 1)
+	c := newGroupClient(t, dir)
+	if err := c.RegisterType(counterType(t)); err != nil {
+		t.Fatal(err)
+	}
+	const obj = 2 // even ids hash to group 0
+	if err := c.CreateObject("Counter", obj); err != nil {
+		t.Fatal(err)
+	}
+	strictSession(t, nodes[1])
+	if err := c.Migrate(obj, 1); err == nil || !strings.Contains(err.Error(), "strict forward") {
+		t.Fatalf("move into a primary whose joiner is unreachable: err = %v, want the strict relay's failure", err)
+	}
+	if _, err := c.Invoke(obj, "add", [][]byte{core.I64Bytes(1)}); err != nil {
+		t.Fatalf("object does not serve at its source after the failed move: %v", err)
+	}
 }

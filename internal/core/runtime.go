@@ -21,22 +21,12 @@ type Invoker interface {
 	InvokeCtx(id ObjectID, method string, args [][]byte, cc CallCtx) ([]byte, error)
 }
 
-// CommitHook observes every committed mutating invocation: the trace
-// context of the committing request (zero when untraced), the object, the
-// store sequence assigned to the first record of the write-set, and the
-// write-set itself. Primary-backup replication ships these to backups in
-// sequence order, propagating the trace so backup apply spans join the
-// caller's trace.
-//
-// A non-nil error fails the invocation's acknowledgement: the write-set is
-// already durable locally, but the reply is withheld (paper §4.2.1 — the
-// write-set reaches every backup "before the invocation reply is
-// released", so a failover never loses an acknowledged write). Callers see
-// the error and retry; the state machine tolerates the resulting
-// at-least-once re-execution.
-//
-// writeSet is the committing transaction's own batch, reused by its next
-// commit: the hook encodes what it needs of it before returning.
+// CommitHook observes every acknowledged commit: the committing request's
+// trace context (zero when untraced), the object, the sequence of the
+// write-set's first record and the write-set, by then durable and — through
+// the store's group hook — on every backup (paper §4.2.1). A non-nil error
+// withholds the ack; the client's retry is the at-least-once re-execution.
+// writeSet is reused by the transaction's next commit.
 type CommitHook func(ctx telemetry.SpanContext, obj ObjectID, seq uint64, writeSet *store.Batch) error
 
 // Options configures a Runtime.
@@ -50,7 +40,8 @@ type Options struct {
 	// Invoker routes cross-object invocations; nil routes everything to
 	// this runtime (single-node).
 	Invoker Invoker
-	// OnCommit, if set, observes committed write-sets (for replication).
+	// OnCommit, if set, observes acknowledged write-sets (a node's lease
+	// barrier).
 	OnCommit CommitHook
 	// LockTimeout bounds scheduler admission (default 10s).
 	LockTimeout time.Duration
@@ -510,84 +501,75 @@ func (rt *Runtime) committedHash(key []byte) (h uint64, ok bool) {
 }
 
 // commit is the one commit tail, shared by an invocation, a transaction,
-// CreateObject and DeleteObject: make the write-set durable (the "wal-sync"
-// span, under a "commit" span covering the whole tail), then publish it with
-// notifyCommit. ctx is the committing request's trace context (zero when
-// untraced); the replication hook's spans parent under it, beside "commit".
-// A failed write leaves nothing to publish.
+// CreateObject and DeleteObject: write the write-set, which its write group
+// makes durable and replicates (the "wal-sync" span, under a "commit" span
+// covering the whole tail; the group's spans parent under ctx), publish it
+// — even if the group hook withheld its ack — then ask OnCommit.
 func (rt *Runtime) commit(ctx telemetry.SpanContext, b *store.Batch, ids ...ObjectID) error {
 	sp := rt.tracer.StartSpan(ctx, "commit")
 	wsp := rt.tracer.StartSpan(sp.Context(), "wal-sync")
-	err := rt.db.Write(b)
+	b.Replicate(uint64(ids[0]), ctx)
+	applied, err := written(rt.db.Write(b))
 	wsp.FinishErr(err)
-	if err == nil {
-		err = rt.notifyCommit(ctx, b, ids...)
+	if applied {
+		// Publish it: count one commit per object the write-set touched (a
+		// transaction's spans several) and invalidate their cached results.
+		for _, id := range ids {
+			rt.metrics.commits.Inc()
+			if rt.cache != nil {
+				rt.cache.InvalidateObject(uint64(id))
+			}
+		}
+	}
+	if err == nil && rt.opts.OnCommit != nil {
+		err = rt.opts.OnCommit(ctx, ids[0], b.Seq(), b)
 	}
 	sp.FinishErr(err)
 	return err
 }
 
-// notifyCommit is the one place a local commit becomes visible to the
-// rest of the system: it counts one commit per object the write-set
-// touched (a transaction's spans several), invalidates their cached
-// results, and fires the replication hook once for the whole write-set,
-// passing along the committing request's trace context. A hook error
-// (backup did not acknowledge) propagates so the client ack is withheld;
-// the local commit stands.
-func (rt *Runtime) notifyCommit(ctx telemetry.SpanContext, b *store.Batch, ids ...ObjectID) error {
-	for _, id := range ids {
-		rt.metrics.commits.Inc()
-		if rt.cache != nil {
-			rt.cache.InvalidateObject(uint64(id))
-		}
+// written reads a db.Write error: applied is true when the batches are in
+// the store — also when the group hook withheld the ack, whose error it
+// unwraps.
+func written(err error) (applied bool, _ error) {
+	if withheld, ok := err.(*store.HookError); ok {
+		return true, withheld.Err
 	}
-	if rt.opts.OnCommit != nil {
-		return rt.opts.OnCommit(ctx, ids[0], b.Seq(), b)
-	}
-	return nil
+	return err == nil, err
 }
 
-// ApplyReplicated applies a write-set received from a primary, bypassing
-// method execution (the backup path of §4.2.1: "the results of the
-// computation are replicated").
+// ApplyReplicated applies a write-set of id that state transfer moved here
+// (chunks and relays), bypassing method execution. Its write group ships
+// and relays it like a commit's.
 func (rt *Runtime) ApplyReplicated(id ObjectID, b *store.Batch) error {
-	if err := rt.db.Write(b); err != nil {
-		return err
+	b.Replicate(uint64(id), telemetry.SpanContext{})
+	applied, err := written(rt.db.Write(b))
+	if applied {
+		rt.dropCached(uint64(id))
 	}
-	if rt.cache != nil {
-		rt.cache.InvalidateObject(uint64(id))
-	}
-	// The write-set may have created or deleted the object; drop bindings.
-	rt.objTypes.Delete(id)
-	return nil
+	return err
 }
-
-// mergedPool recycles ApplyReplicatedBulk's merged batches: the store has
-// copied a batch into its memtable by the time Write returns.
-var mergedPool = sync.Pool{New: func() any { return store.NewBatch() }}
 
 // ApplyReplicatedBulk applies the members of one replication frame — the
-// write-sets of distinct objects — in a single storage commit: one WAL
-// append, and with SyncWrites one fsync, for the whole frame. Per-object
-// invalidation matches ApplyReplicated.
+// write-sets of distinct objects — as one storage writer: one WAL append,
+// and with SyncWrites one fsync. It never ships.
 func (rt *Runtime) ApplyReplicatedBulk(objects []uint64, batches []*store.Batch) error {
-	merged := mergedPool.Get().(*store.Batch)
-	for _, b := range batches {
-		merged.Append(b)
-	}
-	err := rt.db.Write(merged)
-	merged.Reset()
-	mergedPool.Put(merged)
-	if err != nil {
+	if err := rt.db.Write(batches...); err != nil {
 		return err
 	}
 	for _, object := range objects {
-		if rt.cache != nil {
-			rt.cache.InvalidateObject(object)
-		}
-		rt.objTypes.Delete(ObjectID(object))
+		rt.dropCached(object)
 	}
 	return nil
+}
+
+// dropCached forgets an object's cached results and type binding (a
+// replicated write-set may have created or deleted it).
+func (rt *Runtime) dropCached(object uint64) {
+	if rt.cache != nil {
+		rt.cache.InvalidateObject(object)
+	}
+	rt.objTypes.Delete(ObjectID(object))
 }
 
 // --- direct state accessors (tools, tests, migration) ---

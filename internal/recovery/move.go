@@ -115,7 +115,7 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 		return fmt.Errorf("quiesce: %w", err)
 	}
 
-	// Seal: the range is frozen and every forward has been answered, so the
+	// Seal: the range is frozen and every relay has been answered, so the
 	// target's copy must equal ours; it re-pulls until it does.
 	local, err := objectDigest(p.opts.DB, object)
 	if err != nil {
@@ -132,10 +132,13 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 		return fmt.Errorf("cutover: %w", err)
 	}
 
-	// Delete the moved range here and on this group's backups (the move
-	// committed: a failed delete leaves garbage, it does not abort). The
-	// fence stays up: it self-clears when this node's view maps the object
-	// elsewhere, and until then it shields stale-view replicas.
+	// Delete the moved range here, on this group's backups and at any
+	// joiner catching up (the move committed: a failed delete leaves
+	// garbage, it does not abort) — but not at the target: its session ends
+	// first, so the delete is not relayed there. The fence stays up: it
+	// self-clears when this node's view maps the object elsewhere, and until
+	// then it shields stale-view replicas.
+	p.end(key)
 	_ = p.deleteObjectRange(object)
 	p.m.blackoutH.Record(time.Since(blackout))
 	release()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lambdastore/internal/fault"
+	"lambdastore/internal/replication"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
 	"lambdastore/internal/store"
@@ -17,8 +18,9 @@ import (
 )
 
 // testNode is one Plane over a bare store and RPC server — no runtime, no
-// cluster.Node. commit stands in for the node's commit hook, and the
-// orchestrator callbacks act on a directory both nodes share by pointer
+// cluster.Node. The store's group hook relays as the node's does (it has no
+// backups to ship to), commit and apply mark their write-sets for it, and
+// the orchestrator callbacks act on a directory both nodes share by pointer
 // (static mode).
 type testNode struct {
 	t     *testing.T
@@ -44,10 +46,20 @@ type testNode struct {
 func startTestNode(t *testing.T, dir *shard.Directory, group uint64, moveTimeout time.Duration) *testNode {
 	t.Helper()
 	n := &testNode{
-		t: t, group: group, db: openStore(t), srv: rpc.NewServer(), pool: rpc.NewPool(nil),
+		t: t, group: group, srv: rpc.NewServer(), pool: rpc.NewPool(nil),
 		reg: telemetry.NewRegistry(), dir: dir,
 		objMu: make(map[uint64]*sync.Mutex), fences: make(map[uint64]string),
 	}
+	db, err := store.Open(t.TempDir(), &store.Options{OnGroup: func(g *store.Group) {
+		defer n.plane.GuardCommit()()
+		g.Release()
+		n.plane.Relay(g)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	n.db = db
 	n.plane = New(Options{
 		GroupID:      group,
 		DB:           n.db,
@@ -108,6 +120,7 @@ func (n *testNode) apply(object uint64, b *store.Batch) error {
 	if hook != nil {
 		hook(object, b)
 	}
+	b.Replicate(object, telemetry.SpanContext{})
 	return n.db.Write(b)
 }
 
@@ -117,20 +130,16 @@ func (n *testNode) setOnApply(fn func(object uint64, b *store.Batch)) {
 	n.mu.Unlock()
 }
 
-// commit is a primary's commit of one key: the store write under the
-// object's scheduler lock, then the guarded relay — the order the node's
-// commit hook runs them in.
+// commit is a primary's commit of one key: the store write — whose group
+// relays it — under the object's scheduler lock.
 func (n *testNode) commit(object uint64, suffix, value string) error {
 	m := n.objectLock(object)
 	m.Lock()
 	defer m.Unlock()
 	b := store.NewBatch()
 	b.Put(objKey(object, suffix), []byte(value))
-	if err := n.db.Write(b); err != nil {
-		return err
-	}
-	defer n.plane.GuardCommit()()
-	return n.plane.ForwardCommit(telemetry.SpanContext{}, object, b)
+	b.Replicate(object, telemetry.SpanContext{})
+	return n.db.Write(b)
 }
 
 func (n *testNode) mustCommit(object uint64, suffix, value string) {
@@ -492,8 +501,9 @@ func TestObjectSessionRelaysOnlyItsObject(t *testing.T) {
 	src.mustCommit(6, "a", "relayed")
 	src.mustCommit(8, "x", "another object")
 	s.modeMu.Lock()
-	if n := len(s.buffer); n != 1 || s.buffer[0].object != 6 {
-		t.Fatalf("buffered %d forwards (%+v), want object 6's one commit", n, s.buffer)
+	var f replication.Frame
+	if n := len(s.buffer); n != 1 || f.Decode(s.buffer[0]) != nil || fmt.Sprint(f.Objects) != "[6]" {
+		t.Fatalf("buffered %d relays (objects %v), want object 6's one commit", n, f.Objects)
 	}
 	s.modeMu.Unlock()
 	if f, g := src.counter("move.forwards"), src.counter("move.forward_gaps"); f != 1 || g != 0 {
@@ -624,5 +634,68 @@ func TestDeadJoinerSessionExpires(t *testing.T) {
 	}
 	if snd.plane.active.Load() != 0 {
 		t.Fatal("commit path still pays for a session")
+	}
+}
+
+// (g) A joiner that gives up ends its session before it stops listening, and
+// a strict relay already on its way to it must still land: the commit it
+// carries is acknowledged, not withheld (its client would retry it, and a
+// retried add applies twice).
+func TestEndDrainsRelaysInFlight(t *testing.T) {
+	dir, snd, _ := pair(t, true, 0)
+	// The scripted joiner: parks the first relay, and fails every relay
+	// that arrives once it has stopped listening, as a closed inbound
+	// session does.
+	var stopped atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	joiner := rpc.NewServer()
+	joiner.Handle(MethodForward, func([]byte) ([]byte, error) {
+		if first.CompareAndSwap(false, true) {
+			close(parked)
+			<-release
+		}
+		if stopped.Load() {
+			return nil, fmt.Errorf("recovery: no inbound replica session")
+		}
+		return nil, nil
+	})
+	jaddr, err := joiner.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { joiner.Close() })
+	req := encodeSessionReq(&sessionReq{peer: jaddr, epoch: dir.Epoch()})
+	for _, m := range []string{MethodBegin, MethodPromote} {
+		if _, err := snd.pool.Call(snd.addr, m, req); err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+	}
+
+	committed := make(chan error, 1)
+	go func() { committed <- snd.commit(1, "k", "v") }()
+	<-parked
+	ended := make(chan error, 1)
+	go func() {
+		_, err := snd.pool.Call(snd.addr, MethodEnd, req)
+		ended <- err
+	}()
+	select {
+	case err := <-ended:
+		// End came back with the relay still out: the joiner stops
+		// listening now, and the relay lands on a closed session.
+		stopped.Store(true)
+		ended <- err
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-committed; err != nil {
+		t.Fatalf("commit withheld by a relay to a session that gave up: %v", err)
+	}
+	if err := <-ended; err != nil {
+		t.Fatalf("end: %v", err)
+	}
+	if len(snd.plane.Sessions()) != 0 {
+		t.Fatalf("sessions %+v after end, want none", snd.plane.Sessions())
 	}
 }

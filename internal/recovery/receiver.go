@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"lambdastore/internal/replication"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
 )
@@ -14,15 +15,14 @@ import (
 // openInbound → syncRange per range → goLive → digest check by its
 // orchestrator, re-pulling what differs → closeInbound.
 //
-// modeMu guards the forward path's mode and buffer: while buffering,
-// forwarded write-sets queue in memory — an append, so the sender's forward
-// RPC returns immediately even while the initial transfer streams (its
-// writes never stall behind it). applyMu guards the session's ranges of the
-// store: live forwards apply under it, and syncRange holds it across
-// fetch+apply so a rebuilt range is atomic with respect to forwards (in
-// live mode the sender's forward RPC briefly waits out the one range being
-// rebuilt). goLive takes modeMu then applyMu — the only place both are
-// held.
+// modeMu guards the relay path's mode and buffer: while buffering, relayed
+// frames queue in memory — an append, so the sender's relay RPC returns
+// immediately even while the initial transfer streams (its writes never
+// stall behind it). applyMu guards the session's ranges of the store: live
+// relays apply under it, and syncRange holds it across fetch+apply so a
+// rebuilt range is atomic with respect to relays (in live mode the sender's
+// relay RPC briefly waits out the one range being rebuilt). goLive takes
+// modeMu then applyMu — the only place both are held.
 type inbound struct {
 	p      *Plane
 	sender string
@@ -32,14 +32,14 @@ type inbound struct {
 	modeMu    sync.Mutex
 	applyMu   sync.Mutex
 	buffering bool
-	buffer    []*forwardMsg
+	buffer    [][]byte  // relayed frames, in arrival order
 	last      time.Time // last sign of life from the sender (modeMu)
-	ended     bool      // endInbound deleted the copy: a late forward must not re-create keys (applyMu)
+	ended     bool      // endInbound deleted the copy: a late relay must not re-create keys (applyMu)
 }
 
 // openInbound registers a buffering session for the scope — replacing any
 // abandoned one — and then begins it at the sender. The order matters: the
-// sender relays from the instant begin lands, and a forward that finds no
+// sender relays from the instant begin lands, and a relay that finds no
 // session here is a gap.
 func (p *Plane) openInbound(sender string, sc scope, epoch uint64, trace telemetry.SpanContext) (*inbound, error) {
 	s := &inbound{
@@ -78,45 +78,49 @@ func (p *Plane) inboundFor(sc scope) *inbound {
 	return p.inbound[sc]
 }
 
-// forward buffers or applies one relayed commit.
-func (s *inbound) forward(msg *forwardMsg) error {
+// forward buffers or applies one relayed frame.
+func (s *inbound) forward(frame []byte) error {
 	s.modeMu.Lock()
 	s.last = time.Now()
 	if s.buffering {
-		// The decoded batch aliases the RPC frame, whose backing buffer the
-		// server recycles once the handler returns; a buffered message
-		// outlives that, so it needs its own copy. (The live branch below
-		// applies before returning, so the alias is safe there.)
-		msg.batch = append([]byte(nil), msg.batch...)
-		s.buffer = append(s.buffer, msg)
+		// The frame aliases the RPC request, whose backing buffer the server
+		// recycles once the handler returns; a buffered frame outlives
+		// that, so it needs its own copy. (The live branch below applies
+		// before returning, so the alias is safe there.)
+		s.buffer = append(s.buffer, append([]byte(nil), frame...))
 		s.modeMu.Unlock()
 		return nil
 	}
 	s.modeMu.Unlock()
-	// Live: apply under the store lock. The sender relays one forward at a
-	// time per object (the commit hook runs under the object's scheduler
-	// lock), so per-object order is preserved.
+	// Live: apply under the store lock. The sender relays an object's
+	// commits one at a time (the group hook runs while the object's
+	// scheduler lock is held), so per-object order is preserved.
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	if s.ended {
 		return fmt.Errorf("recovery: inbound %s session ended", s.req.scope)
 	}
-	return s.apply(msg)
+	return s.apply(frame)
 }
 
-// apply commits one forwarded write-set (applyMu held).
-func (s *inbound) apply(msg *forwardMsg) error {
-	var b store.Batch
-	if err := b.Decode(msg.batch); err != nil {
+// apply commits one relayed frame's members in order (applyMu held).
+func (s *inbound) apply(frame []byte) error {
+	var f replication.Frame
+	if err := f.Decode(frame); err != nil {
 		return err
 	}
-	return s.p.opts.Apply(msg.object, &b)
+	for i, b := range f.Batches {
+		if err := s.p.opts.Apply(f.Objects[i], b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// goLive replays the buffered commit stream in arrival order and switches
-// forward to immediate apply, atomically: both locks are held, so no
-// forward can slip between the drain and the mode flip — a commit is never
-// applied before the chunk it follows.
+// goLive replays the buffered relays in arrival order and switches forward
+// to immediate apply, atomically: both locks are held, so no relay can slip
+// between the drain and the mode flip — a commit is never applied before
+// the chunk it follows.
 func (s *inbound) goLive() error {
 	s.modeMu.Lock()
 	defer s.modeMu.Unlock()
@@ -124,8 +128,8 @@ func (s *inbound) goLive() error {
 	defer s.applyMu.Unlock()
 	pending := s.buffer
 	s.buffer, s.buffering = nil, false
-	for _, msg := range pending {
-		if err := s.apply(msg); err != nil {
+	for _, frame := range pending {
+		if err := s.apply(frame); err != nil {
 			return err
 		}
 	}
@@ -140,9 +144,9 @@ func (s *inbound) touch() {
 
 // syncRange replaces the local [start, end) contents with the sender's,
 // streaming bounded chunks. applyMu is held across the whole range so the
-// rebuild is atomic with respect to live forwarded commits: a forward for
-// this range either lands before the rebuild (and is overwritten by newer
-// sender state) or after it (and is newer than the fetch snapshot). The
+// rebuild is atomic with respect to live relayed commits: a relay for this
+// range either lands before the rebuild (and is overwritten by newer sender
+// state) or after it (and is newer than the fetch snapshot). The
 // first chunk's batch deletes every existing local key in the range, so
 // keys the sender no longer has cannot survive.
 func (s *inbound) syncRange(start, end []byte, object uint64) error {
@@ -201,7 +205,8 @@ func (s *inbound) dropRange(object uint64) error {
 }
 
 // deleteObjectRange deletes every committed key of the object's range in
-// one batch through Apply (so the group's backups drop them too).
+// one batch through Apply (so the group's backups and catch-up sessions drop
+// them too).
 func (p *Plane) deleteObjectRange(object uint64) error {
 	start, end := objectRange(object)
 	keys, err := rangeKeys(p.opts.DB, start, end)

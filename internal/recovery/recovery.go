@@ -18,9 +18,9 @@ const (
 	// in bytes so one huge value cannot blow the frame budget.
 	chunkEntries = 512
 	chunkByteCap = 256 << 10
-	// sessionFailTimeout is how long a session's forwards may fail
+	// sessionFailTimeout is how long a session's relays may fail
 	// continuously before the sender concludes the receiver died and drops
-	// the session (see ForwardCommit).
+	// the session (see Relay).
 	sessionFailTimeout = 5 * time.Second
 	// verifyRounds bounds a rejoin's post-promote digest rounds.
 	verifyRounds = 8
@@ -43,7 +43,7 @@ type Options struct {
 	// DB is the node's storage engine; digests and chunks read consistent
 	// snapshots of it.
 	DB *store.DB
-	// Pool carries every session RPC and forward relay.
+	// Pool carries every session RPC and relay.
 	Pool *rpc.Pool
 	// Directory returns the node's current configuration view. The epoch a
 	// replica session is pinned to, whether this node is its group's
@@ -54,9 +54,9 @@ type Options struct {
 	// rides move.end so the target serves at once instead of waiting for a
 	// heartbeat.
 	SetDirectory func(*shard.Directory)
-	// Apply commits a batch through the node's replicated-apply path: local
-	// write, cache invalidation, ship to this group's backups. A joiner is
-	// not a group member and has no backups, so for it the ship is a no-op.
+	// Apply commits a batch through the node's replicated-apply path: a
+	// local write whose write group ships and relays it, then cache
+	// invalidation.
 	Apply func(object uint64, b *store.Batch) error
 	// ReloadTypes re-reads persisted type records after a meta-range sync
 	// so newly arrived types are dispatchable.
@@ -88,7 +88,7 @@ type Options struct {
 	// Metrics, if set, publishes the recovery.* and move.* instruments.
 	Metrics *telemetry.Registry
 	// Tracer, if set, records each rejoin and each move as one trace and
-	// threads commit traces through forwards.
+	// threads commit traces through relays.
 	Tracer *telemetry.Tracer
 }
 
@@ -96,22 +96,22 @@ type Options struct {
 // (sender.go), the receiver half (receiver.go) and the two orchestrators
 // (rejoin.go, move.go).
 //
-// Locking: commitMu is the admission fence — every primary commit's
-// ship+forward sequence runs under its read lock (GuardCommit), and a
-// joiner's admission takes the write lock, so there is no instant at which
-// a write could be acknowledged after the joiner's session retired but
-// before the shipper covers it as a real backup. smu guards the sender's
-// session table and imu the receiver's; neither is held across a network
-// call: a receiver may block a forward RPC while it streams chunks, and
-// chunk fetches must keep being servable or the two nodes would deadlock.
+// Locking: commitMu is the admission fence — every write group's ship+relay
+// sequence runs under its read lock (GuardCommit), and a joiner's admission
+// takes the write lock, so there is no instant at which a write could be
+// acknowledged after the joiner's session retired but before the shipper
+// covers it as a real backup. smu guards the sender's session table and imu
+// the receiver's; neither is held across a network call: a receiver may
+// block a relay RPC while it streams chunks, and chunk fetches must keep
+// being servable or the two nodes would deadlock.
 type Plane struct {
 	opts        Options
 	self        atomic.Pointer[string]
 	failTimeout time.Duration // sessionFailTimeout (tests shorten it)
 
-	// Sender half. active mirrors len(sessions) so GuardCommit and
-	// ForwardCommit are one atomic load when no transfer is running (the
-	// common case: every primary commit passes through both).
+	// Sender half. active mirrors len(sessions) so GuardCommit and Relay
+	// are one atomic load when no transfer is running (the common case:
+	// every write group passes through both).
 	active   atomic.Int32
 	commitMu sync.RWMutex
 	smu      sync.Mutex
@@ -244,10 +244,10 @@ func (p *Plane) owns(object uint64) bool {
 }
 
 // Register exposes the plane on the node's RPC server: the sender half,
-// the receiver's forward sink, and the three calls a move's source makes on
+// the receiver's relay sink, and the three calls a move's source makes on
 // its target. Every handler records a span parented into the caller's trace,
-// so a whole rejoin or move assembles as one tree; a forward's span joins
-// the forwarding commit's trace instead — it is part of that write's
+// so a whole rejoin or move assembles as one tree; a relay's span joins the
+// trace of the first commit it carries instead — it is part of that write's
 // replication fan-out.
 func (p *Plane) Register(srv *rpc.Server) {
 	handle := func(method string, fn func(trace telemetry.SpanContext, body []byte) ([]byte, error)) {
@@ -274,7 +274,7 @@ func (p *Plane) Register(srv *rpc.Server) {
 	onSession(MethodBegin, p.begin)
 	onSession(MethodPromote, p.promote)
 	onSession(MethodAdmit, p.admit)
-	onSession(MethodEnd, func(req *sessionReq) error { p.end(req.key()); return nil })
+	onSession(MethodEnd, p.retire)
 
 	handle(MethodDigest, func(_ telemetry.SpanContext, body []byte) ([]byte, error) {
 		req, err := decodeSessionReq(body)
@@ -330,15 +330,15 @@ func (p *Plane) Register(srv *rpc.Server) {
 	})
 
 	handle(MethodForward, func(_ telemetry.SpanContext, body []byte) ([]byte, error) {
-		msg, err := decodeForward(body)
+		req, frame, err := splitRelay(body)
 		if err != nil {
 			return nil, err
 		}
-		s := p.inboundFor(msg.scope())
+		s := p.inboundFor(req.scope)
 		if s == nil {
-			return nil, fmt.Errorf("recovery: no inbound %s session", msg.scope())
+			return nil, fmt.Errorf("recovery: no inbound %s session", req.scope)
 		}
-		return nil, s.forward(msg)
+		return nil, s.forward(frame)
 	})
 
 	handle(MethodMoveOffer, func(trace telemetry.SpanContext, body []byte) ([]byte, error) {

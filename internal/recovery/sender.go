@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"lambdastore/internal/store"
-	"lambdastore/internal/telemetry"
 )
 
 // The sender half: the session table, the commit relay, and the reads a
@@ -20,7 +19,7 @@ type sessionKey struct {
 }
 
 // session is one receiver's transfer, sender side. Counters are atomics
-// because forwards run concurrently under the commit guard's read lock.
+// because relays run concurrently under the commit guard's read lock.
 type session struct {
 	key sessionKey
 	// epoch pins a whole-replica session to one configuration; object
@@ -31,18 +30,18 @@ type session struct {
 	// it, an object session earlier, by the Move it belongs to.
 	relay   atomic.Bool
 	strict  atomic.Bool
-	gaps    atomic.Uint64 // forwards that failed (the digest check repairs them)
-	fwd     atomic.Uint64
+	gaps    atomic.Uint64 // members whose relay failed (the digest check repairs them)
+	fwd     atomic.Uint64 // members relayed
 	started time.Time
 
-	// failingSince is the start (unixnano) of the current run of forward
-	// failures, 0 when the last forward succeeded; a run longer than
+	// failingSince is the start (unixnano) of the current run of relay
+	// failures, 0 when the last relay succeeded; a run longer than
 	// failTimeout drops the session.
 	failingSince atomic.Int64
 	table        *DigestTable // cached at digest time for the objects drill-down (smu)
 }
 
-// GuardCommit brackets one commit's ship+forward sequence. The returned
+// GuardCommit brackets one write group's ship+relay sequence. The returned
 // release must be deferred around both. With no session active it is a
 // single atomic load.
 func (p *Plane) GuardCommit() (release func()) {
@@ -67,7 +66,7 @@ func (p *Plane) check(req *sessionReq) error {
 
 // begin starts the relay for the receiver's session, strictly before the
 // reply: every snapshot the receiver's later fetches pin is taken after the
-// relay is on, so each commit is in a snapshot, forwarded, or both (a
+// relay is on, so each commit is in a snapshot, relayed, or both (a
 // write-set re-applied over its own effects is a no-op). A replica session
 // is opened (or reopened) here; an object session must have been opened by
 // this node's Move toward that peer.
@@ -115,6 +114,16 @@ func (p *Plane) end(key sessionKey) {
 	p.active.Store(int32(len(p.sessions)))
 }
 
+// retire serves recovery.end under commitMu's write lock: the relays already
+// in flight to a receiver that gave up land before it stops listening, not
+// on its closed session, where a strict one would withhold a client's ack.
+func (p *Plane) retire(req *sessionReq) error {
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
+	p.end(req.key())
+	return nil
+}
+
 // lookup returns the request's session after validating it.
 func (p *Plane) lookup(req *sessionReq) (*session, error) {
 	if err := p.check(req); err != nil {
@@ -132,55 +141,50 @@ func (p *Plane) lookup(req *sessionReq) (*session, error) {
 	return s, nil
 }
 
-// relaysFor returns the sessions a commit of object is relayed into: every
-// relaying whole-replica session, and the object's own move. A commit no
-// session covers allocates nothing.
-func (p *Plane) relaysFor(object uint64) (out []*session) {
+// Relay forwards a write group's members to every session that covers them
+// — all to a whole-replica session, its object's to a move — in one
+// applyBatch-format frame per session, under the first covered member's
+// trace. The group hook calls it under GuardCommit once the backups acked,
+// with the members' objects still locked: each object's commits relay in
+// order. A failed relay is a gap the digest check repairs (a rejoin's
+// verify rounds, a move's seal); a strict session also fails the members it
+// covers — a joiner pays a backup's cost to earn a backup's seat. Relays
+// that failed continuously for failTimeout drop the session, so a dead
+// receiver never taxes the commit path for longer.
+func (p *Plane) Relay(g *store.Group) {
+	if p.active.Load() == 0 {
+		return
+	}
 	p.smu.Lock()
-	defer p.smu.Unlock()
-	for k, s := range p.sessions {
-		if s.relay.Load() && (!k.scope.scoped || k.scope.object == object) {
-			out = append(out, s)
+	var sessions []*session
+	for _, s := range p.sessions {
+		if s.relay.Load() {
+			sessions = append(sessions, s)
 		}
 	}
-	return out
-}
-
-// ForwardCommit relays one committed write-set to every session whose scope
-// covers the object: all whole-replica sessions, and the object's own move.
-// Called from the primary's commit hook (under GuardCommit) after the
-// backups acknowledged, while the object's scheduler lock is still held —
-// so each object's commits are forwarded in order. ctx is the committing
-// request's trace context: the relay joins the trace of the write it relays.
-//
-// A failed forward is a gap the session's digest check repairs (a rejoin's
-// verify rounds, a move's seal). Strict sessions also return the failure,
-// which withholds the client ack — between promote and admission a joiner
-// pays a backup's cost to earn a backup's seat. One expiry rule for every
-// kind of session: forwards that failed continuously for failTimeout drop
-// it, so a receiver that died never taxes the commit path for longer; one
-// that was merely slow begins again on its next attempt.
-func (p *Plane) ForwardCommit(ctx telemetry.SpanContext, object uint64, b *store.Batch) error {
-	if p.active.Load() == 0 {
-		return nil
-	}
-	sessions := p.relaysFor(object)
-	if len(sessions) == 0 {
-		return nil
-	}
-	batch := b.Encode()
-	var firstErr error
+	p.smu.Unlock()
 	for _, s := range sessions {
 		sc := s.key.scope
-		_, err := p.call(ctx, s.key.peer, MethodForward, encodeForward(&forwardMsg{scoped: sc.scoped, object: object, batch: batch}))
-		if err == nil {
-			s.failingSince.Store(0)
-			s.fwd.Add(1)
-			p.m.forwards[sc.kind()].Inc()
+		var covered []int
+		for i := range g.Len() {
+			if sc.covers(g.Object(i)) {
+				covered = append(covered, i)
+			}
+		}
+		if len(covered) == 0 {
 			continue
 		}
-		s.gaps.Add(1)
-		p.m.gaps[sc.kind()].Inc()
+		n := uint64(len(covered))
+		relay := encodeRelay(&sessionReq{peer: s.key.peer, epoch: s.epoch, scope: sc}, g)
+		_, err := p.call(g.Batch(covered[0]).Trace(), s.key.peer, MethodForward, relay)
+		if err == nil {
+			s.failingSince.Store(0)
+			s.fwd.Add(n)
+			p.m.forwards[sc.kind()].Add(n)
+			continue
+		}
+		s.gaps.Add(n)
+		p.m.gaps[sc.kind()].Add(n)
 		now := time.Now().UnixNano()
 		s.failingSince.CompareAndSwap(0, now)
 		if time.Duration(now-s.failingSince.Load()) > p.failTimeout {
@@ -189,17 +193,19 @@ func (p *Plane) ForwardCommit(ctx telemetry.SpanContext, object uint64, b *store
 			// first, under the commit guard's write lock), so dropping it
 			// only abandons the transfer.
 			p.end(s.key)
-		} else if s.strict.Load() && firstErr == nil {
-			firstErr = fmt.Errorf("recovery: strict forward to %s: %w", s.key.peer, err)
+		} else if s.strict.Load() {
+			err = fmt.Errorf("recovery: strict forward to %s: %w", s.key.peer, err)
+			for _, i := range covered {
+				g.Fail(i, err)
+			}
 		}
 	}
-	return firstErr
 }
 
 // admit runs the epoch-fenced cutover for one strict replica session.
-// Taking commitMu exclusively drains every in-flight ship+forward (each of
-// which either reached the joiner or withheld its ack) and stalls new
-// commits; the configuration change and the sender's directory refresh then
+// Taking commitMu exclusively drains every in-flight ship+relay (each of
+// which either reached the joiner or withheld its acks) and stalls new
+// groups; the configuration change and the sender's directory refresh then
 // happen inside the quiescent window, so the first commit after release
 // ships to the joiner as a real backup. Object sessions take no part: a
 // move commits through its own cutover.
@@ -231,9 +237,9 @@ func (p *Plane) admit(req *sessionReq) error {
 	return nil
 }
 
-// promote switches a replica session to strict forwarding. The flip happens
-// before the reply: every commit whose forward starts after the joiner sees
-// the response is strict, so a post-promote digest round certifies
+// promote switches a replica session to strict relaying. The flip happens
+// before the reply: every relay that starts after the joiner sees the
+// response is strict, so a post-promote digest round certifies
 // convergence.
 func (p *Plane) promote(req *sessionReq) error {
 	if req.scope.scoped {

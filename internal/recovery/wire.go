@@ -3,12 +3,15 @@ package recovery
 import (
 	"fmt"
 
+	"lambdastore/internal/replication"
+	"lambdastore/internal/store"
 	"lambdastore/internal/wire"
 )
 
 // RPC method names of the state-transfer protocol. The first seven are
-// served by the sender of state and called by its receiver; forward goes
-// the other way. Every request names its session as (peer, scope).
+// served by the sender of state and called by its receiver; forward, the
+// relay of a write group, goes the other way. Every request names its
+// session as (peer, scope).
 const (
 	MethodBegin   = "recovery.begin"
 	MethodDigest  = "recovery.digest"
@@ -28,6 +31,9 @@ type scope struct {
 }
 
 func objectScope(id uint64) scope { return scope{scoped: true, object: id} }
+
+// covers reports whether object's writes are in the scope.
+func (s scope) covers(object uint64) bool { return !s.scoped || s.object == object }
 
 func (s scope) String() string {
 	if !s.scoped {
@@ -60,7 +66,7 @@ func encodeSessionReq(q *sessionReq) []byte {
 	return b
 }
 
-// readSession reads the prefix every sender-side request starts with.
+// readSession reads the prefix every session request and relay starts with.
 func readSession(r *wire.Reader) (q sessionReq) {
 	q.peer, q.epoch = r.Str(), r.Uvarint()
 	if r.Flag() {
@@ -194,30 +200,15 @@ func decodeFetchResp(body []byte) (*fetchResp, error) {
 	return f, nil
 }
 
-// forwardMsg is one committed write-set relayed to a session's receiver.
-// scoped names the receiving session: the inbound move of object, or the
-// whole-replica rejoin.
-type forwardMsg struct {
-	scoped bool
-	object uint64
-	batch  []byte
+// encodeRelay names the receiving session, then appends the applyBatch
+// frame of the members of g it covers.
+func encodeRelay(q *sessionReq, g *store.Group) []byte {
+	return replication.AppendFrame(encodeSessionReq(q), g, q.scope.covers)
 }
 
-func (m *forwardMsg) scope() scope {
-	if m.scoped {
-		return objectScope(m.object)
-	}
-	return scope{}
-}
-
-func encodeForward(m *forwardMsg) []byte {
-	b := wire.AppendFlag(nil, m.scoped)
-	b = wire.AppendUvarint(b, m.object)
-	return wire.AppendBytes(b, m.batch)
-}
-
-func decodeForward(body []byte) (*forwardMsg, error) {
+// splitRelay reads a relay's session and returns the frame after it.
+func splitRelay(body []byte) (sessionReq, []byte, error) {
 	r := wire.NewReader(body)
-	m := &forwardMsg{scoped: r.Flag(), object: r.Uvarint(), batch: r.Bytes()}
-	return m, r.ErrIn("recovery: forward")
+	q := readSession(&r)
+	return q, r.Rest(), r.ErrIn("recovery: relay")
 }

@@ -36,19 +36,60 @@ func startFencedBackup(t *testing.T, epoch uint64) (*store.DB, string, *telemetr
 	return db, addr, reg
 }
 
-// writeFrame commits a frame's write-sets as one merged batch.
-func writeFrame(db *store.DB, batches []*store.Batch) error {
-	merged := store.NewBatch()
-	for _, b := range batches {
-		merged.Append(b)
-	}
-	return db.Write(merged)
-}
-
 func shipOne(s *Shipper, object uint64, key, val string) error {
 	b := store.NewBatch()
 	b.Put([]byte(key), []byte(val))
 	return s.Ship(object, b)
+}
+
+// startPrimary opens a store whose group hook ships through s, as a node's
+// does: the group holds the writer queue across the send, and a failed send
+// withholds every member's ack.
+func startPrimary(t *testing.T, s *Shipper) *store.DB {
+	t.Helper()
+	db, err := store.Open(t.TempDir(), &store.Options{OnGroup: func(g *store.Group) {
+		if err := s.ShipGroup(telemetry.SpanContext{}, g); err != nil {
+			for i := range g.Len() {
+				g.Fail(i, err)
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
+// commitOne writes one key through the primary as a write-set of object.
+func commitOne(db *store.DB, object uint64, key, val string) error {
+	b := store.NewBatch()
+	b.Put([]byte(key), []byte(val))
+	b.Replicate(object, telemetry.SpanContext{})
+	return db.Write(b)
+}
+
+// gatedBackup serves applyBatch on db and holds its first frame until gate
+// closes; first reports when that frame arrived. onFrame sees every frame.
+func gatedBackup(t *testing.T, gate <-chan struct{}, onFrame func(batches []*store.Batch) error) (addr string, first <-chan struct{}) {
+	t.Helper()
+	arrived := make(chan struct{})
+	var once sync.Once
+	srv := rpc.NewServer()
+	RegisterBackup(srv, nil, func(objects []uint64, batches []*store.Batch) error {
+		held := false
+		once.Do(func() { held = true; close(arrived) })
+		if held {
+			<-gate
+		}
+		return onFrame(batches)
+	})
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return addr, arrived
 }
 
 // TestStaleEpochRejected is the deposed-primary fence (DESIGN.md §8): a
@@ -96,60 +137,48 @@ func TestStaleEpochRejected(t *testing.T) {
 }
 
 // TestShipCoalescingMergesFrames holds the backup's first frame open while
-// more ships queue on the lane, then checks the queued write-sets arrived
-// in strictly fewer frames than there were ships — the replication-layer
-// group commit.
+// more commits queue behind the group that sent it, then checks the queued
+// write-sets arrived in strictly fewer frames than there were commits: the
+// next write group is the next frame.
 func TestShipCoalescingMergesFrames(t *testing.T) {
 	const queued = 10
-	db, err := store.Open(t.TempDir(), nil)
+	backup, err := store.Open(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-
+	defer backup.Close()
 	var frames, members atomic.Int64
 	gate := make(chan struct{})
-	srv := rpc.NewServer()
-	RegisterBackup(srv, db, func(objects []uint64, batches []*store.Batch) error {
-		if frames.Add(1) == 1 {
-			<-gate // hold the lane busy so later ships pile up
-		}
+	addr, first := gatedBackup(t, gate, func(batches []*store.Batch) error {
+		frames.Add(1)
 		members.Add(int64(len(batches)))
-		return writeFrame(db, batches)
+		return backup.Write(batches...)
 	})
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
 	pool := rpc.NewPool(nil)
 	defer pool.Close()
+	reg := telemetry.NewRegistry()
+	pool.SetTelemetry(reg)
 	s := NewShipper(pool, nil)
 	defer s.Close()
 	s.SetBackups([]string{addr})
+	primary := startPrimary(t, s)
 
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
+	commit := func(object uint64, key string) {
 		defer wg.Done()
-		if err := shipOne(s, 0, "blocker", "v"); err != nil {
-			t.Errorf("blocker ship: %v", err)
+		if err := commitOne(primary, object, key, "v"); err != nil {
+			t.Errorf("commit %s: %v", key, err)
 		}
-	}()
-	for frames.Load() == 0 {
-		time.Sleep(time.Millisecond)
 	}
+	wg.Add(1)
+	go commit(0, "blocker")
+	<-first
 	for i := 0; i < queued; i++ {
 		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := shipOne(s, uint64(i+1), fmt.Sprintf("k%d", i), "v"); err != nil {
-				t.Errorf("ship %d: %v", i, err)
-			}
-		}(i)
+		go commit(uint64(i+1), fmt.Sprintf("k%d", i))
 	}
-	// Let every queued ship reach the lane before releasing the backup.
+	// Let every queued commit reach the writer queue before releasing the
+	// backup.
 	time.Sleep(50 * time.Millisecond)
 	close(gate)
 	wg.Wait()
@@ -158,64 +187,56 @@ func TestShipCoalescingMergesFrames(t *testing.T) {
 		t.Fatalf("applied members = %d, want %d", got, queued+1)
 	}
 	if got := frames.Load(); got >= queued+1 {
-		t.Fatalf("no coalescing: %d frames for %d ships", got, queued+1)
+		t.Fatalf("no coalescing: %d frames for %d commits", got, queued+1)
+	}
+	if got := reg.Counter("repl.shipped").Value(); got != queued+1 {
+		t.Fatalf("repl.shipped = %d, want one per member", got)
 	}
 	for i := 0; i < queued; i++ {
-		if _, err := db.Get([]byte(fmt.Sprintf("k%d", i))); err != nil {
+		if _, err := backup.Get([]byte(fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatalf("k%d not applied: %v", i, err)
 		}
 	}
 }
 
-// TestApplierReceivesWholeFrame checks the wiring that lets a backup
-// collapse a multi-member frame into one storage commit: a coalesced frame
-// with several members must arrive in one Applier call.
+// TestApplierReceivesWholeFrame checks the wiring that lets a backup log a
+// multi-member frame as one storage commit: a group with several members
+// arrives in one Applier call, and one Write of its batches is one fsync.
 func TestApplierReceivesWholeFrame(t *testing.T) {
-	db, err := store.Open(t.TempDir(), nil)
+	reg := telemetry.NewRegistry()
+	backup, err := store.Open(t.TempDir(), &store.Options{SyncWrites: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-
+	defer backup.Close()
 	var bulkCalls, bulkMembers atomic.Int64
 	gate := make(chan struct{})
-	var first atomic.Bool
-	srv := rpc.NewServer()
-	RegisterBackup(srv, db, func(objects []uint64, batches []*store.Batch) error {
-		if first.CompareAndSwap(false, true) {
-			<-gate
-		} else if len(batches) > 1 {
+	addr, first := gatedBackup(t, gate, func(batches []*store.Batch) error {
+		if len(batches) > 1 {
 			bulkCalls.Add(1)
 			bulkMembers.Add(int64(len(batches)))
 		}
-		return writeFrame(db, batches)
+		return backup.Write(batches...)
 	})
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
 	pool := rpc.NewPool(nil)
 	defer pool.Close()
 	s := NewShipper(pool, nil)
 	defer s.Close()
 	s.SetBackups([]string{addr})
+	primary := startPrimary(t, s)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = shipOne(s, 0, "b0", "v")
+		_ = commitOne(primary, 0, "b0", "v")
 	}()
-	for !first.Load() {
-		time.Sleep(time.Millisecond)
-	}
+	<-first
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_ = shipOne(s, uint64(i+1), fmt.Sprintf("bulk-k%d", i), "v")
+			_ = commitOne(primary, uint64(i+1), fmt.Sprintf("bulk-k%d", i), "v")
 		}(i)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -225,111 +246,97 @@ func TestApplierReceivesWholeFrame(t *testing.T) {
 	if bulkCalls.Load() == 0 || bulkMembers.Load() < 2 {
 		t.Fatalf("bulk apply not engaged: calls=%d members=%d", bulkCalls.Load(), bulkMembers.Load())
 	}
+	if w, s := reg.Counter("store.writes").Value(), reg.Counter("store.wal_syncs").Value(); w != s {
+		t.Fatalf("backup store.writes = %d, store.wal_syncs = %d: want one fsync per frame", w, s)
+	}
 	for i := 0; i < 4; i++ {
-		if _, err := db.Get([]byte(fmt.Sprintf("bulk-k%d", i))); err != nil {
+		if _, err := backup.Get([]byte(fmt.Sprintf("bulk-k%d", i))); err != nil {
 			t.Fatalf("bulk-k%d not applied: %v", i, err)
 		}
 	}
 }
 
-// TestLaneFrameErrorFailsExactlyItsMembers pins the failure granularity of
-// the send lane: when the backup rejects one coalesced frame, every ship
-// that rode in that frame fails and is reported, while the ships in the
-// frames before and after it succeed.
-func TestLaneFrameErrorFailsExactlyItsMembers(t *testing.T) {
+// TestGroupFrameErrorFailsExactlyItsMembers pins the failure granularity of
+// a group send: when the backup rejects a frame, every commit that rode in
+// it fails — applied at the primary, its ack withheld — while the commits
+// in the frames before and after it succeed.
+func TestGroupFrameErrorFailsExactlyItsMembers(t *testing.T) {
 	const queued = 5
-	db, err := store.Open(t.TempDir(), nil)
+	backup, err := store.Open(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-
+	defer backup.Close()
 	gate := make(chan struct{})
-	var first atomic.Bool
-	srv := rpc.NewServer()
-	RegisterBackup(srv, db, func(objects []uint64, batches []*store.Batch) error {
-		if first.CompareAndSwap(false, true) {
-			<-gate // hold the lane busy so the doomed ships share a frame
+	addr, first := gatedBackup(t, gate, func(batches []*store.Batch) error {
+		for _, b := range batches {
+			doomed := false
+			b.ForEach(func(_ byte, key, _ []byte) error { //nolint:errcheck
+				doomed = doomed || strings.HasPrefix(string(key), "doomed-")
+				return nil
+			})
+			if doomed {
+				return fmt.Errorf("backup rejects frame of %d", len(batches))
+			}
 		}
-		if len(batches) > 1 {
-			return fmt.Errorf("backup rejects frame of %d", len(batches))
-		}
-		return writeFrame(db, batches)
+		return backup.Write(batches...)
 	})
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
 	pool := rpc.NewPool(nil)
 	defer pool.Close()
 	reg := telemetry.NewRegistry()
 	pool.SetTelemetry(reg)
-	var reported atomic.Int64
-	s := NewShipper(pool, func(string, error) { reported.Add(1) })
+	s := NewShipper(pool, nil)
 	defer s.Close()
 	s.SetBackups([]string{addr})
+	primary := startPrimary(t, s)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := shipOne(s, 0, "before", "v"); err != nil {
-			t.Errorf("ship before the bad frame: %v", err)
+		if err := commitOne(primary, 0, "before", "v"); err != nil {
+			t.Errorf("commit before the bad frame: %v", err)
 		}
 	}()
-	for !first.Load() {
-		time.Sleep(time.Millisecond)
-	}
-	lane := s.lane(addr)
+	<-first
 	var failed atomic.Int64
 	for i := 0; i < queued; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := shipOne(s, uint64(i+1), fmt.Sprintf("doomed-k%d", i), "v")
-			if !errors.Is(err, ErrBackupFailed) {
-				t.Errorf("ship %d in the rejected frame: err = %v, want ErrBackupFailed", i, err)
+			err := commitOne(primary, uint64(i+1), fmt.Sprintf("doomed-k%d", i), "v")
+			if withheld, ok := err.(*store.HookError); !ok || !errors.Is(withheld.Err, ErrBackupFailed) {
+				t.Errorf("commit %d in the rejected frame: err = %v, want its ack withheld", i, err)
 				return
 			}
 			failed.Add(1)
 		}(i)
 	}
-	// Release the backup only once every doomed ship sits on the lane, so
-	// they leave in one frame.
-	for {
-		lane.mu.Lock()
-		n := len(lane.pending)
-		lane.mu.Unlock()
-		if n == queued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	time.Sleep(50 * time.Millisecond)
 	close(gate)
 	wg.Wait()
 
-	if err := shipOne(s, 99, "after", "v"); err != nil {
-		t.Fatalf("ship after the bad frame: %v", err)
+	if err := commitOne(primary, 99, "after", "v"); err != nil {
+		t.Fatalf("commit after the bad frame: %v", err)
 	}
 	if got := failed.Load(); got != queued {
-		t.Fatalf("failed ships = %d, want %d", got, queued)
-	}
-	if got := reported.Load(); got != queued {
-		t.Fatalf("failure callbacks = %d, want %d", got, queued)
+		t.Fatalf("failed commits = %d, want %d", got, queued)
 	}
 	if got := reg.Counter("repl.shipped").Value(); got != 2 {
 		t.Fatalf("repl.shipped = %d, want 2 (before + after)", got)
 	}
 	for _, k := range []string{"before", "after"} {
-		if _, err := db.Get([]byte(k)); err != nil {
+		if _, err := backup.Get([]byte(k)); err != nil {
 			t.Fatalf("%s not applied: %v", k, err)
 		}
 	}
 	for i := 0; i < queued; i++ {
-		if _, err := db.Get([]byte(fmt.Sprintf("doomed-k%d", i))); err != store.ErrNotFound {
+		key := []byte(fmt.Sprintf("doomed-k%d", i))
+		if _, err := backup.Get(key); err != store.ErrNotFound {
 			t.Fatalf("doomed-k%d landed despite the rejected frame: err = %v", i, err)
+		}
+		if _, err := primary.Get(key); err != nil {
+			t.Fatalf("doomed-k%d not applied at the primary: %v", i, err)
 		}
 	}
 }

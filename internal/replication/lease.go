@@ -4,8 +4,8 @@
 //
 // The grant rides the replication stream itself: every applyBatch frame a
 // primary ships carries a trailing (ttl, enq) blob that both renews the
-// lease and tells the backup how many write-set entries the primary has
-// enqueued on this backup's ship lane so far. Idle groups are kept leased
+// lease and tells the backup how many write-set members the primary has
+// shipped toward it so far. Idle groups are kept leased
 // by a standalone MethodLease renewal loop ticking at TTL/4. A backup
 // serves a read only while ALL of the following hold:
 //
@@ -17,8 +17,8 @@
 //     correspondingly less validity left), and the backup honors only
 //     3/4 of the granted TTL while the primary's write-ack barriers wait
 //     the full TTL — a TTL/4 margin covering modest clock skew;
-//   - the backup's apply lag — lane entries the primary enqueued minus
-//     entries this backup has applied, measured against baselines
+//   - the backup's apply lag — members the primary shipped toward it minus
+//     members this backup has applied, measured against baselines
 //     captured at grant — is within the configured bound. A lagging or
 //     partitioned backup silently drops its lease and bounces reads to
 //     the primary rather than serving an old prefix.
@@ -48,8 +48,8 @@ import (
 const MethodLease = "repl.lease"
 
 // leaseMsg is the wire form of a renewal: the primary's configuration
-// epoch, the granted TTL, the cumulative entry count enqueued on the
-// receiving backup's ship lane (the lag reference), and the sender's
+// epoch, the granted TTL, the cumulative count of members shipped toward
+// the receiving backup (the lag reference), and the sender's
 // clock reading at the moment the grant was issued. The backup measures
 // expiry from grantNs, NOT from receipt: a grant that sat in a socket
 // buffer or a scheduler queue arrives with correspondingly less validity
@@ -88,7 +88,7 @@ type LeaseHolder struct {
 	held    bool
 	epoch   uint64
 	expiry  time.Time
-	enqSeen uint64 // latest lane-enqueued count reported by the primary
+	enqSeen uint64 // latest shipped-member count reported by the primary
 	applied uint64 // write-set entries this backup has applied (cumulative)
 	enqBase uint64 // enqSeen at grant
 	appBase uint64 // applied at grant
@@ -183,7 +183,7 @@ func (h *LeaseHolder) Renew(m leaseMsg) {
 	}
 	if h.held && h.epoch == m.epoch {
 		// Renewals can arrive out of order with frames (the idle-loop RPC
-		// races the ship lanes); both the expiry and enqSeen only move
+		// races the group sends); both the expiry and enqSeen only move
 		// forward so a late arrival can neither shorten a fresher lease
 		// nor understate lag.
 		if exp.After(h.expiry) {
@@ -239,9 +239,8 @@ func (h *LeaseHolder) Valid() bool {
 		h.revokeLocked(h.expired)
 		return false
 	}
-	// Signed-tolerant lag: a backup restarted mid-lease or a lane
-	// recreated after reconfiguration can make either delta go
-	// backwards; treat any inversion as "unknown, bounce".
+	// Signed-tolerant lag: a backup restarted mid-lease can make either
+	// delta go backwards; treat any inversion as "unknown, bounce".
 	enqDelta := h.enqSeen - h.enqBase
 	appDelta := h.applied - h.appBase
 	if enqDelta > (1<<63) || appDelta > (1<<63) || (enqDelta > appDelta && enqDelta-appDelta > h.lagMax) {

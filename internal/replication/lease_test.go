@@ -225,26 +225,27 @@ func TestLeaseWireRoundTrip(t *testing.T) {
 func TestApplyBatchLeaseTrailerRoundTrip(t *testing.T) {
 	b := store.NewBatch()
 	b.Put([]byte("k"), []byte("v"))
-	entries := []*shipment{{object: 7, data: b.Encode()}}
+	var g store.Group
+	g.Add(7, b)
 
 	// With a lease trailer.
-	msg := new(applyBatchMsg)
-	if err := msg.decode(appendApplyBatch(nil, 4, entries, 150_000, 42, 987_654_321)); err != nil {
+	f := new(Frame)
+	if err := f.Decode(appendFrame(nil, 4, &g, nil, leaseMsg{ttlUs: 150_000, enq: 42, grantNs: 987_654_321})); err != nil {
 		t.Fatal(err)
 	}
-	if msg.epoch != 4 || len(msg.msgs) != 1 || msg.msgs[0].object != 7 {
-		t.Fatalf("frame decode: %+v", msg)
+	if f.Epoch != 4 || len(f.Batches) != 1 || f.Objects[0] != 7 {
+		t.Fatalf("frame decode: %+v", f)
 	}
-	if msg.leaseTTLUs != 150_000 || msg.leaseEnq != 42 || msg.leaseGrantNs != 987_654_321 {
-		t.Fatalf("lease trailer decode: ttl=%d enq=%d grant=%d", msg.leaseTTLUs, msg.leaseEnq, msg.leaseGrantNs)
+	if want := (leaseMsg{epoch: 4, ttlUs: 150_000, enq: 42, grantNs: 987_654_321}); f.lease != want {
+		t.Fatalf("lease trailer decode: %+v, want %+v", f.lease, want)
 	}
 
 	// Without one (leasing disabled): trailer absent, fields zero.
-	if err := msg.decode(appendApplyBatch(nil, 4, entries, 0, 0, 0)); err != nil {
+	if err := f.Decode(appendFrame(nil, 4, &g, nil, leaseMsg{})); err != nil {
 		t.Fatal(err)
 	}
-	if msg.leaseTTLUs != 0 || msg.leaseEnq != 0 || msg.leaseGrantNs != 0 {
-		t.Fatalf("unleased frame grew a trailer: %+v", msg)
+	if f.lease != (leaseMsg{}) {
+		t.Fatalf("unleased frame grew a trailer: %+v", f.lease)
 	}
 }
 

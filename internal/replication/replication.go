@@ -20,9 +20,9 @@ import (
 	"lambdastore/internal/wire"
 )
 
-// MethodApplyBatch ships N coalesced (object, write-set) pairs plus the
-// primary's configuration epoch in one frame; the backup fences stale
-// epochs and acks all members at once.
+// MethodApplyBatch ships one write group's members, as the primary's WAL
+// logged them, in one frame; the backup fences stale epochs and acks all
+// members at once.
 const MethodApplyBatch = "repl.applyBatch"
 
 // ErrBackupFailed reports that one or more backups did not acknowledge a
@@ -34,104 +34,95 @@ var ErrBackupFailed = errors.New("replication: backup failed")
 // primary and must not get its commit acknowledged.
 var ErrStaleEpoch = errors.New("replication: stale configuration epoch")
 
-// errShipperClosed fails in-flight ship requests during shutdown.
-var errShipperClosed = errors.New("replication: shipper closed")
+// Frame is a decoded applyBatch frame: the sender's configuration epoch (0 =
+// unfenced), N (object, write-set) members and, when a renewal rides along,
+// a lease blob (TTL in microseconds, members shipped to this backup so far,
+// the sender's clock at the grant). A state-transfer relay forwards the same
+// frame, unfenced and unleased. Its write-sets alias the bytes it was
+// decoded from, and Decode reuses its slices.
+type Frame struct {
+	Epoch   uint64
+	Objects []uint64
+	Batches []*store.Batch
 
-// applyMsg is one (object, write-set) member of a shipped frame.
-type applyMsg struct {
-	object uint64
-	batch  store.Batch
+	sets  []store.Batch // what Batches point into
+	lease leaseMsg      // ttlUs == 0: no renewal rode along
 }
 
-// applyBatchMsg is the wire form of a coalesced ship frame: the sender's
-// configuration epoch (0 = unfenced, for pre-epoch senders) followed by N
-// (object, write-set) pairs, optionally followed by a lease renewal blob
-// (granted TTL in microseconds + cumulative lane-enqueued entry count +
-// the sender's clock at the grant), present only when a renewal rides along.
-//
-// A decoded message's write-sets alias the frame it was decoded from, and
-// the backup handler recycles the message with its slices: both are good
-// for the length of one handler call and no longer.
-type applyBatchMsg struct {
-	epoch uint64
-	msgs  []applyMsg
-	// lease renewal piggyback; leaseTTLUs == 0 means none present.
-	leaseTTLUs   uint64
-	leaseEnq     uint64
-	leaseGrantNs uint64
-
-	// objects and batches are msgs as an Applier takes them.
-	objects []uint64
-	batches []*store.Batch
-}
-
-// appendApplyBatch appends the frame carrying entries to dst.
-func appendApplyBatch(dst []byte, epoch uint64, entries []*shipment, leaseTTLUs, leaseEnq, leaseGrantNs uint64) []byte {
-	dst = wire.AppendUvarint(dst, epoch)
-	dst = wire.AppendUvarint(dst, uint64(len(entries)))
-	for _, e := range entries {
-		dst = wire.AppendUvarint(dst, e.object)
-		dst = wire.AppendBytes(dst, e.data)
-	}
-	if leaseTTLUs > 0 {
-		dst = wire.AppendUvarint(dst, leaseTTLUs)
-		dst = wire.AppendUvarint(dst, leaseEnq)
-		dst = wire.AppendUvarint(dst, leaseGrantNs)
-	}
-	return dst
-}
-
-// decode makes m the frame in body, reusing m's slices.
-func (m *applyBatchMsg) decode(body []byte) error {
+// Decode makes f the frame in body.
+func (f *Frame) Decode(body []byte) error {
 	r := wire.NewReader(body)
-	*m = applyBatchMsg{epoch: r.Uvarint(), msgs: m.msgs[:0], objects: m.objects[:0], batches: m.batches[:0]}
+	f.Epoch, f.lease = r.Uvarint(), leaseMsg{}
 	// A member is at least an object id and a write-set length.
 	n := r.Count(2)
-	m.msgs = slices.Grow(m.msgs, n)[:n]
-	for i := range m.msgs {
-		am := &m.msgs[i]
-		am.object = r.Uvarint()
+	f.Objects = slices.Grow(f.Objects[:0], n)[:n]
+	f.sets = slices.Grow(f.sets[:0], n)[:n]
+	f.Batches = f.Batches[:0]
+	for i := range f.sets {
+		f.Objects[i] = r.Uvarint()
 		raw := r.Bytes()
 		if r.Err() != nil {
 			break
 		}
-		if err := am.batch.Decode(raw); err != nil {
+		if err := f.sets[i].Decode(raw); err != nil {
 			return err
 		}
+		f.Batches = append(f.Batches, &f.sets[i])
 	}
 	if r.Len() > 0 {
-		m.leaseTTLUs, m.leaseEnq, m.leaseGrantNs = r.Uvarint(), r.Uvarint(), r.Uvarint()
+		f.lease = leaseMsg{epoch: f.Epoch, ttlUs: r.Uvarint(), enq: r.Uvarint(), grantNs: r.Uvarint()}
 	}
 	return r.ErrIn("replication: applyBatch")
 }
 
-// applyBatchPool recycles the backup handler's decoded frames.
-var applyBatchPool = sync.Pool{New: func() any { return new(applyBatchMsg) }}
-
-// maxPooledMembers is the largest frame whose slices a recycled message
-// keeps: a burst that coalesced hundreds of write-sets must not pin its
-// footprint in the pool.
-const maxPooledMembers = 64
-
-// release recycles m, dropping every reference into the handler's frame.
-func (m *applyBatchMsg) release() {
-	if cap(m.msgs) > maxPooledMembers {
-		*m = applyBatchMsg{}
-	}
-	clear(m.msgs)
-	clear(m.batches)
-	applyBatchPool.Put(m)
+// AppendFrame appends to dst the frame carrying the members of g whose
+// object keep accepts (every member for a nil keep), unfenced and without a
+// lease: what a state-transfer relay forwards.
+func AppendFrame(dst []byte, g *store.Group, keep func(object uint64) bool) []byte {
+	return appendFrame(dst, 0, g, keep, leaseMsg{})
 }
 
-// Shipper is the primary-side replication endpoint. Safe for concurrent
-// use; write-sets of different objects ship concurrently (they commute),
-// while per-object ordering is inherited from the object scheduler.
-//
-// Concurrent ships to the same backup coalesce: each backup has
-// a send lane whose loop drains every queued write-set into one
-// MethodApplyBatch frame, so N concurrent commits cost one RPC round trip
-// instead of N. Acks release all member commits at once; a frame error
-// fails every member, preserving "backup acked before client reply".
+func appendFrame(dst []byte, epoch uint64, g *store.Group, keep func(object uint64) bool, lease leaseMsg) []byte {
+	n := 0
+	for i := range g.Len() {
+		if keep == nil || keep(g.Object(i)) {
+			n++
+		}
+	}
+	dst = wire.AppendUvarint(dst, epoch)
+	dst = wire.AppendUvarint(dst, uint64(n))
+	for i := range g.Len() {
+		if keep == nil || keep(g.Object(i)) {
+			dst = wire.AppendUvarint(dst, g.Object(i))
+			dst = wire.AppendBytes(dst, g.Record(i))
+		}
+	}
+	if lease.ttlUs > 0 {
+		dst = wire.AppendUvarint(dst, lease.ttlUs)
+		dst = wire.AppendUvarint(dst, lease.enq)
+		dst = wire.AppendUvarint(dst, lease.grantNs)
+	}
+	return dst
+}
+
+// framePool recycles the backup handler's decoded frames.
+var framePool = sync.Pool{New: func() any { return new(Frame) }}
+
+// maxPooledMembers is the largest frame whose slices a recycled frame
+// keeps: one huge group must not pin its footprint in the pool.
+const maxPooledMembers = 64
+
+// release recycles f, dropping every reference into the handler's frame.
+func (f *Frame) release() {
+	if cap(f.sets) > maxPooledMembers {
+		*f = Frame{}
+	}
+	clear(f.sets)
+	framePool.Put(f)
+}
+
+// Shipper is the primary-side replication endpoint: ShipGroup sends each
+// write group to every backup. Safe for concurrent use.
 type Shipper struct {
 	pool *rpc.Pool
 
@@ -141,23 +132,17 @@ type Shipper struct {
 
 	mu      sync.RWMutex
 	backups []string
-	// onFailure is invoked (outside the lock) when a backup rejects or
-	// misses a write-set; the cluster layer reports it to the coordinator.
-	onFailure func(addr string, err error)
-
-	lanesMu     sync.Mutex
-	lanes       map[string]*shipLane
-	lanesClosed bool
 
 	// leaseTTL > 0 arms read-lease granting: shipped frames carry a
 	// renewal blob and the renewal loop keeps idle backups leased.
 	leaseTTL  atomic.Int64
 	renewOnce sync.Once
+	closeOnce sync.Once
 	renewStop chan struct{}
-	// laneEnq counts write-set entries ever enqueued toward each backup
-	// (the backup-side lag reference; survives lane recreation).
-	laneEnqMu sync.Mutex
-	laneEnq   map[string]uint64
+	// sent counts the members ever shipped toward each backup (the
+	// backup-side lag reference).
+	sentMu sync.Mutex
+	sent   map[string]uint64
 
 	// shippedCtr counts acknowledged write-sets, failures counts backup
 	// rejections, shipUs tracks fan-out latency, batchSize the member count
@@ -169,11 +154,12 @@ type Shipper struct {
 }
 
 // NewShipper returns a shipper over the given connection pool, counting
-// into the pool's registry (rpc.Pool.SetTelemetry; none is fine).
-func NewShipper(pool *rpc.Pool, onFailure func(addr string, err error)) *Shipper {
+// into the pool's registry (rpc.Pool.SetTelemetry; none is fine). The unused
+// second parameter stays because the frozen benchmark passes it.
+func NewShipper(pool *rpc.Pool, _ func(addr string, err error)) *Shipper {
 	reg := pool.Registry()
 	return &Shipper{
-		pool: pool, onFailure: onFailure, renewStop: make(chan struct{}),
+		pool: pool, renewStop: make(chan struct{}),
 		shippedCtr: reg.Counter("repl.shipped"),
 		failures:   reg.Counter("repl.backup_failures"),
 		shipUs:     reg.Histogram("repl.ship"),
@@ -194,23 +180,15 @@ func (s *Shipper) SetLeaseTTL(ttl time.Duration) {
 	}
 }
 
-// laneEnqAdd bumps addr's cumulative enqueued-entry count and returns
-// the new value.
-func (s *Shipper) laneEnqAdd(addr string, n int) uint64 {
-	s.laneEnqMu.Lock()
-	defer s.laneEnqMu.Unlock()
-	if s.laneEnq == nil {
-		s.laneEnq = make(map[string]uint64)
+// addSent adds n to addr's count of members shipped and returns the count.
+func (s *Shipper) addSent(addr string, n int) uint64 {
+	s.sentMu.Lock()
+	defer s.sentMu.Unlock()
+	if s.sent == nil {
+		s.sent = make(map[string]uint64)
 	}
-	s.laneEnq[addr] += uint64(n)
-	return s.laneEnq[addr]
-}
-
-// laneEnqGet reads addr's cumulative enqueued-entry count.
-func (s *Shipper) laneEnqGet(addr string) uint64 {
-	s.laneEnqMu.Lock()
-	defer s.laneEnqMu.Unlock()
-	return s.laneEnq[addr]
+	s.sent[addr] += uint64(n)
+	return s.sent[addr]
 }
 
 // renewLoop keeps every current backup's lease fresh while the group is
@@ -237,7 +215,10 @@ func (s *Shipper) renewLoop() {
 		if ttl <= 0 || epoch == 0 {
 			continue
 		}
-		for _, addr := range s.Backups() {
+		s.mu.RLock()
+		backups := s.backups // replaced, never changed, by SetBackups
+		s.mu.RUnlock()
+		for _, addr := range backups {
 			if _, busy := renewing.LoadOrStore(addr, true); busy {
 				continue
 			}
@@ -248,7 +229,7 @@ func (s *Shipper) renewLoop() {
 				body := encodeLease(leaseMsg{
 					epoch:   epoch,
 					ttlUs:   uint64(ttl / time.Microsecond),
-					enq:     s.laneEnqGet(addr),
+					enq:     s.addSent(addr, 0),
 					grantNs: uint64(time.Now().UnixNano()),
 				})
 				s.pool.Call(addr, MethodLease, body) //nolint:errcheck // a lost renewal lets the lease expire
@@ -261,23 +242,9 @@ func (s *Shipper) renewLoop() {
 // Zero (the initial value) ships unfenced frames that any backup accepts.
 func (s *Shipper) SetEpoch(epoch uint64) { s.epoch.Store(epoch) }
 
-// Close stops the per-backup send lanes, failing any queued ships. Further
-// ships to lanes fail with a closed error; callers should stop committing
-// first.
+// Close stops the lease-renewal loop. Idempotent.
 func (s *Shipper) Close() {
-	s.lanesMu.Lock()
-	if s.lanesClosed {
-		s.lanesMu.Unlock()
-		return
-	}
-	s.lanesClosed = true
-	lanes := s.lanes
-	s.lanes = nil
-	s.lanesMu.Unlock()
-	close(s.renewStop)
-	for _, l := range lanes {
-		close(l.stop)
-	}
+	s.closeOnce.Do(func() { close(s.renewStop) })
 }
 
 // SetBackups replaces the backup set (reconfiguration).
@@ -287,225 +254,115 @@ func (s *Shipper) SetBackups(addrs []string) {
 	s.mu.Unlock()
 }
 
-// Backups returns the current backup set.
-func (s *Shipper) Backups() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.backups...)
-}
+// groupPool recycles Ship's groups of one.
+var groupPool = sync.Pool{New: func() any { return new(store.Group) }}
 
-// Ship synchronously replicates one committed write-set to every backup.
-// Failures are reported via the failure callback; the write-set is still
-// considered durable if at least the primary holds it (the coordinator will
-// reconfigure the group), so Ship returns the first error only for callers
-// that want strict semantics.
+// Ship synchronously replicates one write-set of object to every backup:
+// ShipGroup of a group of one.
 func (s *Shipper) Ship(object uint64, b *store.Batch) error {
-	return s.ShipCtx(telemetry.SpanContext{}, object, b)
+	g := groupPool.Get().(*store.Group)
+	g.Add(object, b)
+	err := s.ShipGroup(telemetry.SpanContext{}, g)
+	g.Reset()
+	groupPool.Put(g)
+	return err
 }
 
-// shipment is one write-set on its way to every backup: the pooled state of
-// one ShipCtx call, queued on each backup's send lane. Every lane answers
-// once on done, which is buffered to the fan-out so that none blocks.
-type shipment struct {
-	object uint64
-	data   []byte // encoded batch
-	ctx    telemetry.SpanContext
-	done   chan shipAck
+// fanout is one ShipGroup's pooled state: per backup a frame buffer, an
+// answer and a spawn func bound once (so `go` allocates no closure).
+type fanout struct {
+	s       *Shipper
+	ctx     telemetry.SpanContext
+	g       *store.Group
+	backups []string
+	frames  [][]byte
+	errs    []error
+	spawns  []func()
+	wg      sync.WaitGroup
 }
 
-// shipAck is one backup's answer to a shipment.
-type shipAck struct {
-	addr string
-	err  error
-}
+var fanoutPool = sync.Pool{New: func() any { return new(fanout) }}
 
-// shipmentPool recycles shipments with their buffers and channels.
-var shipmentPool = sync.Pool{New: func() any { return new(shipment) }}
-
-// maxPooledShipBytes is the largest encode buffer a shipment, and the
-// largest frame buffer a lane, keeps for its next use.
+// maxPooledShipBytes is the largest frame buffer a fanout keeps.
 const maxPooledShipBytes = 64 << 10
 
-// retained empties a buffer for reuse, or drops it if it outgrew
-// maxPooledShipBytes.
-func retained(b []byte) []byte {
-	if cap(b) > maxPooledShipBytes {
-		return nil
-	}
-	return b[:0]
-}
-
-// shipLane is the per-backup send queue. A lane's loop drains all pending
-// entries into one applyBatch frame per round trip.
-type shipLane struct {
-	addr string
-	kick chan struct{} // buffered 1: "pending is non-empty"
-	stop chan struct{}
-
-	mu      sync.Mutex
-	pending []*shipment
-	closed  bool
-}
-
-func (l *shipLane) enqueue(e *shipment) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return errShipperClosed
-	}
-	l.pending = append(l.pending, e)
-	l.mu.Unlock()
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
-// drain moves the pending queue into batch and, with closing set, closes
-// the lane.
-func (l *shipLane) drain(batch []*shipment, closing bool) []*shipment {
-	l.mu.Lock()
-	batch = append(batch[:0], l.pending...)
-	clear(l.pending)
-	l.pending = l.pending[:0]
-	l.closed = l.closed || closing
-	l.mu.Unlock()
-	return batch
-}
-
-// lane returns (creating if needed) the send lane for addr, or nil after
-// Close.
-func (s *Shipper) lane(addr string) *shipLane {
-	s.lanesMu.Lock()
-	defer s.lanesMu.Unlock()
-	if s.lanesClosed {
-		return nil
-	}
-	if s.lanes == nil {
-		s.lanes = make(map[string]*shipLane)
-	}
-	l := s.lanes[addr]
-	if l == nil {
-		l = &shipLane{addr: addr, kick: make(chan struct{}, 1), stop: make(chan struct{})}
-		s.lanes[addr] = l
-		go s.laneLoop(l)
-	}
-	return l
-}
-
-// laneLoop drains the lane: every wakeup takes the whole pending queue and
-// ships it as one frame, so the batch size adapts to how many commits
-// arrived during the previous round trip (group-commit shaped, like the WAL
-// write queue). The queue copy and the frame are the loop's own and reused.
-func (s *Shipper) laneLoop(l *shipLane) {
-	var batch []*shipment
-	var frame []byte
-	answer := func(err error) {
-		for _, e := range batch {
-			e.done <- shipAck{l.addr, err}
-		}
-		clear(batch)
-	}
-	for {
-		select {
-		case <-l.stop:
-			batch = l.drain(batch, true)
-			answer(errShipperClosed)
-			return
-		case <-l.kick:
-		}
-		for {
-			if batch = l.drain(batch, false); len(batch) == 0 {
-				break
-			}
-			var err error
-			frame, err = s.shipFrame(l.addr, frame[:0], batch)
-			frame = retained(frame)
-			answer(err)
-		}
-	}
-}
-
-// shipFrame sends one applyBatch frame carrying entries to addr, built in
-// frame, which it returns for reuse. The trace context of the first entry
-// parents the backup-side span.
-func (s *Shipper) shipFrame(addr string, frame []byte, entries []*shipment) ([]byte, error) {
-	var ttlUs, enq, grantNs uint64
+// sendTo ships the group to backup i in the frame buffer kept for it.
+func (f *fanout) sendTo(i int) {
+	s, addr := f.s, f.backups[i]
+	var lease leaseMsg
 	epoch := s.epoch.Load()
 	if ttl := time.Duration(s.leaseTTL.Load()); ttl > 0 && epoch != 0 {
-		ttlUs = uint64(ttl / time.Microsecond)
-		enq = s.laneEnqAdd(addr, len(entries))
-		// Stamped at send so the backup measures expiry from our clock:
-		// any time this frame spends in flight is burned off the lease.
-		grantNs = uint64(time.Now().UnixNano())
+		lease = leaseMsg{
+			ttlUs: uint64(ttl / time.Microsecond),
+			enq:   s.addSent(addr, f.g.Len()),
+			// Stamped at send so the backup measures expiry from our clock:
+			// any time this frame spends in flight is burned off the lease.
+			grantNs: uint64(time.Now().UnixNano()),
+		}
 	}
 	// The rpc client copies the body into its connection buffer before
 	// CallCtx returns, so the frame is free to reuse afterwards.
-	frame = appendApplyBatch(frame, epoch, entries, ttlUs, enq, grantNs)
-	_, err := s.pool.CallCtx(addr, entries[0].ctx, MethodApplyBatch, frame)
-	s.batchSize.Observe(uint64(len(entries)))
-	return frame, err
+	f.frames[i] = appendFrame(f.frames[i][:0], epoch, f.g, nil, lease)
+	_, f.errs[i] = s.pool.CallCtx(addr, f.ctx, MethodApplyBatch, f.frames[i])
+	s.batchSize.Observe(uint64(f.g.Len()))
 }
 
-// ShipCtx is Ship carrying the committing request's trace context, so the
-// backup-side apply spans join the caller's trace. The write-set is encoded
-// before ShipCtx returns; b is the caller's again afterwards.
-func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Batch) error {
+// ShipGroup sends g's members, as their WAL records, to every backup in
+// parallel, one frame each under trace ctx, and waits for every answer: an
+// ErrBackupFailed names the first backup that did not acknowledge.
+func (s *Shipper) ShipGroup(ctx telemetry.SpanContext, g *store.Group) error {
 	s.mu.RLock()
 	backups := s.backups
 	s.mu.RUnlock()
-	if len(backups) == 0 {
+	if len(backups) == 0 || g.Len() == 0 {
 		return nil
 	}
 	start := time.Now()
-	sh := shipmentPool.Get().(*shipment)
-	sh.object, sh.ctx = object, ctx
-	sh.data = b.AppendTo(sh.data)
-	if cap(sh.done) < len(backups) {
-		sh.done = make(chan shipAck, len(backups))
+	f := fanoutPool.Get().(*fanout)
+	f.s, f.ctx, f.g, f.backups = s, ctx, g, backups
+	n := len(backups)
+	f.frames = slices.Grow(f.frames[:0], n)[:n]
+	f.errs = slices.Grow(f.errs[:0], n)[:n]
+	for i := len(f.spawns); i < n; i++ {
+		f.spawns = append(f.spawns, func() { f.sendTo(i); f.wg.Done() })
 	}
+	f.wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go f.spawns[i]()
+	}
+	f.sendTo(0)
+	f.wg.Wait()
 
-	// Fan the write-set out to every backup's lane and collect one answer
-	// per backup.
-	for _, addr := range backups {
-		err := errShipperClosed
-		if lane := s.lane(addr); lane != nil {
-			err = lane.enqueue(sh)
-		}
-		if err != nil {
-			sh.done <- shipAck{addr, err}
-		}
-	}
 	var firstErr error
-	for range backups {
-		ack := <-sh.done
-		if ack.err == nil {
+	for i, err := range f.errs {
+		if err == nil {
 			continue
 		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("%w: %s: %v", ErrBackupFailed, ack.addr, ack.err)
-		}
-		if s.onFailure != nil {
-			s.onFailure(ack.addr, ack.err)
-		}
 		s.failures.Inc()
+		if firstErr == nil {
+			firstErr = fmt.Errorf("%w: %s: %v", ErrBackupFailed, backups[i], err)
+		}
 	}
-	// Every lane has answered, so none refers to the shipment any more.
-	*sh = shipment{data: retained(sh.data), done: sh.done}
-	shipmentPool.Put(sh)
+	for i, frame := range f.frames {
+		if cap(frame) > maxPooledShipBytes {
+			f.frames[i] = nil
+		}
+	}
+	clear(f.errs)
+	f.s, f.g, f.backups = nil, nil, nil
+	fanoutPool.Put(f)
 	s.shipUs.Record(time.Since(start))
 	if firstErr == nil {
-		s.shippedCtr.Inc()
+		s.shippedCtr.Add(uint64(g.Len()))
 	}
 	return firstErr
 }
 
 // Applier is the backup-side sink for one shipped frame: its members'
 // objects and write-sets, in frame order (core.Runtime.ApplyReplicatedBulk
-// commits them as one storage write — one WAL append, one fsync). The
-// slices and the batches alias the request frame and are recycled with it:
-// an applier writes them to its store before returning and keeps nothing.
+// passes them to one DB.Write — one WAL append, one fsync). The slices and
+// the batches alias the request frame and are recycled with it: an applier
+// writes them to its store before returning and keeps nothing.
 type Applier func(objects []uint64, batches []*store.Batch) error
 
 // ApplierFunc makes an Applier of a per-write-set apply: it applies a
@@ -543,9 +400,9 @@ func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tr
 	applied, stale := reg.Counter("repl.applied"), reg.Counter("repl.stale_epoch")
 	srv.HandleCtx(MethodApplyBatch, func(info rpc.CallInfo, body []byte) ([]byte, error) {
 		sp := tracer.StartSpan(info.Trace, "repl.applyBatch")
-		msg := applyBatchPool.Get().(*applyBatchMsg)
-		defer msg.release()
-		err := msg.decode(body)
+		f := framePool.Get().(*Frame)
+		defer f.release()
+		err := f.Decode(body)
 		if err != nil {
 			sp.FinishErr(err)
 			return nil, err
@@ -553,9 +410,9 @@ func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tr
 		// Fence before applying anything: a frame from a deposed primary
 		// (epoch older than ours) must not land a single write-set.
 		// Epoch 0 marks an unfenced sender and is always accepted.
-		if msg.epoch != 0 && localEpoch != nil {
-			if local := localEpoch(); msg.epoch < local {
-				err := fmt.Errorf("%w: shipped epoch %d < local epoch %d", ErrStaleEpoch, msg.epoch, local)
+		if f.Epoch != 0 && localEpoch != nil {
+			if local := localEpoch(); f.Epoch < local {
+				err := fmt.Errorf("%w: shipped epoch %d < local epoch %d", ErrStaleEpoch, f.Epoch, local)
 				stale.Inc()
 				sp.FinishErr(err)
 				return nil, err
@@ -563,13 +420,9 @@ func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tr
 		}
 		// The frame's members are write-sets of distinct objects
 		// (same-object write-sets are serialized by the primary's object
-		// scheduler, so one frame never carries two); the applier gets the
+		// scheduler, so one group never carries two); the applier gets the
 		// whole frame.
-		for i := range msg.msgs {
-			msg.objects = append(msg.objects, msg.msgs[i].object)
-			msg.batches = append(msg.batches, &msg.msgs[i].batch)
-		}
-		if err = applier(msg.objects, msg.batches); err != nil {
+		if err = applier(f.Objects, f.Batches); err != nil {
 			// The whole frame fails: the ack is withheld for every member,
 			// so no primary releases a client reply for a write-set this
 			// backup does not hold.
@@ -580,11 +433,11 @@ func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tr
 		// entries are now visible locally (and its caches invalidated), so
 		// counting them applied — and honoring any piggybacked renewal —
 		// can never let a read race ahead of the data it covers.
-		holder.NoteApplied(len(msg.msgs))
-		if msg.leaseTTLUs > 0 {
-			holder.Renew(leaseMsg{epoch: msg.epoch, ttlUs: msg.leaseTTLUs, enq: msg.leaseEnq, grantNs: msg.leaseGrantNs})
+		holder.NoteApplied(len(f.Batches))
+		if f.lease.ttlUs > 0 {
+			holder.Renew(f.lease)
 		}
-		applied.Add(uint64(len(msg.msgs)))
+		applied.Add(uint64(len(f.Batches)))
 		sp.Finish()
 		return nil, nil
 	})

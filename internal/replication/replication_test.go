@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -73,25 +74,22 @@ func TestShipReportsFailedBackup(t *testing.T) {
 	_, addr1 := startBackup(t)
 	pool := rpc.NewPool(nil)
 	defer pool.Close()
-	var mu sync.Mutex
-	var failed []string
-	s := NewShipper(pool, func(addr string, err error) {
-		mu.Lock()
-		failed = append(failed, addr)
-		mu.Unlock()
-	})
+	reg := telemetry.NewRegistry()
+	pool.SetTelemetry(reg)
+	s := NewShipper(pool, nil)
 	s.SetBackups([]string{addr1, "127.0.0.1:1"}) // port 1: refused
 
 	b := store.NewBatch()
 	b.Put([]byte("k"), []byte("v"))
 	err := s.Ship(1, b)
-	if !errors.Is(err, ErrBackupFailed) {
-		t.Fatalf("err = %v", err)
+	if !errors.Is(err, ErrBackupFailed) || !strings.Contains(err.Error(), "127.0.0.1:1") {
+		t.Fatalf("err = %v, want ErrBackupFailed naming the refused backup", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(failed) != 1 || failed[0] != "127.0.0.1:1" {
-		t.Fatalf("failure callbacks: %v", failed)
+	if got := reg.Counter("repl.backup_failures").Value(); got != 1 {
+		t.Fatalf("repl.backup_failures = %d, want 1", got)
+	}
+	if got := reg.Counter("repl.shipped").Value(); got != 0 {
+		t.Fatalf("repl.shipped = %d after a failed ship", got)
 	}
 }
 

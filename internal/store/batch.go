@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 
+	"lambdastore/internal/telemetry"
 	"lambdastore/internal/wire"
 )
 
@@ -20,6 +21,12 @@ type Batch struct {
 	startSeq uint64
 	count    int
 	data     []byte
+
+	// replicated, object and trace are set by Replicate and never encoded:
+	// they make the batch a member its write group's hook ships and relays.
+	replicated bool
+	object     uint64
+	trace      telemetry.SpanContext
 }
 
 // NewBatch returns an empty batch.
@@ -43,21 +50,24 @@ func (b *Batch) Delete(key []byte) {
 // Len returns the number of queued operations.
 func (b *Batch) Len() int { return b.count }
 
-// Append queues every operation of o onto b, in order. Backups use it to
-// collapse the member write-sets of one coalesced replication frame into a
-// single batch — and therefore a single WAL append and fsync.
-func (b *Batch) Append(o *Batch) {
-	b.data = append(b.data, o.data...)
-	b.count += o.count
+// Replicate marks the batch as a write-set every replica of object must
+// hold: the write group that logs it hands it to the DB's group hook
+// (Options.OnGroup) as a member, with the trace context of the request that
+// committed it. Reset and Decode clear the mark.
+func (b *Batch) Replicate(object uint64, trace telemetry.SpanContext) {
+	b.replicated, b.object, b.trace = true, object, trace
 }
+
+// Trace returns the trace context Replicate recorded.
+func (b *Batch) Trace() telemetry.SpanContext { return b.trace }
 
 // Seq returns the sequence number assigned to the batch's first record by
 // the DB at commit time (zero before commit). Replication uses it to order
 // shipped write-sets.
 func (b *Batch) Seq() uint64 { return b.startSeq }
 
-// Encode serializes the batch (with its assigned sequence) for shipping to
-// backup replicas.
+// Encode serializes the batch with its assigned sequence: the record the WAL
+// logs, and the bytes a write group ships.
 func (b *Batch) Encode() []byte { return b.AppendTo(nil) }
 
 // AppendTo appends the batch's encoding to dst: Encode into a buffer the

@@ -28,14 +28,9 @@ type DB struct {
 	imm  *memtable // frozen memtable being flushed; nil if none
 	// writers is the group-commit queue: the head is the current leader,
 	// which forms a write group from the queue prefix, performs the WAL
-	// I/O for all members with mu released, then completes them and
-	// promotes the next head. Guarded by mu.
+	// I/O for all members with mu released, hands the group to the group
+	// hook, then completes them and promotes the next head. Guarded by mu.
 	writers []*dbWriter
-	// groupBuf and groupEnds are the leader's scratch: the encoded records
-	// of the group it is committing, back to back, and where each ends.
-	// Only the queue head touches them, so they need no lock of their own.
-	groupBuf  []byte
-	groupEnds []int
 	// writeActive is true while a group leader performs WAL I/O with mu
 	// released; WAL rotation (Flush) and Close must wait for it so the
 	// log is never swapped out from under an in-flight group.
@@ -223,13 +218,6 @@ func recoverLog(path string, mem *memtable) (last uint64, err error) {
 func (db *DB) relogMemtable() error {
 	b := NewBatch()
 	it := db.mem.iterator()
-	var minSeq uint64 = maxSequence
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		ik := it.Key()
-		if ik.seq() < minSeq {
-			minSeq = ik.seq()
-		}
-	}
 	// Preserve ordering: replay newest-last. The memtable iterates user-key
 	// order with newest versions first, so collect and sort by seq.
 	type rec struct {
@@ -254,7 +242,7 @@ func (db *DB) relogMemtable() error {
 	if b.Empty() {
 		return nil
 	}
-	b.startSeq = minSeq
+	b.startSeq = recs[0].seq
 	return db.wal.append(b.Encode(), true)
 }
 
@@ -308,10 +296,10 @@ func (db *DB) Delete(key []byte) error {
 // channel (buffered, capacity 1) is signaled when the writer is promoted to
 // the head of the queue or completed by a group leader.
 type dbWriter struct {
-	batch *Batch
-	err   error
-	done  bool
-	ready chan struct{}
+	batches []*Batch
+	err     error
+	done    bool
+	ready   chan struct{}
 }
 
 // dbWriterPool recycles writers with their channels: a Write that has seen
@@ -325,7 +313,8 @@ func (w *dbWriter) release() {
 	case <-w.ready:
 	default:
 	}
-	*w = dbWriter{ready: w.ready}
+	clear(w.batches)
+	*w = dbWriter{batches: w.batches[:0], ready: w.ready}
 	dbWriterPool.Put(w)
 }
 
@@ -334,27 +323,36 @@ func (w *dbWriter) release() {
 // always commits regardless of size.
 const maxGroupBytes = 1 << 20
 
-// Write applies the batch atomically: it is logged to the WAL, then
-// published to readers in one step.
+// Write applies the batches atomically, in order, as one writer: they are
+// logged to the WAL, then published to readers in one step.
 //
 // Concurrent Writes form write groups (LevelDB-style group commit): each
 // caller joins a queue, the queue head becomes the leader and performs one
 // WAL append — and, with SyncWrites, one fsync — covering every member,
 // then completes them all. Durability is unchanged: a Write does not return
-// success until its records are (group-)synced and applied.
-func (db *DB) Write(b *Batch) error {
-	if b.Empty() {
+// success until its records are (group-)synced and applied, and — for a
+// batch marked by Replicate — until the group hook let it through.
+func (db *DB) Write(batches ...*Batch) error {
+	w := dbWriterPool.Get().(*dbWriter)
+	for _, b := range batches {
+		if !b.Empty() {
+			w.batches = append(w.batches, b)
+		}
+	}
+	if len(w.batches) == 0 {
+		w.release()
 		return nil
 	}
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
+		w.release()
 		return ErrClosed
 	}
-	w := dbWriterPool.Get().(*dbWriter)
-	w.batch = b
 	db.writers = append(db.writers, w)
-	for !w.done && db.writers[0] != w {
+	// A writer a released group took out of the queue waits, not queued,
+	// for its hook to finish.
+	for !w.done && (len(db.writers) == 0 || db.writers[0] != w) {
 		db.mu.Unlock()
 		<-w.ready
 		db.mu.Lock()
@@ -373,8 +371,9 @@ func (db *DB) Write(b *Batch) error {
 // commitGroup runs on the writer at the head of db.writers. It forms a
 // group from a prefix of the queue, pre-assigns sequence numbers, performs
 // the WAL I/O for the whole group with db.mu released (writeActive fences
-// WAL rotation meanwhile), applies the batches, completes the members, and
-// promotes the next queue head. Called and returns with db.mu held.
+// WAL rotation meanwhile), applies the batches, hands a group with members
+// to the group hook and completes the members. Called and returns with
+// db.mu held.
 func (db *DB) commitGroup() {
 	if db.closed {
 		db.failAllWriters(ErrClosed)
@@ -388,21 +387,24 @@ func (db *DB) commitGroup() {
 		return
 	}
 	// Form the group: a prefix of the queue, bounded by encoded bytes.
-	// Sequence numbers are assigned now, consecutively, but lastSeq is only
-	// advanced after the WAL write succeeds so readers never observe
-	// sequences that might not commit.
-	group := db.writers[:1]
-	buf, ends := db.groupBuf[:0], db.groupEnds[:0]
+	// Sequence numbers are assigned now, consecutively; only a group whose
+	// WAL write succeeded is applied, so readers never observe sequences
+	// that did not commit.
+	// The group is the leader's until its hook returns, which may be after
+	// the next group formed.
+	g := groupPool.Get().(*Group)
+	g.db = db
 	seq := db.lastSeq
-	for i, w := range db.writers {
-		if i > 0 && len(buf) >= maxGroupBytes {
+	for _, w := range db.writers {
+		if len(g.writers) > 0 && len(g.buf) >= maxGroupBytes {
 			break
 		}
-		w.batch.startSeq = seq + 1
-		seq += uint64(w.batch.count)
-		buf = w.batch.AppendTo(buf)
-		ends = append(ends, len(buf))
-		group = db.writers[:i+1]
+		for _, b := range w.batches {
+			b.startSeq = seq + 1
+			seq += uint64(b.count)
+			g.log(b, b.object, w)
+		}
+		g.writers = append(g.writers, w)
 	}
 
 	sync := db.opts.SyncWrites
@@ -413,42 +415,60 @@ func (db *DB) commitGroup() {
 	if sync {
 		syncStart = time.Now()
 	}
-	err := wal.appendAll(buf, ends, sync)
+	err := wal.appendAll(g.buf, g.ends, sync)
 	db.mu.Lock()
 	db.writeActive = false
-	db.groupBuf, db.groupEnds = retained(buf), ends[:0]
+	// A failed group uses up its numbers too: its records may be in the log
+	// already, and a later group reusing them would tie with them on
+	// replay. None is in the memtable, so no reader sees them.
+	db.lastSeq = seq
 
 	if err == nil {
-		for _, w := range group {
-			if aerr := w.batch.apply(db.mem); aerr != nil {
-				// Apply failures are per-member; sequence space was
+		for _, w := range g.writers {
+			for _, b := range w.batches {
+				// Apply failures are per-writer; sequence space was
 				// consumed either way, so later members stay consistent.
-				w.err = aerr
+				if aerr := b.apply(db.mem); aerr != nil && w.err == nil {
+					w.err = aerr
+				}
 			}
 		}
-		db.metrics.writes.Add(uint64(len(group)))
-		db.metrics.walBytes.Add(uint64(len(buf)))
-		db.lastSeq = seq
+		db.metrics.writes.Add(uint64(len(g.writers)))
+		db.metrics.walBytes.Add(uint64(len(g.buf)))
 		if sync {
 			db.metrics.walSyncs.Inc()
 			db.metrics.fsyncUs.Record(time.Since(syncStart))
 		}
-		db.metrics.groupSize.Observe(uint64(len(group)))
+		db.metrics.groupSize.Observe(uint64(len(g.writers)))
 	}
 
-	// Complete the group, close the queue up over it (group aliases the
-	// queue's head, so in that order) and promote the next head.
-	for _, w := range group {
+	if hook := db.opts.OnGroup; err == nil && hook != nil && g.Len() > 0 {
+		g.queued = true
+		db.mu.Unlock()
+		hook(g)
+		g.Release()
+		db.mu.Lock()
+	} else {
+		db.dequeue(len(g.writers))
+	}
+	for _, w := range g.writers {
 		if err != nil {
 			w.err = err
 		}
 		w.done = true
 		w.signal()
 	}
-	n := copy(db.writers, db.writers[len(group):])
-	clear(db.writers[n:])
-	db.writers = db.writers[:n]
-	if n > 0 {
+	g.Reset()
+	groupPool.Put(g)
+}
+
+// dequeue closes the queue up over its first n writers — a group that has
+// logged — and promotes the next head. Called with db.mu held.
+func (db *DB) dequeue(n int) {
+	m := copy(db.writers, db.writers[n:])
+	clear(db.writers[m:])
+	db.writers = db.writers[:m]
+	if m > 0 {
 		db.writers[0].signal()
 	}
 	db.cond.Broadcast()

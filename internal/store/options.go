@@ -44,6 +44,12 @@ type Options struct {
 	// Metrics, if set, receives storage counters: batch writes, WAL bytes
 	// and syncs, memtable flushes, and compactions.
 	Metrics *telemetry.Registry
+	// OnGroup, if set, is the group hook: a write group whose WAL write
+	// succeeded and that holds batches marked by Batch.Replicate is handed
+	// to it after its records are applied and before its Writes return. It
+	// holds the writer queue until it calls Group.Release (so the next group
+	// forms behind it), and it withholds a member's ack with Group.Fail.
+	OnGroup func(*Group)
 }
 
 // NewOptions returns production defaults scaled for test-friendly sizes.

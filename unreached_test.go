@@ -237,7 +237,10 @@ func TestOneRequestPath(t *testing.T) {
 		{"internal/cluster", "SetEpoch", []string{"install"}},
 		{"internal/cluster", "SetBackups", []string{"install"}},
 		{"internal/cluster", "leases.Revoke", []string{"install"}},
-		{"internal/core", "notifyCommit", []string{"commit"}},
+		// The write group is the one unit that leaves a node: its hook is the
+		// only sender of a frame to the backups and of a relay to a session.
+		{"internal/cluster", "shipper.ShipGroup", []string{"replicateGroup"}},
+		{"internal/cluster", "transfer.Relay", []string{"replicateGroup"}},
 		{"internal/core", "db.Write", []string{"commit", "ApplyReplicated", "ApplyReplicatedBulk"}},
 	} {
 		got := map[string]bool{}
