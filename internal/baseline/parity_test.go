@@ -3,6 +3,7 @@ package baseline
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -63,7 +64,7 @@ func TestGuestABIParity(t *testing.T) {
 	client := NewDirectClient(s.compute.Addr(), nil)
 	defer client.Close()
 
-	const users = 4
+	const users = 6 // 5 gets a timeline of literal posts, 6 none
 	for id := uint64(1); id <= users; id++ {
 		if err := rt.CreateObject(retwis.TypeName, core.ObjectID(id), core.CallCtx{}); err != nil {
 			t.Fatal(err)
@@ -78,6 +79,7 @@ func TestGuestABIParity(t *testing.T) {
 	}
 	i64 := core.I64Bytes
 	var ops []op
+	wants := map[int][]byte{} // ops whose result both architectures must return exactly
 	for id := uint64(1); id <= users; id++ {
 		ops = append(ops, op{id, "create_account", [][]byte{[]byte{'u', byte('0' + id)}}})
 	}
@@ -105,17 +107,46 @@ func TestGuestABIParity(t *testing.T) {
 			op{id, "get_timeline", [][]byte{i64(40)}},
 		)
 	}
+	// get_timeline's window on a timeline of three posts by store_post
+	// (author 7, times 100-102), and on an empty one: a negative limit
+	// returns nothing, one past the length returns everything.
+	for i, msg := range []string{"a", "bc", "def"} {
+		ops = append(ops, op{5, "store_post", [][]byte{i64(7), i64(int64(100 + i)), []byte(msg)}})
+	}
+	const (
+		postA   = "1100000000000000" + "0700000000000000" + "6400000000000000" + "61"
+		postBC  = "1200000000000000" + "0700000000000000" + "6500000000000000" + "6263"
+		postDEF = "1300000000000000" + "0700000000000000" + "6600000000000000" + "646566"
+	)
+	for _, w := range []struct {
+		id    uint64
+		limit int64
+		want  string
+	}{
+		{5, -1, ""}, {5, 0, ""}, {5, 1, postDEF}, {5, 3, postA + postBC + postDEF}, {5, 8, postA + postBC + postDEF},
+		{6, -1, ""}, {6, 0, ""}, {6, 1, ""}, {6, 5, ""},
+	} {
+		want, err := hex.DecodeString(w.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[len(ops)] = want
+		ops = append(ops, op{w.id, "get_timeline", [][]byte{i64(w.limit)}})
+	}
 	ops = append(ops,
 		op{1, "create_post", [][]byte{[]byte("fan-out with a dead follower")}},
 		op{1, "no_such_method", nil},
 		op{99, "get_name", nil},
 	)
 
-	for _, o := range ops {
+	for i, o := range ops {
 		agg, aggErr := rt.Invoke(core.ObjectID(o.id), o.method, o.args)
 		dis, disErr := client.Invoke(o.id, o.method, o.args)
 		if (aggErr == nil) != (disErr == nil) {
 			t.Fatalf("%d.%s: aggregated err %v, disaggregated err %v", o.id, o.method, aggErr, disErr)
+		}
+		if want, ok := wants[i]; ok && (aggErr != nil || !bytes.Equal(agg, want) || !bytes.Equal(dis, want)) {
+			t.Fatalf("%d.%s(%x): aggregated %x (err %v), disaggregated %x, want %x", o.id, o.method, o.args, agg, aggErr, dis, want)
 		}
 		if o.method == "get_timeline" && aggErr == nil {
 			agg, dis = maskPostTimes(t, agg), maskPostTimes(t, dis)

@@ -36,34 +36,6 @@ import (
 // assert set-inclusion of every acknowledged id while tolerating
 // duplicates from retries and injected frame duplication.
 const ledgerSrc = `
-;; memcpy(dst, src, n): byte copy within guest memory.
-func memcpy params=3
-loop:
-  local.get 2
-  push 0
-  le_s
-  jnz done
-  local.get 0
-  local.get 1
-  load8_u
-  store8
-  local.get 0
-  push 1
-  add
-  local.set 0
-  local.get 1
-  push 1
-  add
-  local.set 1
-  local.get 2
-  push 1
-  sub
-  local.set 2
-  jmp loop
-done:
-  ret
-end
-
 ;; result_i64(v): set an 8-byte little-endian result.
 func result_i64 params=1 locals=1
   push 8
@@ -108,7 +80,7 @@ have:
   local.get 2
   local.get 0
   local.get 1
-  call memcpy
+  memcopy
   push 0
   hostcall arg
   unpack.ptr

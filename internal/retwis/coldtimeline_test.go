@@ -7,13 +7,14 @@ import (
 
 	"lambdastore/internal/core"
 	"lambdastore/internal/store"
+	"lambdastore/internal/telemetry"
 )
 
 // The cold-timeline fixture is the benchmark's timeline_cold workload at
 // the core.Runtime surface: every account's 40-post timeline sits in L1
 // and the result cache holds a small fraction of the accounts, so rotating
 // through the accounts makes every get_timeline execute the guest, cross
-// the host-call boundary ~80 times and read the LSM ~40 times.
+// the host-call boundary 45 times and read the LSM 41 times.
 const (
 	coldAccounts = 512
 	coldPosts    = 40
@@ -118,5 +119,68 @@ func BenchmarkColdTimeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		read()
+	}
+}
+
+// listBackend serves one timeline of fixed entries and counts the reads a
+// method makes; it refuses every write and nested call.
+type listBackend struct {
+	entries [][]byte
+	gets    int
+}
+
+func (b *listBackend) Now() int64  { return 0 }
+func (b *listBackend) Rand() int64 { return 0 }
+func (b *listBackend) Get(f *core.FieldDef, _ []byte, idx uint64) ([]byte, bool, error) {
+	b.gets++
+	if f.Kind != core.FieldList || idx >= uint64(len(b.entries)) {
+		return nil, false, nil
+	}
+	return b.entries[idx], true, nil
+}
+func (b *listBackend) ListLen(*core.FieldDef) (int64, error) { return int64(len(b.entries)), nil }
+func (b *listBackend) Count(*core.FieldDef) (int64, error)   { return 0, nil }
+func (b *listBackend) Put(*core.FieldDef, []byte, []byte) error {
+	return fmt.Errorf("listBackend: write")
+}
+func (b *listBackend) Del(*core.FieldDef, []byte) error      { return fmt.Errorf("listBackend: write") }
+func (b *listBackend) ListPush(*core.FieldDef, []byte) error { return fmt.Errorf("listBackend: write") }
+func (b *listBackend) BeginCall() error                      { return fmt.Errorf("listBackend: call") }
+func (b *listBackend) Dispatch(core.ObjectID, string, [][]byte) ([]byte, error) {
+	return nil, fmt.Errorf("listBackend: call")
+}
+
+// TestColdTimelineFuelBound pins what one uncached get_timeline(40) over
+// the cold fixture's entries costs the guest: one list_get per entry, and
+// the fuel of a fetch pass plus a copy pass whose bytes move by memcopy.
+// Both are deterministic, so any change to the guest or to the host costs
+// shows here first.
+func TestColdTimelineFuelBound(t *testing.T) {
+	be := &listBackend{}
+	for i := uint64(0); i < coldPosts; i++ {
+		entry := make([]byte, 16+coldBodyLen)
+		binary.LittleEndian.PutUint64(entry, 1)
+		binary.LittleEndian.PutUint64(entry[8:], i)
+		be.entries = append(be.entries, entry)
+	}
+	reg := telemetry.NewRegistry()
+	pool := core.NewInstancePool(core.DefaultFuel, reg, nil)
+	res, err := pool.Run(be, 1, MustType(), "get_timeline", [][]byte{core.I64Bytes(coldPosts)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := coldPosts * (8 + 16 + coldBodyLen); len(res) != want {
+		t.Fatalf("timeline is %d bytes, want %d", len(res), want)
+	}
+	fuel := reg.Counter("core.fuel_used").Value()
+	t.Logf("cold get_timeline(%d): %d list_get, %d fuel", coldPosts, be.gets, fuel)
+	if be.gets != coldPosts {
+		t.Fatalf("list_get calls = %d, want %d: one per entry", be.gets, coldPosts)
+	}
+	// 45 host calls (arg, list_len, two allocs, 40 list_gets, set_result),
+	// about 43 instructions per entry and ceil(116/8) per entry's memcopy.
+	const wantFuel = 3727
+	if fuel != wantFuel {
+		t.Fatalf("fuel = %d, want %d", fuel, wantFuel)
 	}
 }

@@ -29,34 +29,6 @@ const TypeName = "User"
 
 // Source is the guest implementation of the User object.
 const Source = `
-;; memcpy(dst, src, n): byte copy within guest memory.
-func memcpy params=3
-loop:
-  local.get 2
-  push 0
-  le_s
-  jnz done
-  local.get 0
-  local.get 1
-  load8_u
-  store8
-  local.get 0
-  push 1
-  add
-  local.set 0
-  local.get 1
-  push 1
-  add
-  local.set 1
-  local.get 2
-  push 1
-  sub
-  local.set 2
-  jmp loop
-done:
-  ret
-end
-
 ;; result_i64(v): set an 8-byte little-endian result.
 func result_i64 params=1 locals=1
   push 8
@@ -230,7 +202,7 @@ func store_post params=0 locals=6 export
   add
   local.get 2
   local.get 3
-  call memcpy
+  memcopy
   str "timeline"
   local.get 4
   local.get 5
@@ -276,7 +248,7 @@ func create_post params=0 locals=10 export
   add
   local.get 0
   local.get 1
-  call memcpy
+  memcopy
   str "posts"
   local.get 4
   local.get 5
@@ -356,9 +328,11 @@ done:
 end
 
 ;; get_timeline(limit): newest "limit" posts, serialized as
-;; [len8 | entry]* (oldest of the window first).
-func get_timeline params=0 locals=9 export
-  ;; locals: 0=limit 1=n 2=start 3=i 4=total 5=out 6=w 7=entryptr 8=entrylen
+;; [len8 | entry]* (oldest of the window first). One list_get per entry:
+;; the fetch pass keeps each entry's handle in a guest array while it sums
+;; their sizes, and the copy pass moves each entry with one memcopy.
+func get_timeline params=0 locals=10 export
+  ;; locals: 0=limit 1=n 2=start 3=i 4=total 5=h 6=handles 7=end 8=out 9=w
   push 0
   hostcall arg
   unpack.ptr
@@ -367,6 +341,7 @@ func get_timeline params=0 locals=9 export
   str "timeline"
   hostcall list_len
   local.set 1
+  ;; start = n - limit, clamped to [0, n]
   local.get 1
   local.get 0
   sub
@@ -374,78 +349,98 @@ func get_timeline params=0 locals=9 export
   local.get 2
   push 0
   ge_s
-  jnz have_start
+  jnz start_nonneg
   push 0
   local.set 2
+start_nonneg:
+  local.get 2
+  local.get 1
+  le_s
+  jnz have_start
+  local.get 1
+  local.set 2
 have_start:
-  ;; pass 1: total size
+  ;; handles = alloc(8 * (n - start))
+  local.get 1
+  local.get 2
+  sub
+  push 8
+  mul
+  hostcall alloc
+  local.tee 6
+  local.set 7
   local.get 2
   local.set 3
-  push 0
-  local.set 4
-size_loop:
+fetch:
   local.get 3
   local.get 1
   ge_s
   jnz alloc_out
+  local.get 7
   str "timeline"
   local.get 3
   hostcall list_get
+  local.tee 5
+  store64
+  local.get 5
   unpack.len
-  push 8
-  add
   local.get 4
   add
   local.set 4
+  local.get 7
+  push 8
+  add
+  local.set 7
   local.get 3
   push 1
   add
   local.set 3
-  jmp size_loop
+  jmp fetch
 alloc_out:
+  ;; total = entry bytes + one len8 per entry (end - handles)
   local.get 4
+  local.get 7
+  add
+  local.get 6
+  sub
+  local.tee 4
   hostcall alloc
-  local.set 5
-  local.get 5
-  local.set 6
-  ;; pass 2: copy entries
-  local.get 2
-  local.set 3
-copy_loop:
-  local.get 3
-  local.get 1
+  local.tee 8
+  local.set 9
+copy:
+  local.get 6
+  local.get 7
   ge_s
   jnz finish
-  str "timeline"
-  local.get 3
-  hostcall list_get
-  dup
-  unpack.ptr
-  local.set 7
+  local.get 6
+  load64
+  local.set 5
+  local.get 9
+  local.get 5
   unpack.len
-  local.set 8
-  local.get 6
-  local.get 8
   store64
-  local.get 6
+  local.get 9
   push 8
   add
-  local.get 7
-  local.get 8
-  call memcpy
+  local.set 9
+  local.get 9
+  local.get 5
+  unpack.ptr
+  local.get 5
+  unpack.len
+  memcopy
+  local.get 9
+  local.get 5
+  unpack.len
+  add
+  local.set 9
   local.get 6
   push 8
-  add
-  local.get 8
   add
   local.set 6
-  local.get 3
-  push 1
-  add
-  local.set 3
-  jmp copy_loop
+  jmp copy
 finish:
-  local.get 5
+  local.get 8
   local.get 4
   hostcall set_result
   ret

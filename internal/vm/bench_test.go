@@ -35,3 +35,17 @@ func BenchmarkSpinThreaded(b *testing.B) {
 func BenchmarkSpinInterp(b *testing.B) {
 	benchSpin(b, func(inst *Instance) func(int, ...int64) (int64, error) { return newReference(inst).CallIndex })
 }
+
+// BenchmarkResetFast is the pooled-instance reset after a method that
+// dirtied 8 KB of its memory: what every warm invocation pays.
+func BenchmarkResetFast(b *testing.B) {
+	inst, err := NewInstance(MustAssemble(spinSrc), nil, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		inst.noteWrite(8 << 10)
+		inst.ResetFast(0)
+	}
+}

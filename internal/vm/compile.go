@@ -8,12 +8,14 @@ package vm
 // hold this one to, trap for trap:
 //   - Fuel is charged from Func.blockFuel at block leaders; exhaustion
 //     consumes the remainder so FuelUsed reports the full budget, and the
-//     host-call precheck consumes nothing when it fails.
+//     host-call precheck consumes nothing when it fails. memcopy's
+//     per-byte charge is made when it executes, and exhausts like a block.
+//   - Stores, memcopy and memory growth go through the dirty-region
+//     tracking (noteWrite / grow), so ResetFast isolation holds for pooled
+//     instances.
 //   - Every trap (bounds, division, call depth, unreachable, halt, host
 //     errors) is reported at the pc of the source instruction that caused
 //     it. The operand stack cannot underflow or overflow: linking typed it.
-//   - Stores and memory growth go through the dirty-region tracking
-//     (noteWrite / grow), so ResetFast isolation holds for pooled instances.
 //
 // Within a basic block the symbolic translator (translate.go) collapses
 // stack traffic entirely: constant pushes and local reads become operand

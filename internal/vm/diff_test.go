@@ -108,7 +108,7 @@ func (g *sgen) addr() {
 // stmt emits one stack-neutral statement. loops counts enclosing loops
 // (for counter assignment); nest limits recursion.
 func (g *sgen) stmt(nest, loops int) {
-	switch g.r.Intn(14) {
+	switch g.r.Intn(15) {
 	case 0, 1:
 		g.pushVal()
 		g.pushVal()
@@ -200,6 +200,13 @@ func (g *sgen) stmt(nest, loops int) {
 		g.emit("  local.get %d", g.loc())
 		g.emit("  unpack_%s", []string{"ptr", "len"}[g.r.Intn(2)])
 		g.emit("  local.set %d", g.loc())
+	case 13:
+		// memcopy(dst, src, n): overlapping or not, sometimes out of
+		// bounds, now and then with a negative n.
+		g.addr()
+		g.addr()
+		g.emit("  push %d", g.r.Intn(600)-8)
+		g.emit("  memcopy")
 	default:
 		// Fused-pattern bait: the exact windows the peepholes match.
 		i, j, k := g.loc(), g.loc(), g.loc()
@@ -253,7 +260,7 @@ var rawOps = []opcode{
 	opShl, opShrS, opShrU,
 	opEq, opNe, opLtS, opGtS, opLeS, opGeS, opEqz,
 	opLoad8U, opLoad64, opStore8, opStore64,
-	opMemSize, opAddI, opUnpackPtr, opUnpackLen,
+	opMemSize, opAddI, opUnpackPtr, opUnpackLen, opMemCopy,
 }
 
 // genRaw builds a random module directly from opcodes, tracking the operand

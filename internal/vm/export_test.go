@@ -54,10 +54,10 @@ func (a FuzzArities) hosts(log *[]int64) *HostTable {
 	return t
 }
 
-// ShapeSeeds is the rejected-shape table and a few structured programs, as
-// module bytes.
+// ShapeSeeds is the rejected-shape table, the memcopy unit-test module and
+// a few structured programs, as module bytes.
 func ShapeSeeds() [][]byte {
-	var seeds [][]byte
+	seeds := [][]byte{MustAssemble(memcopySrc).Encode()}
 	for _, c := range rejectedShapes() {
 		seeds = append(seeds, c.mod.Encode())
 	}

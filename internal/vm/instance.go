@@ -27,8 +27,8 @@ type Instance struct {
 	used   int64 // fuel consumed so far
 	brk    int   // bump-allocator watermark (starts after the data segment)
 	// hiWater is one past the highest memory byte written since the last
-	// reset (stores, host MemWrites). ResetFast zeroes only [data, hiWater)
-	// instead of re-imaging the whole linear memory.
+	// reset (stores, memcopy, host MemWrites). ResetFast zeroes only
+	// [data, hiWater) instead of re-imaging the whole linear memory.
 	hiWater int
 
 	// Engine state (compile.go): the module's linked code, the frame
@@ -73,16 +73,14 @@ func (inst *Instance) Reset(fuel int64) {
 	if len(inst.mem) > inst.module.MinPages*PageBytes {
 		inst.mem = inst.mem[:inst.module.MinPages*PageBytes]
 	}
-	for i := range inst.mem {
-		inst.mem[i] = 0
-	}
+	clear(inst.mem)
 	inst.resetCommon(fuel)
 }
 
 // ResetFast is Reset without the full memory re-image: only the region the
 // previous invocation actually dirtied — [len(Data), hiWater), as tracked
-// by the store opcodes and host MemWrite — is zeroed, and the data segment
-// is re-copied over any in-place corruption. A method that touches a few
+// by the store opcodes, memcopy and host MemWrite — is zeroed, and the data
+// segment is re-copied over any in-place corruption. A method that touches a few
 // KB of a 64 KB memory pays for a few KB. Isolation is preserved: every
 // write path through the instance raises hiWater, so no byte written by
 // the previous invocation survives.
@@ -95,8 +93,8 @@ func (inst *Instance) ResetFast(fuel int64) {
 	if hi > len(inst.mem) {
 		hi = len(inst.mem)
 	}
-	for i := nd; i < hi; i++ {
-		inst.mem[i] = 0
+	if nd < hi {
+		clear(inst.mem[nd:hi])
 	}
 	inst.resetCommon(fuel)
 }
@@ -115,6 +113,29 @@ func (inst *Instance) noteWrite(end int64) {
 	if int(end) > inst.hiWater {
 		inst.hiWater = int(end)
 	}
+}
+
+// memCopy executes memcopy: it checks both ranges and charges ceil(n/8)
+// fuel (when metered) before any byte moves, then copies with memmove
+// semantics. Running out consumes the remainder, as block fuel does, so
+// FuelUsed reports the full budget.
+func (inst *Instance) memCopy(dst, src, n int64, metered bool) error {
+	size := int64(len(inst.mem))
+	if n < 0 || src < 0 || dst < 0 || src > size-n || dst > size-n {
+		return ErrMemOutOfBounds
+	}
+	if cost := (n + 7) / 8; metered {
+		if inst.fuel < cost {
+			inst.used += inst.fuel
+			inst.fuel = 0
+			return ErrOutOfFuel
+		}
+		inst.fuel -= cost
+		inst.used += cost
+	}
+	copy(inst.mem[dst:dst+n], inst.mem[src:src+n])
+	inst.noteWrite(dst + n)
+	return nil
 }
 
 // FuelUsed returns the fuel consumed since instantiation or the last Reset.

@@ -89,6 +89,13 @@ const (
 	opAddI      // operand: immediate; TOS += imm
 	opLocalAddI // operand: local<<32|uint32(imm); locals[local] += imm
 
+	// Bulk memory, Wasm's memory.copy: pop n, pop src, pop dst; copy
+	// [src, src+n) to [dst, dst+n) with memmove semantics. Both ranges are
+	// bounds-checked (a negative n traps) and ceil(n/8) fuel is charged on
+	// top of the instruction's own before any byte moves. Appended after
+	// opLocalAddI so existing encoded modules keep their opcode values.
+	opMemCopy
+
 	opMax // sentinel
 )
 
@@ -153,6 +160,7 @@ var stackEffect = [opMax]struct{ pop, push int8 }{
 	opUnpackPtr: {1, 1},
 	opUnpackLen: {1, 1},
 	opAddI:      {1, 1},
+	opMemCopy:   {3, 0},
 }
 
 // opNames maps opcodes to their assembly mnemonics.
@@ -202,6 +210,7 @@ var opNames = [opMax]string{
 	opUnpackLen:   "unpack_len",
 	opAddI:        "addi",
 	opLocalAddI:   "local.addi",
+	opMemCopy:     "memcopy",
 }
 
 // opByName is the reverse mapping used by the assembler.

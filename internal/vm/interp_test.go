@@ -316,6 +316,36 @@ func (inst *Instance) interpret(irs []*funcIR, entry frame) ([]int64, error) {
 				f.locals[in.arg>>32] += int64(int32(in.arg & 0xffffffff))
 				pc++
 
+			case opMemCopy:
+				k := len(stack)
+				dst, src, n := stack[k-3], stack[k-2], stack[k-1]
+				stack = stack[:k-3]
+				size := int64(len(inst.mem))
+				if n < 0 || n > size || src < 0 || src > size-n || dst < 0 || dst > size-n {
+					return nil, trapf(f, pc, ErrMemOutOfBounds)
+				}
+				if cost := (n + 7) / 8; metered {
+					if inst.fuel < cost {
+						inst.used += inst.fuel
+						inst.fuel = 0
+						return nil, trapf(f, pc, ErrOutOfFuel)
+					}
+					inst.fuel -= cost
+					inst.used += cost
+				}
+				// memmove, byte by byte: backwards when dst overlaps src's tail.
+				if dst <= src {
+					for i := int64(0); i < n; i++ {
+						inst.mem[dst+i] = inst.mem[src+i]
+					}
+				} else {
+					for i := n - 1; i >= 0; i-- {
+						inst.mem[dst+i] = inst.mem[src+i]
+					}
+				}
+				inst.noteWrite(dst + n)
+				pc++
+
 			default:
 				return nil, trapf(f, pc, fmt.Errorf("vm: unknown opcode %d", in.op))
 			}

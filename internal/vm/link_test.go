@@ -49,6 +49,7 @@ func rejectedShapes() []rejectedShape {
 		pops("local", "  local.set 1", `func "main" pc 0 (local.set): pops 1 with 0`),
 		pops("alu", "  add", `func "main" pc 0 (add): pops 2 with 0`),
 		pops("memory", "  push 8\n  store64", `func "main" pc 1 (store64): pops 2 with 1`),
+		pops("memcopy", "  push 8\n  push 0\n  memcopy", `func "main" pc 2 (memcopy): pops 3 with 2`),
 		pops("jz", "top:\n  jz top", `func "main" pc 0 (jz): pops 1 with 0`),
 		pops("hostcall", "  push 1\n  hostcall mix", `func "main" pc 1 (hostcall): pops 2 with 1`),
 		asm("underflow/call", `

@@ -12,7 +12,7 @@ package vm
 // What the reference interpreter observes is preserved instruction by
 // instruction:
 //   - Every trapping operation (loads, stores, division, calls, host
-//     calls, memory growth) keeps its own closure and its own pc.
+//     calls, memory growth, memcopy) keeps its own closure and its own pc.
 //   - Fuel stays per-block: translation never crosses a block leader, and
 //     the trampoline in compile.go charges from the same blockFuel values
 //     at the same leaders.
@@ -1048,6 +1048,19 @@ func (g *blockGen) translateBlock(start, end int) {
 					}
 				})
 			}
+
+		case opMemCopy:
+			dReg, sReg, nReg := g.regRef(d-3).reg, g.regRef(d-2).reg, g.regRef(d-1).reg
+			g.sym = g.sym[:d-3]
+			g.emit(func(next int) thOp {
+				return func(m *thState) int {
+					rf := m.inst.regFile
+					if err := m.inst.memCopy(rf[m.fp+dReg], rf[m.fp+sReg], rf[m.fp+nReg], m.metered); err != nil {
+						return m.failAt(name, at, err)
+					}
+					return next
+				}
+			})
 
 		case opMemSize:
 			dst := nl + d
