@@ -14,29 +14,33 @@ import (
 // the core.Runtime surface: every account's 40-post timeline sits in L1
 // and the result cache holds a small fraction of the accounts, so rotating
 // through the accounts makes every get_timeline execute the guest, cross
-// the host-call boundary 45 times and read the LSM 41 times.
+// the host-call boundary 45 times and read the LSM 42 times (the list
+// length, 40 entries and the version key), through one snapshot.
 const (
 	coldAccounts = 512
 	coldPosts    = 40
 	coldBodyLen  = 100
 )
 
-func coldRuntime(tb testing.TB) *core.Runtime {
+// coldRuntime returns the fixture's runtime and the registry its store and
+// runtime publish to.
+func coldRuntime(tb testing.TB) (*core.Runtime, *telemetry.Registry) {
 	tb.Helper()
-	db, err := store.Open(tb.TempDir(), nil)
+	reg := telemetry.NewRegistry()
+	db, err := store.Open(tb.TempDir(), &store.Options{Metrics: reg})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { db.Close() })
-	rt, err := core.NewRuntime(db, core.Options{CacheEntries: 64})
+	rt, err := core.NewRuntime(db, core.Options{CacheEntries: 64, Metrics: reg})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	if err := rt.RegisterType(MustType()); err != nil {
 		tb.Fatal(err)
 	}
-	// Four flushed quarters make the four L0 tables that trigger the
-	// compaction CompactNow waits for.
+	// The accounts' keys ascend, so each flushed quarter overlaps nothing
+	// and goes straight to L1, as the benchmark's set-up does.
 	entry := make([]byte, 16+coldBodyLen)
 	for id := core.ObjectID(1); id <= coldAccounts; id++ {
 		b := store.NewBatch()
@@ -64,7 +68,7 @@ func coldRuntime(tb testing.TB) *core.Runtime {
 	if n := db.TableCount(); n[0] != 0 || n[1] == 0 {
 		tb.Fatalf("fixture tables per level = %v, want all data in L1", n)
 	}
-	return rt
+	return rt, reg
 }
 
 // coldReader returns a closure that reads the next account's full timeline.
@@ -88,7 +92,7 @@ func coldReader(tb testing.TB, rt *core.Runtime) func() {
 // allocates the bytes it returns, which set_result copies out of the guest,
 // and the one result-cache entry that keeps them (each store here evicts).
 func TestColdTimelineAllocBound(t *testing.T) {
-	rt := coldRuntime(t)
+	rt, _ := coldRuntime(t)
 	read := coldReader(t, rt)
 	// Two rotations warm the instance pool and the block cache.
 	for i := 0; i < 2*coldAccounts; i++ {
@@ -110,7 +114,7 @@ func TestColdTimelineAllocBound(t *testing.T) {
 // BenchmarkColdTimeline is the inner loop for work on the uncached read
 // path: `go test ./internal/retwis -run '^$' -bench ColdTimeline`.
 func BenchmarkColdTimeline(b *testing.B) {
-	rt := coldRuntime(b)
+	rt, _ := coldRuntime(b)
 	read := coldReader(b, rt)
 	for i := 0; i < coldAccounts; i++ {
 		read()
@@ -119,6 +123,30 @@ func BenchmarkColdTimeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		read()
+	}
+}
+
+// TestColdTimelineTableSeeks pins, as a count of store.table_seeks, that
+// the reads of one uncached get_timeline(40) resume in the block the last
+// one landed in: its invocation's snapshot binary-searches a table's index
+// at most twice (the list length, then the first entry, which sorts before
+// it), where a read without a cursor searches it once per read — 42 times.
+func TestColdTimelineTableSeeks(t *testing.T) {
+	rt, reg := coldRuntime(t)
+	read := coldReader(t, rt)
+	for i := 0; i < coldAccounts; i++ {
+		read()
+	}
+	seeks := reg.Counter("store.table_seeks")
+	var worst uint64
+	for i := 0; i < coldAccounts; i++ {
+		before := seeks.Value()
+		read()
+		worst = max(worst, seeks.Value()-before)
+	}
+	t.Logf("cold get_timeline(%d): at most %d table seeks", coldPosts, worst)
+	if worst > 2 {
+		t.Fatalf("cold get_timeline(%d) made %d table seeks, want <= 2", coldPosts, worst)
 	}
 }
 

@@ -145,19 +145,79 @@ func (b block) iterator() *blockIter { return &blockIter{b: b} }
 // the current one), keeping its key buffer.
 func (it *blockIter) reset(b block) { *it = blockIter{b: b, key: it.key[:0]} }
 
+// entry decodes the entry at off in place: its shared-prefix length, the
+// key bytes it does not share, its value, and the offset just past it. When
+// the three lengths are one-byte varints — in a block of small entries,
+// all of them — they are read inline, with no Reader.
+func (b block) entry(off int) (shared uint64, suffix, value []byte, next int, err error) {
+	d := b.data[off:]
+	shared, n0 := wire.Uvarint1(d)
+	unshared, n1 := wire.Uvarint1(d[n0:])
+	valueLen, n2 := wire.Uvarint1(d[n0+n1:])
+	if n0 == 0 || n1 == 0 || n2 == 0 {
+		r := wire.NewReader(d)
+		shared, unshared, valueLen = r.Uvarint(), r.Uvarint(), r.Uvarint()
+		suffix, value = r.Raw(unshared), r.Raw(valueLen)
+		if err := r.Err(); err != nil {
+			return 0, nil, nil, 0, fmt.Errorf("%w: block entry: %v", ErrCorrupt, err)
+		}
+		return shared, suffix, value, len(b.data) - r.Len(), nil
+	}
+	d = d[3:]
+	if unshared > uint64(len(d)) || valueLen > uint64(len(d))-unshared {
+		return 0, nil, nil, 0, fmt.Errorf("%w: block entry at %d overruns the block", ErrCorrupt, off)
+	}
+	k, v := int(unshared), int(unshared+valueLen)
+	return shared, d[:k:k], d[k:v:v], off + 3 + v, nil
+}
+
+// restartEntry returns the key and value of the entry at restart point i
+// in place: an entry at a restart point shares no prefix, so its key lies
+// whole in the block.
+func (b block) restartEntry(i int) (key internalKey, value []byte, err error) {
+	shared, suffix, value, _, err := b.entry(b.restart(i))
+	if err == nil && shared != 0 {
+		err = fmt.Errorf("%w: restart entry shares %d bytes", ErrCorrupt, shared)
+	}
+	return internalKey(suffix), value, err
+}
+
+// restartKey is the key of restartEntry(i).
+func (b block) restartKey(i int) (internalKey, error) {
+	key, _, err := b.restartEntry(i)
+	return key, err
+}
+
+// searchRestarts returns how many restart points have a key < ik — for an
+// index block, whose every entry is a restart point, the position of the
+// first entry >= ik. It compares the keys in place.
+func (b block) searchRestarts(ik internalKey) (int, error) {
+	lo, hi := 0, b.numRestarts()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		key, err := b.restartKey(mid)
+		if err != nil {
+			return 0, err
+		}
+		if compareInternal(key, ik) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
+}
+
 // decodeEntryAt parses the entry at off given the key prefix state in
 // it.key; returns false at end of data or on corruption.
 func (it *blockIter) decodeEntryAt(off int) bool {
-	data := it.b.data
-	if off >= len(data) {
+	if off >= len(it.b.data) {
 		it.valid = false
 		return false
 	}
-	r := wire.NewReader(data[off:])
-	shared, unshared, valueLen := r.Uvarint(), r.Uvarint(), r.Uvarint()
-	suffix, value := r.Raw(unshared), r.Raw(valueLen)
-	if err := r.Err(); err != nil {
-		it.fail(fmt.Errorf("%w: block entry: %v", ErrCorrupt, err))
+	shared, suffix, value, next, err := it.b.entry(off)
+	if err != nil {
+		it.fail(err)
 		return false
 	}
 	if shared > uint64(len(it.key)) {
@@ -167,7 +227,7 @@ func (it *blockIter) decodeEntryAt(off int) bool {
 	it.key = append(it.key[:shared], suffix...)
 	it.value = value
 	it.offset = off
-	it.next = len(data) - r.Len()
+	it.next = next
 	it.valid = true
 	return true
 }
@@ -183,28 +243,29 @@ func (it *blockIter) SeekToFirst() {
 	it.decodeEntryAt(0)
 }
 
-// SeekGE positions at the first entry with key >= ik.
+// SeekGE positions at the first entry with key >= ik: a binary search of
+// the restart points, comparing their keys in place, then a scan of at most
+// one restart interval.
 func (it *blockIter) SeekGE(ik internalKey) {
-	// Binary search restart points for the last restart whose key < ik.
-	b := it.b
-	lo, hi := 0, b.numRestarts()
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		it.key = it.key[:0]
-		if it.decodeEntryAt(b.restart(mid)) && compareInternal(internalKey(it.key), ik) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	lo, err := it.b.searchRestarts(ik)
+	if err != nil {
+		it.fail(err)
+		return
 	}
 	start := 0
 	if lo > 0 {
-		start = b.restart(lo - 1)
+		start = it.b.restart(lo - 1)
 	}
 	it.key = it.key[:0]
 	if !it.decodeEntryAt(start) {
 		return
 	}
+	it.scanTo(ik)
+}
+
+// scanTo advances to the first entry at or after the current one whose key
+// is >= ik.
+func (it *blockIter) scanTo(ik internalKey) {
 	for compareInternal(internalKey(it.key), ik) < 0 {
 		if !it.decodeEntryAt(it.next) {
 			return

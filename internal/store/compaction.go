@@ -22,10 +22,10 @@ func (db *DB) backgroundLoop() {
 		}
 		for {
 			db.mu.Lock()
-			if db.closed || db.bgErr != nil {
+			if db.closed.Load() || db.bgErr != nil {
 				db.cond.Broadcast()
 				db.mu.Unlock()
-				if db.closed {
+				if db.closed.Load() {
 					return
 				}
 				break
@@ -83,7 +83,9 @@ func (db *DB) meteredCompact() error {
 	return err
 }
 
-// flushMemtable writes db.imm to a new L0 table and retires its WAL.
+// flushMemtable writes db.imm to a new table and retires its WAL. The table
+// goes to the level flushLevel picks; only this goroutine installs
+// versions, so what it checked against is still current at setCurrent.
 func (db *DB) flushMemtable() error {
 	db.mu.Lock()
 	imm := db.imm
@@ -114,11 +116,14 @@ func (db *DB) flushMemtable() error {
 		return err
 	}
 
+	db.mu.Lock()
+	level := db.current.flushLevel(smallest.userKey(), largest.userKey())
+	db.mu.Unlock()
 	edit := &versionEdit{
 		logNumber:   walNum,
 		nextFileNum: nextFile,
 		lastSeq:     lastSeq,
-		added: []editAdd{{level: 0, meta: &tableMeta{
+		added: []editAdd{{level: level, meta: &tableMeta{
 			fileNum: fileNum, size: size, smallest: smallest, largest: largest,
 		}}},
 	}

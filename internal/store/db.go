@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -43,9 +44,11 @@ type DB struct {
 	current     *version
 	man         *manifest
 	snaps       map[uint64]int // snapshot seq -> refcount
-	closed      bool
-	bgErr       error
-	bgActive    bool
+	// closed is set under mu by Close, and read without it by a pinned
+	// Snapshot's reads, which take no lock.
+	closed   atomic.Bool
+	bgErr    error
+	bgActive bool
 
 	compactPtr [numLevels][]byte // round-robin compaction cursors (user keys)
 
@@ -67,6 +70,9 @@ type dbMetrics struct {
 	flushes     *telemetry.Counter
 	compactions *telemetry.Counter
 	compactUs   *telemetry.Histogram
+	// tableSeeks counts binary searches of a table's index: the table
+	// probes that did not resume in their cursor's block or the next one.
+	tableSeeks *telemetry.Counter
 	// groupSize records the member count of each committed write group.
 	groupSize *telemetry.Histogram
 	// fsyncUs records the latency of each synced WAL append — the
@@ -82,6 +88,7 @@ func newDBMetrics(reg *telemetry.Registry) *dbMetrics {
 		flushes:     reg.Counter("store.flushes"),
 		compactions: reg.Counter("store.compactions"),
 		compactUs:   reg.Histogram("store.compact"),
+		tableSeeks:  reg.Counter("store.table_seeks"),
 		groupSize:   reg.CountHistogram("wal.group_size"),
 		fsyncUs:     reg.Histogram("wal.fsync"),
 	}
@@ -344,7 +351,7 @@ func (db *DB) Write(batches ...*Batch) error {
 		return nil
 	}
 	db.mu.Lock()
-	if db.closed {
+	if db.closed.Load() {
 		db.mu.Unlock()
 		w.release()
 		return ErrClosed
@@ -375,7 +382,7 @@ func (db *DB) Write(batches ...*Batch) error {
 // to the group hook and completes the members. Called and returns with
 // db.mu held.
 func (db *DB) commitGroup() {
-	if db.closed {
+	if db.closed.Load() {
 		db.failAllWriters(ErrClosed)
 		return
 	}
@@ -507,12 +514,12 @@ func (db *DB) makeRoomForWrite() error {
 		case db.imm != nil:
 			// Previous flush still in progress: wait.
 			db.cond.Wait()
-			if db.closed {
+			if db.closed.Load() {
 				return ErrClosed
 			}
 		case len(db.current.levels[0]) >= db.opts.L0StopWritesTrigger:
 			db.cond.Wait()
-			if db.closed {
+			if db.closed.Load() {
 				return ErrClosed
 			}
 		default:
@@ -590,9 +597,8 @@ func (db *DB) VisitLatest(key []byte, fn func(value []byte, present bool)) error
 	return err
 }
 
-// getInto is the one point-read primitive: Get, GetInto and their Snapshot
-// forms are wrappers over it. It reads key as of snapshot seq (memtables,
-// then tables) and appends a live value to dst.
+// getInto is Get and GetInto: a point read of key as of snapshot seq
+// (memtables, then tables), appending a live value to dst.
 func (db *DB) getInto(dst, key []byte, seq uint64) (val []byte, present bool, err error) {
 	rs := readScratchPool.Get().(*readScratch)
 	val, present, err = db.read(rs, dst, key, seq)
@@ -600,13 +606,14 @@ func (db *DB) getInto(dst, key []byte, seq uint64) (val []byte, present bool, er
 	return val, present, err
 }
 
-// readScratch is the working memory of one point read: nothing in it
-// outlives the read, so reads recycle it instead of allocating a lookup key
-// and two block cursors each.
+// readScratch is the working memory of point reads: the lookup key and the
+// cursor of the table probes. A DB read takes one from a pool and drops its
+// cursor when it ends; a pinned Snapshot owns one and keeps its cursor from
+// read to read.
 type readScratch struct {
-	ikey []byte    // internal lookup key, built once and shared by every probe
-	it   blockIter // index-block, then data-block cursor; keeps its key buffer
-	val  []byte    // value buffer of VisitLatest's miss path
+	ikey []byte // internal lookup key, built once and shared by every probe
+	cur  cursor
+	val  []byte // value buffer of VisitLatest's miss path
 }
 
 var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
@@ -625,16 +632,23 @@ func retained(b []byte) []byte {
 	return b[:0]
 }
 
+// release returns the scratch to the pool; its cursor must hold no table.
 func (rs *readScratch) release() {
-	*rs = readScratch{ikey: retained(rs.ikey), it: blockIter{key: retained(rs.it.key)}, val: retained(rs.val)}
+	rs.trim()
 	readScratchPool.Put(rs)
 }
 
+// trim empties the scratch's buffers, keeping those worth reusing.
+func (rs *readScratch) trim() {
+	*rs = readScratch{ikey: retained(rs.ikey), cur: cursor{it: blockIter{key: retained(rs.cur.it.key)}}, val: retained(rs.val)}
+}
+
 // read is getInto with the caller's scratch: it pins what the read needs
-// (memtables and table layout) and searches it.
+// (memtables and table layout), searches it and lets go of the table its
+// cursor holds.
 func (db *DB) read(rs *readScratch, dst, key []byte, seq uint64) (val []byte, present bool, err error) {
 	db.mu.Lock()
-	if db.closed {
+	if db.closed.Load() {
 		db.mu.Unlock()
 		return dst, false, ErrClosed
 	}
@@ -647,13 +661,17 @@ func (db *DB) read(rs *readScratch, dst, key []byte, seq uint64) (val []byte, pr
 
 	rs.ikey = makeInternalKey(rs.ikey, key, seq, kindSeek)
 	val, present, err = db.search(rs, dst, mem, imm, v)
+	rs.cur.drop(db.tcache)
 	db.unref(v)
 	return val, present, err
 }
 
-// search is the full LSM lookup of rs.ikey: memtables, then v's L0 tables
-// newest-first, then one table per deeper level. A live value is copied
-// once, from the skiplist node or the immutable block straight into dst.
+// search is the one point-read primitive: the full LSM lookup of rs.ikey —
+// memtables, then v's L0 tables newest-first, then one table per deeper
+// level. DB reads and Snapshot reads both run it; the cursor in rs changes
+// only how a table it picked is probed, never which tables are. A live value
+// is copied once, from the skiplist node or the immutable block straight
+// into dst.
 func (db *DB) search(rs *readScratch, dst []byte, mem, imm *memtable, v *version) (val []byte, present bool, err error) {
 	lookup := internalKey(rs.ikey)
 	if value, kind, ok := mem.get(lookup); ok {
@@ -696,19 +714,14 @@ func appendLive(dst, value []byte, kind keyKind) ([]byte, bool, error) {
 	return append(dst, value...), true, nil
 }
 
-// tableGet probes one table for rs.ikey. done=true means the lookup is
-// resolved: a value, a tombstone, or an error.
+// tableGet probes one table for rs.ikey through rs's cursor. done=true
+// means the lookup is resolved: a value, a tombstone, or an error.
 func (db *DB) tableGet(rs *readScratch, dst []byte, t *tableMeta) (val []byte, present, done bool, err error) {
-	ct, err := db.tcache.acquire(t.fileNum)
-	if err != nil {
-		return dst, false, true, err
-	}
-	value, kind, ok, err := ct.reader.get(rs)
+	value, kind, ok, err := rs.cur.probe(db, t, internalKey(rs.ikey))
 	if ok {
-		// value aliases the mapped table: copy before it is let go.
+		// value aliases the mapped table the cursor holds.
 		dst, present, _ = appendLive(dst, value, kind)
 	}
-	db.tcache.release(ct)
 	return dst, present, ok || err != nil, err
 }
 
@@ -745,10 +758,18 @@ func (db *DB) unref(v *version) {
 	}
 }
 
-// Snapshot pins a consistent view of the database.
+// Snapshot pins a consistent view of the database: its sequence, and the
+// memtables and table layout that hold every write up to it, with a
+// reference on the version the way an iterator holds one. Its reads take no
+// lock of the DB's, and keep a cursor into the last table they probed, so
+// reads of nearby keys resume in the block the previous one landed in. A
+// Snapshot is for one goroutine at a time.
 type Snapshot struct {
-	db  *DB
-	seq uint64
+	db       *DB
+	seq      uint64
+	mem, imm *memtable
+	v        *version
+	rs       readScratch
 }
 
 // GetSnapshot returns a handle to the current state; callers must Release
@@ -764,38 +785,49 @@ func (db *DB) GetSnapshot() *Snapshot {
 func (db *DB) Pin(s *Snapshot) {
 	db.mu.Lock()
 	db.snaps[db.lastSeq]++
-	*s = Snapshot{db: db, seq: db.lastSeq}
+	s.db, s.seq = db, db.lastSeq
+	s.mem, s.imm, s.v = db.mem, db.imm, db.current
+	s.v.refs.Add(1)
 	db.mu.Unlock()
 }
 
 // Get reads key at the snapshot.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
-	return orNotFound(s.db.getInto(nil, key, s.seq))
+	return orNotFound(s.GetInto(nil, key))
 }
 
 // GetInto is DB.GetInto at the snapshot.
 func (s *Snapshot) GetInto(dst, key []byte) (val []byte, present bool, err error) {
-	return s.db.getInto(dst, key, s.seq)
+	if s.db.closed.Load() {
+		return dst, false, ErrClosed
+	}
+	s.rs.ikey = makeInternalKey(s.rs.ikey, key, s.seq, kindSeek)
+	return s.db.search(&s.rs, dst, s.mem, s.imm, s.v)
 }
 
 // Seq exposes the snapshot's sequence number (used by tests).
 func (s *Snapshot) Seq() uint64 { return s.seq }
 
-// Release unpins the snapshot. Idempotent.
+// Release unpins the snapshot: it lets go of its cursor's table and its
+// version, also after DB.Close. Idempotent.
 func (s *Snapshot) Release() {
-	if s.db == nil {
+	db := s.db
+	if db == nil {
 		return
 	}
-	s.db.mu.Lock()
-	if n, ok := s.db.snaps[s.seq]; ok {
+	s.rs.cur.drop(db.tcache)
+	db.mu.Lock()
+	if n, ok := db.snaps[s.seq]; ok {
 		if n <= 1 {
-			delete(s.db.snaps, s.seq)
+			delete(db.snaps, s.seq)
 		} else {
-			s.db.snaps[s.seq] = n - 1
+			db.snaps[s.seq] = n - 1
 		}
 	}
-	s.db.mu.Unlock()
-	s.db = nil
+	db.mu.Unlock()
+	db.unref(s.v)
+	s.db, s.mem, s.imm, s.v = nil, nil, nil, nil
+	s.rs.trim()
 }
 
 // smallestSnapshot returns the lowest pinned sequence (or lastSeq). Called
@@ -813,42 +845,32 @@ func (db *DB) smallestSnapshot() uint64 {
 // NewIterator returns a cursor over the latest committed state.
 func (db *DB) NewIterator() (*Iterator, error) {
 	snap := db.GetSnapshot()
-	it, err := db.newIteratorAt(snap.seq) // ErrClosed on a closed DB
+	it, err := snap.NewIterator() // ErrClosed on a closed DB
 	if err != nil {
 		snap.Release()
 		return nil, err
 	}
 	inner := it.closer
 	it.closer = func() {
-		if inner != nil {
-			inner()
-		}
+		inner()
 		snap.Release()
 	}
 	return it, nil
 }
 
-// NewSnapshotIterator returns a cursor over the snapshot's state.
+// NewIterator returns a cursor over the snapshot's state. The iterator
+// takes a reference of its own on the snapshot's version, held until Close,
+// so the tables it opens lazily are still there when it reaches them, also
+// if the snapshot is released first.
 func (s *Snapshot) NewIterator() (*Iterator, error) {
-	return s.db.newIteratorAt(s.seq)
-}
-
-// newIteratorAt assembles the merged iterator stack for sequence seq. The
-// iterator holds a reference on the version it captured until Close, so
-// the tables it opens lazily are still there when it reaches them.
-func (db *DB) newIteratorAt(seq uint64) (*Iterator, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+	db, v := s.db, s.v
+	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	mem, imm, v := db.mem, db.imm, db.current
 	v.refs.Add(1)
-	db.mu.Unlock()
-
-	iters := []internalIterator{mem.iterator()}
-	if imm != nil {
-		iters = append(iters, imm.iterator())
+	iters := []internalIterator{s.mem.iterator()}
+	if s.imm != nil {
+		iters = append(iters, s.imm.iterator())
 	}
 	for _, t := range v.levels[0] {
 		it, err := db.tcache.tableIterator(t.fileNum)
@@ -864,7 +886,7 @@ func (db *DB) newIteratorAt(seq uint64) (*Iterator, error) {
 			iters = append(iters, &concatIter{tables: v.levels[level], tcache: db.tcache, idx: -1})
 		}
 	}
-	return &Iterator{it: newMergingIter(iters...), seq: seq, closer: func() { db.unref(v) }}, nil
+	return &Iterator{it: newMergingIter(iters...), seq: s.seq, closer: func() { db.unref(v) }}, nil
 }
 
 // LastSequence returns the newest committed sequence number.
@@ -879,7 +901,7 @@ func (db *DB) LastSequence() uint64 {
 func (db *DB) CompactNow() error {
 	db.mu.Lock()
 	db.scheduleBackground()
-	for (db.imm != nil || db.bgActive || db.hasWork()) && db.bgErr == nil && !db.closed {
+	for (db.imm != nil || db.bgActive || db.hasWork()) && db.bgErr == nil && !db.closed.Load() {
 		db.cond.Wait()
 	}
 	err := db.bgErr
@@ -896,7 +918,7 @@ func (db *DB) hasWork() bool {
 // Flush forces the current memtable to disk (used by tests).
 func (db *DB) Flush() error {
 	db.mu.Lock()
-	if db.closed {
+	if db.closed.Load() {
 		db.mu.Unlock()
 		return ErrClosed
 	}
@@ -904,10 +926,10 @@ func (db *DB) Flush() error {
 		// Wait out any in-flight group commit too: rotating the WAL while
 		// a leader is appending to it would strand the group's records in
 		// a log that no longer backs the memtable they apply to.
-		for (db.imm != nil || db.writeActive) && db.bgErr == nil && !db.closed {
+		for (db.imm != nil || db.writeActive) && db.bgErr == nil && !db.closed.Load() {
 			db.cond.Wait()
 		}
-		if db.bgErr != nil || db.closed {
+		if db.bgErr != nil || db.closed.Load() {
 			err := db.bgErr
 			db.mu.Unlock()
 			if err == nil {
@@ -920,7 +942,7 @@ func (db *DB) Flush() error {
 			return err
 		}
 	}
-	for db.imm != nil && db.bgErr == nil && !db.closed {
+	for db.imm != nil && db.bgErr == nil && !db.closed.Load() {
 		db.cond.Wait()
 	}
 	err := db.bgErr
@@ -953,11 +975,11 @@ func (db *DB) TableCount() [numLevels]int {
 // unflushed memtable contents.
 func (db *DB) Close() error {
 	db.mu.Lock()
-	if db.closed {
+	if db.closed.Load() {
 		db.mu.Unlock()
 		return nil
 	}
-	db.closed = true
+	db.closed.Store(true)
 	db.cond.Broadcast()
 	db.mu.Unlock()
 

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"lambdastore/internal/telemetry"
 	"lambdastore/internal/wire"
 	"lambdastore/internal/wire/wiretest"
 )
@@ -264,20 +265,29 @@ func checkTable(t *testing.T, path string, data []byte, want []tableFuzzEntry) b
 		t.Fatalf("iterated %d entries without an error, wrote %d", n, len(want))
 	}
 
-	rs := new(readScratch)
+	// One cursor serves every Get, so they resume in its block, step to
+	// the next one or seek the index as a snapshot's reads do.
+	var cur cursor
+	var lookup internalKey
 	get := func(key []byte) ([]byte, keyKind, bool, error) {
-		rs.ikey = makeInternalKey(rs.ikey, key, maxSequence, kindSeek)
-		v, kind, ok, err := r.get(rs)
+		lookup = makeInternalKey(lookup, key, maxSequence, kindSeek)
+		v, kind, ok, err := cur.get(r, lookup, new(telemetry.Counter))
 		if err != nil {
 			corrupt("get", err)
 			served = false
 		}
 		return v, kind, ok, err
 	}
-	for _, e := range want {
-		v, kind, ok, err := get(e.ikey.userKey())
-		if err == nil && (!ok || kind != e.ikey.kind() || !bytes.Equal(v, e.value)) {
-			t.Fatalf("get %q = %q, kind %d, %v: not what was written", e.ikey.userKey(), v, kind, ok)
+	for pass := 0; pass < 2; pass++ { // ascending, then descending
+		for i := range want {
+			e := want[i]
+			if pass == 1 {
+				e = want[len(want)-1-i]
+			}
+			v, kind, ok, err := get(e.ikey.userKey())
+			if err == nil && (!ok || kind != e.ikey.kind() || !bytes.Equal(v, e.value)) {
+				t.Fatalf("get %q = %q, kind %d, %v: not what was written", e.ikey.userKey(), v, kind, ok)
+			}
 		}
 	}
 	if v, _, ok, err := get([]byte("absent")); err == nil && ok && want != nil {

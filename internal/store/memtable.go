@@ -105,6 +105,14 @@ type memtable struct {
 	height int
 	rnd    uint32 // xorshift state of randomHeight
 	count  int
+	// last is the node add linked last (the head before the first), and
+	// finger[l] its predecessor at every level l it does not reach — last
+	// itself at those it does. A key that sorts between last and its level-0
+	// successor has finger[l] as its predecessor at every level l, so keys
+	// that arrive in order link with no search from the head (Pebble's
+	// Inserter splice).
+	last   uint32
+	finger [maxSkiplistHeight]uint32
 }
 
 // newMemtable returns an empty memtable.
@@ -168,27 +176,45 @@ func (m *memtable) add(seq uint64, kind keyKind, userKey, value []byte) error {
 	binary.BigEndian.PutUint64(ik[len(userKey):], seq<<8|uint64(kind))
 	copy(n.value(), value)
 
-	var prev [maxSkiplistHeight]arenaNode
-	x := arenaNode(m.arena.at(0))
-	for level := maxSkiplistHeight - 1; level >= 0; level-- {
-		if level < m.height {
-			x = m.seekLT(x, level, ik)
+	prev := m.finger
+	if !m.follows(ik) {
+		x := uint32(0)
+		for level := maxSkiplistHeight - 1; level >= 0; level-- {
+			if level < m.height {
+				x = m.seekLT(x, level, ik)
+			}
+			prev[level] = x
 		}
-		prev[level] = x
 	}
 	m.height = max(m.height, h)
 	for level := 0; level < h; level++ {
-		n.setNext(level, prev[level].next(level))
-		prev[level].setNext(level, ref)
+		p := arenaNode(m.arena.at(prev[level]))
+		n.setNext(level, p.next(level))
+		p.setNext(level, ref)
+		prev[level] = ref
 	}
+	m.last, m.finger = ref, prev
 	m.count++
 	return nil
 }
 
-// seekLT advances from x along one level to the last node whose key is < ik.
-func (m *memtable) seekLT(x arenaNode, level int, ik internalKey) arenaNode {
+// follows reports whether ik sorts between the node add linked last and
+// that node's level-0 successor, where the fingers are its predecessors.
+func (m *memtable) follows(ik internalKey) bool {
+	last := arenaNode(m.arena.at(m.last))
+	if m.last != 0 && compareInternal(last.key(), ik) >= 0 {
+		return false
+	}
+	next := last.next(0)
+	return next == 0 || compareInternal(ik, arenaNode(m.arena.at(next)).key()) < 0
+}
+
+// seekLT advances from node x along one level to the last node whose key
+// is < ik and returns its ref.
+func (m *memtable) seekLT(x uint32, level int, ik internalKey) uint32 {
+	n := arenaNode(m.arena.at(x))
 	for {
-		ref := x.next(level)
+		ref := n.next(level)
 		if ref == 0 {
 			return x
 		}
@@ -196,18 +222,18 @@ func (m *memtable) seekLT(x arenaNode, level int, ik internalKey) arenaNode {
 		if compareInternal(next.key(), ik) >= 0 {
 			return x
 		}
-		x = next
+		x, n = ref, next
 	}
 }
 
 // findGE returns the first node whose key is >= ik in internal-key order,
 // nil if there is none. Called with mu held.
 func (m *memtable) findGE(ik internalKey) arenaNode {
-	x := arenaNode(m.arena.at(0))
+	x := uint32(0)
 	for level := m.height - 1; level >= 0; level-- {
 		x = m.seekLT(x, level, ik)
 	}
-	return m.successor(x)
+	return m.successor(m.arena.at(x))
 }
 
 // successor returns the node after n in key order, nil at the end. Called

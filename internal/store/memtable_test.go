@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -328,5 +329,142 @@ func BenchmarkDBWriteSync8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		write()
+	}
+}
+
+// checkSkiplist walks every level of m's towers and fails unless each level
+// is strictly ascending, holds only nodes tall enough for it, and is a
+// subsequence of the level below, and level 0 holds every entry.
+func checkSkiplist(t *testing.T, m *memtable) {
+	t.Helper()
+	below := map[uint32]int{} // ref -> position on the level below
+	for level := 0; level < maxSkiplistHeight; level++ {
+		on := map[uint32]int{}
+		var prev internalKey
+		lastPos := -1
+		for ref := arenaNode(m.arena.at(0)).next(level); ref != 0; {
+			n := arenaNode(m.arena.at(ref))
+			if int(n[0]) <= level {
+				t.Fatalf("level %d links a node of height %d", level, n[0])
+			}
+			if prev != nil && compareInternal(prev, n.key()) >= 0 {
+				t.Fatalf("level %d: %s after %s", level, n.key(), prev)
+			}
+			if level > 0 {
+				pos, ok := below[ref]
+				if !ok || pos <= lastPos {
+					t.Fatalf("level %d: %s is not in order on level %d", level, n.key(), level-1)
+				}
+				lastPos = pos
+			}
+			on[ref] = len(on)
+			prev = n.key()
+			ref = n.next(level)
+		}
+		if level == 0 && len(on) != m.count {
+			t.Fatalf("level 0 links %d nodes, count is %d", len(on), m.count)
+		}
+		if level >= m.height && len(on) > 0 {
+			t.Fatalf("level %d above the height %d links %d nodes", level, m.height, len(on))
+		}
+		below = on
+	}
+}
+
+// TestSkiplistInvariantUnderInsertOrders feeds the memtable streams that hit
+// and miss its insert fingers — ascending, descending, two interleaved
+// ascending runs, and one user key rewritten at rising sequences (each
+// version sorts before the last) — and checks the towers after each, and
+// every entry by lookup.
+func TestSkiplistInvariantUnderInsertOrders(t *testing.T) {
+	const n = 2000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
+	streams := map[string]func(i int) (k []byte, seq uint64){
+		"ascending":   func(i int) ([]byte, uint64) { return key(i), uint64(i + 1) },
+		"descending":  func(i int) ([]byte, uint64) { return key(n - i), uint64(i + 1) },
+		"interleaved": func(i int) ([]byte, uint64) { return key(i/2 + i%2*n), uint64(i + 1) },
+		"one key":     func(i int) ([]byte, uint64) { return key(7), uint64(i + 1) },
+		"runs of versions": func(i int) ([]byte, uint64) {
+			return key(i / 4), uint64(n - i) // each key's versions arrive newest first
+		},
+	}
+	for name, stream := range streams {
+		t.Run(name, func(t *testing.T) {
+			m := newMemtable()
+			raisedOnHit := false
+			for i := 0; i < n; i++ {
+				k, seq := stream(i)
+				hit, height := m.follows(makeInternalKey(nil, k, seq, kindSet)), m.height
+				if err := m.add(seq, kindSet, k, []byte(name)); err != nil {
+					t.Fatal(err)
+				}
+				raisedOnHit = raisedOnHit || (hit && m.height > height)
+			}
+			checkSkiplist(t, m)
+			for i := 0; i < n; i++ {
+				k, seq := stream(i)
+				v, _, ok := m.get(makeInternalKey(nil, k, seq, kindSeek))
+				if !ok || string(v) != name {
+					t.Fatalf("get(%s@%d) = %q, %v", k, seq, v, ok)
+				}
+			}
+			if name == "ascending" && !raisedOnHit {
+				t.Fatal("no finger hit raised the list's height: the stream does not cover that case")
+			}
+		})
+	}
+	// The seeded random mix of TestMemtableModel, checked the same way.
+	m := newMemtable()
+	rng := rand.New(rand.NewSource(5))
+	for seq := uint64(1); seq <= n; seq++ {
+		if err := m.add(seq, kindSet, key(rng.Intn(300)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkSkiplist(t, m)
+}
+
+// accountStateKeys returns one seeded account's keys in the order the
+// benchmark's set-up writes them (core's key layout: 'o' id8, then the
+// header 0x00, version 0x05, value field 0x01, list entries 0x03 and list
+// lengths 0x04): mostly ascending, with a few keys that sort back.
+func accountStateKeys(id uint64, followers, posts int) [][]byte {
+	prefix := binary.BigEndian.AppendUint64([]byte{'o'}, id)
+	field := func(sub byte, name string) []byte {
+		return append(append(append([]byte(nil), prefix...), sub), name...)
+	}
+	entry := func(list string, i int) []byte {
+		return binary.BigEndian.AppendUint64(append(field(0x03, list), 0), uint64(i))
+	}
+	keys := [][]byte{field(0x00, ""), field(0x05, ""), field(0x01, "name")}
+	for i := 0; i < followers; i++ {
+		keys = append(keys, entry("followers", i))
+	}
+	keys = append(keys, field(0x04, "followers"))
+	for i := 0; i < posts; i++ {
+		keys = append(keys, entry("timeline", i))
+	}
+	return append(keys, field(0x04, "timeline"))
+}
+
+// BenchmarkMemtableAddSorted is an insert in the order a bulk load of
+// accounts writes its keys: accounts ascending, each account's keys as
+// accountStateKeys lists them. Most inserts link behind the fingers.
+func BenchmarkMemtableAddSorted(b *testing.B) {
+	var keys [][]byte
+	for id := uint64(1); len(keys) < 100000; id++ {
+		keys = append(keys, accountStateKeys(id, 8, 40)...)
+	}
+	value := make([]byte, 100)
+	m := newMemtable()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(keys) == 0 {
+			m = newMemtable() // a flush-sized memtable, not an ever-deeper one
+		}
+		if err := m.add(uint64(i+1), kindSet, keys[i%len(keys)], value); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

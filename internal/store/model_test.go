@@ -74,17 +74,30 @@ func TestModelRandomOps(t *testing.T) {
 				t.Fatalf("%s: key order diverges at %d: %q vs %q", stage, i, gotKeys[i], wantKeys[i])
 			}
 		}
-		// Snapshot reads see their frozen model.
+		// Snapshot reads see their frozen model, whatever order the keys
+		// come in: each snapshot's cursor resumes, steps to the next block
+		// or seeks the index across the flushes and compactions of every
+		// stage it outlives.
+		ascending, descending := make([]int, 400), make([]int, 400)
+		for i := range ascending {
+			ascending[i], descending[i] = i, 399-i
+		}
+		orders := []struct {
+			name string
+			keys []int
+		}{{"ascending", ascending}, {"descending", descending}, {"shuffled", rng.Perm(400)}}
 		for si, sp := range snaps {
-			for i := 0; i < 50; i++ {
-				k := fmt.Sprintf("key%04d", rng.Intn(400))
-				got, err := sp.snap.Get([]byte(k))
-				want, ok := sp.model[k]
-				if ok && (err != nil || string(got) != want) {
-					t.Fatalf("%s: snap %d Get(%s) = %q,%v want %q", stage, si, k, got, err, want)
-				}
-				if !ok && err != ErrNotFound {
-					t.Fatalf("%s: snap %d Get(%s) err = %v", stage, si, k, err)
+			for _, order := range orders {
+				for _, i := range order.keys {
+					k := fmt.Sprintf("key%04d", i)
+					got, err := sp.snap.Get([]byte(k))
+					want, ok := sp.model[k]
+					if ok && (err != nil || string(got) != want) {
+						t.Fatalf("%s: snap %d, %s, Get(%s) = %q,%v want %q", stage, si, order.name, k, got, err, want)
+					}
+					if !ok && err != ErrNotFound {
+						t.Fatalf("%s: snap %d, %s, Get(%s) err = %v", stage, si, order.name, k, err)
+					}
 				}
 			}
 		}

@@ -7,22 +7,39 @@ import (
 	"os"
 	"sync"
 	"testing"
+
+	"lambdastore/internal/telemetry"
 )
 
-// coldDB returns a DB whose n keys sit in tables (none in the memtable),
-// flushed in four rounds and compacted, with every table open: a point read
-// then touches no state but the mapped table.
-func coldDB(tb testing.TB, n int) (*DB, [][]byte) {
+// coldDB returns a DB whose n keys sit in tables below L0 (none in the
+// memtable or L0), flushed in four rounds and compacted, with every table open: a
+// point read then touches no state but the mapped table. The first flush,
+// of the first and last key, goes straight to L1; the four rounds overlap
+// it, so they land in L0 and trigger the compaction. reg, if not nil,
+// receives the store's instruments.
+func coldDB(tb testing.TB, n int, reg *telemetry.Registry) (*DB, [][]byte) {
 	tb.Helper()
-	db, _ := openTestDB(tb, testOptions())
+	opts := testOptions()
+	opts.Metrics = reg
+	db, _ := openTestDB(tb, opts)
 	keys := make([][]byte, n)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("cold-key-%05d", i))
 	}
+	value := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 100) }
+	b := NewBatch()
+	b.Put(keys[0], value(0))
+	b.Put(keys[n-1], value(n-1))
+	if err := db.Write(b); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		tb.Fatal(err)
+	}
 	for round := 0; round < 4; round++ {
 		b := NewBatch()
 		for i := round; i < n; i += 4 {
-			b.Put(keys[i], bytes.Repeat([]byte{byte(i)}, 100))
+			b.Put(keys[i], value(i))
 		}
 		if err := db.Write(b); err != nil {
 			tb.Fatal(err)
@@ -37,6 +54,9 @@ func coldDB(tb testing.TB, n int) (*DB, [][]byte) {
 	db.mu.Lock()
 	v := db.current
 	db.mu.Unlock()
+	if len(v.levels[0]) != 0 || len(v.levels[1]) == 0 {
+		tb.Fatalf("tables per level = %v, want every key below L0", db.TableCount())
+	}
 	for _, tables := range v.levels {
 		for _, t := range tables {
 			ct, err := db.tcache.acquire(t.fileNum)
@@ -54,7 +74,7 @@ func coldDB(tb testing.TB, n int) (*DB, [][]byte) {
 // allocate — the first read of each block, one hot key, or rotating over
 // all of them.
 func TestPointReadAllocs(t *testing.T) {
-	db, keys := coldDB(t, 1024)
+	db, keys := coldDB(t, 1024, nil)
 	buf := make([]byte, 0, 256)
 	read := func(key []byte) {
 		v, present, err := db.GetInto(buf[:0], key)
@@ -98,7 +118,7 @@ func TestPointReadAllocs(t *testing.T) {
 // compacted DB: the cost of one probe of the mapped tables. It must report
 // 0 allocs/op.
 func BenchmarkTableGet(b *testing.B) {
-	db, keys := coldDB(b, 4096)
+	db, keys := coldDB(b, 4096, nil)
 	buf := make([]byte, 0, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -244,8 +264,11 @@ func TestCompactionKeepsTablesOfPinnedVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The first flush overlaps nothing and goes to L1; the next two
+	// overlap it and land in L0.
 	flushRound(0)
 	flushRound(1)
+	flushRound(2)
 
 	// What a point read and an iterator capture before the compaction.
 	db.mu.Lock()
@@ -265,8 +288,8 @@ func TestCompactionKeepsTablesOfPinnedVersion(t *testing.T) {
 		t.Fatalf("captured %d L0 tables, want 2", len(oldFiles))
 	}
 
-	flushRound(2)
-	flushRound(3) // fourth L0 table: triggers the compaction into L1
+	flushRound(3)
+	flushRound(4) // fourth L0 table: triggers the compaction into L1
 	if err := db.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,14 +310,15 @@ func TestCompactionKeepsTablesOfPinnedVersion(t *testing.T) {
 		key := []byte(fmt.Sprintf("key-%03d", i))
 		rs.ikey = makeInternalKey(rs.ikey, key, seq, kindSeek)
 		v, present, err := db.search(rs, nil, newMemtable(), nil, old)
-		if err != nil || !present || string(v) != "round-1" {
+		if err != nil || !present || string(v) != "round-2" {
 			t.Fatalf("read of %q over the old version = %q present=%v err=%v", key, v, present, err)
 		}
 	}
+	rs.cur.drop(db.tcache)
 	n := 0
 	for it.SeekToFirst(); it.Valid(); it.Next() {
-		if string(it.Value()) != "round-1" {
-			t.Fatalf("iterator at %q = %q, want round-1", it.Key(), it.Value())
+		if string(it.Value()) != "round-2" {
+			t.Fatalf("iterator at %q = %q, want round-2", it.Key(), it.Value())
 		}
 		n++
 	}
@@ -308,7 +332,7 @@ func TestCompactionKeepsTablesOfPinnedVersion(t *testing.T) {
 			t.Fatalf("obsolete table %d still on disk after its last reader left (err=%v)", num, err)
 		}
 	}
-	mustGet(t, db, "key-007", "round-3")
+	mustGet(t, db, "key-007", "round-4")
 }
 
 // TestGetIntoIsolatedFromWritesAndRecycling runs readers against a

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"syscall"
 
+	"lambdastore/internal/telemetry"
 	"lambdastore/internal/wire"
 )
 
@@ -350,34 +351,129 @@ func (r *tableReader) dataBlock(handle []byte, verify bool) (block, error) {
 	return r.block(h, verify)
 }
 
-// get resolves the lookup key rs.ikey: it returns the first entry at or
-// after it whose user key matches — the value, aliasing the mapping, and
-// the entry's kind. ok=false if this table holds no visible version. The
-// cursor and its key buffer live in rs.
-func (r *tableReader) get(rs *readScratch) (value []byte, kind keyKind, ok bool, err error) {
-	lookup := internalKey(rs.ikey)
-	if r.filter != nil && !bloomMayContain(r.filter, lookup.userKey()) {
+// cursor is where a point read's table probes stand: the table last
+// probed, held by a table-cache reference until the cursor probes another
+// table or is dropped; the index entry j of the data block it searched,
+// with that block's bounds sep[j-1] (nil for the first block) and sep[j]
+// read in place from the index; and an iterator over the block, at the
+// entry the probe found. A lookup in (sep[j-1], sep[j]] is in block j, and
+// one in (sep[j], sep[j+1]] is in block j+1, so a probe that falls there
+// skips the bloom filter and the index search (LevelDB's two-level
+// iterator, kept from read to read), and one after the cursor's entry scans
+// on from it. Everything but the key buffer aliases the mapped table.
+type cursor struct {
+	fileNum uint64
+	ct      *cachedTable // nil: the cursor holds no table
+	j       int
+	lo, hi  internalKey // hi nil: no block
+	it      blockIter
+}
+
+// drop lets go of the cursor's table, keeping its key buffer.
+func (c *cursor) drop(tc *tableCache) {
+	if c.ct != nil {
+		tc.release(c.ct)
+	}
+	*c = cursor{it: blockIter{key: c.it.key[:0]}}
+}
+
+// probe resolves lookup in table t, taking t's reader into the cursor
+// unless it holds it already.
+func (c *cursor) probe(db *DB, t *tableMeta, lookup internalKey) (value []byte, kind keyKind, ok bool, err error) {
+	if c.ct == nil || c.fileNum != t.fileNum {
+		c.drop(db.tcache)
+		ct, err := db.tcache.acquire(t.fileNum)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		c.ct, c.fileNum = ct, t.fileNum
+	}
+	return c.get(c.ct.reader, lookup, db.metrics.tableSeeks)
+}
+
+// get resolves lookup in r, the table the cursor stands in: the first entry
+// at or after it whose user key matches — the value, aliasing the mapping,
+// and the entry's kind. ok=false if r holds no visible version. A binary
+// search of r's index counts on seeks.
+func (c *cursor) get(r *tableReader, lookup internalKey, seeks *telemetry.Counter) (value []byte, kind keyKind, ok bool, err error) {
+	switch {
+	case c.holds(lookup):
+		if c.it.Valid() && compareInternal(c.it.Key(), lookup) < 0 {
+			c.it.scanTo(lookup)
+		} else {
+			c.it.SeekGE(lookup)
+		}
+	case r.filter != nil && !bloomMayContain(r.filter, lookup.userKey()):
+		return nil, 0, false, nil
+	default:
+		if err := c.seek(r, lookup, seeks); err != nil {
+			return nil, 0, false, err
+		}
+	}
+	if !c.it.Valid() {
+		return nil, 0, false, c.it.Error()
+	}
+	if !bytes.Equal(c.it.Key().userKey(), lookup.userKey()) {
 		return nil, 0, false, nil
 	}
-	it := &rs.it
-	it.reset(r.index)
-	it.SeekGE(lookup)
-	if !it.Valid() {
-		return nil, 0, false, it.Error()
+	return c.it.Value(), c.it.Key().kind(), true, nil
+}
+
+// holds reports whether lookup falls in the cursor's block.
+func (c *cursor) holds(lookup internalKey) bool {
+	return c.hi != nil && compareInternal(lookup, c.hi) <= 0 &&
+		(c.lo == nil || compareInternal(lookup, c.lo) > 0)
+}
+
+// seek positions the cursor at the first entry >= lookup in r: in the block
+// after its own if lookup falls there, else in the block a binary search of
+// the index finds, which seeks counts.
+func (c *cursor) seek(r *tableReader, lookup internalKey, seeks *telemetry.Counter) error {
+	j := c.j + 1
+	if c.hi == nil || compareInternal(lookup, c.hi) <= 0 || j >= r.index.numRestarts() {
+		j = -1
+	} else if next, err := r.index.restartKey(j); err != nil {
+		return err
+	} else if compareInternal(lookup, next) > 0 {
+		j = -1
 	}
-	blk, err := r.dataBlock(it.Value(), false)
+	if j < 0 {
+		seeks.Inc()
+		var err error
+		if j, err = r.index.searchRestarts(lookup); err != nil {
+			return err
+		}
+	}
+	if err := c.load(r, j); err != nil {
+		return err
+	}
+	c.it.SeekGE(lookup)
+	return nil
+}
+
+// load points the cursor at data block j of r; past the last block, at none.
+func (c *cursor) load(r *tableReader, j int) error {
+	c.j, c.lo, c.hi = j, nil, nil
+	c.it.reset(block{})
+	if j >= r.index.numRestarts() {
+		return nil
+	}
+	sep, handle, err := r.index.restartEntry(j)
 	if err != nil {
-		return nil, 0, false, err
+		return err
 	}
-	it.reset(blk)
-	it.SeekGE(lookup)
-	if !it.Valid() {
-		return nil, 0, false, it.Error()
+	if j > 0 {
+		if c.lo, err = r.index.restartKey(j - 1); err != nil {
+			return err
+		}
 	}
-	if !bytes.Equal(it.Key().userKey(), lookup.userKey()) {
-		return nil, 0, false, nil
+	blk, err := r.dataBlock(handle, false)
+	if err != nil {
+		return err
 	}
-	return it.Value(), it.Key().kind(), true, nil
+	c.hi = sep
+	c.it.reset(blk)
+	return nil
 }
 
 // close unmaps the table: nothing may touch its bytes afterwards.

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"lambdastore/internal/telemetry"
 )
 
 // testOptions returns small sizes so tests exercise flush and compaction
@@ -156,6 +158,13 @@ func TestSnapshotIsolation(t *testing.T) {
 
 func TestFlushAndReadFromSST(t *testing.T) {
 	db, _ := openTestDB(t, testOptions())
+	// A first table spanning the key range overlaps nothing and goes to L1;
+	// the flush below overlaps it, so its table lands in L0.
+	mustPut(t, db, "key", "lo")
+	mustPut(t, db, "key~", "hi")
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	const n = 500
 	for i := 0; i < n; i++ {
 		mustPut(t, db, fmt.Sprintf("key%04d", i), fmt.Sprintf("val%04d", i))
@@ -169,6 +178,108 @@ func TestFlushAndReadFromSST(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		mustGet(t, db, fmt.Sprintf("key%04d", i), fmt.Sprintf("val%04d", i))
+	}
+}
+
+// flushKeys writes keys lo..hi-1 with value v and flushes them to one table.
+func flushKeys(t *testing.T, db *DB, lo, hi int, v string) {
+	t.Helper()
+	b := NewBatch()
+	for i := lo; i < hi; i++ {
+		b.Put([]byte(fmt.Sprintf("place%04d", i)), []byte(v))
+	}
+	if err := db.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// levelFiles returns the file numbers of each level's tables.
+func levelFiles(db *DB) [numLevels][]uint64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	var out [numLevels][]uint64
+	for l, tables := range db.current.levels {
+		for _, tm := range tables {
+			out[l] = append(out[l], tm.fileNum)
+		}
+	}
+	return out
+}
+
+// TestDisjointFlushLandsInL1: a flushed table that overlaps no table in L0
+// or L1 goes straight to L1 — below the existing L1 tables, above them and
+// into a gap between them — and no compaction rewrites it.
+func TestDisjointFlushLandsInL1(t *testing.T) {
+	db, _ := openTestDB(t, testOptions())
+	for i, r := range [][2]int{{100, 200}, {300, 400}, {0, 50}, {220, 280}} {
+		flushKeys(t, db, r[0], r[1], "v")
+		if n := db.TableCount(); n[0] != 0 || n[1] != i+1 {
+			t.Fatalf("flush of [%d, %d): tables per level = %v, want %d in L1 and none in L0", r[0], r[1], n, i+1)
+		}
+	}
+	if err := db.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.TableCount(); n[1] != 4 {
+		t.Fatalf("tables per level after CompactNow = %v, want the 4 flushed tables in L1", n)
+	}
+	for _, i := range []int{0, 49, 100, 199, 220, 279, 300, 399} {
+		mustGet(t, db, fmt.Sprintf("place%04d", i), "v")
+	}
+	mustNotFound(t, db, "place0210")
+}
+
+// TestOverlappingFlushLandsInL0: a flushed table that overlaps an L1 table,
+// or an L0 table, goes to L0, and reads see its newer values.
+func TestOverlappingFlushLandsInL0(t *testing.T) {
+	db, _ := openTestDB(t, testOptions())
+	flushKeys(t, db, 100, 200, "old") // L1
+	flushKeys(t, db, 150, 160, "new") // overlaps the L1 table
+	if n := db.TableCount(); n[0] != 1 || n[1] != 1 {
+		t.Fatalf("tables per level = %v, want one in L0 and one in L1", n)
+	}
+	flushKeys(t, db, 210, 220, "l1")     // overlaps nothing
+	flushKeys(t, db, 159, 230, "newer")  // overlaps the L0 table and both L1 tables
+	flushKeys(t, db, 225, 240, "newest") // overlaps only the L0 table above
+	if n := db.TableCount(); n[0] != 3 || n[1] != 2 {
+		t.Fatalf("tables per level = %v, want three in L0 and two in L1", n)
+	}
+	for k, want := range map[int]string{100: "old", 150: "new", 159: "newer", 205: "newer", 215: "newer", 229: "newest", 239: "newest"} {
+		mustGet(t, db, fmt.Sprintf("place%04d", k), want)
+	}
+}
+
+// TestReopenRecoversL1Flush: the level of a flushed table is in the
+// MANIFEST, so a reopen recovers the same tables at the same levels.
+func TestReopenRecoversL1Flush(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushKeys(t, db, 0, 100, "a")   // L1
+	flushKeys(t, db, 200, 300, "b") // L1
+	flushKeys(t, db, 50, 60, "c")   // L0
+	want := levelFiles(db)
+	if len(want[0]) != 1 || len(want[1]) != 2 {
+		t.Fatalf("layout before reopen = %v, want one L0 and two L1 tables", want)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := levelFiles(db); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("layout after reopen = %v, want %v", got, want)
+	}
+	for k, v := range map[int]string{0: "a", 55: "c", 99: "a", 250: "b"} {
+		mustGet(t, db, fmt.Sprintf("place%04d", k), v)
 	}
 }
 
@@ -744,15 +855,17 @@ func TestSSTableRoundTrip(t *testing.T) {
 	}
 	defer r.close()
 	// Point lookups.
-	rs := new(readScratch)
+	var cur cursor
+	var lookup internalKey
+	seeks := new(telemetry.Counter)
 	for i := 0; i < n; i += 37 {
-		rs.ikey = makeInternalKey(rs.ikey, []byte(fmt.Sprintf("table-key-%06d", i)), maxSequence, kindSeek)
-		v, kind, ok, err := r.get(rs)
+		lookup = makeInternalKey(lookup, []byte(fmt.Sprintf("table-key-%06d", i)), maxSequence, kindSeek)
+		v, kind, ok, err := cur.get(r, lookup, seeks)
 		if err != nil || !ok || kind != kindSet {
 			t.Fatalf("get %d: ok=%v kind=%d err=%v", i, ok, kind, err)
 		}
 		// The cursor is left on the entry found.
-		if ik := rs.it.Key(); ik.seq() != uint64(i+1) {
+		if ik := cur.it.Key(); ik.seq() != uint64(i+1) {
 			t.Fatalf("get %d seq = %d", i, ik.seq())
 		}
 		if want := fmt.Sprintf("table-value-%06d", i); string(v) != want {
@@ -760,8 +873,8 @@ func TestSSTableRoundTrip(t *testing.T) {
 		}
 	}
 	// Absent key.
-	rs.ikey = makeInternalKey(rs.ikey, []byte("zzz"), maxSequence, kindSeek)
-	if _, _, ok, err := r.get(rs); err != nil || ok {
+	lookup = makeInternalKey(lookup, []byte("zzz"), maxSequence, kindSeek)
+	if _, _, ok, err := cur.get(r, lookup, seeks); err != nil || ok {
 		t.Fatalf("absent key ok=%v err=%v", ok, err)
 	}
 	// Full scan.
@@ -819,11 +932,15 @@ func TestOpenRemovesObsoleteFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		mustPut(t, db, fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", i))
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
+	// Two flushes of the same keys: the first goes to L1, the second
+	// overlaps it and lands in L0.
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 100; i++ {
+			mustPut(t, db, fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", i))
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	named := db.current.levels[0][0].fileNum
 	if err := db.Close(); err != nil {

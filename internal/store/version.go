@@ -95,6 +95,22 @@ func (v *version) overlapping(level int, lo, hi []byte) []*tableMeta {
 	return out
 }
 
+// flushLevel is the level a flushed table of user keys [lo, hi] joins: L1
+// when no table of L0 or L1 overlaps it — nothing newer of its keys sits
+// above it then, and it fits between L1's tables — else L0 (LevelDB's
+// PickLevelForMemTableOutput, without its push further down). Keys flushed
+// in order, as a bulk load writes them, so skip the L0-to-L1 rewrite.
+func (v *version) flushLevel(lo, hi []byte) int {
+	for level := 0; level <= 1; level++ {
+		for _, t := range v.levels[level] {
+			if t.overlaps(lo, hi) {
+				return 0
+			}
+		}
+	}
+	return 1
+}
+
 // versionEdit is one manifest record: a delta applied to a version.
 type versionEdit struct {
 	logNumber   uint64 // WAL file the new version depends on (0 = unchanged)

@@ -90,16 +90,13 @@ func (r *Reader) Uint64() uint64 {
 }
 
 // Uvarint reads an unsigned LEB128 varint. Most varints on the wire — flags,
-// lengths, counts, the three per block entry — fit one byte, which is read
-// without binary.Uvarint's loop.
+// lengths, counts — fit one byte, which Uvarint1 reads without
+// binary.Uvarint's loop.
 func (r *Reader) Uvarint() uint64 {
-	if r.off < len(r.b) {
-		if v := r.b[r.off]; v < 0x80 {
-			r.off++
-			return uint64(v)
-		}
+	v, n := Uvarint1(r.b[r.off:])
+	if n == 0 {
+		v, n = binary.Uvarint(r.b[r.off:])
 	}
-	v, n := binary.Uvarint(r.b[r.off:])
 	if !r.advance(n) {
 		return 0
 	}

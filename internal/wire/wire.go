@@ -5,8 +5,10 @@
 //
 // All encoders append to a caller-supplied buffer and return the extended
 // slice. All decoding goes through Reader (reader.go), the one cursor over a
-// frame: there is no other way to read a varint or a length prefix out of
-// this package.
+// frame; a decoder of an in-place layout that cannot afford a Reader per
+// record (the SSTable block entry) may try Uvarint1, the one-byte fast path,
+// first and fall back to a Reader. There is no other way to read a varint or
+// a length prefix out of this package.
 package wire
 
 import (
@@ -30,6 +32,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Checksum returns the CRC-32C checksum of data.
 func Checksum(data []byte) uint32 {
 	return crc32.Checksum(data, castagnoli)
+}
+
+// Uvarint1 decodes a one-byte unsigned varint — most varints are one
+// byte — at the start of b: v and n == 1. n == 0 means b is empty or starts
+// with a longer varint, which Reader.Uvarint reads. It makes no call, so it
+// inlines into a decoder's loop.
+func Uvarint1(b []byte) (v uint64, n int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	return 0, 0
 }
 
 // AppendUvarint appends v in unsigned LEB128 form.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"strings"
@@ -256,4 +257,40 @@ func TestReaderNeverPanicsOnGarbage(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzUvarint checks both varint decoders against encoding/binary on any
+// input — truncated, overlong (more than ten bytes, or a tenth byte above
+// 1) and well-formed alike: Uvarint1 answers exactly when the varint is one
+// byte long, with binary.Uvarint's value, and Reader.Uvarint consumes what
+// binary.Uvarint does and fails where it fails.
+func FuzzUvarint(f *testing.F) {
+	for _, seed := range [][]byte{
+		nil, {0}, {0x7f}, {0x80}, {0x80, 0x01}, {0xff, 0xff},
+		AppendUvarint(nil, math.MaxUint64),
+		bytes.Repeat([]byte{0xff}, 11),
+		append(bytes.Repeat([]byte{0xff}, 9), 0x02),
+		append(AppendUvarint(nil, 300), 0x05),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, wantN := binary.Uvarint(b)
+		if v, n := Uvarint1(b); n != 0 && (n != 1 || wantN != 1 || v != want) {
+			t.Fatalf("Uvarint1(%x) = %d, %d; binary.Uvarint = %d, %d", b, v, n, want, wantN)
+		} else if n == 0 && wantN == 1 {
+			t.Fatalf("Uvarint1(%x) missed a one-byte varint", b)
+		}
+		r := NewReader(b)
+		got := r.Uvarint()
+		if wantN <= 0 {
+			if r.Err() == nil {
+				t.Fatalf("Reader.Uvarint(%x) = %d with no error; binary.Uvarint n = %d", b, got, wantN)
+			}
+			return
+		}
+		if r.Err() != nil || got != want || r.Len() != len(b)-wantN {
+			t.Fatalf("Reader.Uvarint(%x) = %d, %d left, err %v; binary.Uvarint = %d, %d", b, got, r.Len(), r.Err(), want, wantN)
+		}
+	})
 }
