@@ -7,6 +7,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"lambdastore/internal/gopool"
 	"lambdastore/internal/vm"
 	"lambdastore/internal/wire"
 )
@@ -163,10 +164,10 @@ func (g *guest) stage(arg []byte) {
 
 // asyncCall is one parallel cross-object invocation (the paper's
 // create_post fans store_post calls out "in parallel"). Records are pooled:
-// run is the record's dispatch method bound once, so `go ac.run()` allocates
-// nothing, and done has room for the one completion, so the callee's
-// goroutine never waits for the caller. A record is recycled only after it
-// was joined.
+// run is the record's dispatch method bound once, so `gopool.Go(ac.run)`
+// allocates nothing, and done has room for the one completion, so the
+// callee's goroutine never waits for the caller. A record is recycled only
+// after it was joined.
 type asyncCall struct {
 	be     Backend
 	target ObjectID
@@ -511,7 +512,7 @@ func newHostTable() (*vm.HostTable, map[string]Effects) {
 		ac := asyncCalls.Get().(*asyncCall)
 		ac.be, ac.target, ac.method, ac.args = g.be, ObjectID(a[0]), method, args
 		g.asyncs = append(g.asyncs, ac)
-		go ac.run()
+		gopool.Go(ac.run)
 		return int64(len(g.asyncs) - 1), nil
 	})
 

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lambdastore/internal/gopool"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
@@ -269,7 +270,8 @@ func (s *Shipper) Ship(object uint64, b *store.Batch) error {
 }
 
 // fanout is one ShipGroup's pooled state: per backup a frame buffer, an
-// answer and a spawn func bound once (so `go` allocates no closure).
+// answer and a spawn func bound once (so handing it to gopool.Go allocates
+// no closure).
 type fanout struct {
 	s       *Shipper
 	ctx     telemetry.SpanContext
@@ -328,7 +330,7 @@ func (s *Shipper) ShipGroup(ctx telemetry.SpanContext, g *store.Group) error {
 	}
 	f.wg.Add(n - 1)
 	for i := 1; i < n; i++ {
-		go f.spawns[i]()
+		gopool.Go(f.spawns[i])
 	}
 	f.sendTo(0)
 	f.wg.Wait()

@@ -10,15 +10,7 @@ import (
 
 // frameBytes encodes one request message as a length-prefixed wire frame.
 func frameBytes(bodyLen int) []byte {
-	m := &message{kind: msgRequest, id: 7, method: "repl.applyBatch", body: make([]byte, bodyLen)}
-	payload := m.encode(nil)
-	frame := make([]byte, 4+len(payload))
-	frame[0] = byte(len(payload) >> 24)
-	frame[1] = byte(len(payload) >> 16)
-	frame[2] = byte(len(payload) >> 8)
-	frame[3] = byte(len(payload))
-	copy(frame[4:], payload)
-	return frame
+	return appendFrame(nil, &message{kind: msgRequest, id: 7, method: "repl.applyBatch", body: make([]byte, bodyLen)})
 }
 
 // BenchmarkReadFrame measures the receive path's per-frame allocations:
@@ -123,6 +115,51 @@ func BenchmarkCall(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCallDeepHandler is BenchmarkCall with a handler that uses about
+// 32 KB of stack before it replies, as a guest invocation does on its way
+// to the VM's call depth: a handler goroutine that starts on a fresh stack
+// regrows it, a copy at each doubling, on every call.
+func BenchmarkCallDeepHandler(b *testing.B) {
+	srv := NewServer()
+	reply := make([]byte, 64)
+	srv.Handle("deep", func([]byte) ([]byte, error) {
+		deepSink = deepStack(32)
+		return reply, nil
+	})
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	body := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Call("deep", body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var deepSink byte
+
+// deepStack recurses depth frames of about 1 KB of stack each.
+//
+//go:noinline
+func deepStack(depth int) byte {
+	var pad [1 << 10]byte
+	pad[depth] = byte(depth)
+	if depth == 0 {
+		return pad[0]
+	}
+	return deepStack(depth-1) + pad[depth]
 }
 
 // TestPooledFrameCarriesOnlyItsRequest: a request's handler goroutine takes

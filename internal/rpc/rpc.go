@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"lambdastore/internal/fault"
+	"lambdastore/internal/gopool"
 	"lambdastore/internal/telemetry"
 	"lambdastore/internal/wire"
 )
@@ -84,19 +85,19 @@ func (m *message) decode(b []byte) (name []byte, err error) {
 
 // inFrame is one received frame, decoded in place into the buffer it keeps
 // from frame to frame: the body and a request's method name alias buf until
-// the next read. hdr, the length prefix's scratch, is a field so that it is
-// allocated once with the frame rather than per read.
+// the next read. buf holds what was read from the connection: the frame,
+// length prefix included, at buf[off:off+size], then any bytes read past
+// it, which are the start of the connection's next frame.
 //
 // A server's request frame also carries what its handler goroutine needs —
-// the handler and the connection — so the goroutine is spawned as
-// `go f.run()`: run is f.handle, bound once when the pool makes the frame,
-// and a go statement calling a func value without arguments allocates
-// nothing.
+// the handler and the connection — so the task is handed over as f.run:
+// run is f.handle, bound once when the pool makes the frame, so handing it
+// to gopool.Go allocates nothing.
 type inFrame struct {
-	msg  message
-	name []byte
-	buf  []byte
-	hdr  [4]byte
+	msg       message
+	name      []byte
+	buf       []byte
+	off, size int
 
 	h    HandlerCtx
 	conn *serverConn
@@ -123,25 +124,83 @@ func getInFrame() *inFrame {
 // client connection.
 const maxPooledFrame = 1 << 20
 
-// read receives one frame and decodes it in place.
+// minFrameBuf is the buffer a frame that has none reads into: room for a
+// whole invocation request or small reply, so a first read of one takes a
+// single Read. A larger frame grows the buffer to its own size.
+const minFrameBuf = 512
+
+// read receives the connection's next frame and decodes it in place. Bytes
+// already read past the previous frame are this frame's start; read asks r
+// only for the rest, into all of buf's spare room, so a frame that arrived
+// whole costs one Read and what arrived behind it stays in buf for the next
+// read.
 func (f *inFrame) read(r io.Reader) error {
-	if _, err := io.ReadFull(r, f.hdr[:]); err != nil {
-		return err
+	f.off += f.size
+	f.size = 0
+	if f.off == len(f.buf) {
+		f.off, f.buf = 0, f.buf[:0]
 	}
-	n := binary.BigEndian.Uint32(f.hdr[:])
-	if n > maxFrame {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+	need := 4
+	var rerr error
+	for {
+		have := len(f.buf) - f.off
+		if have >= 4 {
+			n := binary.BigEndian.Uint32(f.buf[f.off:])
+			if n > maxFrame {
+				return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+			}
+			need = 4 + int(n)
+			if have >= need {
+				break
+			}
+		}
+		if rerr != nil {
+			if rerr == io.EOF && have > 0 {
+				rerr = io.ErrUnexpectedEOF
+			}
+			return rerr
+		}
+		if f.off+need > cap(f.buf) {
+			f.makeRoom(need)
+		}
+		m, err := r.Read(f.buf[len(f.buf):cap(f.buf)])
+		f.buf, rerr = f.buf[:len(f.buf)+m], err
 	}
-	if cap(f.buf) < int(n) {
-		f.buf = make([]byte, n)
-	}
-	f.buf = f.buf[:n]
-	if _, err := io.ReadFull(r, f.buf); err != nil {
-		return err
-	}
+	f.size = need
 	var err error
-	f.name, err = f.msg.decode(f.buf)
+	f.name, err = f.msg.decode(f.buf[f.off+4 : f.off+need])
 	return err
+}
+
+// makeRoom moves the partial frame at buf[off:] to the front of a buffer
+// that holds need bytes: buf itself if it is large enough, else a new one.
+func (f *inFrame) makeRoom(need int) {
+	held := f.buf[f.off:]
+	if need > cap(f.buf) {
+		f.buf = make([]byte, 0, max(need, minFrameBuf))
+	}
+	f.buf = f.buf[:copy(f.buf[:cap(f.buf)], held)]
+	f.off = 0
+}
+
+// handOff gives the bytes read past f's frame to next, the frame the
+// connection reads into next: next takes over f's buffer with those bytes in
+// place, and f's frame is copied into next's old buffer and decoded there.
+// A read that brought several frames so copies each of them once; one that
+// brought only f's copies nothing.
+func (f *inFrame) handOff(next *inFrame) {
+	end := f.off + f.size
+	if end == len(f.buf) {
+		return
+	}
+	own := next.buf[:0]
+	if cap(own) < max(f.size, minFrameBuf) {
+		own = make([]byte, 0, max(f.size, minFrameBuf))
+	}
+	own = append(own, f.buf[f.off:end]...)
+	next.buf, next.off, next.size = f.buf, end, 0
+	f.buf, f.off = own, 0
+	f.name, _ = f.msg.decode(own[4:]) // decoded once already: cannot fail
 }
 
 // recycle returns a server's request frame to inFrames; nothing may use its
@@ -150,6 +209,7 @@ func (f *inFrame) recycle() {
 	if cap(f.buf) > maxPooledFrame {
 		f.buf = nil
 	}
+	f.buf, f.off, f.size = f.buf[:0], 0, 0
 	f.msg.body, f.name = nil, nil
 	f.h, f.conn = nil, nil
 	inFrames.Put(f)
@@ -157,7 +217,8 @@ func (f *inFrame) recycle() {
 
 // reply is a response frame's outcome for its caller. A body is copied into
 // a slice the caller owns, so the buffer serves the next frame, except from
-// a frame too large to keep: that buffer is handed over as it is.
+// a frame too large to keep: that buffer is handed over as it is, and the
+// bytes read past the frame move to a buffer of their own.
 func (f *inFrame) reply() ([]byte, error) {
 	m := &f.msg
 	switch {
@@ -166,7 +227,8 @@ func (f *inFrame) reply() ([]byte, error) {
 	case m.errStr != "":
 		return nil, &RemoteError{Msg: m.errStr}
 	case cap(f.buf) > maxPooledFrame:
-		f.buf = nil
+		f.buf = append([]byte(nil), f.buf[f.off+f.size:]...)
+		f.off, f.size = 0, 0
 		return m.body, nil
 	case len(m.body) == 0:
 		return nil, nil
@@ -289,8 +351,9 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 }
 
 // Server accepts connections and dispatches requests to registered
-// handlers. Each request runs in its own goroutine, so slow handlers do not
-// head-of-line block the connection.
+// handlers. Each request runs on a goroutine of its own — a parked worker's
+// from internal/gopool, which keeps the stack an earlier request grew, or
+// a new one's — so slow handlers do not head-of-line block the connection.
 type Server struct {
 	mu       sync.RWMutex
 	handlers map[string]HandlerCtx
@@ -402,11 +465,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.mu.RUnlock()
 	sc := &serverConn{cw: connWriter{conn: conn, coalesced: m.coalesced}, m: m}
 	defer sc.reqs.Wait()
+	next := getInFrame()
+	defer func() { next.recycle() }()
 	for {
-		f := getInFrame()
+		f := next
 		if err := f.read(conn); err != nil {
 			return
 		}
+		next = getInFrame()
+		f.handOff(next)
 		if f.msg.kind != msgRequest {
 			f.recycle()
 			continue
@@ -419,14 +486,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		m.inFlight.Inc()
 		sc.reqs.Add(1)
 		f.h, f.conn = h, sc
-		go f.run()
+		gopool.Go(f.run)
 	}
 }
 
 // handle runs one request's handler on a goroutine of its own (f.run) and
 // writes the response. The request allocates nothing on this end: the frame
-// is pooled, it carries the goroutine's arguments, and the response lives
-// on the goroutine's stack.
+// is pooled, it carries the task's arguments, the goroutine is a parked
+// worker's when one waits, and the response lives on its stack.
 func (f *inFrame) handle() {
 	sc, h := f.conn, f.h
 	m := sc.m
@@ -561,9 +628,14 @@ func dialFrom(addr string, opts *ClientOptions, from string, m *clientMetrics) (
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
+	return newClient(conn, addr, o, from, m), nil
+}
+
+// newClient runs a client over an established connection to peer.
+func newClient(conn net.Conn, peer string, o ClientOptions, from string, m *clientMetrics) *Client {
 	c := &Client{
 		opts:    o,
-		peer:    addr,
+		peer:    peer,
 		from:    from,
 		pending: make(map[uint64]*waiter),
 		conn:    conn,
@@ -571,7 +643,7 @@ func dialFrom(addr string, opts *ClientOptions, from string, m *clientMetrics) (
 		metrics: m,
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // waiter is one in-flight call's rendezvous with the reader, pooled. The

@@ -202,28 +202,19 @@ func (db *DB) compactOnce() error {
 		return nil
 	}
 
-	// Key range of the inputs.
-	lo := inputs[0].smallest.userKey()
-	hi := inputs[0].largest.userKey()
-	for _, t := range inputs[1:] {
-		if bytes.Compare(t.smallest.userKey(), lo) < 0 {
-			lo = t.smallest.userKey()
-		}
-		if bytes.Compare(t.largest.userKey(), hi) > 0 {
-			hi = t.largest.userKey()
-		}
-	}
-
 	// Overlapping tables in the output level join the merge.
+	lo, hi := keyRange(inputs)
 	outLevel := level + 1
-	overlaps := v.overlapping(outLevel, lo, hi)
-	inputs2 := append([]*tableMeta(nil), overlaps...)
+	inputs2 := v.overlapping(outLevel, lo, hi)
 
 	// The output level is the base level for a key if no deeper level
-	// overlaps; only then may tombstones be dropped.
+	// overlaps; only then may tombstones be dropped. The merge covers
+	// inputs2's keys too, whose range can reach past the inputs': a
+	// tombstone there hides a value deeper down just the same.
+	mlo, mhi := keyRange(append(inputs2, inputs...))
 	isBase := true
 	for l := outLevel + 1; l < numLevels; l++ {
-		if len(v.overlapping(l, lo, hi)) > 0 {
+		if len(v.overlapping(l, mlo, mhi)) > 0 {
 			isBase = false
 			break
 		}
@@ -232,6 +223,20 @@ func (db *DB) compactOnce() error {
 	db.mu.Unlock()
 
 	return db.runCompaction(level, inputs, inputs2, smallestSnapshot, isBase)
+}
+
+// keyRange returns the smallest and largest user keys of tables.
+func keyRange(tables []*tableMeta) (lo, hi []byte) {
+	lo, hi = tables[0].smallest.userKey(), tables[0].largest.userKey()
+	for _, t := range tables[1:] {
+		if bytes.Compare(t.smallest.userKey(), lo) < 0 {
+			lo = t.smallest.userKey()
+		}
+		if bytes.Compare(t.largest.userKey(), hi) > 0 {
+			hi = t.largest.userKey()
+		}
+	}
+	return lo, hi
 }
 
 // runCompaction merges inputs (level) and inputs2 (level+1) into new tables
@@ -307,6 +312,15 @@ func (db *DB) runCompaction(level int, inputs, inputs2 []*tableMeta, smallestSna
 			lastUserKey = append(lastUserKey[:0], user...)
 			haveLast = true
 			lastKeptSeq = maxSequence
+			// Cut a full output only here, between user keys: a table
+			// that ended inside one key's versions would let a later
+			// compaction of it move the newer versions below the older
+			// ones left in its neighbour (LevelDB's AddBoundaryInputs).
+			if cur != nil && cur.offset >= uint64(targetSize) {
+				if err := finishOutput(); err != nil {
+					return err
+				}
+			}
 		}
 
 		drop := false
@@ -330,11 +344,6 @@ func (db *DB) runCompaction(level int, inputs, inputs2 []*tableMeta, smallestSna
 			}
 		}
 		cur.add(ik, merged.Value())
-		if cur.offset >= uint64(targetSize) {
-			if err := finishOutput(); err != nil {
-				return err
-			}
-		}
 	}
 	if err := merged.Error(); err != nil {
 		if cur != nil {

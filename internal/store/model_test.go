@@ -155,6 +155,8 @@ func TestModelRandomOps(t *testing.T) {
 				t.Fatal(err)
 			}
 		case 2:
+			// What a reopen must recover is first checked live.
+			checkAll(fmt.Sprintf("phase %d, before the reopen", phase))
 			// Reopen: snapshots cannot survive a reopen; drop them.
 			for _, sp := range snaps {
 				sp.snap.Release()
