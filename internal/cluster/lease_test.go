@@ -11,6 +11,7 @@ import (
 	"lambdastore/internal/fault"
 	"lambdastore/internal/replication"
 	"lambdastore/internal/rpc"
+	"lambdastore/internal/store"
 )
 
 // TestLeaseRenewalLossBouncesReads drives the full lease lifecycle
@@ -77,6 +78,62 @@ func TestLeaseRenewalLossBouncesReads(t *testing.T) {
 	}
 }
 
+// TestBackupsServeFromFirstRequest: the primary grants every backup its
+// lease when the configuration sets its fan-out, with no write to carry the
+// grant and no renewal period passed (the TTL is an hour). Each backup
+// serves the first read sent to it: none bounces, and the group's servers
+// take one request per read.
+func TestBackupsServeFromFirstRequest(t *testing.T) {
+	l := startLocal(t, LocalOptions{Groups: []int{3}, Node: NodeOptions{LeaseTTL: time.Hour}})
+	nodes, backups := l.Nodes(), l.Nodes()[1:]
+	// Seed the object into every replica's store the way a bulk load does:
+	// nothing is shipped, so no frame renews a lease.
+	typ := counterType(t)
+	for _, n := range nodes {
+		if err := n.Runtime().RegisterType(typ); err != nil {
+			t.Fatal(err)
+		}
+		b := store.NewBatch()
+		b.Put(core.HeaderKey(1), []byte("Counter"))
+		b.Put(core.VersionKey(1), core.EncodeU64(0))
+		b.Put(core.ValueFieldKey(1, "count"), core.I64Bytes(7))
+		if err := n.Runtime().ApplyReplicatedBulk([]uint64{1}, []*store.Batch{b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	await(t, l, 3*time.Second, "every backup's first grant", func() bool {
+		for _, b := range backups {
+			if !b.leases.Held() {
+				return false
+			}
+		}
+		return true
+	})
+
+	requests := func() (sum uint64) {
+		for _, n := range nodes {
+			sum += n.Metrics().Counter("rpc.server.requests").Value()
+		}
+		return sum
+	}
+	before := requests()
+	pool := rpc.NewPool(nil)
+	t.Cleanup(pool.Close)
+	for _, b := range backups {
+		if res, err := directInvoke(pool, b.Addr(), 1, "get", nil); err != nil || core.BytesI64(res) != 7 {
+			t.Fatalf("first read at backup %s = %v, %v, want 7", b.Addr(), res, err)
+		}
+	}
+	for _, n := range nodes {
+		if b := n.Metrics().Counter("reads.primary_bounced").Value(); b != 0 {
+			t.Errorf("%s bounced %d reads", n.Addr(), b)
+		}
+	}
+	if got := requests() - before; got != uint64(len(backups)) {
+		t.Errorf("%d reads took %d server requests, want one each", len(backups), got)
+	}
+}
+
 // TestInferredReadOnlyServedAtBackup: a method whose reachable call graph
 // cannot write is (a) classified read-only when its type is linked and
 // (b) served by a leased backup, while a mutating method bounces.
@@ -103,22 +160,11 @@ func TestInferredReadOnlyServedAtBackup(t *testing.T) {
 	t.Cleanup(pool.Close)
 	backup := nodes[2]
 
-	// A stale-directory client would send exactly this. The backup must
-	// serve it under its lease rather than bounce (retry through the
-	// pre-first-grant window).
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		res, err := directInvoke(pool, backup.Addr(), 1, "get", nil)
-		if err == nil {
-			if core.BytesI64(res) != 7 {
-				t.Fatalf("backup served get = %d, want 7", core.BytesI64(res))
-			}
-			break
-		}
-		if _, bounced := ParseNotResponsible(err); !bounced || time.Now().After(deadline) {
-			t.Fatalf("inferred read-only invoke at backup: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	// A stale-directory client would send exactly this. The backup holds
+	// its lease (granted when the fan-out was set, and renewed by every
+	// write since), so it serves the one read rather than bounce it.
+	if res, err := directInvoke(pool, backup.Addr(), 1, "get", nil); err != nil || core.BytesI64(res) != 7 {
+		t.Fatalf("inferred read-only invoke at backup = %v, %v, want 7", res, err)
 	}
 	if backup.Metrics().Counter("reads.backup_served").Value() == 0 {
 		t.Fatal("a read at a backup was not counted as backup-served")

@@ -128,8 +128,10 @@ func mustAdd(t *testing.T, c *Client, obj core.ObjectID, delta int64) {
 func readAt(t *testing.T, pool *rpc.Pool, addr string, obj core.ObjectID) int64 {
 	t.Helper()
 	// A backup bounces replica reads with not-responsible until the
-	// primary's first lease grant reaches it (at most TTL/4 after it
-	// became a member); retry briefly before declaring failure.
+	// primary's first lease grant reaches it: sent when the primary
+	// installs a fan-out naming it, and again after 1, 2, 4 … ms while the
+	// backup has not installed that epoch yet — or, for a joiner, once its
+	// catch-up re-admits it. Retry briefly before declaring failure.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		res, err := directInvoke(pool, addr, obj, "get", nil)

@@ -148,6 +148,8 @@ func (m *roleMachine) load() *view { return m.cur.Load() }
 // an older view back — then revokes broken leases, stamps the shipper's epoch
 // (backups fence older ones), publishes, and only then sets the fan-out: a
 // commit that shipped to a deposed primary's emptied fan-out sees it was.
+// Setting the fan-out last also grants its backups their leases at the
+// epoch just stamped.
 func (m *roleMachine) install(d *shard.Directory, newerOnly bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

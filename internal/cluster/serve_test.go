@@ -147,8 +147,9 @@ func TestServeUniform(t *testing.T) {
 		}
 
 		// A read the method's link-time facts prove is served under the
-		// lease (readAt retries through the pre-first-grant window), with
-		// one routing decision: one served read, no bounce on the way to it.
+		// lease (granted when the primary set its fan-out; readAt retries
+		// only in case that grant is still in flight), with one routing
+		// decision: one served read, no bounce on the way to it.
 		if v := readAt(t, pool, backup.Addr(), 1); v != 7 {
 			t.Fatalf("leased backup read = %d, want 7", v)
 		}

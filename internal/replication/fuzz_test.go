@@ -23,7 +23,7 @@ func decodeFrame(body []byte) (*Frame, error) {
 
 // FuzzReplicationWire covers the group frame — with and without the lease
 // renewal that may ride behind its members — and the standalone lease
-// renewal.
+// renewal and its reply.
 func FuzzReplicationWire(f *testing.F) {
 	b := store.NewBatch()
 	b.Put([]byte("o\x00\x07name"), []byte("alice"))
@@ -35,5 +35,6 @@ func FuzzReplicationWire(f *testing.F) {
 	plain.Extensible, leased.Extensible = true, true
 	wiretest.Fuzz(f, plain, leased,
 		wiretest.Of("lease", leaseMsg{epoch: 3, ttlUs: 200000, enq: 41, grantNs: 1 << 50}, encodeLease, decodeLease),
+		wiretest.Of("lease reply", leaseReply{took: true, epoch: 3}, encodeLeaseReply, decodeLeaseReply),
 	)
 }

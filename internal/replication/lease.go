@@ -5,9 +5,14 @@
 // The grant rides the replication stream itself: every applyBatch frame a
 // primary ships carries a trailing (ttl, enq) blob that both renews the
 // lease and tells the backup how many write-set members the primary has
-// shipped toward it so far. Idle groups are kept leased
-// by a standalone MethodLease renewal loop ticking at TTL/4. A backup
-// serves a read only while ALL of the following hold:
+// shipped toward it so far. A standalone MethodLease grant goes to every
+// backup as soon as a configuration sets the primary's fan-out, so a
+// group's backups serve reads from its first request; idle groups are then
+// kept leased by the same grant at TTL/4. A backup answers each grant with
+// whether it took and the epoch it is at: one that has not yet installed
+// the granted epoch refuses it, and the primary grants it again after 1, 2,
+// 4 … ms, up to TTL/4. A backup serves a read only while ALL of the
+// following hold:
 //
 //   - the lease epoch equals the backup's current directory epoch — any
 //     reconfiguration (failover, rejoin cutover, migration SetOverride)
@@ -76,6 +81,25 @@ func decodeLease(body []byte) (leaseMsg, error) {
 	return m, r.ErrIn("replication: lease")
 }
 
+// leaseReply is a backup's answer to a MethodLease grant: whether the grant
+// took, and the configuration epoch the backup is at. A grant refused by a
+// backup behind its epoch is worth sending again; one refused by a backup
+// past it is not.
+type leaseReply struct {
+	took  bool
+	epoch uint64
+}
+
+func encodeLeaseReply(m leaseReply) []byte {
+	return wire.AppendUvarint(wire.AppendFlag(nil, m.took), m.epoch)
+}
+
+func decodeLeaseReply(body []byte) (leaseReply, error) {
+	r := wire.NewReader(body)
+	m := leaseReply{took: r.Flag(), epoch: r.Uvarint()}
+	return m, r.ErrIn("replication: lease reply")
+}
+
 // LeaseHolder is the backup-side lease state machine. All methods are
 // safe for concurrent use; Valid sits on the read-serving hot path and
 // takes one short mutex.
@@ -97,6 +121,7 @@ type LeaseHolder struct {
 	renews  *telemetry.Counter
 	revokes *telemetry.Counter
 	expired *telemetry.Counter
+	refused *telemetry.Counter
 }
 
 // DefaultLeaseApplyLagMax bounds how many shipped-but-unapplied write-set
@@ -119,6 +144,7 @@ func NewLeaseHolder(localEpoch func() uint64, lagMax int, now func() time.Time, 
 		renews:  reg.Counter("lease.renews"),
 		revokes: reg.Counter("lease.revokes"),
 		expired: reg.Counter("lease.expired"),
+		refused: reg.Counter("lease.refused"),
 	}
 	reg.GaugeFunc("lease.held", func() int64 {
 		if h.Held() {
@@ -142,15 +168,19 @@ func (h *LeaseHolder) NoteApplied(entries int) {
 }
 
 // Renew processes a grant/renewal (piggybacked on a frame or via
-// MethodLease). A renewal stamped with an epoch other than the backup's
-// current directory epoch is from a deposed or not-yet-seen
-// configuration; it is ignored — and if it reveals the backup's own
-// lease epoch is obsolete, the lease is revoked on the spot.
-func (h *LeaseHolder) Renew(m leaseMsg) {
-	if h == nil || m.ttlUs == 0 || m.epoch == 0 {
-		return
+// MethodLease) and reports whether it took and the backup's current
+// directory epoch. A renewal stamped with another epoch is from a deposed
+// or not-yet-seen configuration; it is refused (counted in lease.refused)
+// — and if it reveals the backup's own lease epoch is obsolete, the lease
+// is revoked on the spot.
+func (h *LeaseHolder) Renew(m leaseMsg) (took bool, local uint64) {
+	if h == nil {
+		return false, 0
 	}
-	local := h.localEpoch()
+	local = h.localEpoch()
+	if m.ttlUs == 0 || m.epoch == 0 {
+		return false, local
+	}
 	// Expiry is measured from the sender's grant stamp, not from receipt,
 	// so delivery latency consumes the lease instead of extending it. The
 	// backup additionally honors only 3/4 of the granted TTL while the
@@ -173,13 +203,14 @@ func (h *LeaseHolder) Renew(m leaseMsg) {
 		// here. Honoring it from receipt time is exactly the hazard the
 		// stamp exists to close, so drop it on the floor.
 		h.expired.Inc()
-		return
+		return false, local
 	}
 	if m.epoch != local {
+		h.refused.Inc()
 		if h.held && h.epoch != local {
 			h.revokeLocked(h.revokes)
 		}
-		return
+		return false, local
 	}
 	if h.held && h.epoch == m.epoch {
 		// Renewals can arrive out of order with frames (the idle-loop RPC
@@ -193,7 +224,7 @@ func (h *LeaseHolder) Renew(m leaseMsg) {
 			h.enqSeen = m.enq
 		}
 		h.renews.Inc()
-		return
+		return true, local
 	}
 	h.held = true
 	h.epoch = m.epoch
@@ -202,6 +233,7 @@ func (h *LeaseHolder) Renew(m leaseMsg) {
 	h.enqBase = m.enq
 	h.appBase = h.applied
 	h.grants.Inc()
+	return true, local
 }
 
 // revokeLocked drops the lease, crediting the given cause counter.
@@ -258,14 +290,15 @@ func (h *LeaseHolder) Held() bool {
 	return h.held
 }
 
-// registerLease exposes the standalone renewal handler on srv.
+// registerLease exposes the standalone renewal handler on srv; its reply
+// tells the primary whether the grant took.
 func registerLease(srv *rpc.Server, holder *LeaseHolder) {
 	srv.Handle(MethodLease, func(body []byte) ([]byte, error) {
 		m, err := decodeLease(body)
 		if err != nil {
 			return nil, err
 		}
-		holder.Renew(m)
-		return nil, nil
+		took, local := holder.Renew(m)
+		return encodeLeaseReply(leaseReply{took: took, epoch: local}), nil
 	})
 }

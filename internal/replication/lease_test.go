@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -298,4 +299,85 @@ func TestLeaseRenewalsBoundedWhileLost(t *testing.T) {
 	}
 	fault.Remove(MethodLease, addr)
 	leased("the lease to be granted again")
+}
+
+// leaseBackup serves a backup's replication handlers, fenced by and leased
+// at localEpoch, and returns its holder and address.
+func leaseBackup(t *testing.T, localEpoch func() uint64, reg *telemetry.Registry) (*LeaseHolder, string) {
+	t.Helper()
+	holder := NewLeaseHolder(localEpoch, 0, nil, reg)
+	srv := rpc.NewServer()
+	RegisterBackupLeased(srv, ApplierFunc(func(uint64, *store.Batch) error { return nil }), nil, nil, localEpoch, holder)
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return holder, addr
+}
+
+// hourLeaseShipper returns a shipper granting hour-long leases: its renewal
+// period never passes in a test, so every grant a test sees was sent on a
+// fan-out being set, or retried.
+func hourLeaseShipper(t *testing.T) *Shipper {
+	t.Helper()
+	pool := rpc.NewPool(nil)
+	t.Cleanup(pool.Close)
+	s := NewShipper(pool, nil)
+	t.Cleanup(s.Close)
+	s.SetLeaseTTL(time.Hour)
+	return s
+}
+
+// TestLeaseGrantRetriedUntilBackupCatchesUp: a grant that reaches a backup
+// not yet at the shipper's epoch is refused, counted, and sent again, so the
+// backup holds its lease within moments of installing the epoch — not one
+// renewal period later.
+func TestLeaseGrantRetriedUntilBackupCatchesUp(t *testing.T) {
+	var local atomic.Uint64
+	local.Store(1)
+	reg := telemetry.NewRegistry()
+	holder, addr := leaseBackup(t, local.Load, reg)
+	s := hourLeaseShipper(t)
+	s.SetEpoch(2)
+	s.SetBackups([]string{addr})
+
+	refused := reg.Counter("lease.refused")
+	waitFor(t, 3*time.Second, "a grant refused by the lagging backup", func() bool { return refused.Value() >= 1 })
+	if holder.Held() {
+		t.Fatal("a backup at epoch 1 took a grant of epoch 2")
+	}
+	local.Store(2)
+	waitFor(t, 50*time.Millisecond, "the lease once the backup caught up", holder.Valid)
+}
+
+// TestLeaseGrantFollowsReconfigurationInFlight: a configuration installed
+// while the backup's grant is out — so the install skips the backup, whose
+// one renewal is in flight — is granted as soon as that grant returns.
+func TestLeaseGrantFollowsReconfigurationInFlight(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	var local atomic.Uint64
+	local.Store(1)
+	holder, addr := leaseBackup(t, local.Load, nil)
+	fault.Add(fault.Rule{Site: MethodLease, To: addr, Action: fault.Delay, Delay: 100 * time.Millisecond, Count: 1})
+	s := hourLeaseShipper(t)
+	s.SetEpoch(1)
+	s.SetBackups([]string{addr})
+	waitFor(t, 3*time.Second, "the epoch-1 grant to be held back", func() bool { return fault.Counters()[MethodLease+".delay"] == 1 })
+
+	local.Store(2)
+	s.SetEpoch(2)
+	s.SetBackups([]string{addr})
+	waitFor(t, 3*time.Second, "a lease at epoch 2", holder.Valid)
+}
+
+// waitFor polls cond until it holds, failing the test after timeout.
+func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %v waiting for %s", timeout, what)
+		}
+	}
 }

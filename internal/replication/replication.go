@@ -135,11 +135,13 @@ type Shipper struct {
 	backups []string
 
 	// leaseTTL > 0 arms read-lease granting: shipped frames carry a
-	// renewal blob and the renewal loop keeps idle backups leased.
+	// renewal blob and the renewal loop grants every new fan-out at once
+	// (renewWake, sent by SetBackups) and keeps idle backups leased.
 	leaseTTL  atomic.Int64
 	renewOnce sync.Once
 	closeOnce sync.Once
 	renewStop chan struct{}
+	renewWake chan struct{}
 	// sent counts the members ever shipped toward each backup (the
 	// backup-side lag reference).
 	sentMu sync.Mutex
@@ -160,7 +162,7 @@ type Shipper struct {
 func NewShipper(pool *rpc.Pool, _ func(addr string, err error)) *Shipper {
 	reg := pool.Registry()
 	return &Shipper{
-		pool: pool, renewStop: make(chan struct{}),
+		pool: pool, renewStop: make(chan struct{}), renewWake: make(chan struct{}, 1),
 		shippedCtr: reg.Counter("repl.shipped"),
 		failures:   reg.Counter("repl.backup_failures"),
 		shipUs:     reg.Histogram("repl.ship"),
@@ -170,7 +172,8 @@ func NewShipper(pool *rpc.Pool, _ func(addr string, err error)) *Shipper {
 
 // SetLeaseTTL arms (ttl > 0) or disarms (ttl <= 0) read-lease granting.
 // While armed, every shipped frame renews the receiving backup's lease
-// and a background loop renews idle backups at TTL/4.
+// and a background loop grants each fan-out SetBackups sets at once, then
+// renews idle backups at TTL/4.
 func (s *Shipper) SetLeaseTTL(ttl time.Duration) {
 	if ttl < 0 {
 		ttl = 0
@@ -192,28 +195,42 @@ func (s *Shipper) addSent(addr string, n int) uint64 {
 	return s.sent[addr]
 }
 
-// renewLoop keeps every current backup's lease fresh while the group is
-// idle; frames piggyback renewals on their own when writes flow. Send
-// failures are ignored — the backup's lease simply expires and it
-// bounces reads to the primary until renewals get through again. At most
+// renewPeriod is the renewal loop's period under ttl: TTL/4, or 25ms while
+// leasing is disarmed.
+func renewPeriod(ttl time.Duration) time.Duration {
+	if ttl <= 0 {
+		return 25 * time.Millisecond
+	}
+	return ttl / 4
+}
+
+// renewLoop grants every backup of a fan-out SetBackups sets at once, and
+// keeps every current backup's lease fresh at TTL/4 while the group is
+// idle; frames piggyback renewals on their own when writes flow. At most
 // one renewal per backup is in flight: a tick finding the last one still
-// out (a lost renewal, a frozen backup) skips that backup rather than pile
-// up calls that each wait out the pool's timeout.
+// out (a lost renewal, a frozen backup, a refused grant being retried)
+// skips that backup rather than pile up calls that each wait out the
+// pool's timeout.
 func (s *Shipper) renewLoop() {
 	var renewing sync.Map // backup address -> a renewal is in flight
+	tick := time.NewTimer(renewPeriod(time.Duration(s.leaseTTL.Load())))
+	defer tick.Stop()
 	for {
-		ttl := time.Duration(s.leaseTTL.Load())
-		if ttl <= 0 {
-			ttl = 100 * time.Millisecond
-		}
 		select {
 		case <-s.renewStop:
 			return
-		case <-time.After(ttl / 4):
+		case <-tick.C:
+		case <-s.renewWake:
+			if !tick.Stop() {
+				select { // fired, not received: drain before the Reset
+				case <-tick.C:
+				default:
+				}
+			}
 		}
-		ttl = time.Duration(s.leaseTTL.Load())
-		epoch := s.epoch.Load()
-		if ttl <= 0 || epoch == 0 {
+		ttl := time.Duration(s.leaseTTL.Load())
+		tick.Reset(renewPeriod(ttl))
+		if ttl <= 0 || s.epoch.Load() == 0 {
 			continue
 		}
 		s.mu.RLock()
@@ -225,18 +242,67 @@ func (s *Shipper) renewLoop() {
 			}
 			go func(addr string) {
 				defer renewing.Delete(addr)
-				// Stamped before the send: time in flight eats into the
-				// granted window rather than shifting it.
-				body := encodeLease(leaseMsg{
-					epoch:   epoch,
-					ttlUs:   uint64(ttl / time.Microsecond),
-					enq:     s.addSent(addr, 0),
-					grantNs: uint64(time.Now().UnixNano()),
-				})
-				s.pool.Call(addr, MethodLease, body) //nolint:errcheck // a lost renewal lets the lease expire
+				s.renew(addr)
 			}(addr)
 		}
 	}
+}
+
+// renew grants addr a lease at the current epoch. A coordinated deployment
+// installs a view one node at a time, so a grant sent at install can reach
+// a backup that has not installed its epoch yet: while addr answers that it
+// is behind, renew grants it again after 1, 2, 4 … ms, up to TTL/4. A lost
+// grant (the lease simply expires, and the backup bounces reads until
+// grants get through again), a grant that took, a refusal from a backup at
+// or past the epoch, or addr leaving the fan-out ends it. A configuration
+// installed while the grant was out is granted at once, whatever the reply:
+// the install's own wake skipped addr, whose renewal was in flight.
+func (s *Shipper) renew(addr string) {
+	var retry *time.Timer
+	for backoff := time.Millisecond; ; {
+		ttl, epoch := time.Duration(s.leaseTTL.Load()), s.epoch.Load()
+		if ttl <= 0 || epoch == 0 || !s.isBackup(addr) {
+			return
+		}
+		// Stamped before the send: time in flight eats into the granted
+		// window rather than shifting it.
+		body := encodeLease(leaseMsg{
+			epoch:   epoch,
+			ttlUs:   uint64(ttl / time.Microsecond),
+			enq:     s.addSent(addr, 0),
+			grantNs: uint64(time.Now().UnixNano()),
+		})
+		reply, err := s.pool.Call(addr, MethodLease, body)
+		if err != nil {
+			return
+		}
+		if s.epoch.Load() != epoch {
+			continue
+		}
+		if r, err := decodeLeaseReply(reply); err != nil || r.took || r.epoch >= epoch {
+			return
+		}
+		backoff = min(backoff, ttl/4)
+		if retry == nil {
+			retry = time.NewTimer(backoff)
+			defer retry.Stop()
+		} else {
+			retry.Reset(backoff)
+		}
+		select {
+		case <-s.renewStop:
+			return
+		case <-retry.C:
+		}
+		backoff *= 2
+	}
+}
+
+// isBackup reports whether addr is in the current fan-out.
+func (s *Shipper) isBackup(addr string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Contains(s.backups, addr)
 }
 
 // SetEpoch records the configuration epoch stamped on subsequent frames.
@@ -248,11 +314,17 @@ func (s *Shipper) Close() {
 	s.closeOnce.Do(func() { close(s.renewStop) })
 }
 
-// SetBackups replaces the backup set (reconfiguration).
+// SetBackups replaces the backup set (reconfiguration) and, with leasing
+// armed, has the renewal loop grant every backup in it at once: the last
+// step of a node's install, after the epoch is stamped.
 func (s *Shipper) SetBackups(addrs []string) {
 	s.mu.Lock()
 	s.backups = append([]string(nil), addrs...)
 	s.mu.Unlock()
+	select {
+	case s.renewWake <- struct{}{}:
+	default: // a wake is pending already; it reads the newest set
+	}
 }
 
 // groupPool recycles Ship's groups of one.

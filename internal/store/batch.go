@@ -70,6 +70,11 @@ func (b *Batch) Seq() uint64 { return b.startSeq }
 // logs, and the bytes a write group ships.
 func (b *Batch) Encode() []byte { return b.AppendTo(nil) }
 
+// encodedLen is the length of the batch's encoding.
+func (b *Batch) encodedLen() int {
+	return wire.UvarintLen(b.startSeq) + wire.UvarintLen(uint64(b.count)) + len(b.data)
+}
+
 // AppendTo appends the batch's encoding to dst: Encode into a buffer the
 // caller reuses.
 func (b *Batch) AppendTo(dst []byte) []byte {

@@ -399,16 +399,27 @@ func (db *DB) commitGroup() {
 	// that did not commit.
 	// The group is the leader's until its hook returns, which may be after
 	// the next group formed.
+	// The record buffer is sized once, from the encoded lengths of the
+	// writers taken: a bulk group (a backup's large frame, a recovery chunk)
+	// would otherwise regrow it from empty record by record.
 	g := groupPool.Get().(*Group)
 	g.db = db
 	seq := db.lastSeq
+	taken, size := 0, 0
 	for _, w := range db.writers {
-		if len(g.writers) > 0 && len(g.buf) >= maxGroupBytes {
+		if taken > 0 && size >= maxGroupBytes {
 			break
 		}
 		for _, b := range w.batches {
 			b.startSeq = seq + 1
 			seq += uint64(b.count)
+			size += b.encodedLen()
+		}
+		taken++
+	}
+	g.buf = slices.Grow(g.buf, size)
+	for _, w := range db.writers[:taken] {
+		for _, b := range w.batches {
 			g.log(b, b.object, w)
 		}
 		g.writers = append(g.writers, w)

@@ -332,6 +332,45 @@ func BenchmarkDBWriteSync8(b *testing.B) {
 	}
 }
 
+// BenchmarkDBWriteBulk is one fsynced Write of 64 batches, about 200 KB in
+// all: the shape of a bulk load's chunk, a backup's large frame or a
+// recovery chunk, whose write group logs every record into one buffer.
+func BenchmarkDBWriteBulk(b *testing.B) {
+	opts := NewOptions()
+	opts.SyncWrites = true
+	db, err := Open(b.TempDir(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	batches := make([]*Batch, 64)
+	for i := range batches {
+		batches[i] = NewBatch()
+	}
+	value := make([]byte, 100)
+	key := make([]byte, 0, 32)
+	seq := 0
+	write := func() {
+		for _, bt := range batches {
+			bt.Reset()
+			for j := 0; j < 24; j++ {
+				seq++
+				key = strconv.AppendInt(append(key[:0], "key"...), int64(1e12+seq), 10)
+				bt.Put(key, value)
+			}
+		}
+		if err := db.Write(batches...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	write()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write()
+	}
+}
+
 // checkSkiplist walks every level of m's towers and fails unless each level
 // is strictly ascending, holds only nodes tall enough for it, and is a
 // subsequence of the level below, and level 0 holds every entry.

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/bits"
 )
 
 // Decoding errors a Reader reports, each wrapped with the offset it happened at.
@@ -49,6 +50,9 @@ func Uvarint1(b []byte) (v uint64, n int) {
 func AppendUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
+
+// UvarintLen returns how many bytes AppendUvarint appends for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // AppendVarint appends v in zig-zag signed LEB128 form.
 func AppendVarint(dst []byte, v int64) []byte {

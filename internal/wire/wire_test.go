@@ -14,7 +14,11 @@ import (
 
 func TestVarintRoundTrip(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 1 << 20, math.MaxUint64} {
-		r := NewReader(AppendUvarint(nil, v))
+		b := AppendUvarint(nil, v)
+		if n := UvarintLen(v); n != len(b) {
+			t.Fatalf("UvarintLen(%d) = %d, AppendUvarint appends %d bytes", v, n, len(b))
+		}
+		r := NewReader(b)
 		if got := r.Uvarint(); got != v || r.Len() != 0 || r.Err() != nil {
 			t.Fatalf("uvarint %d: got %d, rest %d, err %v", v, got, r.Len(), r.Err())
 		}
