@@ -41,7 +41,7 @@ test:
 # state every connection's sends read), and gopool (every request's task
 # is claimed by, and parks, one of its process-global workers).
 race:
-	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/ ./internal/retwis/ ./internal/sched/ ./internal/paxos/ ./internal/coordinator/ ./internal/fault/ ./internal/gopool/
+	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/replication/ ./internal/vm/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/ ./internal/retwis/ ./internal/sched/ ./internal/paxos/ ./internal/coordinator/ ./internal/fault/ ./internal/gopool/
 
 # Deterministic failover chaos: every seed replays the same kill/partition/
 # fsync-failure schedule (see EXPERIMENTS.md "Chaos runs"). The smoke

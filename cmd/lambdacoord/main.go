@@ -58,7 +58,6 @@ func main() {
 		dataDir   = flag.String("data", "", "directory for the durable acceptor log (strongly recommended)")
 		debugAddr = flag.String("debug", "", "debug HTTP address for /metrics, /cluster/metrics, /healthz, pprof (empty disables)")
 		scrape    = flag.Duration("scrape-interval", coordinator.DefaultScrapeInterval, "member metrics scrape period for /cluster/metrics")
-		shedAlert = flag.Float64("overload-alert", 0, "log an overload alert when the cluster-wide shed rate exceeds this many requests/sec (0 disables; needs -debug for the scraper)")
 	)
 	flag.Parse()
 	if *id == 0 || *peers == "" {
@@ -104,29 +103,6 @@ func main() {
 		agg.Start()
 	}
 
-	// Overload watcher: surface cluster-wide admission shedding in the
-	// coordinator log so an operator sees overload without watching
-	// `lambdactl top`. Piggybacks on the aggregator's scrape cadence.
-	alertStop := make(chan struct{})
-	if *shedAlert > 0 && agg != nil {
-		go func() {
-			ticker := time.NewTicker(*scrape)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-alertStop:
-					return
-				case <-ticker.C:
-				}
-				all := agg.Snapshot().Cluster.Values
-				if all["shed_per_sec"] > *shedAlert {
-					log.Printf("lambdacoord: OVERLOAD: cluster shedding %.1f req/s (threshold %.1f), admission queue depth %.0f",
-						all["shed_per_sec"], *shedAlert, all["admission_queue_depth"])
-				}
-			}
-		}()
-	}
-
 	var dbg *debug.Server
 	if *debugAddr != "" {
 		docs := map[string]func() any{"/cluster/metrics": func() any { return agg.Snapshot() }}
@@ -141,7 +117,6 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	log.Printf("lambdacoord: shutting down")
-	close(alertStop)
 	if dbg != nil {
 		dbg.Close()
 	}

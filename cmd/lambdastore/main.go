@@ -37,9 +37,6 @@ func main() {
 		slow       = flag.Duration("slow", 0, "log invocations slower than this (0 disables)")
 		rejoin     = flag.Bool("rejoin", false, "anti-entropy rejoin: when deposed from the group, catch up from the primary via range digests and re-admit through the coordinator")
 		recRate    = flag.Int("recovery-rate", 0, "rejoin catch-up streaming rate limit in bytes/sec (0 = unlimited)")
-		admQueue   = flag.Int("admission-queue", 0, "admission plane: bounded wait-queue size in front of execution; overload is shed with a retryable error (0 disables)")
-		admDead    = flag.Duration("admission-deadline", 0, "admission plane: max queue wait before a request is shed (0 = default)")
-		admWorkers = flag.Int("admission-workers", 0, "admission plane: concurrent execution slots (0 = NumCPU)")
 	)
 	flag.Parse()
 	if *dataDir == "" {
@@ -61,9 +58,6 @@ func main() {
 		SlowTraceThreshold:     *slow,
 		Rejoin:                 *rejoin,
 		RecoveryMaxBytesPerSec: *recRate,
-		MaxConcurrentInvokes:   *admWorkers,
-		AdmissionQueue:         *admQueue,
-		AdmissionDeadline:      *admDead,
 	}
 	if *configPath != "" {
 		cfg, err := cluster.LoadConfigFile(*configPath)

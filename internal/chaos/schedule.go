@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"lambdastore/internal/admission"
 	"lambdastore/internal/cluster"
 	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
@@ -145,14 +144,6 @@ type Report struct {
 	// RecoveryAttempts[i] is how many write attempts scenario i's heal
 	// needed before the cluster acknowledged again.
 	RecoveryAttempts []int
-	// OverloadAcked and OverloadShed summarize the restart-rejoin
-	// scenario's overload burst: writes the cluster acknowledged under
-	// pressure (these join Acked, so the verifier holds them to the
-	// no-lost-ack invariant) and arrivals the admission plane refused.
-	// A refusal is a clean ErrOverload BEFORE execution — a shed write is
-	// never acknowledged, so the two invariants cannot both claim one id.
-	OverloadAcked int
-	OverloadShed  int
 }
 
 // rng is a splitmix64 stream for schedule decisions (object choice,
@@ -452,19 +443,15 @@ func (r *runner) startLeaseProbe(obj core.ObjectID) (stop func() error) {
 	}
 }
 
-// overloadBurst fires `clients` concurrent writers, each appending
-// `perClient` unique ids, at the workload objects — deliberately far
-// past the admission plane's capacity when one is configured (see the
-// harness's AdmissionQueue/AdmissionWorkers knobs). The point is the
-// interaction invariant: shedding must stay a pre-execution refusal
-// even while the group is mid-rejoin, so an id is either acknowledged
-// (and then owed forever — it joins report.Acked and the end-of-run
-// verifier) or refused cleanly, never both. Ids come from the probe
+// rejoinBurst fires `clients` concurrent writers, each appending
+// `perClient` unique ids, at the workload objects while a restarted
+// backup is still catching up. Every acknowledged id is owed forever: it
+// joins report.Acked and the end-of-run verifier. Ids come from the probe
 // range so they cannot collide with the main workload's.
-func (r *runner) overloadBurst(clients, perClient int) error {
-	// A dedicated client with one quick retry: a shed that survives the
-	// retry is observed as a shed instead of being hidden by the main
-	// client's patient backoff loop.
+func (r *runner) rejoinBurst(clients, perClient int) error {
+	// A dedicated client with one quick retry: a write that fails mid-rejoin
+	// is counted as failed instead of being hidden by the main client's
+	// patient backoff loop.
 	bc, err := cluster.NewClient(cluster.ClientConfig{
 		Coordinators:   r.c.Coord.Addrs(),
 		MaxRetries:     2,
@@ -473,7 +460,7 @@ func (r *runner) overloadBurst(clients, perClient int) error {
 		RetryBudget:    250 * time.Millisecond,
 	})
 	if err != nil {
-		return fmt.Errorf("overload burst client: %w", err)
+		return fmt.Errorf("rejoin burst client: %w", err)
 	}
 	defer bc.Close()
 	base := r.probeBase
@@ -481,7 +468,7 @@ func (r *runner) overloadBurst(clients, perClient int) error {
 
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	var acked, shed, failed int
+	var acked, failed int
 	for g := 0; g < clients; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -491,14 +478,11 @@ func (r *runner) overloadBurst(clients, perClient int) error {
 				obj := r.objects[int(id)%len(r.objects)]
 				_, err := bc.Invoke(obj, "append", [][]byte{core.I64Bytes(int64(id))})
 				mu.Lock()
-				switch {
-				case err == nil:
+				if err == nil {
 					r.report.Acked[obj] = append(r.report.Acked[obj], id)
 					r.report.AckedTotal++
 					acked++
-				case admission.IsOverload(err):
-					shed++
-				default:
+				} else {
 					failed++
 				}
 				mu.Unlock()
@@ -506,13 +490,11 @@ func (r *runner) overloadBurst(clients, perClient int) error {
 		}(g)
 	}
 	wg.Wait()
-	r.report.OverloadAcked += acked
-	r.report.OverloadShed += shed
 	r.report.FailedOps += failed
-	r.opts.Log("chaos: overload burst: %d acked, %d shed, %d failed (%d clients x %d ops, retries=%d)",
-		acked, shed, failed, clients, perClient, bc.OverloadRetries())
+	r.opts.Log("chaos: rejoin burst: %d acked, %d failed (%d clients x %d ops)",
+		acked, failed, clients, perClient)
 	if acked == 0 {
-		return fmt.Errorf("chaos: overload burst acknowledged nothing — total refusal, not overload control")
+		return fmt.Errorf("chaos: rejoin burst acknowledged nothing")
 	}
 	return nil
 }
@@ -566,11 +548,9 @@ func (r *runner) runRestartRejoin() error {
 	if err := r.c.Restart(bi); err != nil {
 		return err
 	}
-	// Overload while the rejoin is in flight: a burst of concurrent
-	// writers slams the (possibly admission-gated) group mid-recovery.
-	// Every acknowledged id is owed by the eventual sole survivor; every
-	// refusal must have been a clean pre-execution shed.
-	if err := r.overloadBurst(16, 8); err != nil {
+	// A burst of concurrent writers while the rejoin is in flight: every
+	// acknowledged id is owed by the eventual sole survivor.
+	if err := r.rejoinBurst(16, 8); err != nil {
 		return err
 	}
 	if err := r.awaitRejoined(bi); err != nil {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lambdastore/internal/admission"
 	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
 	"lambdastore/internal/rpc"
@@ -38,11 +37,6 @@ type Client struct {
 	// tracing mints a fresh trace ID per invocation; the receiving nodes
 	// decide whether spans are actually recorded.
 	tracing bool
-
-	// overloadRetries counts invocations that were shed by a node's
-	// admission plane and retried with backoff — kept separate from
-	// routing/fault retries so overload is visible as overload.
-	overloadRetries atomic.Uint64
 }
 
 // ClientConfig configures a Client.
@@ -112,10 +106,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // Close releases the client's connections.
 func (c *Client) Close() { c.pool.Close() }
-
-// OverloadRetries reports how many times this client's invocations were
-// shed by a node's admission plane and retried.
-func (c *Client) OverloadRetries() uint64 { return c.overloadRetries.Load() }
 
 // Directory returns the client's current configuration view.
 func (c *Client) Directory() *shard.Directory { return c.dir.Load() }
@@ -207,7 +197,8 @@ func (c *Client) readTarget(g shard.Group) string {
 // at-least-once semantics: every attempt calls resolve for the group afresh
 // (the view may have changed), sends the same frame to its primary — or,
 // spread, to the replica readTarget picks — and classifies a
-// failure as a stale view, an overload shed, or a connection-level fault.
+// failure as one of two shapes: a stale view (not-responsible) or a
+// connection-level fault.
 // Retries are bounded by MaxRetries and RetryBudget; a routing error and a
 // write's connection failure without a coordinator return at once.
 func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, spread bool, resolve func() (shard.Group, error)) ([]byte, error) {
@@ -239,14 +230,6 @@ func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, spr
 				}
 				lastErr = err
 			}
-			continue
-		}
-		// Overload shed: the node's admission plane refused the request
-		// before execution. The configuration is fine — just back off and
-		// retry; the capped exponential backoff is exactly the client-side
-		// half of the congestion-control loop.
-		if admission.IsOverload(err) {
-			c.overloadRetries.Add(1)
 			continue
 		}
 		// Connection-level failure: the node may have died; refresh config

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"lambdastore/internal/admission"
 	"lambdastore/internal/core"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
@@ -46,9 +45,9 @@ func startScriptedNode(t *testing.T, script ...error) *scriptedNode {
 	return n
 }
 
-// TestClientRetryUniform pins the client's one retry loop: every entry
-// point follows a not-responsible hint, retries and counts an overload
-// shed, and fails a write at once on a connection error it cannot route
+// TestClientRetryUniform pins the client's one retry loop and the two
+// failure shapes it classifies: every entry point follows a not-responsible
+// hint, and fails a write at once on a connection error it cannot route
 // around.
 func TestClientRetryUniform(t *testing.T) {
 	entryPoints := []struct {
@@ -87,19 +86,6 @@ func TestClientRetryUniform(t *testing.T) {
 			}
 			if o, n := oldHome.calls.Load(), newHome.calls.Load(); o != 1 || n != 1 {
 				t.Fatalf("old home saw %d sends, new home %d; want 1 and 1", o, n)
-			}
-		})
-		t.Run(ep.name+"/overload", func(t *testing.T) {
-			node := startScriptedNode(t, admission.Overloaded("queue full"))
-			c := clientAt(t, node.addr)
-			if err := ep.call(c); err != nil {
-				t.Fatalf("shed request was not retried: %v", err)
-			}
-			if got := node.calls.Load(); got != 2 {
-				t.Fatalf("node saw %d sends, want 2", got)
-			}
-			if got := c.OverloadRetries(); got != 1 {
-				t.Fatalf("OverloadRetries = %d, want 1", got)
 			}
 		})
 		t.Run(ep.name+"/dead", func(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"lambdastore/internal/admission"
 	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
 	"lambdastore/internal/debug"
@@ -60,19 +59,6 @@ type NodeOptions struct {
 	// RecoveryMaxBytesPerSec rate-limits recovery chunk streaming
 	// (0 = unlimited).
 	RecoveryMaxBytesPerSec int
-	// MaxConcurrentInvokes sizes the admission plane's execution slots:
-	// how many client requests (invoke, transaction, create, delete)
-	// execute at once (0 = NumCPU). Only with AdmissionQueue set.
-	MaxConcurrentInvokes int
-	// AdmissionQueue, when positive, turns the admission plane on: a wait
-	// queue of this many requests in front of the execution slots, with
-	// deadline-based shedding. Requests the plane refuses are rejected
-	// with a typed overload error the client retries with capped backoff.
-	// Zero admits everything at once.
-	AdmissionQueue int
-	// AdmissionDeadline bounds queue wait before a request is shed
-	// (0 = admission.DefaultDeadline).
-	AdmissionDeadline time.Duration
 	// MoveSessionTimeout bounds inbound live-migration session
 	// inactivity before the target reclaims the partial copy (0 =
 	// default 10s; chaos tests shrink it).
@@ -111,10 +97,6 @@ type Node struct {
 	// shipSpans is replicateGroup's scratch, one "replicate" span per
 	// member; only the group holding the writer queue touches it.
 	shipSpans []telemetry.ActiveSpan
-
-	// adm, when non-nil (AdmissionQueue set), is the admit step's gate:
-	// execution slots behind a bounded wait queue with deadline shedding.
-	adm *admission.Plane
 
 	// leases is this node's backup-side read-lease holder.
 	leases *replication.LeaseHolder
@@ -163,21 +145,13 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	}
 	// Every later failure tears down whatever exists by then — the store's
 	// directory lock, but also the lease-renewal and session-janitor
-	// goroutines, the pool and the admission plane: a restart retried on an
-	// address not yet released must not leave one half-built node per try.
+	// goroutines and the pool: a restart retried on an address not yet
+	// released must not leave one half-built node per try.
 	defer func() {
 		if err != nil {
 			n.Close()
 		}
 	}()
-	if opts.AdmissionQueue > 0 {
-		n.adm = admission.New(admission.Options{
-			Workers:    opts.MaxConcurrentInvokes,
-			QueueLimit: opts.AdmissionQueue,
-			Deadline:   opts.AdmissionDeadline,
-			Metrics:    reg,
-		})
-	}
 	n.forwards = reg.Counter("cluster.forwards")
 	n.migrations = reg.Counter("cluster.migrations")
 	leaseTTL := opts.LeaseTTL
@@ -441,9 +415,6 @@ func (n *Node) Close() error {
 	if n.debugSrv != nil {
 		n.debugSrv.Close()
 	}
-	if n.adm != nil {
-		n.adm.Close()
-	}
 	n.srv.Close()
 	n.shipper.Close()
 	n.pool.Close()
@@ -453,14 +424,12 @@ func (n *Node) Close() error {
 
 // serve is the one server-side request path — the twin of Client.send —
 // that invoke, transaction, create and delete all run once their frame is
-// decoded: route → admit → execute → classify. Per method only the decoder,
-// the objects to route — every one must be homed here, a transaction is
+// decoded: route → execute → classify. Per method only the decoder, the
+// objects to route — every one must be homed here, a transaction is
 // single-node — the invoked method ("" for requests that always write) and
-// the core call (exec) differ. The order is an invariant, not a
-// convenience: fences and placement reject ahead of the admission queue, so
-// a request this node may not run never takes a slot from one it may; and
-// shedding happens strictly before execution, so no request that reached
-// commit (and thus no acked write) is ever shed.
+// the core call (exec) differ. Fences and placement reject before
+// execution, so a request this node may not run never waits on an object's
+// lock.
 func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, method string, exec func(core.CallCtx) ([]byte, error)) ([]byte, error) {
 	// Route.
 	for _, obj := range objects {
@@ -468,21 +437,17 @@ func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, method string, 
 			return nil, err
 		}
 	}
-	// Admit.
-	if n.adm != nil {
-		release, err := n.adm.Admit()
-		if err != nil {
-			return nil, err
-		}
-		defer release()
+	if routedHook != nil {
+		routedHook()
 	}
 	// Execute; the commit tail (core's commit, with replicateGroup inside
 	// its write, then afterCommit) runs inside it and may withhold the ack.
 	resp, err := exec(core.CallCtx{Trace: info.Trace})
-	// Classify: an object may have been migrated away while its request sat
-	// in the admission queue (a move deletes the local copy under the same
-	// lock). If the view now maps it elsewhere, answer with the routing
-	// redirect the client follows, not a spurious no-such-object.
+	// Classify: an object may have been migrated away after its request was
+	// routed, while it waited on the object's lock (a move fences, cuts over
+	// and deletes the local copy under that lock). If the view now maps it
+	// elsewhere, answer with the routing redirect the client follows, not a
+	// spurious no-such-object.
 	if errors.Is(err, core.ErrNoSuchObject) {
 		d := n.Directory()
 		for _, obj := range objects {
@@ -493,6 +458,11 @@ func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, method string, 
 	}
 	return resp, err
 }
+
+// routedHook, when set, runs in serve between route and execute. It is nil
+// outside tests, which set it before starting a node to hold a routed
+// request while the object moves away.
+var routedHook func()
 
 // registerHandlers wires the RPC surface.
 func (n *Node) registerHandlers() {

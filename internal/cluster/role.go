@@ -33,10 +33,10 @@ type roleMachine struct {
 	cur  atomic.Pointer[view]
 
 	// Object fences: while an outbound move quiesces an object, route rejects
-	// it ahead of the admission queue (one atomic load when none is up). A
-	// fence outlives the cutover on purpose — it self-clears only once the
-	// view maps the object elsewhere, so a stale view can never let the old
-	// home serve post-move requests.
+	// it before it can wait on the object's lock (one atomic load when none
+	// is up). A fence outlives the cutover on purpose — it self-clears only
+	// once the view maps the object elsewhere, so a stale view can never let
+	// the old home serve post-move requests.
 	fenceCount atomic.Int32
 	fenceMu    sync.Mutex
 	fences     map[uint64]string
@@ -219,12 +219,12 @@ func (m *roleMachine) route(obj core.ObjectID, method string) error {
 
 // createGuard is a create's route step again, under the object's write
 // admission (core.CallCtx.Guard): a move may have fenced, cut over and
-// deleted the object while the create queued, and the header it then finds
-// absent must not re-create the object at its old home.
+// deleted the object while the create waited on that lock, and the header
+// it then finds absent must not re-create the object at its old home.
 func (m *roleMachine) createGuard(obj core.ObjectID) error { return m.route(obj, "") }
 
 // fence makes route reject the object with not-responsible plus a hint at
-// its (future) home, ahead of the admission queue.
+// its (future) home, before execution takes the object's lock.
 func (m *roleMachine) fence(object uint64, hint string) {
 	m.fenceMu.Lock()
 	m.fences[object] = hint

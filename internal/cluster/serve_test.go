@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"lambdastore/internal/admission"
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
 	"lambdastore/internal/recovery"
@@ -53,35 +51,9 @@ func wantRedirect(t *testing.T, err error, hint string) {
 	}
 }
 
-// holdGate takes every execution slot and queue position of the node's
-// gate (queued more waiters behind the held slot) and returns the function
-// that lets them all go.
-func holdGate(t *testing.T, n *Node, queued int) (release func()) {
-	t.Helper()
-	slot, err := n.adm.Admit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < queued; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if rel, err := n.adm.Admit(); err == nil {
-				rel()
-			}
-		}()
-	}
-	depth := n.Metrics().Gauge("admission.queue_depth")
-	if !poll(5*time.Second, func() bool { return depth.Value() == int64(queued) }) {
-		t.Fatal("timed out waiting for gate queue to fill")
-	}
-	return func() { slot(); wg.Wait() }
-}
-
 // TestServeUniform pins the one server-side request path: invoke,
-// transaction, create and delete are routed, admitted and classified by the
-// same steps in the same order, whatever the entry point.
+// transaction, create and delete are routed, executed and classified by
+// the same steps in the same order, whatever the entry point.
 func TestServeUniform(t *testing.T) {
 	pool := rpc.NewPool(nil)
 	t.Cleanup(pool.Close)
@@ -173,52 +145,23 @@ func TestServeUniform(t *testing.T) {
 		}
 	})
 
-	t.Run("gate full", func(t *testing.T) {
-		nodes, dir := startStatic(t, NodeOptions{
-			MaxConcurrentInvokes: 1, AdmissionQueue: 1, AdmissionDeadline: time.Minute,
-		}, 1)
-		node := nodes[0]
-		c := newGroupClient(t, dir)
-		if err := c.RegisterType(counterType(t)); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.CreateObject("Counter", 1); err != nil {
-			t.Fatal(err)
-		}
-		release := holdGate(t, node, 1)
-		defer release()
-		shed := node.Metrics().Counter("admission.shed_full")
-		for i, e := range serveEntries {
-			obj := core.ObjectID(1)
-			if e.name == "create" {
-				obj = 2
-			}
-			err := e.send(pool, node.Addr(), obj)
-			if !admission.IsOverload(err) {
-				t.Fatalf("%s against a full gate: err = %v, want a typed overload error", e.name, err)
-			}
-			if got := shed.Value(); got != uint64(i+1) {
-				t.Fatalf("%s: admission.shed_full = %d, want %d", e.name, got, i+1)
-			}
-		}
-		// Shed strictly before execution.
-		if v := version(t, node, 1); v != 0 {
-			t.Fatalf("a shed request executed: version %d", v)
-		}
-		if ok, _ := node.Runtime().ObjectExists(2); ok {
-			t.Fatal("a shed create executed")
-		}
-	})
-
-	// A request that passed routing and then waited in the gate while a
-	// live move took its object away must come back as a redirect to the
-	// new home — the error Client.send follows — not as no-such-object, and
-	// a create must not find the header gone and re-create the object at
-	// its old home.
+	// A request that passed routing and then, before it executed, lost its
+	// object to a live move must come back as a redirect to the new home —
+	// the error Client.send follows — not as no-such-object, and a create
+	// must not find the header gone and re-create the object at its old
+	// home. routedHook holds the one request between route and execute.
 	t.Run("moved away while queued", func(t *testing.T) {
-		nodes, dir := startStatic(t, NodeOptions{
-			MaxConcurrentInvokes: 1, AdmissionQueue: 1, AdmissionDeadline: time.Minute,
-		}, 1, 1)
+		var held atomic.Bool
+		routed, resume := make(chan struct{}), make(chan struct{})
+		routedHook = func() {
+			if held.CompareAndSwap(true, false) {
+				routed <- struct{}{}
+				<-resume
+			}
+		}
+		// Runs after the nodes' Close, which waits for every handler.
+		t.Cleanup(func() { routedHook = nil })
+		nodes, dir := startStatic(t, NodeOptions{}, 1, 1)
 		oldHome, newHome := nodes[0], nodes[1]
 		c := newGroupClient(t, dir)
 		if err := c.RegisterType(counterType(t)); err != nil {
@@ -230,17 +173,14 @@ func TestServeUniform(t *testing.T) {
 			if err := c.CreateObject("Counter", obj); err != nil {
 				t.Fatal(err)
 			}
-			release := holdGate(t, oldHome, 0)
+			held.Store(true)
 			errc := make(chan error, 1)
 			go func() { errc <- e.send(pool, oldHome.Addr(), obj) }()
-			depth := oldHome.Metrics().Gauge("admission.queue_depth")
-			if !poll(5*time.Second, func() bool { return depth.Value() == 1 }) {
-				t.Fatalf("timed out waiting for %s to queue behind the held slot", e.name)
-			}
+			<-routed
 			if err := c.Migrate(obj, 1); err != nil {
 				t.Fatalf("migrate %d: %v", obj, err)
 			}
-			release()
+			resume <- struct{}{}
 			if err := <-errc; err == nil {
 				t.Fatalf("%s executed at the old home after the move", e.name)
 			} else {

@@ -51,9 +51,6 @@ var columns = []column{
 	// (no valid lease) and redirected to the primary.
 	{"backup_reads_per_sec", "BKRD/S", 8, "%.1f", perSec("reads.backup_served")},
 	{"bounced_reads_per_sec", "BNC/S", 8, "%.1f", perSec("reads.primary_bounced")},
-	// Invocations refused by the admission plane, both causes summed.
-	{"shed_per_sec", "SHED/S", 8, "%.1f", perSec("admission.shed_deadline", "admission.shed_full")},
-	{"admission_queue_depth", "QDEPTH", 6, "%.0f", level("admission.queue_depth")},
 }
 
 // The reductions: each returns a column's Value.
@@ -70,15 +67,9 @@ func quantileUs(hist string, q float64) func(telemetry.RegistrySnapshot) float64
 	}
 }
 
-// perSec is the named counters' increments, summed, per window second.
-func perSec(counters ...string) func(telemetry.RegistrySnapshot) float64 {
-	return func(w telemetry.RegistrySnapshot) float64 {
-		var n uint64
-		for _, c := range counters {
-			n += w.Counters[c]
-		}
-		return over(n, w.Seconds)
-	}
+// perSec is the named counter's increments per window second.
+func perSec(counter string) func(telemetry.RegistrySnapshot) float64 {
+	return func(w telemetry.RegistrySnapshot) float64 { return over(w.Counters[counter], w.Seconds) }
 }
 
 // level is the named gauge, summed over the members.

@@ -15,8 +15,7 @@ import (
 
 // goldenWindow is a hand-built merged window: two seconds in which a group
 // ran 1000 invocations (995 at ~1ms, 5 at ~100ms), fsynced 500 times at
-// ~2ms, hit the cache 3 times in 4, served 40 backup reads, bounced 10, and
-// shed 6+2.
+// ~2ms, hit the cache 3 times in 4, served 40 backup reads and bounced 10.
 func goldenWindow() telemetry.RegistrySnapshot {
 	var invoke, fsync telemetry.Histogram
 	for i := 0; i < 995; i++ {
@@ -38,16 +37,15 @@ func goldenWindow() telemetry.RegistrySnapshot {
 		Counters: map[string]uint64{
 			"core.cache_hits": 300, "core.cache_misses": 100,
 			"reads.backup_served": 40, "reads.primary_bounced": 10,
-			"admission.shed_deadline": 6, "admission.shed_full": 2,
 		},
 		Gauges: map[string]int64{
-			"rpc.server.in_flight": 7, "lease.held": 2, "admission.queue_depth": 3,
+			"rpc.server.in_flight": 7, "lease.held": 2,
 		},
 	}
 }
 
 // TestTopGolden pins `lambdactl top` against the hand-built window: the
-// fourteen columns, their headers, widths and formats, the JSON keys the
+// twelve columns, their headers, widths and formats, the JSON keys the
 // other readers of the rollup use — all produced by walking the one column
 // table, so a row added there shows up in Values, in /cluster/metrics and
 // in the table without another edit (and fails here until the golden is
@@ -62,9 +60,9 @@ func TestTopGolden(t *testing.T) {
 	got := FormatClusterMetrics(cm)
 	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
 	want := []string{
-		"GROUP  PRIMARY                   OPS/S   P50(us)   P99(us)  P999(us) FSYNC99(us)  CACHE    QD LEASES   BKRD/S    BNC/S   SHED/S QDEPTH",
-		"0      10.0.0.1:7000             500.0      1024      1024    102400        2048  75.0%     7      2     20.0      5.0      4.0      3",
-		"ALL    -                         500.0      1024      1024    102400        2048  75.0%     7      2     20.0      5.0      4.0      3",
+		"GROUP  PRIMARY                   OPS/S   P50(us)   P99(us)  P999(us) FSYNC99(us)  CACHE    QD LEASES   BKRD/S    BNC/S",
+		"0      10.0.0.1:7000             500.0      1024      1024    102400        2048  75.0%     7      2     20.0      5.0",
+		"ALL    -                         500.0      1024      1024    102400        2048  75.0%     7      2     20.0      5.0",
 	}
 	if len(lines) != 4 || !strings.HasPrefix(lines[0], "cluster: 3/3 member(s) scraped, window 2.0s") {
 		t.Fatalf("top output:\n%s", got)
@@ -74,12 +72,12 @@ func TestTopGolden(t *testing.T) {
 			t.Errorf("top line %d:\n got %q\nwant %q", i+1, lines[i+1], w)
 		}
 	}
-	if n := len(strings.Fields(want[0])); n != 14 || n != len(columns)+2 {
-		t.Errorf("top prints %d columns for %d table rows, want 14 for 12", n, len(columns))
+	if n := len(strings.Fields(want[0])); n != 12 || n != len(columns)+2 {
+		t.Errorf("top prints %d columns for %d table rows, want 12 for 10", n, len(columns))
 	}
 
-	// Every column is in the JSON under its key, and the keys product code
-	// reads by name (lambdacoord's overload alert) carry the group's values.
+	// Every column is in the JSON under its key, and the keys carry the
+	// group's values.
 	raw, err := json.Marshal(cm)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +91,7 @@ func TestTopGolden(t *testing.T) {
 			t.Errorf("column %s (%s) is not in the /cluster/metrics JSON", c.Key, c.Header)
 		}
 	}
-	for key, want := range map[string]float64{"shed_per_sec": 4, "admission_queue_depth": 3, "p99_us": 1024, "queue_depth": 7} {
+	for key, want := range map[string]float64{"backup_reads_per_sec": 20, "bounced_reads_per_sec": 5, "p99_us": 1024, "queue_depth": 7} {
 		if got, ok := decoded.Groups[0].Values[key]; !ok || got != want {
 			t.Errorf("Values[%q] = %v (present %v), want %v", key, got, ok, want)
 		}

@@ -107,8 +107,9 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 		return fmt.Errorf("offer: %w", err)
 	}
 
-	// Quiesce: fence first so routing rejects ahead of the admission
-	// queue, then drain in-flight invocations by taking the admission.
+	// Quiesce: fence first so routing rejects new requests before they
+	// wait on the object's lock, then drain in-flight invocations by taking
+	// the object's admission in that lock table.
 	p.opts.Fence(object, targetAddr)
 	blackout := time.Now()
 	if release, err = p.opts.LockObject(object); err != nil {

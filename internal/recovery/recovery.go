@@ -70,9 +70,9 @@ type Options struct {
 	// with an error).
 	LockObject func(object uint64) (func(), error)
 	// Fence makes routing reject the object with not-responsible plus the
-	// hint, ahead of the admission queue; Unfence lifts it (abort path, or
-	// the object coming back — after a cutover the fence self-clears when
-	// the directory view moves on).
+	// hint before it waits on the object's lock; Unfence lifts it (abort
+	// path, or the object coming back — after a cutover the fence
+	// self-clears when the directory view moves on).
 	Fence   func(object uint64, hint string)
 	Unfence func(object uint64)
 	// CutOver proposes the epoch-fenced directory change making targetGroup

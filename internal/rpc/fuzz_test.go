@@ -18,6 +18,6 @@ func FuzzRPCFrame(f *testing.F) {
 	}
 	wiretest.Fuzz(f,
 		wiretest.Of("request", &message{kind: msgRequest, id: 9, trace: 1 << 40, parent: 77, method: "obj.invoke", body: []byte("args")}, enc, dec),
-		wiretest.Of("response", &message{kind: msgResponse, id: 9, errStr: "overloaded: queue full"}, enc, dec),
+		wiretest.Of("response", &message{kind: msgResponse, id: 9, errStr: "core: no such object: obj-4"}, enc, dec),
 	)
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -232,7 +233,6 @@ func TestOneRequestPath(t *testing.T) {
 		callers     []string
 	}{
 		{"internal/cluster", "route", []string{"serve", "createGuard"}},
-		{"internal/cluster", "Admit", []string{"serve"}},
 		// The role machine's one writer applies every view.
 		{"internal/cluster", "SetEpoch", []string{"install"}},
 		{"internal/cluster", "SetBackups", []string{"install"}},
@@ -582,6 +582,71 @@ func TestOneMetricsSurface(t *testing.T) {
 	})
 	if read != 13 {
 		t.Errorf("benchmark/counts.go names %d instruments, want the 12 regCounters and repl.batch_size", read)
+	}
+
+	// (e) Every instrument a `lambdactl top` column reads is declared, with
+	// the kind its reduction expects: a column over a deleted instrument
+	// would read 0 forever.
+	reads := map[string][]string{ // reduction -> registry methods it accepts
+		"perSec":     {"Counter"},
+		"hitPct":     {"Counter"},
+		"level":      {"Gauge", "GaugeFunc"},
+		"histPerSec": {"Histogram", "CountHistogram"},
+		"quantileUs": {"Histogram"},
+	}
+	agg, err := parser.ParseFile(fset, "internal/coordinator/aggregate.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := 0
+	ast.Inspect(agg, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "columns" || len(vs.Values) != 1 {
+			return true
+		}
+		table, ok := vs.Values[0].(*ast.CompositeLit)
+		if !ok {
+			return false
+		}
+		for _, e := range table.Elts {
+			row, ok := e.(*ast.CompositeLit)
+			if !ok || len(row.Elts) == 0 {
+				continue
+			}
+			cols++
+			call, _ := row.Elts[len(row.Elts)-1].(*ast.CallExpr)
+			var reduction string
+			if call != nil {
+				reduction = selectorPath(call.Fun)
+			}
+			methods, known := reads[reduction]
+			if !known {
+				t.Errorf("%s: column reduces with %q, which part (e) does not know", fset.Position(row.Pos()), reduction)
+				continue
+			}
+			for _, arg := range call.Args {
+				lit, ok := arg.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					continue
+				}
+				name, _ := strconv.Unquote(lit.Value)
+				if len(declared[name]) == 0 {
+					t.Errorf("%s: column reads %q, which nothing declares any more", fset.Position(lit.Pos()), name)
+					continue
+				}
+				matched := false
+				for _, d := range declared[name] {
+					matched = matched || slices.Contains(methods, d.method)
+				}
+				if !matched {
+					t.Errorf("%s: column's %s reads %q, declared with %s, want one of %v", fset.Position(lit.Pos()), reduction, name, declared[name][0].method, methods)
+				}
+			}
+		}
+		return false
+	})
+	if cols < 5 {
+		t.Errorf("found %d columns in internal/coordinator/aggregate.go: the guard is not looking at the table", cols)
 	}
 }
 
