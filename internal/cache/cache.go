@@ -177,6 +177,7 @@ func NewSharded(capacity, shards int, reg *telemetry.Registry) *Cache {
 		s.lru.prev, s.lru.next = &s.lru, &s.lru
 		c.shards[i] = s
 	}
+	reg.GaugeFunc("cache.entries", func() int64 { return int64(c.Len()) })
 	reg.GaugeFunc("cache.validations", func() int64 { return int64(c.Stats().Validations) })
 	reg.GaugeFunc("cache.evictions", func() int64 { return int64(c.Stats().Evictions) })
 	reg.GaugeFunc("cache.bypass", func() int64 { return int64(c.Stats().Bypass) })

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
 	"lambdastore/internal/shard"
+	"lambdastore/internal/telemetry"
 )
 
 // Schedule timing. Every scenario runs these values; they are sized against
@@ -373,17 +375,50 @@ func (r *runner) runScenario(s Scenario) error {
 	return nil
 }
 
-// startLeaseProbe launches a concurrent reader that hammers one object
-// with read-your-acks checks while the schedule reconfigures the
-// cluster underneath it. Each iteration appends a unique id through the
-// primary, then issues a replica-routed read (round-robin over leased
-// backups); a successful read that is missing ANY id acknowledged
-// before it was issued is a stale read — exactly what leases must make
-// impossible across failover and migration-cutover epochs. Reads that
-// error are fine (bounced by an unleased backup, node down); only
-// success with stale data is a violation. The returned stop func joins
-// the probe and reports the first violation, if any.
-func (r *runner) startLeaseProbe(obj core.ObjectID) (stop func() error) {
+// startLeaseProbe hammers one object per replica of obj's group — obj, and
+// new objects whose shard.ReadReplica is each other replica — with
+// read-your-acks checks while the schedule reconfigures the cluster: each
+// iteration appends a unique id through the primary, then reads at the
+// object's read replica. A successful read missing ANY id acknowledged
+// before it was issued is a stale read, which leases must make impossible
+// across failover and migration-cutover epochs; a read that errors
+// (bounced, node down) is fine. It returns once every replica has served a
+// probe read (the schedule runs no other reads meanwhile) and fails if one
+// has not within 5s. The returned stop func joins the probe and reports
+// the first violation.
+func (r *runner) startLeaseProbe(obj core.ObjectID) (stop func() error, err error) {
+	d, err := r.c.View()
+	if err != nil {
+		return nil, err
+	}
+	g, err := d.Lookup(uint64(obj))
+	if err != nil {
+		return nil, err
+	}
+	readAt := func(id uint64) string {
+		if og, _ := d.Lookup(id); og.ID == g.ID {
+			return g.ReadReplica(id, 0)
+		}
+		return ""
+	}
+	objs := []core.ObjectID{obj}
+	served := map[*telemetry.Counter]uint64{} // each replica's reads.served before the probe
+	for _, s := range r.c.Slots {
+		if s.Node == nil || !slices.Contains(g.Replicas(), s.Addr) {
+			continue
+		}
+		c := s.Node.Metrics().Counter("reads.served")
+		served[c] = c.Value()
+		if readAt(uint64(obj)) != s.Addr {
+			for readAt(r.probeBase) != s.Addr {
+				r.probeBase++
+			}
+			objs = append(objs, core.ObjectID(r.probeBase))
+			if err := r.client.CreateObject("Ledger", core.ObjectID(r.probeBase)); err != nil {
+				return nil, fmt.Errorf("lease probe object: %w", err)
+			}
+		}
+	}
 	// A dedicated client with a short retry budget keeps the probe
 	// sampling during unavailability windows instead of blocking inside
 	// one call's 10s retry loop.
@@ -393,54 +428,66 @@ func (r *runner) startLeaseProbe(obj core.ObjectID) (stop func() error) {
 		RetryBudget:  300 * time.Millisecond,
 	})
 	if err != nil {
-		return func() error { return fmt.Errorf("lease probe client: %w", err) }
+		return nil, fmt.Errorf("lease probe client: %w", err)
 	}
 	stopCh := make(chan struct{})
-	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
 	var probeErr error
 	var reads, ackedN int
-	base := r.probeBase
-	r.probeBase += 1 << 20
-	go func() {
-		defer close(done)
-		defer pc.Close()
-		var acked []uint64
-		defer func() { ackedN = len(acked) }()
-		next := base
-		for {
-			select {
-			case <-stopCh:
-				return
-			default:
+	for _, o := range objs {
+		base := r.probeBase
+		r.probeBase += 1 << 20
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var acked []uint64
+			for next := base; ; next++ {
+				select {
+				case <-stopCh:
+					mu.Lock()
+					ackedN += len(acked)
+					mu.Unlock()
+					return
+				default:
+				}
+				if _, err := pc.Invoke(o, "append", [][]byte{core.I64Bytes(int64(next))}); err == nil {
+					acked = append(acked, next)
+				}
+				raw, err := pc.InvokeRead(o, "list", nil)
+				if err != nil {
+					continue // bounced or unavailable — not a staleness violation
+				}
+				err = requireAll(acked, DecodeLog(raw), fmt.Sprintf("lease probe on object %d", o))
+				mu.Lock()
+				reads++
+				probeErr = cmp.Or(probeErr, err)
+				mu.Unlock()
 			}
-			id := next
-			next++
-			if _, err := pc.Invoke(obj, "append", [][]byte{core.I64Bytes(int64(id))}); err == nil {
-				acked = append(acked, id)
-			}
-			raw, err := pc.InvokeRead(obj, "list", nil)
-			if err != nil {
-				continue // bounced or unavailable — not a staleness violation
-			}
-			reads++
-			if err := requireAll(acked, DecodeLog(raw), fmt.Sprintf("lease probe on object %d", obj)); err != nil {
-				probeErr = err
-				return
-			}
-		}
-	}()
-	return func() error {
-		close(stopCh)
-		<-done
-		r.opts.Log("chaos: lease probe on object %d: %d replica reads consistent with %d acked writes", obj, reads, ackedN)
-		if probeErr != nil {
-			return probeErr
-		}
-		if reads == 0 {
-			return fmt.Errorf("chaos: lease probe on object %d never completed a replica read — assertion proved nothing", obj)
-		}
-		return nil
+		}()
 	}
+	stop = func() error {
+		close(stopCh)
+		wg.Wait()
+		pc.Close()
+		r.opts.Log("chaos: lease probe on objects %v: %d replica reads consistent with %d acked writes", objs, reads, ackedN)
+		if reads == 0 {
+			return fmt.Errorf("chaos: lease probe on objects %v never completed a replica read — assertion proved nothing", objs)
+		}
+		return probeErr
+	}
+	if err := r.c.Await(5*time.Second, "every replica to serve a lease probe read", func() bool {
+		for c, v := range served {
+			if c.Value() == v {
+				return false
+			}
+		}
+		return len(served) == len(g.Replicas())
+	}); err != nil {
+		stop() //nolint:errcheck // a replica that served no read is the error
+		return nil, fmt.Errorf("chaos: lease probe on objects %v: %w", objs, err)
+	}
+	return stop, nil
 }
 
 // rejoinBurst fires `clients` concurrent writers, each appending
@@ -561,7 +608,10 @@ func (r *runner) runRestartRejoin() error {
 	// Lease revocation under failover: from here through the primary
 	// kill, promotion of the rejoined backup, and recovery, a concurrent
 	// reader must never observe a replica read missing an acked write.
-	probeStop := r.startLeaseProbe(r.objects[r.rng.intn(len(r.objects))])
+	probeStop, err := r.startLeaseProbe(r.objects[r.rng.intn(len(r.objects))])
+	if err != nil {
+		return err
+	}
 
 	// Strip the group down to the rejoined node: every other backup
 	// first (evictions, no promotion)...
@@ -716,7 +766,10 @@ func (r *runner) runMigrateUnderChaos() error {
 	// never see a replica read missing an acked write — source-group
 	// leases die on the override install, target-group leases only cover
 	// state shipped after the cutover.
-	probeStop := r.startLeaseProbe(obj)
+	probeStop, err := r.startLeaseProbe(obj)
+	if err != nil {
+		return err
+	}
 	fault.Add(fault.Rule{Site: fault.Wildcard, To: g1.Primary, Action: fault.Delay, Delay: 25 * time.Millisecond})
 	moveDone = make(chan error, 1)
 	go func() { moveDone <- r.client.Migrate(obj, 1) }()

@@ -23,8 +23,6 @@ type Client struct {
 
 	dir atomic.Pointer[shard.Directory]
 
-	rr atomic.Uint64 // round-robin cursor for replica reads
-
 	// maxRetries bounds routing retries after stale-config rejections;
 	// retryBase/retryMax shape the capped exponential backoff between
 	// retries; retryBudget bounds one call's total retry time (sleeps
@@ -175,46 +173,32 @@ func (c *Client) InvokeTraced(id core.ObjectID, method string, args [][]byte) ([
 	return resp, ctx.Trace, err
 }
 
-// InvokeRead runs a read-only method at one of the object's replicas,
-// spreading load round-robin. A backup serves only a method whose link-time
-// facts prove it a read; any other it redirects to the primary.
+// InvokeRead runs a read-only method at the object's read replica
+// (shard.Group.ReadReplica), the one replica that caches its results. A
+// backup serves only a method whose link-time facts prove it a read, and
+// only under a valid lease; any other it redirects to the primary.
 func (c *Client) InvokeRead(id core.ObjectID, method string, args [][]byte) ([]byte, error) {
 	return c.invoke(c.rootCtx(), id, method, args, true)
 }
 
-// readTarget picks the replica for a read-only invocation: primary and
-// backups in turn. A backup answers only while it holds a valid lease and
-// bounces otherwise, so spreading never costs consistency. It indexes the
-// replicas in place: no replica slice per read.
-func (c *Client) readTarget(g shard.Group) string {
-	if i := c.rr.Add(1) % uint64(1+len(g.Backups)); i > 0 {
-		return g.Backups[i-1]
-	}
-	return g.Primary
-}
-
 // send is the client's one retry loop, and so the definition of its
-// at-least-once semantics: every attempt calls resolve for the group afresh
-// (the view may have changed), sends the same frame to its primary — or,
-// spread, to the replica readTarget picks — and classifies a
-// failure as one of two shapes: a stale view (not-responsible) or a
-// connection-level fault.
+// at-least-once semantics: every attempt resolves its target afresh (the
+// view may have changed) — a primary, or for a spread read the replica the
+// attempt names in its object's order — sends it the same frame, and
+// classifies a failure as one of two shapes: a stale view (not-responsible)
+// or a connection-level fault.
 // Retries are bounded by MaxRetries and RetryBudget; a routing error and a
 // write's connection failure without a coordinator return at once.
-func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, spread bool, resolve func() (shard.Group, error)) ([]byte, error) {
+func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, spread bool, resolve func(attempt int) (string, error)) ([]byte, error) {
 	deadline := time.Now().Add(c.retryBudget)
 	var lastErr error
 	for attempt := 0; attempt < c.maxRetries; attempt++ {
 		if attempt > 0 && !c.backoff(attempt, deadline) {
 			break
 		}
-		g, err := resolve()
+		addr, err := resolve(attempt)
 		if err != nil {
 			return nil, err
-		}
-		addr := g.Primary
-		if spread {
-			addr = c.readTarget(g)
 		}
 		resp, err := c.pool.CallCtx(addr, ctx, method, body)
 		if err == nil {
@@ -235,7 +219,8 @@ func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, spr
 		// Connection-level failure: the node may have died; refresh config
 		// (failover may have promoted a backup) and retry after backoff.
 		// Without a coordinator the view cannot change, so a write fails;
-		// a spread read still fails over to the next replica via rr.
+		// a spread read still fails over to the next replica in its
+		// object's order.
 		if !c.refresh() && !spread {
 			return nil, lastErr
 		}
@@ -243,12 +228,19 @@ func (c *Client) send(ctx telemetry.SpanContext, method string, body []byte, spr
 	return nil, fmt.Errorf("cluster: %s failed after retries: %w", method, lastErr)
 }
 
-// invoke sends one invoke frame; spread picks its replica round-robin
-// (InvokeRead) instead of the primary. The frame is the same either way.
+// invoke sends one invoke frame; spread sends it to the object's read
+// replica (InvokeRead) instead of its primary. The frame is the same
+// either way.
 func (c *Client) invoke(ctx telemetry.SpanContext, id core.ObjectID, method string, args [][]byte, spread bool) ([]byte, error) {
 	body := encodeInvokeReq(&invokeReq{object: id, method: method, args: args})
 	defer putInvokeBuf(body)
-	return c.send(ctx, MethodInvoke, *body, spread, func() (shard.Group, error) { return c.lookup(id) })
+	return c.send(ctx, MethodInvoke, *body, spread, func(attempt int) (string, error) {
+		g, err := c.lookup(id)
+		if spread {
+			return g.ReadReplica(uint64(id), attempt), err
+		}
+		return g.Primary, err
+	})
 }
 
 // InvokeTransaction executes a serializable multi-call transaction
@@ -258,21 +250,21 @@ func (c *Client) InvokeTransaction(calls []core.TxCall) ([][]byte, error) {
 	if len(calls) == 0 {
 		return nil, nil
 	}
-	resp, err := c.send(c.rootCtx(), MethodInvokeTx, encodeTxReq(&txReq{calls: calls}), false, func() (shard.Group, error) {
+	resp, err := c.send(c.rootCtx(), MethodInvokeTx, encodeTxReq(&txReq{calls: calls}), false, func(int) (string, error) {
 		g, err := c.lookup(calls[0].Object)
 		if err != nil {
-			return g, err
+			return "", err
 		}
 		for _, call := range calls[1:] {
 			cg, err := c.lookup(call.Object)
 			if err != nil {
-				return g, err
+				return "", err
 			}
 			if cg.ID != g.ID {
-				return g, fmt.Errorf("cluster: transaction spans groups %d and %d (objects must share a replica group)", g.ID, cg.ID)
+				return "", fmt.Errorf("cluster: transaction spans groups %d and %d (objects must share a replica group)", g.ID, cg.ID)
 			}
 		}
-		return g, nil
+		return g.Primary, nil
 	})
 	if err != nil {
 		return nil, err
@@ -283,13 +275,13 @@ func (c *Client) InvokeTransaction(calls []core.TxCall) ([][]byte, error) {
 // CreateObject instantiates an object at its primary.
 func (c *Client) CreateObject(typeName string, id core.ObjectID) error {
 	body := encodeCreateReq(&createReq{object: id, typeName: typeName})
-	_, err := c.send(c.rootCtx(), MethodCreate, body, false, func() (shard.Group, error) { return c.lookup(id) })
+	_, err := c.send(c.rootCtx(), MethodCreate, body, false, func(int) (string, error) { g, err := c.lookup(id); return g.Primary, err })
 	return err
 }
 
 // DeleteObject removes an object and all its state at its primary.
 func (c *Client) DeleteObject(id core.ObjectID) error {
-	_, err := c.send(c.rootCtx(), MethodDelete, encodeDeleteReq(id), false, func() (shard.Group, error) { return c.lookup(id) })
+	_, err := c.send(c.rootCtx(), MethodDelete, encodeDeleteReq(id), false, func(int) (string, error) { g, err := c.lookup(id); return g.Primary, err })
 	return err
 }
 

@@ -162,21 +162,40 @@ func TestSingleGroupInvokeAndReplicate(t *testing.T) {
 	}
 }
 
+// readAtBackup returns the lowest object id from 1 whose read replica in
+// dir is a backup of its group, and that backup's address.
+func readAtBackup(t *testing.T, dir *shard.Directory) (core.ObjectID, string) {
+	t.Helper()
+	for id := uint64(1); id < 64; id++ {
+		g, err := dir.Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := g.ReadReplica(id, 0); r != g.Primary {
+			return core.ObjectID(id), r
+		}
+	}
+	t.Fatal("no object of 63 is read at a backup")
+	return 0, ""
+}
+
 func TestReplicaReads(t *testing.T) {
 	nodes, dir := startStatic(t, NodeOptions{}, 3)
 	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateObject("Counter", 1); err != nil {
+	obj, _ := readAtBackup(t, dir)
+	if err := c.CreateObject("Counter", obj); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Invoke(1, "add", [][]byte{core.I64Bytes(7)}); err != nil {
+	if _, err := c.Invoke(obj, "add", [][]byte{core.I64Bytes(7)}); err != nil {
 		t.Fatal(err)
 	}
-	// Spread reads over replicas; all must observe the committed value.
+	// Reads go to the object's read replica, here a backup; all must
+	// observe the committed value.
 	for i := 0; i < 9; i++ {
-		res, err := c.InvokeRead(1, "get", nil)
+		res, err := c.InvokeRead(obj, "get", nil)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}

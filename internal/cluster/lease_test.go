@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -308,29 +309,31 @@ func TestLeasedBackupCachedReadSeesPrimaryCommit(t *testing.T) {
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateObject("Counter", 1); err != nil {
+	// The backup that is the object's read replica: the one that caches it.
+	obj, addr := readAtBackup(t, dir)
+	if err := c.CreateObject("Counter", obj); err != nil {
 		t.Fatal(err)
 	}
-	mustAdd(t, c, 1, 5)
+	mustAdd(t, c, obj, 5)
 
 	pool := rpc.NewPool(nil)
 	t.Cleanup(pool.Close)
-	backup := nodes[1]
+	backup := nodes[slices.IndexFunc(nodes, func(n *Node) bool { return n.Addr() == addr })]
 	cached := backup.Runtime().Cache()
-	if v := readAt(t, pool, backup.Addr(), 1); v != 5 { // executes and stores
+	if v := readAt(t, pool, backup.Addr(), obj); v != 5 { // executes and stores
 		t.Fatalf("backup read = %d, want 5", v)
 	}
 	before := cached.Stats()
-	if v := readAt(t, pool, backup.Addr(), 1); v != 5 {
+	if v := readAt(t, pool, backup.Addr(), obj); v != 5 {
 		t.Fatalf("repeated backup read = %d, want 5", v)
 	}
 	if after := cached.Stats(); after.Hits != before.Hits+1 {
 		t.Fatalf("repeated backup read did not hit its cache: %+v -> %+v", before, after)
 	}
 
-	mustAdd(t, c, 1, 3) // acknowledged: every backup has applied it
+	mustAdd(t, c, obj, 3) // acknowledged: every backup has applied it
 	before = cached.Stats()
-	if v := readAt(t, pool, backup.Addr(), 1); v != 8 {
+	if v := readAt(t, pool, backup.Addr(), obj); v != 8 {
 		t.Fatalf("backup read after the primary's commit = %d, want 8", v)
 	}
 	after := cached.Stats()

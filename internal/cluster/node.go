@@ -174,6 +174,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	rtOpts.Metrics = reg
 	rtOpts.Tracer = tracer
 	rtOpts.OnCommit = n.afterCommit
+	rtOpts.Caches = func(obj core.ObjectID) bool { return n.role.readsFor(obj) } // n.role is built below
 	if n.rt, err = core.NewRuntime(n.db, rtOpts); err != nil {
 		return nil, err
 	}
@@ -185,6 +186,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		leases:      n.leases,
 		shipper:     n.shipper,
 		readOnly:    n.rt.MethodReadOnly,
+		reads:       reg.Counter("reads.served"),
 		served:      reg.Counter("reads.backup_served"),
 		bounced:     reg.Counter("reads.primary_bounced"),
 		now:         time.Now,

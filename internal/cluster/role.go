@@ -24,7 +24,8 @@ type roleMachine struct {
 	leases      leaseHolder
 	shipper     *replication.Shipper
 	readOnly    func(core.ObjectID, string) bool // the method's link-time facts prove it a read
-	served      *telemetry.Counter
+	reads       *telemetry.Counter               // reads served here, as primary or backup
+	served      *telemetry.Counter               // ... as a leased backup
 	bounced     *telemetry.Counter
 	now         func() time.Time // time.Now; same-package tests inject a clock
 
@@ -203,18 +204,35 @@ func (m *roleMachine) route(obj core.ObjectID, method string) error {
 		return nil
 	}
 	if g.Primary == v.self {
+		if method != "" && m.readOnly(obj, method) {
+			m.reads.Inc()
+		}
 		return nil
 	}
 	if slices.Contains(g.Backups, v.self) && m.readOnly(obj, method) {
 		// Only under a valid lease (right epoch, unexpired, apply lag in
 		// bounds); otherwise the read bounces to the primary, always safe.
 		if m.leases.Valid() {
+			m.reads.Inc()
 			m.served.Inc()
 			return nil
 		}
 		m.bounced.Inc()
 	}
 	return notResponsibleError(g.Primary)
+}
+
+// readsFor is the result cache's admission (core.Options.Caches): a member
+// of obj's group caches obj's results only if it is obj's read replica in
+// its installed view, so the group keeps one copy of each. A node outside
+// the object's group, or with no configuration, caches everything.
+func (m *roleMachine) readsFor(obj core.ObjectID) bool {
+	v := m.load()
+	g, err := v.dir.Lookup(uint64(obj))
+	if err != nil || !v.member || g.ID != m.group {
+		return true
+	}
+	return g.ReadReplica(uint64(obj), 0) == v.self
 }
 
 // createGuard is a create's route step again, under the object's write

@@ -168,6 +168,7 @@ func TestRoute(t *testing.T) {
 	m := &roleMachine{
 		leases:   leases,
 		readOnly: func(_ core.ObjectID, method string) bool { return method == "get" },
+		reads:    reg.Counter("reads.served"),
 		served:   reg.Counter("reads.backup_served"),
 		bounced:  reg.Counter("reads.primary_bounced"),
 		fences:   make(map[uint64]string),
@@ -189,6 +190,7 @@ func TestRoute(t *testing.T) {
 
 	publish(dirAt(2, nil, g0("me", "b1"), g1))
 	check(t, m.route(2, "put"), "-")
+	check(t, m.route(2, "get"), "-")
 	check(t, m.route(3, "put"), "other") // object 3 hashes to group 1
 
 	publish(dirAt(2, nil, g0("p", "me"), g1))
@@ -198,8 +200,8 @@ func TestRoute(t *testing.T) {
 	check(t, m.route(2, ""), "p")    // a create, delete or transaction
 	leases.valid.Store(false)
 	check(t, m.route(2, "get"), "p")
-	if s, b := m.served.Value(), m.bounced.Value(); s != 1 || b != 1 {
-		t.Fatalf("served %d bounced %d, want 1 and 1", s, b)
+	if r, s, b := m.reads.Value(), m.served.Value(), m.bounced.Value(); r != 2 || s != 1 || b != 1 {
+		t.Fatalf("reads %d (one at the primary) served %d bounced %d, want 2, 1 and 1", r, s, b)
 	}
 
 	publish(dirAt(2, nil, g0("me", "b1"), g1))

@@ -43,6 +43,10 @@ type Options struct {
 	// OnCommit, if set, observes acknowledged write-sets (a node's lease
 	// barrier).
 	OnCommit CommitHook
+	// Caches, if set, is the result cache's admission: whether this runtime
+	// looks up and keeps cacheable results of obj (a node's: only of the
+	// objects it is the read replica of). Nil caches every object.
+	Caches func(obj ObjectID) bool
 	// LockTimeout bounds scheduler admission (default 10s).
 	LockTimeout time.Duration
 	// Metrics, if set, publishes the runtime's counters and histograms
@@ -419,8 +423,10 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 	}
 
 	// Consistent result cache: hit only if the object's committed version
-	// is still the one the cached execution read (§4.2.2).
-	cacheable := mi.Cacheable() && rt.cache != nil
+	// is still the one the cached execution read (§4.2.2). A runtime that
+	// does not cache the object's results runs the guest, counts a miss
+	// and keeps nothing.
+	cacheable := mi.Cacheable() && rt.cache != nil && (rt.opts.Caches == nil || rt.opts.Caches(id))
 	var argsHash, epoch uint64
 	if cacheable {
 		argsHash = cache.HashArgs(method, args)
@@ -435,6 +441,8 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 			return result, nil
 		}
 		epoch = missEpoch
+		rt.metrics.cacheMisses.Inc()
+	} else if rt.cache != nil && mi.Cacheable() {
 		rt.metrics.cacheMisses.Inc()
 	} else if rt.cache != nil {
 		rt.cache.NoteBypass()

@@ -117,6 +117,40 @@ func BenchmarkCall(b *testing.B) {
 	}
 }
 
+// BenchmarkCallConcurrentOnePeer is BenchmarkCall from two goroutines on
+// one pool to one peer, as a benchmark deployment's two clients reach one
+// primary: each call takes an idle lane, so the two do not queue on one
+// connection's reader and flusher. make bench requires at most 1 allocs/op.
+func BenchmarkCallConcurrentOnePeer(b *testing.B) {
+	srv := NewServer()
+	reply := make([]byte, 64)
+	srv.Handle("reply", func([]byte) ([]byte, error) { return reply, nil })
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	p := NewPool(nil)
+	defer p.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			body := make([]byte, 64)
+			for range n {
+				if _, err := p.Call(addr, "reply", body); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(b.N/2 + g*(b.N%2))
+	}
+	wg.Wait()
+}
+
 // BenchmarkCallDeepHandler is BenchmarkCall with a handler that uses about
 // 32 KB of stack before it replies, as a guest invocation does on its way
 // to the VM's call depth: a handler goroutine that starts on a fresh stack

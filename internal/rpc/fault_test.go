@@ -103,10 +103,10 @@ func TestFaultSeam(t *testing.T) {
 	t.Run("crash", func(t *testing.T) {
 		t.Cleanup(fault.Clear)
 		p := labelledPool(t, "", nil)
-		first, err := p.Get(addr)
-		if err != nil {
+		if err := call(p, "other"); err != nil {
 			t.Fatal(err)
 		}
+		first := p.lanes[addr][0]
 		arm(t, "rule count crash count=1")
 		if err := call(p, "count"); !errors.Is(err, ErrClosed) {
 			t.Fatalf("err = %v, want ErrClosed", err)
@@ -114,8 +114,8 @@ func TestFaultSeam(t *testing.T) {
 		if err := call(p, "count"); err != nil {
 			t.Fatalf("call after a crash: %v", err)
 		}
-		if again, _ := p.Get(addr); again == first {
-			t.Fatal("the pool kept the crashed connection")
+		if lanes := p.lanes[addr]; len(lanes) != 1 || lanes[0] == first {
+			t.Fatalf("the pool kept the crashed connection: lanes %v, crashed %p", lanes, first)
 		}
 	})
 

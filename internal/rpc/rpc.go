@@ -1,8 +1,9 @@
 // Package rpc is the network substrate of LambdaStore: a compact
 // length-framed request/response protocol over TCP with per-connection
-// multiplexing (many in-flight requests share one connection), per-call
-// timeouts, and an injectable artificial delay used by the benchmark
-// harness to emulate LAN/WAN round-trip times on loopback. It is also the
+// multiplexing (many in-flight requests may share one connection; a Pool
+// opens one per concurrent caller, up to GOMAXPROCS), per-call timeouts,
+// and an injectable artificial delay used by the benchmark harness to
+// emulate LAN/WAN round-trip times on loopback. It is also the
 // network's one fault seam: internal/fault decides each call (and each dial)
 // once, as a message from the caller's pool label to the peer.
 //
@@ -17,7 +18,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lambdastore/internal/fault"
@@ -600,6 +604,7 @@ type Client struct {
 	closed  bool
 	cw      *connWriter
 	metrics *clientMetrics
+	calls   atomic.Int32 // a Pool's calls in flight on this connection
 }
 
 // Dial connects to addr.
@@ -824,13 +829,20 @@ func (c *Client) Closed() bool {
 	return c.closed
 }
 
-// Pool hands out clients per address, redialing transparently after
-// failures. It is how nodes reach each other without per-call dials.
+// Pool holds connections per address, redialing transparently after
+// failures. It is how nodes reach each other without per-call dials. Each
+// connection to a peer is a lane: a call takes the first idle one, and the
+// pool dials another only when every open lane has a call in flight, up to
+// GOMAXPROCS lanes. A sequential caller so stays on one connection, while
+// calls sent together each get a reader and a flusher of their own rather
+// than queuing on one. A failed lane is dropped when a call next finds it,
+// and replaced by a dial only if the calls need it.
 type Pool struct {
-	opts ClientOptions
+	opts     ClientOptions
+	maxLanes int // runtime.GOMAXPROCS(0) when the pool was made
 
 	mu      sync.Mutex
-	clients map[string]*Client
+	lanes   map[string][]*Client
 	reg     *telemetry.Registry
 	metrics *clientMetrics
 	label   string // fault-plane identity of the pool's owner
@@ -838,7 +850,7 @@ type Pool struct {
 
 // NewPool returns an empty pool using opts for every connection.
 func NewPool(opts *ClientOptions) *Pool {
-	return &Pool{opts: opts.sanitize(), clients: make(map[string]*Client), metrics: newClientMetrics(nil)}
+	return &Pool{opts: opts.sanitize(), maxLanes: runtime.GOMAXPROCS(0), lanes: make(map[string][]*Client), metrics: newClientMetrics(nil)}
 }
 
 // SetTelemetry publishes the pool's outbound-call instruments (calls,
@@ -871,54 +883,69 @@ func (p *Pool) SetFaultLabel(label string) {
 	p.mu.Unlock()
 }
 
-// Get returns a live client for addr, dialing if needed.
-func (p *Pool) Get(addr string) (*Client, error) {
-	p.mu.Lock()
-	c, ok := p.clients[addr]
-	label, m := p.label, p.metrics
-	if ok && !c.Closed() {
+// lane claims a connection to addr for one call, which gives it back with
+// calls.Add(-1): the first idle lane, else a new one while addr has fewer
+// than maxLanes, else the lane with the fewest calls in flight.
+func (p *Pool) lane(addr string) (*Client, error) {
+	for {
+		p.mu.Lock()
+		lanes := slices.DeleteFunc(p.lanes[addr], (*Client).Closed)
+		p.lanes[addr] = lanes
+		var least *Client
+		for _, c := range lanes {
+			if least == nil || c.calls.Load() < least.calls.Load() {
+				least = c
+			}
+		}
+		if least != nil && (least.calls.Load() == 0 || len(lanes) >= p.maxLanes) {
+			least.calls.Add(1)
+			p.mu.Unlock()
+			return least, nil
+		}
+		label, m := p.label, p.metrics
 		p.mu.Unlock()
-		return c, nil
-	}
-	delete(p.clients, addr)
-	p.mu.Unlock()
-
-	nc, err := dialFrom(addr, &p.opts, label, m)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if existing, ok := p.clients[addr]; ok && !existing.Closed() {
+		nc, err := dialFrom(addr, &p.opts, label, m)
+		if err != nil {
+			return nil, err
+		}
+		p.mu.Lock()
+		room := len(p.lanes[addr]) < p.maxLanes
+		if room {
+			nc.calls.Add(1)
+			p.lanes[addr] = append(p.lanes[addr], nc)
+		}
 		p.mu.Unlock()
-		nc.Close()
-		return existing, nil
+		if room {
+			return nc, nil
+		}
+		nc.Close() // concurrent dials filled the lanes meanwhile: take one of theirs
 	}
-	p.clients[addr] = nc
-	p.mu.Unlock()
-	return nc, nil
 }
 
-// Call is shorthand for Get(addr).Call(method, body).
+// Call is shorthand for CallCtx with no trace context.
 func (p *Pool) Call(addr, method string, body []byte) ([]byte, error) {
 	return p.CallCtx(addr, telemetry.SpanContext{}, method, body)
 }
 
-// CallCtx is shorthand for Get(addr).CallCtx(ctx, method, body).
+// CallCtx invokes method at addr on one of its lanes.
 func (p *Pool) CallCtx(addr string, ctx telemetry.SpanContext, method string, body []byte) ([]byte, error) {
-	c, err := p.Get(addr)
+	c, err := p.lane(addr)
 	if err != nil {
 		return nil, err
 	}
+	defer c.calls.Add(-1)
 	return c.CallCtx(ctx, method, body)
 }
 
-// Close closes every pooled client.
+// Close closes every pooled connection.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	clients := p.clients
-	p.clients = make(map[string]*Client)
+	lanes := p.lanes
+	p.lanes = make(map[string][]*Client)
 	p.mu.Unlock()
-	for _, c := range clients {
-		c.Close()
+	for _, cs := range lanes {
+		for _, c := range cs {
+			c.Close()
+		}
 	}
 }

@@ -34,6 +34,49 @@ func (g *Group) Replicas() []string {
 	return append(out, g.Backups...)
 }
 
+// ReadReplica names the replica that serves obj's reads at a retry's
+// attempt: the attempt-th (mod group size) in obj's rendezvous
+// (highest-random-weight) order over the replicas' addresses. A weight
+// depends on an address and the object alone, so a promotion reshuffles
+// nothing and a replica that leaves moves only its own objects. It
+// allocates nothing. Pass k picks the heaviest replica lighter than pass
+// k-1's pick; equal weights order by address.
+func (g *Group) ReadReplica(obj uint64, attempt int) string {
+	var pick string
+	var pickW uint64
+	for k := 0; k <= attempt%(1+len(g.Backups)); k++ {
+		best, bestW := "", uint64(0)
+		for i := -1; i < len(g.Backups); i++ {
+			a := g.Primary
+			if i >= 0 {
+				a = g.Backups[i]
+			}
+			w := rendezvousWeight(a, obj)
+			if (k == 0 || w < pickW || w == pickW && a < pick) && (best == "" || w > bestW || w == bestW && a > best) {
+				best, bestW = a, w
+			}
+		}
+		if best == "" {
+			break
+		}
+		pick, pickW = best, bestW
+	}
+	return pick
+}
+
+// rendezvousWeight is replica addr's weight for object obj: FNV-1a over the
+// address, mixed with the object by a 64-bit finalizer.
+func rendezvousWeight(addr string, obj uint64) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(addr); i++ {
+		h = (h ^ uint64(addr[i])) * 1099511628211
+	}
+	h ^= obj * 0x9e3779b97f4a7c15
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
 // Clone deep-copies the group.
 func (g *Group) Clone() Group {
 	return Group{ID: g.ID, Primary: g.Primary, Backups: append([]string(nil), g.Backups...)}

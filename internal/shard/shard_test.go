@@ -188,3 +188,51 @@ func TestStoredGroupsImmutable(t *testing.T) {
 		t.Fatalf("Lookup allocates %.0f times per call", avg)
 	}
 }
+
+// TestReadReplicaOrder: the attempts of one object visit every replica once
+// before wrapping, promoting a backup changes no object's order, a replica
+// that leaves moves only the objects it read for, and each replica reads
+// for about a third of a three-replica group's objects — without an
+// allocation.
+func TestReadReplicaOrder(t *testing.T) {
+	g := Group{ID: 0, Primary: "127.0.0.1:7411", Backups: []string{"127.0.0.1:7412", "127.0.0.1:7413"}}
+	promoted := Group{ID: 0, Primary: "127.0.0.1:7413", Backups: []string{"127.0.0.1:7411", "127.0.0.1:7412"}}
+	shrunk := Group{ID: 0, Primary: "127.0.0.1:7411", Backups: []string{"127.0.0.1:7413"}}
+	const objects = 3000
+	owned := map[string]int{}
+	for obj := uint64(0); obj < objects; obj++ {
+		seen := map[string]bool{}
+		for a := 0; a < 3; a++ {
+			r := g.ReadReplica(obj, a)
+			if seen[r] {
+				t.Fatalf("object %d: attempt %d revisits %s", obj, a, r)
+			}
+			seen[r] = true
+			if p := promoted.ReadReplica(obj, a); p != r {
+				t.Fatalf("object %d attempt %d: %s before the promotion, %s after", obj, a, r, p)
+			}
+		}
+		if g.ReadReplica(obj, 3) != g.ReadReplica(obj, 0) {
+			t.Fatalf("object %d: attempt 3 does not wrap to attempt 0", obj)
+		}
+		owner := g.ReadReplica(obj, 0)
+		owned[owner]++
+		if owner != "127.0.0.1:7412" && shrunk.ReadReplica(obj, 0) != owner {
+			t.Fatalf("object %d moved from %s though its replica stayed", obj, owner)
+		}
+		if owner == "127.0.0.1:7412" && shrunk.ReadReplica(obj, 0) != g.ReadReplica(obj, 1) {
+			t.Fatalf("object %d of the replica that left did not move to its next replica", obj)
+		}
+	}
+	for r, n := range owned {
+		if n < objects/3*8/10 || n > objects/3*12/10 {
+			t.Errorf("%s reads for %d of %d objects, want about a third", r, n, objects)
+		}
+	}
+	if single := (Group{Primary: "x"}); single.ReadReplica(9, 4) != "x" {
+		t.Fatal("a one-replica group reads at another replica")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.ReadReplica(77, 2) }); allocs != 0 {
+		t.Fatalf("ReadReplica allocates %.1f objects, want 0", allocs)
+	}
+}
