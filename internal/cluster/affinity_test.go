@@ -150,3 +150,35 @@ func TestSpreadReadFailsOverInRendezvousOrder(t *testing.T) {
 		t.Fatalf("the read of %d was not served at the next replica in its order, %s", obj, next.Addr())
 	}
 }
+
+// TestBackupReadAfterWriteReadsNoHeader: a backup binds an object's type when
+// the create's frame puts its header and keeps the binding across the frames
+// of later writes, so a read it serves right after a replicated write to the
+// object resolves the type without reading the header.
+func TestBackupReadAfterWriteReadsNoHeader(t *testing.T) {
+	l, c, byAddr := affinityGroup(t, 1)
+	obj, addr := readAtBackup(t, l.Dir)
+	backup := byAddr[addr]
+	misses := backup.Metrics().Counter("core.type_misses")
+	before := misses.Value()
+	if obj != 1 {
+		if err := c.CreateObject("Counter", obj); err != nil {
+			t.Fatal(err)
+		}
+		mustAdd(t, c, obj, int64(obj))
+	}
+	for i := int64(1); i <= 3; i++ {
+		mustAdd(t, c, obj, 1)
+		served := readServed(backup)
+		res, err := c.InvokeRead(obj, "get", nil)
+		if err != nil || core.BytesI64(res) != int64(obj)+i {
+			t.Fatalf("read %d of %d = %v, %v", i, obj, res, err)
+		}
+		if readServed(backup) != served+1 {
+			t.Fatalf("read %d of %d was not served at its read replica, backup %s", i, obj, addr)
+		}
+	}
+	if n := misses.Value() - before; n != 0 {
+		t.Fatalf("backup %s read %d headers serving reads after writes, want 0", addr, n)
+	}
+}

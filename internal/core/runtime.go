@@ -72,15 +72,18 @@ type Runtime struct {
 	locks *sched.Table
 	cache *cache.Cache
 
+	// mu guards types, which only grows: a type a reload removed keeps its
+	// slot, empty, so the bindings to it miss.
 	mu    sync.RWMutex
-	types map[string]*ObjectType
-	// objTypes caches object -> type bindings (immutable once created).
-	objTypes sync.Map // ObjectID -> *ObjectType
+	types map[string]*typeSlot
 
 	// metrics holds pre-resolved instruments so hot paths never touch the
 	// registry mutex.
 	metrics *rtMetrics
 	tracer  *telemetry.Tracer
+
+	// bindings comes last, away from the fields every invocation reads.
+	bindings bindings
 }
 
 // rtMetrics caches the runtime's instruments; resolved once at startup.
@@ -92,6 +95,7 @@ type rtMetrics struct {
 	cacheHits   *telemetry.Counter
 	cacheMisses *telemetry.Counter
 	commits     *telemetry.Counter
+	typeMisses  *telemetry.Counter // header reads of type resolution
 	// methods maps method name -> per-method invocation counter
 	// ("core.invoke.<method>"), cached so the hot path skips the registry.
 	methods sync.Map
@@ -106,6 +110,7 @@ func newRTMetrics(reg *telemetry.Registry) *rtMetrics {
 		cacheHits:   reg.Counter("core.cache_hits"),
 		cacheMisses: reg.Counter("core.cache_misses"),
 		commits:     reg.Counter("core.commits"),
+		typeMisses:  reg.Counter("core.type_misses"),
 	}
 }
 
@@ -123,8 +128,9 @@ func (m *rtMetrics) methodCounter(method string) *telemetry.Counter {
 // NewRuntime builds a runtime on db, loading persisted types.
 func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 	rt := &Runtime{
-		db:   db,
-		opts: opts,
+		db:    db,
+		opts:  opts,
+		types: make(map[string]*typeSlot),
 	}
 	if opts.Fuel == 0 {
 		rt.opts.Fuel = DefaultFuel
@@ -142,8 +148,7 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 	if rt.opts.Invoker == nil {
 		rt.opts.Invoker = rt
 	}
-	var err error
-	if rt.types, err = rt.readTypes(); err != nil {
+	if err := rt.ReloadTypes(); err != nil {
 		return nil, err
 	}
 	return rt, nil
@@ -185,28 +190,37 @@ func (rt *Runtime) readTypes() (map[string]*ObjectType, error) {
 }
 
 // ReloadTypes re-reads the persisted type records and replaces the
-// installed set. Anti-entropy recovery calls it after syncing the meta
-// range from a donor, making types that were deployed during the
-// node's downtime dispatchable without a restart.
+// installed set, slot by slot, so no binding needs re-resolving.
+// Anti-entropy recovery calls it after syncing the meta range from a donor,
+// making types that were deployed during the node's downtime dispatchable
+// without a restart.
 func (rt *Runtime) ReloadTypes() error {
 	fresh, err := rt.readTypes()
 	if err != nil {
 		return err
 	}
 	rt.mu.Lock()
-	for name, old := range rt.types {
-		if nw, ok := fresh[name]; !ok || nw.Module != old.Module {
-			rt.pool.drop(old.Module)
-		}
+	defer rt.mu.Unlock()
+	for name := range rt.types {
+		rt.installLocked(name, fresh[name])
 	}
-	rt.types = fresh
-	rt.mu.Unlock()
-	// Bindings may point at replaced *ObjectType values; re-resolve lazily.
-	rt.objTypes.Range(func(k, v any) bool {
-		rt.objTypes.Delete(k)
-		return true
-	})
+	for name, t := range fresh {
+		rt.installLocked(name, t)
+	}
 	return nil
+}
+
+// installLocked makes t (nil: none) the definition in name's slot, dropping
+// the warm instances of the module it replaces. Caller holds rt.mu.
+func (rt *Runtime) installLocked(name string, t *ObjectType) {
+	slot := rt.types[name]
+	if slot == nil {
+		slot = new(typeSlot)
+		rt.types[name] = slot
+	}
+	if old := slot.t.Swap(t); old != nil && (t == nil || old.Module != t.Module) {
+		rt.pool.drop(old.Module)
+	}
 }
 
 // RegisterType persists and installs an object type. Re-registering a name
@@ -219,18 +233,8 @@ func (rt *Runtime) RegisterType(t *ObjectType) error {
 		return err
 	}
 	rt.mu.Lock()
-	if old, ok := rt.types[t.Name]; ok && old.Module != t.Module {
-		rt.pool.drop(old.Module)
-	}
-	rt.types[t.Name] = t
+	rt.installLocked(t.Name, t)
 	rt.mu.Unlock()
-	// Invalidate the object->type bindings; they are re-resolved lazily.
-	rt.objTypes.Range(func(k, v any) bool {
-		if v.(*ObjectType).Name == t.Name {
-			rt.objTypes.Delete(k)
-		}
-		return true
-	})
 	return nil
 }
 
@@ -238,17 +242,17 @@ func (rt *Runtime) RegisterType(t *ObjectType) error {
 func (rt *Runtime) Type(name string) (*ObjectType, bool) {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	t, ok := rt.types[name]
-	return t, ok
+	if slot := rt.types[name]; slot != nil {
+		t := slot.t.Load()
+		return t, t != nil
+	}
+	return nil, false
 }
 
 // CreateObject instantiates an object of the named type; cc carries the
 // creating request's trace into the commit.
 func (rt *Runtime) CreateObject(typeName string, id ObjectID, cc CallCtx) error {
-	rt.mu.RLock()
-	_, ok := rt.types[typeName]
-	rt.mu.RUnlock()
-	if !ok {
+	if _, ok := rt.Type(typeName); !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchType, typeName)
 	}
 	release, err := rt.locks.Acquire(uint64(id), sched.Write)
@@ -288,10 +292,7 @@ func (rt *Runtime) DeleteObject(id ObjectID, cc CallCtx) error {
 	if b.Empty() {
 		return fmt.Errorf("%w: %s", ErrNoSuchObject, id)
 	}
-	err = rt.commit(cc.Trace, b, id)
-	// Dropped even when the ack is withheld: the delete stands locally.
-	rt.objTypes.Delete(id)
-	return err
+	return rt.commit(cc.Trace, b, id)
 }
 
 // forEachObjectKey visits every live key of an object.
@@ -322,28 +323,6 @@ func (rt *Runtime) ObjectExists(id ObjectID) (bool, error) {
 		return false, nil
 	}
 	return false, err
-}
-
-// typeOf resolves an object's type, caching the binding.
-func (rt *Runtime) typeOf(id ObjectID) (*ObjectType, error) {
-	if v, ok := rt.objTypes.Load(id); ok {
-		return v.(*ObjectType), nil
-	}
-	name, err := rt.db.Get(headerKey(id))
-	if err != nil {
-		if errors.Is(err, store.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %s", ErrNoSuchObject, id)
-		}
-		return nil, err
-	}
-	rt.mu.RLock()
-	t, ok := rt.types[string(name)]
-	rt.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (referenced by %s)", ErrNoSuchType, name, id)
-	}
-	rt.objTypes.Store(id, t)
-	return t, nil
 }
 
 // ObjectVersion returns the object's committed version counter (number of
@@ -517,7 +496,7 @@ func (rt *Runtime) commit(ctx telemetry.SpanContext, b *store.Batch, ids ...Obje
 	sp := rt.tracer.StartSpan(ctx, "commit")
 	wsp := rt.tracer.StartSpan(sp.Context(), "wal-sync")
 	b.Replicate(uint64(ids[0]), ctx)
-	applied, err := written(rt.db.Write(b))
+	applied, err := rt.write(b)
 	wsp.FinishErr(err)
 	if applied {
 		// Publish it: count one commit per object the write-set touched (a
@@ -551,7 +530,7 @@ func written(err error) (applied bool, _ error) {
 // and relays it like a commit's.
 func (rt *Runtime) ApplyReplicated(id ObjectID, b *store.Batch) error {
 	b.Replicate(uint64(id), telemetry.SpanContext{})
-	applied, err := written(rt.db.Write(b))
+	applied, err := rt.write(b)
 	if applied {
 		rt.dropCached(uint64(id))
 	}
@@ -562,22 +541,21 @@ func (rt *Runtime) ApplyReplicated(id ObjectID, b *store.Batch) error {
 // write-sets of distinct objects — as one storage writer: one WAL append,
 // and with SyncWrites one fsync. It never ships.
 func (rt *Runtime) ApplyReplicatedBulk(objects []uint64, batches []*store.Batch) error {
-	if err := rt.db.Write(batches...); err != nil {
-		return err
+	applied, err := rt.write(batches...)
+	if applied {
+		for _, object := range objects {
+			rt.dropCached(object)
+		}
 	}
-	for _, object := range objects {
-		rt.dropCached(object)
-	}
-	return nil
+	return err
 }
 
-// dropCached forgets an object's cached results and type binding (a
-// replicated write-set may have created or deleted it).
+// dropCached forgets an object's cached results. Its binding is the write
+// path's to keep (write).
 func (rt *Runtime) dropCached(object uint64) {
 	if rt.cache != nil {
 		rt.cache.InvalidateObject(object)
 	}
-	rt.objTypes.Delete(ObjectID(object))
 }
 
 // --- direct state accessors (tools, tests, migration) ---

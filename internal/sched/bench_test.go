@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -71,4 +72,62 @@ func BenchmarkAcquire(b *testing.B) {
 		}
 		release()
 	}
+}
+
+// BenchmarkAcquireContended is one admission that queues behind a writer and
+// is granted by the writer's release: make bench requires it to report 0
+// allocs/op.
+func BenchmarkAcquireContended(b *testing.B) {
+	cycle, stop := contendedCycle(NewTable(), b)
+	defer stop()
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
+// contendedCycle returns one contended admission on t: this goroutine holds
+// object 42 for writing until a second one has queued a write behind it,
+// then releases, and the queued admission is granted and released. stop
+// ends the second goroutine.
+func contendedCycle(t *Table, tb testing.TB) (cycle, stop func()) {
+	const id = 42
+	start, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		for range start {
+			release, err := t.Acquire(id, Write)
+			if err != nil {
+				tb.Error(err)
+			} else {
+				release()
+			}
+			done <- struct{}{}
+		}
+	}()
+	cycle = func() {
+		release, err := t.Acquire(id, Write)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		start <- struct{}{}
+		for t.queued(id) == 0 {
+			runtime.Gosched()
+		}
+		release()
+		<-done
+	}
+	return cycle, func() { close(start) }
+}
+
+// queued returns how many admissions wait on object id.
+func (t *Table) queued(id uint64) int {
+	s := t.shard(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if l, ok := s.locks[id]; ok {
+		return len(l.queue)
+	}
+	return 0
 }

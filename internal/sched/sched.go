@@ -13,6 +13,7 @@ package sched
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 )
@@ -31,11 +32,20 @@ const (
 	Write
 )
 
-// waiter is one queued acquisition.
+// waiter is one queued acquisition. Waiters are pooled with their ready
+// channel, which a grant sends on (it holds one signal, and the waiter takes
+// it before going back to the pool), and their timer.
 type waiter struct {
 	mode  Mode
 	ready chan struct{}
+	timer *time.Timer
 }
+
+var waiters = sync.Pool{New: func() any {
+	w := &waiter{ready: make(chan struct{}, 1), timer: time.NewTimer(time.Hour)}
+	w.timer.Stop()
+	return w
+}}
 
 // objLock is a FIFO reader/writer lock for a single object. Idle entries
 // are recycled through their shard's free list.
@@ -143,35 +153,36 @@ func (t *Table) Acquire(id uint64, mode Mode) (release func(), err error) {
 		return l.releases[mode], nil
 	}
 
-	w := &waiter{mode: mode, ready: make(chan struct{})}
+	w := waiters.Get().(*waiter)
+	w.mode = mode
 	l.queue = append(l.queue, w)
 	s.mu.Unlock()
 
-	timer := time.NewTimer(t.timeout())
-	defer timer.Stop()
+	w.timer.Reset(t.timeout())
+	select {
+	case <-w.ready:
+		// A timer stopped too late may still deliver its tick, into this
+		// waiter's next wait: such a waiter is left to the collector.
+		if w.timer.Stop() {
+			waiters.Put(w)
+		}
+		return l.releases[mode], nil
+	case <-w.timer.C:
+	}
+	defer waiters.Put(w)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Re-check: the grant may have raced the timeout.
 	select {
 	case <-w.ready:
 		return l.releases[mode], nil
-	case <-timer.C:
-		s.mu.Lock()
-		// Re-check: the grant may have raced the timeout.
-		select {
-		case <-w.ready:
-			s.mu.Unlock()
-			return l.releases[mode], nil
-		default:
-		}
-		for i, q := range l.queue {
-			if q == w {
-				l.queue = append(l.queue[:i:i], l.queue[i+1:]...)
-				break
-			}
-		}
-		l.refs--
-		s.maybeDrop(l)
-		s.mu.Unlock()
-		return nil, ErrTimeout
+	default:
 	}
+	i := slices.Index(l.queue, w)
+	l.queue = slices.Delete(l.queue, i, i+1)
+	l.refs--
+	s.maybeDrop(l)
+	return nil, ErrTimeout
 }
 
 // grantable reports whether mode can be admitted now. Caller holds the
@@ -214,9 +225,12 @@ func (s *tableShard) release(l *objLock, mode Mode) {
 			break
 		}
 		grant(l, head.mode)
-		l.queue = l.queue[1:]
-		close(head.ready)
-		if head.mode == Write {
+		l.queue = slices.Delete(l.queue, 0, 1)
+		// Signalled, head is its waiter's again (and may be back in the
+		// pool): read its mode first.
+		writer := head.mode == Write
+		head.ready <- struct{}{}
+		if writer {
 			break
 		}
 	}
@@ -229,7 +243,6 @@ func (s *tableShard) maybeDrop(l *objLock) {
 	if l.refs == 0 && !l.writer && l.readers == 0 && len(l.queue) == 0 {
 		delete(s.locks, l.id)
 		if len(s.free) < maxFreeLocks {
-			l.queue = nil
 			s.free = append(s.free, l)
 		}
 	}

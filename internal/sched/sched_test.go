@@ -270,3 +270,48 @@ func TestIdleEntriesRecycled(t *testing.T) {
 		}
 	}
 }
+
+// TestContendedAcquireAllocFree guards the contended path: the waiter, its
+// ready channel and its timer come back from the pool, so queueing behind a
+// writer and being granted allocates nothing either.
+func TestContendedAcquireAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop puts")
+	}
+	cycle, stop := contendedCycle(NewTable(), t)
+	defer stop()
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("contended acquire/release allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// TestPooledWaiterTimesOutAfterReuse runs waiters through both ends of a
+// wait — granted, then timed out — and checks that a reused waiter neither
+// times out early nor misses its own timeout.
+func TestPooledWaiterTimesOutAfterReuse(t *testing.T) {
+	tbl := NewTable()
+	tbl.Timeout = 50 * time.Millisecond
+	cycle, stop := contendedCycle(tbl, t)
+	defer stop()
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 20; i++ {
+			cycle()
+		}
+		release, err := tbl.Acquire(1, Write)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := tbl.Acquire(1, Write); err != ErrTimeout {
+			t.Fatalf("round %d: err = %v, want ErrTimeout", round, err)
+		}
+		if d := time.Since(start); d < 40*time.Millisecond {
+			t.Fatalf("round %d: timed out after %v, want >= 50ms", round, d)
+		}
+		release()
+		if n := tbl.Len(); n != 0 {
+			t.Fatalf("round %d: %d entries left in the table", round, n)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -241,7 +242,8 @@ func TestOneRequestPath(t *testing.T) {
 		// only sender of a frame to the backups and of a relay to a session.
 		{"internal/cluster", "shipper.ShipGroup", []string{"replicateGroup"}},
 		{"internal/cluster", "transfer.Relay", []string{"replicateGroup"}},
-		{"internal/core", "db.Write", []string{"commit", "ApplyReplicated", "ApplyReplicatedBulk"}},
+		// The binding table's one writer path is the one storage writer.
+		{"internal/core", "db.Write", []string{"write"}},
 	} {
 		got := map[string]bool{}
 		for _, s := range parseTree(t, fset, want.dir) {
@@ -266,6 +268,53 @@ func TestOneRequestPath(t *testing.T) {
 		sort.Strings(want.callers)
 		if strings.Join(names, ",") != strings.Join(want.callers, ",") {
 			t.Errorf("%s: %s( is called from %v, want exactly %v", want.dir, want.callee, names, want.callers)
+		}
+	}
+}
+
+// TestOneBindingWriter is the binding table's guard: core keeps an object's
+// type binding in step with its header only because every object key it
+// writes reaches the store through Runtime.write, which rebinds the headers
+// a write-set puts or deletes. So a store write — Write, Put or Delete on
+// anything spelled db, or on a DB() — appears in write alone, except type
+// registration's Put of a type record, which is no object key.
+func TestOneBindingWriter(t *testing.T) {
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	for _, s := range parseTree(t, fset, "internal/core") {
+		for _, d := range s.file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fd, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "Write" && sel.Sel.Name != "Put" && sel.Sel.Name != "Delete") {
+					return true
+				}
+				recv := types.ExprString(sel.X)
+				if !strings.HasSuffix(recv, "db") && !strings.HasSuffix(recv, "DB()") {
+					return true
+				}
+				site := fd.Name.Name + ": " + recv + "." + sel.Sel.Name
+				switch {
+				case fd.Name.Name == "write" && sel.Sel.Name == "Write":
+				case fd.Name.Name == "RegisterType" && sel.Sel.Name == "Put" && len(call.Args) == 2 && types.ExprString(call.Args[0]) == "typeKey(t.Name)":
+				default:
+					t.Errorf("%s: %s writes to the store around the binding table's writer path", fset.Position(call.Pos()), site)
+				}
+				seen[site] = true
+				return true
+			})
+		}
+	}
+	for _, want := range []string{"write: rt.db.Write", "RegisterType: rt.db.Put"} {
+		if !seen[want] {
+			t.Errorf("found no %s: the guard no longer sees the store writes it allows", want)
 		}
 	}
 }
