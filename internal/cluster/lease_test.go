@@ -18,9 +18,10 @@ import (
 // TestLeaseRenewalLossBouncesReads drives the full lease lifecycle
 // through the fault plane: a backup serves reads while renewals flow,
 // bounces them to the primary once renewals are lost and the lease
-// expires, and serves again after renewals resume. A lost renewal holds its
-// backup's one renewal slot until the call times out, so the nodes' calls
-// time out quickly.
+// expires — though writes keep flowing to it — and serves again after
+// renewals resume, with writes flowing and every read the latest acked
+// value. A lost renewal holds its backup's one renewal slot until the call
+// times out, so the nodes' calls time out quickly.
 func TestLeaseRenewalLossBouncesReads(t *testing.T) {
 	const ttl = 120 * time.Millisecond
 	nodes, dir := startStatic(t, NodeOptions{LeaseTTL: ttl, ClientOptions: &rpc.ClientOptions{Timeout: 500 * time.Millisecond}}, 3)
@@ -32,32 +33,41 @@ func TestLeaseRenewalLossBouncesReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAdd(t, c, 1, 5)
+	want := int64(5)
 
 	pool := rpc.NewPool(nil)
 	t.Cleanup(pool.Close)
 	backup := nodes[1]
 
 	// Leased steady state: the backup answers a direct replica read.
-	if v := readAt(t, pool, backup.Addr(), 1); v != 5 {
-		t.Fatalf("leased backup read = %d, want 5", v)
+	if v := readAt(t, pool, backup.Addr(), 1); v != want {
+		t.Fatalf("leased backup read = %d, want %d", v, want)
 	}
 	if backup.Metrics().Counter("reads.backup_served").Value() == 0 {
 		t.Fatal("reads.backup_served did not move for a served replica read")
 	}
 
-	// Cut every renewal path: no standalone renewals, and no writes flow
-	// so no frame piggybacks either. The lease must expire on its own
-	// and the backup must start bouncing.
+	// Cut the one grant path, and keep writing through the primary: the
+	// applyBatch frames the backup keeps applying carry no lease. The
+	// lease must expire on its own and the backup must start bouncing.
 	fault.Add(fault.Rule{Site: replication.MethodLease, Action: fault.Drop})
 	t.Cleanup(fault.Reset)
 	deadline := time.Now().Add(10 * ttl)
 	for {
-		_, err := directInvoke(pool, backup.Addr(), 1, "get", nil)
+		mustAdd(t, c, 1, 1)
+		want++
+		res, err := directInvoke(pool, backup.Addr(), 1, "get", nil)
 		if _, bounced := ParseNotResponsible(err); bounced {
 			break
 		}
+		if err != nil {
+			t.Fatalf("backup read with renewals lost: %v", err)
+		}
+		if v := core.BytesI64(res); v != want {
+			t.Fatalf("backup read with renewals lost = %d, want %d", v, want)
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("backup kept serving reads after renewals stopped")
+			t.Fatal("backup kept serving reads with renewals lost: a write frame renewed its lease")
 		}
 		time.Sleep(ttl / 8)
 	}
@@ -68,27 +78,49 @@ func TestLeaseRenewalLossBouncesReads(t *testing.T) {
 		t.Fatal("reads.primary_bounced did not count the bounce")
 	}
 	// The client still reads consistently throughout — via the primary.
-	if v, err := c.InvokeRead(1, "get", nil); err != nil || core.BytesI64(v) != 5 {
-		t.Fatalf("client read while unleased = %v, %v", v, err)
+	if v, err := c.InvokeRead(1, "get", nil); err != nil || core.BytesI64(v) != want {
+		t.Fatalf("client read while unleased = %v, %v; want %d", v, err, want)
 	}
 
 	// Renewals resume; the backup regains a lease and serves again.
 	fault.Reset()
-	if v := readAt(t, pool, backup.Addr(), 1); v != 5 {
-		t.Fatalf("re-leased backup read = %d, want 5", v)
+	if v := readAt(t, pool, backup.Addr(), 1); v != want {
+		t.Fatalf("re-leased backup read = %d, want %d", v, want)
+	}
+	// The renewal loop alone keeps it leased while writes flow: for 8 TTLs
+	// every backup read right after an acked write answers that write's
+	// value, and the lease neither expires nor bounces a read.
+	expired, bounced := backup.Metrics().Counter("lease.expired"), backup.Metrics().Counter("reads.primary_bounced")
+	expired0, bounced0 := expired.Value(), bounced.Value()
+	for end := time.Now().Add(8 * ttl); time.Now().Before(end); time.Sleep(ttl / 10) {
+		mustAdd(t, c, 1, 1)
+		want++
+		res, err := directInvoke(pool, backup.Addr(), 1, "get", nil)
+		if err != nil {
+			t.Fatalf("backup read after renewals resumed: %v", err)
+		}
+		if v := core.BytesI64(res); v != want {
+			t.Fatalf("backup read after an acked write = %d, want %d", v, want)
+		}
+	}
+	if d := expired.Value() - expired0; d != 0 {
+		t.Fatalf("lease.expired moved by %d with renewals flowing", d)
+	}
+	if d := bounced.Value() - bounced0; d != 0 {
+		t.Fatalf("reads.primary_bounced moved by %d with renewals flowing", d)
 	}
 }
 
 // TestBackupsServeFromFirstRequest: the primary grants every backup its
-// lease when the configuration sets its fan-out, with no write to carry the
-// grant and no renewal period passed (the TTL is an hour). Each backup
+// lease when the configuration sets its fan-out, with no write before the
+// first read and no renewal period passed (the TTL is an hour). Each backup
 // serves the first read sent to it: none bounces, and the group's servers
 // take one request per read.
 func TestBackupsServeFromFirstRequest(t *testing.T) {
 	l := startLocal(t, LocalOptions{Groups: []int{3}, Node: NodeOptions{LeaseTTL: time.Hour}})
 	nodes, backups := l.Nodes(), l.Nodes()[1:]
 	// Seed the object into every replica's store the way a bulk load does:
-	// nothing is shipped, so no frame renews a lease.
+	// nothing is shipped.
 	typ := counterType(t)
 	for _, n := range nodes {
 		if err := n.Runtime().RegisterType(typ); err != nil {

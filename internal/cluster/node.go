@@ -159,8 +159,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		leaseTTL = DefaultLeaseTTL
 	}
 	n.leases = replication.NewLeaseHolder(
-		func() uint64 { return n.Directory().Epoch() },
-		replication.DefaultLeaseApplyLagMax, nil, reg)
+		func() uint64 { return n.Directory().Epoch() }, nil, reg)
 	n.srv.SetTelemetry(reg)
 	n.pool.SetTelemetry(reg)
 

@@ -210,8 +210,8 @@ func (m *roleMachine) route(obj core.ObjectID, method string) error {
 		return nil
 	}
 	if slices.Contains(g.Backups, v.self) && m.readOnly(obj, method) {
-		// Only under a valid lease (right epoch, unexpired, apply lag in
-		// bounds); otherwise the read bounces to the primary, always safe.
+		// Only under a valid lease (right epoch, unexpired); otherwise the
+		// read bounces to the primary, always safe.
 		if m.leases.Valid() {
 			m.reads.Inc()
 			m.served.Inc()

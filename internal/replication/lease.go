@@ -2,17 +2,15 @@
 // permissions to serve read-only invocations locally (paper §4.2.1 lets
 // read-only methods execute at any replica; the lease makes that safe).
 //
-// The grant rides the replication stream itself: every applyBatch frame a
-// primary ships carries a trailing (ttl, enq) blob that both renews the
-// lease and tells the backup how many write-set members the primary has
-// shipped toward it so far. A standalone MethodLease grant goes to every
-// backup as soon as a configuration sets the primary's fan-out, so a
-// group's backups serve reads from its first request; idle groups are then
-// kept leased by the same grant at TTL/4. A backup answers each grant with
-// whether it took and the epoch it is at: one that has not yet installed
-// the granted epoch refuses it, and the primary grants it again after 1, 2,
-// 4 … ms, up to TTL/4. A backup serves a read only while ALL of the
-// following hold:
+// A lease has one grant path, the MethodLease renewal loop: a
+// grant goes to every backup as soon as a configuration sets the primary's
+// fan-out, so a group's backups serve reads from its first request, and
+// every backup is granted again at TTL/4 whether writes flow or not. The
+// replication stream carries no lease state. A backup answers each grant
+// with whether it took and the epoch it is at: one that has not yet
+// installed the granted epoch refuses it, and the primary grants it again
+// after 1, 2, 4 … ms, up to TTL/4. A backup serves a read only while BOTH
+// of the following hold:
 //
 //   - the lease epoch equals the backup's current directory epoch — any
 //     reconfiguration (failover, rejoin cutover, migration SetOverride)
@@ -21,12 +19,7 @@
 //     (not from receipt, so a grant delayed in flight arrives with
 //     correspondingly less validity left), and the backup honors only
 //     3/4 of the granted TTL while the primary's write-ack barriers wait
-//     the full TTL — a TTL/4 margin covering modest clock skew;
-//   - the backup's apply lag — members the primary shipped toward it minus
-//     members this backup has applied, measured against baselines
-//     captured at grant — is within the configured bound. A lagging or
-//     partitioned backup silently drops its lease and bounces reads to
-//     the primary rather than serving an old prefix.
+//     the full TTL — a TTL/4 margin covering modest clock skew.
 //
 // Staleness argument: the primary ships a committed write-set to every
 // backup before releasing the client ack, and a frame error withholds the
@@ -48,22 +41,20 @@ import (
 	"lambdastore/internal/wire"
 )
 
-// MethodLease is the standalone lease-renewal RPC: a primary keeps idle
-// backups leased without shipping empty applyBatch frames.
+// MethodLease is the lease grant and renewal RPC, the only way a backup
+// gets or keeps a lease.
 const MethodLease = "repl.lease"
 
 // leaseMsg is the wire form of a renewal: the primary's configuration
-// epoch, the granted TTL, the cumulative count of members shipped toward
-// the receiving backup (the lag reference), and the sender's
-// clock reading at the moment the grant was issued. The backup measures
-// expiry from grantNs, NOT from receipt: a grant that sat in a socket
-// buffer or a scheduler queue arrives with correspondingly less validity
-// left, so in-flight delivery delay can never extend a lease past the
-// window the primary's write-ack barrier assumes.
+// epoch, the granted TTL, and the sender's clock reading at the moment the
+// grant was issued. The backup measures expiry from grantNs, NOT from
+// receipt: a grant that sat in a socket buffer or a scheduler queue arrives
+// with correspondingly less validity left, so in-flight delivery delay can
+// never extend a lease past the window the primary's write-ack barrier
+// assumes.
 type leaseMsg struct {
 	epoch   uint64
 	ttlUs   uint64
-	enq     uint64
 	grantNs uint64
 }
 
@@ -71,13 +62,12 @@ func encodeLease(m leaseMsg) []byte {
 	var b []byte
 	b = wire.AppendUvarint(b, m.epoch)
 	b = wire.AppendUvarint(b, m.ttlUs)
-	b = wire.AppendUvarint(b, m.enq)
 	return wire.AppendUvarint(b, m.grantNs)
 }
 
 func decodeLease(body []byte) (leaseMsg, error) {
 	r := wire.NewReader(body)
-	m := leaseMsg{epoch: r.Uvarint(), ttlUs: r.Uvarint(), enq: r.Uvarint(), grantNs: r.Uvarint()}
+	m := leaseMsg{epoch: r.Uvarint(), ttlUs: r.Uvarint(), grantNs: r.Uvarint()}
 	return m, r.ErrIn("replication: lease")
 }
 
@@ -105,17 +95,12 @@ func decodeLeaseReply(body []byte) (leaseReply, error) {
 // takes one short mutex.
 type LeaseHolder struct {
 	localEpoch func() uint64
-	lagMax     uint64
 	now        func() time.Time
 
-	mu      sync.Mutex
-	held    bool
-	epoch   uint64
-	expiry  time.Time
-	enqSeen uint64 // latest shipped-member count reported by the primary
-	applied uint64 // write-set entries this backup has applied (cumulative)
-	enqBase uint64 // enqSeen at grant
-	appBase uint64 // applied at grant
+	mu     sync.Mutex
+	held   bool
+	epoch  uint64
+	expiry time.Time
 
 	grants  *telemetry.Counter
 	renews  *telemetry.Counter
@@ -124,22 +109,15 @@ type LeaseHolder struct {
 	refused *telemetry.Counter
 }
 
-// DefaultLeaseApplyLagMax bounds how many shipped-but-unapplied write-set
-// entries a backup tolerates before dropping its lease.
-const DefaultLeaseApplyLagMax = 256
-
-// NewLeaseHolder builds a holder fenced by localEpoch (required). lagMax
-// <= 0 uses DefaultLeaseApplyLagMax; now == nil uses time.Now. The holder's
-// counters and its sampled held-lease gauge are published in reg.
-func NewLeaseHolder(localEpoch func() uint64, lagMax int, now func() time.Time, reg *telemetry.Registry) *LeaseHolder {
-	if lagMax <= 0 {
-		lagMax = DefaultLeaseApplyLagMax
-	}
+// NewLeaseHolder builds a holder fenced by localEpoch (required); now ==
+// nil uses time.Now. The holder's counters and its sampled held-lease gauge
+// are published in reg.
+func NewLeaseHolder(localEpoch func() uint64, now func() time.Time, reg *telemetry.Registry) *LeaseHolder {
 	if now == nil {
 		now = time.Now
 	}
 	h := &LeaseHolder{
-		localEpoch: localEpoch, lagMax: uint64(lagMax), now: now,
+		localEpoch: localEpoch, now: now,
 		grants:  reg.Counter("lease.grants"),
 		renews:  reg.Counter("lease.renews"),
 		revokes: reg.Counter("lease.revokes"),
@@ -155,28 +133,12 @@ func NewLeaseHolder(localEpoch func() uint64, lagMax int, now func() time.Time, 
 	return h
 }
 
-// NoteApplied records write-set entries this backup applied from the
-// replication stream. Called for every applyBatch frame, leased or not,
-// so the lag baseline is meaningful the moment a grant arrives.
-func (h *LeaseHolder) NoteApplied(entries int) {
-	if h == nil || entries <= 0 {
-		return
-	}
-	h.mu.Lock()
-	h.applied += uint64(entries)
-	h.mu.Unlock()
-}
-
-// Renew processes a grant/renewal (piggybacked on a frame or via
-// MethodLease) and reports whether it took and the backup's current
-// directory epoch. A renewal stamped with another epoch is from a deposed
-// or not-yet-seen configuration; it is refused (counted in lease.refused)
-// — and if it reveals the backup's own lease epoch is obsolete, the lease
-// is revoked on the spot.
+// Renew processes a MethodLease grant or renewal and reports whether it
+// took and the backup's current directory epoch. A renewal stamped with
+// another epoch is from a deposed or not-yet-seen configuration; it is
+// refused (counted in lease.refused) — and if it reveals the backup's own
+// lease epoch is obsolete, the lease is revoked on the spot.
 func (h *LeaseHolder) Renew(m leaseMsg) (took bool, local uint64) {
-	if h == nil {
-		return false, 0
-	}
 	local = h.localEpoch()
 	if m.ttlUs == 0 || m.epoch == 0 {
 		return false, local
@@ -213,15 +175,11 @@ func (h *LeaseHolder) Renew(m leaseMsg) (took bool, local uint64) {
 		return false, local
 	}
 	if h.held && h.epoch == m.epoch {
-		// Renewals can arrive out of order with frames (the idle-loop RPC
-		// races the group sends); both the expiry and enqSeen only move
-		// forward so a late arrival can neither shorten a fresher lease
-		// nor understate lag.
+		// Renewals can arrive out of order (one the primary gave up on
+		// may land after the next tick's); the expiry only moves forward
+		// so a late arrival cannot shorten a fresher lease.
 		if exp.After(h.expiry) {
 			h.expiry = exp
-		}
-		if m.enq > h.enqSeen {
-			h.enqSeen = m.enq
 		}
 		h.renews.Inc()
 		return true, local
@@ -229,9 +187,6 @@ func (h *LeaseHolder) Renew(m leaseMsg) (took bool, local uint64) {
 	h.held = true
 	h.epoch = m.epoch
 	h.expiry = exp
-	h.enqSeen = m.enq
-	h.enqBase = m.enq
-	h.appBase = h.applied
 	h.grants.Inc()
 	return true, local
 }
@@ -254,7 +209,7 @@ func (h *LeaseHolder) Revoke() {
 
 // Valid reports whether this backup may serve a consistent read right
 // now. A failed check revokes the lease (counted by cause) so the next
-// grant is a fresh one with fresh lag baselines.
+// grant counts as a fresh one.
 func (h *LeaseHolder) Valid() bool {
 	now := h.now()
 	local := h.localEpoch()
@@ -271,27 +226,19 @@ func (h *LeaseHolder) Valid() bool {
 		h.revokeLocked(h.expired)
 		return false
 	}
-	// Signed-tolerant lag: a backup restarted mid-lease can make either
-	// delta go backwards; treat any inversion as "unknown, bounce".
-	enqDelta := h.enqSeen - h.enqBase
-	appDelta := h.applied - h.appBase
-	if enqDelta > (1<<63) || appDelta > (1<<63) || (enqDelta > appDelta && enqDelta-appDelta > h.lagMax) {
-		h.revokeLocked(h.revokes)
-		return false
-	}
 	return true
 }
 
 // Held reports whether a lease is currently held without re-validating
-// expiry or lag (what the lease.held gauge samples).
+// its expiry (what the lease.held gauge samples).
 func (h *LeaseHolder) Held() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.held
 }
 
-// registerLease exposes the standalone renewal handler on srv; its reply
-// tells the primary whether the grant took.
+// registerLease exposes the renewal handler on srv, the one caller of
+// Renew; its reply tells the primary whether the grant took.
 func registerLease(srv *rpc.Server, holder *LeaseHolder) {
 	srv.Handle(MethodLease, func(body []byte) ([]byte, error) {
 		m, err := decodeLease(body)

@@ -30,23 +30,23 @@ func (c *fakeClock) stampAgo(d time.Duration) uint64 {
 
 const testTTL = 100 * time.Millisecond
 
-func testHolder(epoch *uint64, lagMax int) (*LeaseHolder, *fakeClock) {
+func testHolder(epoch *uint64) (*LeaseHolder, *fakeClock) {
 	clk := newFakeClock()
-	h := NewLeaseHolder(func() uint64 { return *epoch }, lagMax, clk.now, nil)
+	h := NewLeaseHolder(func() uint64 { return *epoch }, clk.now, nil)
 	return h, clk
 }
 
-func grant(h *LeaseHolder, clk *fakeClock, epoch, enq uint64) {
-	h.Renew(leaseMsg{epoch: epoch, ttlUs: uint64(testTTL / time.Microsecond), enq: enq, grantNs: clk.stamp()})
+func grant(h *LeaseHolder, clk *fakeClock, epoch uint64) {
+	h.Renew(leaseMsg{epoch: epoch, ttlUs: uint64(testTTL / time.Microsecond), grantNs: clk.stamp()})
 }
 
 func TestLeaseGrantAndExpiry(t *testing.T) {
 	epoch := uint64(3)
-	h, clk := testHolder(&epoch, 0)
+	h, clk := testHolder(&epoch)
 	if h.Valid() {
 		t.Fatal("holder valid before any grant")
 	}
-	grant(h, clk, 3, 0)
+	grant(h, clk, 3)
 	if !h.Valid() {
 		t.Fatal("fresh grant not valid")
 	}
@@ -60,7 +60,7 @@ func TestLeaseGrantAndExpiry(t *testing.T) {
 		t.Fatal("expired lease still held (expiry check must revoke)")
 	}
 	// A new grant restores validity.
-	grant(h, clk, 3, 0)
+	grant(h, clk, 3)
 	if !h.Valid() {
 		t.Fatal("re-grant after expiry not valid")
 	}
@@ -69,14 +69,14 @@ func TestLeaseGrantAndExpiry(t *testing.T) {
 func TestLeaseDelayedGrantDoesNotExtend(t *testing.T) {
 	// The delivery-delay hazard: a grant that sat in flight must arrive
 	// with correspondingly less validity, measured from the SENDER's
-	// stamp. Otherwise a final in-flight frame could extend a lease past
+	// stamp. Otherwise a final in-flight grant could extend a lease past
 	// the primary's post-reconfiguration write-ack barrier.
 	epoch := uint64(1)
-	h, clk := testHolder(&epoch, 0)
+	h, clk := testHolder(&epoch)
 	ttlUs := uint64(testTTL / time.Microsecond)
 
 	// Stamped half a TTL ago: only a quarter TTL of validity remains.
-	h.Renew(leaseMsg{epoch: 1, ttlUs: ttlUs, enq: 0, grantNs: clk.stampAgo(testTTL / 2)})
+	h.Renew(leaseMsg{epoch: 1, ttlUs: ttlUs, grantNs: clk.stampAgo(testTTL / 2)})
 	if !h.Valid() {
 		t.Fatal("grant with remaining validity rejected")
 	}
@@ -86,7 +86,7 @@ func TestLeaseDelayedGrantDoesNotExtend(t *testing.T) {
 	}
 
 	// Stamped a full 3/4 TTL ago: expired in flight, must be ignored.
-	h.Renew(leaseMsg{epoch: 1, ttlUs: ttlUs, enq: 0, grantNs: clk.stampAgo(testTTL * 3 / 4)})
+	h.Renew(leaseMsg{epoch: 1, ttlUs: ttlUs, grantNs: clk.stampAgo(testTTL * 3 / 4)})
 	if h.Valid() || h.Held() {
 		t.Fatal("grant that expired in flight was honored")
 	}
@@ -96,11 +96,10 @@ func TestLeaseFutureStampClamped(t *testing.T) {
 	// A sender clock running ahead must not widen the window beyond
 	// 3/4 TTL from the local clock.
 	epoch := uint64(1)
-	h, clk := testHolder(&epoch, 0)
+	h, clk := testHolder(&epoch)
 	h.Renew(leaseMsg{
 		epoch:   1,
 		ttlUs:   uint64(testTTL / time.Microsecond),
-		enq:     0,
 		grantNs: uint64(clk.t.Add(testTTL).UnixNano()),
 	})
 	if !h.Valid() {
@@ -113,13 +112,13 @@ func TestLeaseFutureStampClamped(t *testing.T) {
 }
 
 func TestLeaseLateRenewalCannotShorten(t *testing.T) {
-	// Renewals race frames; one that arrives out of order with an older
-	// stamp must not pull an existing fresher expiry backwards.
+	// A renewal that arrives out of order with an older stamp must not
+	// pull an existing fresher expiry backwards.
 	epoch := uint64(1)
-	h, clk := testHolder(&epoch, 0)
-	grant(h, clk, 1, 0)
+	h, clk := testHolder(&epoch)
+	grant(h, clk, 1)
 	ttlUs := uint64(testTTL / time.Microsecond)
-	h.Renew(leaseMsg{epoch: 1, ttlUs: ttlUs, enq: 0, grantNs: clk.stampAgo(testTTL / 2)})
+	h.Renew(leaseMsg{epoch: 1, ttlUs: ttlUs, grantNs: clk.stampAgo(testTTL / 2)})
 	clk.advance(testTTL / 2)
 	if !h.Valid() {
 		t.Fatal("stale renewal shortened a fresher lease")
@@ -128,20 +127,20 @@ func TestLeaseLateRenewalCannotShorten(t *testing.T) {
 
 func TestLeaseEpochFence(t *testing.T) {
 	epoch := uint64(5)
-	h, clk := testHolder(&epoch, 0)
+	h, clk := testHolder(&epoch)
 
 	// Grants from other configurations are ignored entirely.
-	grant(h, clk, 4, 0)
+	grant(h, clk, 4)
 	if h.Held() {
 		t.Fatal("grant from a deposed epoch accepted")
 	}
-	grant(h, clk, 6, 0)
+	grant(h, clk, 6)
 	if h.Held() {
 		t.Fatal("grant from a not-yet-seen epoch accepted")
 	}
 
 	// A valid lease dies the moment the local epoch moves on.
-	grant(h, clk, 5, 0)
+	grant(h, clk, 5)
 	if !h.Valid() {
 		t.Fatal("matching-epoch grant not valid")
 	}
@@ -154,42 +153,12 @@ func TestLeaseEpochFence(t *testing.T) {
 	}
 }
 
-func TestLeaseApplyLagRevocation(t *testing.T) {
-	epoch := uint64(1)
-	h, clk := testHolder(&epoch, 8)
-	grant(h, clk, 1, 100) // baseline: 100 entries enqueued at grant
-	if !h.Valid() {
-		t.Fatal("grant not valid")
-	}
-
-	// Primary reports more enqueued entries than we applied, within bound.
-	grant(h, clk, 1, 107)
-	if !h.Valid() {
-		t.Fatal("lag within bound revoked the lease")
-	}
-
-	// Past the bound: the backup is falling behind the stream it is
-	// supposed to serve from; it must bounce reads rather than serve an
-	// old prefix.
-	grant(h, clk, 1, 120)
-	if h.Valid() {
-		t.Fatal("lag beyond bound did not revoke the lease")
-	}
-
-	// Once the backup catches up, a fresh grant re-arms serving.
-	h.NoteApplied(20)
-	grant(h, clk, 1, 120)
-	if !h.Valid() {
-		t.Fatal("caught-up backup did not regain a lease")
-	}
-}
-
 func TestLeaseExplicitRevoke(t *testing.T) {
 	epoch := uint64(1)
 	clk := newFakeClock()
 	reg := telemetry.NewRegistry()
-	h := NewLeaseHolder(func() uint64 { return epoch }, 0, clk.now, reg)
-	grant(h, clk, 1, 0)
+	h := NewLeaseHolder(func() uint64 { return epoch }, clk.now, reg)
+	grant(h, clk, 1)
 	if got := reg.Snapshot().Gauges["lease.held"]; got != 1 {
 		t.Fatalf("lease.held gauge = %d under a grant, want 1", got)
 	}
@@ -213,7 +182,7 @@ func TestLeaseExplicitRevoke(t *testing.T) {
 }
 
 func TestLeaseWireRoundTrip(t *testing.T) {
-	in := leaseMsg{epoch: 9, ttlUs: 150_000, enq: 12345, grantNs: 1_700_000_000_123_456_789}
+	in := leaseMsg{epoch: 9, ttlUs: 150_000, grantNs: 1_700_000_000_123_456_789}
 	out, err := decodeLease(encodeLease(in))
 	if err != nil {
 		t.Fatal(err)
@@ -223,40 +192,13 @@ func TestLeaseWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestApplyBatchLeaseTrailerRoundTrip(t *testing.T) {
-	b := store.NewBatch()
-	b.Put([]byte("k"), []byte("v"))
-	var g store.Group
-	g.Add(7, b)
-
-	// With a lease trailer.
-	f := new(Frame)
-	if err := f.Decode(appendFrame(nil, 4, &g, nil, leaseMsg{ttlUs: 150_000, enq: 42, grantNs: 987_654_321})); err != nil {
-		t.Fatal(err)
-	}
-	if f.Epoch != 4 || len(f.Batches) != 1 || f.Objects[0] != 7 {
-		t.Fatalf("frame decode: %+v", f)
-	}
-	if want := (leaseMsg{epoch: 4, ttlUs: 150_000, enq: 42, grantNs: 987_654_321}); f.lease != want {
-		t.Fatalf("lease trailer decode: %+v, want %+v", f.lease, want)
-	}
-
-	// Without one (leasing disabled): trailer absent, fields zero.
-	if err := f.Decode(appendFrame(nil, 4, &g, nil, leaseMsg{})); err != nil {
-		t.Fatal(err)
-	}
-	if f.lease != (leaseMsg{}) {
-		t.Fatalf("unleased frame grew a trailer: %+v", f.lease)
-	}
-}
-
 // TestLeaseRenewalsBoundedWhileLost: while every renewal to a backup is
 // lost, at most one is in flight to it at a time (each waits out the pool's
 // timeout), and the lease is granted again once the loss ends.
 func TestLeaseRenewalsBoundedWhileLost(t *testing.T) {
 	fault.Reset()
 	t.Cleanup(fault.Reset)
-	holder := NewLeaseHolder(func() uint64 { return 1 }, 0, nil, nil)
+	holder := NewLeaseHolder(func() uint64 { return 1 }, nil, nil)
 	srv := rpc.NewServer()
 	RegisterBackupLeased(srv, ApplierFunc(func(uint64, *store.Batch) error { return nil }), nil, nil, nil, holder)
 	addr, err := srv.Serve("127.0.0.1:0")
@@ -305,7 +247,7 @@ func TestLeaseRenewalsBoundedWhileLost(t *testing.T) {
 // at localEpoch, and returns its holder and address.
 func leaseBackup(t *testing.T, localEpoch func() uint64, reg *telemetry.Registry) (*LeaseHolder, string) {
 	t.Helper()
-	holder := NewLeaseHolder(localEpoch, 0, nil, reg)
+	holder := NewLeaseHolder(localEpoch, nil, reg)
 	srv := rpc.NewServer()
 	RegisterBackupLeased(srv, ApplierFunc(func(uint64, *store.Batch) error { return nil }), nil, nil, localEpoch, holder)
 	addr, err := srv.Serve("127.0.0.1:0")

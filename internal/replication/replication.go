@@ -36,24 +36,22 @@ var ErrBackupFailed = errors.New("replication: backup failed")
 var ErrStaleEpoch = errors.New("replication: stale configuration epoch")
 
 // Frame is a decoded applyBatch frame: the sender's configuration epoch (0 =
-// unfenced), N (object, write-set) members and, when a renewal rides along,
-// a lease blob (TTL in microseconds, members shipped to this backup so far,
-// the sender's clock at the grant). A state-transfer relay forwards the same
-// frame, unfenced and unleased. Its write-sets alias the bytes it was
-// decoded from, and Decode reuses its slices.
+// unfenced) and N (object, write-set) members. It carries no lease state:
+// grants travel on MethodLease alone. A state-transfer relay forwards the
+// same frame, unfenced. Its write-sets alias the bytes it was decoded from,
+// and Decode reuses its slices.
 type Frame struct {
 	Epoch   uint64
 	Objects []uint64
 	Batches []*store.Batch
 
-	sets  []store.Batch // what Batches point into
-	lease leaseMsg      // ttlUs == 0: no renewal rode along
+	sets []store.Batch // what Batches point into
 }
 
 // Decode makes f the frame in body.
 func (f *Frame) Decode(body []byte) error {
 	r := wire.NewReader(body)
-	f.Epoch, f.lease = r.Uvarint(), leaseMsg{}
+	f.Epoch = r.Uvarint()
 	// A member is at least an object id and a write-set length.
 	n := r.Count(2)
 	f.Objects = slices.Grow(f.Objects[:0], n)[:n]
@@ -70,20 +68,17 @@ func (f *Frame) Decode(body []byte) error {
 		}
 		f.Batches = append(f.Batches, &f.sets[i])
 	}
-	if r.Len() > 0 {
-		f.lease = leaseMsg{epoch: f.Epoch, ttlUs: r.Uvarint(), enq: r.Uvarint(), grantNs: r.Uvarint()}
-	}
 	return r.ErrIn("replication: applyBatch")
 }
 
 // AppendFrame appends to dst the frame carrying the members of g whose
-// object keep accepts (every member for a nil keep), unfenced and without a
-// lease: what a state-transfer relay forwards.
+// object keep accepts (every member for a nil keep), unfenced: what a
+// state-transfer relay forwards.
 func AppendFrame(dst []byte, g *store.Group, keep func(object uint64) bool) []byte {
-	return appendFrame(dst, 0, g, keep, leaseMsg{})
+	return appendFrame(dst, 0, g, keep)
 }
 
-func appendFrame(dst []byte, epoch uint64, g *store.Group, keep func(object uint64) bool, lease leaseMsg) []byte {
+func appendFrame(dst []byte, epoch uint64, g *store.Group, keep func(object uint64) bool) []byte {
 	n := 0
 	for i := range g.Len() {
 		if keep == nil || keep(g.Object(i)) {
@@ -97,11 +92,6 @@ func appendFrame(dst []byte, epoch uint64, g *store.Group, keep func(object uint
 			dst = wire.AppendUvarint(dst, g.Object(i))
 			dst = wire.AppendBytes(dst, g.Record(i))
 		}
-	}
-	if lease.ttlUs > 0 {
-		dst = wire.AppendUvarint(dst, lease.ttlUs)
-		dst = wire.AppendUvarint(dst, lease.enq)
-		dst = wire.AppendUvarint(dst, lease.grantNs)
 	}
 	return dst
 }
@@ -134,18 +124,14 @@ type Shipper struct {
 	mu      sync.RWMutex
 	backups []string
 
-	// leaseTTL > 0 arms read-lease granting: shipped frames carry a
-	// renewal blob and the renewal loop grants every new fan-out at once
-	// (renewWake, sent by SetBackups) and keeps idle backups leased.
+	// leaseTTL > 0 arms read-lease granting: the renewal loop grants
+	// every new fan-out at once (renewWake, sent by SetBackups) and every
+	// backup again at TTL/4.
 	leaseTTL  atomic.Int64
 	renewOnce sync.Once
 	closeOnce sync.Once
 	renewStop chan struct{}
 	renewWake chan struct{}
-	// sent counts the members ever shipped toward each backup (the
-	// backup-side lag reference).
-	sentMu sync.Mutex
-	sent   map[string]uint64
 
 	// shippedCtr counts acknowledged write-sets, failures counts backup
 	// rejections, shipUs tracks fan-out latency, batchSize the member count
@@ -170,50 +156,23 @@ func NewShipper(pool *rpc.Pool, _ func(addr string, err error)) *Shipper {
 	}
 }
 
-// SetLeaseTTL arms (ttl > 0) or disarms (ttl <= 0) read-lease granting.
-// While armed, every shipped frame renews the receiving backup's lease
-// and a background loop grants each fan-out SetBackups sets at once, then
-// renews idle backups at TTL/4.
+// SetLeaseTTL arms read-lease granting at ttl, which must be positive: a
+// background loop grants each fan-out SetBackups sets at once, then renews
+// every backup at TTL/4.
 func (s *Shipper) SetLeaseTTL(ttl time.Duration) {
-	if ttl < 0 {
-		ttl = 0
-	}
 	s.leaseTTL.Store(int64(ttl))
-	if ttl > 0 {
-		s.renewOnce.Do(func() { go s.renewLoop() })
-	}
-}
-
-// addSent adds n to addr's count of members shipped and returns the count.
-func (s *Shipper) addSent(addr string, n int) uint64 {
-	s.sentMu.Lock()
-	defer s.sentMu.Unlock()
-	if s.sent == nil {
-		s.sent = make(map[string]uint64)
-	}
-	s.sent[addr] += uint64(n)
-	return s.sent[addr]
-}
-
-// renewPeriod is the renewal loop's period under ttl: TTL/4, or 25ms while
-// leasing is disarmed.
-func renewPeriod(ttl time.Duration) time.Duration {
-	if ttl <= 0 {
-		return 25 * time.Millisecond
-	}
-	return ttl / 4
+	s.renewOnce.Do(func() { go s.renewLoop() })
 }
 
 // renewLoop grants every backup of a fan-out SetBackups sets at once, and
-// keeps every current backup's lease fresh at TTL/4 while the group is
-// idle; frames piggyback renewals on their own when writes flow. At most
-// one renewal per backup is in flight: a tick finding the last one still
-// out (a lost renewal, a frozen backup, a refused grant being retried)
-// skips that backup rather than pile up calls that each wait out the
-// pool's timeout.
+// keeps every current backup's lease fresh at TTL/4, whether writes flow or
+// not: it is the only grant path. At most one renewal per backup is in
+// flight: a tick finding the last one still out (a lost renewal, a frozen
+// backup, a refused grant being retried) skips that backup rather than pile
+// up calls that each wait out the pool's timeout.
 func (s *Shipper) renewLoop() {
 	var renewing sync.Map // backup address -> a renewal is in flight
-	tick := time.NewTimer(renewPeriod(time.Duration(s.leaseTTL.Load())))
+	tick := time.NewTimer(time.Duration(s.leaseTTL.Load()) / 4)
 	defer tick.Stop()
 	for {
 		select {
@@ -228,9 +187,8 @@ func (s *Shipper) renewLoop() {
 				}
 			}
 		}
-		ttl := time.Duration(s.leaseTTL.Load())
-		tick.Reset(renewPeriod(ttl))
-		if ttl <= 0 || s.epoch.Load() == 0 {
+		tick.Reset(time.Duration(s.leaseTTL.Load()) / 4)
+		if s.epoch.Load() == 0 {
 			continue
 		}
 		s.mu.RLock()
@@ -261,7 +219,7 @@ func (s *Shipper) renew(addr string) {
 	var retry *time.Timer
 	for backoff := time.Millisecond; ; {
 		ttl, epoch := time.Duration(s.leaseTTL.Load()), s.epoch.Load()
-		if ttl <= 0 || epoch == 0 || !s.isBackup(addr) {
+		if epoch == 0 || !s.isBackup(addr) {
 			return
 		}
 		// Stamped before the send: time in flight eats into the granted
@@ -269,7 +227,6 @@ func (s *Shipper) renew(addr string) {
 		body := encodeLease(leaseMsg{
 			epoch:   epoch,
 			ttlUs:   uint64(ttl / time.Microsecond),
-			enq:     s.addSent(addr, 0),
 			grantNs: uint64(time.Now().UnixNano()),
 		})
 		reply, err := s.pool.Call(addr, MethodLease, body)
@@ -362,22 +319,11 @@ const maxPooledShipBytes = 64 << 10
 
 // sendTo ships the group to backup i in the frame buffer kept for it.
 func (f *fanout) sendTo(i int) {
-	s, addr := f.s, f.backups[i]
-	var lease leaseMsg
-	epoch := s.epoch.Load()
-	if ttl := time.Duration(s.leaseTTL.Load()); ttl > 0 && epoch != 0 {
-		lease = leaseMsg{
-			ttlUs: uint64(ttl / time.Microsecond),
-			enq:   s.addSent(addr, f.g.Len()),
-			// Stamped at send so the backup measures expiry from our clock:
-			// any time this frame spends in flight is burned off the lease.
-			grantNs: uint64(time.Now().UnixNano()),
-		}
-	}
+	s := f.s
 	// The rpc client copies the body into its connection buffer before
 	// CallCtx returns, so the frame is free to reuse afterwards.
-	f.frames[i] = appendFrame(f.frames[i][:0], epoch, f.g, nil, lease)
-	_, f.errs[i] = s.pool.CallCtx(addr, f.ctx, MethodApplyBatch, f.frames[i])
+	f.frames[i] = appendFrame(f.frames[i][:0], s.epoch.Load(), f.g, nil)
+	_, f.errs[i] = s.pool.CallCtx(f.backups[i], f.ctx, MethodApplyBatch, f.frames[i])
 	s.batchSize.Observe(uint64(f.g.Len()))
 }
 
@@ -467,9 +413,8 @@ func RegisterBackup(srv *rpc.Server, db *store.DB, applier Applier) {
 // node's configuration epoch: a frame stamped with an older non-zero epoch
 // is rejected with ErrStaleEpoch and counted ("repl.stale_epoch") — a
 // deposed primary cannot get a write acknowledged after its group has been
-// reconfigured (DESIGN.md §8). With a read-lease holder, frames feed its
-// applied counter and any piggybacked renewal blob, and the standalone
-// MethodLease renewal handler is registered too.
+// reconfigured (DESIGN.md §8). With a read-lease holder, the MethodLease
+// renewal handler is registered too; frames never touch the lease.
 func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tracer, reg *telemetry.Registry, localEpoch func() uint64, holder *LeaseHolder) {
 	applied, stale := reg.Counter("repl.applied"), reg.Counter("repl.stale_epoch")
 	srv.HandleCtx(MethodApplyBatch, func(info rpc.CallInfo, body []byte) ([]byte, error) {
@@ -502,14 +447,6 @@ func RegisterBackupLeased(srv *rpc.Server, applier Applier, tracer *telemetry.Tr
 			// backup does not hold.
 			sp.FinishErr(err)
 			return nil, err
-		}
-		// Lease bookkeeping strictly after a successful apply: the frame's
-		// entries are now visible locally (and its caches invalidated), so
-		// counting them applied — and honoring any piggybacked renewal —
-		// can never let a read race ahead of the data it covers.
-		holder.NoteApplied(len(f.Batches))
-		if f.lease.ttlUs > 0 {
-			holder.Renew(f.lease)
 		}
 		applied.Add(uint64(len(f.Batches)))
 		sp.Finish()

@@ -319,6 +319,52 @@ func TestOneBindingWriter(t *testing.T) {
 	}
 }
 
+// TestOneGrantPath is the lease's guard: a backup's lease is valid on its
+// epoch and its sender-stamped expiry alone only because the renewal loop is
+// the one way a lease is granted or kept. So LeaseHolder.Renew is called only
+// from registerLease's repl.lease handler, and a grant is encoded only by
+// Shipper.renew: no frame of the replication stream carries one.
+func TestOneGrantPath(t *testing.T) {
+	fset := token.NewFileSet()
+	allowed := map[string]string{"Renew": "registerLease", "encodeLease": "renew"}
+	seen := map[string]bool{}
+	for _, s := range parseTree(t, fset, "internal", "cmd") {
+		for _, d := range s.file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fd, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				var name string
+				switch fn := call.Fun.(type) {
+				case *ast.Ident:
+					name = fn.Name
+				case *ast.SelectorExpr:
+					name = fn.Sel.Name
+				}
+				in, ok := allowed[name]
+				if !ok {
+					return true
+				}
+				if fd.Name.Name != in {
+					t.Errorf("%s: %s calls %s, which only %s may: a lease is granted by the renewal loop alone", fset.Position(call.Pos()), fd.Name.Name, name, in)
+				}
+				seen[name] = true
+				return true
+			})
+		}
+	}
+	for name, in := range allowed {
+		if !seen[name] {
+			t.Errorf("found no call of %s in %s: the guard no longer sees the grant path", name, in)
+		}
+	}
+}
+
 // TestOneDeployment is the "one way to stand a deployment up" guard: each
 // assembly is written once, in the package that owns its parts, so the parts'
 // constructors are called from there, from the daemon that runs one part per
