@@ -11,10 +11,14 @@
 #   make vet     gofmt + go vet hygiene
 #   make loc     lines of Go outside benchmark/: product total and per package, tests apart
 #   make check   everything the CI gate runs, then loc
+#   make flakes  not part of check: builds one race-enabled internal/cluster test
+#                binary, runs each of FLAKES FLAKERUNS times (one process per run)
+#                and tallies the failures by each run's first failing line, with
+#                addresses masked (FLAKES="TestA TestB" FLAKERUNS=200 to override)
 
 GO ?= go
 
-.PHONY: all build test race chaos fuzz-smoke bench bench-paper bench-smoke vet loc check clean
+.PHONY: all build test race chaos fuzz-smoke bench bench-paper bench-smoke vet loc check flakes clean
 
 all: build
 
@@ -99,6 +103,29 @@ loc:
 	@find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l | awk '{ printf "%7d  test total\n", $$1 }'
 
 check: vet build test race bench-smoke loc
+
+# A run's first failing line is the first t.Error/t.Fatal line (file.go:N:),
+# panic or data-race report in its output; 127.0.0.1:port and 0x pointers
+# are masked so that one cause tallies as one line.
+FLAKES ?= TestRejoinConcurrentWithWrites TestLiveMigrationUnderWrites
+FLAKERUNS ?= 50
+FLAKEDIR := $(CURDIR)/.flakes
+flakes:
+	@mkdir -p $(FLAKEDIR)
+	$(GO) test -race -c -o $(FLAKEDIR)/cluster.test ./internal/cluster/
+	@cd internal/cluster && for t in $(FLAKES); do \
+		: > $(FLAKEDIR)/$$t.tally; fails=0; \
+		for i in $$(seq $(FLAKERUNS)); do \
+			if ! $(FLAKEDIR)/cluster.test -test.run "^$$t\$$" -test.count=1 > $(FLAKEDIR)/run.out 2>&1; then \
+				fails=$$((fails + 1)); \
+				line=$$(grep -m1 -E '^\s+[A-Za-z0-9_]+\.go:[0-9]+: |^panic: |DATA RACE' $(FLAKEDIR)/run.out \
+					| sed -E 's/^\s+//; s/127\.0\.0\.1:[0-9]+/ADDR/g; s/0x[0-9a-f]+/0xADDR/g'); \
+				echo "$${line:-(no failing line)}" >> $(FLAKEDIR)/$$t.tally; \
+			fi; \
+		done; \
+		echo "== $$t: $$fails of $(FLAKERUNS) runs failed"; \
+		sort $(FLAKEDIR)/$$t.tally | uniq -c | sort -rn; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -5,9 +5,12 @@
 // and a live object migration (scope: one object's range, §13). The
 // receiver of state always pulls and the sender always relays: the receiver
 // opens a session, buffers the commits the sender forwards, pulls the range
-// in chunks served off storage snapshots, replays the buffer and goes live;
-// range digests decide what to pull and certify the result, so the bytes a
-// rejoin streams scale with the replicas' divergence, not the store size.
+// in chunks served off storage snapshots, replays the buffer and goes live.
+// A digest round — one exchange: the receiver's bucket folds out, the
+// sender's listing of the buckets that differ back — decides what to
+// re-pull, so the bytes a rejoin streams scale with the replicas'
+// divergence, not the store size; the first round after the relay turns
+// strict certifies a rejoin, and one digest comparison seals a move.
 // Only the orchestrator differs: the joiner drives a rejoin (rejoin.go), the
 // source primary — the only node that can quiesce the object — a move
 // (move.go).
@@ -15,13 +18,15 @@ package recovery
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"lambdastore/internal/store"
 )
 
-// DefaultBuckets is the bucket-hash fan-out of a digest exchange: small
-// enough that the first round trip is a few hundred bytes, large enough
-// that a single divergent object drills into ~1/64th of the id space.
+// DefaultBuckets is the bucket-hash fan-out of a digest exchange, the only
+// count a sender accepts: small enough that the receiver's folds are half a
+// kilobyte, large enough that a single divergent object costs a listing of
+// ~1/64th of the ids.
 const DefaultBuckets = 64
 
 const (
@@ -34,8 +39,8 @@ const (
 )
 
 // DigestTable is one replica's committed-state summary: a digest per
-// object range, the bucket folds exchanged first, and a digest of the
-// meta range (type records — every key below the object keyspace).
+// object range, the bucket folds a digest request carries, and a digest of
+// the meta range (type records — every key below the object keyspace).
 type DigestTable struct {
 	Buckets []uint64
 	Objects map[uint64]uint64
@@ -155,9 +160,6 @@ func objectRange(id uint64) (start, end []byte) {
 // work a full resync would pay per byte, paid once to avoid shipping
 // the bytes.
 func BuildDigest(db *store.DB, buckets int) (*DigestTable, error) {
-	if buckets <= 0 {
-		buckets = DefaultBuckets
-	}
 	t := &DigestTable{
 		Buckets: make([]uint64, buckets),
 		Objects: make(map[uint64]uint64),
@@ -202,43 +204,47 @@ func BuildDigest(db *store.DB, buckets int) (*DigestTable, error) {
 	return t, nil
 }
 
-// DiffBuckets returns the bucket indexes whose folds differ between the
-// two tables (the joiner's drill-down set).
-func DiffBuckets(local, remote []uint64) []uint64 {
-	n := len(local)
-	if len(remote) < n {
-		n = len(remote)
+// diffDigest is the sender's side of a digest round: one scan of db, its
+// bucket folds diffed against the joiner's, and the (id, digest) of every
+// object it holds in a bucket that differs.
+func diffDigest(db *store.DB, joiner []uint64) (*digestResp, error) {
+	t, err := BuildDigest(db, len(joiner))
+	if err != nil {
+		return nil, err
 	}
-	var out []uint64
-	for i := 0; i < n; i++ {
-		if local[i] != remote[i] {
-			out = append(out, uint64(i))
+	resp := &digestResp{meta: t.Meta}
+	for i, h := range t.Buckets {
+		if h != joiner[i] {
+			resp.buckets = append(resp.buckets, uint64(i))
 		}
 	}
-	return out
+	for id, dig := range t.Objects {
+		if b := bucketOf(id, len(joiner)); t.Buckets[b] != joiner[b] {
+			resp.ids = append(resp.ids, id)
+			resp.digests = append(resp.digests, dig)
+		}
+	}
+	return resp, nil
 }
 
-// ObjectDiff compares per-object digests within the drilled-down
-// buckets: sync lists objects the joiner must re-fetch (missing here or
-// divergent), drop lists objects present locally but absent at the
-// donor (deleted during the downtime).
-func ObjectDiff(local *DigestTable, remoteIDs, remoteDigests []uint64, bucketSet map[uint64]bool, buckets int) (sync, drop []uint64) {
-	remote := make(map[uint64]uint64, len(remoteIDs))
+// ObjectDiff lists, in id order, the objects the joiner must re-pull after
+// a digest round: within the buckets that differ, every object whose
+// digest differs between the two sides or that only one side holds. A
+// re-pull of an object the sender no longer holds deletes it.
+func ObjectDiff(local *DigestTable, differ, remoteIDs, remoteDigests []uint64) []uint64 {
+	remote := make(map[uint64]bool, len(remoteIDs))
+	var out []uint64
 	for i, id := range remoteIDs {
-		remote[id] = remoteDigests[i]
-	}
-	for id, dig := range remote {
-		if have, ok := local.Objects[id]; !ok || have != dig {
-			sync = append(sync, id)
+		remote[id] = true
+		if have, ok := local.Objects[id]; !ok || have != remoteDigests[i] {
+			out = append(out, id)
 		}
 	}
 	for id := range local.Objects {
-		if !bucketSet[uint64(bucketOf(id, buckets))] {
-			continue
-		}
-		if _, ok := remote[id]; !ok {
-			drop = append(drop, id)
+		if !remote[id] && slices.Contains(differ, uint64(bucketOf(id, len(local.Buckets)))) {
+			out = append(out, id)
 		}
 	}
-	return sync, drop
+	slices.Sort(out)
+	return slices.Compact(out)
 }

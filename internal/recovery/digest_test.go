@@ -48,41 +48,24 @@ func seedStores(t *testing.T, dbs []*store.DB, objects int, r *rand.Rand) {
 	_ = r
 }
 
-// diff runs the joiner-side diff pipeline: bucket compare, drill-down,
-// object diff. It returns the sync and drop id sets plus whether the
-// meta range diverged.
-func diff(t *testing.T, joiner, donor *store.DB, buckets int) (sync, drop map[uint64]bool, meta bool) {
+// diff runs one digest round's diff over two stores: the joiner's folds
+// and meta digest, diffed inside the donor's scan, then ObjectDiff. It
+// returns the ids to re-pull and whether the meta range diverged.
+func diff(t *testing.T, joiner, donor *store.DB, buckets int) (sync map[uint64]bool, meta bool) {
 	t.Helper()
 	local, err := BuildDigest(joiner, buckets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := BuildDigest(donor, buckets)
+	remote, err := diffDigest(donor, local.Buckets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	divergent := DiffBuckets(local.Buckets, remote.Buckets)
-	bucketSet := make(map[uint64]bool, len(divergent))
-	for _, b := range divergent {
-		bucketSet[b] = true
-	}
-	var ids, digs []uint64
-	for id, dg := range remote.Objects {
-		if bucketSet[uint64(bucketOf(id, buckets))] {
-			ids = append(ids, id)
-			digs = append(digs, dg)
-		}
-	}
-	syncIDs, dropIDs := ObjectDiff(local, ids, digs, bucketSet, buckets)
 	sync = make(map[uint64]bool)
-	for _, id := range syncIDs {
+	for _, id := range ObjectDiff(local, remote.buckets, remote.ids, remote.digests) {
 		sync[id] = true
 	}
-	drop = make(map[uint64]bool)
-	for _, id := range dropIDs {
-		drop[id] = true
-	}
-	return sync, drop, local.Meta != remote.Meta
+	return sync, local.Meta != remote.meta
 }
 
 // copyRange replaces dst's [start, end) with src's (the syncRange
@@ -127,17 +110,18 @@ func TestDigestIdenticalStores(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	seedStores(t, []*store.DB{donor, joiner}, 32, r)
 	for _, buckets := range []int{1, 8, DefaultBuckets, 1024} {
-		sync, drop, meta := diff(t, joiner, donor, buckets)
-		if len(sync) != 0 || len(drop) != 0 || meta {
-			t.Fatalf("buckets=%d: identical stores diverged: sync=%v drop=%v meta=%v",
-				buckets, sync, drop, meta)
+		sync, meta := diff(t, joiner, donor, buckets)
+		if len(sync) != 0 || meta {
+			t.Fatalf("buckets=%d: identical stores diverged: sync=%v meta=%v", buckets, sync, meta)
 		}
 	}
 }
 
 // TestDigestDiffProperty mutates the joiner randomly and checks the
-// diff pipeline finds exactly the divergent objects, across seeds and
-// bucket counts (including heavy bucket collisions).
+// diff, made at the donor from the joiner's folds, flags exactly the
+// divergent objects — those only one side holds included — across seeds and
+// bucket counts (including heavy bucket collisions), and that re-pulling
+// exactly those ranges converges the stores.
 func TestDigestDiffProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -146,45 +130,30 @@ func TestDigestDiffProperty(t *testing.T) {
 		const objects = 40
 		seedStores(t, []*store.DB{donor, joiner}, objects, r)
 
-		// Random divergence on the joiner; wantSync tracks objects whose
-		// joiner copy differs from the donor's, wantDrop objects only the
-		// joiner has.
-		wantSync := make(map[uint64]bool)
-		wantDrop := make(map[uint64]bool)
+		// Random divergence on the joiner; want tracks the objects whose
+		// joiner copy differs from the donor's.
+		want := make(map[uint64]bool)
 		for i := 0; i < 12; i++ {
 			id := uint64(r.Intn(objects) + 1)
+			var err error
 			switch r.Intn(5) {
 			case 0: // value changed (a write the joiner missed, inverted)
-				if err := joiner.Put(objKey(id, "f0"), []byte(fmt.Sprintf("stale-%d", r.Int()))); err != nil {
-					t.Fatal(err)
-				}
-				wantSync[id] = true
+				err = joiner.Put(objKey(id, "f0"), []byte(fmt.Sprintf("stale-%d", r.Int())))
 			case 1: // extra key only the joiner has
-				if err := joiner.Put(objKey(id, "zz-extra"), []byte("ghost")); err != nil {
-					t.Fatal(err)
-				}
-				wantSync[id] = true
+				err = joiner.Put(objKey(id, "zz-extra"), []byte("ghost"))
 			case 2: // key missing at the joiner
-				if err := joiner.Delete(objKey(id, "f1")); err != nil {
-					t.Fatal(err)
-				}
-				wantSync[id] = true
+				err = joiner.Delete(objKey(id, "f1"))
 			case 3: // whole object missing at the joiner (created in downtime)
-				nid := uint64(objects + 1 + r.Intn(16))
-				if err := donor.Put(objKey(nid, "f0"), []byte("new")); err != nil {
-					t.Fatal(err)
-				}
-				wantSync[nid] = true
-				delete(wantDrop, nid)
+				id = uint64(objects + 1 + r.Intn(16))
+				err = donor.Put(objKey(id, "f0"), []byte("new"))
 			case 4: // object only the joiner has (deleted in downtime)
-				nid := uint64(objects + 100 + r.Intn(16))
-				if !wantSync[nid] {
-					if err := joiner.Put(objKey(nid, "f0"), []byte("dead")); err != nil {
-						t.Fatal(err)
-					}
-					wantDrop[nid] = true
-				}
+				id = uint64(objects + 100 + r.Intn(16))
+				err = joiner.Put(objKey(id, "f0"), []byte("dead"))
 			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[id] = true
 		}
 		// Meta divergence half the time.
 		wantMeta := r.Intn(2) == 0
@@ -194,68 +163,33 @@ func TestDigestDiffProperty(t *testing.T) {
 			}
 		}
 
-		sync, drop, meta := diff(t, joiner, donor, buckets)
+		sync, meta := diff(t, joiner, donor, buckets)
 		if meta != wantMeta {
 			t.Fatalf("seed %d buckets %d: meta diverged=%v, want %v", seed, buckets, meta, wantMeta)
 		}
-		for id := range wantSync {
+		for id := range want {
 			if !sync[id] {
-				t.Fatalf("seed %d buckets %d: divergent object %d not flagged for sync (got %v)", seed, buckets, id, sync)
-			}
-		}
-		for id := range wantDrop {
-			if !drop[id] {
-				t.Fatalf("seed %d buckets %d: extra object %d not flagged for drop (got %v)", seed, buckets, id, drop)
+				t.Fatalf("seed %d buckets %d: divergent object %d not flagged (got %v)", seed, buckets, id, sync)
 			}
 		}
 		// No false positives: every flagged object really diverged.
 		for id := range sync {
-			if !wantSync[id] {
-				t.Fatalf("seed %d buckets %d: clean object %d flagged for sync", seed, buckets, id)
-			}
-		}
-		for id := range drop {
-			if !wantDrop[id] {
-				t.Fatalf("seed %d buckets %d: clean object %d flagged for drop", seed, buckets, id)
+			if !want[id] {
+				t.Fatalf("seed %d buckets %d: clean object %d flagged", seed, buckets, id)
 			}
 		}
 
-		// Repairing exactly the flagged ranges converges the stores.
+		// Re-pulling exactly the flagged ranges converges the stores: a
+		// range the donor no longer holds comes back empty and is deleted.
 		for id := range sync {
 			start, end := objectRange(id)
 			copyRange(t, joiner, donor, start, end)
 		}
-		for id := range drop {
-			start, end := objectRange(id)
-			b := store.NewBatch()
-			snap := joiner.GetSnapshot()
-			it, err := snap.NewIterator()
-			if err != nil {
-				snap.Release()
-				t.Fatal(err)
-			}
-			for it.Seek(start); it.Valid(); it.Next() {
-				k := it.Key()
-				if string(k) >= string(end) {
-					break
-				}
-				b.Delete(append([]byte(nil), k...))
-			}
-			it.Close()
-			snap.Release()
-			if !b.Empty() {
-				if err := joiner.Write(b); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
 		if meta {
 			copyRange(t, joiner, donor, nil, metaRangeEnd())
 		}
-		sync, drop, meta = diff(t, joiner, donor, buckets)
-		if len(sync) != 0 || len(drop) != 0 || meta {
-			t.Fatalf("seed %d buckets %d: repair did not converge: sync=%v drop=%v meta=%v",
-				seed, buckets, sync, drop, meta)
+		if sync, meta = diff(t, joiner, donor, buckets); len(sync) != 0 || meta {
+			t.Fatalf("seed %d buckets %d: repair did not converge: sync=%v meta=%v", seed, buckets, sync, meta)
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 //	move.offer  the target opens an inbound session, pulls the object's
 //	            range from the source and goes live.
 //	move.seal   under the source's fence and admission, the target compares
-//	            its copy with the source's digest of the frozen range and
-//	            re-pulls until equal.
+//	            its copy with the source's digest of the frozen range; on a
+//	            mismatch it re-pulls the range once and compares again.
 //	move.end    after the cutover (or an abort) the target retires the
 //	            session and keeps its copy iff the directory maps the object
 //	            to its group; its janitor settles an abandoned session the
@@ -117,7 +117,8 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 	}
 
 	// Seal: the range is frozen and every relay has been answered, so the
-	// target's copy must equal ours; it re-pulls until it does.
+	// target's copy must equal ours once it has re-pulled what a lost relay
+	// left out.
 	local, err := objectDigest(p.opts.DB, object)
 	if err != nil {
 		return fmt.Errorf("seal digest: %w", err)
@@ -182,29 +183,31 @@ func (p *Plane) offer(trace telemetry.SpanContext, source string, object uint64)
 // seal serves move.seal: the source holds the object's admission, so the
 // copy here is final once any in-flight forward has applied (applyMu).
 // Compare it with the source's digest; on a mismatch — a forward was lost —
-// re-pull the frozen range and compare again.
+// re-pull the frozen range once and compare again. A range frozen at the
+// source cannot differ after a re-pull: a second mismatch aborts the move.
 func (p *Plane) seal(req *moveSealReq) error {
 	s := p.inboundFor(objectScope(req.object))
 	if s == nil {
 		return fmt.Errorf("recovery: no inbound move session for object %d", req.object)
 	}
 	s.touch()
-	start, end := objectRange(req.object)
-	for round := 0; ; round++ {
+	digest := func() (uint64, error) {
 		s.applyMu.Lock()
-		dig, err := objectDigest(p.opts.DB, req.object)
-		s.applyMu.Unlock()
-		if err != nil || dig == req.digest {
-			return err
-		}
-		if round == sealRounds {
-			return fmt.Errorf("recovery: move of object %d never sealed after %d re-pulls", req.object, sealRounds)
-		}
-		p.m.sealRepulls.Inc()
-		if err := s.syncRange(start, end, req.object); err != nil {
-			return fmt.Errorf("re-pull: %w", err)
-		}
+		defer s.applyMu.Unlock()
+		return objectDigest(p.opts.DB, req.object)
 	}
+	if dig, err := digest(); err != nil || dig == req.digest {
+		return err
+	}
+	p.m.sealRepulls.Inc()
+	start, end := objectRange(req.object)
+	if err := s.syncRange(start, end, req.object); err != nil {
+		return fmt.Errorf("re-pull: %w", err)
+	}
+	if dig, err := digest(); err != nil || dig == req.digest {
+		return err
+	}
+	return fmt.Errorf("recovery: object %d differs from its frozen range after a re-pull", req.object)
 }
 
 // endInbound retires an inbound move session and settles its copy: kept iff

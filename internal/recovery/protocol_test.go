@@ -18,16 +18,17 @@ import (
 )
 
 // testNode is one Plane over a bare store and RPC server — no runtime, no
-// cluster.Node. The store's group hook relays as the node's does (it has no
-// backups to ship to), commit and apply mark their write-sets for it, and
-// the orchestrator callbacks act on a directory both nodes share by pointer
-// (static mode).
+// cluster.Node. The store's group hook ships and relays as the node's does
+// (a primary ships to its group's admitted backups, which log the frame),
+// commit and apply mark their write-sets for it, and the orchestrator
+// callbacks act on a directory both nodes share by pointer (static mode).
 type testNode struct {
 	t     *testing.T
 	group uint64
 	db    *store.DB
 	srv   *rpc.Server
 	pool  *rpc.Pool
+	ship  *replication.Shipper
 	reg   *telemetry.Registry
 	dir   *shard.Directory
 	plane *Plane
@@ -41,6 +42,9 @@ type testNode struct {
 	// session's applyMu for chunks and live forwards): a test parks a chunk
 	// here to commit at the sender inside the fetch → apply window.
 	onApply func(object uint64, b *store.Batch)
+	// onGroup, if set, runs in the group hook once GuardCommit returned: a
+	// test parks a group there.
+	onGroup func()
 }
 
 func startTestNode(t *testing.T, dir *shard.Directory, group uint64, moveTimeout time.Duration) *testNode {
@@ -50,9 +54,27 @@ func startTestNode(t *testing.T, dir *shard.Directory, group uint64, moveTimeout
 		reg: telemetry.NewRegistry(), dir: dir,
 		objMu: make(map[uint64]*sync.Mutex), fences: make(map[uint64]string),
 	}
+	n.ship = replication.NewShipper(n.pool, nil)
 	db, err := store.Open(t.TempDir(), &store.Options{OnGroup: func(g *store.Group) {
 		defer n.plane.GuardCommit()()
+		n.mu.Lock()
+		hook := n.onGroup
+		n.mu.Unlock()
+		if hook != nil {
+			hook()
+		}
+		var err error
+		if grp, _ := dir.Group(group); grp.Primary == n.plane.selfAddr() {
+			n.ship.SetBackups(grp.Backups)
+			err = n.ship.ShipGroup(telemetry.SpanContext{}, g)
+		}
 		g.Release()
+		if err != nil {
+			for i := range g.Len() {
+				g.Fail(i, err)
+			}
+			return
+		}
 		n.plane.Relay(g)
 	}})
 	if err != nil {
@@ -60,6 +82,7 @@ func startTestNode(t *testing.T, dir *shard.Directory, group uint64, moveTimeout
 	}
 	t.Cleanup(func() { db.Close() })
 	n.db = db
+	replication.RegisterBackup(n.srv, db, replication.ApplierFunc(func(_ uint64, b *store.Batch) error { return db.Write(b) }))
 	n.plane = New(Options{
 		GroupID:      group,
 		DB:           n.db,
@@ -97,6 +120,7 @@ func startTestNode(t *testing.T, dir *shard.Directory, group uint64, moveTimeout
 	n.plane.SetSelf(addr)
 	t.Cleanup(func() {
 		n.plane.Close()
+		n.ship.Close()
 		n.srv.Close()
 		n.pool.Close()
 	})
@@ -355,6 +379,145 @@ func TestRejoinHealsDroppedForward(t *testing.T) {
 	}
 	if rcv.plane.State() != StateMember || rcv.plane.Status().Rejoins != 1 {
 		t.Fatalf("status %+v", rcv.plane.Status())
+	}
+}
+
+// Commits keep landing between the joiner's digest scan and the sender's in
+// every round, yet the first round after promote certifies the rejoin: no
+// commit fails, the joiner is admitted, and it ends equal to the sender.
+func TestRejoinCertifiesUnderSustainedWrites(t *testing.T) {
+	dir, snd, rcv := pair(t, true, 0)
+	const objects = 4
+	for id := uint64(1); id <= objects; id++ {
+		snd.mustCommit(id, "f", "v0")
+	}
+	// The sender scans at least 2 ms after the joiner, and the writers
+	// commit in between.
+	fault.Add(fault.Rule{Site: MethodDigest, Action: fault.Delay, Delay: 2 * time.Millisecond})
+	stop := make(chan struct{})
+	failed := make(chan error, 3)
+	var writers sync.WaitGroup
+	for w := range 3 {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := snd.commit(uint64(i%objects+1), fmt.Sprint("w", w), fmt.Sprint(i)); err != nil {
+					failed <- err
+					return
+				}
+			}
+		}()
+	}
+	err := rcv.plane.syncOnce(snd.addr, dir.Epoch())
+	close(stop)
+	writers.Wait()
+	close(failed)
+	if err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	for err := range failed {
+		t.Fatalf("commit failed during the rejoin: %v", err)
+	}
+	if g, _ := dir.Group(0); !slices.Contains(g.Backups, rcv.addr) {
+		t.Fatalf("joiner not admitted: group %+v", g)
+	}
+	if got, want := dump(t, rcv.db), dump(t, snd.db); got != want {
+		t.Fatalf("joiner:\n%swant:\n%s", got, want)
+	}
+}
+
+// certify runs a rejoin's steps by hand up to admission: rcv opens a
+// replica session at snd, runs a round, goes live, is promoted and runs
+// the certifying round.
+func certify(t *testing.T, dir *shard.Directory, snd, rcv *testNode) *inbound {
+	t.Helper()
+	s, err := rcv.plane.openInbound(snd.addr, scope{}, dir.Epoch(), telemetry.SpanContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() error { return rcv.plane.round(s) }
+	promote := func() error {
+		_, err := s.call(MethodPromote, encodeSessionReq(&s.req))
+		return err
+	}
+	for _, step := range []func() error{round, s.goLive, promote, round} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// A strict relay that fails after the certifying round withholds its
+// commit's ack and leaves the sender holding a write the joiner lacks, a gap
+// no later round looks for: admission refuses the session, and the joiner's
+// next session heals it.
+func TestAdmitRefusesStrictGap(t *testing.T) {
+	dir, snd, rcv := pair(t, true, 0)
+	snd.mustCommit(1, "k", "v0")
+	s := certify(t, dir, snd, rcv)
+	fault.Add(fault.Rule{Site: MethodForward, To: rcv.addr, Action: fault.Error, Count: 1})
+	if err := snd.commit(1, "k", "v1"); err == nil {
+		t.Fatal("a commit whose strict relay failed was acknowledged")
+	}
+	if _, err := s.call(MethodAdmit, encodeSessionReq(&s.req)); err == nil {
+		t.Fatalf("admitted a joiner holding %q while the sender holds %q", rcv.get(1, "k"), snd.get(1, "k"))
+	}
+	if g, _ := dir.Group(0); slices.Contains(g.Backups, rcv.addr) {
+		t.Fatalf("refused joiner is a backup: group %+v", g)
+	}
+	if err := rcv.plane.syncOnce(snd.addr, dir.Epoch()); err != nil {
+		t.Fatalf("next session: %v", err)
+	}
+	if got := rcv.get(1, "k"); got != "v1" {
+		t.Fatalf("joiner holds %q after its next session, want v1", got)
+	}
+}
+
+// A write group whose hook began before any session opened took no commit
+// guard, so admission does not wait for it; its write was in the store
+// before the session began, so the joiner pulls it. It relays nothing: a
+// relay of it that reached the joiner after admission would find the
+// session closed and withhold the ack of a write both replicas hold.
+func TestGroupBeforeBeginRelaysNothing(t *testing.T) {
+	dir, snd, rcv := pair(t, true, 0)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var taken atomic.Bool
+	snd.mu.Lock()
+	snd.onGroup = func() {
+		if taken.CompareAndSwap(false, true) {
+			close(parked)
+			<-release
+		}
+	}
+	snd.mu.Unlock()
+	committed := make(chan error, 1)
+	go func() { committed <- snd.commit(1, "k", "v1") }()
+	<-parked
+
+	s := certify(t, dir, snd, rcv)
+	// Hold a relay of the parked group on its way until the joiner has been
+	// admitted and has closed its session.
+	fault.Add(fault.Rule{Site: MethodForward, Action: fault.Delay, Delay: 200 * time.Millisecond, Count: 1})
+	close(release)
+	waitUntil(t, "the parked group's commit or relay", func() bool {
+		return len(committed) > 0 || fault.Counters()[MethodForward+".delay"] > 0
+	})
+	if _, err := s.call(MethodAdmit, encodeSessionReq(&s.req)); err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	rcv.plane.closeInbound(s)
+	if err := <-committed; err != nil {
+		t.Fatalf("the group from before the session failed: %v", err)
+	}
+	if got, want := dump(t, rcv.db), dump(t, snd.db); got != want {
+		t.Fatalf("joiner:\n%swant:\n%s", got, want)
 	}
 }
 

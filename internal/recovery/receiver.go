@@ -12,7 +12,7 @@ import (
 
 // inbound is the receiver half of one session: the joiner's whole-replica
 // session during a rejoin, or one inbound object during a move. Its life is
-// openInbound → syncRange per range → goLive → digest check by its
+// openInbound → syncRange per range → goLive → one digest check by its
 // orchestrator, re-pulling what differs → closeInbound.
 //
 // modeMu guards the relay path's mode and buffer: while buffering, relayed
@@ -148,7 +148,8 @@ func (s *inbound) touch() {
 // range either lands before the rebuild (and is overwritten by newer sender
 // state) or after it (and is newer than the fetch snapshot). The
 // first chunk's batch deletes every existing local key in the range, so
-// keys the sender no longer has cannot survive.
+// keys the sender no longer has cannot survive: an empty fetch deletes the
+// range.
 func (s *inbound) syncRange(start, end []byte, object uint64) error {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
@@ -194,14 +195,6 @@ func (s *inbound) syncRange(start, end []byte, object uint64) error {
 		}
 		req.start = resp.next
 	}
-}
-
-// dropRange deletes a range the sender no longer has; applyMu is held
-// across scan+delete for the same atomicity as syncRange.
-func (s *inbound) dropRange(object uint64) error {
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
-	return s.p.deleteObjectRange(object)
 }
 
 // deleteObjectRange deletes every committed key of the object's range in

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,12 +21,6 @@ const (
 	// continuously before the sender concludes the receiver died and drops
 	// the session (see Relay).
 	sessionFailTimeout = 5 * time.Second
-	// verifyRounds bounds a rejoin's post-promote digest rounds.
-	verifyRounds = 8
-	// sealRounds bounds a move's compare → re-pull retries. Under the
-	// source's admission the range is frozen, so one re-pull heals any
-	// forward gap; extra rounds only cover chunk RPC loss.
-	sealRounds = 3
 	// defaultMoveSessionTimeout is Options.MoveSessionTimeout's default.
 	defaultMoveSessionTimeout = 10 * time.Second
 	// retryDelay paces rejoin attempts after a failure; pollInterval paces
@@ -277,46 +270,21 @@ func (p *Plane) Register(srv *rpc.Server) {
 	onSession(MethodEnd, p.retire)
 
 	handle(MethodDigest, func(_ telemetry.SpanContext, body []byte) ([]byte, error) {
-		req, err := decodeSessionReq(body)
+		req, err := decodeDigestReq(body)
 		if err != nil {
 			return nil, err
 		}
-		s, err := p.lookup(req)
+		if _, err := p.lookup(&req.sessionReq); err != nil {
+			return nil, err
+		}
+		if len(req.buckets) != DefaultBuckets {
+			return nil, fmt.Errorf("recovery: digest of %d buckets, want %d", len(req.buckets), DefaultBuckets)
+		}
+		resp, err := diffDigest(p.opts.DB, req.buckets)
 		if err != nil {
 			return nil, err
 		}
-		t, err := BuildDigest(p.opts.DB, DefaultBuckets)
-		if err != nil {
-			return nil, err
-		}
-		p.smu.Lock()
-		s.table = t
-		p.smu.Unlock()
-		return encodeDigestResp(&digestResp{buckets: t.Buckets, meta: t.Meta}), nil
-	})
-	handle(MethodObjects, func(_ telemetry.SpanContext, body []byte) ([]byte, error) {
-		req, err := decodeObjectsReq(body)
-		if err != nil {
-			return nil, err
-		}
-		s, err := p.lookup(&req.sessionReq)
-		if err != nil {
-			return nil, err
-		}
-		p.smu.Lock()
-		t := s.table
-		p.smu.Unlock()
-		if t == nil {
-			return nil, fmt.Errorf("recovery: objects before digest for %s", req.peer)
-		}
-		resp := &objectsResp{}
-		for id, dig := range t.Objects {
-			if slices.Contains(req.buckets, uint64(bucketOf(id, len(t.Buckets)))) {
-				resp.ids = append(resp.ids, id)
-				resp.digests = append(resp.digests, dig)
-			}
-		}
-		return encodeObjectsResp(resp), nil
+		return encodeDigestResp(resp), nil
 	})
 	handle(MethodFetch, func(_ telemetry.SpanContext, body []byte) ([]byte, error) {
 		req, err := decodeFetchReq(body)

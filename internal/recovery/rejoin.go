@@ -3,7 +3,6 @@ package recovery
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"lambdastore/internal/telemetry"
@@ -70,8 +69,8 @@ func (p *Plane) stepOnce() bool {
 }
 
 // syncOnce runs one full session: begin → buffered transfer → drain →
-// strict promote → clean verification round → admit → membership. When
-// tracing is on the whole session is one trace rooted at a "rejoin" span.
+// strict promote → certifying round → admit → membership. When tracing is
+// on the whole session is one trace rooted at a "rejoin" span.
 func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 	start := time.Now()
 	p.senderAddr.Store(&sender)
@@ -95,7 +94,7 @@ func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 	}()
 
 	// Initial transfer while forwards buffer.
-	if _, err := p.round(s); err != nil {
+	if err := p.round(s); err != nil {
 		return fmt.Errorf("transfer: %w", err)
 	}
 	// Replay the buffered commit stream and go live.
@@ -107,20 +106,12 @@ func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 	if _, err := s.call(MethodPromote, encodeSessionReq(&s.req)); err != nil {
 		return fmt.Errorf("promote: %w", err)
 	}
-	// Verification rounds: one clean round under strict forwarding proves
-	// this store equals the sender's digest snapshot, and strictness covers
-	// everything after it. Dirty rounds repair and retry (async-phase gaps,
-	// or writes racing the digest scans).
-	clean := false
-	for i := 0; i < verifyRounds && !clean; i++ {
-		n, err := p.round(s)
-		if err != nil {
-			return fmt.Errorf("verify: %w", err)
-		}
-		clean = n == 0
-	}
-	if !clean {
-		return fmt.Errorf("verification never converged (sustained write races)")
+	// The certifying round: under strict relaying, one digest round leaves
+	// this store equal to the sender's, and every later commit reaches it
+	// or is never acknowledged (DESIGN §11). A strict relay that fails from
+	// here on is a gap this round does not see; admission refuses it.
+	if err := p.round(s); err != nil {
+		return fmt.Errorf("verify: %w", err)
 	}
 	// Caught up. Epoch-fenced cutover: the sender proposes the config change
 	// and refreshes its shipping fan-out under its commit fence.
@@ -151,66 +142,42 @@ func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 	return nil
 }
 
-// round runs one digest-diff-repair cycle against the sender and returns
-// how many ranges (objects + meta) it had to repair: only what diverges
-// streams, and ranges only this node has are dropped.
-func (p *Plane) round(s *inbound) (int, error) {
+// round runs one digest round against the sender: this store's bucket
+// folds and meta digest go out, the sender diffs them inside its own scan
+// and lists the objects it holds in the buckets that differ, and every
+// range that differs on either side is re-pulled (an empty pull deletes
+// it), so only what diverges streams.
+func (p *Plane) round(s *inbound) error {
 	local, err := BuildDigest(p.opts.DB, DefaultBuckets)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	body, err := s.call(MethodDigest, encodeSessionReq(&s.req))
+	req := &digestReq{sessionReq: s.req, buckets: local.Buckets, meta: local.Meta}
+	body, err := s.call(MethodDigest, encodeDigestReq(req))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	remote, err := decodeDigestResp(body)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	repaired := 0
 	if local.Meta != remote.meta {
 		if err := s.syncRange(nil, metaRangeEnd(), 0); err != nil {
-			return repaired, err
+			return err
 		}
 		if err := p.opts.ReloadTypes(); err != nil {
-			return repaired, err
+			return err
 		}
-		repaired++
 	}
-	bucketList := DiffBuckets(local.Buckets, remote.buckets)
-	if len(bucketList) == 0 {
-		return repaired, nil
-	}
-
-	body, err = s.call(MethodObjects, encodeObjectsReq(&objectsReq{sessionReq: s.req, buckets: bucketList}))
-	if err != nil {
-		return repaired, err
-	}
-	objs, err := decodeObjectsResp(body)
-	if err != nil {
-		return repaired, err
-	}
-	bucketSet := make(map[uint64]bool, len(bucketList))
-	for _, b := range bucketList {
-		bucketSet[b] = true
-	}
-	syncIDs, dropIDs := ObjectDiff(local, objs.ids, objs.digests, bucketSet, DefaultBuckets)
-	p.m.diverged.Add(uint64(len(syncIDs) + len(dropIDs)))
-	sort.Slice(syncIDs, func(i, j int) bool { return syncIDs[i] < syncIDs[j] })
-	for _, id := range syncIDs {
+	ids := ObjectDiff(local, remote.buckets, remote.ids, remote.digests)
+	p.m.diverged.Add(uint64(len(ids)))
+	for _, id := range ids {
 		start, end := objectRange(id)
 		if err := s.syncRange(start, end, id); err != nil {
-			return repaired, err
+			return err
 		}
-		repaired++
 	}
-	for _, id := range dropIDs {
-		if err := s.dropRange(id); err != nil {
-			return repaired, err
-		}
-		repaired++
-	}
-	return repaired, nil
+	return nil
 }
 
 // Status is the rejoin state machine as shown by /recovery and lambdactl

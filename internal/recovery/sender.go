@@ -27,23 +27,27 @@ type session struct {
 	// unrelated move).
 	epoch uint64
 	// relay is set by the receiver's begin: a replica session is created by
-	// it, an object session earlier, by the Move it belongs to.
-	relay   atomic.Bool
-	strict  atomic.Bool
-	gaps    atomic.Uint64 // members whose relay failed (the digest check repairs them)
-	fwd     atomic.Uint64 // members relayed
-	started time.Time
+	// it, an object session earlier, by the Move it belongs to. from is the
+	// store's last sequence when it was set: the groups it covers are in
+	// every snapshot the receiver pulls, and are not relayed.
+	relay      atomic.Bool
+	from       atomic.Uint64
+	strict     atomic.Bool
+	gaps       atomic.Uint64 // members whose relay failed
+	strictGaps atomic.Uint64 // members whose strict relay failed: admission refuses the session
+	fwd        atomic.Uint64 // members relayed
+	started    time.Time
 
 	// failingSince is the start (unixnano) of the current run of relay
 	// failures, 0 when the last relay succeeded; a run longer than
 	// failTimeout drops the session.
 	failingSince atomic.Int64
-	table        *DigestTable // cached at digest time for the objects drill-down (smu)
 }
 
 // GuardCommit brackets one write group's ship+relay sequence. The returned
 // release must be deferred around both. With no session active it is a
-// single atomic load.
+// single atomic load, and admission does not wait for the group: its
+// members were applied before any session began, so Relay skips them.
 func (p *Plane) GuardCommit() (release func()) {
 	if p.active.Load() == 0 {
 		return func() {}
@@ -87,6 +91,7 @@ func (p *Plane) begin(req *sessionReq) error {
 		p.sessions[key] = s
 		p.active.Store(int32(len(p.sessions)))
 	}
+	s.from.Store(p.opts.DB.LastSequence())
 	s.relay.Store(true)
 	return nil
 }
@@ -146,11 +151,16 @@ func (p *Plane) lookup(req *sessionReq) (*session, error) {
 // applyBatch-format frame per session, under the first covered member's
 // trace. The group hook calls it under GuardCommit once the backups acked,
 // with the members' objects still locked: each object's commits relay in
-// order. A failed relay is a gap the digest check repairs (a rejoin's
-// verify rounds, a move's seal); a strict session also fails the members it
-// covers — a joiner pays a backup's cost to earn a backup's seat. Relays
-// that failed continuously for failTimeout drop the session, so a dead
-// receiver never taxes the commit path for longer.
+// order. A group numbered at or below a session's from was in the store
+// before that relay began, so every snapshot the receiver pulls holds it,
+// and it is not relayed: its hook may have taken no guard, and a relay
+// that admission did not wait for could reach the joiner after its session
+// closed. A failed relay is a gap. Before promote the certifying digest
+// round repairs it (in a move, the seal does); after promote it fails the
+// members it covers — a joiner pays a backup's cost to earn a backup's
+// seat — and bars the session from admission. Relays that failed
+// continuously for failTimeout drop the session, so a dead receiver never
+// taxes the commit path for longer.
 func (p *Plane) Relay(g *store.Group) {
 	if p.active.Load() == 0 {
 		return
@@ -164,6 +174,9 @@ func (p *Plane) Relay(g *store.Group) {
 	}
 	p.smu.Unlock()
 	for _, s := range sessions {
+		if g.Batch(0).Seq() <= s.from.Load() {
+			continue
+		}
 		sc := s.key.scope
 		var covered []int
 		for i := range g.Len() {
@@ -194,6 +207,7 @@ func (p *Plane) Relay(g *store.Group) {
 			// only abandons the transfer.
 			p.end(s.key)
 		} else if s.strict.Load() {
+			s.strictGaps.Add(n)
 			err = fmt.Errorf("recovery: strict forward to %s: %w", s.key.peer, err)
 			for _, i := range covered {
 				g.Fail(i, err)
@@ -207,8 +221,10 @@ func (p *Plane) Relay(g *store.Group) {
 // which either reached the joiner or withheld its acks) and stalls new
 // groups; the configuration change and the sender's directory refresh then
 // happen inside the quiescent window, so the first commit after release
-// ships to the joiner as a real backup. Object sessions take no part: a
-// move commits through its own cutover.
+// ships to the joiner as a real backup. A strict relay that failed left
+// the sender holding a write the joiner lacks, which no round looks for:
+// such a session is refused, and the joiner begins again. Object sessions
+// take no part: a move commits through its own cutover.
 func (p *Plane) admit(req *sessionReq) error {
 	if req.scope.scoped {
 		return fmt.Errorf("recovery: admit of an object session")
@@ -230,6 +246,9 @@ func (p *Plane) admit(req *sessionReq) error {
 	if cur != s {
 		return fmt.Errorf("recovery: session for %s retired before admission", req.peer)
 	}
+	if n := s.strictGaps.Load(); n != 0 {
+		return fmt.Errorf("recovery: refusing %s: %d strictly relayed writes failed to reach it", req.peer, n)
+	}
 	if err := p.opts.Admit(req.peer, req.epoch); err != nil {
 		return err
 	}
@@ -238,9 +257,9 @@ func (p *Plane) admit(req *sessionReq) error {
 }
 
 // promote switches a replica session to strict relaying. The flip happens
-// before the reply: every relay that starts after the joiner sees the
-// response is strict, so a post-promote digest round certifies
-// convergence.
+// before the reply: every relay that fails after the joiner sees the
+// response is strict, so the digest round the joiner runs next certifies
+// convergence (DESIGN §11).
 func (p *Plane) promote(req *sessionReq) error {
 	if req.scope.scoped {
 		return fmt.Errorf("recovery: promote of an object session")

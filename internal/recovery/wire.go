@@ -8,14 +8,13 @@ import (
 	"lambdastore/internal/wire"
 )
 
-// RPC method names of the state-transfer protocol. The first seven are
+// RPC method names of the state-transfer protocol. The first six are
 // served by the sender of state and called by its receiver; forward, the
 // relay of a write group, goes the other way. Every request names its
 // session as (peer, scope).
 const (
 	MethodBegin   = "recovery.begin"
 	MethodDigest  = "recovery.digest"
-	MethodObjects = "recovery.objects"
 	MethodFetch   = "recovery.fetch"
 	MethodPromote = "recovery.promote"
 	MethodAdmit   = "recovery.admit"
@@ -81,78 +80,71 @@ func decodeSessionReq(body []byte) (*sessionReq, error) {
 	return &q, r.ErrIn("recovery: session request")
 }
 
-// digestResp carries the sender's bucket folds and meta digest.
-type digestResp struct {
+// digestReq carries the joiner's bucket folds and meta digest: the sender
+// diffs them against its own scan and answers in the same round trip.
+type digestReq struct {
+	sessionReq
 	buckets []uint64
 	meta    uint64
 }
 
-func encodeDigestResp(d *digestResp) []byte {
-	b := wire.AppendUvarint(nil, uint64(len(d.buckets)))
-	for _, h := range d.buckets {
-		b = wire.AppendUint64(b, h)
-	}
-	return wire.AppendUint64(b, d.meta)
-}
-
-func decodeDigestResp(body []byte) (*digestResp, error) {
-	r := wire.NewReader(body)
-	d := &digestResp{buckets: make([]uint64, r.Count(8))}
-	for i := range d.buckets {
-		d.buckets[i] = r.Uint64()
-	}
-	d.meta = r.Uint64()
-	return d, r.ErrIn("recovery: digest response")
-}
-
-// objectsReq drills into the named buckets.
-type objectsReq struct {
-	sessionReq
-	buckets []uint64
-}
-
-func encodeObjectsReq(q *objectsReq) []byte {
+func encodeDigestReq(q *digestReq) []byte {
 	b := encodeSessionReq(&q.sessionReq)
 	b = wire.AppendUvarint(b, uint64(len(q.buckets)))
-	for _, i := range q.buckets {
-		b = wire.AppendUvarint(b, i)
+	for _, h := range q.buckets {
+		b = wire.AppendUint64(b, h)
 	}
-	return b
+	return wire.AppendUint64(b, q.meta)
 }
 
-func decodeObjectsReq(body []byte) (*objectsReq, error) {
+func decodeDigestReq(body []byte) (*digestReq, error) {
 	r := wire.NewReader(body)
-	q := &objectsReq{sessionReq: readSession(&r)}
-	q.buckets = make([]uint64, r.Count(1))
+	q := &digestReq{sessionReq: readSession(&r)}
+	q.buckets = make([]uint64, r.Count(8))
 	for i := range q.buckets {
-		q.buckets[i] = r.Uvarint()
+		q.buckets[i] = r.Uint64()
 	}
-	return q, r.ErrIn("recovery: objects request")
+	q.meta = r.Uint64()
+	return q, r.ErrIn("recovery: digest request")
 }
 
-// objectsResp is the per-object digest listing for the drilled buckets.
-type objectsResp struct {
+// digestResp carries the sender's meta digest, the buckets whose folds
+// differ from the joiner's, and the (id, digest) of every object the
+// sender holds in those buckets.
+type digestResp struct {
+	meta    uint64
+	buckets []uint64
 	ids     []uint64
 	digests []uint64
 }
 
-func encodeObjectsResp(o *objectsResp) []byte {
-	b := wire.AppendUvarint(nil, uint64(len(o.ids)))
-	for i := range o.ids {
-		b = wire.AppendUvarint(b, o.ids[i])
-		b = wire.AppendUint64(b, o.digests[i])
+func encodeDigestResp(d *digestResp) []byte {
+	b := wire.AppendUint64(nil, d.meta)
+	b = wire.AppendUvarint(b, uint64(len(d.buckets)))
+	for _, i := range d.buckets {
+		b = wire.AppendUvarint(b, i)
+	}
+	b = wire.AppendUvarint(b, uint64(len(d.ids)))
+	for i := range d.ids {
+		b = wire.AppendUvarint(b, d.ids[i])
+		b = wire.AppendUint64(b, d.digests[i])
 	}
 	return b
 }
 
-func decodeObjectsResp(body []byte) (*objectsResp, error) {
+func decodeDigestResp(body []byte) (*digestResp, error) {
 	r := wire.NewReader(body)
-	n := r.Count(9)
-	o := &objectsResp{ids: make([]uint64, n), digests: make([]uint64, n)}
-	for i := range o.ids {
-		o.ids[i], o.digests[i] = r.Uvarint(), r.Uint64()
+	d := &digestResp{meta: r.Uint64()}
+	d.buckets = make([]uint64, r.Count(1))
+	for i := range d.buckets {
+		d.buckets[i] = r.Uvarint()
 	}
-	return o, r.ErrIn("recovery: objects response")
+	n := r.Count(9)
+	d.ids, d.digests = make([]uint64, n), make([]uint64, n)
+	for i := range d.ids {
+		d.ids[i], d.digests[i] = r.Uvarint(), r.Uint64()
+	}
+	return d, r.ErrIn("recovery: digest response")
 }
 
 // fetchReq asks for one bounded chunk of [start, end); an empty bound is

@@ -38,7 +38,6 @@ var testOnly = map[string]string{
 	"CatchUp":           "paxos: paxos_test drives catch-up without waiting for the ticker",
 	"NumChosen":         "paxos: paxos_test waits for a replica's applied prefix",
 	"Dial":              "rpc: rpc_test talks to a server without a pool",
-	"LastSequence":      "store: store_test checks sequence numbers survive reopen",
 	"TableCount":        "store and retwis tests assert the table layout they set up",
 	"AsHostError":       "vm: vm_test and core_test tell a host failure from a guest trap",
 	"MemSize":           "vm: compile_test and diff_test compare the engines' memory growth",
