@@ -11,6 +11,12 @@
 #   make vet     gofmt + go vet hygiene
 #   make loc     lines of Go outside benchmark/: product total and per package, tests apart
 #   make check   everything the CI gate runs, then loc
+#   make ab      not part of check: PARENT=<rev> runs benchmark/run.sh ABRUNS times per
+#                workload on the parent (exported to .ab/) and on the working tree,
+#                alternating which goes first, and prints each metric's median [Q1-Q3]
+#                per side, the pairs the change won, and "unresolved" where the
+#                medians differ by less than the parent's IQR (ABWORKLOADS, ABSECONDS,
+#                ABTRACE to override)
 #   make flakes  not part of check: builds one race-enabled internal/cluster test
 #                binary, runs each of FLAKES FLAKERUNS times (one process per run)
 #                and tallies the failures by each run's first failing line, with
@@ -18,7 +24,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos fuzz-smoke bench bench-paper bench-smoke vet loc check flakes clean
+.PHONY: all build test race chaos fuzz-smoke bench bench-paper bench-smoke vet loc check ab flakes clean
 
 all: build
 
@@ -94,15 +100,23 @@ vet:
 	$(GO) vet ./...
 
 # The size every simplicity PR reports before -> after: lines of gofmt'd Go
-# outside benchmark/ (which is frozen), product code per package and in
-# total, tests apart. `make vet` is what guarantees the files are gofmt'd.
+# outside benchmark/ (which is frozen) and the dot directories (build and
+# A/B output), product code per package and in total, tests apart. `make vet` is what guarantees the files are gofmt'd.
 loc:
-	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs wc -l | \
+	@find . -name '*.go' -not -path './benchmark/*' -not -path './.*' -not -name '*_test.go' | xargs wc -l | \
 		awk '$$2 != "total" { n = split($$2, p, "/"); d = $$2; sub("/" p[n] "$$", "", d); pkg[d] += $$1; sum += $$1 } \
 		     END { for (d in pkg) printf "%7d  %s\n", pkg[d], d; printf "%7d  non-test total\n", sum }' | sort -k2
-	@find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l | awk '{ printf "%7d  test total\n", $$1 }'
+	@find . -name '*_test.go' -not -path './benchmark/*' -not -path './.*' | xargs cat | wc -l | awk '{ printf "%7d  test total\n", $$1 }'
 
 check: vet build test race bench-smoke loc
+
+ABRUNS ?= 5
+ABSECONDS ?= 15
+ABTRACE ?= 0
+ABWORKLOADS ?= timeline_hot timeline_cold post_sync retwis_mix
+ab:
+	@test -n "$(PARENT)" || { echo "usage: make ab PARENT=<rev> [ABRUNS=5] [ABSECONDS=15] [ABTRACE=0] [ABWORKLOADS=...]"; exit 2; }
+	bash scripts/ab.sh $(PARENT) $(ABRUNS) $(ABSECONDS) $(ABTRACE) $(ABWORKLOADS)
 
 # A run's first failing line is the first t.Error/t.Fatal line (file.go:N:),
 # panic or data-race report in its output; 127.0.0.1:port and 0x pointers

@@ -499,7 +499,7 @@ func runRecovery(args []string) {
 			continue
 		}
 		for _, s := range env.DonorSessions {
-			mode := "buffering"
+			mode := "async"
 			if s.Strict {
 				mode = "strict"
 			}

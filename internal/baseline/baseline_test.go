@@ -89,7 +89,7 @@ func TestDisaggregatedRetwisEndToEnd(t *testing.T) {
 	}
 	// Writes replicated to storage backups.
 	for i, b := range s.backups {
-		n, err := b.DB().Get(core.ListLenKey(2, "timeline"))
+		n, err := b.db.Get(core.ListLenKey(2, "timeline"))
 		if err != nil || core.DecodeU64(n) != 1 {
 			t.Fatalf("backup %d timeline len: %v %v", i, n, err)
 		}
@@ -328,7 +328,7 @@ func TestListPushLocksPerObject(t *testing.T) {
 	// One list: every push took the next index, and the backup holds the
 	// same list — a stale length shipped last would have shrunk it.
 	pushAll(func(int) core.ObjectID { return 7 })
-	for _, db := range []*store.DB{s.primary.DB(), s.backups[0].DB()} {
+	for _, db := range []*store.DB{s.primary.db, s.backups[0].db} {
 		seen := map[string]bool{}
 		for i := uint64(0); i < n; i++ {
 			v, err := db.Get(core.ListEntryKey(7, "l", i))

@@ -66,7 +66,7 @@ type ComputeOptions struct {
 // ABI and warm pool (core.InstancePool) and under the same fuel budget; only
 // the core.Backend behind the ABI differs — every storage operation is an
 // individual network round trip, writes apply immediately (no write
-// buffering, no invocation atomicity or isolation), and nested invocations
+// buffer, no invocation atomicity or isolation), and nested invocations
 // go back through the load balancer.
 type ComputeNode struct {
 	opts ComputeOptions
@@ -121,9 +121,6 @@ func (n *ComputeNode) SetLoadBalancer(addr string) {
 	n.lb = addr
 	n.lbMu.Unlock()
 }
-
-// PoolStats returns (warm, cold) instance-start counts of the warm pool.
-func (n *ComputeNode) PoolStats() (warm, cold uint64) { return n.vms.Stats() }
 
 // Close shuts the node down.
 func (n *ComputeNode) Close() error {

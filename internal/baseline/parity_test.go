@@ -223,7 +223,7 @@ func TestBaselineWarmPoolLanes(t *testing.T) {
 		mustInvoke(t, client, 1, m)
 	}
 	aw, ac := rt.PoolStats()
-	bw, bc := s.compute.PoolStats()
+	bw, bc := s.compute.vms.Stats()
 	if aw != bw || ac != bc {
 		t.Fatalf("warm/cold starts: aggregated %d/%d, baseline %d/%d", aw, ac, bw, bc)
 	}

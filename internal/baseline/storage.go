@@ -158,12 +158,6 @@ func StartStorage(opts StorageOptions) (*StorageNode, error) {
 // Addr returns the node's RPC address.
 func (n *StorageNode) Addr() string { return n.addr }
 
-// DB exposes the engine (tests).
-func (n *StorageNode) DB() *store.DB { return n.db }
-
-// SetBackups reconfigures replication.
-func (n *StorageNode) SetBackups(addrs []string) { n.shipper.SetBackups(addrs) }
-
 // Close shuts the node down.
 func (n *StorageNode) Close() error {
 	n.srv.Close()

@@ -11,6 +11,7 @@ import (
 	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
+	"lambdastore/internal/recovery"
 	"lambdastore/internal/shard"
 	"lambdastore/internal/telemetry"
 )
@@ -673,7 +674,9 @@ func (r *runner) runRestartRejoin() error {
 }
 
 // runMigrateUnderChaos live-migrates a workload object from group 0 to
-// group 1 and kills the source primary with the transfer in flight
+// group 1 twice: first with every relay into the target failing, which
+// must abort the move and leave the target's janitor a dangling session to
+// reclaim; then killing the source primary with the transfer in flight
 // (calls into the target are delayed so the kill reliably lands inside
 // the move). The move must resolve to exactly one owner: either the
 // cutover never committed — the object stays with group 0's promoted
@@ -712,48 +715,67 @@ func (r *runner) runMigrateUnderChaos() error {
 		return fmt.Errorf("resolve primary: %w", err)
 	}
 
-	// Phase A — abort mid-transfer. Calls into the target crawl (each held
-	// 50ms at send) and a move makes three calls on it (offer, seal, end),
-	// so 30ms in the offer is provably in flight and the seal not yet sent;
-	// failing every call into the target then kills the seal, after the
-	// target pulled its copy. The source's move.end fails with it, leaving
-	// a dangling inbound session the target's janitor must reclaim.
-	fault.Add(fault.Rule{Site: fault.Wildcard, To: g1.Primary, Action: fault.Delay, Delay: 50 * time.Millisecond})
+	// Phase A — abort after the target opened its inbound session. The
+	// target's pull from the source crawls (each fetch held 200ms at send),
+	// every relay into the target fails, and so does move.end: one write
+	// acknowledged during the pull is a relay gap, on which the source's
+	// seal aborts the move, and the target is left holding an inbound
+	// session (and its partial copy) that its janitor must reclaim.
+	src := r.c.Slots[pi].Addr
+	rules := []fault.Rule{
+		{Site: recovery.MethodFetch, To: src, Action: fault.Delay, Delay: 200 * time.Millisecond},
+		{Site: recovery.MethodForward, To: g1.Primary, Action: fault.Error, Err: "injected-relay-failure"},
+		{Site: recovery.MethodMoveEnd, To: g1.Primary, Action: fault.Error, Err: "injected-move-end-failure"},
+	}
+	for _, rule := range rules {
+		fault.Add(rule)
+	}
+	target := r.c.Slots[ti].Node
 	moveDone := make(chan error, 1)
 	go func() { moveDone <- r.client.Migrate(obj, 1) }()
-	time.Sleep(30 * time.Millisecond)
-	fault.Add(fault.Rule{Site: fault.Wildcard, To: g1.Primary, Action: fault.Error, Err: "injected-target-failure"})
+	opened := r.c.Await(promoteTimeout, "the target to open its inbound session", func() bool {
+		return target.MoveSessions() == 1
+	})
+	var writeErr error
+	if opened == nil {
+		writeErr = r.awaitWriteObject(obj)
+	}
 	moveErr := <-moveDone
-	fault.Remove(fault.Wildcard, g1.Primary)
-	r.opts.Log("chaos: migrate of object %d into a failing target returned: %v", obj, moveErr)
+	for _, rule := range rules {
+		fault.Remove(rule.Site, rule.To)
+	}
+	r.opts.Log("chaos: migrate of object %d with a relay gap returned: %v", obj, moveErr)
+	if err := cmp.Or(opened, writeErr); err != nil {
+		return err
+	}
 	if moveErr == nil {
-		// The move outran the injection (should not happen under the
-		// call delay); park the object back so phase B starts at group 0.
-		if err := r.client.Migrate(obj, 0); err != nil {
-			return fmt.Errorf("move unexpectedly committed and could not be undone: %w", err)
-		}
-	} else {
-		owner, err := r.groupFor(obj)
-		if err != nil {
-			return err
-		}
-		if owner.ID != 0 {
-			return fmt.Errorf("aborted move left object %d on group %d", obj, owner.ID)
-		}
-		// Janitor reclaim: the dangling session (and any partial copy)
-		// must be gone within the session timeout.
-		if err := r.c.Await(rejoinTimeout, "the target's janitor to reclaim the dangling move session", func() bool {
-			return r.c.Slots[ti].Node.MoveSessions() == 0
-		}); err != nil {
-			return err
-		}
-		if err := r.awaitObjectAbsent(obj, 1); err != nil {
-			return err
-		}
-		// The aborted move must have left the object fully serviceable.
-		if err := r.awaitWriteObject(obj); err != nil {
-			return err
-		}
+		return fmt.Errorf("move of object %d committed over a failed relay", obj)
+	}
+	owner, err := r.groupFor(obj)
+	if err != nil {
+		return err
+	}
+	if owner.ID != 0 {
+		return fmt.Errorf("aborted move left object %d on group %d", obj, owner.ID)
+	}
+	// Janitor reclaim: the dangling session (and its partial copy) must be
+	// gone within the session timeout.
+	if err := r.c.Await(rejoinTimeout, "the target's janitor to reclaim the dangling move session", func() bool {
+		return target.MoveSessions() == 0
+	}); err != nil {
+		return err
+	}
+	reclaimed := target.Metrics().Counter("move.sessions_reclaimed").Value()
+	r.opts.Log("chaos: the target's janitor reclaimed %d move session(s)", reclaimed)
+	if reclaimed < 1 {
+		return fmt.Errorf("the target's inbound session closed, but move.sessions_reclaimed = %d", reclaimed)
+	}
+	if err := r.awaitObjectAbsent(obj, 1); err != nil {
+		return err
+	}
+	// The aborted move must have left the object fully serviceable.
+	if err := r.awaitWriteObject(obj); err != nil {
+		return err
 	}
 
 	// Phase B — crash the source primary with the transfer in flight.
@@ -803,7 +825,7 @@ func (r *runner) runMigrateUnderChaos() error {
 	// the target's janitor reclaims the partial range; on an acknowledged
 	// commit the source deleted the range (and shipped the delete to its
 	// backups) before the move reported success.
-	owner, err := r.groupFor(obj)
+	owner, err = r.groupFor(obj)
 	if err != nil {
 		return err
 	}

@@ -223,7 +223,7 @@ func TestRejoinAssemblesAsOneTrace(t *testing.T) {
 
 	// The last rejoin span in the joiner's ring is the successful session.
 	var root telemetry.Span
-	for _, s := range joiner.Tracer().Spans() {
+	for _, s := range joiner.tracer.Spans() {
 		if s.Name == "rejoin" {
 			root = s
 		}
@@ -238,7 +238,7 @@ func TestRejoinAssemblesAsOneTrace(t *testing.T) {
 	var all []telemetry.Span
 	perNode := make(map[int]int)
 	for i, n := range rc.Nodes() {
-		spans := n.Tracer().TraceSpans(root.Trace)
+		spans := n.tracer.TraceSpans(root.Trace)
 		perNode[i] = len(spans)
 		all = append(all, spans...)
 	}

@@ -262,7 +262,7 @@ func TestCrossObjectRoutingAcrossGroups(t *testing.T) {
 	if err != nil || core.BytesI64(got) != 11 {
 		t.Fatalf("target count = %d, %v", core.BytesI64(got), err)
 	}
-	if nodes[0].Forwarded() == 0 {
+	if nodes[0].forwards.Value() == 0 {
 		t.Fatal("cross-group invocation was not forwarded")
 	}
 }

@@ -321,8 +321,8 @@ func (n *Node) replicateGroup(g *store.Group) {
 	}
 	// Relay the members to any joiner mid-catch-up (strict sessions withhold
 	// the acks on failure, exactly like a real backup) and to the target of
-	// an in-flight move of their object (best effort: a lost relay is a gap
-	// the move's seal heals).
+	// an in-flight move of their object (a lost relay is a gap on which the
+	// move aborts).
 	n.transfer.Relay(g)
 }
 
@@ -355,9 +355,6 @@ func (n *Node) Runtime() *core.Runtime { return n.rt }
 // DB exposes the node's storage engine (tests, tools).
 func (n *Node) DB() *store.DB { return n.db }
 
-// Forwarded returns how many cross-object invocations left this node.
-func (n *Node) Forwarded() uint64 { return n.forwards.Value() }
-
 // MoveSessions reports the inbound live-migration sessions currently
 // open on this node (a non-zero count after a failed move means the
 // janitor has not yet reclaimed the partial copy).
@@ -368,9 +365,6 @@ func (n *Node) MoveSessions() int {
 
 // Metrics returns the node's telemetry registry.
 func (n *Node) Metrics() *telemetry.Registry { return n.metrics }
-
-// Tracer returns the node's span recorder.
-func (n *Node) Tracer() *telemetry.Tracer { return n.tracer }
 
 // DebugAddr returns the debug HTTP server's bound address, or "" when the
 // server is not running.
@@ -383,9 +377,6 @@ func (n *Node) DebugAddr() string {
 
 // RecoveryStatus snapshots the node's rejoin state machine.
 func (n *Node) RecoveryStatus() recovery.Status { return n.transfer.Status() }
-
-// DonorSessions lists this node's active donor-side catch-up sessions.
-func (n *Node) DonorSessions() []recovery.SessionStatus { return n.transfer.Sessions() }
 
 // health backs /healthz: serving stops reporting healthy once Close began.
 func (n *Node) health() error {

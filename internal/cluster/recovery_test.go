@@ -219,7 +219,7 @@ func rejoinAfterDowntime(t *testing.T, base int) recovery.Status {
 	}
 	// The donor retires the catch-up session at admission.
 	await(t, rc.Local, 5*time.Second, "donor session retirement", func() bool {
-		return len(rc.node(0).DonorSessions()) == 0
+		return len(rc.node(0).transfer.Sessions()) == 0
 	})
 
 	// A deposed primary from before the rejoin ships frames at preEpoch;

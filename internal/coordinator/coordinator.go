@@ -257,13 +257,6 @@ func (s *Service) Directory() *shard.Directory {
 	return d
 }
 
-// Heartbeat records liveness of a storage node.
-func (s *Service) Heartbeat(addr string) {
-	s.mu.Lock()
-	s.lastSeen[addr] = time.Now()
-	s.mu.Unlock()
-}
-
 // HeartbeatWithDebug records liveness and the node's debug HTTP address,
 // which the metrics aggregator scrapes.
 func (s *Service) HeartbeatWithDebug(addr, debugAddr string) {
@@ -400,7 +393,6 @@ const (
 	MethodGetConfig = "coord.getconfig"
 	MethodHeartbeat = "coord.heartbeat"
 	MethodSetGroup  = "coord.setgroup"
-	MethodPromote   = "coord.promote"
 	MethodMigrate   = "coord.migrate"
 	MethodAddBackup = "coord.addbackup"
 )
@@ -431,14 +423,6 @@ func RegisterServer(srv *rpc.Server, s *Service) {
 			return nil, err
 		}
 		c.Kind = cmdSetGroup
-		return nil, s.ProposeCommand(c)
-	})
-	srv.Handle(MethodPromote, func(body []byte) ([]byte, error) {
-		c, err := DecodeCommand(body)
-		if err != nil {
-			return nil, err
-		}
-		c.Kind = cmdPromote
 		return nil, s.ProposeCommand(c)
 	})
 	srv.Handle(MethodAddBackup, func(body []byte) ([]byte, error) {
@@ -515,13 +499,6 @@ func (c *Client) SetGroup(g shard.Group) error {
 	return err
 }
 
-// Promote requests a manual failover.
-func (c *Client) Promote(gid uint64, failedPrimary, newPrimary string) error {
-	cmd := Command{Kind: cmdPromote, GroupID: gid, FailedPrimary: failedPrimary, NewPrimary: newPrimary}
-	_, err := c.call(MethodPromote, cmd.Encode())
-	return err
-}
-
 // AddBackup proposes re-admitting a caught-up joiner as a backup of
 // group gid, fenced on expectEpoch (the epoch the catch-up was
 // certified against; 0 = unfenced). The proposal landing does not mean
@@ -529,13 +506,6 @@ func (c *Client) Promote(gid uint64, failedPrimary, newPrimary string) error {
 func (c *Client) AddBackup(gid uint64, joiner string, expectEpoch uint64) error {
 	cmd := Command{Kind: cmdAddBackup, GroupID: gid, NewPrimary: joiner, Epoch: expectEpoch}
 	_, err := c.call(MethodAddBackup, cmd.Encode())
-	return err
-}
-
-// SetOverride records a migrated object's new group.
-func (c *Client) SetOverride(object, group uint64) error {
-	cmd := Command{Kind: cmdSetOverride, Object: object, TargetGroup: group}
-	_, err := c.call(MethodMigrate, cmd.Encode())
 	return err
 }
 

@@ -80,7 +80,7 @@ func TestEveryCommitPathMovesTheVersion(t *testing.T) {
 		shipped = shipped[:0]
 	}
 	rawVersion := func(rt *Runtime, id ObjectID) string {
-		v, err := rt.DB().Get(versionKey(id))
+		v, err := rt.db.Get(versionKey(id))
 		if errors.Is(err, store.ErrNotFound) {
 			return "absent"
 		} else if err != nil {
@@ -112,7 +112,7 @@ func TestEveryCommitPathMovesTheVersion(t *testing.T) {
 			return err
 		}, map[ObjectID]int64{1: 70, 2: 30}},
 		{"two-object transaction", func() error {
-			_, err := primary.InvokeTransaction([]TxCall{
+			_, err := invokeTx(primary, []TxCall{
 				{Object: 1, Method: "deposit", Args: [][]byte{I64Bytes(5)}},
 				{Object: 2, Method: "deposit", Args: [][]byte{I64Bytes(7)}},
 			})

@@ -154,10 +154,6 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 	return rt, nil
 }
 
-// DB exposes the underlying store (replication and migration need raw
-// access).
-func (rt *Runtime) DB() *store.DB { return rt.db }
-
 // Cache returns the result cache, or nil if disabled.
 func (rt *Runtime) Cache() *cache.Cache { return rt.cache }
 

@@ -30,18 +30,12 @@ type TxCall struct {
 // transaction's call list is the whole graph).
 var ErrTxRestricted = fmt.Errorf("core: operation not allowed inside a transaction")
 
-// InvokeTransaction executes calls as one serializable unit: either every
-// call's writes commit atomically, or (on any trap or error) none do.
+// InvokeTransactionCtx executes calls as one serializable unit: either
+// every call's writes commit atomically, or (on any trap or error) none do.
 // Locks on all involved objects are held from start to commit, so the
 // transaction is serializable with respect to all other invocations and
-// transactions.
-func (rt *Runtime) InvokeTransaction(calls []TxCall) ([][]byte, error) {
-	return rt.InvokeTransactionCtx(calls, CallCtx{})
-}
-
-// InvokeTransactionCtx is InvokeTransaction with an explicit call context:
-// the transaction records a "tx" span (parented to the caller when traced)
-// and its member invocations nest their stage spans beneath it.
+// transactions. It records a "tx" span (parented to the caller when
+// traced) and its member invocations nest their stage spans beneath it.
 func (rt *Runtime) InvokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, error) {
 	span := rt.tracer.StartSpan(cc.Trace, "tx")
 	if span.Recording() {

@@ -26,6 +26,11 @@ func txTestRuntime(t *testing.T, n int, balance int64) *Runtime {
 	return rt
 }
 
+// invokeTx runs a transaction with no caller context.
+func invokeTx(rt *Runtime, calls []TxCall) ([][]byte, error) {
+	return rt.InvokeTransactionCtx(calls, CallCtx{})
+}
+
 func balanceOf(t *testing.T, rt *Runtime, id ObjectID) int64 {
 	t.Helper()
 	return BytesI64(mustInvoke(t, rt, id, "balance"))
@@ -36,7 +41,7 @@ func TestTransactionAtomicAcrossObjects(t *testing.T) {
 	commitsBefore := rt.metrics.commits.Value()
 	// A transactional transfer: withdraw via deposit(-30) on account 1,
 	// deposit(+30) on account 2 — both or neither.
-	res, err := rt.InvokeTransaction([]TxCall{
+	res, err := invokeTx(rt, []TxCall{
 		{Object: 1, Method: "deposit", Args: [][]byte{I64Bytes(-30)}},
 		{Object: 2, Method: "deposit", Args: [][]byte{I64Bytes(30)}},
 	})
@@ -65,7 +70,7 @@ func TestTransactionAbortsAtomically(t *testing.T) {
 	rt := txTestRuntime(t, 2, 100)
 	// Second call traps (transfer with insufficient funds at object 2):
 	// the first call's write must be discarded too.
-	_, err := rt.InvokeTransaction([]TxCall{
+	_, err := invokeTx(rt, []TxCall{
 		{Object: 1, Method: "deposit", Args: [][]byte{I64Bytes(500)}},
 		{Object: 2, Method: "transfer", Args: [][]byte{I64Bytes(1), I64Bytes(1_000_000)}},
 	})
@@ -81,7 +86,7 @@ func TestTransactionAbortsAtomically(t *testing.T) {
 func TestTransactionMembersSeeEachOthersWrites(t *testing.T) {
 	rt := txTestRuntime(t, 1, 0)
 	// Two deposits on the same object within one transaction compose.
-	res, err := rt.InvokeTransaction([]TxCall{
+	res, err := invokeTx(rt, []TxCall{
 		{Object: 1, Method: "deposit", Args: [][]byte{I64Bytes(10)}},
 		{Object: 1, Method: "deposit", Args: [][]byte{I64Bytes(5)}},
 	})
@@ -104,7 +109,7 @@ func TestTransactionForbidsCrossInvoke(t *testing.T) {
 	rt := txTestRuntime(t, 2, 100)
 	// transfer() itself performs a cross-object invoke: inside a
 	// transaction that is rejected.
-	_, err := rt.InvokeTransaction([]TxCall{
+	_, err := invokeTx(rt, []TxCall{
 		{Object: 1, Method: "transfer", Args: [][]byte{I64Bytes(2), I64Bytes(10)}},
 	})
 	if err == nil || !strings.Contains(err.Error(), "not allowed inside a transaction") {
@@ -130,7 +135,7 @@ func TestConcurrentTransactionsSerializable(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				from := ObjectID((w+i)%accounts) + 1
 				to := ObjectID((w+i+1)%accounts) + 1
-				_, err := rt.InvokeTransaction([]TxCall{
+				_, err := invokeTx(rt, []TxCall{
 					{Object: from, Method: "deposit", Args: [][]byte{I64Bytes(-7)}},
 					{Object: to, Method: "deposit", Args: [][]byte{I64Bytes(7)}},
 				})
@@ -165,7 +170,7 @@ func TestTransactionNoDeadlockOppositeOrders(t *testing.T) {
 				a, b = b, a
 			}
 			for i := 0; i < 50; i++ {
-				_, err := rt.InvokeTransaction([]TxCall{
+				_, err := invokeTx(rt, []TxCall{
 					{Object: a, Method: "deposit", Args: [][]byte{I64Bytes(1)}},
 					{Object: b, Method: "deposit", Args: [][]byte{I64Bytes(-1)}},
 				})
@@ -202,7 +207,7 @@ func TestTransactionIsolatedFromPlainInvocations(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if _, err := rt.InvokeTransaction([]TxCall{
+			if _, err := invokeTx(rt, []TxCall{
 				{Object: 1, Method: "deposit", Args: [][]byte{I64Bytes(2)}},
 				{Object: 2, Method: "deposit", Args: [][]byte{I64Bytes(3)}},
 			}); err != nil {
@@ -222,20 +227,20 @@ func TestTransactionIsolatedFromPlainInvocations(t *testing.T) {
 
 func TestTransactionEmptyAndErrors(t *testing.T) {
 	rt := txTestRuntime(t, 1, 0)
-	if res, err := rt.InvokeTransaction(nil); err != nil || res != nil {
+	if res, err := invokeTx(rt, nil); err != nil || res != nil {
 		t.Fatalf("empty tx: %v %v", res, err)
 	}
-	if _, err := rt.InvokeTransaction([]TxCall{{Object: 99, Method: "deposit"}}); !errors.Is(err, ErrNoSuchObject) {
+	if _, err := invokeTx(rt, []TxCall{{Object: 99, Method: "deposit"}}); !errors.Is(err, ErrNoSuchObject) {
 		t.Fatalf("missing object err = %v", err)
 	}
-	if _, err := rt.InvokeTransaction([]TxCall{{Object: 1, Method: "nope"}}); !errors.Is(err, ErrNoSuchMethod) {
+	if _, err := invokeTx(rt, []TxCall{{Object: 1, Method: "nope"}}); !errors.Is(err, ErrNoSuchMethod) {
 		t.Fatalf("missing method err = %v", err)
 	}
 }
 
 func TestTransactionReadOnlyMembers(t *testing.T) {
 	rt := txTestRuntime(t, 2, 50)
-	res, err := rt.InvokeTransaction([]TxCall{
+	res, err := invokeTx(rt, []TxCall{
 		{Object: 1, Method: "balance"},
 		{Object: 2, Method: "deposit", Args: [][]byte{I64Bytes(1)}},
 		{Object: 1, Method: "balance"},

@@ -50,7 +50,7 @@ func textNames(text string) map[string]bool {
 func TestMetricsTextAndJSONAgree(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("core.commits").Add(7)
-	reg.Gauge("rpc.server.in_flight").Set(2)
+	reg.Gauge("rpc.server.in_flight").Inc()
 	reg.GaugeFunc("core.pool_idle", func() int64 { return 5 })
 	reg.Histogram("core.invoke").Record(300 * time.Microsecond)
 	reg.CountHistogram("repl.batch_size").Observe(4)
@@ -92,7 +92,7 @@ func TestMetricsTextAndJSONAgree(t *testing.T) {
 		t.Errorf("/metrics.json lists %d instruments, want the 5 registered: %v", len(inJSON), inJSON)
 	}
 	for _, line := range []string{
-		"core.commits 7\n", "rpc.server.in_flight 2\n", "core.pool_idle 5\n",
+		"core.commits 7\n", "rpc.server.in_flight 1\n", "core.pool_idle 5\n",
 		"core.invoke_count 1\n", fmt.Sprintf("core.invoke_p99_us %d\n", snap.Histograms["core.invoke"].P99Us),
 		"repl.batch_size_count 1\n", "repl.batch_size_max 4\n", "repl.batch_size_mean 4\n",
 	} {

@@ -4,13 +4,14 @@
 // — a restarted replica rejoining its group (scope: the whole replica, §11)
 // and a live object migration (scope: one object's range, §13). The
 // receiver of state always pulls and the sender always relays: the receiver
-// opens a session, buffers the commits the sender forwards, pulls the range
-// in chunks served off storage snapshots, replays the buffer and goes live.
-// A digest round — one exchange: the receiver's bucket folds out, the
-// sender's listing of the buckets that differ back — decides what to
-// re-pull, so the bytes a rejoin streams scale with the replicas'
-// divergence, not the store size; the first round after the relay turns
-// strict certifies a rejoin, and one digest comparison seals a move.
+// opens a session, applies the commits the sender relays as they arrive,
+// and pulls the range in chunks served off storage snapshots. A digest
+// round — one exchange: the receiver's bucket folds out, the sender's
+// listing of the buckets that differ back — decides what a rejoin re-pulls,
+// so the bytes it streams scale with the replicas' divergence, not the
+// store size; the first round after the relay turns strict certifies it. A
+// move compares no digests: its source seals it on its own record of the
+// relays it sent.
 // Only the orchestrator differs: the joiner drives a rejoin (rejoin.go), the
 // source primary — the only node that can quiesce the object — a move
 // (move.go).
@@ -107,19 +108,6 @@ func scanRange(db *store.DB, start, end []byte, fn func(key, value []byte) bool)
 		}
 	}
 	return it.Error()
-}
-
-// objectDigest chains one object's committed entries in key order — the same
-// fold BuildDigest computes per object, so both ends of a move compute
-// identical values for identical state.
-func objectDigest(db *store.DB, object uint64) (uint64, error) {
-	start, end := objectRange(object)
-	h := uint64(fnvOffset)
-	err := scanRange(db, start, end, func(k, v []byte) bool {
-		h = hashEntry(h, k, v)
-		return true
-	})
-	return h, err
 }
 
 // rangeKeys lists the committed keys in [start, end).

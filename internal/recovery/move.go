@@ -11,41 +11,27 @@ import (
 
 // The move orchestrator (DESIGN.md "State transfer", §13): a live object
 // move is an object-scoped session driven by the source primary. The source
-// makes three calls on the target group's primary; the rest is the shared
+// makes two calls on the target group's primary; the rest is the shared
 // protocol, with the target as receiver and the source as sender.
 //
-//	move.offer  the target opens an inbound session, pulls the object's
-//	            range from the source and goes live.
-//	move.seal   under the source's fence and admission, the target compares
-//	            its copy with the source's digest of the frozen range; on a
-//	            mismatch it re-pulls the range once and compares again.
+//	move.offer  the target opens an inbound session and pulls the object's
+//	            range from the source; the source's commits are relayed to
+//	            it from the moment its begin lands.
 //	move.end    after the cutover (or an abort) the target retires the
 //	            session and keeps its copy iff the directory maps the object
 //	            to its group; its janitor settles an abandoned session the
 //	            same way.
+//
+// The seal between them is local: once the source holds the object's
+// admission, every commit to it has finished its relay, so the target
+// holds the frozen range iff the session is still open and no relay to it
+// failed.
 
 // Move RPC method names (served by the target group's primary).
 const (
 	MethodMoveOffer = "move.offer"
-	MethodMoveSeal  = "move.seal"
 	MethodMoveEnd   = "move.end"
 )
-
-// moveSealReq carries the source's digest of the frozen range.
-type moveSealReq struct {
-	object uint64
-	digest uint64
-}
-
-func encodeMoveSeal(q *moveSealReq) []byte {
-	return wire.AppendUint64(wire.AppendUvarint(nil, q.object), q.digest)
-}
-
-func decodeMoveSeal(body []byte) (*moveSealReq, error) {
-	r := wire.NewReader(body)
-	q := &moveSealReq{object: r.Uvarint(), digest: r.Uint64()}
-	return q, r.ErrIn("recovery: move seal")
-}
 
 // moveEndReq retires the session; dir, when non-empty, is the source's
 // post-cutover directory snapshot (a view fast-forward).
@@ -101,8 +87,8 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 		_ = call(MethodMoveEnd, encodeMoveEnd(&moveEndReq{object: object}))
 	}()
 
-	// The target pulls the range and goes live; commits keep flowing here
-	// and are relayed from the moment its begin lands.
+	// The target pulls the range; commits keep flowing here and are relayed
+	// from the moment its begin lands.
 	if err := call(MethodMoveOffer, encodeSessionReq(&sessionReq{peer: p.selfAddr(), scope: key.scope})); err != nil {
 		return fmt.Errorf("offer: %w", err)
 	}
@@ -116,15 +102,18 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 		return fmt.Errorf("quiesce: %w", err)
 	}
 
-	// Seal: the range is frozen and every relay has been answered, so the
-	// target's copy must equal ours once it has re-pulled what a lost relay
-	// left out.
-	local, err := objectDigest(p.opts.DB, object)
-	if err != nil {
-		return fmt.Errorf("seal digest: %w", err)
+	// Seal: every commit to the object has finished its relay (the group
+	// hook holds the object's lock across it), so the target holds the
+	// frozen range unless a relay failed or the session was dropped. Either
+	// aborts; the operator's retry opens a fresh session.
+	p.smu.Lock()
+	out := p.sessions[key]
+	p.smu.Unlock()
+	if out == nil {
+		return fmt.Errorf("seal: the session to %s was dropped", targetAddr)
 	}
-	if err := call(MethodMoveSeal, encodeMoveSeal(&moveSealReq{object: object, digest: local})); err != nil {
-		return fmt.Errorf("seal: %w", err)
+	if n := out.gaps.Load(); n != 0 {
+		return fmt.Errorf("seal: %d relayed writes failed to reach %s", n, targetAddr)
 	}
 
 	// Cutover — the commit point. After this the directory says the target
@@ -154,9 +143,9 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 	return nil
 }
 
-// offer serves move.offer: open the inbound session, pull the object's
+// offer serves move.offer: open the inbound session and pull the object's
 // range (the first chunk deletes whatever an abandoned earlier attempt left
-// behind) and go live.
+// behind).
 func (p *Plane) offer(trace telemetry.SpanContext, source string, object uint64) error {
 	if p.owns(object) {
 		return fmt.Errorf("recovery: refusing inbound move of object %d: this group already owns it", object)
@@ -170,44 +159,11 @@ func (p *Plane) offer(trace telemetry.SpanContext, source string, object uint64)
 		return err
 	}
 	start, end := objectRange(object)
-	if err = s.syncRange(start, end, object); err == nil {
-		err = s.goLive()
-	}
-	if err != nil {
+	if err = s.syncRange(start, end, object); err != nil {
 		// Reclaim now rather than waiting out the janitor.
 		_ = p.endInbound(s)
 	}
 	return err
-}
-
-// seal serves move.seal: the source holds the object's admission, so the
-// copy here is final once any in-flight forward has applied (applyMu).
-// Compare it with the source's digest; on a mismatch — a forward was lost —
-// re-pull the frozen range once and compare again. A range frozen at the
-// source cannot differ after a re-pull: a second mismatch aborts the move.
-func (p *Plane) seal(req *moveSealReq) error {
-	s := p.inboundFor(objectScope(req.object))
-	if s == nil {
-		return fmt.Errorf("recovery: no inbound move session for object %d", req.object)
-	}
-	s.touch()
-	digest := func() (uint64, error) {
-		s.applyMu.Lock()
-		defer s.applyMu.Unlock()
-		return objectDigest(p.opts.DB, req.object)
-	}
-	if dig, err := digest(); err != nil || dig == req.digest {
-		return err
-	}
-	p.m.sealRepulls.Inc()
-	start, end := objectRange(req.object)
-	if err := s.syncRange(start, end, req.object); err != nil {
-		return fmt.Errorf("re-pull: %w", err)
-	}
-	if dig, err := digest(); err != nil || dig == req.digest {
-		return err
-	}
-	return fmt.Errorf("recovery: object %d differs from its frozen range after a re-pull", req.object)
 }
 
 // endInbound retires an inbound move session and settles its copy: kept iff
@@ -233,15 +189,13 @@ func (p *Plane) endInbound(s *inbound) error {
 func (p *Plane) janitor() {
 	defer p.loops.Done()
 	for p.sleep(p.opts.MoveSessionTimeout / 4) {
-		cutoff := time.Now().Add(-p.opts.MoveSessionTimeout)
+		cutoff := time.Now().Add(-p.opts.MoveSessionTimeout).UnixNano()
 		var stale []*inbound
 		p.imu.Lock()
 		for sc, s := range p.inbound {
-			s.modeMu.Lock()
-			if sc.scoped && s.last.Before(cutoff) {
+			if sc.scoped && s.last.Load() < cutoff {
 				stale = append(stale, s)
 			}
-			s.modeMu.Unlock()
 		}
 		p.imu.Unlock()
 		sort.Slice(stale, func(i, j int) bool { return stale[i].req.scope.object < stale[j].req.scope.object })

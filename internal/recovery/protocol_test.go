@@ -39,8 +39,8 @@ type testNode struct {
 	fences  map[uint64]string
 	applied []*store.Batch
 	// onApply, if set, runs before each Apply reaches the store (under the
-	// session's applyMu for chunks and live forwards): a test parks a chunk
-	// here to commit at the sender inside the fetch → apply window.
+	// session's applyMu for chunks and forwards): a test parks a chunk here
+	// to commit at the sender inside the fetch → apply window.
 	onApply func(object uint64, b *store.Batch)
 	// onGroup, if set, runs in the group hook once GuardCommit returned: a
 	// test parks a group there.
@@ -226,9 +226,9 @@ func pair(t *testing.T, sameGroup bool, moveTimeout time.Duration) (dir *shard.D
 	return dir, a, b
 }
 
-// parkFirstApply parks n's next Apply for object (a chunk: the session is
-// not live yet, or the test sends no forwards) until release is called, and
-// returns a channel that closes once it is parked.
+// parkFirstApply parks n's next Apply for object (a chunk: the test commits
+// nothing between begin and the pull) until release is called, and returns
+// a channel that closes once it is parked.
 func parkFirstApply(n *testNode, object uint64) (parked <-chan struct{}, release func()) {
 	p, r := make(chan struct{}), make(chan struct{})
 	var taken atomic.Bool // not a sync.Once: later applies must pass, not queue behind the parked one
@@ -241,9 +241,9 @@ func parkFirstApply(n *testNode, object uint64) (parked <-chan struct{}, release
 	return p, func() { close(r) }
 }
 
-// (a) syncRange removes keys the sender no longer has, and a live forward
-// that lands while a range is being rebuilt applies after the rebuild — not
-// in the middle, where the chunk fetched before it would overwrite it.
+// (a) syncRange removes keys the sender no longer has, and a forward that
+// lands while a range is being rebuilt applies after the rebuild — not in
+// the middle, where the chunk fetched before it would overwrite it.
 func TestSyncRangeReplacesRangeAtomically(t *testing.T) {
 	dir, snd, rcv := pair(t, true, 0)
 	snd.mustCommit(7, "a", "a1")
@@ -255,9 +255,6 @@ func TestSyncRangeReplacesRangeAtomically(t *testing.T) {
 	}
 	s, err := rcv.plane.openInbound(snd.addr, scope{}, dir.Epoch(), telemetry.SpanContext{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.goLive(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -274,7 +271,7 @@ func TestSyncRangeReplacesRangeAtomically(t *testing.T) {
 	go func() { committed <- snd.commit(7, "b", "b2") }()
 	select {
 	case err := <-committed:
-		t.Fatalf("live forward applied inside a range rebuild (commit returned %v)", err)
+		t.Fatalf("forward applied inside a range rebuild (commit returned %v)", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	release()
@@ -295,11 +292,24 @@ func TestSyncRangeReplacesRangeAtomically(t *testing.T) {
 	}
 }
 
-// (b) Commits racing the initial transfer are buffered — not applied before
-// the chunk they follow — and replayed in arrival order once it is in.
-func TestForwardsBufferThenDrainInOrder(t *testing.T) {
+// (b) Commits made after begin apply at the receiver as they arrive, in
+// commit order, before any range is pulled; the pull then leaves it equal to
+// the sender.
+func TestForwardsApplyOnArrival(t *testing.T) {
 	dir, snd, rcv := pair(t, true, 0)
 	snd.mustCommit(7, "k", "v0")
+	var mu sync.Mutex
+	var order []string
+	rcv.setOnApply(func(_ uint64, b *store.Batch) {
+		// A relayed batch aliases its request frame, which the server
+		// recycles once the handler returns: record the values now.
+		mu.Lock()
+		defer mu.Unlock()
+		b.ForEach(func(_ byte, _, v []byte) error { //nolint:errcheck
+			order = append(order, string(v))
+			return nil
+		})
+	})
 	s, err := rcv.plane.openInbound(snd.addr, scope{}, dir.Epoch(), telemetry.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
@@ -308,36 +318,21 @@ func TestForwardsBufferThenDrainInOrder(t *testing.T) {
 		snd.mustCommit(7, "k", fmt.Sprintf("v%d", i))
 	}
 	snd.mustCommit(7, "late", "only-forwarded")
-	if got := rcv.get(7, "k"); got != "" {
-		t.Fatalf("forward applied before the transfer it follows: k = %q", got)
+	mu.Lock()
+	got := fmt.Sprint(order)
+	mu.Unlock()
+	if want := "[v1 v2 v3 only-forwarded]"; got != want {
+		t.Fatalf("applied before any pull: %s, want %s", got, want)
+	}
+	if got := rcv.get(7, "k"); got != "v3" {
+		t.Fatalf("k = %q after its relays, want v3", got)
 	}
 	start, end := objectRange(7)
 	if err := s.syncRange(start, end, 7); err != nil {
 		t.Fatal(err)
 	}
-	rcv.mu.Lock()
-	rcv.applied = nil
-	rcv.mu.Unlock()
-	if err := s.goLive(); err != nil {
-		t.Fatal(err)
-	}
-	var order []string
-	for _, b := range rcv.applied {
-		b.ForEach(func(_ byte, k, v []byte) error { //nolint:errcheck
-			order = append(order, string(v))
-			return nil
-		})
-	}
-	if got, want := fmt.Sprint(order), "[v1 v2 v3 only-forwarded]"; got != want {
-		t.Fatalf("drain order %s, want %s", got, want)
-	}
 	if got, want := dump(t, rcv.db), dump(t, snd.db); got != want {
 		t.Fatalf("receiver:\n%swant:\n%s", got, want)
-	}
-	// Live now: the next commit applies on arrival.
-	snd.mustCommit(7, "k", "v4")
-	if got := rcv.get(7, "k"); got != "v4" {
-		t.Fatalf("live forward not applied: k = %q", got)
 	}
 }
 
@@ -433,8 +428,8 @@ func TestRejoinCertifiesUnderSustainedWrites(t *testing.T) {
 }
 
 // certify runs a rejoin's steps by hand up to admission: rcv opens a
-// replica session at snd, runs a round, goes live, is promoted and runs
-// the certifying round.
+// replica session at snd, runs a round, is promoted and runs the
+// certifying round.
 func certify(t *testing.T, dir *shard.Directory, snd, rcv *testNode) *inbound {
 	t.Helper()
 	s, err := rcv.plane.openInbound(snd.addr, scope{}, dir.Epoch(), telemetry.SpanContext{})
@@ -446,7 +441,7 @@ func certify(t *testing.T, dir *shard.Directory, snd, rcv *testNode) *inbound {
 		_, err := s.call(MethodPromote, encodeSessionReq(&s.req))
 		return err
 	}
-	for _, step := range []func() error{round, s.goLive, promote, round} {
+	for _, step := range []func() error{round, promote, round} {
 		if err := step(); err != nil {
 			t.Fatal(err)
 		}
@@ -543,8 +538,7 @@ func moveFixture(t *testing.T, moveTimeout time.Duration) (dir *shard.Directory,
 	return dir, src, tgt, payload
 }
 
-// A move with no lost forward streams the object's payload once and seals
-// on the first comparison.
+// A move with no lost forward streams the object's payload once.
 func TestMoveStreamsPayloadOnce(t *testing.T) {
 	dir, src, tgt, payload := moveFixture(t, 0)
 	want := dump(t, src.db)
@@ -554,8 +548,8 @@ func TestMoveStreamsPayloadOnce(t *testing.T) {
 	if got := tgt.counter("move.bytes_streamed"); got != payload {
 		t.Fatalf("move.bytes_streamed = %d, want the payload %d", got, payload)
 	}
-	if c, r := tgt.counter("move.chunks"), tgt.counter("move.seal_repulls"); c != 1 || r != 0 {
-		t.Fatalf("move.chunks = %d, move.seal_repulls = %d; want 1, 0", c, r)
+	if c := tgt.counter("move.chunks"); c != 1 {
+		t.Fatalf("move.chunks = %d, want 1", c)
 	}
 	if got := dump(t, tgt.db); got != want {
 		t.Fatalf("target:\n%swant:\n%s", got, want)
@@ -577,42 +571,51 @@ func TestMoveStreamsPayloadOnce(t *testing.T) {
 	}
 }
 
-// (c), object scope: a forward that fails while the target pulls is healed by
-// the seal — one re-pull of the frozen range — before the cutover.
-func TestMoveSealHealsDroppedForward(t *testing.T) {
-	_, src, tgt, _ := moveFixture(t, 0)
+// (c), object scope: a forward that fails while the target pulls aborts the
+// move — the source counted the gap, so its seal fails — and the object
+// stays at the source; the next move carries it whole.
+func TestMoveAbortsOnDroppedForward(t *testing.T) {
+	dir, src, tgt, _ := moveFixture(t, 0)
 	parked, release := parkFirstApply(tgt, 6)
 	done := make(chan error, 1)
 	go func() { done <- src.plane.Move(6, tgt.addr, 1) }()
 	<-parked
 	fault.Add(fault.Rule{Site: MethodForward, To: tgt.addr, Action: fault.Error, Count: 1})
 	src.mustCommit(6, "b", "rewritten")
-	want := dump(t, src.db)
 	release()
-	if err := <-done; err != nil {
-		t.Fatalf("move: %v", err)
+	if err := <-done; err == nil {
+		t.Fatal("move sealed over a copy missing a relayed commit")
 	}
-	if g, r := src.counter("move.forward_gaps"), tgt.counter("move.seal_repulls"); g != 1 || r != 1 {
-		t.Fatalf("move.forward_gaps = %d, move.seal_repulls = %d; want 1, 1", g, r)
+	if g, _ := dir.Lookup(6); g.ID != 0 {
+		t.Fatalf("aborted move left object 6 on group %d", g.ID)
+	}
+	if g, a := src.counter("move.forward_gaps"), src.counter("move.aborted"); g != 1 || a != 1 {
+		t.Fatalf("move.forward_gaps = %d, move.aborted = %d; want 1, 1", g, a)
+	}
+	if got := dump(t, tgt.db); got != "" {
+		t.Fatalf("target kept a copy it does not own:\n%s", got)
+	}
+	want := dump(t, src.db)
+	if err := src.plane.Move(6, tgt.addr, 1); err != nil {
+		t.Fatalf("second move: %v", err)
 	}
 	if got := dump(t, tgt.db); got != want {
 		t.Fatalf("target:\n%swant:\n%s", got, want)
 	}
 }
 
-// A move whose target cannot seal aborts: the object stays, unfenced and
-// writable, at the source, and the target sheds its partial copy.
+// A move that cannot seal aborts: the object stays, unfenced and writable,
+// at the source, and the target sheds its partial copy.
 func TestMoveAbortLeavesObjectAtSource(t *testing.T) {
 	dir, src, tgt, _ := moveFixture(t, 0)
 	want := dump(t, src.db)
-	// Every pull fails once the offer's own chunk is in, and so does the
-	// relay: the seal finds a stale copy it cannot repair.
+	// Every relay fails once the offer's own chunk is fetched: the source
+	// counts the gap, and its seal refuses the cutover.
 	parked, release := parkFirstApply(tgt, 6)
 	done := make(chan error, 1)
 	go func() { done <- src.plane.Move(6, tgt.addr, 1) }()
 	<-parked
 	fault.Add(fault.Rule{Site: MethodForward, To: tgt.addr, Action: fault.Error})
-	fault.Add(fault.Rule{Site: MethodFetch, To: src.addr, Action: fault.Error})
 	src.mustCommit(6, "d", "unseen")
 	want += fmt.Sprintf("%x=unseen\n", objKey(6, "d"))
 	release()
@@ -661,14 +664,21 @@ func TestObjectSessionRelaysOnlyItsObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
+	var applied []uint64
+	tgt.setOnApply(func(object uint64, _ *store.Batch) {
+		mu.Lock()
+		applied = append(applied, object)
+		mu.Unlock()
+	})
 	src.mustCommit(6, "a", "relayed")
 	src.mustCommit(8, "x", "another object")
-	s.modeMu.Lock()
-	var f replication.Frame
-	if n := len(s.buffer); n != 1 || f.Decode(s.buffer[0]) != nil || fmt.Sprint(f.Objects) != "[6]" {
-		t.Fatalf("buffered %d relays (objects %v), want object 6's one commit", n, f.Objects)
+	mu.Lock()
+	got := fmt.Sprint(applied)
+	mu.Unlock()
+	if got != "[6]" || tgt.get(6, "a") != "relayed" || tgt.get(8, "x") != "" {
+		t.Fatalf("applied relays of objects %s (6/a = %q), want object 6's one commit", got, tgt.get(6, "a"))
 	}
-	s.modeMu.Unlock()
 	if f, g := src.counter("move.forwards"), src.counter("move.forward_gaps"); f != 1 || g != 0 {
 		t.Fatalf("move.forwards = %d, move.forward_gaps = %d; want 1, 0", f, g)
 	}

@@ -3,6 +3,7 @@ package recovery
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lambdastore/internal/replication"
@@ -12,44 +13,37 @@ import (
 
 // inbound is the receiver half of one session: the joiner's whole-replica
 // session during a rejoin, or one inbound object during a move. Its life is
-// openInbound → syncRange per range → goLive → one digest check by its
-// orchestrator, re-pulling what differs → closeInbound.
+// openInbound → syncRange per range, with relays applied as they arrive →
+// closeInbound; whatever a lost relay left out is the orchestrator's to
+// find (a rejoin's certifying round, a move's abort).
 //
-// modeMu guards the relay path's mode and buffer: while buffering, relayed
-// frames queue in memory — an append, so the sender's relay RPC returns
-// immediately even while the initial transfer streams (its writes never
-// stall behind it). applyMu guards the session's ranges of the store: live
-// relays apply under it, and syncRange holds it across fetch+apply so a
-// rebuilt range is atomic with respect to relays (in live mode the sender's
-// relay RPC briefly waits out the one range being rebuilt). goLive takes
-// modeMu then applyMu — the only place both are held.
+// applyMu guards the session's ranges of the store: relays apply under it,
+// and syncRange holds it across fetch+apply so a rebuilt range is atomic
+// with respect to relays (the sender's relay RPC waits out the one range
+// being rebuilt).
 type inbound struct {
 	p      *Plane
 	sender string
 	req    sessionReq            // this session's name at the sender
 	trace  telemetry.SpanContext // the orchestrator's trace (zero when untraced)
 
-	modeMu    sync.Mutex
-	applyMu   sync.Mutex
-	buffering bool
-	buffer    [][]byte  // relayed frames, in arrival order
-	last      time.Time // last sign of life from the sender (modeMu)
-	ended     bool      // endInbound deleted the copy: a late relay must not re-create keys (applyMu)
+	applyMu sync.Mutex
+	last    atomic.Int64 // unix nanoseconds of the sender's last sign of life
+	ended   bool         // endInbound deleted the copy: a late relay must not re-create keys (applyMu)
 }
 
-// openInbound registers a buffering session for the scope — replacing any
-// abandoned one — and then begins it at the sender. The order matters: the
-// sender relays from the instant begin lands, and a relay that finds no
-// session here is a gap.
+// openInbound registers a session for the scope — replacing any abandoned
+// one — and then begins it at the sender. The order matters: the sender
+// relays from the instant begin lands, and a relay that finds no session
+// here is a gap.
 func (p *Plane) openInbound(sender string, sc scope, epoch uint64, trace telemetry.SpanContext) (*inbound, error) {
 	s := &inbound{
-		p:         p,
-		sender:    sender,
-		req:       sessionReq{peer: p.selfAddr(), epoch: epoch, scope: sc},
-		trace:     trace,
-		buffering: true,
-		last:      time.Now(),
+		p:      p,
+		sender: sender,
+		req:    sessionReq{peer: p.selfAddr(), epoch: epoch, scope: sc},
+		trace:  trace,
 	}
+	s.touch()
 	p.imu.Lock()
 	p.inbound[sc] = s
 	p.imu.Unlock()
@@ -78,36 +72,22 @@ func (p *Plane) inboundFor(sc scope) *inbound {
 	return p.inbound[sc]
 }
 
-// forward buffers or applies one relayed frame.
+// forward applies one relayed frame's members in order, under applyMu, on
+// arrival. The sender relays an object's commits one at a time (the group
+// hook holds the object's scheduler lock across the relay), so per-object
+// order is preserved, and a relay that lands before its range is rebuilt
+// is overwritten by a snapshot that already holds it (DESIGN §11). The
+// frame aliases the RPC request: it is applied before the handler returns.
 func (s *inbound) forward(frame []byte) error {
-	s.modeMu.Lock()
-	s.last = time.Now()
-	if s.buffering {
-		// The frame aliases the RPC request, whose backing buffer the server
-		// recycles once the handler returns; a buffered frame outlives
-		// that, so it needs its own copy. (The live branch below applies
-		// before returning, so the alias is safe there.)
-		s.buffer = append(s.buffer, append([]byte(nil), frame...))
-		s.modeMu.Unlock()
-		return nil
+	s.touch()
+	var f replication.Frame
+	if err := f.Decode(frame); err != nil {
+		return err
 	}
-	s.modeMu.Unlock()
-	// Live: apply under the store lock. The sender relays an object's
-	// commits one at a time (the group hook runs while the object's
-	// scheduler lock is held), so per-object order is preserved.
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	if s.ended {
 		return fmt.Errorf("recovery: inbound %s session ended", s.req.scope)
-	}
-	return s.apply(frame)
-}
-
-// apply commits one relayed frame's members in order (applyMu held).
-func (s *inbound) apply(frame []byte) error {
-	var f replication.Frame
-	if err := f.Decode(frame); err != nil {
-		return err
 	}
 	for i, b := range f.Batches {
 		if err := s.p.opts.Apply(f.Objects[i], b); err != nil {
@@ -117,35 +97,12 @@ func (s *inbound) apply(frame []byte) error {
 	return nil
 }
 
-// goLive replays the buffered relays in arrival order and switches forward
-// to immediate apply, atomically: both locks are held, so no relay can slip
-// between the drain and the mode flip — a commit is never applied before
-// the chunk it follows.
-func (s *inbound) goLive() error {
-	s.modeMu.Lock()
-	defer s.modeMu.Unlock()
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
-	pending := s.buffer
-	s.buffer, s.buffering = nil, false
-	for _, frame := range pending {
-		if err := s.apply(frame); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *inbound) touch() {
-	s.modeMu.Lock()
-	s.last = time.Now()
-	s.modeMu.Unlock()
-}
+func (s *inbound) touch() { s.last.Store(time.Now().UnixNano()) }
 
 // syncRange replaces the local [start, end) contents with the sender's,
 // streaming bounded chunks. applyMu is held across the whole range so the
-// rebuild is atomic with respect to live relayed commits: a relay for this
-// range either lands before the rebuild (and is overwritten by newer sender
+// rebuild is atomic with respect to relayed commits: a relay for this range
+// either lands before the rebuild (and is overwritten by newer sender
 // state) or after it (and is newer than the fetch snapshot). The
 // first chunk's batch deletes every existing local key in the range, so
 // keys the sender no longer has cannot survive: an empty fetch deletes the

@@ -132,14 +132,13 @@ type Plane struct {
 
 // metrics: recovery.* count whole-replica sessions, move.* object sessions.
 type metrics struct {
-	forwards, gaps         [2]*telemetry.Counter // indexed by scope.kind()
-	chunks, streamed       [2]*telemetry.Counter
-	diverged               *telemetry.Counter
-	rejoinH                *telemetry.Histogram
-	started, completed     *telemetry.Counter
-	aborted, received      *telemetry.Counter
-	reclaimed, sealRepulls *telemetry.Counter
-	blackoutH, moveH       *telemetry.Histogram
+	forwards, gaps               [2]*telemetry.Counter // indexed by scope.kind()
+	chunks, streamed             [2]*telemetry.Counter
+	diverged                     *telemetry.Counter
+	rejoinH                      *telemetry.Histogram
+	started, completed           *telemetry.Counter
+	aborted, received, reclaimed *telemetry.Counter
+	blackoutH, moveH             *telemetry.Histogram
 }
 
 // kind indexes the per-scope instrument pairs.
@@ -164,20 +163,19 @@ func New(opts Options) *Plane {
 		inbound:     make(map[scope]*inbound),
 		stop:        make(chan struct{}),
 		m: metrics{
-			forwards:    [2]*telemetry.Counter{reg.Counter("recovery.forwards"), reg.Counter("move.forwards")},
-			gaps:        [2]*telemetry.Counter{reg.Counter("recovery.forward_gaps"), reg.Counter("move.forward_gaps")},
-			chunks:      [2]*telemetry.Counter{reg.Counter("recovery.chunks_applied"), reg.Counter("move.chunks")},
-			streamed:    [2]*telemetry.Counter{reg.Counter("recovery.bytes_streamed"), reg.Counter("move.bytes_streamed")},
-			diverged:    reg.Counter("recovery.ranges_diverged"),
-			rejoinH:     reg.Histogram("recovery.rejoin_seconds"),
-			started:     reg.Counter("move.started"),
-			completed:   reg.Counter("move.completed"),
-			aborted:     reg.Counter("move.aborted"),
-			received:    reg.Counter("move.received"),
-			reclaimed:   reg.Counter("move.sessions_reclaimed"),
-			sealRepulls: reg.Counter("move.seal_repulls"),
-			blackoutH:   reg.Histogram("move.blackout_us"),
-			moveH:       reg.Histogram("move.seconds"),
+			forwards:  [2]*telemetry.Counter{reg.Counter("recovery.forwards"), reg.Counter("move.forwards")},
+			gaps:      [2]*telemetry.Counter{reg.Counter("recovery.forward_gaps"), reg.Counter("move.forward_gaps")},
+			chunks:    [2]*telemetry.Counter{reg.Counter("recovery.chunks_applied"), reg.Counter("move.chunks")},
+			streamed:  [2]*telemetry.Counter{reg.Counter("recovery.bytes_streamed"), reg.Counter("move.bytes_streamed")},
+			diverged:  reg.Counter("recovery.ranges_diverged"),
+			rejoinH:   reg.Histogram("recovery.rejoin_seconds"),
+			started:   reg.Counter("move.started"),
+			completed: reg.Counter("move.completed"),
+			aborted:   reg.Counter("move.aborted"),
+			received:  reg.Counter("move.received"),
+			reclaimed: reg.Counter("move.sessions_reclaimed"),
+			blackoutH: reg.Histogram("move.blackout_us"),
+			moveH:     reg.Histogram("move.seconds"),
 		},
 	}
 	for _, a := range []*atomic.Pointer[string]{&p.self, &p.senderAddr, &p.lastErr} {
@@ -237,8 +235,8 @@ func (p *Plane) owns(object uint64) bool {
 }
 
 // Register exposes the plane on the node's RPC server: the sender half,
-// the receiver's relay sink, and the three calls a move's source makes on
-// its target. Every handler records a span parented into the caller's trace,
+// the receiver's relay sink, and the two calls a move's source makes on its
+// target. Every handler records a span parented into the caller's trace,
 // so a whole rejoin or move assembles as one tree; a relay's span joins the
 // trace of the first commit it carries instead — it is part of that write's
 // replication fan-out.
@@ -320,13 +318,6 @@ func (p *Plane) Register(srv *rpc.Server) {
 			return nil, fmt.Errorf("recovery: move.offer without an object")
 		}
 		return nil, p.offer(trace, req.peer, req.scope.object)
-	})
-	handle(MethodMoveSeal, func(_ telemetry.SpanContext, body []byte) ([]byte, error) {
-		req, err := decodeMoveSeal(body)
-		if err != nil {
-			return nil, err
-		}
-		return nil, p.seal(req)
 	})
 	handle(MethodMoveEnd, func(_ telemetry.SpanContext, body []byte) ([]byte, error) {
 		req, err := decodeMoveEnd(body)

@@ -68,8 +68,8 @@ func (p *Plane) stepOnce() bool {
 	return true
 }
 
-// syncOnce runs one full session: begin → buffered transfer → drain →
-// strict promote → certifying round → admit → membership. When tracing is
+// syncOnce runs one full session: begin → round → strict promote →
+// certifying round → admit → membership. When tracing is
 // on the whole session is one trace rooted at a "rejoin" span.
 func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 	start := time.Now()
@@ -93,13 +93,9 @@ func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 		p.closeInbound(s)
 	}()
 
-	// Initial transfer while forwards buffer.
+	// Initial transfer; relays apply as they arrive.
 	if err := p.round(s); err != nil {
 		return fmt.Errorf("transfer: %w", err)
-	}
-	// Replay the buffered commit stream and go live.
-	if err := s.goLive(); err != nil {
-		return fmt.Errorf("drain: %w", err)
 	}
 	// Strict forwarding: from here every sender commit either reaches us
 	// or is never acknowledged.

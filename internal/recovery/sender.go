@@ -156,7 +156,7 @@ func (p *Plane) lookup(req *sessionReq) (*session, error) {
 // and it is not relayed: its hook may have taken no guard, and a relay
 // that admission did not wait for could reach the joiner after its session
 // closed. A failed relay is a gap. Before promote the certifying digest
-// round repairs it (in a move, the seal does); after promote it fails the
+// round repairs it (a move aborts on it); after promote it fails the
 // members it covers — a joiner pays a backup's cost to earn a backup's
 // seat — and bars the session from admission. Relays that failed
 // continuously for failTimeout drop the session, so a dead receiver never

@@ -57,7 +57,6 @@ var (
 			encodeFetchResp, decodeFetchResp),
 		wiretest.Of("relay/replica", relay(replicaReq), encodeRelayMsg, decodeRelayMsg),
 		wiretest.Of("relay/object", relay(objectReq), encodeRelayMsg, decodeRelayMsg),
-		wiretest.Of("moveSeal", &moveSealReq{object: 5, digest: 1 << 62}, encodeMoveSeal, decodeMoveSeal),
 		wiretest.Of("moveEnd", &moveEndReq{object: 5, dir: []byte("directory snapshot")}, encodeMoveEnd, decodeMoveEnd),
 	}
 )

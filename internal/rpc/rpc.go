@@ -310,15 +310,6 @@ func (w *connWriter) writeMsg(m *message) error {
 	return err
 }
 
-// fail poisons the writer so queued and future writes return err.
-func (w *connWriter) fail(err error) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.mu.Unlock()
-}
-
 // Handler serves one method. The returned bytes become the response body;
 // a non-nil error is sent to the caller as a RemoteError.
 type Handler func(body []byte) ([]byte, error)
@@ -435,16 +426,6 @@ func (s *Server) Serve(addr string) (string, error) {
 		}
 	}()
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the listen address, or "" before Serve.
-func (s *Server) Addr() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // serverConn is what one connection's request handlers share: the

@@ -816,9 +816,6 @@ func (s *Snapshot) GetInto(dst, key []byte) (val []byte, present bool, err error
 	return s.db.search(&s.rs, dst, s.mem, s.imm, s.v)
 }
 
-// Seq exposes the snapshot's sequence number (used by tests).
-func (s *Snapshot) Seq() uint64 { return s.seq }
-
 // Release unpins the snapshot: it lets go of its cursor's table and its
 // version, also after DB.Close. Idempotent.
 func (s *Snapshot) Release() {

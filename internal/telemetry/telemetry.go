@@ -134,12 +134,6 @@ func (g *Gauge) Inc() { g.n.Add(1) }
 // Dec lowers the gauge by one.
 func (g *Gauge) Dec() { g.n.Add(-1) }
 
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.n.Add(delta) }
-
-// Set pins the gauge to v.
-func (g *Gauge) Set(v int64) { g.n.Store(v) }
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.n.Load() }
 

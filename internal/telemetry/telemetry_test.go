@@ -95,11 +95,11 @@ func TestNilRegistry(t *testing.T) {
 	var r *Registry
 	c, g, h, sz := r.Counter("c"), r.Gauge("g"), r.Histogram("h"), r.CountHistogram("n")
 	c.Inc()
-	g.Set(3)
+	g.Inc()
 	h.Record(time.Millisecond)
 	sz.Observe(7)
 	r.GaugeFunc("f", func() int64 { t.Error("sampler of a nil registry called"); return 0 })
-	if c.Value() != 1 || g.Value() != 3 || h.Count() != 1 || sz.Data().MaxUs != 7 {
+	if c.Value() != 1 || g.Value() != 1 || h.Count() != 1 || sz.Data().MaxUs != 7 {
 		t.Fatal("an unregistered instrument did not record")
 	}
 	if r.Counter("c") == c {
@@ -117,13 +117,13 @@ func TestGaugeFuncAndUnits(t *testing.T) {
 	r := NewRegistry()
 	level := int64(4)
 	r.GaugeFunc("pool.idle", func() int64 { return level })
-	r.Gauge("in_flight").Set(2)
+	r.Gauge("in_flight").Inc()
 	r.Histogram("lat").Record(time.Millisecond)
 	r.CountHistogram("batch").Observe(12)
 	s1 := r.Snapshot()
 	level = 9
 	s2 := r.Snapshot()
-	if s1.Gauges["pool.idle"] != 4 || s2.Gauges["pool.idle"] != 9 || s2.Gauges["in_flight"] != 2 {
+	if s1.Gauges["pool.idle"] != 4 || s2.Gauges["pool.idle"] != 9 || s2.Gauges["in_flight"] != 1 {
 		t.Fatalf("gauges: %v then %v", s1.Gauges, s2.Gauges)
 	}
 	if u := s2.Histograms["lat"].Unit; u != "" {

@@ -156,7 +156,10 @@ func TestRegistrySnapshotSub(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("op")
 	c := r.Counter("ops")
-	r.Gauge("depth").Set(3)
+	depth := r.Gauge("depth")
+	for range 3 {
+		depth.Inc()
+	}
 	for i := 0; i < 50; i++ {
 		h.Record(time.Millisecond)
 		c.Inc()
@@ -179,7 +182,8 @@ func TestRegistrySnapshotSub(t *testing.T) {
 		h.Record(30 * time.Millisecond)
 		c.Inc()
 	}
-	r.Gauge("depth").Set(5)
+	depth.Inc()
+	depth.Inc()
 	s2 := r.snapshotAt(t0.Add(2500 * time.Millisecond))
 	if s2.Histograms["op"].Count != 57 || s2.Counters["ops"] != 57 {
 		t.Fatalf("second snapshot not cumulative: %+v", s2)

@@ -144,9 +144,6 @@ func (inst *Instance) FuelUsed() int64 { return inst.used }
 // MemSize returns the current linear-memory size in bytes.
 func (inst *Instance) MemSize() int64 { return int64(len(inst.mem)) }
 
-// Module returns the instance's module.
-func (inst *Instance) Module() *Module { return inst.module }
-
 // MemRead returns a copy of guest memory [ptr, ptr+n).
 func (inst *Instance) MemRead(ptr, n int64) ([]byte, error) {
 	if ptr < 0 || n < 0 || ptr+n > int64(len(inst.mem)) {

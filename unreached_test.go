@@ -2,18 +2,25 @@ package lambdastore_test
 
 // TestNothingUnreached is the "one generation" guard: product code that no
 // product code reaches is a superseded generation somebody forgot to
-// delete. It is by-name and therefore conservative — a name counts as
-// reached when any non-test file mentions it outside its own declaration.
+// delete. Functions and methods are matched by their type-checked objects,
+// so a dead method cannot hide behind a live function of the same name; it
+// is still conservative — a method counts as reached when it implements a
+// method of any interface in sight, and RPC methods are matched by name.
 
 import (
+	"cmp"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -21,29 +28,39 @@ import (
 	"testing"
 )
 
-// testOnly lists functions no product code names, each with the test for
-// which it is the only observation point (or the contract that calls it
-// without naming it).
+// testOnly lists functions and methods no product code calls, keyed
+// package.Func or package.Type.Method, each with the test for which it is
+// the only observation point (or the contract that calls it without naming
+// it).
 var testOnly = map[string]string{
-	"Unwrap": "vm.HostError: errors.Is/As call it through the error chain, never by name",
+	"vm.HostError.Unwrap": "errors.Is/As call it through the error chain, never by name",
 
-	"InvokeTraced":      "cluster: observability_test fetches one request's spans by trace ID",
-	"ObjectExists":      "core: core_test checks create/delete took effect",
-	"ObjectVersion":     "core: core_test and transaction_test check one version bump per commit",
-	"GetMapEntry":       "core: hostboundary_test reads committed map state past the guest",
-	"ListGet":           "core: hostboundary_test reads committed list state past the guest",
-	"NewLocalTransport": "paxos: in-process transport of paxos_test and coordinator_test",
-	"Disconnect":        "paxos: paxos_test partitions a replica",
-	"Reconnect":         "paxos: paxos_test heals the partition",
-	"CatchUp":           "paxos: paxos_test drives catch-up without waiting for the ticker",
-	"NumChosen":         "paxos: paxos_test waits for a replica's applied prefix",
-	"Dial":              "rpc: rpc_test talks to a server without a pool",
-	"TableCount":        "store and retwis tests assert the table layout they set up",
-	"AsHostError":       "vm: vm_test and core_test tell a host failure from a guest trap",
-	"MemSize":           "vm: compile_test and diff_test compare the engines' memory growth",
-	"MustAssemble":      "vm and core tests assemble fixture modules",
-	"Of":                "wiretest: every Fuzz* target describes its package's frames with it",
-	"Fuzz":              "wiretest: every Fuzz* target runs it",
+	"chaos.Run":                       "the chaos suite's tests drive every schedule through it (make chaos)",
+	"cluster.Client.InvokeTraced":     "observability_test fetches one request's spans by trace ID",
+	"cluster.Local.Nodes":             "cluster tests reach the nodes of a local deployment",
+	"core.Runtime.ObjectExists":       "core_test checks create/delete took effect",
+	"core.Runtime.ObjectVersion":      "core_test and transaction_test check one version bump per commit",
+	"core.Runtime.GetMapEntry":        "hostboundary_test reads committed map state past the guest",
+	"core.Runtime.ListGet":            "hostboundary_test reads committed list state past the guest",
+	"paxos.NewLocalTransport":         "in-process transport of paxos_test and coordinator_test",
+	"paxos.LocalTransport.Register":   "paxos_test and coordinator_test attach their replicas to it",
+	"paxos.LocalTransport.Disconnect": "paxos_test partitions a replica",
+	"paxos.LocalTransport.Reconnect":  "paxos_test heals the partition",
+	"paxos.Node.CatchUp":              "paxos_test drives catch-up without waiting for the ticker",
+	"paxos.Node.NumChosen":            "paxos_test waits for a replica's applied prefix",
+	"rpc.Dial":                        "rpc_test talks to a server without a pool",
+	"rpc.Client.Call":                 "rpc_test calls through the client it dialed",
+	"store.DB.Delete":                 "store, replication, core and recovery tests delete one key outside a batch",
+	"store.DB.TableCount":             "store and retwis tests assert the table layout they set up",
+	"store.Snapshot.Get":              "store tests read a pinned snapshot by key",
+	"telemetry.Tracer.Enabled":        "trace_test pins what a nil and a disabled tracer report",
+	"vm.AsHostError":                  "vm_test and core_test tell a host failure from a guest trap",
+	"vm.HostTable.Lookup":             "core's export_test resolves host functions by name",
+	"vm.Instance.MemSize":             "compile_test and diff_test compare the engines' memory growth",
+	"vm.Instance.Reset":               "the full re-image the isolation tests compare ResetFast against",
+	"vm.MustAssemble":                 "vm and core tests assemble fixture modules",
+	"wiretest.Of":                     "every Fuzz* target describes its package's frames with it",
+	"wiretest.Fuzz":                   "every Fuzz* target runs it",
 }
 
 // source is one parsed file.
@@ -111,45 +128,195 @@ func importDirs(f *ast.File) map[string]string {
 	return imports
 }
 
+// checked is one non-test package type-checked from source.
+type checked struct {
+	dir   string // slash-separated, relative to the repo root
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// typeCheck type-checks every non-test package of the module and of the
+// benchmark module (a module of its own) from source, importing their
+// dependencies from the export data `go list -export` leaves in the build
+// cache. A package checked from source and the same package imported from
+// export data are distinct *types.Package values, so objects are matched
+// across packages by their full names.
+func typeCheck(t *testing.T, fset *token.FileSet) []checked {
+	t.Helper()
+	exports := map[string]string{}
+	type listed struct{ path, dir, src, files string }
+	var ours []listed
+	for _, module := range []string{".", "benchmark"} {
+		cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "list", "-export", "-deps",
+			"-f", "{{.ImportPath}}\t{{.Export}}\t{{.Standard}}\t{{.Dir}}\t{{join .GoFiles \" \"}}", "./...")
+		cmd.Dir = module
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list in %s: %v", module, err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			f := strings.Split(line, "\t")
+			if _, dup := exports[f[0]]; dup {
+				continue
+			}
+			exports[f[0]] = f[1]
+			// Both modules' import paths are their directories under
+			// "lambdastore".
+			if dir, ok := strings.CutPrefix(f[0]+"/", "lambdastore/"); ok && f[2] == "false" {
+				ours = append(ours, listed{f[0], cmp.Or(strings.TrimSuffix(dir, "/"), "."), f[3], f[4]})
+			}
+		}
+	}
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) })
+	var out []checked
+	for _, l := range ours {
+		c := checked{dir: l.dir, info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}}
+		for _, name := range strings.Fields(l.files) {
+			f, err := parser.ParseFile(fset, filepath.Join(l.src, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.files = append(c.files, f)
+		}
+		conf := types.Config{Importer: imp}
+		var err error
+		if c.pkg, err = conf.Check(l.path, fset, c.files, c.info); err != nil {
+			t.Fatalf("type-check %s: %v", l.path, err)
+		}
+		out = append(out, c)
+	}
+	if len(out) < 20 {
+		t.Fatalf("type-checked %d packages: the guard is not looking at the source", len(out))
+	}
+	return out
+}
+
+// funcKey is how testOnly and the guard's messages name a function:
+// package.Func, or package.Type.Method.
+func funcKey(fn *types.Func) string {
+	key := path.Base(fn.Pkg().Path()) + "."
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		rt := recv.Type()
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
+		}
+		if n, ok := rt.(*types.Named); ok {
+			key += n.Obj().Name() + "."
+		}
+	}
+	return key + fn.Name()
+}
+
 func TestNothingUnreached(t *testing.T) {
 	fset := token.NewFileSet()
 	srcs := parseTree(t, fset, "internal", "cmd", "examples", "benchmark")
 
 	t.Run("funcs", func(t *testing.T) {
-		declared := map[string]token.Pos{}
-		used := map[string]bool{}
-		for _, s := range srcs {
-			for _, d := range s.file.Decls {
-				self := ""
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					self = fd.Name.Name
-					if isProduct(s.dir) && self != "main" && self != "init" {
-						declared[self] = fd.Pos()
-					}
-				}
-				ast.Inspect(d, func(n ast.Node) bool {
-					// A function naming itself (its declaration, recursion)
-					// does not reach itself.
-					if id, ok := n.(*ast.Ident); ok && id.Name != self {
-						used[id.Name] = true
-					}
-					return true
-				})
+		pkgs := typeCheck(t, fset)
+		// A method is called without being named when it implements an
+		// interface method: every interface in sight — error, those of the
+		// packages imported, and every interface type the code spells —
+		// lends its methods' names and signatures.
+		ifaces := map[string][]types.Type{}
+		addIface := func(it *types.Interface) {
+			for i := range it.NumMethods() {
+				m := it.Method(i)
+				ifaces[m.Name()] = append(ifaces[m.Name()], m.Type())
 			}
 		}
+		addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+		walked := map[*types.Package]bool{}
+		var walk func(p *types.Package)
+		walk = func(p *types.Package) {
+			if walked[p] {
+				return
+			}
+			walked[p] = true
+			for _, name := range p.Scope().Names() {
+				if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+					if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+						addIface(it)
+					}
+				}
+			}
+			for _, q := range p.Imports() {
+				walk(q)
+			}
+		}
+		for _, c := range pkgs {
+			walk(c.pkg)
+			for _, tv := range c.info.Types {
+				if tv.Type == nil {
+					continue
+				}
+				if it, ok := tv.Type.Underlying().(*types.Interface); ok {
+					addIface(it)
+				}
+			}
+		}
+		implements := func(fn *types.Func) bool {
+			if fn.Type().(*types.Signature).Recv() == nil {
+				return false
+			}
+			for _, sig := range ifaces[fn.Name()] {
+				if types.Identical(sig, fn.Type()) {
+					return true
+				}
+			}
+			return false
+		}
+
+		type decl struct {
+			key string
+			pos token.Pos
+		}
+		declared := map[string]decl{} // full name -> key, position
+		used := map[string]bool{}     // full names
+		for _, c := range pkgs {
+			for _, f := range c.files {
+				for _, d := range f.Decls {
+					self := ""
+					if fd, ok := d.(*ast.FuncDecl); ok {
+						fn := c.info.Defs[fd.Name].(*types.Func)
+						self = fn.FullName()
+						if isProduct(c.dir) && fd.Name.Name != "main" && fd.Name.Name != "init" && !implements(fn) {
+							declared[self] = decl{funcKey(fn), fd.Pos()}
+						}
+					}
+					ast.Inspect(d, func(n ast.Node) bool {
+						// A function naming itself (recursion) does not
+						// reach itself.
+						if id, ok := n.(*ast.Ident); ok {
+							if fn, ok := c.info.Uses[id].(*types.Func); ok && fn.Origin().FullName() != self {
+								used[fn.Origin().FullName()] = true
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+		keys := map[string]bool{}
 		var dead []string
-		for name, pos := range declared {
-			if _, ok := testOnly[name]; !ok && !used[name] {
-				dead = append(dead, fset.Position(pos).String()+": "+name)
+		for name, d := range declared {
+			keys[d.key] = !used[name]
+			if _, ok := testOnly[d.key]; !ok && !used[name] {
+				dead = append(dead, fset.Position(d.pos).String()+": "+d.key)
 			}
 		}
 		sort.Strings(dead)
 		for _, d := range dead {
 			t.Errorf("%s has no non-test caller: delete it, or list it in testOnly with the test that needs it", d)
 		}
-		for name := range testOnly {
-			if _, ok := declared[name]; !ok || used[name] {
-				t.Errorf("testOnly entry %q is stale (not declared, or product code reaches it now)", name)
+		for key := range testOnly {
+			if unreached, ok := keys[key]; !ok || !unreached {
+				t.Errorf("testOnly entry %q is stale (not declared, or product code reaches it now)", key)
 			}
 		}
 	})
