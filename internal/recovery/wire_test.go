@@ -58,6 +58,8 @@ var (
 		wiretest.Of("relay/replica", relay(replicaReq), encodeRelayMsg, decodeRelayMsg),
 		wiretest.Of("relay/object", relay(objectReq), encodeRelayMsg, decodeRelayMsg),
 		wiretest.Of("moveEnd", &moveEndReq{object: 5, dir: []byte("directory snapshot")}, encodeMoveEnd, decodeMoveEnd),
+		// An aborted move's end carries no directory snapshot.
+		wiretest.Of("moveEnd/abort", &moveEndReq{object: 5}, encodeMoveEnd, decodeMoveEnd),
 	}
 )
 
