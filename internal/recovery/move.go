@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
 	"lambdastore/internal/wire"
 )
@@ -22,10 +23,10 @@ import (
 //	            to its group; its janitor settles an abandoned session the
 //	            same way.
 //
-// The seal between them is local: once the source holds the object's
-// admission, every commit to it has finished its relay, so the target
-// holds the frozen range iff the session is still open and no relay to it
-// failed.
+// The seal between them: once the source holds the object's admission,
+// every commit to it has finished its relay, so the target holds the
+// frozen range iff no relay to it failed and its session is still open —
+// which one empty relay confirms (and touches).
 
 // Move RPC method names (served by the target group's primary).
 const (
@@ -102,18 +103,19 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 		return fmt.Errorf("quiesce: %w", err)
 	}
 
-	// Seal: every commit to the object has finished its relay (the group
-	// hook holds the object's lock across it), so the target holds the
-	// frozen range unless a relay failed or the session was dropped. Either
-	// aborts; the operator's retry opens a fresh session.
+	// Seal (the group hook holds the object's lock across its relay). The
+	// target's janitor reclaims a session nothing touched for
+	// MoveSessionTimeout — no write since the pull, a long wait for the
+	// admission — so an empty relay confirms it. Any failure aborts; the
+	// operator's retry opens a fresh session.
 	p.smu.Lock()
 	out := p.sessions[key]
 	p.smu.Unlock()
-	if out == nil {
-		return fmt.Errorf("seal: the session to %s was dropped", targetAddr)
+	if out == nil || out.gaps.Load() != 0 { // only failed relays drop it
+		return fmt.Errorf("seal: a relayed write failed to reach %s", targetAddr)
 	}
-	if n := out.gaps.Load(); n != 0 {
-		return fmt.Errorf("seal: %d relayed writes failed to reach %s", n, targetAddr)
+	if err := call(MethodForward, encodeRelay(&sessionReq{peer: targetAddr, scope: key.scope}, new(store.Group))); err != nil {
+		return fmt.Errorf("seal: %w", err)
 	}
 
 	// Cutover — the commit point. After this the directory says the target
@@ -200,8 +202,18 @@ func (p *Plane) janitor() {
 		p.imu.Unlock()
 		sort.Slice(stale, func(i, j int) bool { return stale[i].req.scope.object < stale[j].req.scope.object })
 		for _, s := range stale {
-			p.m.reclaimed.Inc()
-			_ = p.endInbound(s) // a failed delete leaves garbage the next inbound move's first chunk sweeps
+			// Re-check under applyMu, where forward answers: a relay that
+			// touched the session since (a move's seal) keeps it.
+			s.applyMu.Lock()
+			idle := s.last.Load() < cutoff
+			if idle {
+				s.ended = true
+			}
+			s.applyMu.Unlock()
+			if idle {
+				p.m.reclaimed.Inc()
+				_ = p.endInbound(s) // a failed delete leaves garbage the next inbound move's first chunk sweeps
+			}
 		}
 	}
 }

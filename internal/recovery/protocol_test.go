@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -336,6 +337,38 @@ func TestForwardsApplyOnArrival(t *testing.T) {
 	}
 }
 
+// A rejoin's throttle paces its pulls outside applyMu: a relay — and the
+// sender's commit, which waits on it — applies while the joiner sleeps.
+func TestThrottleDoesNotHoldRelays(t *testing.T) {
+	dir, snd, rcv := pair(t, true, 0)
+	snd.mustCommit(7, "big", strings.Repeat("x", 1000))
+	rcv.plane.opts.MaxBytesPerSec = 1000 // the range's ~1 KB paces a 1 s sleep
+	s, err := rcv.plane.openInbound(snd.addr, scope{}, dir.Epoch(), telemetry.SpanContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulled := make(chan struct{})
+	var once sync.Once
+	rcv.setOnApply(func(uint64, *store.Batch) { once.Do(func() { close(pulled) }) })
+	synced := make(chan error, 1)
+	go func() {
+		start, end := objectRange(7)
+		synced <- s.syncRange(start, end, 7)
+	}()
+	<-pulled
+	begin := time.Now()
+	snd.mustCommit(7, "k", "during the sleep")
+	if d := time.Since(begin); d > 500*time.Millisecond {
+		t.Fatalf("a commit waited %v on the joiner's throttle", d)
+	}
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dump(t, rcv.db), dump(t, snd.db); got != want {
+		t.Fatalf("receiver:\n%swant:\n%s", got, want)
+	}
+}
+
 // (c), replica scope: a forward that fails during the initial transfer leaves
 // the joiner behind; the post-promote verify round finds and repairs it, and
 // only then is the joiner admitted.
@@ -601,6 +634,38 @@ func TestMoveAbortsOnDroppedForward(t *testing.T) {
 	}
 	if got := dump(t, tgt.db); got != want {
 		t.Fatalf("target:\n%swant:\n%s", got, want)
+	}
+}
+
+// A target session that went quiet for longer than MoveSessionTimeout —
+// the pull done, no write to relay, the source waiting for the object's
+// admission — is reclaimed with its copy. The seal must see that and
+// abort: a cutover would name a group that holds nothing.
+func TestMoveAbortsWhenTargetReclaimedSession(t *testing.T) {
+	dir, src, tgt, _ := moveFixture(t, 100*time.Millisecond)
+	want := dump(t, src.db)
+	lock := src.objectLock(6)
+	lock.Lock() // an invocation that holds the object past the timeout
+	done := make(chan error, 1)
+	go func() { done <- src.plane.Move(6, tgt.addr, 1) }()
+	waitUntil(t, "the target's janitor to reclaim the session", func() bool {
+		return tgt.counter("move.sessions_reclaimed") == 1
+	})
+	lock.Unlock()
+	if err := <-done; err == nil {
+		t.Fatal("move cut over to a target that reclaimed its copy")
+	}
+	if g, _ := dir.Lookup(6); g.ID != 0 {
+		t.Fatalf("aborted move left object 6 on group %d", g.ID)
+	}
+	if got := dump(t, src.db); got != want {
+		t.Fatalf("source:\n%swant:\n%s", got, want)
+	}
+	if got := dump(t, tgt.db); got != "" {
+		t.Fatalf("target kept a copy it does not own:\n%s", got)
+	}
+	if a := src.counter("move.aborted"); a != 1 {
+		t.Fatalf("move.aborted = %d", a)
 	}
 }
 

@@ -18,9 +18,8 @@ import (
 // find (a rejoin's certifying round, a move's abort).
 //
 // applyMu guards the session's ranges of the store: relays apply under it,
-// and syncRange holds it across fetch+apply so a rebuilt range is atomic
-// with respect to relays (the sender's relay RPC waits out the one range
-// being rebuilt).
+// and syncRange holds it across fetch+apply (not the throttle's sleep) so
+// a rebuilt range is atomic with respect to relays of any object.
 type inbound struct {
 	p      *Plane
 	sender string
@@ -29,7 +28,7 @@ type inbound struct {
 
 	applyMu sync.Mutex
 	last    atomic.Int64 // unix nanoseconds of the sender's last sign of life
-	ended   bool         // endInbound deleted the copy: a late relay must not re-create keys (applyMu)
+	ended   bool         // reclaimed, or its copy deleted: a late relay is refused (applyMu)
 }
 
 // openInbound registers a session for the scope — replacing any abandoned
@@ -108,6 +107,14 @@ func (s *inbound) touch() { s.last.Store(time.Now().UnixNano()) }
 // keys the sender no longer has cannot survive: an empty fetch deletes the
 // range.
 func (s *inbound) syncRange(start, end []byte, object uint64) error {
+	streamed := 0
+	// A rejoin's throttle sleeps once the range is in, after the unlock
+	// (deferred first, it runs last): relays never wait out the pacing.
+	defer func() {
+		if bps := s.p.opts.MaxBytesPerSec; bps > 0 && !s.req.scope.scoped {
+			time.Sleep(time.Duration(float64(streamed) / float64(bps) * float64(time.Second)))
+		}
+	}()
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 
@@ -141,12 +148,10 @@ func (s *inbound) syncRange(start, end []byte, object uint64) error {
 				return err
 			}
 		}
+		streamed += bytes
 		s.p.m.chunks[s.req.scope.kind()].Inc()
 		s.p.m.streamed[s.req.scope.kind()].Add(uint64(bytes))
 		s.touch()
-		if bps := s.p.opts.MaxBytesPerSec; bps > 0 && !s.req.scope.scoped {
-			time.Sleep(time.Duration(float64(bytes) / float64(bps) * float64(time.Second)))
-		}
 		if len(resp.next) == 0 {
 			return nil
 		}

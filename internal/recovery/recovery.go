@@ -215,14 +215,9 @@ func (p *Plane) sleep(d time.Duration) bool {
 	}
 }
 
-// myGroup returns this node's group from the directory view.
-func (p *Plane) myGroup(d *shard.Directory) (shard.Group, bool) {
-	return d.Group(p.opts.GroupID)
-}
-
 // isPrimary gates the sender half and Move.
 func (p *Plane) isPrimary() bool {
-	g, ok := p.myGroup(p.opts.Directory())
+	g, ok := p.opts.Directory().Group(p.opts.GroupID)
 	return ok && g.Primary == p.selfAddr()
 }
 

@@ -49,7 +49,7 @@ func (p *Plane) rejoinLoop() {
 // to retry (member, primary, or no usable configuration yet).
 func (p *Plane) stepOnce() bool {
 	d := p.opts.Directory()
-	g, ok := p.myGroup(d)
+	g, ok := d.Group(p.opts.GroupID)
 	if !ok || g.Primary == "" {
 		p.state.Store(int32(StateIdle))
 		return true
@@ -117,7 +117,7 @@ func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 	// proposal may have landed before the sender's reply was lost.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if g, ok := p.myGroup(p.opts.Directory()); ok && slices.Contains(g.Replicas(), p.selfAddr()) {
+		if g, ok := p.opts.Directory().Group(p.opts.GroupID); ok && slices.Contains(g.Replicas(), p.selfAddr()) {
 			break
 		}
 		if time.Now().After(deadline) {
