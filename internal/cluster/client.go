@@ -327,7 +327,13 @@ func (c *Client) Migrate(id core.ObjectID, destGroup uint64) error {
 	}
 	// Keep the local view coherent for subsequent calls. A move back to
 	// the object's hash home clears the override, mirroring the cutover.
+	// A directory the cutover already edited (a static one this client
+	// shares with the nodes) is left alone: another edit would bump the
+	// epoch past the one the nodes installed.
 	d := c.Directory()
+	if now, err := d.Lookup(uint64(id)); err == nil && now.ID == destGroup {
+		return nil
+	}
 	if home, herr := d.DefaultGroupID(uint64(id)); herr == nil && home == destGroup {
 		d.ClearOverride(uint64(id))
 	} else {

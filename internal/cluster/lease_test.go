@@ -167,6 +167,31 @@ func TestBackupsServeFromFirstRequest(t *testing.T) {
 	}
 }
 
+// awaitLease waits, within a bounded deadline, until backup n holds a read
+// lease (its lease.held gauge reads 1).
+func awaitLease(t *testing.T, n *Node) {
+	t.Helper()
+	if !poll(5*time.Second, func() bool { return n.Metrics().Snapshot().Gauges["lease.held"] == 1 }) {
+		t.Fatalf("backup %s never held a read lease", n.Addr())
+	}
+}
+
+// leasedRead invokes get on obj at backup n once it holds its lease. A
+// renewal loop that lags under load can let the lease lapse before the
+// read arrives, and the backup then rightly bounces it: the read is sent
+// again once n holds a lease again, within a bounded deadline.
+func leasedRead(t *testing.T, pool *rpc.Pool, n *Node, obj core.ObjectID) ([]byte, error) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		awaitLease(t, n)
+		res, err := directInvoke(pool, n.Addr(), obj, "get", nil)
+		if _, bounced := ParseNotResponsible(err); !bounced || time.Now().After(deadline) {
+			return res, err
+		}
+	}
+}
+
 // TestInferredReadOnlyServedAtBackup: a method whose reachable call graph
 // cannot write is (a) classified read-only when its type is linked and
 // (b) served by a leased backup, while a mutating method bounces.
@@ -193,10 +218,10 @@ func TestInferredReadOnlyServedAtBackup(t *testing.T) {
 	t.Cleanup(pool.Close)
 	backup := nodes[2]
 
-	// A stale-directory client would send exactly this. The backup holds
-	// its lease (granted when the fan-out was set, and renewed by every
-	// write since), so it serves the one read rather than bounce it.
-	if res, err := directInvoke(pool, backup.Addr(), 1, "get", nil); err != nil || core.BytesI64(res) != 7 {
+	// A stale-directory client would send exactly this. A backup that
+	// holds its lease (granted when the fan-out was set, and renewed every
+	// TTL/4 since) serves the read rather than bounce it.
+	if res, err := leasedRead(t, pool, backup, 1); err != nil || core.BytesI64(res) != 7 {
 		t.Fatalf("inferred read-only invoke at backup = %v, %v, want 7", res, err)
 	}
 	if backup.Metrics().Counter("reads.backup_served").Value() == 0 {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"time"
 
 	"lambdastore/internal/coordinator"
@@ -59,6 +60,7 @@ type Local struct {
 
 	opts LocalOptions
 	root string
+	mu   sync.Mutex // orders installEverywhere against a slot's Node changing
 }
 
 // StartLocal stands the deployment up and returns once it is ready for
@@ -120,9 +122,7 @@ func StartLocal(opts LocalOptions) (_ *Local, err error) {
 		}
 	}
 	if l.Dir != nil {
-		for _, s := range l.Slots {
-			s.Node.SetDirectory(l.Dir)
-		}
+		l.installEverywhere()
 		return l, nil
 	}
 	addrs := make([]string, len(l.Slots))
@@ -164,13 +164,35 @@ func (l *Local) Restart(i int) error {
 	o.Addr, o.DataDir, o.GroupID, o.Directory = s.Addr, s.DataDir, s.Group, l.Dir
 	if l.Coord != nil {
 		o.Coordinators = l.Coord.Addrs()
+	} else {
+		o.installEverywhere = l.installEverywhere
 	}
 	node, err := StartNode(o)
 	if err != nil {
 		return fmt.Errorf("cluster: start node %d: %w", i, err)
 	}
-	s.Node = node
+	l.setNode(s, node)
 	return nil
+}
+
+// setNode changes a slot's node; nil takes it out of installEverywhere's
+// reach before it closes.
+func (l *Local) setNode(s *Slot, node *Node) {
+	l.mu.Lock()
+	s.Node = node
+	l.mu.Unlock()
+}
+
+// installEverywhere installs the static directory, which a cutover has
+// just edited in place, on every running node.
+func (l *Local) installEverywhere() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, s := range l.Slots {
+		if s.Node != nil {
+			s.Node.SetDirectory(l.Dir)
+		}
+	}
 }
 
 // Kill stops slot i's node: connections drop and heartbeats stop, with no
@@ -180,9 +202,9 @@ func (l *Local) Kill(i int) error {
 	if s.Node == nil {
 		return fmt.Errorf("cluster: node %d already down", i)
 	}
-	err := s.Node.Close()
-	s.Node = nil
-	return err
+	node := s.Node
+	l.setNode(s, nil)
+	return node.Close()
 }
 
 // Nodes returns the running nodes in slot order.
@@ -267,9 +289,9 @@ func (l *Local) Close() {
 		l.Client.Close()
 	}
 	for _, s := range l.Slots {
-		if s.Node != nil {
-			s.Node.Close()
-			s.Node = nil
+		if node := s.Node; node != nil {
+			l.setNode(s, nil)
+			node.Close()
 		}
 	}
 	if l.Coord != nil {

@@ -211,3 +211,33 @@ func TestMigrationRoundTripClearsFence(t *testing.T) {
 		t.Fatalf("value after the round trip = %d, want 43", got)
 	}
 }
+
+// TestStaticMovesBackAndForthWithBackups moves one object between two
+// replicated groups of a static deployment ten times, with a write after
+// each move. A static cutover edits the directory every node shares, which
+// bumps its epoch; the backups fence ships on that live epoch, so every
+// node's shipper must follow the edited view, or the next ship from a group
+// whose primary still stamps the old epoch is refused as stale.
+func TestStaticMovesBackAndForthWithBackups(t *testing.T) {
+	_, dir := startStatic(t, NodeOptions{}, 2, 2)
+	c := newGroupClient(t, dir)
+	if err := c.RegisterType(counterType(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateObject("Counter", 4); err != nil { // group 0 by default
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		dest := uint64(1 - i%2)
+		if err := c.Migrate(4, dest); err != nil {
+			t.Fatalf("move %d to group %d: %v", i, dest, err)
+		}
+		res, err := c.Invoke(4, "add", [][]byte{core.I64Bytes(1)})
+		if err != nil {
+			t.Fatalf("write after move %d: %v", i, err)
+		}
+		if got := core.BytesI64(res); got != int64(i+1) {
+			t.Fatalf("value after move %d = %d, want %d", i, got, i+1)
+		}
+	}
+}

@@ -71,6 +71,12 @@ type NodeOptions struct {
 	// partitioned backup's lease expires before the failure detector
 	// can reconfigure around it.
 	LeaseTTL time.Duration
+
+	// installEverywhere, set by a static Local, installs the directory its
+	// nodes share on every one of them: a cutover edits it in place, which
+	// bumps the epoch each node's backups fence on, so every shipper must
+	// stamp the edited view. Nil installs it on this node alone.
+	installEverywhere func()
 }
 
 // DefaultLeaseTTL is the read-lease duration when NodeOptions.LeaseTTL

@@ -346,7 +346,11 @@ func (n *Node) cutOverObject(object, targetGroup uint64) error {
 		} else {
 			d.SetOverride(object, targetGroup)
 		}
-		n.SetDirectory(d)
+		if n.opts.installEverywhere != nil {
+			n.opts.installEverywhere()
+		} else {
+			n.SetDirectory(d)
+		}
 		return nil
 	}
 	return n.proposeFenced(fmt.Sprintf("cutover of %d to group %d did not take effect", object, targetGroup),

@@ -7,7 +7,9 @@
 # its own benchmark/run.sh (which builds it from that side's source), RUNS
 # pairs per workload, alternating which side goes first. Each run's output
 # lands in .ab/runs/<workload>.<side>.<i>.log. The summary prints, per
-# workload and per metric of the runs' last JSON line, each side's median
+# workload and per metric of the runs' last JSON line and of the text
+# report's diag.* lines (the measured window's throughput, latencies and CPU
+# per op, which an untraced run's JSON line leaves out), each side's median
 # [Q1–Q3], the pairs in which the change was better (BENCHMARK.json's
 # "better" direction; "lower" when a metric is not listed there) and
 # "unresolved" when the medians differ by less than the parent's IQR.
@@ -49,8 +51,12 @@ done
 for w in "$@"; do
 	for side in parent change; do
 		for i in $(seq "$runs"); do
-			line=$(grep '^{' "$ab/runs/$w.$side.$i.log" | tail -n 1 || true)
-			echo "$w $side $i ${line:-{\}}"
+			log="$ab/runs/$w.$side.$i.log"
+			line=$(grep '^{' "$log" | tail -n 1 || true)
+			# "  diag.name  value unit" becomes "diag.name":{"value":value,
+			# the shape the summary reads out of the JSON line.
+			diag=$(awk '$1 ~ /^diag\./ && NF == 3 { printf " \"%s\":{\"value\":%s}", $1, $2 }' "$log")
+			echo "$w $side $i ${line:-{\}}$diag"
 		done
 	done
 done | awk -v runs="$runs" '
@@ -70,7 +76,7 @@ done | awk -v runs="$runs" '
 			rest = substr(rest, RSTART + RLENGTH)
 			m = seg; sub(/^"/, "", m); sub(/".*/, "", m)
 			v = seg; sub(/.*"value":/, "", v)
-			val[w, side, m, i] = v + 0; n[w, side, m]++
+			val[w, side, m, i] = v + 0
 			if (!((w, m) in has)) { has[w, m] = 1; metrics[w] = metrics[w] " " m }
 		}
 	}
