@@ -68,18 +68,20 @@ type ReadDep struct {
 // runtime's one dependency, an object's version key, fits.
 const inlineKey = 24
 
-// entry is one cached result, and a store's one allocation: its LRU and
-// per-object links are its own fields, and a one-dependency read set whose
-// key fits inlineKey lives in dep and depKey. Nothing in an entry changes
-// after it is published except its links, which only the shard lock's
-// holder touches, so a reader may validate its read set without the lock.
+// entry is one cached result. Its LRU and per-object links are its own
+// fields, and a one-dependency read set whose key fits inlineKey lives in dep
+// and depKey, so a store at capacity allocates nothing: it reuses the entry
+// it evicts, or one an invalidation, a failed validation or a same-key
+// replace put on the shard's free list. Because the next store rewrites a
+// removed entry, every field is read and written only under the shard lock.
 type entry struct {
 	result  []byte
 	readSet []ReadDep
 
 	key entryKey
-	// prev and next link the shard's LRU ring; objPrev and objNext the
-	// entries of one object, headed by the shard's byObject.
+	// prev and next link the shard's LRU ring, or the free list (next only);
+	// objPrev and objNext the entries of one object, headed by the shard's
+	// byObject.
 	prev, next       *entry
 	objPrev, objNext *entry
 	dep              [1]ReadDep
@@ -121,6 +123,9 @@ type shard struct {
 	entries  map[entryKey]*entry
 	byObject map[uint64]*entry // the first of each object's entries
 	lru      entry             // ring sentinel: lru.next is the most recent entry, lru.prev the next victim
+	// free heads the removed entries the next stores reuse, linked through
+	// next. Live and free entries together never exceed capacity.
+	free     *entry
 	capacity int
 	stats    Stats
 	// epoch counts InvalidateObject calls on this shard, whether or not they
@@ -205,43 +210,32 @@ func (c *Cache) Lookup(object uint64, method string, argsHash uint64, readHash f
 // is a mismatch: a failed read never validates an entry. On a miss, epoch is
 // the shard's invalidation count, taken before the caller can have pinned
 // the snapshot it will execute on; StoreAt takes it back.
+//
+// Validation runs under the shard lock, since the next store may reuse a
+// removed entry's read set. Lock order: readHash (the runtime's
+// committedHash) takes the store's mutex briefly, and nothing calls into the
+// cache while it holds that mutex — a commit invalidates after its write
+// returns — so a shard lock is always taken first.
 func (c *Cache) LookupAt(object uint64, method string, argsHash uint64, readHash func(key []byte) (hash uint64, ok bool)) (result []byte, epoch uint64, hit bool) {
-	k := entryKey{object: object, method: method, argsHash: argsHash}
 	s := c.shardFor(object)
 	s.mu.Lock()
-	e, ok := s.entries[k]
+	defer s.mu.Unlock()
+	e, ok := s.entries[entryKey{object: object, method: method, argsHash: argsHash}]
 	if !ok {
 		s.stats.Misses++
-		epoch = s.epoch
-		s.mu.Unlock()
-		return nil, epoch, false
+		return nil, s.epoch, false
 	}
-	// Copy the read set out so validation runs without the lock (readHash
-	// hits the storage engine).
-	deps := e.readSet
-	result = e.result
-	s.mu.Unlock()
-
-	for _, dep := range deps {
+	for _, dep := range e.readSet {
 		if h, ok := readHash(dep.Key); !ok || h != dep.ValueHash {
-			s.mu.Lock()
 			s.stats.Validations++
-			if cur, ok := s.entries[k]; ok {
-				s.removeLocked(cur)
-			}
-			epoch = s.epoch
-			s.mu.Unlock()
-			return nil, epoch, false
+			s.release(e)
+			return nil, s.epoch, false
 		}
 	}
-	s.mu.Lock()
-	if cur, ok := s.entries[k]; ok {
-		s.unlinkLRU(cur)
-		s.pushFront(cur)
-	}
+	s.unlinkLRU(e)
+	s.pushFront(e)
 	s.stats.Hits++
-	s.mu.Unlock()
-	return result, 0, true
+	return e.result, 0, true
 }
 
 // Store records a validated result with its read set. The cache keeps
@@ -261,31 +255,52 @@ func (c *Cache) StoreAt(object uint64, method string, argsHash uint64, result []
 }
 
 func (c *Cache) store(object uint64, method string, argsHash uint64, result []byte, readSet []ReadDep, atEpoch bool, epoch uint64) {
-	// The capacity is clipped so that no holder of the result can append
-	// into bytes another holder sees.
-	e := &entry{result: result[:len(result):len(result)], key: entryKey{object: object, method: method, argsHash: argsHash}}
-	e.readSet = e.copyReadSet(readSet)
+	k := entryKey{object: object, method: method, argsHash: argsHash}
 	s := c.shardFor(object)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if atEpoch && epoch != s.epoch {
 		return
 	}
-	if old, ok := s.entries[e.key]; ok {
-		s.removeLocked(old)
+	if old, ok := s.entries[k]; ok {
+		s.release(old)
 	}
-	s.entries[e.key] = e
+	e := s.take()
+	// The capacity is clipped so that no holder of the result can append
+	// into bytes another holder sees.
+	e.result, e.key = result[:len(result):len(result)], k
+	e.readSet = e.copyReadSet(readSet)
+	s.entries[k] = e
 	s.pushFront(e)
 	if head := s.byObject[object]; head != nil {
 		head.objPrev, e.objNext = e, head
 	}
 	s.byObject[object] = e
 	s.stats.Stores++
+}
 
-	for len(s.entries) > s.capacity {
-		s.removeLocked(s.lru.prev)
-		s.stats.Evictions++
+// take returns an unlinked entry for a store: the free list's first, else,
+// at capacity, the evicted LRU victim, else a new one. Caller holds s.mu.
+func (s *shard) take() *entry {
+	if e := s.free; e != nil {
+		s.free, e.next = e.next, nil
+		return e
 	}
+	if len(s.entries) >= s.capacity {
+		e := s.lru.prev
+		s.removeLocked(e)
+		s.stats.Evictions++
+		return e
+	}
+	return new(entry)
+}
+
+// release removes a stored entry and puts it on the free list, dropping
+// what it referenced. Caller holds s.mu.
+func (s *shard) release(e *entry) {
+	s.removeLocked(e)
+	e.result, e.readSet, e.key = nil, nil, entryKey{}
+	e.next, s.free = s.free, e
 }
 
 // copyReadSet copies deps into storage e owns: inside e when it is one
@@ -324,7 +339,7 @@ func (c *Cache) InvalidateObject(object uint64) {
 	defer s.mu.Unlock()
 	s.epoch++
 	for e := s.byObject[object]; e != nil; e = s.byObject[object] {
-		s.removeLocked(e)
+		s.release(e)
 		s.stats.Invalidations++
 	}
 }

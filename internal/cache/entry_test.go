@@ -13,12 +13,13 @@ func versionDep(obj uint64) []ReadDep {
 	return []ReadDep{{Key: key, ValueHash: HashValue(key, true)}}
 }
 
-// TestStoreAllocatesOneEntry guards a cache miss's store at capacity, where
-// every store also evicts: the entry is the one allocation. Its LRU and
-// per-object links are its own fields, a one-dependency read set is copied
-// into it, and the result is kept rather than copied. A read set that does
-// not fit inside an entry costs one slice and one slab of keys more.
-func TestStoreAllocatesOneEntry(t *testing.T) {
+// TestStoreAtCapacityAllocatesNothing guards a cache miss's store: at
+// capacity it reuses the entry it evicts, and after an InvalidateObject the
+// entry the invalidation freed, so neither allocates. Its LRU and per-object
+// links are an entry's own fields, a one-dependency read set is copied into
+// it, and the result is kept rather than copied. A read set that does not
+// fit inside an entry costs one slice and one slab of keys.
+func TestStoreAtCapacityAllocatesNothing(t *testing.T) {
 	c := New(64)
 	result := make([]byte, 4960)
 	deps := make([][]ReadDep, 256)
@@ -33,11 +34,26 @@ func TestStoreAllocatesOneEntry(t *testing.T) {
 	for i := 0; i < 4*64; i++ {
 		store()
 	}
-	if allocs := testing.AllocsPerRun(1000, store); allocs != 1 {
-		t.Fatalf("a store at capacity allocates %.1f objects, want 1 (the entry)", allocs)
+	if allocs := testing.AllocsPerRun(1000, store); allocs != 0 {
+		t.Fatalf("a store at capacity allocates %.1f objects, want 0", allocs)
 	}
 	if got := c.Stats().Evictions; got == 0 {
 		t.Fatal("no store evicted: the cache never reached capacity")
+	}
+
+	// Each round invalidates the least recent object of the shard the next
+	// store goes to, so the store reuses the entry the invalidation freed
+	// and evicts nothing.
+	evictions := c.Stats().Evictions
+	invalidateThenStore := func() {
+		c.InvalidateObject(c.shardFor(uint64(next)).lru.prev.key.object)
+		store()
+	}
+	if allocs := testing.AllocsPerRun(1000, invalidateThenStore); allocs != 0 {
+		t.Fatalf("a store after InvalidateObject allocates %.1f objects, want 0", allocs)
+	}
+	if got := c.Stats().Evictions; got != evictions {
+		t.Fatalf("%d stores after an invalidation evicted: they did not reuse the freed entries", got-evictions)
 	}
 
 	wide := make([]ReadDep, 41)
@@ -48,8 +64,8 @@ func TestStoreAllocatesOneEntry(t *testing.T) {
 		c.Store(uint64(next), "get_timeline", 40, result, wide)
 		next++
 	}
-	if allocs := testing.AllocsPerRun(200, storeWide); allocs != 3 {
-		t.Fatalf("a 41-dependency store allocates %.1f objects, want 3", allocs)
+	if allocs := testing.AllocsPerRun(200, storeWide); allocs != 2 {
+		t.Fatalf("a 41-dependency store allocates %.1f objects, want 2", allocs)
 	}
 }
 
@@ -90,8 +106,9 @@ func TestStoreKeepsResultCopiesReadSet(t *testing.T) {
 // TestIndexesAgreeUnderChurn drives one shard with a seeded mix of stores,
 // lookups that fail validation, invalidations and evictions, and after each
 // step checks that the three indexes — the key map, the LRU ring and the
-// per-object chains — hold the same entries, and that the ring's order is
-// a reference model's.
+// per-object chains — hold the same entries, that the ring's order is a
+// reference model's, and that the free list holds only entries none of the
+// indexes reaches, with live and free entries within capacity.
 func TestIndexesAgreeUnderChurn(t *testing.T) {
 	const capacity = 16
 	c := New(capacity)
@@ -154,11 +171,16 @@ func TestIndexesAgreeUnderChurn(t *testing.T) {
 }
 
 // checkIndexes compares a shard's three indexes with model, most recent
-// first.
+// first, and checks its free list against them.
 func checkIndexes(t *testing.T, step int, s *shard, model []entryKey) {
 	t.Helper()
+	reached := make(map[*entry]bool)
+	for _, e := range s.entries {
+		reached[e] = true
+	}
 	var ring []entryKey
 	for e := s.lru.next; e != &s.lru; e = e.next {
+		reached[e] = true
 		if e.next.prev != e {
 			t.Fatalf("step %d: LRU ring links disagree at %v", step, e.key)
 		}
@@ -176,6 +198,7 @@ func checkIndexes(t *testing.T, step int, s *shard, model []entryKey) {
 			t.Fatalf("step %d: object %d's chain has no proper head", step, obj)
 		}
 		for e := head; e != nil; e = e.objNext {
+			reached[e] = true
 			if e.key.object != obj || s.entries[e.key] != e {
 				t.Fatalf("step %d: object %d's chain holds %v", step, obj, e.key)
 			}
@@ -187,5 +210,17 @@ func checkIndexes(t *testing.T, step int, s *shard, model []entryKey) {
 	}
 	if len(s.entries) != len(model) || chained != len(model) {
 		t.Fatalf("step %d: %d in the map, %d chained, want %d", step, len(s.entries), chained, len(model))
+	}
+	free := 0
+	for e := s.free; e != nil; e = e.next {
+		if reached[e] {
+			t.Fatalf("step %d: a free entry is reachable from the map, the ring or a chain", step)
+		}
+		if e.prev != nil || e.objPrev != nil || e.objNext != nil || e.result != nil || e.readSet != nil {
+			t.Fatalf("step %d: a free entry keeps links or a result", step)
+		}
+		if free++; len(s.entries)+free > s.capacity {
+			t.Fatalf("step %d: %d live and %d or more free entries, capacity %d", step, len(s.entries), free, s.capacity)
+		}
 	}
 }

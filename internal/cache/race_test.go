@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -142,4 +143,79 @@ func TestStatsMergeDuringChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestReusedEntriesServeTheirOwnObject runs readers that rotate 64 objects
+// through a one-shard cache of 16 entries, so that nearly every store evicts
+// and reuses an entry, while a writer bumps the objects' versions and
+// invalidates them. A hit must return its own object's result at that
+// object's current version: no older than the version published before the
+// lookup, no newer than the state after it. Run under -race (make race),
+// this is the check that a reused entry is never read outside the lock.
+func TestReusedEntriesServeTheirOwnObject(t *testing.T) {
+	c := New(16)
+	if len(c.shards) != 1 {
+		t.Fatalf("%d shards, want 1", len(c.shards))
+	}
+	const objects = 64
+	// state is each object's committed version, which a dependency's key
+	// (the object ID) reads; published trails it by the invalidation.
+	var state, published [objects]atomic.Uint64
+	readHash := func(key []byte) (uint64, bool) {
+		return state[binary.BigEndian.Uint64(key)].Load(), true
+	}
+
+	stop := make(chan struct{})
+	var wrong atomic.Uint64
+	var wg sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var key [8]byte // the reader's scratch, reused by every store
+			for i := r; i < r+2000; i++ {
+				obj := uint64(i % objects)
+				floor := published[obj].Load()
+				if res, epoch, hit := c.LookupAt(obj, "get", 1, readHash); hit {
+					gotObj, gotVersion := binary.BigEndian.Uint64(res), binary.BigEndian.Uint64(res[8:])
+					if ceil := state[obj].Load(); gotObj != obj || gotVersion < floor || gotVersion > ceil {
+						wrong.Add(1)
+					}
+				} else {
+					// Execute on the current state, then store.
+					v := state[obj].Load()
+					result := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, obj), v)
+					binary.BigEndian.PutUint64(key[:], obj)
+					c.StoreAt(obj, "get", 1, result, []ReadDep{{Key: key[:], ValueHash: v}}, epoch)
+				}
+			}
+		}(r)
+	}
+	var wwg sync.WaitGroup
+	wwg.Add(1)
+	go func() {
+		defer wwg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// A commit: change the state, invalidate, then publish.
+			obj := uint64(i*7) % objects
+			v := state[obj].Add(1)
+			c.InvalidateObject(obj)
+			published[obj].Store(v)
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	wwg.Wait()
+
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d hits returned another object's result or a stale version", n)
+	}
+	if s := c.Stats(); s.Hits == 0 || s.Evictions == 0 {
+		t.Fatalf("degenerate run: stats %+v", s)
+	}
 }

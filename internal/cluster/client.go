@@ -111,7 +111,10 @@ func (c *Client) Directory() *shard.Directory { return c.dir.Load() }
 // SetDirectory installs a configuration view (static reconfiguration).
 func (c *Client) SetDirectory(d *shard.Directory) { c.dir.Store(d) }
 
-// refresh pulls a fresh configuration from the coordinator, if any.
+// refresh pulls a fresh configuration from the coordinator, if any. A view
+// older than the one held (a lagging coordinator replica's) is not
+// installed, so the client's view never goes backwards; one at the same
+// epoch is, since Migrate edits the view it fetched in place.
 func (c *Client) refresh() bool {
 	if c.coord == nil {
 		return false
@@ -120,8 +123,12 @@ func (c *Client) refresh() bool {
 	if err != nil {
 		return false
 	}
-	c.SetDirectory(d)
-	return true
+	for {
+		held := c.dir.Load()
+		if d.Epoch() < held.Epoch() || c.dir.CompareAndSwap(held, d) {
+			return true
+		}
+	}
 }
 
 // backoff sleeps before retry attempt (1-based): exponential from

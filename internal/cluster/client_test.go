@@ -104,3 +104,38 @@ func TestClientRetryUniform(t *testing.T) {
 		})
 	}
 }
+
+// TestClientViewNeverGoesBackwards: a coordinator-backed client whose view
+// is ahead of the one it fetches — a lagging coordinator replica's — keeps
+// its view when it refreshes. SetDirectory still installs any view, and a
+// refresh then brings an older one up to what the coordinator serves.
+func TestClientViewNeverGoesBackwards(t *testing.T) {
+	l := startLocal(t, coordinated([]int{1}, NodeOptions{}))
+	c := l.Client
+	if !c.refresh() {
+		t.Fatal("refresh failed")
+	}
+	ahead := c.Directory()
+	served := ahead.Epoch()
+	// Two in-place edits, as Migrate makes, put the view two epochs ahead.
+	const object = 1 << 40
+	ahead.SetOverride(object, 0)
+	ahead.ClearOverride(object)
+	if !c.refresh() {
+		t.Fatal("refresh failed")
+	}
+	if got := c.Directory(); got != ahead || got.Epoch() != served+2 {
+		t.Fatalf("after refresh the view is at epoch %d, want the held one at %d", got.Epoch(), served+2)
+	}
+
+	c.SetDirectory(shard.NewDirectory(nil))
+	if got := c.Directory().Epoch(); got >= served {
+		t.Fatalf("SetDirectory installed epoch %d, want the older view", got)
+	}
+	if !c.refresh() {
+		t.Fatal("refresh failed")
+	}
+	if got := c.Directory().Epoch(); got < served {
+		t.Fatalf("refresh of an older view installed epoch %d, want at least %d", got, served)
+	}
+}

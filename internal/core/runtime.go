@@ -433,8 +433,8 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 
 	if cacheable {
 		// The cache copies the read set into its entry and keeps result,
-		// the bytes set_result copied out of the guest, so storing a miss
-		// allocates only the entry.
+		// the bytes set_result copied out of the guest, in an entry it
+		// evicted or freed, so storing a miss allocates nothing.
 		if dep, ok := iv.versionDep(); ok {
 			rt.cache.StoreAt(uint64(id), method, argsHash, result, []cache.ReadDep{dep}, epoch)
 		}
