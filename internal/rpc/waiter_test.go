@@ -44,7 +44,9 @@ func awaitPending(c *Client, id uint64) {
 // the race in which the reader takes a reply just before the caller's timer
 // fires — and the late reply is delivered into it only once call B, whose
 // reply is distinct, is in flight. A must time out and B must get B's
-// bytes: a timed-out waiter recycled into B would hand B A's reply.
+// bytes: a timed-out waiter recycled into B would hand B A's reply. B's
+// deadline plays no part in that, so B waits up to a minute: a busy machine
+// may take longer than 20 ms to run B's handler after the late delivery.
 func TestLateReplyNeverReachesAnotherCall(t *testing.T) {
 	s := NewServer()
 	replyA, replyB := []byte("reply of A"), []byte("reply of B")
@@ -74,6 +76,8 @@ func TestLateReplyNeverReachesAnotherCall(t *testing.T) {
 		c.mu.Unlock()
 		claimed := make(chan *waiter, 1)
 		go func() { claimed <- claim(c, idA) }()
+		// Only the calling goroutine reads the timeout.
+		c.opts.Timeout = 20 * time.Millisecond
 		if _, err := c.Call("a", nil); !errors.Is(err, ErrTimeout) {
 			t.Fatalf("round %d: call A = %v, want ErrTimeout", round, err)
 		}
@@ -83,6 +87,7 @@ func TestLateReplyNeverReachesAnotherCall(t *testing.T) {
 			late.deliver(replyA, nil)
 			gate <- struct{}{}
 		}()
+		c.opts.Timeout = time.Minute
 		if got, err := c.Call("b", nil); err != nil || !bytes.Equal(got, replyB) {
 			t.Fatalf("round %d: call B = %q, %v; want %q", round, got, err, replyB)
 		}

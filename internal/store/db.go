@@ -405,7 +405,7 @@ func (db *DB) commitGroup() {
 	g := groupPool.Get().(*Group)
 	g.db = db
 	seq := db.lastSeq
-	taken, size := 0, 0
+	taken, size, records := 0, 0, 0
 	for _, w := range db.writers {
 		if taken > 0 && size >= maxGroupBytes {
 			break
@@ -415,9 +415,11 @@ func (db *DB) commitGroup() {
 			seq += uint64(b.count)
 			size += b.encodedLen()
 		}
+		records += len(w.batches)
 		taken++
 	}
-	g.buf = slices.Grow(g.buf, size)
+	// A frame adds at most 9 bytes to its record: a length and a checksum.
+	g.buf = slices.Grow(g.buf, size+9*records)
 	for _, w := range db.writers[:taken] {
 		for _, b := range w.batches {
 			g.log(b, b.object, w)
@@ -433,7 +435,7 @@ func (db *DB) commitGroup() {
 	if sync {
 		syncStart = time.Now()
 	}
-	err := wal.appendAll(g.buf, g.ends, sync)
+	err := wal.appendAll(g.buf, sync)
 	db.mu.Lock()
 	db.writeActive = false
 	// A failed group uses up its numbers too: its records may be in the log
@@ -452,7 +454,7 @@ func (db *DB) commitGroup() {
 			}
 		}
 		db.metrics.writes.Add(uint64(len(g.writers)))
-		db.metrics.walBytes.Add(uint64(len(g.buf)))
+		db.metrics.walBytes.Add(uint64(size))
 		if sync {
 			db.metrics.walSyncs.Inc()
 			db.metrics.fsyncUs.Record(time.Since(syncStart))

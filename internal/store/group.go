@@ -1,6 +1,10 @@
 package store
 
-import "sync"
+import (
+	"sync"
+
+	"lambdastore/internal/wire"
+)
 
 // Group is one write group as it leaves the node: the records its leader
 // logged, back to back, and which of them are members — batches marked by
@@ -9,14 +13,14 @@ import "sync"
 // Add. A group is not safe for concurrent use.
 type Group struct {
 	db      *DB
-	buf     []byte      // the group's records, back to back, as logged
-	ends    []int       // where each record ends in buf
+	buf     []byte      // the group's records, framed as the WAL logs them
 	writers []*dbWriter // the writers the group completes
 	members []member
 	queued  bool // the group still holds the DB's writer queue
 }
 
-// member is one replicated batch of a group and its record in buf.
+// member is one replicated batch of a group and its record in buf: the
+// payload of its frame.
 type member struct {
 	b          *Batch
 	object     uint64
@@ -71,14 +75,17 @@ func (g *Group) Release() {
 // Add appends b to a group no DB owns as a member, a write-set of object.
 func (g *Group) Add(object uint64, b *Batch) { g.log(b, object, nil) }
 
-// log appends b's record: one of w's batches, a member if it is marked, or
-// (w nil) a member Add appends.
+// log appends b's record, framed as wire.AppendFrame frames it, so that
+// buf is what the WAL writes: one of w's batches, a member if it is marked,
+// or (w nil) a member Add appends.
 func (g *Group) log(b *Batch, object uint64, w *dbWriter) {
+	g.buf = wire.AppendUvarint(g.buf, uint64(b.encodedLen()))
 	start := len(g.buf)
 	g.buf = b.AppendTo(g.buf)
-	g.ends = append(g.ends, len(g.buf))
+	end := len(g.buf)
+	g.buf = wire.AppendUint32(g.buf, wire.Checksum(g.buf[start:end]))
 	if b.replicated || w == nil {
-		g.members = append(g.members, member{b: b, object: object, w: w, start: start, end: len(g.buf)})
+		g.members = append(g.members, member{b: b, object: object, w: w, start: start, end: end})
 	}
 }
 
@@ -91,7 +98,7 @@ func (g *Group) Reset() {
 	if cap(buf) > maxPooledGroupBytes {
 		buf = nil
 	}
-	*g = Group{buf: buf, ends: g.ends[:0], writers: g.writers[:0], members: g.members[:0]}
+	*g = Group{buf: buf, writers: g.writers[:0], members: g.members[:0]}
 }
 
 // maxPooledGroupBytes is the largest record buffer a recycled group keeps.

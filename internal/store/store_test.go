@@ -1060,6 +1060,76 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALGroupOneWrite logs one write group whose records straddle 64 KiB
+// from the group's own buffer: it replays record for record, each record is
+// the payload the group hands its hook, the recycled group keeps no buffer
+// past 64 KiB, and logging a small group into it afterwards allocates
+// nothing.
+func TestWALGroupOneWrite(t *testing.T) {
+	path := t.TempDir() + "/group.log"
+	w, err := newWALWriter(path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(key string, n int) *Batch {
+		b := NewBatch()
+		b.Put([]byte(key), bytes.Repeat([]byte{'v'}, n))
+		return b
+	}
+	var g Group
+	var want [][]byte
+	for i, b := range []*Batch{batch("a", 1), batch("big", 70<<10), batch("c", 0), batch("d", 300)} {
+		b.startSeq = uint64(i + 1)
+		g.Add(uint64(i), b)
+		want = append(want, b.Encode())
+	}
+	for i := range want {
+		if !bytes.Equal(g.Record(i), want[i]) {
+			t.Fatalf("group record %d is not its batch's encoding", i)
+		}
+	}
+	if err := w.appendAll(g.buf, true); err != nil {
+		t.Fatal(err)
+	}
+	g.Reset()
+	if c := cap(g.buf); c > 64<<10 {
+		t.Fatalf("a recycled group keeps a %d-byte buffer, want <= 64 KiB", c)
+	}
+	small := []*Batch{batch("k1", 8), batch("k2", 8)}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, b := range small {
+			g.Add(0, b)
+		}
+		if err := w.appendAll(g.buf, false); err != nil {
+			t.Fatal(err)
+		}
+		g.Reset()
+	}); allocs != 0 {
+		t.Errorf("logging a small unsynced group allocates %.1f objects, want 0", allocs)
+	}
+	for i := 0; i < 101; i++ { // AllocsPerRun's warm-up call and its 100 runs
+		want = append(want, small[0].Encode(), small[1].Encode())
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	if err := replayWAL(path, func(rec []byte) error {
+		got = append(got, append([]byte(nil), rec...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+	}
+	for i, rec := range want {
+		if !bytes.Equal(got[i], rec) {
+			t.Fatalf("record %d: %d bytes, want %d", i, len(got[i]), len(rec))
+		}
+	}
+}
+
 func TestVersionEditRoundTrip(t *testing.T) {
 	e := &versionEdit{
 		logNumber:   7,

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -16,9 +14,7 @@ import (
 // committed batch is logged before it is applied to the memtable, so a
 // crash after commit can always be replayed.
 type walWriter struct {
-	f   *os.File
-	w   *bufio.Writer
-	buf []byte
+	f *os.File
 	// faultKey identifies this log to the fault plane (the database
 	// directory), so chaos schedules can fail one node's fsyncs.
 	faultKey string
@@ -31,36 +27,27 @@ func newWALWriter(path, faultKey string) (*walWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: create wal: %w", err)
 	}
-	return &walWriter{f: f, w: bufio.NewWriterSize(f, 64<<10), faultKey: faultKey}, nil
+	return &walWriter{f: f, faultKey: faultKey}, nil
 }
 
 // append writes one record. If sync is true the record is fsynced before
 // returning.
 func (w *walWriter) append(record []byte, sync bool) error {
-	return w.appendAll(record, []int{len(record)}, sync)
+	return w.appendAll(wire.AppendFrame(nil, record), sync)
 }
 
-// appendAll writes a group of records — laid back to back in group, each
-// ending at its entry of ends — with one buffered flush and, when sync is
-// set, one fsync covering all of them. This is the durability half of group
-// commit: every record in the group becomes durable together, at the cost
-// of a single disk synchronization.
-func (w *walWriter) appendAll(group []byte, ends []int, sync bool) error {
-	start := 0
-	for _, end := range ends {
-		w.buf = wire.AppendFrame(w.buf[:0], group[start:end])
-		start = end
-		if _, err := w.w.Write(w.buf); err != nil {
-			return fmt.Errorf("store: wal write: %w", err)
-		}
-	}
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("store: wal flush: %w", err)
+// appendAll writes a group of records — framed back to back by Group.log —
+// in one write and, when sync is set, one fsync covering all of them. This
+// is the durability half of group commit: every record in the group becomes
+// durable together, at the cost of a single disk synchronization.
+func (w *walWriter) appendAll(frames []byte, sync bool) error {
+	if _, err := w.f.Write(frames); err != nil {
+		return fmt.Errorf("store: wal write: %w", err)
 	}
 	if sync {
 		if fault.Enabled() {
 			// An injected sync failure models a failed fsync: the record
-			// reached the OS (Flush above) but durability is not promised,
+			// reached the OS (the write above) but durability is not promised,
 			// exactly the torn-tail shape replayWAL tolerates.
 			d := fault.Eval(fault.SiteWALSync, "", w.faultKey)
 			if d.Delay > 0 {
@@ -77,14 +64,8 @@ func (w *walWriter) appendAll(group []byte, ends []int, sync bool) error {
 	return nil
 }
 
-// close flushes and closes the file.
-func (w *walWriter) close() error {
-	if err := w.w.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
-}
+// close closes the file; every group is already written.
+func (w *walWriter) close() error { return w.f.Close() }
 
 // replayWAL reads records from the log at path, invoking fn for each intact
 // record in order. A truncated or corrupt tail — the expected shape of a
@@ -111,5 +92,3 @@ func replayWAL(path string, fn func(record []byte) error) error {
 	}
 	return nil
 }
-
-var _ io.Writer = (*bufio.Writer)(nil) // interface sanity anchor

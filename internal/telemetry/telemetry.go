@@ -34,8 +34,8 @@ type Histogram struct {
 	maxUs   atomic.Uint64
 	// exemplars[i] holds the trace ID of a recent traced observation that
 	// landed in bucket i, so a latency spike in /metrics links directly to
-	// an assembled trace.
-	exemplars [bucketCount]atomic.Uint64
+	// an assembled trace. Nil until the first traced observation.
+	exemplars atomic.Pointer[[bucketCount]atomic.Uint64]
 	// unit is what one recorded value means; set by the registry that
 	// created the histogram and immutable after ("" reads as UnitMicros).
 	unit string
@@ -87,9 +87,15 @@ func (h *Histogram) Record(d time.Duration) {
 // trace ID as the exemplar for the bucket the observation landed in.
 func (h *Histogram) RecordTraced(d time.Duration, trace uint64) {
 	idx := h.add(uint64(d.Microseconds()))
-	if trace != 0 {
-		h.exemplars[idx].Store(trace)
+	if trace == 0 {
+		return
 	}
+	ex := h.exemplars.Load()
+	if ex == nil { // racing first traced observations store into the array that won
+		h.exemplars.CompareAndSwap(nil, new([bucketCount]atomic.Uint64))
+		ex = h.exemplars.Load()
+	}
+	ex[idx].Store(trace)
 }
 
 // Observe adds one plain magnitude (a batch size, a group size) to a

@@ -54,11 +54,17 @@ func (h *Histogram) Data() HistData {
 			}
 			d.Buckets[i] = n
 		}
-		if ex := h.exemplars[i].Load(); ex != 0 {
-			if d.Exemplars == nil {
-				d.Exemplars = make(map[int]string)
+	}
+	// Only a counted bucket reports an exemplar: a concurrent traced
+	// observation may have stored one since that bucket's count was read.
+	if ex := h.exemplars.Load(); ex != nil {
+		for i := range d.Buckets {
+			if id := ex[i].Load(); id != 0 {
+				if d.Exemplars == nil {
+					d.Exemplars = make(map[int]string)
+				}
+				d.Exemplars[i] = fmt.Sprintf("%016x", id)
 			}
-			d.Exemplars[i] = fmt.Sprintf("%016x", ex)
 		}
 	}
 	d.finalize()

@@ -1,11 +1,13 @@
 package telemetry
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestQuantileBucketBoundaries checks that quantiles land in the bucket the
@@ -146,6 +148,89 @@ func TestExemplarRecorded(t *testing.T) {
 	}
 	if len(d.Exemplars) != 1 {
 		t.Fatalf("exemplars = %v, want only the traced bucket", d.Exemplars)
+	}
+}
+
+// TestHistogramFootprint pins what a histogram that is never traced holds:
+// its bucket array and totals, with no exemplar array, which Record,
+// Observe and an untraced RecordTraced never allocate.
+func TestHistogramFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(Histogram{}); size > 4160 {
+		t.Fatalf("Histogram is %d bytes, want <= 4160", size)
+	}
+	var h Histogram
+	h.Record(time.Millisecond)
+	h.Observe(7)
+	h.RecordTraced(time.Millisecond, 0)
+	if h.exemplars.Load() != nil {
+		t.Fatal("an untraced histogram allocated its exemplars")
+	}
+	if d := h.Data(); d.Count != 3 || d.Exemplars != nil {
+		t.Fatalf("data = %+v, want 3 observations and no exemplars", d)
+	}
+}
+
+// TestFirstTracedRecordsRace has 8 goroutines make a fresh histogram's first
+// traced observations at once while another takes snapshots. Each traces 16
+// buckets no other goroutine touches, so an exemplar stored into an array
+// that lost the race to be installed would leave its bucket without one:
+// every traced bucket must end with exactly the ID recorded there, and no
+// snapshot may show an exemplar for a bucket it does not count.
+func TestFirstTracedRecordsRace(t *testing.T) {
+	const workers, perWorker = 8, 16
+	// Observation k lands in bucket 64+k: octave 4+k/16, sub-bucket k%16.
+	dur := func(k int) time.Duration {
+		e := k/bucketsPerOct + 4
+		return time.Duration(1<<e+(k%bucketsPerOct)<<(e-4)) * time.Microsecond
+	}
+	for round := 0; round < 200; round++ {
+		var h Histogram
+		start, finished := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perWorker; i++ {
+					k := w*perWorker + i
+					h.RecordTraced(dur(k), uint64(k+1))
+				}
+			}(w)
+		}
+		snapped := make(chan struct{})
+		go func() {
+			defer close(snapped)
+			<-start
+			for {
+				d := h.Data()
+				for b := range d.Exemplars {
+					if d.Buckets[b] == 0 {
+						t.Errorf("round %d: exemplar for empty bucket %d", round, b)
+						return
+					}
+				}
+				select {
+				case <-finished:
+					return
+				default:
+				}
+			}
+		}()
+		close(start)
+		wg.Wait()
+		close(finished)
+		<-snapped
+		d := h.Data()
+		if len(d.Exemplars) != workers*perWorker {
+			t.Fatalf("round %d: %d buckets have exemplars, want %d", round, len(d.Exemplars), workers*perWorker)
+		}
+		for k := 0; k < workers*perWorker; k++ {
+			b := bucketIndex(uint64(dur(k).Microseconds()))
+			if want := fmt.Sprintf("%016x", k+1); b != 64+k || d.Exemplars[b] != want {
+				t.Fatalf("round %d: observation %d in bucket %d with exemplar %q, want bucket %d with %s", round, k, b, d.Exemplars[b], 64+k, want)
+			}
+		}
 	}
 }
 
