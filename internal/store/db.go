@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"lambdastore/internal/telemetry"
+	"lambdastore/internal/wire"
 )
 
 // DB is an embedded LSM-tree key-value store. All methods are safe for
@@ -418,11 +419,10 @@ func (db *DB) commitGroup() {
 		records += len(w.batches)
 		taken++
 	}
-	// A frame adds at most 9 bytes to its record: a length and a checksum.
-	g.buf = slices.Grow(g.buf, size+9*records)
+	g.buf = slices.Grow(g.buf, size+wire.MaxFrameOverhead*records)
 	for _, w := range db.writers[:taken] {
 		for _, b := range w.batches {
-			g.log(b, b.object, w)
+			g.log(b, w)
 		}
 		g.writers = append(g.writers, w)
 	}

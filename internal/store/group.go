@@ -13,7 +13,7 @@ import (
 // Add. A group is not safe for concurrent use.
 type Group struct {
 	db      *DB
-	buf     []byte      // the group's records, framed as the WAL logs them
+	buf     []byte      // the group's records; framed as the WAL logs them in a DB's group
 	writers []*dbWriter // the writers the group completes
 	members []member
 	queued  bool // the group still holds the DB's writer queue
@@ -73,19 +73,23 @@ func (g *Group) Release() {
 }
 
 // Add appends b to a group no DB owns as a member, a write-set of object.
-func (g *Group) Add(object uint64, b *Batch) { g.log(b, object, nil) }
+// Such a group is shipped, never logged, so its record is not framed.
+func (g *Group) Add(object uint64, b *Batch) {
+	start := len(g.buf)
+	g.buf = b.AppendTo(g.buf)
+	g.members = append(g.members, member{b: b, object: object, start: start, end: len(g.buf)})
+}
 
-// log appends b's record, framed as wire.AppendFrame frames it, so that
-// buf is what the WAL writes: one of w's batches, a member if it is marked,
-// or (w nil) a member Add appends.
-func (g *Group) log(b *Batch, object uint64, w *dbWriter) {
-	g.buf = wire.AppendUvarint(g.buf, uint64(b.encodedLen()))
+// log appends w's batch b framed as the WAL logs it, so that buf is what
+// the WAL writes, and b as a member if it is marked.
+func (g *Group) log(b *Batch, w *dbWriter) {
+	g.buf = wire.BeginFrame(g.buf, b.encodedLen())
 	start := len(g.buf)
 	g.buf = b.AppendTo(g.buf)
 	end := len(g.buf)
-	g.buf = wire.AppendUint32(g.buf, wire.Checksum(g.buf[start:end]))
-	if b.replicated || w == nil {
-		g.members = append(g.members, member{b: b, object: object, w: w, start: start, end: end})
+	g.buf = wire.EndFrame(g.buf, start)
+	if b.replicated {
+		g.members = append(g.members, member{b: b, object: b.object, w: w, start: start, end: end})
 	}
 }
 

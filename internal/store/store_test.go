@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"lambdastore/internal/telemetry"
+	"lambdastore/internal/wire"
 )
 
 // testOptions returns small sizes so tests exercise flush and compaction
@@ -1074,13 +1075,14 @@ func TestWALGroupOneWrite(t *testing.T) {
 	batch := func(key string, n int) *Batch {
 		b := NewBatch()
 		b.Put([]byte(key), bytes.Repeat([]byte{'v'}, n))
+		b.replicated = true // a member, so Record reads its payload back
 		return b
 	}
 	var g Group
 	var want [][]byte
 	for i, b := range []*Batch{batch("a", 1), batch("big", 70<<10), batch("c", 0), batch("d", 300)} {
 		b.startSeq = uint64(i + 1)
-		g.Add(uint64(i), b)
+		g.log(b, nil)
 		want = append(want, b.Encode())
 	}
 	for i := range want {
@@ -1098,7 +1100,7 @@ func TestWALGroupOneWrite(t *testing.T) {
 	small := []*Batch{batch("k1", 8), batch("k2", 8)}
 	if allocs := testing.AllocsPerRun(100, func() {
 		for _, b := range small {
-			g.Add(0, b)
+			g.log(b, nil)
 		}
 		if err := w.appendAll(g.buf, false); err != nil {
 			t.Fatal(err)
@@ -1127,6 +1129,79 @@ func TestWALGroupOneWrite(t *testing.T) {
 		if !bytes.Equal(got[i], rec) {
 			t.Fatalf("record %d: %d bytes, want %d", i, len(got[i]), len(rec))
 		}
+	}
+}
+
+// TestWALWriteErrorIsSticky fails one group's WAL write after part of its
+// frame reached the log. Every later group on that log must fail too: were
+// one acknowledged behind the torn frame, replay would stop at the tear and
+// lose it. A crash image of the directory then holds every acknowledged
+// write.
+func TestWALWriteErrorIsSticky(t *testing.T) {
+	db, dir := openTestDB(t, testOptions())
+	defer db.Close()
+	acked := map[string]bool{}
+	put := func(k string) error {
+		err := db.Put([]byte(k), []byte("v-"+k))
+		if err == nil {
+			acked[k] = true
+		}
+		return err
+	}
+	if err := put("before"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear the log: half a frame reaches the file, then the write fails.
+	closed, err := os.Create(t.TempDir() + "/closed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	db.mu.Lock()
+	good := db.wal.f
+	frame := wire.AppendFrame(nil, bytes.Repeat([]byte{'t'}, 64))
+	if _, err := good.Write(frame[:len(frame)/2]); err != nil {
+		t.Fatal(err)
+	}
+	db.wal.f = closed
+	db.mu.Unlock()
+	if err := put("failed"); err == nil {
+		t.Fatal("a write to a closed log succeeded")
+	}
+
+	// The file works again; the log must not.
+	db.mu.Lock()
+	db.wal.f = good
+	db.mu.Unlock()
+	if err := put("after"); err == nil {
+		t.Fatal("a group was acknowledged behind a torn frame")
+	}
+
+	crash := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() == "LOCK" {
+			continue
+		}
+		data, err := os.ReadFile(dir + "/" + e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(crash+"/"+e.Name(), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := Open(crash, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for k := range acked {
+		mustGet(t, re, k, "v-"+k)
 	}
 }
 

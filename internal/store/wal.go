@@ -15,6 +15,10 @@ import (
 // crash after commit can always be replayed.
 type walWriter struct {
 	f *os.File
+	// err is the first write error, which every later group returns: a
+	// failed write may leave a torn frame in the log, and replay stops
+	// there, so no group may be acknowledged behind it.
+	err error
 	// faultKey identifies this log to the fault plane (the database
 	// directory), so chaos schedules can fail one node's fsyncs.
 	faultKey string
@@ -41,8 +45,12 @@ func (w *walWriter) append(record []byte, sync bool) error {
 // is the durability half of group commit: every record in the group becomes
 // durable together, at the cost of a single disk synchronization.
 func (w *walWriter) appendAll(frames []byte, sync bool) error {
+	if w.err != nil {
+		return w.err
+	}
 	if _, err := w.f.Write(frames); err != nil {
-		return fmt.Errorf("store: wal write: %w", err)
+		w.err = fmt.Errorf("store: wal write: %w", err)
+		return w.err
 	}
 	if sync {
 		if fault.Enabled() {

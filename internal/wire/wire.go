@@ -100,9 +100,24 @@ func AppendFlag(dst []byte, f bool) []byte {
 // Frames are the unit of corruption detection in the WAL and the
 // replication stream.
 func AppendFrame(dst, payload []byte) []byte {
-	dst = AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return AppendUint32(dst, Checksum(payload))
+	dst = BeginFrame(dst, len(payload))
+	start := len(dst)
+	return EndFrame(append(dst, payload...), start)
+}
+
+// MaxFrameOverhead is the most bytes a frame adds to its payload: the
+// length prefix and the checksum.
+const MaxFrameOverhead = binary.MaxVarintLen64 + 4
+
+// BeginFrame appends the head of a frame whose n-byte payload the caller
+// appends in place next; EndFrame closes it. The pair frames a payload
+// encoded straight into dst, where AppendFrame would copy it.
+func BeginFrame(dst []byte, n int) []byte { return AppendUvarint(dst, uint64(n)) }
+
+// EndFrame closes the frame whose payload is dst[start:], start being the
+// length BeginFrame returned.
+func EndFrame(dst []byte, start int) []byte {
+	return AppendUint32(dst, Checksum(dst[start:]))
 }
 
 // AppendBytesSlice appends a count-prefixed sequence of byte strings.

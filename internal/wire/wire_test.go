@@ -200,6 +200,9 @@ func TestFrame(t *testing.T) {
 	if got := r.Frame(); !bytes.Equal(got, payload) || r.Len() != 0 || r.Err() != nil {
 		t.Fatalf("frame: %q %v", got, r.Err())
 	}
+	if over := len(b) - len(payload); over > MaxFrameOverhead {
+		t.Fatalf("frame adds %d bytes, MaxFrameOverhead is %d", over, MaxFrameOverhead)
+	}
 	// Corrupt one payload byte: checksum must catch it.
 	bad := append([]byte(nil), b...)
 	bad[2] ^= 0x40
