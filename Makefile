@@ -17,10 +17,11 @@
 #                per side, the pairs the change won, and "unresolved" where the
 #                medians differ by less than the parent's IQR (ABWORKLOADS, ABSECONDS,
 #                ABTRACE to override)
-#   make flakes  not part of check: builds one race-enabled internal/cluster test
-#                binary, runs each of FLAKES FLAKERUNS times (one process per run)
-#                and tallies the failures by each run's first failing line, with
-#                addresses masked (FLAKES="TestA TestB" FLAKERUNS=200 to override)
+#   make flakes  not part of check: builds one race-enabled test binary of FLAKEPKG
+#                (default internal/cluster), runs each of FLAKES FLAKERUNS times (one
+#                process per run) and tallies the failures by each run's first failing
+#                line, with addresses masked (FLAKEPKG=internal/recovery
+#                FLAKES="TestA TestB" FLAKERUNS=200 to override)
 
 GO ?= go
 
@@ -121,16 +122,18 @@ ab:
 # A run's first failing line is the first t.Error/t.Fatal line (file.go:N:),
 # panic or data-race report in its output; 127.0.0.1:port and 0x pointers
 # are masked so that one cause tallies as one line.
+FLAKEPKG ?= internal/cluster
 FLAKES ?= TestRejoinConcurrentWithWrites TestLiveMigrationUnderWrites
 FLAKERUNS ?= 50
 FLAKEDIR := $(CURDIR)/.flakes
+FLAKEBIN := $(FLAKEDIR)/$(notdir $(FLAKEPKG)).test
 flakes:
 	@mkdir -p $(FLAKEDIR)
-	$(GO) test -race -c -o $(FLAKEDIR)/cluster.test ./internal/cluster/
-	@cd internal/cluster && for t in $(FLAKES); do \
+	$(GO) test -race -c -o $(FLAKEBIN) ./$(FLAKEPKG)/
+	@cd $(FLAKEPKG) && for t in $(FLAKES); do \
 		: > $(FLAKEDIR)/$$t.tally; fails=0; \
 		for i in $$(seq $(FLAKERUNS)); do \
-			if ! $(FLAKEDIR)/cluster.test -test.run "^$$t\$$" -test.count=1 > $(FLAKEDIR)/run.out 2>&1; then \
+			if ! $(FLAKEBIN) -test.run "^$$t\$$" -test.count=1 > $(FLAKEDIR)/run.out 2>&1; then \
 				fails=$$((fails + 1)); \
 				line=$$(grep -m1 -E '^\s+[A-Za-z0-9_]+\.go:[0-9]+: |^panic: |DATA RACE' $(FLAKEDIR)/run.out \
 					| sed -E 's/^\s+//; s/127\.0\.0\.1:[0-9]+/ADDR/g; s/0x[0-9a-f]+/0xADDR/g'); \

@@ -71,7 +71,9 @@ Commands:
   fault           -debug HOST:PORT [CMD...]  show the fault plane (no CMD),
                   [-file SCRIPT]             apply one command, or POST a script
   recovery        -debug HOST:PORT,...       show each node's rejoin state and
-                                             donor catch-up sessions
+                                             the sessions it donates to (scope,
+                                             epoch, relays forwarded, age; a
+                                             lost relay ends its session)
   set-group       -coordinators HOST:PORT,... -group N -primary HOST:PORT
                   [-backups HOST:PORT,...]   install a replica group on a live
                                              coordinator (cluster bootstrap)
@@ -449,9 +451,7 @@ type recoveryEnvelope struct {
 		Joiner     string  `json:"joiner"`
 		Scope      string  `json:"scope"`
 		Epoch      uint64  `json:"epoch"`
-		Strict     bool    `json:"strict"`
 		Forwarded  uint64  `json:"forwarded"`
-		Gaps       uint64  `json:"gaps"`
 		AgeSeconds float64 `json:"age_seconds"`
 	} `json:"donor_sessions"`
 }
@@ -499,12 +499,8 @@ func runRecovery(args []string) {
 			continue
 		}
 		for _, s := range env.DonorSessions {
-			mode := "async"
-			if s.Strict {
-				mode = "strict"
-			}
-			fmt.Printf("  donating to %s: scope=%s epoch=%d mode=%s forwarded=%d gaps=%d age=%.1fs\n",
-				s.Joiner, s.Scope, s.Epoch, mode, s.Forwarded, s.Gaps, s.AgeSeconds)
+			fmt.Printf("  donating to %s: scope=%s epoch=%d forwarded=%d age=%.1fs\n",
+				s.Joiner, s.Scope, s.Epoch, s.Forwarded, s.AgeSeconds)
 		}
 	}
 }

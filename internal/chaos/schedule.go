@@ -674,8 +674,9 @@ func (r *runner) runRestartRejoin() error {
 }
 
 // runMigrateUnderChaos live-migrates a workload object from group 0 to
-// group 1 twice: first with every relay into the target failing, which
-// must abort the move and leave the target's janitor a dangling session to
+// group 1 three times: twice with every relay into the target failing,
+// which must abort the move — once on a write's relay, and once on the
+// seal's, which leaves the target's janitor a dangling session to
 // reclaim; then killing the source primary with the transfer in flight
 // (calls into the target are delayed so the kill reliably lands inside
 // the move). The move must resolve to exactly one owner: either the
@@ -715,12 +716,14 @@ func (r *runner) runMigrateUnderChaos() error {
 		return fmt.Errorf("resolve primary: %w", err)
 	}
 
-	// Phase A — abort after the target opened its inbound session. The
-	// target's pull from the source crawls (each fetch held 200ms at send),
-	// every relay into the target fails, and so does move.end: one write
-	// acknowledged during the pull is a relay gap, on which the source's
-	// seal aborts the move, and the target is left holding an inbound
-	// session (and its partial copy) that its janitor must reclaim.
+	// Phase A — two aborts after the target opened its inbound session.
+	// The target's pull crawls (each fetch held 200ms at send), every relay
+	// into the target fails, and so does move.end. First, one write
+	// acknowledged during the pull is a relay gap: it ends the source's
+	// session, the target's next fetch finds none, and the target drops its
+	// partial copy at once. Then, with no write, the pull completes and the
+	// seal's own empty relay fails: the target is left holding an inbound
+	// session (and its copy) that its janitor must reclaim.
 	src := r.c.Slots[pi].Addr
 	rules := []fault.Rule{
 		{Site: recovery.MethodFetch, To: src, Action: fault.Delay, Delay: 200 * time.Millisecond},
@@ -731,32 +734,34 @@ func (r *runner) runMigrateUnderChaos() error {
 		fault.Add(rule)
 	}
 	target := r.c.Slots[ti].Node
-	moveDone := make(chan error, 1)
-	go func() { moveDone <- r.client.Migrate(obj, 1) }()
-	opened := r.c.Await(promoteTimeout, "the target to open its inbound session", func() bool {
-		return target.MoveSessions() == 1
-	})
-	var writeErr error
-	if opened == nil {
-		writeErr = r.awaitWriteObject(obj)
+	for _, gap := range []bool{true, false} {
+		moveDone := make(chan error, 1)
+		go func() { moveDone <- r.client.Migrate(obj, 1) }()
+		opened := r.c.Await(promoteTimeout, "the target to open its inbound session", func() bool {
+			return target.MoveSessions() == 1
+		})
+		var writeErr error
+		if opened == nil && gap {
+			writeErr = r.awaitWriteObject(obj)
+		}
+		moveErr := <-moveDone
+		r.opts.Log("chaos: migrate of object %d (relay gap: %v) returned: %v", obj, gap, moveErr)
+		if err := cmp.Or(opened, writeErr); err != nil {
+			return err
+		}
+		if moveErr == nil {
+			return fmt.Errorf("move of object %d committed over a failed relay", obj)
+		}
+		owner, err := r.groupFor(obj)
+		if err != nil {
+			return err
+		}
+		if owner.ID != 0 {
+			return fmt.Errorf("aborted move left object %d on group %d", obj, owner.ID)
+		}
 	}
-	moveErr := <-moveDone
 	for _, rule := range rules {
 		fault.Remove(rule.Site, rule.To)
-	}
-	r.opts.Log("chaos: migrate of object %d with a relay gap returned: %v", obj, moveErr)
-	if err := cmp.Or(opened, writeErr); err != nil {
-		return err
-	}
-	if moveErr == nil {
-		return fmt.Errorf("move of object %d committed over a failed relay", obj)
-	}
-	owner, err := r.groupFor(obj)
-	if err != nil {
-		return err
-	}
-	if owner.ID != 0 {
-		return fmt.Errorf("aborted move left object %d on group %d", obj, owner.ID)
 	}
 	// Janitor reclaim: the dangling session (and its partial copy) must be
 	// gone within the session timeout.
@@ -793,7 +798,7 @@ func (r *runner) runMigrateUnderChaos() error {
 		return err
 	}
 	fault.Add(fault.Rule{Site: fault.Wildcard, To: g1.Primary, Action: fault.Delay, Delay: 25 * time.Millisecond})
-	moveDone = make(chan error, 1)
+	moveDone := make(chan error, 1)
 	go func() { moveDone <- r.client.Migrate(obj, 1) }()
 	time.Sleep(30 * time.Millisecond)
 
@@ -801,7 +806,7 @@ func (r *runner) runMigrateUnderChaos() error {
 	if err := r.c.Kill(pi); err != nil {
 		return err
 	}
-	moveErr = <-moveDone
+	moveErr := <-moveDone
 	fault.Remove(fault.Wildcard, g1.Primary)
 	r.opts.Log("chaos: migrate of object %d against a primary crash returned: %v", obj, moveErr)
 
@@ -825,7 +830,7 @@ func (r *runner) runMigrateUnderChaos() error {
 	// the target's janitor reclaims the partial range; on an acknowledged
 	// commit the source deleted the range (and shipped the delete to its
 	// backups) before the move reported success.
-	owner, err = r.groupFor(obj)
+	owner, err := r.groupFor(obj)
 	if err != nil {
 		return err
 	}

@@ -325,10 +325,9 @@ func (n *Node) replicateGroup(g *store.Group) {
 		}
 		return
 	}
-	// Relay the members to any joiner mid-catch-up (strict sessions withhold
-	// the acks on failure, exactly like a real backup) and to the target of
-	// an in-flight move of their object (a lost relay is a gap on which the
-	// move aborts).
+	// Relay the members to any joiner mid-catch-up and to the target of an
+	// in-flight move of their object. A lost relay ends that session — the
+	// joiner is refused admission, the move aborts — and withholds no ack.
 	n.transfer.Relay(g)
 }
 

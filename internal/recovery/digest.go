@@ -9,10 +9,9 @@
 // round — one exchange: the receiver's bucket folds out, the sender's
 // listing of the buckets that differ back — decides what a rejoin re-pulls,
 // so the bytes it streams scale with the replicas' divergence, not the
-// store size; the first round after the relay turns strict certifies it. A
-// move compares no digests: its source seals it on its own record of the
-// relays it sent, and on one empty relay the target answers only while it
-// still holds its session.
+// store size, and one round certifies it. A move compares no digests: its
+// source seals it on its own record of the relays it sent, and on one empty
+// relay the target answers only while it still holds its session.
 // Only the orchestrator differs: the joiner drives a rejoin (rejoin.go), the
 // source primary — the only node that can quiesce the object — a move
 // (move.go).

@@ -66,14 +66,14 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 		return err
 	}
 
-	key := sessionKey{peer: targetAddr, scope: objectScope(object)}
-	if err := p.openOutbound(key); err != nil {
+	out, err := p.openOutbound(sessionKey{peer: targetAddr, scope: objectScope(object)})
+	if err != nil {
 		return err
 	}
 	p.m.started.Inc()
 	var release func()
 	defer func() {
-		p.end(key)
+		p.end(out)
 		if err == nil {
 			return
 		}
@@ -90,7 +90,7 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 
 	// The target pulls the range; commits keep flowing here and are relayed
 	// from the moment its begin lands.
-	if err := call(MethodMoveOffer, encodeSessionReq(&sessionReq{peer: p.selfAddr(), scope: key.scope})); err != nil {
+	if err := call(MethodMoveOffer, encodeSessionReq(&sessionReq{peer: p.selfAddr(), scope: out.key.scope})); err != nil {
 		return fmt.Errorf("offer: %w", err)
 	}
 
@@ -103,18 +103,16 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 		return fmt.Errorf("quiesce: %w", err)
 	}
 
-	// Seal (the group hook holds the object's lock across its relay). The
-	// target's janitor reclaims a session nothing touched for
-	// MoveSessionTimeout — no write since the pull, a long wait for the
-	// admission — so an empty relay confirms it. Any failure aborts; the
-	// operator's retry opens a fresh session.
-	p.smu.Lock()
-	out := p.sessions[key]
-	p.smu.Unlock()
-	if out == nil || out.gaps.Load() != 0 { // only failed relays drop it
+	// Seal (the group hook holds the object's lock across its relay): a
+	// failed relay ended this very session, whatever a later move of the
+	// object registered under its key since. The target's janitor reclaims
+	// a session nothing touched for MoveSessionTimeout — no write since the
+	// pull, a long wait for the admission — so an empty relay confirms it.
+	// Any failure aborts; the operator's retry opens a fresh session.
+	if !p.registered(out) {
 		return fmt.Errorf("seal: a relayed write failed to reach %s", targetAddr)
 	}
-	if err := call(MethodForward, encodeRelay(&sessionReq{peer: targetAddr, scope: key.scope}, new(store.Group))); err != nil {
+	if err := call(MethodForward, encodeRelay(&sessionReq{peer: targetAddr, scope: out.key.scope}, new(store.Group))); err != nil {
 		return fmt.Errorf("seal: %w", err)
 	}
 
@@ -131,7 +129,7 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 	// first, so the delete is not relayed there. The fence stays up: it
 	// self-clears when this node's view maps the object elsewhere, and until
 	// then it shields stale-view replicas.
-	p.end(key)
+	p.end(out)
 	_ = p.deleteObjectRange(object)
 	p.m.blackoutH.Record(time.Since(blackout))
 	release()

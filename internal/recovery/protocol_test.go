@@ -369,9 +369,10 @@ func TestThrottleDoesNotHoldRelays(t *testing.T) {
 	}
 }
 
-// (c), replica scope: a forward that fails during the initial transfer leaves
-// the joiner behind; the post-promote verify round finds and repairs it, and
-// only then is the joiner admitted.
+// (c), replica scope: a forward that fails during the transfer ends the
+// session, and the commit it carried is acknowledged. The joiner's next
+// fetch finds the session gone; its next session pulls what it missed and is
+// admitted.
 func TestRejoinHealsDroppedForward(t *testing.T) {
 	dir, snd, rcv := pair(t, true, 0)
 	for id := uint64(1); id <= 5; id++ {
@@ -386,14 +387,20 @@ func TestRejoinHealsDroppedForward(t *testing.T) {
 	fault.Add(fault.Rule{Site: MethodForward, To: rcv.addr, Action: fault.Error, Count: 1})
 	snd.mustCommit(3, "f", "v1")
 	release()
-	if err := <-done; err != nil {
-		t.Fatalf("rejoin: %v", err)
+	if err := <-done; err == nil {
+		t.Fatal("a rejoin whose session a failed relay ended succeeded")
+	}
+	if n := len(snd.plane.Sessions()); n != 0 {
+		t.Fatalf("%d sender sessions after a failed relay", n)
+	}
+	if err := rcv.plane.syncOnce(snd.addr, dir.Epoch()); err != nil {
+		t.Fatalf("second rejoin: %v", err)
 	}
 	if got := snd.counter("recovery.forward_gaps"); got != 1 {
 		t.Fatalf("recovery.forward_gaps = %d, want 1", got)
 	}
 	if got := rcv.get(3, "f"); got != "v1" {
-		t.Fatalf("verify round did not repair the gap: object 3 = %q", got)
+		t.Fatalf("next session did not repair the gap: object 3 = %q", got)
 	}
 	if got, want := dump(t, rcv.db), dump(t, snd.db); got != want {
 		t.Fatalf("joiner:\n%swant:\n%s", got, want)
@@ -410,9 +417,9 @@ func TestRejoinHealsDroppedForward(t *testing.T) {
 	}
 }
 
-// Commits keep landing between the joiner's digest scan and the sender's in
-// every round, yet the first round after promote certifies the rejoin: no
-// commit fails, the joiner is admitted, and it ends equal to the sender.
+// Commits keep landing between the joiner's digest scan and the sender's,
+// yet the rejoin's one round certifies it: no commit fails, the joiner is
+// admitted, and it ends equal to the sender.
 func TestRejoinCertifiesUnderSustainedWrites(t *testing.T) {
 	dir, snd, rcv := pair(t, true, 0)
 	const objects = 4
@@ -460,59 +467,78 @@ func TestRejoinCertifiesUnderSustainedWrites(t *testing.T) {
 	}
 }
 
-// certify runs a rejoin's steps by hand up to admission: rcv opens a
-// replica session at snd, runs a round, is promoted and runs the
-// certifying round.
-func certify(t *testing.T, dir *shard.Directory, snd, rcv *testNode) *inbound {
+// beginRound runs a rejoin's steps by hand up to admission: rcv opens a
+// replica session at snd and runs its round.
+func beginRound(t *testing.T, dir *shard.Directory, snd, rcv *testNode) *inbound {
 	t.Helper()
 	s, err := rcv.plane.openInbound(snd.addr, scope{}, dir.Epoch(), telemetry.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	round := func() error { return rcv.plane.round(s) }
-	promote := func() error {
-		_, err := s.call(MethodPromote, encodeSessionReq(&s.req))
-		return err
-	}
-	for _, step := range []func() error{round, promote, round} {
-		if err := step(); err != nil {
-			t.Fatal(err)
-		}
+	if err := rcv.plane.round(s); err != nil {
+		t.Fatal(err)
 	}
 	return s
 }
 
-// A strict relay that fails after the certifying round withholds its
-// commit's ack and leaves the sender holding a write the joiner lacks, a gap
-// no later round looks for: admission refuses the session, and the joiner's
-// next session heals it.
-func TestAdmitRefusesStrictGap(t *testing.T) {
+// A relay that fails after the round leaves the sender holding a write the
+// joiner lacks, a gap no later step looks for. With every recovery.forward
+// failing, each concurrent commit is still acknowledged (a joiner is not yet
+// a backup), the first failure ends the session so admission refuses it, and
+// the joiner's next session heals it.
+func TestAdmitRefusesLostRelay(t *testing.T) {
 	dir, snd, rcv := pair(t, true, 0)
-	snd.mustCommit(1, "k", "v0")
-	s := certify(t, dir, snd, rcv)
-	fault.Add(fault.Rule{Site: MethodForward, To: rcv.addr, Action: fault.Error, Count: 1})
-	if err := snd.commit(1, "k", "v1"); err == nil {
-		t.Fatal("a commit whose strict relay failed was acknowledged")
+	const objects = 4
+	for id := uint64(1); id <= objects; id++ {
+		snd.mustCommit(id, "k", "v0")
+	}
+	s := beginRound(t, dir, snd, rcv)
+	fault.Add(fault.Rule{Site: MethodForward, To: rcv.addr, Action: fault.Error})
+	failed := make(chan error, 3)
+	var writers sync.WaitGroup
+	for w := range 3 {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := range 20 {
+				if err := snd.commit(uint64(i%objects+1), fmt.Sprint("w", w), fmt.Sprint(i)); err != nil {
+					failed <- err
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(failed)
+	for err := range failed {
+		t.Fatalf("a commit whose relay failed was not acknowledged: %v", err)
+	}
+	if snd.counter("recovery.forward_gaps") == 0 {
+		t.Fatal("recovery.forward_gaps = 0: no relay failed")
 	}
 	if _, err := s.call(MethodAdmit, encodeSessionReq(&s.req)); err == nil {
-		t.Fatalf("admitted a joiner holding %q while the sender holds %q", rcv.get(1, "k"), snd.get(1, "k"))
+		t.Fatalf("admitted a joiner holding %q while the sender holds %q", rcv.get(1, "w0"), snd.get(1, "w0"))
 	}
 	if g, _ := dir.Group(0); slices.Contains(g.Backups, rcv.addr) {
 		t.Fatalf("refused joiner is a backup: group %+v", g)
 	}
+	fault.Reset()
+	rcv.plane.closeInbound(s)
 	if err := rcv.plane.syncOnce(snd.addr, dir.Epoch()); err != nil {
 		t.Fatalf("next session: %v", err)
 	}
-	if got := rcv.get(1, "k"); got != "v1" {
-		t.Fatalf("joiner holds %q after its next session, want v1", got)
+	if got, want := dump(t, rcv.db), dump(t, snd.db); got != want {
+		t.Fatalf("joiner after its next session:\n%swant:\n%s", got, want)
 	}
 }
 
 // A write group whose hook began before any session opened took no commit
 // guard, so admission does not wait for it; its write was in the store
-// before the session began, so the joiner pulls it. It relays nothing: a
-// relay of it that reached the joiner after admission would find the
-// session closed and withhold the ack of a write both replicas hold.
+// before the session began, so the joiner pulls it. It relays nothing:
+// admission's argument — every relay sent before it landed or ended the
+// session — covers guarded relays only, and one of this group could fail on
+// the joiner's closed session after admission, counting a gap the joiner
+// never had.
 func TestGroupBeforeBeginRelaysNothing(t *testing.T) {
 	dir, snd, rcv := pair(t, true, 0)
 	parked, release := make(chan struct{}), make(chan struct{})
@@ -529,7 +555,7 @@ func TestGroupBeforeBeginRelaysNothing(t *testing.T) {
 	go func() { committed <- snd.commit(1, "k", "v1") }()
 	<-parked
 
-	s := certify(t, dir, snd, rcv)
+	s := beginRound(t, dir, snd, rcv)
 	// Hold a relay of the parked group on its way until the joiner has been
 	// admitted and has closed its session.
 	fault.Add(fault.Rule{Site: MethodForward, Action: fault.Delay, Delay: 200 * time.Millisecond, Count: 1})
@@ -543,6 +569,9 @@ func TestGroupBeforeBeginRelaysNothing(t *testing.T) {
 	rcv.plane.closeInbound(s)
 	if err := <-committed; err != nil {
 		t.Fatalf("the group from before the session failed: %v", err)
+	}
+	if f, g := snd.counter("recovery.forwards"), snd.counter("recovery.forward_gaps"); f != 0 || g != 0 {
+		t.Fatalf("recovery.forwards = %d, recovery.forward_gaps = %d; want the group not relayed", f, g)
 	}
 	if got, want := dump(t, rcv.db), dump(t, snd.db); got != want {
 		t.Fatalf("joiner:\n%swant:\n%s", got, want)
@@ -637,6 +666,55 @@ func TestMoveAbortsOnDroppedForward(t *testing.T) {
 	}
 }
 
+// A move whose session a failed relay ended aborts at its seal even after a
+// second Move of the object registered a session under the same key, and its
+// deferred end leaves that session registered: sessions end by identity, not
+// by key. The second move then carries the object whole.
+func TestMoveSealChecksItsOwnSession(t *testing.T) {
+	dir, src, tgt, _ := moveFixture(t, 0)
+	parked, release := parkFirstApply(tgt, 6)
+	first := make(chan error, 1)
+	go func() { first <- src.plane.Move(6, tgt.addr, 1) }()
+	<-parked
+	fault.Add(fault.Rule{Site: MethodForward, To: tgt.addr, Action: fault.Error, Count: 1})
+	src.mustCommit(6, "b", "rewritten") // its relay fails: the first session ends
+	want := dump(t, src.db)
+	// Hold the first move in the object's admission, short of its seal.
+	lock := src.objectLock(6)
+	lock.Lock()
+	release()
+	waitUntil(t, "the first move's fence", func() bool {
+		src.mu.Lock()
+		defer src.mu.Unlock()
+		return src.fences[6] != ""
+	})
+	// The second move registers its session, then waits out a delayed offer
+	// while the first one seals.
+	fault.Add(fault.Rule{Site: MethodMoveOffer, To: tgt.addr, Action: fault.Delay, Delay: time.Second, Count: 1})
+	second := make(chan error, 1)
+	go func() { second <- src.plane.Move(6, tgt.addr, 1) }()
+	waitUntil(t, "the second move's session", func() bool { return len(src.plane.Sessions()) == 1 })
+	lock.Unlock()
+	if err := <-first; err == nil {
+		t.Fatal("a move whose relay failed sealed on a later move's session")
+	}
+	if st := src.plane.Sessions(); len(st) != 1 || st[0].Scope != "object:6" {
+		t.Fatalf("sessions %+v after the first move ended, want the second move's", st)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("second move: %v", err)
+	}
+	if got := dump(t, tgt.db); got != want {
+		t.Fatalf("target:\n%swant:\n%s", got, want)
+	}
+	if g, _ := dir.Lookup(6); g.ID != 1 {
+		t.Fatalf("object 6 on group %d after the second move", g.ID)
+	}
+	if a, c := src.counter("move.aborted"), src.counter("move.completed"); a != 1 || c != 1 {
+		t.Fatalf("move.aborted = %d, move.completed = %d; want 1, 1", a, c)
+	}
+}
+
 // A target session that went quiet for longer than MoveSessionTimeout —
 // the pull done, no write to relay, the source waiting for the object's
 // admission — is reclaimed with its copy. The seal must see that and
@@ -711,15 +789,15 @@ func TestMoveAbortLeavesObjectAtSource(t *testing.T) {
 }
 
 // (d) An object-scoped session is relayed its object's commits only, and
-// takes no part in strict mode or admission.
+// takes no part in admission.
 func TestObjectSessionRelaysOnlyItsObject(t *testing.T) {
 	_, src, tgt, _ := moveFixture(t, 0)
 	key := sessionKey{peer: tgt.addr, scope: objectScope(6)}
-	if err := src.plane.openOutbound(key); err != nil {
+	if _, err := src.plane.openOutbound(key); err != nil {
 		t.Fatal(err)
 	}
 	src.mustCommit(6, "a", "before-begin") // the relay is not on yet
-	if err := src.plane.openOutbound(key); err == nil {
+	if _, err := src.plane.openOutbound(key); err == nil {
 		t.Fatal("second move of a moving object accepted")
 	}
 	if _, err := tgt.plane.openInbound(src.addr, objectScope(9), 0, telemetry.SpanContext{}); err == nil {
@@ -755,10 +833,8 @@ func TestObjectSessionRelaysOnlyItsObject(t *testing.T) {
 	if _, err := s.call(MethodFetch, encodeFetchReq(&fetchReq{sessionReq: s.req})); err != nil {
 		t.Fatalf("fetch after an unrelated epoch bump: %v", err)
 	}
-	for _, m := range []string{MethodPromote, MethodAdmit} {
-		if _, err := s.call(m, encodeSessionReq(&s.req)); err == nil {
-			t.Fatalf("%s accepted for an object session", m)
-		}
+	if _, err := s.call(MethodAdmit, encodeSessionReq(&s.req)); err == nil {
+		t.Fatal("admit accepted for an object session")
 	}
 	if g, _ := src.dir.Lookup(0); len(g.Backups) != 0 {
 		t.Fatalf("object session was admitted as a backup: %+v", g)
@@ -786,7 +862,8 @@ func TestInboundCopyKeptIffOwned(t *testing.T) {
 			dir, src, tgt, _ := moveFixture(t, timeout)
 			want := dump(t, src.db)
 			key := sessionKey{peer: tgt.addr, scope: objectScope(6)}
-			if err := src.plane.openOutbound(key); err != nil {
+			out, err := src.plane.openOutbound(key)
+			if err != nil {
 				t.Fatal(err)
 			}
 			offer := encodeSessionReq(&sessionReq{peer: src.addr, scope: key.scope})
@@ -796,7 +873,7 @@ func TestInboundCopyKeptIffOwned(t *testing.T) {
 			if got := dump(t, tgt.db); got != want || inboundMoves(tgt) != 1 {
 				t.Fatalf("after offer: %d sessions, copy:\n%s", inboundMoves(tgt), got)
 			}
-			src.plane.end(key) // the source goes quiet
+			src.plane.end(out) // the source goes quiet
 			if tc.owned {
 				dir.SetOverride(6, 1)
 			}
@@ -829,11 +906,10 @@ func TestInboundCopyKeptIffOwned(t *testing.T) {
 }
 
 // (f) A joiner that begins a session and then dies must not tax its
-// sender's commit path forever: forwards that have failed continuously for
-// the timeout drop the session, async sessions included.
+// sender's commit path: the first forward that fails ends the session, and
+// the commit it carried is acknowledged.
 func TestDeadJoinerSessionExpires(t *testing.T) {
 	dir, snd, _ := pair(t, true, 0)
-	snd.plane.failTimeout = 50 * time.Millisecond
 	// The scripted joiner: accepts forwards, drives nothing.
 	joiner := rpc.NewServer()
 	joiner.Handle(MethodForward, func([]byte) ([]byte, error) { return nil, nil })
@@ -846,94 +922,64 @@ func TestDeadJoinerSessionExpires(t *testing.T) {
 		t.Fatalf("begin: %v", err)
 	}
 	snd.mustCommit(1, "f", "v")
-	if st := snd.plane.Sessions(); len(st) != 1 || st[0].Forwarded != 1 || st[0].Strict {
-		t.Fatalf("sessions %+v, want one async session with one forward", st)
+	if st := snd.plane.Sessions(); len(st) != 1 || st[0].Forwarded != 1 {
+		t.Fatalf("sessions %+v, want one session with one forward", st)
 	}
 	joiner.Close()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; len(snd.plane.Sessions()) != 0; i++ {
-		if time.Now().After(deadline) {
-			t.Fatalf("session of a dead joiner still open after %d failed forwards: %+v",
-				snd.counter("recovery.forward_gaps"), snd.plane.Sessions())
-		}
-		snd.mustCommit(1, "f", fmt.Sprint(i)) // async: a failed forward is a gap, not a commit error
-		time.Sleep(5 * time.Millisecond)
+	snd.mustCommit(1, "f", "to a dead joiner") // a failed forward is a gap, not a commit error
+	if st := snd.plane.Sessions(); len(st) != 0 {
+		t.Fatalf("session of a dead joiner still open after a failed forward: %+v", st)
 	}
-	gaps := snd.counter("recovery.forward_gaps")
-	if gaps == 0 {
-		t.Fatal("no forward ever failed")
+	if got := snd.counter("recovery.forward_gaps"); got != 1 {
+		t.Fatalf("recovery.forward_gaps = %d, want 1", got)
 	}
 	for i := 0; i < 5; i++ {
 		snd.mustCommit(1, "f", "after")
 	}
-	if got := snd.counter("recovery.forward_gaps"); got != gaps {
-		t.Fatalf("recovery.forward_gaps grew %d → %d after the session expired", gaps, got)
+	if got := snd.counter("recovery.forward_gaps"); got != 1 {
+		t.Fatalf("recovery.forward_gaps grew to %d after the session ended", got)
 	}
 	if snd.plane.active.Load() != 0 {
 		t.Fatal("commit path still pays for a session")
 	}
 }
 
-// (g) A joiner that gives up ends its session before it stops listening, and
-// a strict relay already on its way to it must still land: the commit it
-// carries is acknowledged, not withheld (its client would retry it, and a
-// retried add applies twice).
-func TestEndDrainsRelaysInFlight(t *testing.T) {
-	dir, snd, _ := pair(t, true, 0)
-	// The scripted joiner: parks the first relay, and fails every relay
-	// that arrives once it has stopped listening, as a closed inbound
-	// session does.
-	var stopped atomic.Bool
-	parked, release := make(chan struct{}), make(chan struct{})
-	var first atomic.Bool
-	joiner := rpc.NewServer()
-	joiner.Handle(MethodForward, func([]byte) ([]byte, error) {
-		if first.CompareAndSwap(false, true) {
-			close(parked)
-			<-release
-		}
-		if stopped.Load() {
-			return nil, fmt.Errorf("recovery: no inbound replica session")
-		}
-		return nil, nil
-	})
-	jaddr, err := joiner.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { joiner.Close() })
-	req := encodeSessionReq(&sessionReq{peer: jaddr, epoch: dir.Epoch()})
-	for _, m := range []string{MethodBegin, MethodPromote} {
-		if _, err := snd.pool.Call(snd.addr, m, req); err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-	}
-
-	committed := make(chan error, 1)
-	go func() { committed <- snd.commit(1, "k", "v") }()
+// A second move of an object can open at the source once a failed relay
+// ended the first's session there. Its offer is refused while the target
+// still holds the first move's session, whose chunk may still be landing: a
+// second copy pulled beside it would be overwritten by that older chunk
+// after its own cutover, losing an acknowledged write. Both moves abort, and
+// the object keeps serving at the source with that write.
+func TestOfferRefusedWhileTargetReceives(t *testing.T) {
+	dir, src, tgt, _ := moveFixture(t, 0)
+	parked, release := parkFirstApply(tgt, 6)
+	first := make(chan error, 1)
+	go func() { first <- src.plane.Move(6, tgt.addr, 1) }()
 	<-parked
-	ended := make(chan error, 1)
-	go func() {
-		_, err := snd.pool.Call(snd.addr, MethodEnd, req)
-		ended <- err
-	}()
-	select {
-	case err := <-ended:
-		// End came back with the relay still out: the joiner stops
-		// listening now, and the relay lands on a closed session.
-		stopped.Store(true)
-		ended <- err
-	case <-time.After(100 * time.Millisecond):
+	fault.Add(fault.Rule{Site: MethodForward, To: tgt.addr, Action: fault.Error, Count: 1})
+	src.mustCommit(6, "b", "rewritten") // its relay fails: the first session ends
+	want := dump(t, src.db)
+	second := make(chan error, 1)
+	go func() { second <- src.plane.Move(6, tgt.addr, 1) }()
+	// An aborting move's move.end waits out the parked chunk at the target.
+	waitUntil(t, "the second move to end", func() bool {
+		return len(second) > 0 || src.counter("move.aborted") == 1
+	})
+	release()
+	if err := <-second; err == nil || !strings.Contains(err.Error(), "already receiving") {
+		t.Fatalf("second move: %v, want its offer refused", err)
 	}
-	close(release)
-	if err := <-committed; err != nil {
-		t.Fatalf("commit withheld by a relay to a session that gave up: %v", err)
+	if err := <-first; err == nil {
+		t.Fatal("a move whose relay failed sealed")
 	}
-	if err := <-ended; err != nil {
-		t.Fatalf("end: %v", err)
+	if g, _ := dir.Lookup(6); g.ID != 0 {
+		t.Fatalf("object 6 on group %d after two aborted moves", g.ID)
 	}
-	if len(snd.plane.Sessions()) != 0 {
-		t.Fatalf("sessions %+v after end, want none", snd.plane.Sessions())
+	if got := dump(t, src.db); got != want {
+		t.Fatalf("source:\n%swant:\n%s", got, want)
+	}
+	if got := dump(t, tgt.db); got != "" {
+		t.Fatalf("target kept a copy it does not own:\n%s", got)
 	}
 }

@@ -14,8 +14,9 @@ import (
 // inbound is the receiver half of one session: the joiner's whole-replica
 // session during a rejoin, or one inbound object during a move. Its life is
 // openInbound → syncRange per range, with relays applied as they arrive →
-// closeInbound; whatever a lost relay left out is the orchestrator's to
-// find (a rejoin's certifying round, a move's abort).
+// closeInbound. A lost relay ends the session at its sender, so neither
+// orchestrator looks for what it left out: admission refuses the rejoin,
+// the seal aborts the move.
 //
 // applyMu guards the session's ranges of the store: relays apply under it,
 // and syncRange holds it across fetch+apply (not the throttle's sleep) so
@@ -31,10 +32,13 @@ type inbound struct {
 	ended   bool         // reclaimed, or its copy deleted: a late relay is refused (applyMu)
 }
 
-// openInbound registers a session for the scope — replacing any abandoned
-// one — and then begins it at the sender. The order matters: the sender
-// relays from the instant begin lands, and a relay that finds no session
-// here is a gap.
+// openInbound registers a session for the scope and then begins it at the
+// sender. The order matters: the sender relays from the instant begin
+// lands, and a relay that finds no session here is a gap. A scope holds
+// one session at a time. A second move of an object can open at its source
+// once a lost relay ended the first's session there; its offer is refused
+// until move.end or the janitor settles the first's session here, whose
+// last chunk may still land and whose move.end names only the object.
 func (p *Plane) openInbound(sender string, sc scope, epoch uint64, trace telemetry.SpanContext) (*inbound, error) {
 	s := &inbound{
 		p:      p,
@@ -44,6 +48,10 @@ func (p *Plane) openInbound(sender string, sc scope, epoch uint64, trace telemet
 	}
 	s.touch()
 	p.imu.Lock()
+	if p.inbound[sc] != nil {
+		p.imu.Unlock()
+		return nil, fmt.Errorf("recovery: already receiving %s", sc)
+	}
 	p.inbound[sc] = s
 	p.imu.Unlock()
 	if _, err := s.call(MethodBegin, encodeSessionReq(&s.req)); err != nil {

@@ -17,10 +17,6 @@ const (
 	// in bytes so one huge value cannot blow the frame budget.
 	chunkEntries = 512
 	chunkByteCap = 256 << 10
-	// sessionFailTimeout is how long a session's relays may fail
-	// continuously before the sender concludes the receiver died and drops
-	// the session (see Relay).
-	sessionFailTimeout = 5 * time.Second
 	// defaultMoveSessionTimeout is Options.MoveSessionTimeout's default.
 	defaultMoveSessionTimeout = 10 * time.Second
 	// retryDelay paces rejoin attempts after a failure; pollInterval paces
@@ -98,9 +94,8 @@ type Options struct {
 // block a relay RPC while it streams chunks, and chunk fetches must keep
 // being servable or the two nodes would deadlock.
 type Plane struct {
-	opts        Options
-	self        atomic.Pointer[string]
-	failTimeout time.Duration // sessionFailTimeout (tests shorten it)
+	opts Options
+	self atomic.Pointer[string]
 
 	// Sender half. active mirrors len(sessions) so GuardCommit and Relay
 	// are one atomic load when no transfer is running (the common case:
@@ -157,11 +152,10 @@ func New(opts Options) *Plane {
 	}
 	reg := opts.Metrics
 	p := &Plane{
-		opts:        opts,
-		failTimeout: sessionFailTimeout,
-		sessions:    make(map[sessionKey]*session),
-		inbound:     make(map[scope]*inbound),
-		stop:        make(chan struct{}),
+		opts:     opts,
+		sessions: make(map[sessionKey]*session),
+		inbound:  make(map[scope]*inbound),
+		stop:     make(chan struct{}),
 		m: metrics{
 			forwards:  [2]*telemetry.Counter{reg.Counter("recovery.forwards"), reg.Counter("move.forwards")},
 			gaps:      [2]*telemetry.Counter{reg.Counter("recovery.forward_gaps"), reg.Counter("move.forward_gaps")},
@@ -258,9 +252,7 @@ func (p *Plane) Register(srv *rpc.Server) {
 		})
 	}
 	onSession(MethodBegin, p.begin)
-	onSession(MethodPromote, p.promote)
 	onSession(MethodAdmit, p.admit)
-	onSession(MethodEnd, p.retire)
 
 	handle(MethodDigest, func(_ telemetry.SpanContext, body []byte) ([]byte, error) {
 		req, err := decodeDigestReq(body)

@@ -68,9 +68,9 @@ func (p *Plane) stepOnce() bool {
 	return true
 }
 
-// syncOnce runs one full session: begin → round → strict promote →
-// certifying round → admit → membership. When tracing is
-// on the whole session is one trace rooted at a "rejoin" span.
+// syncOnce runs one full session: begin → round → admit → membership.
+// When tracing is on the whole session is one trace rooted at a "rejoin"
+// span.
 func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 	start := time.Now()
 	p.senderAddr.Store(&sender)
@@ -82,32 +82,14 @@ func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err != nil {
-			// Stop the relay before retiring the session it relays into, so
-			// a strict forward never fails (and withholds a client's ack)
-			// against a session that merely gave up. Best effort: a dead
-			// sender keeps no session anyway.
-			s.call(MethodEnd, encodeSessionReq(&s.req)) //nolint:errcheck
-		}
-		p.closeInbound(s)
-	}()
+	// A relay that finds the session closed fails, and the sender ends its
+	// side: nothing else tells it a joiner gave up.
+	defer p.closeInbound(s)
 
-	// Initial transfer; relays apply as they arrive.
+	// One round certifies: relays apply as they arrive, and the first that
+	// fails ends the session, so admission sees every gap (DESIGN §11).
 	if err := p.round(s); err != nil {
 		return fmt.Errorf("transfer: %w", err)
-	}
-	// Strict forwarding: from here every sender commit either reaches us
-	// or is never acknowledged.
-	if _, err := s.call(MethodPromote, encodeSessionReq(&s.req)); err != nil {
-		return fmt.Errorf("promote: %w", err)
-	}
-	// The certifying round: under strict relaying, one digest round leaves
-	// this store equal to the sender's, and every later commit reaches it
-	// or is never acknowledged (DESIGN §11). A strict relay that fails from
-	// here on is a gap this round does not see; admission refuses it.
-	if err := p.round(s); err != nil {
-		return fmt.Errorf("verify: %w", err)
 	}
 	// Caught up. Epoch-fenced cutover: the sender proposes the config change
 	// and refreshes its shipping fan-out under its commit fence.

@@ -30,18 +30,10 @@ type session struct {
 	// it, an object session earlier, by the Move it belongs to. from is the
 	// store's last sequence when it was set: the groups it covers are in
 	// every snapshot the receiver pulls, and are not relayed.
-	relay      atomic.Bool
-	from       atomic.Uint64
-	strict     atomic.Bool
-	gaps       atomic.Uint64 // members whose relay failed
-	strictGaps atomic.Uint64 // members whose strict relay failed: admission refuses the session
-	fwd        atomic.Uint64 // members relayed
-	started    time.Time
-
-	// failingSince is the start (unixnano) of the current run of relay
-	// failures, 0 when the last relay succeeded; a run longer than
-	// failTimeout drops the session.
-	failingSince atomic.Int64
+	relay   atomic.Bool
+	from    atomic.Uint64
+	fwd     atomic.Uint64 // members relayed
+	started time.Time
 }
 
 // GuardCommit brackets one write group's ship+relay sequence. The returned
@@ -68,8 +60,8 @@ func (p *Plane) check(req *sessionReq) error {
 	return nil
 }
 
-// begin starts the relay for the receiver's session, strictly before the
-// reply: every snapshot the receiver's later fetches pin is taken after the
+// begin starts the relay for the receiver's session before it replies:
+// every snapshot the receiver's later fetches pin is taken after the
 // relay is on, so each commit is in a snapshot, relayed, or both (a
 // write-set re-applied over its own effects is a no-op). A replica session
 // is opened (or reopened) here; an object session must have been opened by
@@ -98,35 +90,37 @@ func (p *Plane) begin(req *sessionReq) error {
 
 // openOutbound opens the object session of an outbound move; the target's
 // begin starts its relay.
-func (p *Plane) openOutbound(key sessionKey) error {
+func (p *Plane) openOutbound(key sessionKey) (*session, error) {
 	p.smu.Lock()
 	defer p.smu.Unlock()
 	for k := range p.sessions {
 		if k.scope == key.scope {
-			return fmt.Errorf("recovery: %s is already moving", key.scope)
+			return nil, fmt.Errorf("recovery: %s is already moving", key.scope)
 		}
 	}
-	p.sessions[key] = &session{key: key, started: time.Now()}
+	s := &session{key: key, started: time.Now()}
+	p.sessions[key] = s
 	p.active.Store(int32(len(p.sessions)))
-	return nil
+	return s, nil
 }
 
-// end closes the session (idempotent).
-func (p *Plane) end(key sessionKey) {
+// end closes s if it is still registered: a newer session under its key —
+// a joiner's next begin, another move of the object — stays.
+func (p *Plane) end(s *session) {
 	p.smu.Lock()
 	defer p.smu.Unlock()
-	delete(p.sessions, key)
-	p.active.Store(int32(len(p.sessions)))
+	if p.sessions[s.key] == s {
+		delete(p.sessions, s.key)
+		p.active.Store(int32(len(p.sessions)))
+	}
 }
 
-// retire serves recovery.end under commitMu's write lock: the relays already
-// in flight to a receiver that gave up land before it stops listening, not
-// on its closed session, where a strict one would withhold a client's ack.
-func (p *Plane) retire(req *sessionReq) error {
-	p.commitMu.Lock()
-	defer p.commitMu.Unlock()
-	p.end(req.key())
-	return nil
+// registered reports whether s is still open: no relay of it failed and
+// nothing ended it.
+func (p *Plane) registered(s *session) bool {
+	p.smu.Lock()
+	defer p.smu.Unlock()
+	return p.sessions[s.key] == s
 }
 
 // lookup returns the request's session after validating it.
@@ -153,14 +147,12 @@ func (p *Plane) lookup(req *sessionReq) (*session, error) {
 // with the members' objects still locked: each object's commits relay in
 // order. A group numbered at or below a session's from was in the store
 // before that relay began, so every snapshot the receiver pulls holds it,
-// and it is not relayed: its hook may have taken no guard, and a relay
-// that admission did not wait for could reach the joiner after its session
-// closed. A failed relay is a gap. Before promote the certifying digest
-// round repairs it (a move aborts on it); after promote it fails the
-// members it covers — a joiner pays a backup's cost to earn a backup's
-// seat — and bars the session from admission. Relays that failed
-// continuously for failTimeout drop the session, so a dead receiver never
-// taxes the commit path for longer.
+// and it is not relayed: its hook may have taken no guard, and admission
+// waits only for guarded relays. The first relay that fails ends the
+// session it was sent for — the receiver lacks a write no later step looks
+// for, so a rejoin cannot be admitted from it nor a move seal on it — and
+// never fails the members: a joiner is not yet a backup, and its loss
+// withholds no ack.
 func (p *Plane) Relay(g *store.Group) {
 	if p.active.Load() == 0 {
 		return
@@ -189,42 +181,24 @@ func (p *Plane) Relay(g *store.Group) {
 		}
 		n := uint64(len(covered))
 		relay := encodeRelay(&sessionReq{peer: s.key.peer, epoch: s.epoch, scope: sc}, g)
-		_, err := p.call(g.Batch(covered[0]).Trace(), s.key.peer, MethodForward, relay)
-		if err == nil {
-			s.failingSince.Store(0)
-			s.fwd.Add(n)
-			p.m.forwards[sc.kind()].Add(n)
+		if _, err := p.call(g.Batch(covered[0]).Trace(), s.key.peer, MethodForward, relay); err != nil {
+			p.m.gaps[sc.kind()].Add(n)
+			p.end(s)
 			continue
 		}
-		s.gaps.Add(n)
-		p.m.gaps[sc.kind()].Add(n)
-		now := time.Now().UnixNano()
-		s.failingSince.CompareAndSwap(0, now)
-		if time.Duration(now-s.failingSince.Load()) > p.failTimeout {
-			// The receiver has been unreachable for the whole window. A
-			// strict session was never admitted (admission retires it
-			// first, under the commit guard's write lock), so dropping it
-			// only abandons the transfer.
-			p.end(s.key)
-		} else if s.strict.Load() {
-			s.strictGaps.Add(n)
-			err = fmt.Errorf("recovery: strict forward to %s: %w", s.key.peer, err)
-			for _, i := range covered {
-				g.Fail(i, err)
-			}
-		}
+		s.fwd.Add(n)
+		p.m.forwards[sc.kind()].Add(n)
 	}
 }
 
-// admit runs the epoch-fenced cutover for one strict replica session.
-// Taking commitMu exclusively drains every in-flight ship+relay (each of
-// which either reached the joiner or withheld its acks) and stalls new
-// groups; the configuration change and the sender's directory refresh then
-// happen inside the quiescent window, so the first commit after release
-// ships to the joiner as a real backup. A strict relay that failed left
-// the sender holding a write the joiner lacks, which no round looks for:
-// such a session is refused, and the joiner begins again. Object sessions
-// take no part: a move commits through its own cutover.
+// admit runs the epoch-fenced cutover for one replica session. Taking
+// commitMu exclusively drains every in-flight ship+relay (each of which
+// either reached the joiner or ended the session) and stalls new groups;
+// the configuration change and the sender's directory refresh then happen
+// inside the quiescent window, so the first commit after release ships to
+// the joiner as a real backup. A session that a failed relay ended is
+// refused, and the joiner begins again. Object sessions take no part: a
+// move commits through its own cutover.
 func (p *Plane) admit(req *sessionReq) error {
 	if req.scope.scoped {
 		return fmt.Errorf("recovery: admit of an object session")
@@ -233,42 +207,15 @@ func (p *Plane) admit(req *sessionReq) error {
 	if err != nil {
 		return err
 	}
-	if !s.strict.Load() {
-		return fmt.Errorf("recovery: admit before promote for %s", req.peer)
-	}
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
-	// Re-check under the fence: the expiry rule may have dropped the
-	// session while we waited for the lock.
-	p.smu.Lock()
-	cur := p.sessions[s.key]
-	p.smu.Unlock()
-	if cur != s {
-		return fmt.Errorf("recovery: session for %s retired before admission", req.peer)
-	}
-	if n := s.strictGaps.Load(); n != 0 {
-		return fmt.Errorf("recovery: refusing %s: %d strictly relayed writes failed to reach it", req.peer, n)
+	if !p.registered(s) {
+		return fmt.Errorf("recovery: refusing %s: a relayed write failed to reach it", req.peer)
 	}
 	if err := p.opts.Admit(req.peer, req.epoch); err != nil {
 		return err
 	}
-	p.end(s.key)
-	return nil
-}
-
-// promote switches a replica session to strict relaying. The flip happens
-// before the reply: every relay that fails after the joiner sees the
-// response is strict, so the digest round the joiner runs next certifies
-// convergence (DESIGN §11).
-func (p *Plane) promote(req *sessionReq) error {
-	if req.scope.scoped {
-		return fmt.Errorf("recovery: promote of an object session")
-	}
-	s, err := p.lookup(req)
-	if err != nil {
-		return err
-	}
-	s.strict.Store(true)
+	p.end(s)
 	return nil
 }
 
@@ -278,9 +225,7 @@ type SessionStatus struct {
 	Joiner     string  `json:"joiner"`
 	Scope      string  `json:"scope"`
 	Epoch      uint64  `json:"epoch"`
-	Strict     bool    `json:"strict"`
 	Forwarded  uint64  `json:"forwarded"`
-	Gaps       uint64  `json:"gaps"`
 	AgeSeconds float64 `json:"age_seconds"`
 }
 
@@ -294,9 +239,7 @@ func (p *Plane) Sessions() []SessionStatus {
 			Joiner:     s.key.peer,
 			Scope:      s.key.scope.String(),
 			Epoch:      s.epoch,
-			Strict:     s.strict.Load(),
 			Forwarded:  s.fwd.Load(),
-			Gaps:       s.gaps.Load(),
 			AgeSeconds: time.Since(s.started).Seconds(),
 		})
 	}

@@ -8,7 +8,7 @@ import (
 	"lambdastore/internal/wire"
 )
 
-// RPC method names of the state-transfer protocol. The first six are
+// RPC method names of the state-transfer protocol. The first four are
 // served by the sender of state and called by its receiver; forward, the
 // relay of a write group, goes the other way. Every request names its
 // session as (peer, scope).
@@ -16,9 +16,7 @@ const (
 	MethodBegin   = "recovery.begin"
 	MethodDigest  = "recovery.digest"
 	MethodFetch   = "recovery.fetch"
-	MethodPromote = "recovery.promote"
 	MethodAdmit   = "recovery.admit"
-	MethodEnd     = "recovery.end"
 	MethodForward = "recovery.forward"
 )
 
