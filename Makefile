@@ -5,7 +5,7 @@
 #   make race    race-detector pass over the concurrency-heavy packages
 #   make chaos   seeded failover chaos suite under the race detector
 #   make fuzz-smoke  5 s of native fuzzing per Fuzz* target in the module (FUZZTIME=10s for longer)
-#   make bench   telemetry hot-path benchmarks (must report 0 allocs/op), the store's insert (random and in bulk-load order), commit, 64-batch bulk commit, table point-read and 41-read snapshot run (0 allocs/op) costs, one rpc round trip, with a small handler, with one that uses 32 KB of stack and from two goroutines on one pool to one peer (<= 1 allocs/op each), one lock-table admission, uncontended and queued behind a writer (0 allocs/op each), one create_post job to 8 followers (<= 4 allocs/op), one uncached get_timeline(40) (<= 1 allocs/op: the result) and one pooled instance's ResetFast after 8 KB of writes (0 allocs/op)
+#   make bench   telemetry hot-path benchmarks (must report 0 allocs/op), the store's insert (random and in bulk-load order), commit, 64-batch bulk commit, table point-read and 41-read snapshot run (0 allocs/op) costs, one rpc round trip, with a small handler, with one that uses 32 KB of stack and from two goroutines on one pool to one peer (<= 1 allocs/op each), one lock-table admission, uncontended and queued behind a writer (0 allocs/op each), one create_post job to 8 followers (<= 4 allocs/op), one uncached get_timeline(40) (<= 1 allocs/op: the result), one pooled instance's ResetFast after 8 KB of writes (0 allocs/op) and one cold start of the Retwis guest (<= 2 allocs/op: the instance and its memory, <= 16 KB/op)
 #   make bench-paper  the paper's Figures 1-2, Table 1 and a delay sweep at quick scale (paper scale: go run ./cmd/retwis-bench)
 #   make bench-smoke  vet + smoke-test the benchmark module (it is not part of ./...)
 #   make vet     gofmt + go vet hygiene
@@ -79,7 +79,7 @@ bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkCall(DeepHandler|ConcurrentOnePeer)?$$' -benchmem ./internal/rpc/
 	$(GO) test -run '^$$' -bench '^BenchmarkAcquire(Contended)?$$' -benchmem ./internal/sched/
 	$(GO) test -run '^$$' -bench '^Benchmark(CreatePost|ColdTimeline)$$' -benchmem ./internal/retwis/
-	$(GO) test -run '^$$' -bench '^BenchmarkResetFast$$' -benchmem ./internal/vm/
+	$(GO) test -run '^$$' -bench '^Benchmark(ResetFast|NewInstance)$$' -benchmem ./internal/vm/
 
 # The paper's comparison (Figures 1-2, Table 1) at quick scale, with the
 # A5 delay sweep: aggregated vs disaggregated on loopback, one deployment

@@ -40,13 +40,15 @@ import (
 // access copies its bytes once, not once per layer; everything else is
 // borrowed:
 //
-//   - A guest view (vm.Instance.MemView) aliases linear memory: valid until
-//     the host function next calls allocBytes/Alloc — which may grow, i.e.
-//     reallocate, that memory — and never after the host call returns. So a
-//     host function finishes with every view before it allocates in the
-//     guest, and copies exactly once what outlives the call: the result, a
-//     staged argument (into the guest's argument slab), a method name (into
-//     the intern table, once per name). A Backend is handed views and copies
+//   - A guest view (vm.Instance.MemView) holds the bytes it was taken over
+//     until guest memory is next written — allocBytes's MemWrite — and
+//     never after the host call returns. A later view may materialize more
+//     memory and move the backing, but nothing was written in between, so
+//     the two views of map_set (key, value) both read what the guest
+//     passed. So a host function reads its views, finishes with them before
+//     it writes into the guest, and copies exactly once what outlives the
+//     call: the result, a staged argument (into the guest's argument slab),
+//     a method name (into the intern table, once per name). A Backend is handed views and copies
 //     what it keeps (a buffered write, a request body); a nested call's
 //     arguments are views of the caller's slab that Dispatch encodes or runs
 //     the callee on before it returns, and never keeps.

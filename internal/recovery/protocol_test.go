@@ -417,6 +417,48 @@ func TestRejoinHealsDroppedForward(t *testing.T) {
 	}
 }
 
+// A relay that fails while the round's last chunk is being applied ends the
+// session with no fetch left to notice: admission is what refuses it, before
+// anything is proposed, so the joiner returns at once instead of waiting out
+// the membership deadline an admit whose reply was lost needs — and its
+// next session is admitted.
+func TestRefusedAdmitReturnsAtOnce(t *testing.T) {
+	dir, snd, rcv := pair(t, true, 0)
+	const objects = 5
+	for id := uint64(1); id <= objects; id++ {
+		snd.mustCommit(id, "f", "v0")
+	}
+	parked, release := parkFirstApply(rcv, objects)
+	type result struct {
+		err  error
+		took time.Duration
+	}
+	done := make(chan result, 1)
+	go func() {
+		start := time.Now()
+		err := rcv.plane.syncOnce(snd.addr, dir.Epoch())
+		done <- result{err, time.Since(start)}
+	}()
+	<-parked
+	fault.Add(fault.Rule{Site: MethodForward, To: rcv.addr, Action: fault.Error, Count: 1})
+	snd.mustCommit(objects, "f", "v1")
+	released := time.Now()
+	release()
+	r := <-done
+	if !refused(r.err) {
+		t.Fatalf("syncOnce = %v, want a refused admission", r.err)
+	}
+	if since := time.Since(released); since > time.Second {
+		t.Fatalf("a refused admission returned %v after the last chunk (session %v)", since, r.took)
+	}
+	if err := rcv.plane.syncOnce(snd.addr, dir.Epoch()); err != nil {
+		t.Fatalf("next session: %v", err)
+	}
+	if got, want := dump(t, rcv.db), dump(t, snd.db); got != want {
+		t.Fatalf("joiner after its next session:\n%swant:\n%s", got, want)
+	}
+}
+
 // Commits keep landing between the joiner's digest scan and the sender's,
 // yet the rejoin's one round certifies it: no commit fails, the joiner is
 // admitted, and it ends equal to the sender.

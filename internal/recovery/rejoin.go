@@ -1,10 +1,13 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
+	"lambdastore/internal/rpc"
 	"lambdastore/internal/telemetry"
 )
 
@@ -95,8 +98,11 @@ func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 	// and refreshes its shipping fan-out under its commit fence.
 	p.state.Store(int32(StateCutover))
 	_, admitErr := s.call(MethodAdmit, encodeSessionReq(&s.req))
-	// Await membership in our own view even when admit errored: the
-	// proposal may have landed before the sender's reply was lost.
+	if refused(admitErr) {
+		return fmt.Errorf("admit: %w", admitErr)
+	}
+	// Await membership in our own view even when admit otherwise errored:
+	// the proposal may have landed before the sender's reply was lost.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if g, ok := p.opts.Directory().Group(p.opts.GroupID); ok && slices.Contains(g.Replicas(), p.selfAddr()) {
@@ -118,6 +124,16 @@ func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 	p.lastRejoin.Store(uint64(dur.Microseconds()))
 	p.m.rejoinH.Record(dur)
 	return nil
+}
+
+// refusedPrefix begins the sender's refusals of an admission that come
+// before it proposes anything (admit).
+const refusedPrefix = "recovery: admission refused: "
+
+// refused reports whether err is such a refusal: no membership can follow.
+func refused(err error) bool {
+	var re *rpc.RemoteError
+	return errors.As(err, &re) && strings.HasPrefix(re.Msg, refusedPrefix)
 }
 
 // round runs one digest round against the sender: this store's bucket

@@ -198,19 +198,21 @@ func (p *Plane) Relay(g *store.Group) {
 // inside the quiescent window, so the first commit after release ships to
 // the joiner as a real backup. A session that a failed relay ended is
 // refused, and the joiner begins again. Object sessions take no part: a
-// move commits through its own cutover.
+// move commits through its own cutover. Every refusal made before the
+// configuration change is proposed begins with refusedPrefix, so the
+// joiner knows no membership can follow it.
 func (p *Plane) admit(req *sessionReq) error {
 	if req.scope.scoped {
-		return fmt.Errorf("recovery: admit of an object session")
+		return fmt.Errorf("%san object session", refusedPrefix)
 	}
 	s, err := p.lookup(req)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s%w", refusedPrefix, err)
 	}
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	if !p.registered(s) {
-		return fmt.Errorf("recovery: refusing %s: a relayed write failed to reach it", req.peer)
+		return fmt.Errorf("%s%s: a relayed write failed to reach it", refusedPrefix, req.peer)
 	}
 	if err := p.opts.Admit(req.peer, req.epoch); err != nil {
 		return err

@@ -22,13 +22,20 @@ import (
 const (
 	bucketCount    = 512
 	bucketsPerOct  = 16
+	octaves        = bucketCount / bucketsPerOct
 	minTrackableUs = 1
 )
+
+// octave is the bucket counts of one power of two.
+type octave [bucketsPerOct]atomic.Uint64
 
 // Histogram is a log-scaled latency histogram. The zero value is ready to
 // use.
 type Histogram struct {
-	buckets [bucketCount]atomic.Uint64
+	// octaves[e] holds the counts of the buckets in [2^e, 2^(e+1)) us; nil
+	// until the first observation lands there, so a histogram holds only
+	// the octaves it has seen.
+	octaves [octaves]atomic.Pointer[octave]
 	count   atomic.Uint64
 	sumUs   atomic.Uint64
 	maxUs   atomic.Uint64
@@ -104,7 +111,13 @@ func (h *Histogram) Observe(n uint64) { h.add(n) }
 
 func (h *Histogram) add(us uint64) int {
 	idx := bucketIndex(us)
-	h.buckets[idx].Add(1)
+	slot := &h.octaves[idx/bucketsPerOct]
+	o := slot.Load()
+	if o == nil { // racing first observations count into the octave that won
+		slot.CompareAndSwap(nil, new(octave))
+		o = slot.Load()
+	}
+	o[idx%bucketsPerOct].Add(1)
 	h.count.Add(1)
 	h.sumUs.Add(us)
 	for {

@@ -47,12 +47,18 @@ func (h *Histogram) Data() HistData {
 	if h.unit != UnitMicros {
 		d.Unit = h.unit
 	}
-	for i := 0; i < bucketCount; i++ {
-		if n := h.buckets[i].Load(); n > 0 {
-			if d.Buckets == nil {
-				d.Buckets = make(map[int]uint64)
+	for e := range h.octaves {
+		o := h.octaves[e].Load()
+		if o == nil {
+			continue
+		}
+		for j := range o {
+			if n := o[j].Load(); n > 0 {
+				if d.Buckets == nil {
+					d.Buckets = make(map[int]uint64)
+				}
+				d.Buckets[e*bucketsPerOct+j] = n
 			}
-			d.Buckets[i] = n
 		}
 	}
 	// Only a counted bucket reports an exemplar: a concurrent traced

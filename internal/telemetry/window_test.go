@@ -152,21 +152,173 @@ func TestExemplarRecorded(t *testing.T) {
 }
 
 // TestHistogramFootprint pins what a histogram that is never traced holds:
-// its bucket array and totals, with no exemplar array, which Record,
-// Observe and an untraced RecordTraced never allocate.
+// its octave pointers and totals, one octave per power of two it has seen,
+// and no exemplar array, which Record, Observe and an untraced RecordTraced
+// never allocate.
 func TestHistogramFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(Histogram{}); size > 4160 {
-		t.Fatalf("Histogram is %d bytes, want <= 4160", size)
+	if size := unsafe.Sizeof(Histogram{}); size > 320 {
+		t.Fatalf("Histogram is %d bytes, want <= 320", size)
 	}
 	var h Histogram
+	if d := h.Data(); d.Count != 0 || d.Buckets != nil {
+		t.Fatalf("empty histogram's data = %+v", d)
+	}
 	h.Record(time.Millisecond)
 	h.Observe(7)
 	h.RecordTraced(time.Millisecond, 0)
 	if h.exemplars.Load() != nil {
 		t.Fatal("an untraced histogram allocated its exemplars")
 	}
+	installed := 0
+	for e := range h.octaves {
+		if h.octaves[e].Load() != nil {
+			installed++
+		}
+	}
+	if installed != 2 {
+		t.Fatalf("%d octaves installed, want 2 (7 and 1000)", installed)
+	}
 	if d := h.Data(); d.Count != 3 || d.Exemplars != nil {
 		t.Fatalf("data = %+v, want 3 observations and no exemplars", d)
+	}
+}
+
+// flatHist is the reference layout: one counter per bucket, all allocated.
+type flatHist struct {
+	buckets         [bucketCount]uint64
+	sum, max, count uint64
+}
+
+func (f *flatHist) add(v uint64) {
+	f.buckets[bucketIndex(v)]++
+	f.sum += v
+	f.count++
+	f.max = max(f.max, v)
+}
+
+func (f *flatHist) merge(o *flatHist) {
+	for i, n := range o.buckets {
+		f.buckets[i] += n
+	}
+	f.sum += o.sum
+	f.count += o.count
+	f.max = max(f.max, o.max)
+}
+
+func (f *flatHist) data() HistData {
+	d := HistData{SumUs: f.sum, MaxUs: f.max}
+	for i, n := range f.buckets {
+		if n > 0 {
+			if d.Buckets == nil {
+				d.Buckets = make(map[int]uint64)
+			}
+			d.Buckets[i] = n
+		}
+	}
+	d.finalize()
+	return d
+}
+
+// randomMagnitude spreads values over every octave, the clamped ends (0
+// and past the last bucket) included.
+func randomMagnitude(rng *rand.Rand) uint64 {
+	switch rng.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return 1<<40 + rng.Uint64()>>20
+	}
+	return rng.Uint64() >> (rng.Intn(64))
+}
+
+// TestHistogramMatchesFlatReference checks that the octave layout reports
+// exactly what one flat counter per bucket would: after random observations
+// from one goroutine, and after concurrent ones from eight.
+func TestHistogramMatchesFlatReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var h Histogram
+		var ref flatHist
+		for i, n := 0, rng.Intn(2000); i < n; i++ {
+			v := randomMagnitude(rng)
+			h.Observe(v)
+			ref.add(v)
+		}
+		if got, want := h.Data(), ref.data(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: data = %+v, flat reference = %+v", seed, got, want)
+		}
+	}
+
+	const workers = 8
+	var h Histogram
+	refs := make([]flatHist, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			for i := 0; i < 5000; i++ {
+				v := randomMagnitude(rng)
+				h.Observe(v)
+				refs[w].add(v)
+			}
+		}(w)
+	}
+	wg.Wait()
+	var ref flatHist
+	for w := range refs {
+		ref.merge(&refs[w])
+	}
+	if got, want := h.Data(), ref.data(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("concurrent: data = %+v, flat reference = %+v", got, want)
+	}
+}
+
+// TestFirstObservationsRace has 8 goroutines make a fresh histogram's first
+// observations into one octave at once, each into its own sub-buckets of
+// it, while another takes snapshots. A count added to an octave that lost
+// the race to be installed would be lost: every bucket must end with
+// exactly the observations made into it.
+func TestFirstObservationsRace(t *testing.T) {
+	const workers, perWorker = 8, 50
+	for round := 0; round < 200; round++ {
+		var h Histogram
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perWorker; i++ {
+					h.Observe(uint64(1<<10 + (2*w+i%2)<<6)) // octave 10, sub-bucket 2w or 2w+1
+				}
+			}(w)
+		}
+		snapped := make(chan struct{})
+		go func() {
+			defer close(snapped)
+			<-start
+			for i := 0; i < 20; i++ {
+				if n := h.Data().Count; n > workers*perWorker {
+					t.Errorf("round %d: snapshot counts %d of %d observations", round, n, workers*perWorker)
+					return
+				}
+			}
+		}()
+		close(start)
+		wg.Wait()
+		<-snapped
+		d := h.Data()
+		for b := 10 * bucketsPerOct; b < 11*bucketsPerOct; b++ {
+			if d.Buckets[b] != perWorker/2 {
+				t.Fatalf("round %d: bucket %d counts %d, want %d (buckets %v)", round, b, d.Buckets[b], perWorker/2, d.Buckets)
+			}
+		}
+		if d.Count != workers*perWorker || h.Count() != workers*perWorker {
+			t.Fatalf("round %d: count %d (field %d), want %d", round, d.Count, h.Count(), workers*perWorker)
+		}
 	}
 }
 

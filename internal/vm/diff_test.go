@@ -15,7 +15,6 @@ package vm
 // instruction that linking must refuse, and runs metered only.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -93,13 +92,17 @@ func (g *sgen) pushVal() {
 }
 
 // addr emits one address push: usually in bounds, occasionally past the
-// one-page memory or negative so bounds traps are exercised.
+// one-page memory or negative so bounds traps are exercised, or at an edge
+// of the first materialized steps or of the logical memory.
 func (g *sgen) addr() {
 	switch g.r.Intn(20) {
 	case 0:
 		g.emit("  push %d", PageBytes+g.r.Intn(5000))
 	case 1:
 		g.emit("  push -%d", 1+g.r.Intn(16))
+	case 2:
+		edges := []int{4088, 4095, 4096, 8184, 8191, 8192, PageBytes - 8, PageBytes - 1, PageBytes}
+		g.emit("  push %d", edges[g.r.Intn(len(edges))])
 	default:
 		g.emit("  push %d", g.r.Intn(6000))
 	}
@@ -382,7 +385,7 @@ func runDiff(t testing.TB, mod *Module, hosts func(log *[]int64) *HostTable, idx
 			t.Fatalf("%s round %d: FuelUsed divergence: interp=%d threaded=%d (err=%v)",
 				tag, n, ia.FuelUsed(), ib.FuelUsed(), ea)
 		}
-		if ia.MemSize() != ib.MemSize() || !bytes.Equal(ia.mem, ib.mem) {
+		if !sameImage(ia, ib) {
 			t.Fatalf("%s round %d: memory divergence (sizes %d vs %d)", tag, n, ia.MemSize(), ib.MemSize())
 		}
 		if !slices.Equal(logA, logB) {

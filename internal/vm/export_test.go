@@ -75,7 +75,8 @@ func ShapeSeeds() [][]byte {
 // the module linked.
 func DiffLinked(t testing.TB, data []byte, a FuzzArities) bool {
 	mod, err := Decode(data)
-	// An instance allocates MinPages up front and memgrow up to MaxPages.
+	// A run may touch, and so materialize, all of MinPages and whatever
+	// memgrow reaches up to MaxPages.
 	if err != nil || mod.MinPages > 16 || mod.MaxPages > 256 {
 		return false
 	}
@@ -121,4 +122,15 @@ func (a FuzzArities) called(mod *Module, idx int, args []int64) map[string]bool 
 		inst.CallIndex(idx, args...) //nolint:errcheck // a trap still called what it called
 	}
 	return names
+}
+
+// StubHosts is a table of no-op host functions at the arities m is linked
+// against: enough to instantiate m outside the runtime.
+func StubHosts(m *Module) *HostTable {
+	t := NewHostTable()
+	for i, name := range m.Imports {
+		t.Register(HostFunc{Name: name, NArgs: m.lk.sigs[i].nargs, HasRet: m.lk.sigs[i].hasRet,
+			Fn: func(*Instance, []int64) (int64, error) { return 0, nil }})
+	}
+	return t
 }

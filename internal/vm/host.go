@@ -23,6 +23,7 @@ type HostFunc struct {
 // HostTable resolves import names at link time.
 type HostTable struct {
 	funcs map[string]*HostFunc
+	gen   uint64 // bumped by Register: a module caches its resolution per table and generation
 }
 
 // NewHostTable returns an empty table.
@@ -38,6 +39,7 @@ func (t *HostTable) Register(fn HostFunc) {
 	}
 	f := fn
 	t.funcs[fn.Name] = &f
+	t.gen++
 }
 
 // Lookup returns the named host function.

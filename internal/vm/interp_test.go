@@ -8,10 +8,56 @@ package vm
 // what it does check, at every dispatch, is the typing itself.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
+
+// The reference sees linear memory as its logical size, every byte past the
+// backing zero: a load there reads zeros and leaves the backing alone, and a
+// store appends to the backing exactly up to its last byte. Neither goes
+// through materialize, whose growth policy the differential suites hold the
+// product to from outside: only through the logical image (sameImage).
+
+// refInBounds reports whether [addr, addr+n) lies inside the logical memory.
+func (inst *Instance) refInBounds(addr, n int64) bool {
+	return addr >= 0 && n >= 0 && n <= inst.size && addr <= inst.size-n
+}
+
+// refRead returns a copy of [addr, addr+n), zero past the backing.
+func (inst *Instance) refRead(addr, n int64) []byte {
+	out := make([]byte, n)
+	if addr < int64(len(inst.mem)) {
+		copy(out, inst.mem[addr:])
+	}
+	return out
+}
+
+// refWrite stores b at addr, extending the backing to the last byte written.
+func (inst *Instance) refWrite(addr int64, b []byte) {
+	end := addr + int64(len(b))
+	if end > int64(len(inst.mem)) {
+		inst.mem = append(inst.mem, make([]byte, end-int64(len(inst.mem)))...)
+	}
+	copy(inst.mem[addr:], b)
+	inst.noteWrite(end)
+}
+
+// sameImage reports whether a and b hold the same logical memory: equal
+// sizes, equal bytes where both backings reach, and zeros in whatever one
+// backing has beyond the other.
+func sameImage(a, b *Instance) bool {
+	if a.size != b.size {
+		return false
+	}
+	short, long := a.mem, b.mem
+	if len(short) > len(long) {
+		short, long = long, short
+	}
+	return bytes.Equal(short, long[:len(short)]) && !slices.ContainsFunc(long[len(short):], func(c byte) bool { return c != 0 })
+}
 
 // frame is one activation record.
 type frame struct {
@@ -226,53 +272,51 @@ func (inst *Instance) interpret(irs []*funcIR, entry frame) ([]int64, error) {
 			case opLoad8U:
 				n := len(stack)
 				addr := stack[n-1]
-				if addr < 0 || addr >= int64(len(inst.mem)) {
+				if !inst.refInBounds(addr, 1) {
 					return nil, trapf(f, pc, ErrMemOutOfBounds)
 				}
-				stack[n-1] = int64(inst.mem[addr])
+				stack[n-1] = int64(inst.refRead(addr, 1)[0])
 				pc++
 			case opLoad64:
 				n := len(stack)
 				addr := stack[n-1]
-				if addr < 0 || addr+8 > int64(len(inst.mem)) {
+				if !inst.refInBounds(addr, 8) {
 					return nil, trapf(f, pc, ErrMemOutOfBounds)
 				}
-				stack[n-1] = int64(binary.LittleEndian.Uint64(inst.mem[addr:]))
+				stack[n-1] = int64(binary.LittleEndian.Uint64(inst.refRead(addr, 8)))
 				pc++
 			case opStore8:
 				n := len(stack)
 				v := stack[n-1]
 				addr := stack[n-2]
 				stack = stack[:n-2]
-				if addr < 0 || addr >= int64(len(inst.mem)) {
+				if !inst.refInBounds(addr, 1) {
 					return nil, trapf(f, pc, ErrMemOutOfBounds)
 				}
-				inst.mem[addr] = byte(v)
-				inst.noteWrite(addr + 1)
+				inst.refWrite(addr, []byte{byte(v)})
 				pc++
 			case opStore64:
 				n := len(stack)
 				v := stack[n-1]
 				addr := stack[n-2]
 				stack = stack[:n-2]
-				if addr < 0 || addr+8 > int64(len(inst.mem)) {
+				if !inst.refInBounds(addr, 8) {
 					return nil, trapf(f, pc, ErrMemOutOfBounds)
 				}
-				binary.LittleEndian.PutUint64(inst.mem[addr:], uint64(v))
-				inst.noteWrite(addr + 8)
+				inst.refWrite(addr, binary.LittleEndian.AppendUint64(nil, uint64(v)))
 				pc++
 
 			case opMemSize:
-				stack = append(stack, int64(len(inst.mem)))
+				stack = append(stack, inst.size)
 				pc++
 			case opMemGrow:
 				n := len(stack)
 				delta := stack[n-1]
-				old := int64(len(inst.mem))
-				if err := inst.grow(delta); err != nil {
-					return nil, trapf(f, pc, err)
+				if delta < 0 || inst.size+delta > int64(inst.module.MaxPages)*PageBytes || inst.size+delta < 0 {
+					return nil, trapf(f, pc, ErrMemLimit)
 				}
-				stack[n-1] = old
+				stack[n-1] = inst.size
+				inst.size += delta
 				pc++
 
 			case opHostCall:
@@ -320,8 +364,7 @@ func (inst *Instance) interpret(irs []*funcIR, entry frame) ([]int64, error) {
 				k := len(stack)
 				dst, src, n := stack[k-3], stack[k-2], stack[k-1]
 				stack = stack[:k-3]
-				size := int64(len(inst.mem))
-				if n < 0 || n > size || src < 0 || src > size-n || dst < 0 || dst > size-n {
+				if !inst.refInBounds(src, n) || !inst.refInBounds(dst, n) {
 					return nil, trapf(f, pc, ErrMemOutOfBounds)
 				}
 				if cost := (n + 7) / 8; metered {
@@ -333,17 +376,8 @@ func (inst *Instance) interpret(irs []*funcIR, entry frame) ([]int64, error) {
 					inst.fuel -= cost
 					inst.used += cost
 				}
-				// memmove, byte by byte: backwards when dst overlaps src's tail.
-				if dst <= src {
-					for i := int64(0); i < n; i++ {
-						inst.mem[dst+i] = inst.mem[src+i]
-					}
-				} else {
-					for i := n - 1; i >= 0; i-- {
-						inst.mem[dst+i] = inst.mem[src+i]
-					}
-				}
-				inst.noteWrite(dst + n)
+				// memmove: read the whole source before writing any of it.
+				inst.refWrite(dst, inst.refRead(src, n))
 				pc++
 
 			default:

@@ -107,7 +107,7 @@ func TestMemCopyResetFastIsolation(t *testing.T) {
 	}
 	fast.ResetFast(0)
 	full.Reset(0)
-	if !bytes.Equal(fast.mem, full.mem) {
+	if !sameImage(fast, full) {
 		t.Fatal("ResetFast left bytes a memcopy wrote that Reset clears")
 	}
 	for i, b := range fast.mem {

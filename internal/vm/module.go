@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lambdastore/internal/wire"
@@ -69,6 +70,15 @@ type linkage struct {
 	mu   sync.Mutex
 	sigs []hostSig
 	th   *thModule // nil until a link succeeds
+	// hosts is the last resolution of the imports, against table as it
+	// stood at generation gen: every instance linked against that table,
+	// unchanged since, shares it.
+	table *HostTable
+	gen   uint64
+	hosts []*HostFunc
+	// memHint is the longest backing, up to MinPages, that any instance
+	// of the module has materialized: where a new instance's starts.
+	memHint atomic.Int64
 }
 
 // Link resolves the module's imports against hosts, types its operand stack
@@ -87,13 +97,16 @@ func (m *Module) link(hosts *HostTable) (*thModule, []*HostFunc, error) {
 	if m.lk == nil {
 		return nil, nil, fmt.Errorf("%w: not validated", ErrBadModule)
 	}
+	lk := m.lk
+	lk.mu.Lock()
+	defer lk.mu.Unlock()
+	if hosts != nil && hosts == lk.table && hosts.gen == lk.gen {
+		return lk.th, lk.hosts, nil
+	}
 	resolved, err := hosts.resolve(m.Imports)
 	if err != nil {
 		return nil, nil, err
 	}
-	lk := m.lk
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
 	if lk.th == nil {
 		sigs := make([]hostSig, len(resolved))
 		for i, h := range resolved {
@@ -107,13 +120,16 @@ func (m *Module) link(hosts *HostTable) (*thModule, []*HostFunc, error) {
 		}
 		lk.th, lk.sigs = th, sigs
 		statCompiledModules.Add(1)
-		return th, resolved, nil
-	}
-	for i, h := range resolved {
-		if was := lk.sigs[i]; was.nargs != h.NArgs || was.hasRet != h.HasRet {
-			return nil, nil, fmt.Errorf("%w: import %q is linked as %d args, result %v; this host table offers %d args, result %v",
-				ErrBadModule, m.Imports[i], was.nargs, was.hasRet, h.NArgs, h.HasRet)
+	} else {
+		for i, h := range resolved {
+			if was := lk.sigs[i]; was.nargs != h.NArgs || was.hasRet != h.HasRet {
+				return nil, nil, fmt.Errorf("%w: import %q is linked as %d args, result %v; this host table offers %d args, result %v",
+					ErrBadModule, m.Imports[i], was.nargs, was.hasRet, h.NArgs, h.HasRet)
+			}
 		}
+	}
+	if hosts != nil {
+		lk.table, lk.gen, lk.hosts = hosts, hosts.gen, resolved
 	}
 	return lk.th, resolved, nil
 }

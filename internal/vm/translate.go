@@ -956,7 +956,7 @@ func (g *blockGen) translateBlock(start, end int) {
 						inst := m.inst
 						rf := inst.regFile
 						addr := rf[m.fp+src]
-						if addr < 0 || addr+8 > int64(len(inst.mem)) {
+						if (addr < 0 || addr > int64(len(inst.mem))-8) && !inst.materialize(addr, 8) {
 							return m.failAt(name, at, ErrMemOutOfBounds)
 						}
 						rf[m.fp+dst] = int64(binary.LittleEndian.Uint64(inst.mem[addr:]))
@@ -969,7 +969,7 @@ func (g *blockGen) translateBlock(start, end int) {
 						inst := m.inst
 						rf := inst.regFile
 						addr := rf[m.fp+src]
-						if addr < 0 || addr >= int64(len(inst.mem)) {
+						if (addr < 0 || addr >= int64(len(inst.mem))) && !inst.materialize(addr, 1) {
 							return m.failAt(name, at, ErrMemOutOfBounds)
 						}
 						rf[m.fp+dst] = int64(inst.mem[addr])
@@ -996,7 +996,7 @@ func (g *blockGen) translateBlock(start, end int) {
 						inst := m.inst
 						rf := inst.regFile
 						a := rf[m.fp+aReg]
-						if a < 0 || a+8 > int64(len(inst.mem)) {
+						if (a < 0 || a > int64(len(inst.mem))-8) && !inst.materialize(a, 8) {
 							return m.failAt(name, at, ErrMemOutOfBounds)
 						}
 						binary.LittleEndian.PutUint64(inst.mem[a:], uint64(rf[m.fp+vReg]))
@@ -1010,7 +1010,7 @@ func (g *blockGen) translateBlock(start, end int) {
 					return func(m *thState) int {
 						inst := m.inst
 						a := inst.regFile[m.fp+aReg]
-						if a < 0 || a+8 > int64(len(inst.mem)) {
+						if (a < 0 || a > int64(len(inst.mem))-8) && !inst.materialize(a, 8) {
 							return m.failAt(name, at, ErrMemOutOfBounds)
 						}
 						binary.LittleEndian.PutUint64(inst.mem[a:], c)
@@ -1025,7 +1025,7 @@ func (g *blockGen) translateBlock(start, end int) {
 						inst := m.inst
 						rf := inst.regFile
 						a := rf[m.fp+aReg]
-						if a < 0 || a >= int64(len(inst.mem)) {
+						if (a < 0 || a >= int64(len(inst.mem))) && !inst.materialize(a, 1) {
 							return m.failAt(name, at, ErrMemOutOfBounds)
 						}
 						inst.mem[a] = byte(rf[m.fp+vReg])
@@ -1039,7 +1039,7 @@ func (g *blockGen) translateBlock(start, end int) {
 					return func(m *thState) int {
 						inst := m.inst
 						a := inst.regFile[m.fp+aReg]
-						if a < 0 || a >= int64(len(inst.mem)) {
+						if (a < 0 || a >= int64(len(inst.mem))) && !inst.materialize(a, 1) {
 							return m.failAt(name, at, ErrMemOutOfBounds)
 						}
 						inst.mem[a] = c
@@ -1067,7 +1067,7 @@ func (g *blockGen) translateBlock(start, end int) {
 			g.emit(func(next int) thOp {
 				return func(m *thState) int {
 					inst := m.inst
-					inst.regFile[m.fp+dst] = int64(len(inst.mem))
+					inst.regFile[m.fp+dst] = inst.size
 					return next
 				}
 			})
@@ -1079,7 +1079,7 @@ func (g *blockGen) translateBlock(start, end int) {
 				return func(m *thState) int {
 					inst := m.inst
 					rf := inst.regFile
-					old := int64(len(inst.mem))
+					old := inst.size
 					if err := inst.grow(rf[m.fp+src]); err != nil {
 						return m.failAt(name, at, err)
 					}
