@@ -56,8 +56,7 @@ func main() {
 		peers     = flag.String("peers", "", "all replicas as id=addr,... (including self)")
 		hbTimeout = flag.Duration("heartbeat-timeout", 2*time.Second, "declare a node dead after this silence")
 		dataDir   = flag.String("data", "", "directory for the durable acceptor log (strongly recommended)")
-		debugAddr = flag.String("debug", "", "debug HTTP address for /metrics, /cluster/metrics, /healthz, pprof (empty disables)")
-		scrape    = flag.Duration("scrape-interval", coordinator.DefaultScrapeInterval, "member metrics scrape period for /cluster/metrics")
+		debugAddr = flag.String("debug", "", "debug HTTP address for /metrics, /healthz, pprof (empty disables)")
 	)
 	flag.Parse()
 	if *id == 0 || *peers == "" {
@@ -94,19 +93,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("lambdacoord: %v", err)
 	}
-	svc := member.Service
 	log.Printf("lambdacoord: replica %d serving on %s (%d peers)", *id, member.Addr, len(peerAddrs))
-
-	var agg *coordinator.Aggregator
-	if *debugAddr != "" {
-		agg = coordinator.NewAggregator(svc, *scrape)
-		agg.Start()
-	}
 
 	var dbg *debug.Server
 	if *debugAddr != "" {
-		docs := map[string]func() any{"/cluster/metrics": func() any { return agg.Snapshot() }}
-		dbg, err = debug.Start(*debugAddr, debug.Options{Registry: reg, JSON: docs})
+		dbg, err = debug.Start(*debugAddr, debug.Options{Registry: reg})
 		if err != nil {
 			log.Fatalf("lambdacoord: debug: %v", err)
 		}
@@ -119,9 +110,6 @@ func main() {
 	log.Printf("lambdacoord: shutting down")
 	if dbg != nil {
 		dbg.Close()
-	}
-	if agg != nil {
-		agg.Close()
 	}
 	member.Close()
 }

@@ -1,6 +1,9 @@
 // Command lambdactl is the operator CLI for a LambdaStore cluster: create
 // and invoke objects, deploy object types, migrate microshards, assemble
-// and disassemble guest modules, and inspect node stats.
+// and disassemble guest modules, and inspect node stats. What it shows of
+// the cluster's metrics it reads from the nodes themselves, each of which
+// keeps only cumulative instruments: stats and top take two samples and
+// report what happened between them.
 //
 // Usage:
 //
@@ -10,6 +13,7 @@
 //	lambdactl -config cluster.json register-retwis
 //	lambdactl -config cluster.json migrate -id 42 -dest 1
 //	lambdactl -config cluster.json stats
+//	lambdactl -config cluster.json top -n 0 -interval 5s
 //	lambdactl stats -debug 127.0.0.1:8080,127.0.0.1:8081
 //	lambdactl traces -debug 127.0.0.1:8080 -trace 1f3a... [-min 10ms]
 //	lambdactl fault -debug 127.0.0.1:8080
@@ -20,6 +24,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
@@ -30,7 +35,6 @@ import (
 	"net/url"
 	"os"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -59,15 +63,16 @@ Commands:
   stats           [-debug HOST:PORT,...]     print each node's metrics snapshot
                                              (totals and 1 s rates), over RPC or
                                              from debug servers' /metrics.json
-  traces          -debug HOST:PORT,...       fetch and pretty-print /traces
-                  [-trace ID] [-min DUR]     (filter one trace / slow spans)
+  traces          -debug HOST:PORT,...       fetch /traces and print each trace
+                  [-trace ID] [-min DUR]     as a span tree across nodes
+                                             (filter one trace / slow spans)
   trace           ID -debug HOST:PORT,...    assemble one trace across nodes:
                                              span tree + critical-path stage
                                              attribution
-  top             -debug HOST:PORT           per-group live table (ops/s, p99,
-                  [-n COUNT] [-interval DUR] WAL fsync lag, cache hit rate,
-                                             queue depth) from a coordinator's
-                                             /cluster/metrics
+  top             [-n COUNT] [-interval DUR] per-group table (ops/s, p99, WAL
+                                             fsync lag, cache hit rate, queue
+                                             depth) over each -interval, rolled
+                                             up from every replica's node.stats
   fault           -debug HOST:PORT [CMD...]  show the fault plane (no CMD),
                   [-file SCRIPT]             apply one command, or POST a script
   recovery        -debug HOST:PORT,...       show each node's rejoin state and
@@ -112,9 +117,6 @@ func main() {
 		return
 	case "trace":
 		runTrace(rest)
-		return
-	case "top":
-		runTop(rest)
 		return
 	case "fault":
 		runFault(rest)
@@ -256,6 +258,9 @@ func main() {
 		}
 		runStats(addrs, client.Stats)
 
+	case "top":
+		runTop(client, rest)
+
 	default:
 		usage()
 	}
@@ -269,26 +274,18 @@ const statsWindow = time.Second
 // so rates don't have to be eyeballed from two runs. fetch returns a node's
 // snapshot JSON — the node.stats RPC and /metrics.json serve the same bytes.
 func runStats(addrs []string, fetch func(addr string) ([]byte, error)) {
-	sample := func(addr string) (snap telemetry.RegistrySnapshot, err error) {
-		body, err := fetch(addr)
-		if err == nil {
-			err = json.Unmarshal(body, &snap)
-		}
-		return snap, err
-	}
 	// A node that fails its first sample reports since its start.
-	prev := make(map[string]telemetry.RegistrySnapshot, len(addrs))
+	s := newSampler(fetch)
 	for _, addr := range addrs {
-		prev[addr], _ = sample(addr)
+		_, _, _ = s.next(addr)
 	}
 	time.Sleep(statsWindow)
 	for _, addr := range addrs {
-		cur, err := sample(addr)
+		cur, win, err := s.next(addr)
 		if err != nil {
 			fmt.Printf("== %s: unreachable (%v)\n", addr, err)
 			continue
 		}
-		win := cur.Sub(prev[addr])
 		fmt.Printf("== %s (rates over %.1fs)\n", addr, win.Seconds)
 		printSnapshot(cur, win)
 	}
@@ -343,55 +340,11 @@ func runTrace(args []string) {
 	if err != nil {
 		log.Fatalf("lambdactl: bad trace ID %q: %v", fs.Arg(0), err)
 	}
-	var spans []telemetry.Span
-	for _, addr := range strings.Split(*debugAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		body, err := httpGet(fmt.Sprintf("http://%s/traces?trace=%016x", addr, id))
-		if err != nil {
-			fmt.Printf("== %s: unreachable (%v)\n", addr, err)
-			continue
-		}
-		var env tracesEnvelope
-		if err := json.Unmarshal(body, &env); err != nil {
-			log.Fatalf("lambdactl: %s: bad /traces response: %v", addr, err)
-		}
-		spans = append(spans, env.Spans...)
-	}
+	spans := fetchSpans(*debugAddrs, url.Values{"trace": {fmt.Sprintf("%016x", id)}})
 	if len(spans) == 0 {
 		log.Fatalf("lambdactl: no spans found for trace %016x on any node", id)
 	}
 	fmt.Print(telemetry.AssembleTrace(id, spans).Render())
-}
-
-// runTop renders a coordinator's /cluster/metrics rollup as a per-group
-// table, optionally repeating (-n 0 means forever) every -interval.
-func runTop(args []string) {
-	fs := flag.NewFlagSet("top", flag.ExitOnError)
-	debugAddr := fs.String("debug", "", "coordinator debug HTTP address (required)")
-	count := fs.Int("n", 1, "iterations (0 = forever)")
-	interval := fs.Duration("interval", 2*time.Second, "refresh interval")
-	fs.Parse(args)
-	if *debugAddr == "" {
-		log.Fatal("lambdactl: top needs -debug")
-	}
-	u := "http://" + strings.TrimSpace(*debugAddr) + "/cluster/metrics"
-	for i := 0; *count == 0 || i < *count; i++ {
-		if i > 0 {
-			time.Sleep(*interval)
-		}
-		body, err := httpGet(u)
-		if err != nil {
-			log.Fatalf("lambdactl: %v", err)
-		}
-		var cm coordinator.ClusterMetrics
-		if err := json.Unmarshal(body, &cm); err != nil {
-			log.Fatalf("lambdactl: bad /cluster/metrics response: %v", err)
-		}
-		fmt.Print(coordinator.FormatClusterMetrics(cm))
-	}
 }
 
 // runFault drives a node's /faults endpoint: with no trailing arguments it
@@ -534,16 +487,9 @@ func runSetGroup(args []string) {
 	fmt.Printf("group %d: primary %s, backups %v\n", g.ID, g.Primary, g.Backups)
 }
 
-// tracesEnvelope mirrors the /traces JSON response.
-type tracesEnvelope struct {
-	Node  string           `json:"node"`
-	Total uint64           `json:"total_recorded"`
-	Spans []telemetry.Span `json:"spans"`
-}
-
-// runTraces fetches spans from one or more debug servers, merges them, and
-// prints them grouped by trace with parent/child indentation — the merged
-// view of a distributed request.
+// runTraces fetches spans from one or more debug servers and prints each
+// trace among them, earliest first, as its span tree across the nodes — the
+// merged view of a distributed request.
 func runTraces(args []string) {
 	fs := flag.NewFlagSet("traces", flag.ExitOnError)
 	debugAddrs := fs.String("debug", "", "comma-separated debug HTTP addresses (required)")
@@ -560,34 +506,8 @@ func runTraces(args []string) {
 	if *minDur > 0 {
 		q.Set("min", minDur.String())
 	}
-	var spans []telemetry.Span
-	for _, addr := range strings.Split(*debugAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		u := "http://" + addr + "/traces"
-		if enc := q.Encode(); enc != "" {
-			u += "?" + enc
-		}
-		body, err := httpGet(u)
-		if err != nil {
-			fmt.Printf("== %s: unreachable (%v)\n", addr, err)
-			continue
-		}
-		var env tracesEnvelope
-		if err := json.Unmarshal(body, &env); err != nil {
-			log.Fatalf("lambdactl: %s: bad /traces response: %v", addr, err)
-		}
-		spans = append(spans, env.Spans...)
-	}
-	printSpanForest(spans)
-}
-
-// printSpanForest renders spans grouped by trace, children indented under
-// their parents (spans whose parent is missing from the set print at the
-// top level).
-func printSpanForest(spans []telemetry.Span) {
+	spans := fetchSpans(*debugAddrs, q)
+	slices.SortFunc(spans, func(a, b telemetry.Span) int { return cmp.Compare(a.Start, b.Start) })
 	byTrace := make(map[uint64][]telemetry.Span)
 	var order []uint64
 	for _, s := range spans {
@@ -596,65 +516,50 @@ func printSpanForest(spans []telemetry.Span) {
 		}
 		byTrace[s.Trace] = append(byTrace[s.Trace], s)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return byTrace[order[i]][0].Start < byTrace[order[j]][0].Start
-	})
-	for _, tid := range order {
-		group := byTrace[tid]
-		sort.Slice(group, func(i, j int) bool { return group[i].Start < group[j].Start })
-		fmt.Printf("trace %016x (%d spans)\n", tid, len(group))
-		byID := make(map[uint64]bool, len(group))
-		children := make(map[uint64][]telemetry.Span)
-		for _, s := range group {
-			byID[s.ID] = true
-		}
-		var roots []telemetry.Span
-		for _, s := range group {
-			if s.Parent != 0 && byID[s.Parent] {
-				children[s.Parent] = append(children[s.Parent], s)
-			} else {
-				roots = append(roots, s)
-			}
-		}
-		var walk func(s telemetry.Span, depth int)
-		walk = func(s telemetry.Span, depth int) {
-			errStr := ""
-			if s.Err != "" {
-				errStr = " err=" + s.Err
-			}
-			fmt.Printf("  %s%-10s %-22s %v%s\n", strings.Repeat("  ", depth), s.Name, s.Node, s.Dur, errStr)
-			for _, c := range children[s.ID] {
-				walk(c, depth+1)
-			}
-		}
-		for _, r := range roots {
-			walk(r, 0)
-		}
+	for _, id := range order {
+		fmt.Print(telemetry.AssembleTrace(id, byTrace[id]).Render())
 	}
 }
+
+// fetchSpans merges the spans /traces?q returns on every listed debug
+// server; one that does not answer is reported and skipped.
+func fetchSpans(debugAddrs string, q url.Values) []telemetry.Span {
+	var spans []telemetry.Span
+	for _, addr := range strings.Split(debugAddrs, ",") {
+		addr = strings.TrimSpace(addr)
+		if addr == "" {
+			continue
+		}
+		body, err := httpGet("http://" + addr + "/traces?" + q.Encode())
+		if err != nil {
+			fmt.Printf("== %s: unreachable (%v)\n", addr, err)
+			continue
+		}
+		var env struct {
+			Spans []telemetry.Span `json:"spans"`
+		}
+		if err := json.Unmarshal(body, &env); err != nil {
+			log.Fatalf("lambdactl: %s: bad /traces response: %v", addr, err)
+		}
+		spans = append(spans, env.Spans...)
+	}
+	return spans
+}
+
+// debugClient talks to debug endpoints, with a short timeout.
+var debugClient = &http.Client{Timeout: 5 * time.Second}
 
 // httpPost sends a plain-text body to a debug endpoint.
 func httpPost(u, body string) ([]byte, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Post(u, "text/plain", strings.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(out)))
-	}
-	return out, nil
+	return readReply(debugClient.Post(u, "text/plain", strings.NewReader(body)))
 }
 
-// httpGet fetches a debug endpoint with a short timeout.
-func httpGet(u string) ([]byte, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(u)
+// httpGet fetches a debug endpoint.
+func httpGet(u string) ([]byte, error) { return readReply(debugClient.Get(u)) }
+
+// readReply returns a debug endpoint's reply body, or its status and body
+// as the error when it is not 200 OK.
+func readReply(resp *http.Response, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}

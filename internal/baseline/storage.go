@@ -13,7 +13,6 @@ package baseline
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"lambdastore/internal/core"
 	"lambdastore/internal/replication"
@@ -112,8 +111,6 @@ type StorageNode struct {
 	// objects proceed in parallel. There is still no cross-operation
 	// isolation — that is the baseline's defining gap.
 	lists *sched.Table
-
-	ops sync.Map // method -> *uint64 (counters)
 }
 
 // StorageOptions configures a baseline storage node.

@@ -398,7 +398,7 @@ func (n *Node) coordLoop() {
 		n.beats.Add(1)
 		go func() {
 			defer n.beats.Done()
-			n.every(interval, func() { n.coord.Heartbeat(replica, n.addr, n.DebugAddr()) })
+			n.every(interval, func() { n.coord.Heartbeat(replica, n.addr) })
 		}()
 	}
 	n.every(interval, func() {

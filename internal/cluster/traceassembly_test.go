@@ -5,22 +5,19 @@ import (
 	"testing"
 	"time"
 
-	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
 	"lambdastore/internal/retwis"
-	"lambdastore/internal/rpc"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
 )
 
-// TestCoordinatorAggregationAndTimelineTrace is the end-to-end observability
-// test: a retwis workload runs on a 3-node cluster, one traced create_post
-// fans out across all three nodes and assembles into a single critical-path
-// tree (what `lambdactl trace` renders), a traced get_timeline assembles
-// with stage attribution, and a coordinator that learned the nodes' debug
-// addresses from heartbeats scrapes and merges per-group windowed quantiles
-// into the /cluster/metrics rollup (what `lambdactl top` renders).
-func TestCoordinatorAggregationAndTimelineTrace(t *testing.T) {
+// TestRetwisTracesAssembleAcrossNodes is the end-to-end tracing test: a
+// retwis workload runs on a 3-node cluster, one traced create_post fans out
+// across all three nodes and assembles into a single critical-path tree
+// (what `lambdactl trace` renders), and a traced get_timeline assembles
+// with stage attribution. The per-group rollup `lambdactl top` renders is
+// cmd/lambdactl's TestTopRollsUpStaticGroups.
+func TestRetwisTracesAssembleAcrossNodes(t *testing.T) {
 	// Group 0 is n0 (primary) and n2 (backup), group 1 is n1.
 	l := startLocal(t, LocalOptions{Groups: []int{2, 1}, Node: NodeOptions{
 		DebugAddr: "127.0.0.1:0",
@@ -30,28 +27,6 @@ func TestCoordinatorAggregationAndTimelineTrace(t *testing.T) {
 	}})
 	dir := l.Dir
 	n0, n2, n1 := l.Slots[0].Node, l.Slots[1].Node, l.Slots[2].Node
-
-	// One coordinator replica behind a real RPC server, so heartbeats carry
-	// the debug address over the wire exactly as a production node's
-	// coordLoop sends it.
-	ensemble, err := coordinator.StartEnsemble(1, coordinator.Options{DisableFailureDetector: true})
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	t.Cleanup(ensemble.Close)
-	svc, coordAddr := ensemble.Members[0].Service, ensemble.Members[0].Addr
-	pool := rpc.NewPool(nil)
-	t.Cleanup(pool.Close)
-
-	cc := coordinator.NewClient(pool, []string{coordAddr})
-	for _, g := range dir.Groups() {
-		if err := cc.SetGroup(g); err != nil {
-			t.Fatalf("SetGroup: %v", err)
-		}
-	}
-	for _, n := range []*Node{n0, n2, n1} {
-		cc.Heartbeat(coordAddr, n.Addr(), n.DebugAddr())
-	}
 
 	// Retwis workload: user 2 lives in group 0 (replicated to n2), user 3
 	// in group 1. User 2 follows 3, so 3's create_post fans out to 2's
@@ -143,58 +118,6 @@ func TestCoordinatorAggregationAndTimelineTrace(t *testing.T) {
 		t.Errorf("get_timeline render has no attribution table:\n%s", tl.Render())
 	}
 
-	// Warm the read cache so the rollup's hit rate is nonzero.
-	for i := 0; i < 8; i++ {
-		if _, err := c.InvokeRead(2, "get_timeline", [][]byte{core.I64Bytes(10)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The aggregator scrapes every member it learned from heartbeats and
-	// rolls windowed quantiles up per group and cluster-wide.
-	agg := coordinator.NewAggregator(svc, time.Hour)
-	cm := agg.ScrapeOnce()
-	if cm.Members != 3 || cm.Scraped != 3 {
-		t.Fatalf("scraped %d/%d members, want 3/3 (debug addrs: %v)", cm.Scraped, cm.Members, svc.DebugAddrs())
-	}
-	if len(cm.Groups) != 2 {
-		t.Fatalf("groups = %d, want 2", len(cm.Groups))
-	}
-	byID := map[uint64]coordinator.GroupMetrics{}
-	for _, g := range cm.Groups {
-		byID[g.ID] = g
-	}
-	g0, g1 := byID[0], byID[1]
-	if g0.Primary != n0.Addr() || g0.Scraped != 2 {
-		t.Errorf("group 0 rollup %+v, want primary %s scraped from both replicas", g0, n0.Addr())
-	}
-	if g0.Values["p99_us"] == 0 || g0.Values["ops_per_sec"] == 0 {
-		t.Errorf("group 0 windowed invoke quantiles empty: %+v", g0)
-	}
-	if g0.Values["wal_fsync_p99_us"] == 0 {
-		t.Errorf("group 0 WAL fsync p99 empty: %+v", g0)
-	}
-	if g1.Values["p99_us"] == 0 {
-		t.Errorf("group 1 windowed p99 empty: %+v", g1)
-	}
-	if cm.Cluster.Values["p99_us"] == 0 || cm.Cluster.Scraped != 3 {
-		t.Errorf("cluster rollup %+v", cm.Cluster)
-	}
-	if pct := cm.Cluster.Values["cache_hit_pct"]; pct <= 0 || pct > 100 {
-		t.Errorf("cluster cache hit rate = %v%%, want in (0, 100] after warmed reads", pct)
-	}
-
-	// Aggregator.Snapshot serves the same rollup (what /cluster/metrics
-	// returns), and the `lambdactl top` table renders every group.
-	if got := agg.Snapshot(); got.Scraped != 3 {
-		t.Errorf("Snapshot() = %+v, want the scraped rollup", got.Scraped)
-	}
-	table := coordinator.FormatClusterMetrics(cm)
-	for _, frag := range []string{"GROUP", "P99(us)", "FSYNC99(us)", n0.Addr(), n1.Addr(), "ALL"} {
-		if !strings.Contains(table, frag) {
-			t.Errorf("top table missing %q:\n%s", frag, table)
-		}
-	}
 }
 
 // TestRejoinAssemblesAsOneTrace checks that trace context propagates through

@@ -116,12 +116,11 @@ type Service struct {
 	opts Options
 	node *paxos.Node
 
-	mu         sync.Mutex
-	dir        *shard.Directory
-	lastSeen   map[string]time.Time
-	debugAddrs map[string]string // rpc addr -> debug HTTP addr (from heartbeats)
-	applied    uint64
-	promotes   map[uint64]uint64 // group -> effective (guard-matched) promotions
+	mu       sync.Mutex
+	dir      *shard.Directory
+	lastSeen map[string]time.Time
+	applied  uint64
+	promotes map[uint64]uint64 // group -> effective (guard-matched) promotions
 
 	// What this replica applied, published for the operator: a healthy
 	// cluster shows cutovers rising while coord.directory.overrides decays
@@ -147,7 +146,6 @@ func New(id uint64, peers []uint64, trans paxos.Transport, opts Options, reg *te
 		opts:       opts,
 		dir:        shard.NewDirectory(nil),
 		lastSeen:   make(map[string]time.Time),
-		debugAddrs: make(map[string]string),
 		promotes:   make(map[uint64]uint64),
 		reg:        reg,
 		migrations: reg.Counter("coord.migrations.cutovers"),
@@ -257,27 +255,11 @@ func (s *Service) Directory() *shard.Directory {
 	return d
 }
 
-// HeartbeatWithDebug records liveness and the node's debug HTTP address,
-// which the metrics aggregator scrapes.
-func (s *Service) HeartbeatWithDebug(addr, debugAddr string) {
+// Heartbeat records that the node at addr is alive.
+func (s *Service) Heartbeat(addr string) {
 	s.mu.Lock()
 	s.lastSeen[addr] = time.Now()
-	if debugAddr != "" {
-		s.debugAddrs[addr] = debugAddr
-	}
 	s.mu.Unlock()
-}
-
-// DebugAddrs returns a copy of the rpc-addr -> debug-HTTP-addr table
-// learned from heartbeats.
-func (s *Service) DebugAddrs() map[string]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]string, len(s.debugAddrs))
-	for a, d := range s.debugAddrs {
-		out[a] = d
-	}
-	return out
 }
 
 // detectLoop sweeps for dead primaries and proposes promotions. Promotion
@@ -407,14 +389,12 @@ func RegisterServer(srv *rpc.Server, s *Service) {
 		return s.dir.Snapshot(), nil
 	})
 	srv.Handle(MethodHeartbeat, func(body []byte) ([]byte, error) {
-		// A node with a debug HTTP endpoint appends its address for the
-		// metrics aggregator; Str on an exhausted frame reads "".
 		r := wire.NewReader(body)
 		addr := r.Str()
 		if err := r.ErrIn("coordinator: heartbeat"); err != nil {
 			return nil, err
 		}
-		s.HeartbeatWithDebug(addr, r.Str())
+		s.Heartbeat(addr)
 		return nil, nil
 	})
 	srv.Handle(MethodSetGroup, func(body []byte) ([]byte, error) {
@@ -481,15 +461,9 @@ func (c *Client) GetConfig() (*shard.Directory, error) {
 // Heartbeat reports node addr as alive to one coordinator replica. Each
 // replica runs its own failure detector, so a node heartbeats every one,
 // each on a loop of its own: a replica that never answers then holds one
-// call, and never the heartbeats to the others. debugAddr, if non-empty,
-// tells the coordinator where the node's debug HTTP endpoint lives so the
-// metrics aggregator can scrape it.
-func (c *Client) Heartbeat(replica, addr, debugAddr string) {
-	body := wire.AppendString(nil, addr)
-	if debugAddr != "" {
-		body = wire.AppendString(body, debugAddr)
-	}
-	c.pool.Call(replica, MethodHeartbeat, body) //nolint:errcheck // best effort
+// call, and never the heartbeats to the others.
+func (c *Client) Heartbeat(replica, addr string) {
+	c.pool.Call(replica, MethodHeartbeat, wire.AppendString(nil, addr)) //nolint:errcheck // best effort
 }
 
 // SetGroup installs a replica group.

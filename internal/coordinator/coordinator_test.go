@@ -203,14 +203,14 @@ func TestFailureDetectorPromotes(t *testing.T) {
 				return
 			case <-ticker.C:
 				for _, svc := range services {
-					svc.HeartbeatWithDebug("back", "")
+					svc.Heartbeat("back")
 				}
 			}
 		}
 	}()
 	defer close(stop)
 	for _, svc := range services {
-		svc.HeartbeatWithDebug("prim", "")
+		svc.Heartbeat("prim")
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -235,7 +235,7 @@ func TestNeverHeartbeatedNodeNotDeclaredDead(t *testing.T) {
 	if err := services[0].ProposeCommand(&Command{Kind: cmdSetGroup, Group: g}); err != nil {
 		t.Fatal(err)
 	}
-	services[0].HeartbeatWithDebug("alive", "")
+	services[0].Heartbeat("alive")
 	time.Sleep(100 * time.Millisecond)
 	// "silent" never heartbeated at all (e.g. configured before boot):
 	// the detector must not kill it on zero evidence.

@@ -42,8 +42,8 @@ type Options struct {
 	// process-global, so on a node with Faults enabled this endpoint is
 	// the live-cluster counterpart of the chaos harness.
 	Faults bool
-	// JSON maps a path ("/recovery", "/cluster/metrics") to the status
-	// document served there, encoded as JSON on every request.
+	// JSON maps a path (a node's "/recovery") to the status document
+	// served there, encoded as JSON on every request.
 	JSON map[string]func() any
 }
 

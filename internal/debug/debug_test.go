@@ -115,8 +115,8 @@ func TestMetricsTextAndJSONAgree(t *testing.T) {
 func TestJSONEndpointMap(t *testing.T) {
 	calls := 0
 	srv, err := Start("127.0.0.1:0", Options{JSON: map[string]func() any{
-		"/recovery":        func() any { calls++; return map[string]int{"rejoins": calls} },
-		"/cluster/metrics": func() any { return []string{"g0"} },
+		"/recovery": func() any { calls++; return map[string]int{"rejoins": calls} },
+		"/groups":   func() any { return []string{"g0"} },
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +129,8 @@ func TestJSONEndpointMap(t *testing.T) {
 	if body, _ := get(t, srv, "/recovery"); strings.TrimSpace(body) != `{"rejoins":2}` {
 		t.Errorf("/recovery second read = %q, want the document re-evaluated", body)
 	}
-	if body, code := get(t, srv, "/cluster/metrics"); code != http.StatusOK || strings.TrimSpace(body) != `["g0"]` {
-		t.Errorf("/cluster/metrics = %d %q", code, body)
+	if body, code := get(t, srv, "/groups"); code != http.StatusOK || strings.TrimSpace(body) != `["g0"]` {
+		t.Errorf("/groups = %d %q", code, body)
 	}
 	if body, code := get(t, srv, "/faults"); code != http.StatusNotFound {
 		t.Errorf("/faults = %d %q, want 404: it was not handed over", code, body)

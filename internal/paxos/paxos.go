@@ -216,19 +216,17 @@ func (n *Node) HandleLearn(req *LearnReq) {
 	if req.Slot >= n.nextSlot {
 		n.nextSlot = req.Slot + 1
 	}
-	var ready []struct {
+	type chosen struct {
 		slot  uint64
 		value []byte
 	}
+	var ready []chosen
 	for {
 		v, ok := n.chosen[n.nextApply]
 		if !ok {
 			break
 		}
-		ready = append(ready, struct {
-			slot  uint64
-			value []byte
-		}{n.nextApply, v})
+		ready = append(ready, chosen{n.nextApply, v})
 		n.nextApply++
 	}
 	apply := n.applyF

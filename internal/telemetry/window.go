@@ -5,12 +5,12 @@
 //   - HistData is the one summary of a histogram: a sparse copy of the bucket
 //     array plus derived quantiles. Because every histogram in the system
 //     shares one bucket layout, HistData merge is plain bucket addition —
-//     commutative and associative by construction — which is what lets the
-//     coordinator roll node snapshots up into group and cluster views.
+//     commutative and associative by construction — which is what lets
+//     `lambdactl top` roll node snapshots up into group and cluster views.
 //   - RegistrySnapshot is every instrument's cumulative value at one instant.
 //     The registry keeps no window: whoever wants rates or windowed
 //     percentiles keeps its own previous snapshot and takes cur.Sub(prev),
-//     so any number of scrapers each see their own full interval.
+//     so any number of readers each see their own full interval.
 package telemetry
 
 import (
@@ -211,7 +211,7 @@ func (d HistData) Sub(prev HistData) HistData {
 // cumulative since the registry was created: histograms, counter totals,
 // and gauges (stored and sampled alike). It is the one thing that leaves a
 // node — /metrics renders it as text, /metrics.json and the node.stats RPC
-// serve it as JSON, the coordinator merges it — and it is also what a window
+// serve it as JSON, `lambdactl top` merges it — and it is also what a window
 // looks like: Sub of two snapshots has the same shape, counting only what
 // happened between them.
 type RegistrySnapshot struct {

@@ -173,9 +173,10 @@ func typeCheck(t *testing.T, fset *token.FileSet) []checked {
 	var out []checked
 	for _, l := range ours {
 		c := checked{dir: l.dir, info: &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}}
 		for _, name := range strings.Fields(l.files) {
 			f, err := parser.ParseFile(fset, filepath.Join(l.src, name), nil, parser.SkipObjectResolution)
@@ -318,6 +319,62 @@ func TestNothingUnreached(t *testing.T) {
 			if unreached, ok := keys[key]; !ok || !unreached {
 				t.Errorf("testOnly entry %q is stale (not declared, or product code reaches it now)", key)
 			}
+		}
+	})
+
+	// A field is live when product code names it: a selector, a keyed
+	// composite literal, or a promoted selection that runs through an
+	// embedded field. A field nothing names is state nobody reads or
+	// writes. Fields are matched across packages by where they are
+	// declared, since a package's own objects and those its importers see
+	// through export data are distinct.
+	t.Run("fields", func(t *testing.T) {
+		pkgs := typeCheck(t, fset)
+		key := func(v *types.Var) string {
+			v = v.Origin()
+			p := fset.Position(v.Pos())
+			return v.Pkg().Path() + "/" + filepath.Base(p.Filename) + ":" + strconv.Itoa(p.Line) + ":" + v.Name()
+		}
+		declared := map[string]token.Pos{}
+		used := map[string]bool{}
+		for _, c := range pkgs {
+			for id, obj := range c.info.Defs {
+				if v, ok := obj.(*types.Var); ok && v.IsField() && v.Name() != "_" && isProduct(c.dir) {
+					declared[key(v)] = id.Pos()
+				}
+			}
+			for _, obj := range c.info.Uses {
+				if v, ok := obj.(*types.Var); ok && v.IsField() {
+					used[key(v)] = true
+				}
+			}
+			for _, sel := range c.info.Selections {
+				typ, path := sel.Recv(), sel.Index()
+				for _, i := range path[:len(path)-1] {
+					if p, ok := typ.Underlying().(*types.Pointer); ok {
+						typ = p.Elem()
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					used[key(st.Field(i))] = true
+					typ = st.Field(i).Type()
+				}
+			}
+		}
+		if len(declared) < 200 {
+			t.Fatalf("found %d struct fields: the guard is not looking at the source", len(declared))
+		}
+		var dead []string
+		for k, pos := range declared {
+			if !used[k] {
+				dead = append(dead, fset.Position(pos).String()+": "+k[strings.LastIndex(k, ":")+1:])
+			}
+		}
+		sort.Strings(dead)
+		for _, d := range dead {
+			t.Errorf("field %s is named by no product code: delete it", d)
 		}
 	})
 
@@ -855,12 +912,12 @@ func TestOneMetricsSurface(t *testing.T) {
 		"histPerSec": {"Histogram", "CountHistogram"},
 		"quantileUs": {"Histogram"},
 	}
-	agg, err := parser.ParseFile(fset, "internal/coordinator/aggregate.go", nil, parser.SkipObjectResolution)
+	top, err := parser.ParseFile(fset, "cmd/lambdactl/top.go", nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cols := 0
-	ast.Inspect(agg, func(n ast.Node) bool {
+	ast.Inspect(top, func(n ast.Node) bool {
 		vs, ok := n.(*ast.ValueSpec)
 		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "columns" || len(vs.Values) != 1 {
 			return true
@@ -907,7 +964,7 @@ func TestOneMetricsSurface(t *testing.T) {
 		return false
 	})
 	if cols < 5 {
-		t.Errorf("found %d columns in internal/coordinator/aggregate.go: the guard is not looking at the table", cols)
+		t.Errorf("found %d columns in cmd/lambdactl/top.go: the guard is not looking at the table", cols)
 	}
 }
 
