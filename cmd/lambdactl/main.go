@@ -15,7 +15,8 @@
 //	lambdactl -config cluster.json stats
 //	lambdactl -config cluster.json top -n 0 -interval 5s
 //	lambdactl stats -debug 127.0.0.1:8080,127.0.0.1:8081
-//	lambdactl traces -debug 127.0.0.1:8080 -trace 1f3a... [-min 10ms]
+//	lambdactl traces -debug 127.0.0.1:8080 [-min 10ms]
+//	lambdactl trace 1f3a... -debug 127.0.0.1:8080
 //	lambdactl fault -debug 127.0.0.1:8080
 //	lambdactl fault -debug 127.0.0.1:8080 rule *@10.0.0.2:7001 drop p=0.3
 //	lambdactl fault -debug 127.0.0.1:8080 -file scenario.fault
@@ -43,6 +44,7 @@ import (
 	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
 	"lambdastore/internal/debug"
+	"lambdastore/internal/recovery"
 	"lambdastore/internal/retwis"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
@@ -64,8 +66,8 @@ Commands:
                                              (totals and 1 s rates), over RPC or
                                              from debug servers' /metrics.json
   traces          -debug HOST:PORT,...       fetch /traces and print each trace
-                  [-trace ID] [-min DUR]     as a span tree across nodes
-                                             (filter one trace / slow spans)
+                  [-min DUR]                 as a span tree across nodes (only
+                                             spans at least DUR long)
   trace           ID -debug HOST:PORT,...    assemble one trace across nodes:
                                              span tree + critical-path stage
                                              attribution
@@ -386,29 +388,6 @@ func runFault(args []string) {
 	os.Stdout.Write(body)
 }
 
-// recoveryEnvelope mirrors the /recovery JSON response.
-type recoveryEnvelope struct {
-	Rejoin struct {
-		Self              string  `json:"self"`
-		State             string  `json:"state"`
-		Donor             string  `json:"donor"`
-		Attempts          uint64  `json:"attempts"`
-		Rejoins           uint64  `json:"rejoins"`
-		LastError         string  `json:"last_error"`
-		LastRejoinSeconds float64 `json:"last_rejoin_seconds"`
-		RangesDiverged    uint64  `json:"ranges_diverged"`
-		BytesStreamed     uint64  `json:"bytes_streamed"`
-		ChunksApplied     uint64  `json:"chunks_applied"`
-	} `json:"rejoin"`
-	DonorSessions []struct {
-		Joiner     string  `json:"joiner"`
-		Scope      string  `json:"scope"`
-		Epoch      uint64  `json:"epoch"`
-		Forwarded  uint64  `json:"forwarded"`
-		AgeSeconds float64 `json:"age_seconds"`
-	} `json:"donor_sessions"`
-}
-
 // runRecovery prints each node's anti-entropy picture: where its own
 // rejoin state machine sits (with cumulative catch-up telemetry) and any
 // catch-up sessions it is currently donating to.
@@ -429,7 +408,10 @@ func runRecovery(args []string) {
 			fmt.Printf("== %s: unreachable (%v)\n", addr, err)
 			continue
 		}
-		var env recoveryEnvelope
+		var env struct {
+			Rejoin        recovery.Status          `json:"rejoin"`
+			DonorSessions []recovery.SessionStatus `json:"donor_sessions"`
+		}
 		if err := json.Unmarshal(body, &env); err != nil {
 			log.Fatalf("lambdactl: %s: bad /recovery response: %v", addr, err)
 		}
@@ -489,20 +471,16 @@ func runSetGroup(args []string) {
 
 // runTraces fetches spans from one or more debug servers and prints each
 // trace among them, earliest first, as its span tree across the nodes — the
-// merged view of a distributed request.
+// merged view of a distributed request. One trace by ID is runTrace's.
 func runTraces(args []string) {
 	fs := flag.NewFlagSet("traces", flag.ExitOnError)
 	debugAddrs := fs.String("debug", "", "comma-separated debug HTTP addresses (required)")
-	traceID := fs.String("trace", "", "only this trace (hex or decimal ID)")
 	minDur := fs.Duration("min", 0, "only spans at least this long")
 	fs.Parse(args)
 	if *debugAddrs == "" {
 		log.Fatal("lambdactl: traces needs -debug")
 	}
 	q := url.Values{}
-	if *traceID != "" {
-		q.Set("trace", *traceID)
-	}
 	if *minDur > 0 {
 		q.Set("min", minDur.String())
 	}

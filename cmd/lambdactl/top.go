@@ -175,11 +175,6 @@ func (s *sampler) top(dir *shard.Directory) clusterMetrics {
 		for _, addr := range g.Replicas() {
 			cm.Members++
 			if _, win, err := s.next(addr); err == nil {
-				// The node.stats call that took the sample was in flight
-				// at the node when it did: it is not the node's load.
-				if n := win.Gauges["rpc.server.in_flight"]; n > 0 {
-					win.Gauges["rpc.server.in_flight"] = n - 1
-				}
 				wins = append(wins, win)
 			}
 		}

@@ -142,23 +142,29 @@ func TestTopWindowIsItsOwn(t *testing.T) {
 }
 
 // TestTopLeavesOutItsOwnCall: a node answers node.stats from inside the
-// call, so its in-flight gauge counts the sample's own request, which QD
-// leaves out — an idle group reads 0, not one per member.
+// call and leaves that call out of its in-flight gauge, so an idle group's
+// QD reads 0, not one per member; and top shows the gauge as the node gives
+// it, so a node with 3 requests in flight reads 3.
 func TestTopLeavesOutItsOwnCall(t *testing.T) {
+	l, err := cluster.StartLocal(cluster.LocalOptions{Groups: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	s := newSampler(l.Client.Stats)
+	for range 2 {
+		if qd := s.top(l.Dir).Groups[0].Values["queue_depth"]; qd != 0 {
+			t.Errorf("idle group's QD = %v, want 0", qd)
+		}
+	}
+
 	reg := telemetry.NewRegistry()
 	inFlight := reg.Gauge("rpc.server.in_flight")
-	s := newSampler(func(string) ([]byte, error) {
-		inFlight.Inc()
-		defer inFlight.Dec()
-		return json.Marshal(reg.Snapshot())
-	})
-	dir := shard.NewDirectory([]shard.Group{{ID: 0, Primary: "a"}})
-	if qd := s.top(dir).Groups[0].Values["queue_depth"]; qd != 0 {
-		t.Errorf("idle group's QD = %v, want 0", qd)
-	}
 	for range 3 {
 		inFlight.Inc()
 	}
+	s = newSampler(func(string) ([]byte, error) { return json.Marshal(reg.Snapshot()) })
+	dir := shard.NewDirectory([]shard.Group{{ID: 0, Primary: "a"}})
 	if qd := s.top(dir).Groups[0].Values["queue_depth"]; qd != 3 {
 		t.Errorf("QD with 3 requests in flight = %v, want 3", qd)
 	}

@@ -2,7 +2,9 @@
 // objects in the embedded LSM engine, executes their methods in the
 // isolation runtime, and replicates committed write-sets to its group's
 // backups. Configuration comes from a static cluster file and/or a
-// coordinator service.
+// coordinator service; with a coordinator, a node that finds itself outside
+// its group (evicted while it was down) catches up from the primary and
+// re-admits itself.
 //
 // Usage:
 //
@@ -35,7 +37,6 @@ func main() {
 		debugAddr  = flag.String("debug", "", "debug HTTP address for /metrics, /traces, /healthz, pprof (empty disables)")
 		tracing    = flag.Bool("trace", false, "record per-stage spans for every traced invocation")
 		slow       = flag.Duration("slow", 0, "log invocations slower than this (0 disables)")
-		rejoin     = flag.Bool("rejoin", false, "anti-entropy rejoin: when deposed from the group, catch up from the primary via range digests and re-admit through the coordinator")
 		recRate    = flag.Int("recovery-rate", 0, "rejoin catch-up streaming rate limit in bytes/sec (0 = unlimited)")
 	)
 	flag.Parse()
@@ -56,7 +57,6 @@ func main() {
 		DebugAddr:              *debugAddr,
 		Tracing:                *tracing,
 		SlowTraceThreshold:     *slow,
-		Rejoin:                 *rejoin,
 		RecoveryMaxBytesPerSec: *recRate,
 	}
 	if *configPath != "" {
@@ -71,9 +71,6 @@ func main() {
 	}
 	if *coords != "" {
 		opts.Coordinators = strings.Split(*coords, ",")
-	}
-	if *rejoin && len(opts.Coordinators) == 0 {
-		log.Fatal("lambdastore: -rejoin needs a coordinator (-coordinators or a config with one)")
 	}
 
 	node, err := cluster.StartNode(opts)

@@ -121,37 +121,6 @@ func TestLBClientPath(t *testing.T) {
 	}
 }
 
-func TestLBMirrors(t *testing.T) {
-	// Two LBs: one mirrors its log to the other.
-	s := startStack(t, 0)
-	s.registerType(t, retwis.MustType())
-	s.create(t, 1, retwis.TypeName)
-
-	mirror, err := StartLB(LBOptions{Addr: "127.0.0.1:0", LogDir: t.TempDir()}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mirror.Close()
-	front, err := StartLB(LBOptions{
-		Addr: "127.0.0.1:0", LogDir: t.TempDir(),
-		Computes: []string{s.compute.Addr()},
-		Mirrors:  []string{mirror.Addr()},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer front.Close()
-
-	client := NewClient(front.Addr(), nil)
-	defer client.Close()
-	if _, err := client.Invoke(1, "create_account", [][]byte{[]byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mirror.logDB.Get(logKey(1)); err != nil {
-		t.Fatalf("mirror missing log record: %v", err)
-	}
-}
-
 func TestNoIsolationInBaseline(t *testing.T) {
 	// The defining gap (paper §5: "the disaggregated variant provides no
 	// consistency guarantees"): a method that writes then traps leaves the

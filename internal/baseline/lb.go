@@ -2,21 +2,16 @@ package baseline
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"lambdastore/internal/core"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/store"
 	"lambdastore/internal/telemetry"
-	"lambdastore/internal/wire"
 )
 
-// Load-balancer RPC method names.
-const (
-	MethodLBInvoke = "lb.invoke"
-	MethodLBMirror = "lb.mirror"
-)
+// MethodLBInvoke is the load balancer's one RPC method.
+const MethodLBInvoke = "lb.invoke"
 
 // LBOptions configures a load balancer.
 type LBOptions struct {
@@ -25,8 +20,6 @@ type LBOptions struct {
 	// request before dispatch so a compute-node failure can never lose a
 	// response (paper §4.1 — the role Apache Kafka plays in OpenWhisk).
 	LogDir string
-	// Mirrors are peer load balancers that replicate the request log.
-	Mirrors []string
 	// Computes are the compute nodes to dispatch to, round-robin.
 	Computes []string
 	// ClientOptions tunes outbound connections (latency injection).
@@ -34,9 +27,8 @@ type LBOptions struct {
 }
 
 // LoadBalancer fronts the disaggregated compute layer: it durably logs each
-// request, mirrors the log to peers, and dispatches to compute nodes.
+// request and dispatches it to a compute node.
 type LoadBalancer struct {
-	opts LBOptions
 	srv  *rpc.Server
 	pool *rpc.Pool
 	addr string
@@ -45,8 +37,7 @@ type LoadBalancer struct {
 	logSeq atomic.Uint64
 	rr     atomic.Uint64
 
-	mu       sync.RWMutex
-	computes []string
+	computes []string // fixed at boot
 
 	dispatched *telemetry.Counter // requests dispatched to compute nodes
 }
@@ -61,7 +52,6 @@ func StartLB(opts LBOptions, reg *telemetry.Registry) (*LoadBalancer, error) {
 		return nil, err
 	}
 	lb := &LoadBalancer{
-		opts:     opts,
 		srv:      rpc.NewServer(),
 		pool:     rpc.NewPool(opts.ClientOptions),
 		logDB:    logDB,
@@ -70,7 +60,6 @@ func StartLB(opts LBOptions, reg *telemetry.Registry) (*LoadBalancer, error) {
 		dispatched: reg.Counter("lb.dispatched"),
 	}
 	lb.srv.Handle(MethodLBInvoke, lb.handleInvoke)
-	lb.srv.Handle(MethodLBMirror, lb.handleMirror)
 	addr, err := lb.srv.Serve(opts.Addr)
 	if err != nil {
 		logDB.Close()
@@ -100,42 +89,17 @@ func logKey(seq uint64) []byte {
 	return b[:]
 }
 
-// handleInvoke durably logs the request, mirrors it, and dispatches it.
+// handleInvoke durably logs the request, then dispatches it round-robin.
 func (lb *LoadBalancer) handleInvoke(body []byte) ([]byte, error) {
-	// 1. Durable local log.
-	seq := lb.logSeq.Add(1)
-	if err := lb.logDB.Put(logKey(seq), body); err != nil {
+	if err := lb.logDB.Put(logKey(lb.logSeq.Add(1)), body); err != nil {
 		return nil, fmt.Errorf("baseline: lb log: %w", err)
 	}
-	// 2. Mirror to peer LBs (the log replication Kafka would provide).
-	for _, m := range lb.opts.Mirrors {
-		var mb []byte
-		mb = wire.AppendUvarint(mb, seq)
-		mb = wire.AppendBytes(mb, body)
-		if _, err := lb.pool.Call(m, MethodLBMirror, mb); err != nil {
-			return nil, fmt.Errorf("baseline: lb mirror %s: %w", m, err)
-		}
-	}
-	// 3. Dispatch round-robin.
-	lb.mu.RLock()
-	computes := lb.computes
-	lb.mu.RUnlock()
-	if len(computes) == 0 {
+	if len(lb.computes) == 0 {
 		return nil, fmt.Errorf("baseline: no compute nodes")
 	}
-	target := computes[lb.rr.Add(1)%uint64(len(computes))]
+	target := lb.computes[lb.rr.Add(1)%uint64(len(lb.computes))]
 	lb.dispatched.Inc()
 	return lb.pool.Call(target, MethodRun, body)
-}
-
-// handleMirror appends a peer's log record.
-func (lb *LoadBalancer) handleMirror(body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	seq, rec := r.Uvarint(), r.Bytes()
-	if err := r.ErrIn("baseline: mirror record"); err != nil {
-		return nil, err
-	}
-	return nil, lb.logDB.Put(logKey(seq), rec)
 }
 
 // Client is the application-facing entry point of the disaggregated

@@ -13,29 +13,21 @@ import (
 // deployment is the cluster every chaos schedule runs against, for
 // cluster.StartLocal: a three-replica coordinator ensemble with a 300ms
 // failure detector, and one group of three nodes (first node primary) with
-// fsynced write-ahead logs — so a restart is a real crash recovery — and the
-// rejoin manager armed, so a node that finds itself outside its group
-// catches up from the primary and re-admits itself. Scenarios that need
-// more (a second group, a shorter move timeout) edit the returned value.
+// fsynced write-ahead logs, so a restart is a real crash recovery. The
+// detector's timeout sets the nodes' cadence: 75ms heartbeats, 150ms leases
+// (a deposed primary's barrier, one lease, always ends before the
+// coordinator can have promoted a successor, so a leased backup never
+// serves state older than an acked write) and a 1.5s move janitor. A node
+// that finds itself outside its group catches up from the primary and
+// re-admits itself. Scenarios that need more (a second group) edit the
+// returned value.
 func deployment(dataRoot string) cluster.LocalOptions {
 	return cluster.LocalOptions{
 		Groups:       []int{3},
 		Coordinators: 3,
-		Coord: coordinator.Options{
-			HeartbeatTimeout: 300 * time.Millisecond,
-			CheckInterval:    50 * time.Millisecond,
-		},
-		DataRoot: dataRoot,
-		Node: cluster.NodeOptions{
-			Store:             &store.Options{SyncWrites: true},
-			HeartbeatInterval: 50 * time.Millisecond,
-			Rejoin:            true,
-			// Leases shorter than the failure-detector timeout: a deposed
-			// primary's barrier (one lease TTL) always ends before the
-			// coordinator can have promoted a successor, so a leased backup
-			// can never serve state older than an acked write.
-			LeaseTTL: 150 * time.Millisecond,
-		},
+		Coord:        coordinator.Options{HeartbeatTimeout: 300 * time.Millisecond},
+		DataRoot:     dataRoot,
+		Node:         cluster.NodeOptions{Store: &store.Options{SyncWrites: true}},
 		// Tight backoff pacing: the failure-detector timeouts are hundreds
 		// of milliseconds, so production retry delays would only slow the
 		// schedule down without exercising anything extra.
@@ -159,9 +151,6 @@ func TestChaosRestartRejoin(t *testing.T) {
 func TestChaosMigrateUnderChaos(t *testing.T) {
 	opts := deployment(t.TempDir())
 	opts.Groups = []int{3, 1}
-	// Tight janitor so an aborted move's partial copy is reclaimed
-	// within the test's patience.
-	opts.Node.MoveSessionTimeout = 2 * time.Second
 	c := startChaosCluster(t, opts)
 	rep, err := Run(c, RunOptions{
 		Seed:      0x317a,

@@ -14,7 +14,7 @@ import (
 func affinityGroup(t *testing.T, n int) (*Local, *Client, map[string]*Node) {
 	t.Helper()
 	l := startLocal(t, LocalOptions{Groups: []int{3}, Node: NodeOptions{
-		LeaseTTL: time.Hour,
+		leaseTTL: time.Hour,
 		Runtime:  core.Options{CacheEntries: 256},
 	}})
 	c := newGroupClient(t, l.Dir)

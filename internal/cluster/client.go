@@ -31,10 +31,6 @@ type Client struct {
 	retryBase   time.Duration
 	retryMax    time.Duration
 	retryBudget time.Duration
-
-	// tracing mints a fresh trace ID per invocation; the receiving nodes
-	// decide whether spans are actually recorded.
-	tracing bool
 }
 
 // ClientConfig configures a Client.
@@ -58,9 +54,6 @@ type ClientConfig struct {
 	// deadline: when it expires the call returns the last error even if
 	// retry attempts remain.
 	RetryBudget time.Duration
-	// Tracing stamps every invocation with a fresh trace ID so nodes with
-	// tracing enabled record its spans.
-	Tracing bool
 }
 
 // NewClient builds a client.
@@ -71,7 +64,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		retryBase:   cfg.RetryBaseDelay,
 		retryMax:    cfg.RetryMaxDelay,
 		retryBudget: cfg.RetryBudget,
-		tracing:     cfg.Tracing,
 	}
 	if c.maxRetries <= 0 {
 		c.maxRetries = 4
@@ -158,22 +150,14 @@ func (c *Client) lookup(id core.ObjectID) (shard.Group, error) {
 	return c.Directory().Lookup(uint64(id))
 }
 
-// rootCtx mints the invocation's trace context (zero when tracing is off).
-func (c *Client) rootCtx() telemetry.SpanContext {
-	if !c.tracing {
-		return telemetry.SpanContext{}
-	}
-	return telemetry.NewRootContext()
-}
-
 // Invoke runs a (potentially mutating) method at the object's primary.
 func (c *Client) Invoke(id core.ObjectID, method string, args [][]byte) ([]byte, error) {
-	return c.invoke(c.rootCtx(), id, method, args, false)
+	return c.invoke(telemetry.SpanContext{}, id, method, args, false)
 }
 
 // InvokeTraced is Invoke under a freshly minted trace; it returns the trace
 // ID so the caller can fetch the request's spans from the nodes' /traces
-// endpoints (regardless of the client's Tracing setting).
+// endpoints. Every other call goes untraced.
 func (c *Client) InvokeTraced(id core.ObjectID, method string, args [][]byte) ([]byte, uint64, error) {
 	ctx := telemetry.NewRootContext()
 	resp, err := c.invoke(ctx, id, method, args, false)
@@ -185,7 +169,7 @@ func (c *Client) InvokeTraced(id core.ObjectID, method string, args [][]byte) ([
 // backup serves only a method whose link-time facts prove it a read, and
 // only under a valid lease; any other it redirects to the primary.
 func (c *Client) InvokeRead(id core.ObjectID, method string, args [][]byte) ([]byte, error) {
-	return c.invoke(c.rootCtx(), id, method, args, true)
+	return c.invoke(telemetry.SpanContext{}, id, method, args, true)
 }
 
 // send is the client's one retry loop, and so the definition of its
@@ -257,7 +241,7 @@ func (c *Client) InvokeTransaction(calls []core.TxCall) ([][]byte, error) {
 	if len(calls) == 0 {
 		return nil, nil
 	}
-	resp, err := c.send(c.rootCtx(), MethodInvokeTx, encodeTxReq(&txReq{calls: calls}), false, func(int) (string, error) {
+	resp, err := c.send(telemetry.SpanContext{}, MethodInvokeTx, encodeTxReq(&txReq{calls: calls}), false, func(int) (string, error) {
 		g, err := c.lookup(calls[0].Object)
 		if err != nil {
 			return "", err
@@ -282,13 +266,13 @@ func (c *Client) InvokeTransaction(calls []core.TxCall) ([][]byte, error) {
 // CreateObject instantiates an object at its primary.
 func (c *Client) CreateObject(typeName string, id core.ObjectID) error {
 	body := encodeCreateReq(&createReq{object: id, typeName: typeName})
-	_, err := c.send(c.rootCtx(), MethodCreate, body, false, func(int) (string, error) { g, err := c.lookup(id); return g.Primary, err })
+	_, err := c.send(telemetry.SpanContext{}, MethodCreate, body, false, func(int) (string, error) { g, err := c.lookup(id); return g.Primary, err })
 	return err
 }
 
 // DeleteObject removes an object and all its state at its primary.
 func (c *Client) DeleteObject(id core.ObjectID) error {
-	_, err := c.send(c.rootCtx(), MethodDelete, encodeDeleteReq(id), false, func(int) (string, error) { g, err := c.lookup(id); return g.Primary, err })
+	_, err := c.send(telemetry.SpanContext{}, MethodDelete, encodeDeleteReq(id), false, func(int) (string, error) { g, err := c.lookup(id); return g.Primary, err })
 	return err
 }
 

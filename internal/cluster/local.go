@@ -72,8 +72,14 @@ type Local struct {
 // groups are installed from the addresses the nodes bound; SetDirectory on
 // each node re-derives its role. Coordinated boot: the ensemble starts, the
 // nodes start against it, the groups go through the replicated log, and the
-// nodes pick them up with their next heartbeat.
+// nodes pick them up with their next heartbeat. Every node then runs the
+// cadence its failure detector's timeout gives (coordinator.Cadence), so a
+// lease always ends before the detector can promote around it.
 func StartLocal(opts LocalOptions) (_ *Local, err error) {
+	if opts.Coordinators > 0 {
+		c := opts.Coord.Cadence()
+		opts.Node.heartbeat, opts.Node.leaseTTL, opts.Node.moveSession = c.Heartbeat, c.Lease, c.MoveSession
+	}
 	l := &Local{opts: opts}
 	defer func() {
 		if err != nil {
@@ -153,8 +159,7 @@ func StartLocal(opts LocalOptions) (_ *Local, err error) {
 // Restart starts slot i's node on the slot's address and data directory —
 // at boot, and after a Kill as a faithful crash recovery: same identity,
 // state replayed from WAL and SSTs. A coordinated node whose group evicted
-// it meanwhile comes up outside the group; with NodeOptions.Rejoin set it
-// catches up and re-admits itself.
+// it meanwhile comes up outside the group, catches up and re-admits itself.
 func (l *Local) Restart(i int) error {
 	s := l.Slots[i]
 	if s.Node != nil {

@@ -32,14 +32,14 @@ func startStatic(t *testing.T, node NodeOptions, groups ...int) ([]*Node, *shard
 }
 
 // coordinated is the cluster tests' coordinator-managed deployment: three
-// coordinator replicas that declare a node dead after 400ms of silence,
-// nodes (running node) heartbeating every 100ms.
+// coordinator replicas that declare a node dead after 400ms of silence, and
+// nodes running node at the cadence that gives (100ms heartbeats, 200ms
+// leases).
 func coordinated(groups []int, node NodeOptions) LocalOptions {
-	node.HeartbeatInterval = 100 * time.Millisecond
 	return LocalOptions{
 		Groups:       groups,
 		Coordinators: 3,
-		Coord:        coordinator.Options{HeartbeatTimeout: 400 * time.Millisecond, CheckInterval: 100 * time.Millisecond},
+		Coord:        coordinator.Options{HeartbeatTimeout: 400 * time.Millisecond},
 		Node:         node,
 	}
 }
@@ -64,7 +64,7 @@ func TestLocalBootInvariant(t *testing.T) {
 		opts LocalOptions
 	}{
 		{"static", LocalOptions{Groups: []int{3, 2}}},
-		{"coordinated", coordinated([]int{3, 2}, NodeOptions{Rejoin: true})},
+		{"coordinated", coordinated([]int{3, 2}, NodeOptions{})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := startLocal(t, tc.opts)
@@ -81,6 +81,12 @@ func TestLocalBootInvariant(t *testing.T) {
 				}
 				if r.primary {
 					primaries[s.Group]++
+				}
+				// Static nodes run the default coordinator's cadence; a
+				// coordinated deployment's, its own detector's.
+				c, o := tc.opts.Coord.Cadence(), s.Node.opts
+				if o.heartbeat != c.Heartbeat || o.leaseTTL != c.Lease || o.moveSession != c.MoveSession {
+					t.Errorf("node %d runs heartbeat %v, lease %v, move session %v; the cadence is %+v", i, o.heartbeat, o.leaseTTL, o.moveSession, c)
 				}
 			}
 			for g := range tc.opts.Groups {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,11 +35,12 @@ type NodeOptions struct {
 	// Directory is the initial configuration (static mode). With a
 	// Coordinator configured the node refreshes it periodically.
 	Directory *shard.Directory
-	// Coordinators lists coordinator replica addresses (optional).
+	// Coordinators lists coordinator replica addresses (optional). With
+	// them the node heartbeats every replica, and whenever it is not a
+	// member of its group (a restarted replica the failure detector
+	// evicted) it syncs from the group's primary by range digests and
+	// re-admits itself through the coordinator (DESIGN §11).
 	Coordinators []string
-	// HeartbeatInterval is how often the node reports liveness (default
-	// 500ms; only with Coordinators).
-	HeartbeatInterval time.Duration
 	// ClientOptions tunes this node's outbound connections (delay
 	// injection for experiments, timeouts).
 	ClientOptions *rpc.ClientOptions
@@ -51,26 +53,19 @@ type NodeOptions struct {
 	Tracing bool
 	// SlowTraceThreshold logs any root span slower than this (0 = no log).
 	SlowTraceThreshold time.Duration
-	// Rejoin enables the anti-entropy recovery manager: whenever this
-	// node is not a member of its group (a restarted replica), it syncs
-	// from the group's primary via range digests and re-admits itself
-	// through the coordinator. Requires Coordinators.
-	Rejoin bool
 	// RecoveryMaxBytesPerSec rate-limits recovery chunk streaming
 	// (0 = unlimited).
 	RecoveryMaxBytesPerSec int
-	// MoveSessionTimeout bounds inbound live-migration session
-	// inactivity before the target reclaims the partial copy (0 =
-	// default 10s; chaos tests shrink it).
-	MoveSessionTimeout time.Duration
-	// LeaseTTL is the read-lease duration this node grants its backups
-	// while primary (0 = DefaultLeaseTTL). Backups holding a valid
-	// lease serve read-only invocations locally; the primary stalls
-	// write acks for one TTL after any lease-breaking reconfiguration.
-	// Keep it at or below the coordinator's heartbeat timeout so a
-	// partitioned backup's lease expires before the failure detector
-	// can reconfigure around it.
-	LeaseTTL time.Duration
+
+	// heartbeat, leaseTTL and moveSession are the node's share of its
+	// deployment's coordinator.Cadence: how often it heartbeats, the read
+	// lease it grants its backups while primary (backups holding a valid
+	// one serve read-only invocations locally; the primary stalls write
+	// acks for one TTL after any lease-breaking reconfiguration), and how
+	// long a move's partial copy here outlives an idle session. A
+	// coordinated StartLocal derives them from its failure detector's
+	// timeout; zero is the default coordinator's cadence.
+	heartbeat, leaseTTL, moveSession time.Duration
 
 	// installEverywhere, set by a static Local, installs the directory its
 	// nodes share on every one of them: a cutover edits it in place, which
@@ -78,10 +73,6 @@ type NodeOptions struct {
 	// stamp the edited view. Nil installs it on this node alone.
 	installEverywhere func()
 }
-
-// DefaultLeaseTTL is the read-lease duration when NodeOptions.LeaseTTL
-// is zero.
-const DefaultLeaseTTL = 500 * time.Millisecond
 
 // Node is one LambdaStore storage node: it persists objects, executes
 // their methods in the embedded isolation runtime, replicates committed
@@ -123,6 +114,10 @@ type Node struct {
 
 // StartNode opens the store and starts serving.
 func StartNode(opts NodeOptions) (_ *Node, err error) {
+	def := coordinator.Options{}.Cadence()
+	opts.heartbeat = cmp.Or(opts.heartbeat, def.Heartbeat)
+	opts.leaseTTL = cmp.Or(opts.leaseTTL, def.Lease)
+	opts.moveSession = cmp.Or(opts.moveSession, def.MoveSession)
 	// Every node gets a registry and a tracer; tracing is enabled only on
 	// request, and the registry's instruments are atomic counters whose
 	// cost is negligible.
@@ -160,10 +155,6 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	}()
 	n.forwards = reg.Counter("cluster.forwards")
 	n.migrations = reg.Counter("cluster.migrations")
-	leaseTTL := opts.LeaseTTL
-	if leaseTTL <= 0 {
-		leaseTTL = DefaultLeaseTTL
-	}
 	n.leases = replication.NewLeaseHolder(
 		func() uint64 { return n.Directory().Epoch() }, nil, reg)
 	n.srv.SetTelemetry(reg)
@@ -172,7 +163,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	// No failure hook: the coordinator's failure detector learns of a dead
 	// backup from the backup's own missing heartbeats.
 	n.shipper = replication.NewShipper(n.pool, nil)
-	n.shipper.SetLeaseTTL(leaseTTL)
+	n.shipper.SetLeaseTTL(opts.leaseTTL)
 
 	rtOpts := opts.Runtime
 	rtOpts.Invoker = &routerInvoker{node: n}
@@ -187,7 +178,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	n.role = &roleMachine{
 		group:       opts.GroupID,
 		coordinated: len(opts.Coordinators) > 0,
-		ttl:         leaseTTL,
+		ttl:         opts.leaseTTL,
 		leases:      n.leases,
 		shipper:     n.shipper,
 		readOnly:    n.rt.MethodReadOnly,
@@ -213,7 +204,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	// State-transfer plane: every node can send state (it may be primary
 	// at any point in its life — donating to a rejoining replica, or as the
 	// source of a live move) and receive it (as a move's target; the rejoin
-	// loop only runs with Rejoin set).
+	// loop only runs with coordinators).
 	n.transfer = recovery.New(recovery.Options{
 		GroupID:      opts.GroupID,
 		DB:           n.db,
@@ -230,7 +221,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		Unfence:            n.role.unfence,
 		CutOver:            n.cutOverObject,
 		MaxBytesPerSec:     opts.RecoveryMaxBytesPerSec,
-		MoveSessionTimeout: opts.MoveSessionTimeout,
+		MoveSessionTimeout: opts.moveSession,
 		Metrics:            reg,
 		Tracer:             tracer,
 	})
@@ -277,8 +268,6 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		}
 		n.done = make(chan struct{})
 		go n.coordLoop()
-	}
-	if opts.Rejoin && len(opts.Coordinators) > 0 {
 		n.transfer.Run()
 	}
 	return n, nil
@@ -538,10 +527,14 @@ func (n *Node) registerHandlers() {
 		return nil, nil
 	})
 
-	// The same bytes /metrics.json serves, for operators without a debug
-	// port to reach.
+	// What /metrics.json serves, for operators without a debug port to
+	// reach. The snapshot is taken inside this call, which the RPC server
+	// counts in flight; it is the sampler's load, not the node's, and
+	// /metrics.json (served off the RPC port) never sees it.
 	n.srv.Handle(MethodStats, func(body []byte) ([]byte, error) {
-		return json.Marshal(n.metrics.Snapshot())
+		snap := n.metrics.Snapshot()
+		snap.Gauges["rpc.server.in_flight"]--
+		return json.Marshal(snap)
 	})
 }
 

@@ -197,14 +197,9 @@ func TestEndToEndTraceAcrossNodes(t *testing.T) {
 		Tracing:   true,
 		Runtime:   core.Options{CacheEntries: 1024},
 	}})
-	dir := l.Dir
 	n0, n2, n1 := l.Slots[0].Node, l.Slots[1].Node, l.Slots[2].Node
 
-	c, err := NewClient(ClientConfig{Directory: dir, Tracing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := l.Client
 	if err := c.RegisterType(relayType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -349,6 +344,35 @@ func names(spans []telemetry.Span) []string {
 		out[i] = s.Name
 	}
 	return out
+}
+
+// TestStatsLeavesOutItsOwnCall: node.stats samples the node from inside
+// the call, which the RPC server counts in flight; an idle node's answer
+// still reads no request in flight, as its /metrics.json does.
+func TestStatsLeavesOutItsOwnCall(t *testing.T) {
+	l := startLocal(t, LocalOptions{Groups: []int{1}, Node: NodeOptions{DebugAddr: "127.0.0.1:0"}})
+	node := l.Slots[0].Node
+	for range 2 {
+		var overRPC, overHTTP telemetry.RegistrySnapshot
+		raw, err := l.Client.Stats(node.Addr())
+		if err == nil {
+			err = json.Unmarshal(raw, &overRPC)
+		}
+		if err != nil {
+			t.Fatalf("node.stats: %v", err)
+		}
+		body, err := httpGetBody(node.DebugAddr() + "/metrics.json")
+		if err == nil {
+			err = json.Unmarshal([]byte(body), &overHTTP)
+		}
+		if err != nil {
+			t.Fatalf("/metrics.json: %v", err)
+		}
+		rpcIn, rpcOK := overRPC.Gauges["rpc.server.in_flight"]
+		if httpIn := overHTTP.Gauges["rpc.server.in_flight"]; !rpcOK || rpcIn != 0 || httpIn != 0 {
+			t.Fatalf("idle node: node.stats reads %d requests in flight (present %v), /metrics.json %d; want 0", rpcIn, rpcOK, httpIn)
+		}
+	}
 }
 
 // TestOneSnapshotThreeExits boots a node and checks the one-surface

@@ -19,7 +19,7 @@ import (
 
 // rejoinCluster is the coordinator-backed fixture for anti-entropy tests:
 // three coordinator replicas with the failure detector armed plus a
-// three-node group booted with Rejoin enabled, first node primary. Nodes
+// three-node group, first node primary. Nodes
 // can be killed and restarted on their original data directories; the
 // fault plane is reset around every test (it is process-global).
 type rejoinCluster struct {
@@ -34,10 +34,7 @@ func startRejoinCluster(t *testing.T, node NodeOptions) *rejoinCluster {
 	t.Helper()
 	fault.Reset()
 	t.Cleanup(fault.Reset)
-	node.Rejoin = true
-	opts := coordinated([]int{3}, node)
-	opts.Coord.CheckInterval = 50 * time.Millisecond
-	l := startLocal(t, opts)
+	l := startLocal(t, coordinated([]int{3}, node))
 	if err := l.Client.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}

@@ -390,10 +390,7 @@ func (n *Node) cutOverObject(object, targetGroup uint64) error {
 // answers.
 func (n *Node) coordLoop() {
 	defer close(n.done)
-	interval := n.opts.HeartbeatInterval
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
+	interval := n.opts.heartbeat
 	for _, replica := range n.opts.Coordinators {
 		n.beats.Add(1)
 		go func() {

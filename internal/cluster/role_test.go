@@ -272,7 +272,7 @@ func TestStalledCoordinatorReplicaSparesHeartbeats(t *testing.T) {
 	primary, stalled := l.Slots[0].Addr, l.Coord.Members[2].Addr
 	fault.Add(fault.Rule{Site: fault.Wildcard, From: primary, To: stalled, Action: fault.Drop})
 	fault.Add(fault.Rule{Site: fault.Wildcard, From: stalled, Action: fault.Error})
-	for end := time.Now().Add(3*opts.Coord.HeartbeatTimeout + 2*opts.Coord.CheckInterval); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+	for end := time.Now().Add(3*opts.Coord.HeartbeatTimeout + 2*opts.Coord.Cadence().Sweep); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
 		g, err := l.Group(0)
 		if err != nil {
 			t.Fatal(err)

@@ -93,7 +93,7 @@ func TestServeUniform(t *testing.T) {
 	})
 
 	t.Run("backup", func(t *testing.T) {
-		nodes, dir := startStatic(t, NodeOptions{LeaseTTL: 150 * time.Millisecond}, 2)
+		nodes, dir := startStatic(t, NodeOptions{leaseTTL: 150 * time.Millisecond}, 2)
 		primary, backup := nodes[0], nodes[1]
 		c := newGroupClient(t, dir)
 		if err := c.RegisterType(counterType(t)); err != nil {

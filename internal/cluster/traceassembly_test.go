@@ -25,17 +25,12 @@ func TestRetwisTracesAssembleAcrossNodes(t *testing.T) {
 		Store:     &store.Options{SyncWrites: true},
 		Runtime:   core.Options{CacheEntries: 1024},
 	}})
-	dir := l.Dir
 	n0, n2, n1 := l.Slots[0].Node, l.Slots[1].Node, l.Slots[2].Node
 
 	// Retwis workload: user 2 lives in group 0 (replicated to n2), user 3
 	// in group 1. User 2 follows 3, so 3's create_post fans out to 2's
 	// timeline — a cross-group forward plus intra-group replication.
-	c, err := NewClient(ClientConfig{Directory: dir, Tracing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := l.Client
 	typ, err := retwis.NewType()
 	if err != nil {
 		t.Fatal(err)

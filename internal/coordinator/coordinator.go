@@ -101,15 +101,46 @@ func DecodeCommand(data []byte) (*Command, error) {
 
 // Options tunes a coordinator replica.
 type Options struct {
-	// HeartbeatTimeout is how long a storage node may stay silent before
-	// it is declared failed (default 2s).
+	// HeartbeatTimeout is the failure detector's timeout D: how long a
+	// storage node may stay silent before it is declared failed (default
+	// 2s). The rest of a coordinated deployment's timing derives from it
+	// (Cadence).
 	HeartbeatTimeout time.Duration
-	// CheckInterval is the failure-detector sweep period (default 500ms).
-	CheckInterval time.Duration
-	// DisableFailureDetector turns off automatic promotion (tests drive
-	// promotions manually).
-	DisableFailureDetector bool
 }
+
+// Cadence is a coordinated deployment's timing. The paper's prototype has
+// one failover clock, the coordinator's failure detector, so every period
+// here is derived from its timeout D rather than sized against it by hand.
+type Cadence struct {
+	// Heartbeat is how often a node reports liveness to every replica:
+	// D/4, so a node is declared failed only after missing four.
+	Heartbeat time.Duration
+	// Sweep is how often the failure detector looks for silent nodes: D/4,
+	// so a failure is acted on within 1.25·D.
+	Sweep time.Duration
+	// Lease is the read lease a primary grants its backups: D/2, capped at
+	// 500ms. A partitioned backup's lease, and a deposed primary's write
+	// barrier, end before the detector can have promoted a successor.
+	Lease time.Duration
+	// MoveSession is how long a move's target keeps a session nothing
+	// touches before it reclaims the partial copy: 5·D, outlasting the
+	// failover of the source group.
+	MoveSession time.Duration
+}
+
+// Cadence derives the deployment's timing from the failure detector's
+// timeout. At the default D of 2s it is 500ms, 500ms, 500ms and 10s: the
+// timing of every node started outside a coordinated cluster.StartLocal.
+func (o Options) Cadence() Cadence {
+	d := o.HeartbeatTimeout
+	if d <= 0 {
+		d = defaultHeartbeatTimeout
+	}
+	return Cadence{Heartbeat: d / 4, Sweep: d / 4, Lease: min(d/2, 500*time.Millisecond), MoveSession: 5 * d}
+}
+
+// defaultHeartbeatTimeout is Options.HeartbeatTimeout's default.
+const defaultHeartbeatTimeout = 2 * time.Second
 
 // Service is one coordinator replica.
 type Service struct {
@@ -137,10 +168,7 @@ type Service struct {
 // (nil for none). Call Start after registering the transport.
 func New(id uint64, peers []uint64, trans paxos.Transport, opts Options, reg *telemetry.Registry) *Service {
 	if opts.HeartbeatTimeout <= 0 {
-		opts.HeartbeatTimeout = 2 * time.Second
-	}
-	if opts.CheckInterval <= 0 {
-		opts.CheckInterval = 500 * time.Millisecond
+		opts.HeartbeatTimeout = defaultHeartbeatTimeout
 	}
 	s := &Service{
 		opts:       opts,
@@ -267,11 +295,7 @@ func (s *Service) Heartbeat(addr string) {
 // propose is harmless.
 func (s *Service) detectLoop() {
 	defer close(s.done)
-	if s.opts.DisableFailureDetector {
-		<-s.stop
-		return
-	}
-	ticker := time.NewTicker(s.opts.CheckInterval)
+	ticker := time.NewTicker(s.opts.Cadence().Sweep)
 	defer ticker.Stop()
 	for {
 		select {

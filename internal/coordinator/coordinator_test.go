@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"cmp"
 	"testing"
 	"time"
 
@@ -56,7 +57,7 @@ func TestCommandRoundTrip(t *testing.T) {
 }
 
 func TestSetGroupReplicatesToAll(t *testing.T) {
-	services, _ := newCluster(t, 3, Options{DisableFailureDetector: true})
+	services, _ := newCluster(t, 3, Options{HeartbeatTimeout: time.Hour})
 	g := shard.Group{ID: 0, Primary: "s1:7000", Backups: []string{"s2:7000"}}
 	if err := services[0].ProposeCommand(&Command{Kind: cmdSetGroup, Group: g}); err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func TestSetGroupReplicatesToAll(t *testing.T) {
 }
 
 func TestPromotionGuardIdempotent(t *testing.T) {
-	services, _ := newCluster(t, 3, Options{DisableFailureDetector: true})
+	services, _ := newCluster(t, 3, Options{HeartbeatTimeout: time.Hour})
 	g := shard.Group{ID: 0, Primary: "p", Backups: []string{"b1", "b2"}}
 	if err := services[0].ProposeCommand(&Command{Kind: cmdSetGroup, Group: g}); err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestPromotionGuardIdempotent(t *testing.T) {
 }
 
 func TestOverrideCommands(t *testing.T) {
-	services, _ := newCluster(t, 3, Options{DisableFailureDetector: true})
+	services, _ := newCluster(t, 3, Options{HeartbeatTimeout: time.Hour})
 	for gid := uint64(0); gid < 2; gid++ {
 		g := shard.Group{ID: gid, Primary: "p"}
 		if err := services[0].ProposeCommand(&Command{Kind: cmdSetGroup, Group: g}); err != nil {
@@ -124,7 +125,7 @@ func TestOverrideCommands(t *testing.T) {
 // re-admitting an existing member is idempotent; a zero fence is
 // unguarded.
 func TestAddBackupEpochFence(t *testing.T) {
-	services, _ := newCluster(t, 3, Options{DisableFailureDetector: true})
+	services, _ := newCluster(t, 3, Options{HeartbeatTimeout: time.Hour})
 	g := shard.Group{ID: 0, Primary: "p", Backups: []string{"b1"}}
 	if err := services[0].ProposeCommand(&Command{Kind: cmdSetGroup, Group: g}); err != nil {
 		t.Fatal(err)
@@ -185,7 +186,6 @@ func TestAddBackupEpochFence(t *testing.T) {
 func TestFailureDetectorPromotes(t *testing.T) {
 	services, _ := newCluster(t, 3, Options{
 		HeartbeatTimeout: 100 * time.Millisecond,
-		CheckInterval:    25 * time.Millisecond,
 	})
 	g := shard.Group{ID: 0, Primary: "prim", Backups: []string{"back"}}
 	if err := services[0].ProposeCommand(&Command{Kind: cmdSetGroup, Group: g}); err != nil {
@@ -229,7 +229,6 @@ func TestFailureDetectorPromotes(t *testing.T) {
 func TestNeverHeartbeatedNodeNotDeclaredDead(t *testing.T) {
 	services, _ := newCluster(t, 1, Options{
 		HeartbeatTimeout: 30 * time.Millisecond,
-		CheckInterval:    10 * time.Millisecond,
 	})
 	g := shard.Group{ID: 0, Primary: "silent", Backups: []string{"alive"}}
 	if err := services[0].ProposeCommand(&Command{Kind: cmdSetGroup, Group: g}); err != nil {
@@ -242,5 +241,33 @@ func TestNeverHeartbeatedNodeNotDeclaredDead(t *testing.T) {
 	got, err := services[0].Directory().Lookup(0)
 	if err != nil || got.Primary != "silent" {
 		t.Fatalf("primary = %q (demoted without evidence)", got.Primary)
+	}
+}
+
+// TestCadenceDerivesFromTimeout pins the one failover clock: at the default
+// timeout the cadence is every node's default timing, and at every timeout
+// a lease ends within half of it and a node heartbeats at least four times
+// in it.
+func TestCadenceDerivesFromTimeout(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		timeout time.Duration
+		want    Cadence
+	}{
+		{0, Cadence{Heartbeat: 500 * ms, Sweep: 500 * ms, Lease: 500 * ms, MoveSession: 10 * time.Second}},
+		{2 * time.Second, Cadence{Heartbeat: 500 * ms, Sweep: 500 * ms, Lease: 500 * ms, MoveSession: 10 * time.Second}},
+		{300 * ms, Cadence{Heartbeat: 75 * ms, Sweep: 75 * ms, Lease: 150 * ms, MoveSession: 1500 * ms}},
+		{400 * ms, Cadence{Heartbeat: 100 * ms, Sweep: 100 * ms, Lease: 200 * ms, MoveSession: 2 * time.Second}},
+		{10 * time.Second, Cadence{Heartbeat: 2500 * ms, Sweep: 2500 * ms, Lease: 500 * ms, MoveSession: 50 * time.Second}},
+		{time.Hour, Cadence{Heartbeat: 15 * time.Minute, Sweep: 15 * time.Minute, Lease: 500 * ms, MoveSession: 5 * time.Hour}},
+	} {
+		got := Options{HeartbeatTimeout: tc.timeout}.Cadence()
+		if got != tc.want {
+			t.Errorf("timeout %v: cadence %+v, want %+v", tc.timeout, got, tc.want)
+		}
+		d := cmp.Or(tc.timeout, 2*time.Second)
+		if got.Lease > d/2 || got.Heartbeat > d/4 || got.Sweep > d/4 || got.Heartbeat <= 0 {
+			t.Errorf("timeout %v: cadence %+v breaks lease <= D/2, heartbeat and sweep <= D/4", tc.timeout, got)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"net"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"lambdastore/internal/paxos"
 	"lambdastore/internal/rpc"
@@ -39,7 +40,7 @@ func TestServeMemberRestarts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Serve(id, peers, peers[id], stable, Options{DisableFailureDetector: true}, nil)
+		m, err := Serve(id, peers, peers[id], stable, Options{HeartbeatTimeout: time.Hour}, nil)
 		if err != nil {
 			t.Fatalf("serve replica %d on %s: %v", id, peers[id], err)
 		}

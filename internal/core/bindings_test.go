@@ -33,7 +33,7 @@ func checkBindings(t *testing.T, rt *Runtime, db *store.DB, ids []ObjectID, step
 		if got != nil {
 			gotName = got.Name
 		}
-		header, herr := db.Get(headerKey(id))
+		header, herr := db.Get(HeaderKey(id))
 		switch {
 		case errors.Is(herr, store.ErrNotFound):
 			if !errors.Is(err, ErrNoSuchObject) {
@@ -128,12 +128,12 @@ func bindingSequence(t *testing.T, seed int64) {
 					wipe(b, id)
 				case 1:
 					wipe(b, id)
-					b.Put(headerKey(id), []byte(names[rng.Intn(len(names))]))
-					b.Put(versionKey(id), encodeU64(0))
+					b.Put(HeaderKey(id), []byte(names[rng.Intn(len(names))]))
+					b.Put(VersionKey(id), EncodeU64(0))
 				case 2:
-					b.Put(headerKey(id), []byte(typeName()))
+					b.Put(HeaderKey(id), []byte(typeName()))
 				default:
-					b.Put(versionKey(id), encodeU64(uint64(i)))
+					b.Put(VersionKey(id), EncodeU64(uint64(i)))
 				}
 				if b.Empty() {
 					continue
@@ -150,13 +150,13 @@ func bindingSequence(t *testing.T, seed int64) {
 			id, name := anyID(), typeName()
 			first := store.NewBatch()
 			wipe(first, id)
-			first.Put(versionKey(id), encodeU64(7))
+			first.Put(VersionKey(id), EncodeU64(7))
 			if err := rt.ApplyReplicated(id, first); err != nil {
 				t.Fatal(err)
 			}
 			checkBindings(t, rt, db, ids, fmt.Sprintf("first chunk of %s", id))
 			second := store.NewBatch()
-			second.Put(headerKey(id), []byte(name))
+			second.Put(HeaderKey(id), []byte(name))
 			step = fmt.Sprintf("header chunk of %s as %s", id, name)
 			if err := rt.ApplyReplicated(id, second); err != nil {
 				t.Fatal(err)

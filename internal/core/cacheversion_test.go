@@ -80,7 +80,7 @@ func TestEveryCommitPathMovesTheVersion(t *testing.T) {
 		shipped = shipped[:0]
 	}
 	rawVersion := func(rt *Runtime, id ObjectID) string {
-		v, err := rt.db.Get(versionKey(id))
+		v, err := rt.db.Get(VersionKey(id))
 		if errors.Is(err, store.ErrNotFound) {
 			return "absent"
 		} else if err != nil {
@@ -216,11 +216,11 @@ func TestFailedValidationReadIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	cachedGet(t, rt, 1, "get")
-	if h, ok := rt.committedHash(versionKey(1)); !ok || h == 0 {
+	if h, ok := rt.committedHash(VersionKey(1)); !ok || h == 0 {
 		t.Fatalf("committedHash on an open store = %x, %v", h, ok)
 	}
 	db.Close()
-	if _, ok := rt.committedHash(versionKey(1)); ok {
+	if _, ok := rt.committedHash(VersionKey(1)); ok {
 		t.Fatal("committedHash reported a read of a closed store as good")
 	}
 	before := rt.Cache().Stats()

@@ -368,8 +368,8 @@ func TestCacheValidationWithoutProactiveInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := store.NewBatch()
-	b.Put(valueKey(1, "count"), I64Bytes(77))
-	b.Put(versionKey(1), encodeU64(version+1))
+	b.Put(ValueFieldKey(1, "count"), I64Bytes(77))
+	b.Put(VersionKey(1), EncodeU64(version+1))
 	if err := db.Write(b); err != nil {
 		t.Fatal(err)
 	}
@@ -571,12 +571,12 @@ func TestUnrunnableTypeRefused(t *testing.T) {
 		if _, ok := rt.Type("Bad"); ok {
 			t.Errorf("%s: refused type was installed", c.name)
 		}
-		if _, err := db.Get(typeKey("Bad")); err == nil {
+		if _, err := db.Get(TypeRecordKey("Bad")); err == nil {
 			t.Errorf("%s: refused type was persisted", c.name)
 		}
 		_, err := DecodeObjectType(typ.Encode())
 		check("DecodeObjectType", err)
-		if err := db.Put(typeKey("Bad"), typ.Encode()); err != nil {
+		if err := db.Put(TypeRecordKey("Bad"), typ.Encode()); err != nil {
 			t.Fatal(err)
 		}
 		_, err = NewRuntime(db, Options{})
@@ -707,7 +707,8 @@ end`
 }
 
 func TestLockTimeoutSurfacesAsError(t *testing.T) {
-	rt, _ := newTestRuntime(t, Options{LockTimeout: 100 * time.Millisecond})
+	rt, _ := newTestRuntime(t, Options{})
+	rt.locks.Timeout = 100 * time.Millisecond
 	if err := rt.RegisterType(newCounterType(t)); err != nil {
 		t.Fatal(err)
 	}

@@ -85,12 +85,12 @@ func (iv *invocation) fieldKey(sub byte, field string) []byte {
 	return iv.key
 }
 
-func (iv *invocation) mapKey(field string, key []byte) []byte {
+func (iv *invocation) MapEntryKey(field string, key []byte) []byte {
 	iv.key = appendMapKey(iv.key[:objectPrefixLen], field, key)
 	return iv.key
 }
 
-func (iv *invocation) listEntryKey(field string, idx uint64) []byte {
+func (iv *invocation) ListEntryKey(field string, idx uint64) []byte {
 	iv.key = appendListEntryKey(iv.key[:objectPrefixLen], field, idx)
 	return iv.key
 }
@@ -194,9 +194,9 @@ func (iv *invocation) stateKey(f *FieldDef, key []byte, idx uint64) []byte {
 	case FieldValue:
 		return iv.fieldKey(subValue, f.Name)
 	case FieldMap:
-		return iv.mapKey(f.Name, key)
+		return iv.MapEntryKey(f.Name, key)
 	}
-	return iv.listEntryKey(f.Name, idx)
+	return iv.ListEntryKey(f.Name, idx)
 }
 
 func (iv *invocation) Get(f *FieldDef, key []byte, idx uint64) ([]byte, bool, error) {
@@ -213,7 +213,7 @@ func (iv *invocation) Del(f *FieldDef, key []byte) error {
 
 func (iv *invocation) Count(f *FieldDef) (int64, error) {
 	var n int64
-	err := iv.tScan(iv.mapKey(f.Name, nil), func(k, v []byte) bool {
+	err := iv.tScan(iv.MapEntryKey(f.Name, nil), func(k, v []byte) bool {
 		n++
 		return true
 	})
@@ -222,7 +222,7 @@ func (iv *invocation) Count(f *FieldDef) (int64, error) {
 
 func (iv *invocation) ListLen(f *FieldDef) (int64, error) {
 	v, _, err := iv.tGet(iv.fieldKey(subListLen, f.Name))
-	return int64(decodeU64(v)), err
+	return int64(DecodeU64(v)), err
 }
 
 func (iv *invocation) ListPush(f *FieldDef, value []byte) error {
@@ -230,8 +230,8 @@ func (iv *invocation) ListPush(f *FieldDef, value []byte) error {
 	if err != nil {
 		return err
 	}
-	n := decodeU64(cur)
-	if err := iv.tPut(iv.listEntryKey(f.Name, n), value); err != nil {
+	n := DecodeU64(cur)
+	if err := iv.tPut(iv.ListEntryKey(f.Name, n), value); err != nil {
 		return err
 	}
 	return iv.tPutU64(iv.fieldKey(subListLen, f.Name), n+1)
@@ -304,7 +304,7 @@ func (iv *invocation) commit() error {
 	if err != nil {
 		return err
 	}
-	if err := iv.tPutU64(iv.fieldKey(subVersion, ""), decodeU64(cur)+1); err != nil {
+	if err := iv.tPutU64(iv.fieldKey(subVersion, ""), DecodeU64(cur)+1); err != nil {
 		return err
 	}
 	return iv.rt.commit(iv.trace, iv.txn.batch(), iv.obj)

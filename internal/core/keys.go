@@ -33,8 +33,8 @@ const (
 	subVersion = 0x05
 )
 
-// typeKey returns the key of a type record.
-func typeKey(name string) []byte {
+// TypeRecordKey returns the key persisting an object type definition.
+func TypeRecordKey(name string) []byte {
 	return append([]byte{keyPrefixType}, name...)
 }
 
@@ -69,7 +69,10 @@ func appendListEntryKey(dst []byte, field string, idx uint64) []byte {
 
 // newKey starts a freshly allocated key of the object with room for n more
 // bytes. The builders below are the allocating forms, for everything that
-// is not a host call: one exactly sized allocation per key.
+// is not a host call: one exactly sized allocation per key. They are
+// exported because the disaggregated baseline's storage layer shares this
+// layout (the paper's baseline "uses our prototype as its storage layer"),
+// so both designs read and write identical keys.
 func newKey(id ObjectID, n int) []byte {
 	return appendObjectPrefix(make([]byte, 0, objectPrefixLen+n), id)
 }
@@ -77,83 +80,49 @@ func newKey(id ObjectID, n int) []byte {
 // objectPrefix returns the prefix covering all keys of an object.
 func objectPrefix(id ObjectID) []byte { return newKey(id, 0) }
 
-// headerKey returns the object existence/type record key.
-func headerKey(id ObjectID) []byte { return appendFieldKey(newKey(id, 1), subHeader, "") }
+// HeaderKey returns an object's existence/type record key.
+func HeaderKey(id ObjectID) []byte { return appendFieldKey(newKey(id, 1), subHeader, "") }
 
-// versionKey returns the object's commit-version counter key.
-func versionKey(id ObjectID) []byte { return appendFieldKey(newKey(id, 1), subVersion, "") }
+// VersionKey returns an object's commit-version counter key.
+func VersionKey(id ObjectID) []byte { return appendFieldKey(newKey(id, 1), subVersion, "") }
 
-// valueKey returns the key of a value field.
-func valueKey(id ObjectID, field string) []byte {
+// ValueFieldKey returns the key of a value field.
+func ValueFieldKey(id ObjectID, field string) []byte {
 	return appendFieldKey(newKey(id, 1+len(field)), subValue, field)
 }
 
-// mapKey returns the key of one map entry.
-func mapKey(id ObjectID, field string, key []byte) []byte {
+// MapEntryKey returns the key of one map entry.
+func MapEntryKey(id ObjectID, field string, key []byte) []byte {
 	return appendMapKey(newKey(id, 2+len(field)+len(key)), field, key)
 }
 
-// mapPrefix returns the prefix of all entries of a map field.
-func mapPrefix(id ObjectID, field string) []byte { return mapKey(id, field, nil) }
+// MapFieldPrefix returns the prefix of all entries of a map field.
+func MapFieldPrefix(id ObjectID, field string) []byte { return MapEntryKey(id, field, nil) }
 
-// listEntryKey returns the key of list element idx.
-func listEntryKey(id ObjectID, field string, idx uint64) []byte {
+// ListEntryKey returns the key of list element idx.
+func ListEntryKey(id ObjectID, field string, idx uint64) []byte {
 	return appendListEntryKey(newKey(id, 10+len(field)), field, idx)
 }
 
-// listLenKey returns the key of a list field's length counter.
-func listLenKey(id ObjectID, field string) []byte {
+// ListLenKey returns the key of a list field's length counter.
+func ListLenKey(id ObjectID, field string) []byte {
 	return appendFieldKey(newKey(id, 1+len(field)), subListLen, field)
 }
 
-// encodeU64 renders a counter value.
-func encodeU64(v uint64) []byte {
+// EncodeU64 renders a counter value (a version or a list length).
+func EncodeU64(v uint64) []byte {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	return b[:]
 }
 
-// decodeU64 parses a counter value; missing/short values read as 0.
-func decodeU64(b []byte) uint64 {
+// DecodeU64 parses a counter value; missing/short values read as 0.
+func DecodeU64(b []byte) uint64 {
 	if len(b) < 8 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
 }
-
-// Exported key builders: the disaggregated baseline's storage layer shares
-// the aggregated design's on-disk layout (the paper's baseline "uses our
-// prototype as its storage layer"), so both read and write identical keys.
-
-// TypeRecordKey returns the key persisting an object type definition.
-func TypeRecordKey(name string) []byte { return typeKey(name) }
-
-// HeaderKey returns an object's existence/type record key.
-func HeaderKey(id ObjectID) []byte { return headerKey(id) }
-
-// VersionKey returns an object's commit-version counter key.
-func VersionKey(id ObjectID) []byte { return versionKey(id) }
-
-// ValueFieldKey returns the key of a value field.
-func ValueFieldKey(id ObjectID, field string) []byte { return valueKey(id, field) }
-
-// MapEntryKey returns the key of one map entry.
-func MapEntryKey(id ObjectID, field string, key []byte) []byte { return mapKey(id, field, key) }
-
-// MapFieldPrefix returns the prefix of all entries of a map field.
-func MapFieldPrefix(id ObjectID, field string) []byte { return mapPrefix(id, field) }
-
-// ListEntryKey returns the key of list element idx.
-func ListEntryKey(id ObjectID, field string, idx uint64) []byte { return listEntryKey(id, field, idx) }
-
-// ListLenKey returns the key of a list field's length counter.
-func ListLenKey(id ObjectID, field string) []byte { return listLenKey(id, field) }
-
-// EncodeU64 renders a list-length counter value.
-func EncodeU64(v uint64) []byte { return encodeU64(v) }
-
-// DecodeU64 parses a list-length counter value.
-func DecodeU64(b []byte) uint64 { return decodeU64(b) }
 
 // parseObjectID extracts the object ID from any object key.
 func parseObjectID(key []byte) (ObjectID, error) {

@@ -47,8 +47,6 @@ type Options struct {
 	// looks up and keeps cacheable results of obj (a node's: only of the
 	// objects it is the read replica of). Nil caches every object.
 	Caches func(obj ObjectID) bool
-	// LockTimeout bounds scheduler admission (default 10s).
-	LockTimeout time.Duration
 	// Metrics, if set, publishes the runtime's counters and histograms
 	// (invocations by method, fuel, cache and lock-wait behaviour) and
 	// those of its warm pool and result cache.
@@ -139,9 +137,6 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 	rt.metrics = newRTMetrics(opts.Metrics)
 	rt.pool = NewInstancePool(rt.opts.Fuel, opts.Metrics, rt.tracer)
 	rt.locks = sched.NewTable()
-	if opts.LockTimeout > 0 {
-		rt.locks.Timeout = opts.LockTimeout
-	}
 	if opts.CacheEntries > 0 {
 		rt.cache = cache.NewSharded(opts.CacheEntries, cache.DefaultShards, opts.Metrics)
 	}
@@ -225,7 +220,7 @@ func (rt *Runtime) RegisterType(t *ObjectType) error {
 	if err := t.init(); err != nil {
 		return err
 	}
-	if err := rt.db.Put(typeKey(t.Name), t.Encode()); err != nil {
+	if err := rt.db.Put(TypeRecordKey(t.Name), t.Encode()); err != nil {
 		return err
 	}
 	rt.mu.Lock()
@@ -261,14 +256,14 @@ func (rt *Runtime) CreateObject(typeName string, id ObjectID, cc CallCtx) error 
 			return err
 		}
 	}
-	if _, err := rt.db.Get(headerKey(id)); err == nil {
+	if _, err := rt.db.Get(HeaderKey(id)); err == nil {
 		return fmt.Errorf("%w: %s", ErrExists, id)
 	} else if !errors.Is(err, store.ErrNotFound) {
 		return err
 	}
 	b := store.NewBatch()
-	b.Put(headerKey(id), []byte(typeName))
-	b.Put(versionKey(id), encodeU64(0))
+	b.Put(HeaderKey(id), []byte(typeName))
+	b.Put(VersionKey(id), EncodeU64(0))
 	return rt.commit(cc.Trace, b, id)
 }
 
@@ -311,7 +306,7 @@ func (rt *Runtime) forEachObjectKey(id ObjectID, fn func(key []byte)) error {
 
 // ObjectExists reports whether id exists.
 func (rt *Runtime) ObjectExists(id ObjectID) (bool, error) {
-	_, err := rt.db.Get(headerKey(id))
+	_, err := rt.db.Get(HeaderKey(id))
 	if err == nil {
 		return true, nil
 	}
@@ -324,14 +319,14 @@ func (rt *Runtime) ObjectExists(id ObjectID) (bool, error) {
 // ObjectVersion returns the object's committed version counter (number of
 // committed mutating invocations).
 func (rt *Runtime) ObjectVersion(id ObjectID) (uint64, error) {
-	v, err := rt.db.Get(versionKey(id))
+	v, err := rt.db.Get(VersionKey(id))
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) {
 			return 0, fmt.Errorf("%w: %s", ErrNoSuchObject, id)
 		}
 		return 0, err
 	}
-	return decodeU64(v), nil
+	return DecodeU64(v), nil
 }
 
 // LockObject takes an exclusive admission on an object, pausing its
@@ -558,7 +553,7 @@ func (rt *Runtime) dropCached(object uint64) {
 
 // GetValueField reads a value field's committed state.
 func (rt *Runtime) GetValueField(id ObjectID, field string) ([]byte, error) {
-	v, err := rt.db.Get(valueKey(id, field))
+	v, err := rt.db.Get(ValueFieldKey(id, field))
 	if errors.Is(err, store.ErrNotFound) {
 		return nil, ErrNotFound
 	}
@@ -567,7 +562,7 @@ func (rt *Runtime) GetValueField(id ObjectID, field string) ([]byte, error) {
 
 // GetMapEntry reads one map entry's committed state.
 func (rt *Runtime) GetMapEntry(id ObjectID, field string, key []byte) ([]byte, error) {
-	v, err := rt.db.Get(mapKey(id, field, key))
+	v, err := rt.db.Get(MapEntryKey(id, field, key))
 	if errors.Is(err, store.ErrNotFound) {
 		return nil, ErrNotFound
 	}
@@ -576,19 +571,19 @@ func (rt *Runtime) GetMapEntry(id ObjectID, field string, key []byte) ([]byte, e
 
 // ListLen reads a list field's committed length.
 func (rt *Runtime) ListLen(id ObjectID, field string) (uint64, error) {
-	v, err := rt.db.Get(listLenKey(id, field))
+	v, err := rt.db.Get(ListLenKey(id, field))
 	if errors.Is(err, store.ErrNotFound) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, err
 	}
-	return decodeU64(v), nil
+	return DecodeU64(v), nil
 }
 
 // ListGet reads one committed list element.
 func (rt *Runtime) ListGet(id ObjectID, field string, idx uint64) ([]byte, error) {
-	v, err := rt.db.Get(listEntryKey(id, field, idx))
+	v, err := rt.db.Get(ListEntryKey(id, field, idx))
 	if errors.Is(err, store.ErrNotFound) {
 		return nil, ErrNotFound
 	}

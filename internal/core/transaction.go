@@ -127,16 +127,16 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 			}
 		}
 		for _, id := range touched {
-			if _, present, err := shared.get(nil, headerKey(id)); err != nil {
+			if _, present, err := shared.get(nil, HeaderKey(id)); err != nil {
 				return nil, err
 			} else if !present {
 				return nil, fmt.Errorf("%w: %s (deleted during transaction)", ErrNoSuchObject, id)
 			}
-			cur, _, err := shared.get(nil, versionKey(id))
+			cur, _, err := shared.get(nil, VersionKey(id))
 			if err != nil {
 				return nil, err
 			}
-			shared.put(versionKey(id), encodeU64(decodeU64(cur)+1))
+			shared.put(VersionKey(id), EncodeU64(DecodeU64(cur)+1))
 		}
 		// A replication failure withholds the transaction's ack the same
 		// way it withholds a single invocation's.

@@ -144,9 +144,9 @@ func (db *DB) flushMemtable() error {
 
 // maxBytesForLevel returns the size budget of level (level >= 1).
 func (db *DB) maxBytesForLevel(level int) int64 {
-	max := db.opts.LevelBaseBytes
+	max := db.opts.levelBaseBytes
 	for l := 1; l < level; l++ {
-		max *= db.opts.LevelMultiplier
+		max *= db.opts.levelMultiplier
 	}
 	return max
 }
@@ -155,7 +155,7 @@ func (db *DB) maxBytesForLevel(level int) int64 {
 // Called with db.mu held.
 func (db *DB) pickCompactionLevel() int {
 	best, bestScore := -1, 1.0
-	score := float64(len(db.current.levels[0])) / float64(db.opts.L0CompactionTrigger)
+	score := float64(len(db.current.levels[0])) / float64(db.opts.l0CompactionTrigger)
 	if score >= bestScore {
 		best, bestScore = 0, score
 	}
@@ -268,8 +268,8 @@ func (db *DB) runCompaction(level int, inputs, inputs2 []*tableMeta, smallestSna
 		lastKeptSeq uint64
 	)
 	targetSize := db.maxBytesForLevel(outLevel) / 4
-	if targetSize < int64(db.opts.MemtableBytes) {
-		targetSize = int64(db.opts.MemtableBytes)
+	if targetSize < int64(db.opts.memtableBytes) {
+		targetSize = int64(db.opts.memtableBytes)
 	}
 
 	newOutput := func() error {

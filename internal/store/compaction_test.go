@@ -59,8 +59,8 @@ func installTable(t *testing.T, db *DB, level int, entries ...handEntry) {
 // and the old a comes back.
 func TestCompactionKeepsTombstoneOverDeeperValue(t *testing.T) {
 	opts := testOptions()
-	opts.LevelBaseBytes = 1 // L1 over budget: the one level to compact
-	opts.LevelMultiplier = 1 << 20
+	opts.levelBaseBytes = 1 // L1 over budget: the one level to compact
+	opts.levelMultiplier = 1 << 20
 	db, _ := openTestDB(t, opts)
 	installTable(t, db, 3, handEntry{"a", 1, kindSet, "old a"})
 	installTable(t, db, 2, handEntry{"a", 5, kindDelete, ""}, handEntry{"b", 4, kindSet, "b0"})
@@ -84,10 +84,10 @@ func TestCompactionKeepsTombstoneOverDeeperValue(t *testing.T) {
 // see the older value.
 func TestCompactionNeverSplitsAKeysVersions(t *testing.T) {
 	opts := testOptions()
-	opts.MemtableBytes = 1
-	opts.BlockBytes = 1
-	opts.LevelBaseBytes = 1
-	opts.LevelMultiplier = 2
+	opts.memtableBytes = 1
+	opts.blockBytes = 1
+	opts.levelBaseBytes = 1
+	opts.levelMultiplier = 2
 	db, _ := openTestDB(t, opts)
 	db.mu.Lock()
 	db.lastSeq = 5

@@ -522,7 +522,7 @@ func (db *DB) makeRoomForWrite() error {
 		switch {
 		case db.bgErr != nil:
 			return db.bgErr
-		case db.mem.approximateBytes() < db.opts.MemtableBytes:
+		case db.mem.approximateBytes() < db.opts.memtableBytes:
 			return nil
 		case db.imm != nil:
 			// Previous flush still in progress: wait.
@@ -530,7 +530,7 @@ func (db *DB) makeRoomForWrite() error {
 			if db.closed.Load() {
 				return ErrClosed
 			}
-		case len(db.current.levels[0]) >= db.opts.L0StopWritesTrigger:
+		case len(db.current.levels[0]) >= 3*db.opts.l0CompactionTrigger:
 			db.cond.Wait()
 			if db.closed.Load() {
 				return ErrClosed

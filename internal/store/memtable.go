@@ -125,7 +125,7 @@ func newMemtable() *memtable {
 }
 
 // approximateBytes returns the memory the memtable has reserved: every
-// arena chunk in full, which is what MemtableBytes bounds.
+// arena chunk in full, which is what memtableBytes bounds.
 func (m *memtable) approximateBytes() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -215,13 +215,12 @@ func TestMemtableConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestMemtableBytesBoundsFlush pins the flush trigger: MemtableBytes bounds
+// TestMemtableBytesBoundsFlush pins the flush trigger: memtableBytes bounds
 // the memory a memtable reserves, so entries of a known size rotate it when
 // their total is within one chunk of the limit — not at some multiple of it,
 // as a per-entry guess that ignores overhead would allow.
 func TestMemtableBytesBoundsFlush(t *testing.T) {
-	opts := NewOptions()
-	opts.MemtableBytes = 512 << 10
+	opts := &Options{memtableBytes: 512 << 10}
 	db, err := Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -240,20 +239,20 @@ func TestMemtableBytesBoundsFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 		entries++
-		if entries > 4*opts.MemtableBytes/len(value) {
+		if entries > 4*opts.memtableBytes/len(value) {
 			t.Fatal("the memtable never rotated")
 		}
 	}
 	entries-- // the write that found it full went to its successor
-	if got := first.approximateBytes(); got < opts.MemtableBytes || got >= opts.MemtableBytes+arenaMaxChunkBytes {
-		t.Fatalf("the rotated memtable reserved %d bytes against a limit of %d", got, opts.MemtableBytes)
+	if got := first.approximateBytes(); got < opts.memtableBytes || got >= opts.memtableBytes+arenaMaxChunkBytes {
+		t.Fatalf("the rotated memtable reserved %d bytes against a limit of %d", got, opts.memtableBytes)
 	}
 	// The last chunk had just been opened and every chunk ends in less than
 	// one unused node, so the entries themselves fall short of the limit by
 	// between one chunk and two.
 	nodes := entries * (nodeHeaderBytes + 4 + len("key000000000000") + 8 + len(value))
-	if nodes > opts.MemtableBytes-arenaMaxChunkBytes || nodes < opts.MemtableBytes-2*arenaMaxChunkBytes {
-		t.Fatalf("rotated after %d entries, %d bytes of nodes, against a limit of %d", entries, nodes, opts.MemtableBytes)
+	if nodes > opts.memtableBytes-arenaMaxChunkBytes || nodes < opts.memtableBytes-2*arenaMaxChunkBytes {
+		t.Fatalf("rotated after %d entries, %d bytes of nodes, against a limit of %d", entries, nodes, opts.memtableBytes)
 	}
 }
 
@@ -316,8 +315,7 @@ func BenchmarkMemtableAdd(b *testing.B) {
 // BenchmarkDBWriteSync8 is one fsynced commit of an 8-key write-set, the
 // storage half of a replicated commit.
 func BenchmarkDBWriteSync8(b *testing.B) {
-	opts := NewOptions()
-	opts.SyncWrites = true
+	opts := &Options{SyncWrites: true}
 	db, err := Open(b.TempDir(), opts)
 	if err != nil {
 		b.Fatal(err)
@@ -336,8 +334,7 @@ func BenchmarkDBWriteSync8(b *testing.B) {
 // all: the shape of a bulk load's chunk, a backup's large frame or a
 // recovery chunk, whose write group logs every record into one buffer.
 func BenchmarkDBWriteBulk(b *testing.B) {
-	opts := NewOptions()
-	opts.SyncWrites = true
+	opts := &Options{SyncWrites: true}
 	db, err := Open(b.TempDir(), opts)
 	if err != nil {
 		b.Fatal(err)

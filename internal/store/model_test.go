@@ -257,9 +257,8 @@ func TestCompactionReclaimsTombstones(t *testing.T) {
 // verifies writes still complete (backpressure, not failure).
 func TestWriteStallRecovers(t *testing.T) {
 	opts := testOptions()
-	opts.MemtableBytes = 8 << 10
-	opts.L0CompactionTrigger = 2
-	opts.L0StopWritesTrigger = 4
+	opts.memtableBytes = 8 << 10
+	opts.l0CompactionTrigger = 2 // writes stall at 6 L0 tables
 	db, _ := openTestDB(t, opts)
 	payload := bytes.Repeat([]byte{'p'}, 512)
 	for i := 0; i < 2000; i++ {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 
 	"lambdastore/internal/telemetry"
@@ -17,25 +18,23 @@ var (
 	ErrCorrupt = errors.New("store: corruption detected")
 )
 
-// Options tunes the database. The zero value is usable; NewOptions fills in
-// production defaults.
+// Options tunes the database; the zero value is what every deployment
+// runs. The LSM's shape belongs to the store: only its own tests resize it.
 type Options struct {
-	// MemtableBytes is the size at which the active memtable is frozen and
-	// scheduled for flush to L0.
-	MemtableBytes int
-	// BlockBytes is the uncompressed target size of an SSTable data block.
-	BlockBytes int
-	// L0CompactionTrigger is the number of L0 tables that triggers a
-	// compaction into L1.
-	L0CompactionTrigger int
-	// L0StopWritesTrigger is the number of L0 tables at which writes stall
+	// memtableBytes is the size at which the active memtable is frozen and
+	// scheduled for flush to L0 (default 4 MB).
+	memtableBytes int
+	// blockBytes is the uncompressed target size of an SSTable data block
+	// (default 4 KB).
+	blockBytes int
+	// l0CompactionTrigger is the number of L0 tables that triggers a
+	// compaction into L1 (default 4); writes stall at three times as many
 	// until compaction catches up.
-	L0StopWritesTrigger int
-	// LevelBaseBytes is the target total size of L1; each deeper level is
-	// LevelMultiplier times larger.
-	LevelBaseBytes int64
-	// LevelMultiplier is the size ratio between adjacent levels.
-	LevelMultiplier int64
+	l0CompactionTrigger int
+	// levelBaseBytes is the target total size of L1 (default 10 MB); each
+	// deeper level is levelMultiplier (default 10) times larger.
+	levelBaseBytes  int64
+	levelMultiplier int64
 	// SyncWrites forces an fsync of the WAL on every committed write group.
 	// Off by default, as in LevelDB: cmd/retwis-bench and the daemons leave
 	// it off; the benchmark/ yardstick, the chaos suite and the durability
@@ -52,48 +51,21 @@ type Options struct {
 	OnGroup func(*Group)
 }
 
-// NewOptions returns production defaults scaled for test-friendly sizes.
-func NewOptions() *Options {
-	return &Options{
-		MemtableBytes:       4 << 20,
-		BlockBytes:          4 << 10,
-		L0CompactionTrigger: 4,
-		L0StopWritesTrigger: 12,
-		LevelBaseBytes:      10 << 20,
-		LevelMultiplier:     10,
-	}
-}
-
-// maxMemtableBytes caps MemtableBytes at a quarter of what the memtable
+// maxMemtableBytes caps memtableBytes at a quarter of what the memtable
 // arena's 32-bit refs address, so a memtable rotates long before its arena
 // runs out of chunks.
 const maxMemtableBytes = arenaMaxChunks * arenaMaxChunkBytes / 4
 
 // sanitize fills zero fields with defaults.
 func (o *Options) sanitize() *Options {
-	def := NewOptions()
-	if o == nil {
-		return def
+	var out Options
+	if o != nil {
+		out = *o
 	}
-	out := *o
-	if out.MemtableBytes <= 0 {
-		out.MemtableBytes = def.MemtableBytes
-	}
-	out.MemtableBytes = min(out.MemtableBytes, maxMemtableBytes)
-	if out.BlockBytes <= 0 {
-		out.BlockBytes = def.BlockBytes
-	}
-	if out.L0CompactionTrigger <= 0 {
-		out.L0CompactionTrigger = def.L0CompactionTrigger
-	}
-	if out.L0StopWritesTrigger <= out.L0CompactionTrigger {
-		out.L0StopWritesTrigger = out.L0CompactionTrigger * 3
-	}
-	if out.LevelBaseBytes <= 0 {
-		out.LevelBaseBytes = def.LevelBaseBytes
-	}
-	if out.LevelMultiplier <= 1 {
-		out.LevelMultiplier = def.LevelMultiplier
-	}
+	out.memtableBytes = min(cmp.Or(out.memtableBytes, 4<<20), maxMemtableBytes)
+	out.blockBytes = cmp.Or(out.blockBytes, 4<<10)
+	out.l0CompactionTrigger = cmp.Or(out.l0CompactionTrigger, 4)
+	out.levelBaseBytes = cmp.Or(out.levelBaseBytes, 10<<20)
+	out.levelMultiplier = cmp.Or(out.levelMultiplier, 10)
 	return &out
 }

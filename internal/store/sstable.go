@@ -128,7 +128,7 @@ func (t *tableWriter) add(key internalKey, value []byte) {
 	t.bloomHashes = append(t.bloomHashes, bloomHash(key.userKey()))
 	t.dataBlk.add(key, value)
 	t.numEntries++
-	if t.dataBlk.sizeEstimate() >= t.opts.BlockBytes {
+	if t.dataBlk.sizeEstimate() >= t.opts.blockBytes {
 		t.flushDataBlock()
 	}
 }

@@ -17,12 +17,7 @@ import (
 // testOptions returns small sizes so tests exercise flush and compaction
 // paths quickly.
 func testOptions() *Options {
-	o := NewOptions()
-	o.MemtableBytes = 32 << 10
-	o.BlockBytes = 1 << 10
-	o.LevelBaseBytes = 64 << 10
-	o.LevelMultiplier = 4
-	return o
+	return &Options{memtableBytes: 32 << 10, blockBytes: 1 << 10, levelBaseBytes: 64 << 10, levelMultiplier: 4}
 }
 
 func openTestDB(t testing.TB, opts *Options) (*DB, string) {

@@ -214,6 +214,14 @@ func funcKey(fn *types.Func) string {
 	return key + fn.Name()
 }
 
+// fieldKey names a field by where it is declared: a package's own objects
+// and those its importers see through export data are distinct.
+func fieldKey(fset *token.FileSet, v *types.Var) string {
+	v = v.Origin()
+	p := fset.Position(v.Pos())
+	return v.Pkg().Path() + "/" + filepath.Base(p.Filename) + ":" + strconv.Itoa(p.Line) + ":" + v.Name()
+}
+
 func TestNothingUnreached(t *testing.T) {
 	fset := token.NewFileSet()
 	srcs := parseTree(t, fset, "internal", "cmd", "examples", "benchmark")
@@ -325,27 +333,20 @@ func TestNothingUnreached(t *testing.T) {
 	// A field is live when product code names it: a selector, a keyed
 	// composite literal, or a promoted selection that runs through an
 	// embedded field. A field nothing names is state nobody reads or
-	// writes. Fields are matched across packages by where they are
-	// declared, since a package's own objects and those its importers see
-	// through export data are distinct.
+	// writes. Fields are matched across packages by fieldKey.
 	t.Run("fields", func(t *testing.T) {
 		pkgs := typeCheck(t, fset)
-		key := func(v *types.Var) string {
-			v = v.Origin()
-			p := fset.Position(v.Pos())
-			return v.Pkg().Path() + "/" + filepath.Base(p.Filename) + ":" + strconv.Itoa(p.Line) + ":" + v.Name()
-		}
 		declared := map[string]token.Pos{}
 		used := map[string]bool{}
 		for _, c := range pkgs {
 			for id, obj := range c.info.Defs {
 				if v, ok := obj.(*types.Var); ok && v.IsField() && v.Name() != "_" && isProduct(c.dir) {
-					declared[key(v)] = id.Pos()
+					declared[fieldKey(fset, v)] = id.Pos()
 				}
 			}
 			for _, obj := range c.info.Uses {
 				if v, ok := obj.(*types.Var); ok && v.IsField() {
-					used[key(v)] = true
+					used[fieldKey(fset, v)] = true
 				}
 			}
 			for _, sel := range c.info.Selections {
@@ -358,7 +359,7 @@ func TestNothingUnreached(t *testing.T) {
 					if !ok {
 						break
 					}
-					used[key(st.Field(i))] = true
+					used[fieldKey(fset, st.Field(i))] = true
 					typ = st.Field(i).Type()
 				}
 			}
@@ -526,7 +527,7 @@ func TestOneBindingWriter(t *testing.T) {
 				site := fd.Name.Name + ": " + recv + "." + sel.Sel.Name
 				switch {
 				case fd.Name.Name == "write" && sel.Sel.Name == "Write":
-				case fd.Name.Name == "RegisterType" && sel.Sel.Name == "Put" && len(call.Args) == 2 && types.ExprString(call.Args[0]) == "typeKey(t.Name)":
+				case fd.Name.Name == "RegisterType" && sel.Sel.Name == "Put" && len(call.Args) == 2 && types.ExprString(call.Args[0]) == "TypeRecordKey(t.Name)":
 				default:
 					t.Errorf("%s: %s writes to the store around the binding table's writer path", fset.Position(call.Pos()), site)
 				}
@@ -984,98 +985,95 @@ func selectorPath(e ast.Expr) string {
 
 // TestEveryOptionIsSet is the "no dead knobs" guard: an exported field of a
 // product struct named *Options or *Config must be set — as a composite-
-// literal key or by assignment, tests included — by some file other than the
-// one declaring it, or the paths it selects are paths nobody takes (the funcs
-// check above cannot see those: their code is reached through the field). A
-// keyed literal is matched to its struct by package and type name, an
-// assignment `x.Field = ...` or an untyped literal by field name alone, so
-// the guard is conservative.
+// literal key or by assignment — by non-test code outside the file declaring
+// it, or the paths it selects are paths no deployment takes (the funcs check
+// above cannot see those: their code is reached through the field, and a
+// test that sets a field is no deployment). Fields are matched through their
+// type-checked objects, as in the fields subtest, so a field is never set by
+// a namesake.
 func TestEveryOptionIsSet(t *testing.T) {
+	// exempt lists the option structs whose fields tests may be alone to set.
+	exempt := map[string]string{
+		"cluster.LocalOptions": "describes a deployment in one process: the tests' and the chaos suite's are deployments too",
+		"chaos.RunOptions":     "describes a chaos schedule, which only the chaos suite's tests run",
+		"cluster.FileConfig":   "decoded from a deployment's config file, never spelled in Go",
+	}
 	fset := token.NewFileSet()
-	type field struct{ dir, typ, name string }
-	declared := map[field]source{}
-	all := parseAll(t, fset, "internal", "cmd", "examples", "benchmark")
-	for _, s := range all {
-		if !isProduct(s.dir) || strings.HasSuffix(s.path, "_test.go") {
+	pkgs := typeCheck(t, fset)
+	type decl struct {
+		name string // package.Type.Field
+		pos  token.Pos
+	}
+	declared := map[string]decl{}
+	seen := map[string]bool{} // exempt structs declared
+	for _, c := range pkgs {
+		if !isProduct(c.dir) {
 			continue
 		}
-		ast.Inspect(s.file, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok || !(strings.HasSuffix(ts.Name.Name, "Options") || strings.HasSuffix(ts.Name.Name, "Config")) {
-				return true
+		for _, obj := range c.info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || !(strings.HasSuffix(tn.Name(), "Options") || strings.HasSuffix(tn.Name(), "Config")) {
+				continue
 			}
-			if st, ok := ts.Type.(*ast.StructType); ok {
-				for _, f := range st.Fields.List {
-					for _, id := range f.Names {
-						if id.IsExported() {
-							declared[field{s.dir, ts.Name.Name, id.Name}] = s
-						}
-					}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			name := path.Base(c.dir) + "." + tn.Name()
+			if _, skip := exempt[name]; skip {
+				seen[name] = true
+			}
+			if !ok || seen[name] {
+				continue
+			}
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() {
+					declared[fieldKey(fset, f)] = decl{name + "." + f.Name(), f.Pos()}
 				}
 			}
-			return true
-		})
+		}
 	}
-	if len(declared) == 0 {
-		t.Fatal("found no option structs: the guard is not looking at the source")
+	for name := range exempt {
+		if !seen[name] {
+			t.Errorf("exempt entry %q is stale: no product package declares it", name)
+		}
+	}
+	if len(declared) < 30 {
+		t.Fatalf("found %d option fields: the guard is not looking at the source", len(declared))
 	}
 
-	set := map[field]bool{}
-	byName := map[string]map[string]bool{} // field name -> files that set some x.<name>
-	noteByName := func(name, file string) {
-		if byName[name] == nil {
-			byName[name] = map[string]bool{}
+	set := map[string]bool{}
+	for _, c := range pkgs {
+		note := func(id *ast.Ident) {
+			if v, ok := c.info.Uses[id].(*types.Var); ok && v.IsField() &&
+				fset.Position(id.Pos()).Filename != fset.Position(v.Origin().Pos()).Filename {
+				set[fieldKey(fset, v)] = true
+			}
 		}
-		byName[name][file] = true
-	}
-	for _, s := range all {
-		imports := importDirs(s.file)
-		ast.Inspect(s.file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				dir, typ := "", ""
-				switch tx := n.Type.(type) {
-				case *ast.Ident:
-					dir, typ = s.dir, tx.Name
-				case *ast.SelectorExpr:
-					if x, ok := tx.X.(*ast.Ident); ok {
-						dir, typ = imports[x.Name], tx.Sel.Name
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						note(id)
 					}
-				}
-				for _, e := range n.Elts {
-					kv, ok := e.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						if f := (field{dir, typ, id.Name}); n.Type == nil {
-							noteByName(id.Name, s.path)
-						} else if decl, ok := declared[f]; ok && decl.path != s.path {
-							set[f] = true
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							note(sel.Sel)
 						}
 					}
 				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						noteByName(sel.Sel.Name, s.path)
-					}
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 
 	var dead []string
-	for f, decl := range declared {
-		files := byName[f.name]
-		if set[f] || len(files) > 1 || (len(files) == 1 && !files[decl.path]) {
-			continue
+	for k, d := range declared {
+		if !set[k] {
+			dead = append(dead, fset.Position(d.pos).String()+": "+d.name)
 		}
-		dead = append(dead, decl.path+": "+path.Base(f.dir)+"."+f.typ+"."+f.name)
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s is set by no file but its own: a value only its own defaults ever write is a constant — delete the field", d)
+		t.Errorf("%s is set by no non-test code outside its own file: a value only tests and its own defaults write is no deployment's knob — delete the field, or derive it", d)
 	}
 }
