@@ -17,6 +17,10 @@
 #                per side, the pairs the change won, and "unresolved" where the
 #                medians differ by less than the parent's IQR (ABWORKLOADS, ABSECONDS,
 #                ABTRACE to override)
+#   make heap    not part of check: W=<workload> runs one seed of the workload from a
+#                copy of benchmark/ in .heap/, patched to record every allocation and
+#                to write the heap profile where the run reads live_heap_mb, and prints
+#                in-use bytes by allocation site (REV=<rev> measures that revision)
 #   make flakes  not part of check: builds one race-enabled test binary of FLAKEPKG
 #                (default internal/cluster), runs each of FLAKES FLAKERUNS times (one
 #                process per run) and tallies the failures by each run's first failing
@@ -25,7 +29,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos fuzz-smoke bench bench-paper bench-smoke vet loc check ab flakes clean
+.PHONY: all build test race chaos fuzz-smoke bench bench-paper bench-smoke vet loc check ab heap flakes clean
 
 all: build
 
@@ -118,6 +122,10 @@ ABWORKLOADS ?= timeline_hot timeline_cold post_sync retwis_mix
 ab:
 	@test -n "$(PARENT)" || { echo "usage: make ab PARENT=<rev> [ABRUNS=5] [ABSECONDS=15] [ABTRACE=0] [ABWORKLOADS=...]"; exit 2; }
 	bash scripts/ab.sh $(PARENT) $(ABRUNS) $(ABSECONDS) $(ABTRACE) $(ABWORKLOADS)
+
+heap:
+	@test -n "$(W)" || { echo "usage: make heap W=<workload> [REV=<rev>]"; exit 2; }
+	bash scripts/heap.sh $(W) $(REV)
 
 # A run's first failing line is the first t.Error/t.Fatal line (file.go:N:),
 # panic or data-race report in its output; 127.0.0.1:port and 0x pointers

@@ -7,14 +7,16 @@
 // consistently precisely because data and compute are co-located. Commits
 // to an object additionally invalidate its entries proactively.
 //
-// The package validates whatever read set it is handed. The runtime hands it
-// one dependency: the object's version key, as read by the invocation's own
-// snapshot. A method may only touch its own object's data, and every batch
-// that changes an object's keys rewrites its version key in the same batch
-// (core's TestEveryCommitPathMovesTheVersion), so the version stands for
-// everything the method read. The one thing a version cannot tell apart is
-// an object deleted and re-created up to the same count; LookupAt/StoreAt
-// close that by dropping a result whose execution an invalidation overtook.
+// The runtime's read set is one dependency: the object's version key, as
+// read by the invocation's own snapshot. A method may only touch its own
+// object's data, and every batch that changes an object's keys rewrites its
+// version key in the same batch (core's TestEveryCommitPathMovesTheVersion),
+// so the version stands for everything the method read. StoreAt keeps only
+// that version's hash, and LookupAt validates it through the version key the
+// caller passes in. The one thing a version cannot tell apart is an object
+// deleted and re-created up to the same count; LookupAt/StoreAt close that by
+// dropping a result whose execution an invalidation overtook. Store and
+// Lookup validate a general read set of any length.
 //
 // The cache is sharded by object ID: every entry for an object lives in
 // exactly one shard, so InvalidateObject touches a single shard lock and
@@ -23,6 +25,7 @@ package cache
 
 import (
 	"hash/fnv"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -42,7 +45,9 @@ func HashValue(value []byte, present bool) uint64 {
 	return h.Sum64()
 }
 
-// HashArgs fingerprints an invocation's arguments (the "hash of its input").
+// HashArgs fingerprints an invocation's method and arguments (the "hash of
+// its input"). It is the cache's key within an object: the method name is
+// not kept beside it.
 func HashArgs(method string, args [][]byte) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(method))
@@ -64,35 +69,31 @@ type ReadDep struct {
 	ValueHash uint64
 }
 
-// inlineKey is the longest read-set key an entry keeps inside itself. The
-// runtime's one dependency, an object's version key, fits.
-const inlineKey = 24
+// none is the slot number that links nothing.
+const none = -1
 
-// entry is one cached result. Its LRU and per-object links are its own
-// fields, and a one-dependency read set whose key fits inlineKey lives in dep
-// and depKey, so a store at capacity allocates nothing: it reuses the entry
-// it evicts, or one an invalidation, a failed validation or a same-key
-// replace put on the shard's free list. Because the next store rewrites a
-// removed entry, every field is read and written only under the shard lock.
+// minSlab is the slot count a shard's first store allocates.
+const minSlab = 8
+
+// entry is one cached result, a slot of its shard's slab. It links to other
+// slots by number, so the slab holds no pointer but the result, and a store
+// at capacity allocates nothing: it reuses the slot it evicts, or one an
+// invalidation, a failed validation or a replace put on the free list.
+// Because the next store rewrites a removed slot, and a store may move the
+// slab, every field is read and written only under the shard lock.
 type entry struct {
-	result  []byte
-	readSet []ReadDep
-
-	key entryKey
-	// prev and next link the shard's LRU ring, or the free list (next only);
-	// objPrev and objNext the entries of one object, headed by the shard's
-	// byObject.
-	prev, next       *entry
-	objPrev, objNext *entry
-	dep              [1]ReadDep
-	depKey           [inlineKey]byte
-}
-
-// entryKey identifies a cached invocation.
-type entryKey struct {
+	result   []byte
 	object   uint64
-	method   string
 	argsHash uint64
+	// version is the hash of the object's version that a StoreAt result was
+	// computed on; versioned marks such an entry. A Store entry's read set
+	// is its slot of the shard's readSets instead.
+	version uint64
+	// prev and next link the shard's LRU ring, or the free list (next only);
+	// objNext the next entry of the same object, in the chain the index
+	// heads.
+	prev, next, objNext int32
+	versioned           bool
 }
 
 // Stats counts cache outcomes for the benchmark harness and /metrics.
@@ -119,24 +120,32 @@ const DefaultShards = 32
 // object hash to the same shard, which is what keeps InvalidateObject a
 // single-lock operation.
 type shard struct {
-	mu       sync.Mutex
-	entries  map[entryKey]*entry
-	byObject map[uint64]*entry // the first of each object's entries
-	lru      entry             // ring sentinel: lru.next is the most recent entry, lru.prev the next victim
-	// free heads the removed entries the next stores reuse, linked through
-	// next. Live and free entries together never exceed capacity.
-	free     *entry
-	capacity int
-	stats    Stats
+	mu sync.Mutex
+	// slab holds the shard's live and free entries. It grows with occupancy
+	// and never past capacity, so live and free together stay within it.
+	slab []entry
+	// index is open-addressed by object, linear probing, with a power-of-two
+	// length at least twice the slab's capacity: each object's slot holds 1 +
+	// the slot of its newest entry, the head of its chain, and 0 is empty.
+	// Deletion shifts the probe run back, so it leaves no tombstones.
+	index []int32
+	// readSets holds each Store entry's read set by slot; nil until the
+	// first Store that has one.
+	readSets [][]ReadDep
+	// head is the most recent entry; its prev is the next victim. free heads
+	// the removed entries the next stores reuse, linked through next.
+	head, free     int32
+	live, capacity int32
 	// epoch counts InvalidateObject calls on this shard, whether or not they
 	// found an entry: StoreAt compares it with the value LookupAt's miss saw.
 	epoch uint64
+	stats Stats
 }
 
 // Cache is a bounded, LRU-evicting consistent result cache. Safe for
 // concurrent use.
 type Cache struct {
-	shards []*shard
+	shards []shard
 	mask   uint64 // len(shards)-1; len is always a power of two
 	bypass atomic.Uint64
 }
@@ -168,19 +177,11 @@ func NewSharded(capacity, shards int, reg *telemetry.Registry) *Cache {
 	for n > 1 && capacity/n < 16 {
 		n >>= 1
 	}
-	c := &Cache{shards: make([]*shard, n), mask: uint64(n - 1)}
-	per := capacity / n
-	if per < 1 {
-		per = 1
-	}
+	c := &Cache{shards: make([]shard, n), mask: uint64(n - 1)}
+	per := max(capacity/n, 1)
 	for i := range c.shards {
-		s := &shard{
-			entries:  make(map[entryKey]*entry),
-			byObject: make(map[uint64]*entry),
-			capacity: per,
-		}
-		s.lru.prev, s.lru.next = &s.lru, &s.lru
-		c.shards[i] = s
+		s := &c.shards[i]
+		s.head, s.free, s.capacity = none, none, int32(per)
 	}
 	reg.GaugeFunc("cache.entries", func() int64 { return int64(c.Len()) })
 	reg.GaugeFunc("cache.validations", func() int64 { return int64(c.Stats().Validations) })
@@ -190,130 +191,142 @@ func NewSharded(capacity, shards int, reg *telemetry.Registry) *Cache {
 	return c
 }
 
-// shardFor hashes the object ID to its shard. Fibonacci hashing spreads the
-// sequential IDs the runtime allocates evenly across shards.
+// fib is 2^64 divided by the golden ratio. Multiplying by it (Fibonacci
+// hashing) spreads the sequential IDs the runtime allocates evenly: the
+// shard takes bits 33 and up of the product, a shard's index its top bits.
+const fib = 0x9e3779b97f4a7c15
+
+// shardFor hashes the object ID to its shard.
 func (c *Cache) shardFor(object uint64) *shard {
-	return c.shards[(object*0x9e3779b97f4a7c15)>>33&c.mask]
+	return &c.shards[(object*fib)>>33&c.mask]
 }
 
-// Lookup finds a cached result for (object, method, argsHash) and validates
-// its read set with readHash, which must return the fingerprint of the
-// named key's current committed value. It returns (result, true) only if
-// every dependency still matches; stale entries are dropped.
+// Lookup finds a cached result for (object, argsHash) and validates its
+// read set with readHash, which must return the fingerprint of the named
+// key's current committed value. It returns (result, true) only if every
+// dependency still matches; stale entries are dropped. method is already
+// part of argsHash (HashArgs) and is not looked at. An entry StoreAt made
+// never validates here: Lookup has no version key to read.
 func (c *Cache) Lookup(object uint64, method string, argsHash uint64, readHash func(key []byte) uint64) ([]byte, bool) {
-	result, _, hit := c.LookupAt(object, method, argsHash, func(key []byte) (uint64, bool) { return readHash(key), true })
+	result, _, hit := c.LookupAt(object, argsHash, nil, func(key []byte) (uint64, bool) { return readHash(key), true })
 	return result, hit
 }
 
 // LookupAt is Lookup for a caller that executes on a miss and stores what it
-// computed. readHash reports ok=false when it could not read the key, which
-// is a mismatch: a failed read never validates an entry. On a miss, epoch is
-// the shard's invalidation count, taken before the caller can have pinned
-// the snapshot it will execute on; StoreAt takes it back.
+// computed with StoreAt. version is the object's version key: an entry
+// StoreAt made validates when readHash(version) still gives the hash it was
+// stored with, and a Store entry through its read set. readHash reports
+// ok=false when it could not read the key, which is a mismatch: a failed
+// read never validates an entry. On a miss, epoch is the shard's
+// invalidation count, taken before the caller can have pinned the snapshot
+// it will execute on; StoreAt takes it back.
 //
 // Validation runs under the shard lock, since the next store may reuse a
-// removed entry's read set. Lock order: readHash (the runtime's
-// committedHash) takes the store's mutex briefly, and nothing calls into the
-// cache while it holds that mutex — a commit invalidates after its write
-// returns — so a shard lock is always taken first.
-func (c *Cache) LookupAt(object uint64, method string, argsHash uint64, readHash func(key []byte) (hash uint64, ok bool)) (result []byte, epoch uint64, hit bool) {
+// removed slot. Lock order: readHash (the runtime's committedHash) takes the
+// store's mutex briefly, and nothing calls into the cache while it holds
+// that mutex — a commit invalidates after its write returns — so a shard
+// lock is always taken first.
+func (c *Cache) LookupAt(object, argsHash uint64, version []byte, readHash func(key []byte) (hash uint64, ok bool)) (result []byte, epoch uint64, hit bool) {
 	s := c.shardFor(object)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[entryKey{object: object, method: method, argsHash: argsHash}]
-	if !ok {
+	i := s.lookup(object, argsHash)
+	if i == none {
 		s.stats.Misses++
 		return nil, s.epoch, false
 	}
-	for _, dep := range e.readSet {
+	if !s.valid(i, version, readHash) {
+		s.stats.Validations++
+		s.release(i)
+		return nil, s.epoch, false
+	}
+	if i != s.head {
+		s.unlinkLRU(i)
+		s.pushFront(i)
+	}
+	s.stats.Hits++
+	return s.slab[i].result, 0, true
+}
+
+// valid re-validates slot i's dependency. Caller holds s.mu.
+func (s *shard) valid(i int32, version []byte, readHash func(key []byte) (uint64, bool)) bool {
+	if e := &s.slab[i]; e.versioned {
+		if version == nil {
+			return false
+		}
+		h, ok := readHash(version)
+		return ok && h == e.version
+	}
+	if s.readSets == nil {
+		return true
+	}
+	for _, dep := range s.readSets[i] {
 		if h, ok := readHash(dep.Key); !ok || h != dep.ValueHash {
-			s.stats.Validations++
-			s.release(e)
-			return nil, s.epoch, false
+			return false
 		}
 	}
-	s.unlinkLRU(e)
-	s.pushFront(e)
-	s.stats.Hits++
-	return e.result, 0, true
+	return true
 }
 
 // Store records a validated result with its read set. The cache keeps
 // result itself: the caller hands it over and must not modify it afterwards,
-// and every hit returns it. The read set is copied.
+// and every hit returns it. The read set is copied. method is already part
+// of argsHash (HashArgs) and is not kept.
 func (c *Cache) Store(object uint64, method string, argsHash uint64, result []byte, readSet []ReadDep) {
-	c.store(object, method, argsHash, result, readSet, false, 0)
+	c.store(object, argsHash, result, readSet, false, 0, 0)
 }
 
-// StoreAt is Store unless an InvalidateObject has reached the object's shard
-// since the LookupAt miss that returned epoch: the result was then computed
-// on a snapshot some commit may have overtaken, and a version that went
-// 3 → deleted → re-created → 3 in the meantime would validate it. Dropping
-// is always safe (the next lookup misses and re-executes).
-func (c *Cache) StoreAt(object uint64, method string, argsHash uint64, result []byte, readSet []ReadDep, epoch uint64) {
-	c.store(object, method, argsHash, result, readSet, true, epoch)
+// StoreAt records a result computed on the object's version whose hash is
+// versionHash, which LookupAt checks against its version key. It stores
+// nothing if an InvalidateObject has reached the object's shard since the
+// LookupAt miss that returned epoch: the result was then computed on a
+// snapshot some commit may have overtaken, and a version that went 3 →
+// deleted → re-created → 3 in the meantime would validate it. Dropping is
+// always safe (the next lookup misses and re-executes).
+func (c *Cache) StoreAt(object, argsHash uint64, result []byte, versionHash, epoch uint64) {
+	c.store(object, argsHash, result, nil, true, versionHash, epoch)
 }
 
-func (c *Cache) store(object uint64, method string, argsHash uint64, result []byte, readSet []ReadDep, atEpoch bool, epoch uint64) {
-	k := entryKey{object: object, method: method, argsHash: argsHash}
+// store is Store, or with at StoreAt.
+func (c *Cache) store(object, argsHash uint64, result []byte, readSet []ReadDep, at bool, versionHash, epoch uint64) {
 	s := c.shardFor(object)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if atEpoch && epoch != s.epoch {
+	if at && epoch != s.epoch {
 		return
 	}
-	if old, ok := s.entries[k]; ok {
-		s.release(old)
+	i := s.lookup(object, argsHash)
+	if i != none {
+		// A replace keeps the slot and its place in the object's chain.
+		s.unlinkLRU(i)
+	} else {
+		i = s.take()
+		pos, head := s.find(object)
+		s.slab[i].object, s.slab[i].argsHash, s.slab[i].objNext = object, argsHash, head
+		s.index[pos] = i + 1
+		s.live++
 	}
-	e := s.take()
+	e := &s.slab[i]
 	// The capacity is clipped so that no holder of the result can append
 	// into bytes another holder sees.
-	e.result, e.key = result[:len(result):len(result)], k
-	e.readSet = e.copyReadSet(readSet)
-	s.entries[k] = e
-	s.pushFront(e)
-	if head := s.byObject[object]; head != nil {
-		head.objPrev, e.objNext = e, head
+	e.result = result[:len(result):len(result)]
+	e.versioned, e.version = at, versionHash
+	if s.readSets != nil || len(readSet) > 0 {
+		s.setReadSet(i, readSet)
 	}
-	s.byObject[object] = e
+	s.pushFront(i)
 	s.stats.Stores++
 }
 
-// take returns an unlinked entry for a store: the free list's first, else,
-// at capacity, the evicted LRU victim, else a new one. Caller holds s.mu.
-func (s *shard) take() *entry {
-	if e := s.free; e != nil {
-		s.free, e.next = e.next, nil
-		return e
+// setReadSet gives slot i a copy of deps in one slice and one slab of keys,
+// or none when deps is empty. Caller holds s.mu.
+func (s *shard) setReadSet(i int32, deps []ReadDep) {
+	if s.readSets == nil {
+		s.readSets = make([][]ReadDep, len(s.slab), cap(s.slab))
 	}
-	if len(s.entries) >= s.capacity {
-		e := s.lru.prev
-		s.removeLocked(e)
-		s.stats.Evictions++
-		return e
-	}
-	return new(entry)
-}
-
-// release removes a stored entry and puts it on the free list, dropping
-// what it referenced. Caller holds s.mu.
-func (s *shard) release(e *entry) {
-	s.removeLocked(e)
-	e.result, e.readSet, e.key = nil, nil, entryKey{}
-	e.next, s.free = s.free, e
-}
-
-// copyReadSet copies deps into storage e owns: inside e when it is one
-// dependency with a short key (the runtime's version key), else one slice
-// and one slab of keys.
-func (e *entry) copyReadSet(deps []ReadDep) []ReadDep {
-	switch {
-	case len(deps) == 0:
-		return nil
-	case len(deps) == 1 && len(deps[0].Key) <= inlineKey:
-		n := copy(e.depKey[:], deps[0].Key)
-		e.dep[0] = ReadDep{Key: e.depKey[:n:n], ValueHash: deps[0].ValueHash}
-		return e.dep[:]
+	if len(deps) == 0 {
+		s.readSets[i] = nil
+		return
 	}
 	n := 0
 	for _, d := range deps {
@@ -321,11 +334,140 @@ func (e *entry) copyReadSet(deps []ReadDep) []ReadDep {
 	}
 	keys := make([]byte, 0, n)
 	out := make([]ReadDep, len(deps))
-	for i, d := range deps {
+	for j, d := range deps {
 		keys = append(keys, d.Key...)
-		out[i] = ReadDep{Key: keys[len(keys)-len(d.Key) : len(keys) : len(keys)], ValueHash: d.ValueHash}
+		out[j] = ReadDep{Key: keys[len(keys)-len(d.Key) : len(keys) : len(keys)], ValueHash: d.ValueHash}
 	}
-	return out
+	s.readSets[i] = out
+}
+
+// take returns an unlinked slot for a store: the free list's first, else a
+// new one while the slab is below capacity, else the evicted LRU victim's.
+// An eviction may shift the index. Caller holds s.mu.
+func (s *shard) take() int32 {
+	if s.free == none {
+		if n := len(s.slab); n < int(s.capacity) {
+			if n == cap(s.slab) {
+				s.grow()
+			}
+			s.slab = s.slab[:n+1]
+			if s.readSets != nil {
+				s.readSets = s.readSets[:n+1]
+			}
+			return int32(n)
+		}
+		s.release(s.slab[s.head].prev)
+		s.stats.Evictions++
+	}
+	i := s.free
+	s.free = s.slab[i].next
+	return i
+}
+
+// grow doubles the slab's capacity, up to the shard's, and keeps the index
+// at least twice as long. Caller holds s.mu.
+func (s *shard) grow() {
+	n := min(max(2*cap(s.slab), minSlab), int(s.capacity))
+	slab := make([]entry, len(s.slab), n)
+	copy(slab, s.slab)
+	s.slab = slab
+	if s.readSets != nil {
+		readSets := make([][]ReadDep, len(s.readSets), n)
+		copy(readSets, s.readSets)
+		s.readSets = readSets
+	}
+	if len(s.index) >= 2*n {
+		return
+	}
+	old := s.index
+	s.index = make([]int32, 1<<bits.Len(uint(2*n-1)))
+	for _, v := range old {
+		if v != 0 {
+			pos, _ := s.find(s.slab[v-1].object)
+			s.index[pos] = v
+		}
+	}
+}
+
+// find probes the index for object. It returns the object's position and
+// the head of its chain, or the empty position where it would go and none.
+// Caller holds s.mu.
+func (s *shard) find(object uint64) (pos int, head int32) {
+	if len(s.index) == 0 {
+		return 0, none
+	}
+	mask := len(s.index) - 1
+	for pos = s.home(object); ; pos = (pos + 1) & mask {
+		v := s.index[pos]
+		if v == 0 {
+			return pos, none
+		}
+		if s.slab[v-1].object == object {
+			return pos, v - 1
+		}
+	}
+}
+
+// home is object's first probe position: the top log2(len(index)) bits of
+// its Fibonacci hash. Caller holds s.mu.
+func (s *shard) home(object uint64) int {
+	return int((object * fib) >> bits.LeadingZeros64(uint64(len(s.index)-1)))
+}
+
+// lookup returns the slot of (object, argsHash), or none. Caller holds s.mu.
+func (s *shard) lookup(object, argsHash uint64) int32 {
+	_, i := s.find(object)
+	for i != none && s.slab[i].argsHash != argsHash {
+		i = s.slab[i].objNext
+	}
+	return i
+}
+
+// unindex empties index position pos and shifts back the entries after it
+// whose probe run crossed it, so no probe ever meets a hole it should have
+// passed. Caller holds s.mu.
+func (s *shard) unindex(pos int) {
+	mask := len(s.index) - 1
+	for next := (pos + 1) & mask; s.index[next] != 0; next = (next + 1) & mask {
+		home := s.home(s.slab[s.index[next]-1].object)
+		if (next-home)&mask >= (next-pos)&mask {
+			s.index[pos], pos = s.index[next], next
+		}
+	}
+	s.index[pos] = 0
+}
+
+// release removes a stored entry and puts its slot on the free list,
+// dropping what it referenced. Caller holds s.mu.
+func (s *shard) release(i int32) {
+	e := &s.slab[i]
+	pos, head := s.find(e.object)
+	switch {
+	case head != i:
+		p := head
+		for s.slab[p].objNext != i {
+			p = s.slab[p].objNext
+		}
+		s.slab[p].objNext = e.objNext
+	case e.objNext != none:
+		s.index[pos] = e.objNext + 1
+	default:
+		s.unindex(pos)
+	}
+	s.discard(i)
+}
+
+// discard takes slot i, already out of its chain, off the LRU ring and onto
+// the free list. Caller holds s.mu.
+func (s *shard) discard(i int32) {
+	s.unlinkLRU(i)
+	e := &s.slab[i]
+	e.result, e.objNext, e.next = nil, none, s.free
+	if s.readSets != nil {
+		s.readSets[i] = nil
+	}
+	s.free = i
+	s.live--
 }
 
 // InvalidateObject drops every entry whose invocation ran against object,
@@ -338,9 +480,16 @@ func (c *Cache) InvalidateObject(object uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.epoch++
-	for e := s.byObject[object]; e != nil; e = s.byObject[object] {
-		s.release(e)
+	pos, i := s.find(object)
+	if i == none {
+		return
+	}
+	s.unindex(pos)
+	for i != none {
+		next := s.slab[i].objNext
+		s.discard(i)
 		s.stats.Invalidations++
+		i = next
 	}
 }
 
@@ -350,43 +499,41 @@ func (c *Cache) NoteBypass() {
 	c.bypass.Add(1)
 }
 
-// pushFront makes e the shard's most recent entry. Caller holds s.mu.
-func (s *shard) pushFront(e *entry) {
-	e.prev, e.next = &s.lru, s.lru.next
-	s.lru.next.prev = e
-	s.lru.next = e
+// pushFront makes slot i the shard's most recent entry. Caller holds s.mu.
+func (s *shard) pushFront(i int32) {
+	e := &s.slab[i]
+	if s.head == none {
+		e.prev, e.next = i, i
+	} else {
+		h := &s.slab[s.head]
+		e.prev, e.next = h.prev, s.head
+		s.slab[h.prev].next = i
+		h.prev = i
+	}
+	s.head = i
 }
 
-// unlinkLRU takes e out of the LRU ring. Caller holds s.mu.
-func (s *shard) unlinkLRU(e *entry) {
-	e.prev.next, e.next.prev = e.next, e.prev
-	e.prev, e.next = nil, nil
-}
-
-// removeLocked unlinks a stored entry from all indexes. Caller holds s.mu.
-func (s *shard) removeLocked(e *entry) {
-	delete(s.entries, e.key)
-	s.unlinkLRU(e)
-	switch {
-	case e.objPrev != nil:
-		e.objPrev.objNext = e.objNext
-	case e.objNext != nil:
-		s.byObject[e.key.object] = e.objNext
-	default:
-		delete(s.byObject, e.key.object)
+// unlinkLRU takes slot i out of the LRU ring. Caller holds s.mu.
+func (s *shard) unlinkLRU(i int32) {
+	e := &s.slab[i]
+	if e.next == i {
+		s.head = none
+	} else {
+		s.slab[e.prev].next, s.slab[e.next].prev = e.next, e.prev
+		if s.head == i {
+			s.head = e.next
+		}
 	}
-	if e.objNext != nil {
-		e.objNext.objPrev = e.objPrev
-	}
-	e.objPrev, e.objNext = nil, nil
+	e.prev, e.next = none, none
 }
 
 // Len returns the number of live entries.
 func (c *Cache) Len() int {
 	n := 0
-	for _, s := range c.shards {
+	for i := range c.shards {
+		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.entries)
+		n += int(s.live)
 		s.mu.Unlock()
 	}
 	return n
@@ -398,7 +545,8 @@ func (c *Cache) Len() int {
 // not a single atomic cut, which is fine for monitoring counters.
 func (c *Cache) Stats() Stats {
 	var out Stats
-	for _, s := range c.shards {
+	for i := range c.shards {
+		s := &c.shards[i]
 		s.mu.Lock()
 		st := s.stats
 		s.mu.Unlock()

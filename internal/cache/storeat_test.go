@@ -16,7 +16,7 @@ func TestFailedValidationReadNeverHits(t *testing.T) {
 	c.Store(1, "m", 7, []byte("res"), []ReadDep{{Key: []byte("k"), ValueHash: absent}})
 
 	failing := func([]byte) (uint64, bool) { return absent, false }
-	if _, _, hit := c.LookupAt(1, "m", 7, failing); hit {
+	if _, _, hit := c.LookupAt(1, 7, nil, failing); hit {
 		t.Fatal("an entry validated through a failed read")
 	}
 	if s := c.Stats(); s.Hits != 0 || s.Validations != 1 {
@@ -24,8 +24,20 @@ func TestFailedValidationReadNeverHits(t *testing.T) {
 	}
 	// The entry went with the failed validation: a working validator misses.
 	working := func([]byte) (uint64, bool) { return absent, true }
-	if _, _, hit := c.LookupAt(1, "m", 7, working); hit {
+	if _, _, hit := c.LookupAt(1, 7, nil, working); hit {
 		t.Fatal("entry survived a failed validation")
+	}
+
+	// The same holds for an entry StoreAt made, validated through the
+	// version key.
+	version := []byte("version")
+	_, epoch, _ := c.LookupAt(1, 7, version, working)
+	c.StoreAt(1, 7, []byte("res"), absent, epoch)
+	if _, _, hit := c.LookupAt(1, 7, version, failing); hit {
+		t.Fatal("a StoreAt entry validated through a failed read")
+	}
+	if _, _, hit := c.LookupAt(1, 7, version, working); hit {
+		t.Fatal("StoreAt entry survived a failed validation")
 	}
 }
 
@@ -35,36 +47,41 @@ func TestFailedValidationReadNeverHits(t *testing.T) {
 // to the same version), and only then does the reader store.
 func TestStoreAtDropsResultAnInvalidationOvertook(t *testing.T) {
 	c := New(16)
-	version := []ReadDep{{Key: []byte("version"), ValueHash: HashValue([]byte{3}, true)}}
-	sameVersion := func([]byte) (uint64, bool) { return version[0].ValueHash, true }
+	version, three := []byte("version"), HashValue([]byte{3}, true)
+	sameVersion := func(key []byte) (uint64, bool) {
+		if string(key) != "version" {
+			t.Fatalf("validated key %q, want the version key", key)
+		}
+		return three, true
+	}
 
-	_, epoch, hit := c.LookupAt(1, "get", 7, sameVersion)
+	_, epoch, hit := c.LookupAt(1, 7, version, sameVersion)
 	if hit {
 		t.Fatal("hit on empty cache")
 	}
 	c.InvalidateObject(1) // no entry to drop yet; the reader is still executing
-	c.StoreAt(1, "get", 7, []byte("predecessor's value"), version, epoch)
+	c.StoreAt(1, 7, []byte("predecessor's value"), three, epoch)
 	if c.Len() != 0 {
 		t.Fatal("StoreAt planted a result computed before the invalidation")
 	}
-	if _, _, hit := c.LookupAt(1, "get", 7, sameVersion); hit {
+	if _, _, hit := c.LookupAt(1, 7, version, sameVersion); hit {
 		t.Fatal("the overtaken result validated")
 	}
 
 	// Without an invalidation in between, the same sequence stores and hits;
 	// an entry dropped by validation hands out a current epoch too.
-	_, epoch, _ = c.LookupAt(1, "get", 7, sameVersion)
-	c.StoreAt(1, "get", 7, []byte("current"), version, epoch)
-	if res, _, hit := c.LookupAt(1, "get", 7, sameVersion); !hit || string(res) != "current" {
+	_, epoch, _ = c.LookupAt(1, 7, version, sameVersion)
+	c.StoreAt(1, 7, []byte("current"), three, epoch)
+	if res, _, hit := c.LookupAt(1, 7, version, sameVersion); !hit || string(res) != "current" {
 		t.Fatalf("lookup after an undisturbed StoreAt = %q, %v", res, hit)
 	}
 	moved := func([]byte) (uint64, bool) { return 0, true }
-	_, epoch, hit = c.LookupAt(1, "get", 7, moved)
+	_, epoch, hit = c.LookupAt(1, 7, version, moved)
 	if hit {
 		t.Fatal("moved version validated")
 	}
-	c.StoreAt(1, "get", 7, []byte("recomputed"), version, epoch)
-	if res, _, hit := c.LookupAt(1, "get", 7, sameVersion); !hit || string(res) != "recomputed" {
+	c.StoreAt(1, 7, []byte("recomputed"), three, epoch)
+	if res, _, hit := c.LookupAt(1, 7, version, sameVersion); !hit || string(res) != "recomputed" {
 		t.Fatalf("lookup after re-execution = %q, %v", res, hit)
 	}
 }
@@ -76,7 +93,7 @@ func TestStoreAtDropsResultAnInvalidationOvertook(t *testing.T) {
 func TestStoreAtRacesInvalidation(t *testing.T) {
 	c := New(64)
 	const object = 9
-	dep := []ReadDep{{Key: []byte("v"), ValueHash: 1}}
+	version := []byte("v")
 	valid := func([]byte) (uint64, bool) { return 1, true }
 
 	var generation struct {
@@ -95,7 +112,7 @@ func TestStoreAtRacesInvalidation(t *testing.T) {
 					return
 				default:
 				}
-				_, epoch, hit := c.LookupAt(object, "get", 1, valid)
+				_, epoch, hit := c.LookupAt(object, 1, version, valid)
 				if hit {
 					continue
 				}
@@ -105,7 +122,7 @@ func TestStoreAtRacesInvalidation(t *testing.T) {
 				seen := generation.n
 				generation.Unlock()
 				runtime.Gosched() // widen the window a commit can land in
-				c.StoreAt(object, "get", 1, []byte{seen}, dep, epoch)
+				c.StoreAt(object, 1, []byte{seen}, 1, epoch)
 			}
 		}()
 	}
@@ -116,7 +133,7 @@ func TestStoreAtRacesInvalidation(t *testing.T) {
 		generation.Unlock()
 		c.InvalidateObject(object)
 		runtime.Gosched() // let readers that executed before the commit store
-		if res, _, hit := c.LookupAt(object, "get", 1, valid); hit && res[0] != byte(i+1) {
+		if res, _, hit := c.LookupAt(object, 1, version, valid); hit && res[0] != byte(i+1) {
 			t.Fatalf("after commit %d the cache served generation %d", i+1, res[0])
 		}
 	}

@@ -400,7 +400,7 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 	var argsHash, epoch uint64
 	if cacheable {
 		argsHash = cache.HashArgs(method, args)
-		result, missEpoch, ok := rt.cache.LookupAt(uint64(id), method, argsHash, rt.committedHash)
+		result, missEpoch, ok := rt.cache.LookupAt(uint64(id), argsHash, iv.fieldKey(subVersion, ""), rt.committedHash)
 		if ok {
 			iv.unlock()
 			rt.metrics.cacheHits.Inc()
@@ -427,30 +427,29 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 	}
 
 	if cacheable {
-		// The cache copies the read set into its entry and keeps result,
-		// the bytes set_result copied out of the guest, in an entry it
-		// evicted or freed, so storing a miss allocates nothing.
-		if dep, ok := iv.versionDep(); ok {
-			rt.cache.StoreAt(uint64(id), method, argsHash, result, []cache.ReadDep{dep}, epoch)
+		// The cache keeps result, the bytes set_result copied out of the
+		// guest, and the version's hash in a slab slot it evicted or freed,
+		// so storing a miss allocates nothing; the version key it validates
+		// against is the next lookup's, built in that invocation's scratch.
+		if h, ok := iv.versionHash(); ok {
+			rt.cache.StoreAt(uint64(id), argsHash, result, h, epoch)
 		}
 	}
 	return result, nil
 }
 
-// versionDep is the read set of a finished cacheable invocation: its
-// object's version key as the invocation's own snapshot sees it, which
+// versionHash is the read set of a finished cacheable invocation: the hash
+// of its object's version as the invocation's own snapshot sees it, which
 // covers every read the method made, scans included (see package cache for
-// the invariant). The key is the invocation's scratch. ok is false (store
-// nothing) if the object has no version at the snapshot — deleted under the
-// reader — or the read failed.
-func (iv *invocation) versionDep() (dep cache.ReadDep, ok bool) {
-	key := iv.fieldKey(subVersion, "")
-	v, present, err := iv.txn.get(iv.val[:0], key)
+// the invariant). ok is false (store nothing) if the object has no version
+// at the snapshot — deleted under the reader — or the read failed.
+func (iv *invocation) versionHash() (h uint64, ok bool) {
+	v, present, err := iv.txn.get(iv.val[:0], iv.fieldKey(subVersion, ""))
 	iv.val = v
 	if err != nil || !present {
-		return dep, false
+		return 0, false
 	}
-	return cache.ReadDep{Key: key, ValueHash: cache.HashValue(v, true)}, true
+	return cache.HashValue(v, true), true
 }
 
 // MethodReadOnly reports whether the named method of the object's type is

@@ -48,6 +48,10 @@ type testNode struct {
 	onGroup func()
 }
 
+// noReclaim is a move-session timeout no test outlasts: the janitor
+// reclaims nothing while one runs.
+const noReclaim = time.Hour
+
 func startTestNode(t *testing.T, dir *shard.Directory, group uint64, moveTimeout time.Duration) *testNode {
 	t.Helper()
 	n := &testNode{
@@ -246,7 +250,7 @@ func parkFirstApply(n *testNode, object uint64) (parked <-chan struct{}, release
 // lands while a range is being rebuilt applies after the rebuild — not in
 // the middle, where the chunk fetched before it would overwrite it.
 func TestSyncRangeReplacesRangeAtomically(t *testing.T) {
-	dir, snd, rcv := pair(t, true, 0)
+	dir, snd, rcv := pair(t, true, noReclaim)
 	snd.mustCommit(7, "a", "a1")
 	snd.mustCommit(7, "b", "b1")
 	for _, k := range []string{"a", "gone"} {
@@ -297,7 +301,7 @@ func TestSyncRangeReplacesRangeAtomically(t *testing.T) {
 // commit order, before any range is pulled; the pull then leaves it equal to
 // the sender.
 func TestForwardsApplyOnArrival(t *testing.T) {
-	dir, snd, rcv := pair(t, true, 0)
+	dir, snd, rcv := pair(t, true, noReclaim)
 	snd.mustCommit(7, "k", "v0")
 	var mu sync.Mutex
 	var order []string
@@ -340,7 +344,7 @@ func TestForwardsApplyOnArrival(t *testing.T) {
 // A rejoin's throttle paces its pulls outside applyMu: a relay — and the
 // sender's commit, which waits on it — applies while the joiner sleeps.
 func TestThrottleDoesNotHoldRelays(t *testing.T) {
-	dir, snd, rcv := pair(t, true, 0)
+	dir, snd, rcv := pair(t, true, noReclaim)
 	snd.mustCommit(7, "big", strings.Repeat("x", 1000))
 	rcv.plane.opts.MaxBytesPerSec = 1000 // the range's ~1 KB paces a 1 s sleep
 	s, err := rcv.plane.openInbound(snd.addr, scope{}, dir.Epoch(), telemetry.SpanContext{})
@@ -374,7 +378,7 @@ func TestThrottleDoesNotHoldRelays(t *testing.T) {
 // fetch finds the session gone; its next session pulls what it missed and is
 // admitted.
 func TestRejoinHealsDroppedForward(t *testing.T) {
-	dir, snd, rcv := pair(t, true, 0)
+	dir, snd, rcv := pair(t, true, noReclaim)
 	for id := uint64(1); id <= 5; id++ {
 		snd.mustCommit(id, "f", "v0")
 	}
@@ -423,7 +427,7 @@ func TestRejoinHealsDroppedForward(t *testing.T) {
 // the membership deadline an admit whose reply was lost needs — and its
 // next session is admitted.
 func TestRefusedAdmitReturnsAtOnce(t *testing.T) {
-	dir, snd, rcv := pair(t, true, 0)
+	dir, snd, rcv := pair(t, true, noReclaim)
 	const objects = 5
 	for id := uint64(1); id <= objects; id++ {
 		snd.mustCommit(id, "f", "v0")
@@ -463,7 +467,7 @@ func TestRefusedAdmitReturnsAtOnce(t *testing.T) {
 // yet the rejoin's one round certifies it: no commit fails, the joiner is
 // admitted, and it ends equal to the sender.
 func TestRejoinCertifiesUnderSustainedWrites(t *testing.T) {
-	dir, snd, rcv := pair(t, true, 0)
+	dir, snd, rcv := pair(t, true, noReclaim)
 	const objects = 4
 	for id := uint64(1); id <= objects; id++ {
 		snd.mustCommit(id, "f", "v0")
@@ -529,7 +533,7 @@ func beginRound(t *testing.T, dir *shard.Directory, snd, rcv *testNode) *inbound
 // a backup), the first failure ends the session so admission refuses it, and
 // the joiner's next session heals it.
 func TestAdmitRefusesLostRelay(t *testing.T) {
-	dir, snd, rcv := pair(t, true, 0)
+	dir, snd, rcv := pair(t, true, noReclaim)
 	const objects = 4
 	for id := uint64(1); id <= objects; id++ {
 		snd.mustCommit(id, "k", "v0")
@@ -582,7 +586,7 @@ func TestAdmitRefusesLostRelay(t *testing.T) {
 // the joiner's closed session after admission, counting a gap the joiner
 // never had.
 func TestGroupBeforeBeginRelaysNothing(t *testing.T) {
-	dir, snd, rcv := pair(t, true, 0)
+	dir, snd, rcv := pair(t, true, noReclaim)
 	parked, release := make(chan struct{}), make(chan struct{})
 	var taken atomic.Bool
 	snd.mu.Lock()
@@ -644,7 +648,7 @@ func moveFixture(t *testing.T, moveTimeout time.Duration) (dir *shard.Directory,
 
 // A move with no lost forward streams the object's payload once.
 func TestMoveStreamsPayloadOnce(t *testing.T) {
-	dir, src, tgt, payload := moveFixture(t, 0)
+	dir, src, tgt, payload := moveFixture(t, noReclaim)
 	want := dump(t, src.db)
 	if err := src.plane.Move(6, tgt.addr, 1); err != nil {
 		t.Fatalf("move: %v", err)
@@ -679,7 +683,7 @@ func TestMoveStreamsPayloadOnce(t *testing.T) {
 // move — the source counted the gap, so its seal fails — and the object
 // stays at the source; the next move carries it whole.
 func TestMoveAbortsOnDroppedForward(t *testing.T) {
-	dir, src, tgt, _ := moveFixture(t, 0)
+	dir, src, tgt, _ := moveFixture(t, noReclaim)
 	parked, release := parkFirstApply(tgt, 6)
 	done := make(chan error, 1)
 	go func() { done <- src.plane.Move(6, tgt.addr, 1) }()
@@ -713,7 +717,7 @@ func TestMoveAbortsOnDroppedForward(t *testing.T) {
 // deferred end leaves that session registered: sessions end by identity, not
 // by key. The second move then carries the object whole.
 func TestMoveSealChecksItsOwnSession(t *testing.T) {
-	dir, src, tgt, _ := moveFixture(t, 0)
+	dir, src, tgt, _ := moveFixture(t, noReclaim)
 	parked, release := parkFirstApply(tgt, 6)
 	first := make(chan error, 1)
 	go func() { first <- src.plane.Move(6, tgt.addr, 1) }()
@@ -792,7 +796,7 @@ func TestMoveAbortsWhenTargetReclaimedSession(t *testing.T) {
 // A move that cannot seal aborts: the object stays, unfenced and writable,
 // at the source, and the target sheds its partial copy.
 func TestMoveAbortLeavesObjectAtSource(t *testing.T) {
-	dir, src, tgt, _ := moveFixture(t, 0)
+	dir, src, tgt, _ := moveFixture(t, noReclaim)
 	want := dump(t, src.db)
 	// Every relay fails once the offer's own chunk is fetched: the source
 	// counts the gap, and its seal refuses the cutover.
@@ -833,7 +837,7 @@ func TestMoveAbortLeavesObjectAtSource(t *testing.T) {
 // (d) An object-scoped session is relayed its object's commits only, and
 // takes no part in admission.
 func TestObjectSessionRelaysOnlyItsObject(t *testing.T) {
-	_, src, tgt, _ := moveFixture(t, 0)
+	_, src, tgt, _ := moveFixture(t, noReclaim)
 	key := sessionKey{peer: tgt.addr, scope: objectScope(6)}
 	if _, err := src.plane.openOutbound(key); err != nil {
 		t.Fatal(err)
@@ -897,7 +901,7 @@ func TestInboundCopyKeptIffOwned(t *testing.T) {
 		{"janitor/owned", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			timeout := time.Duration(0) // default: no reclaim during the test
+			timeout := noReclaim
 			if tc.janitor {
 				timeout = 100 * time.Millisecond
 			}
@@ -951,7 +955,7 @@ func TestInboundCopyKeptIffOwned(t *testing.T) {
 // sender's commit path: the first forward that fails ends the session, and
 // the commit it carried is acknowledged.
 func TestDeadJoinerSessionExpires(t *testing.T) {
-	dir, snd, _ := pair(t, true, 0)
+	dir, snd, _ := pair(t, true, noReclaim)
 	// The scripted joiner: accepts forwards, drives nothing.
 	joiner := rpc.NewServer()
 	joiner.Handle(MethodForward, func([]byte) ([]byte, error) { return nil, nil })
@@ -994,7 +998,7 @@ func TestDeadJoinerSessionExpires(t *testing.T) {
 // after its own cutover, losing an acknowledged write. Both moves abort, and
 // the object keeps serving at the source with that write.
 func TestOfferRefusedWhileTargetReceives(t *testing.T) {
-	dir, src, tgt, _ := moveFixture(t, 0)
+	dir, src, tgt, _ := moveFixture(t, noReclaim)
 	parked, release := parkFirstApply(tgt, 6)
 	first := make(chan error, 1)
 	go func() { first <- src.plane.Move(6, tgt.addr, 1) }()

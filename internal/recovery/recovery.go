@@ -17,8 +17,6 @@ const (
 	// in bytes so one huge value cannot blow the frame budget.
 	chunkEntries = 512
 	chunkByteCap = 256 << 10
-	// defaultMoveSessionTimeout is Options.MoveSessionTimeout's default.
-	defaultMoveSessionTimeout = 10 * time.Second
 	// retryDelay paces rejoin attempts after a failure; pollInterval paces
 	// the membership watch.
 	retryDelay   = 250 * time.Millisecond
@@ -72,7 +70,8 @@ type Options struct {
 	// moves are never throttled.
 	MaxBytesPerSec int
 	// MoveSessionTimeout is how long a move's target keeps an inactive
-	// inbound session before its janitor reclaims it (default 10s).
+	// inbound session before its janitor reclaims it. It must be positive:
+	// a node passes its cadence's 5·D (coordinator.Cadence).
 	MoveSessionTimeout time.Duration
 	// Metrics, if set, publishes the recovery.* and move.* instruments.
 	Metrics *telemetry.Registry
@@ -147,9 +146,6 @@ func (s scope) kind() int {
 // New builds a Plane and starts its janitor. Register exposes it on the
 // node's server; Run starts the rejoin loop; Close stops both.
 func New(opts Options) *Plane {
-	if opts.MoveSessionTimeout <= 0 {
-		opts.MoveSessionTimeout = defaultMoveSessionTimeout
-	}
 	reg := opts.Metrics
 	p := &Plane{
 		opts:     opts,
