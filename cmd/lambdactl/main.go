@@ -60,7 +60,9 @@ Commands:
   delete          -id N                      delete an object
   invoke          -id N -method M [-arg S | -argi64 N | -arghex H]...
                   [-out raw|str|i64|hex]     invoke a method
-  migrate         -id N -dest GROUP          move a microshard
+  migrate         -id N -dest GROUP          move a microshard (the config must
+                                             name coordinators: a move commits
+                                             only there)
   register-retwis                            deploy the Retwis User type
   stats           [-debug HOST:PORT,...]     print each node's metrics snapshot
                                              (totals and 1 s rates), over RPC or

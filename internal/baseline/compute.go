@@ -45,7 +45,7 @@ type ComputeOptions struct {
 	// function goes there over the network.
 	Storage string
 	// Fuel is the per-invocation budget (same as the aggregated runtime,
-	// for fairness).
+	// for fairness); <=0 means core.DefaultFuel.
 	Fuel int64
 	// ColdStartPenalty, when set, makes every invocation a cold start: a
 	// fresh VM instance (nothing is kept warm) after this much emulated
@@ -85,7 +85,7 @@ type ComputeNode struct {
 
 // StartCompute boots a compute node.
 func StartCompute(opts ComputeOptions) (*ComputeNode, error) {
-	if opts.Fuel == 0 {
+	if opts.Fuel <= 0 {
 		opts.Fuel = core.DefaultFuel
 	}
 	n := &ComputeNode{

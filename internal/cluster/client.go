@@ -106,7 +106,7 @@ func (c *Client) SetDirectory(d *shard.Directory) { c.dir.Store(d) }
 // refresh pulls a fresh configuration from the coordinator, if any. A view
 // older than the one held (a lagging coordinator replica's) is not
 // installed, so the client's view never goes backwards; one at the same
-// epoch is, since Migrate edits the view it fetched in place.
+// epoch is, since a config file's epochs are not the coordinator's.
 func (c *Client) refresh() bool {
 	if c.coord == nil {
 		return false
@@ -294,7 +294,9 @@ func (c *Client) RegisterType(t *core.ObjectType) error {
 	return nil
 }
 
-// Migrate moves an object to the given group via its current primary.
+// Migrate moves an object to the given group via its current primary. The
+// cutover commits at the coordinator, so a deployment without one refuses
+// the move.
 func (c *Client) Migrate(id core.ObjectID, destGroup uint64) error {
 	// A bootstrap directory (static config file) knows nothing about
 	// overrides installed by earlier migrations, so the "already there"
@@ -316,20 +318,8 @@ func (c *Client) Migrate(id core.ObjectID, destGroup uint64) error {
 	if _, err := c.pool.Call(g.Primary, MethodMigrate, body); err != nil {
 		return err
 	}
-	// Keep the local view coherent for subsequent calls. A move back to
-	// the object's hash home clears the override, mirroring the cutover.
-	// A directory the cutover already edited (a static one this client
-	// shares with the nodes) is left alone: another edit would bump the
-	// epoch past the one the nodes installed.
-	d := c.Directory()
-	if now, err := d.Lookup(uint64(id)); err == nil && now.ID == destGroup {
-		return nil
-	}
-	if home, herr := d.DefaultGroupID(uint64(id)); herr == nil && home == destGroup {
-		d.ClearOverride(uint64(id))
-	} else {
-		d.SetOverride(uint64(id), destGroup)
-	}
+	// The cutover committed at the coordinator: adopt its view.
+	c.refresh()
 	return nil
 }
 

@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"errors"
 	"os"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -281,53 +278,6 @@ func TestCrossObjectRoutingAcrossGroups(t *testing.T) {
 	}
 }
 
-func TestMigrationMovesObject(t *testing.T) {
-	nodes, dir := startStatic(t, NodeOptions{}, 1, 1)
-	c := newGroupClient(t, dir)
-	if err := c.RegisterType(counterType(t)); err != nil {
-		t.Fatal(err)
-	}
-	// Object 4 -> group 0 by default.
-	if err := c.CreateObject("Counter", 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Invoke(4, "add", [][]byte{core.I64Bytes(42)}); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := c.Migrate(4, 1); err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-
-	// The object must now live in group 1 with its state intact.
-	g, err := dir.Lookup(4)
-	if err != nil || g.ID != 1 {
-		t.Fatalf("post-migration lookup: group %d, %v", g.ID, err)
-	}
-	res, err := c.Invoke(4, "add", [][]byte{core.I64Bytes(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if core.BytesI64(res) != 43 {
-		t.Fatalf("count after migration = %d", core.BytesI64(res))
-	}
-	// State present at the new primary, gone from the old one.
-	if _, err := nodes[1].Runtime().GetValueField(4, "count"); err != nil {
-		t.Fatalf("state missing at destination: %v", err)
-	}
-	if _, err := nodes[0].Runtime().GetValueField(4, "count"); !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("state still at source: %v", err)
-	}
-	// Other objects on group 0 were never disturbed (microshard property):
-	// create one and use it during/after migration.
-	if err := c.CreateObject("Counter", 6); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Invoke(6, "add", [][]byte{core.I64Bytes(2)}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFailoverWithCoordinator(t *testing.T) {
 	// Three coordinator replicas + one 3-node group; kill the primary and
 	// expect a backup promotion, then keep invoking through the client.
@@ -550,85 +500,5 @@ func TestLoadConfigFile(t *testing.T) {
 	os.WriteFile(bad, []byte("{nope"), 0o644)
 	if _, err := LoadConfigFile(bad); err == nil {
 		t.Fatal("bad JSON loaded")
-	}
-}
-
-func TestMigrationUnderConcurrentLoad(t *testing.T) {
-	// The microshard claim (§4.2): migrating one object must not disrupt
-	// computation on other objects, and the migrated object itself must
-	// lose no committed writes.
-	_, dir := startStatic(t, NodeOptions{}, 1, 1)
-	c := newGroupClient(t, dir)
-	if err := c.RegisterType(counterType(t)); err != nil {
-		t.Fatal(err)
-	}
-	// Object 4 (group 0) migrates; objects 6 and 8 (group 0) stay busy.
-	for _, id := range []core.ObjectID{4, 6, 8} {
-		if err := c.CreateObject("Counter", id); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var otherOps atomic.Int64
-	var migratedOps atomic.Int64
-	for _, id := range []core.ObjectID{6, 8} {
-		wg.Add(1)
-		go func(id core.ObjectID) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := c.Invoke(id, "add", [][]byte{core.I64Bytes(1)}); err != nil {
-					t.Errorf("other-object invoke during migration: %v", err)
-					return
-				}
-				otherOps.Add(1)
-			}
-		}(id)
-	}
-	// Writer on the migrating object: some invocations may fail during the
-	// cutover window (clients retry in production); count the successes.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := c.Invoke(4, "add", [][]byte{core.I64Bytes(1)}); err == nil {
-				migratedOps.Add(1)
-			}
-		}
-	}()
-
-	time.Sleep(50 * time.Millisecond)
-	if err := c.Migrate(4, 1); err != nil {
-		t.Fatalf("migrate under load: %v", err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-
-	if otherOps.Load() == 0 {
-		t.Fatal("other objects made no progress during migration")
-	}
-	// Every acknowledged write to the migrated object must be present.
-	res, err := c.Invoke(4, "get", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if core.BytesI64(res) != migratedOps.Load() {
-		t.Fatalf("migrated object count = %d, acknowledged writes = %d (lost writes)",
-			core.BytesI64(res), migratedOps.Load())
-	}
-	if g, _ := dir.Lookup(4); g.ID != 1 {
-		t.Fatalf("object 4 in group %d", g.ID)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"time"
 
 	"lambdastore/internal/coordinator"
@@ -20,7 +19,8 @@ type LocalOptions struct {
 	// first of them its initial primary.
 	Groups []int
 	// Coordinators is the coordinator ensemble's size. Zero is static mode:
-	// nodes and client share one directory and there is no failure detector.
+	// nodes and client share one fixed directory, there is no failure
+	// detector and no object moves.
 	Coordinators int
 	// Coord is what every ensemble member runs.
 	Coord coordinator.Options
@@ -50,8 +50,8 @@ type Slot struct {
 type Local struct {
 	// Slots holds the nodes in group-major order (group 0's primary first).
 	Slots []*Slot
-	// Dir is static mode's shared directory (nil with coordinators): a
-	// cutover written to it is seen by every node and client at once.
+	// Dir is static mode's directory (nil with coordinators), fixed once
+	// the boot has set its groups.
 	Dir *shard.Directory
 	// Coord is the coordinator ensemble (nil in static mode).
 	Coord *coordinator.Ensemble
@@ -60,7 +60,6 @@ type Local struct {
 
 	opts LocalOptions
 	root string
-	mu   sync.Mutex // orders installEverywhere against a slot's Node changing
 }
 
 // StartLocal stands the deployment up and returns once it is ready for
@@ -128,7 +127,9 @@ func StartLocal(opts LocalOptions) (_ *Local, err error) {
 		}
 	}
 	if l.Dir != nil {
-		l.installEverywhere()
+		for _, s := range l.Slots {
+			s.Node.SetDirectory(l.Dir)
+		}
 		return l, nil
 	}
 	addrs := make([]string, len(l.Slots))
@@ -169,35 +170,13 @@ func (l *Local) Restart(i int) error {
 	o.Addr, o.DataDir, o.GroupID, o.Directory = s.Addr, s.DataDir, s.Group, l.Dir
 	if l.Coord != nil {
 		o.Coordinators = l.Coord.Addrs()
-	} else {
-		o.installEverywhere = l.installEverywhere
 	}
 	node, err := StartNode(o)
 	if err != nil {
 		return fmt.Errorf("cluster: start node %d: %w", i, err)
 	}
-	l.setNode(s, node)
-	return nil
-}
-
-// setNode changes a slot's node; nil takes it out of installEverywhere's
-// reach before it closes.
-func (l *Local) setNode(s *Slot, node *Node) {
-	l.mu.Lock()
 	s.Node = node
-	l.mu.Unlock()
-}
-
-// installEverywhere installs the static directory, which a cutover has
-// just edited in place, on every running node.
-func (l *Local) installEverywhere() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, s := range l.Slots {
-		if s.Node != nil {
-			s.Node.SetDirectory(l.Dir)
-		}
-	}
+	return nil
 }
 
 // Kill stops slot i's node: connections drop and heartbeats stop, with no
@@ -208,7 +187,7 @@ func (l *Local) Kill(i int) error {
 		return fmt.Errorf("cluster: node %d already down", i)
 	}
 	node := s.Node
-	l.setNode(s, nil)
+	s.Node = nil
 	return node.Close()
 }
 
@@ -295,7 +274,7 @@ func (l *Local) Close() {
 	}
 	for _, s := range l.Slots {
 		if node := s.Node; node != nil {
-			l.setNode(s, nil)
+			s.Node = nil
 			node.Close()
 		}
 	}

@@ -66,12 +66,6 @@ type NodeOptions struct {
 	// coordinated StartLocal derives them from its failure detector's
 	// timeout; zero is the default coordinator's cadence.
 	heartbeat, leaseTTL, moveSession time.Duration
-
-	// installEverywhere, set by a static Local, installs the directory its
-	// nodes share on every one of them: a cutover edits it in place, which
-	// bumps the epoch each node's backups fence on, so every shipper must
-	// stamp the edited view. Nil installs it on this node alone.
-	installEverywhere func()
 }
 
 // Node is one LambdaStore storage node: it persists objects, executes
@@ -519,6 +513,11 @@ func (n *Node) registerHandlers() {
 		req, err := decodeMigrateReq(body)
 		if err != nil {
 			return nil, err
+		}
+		// A cutover commits only at the coordinator: without one, refuse
+		// before anything is fenced or copied.
+		if n.coord == nil {
+			return nil, errors.New("cluster: migration needs a coordinator")
 		}
 		if err := n.transfer.Move(uint64(req.object), req.destPrimary, req.destGroup); err != nil {
 			return nil, err

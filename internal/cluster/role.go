@@ -88,14 +88,14 @@ func (v *view) ackDelay(obj uint64, now time.Time) time.Duration {
 
 // next derives the value dir gives this node (self, of group) at now from
 // the value prev it replaces; unexpired barriers carry over. Another epoch
-// in another directory revokes any lease this node holds as a backup (the
-// same directory again, edited in place, re-derives the role only). As the
-// new view's primary, a change that could orphan a lease it can no longer
-// invalidate — a replica left its group (eviction, failover, its own
-// promotion), or an object was mapped into it while the old home's backups
-// may still serve leased reads of it — stalls acks one full ttl, group-wide
-// or for that object: every such lease has expired by then (backups honor
-// 3/4 of the TTL, leaving margin for skew and delivery latency).
+// revokes any lease this node holds as a backup (a view at the installed
+// epoch re-derives the role only). As the new view's primary, a change that
+// could orphan a lease it can no longer invalidate — a replica left its
+// group (eviction, failover, its own promotion), or an object was mapped
+// into it while the old home's backups may still serve leased reads of it —
+// stalls acks one full ttl, group-wide or for that object: every such lease
+// has expired by then (backups honor 3/4 of the TTL, leaving margin for
+// skew and delivery latency).
 func next(prev *view, dir *shard.Directory, self string, group uint64, now time.Time, ttl time.Duration) (v *view, revoke bool) {
 	v = &view{dir: dir, self: self, objBarriers: make(map[uint64]time.Time)}
 	v.group, v.member = dir.Group(group)
@@ -109,7 +109,7 @@ func next(prev *view, dir *shard.Directory, self string, group uint64, now time.
 		}
 	}
 	old := prev.dir
-	if old == nil || old == dir || old.Epoch() == dir.Epoch() {
+	if old == nil || old.Epoch() == dir.Epoch() {
 		return v, false
 	}
 	if !v.primary {
@@ -138,7 +138,8 @@ func next(prev *view, dir *shard.Directory, self string, group uint64, now time.
 func (n *Node) Directory() *shard.Directory { return n.role.load().dir }
 
 // SetDirectory installs a configuration view, whatever its epoch; the same
-// directory again (a static one, edited in place) re-derives the role.
+// directory again (a static boot's, once its groups are set) re-derives the
+// role.
 func (n *Node) SetDirectory(d *shard.Directory) { n.role.install(d, false) }
 
 // load returns the published value.
@@ -327,32 +328,14 @@ func (n *Node) proposeFenced(what string, propose func(*shard.Directory) error, 
 }
 
 // cutOverObject is the move's commit point: record the object's new home in
-// the directory. Static mode mutates the (possibly shared) directory in
-// place; coordinator mode proposes through the replicated log with the epoch
-// fence, retrying with a refreshed view when a concurrent configuration
-// change fences the proposal out — the quiesced state at both ends stays
-// valid across retries. Moves back to the object's default hash placement
-// clear the override instead of recording one, which is what keeps the
-// override table from growing with every migration.
+// the coordinator's directory. It proposes through the replicated log with
+// the epoch fence, retrying with a refreshed view when a concurrent
+// configuration change fences the proposal out — the quiesced state at both
+// ends stays valid across retries. Moves back to the object's default hash
+// placement clear the override instead of recording one, which is what
+// keeps the override table from growing with every migration. Only a node
+// with coordinators gets here: node.migrate refuses a move without them.
 func (n *Node) cutOverObject(object, targetGroup uint64) error {
-	if n.coord == nil {
-		d := n.Directory()
-		home, err := d.DefaultGroupID(object)
-		if err != nil {
-			return err
-		}
-		if home == targetGroup {
-			d.ClearOverride(object)
-		} else {
-			d.SetOverride(object, targetGroup)
-		}
-		if n.opts.installEverywhere != nil {
-			n.opts.installEverywhere()
-		} else {
-			n.SetDirectory(d)
-		}
-		return nil
-	}
 	return n.proposeFenced(fmt.Sprintf("cutover of %d to group %d did not take effect", object, targetGroup),
 		func(d *shard.Directory) error {
 			// Re-validate against the fresh view: the move is only safe

@@ -159,20 +159,12 @@ func TestServeUniform(t *testing.T) {
 				<-resume
 			}
 		}
-		// Runs after the nodes' Close, which waits for every handler.
 		t.Cleanup(func() { routedHook = nil })
-		nodes, dir := startStatic(t, NodeOptions{}, 1, 1)
-		oldHome, newHome := nodes[0], nodes[1]
-		c := newGroupClient(t, dir)
-		if err := c.RegisterType(counterType(t)); err != nil {
-			t.Fatal(err)
-		}
-		obj := core.ObjectID(2)
+		l := sharedMovers(t)
+		c := l.Client
+		oldHome, newHome := primaryOf(t, l, 0), primaryOf(t, l, 1)
 		for _, e := range serveEntries {
-			obj += 2 // even ids hash to group 0
-			if err := c.CreateObject("Counter", obj); err != nil {
-				t.Fatal(err)
-			}
+			obj := newObject(t, l)
 			held.Store(true)
 			errc := make(chan error, 1)
 			go func() { errc <- e.send(pool, oldHome.Addr(), obj) }()
@@ -340,23 +332,20 @@ func TestCommitTailOrder(t *testing.T) {
 // after a move cannot lack the moved object. The joiner here is dead, so
 // the relay fails and ends its session, and the move goes through.
 func TestTransferredApplyJoinsTheGroupPath(t *testing.T) {
-	nodes, dir := startStatic(t, NodeOptions{}, 1, 1)
-	c := newGroupClient(t, dir)
-	if err := c.RegisterType(counterType(t)); err != nil {
-		t.Fatal(err)
-	}
-	const obj = 2 // even ids hash to group 0
-	if err := c.CreateObject("Counter", obj); err != nil {
-		t.Fatal(err)
-	}
-	deadJoinerSession(t, nodes[1])
+	l := sharedMovers(t)
+	c := l.Client
+	obj := newObject(t, l)
+	target := primaryOf(t, l, 1)
+	gaps := target.Metrics().Counter("recovery.forward_gaps")
+	before := gaps.Value()
+	deadJoinerSession(t, target)
 	if err := c.Migrate(obj, 1); err != nil {
 		t.Fatalf("move into a primary whose joiner is unreachable: %v", err)
 	}
-	if got := nodes[1].Metrics().Counter("recovery.forward_gaps").Value(); got == 0 {
+	if gaps.Value() == before {
 		t.Fatal("the move's chunk was never relayed to the target's joiner")
 	}
-	if n := len(nodes[1].transfer.Sessions()); n != 0 {
+	if n := len(target.transfer.Sessions()); n != 0 {
 		t.Fatalf("%d sessions at the target after its relay failed", n)
 	}
 	if _, err := c.Invoke(obj, "add", [][]byte{core.I64Bytes(1)}); err != nil {

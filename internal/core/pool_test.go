@@ -16,7 +16,7 @@ func TestIdleLaneKeepsOneInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewInstancePool(0, nil, nil)
+	p := NewInstancePool(DefaultFuel, nil, nil)
 	burst := func(n int) {
 		insts := make([]*vm.Instance, n)
 		for i := range insts {

@@ -32,7 +32,7 @@ type CommitHook func(ctx telemetry.SpanContext, obj ObjectID, seq uint64, writeS
 // Options configures a Runtime.
 type Options struct {
 	// Fuel is the execution budget per method invocation; <=0 means
-	// unmetered.
+	// DefaultFuel.
 	Fuel int64
 	// Cache enables the consistent result cache with the given capacity;
 	// 0 disables caching.
@@ -130,7 +130,7 @@ func NewRuntime(db *store.DB, opts Options) (*Runtime, error) {
 		opts:  opts,
 		types: make(map[string]*typeSlot),
 	}
-	if opts.Fuel == 0 {
+	if opts.Fuel <= 0 {
 		rt.opts.Fuel = DefaultFuel
 	}
 	rt.tracer = opts.Tracer

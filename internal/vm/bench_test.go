@@ -39,13 +39,13 @@ func BenchmarkSpinInterp(b *testing.B) {
 // BenchmarkResetFast is the pooled-instance reset after a method that
 // dirtied 8 KB of its memory: what every warm invocation pays.
 func BenchmarkResetFast(b *testing.B) {
-	inst, err := NewInstance(MustAssemble(spinSrc), nil, 0)
+	inst, err := NewInstance(MustAssemble(spinSrc), nil, testFuel)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		inst.noteWrite(8 << 10)
-		inst.ResetFast(0)
+		inst.ResetFast(testFuel)
 	}
 }

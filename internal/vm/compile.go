@@ -84,10 +84,9 @@ type thState struct {
 	fp int
 	// depth is the live frame count, bounded by maxCallDepth; zero while
 	// no call is running.
-	depth   int
-	metered bool
-	trap    error
-	hargs   []int64 // reusable host-call argument scratch
+	depth int
+	trap  error
+	hargs []int64 // reusable host-call argument scratch
 }
 
 // failAt records a trap annotated with its location.
@@ -96,19 +95,13 @@ func (m *thState) failAt(name string, pc int, err error) int {
 	return thDone
 }
 
-// run drives the threaded loop for one frame. The metered loop charges
-// block fuel from bfuel before dispatching a leader; exhaustion consumes
-// the remainder so FuelUsed reports the full budget. Control only ever
-// lands on block leaders or pcs inside a block whose bfuel is zero, so the
-// per-dispatch check reproduces per-block accounting exactly.
+// run drives the threaded loop for one frame. It charges block fuel from
+// bfuel before dispatching a leader; exhaustion consumes the remainder so
+// FuelUsed reports the full budget. Control only ever lands on block
+// leaders or pcs inside a block whose bfuel is zero, so the per-dispatch
+// check reproduces per-block accounting exactly.
 func (tf *thFunc) run(m *thState) {
 	ops := tf.ops
-	if !m.metered {
-		for ip := 0; ip >= 0; {
-			ip = ops[ip](m)
-		}
-		return
-	}
 	bfuel := tf.bfuel[:len(ops)] // one bounds check covers both arrays
 	inst := m.inst
 	for ip := 0; ip >= 0; {
@@ -161,7 +154,6 @@ func (inst *Instance) CallIndex(idx int, args ...int64) (int64, error) {
 	m.inst = inst
 	m.fp = 0
 	m.depth = 1
-	m.metered = inst.fuel > 0
 	m.trap = nil
 	if m.hargs == nil {
 		m.hargs = make([]int64, 0, 8)

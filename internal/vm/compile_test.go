@@ -49,14 +49,14 @@ func taint params=2 locals=0 export
 end
 `
 	mod := MustAssemble(src)
-	inst, err := NewInstance(mod, nil, 0)
+	inst, err := NewInstance(mod, nil, testFuel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := inst.Call("taint", 1000, -1); err != nil {
 		t.Fatal(err)
 	}
-	inst.ResetFast(0)
+	inst.ResetFast(testFuel)
 	buf, err := inst.MemRead(0, inst.MemSize())
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ end
 // tier performs zero heap allocations once the register file has grown.
 func TestThreadedZeroAllocWarm(t *testing.T) {
 	mod := MustAssemble(spinSrc)
-	inst, err := NewInstance(mod, nil, 0)
+	inst, err := NewInstance(mod, nil, testFuel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,12 @@ func TestThreadedZeroAllocWarm(t *testing.T) {
 	if _, err := inst.CallIndex(idx, args...); err != nil {
 		t.Fatal(err)
 	}
-	inst.ResetFast(0)
+	inst.ResetFast(testFuel)
 	avg := testing.AllocsPerRun(100, func() {
 		if _, err := inst.CallIndex(idx, args...); err != nil {
 			t.Fatal(err)
 		}
-		inst.ResetFast(0)
+		inst.ResetFast(testFuel)
 	})
 	if avg != 0 {
 		t.Fatalf("warm threaded invoke allocates %.1f allocs/op, want 0", avg)

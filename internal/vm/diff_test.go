@@ -9,8 +9,9 @@ package vm
 // second round and diverge.
 //
 // The structured generator emits depth-disciplined assembly (every
-// function returns one value, loops use dedicated counters so unmetered
-// runs terminate); the raw generator emits random bytecode with arbitrary
+// function returns one value, loops use dedicated counters so a generous
+// budget runs them to completion, and a budget of 0 traps at the first
+// charged block); the raw generator emits random bytecode with arbitrary
 // control flow, typed by construction but for the occasional undisciplined
 // instruction that linking must refuse, and runs metered only.
 

@@ -50,8 +50,8 @@ type Instance struct {
 }
 
 // NewInstance links module against hosts (Module.Link; a no-op after the
-// first) and instantiates it with the given fuel budget. fuel <= 0 means
-// unlimited (used by trusted code paths and some benchmarks).
+// first) and instantiates it with the given fuel budget. Every call is
+// metered: a budget <= 0 traps ErrOutOfFuel at the first charged block.
 func NewInstance(module *Module, hosts *HostTable, fuel int64) (*Instance, error) {
 	th, resolved, err := module.link(hosts)
 	if err != nil {
@@ -168,24 +168,23 @@ func (inst *Instance) noteWrite(end int64) {
 }
 
 // memCopy executes memcopy: it checks both ranges and charges ceil(n/8)
-// fuel (when metered) before any byte moves, then copies with memmove
-// semantics. Running out consumes the remainder, as block fuel does, so
-// FuelUsed reports the full budget.
-func (inst *Instance) memCopy(dst, src, n int64, metered bool) error {
+// fuel before any byte moves, then copies with memmove semantics. Running
+// out consumes the remainder, as block fuel does, so FuelUsed reports the
+// full budget.
+func (inst *Instance) memCopy(dst, src, n int64) error {
 	have := int64(len(inst.mem))
 	if (n < 0 || src < 0 || dst < 0 || src > have-n || dst > have-n) &&
 		(src < 0 || dst < 0 || !inst.materialize(max(src, dst), n)) {
 		return ErrMemOutOfBounds
 	}
-	if cost := (n + 7) / 8; metered {
-		if inst.fuel < cost {
-			inst.used += inst.fuel
-			inst.fuel = 0
-			return ErrOutOfFuel
-		}
-		inst.fuel -= cost
-		inst.used += cost
+	cost := (n + 7) / 8
+	if inst.fuel < cost {
+		inst.used += inst.fuel
+		inst.fuel = 0
+		return ErrOutOfFuel
 	}
+	inst.fuel -= cost
+	inst.used += cost
 	copy(inst.mem[dst:dst+n], inst.mem[src:src+n])
 	inst.noteWrite(dst + n)
 	return nil

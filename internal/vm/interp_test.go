@@ -107,7 +107,6 @@ func (r *reference) CallIndex(idx int, args ...int64) (int64, error) {
 func (inst *Instance) interpret(irs []*funcIR, entry frame) ([]int64, error) {
 	frames := make([]frame, 1, 8)
 	frames[0] = entry
-	metered := inst.fuel > 0
 	var stack []int64
 
 	for {
@@ -129,16 +128,14 @@ func (inst *Instance) interpret(irs []*funcIR, entry frame) ([]int64, error) {
 			// after call/ret lands mid-block on code already paid for at the
 			// leader. Exhaustion consumes the remainder so FuelUsed reports
 			// the full budget.
-			if metered {
-				if bf := int64(bfuel[pc]); bf != 0 {
-					if inst.fuel < bf {
-						inst.used += inst.fuel
-						inst.fuel = 0
-						return nil, trapf(f, pc, ErrOutOfFuel)
-					}
-					inst.fuel -= bf
-					inst.used += bf
+			if bf := int64(bfuel[pc]); bf != 0 {
+				if inst.fuel < bf {
+					inst.used += inst.fuel
+					inst.fuel = 0
+					return nil, trapf(f, pc, ErrOutOfFuel)
 				}
+				inst.fuel -= bf
+				inst.used += bf
 			}
 			in := code[pc]
 			switch in.op {
@@ -322,13 +319,11 @@ func (inst *Instance) interpret(irs []*funcIR, entry frame) ([]int64, error) {
 			case opHostCall:
 				hf := inst.hosts[in.arg]
 				n := len(stack)
-				if metered {
-					if inst.fuel < hf.Cost {
-						return nil, trapf(f, pc, ErrOutOfFuel)
-					}
-					inst.fuel -= hf.Cost
-					inst.used += hf.Cost
+				if inst.fuel < hf.Cost {
+					return nil, trapf(f, pc, ErrOutOfFuel)
 				}
+				inst.fuel -= hf.Cost
+				inst.used += hf.Cost
 				args := make([]int64, hf.NArgs)
 				copy(args, stack[n-hf.NArgs:])
 				stack = stack[:n-hf.NArgs]
@@ -367,15 +362,14 @@ func (inst *Instance) interpret(irs []*funcIR, entry frame) ([]int64, error) {
 				if !inst.refInBounds(src, n) || !inst.refInBounds(dst, n) {
 					return nil, trapf(f, pc, ErrMemOutOfBounds)
 				}
-				if cost := (n + 7) / 8; metered {
-					if inst.fuel < cost {
-						inst.used += inst.fuel
-						inst.fuel = 0
-						return nil, trapf(f, pc, ErrOutOfFuel)
-					}
-					inst.fuel -= cost
-					inst.used += cost
+				cost := (n + 7) / 8
+				if inst.fuel < cost {
+					inst.used += inst.fuel
+					inst.fuel = 0
+					return nil, trapf(f, pc, ErrOutOfFuel)
 				}
+				inst.fuel -= cost
+				inst.used += cost
 				// memmove: read the whole source before writing any of it.
 				inst.refWrite(dst, inst.refRead(src, n))
 				pc++

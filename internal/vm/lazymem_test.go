@@ -121,7 +121,7 @@ func TestMaterializeOnFirstTouch(t *testing.T) {
 // the materialized edge lands every byte, and one whose source lies past
 // the edge copies zeros.
 func TestMemCopyAcrossEdgeMovesBytes(t *testing.T) {
-	inst, err := NewInstance(MustAssemble(lazySrc), nil, 0)
+	inst, err := NewInstance(MustAssemble(lazySrc), nil, testFuel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestMemCopyAcrossEdgeMovesBytes(t *testing.T) {
 // charge nothing beyond their instruction; memsize reports the logical
 // size; the grown memory materializes where it is touched.
 func TestGrowMovesOnlyTheLogicalSize(t *testing.T) {
-	inst, err := NewInstance(MustAssemble(lazySrc), nil, 0)
+	inst, err := NewInstance(MustAssemble(lazySrc), nil, testFuel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,20 +176,20 @@ func TestGrowMovesOnlyTheLogicalSize(t *testing.T) {
 // backing any instance of its module has materialized, up to MinPages.
 func TestNewInstanceStartsAtHighWater(t *testing.T) {
 	mod := MustAssemble(lazySrc)
-	first, err := NewInstance(mod, nil, 0)
+	first, err := NewInstance(mod, nil, testFuel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := first.Call("st8", 20000); err != nil {
 		t.Fatal(err)
 	}
-	second, _ := NewInstance(mod, nil, 0)
+	second, _ := NewInstance(mod, nil, testFuel)
 	if len(second.mem) != 20480 || string(second.mem[:4]) != "lazy" {
 		t.Fatalf("second instance backing %d (data %q), want 20480", len(second.mem), second.mem[:4])
 	}
 	first.Call("grow", 3*PageBytes)  //nolint:errcheck
 	first.Call("st8", 3*PageBytes+5) //nolint:errcheck
-	third, _ := NewInstance(mod, nil, 0)
+	third, _ := NewInstance(mod, nil, testFuel)
 	if len(third.mem) != PageBytes {
 		t.Fatalf("third instance backing %d, want MinPages (%d)", len(third.mem), PageBytes)
 	}
@@ -200,7 +200,7 @@ func TestNewInstanceStartsAtHighWater(t *testing.T) {
 // page at most, at MinPages again, with its data segment re-imaged.
 func TestResetDropsGrownMemory(t *testing.T) {
 	for _, fast := range []bool{true, false} {
-		inst, err := NewInstance(MustAssemble(lazySrc), nil, 0)
+		inst, err := NewInstance(MustAssemble(lazySrc), nil, testFuel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,9 +217,9 @@ func TestResetDropsGrownMemory(t *testing.T) {
 			t.Fatalf("backing %d before the reset, want %d", cap(inst.mem), 17*PageBytes)
 		}
 		if fast {
-			inst.ResetFast(0)
+			inst.ResetFast(testFuel)
 		} else {
-			inst.Reset(0)
+			inst.Reset(testFuel)
 		}
 		if cap(inst.mem) > PageBytes || inst.MemSize() != PageBytes || string(inst.mem[:4]) != "lazy" {
 			t.Fatalf("fast=%v: after the reset the backing holds %d B (data %q), size %d", fast, cap(inst.mem), inst.mem[:4], inst.MemSize())
@@ -235,7 +235,7 @@ func TestResetDropsGrownMemory(t *testing.T) {
 // bytes it was taken over, as a host call with a key view and a value
 // view relies on.
 func TestMemViewSurvivesMaterialization(t *testing.T) {
-	inst, err := NewInstance(MustAssemble(lazySrc), nil, 0)
+	inst, err := NewInstance(MustAssemble(lazySrc), nil, testFuel)
 	if err != nil {
 		t.Fatal(err)
 	}

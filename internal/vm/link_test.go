@@ -98,7 +98,7 @@ func TestLinkRejects(t *testing.T) {
 		if !errors.Is(err, ErrBadModule) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Link = %v\nwant ErrBadModule naming %s", c.name, err, c.want)
 		}
-		if _, err := NewInstance(c.mod, diffHosts(new([]int64)), 0); !errors.Is(err, ErrBadModule) {
+		if _, err := NewInstance(c.mod, diffHosts(new([]int64)), testFuel); !errors.Is(err, ErrBadModule) {
 			t.Errorf("%s: NewInstance = %v, want ErrBadModule", c.name, err)
 		}
 	}
@@ -127,7 +127,7 @@ func b params=1
   ret
 end`)
 	runDiff(t, mod, nil, mod.FuncIndex("a"), []int64{9}, 0, "a(9)")
-	inst, err := NewInstance(mod, nil, 0)
+	inst, err := NewInstance(mod, nil, testFuel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRelinkOtherArities(t *testing.T) {
 		return h
 	}
 	for i := 0; i < 2; i++ {
-		inst, err := NewInstance(mod, table(true), 0)
+		inst, err := NewInstance(mod, table(true), testFuel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestConcurrentFirstLink(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			inst, err := NewInstance(mod, nil, 0)
+			inst, err := NewInstance(mod, nil, testFuel)
 			if err != nil {
 				t.Error(err)
 				return
@@ -218,7 +218,7 @@ end`)
 			callPC = pc
 		}
 	}
-	inst, err := NewInstance(mod, nil, 0)
+	inst, err := NewInstance(mod, nil, testFuel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestReentrantCallRefused(t *testing.T) {
 	hosts := NewHostTable()
 	hosts.Register(HostFunc{Name: "again", HasRet: true,
 		Fn: func(inst *Instance, _ []int64) (int64, error) { return inst.Call("main") }})
-	inst, err := NewInstance(MustAssemble("func main params=0 export\n  hostcall again\n  ret\nend"), hosts, 0)
+	inst, err := NewInstance(MustAssemble("func main params=0 export\n  hostcall again\n  ret\nend"), hosts, testFuel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"testing"
 )
@@ -34,7 +35,7 @@ func TestMemCopy(t *testing.T) {
 	cases := []struct {
 		name         string
 		dst, src, n  int64
-		fuel         int64
+		fuel         int64 // 0 runs the case under testFuel
 		err          error
 		want         string // memory [96, 112) after the call
 		wantFuelUsed int64  // checked when fuel > 0
@@ -58,7 +59,8 @@ func TestMemCopy(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			inst, err := NewInstance(mod, nil, c.fuel)
+			fuel := cmp.Or(c.fuel, testFuel)
+			inst, err := NewInstance(mod, nil, fuel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,10 +78,6 @@ func TestMemCopy(t *testing.T) {
 			}
 			// The reference interpreter agrees on result, trap, fuel and
 			// memory, and so does a second round after ResetFast.
-			fuel := c.fuel
-			if fuel == 0 {
-				fuel = 1 << 20
-			}
 			runDiff(t, mod, nil, mod.FuncIndex("mc"), []int64{c.dst, c.src, c.n}, fuel, c.name)
 		})
 	}
@@ -89,11 +87,11 @@ func TestMemCopy(t *testing.T) {
 // the dirty high-water mark, so ResetFast leaves the same image Reset does.
 func TestMemCopyResetFastIsolation(t *testing.T) {
 	mod := MustAssemble(memcopySrc)
-	fast, err := NewInstance(mod, nil, 0)
+	fast, err := NewInstance(mod, nil, testFuel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := NewInstance(mod, nil, 0)
+	full, err := NewInstance(mod, nil, testFuel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +103,8 @@ func TestMemCopyResetFastIsolation(t *testing.T) {
 			t.Fatalf("top of memory = %q", got)
 		}
 	}
-	fast.ResetFast(0)
-	full.Reset(0)
+	fast.ResetFast(testFuel)
+	full.Reset(testFuel)
 	if !sameImage(fast, full) {
 		t.Fatal("ResetFast left bytes a memcopy wrote that Reset clears")
 	}

@@ -1055,7 +1055,7 @@ func (g *blockGen) translateBlock(start, end int) {
 			g.emit(func(next int) thOp {
 				return func(m *thState) int {
 					rf := m.inst.regFile
-					if err := m.inst.memCopy(rf[m.fp+dReg], rf[m.fp+sReg], rf[m.fp+nReg], m.metered); err != nil {
+					if err := m.inst.memCopy(rf[m.fp+dReg], rf[m.fp+sReg], rf[m.fp+nReg]); err != nil {
 						return m.failAt(name, at, err)
 					}
 					return next
@@ -1190,13 +1190,11 @@ func (g *blockGen) translateBlock(start, end int) {
 				return func(m *thState) int {
 					inst := m.inst
 					hf := inst.hosts[hidx]
-					if m.metered {
-						if inst.fuel < hf.Cost {
-							return m.failAt(name, at, ErrOutOfFuel)
-						}
-						inst.fuel -= hf.Cost
-						inst.used += hf.Cost
+					if inst.fuel < hf.Cost {
+						return m.failAt(name, at, ErrOutOfFuel)
 					}
+					inst.fuel -= hf.Cost
+					inst.used += hf.Cost
 					m.hargs = append(m.hargs[:0], inst.regFile[m.fp+abase:m.fp+abase+na]...)
 					ret, err := hf.Fn(inst, m.hargs)
 					if err != nil {

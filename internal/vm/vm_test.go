@@ -9,6 +9,10 @@ import (
 	"testing/quick"
 )
 
+// testFuel is the budget of the tests that are not about fuel: every
+// call is metered, and this one never runs out.
+const testFuel = 1 << 40
+
 func mustRun(t *testing.T, src, fn string, args ...int64) int64 {
 	t.Helper()
 	m, err := Assemble(src)
@@ -515,7 +519,9 @@ end`
 	}
 }
 
-func TestUnmeteredExecution(t *testing.T) {
+// TestLongLoopUnderBudget runs a million loop iterations to completion
+// under a budget that covers them, charging fuel all the way.
+func TestLongLoopUnderBudget(t *testing.T) {
 	src := `
 func sum params=1 locals=2
   push 0
@@ -541,10 +547,30 @@ done:
   ret
 end`
 	m := MustAssemble(src)
-	inst, _ := NewInstance(m, nil, 0) // unlimited
+	inst, _ := NewInstance(m, nil, testFuel)
 	got, err := inst.Call("sum", 1_000_000)
 	if err != nil || got != 500000500000 {
 		t.Fatalf("sum = %d, %v", got, err)
+	}
+	if used := inst.FuelUsed(); used < 1_000_000 {
+		t.Fatalf("a million iterations charged %d fuel", used)
+	}
+}
+
+// TestExhaustedInstanceStaysExhausted: a budget that ran out stays out.
+// A second call without a reset traps at once, charging nothing more.
+func TestExhaustedInstanceStaysExhausted(t *testing.T) {
+	inst, err := NewInstance(MustAssemble(spinSrc), nil, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 1; call <= 2; call++ {
+		if _, err := inst.Call("spin", 4000); !errors.Is(err, ErrOutOfFuel) {
+			t.Fatalf("call %d: err = %v, want ErrOutOfFuel", call, err)
+		}
+		if used := inst.FuelUsed(); used != 1000 {
+			t.Fatalf("call %d: FuelUsed = %d, want the budget of 1000", call, used)
+		}
 	}
 }
 
@@ -561,7 +587,7 @@ func expr params=3
   ret
 end`
 	m := MustAssemble(src)
-	inst, _ := NewInstance(m, nil, 0)
+	inst, _ := NewInstance(m, nil, testFuel)
 	f := func(a, b, c int64) bool {
 		got, err := inst.Call("expr", a, b, c)
 		return err == nil && got == ((a+b)^c)-a

@@ -589,6 +589,37 @@ func TestOneGrantPath(t *testing.T) {
 	}
 }
 
+// TestOneCutoverPath is placement's guard: a live move commits only at the
+// coordinator, so no installed view is ever edited in place. An object's
+// override is written only by the coordinator's state machine, and by
+// shard's own code.
+func TestOneCutoverPath(t *testing.T) {
+	fset := token.NewFileSet()
+	allowed := map[string]bool{"internal/coordinator": true, "internal/shard": true}
+	seen := map[string]bool{}
+	for _, c := range typeCheck(t, fset) {
+		for sel, s := range c.info.Selections {
+			fn, ok := s.Obj().(*types.Func)
+			if !ok || fn.Pkg() == nil {
+				continue
+			}
+			key := funcKey(fn)
+			if key != "shard.Directory.SetOverride" && key != "shard.Directory.ClearOverride" {
+				continue
+			}
+			if !allowed[c.dir] {
+				t.Errorf("%s: %s calls %s: a cutover commits only at the coordinator", fset.Position(sel.Pos()), c.dir, key)
+			}
+			seen[key] = true
+		}
+	}
+	for _, key := range []string{"shard.Directory.SetOverride", "shard.Directory.ClearOverride"} {
+		if !seen[key] {
+			t.Errorf("found no call of %s: the guard no longer sees the coordinator's cutover", key)
+		}
+	}
+}
+
 // TestOneDeployment is the "one way to stand a deployment up" guard: each
 // assembly is written once, in the package that owns its parts, so the parts'
 // constructors are called from there, from the daemon that runs one part per
