@@ -5,7 +5,7 @@
 #   make race    race-detector pass over the concurrency-heavy packages
 #   make chaos   seeded failover chaos suite under the race detector
 #   make fuzz-smoke  5 s of native fuzzing per Fuzz* target in the module (FUZZTIME=10s for longer)
-#   make bench   telemetry hot-path benchmarks (must report 0 allocs/op), the store's insert (random and in bulk-load order), commit, 64-batch bulk commit, table point-read and 41-read snapshot run (0 allocs/op) costs, one rpc round trip, with a small handler, with one that uses 32 KB of stack and from two goroutines on one pool to one peer (<= 1 allocs/op each), one lock-table admission, uncontended and queued behind a writer (0 allocs/op each), one create_post job to 8 followers (<= 4 allocs/op), one uncached get_timeline(40) (<= 1 allocs/op: the result), one pooled instance's ResetFast after 8 KB of writes (0 allocs/op) and one cold start of the Retwis guest (<= 2 allocs/op: the instance and its memory, <= 16 KB/op)
+#   make bench   telemetry hot-path benchmarks (must report 0 allocs/op), the store's insert (random and in bulk-load order), commit, 64-batch bulk commit, table point-read and 41-read snapshot run (0 allocs/op) costs, one rpc round trip, with a small handler, with one that uses 32 KB of stack and from two goroutines on one pool to one peer (<= 1 allocs/op each), one lock-table admission, uncontended and queued behind a writer (0 allocs/op each), one create_post job to 8 followers into a reused result buffer (0 allocs/op), one uncached get_timeline(40) through Invoke (<= 1 allocs/op: the copy the result cache keeps), one pooled instance's ResetFast after 8 KB of writes (0 allocs/op) and one cold start of the Retwis guest (<= 2 allocs/op: the instance and its memory, <= 16 KB/op)
 #   make bench-paper  the paper's Figures 1-2, Table 1 and a delay sweep at quick scale (paper scale: go run ./cmd/retwis-bench)
 #   make bench-smoke  vet + smoke-test the benchmark module (it is not part of ./...)
 #   make vet     gofmt + go vet hygiene
@@ -129,7 +129,8 @@ heap:
 
 # A run's first failing line is the first t.Error/t.Fatal line (file.go:N:),
 # panic or data-race report in its output; 127.0.0.1:port and 0x pointers
-# are masked so that one cause tallies as one line.
+# are masked so that one cause tallies as one line. A subtest's tally file
+# is named with its slashes mapped to underscores.
 FLAKEPKG ?= internal/cluster
 FLAKES ?= TestRejoinConcurrentWithWrites TestLiveMigrationUnderWrites
 FLAKERUNS ?= 50
@@ -139,17 +140,17 @@ flakes:
 	@mkdir -p $(FLAKEDIR)
 	$(GO) test -race -c -o $(FLAKEBIN) ./$(FLAKEPKG)/
 	@cd $(FLAKEPKG) && for t in $(FLAKES); do \
-		: > $(FLAKEDIR)/$$t.tally; fails=0; \
+		tally=$(FLAKEDIR)/$$(echo "$$t" | tr / _).tally; : > $$tally; fails=0; \
 		for i in $$(seq $(FLAKERUNS)); do \
 			if ! $(FLAKEBIN) -test.run "^$$t\$$" -test.count=1 > $(FLAKEDIR)/run.out 2>&1; then \
 				fails=$$((fails + 1)); \
 				line=$$(grep -m1 -E '^\s+[A-Za-z0-9_]+\.go:[0-9]+: |^panic: |DATA RACE' $(FLAKEDIR)/run.out \
 					| sed -E 's/^\s+//; s/127\.0\.0\.1:[0-9]+/ADDR/g; s/0x[0-9a-f]+/0xADDR/g'); \
-				echo "$${line:-(no failing line)}" >> $(FLAKEDIR)/$$t.tally; \
+				echo "$${line:-(no failing line)}" >> $$tally; \
 			fi; \
 		done; \
 		echo "== $$t: $$fails of $(FLAKERUNS) runs failed"; \
-		sort $(FLAKEDIR)/$$t.tally | uniq -c | sort -rn; \
+		sort $$tally | uniq -c | sort -rn; \
 	done
 
 clean:

@@ -97,12 +97,17 @@ func StartCompute(opts ComputeOptions) (*ComputeNode, error) {
 	}
 	n.srv.SetTelemetry(opts.Metrics)
 	n.pool.SetTelemetry(opts.Metrics)
-	n.srv.Handle(MethodRun, func(body []byte) ([]byte, error) {
+	n.srv.HandleCtx(MethodRun, func(info rpc.CallInfo, body []byte) ([]byte, error) {
 		req, err := decodeJobReq(body)
 		if err != nil {
 			return nil, err
 		}
-		return n.run(req)
+		// The result is built straight into the frame's reply scratch.
+		out, err := n.run(*info.Reply, req)
+		if err == nil {
+			*info.Reply = out
+		}
+		return out, err
 	})
 	addr, err := n.srv.Serve(opts.Addr)
 	if err != nil {
@@ -171,8 +176,8 @@ func (n *ComputeNode) typeOf(obj core.ObjectID) (*core.ObjectType, error) {
 	return t, nil
 }
 
-// run executes one function invocation.
-func (n *ComputeNode) run(req *jobReq) ([]byte, error) {
+// run executes one function invocation and appends its result to dst.
+func (n *ComputeNode) run(dst []byte, req *jobReq) ([]byte, error) {
 	typ, err := n.typeOf(req.object)
 	if err != nil {
 		return nil, err
@@ -184,7 +189,7 @@ func (n *ComputeNode) run(req *jobReq) ([]byte, error) {
 		time.Sleep(n.opts.ColdStartPenalty)
 		vms = core.NewInstancePool(n.opts.Fuel, nil, nil)
 	}
-	return vms.Run(&remoteState{node: n, obj: req.object}, req.object, typ, req.method, req.args)
+	return vms.Run(dst, &remoteState{node: n, obj: req.object}, req.object, typ, req.method, req.args)
 }
 
 // remoteState is one job's core.Backend: the object's state is wherever the

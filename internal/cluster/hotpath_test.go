@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lambdastore/internal/core"
+	"lambdastore/internal/retwis"
 	"lambdastore/internal/vm"
 )
 
@@ -181,4 +182,85 @@ func TestHotInvokeAllocBound(t *testing.T) {
 		t.Fatalf("a cached read allocates %.1f objects, want <= 1", allocs)
 	}
 	t.Logf("cached read: %.2f allocs", allocs)
+}
+
+// TestCachedResultNeverReplyScratch: a request frame keeps as its reply
+// scratch only memory it lent the handler or that append grew from it, never
+// a cached result it was handed back. Over one connection a cache hit, a
+// write's reply and the same hit again: if a frame kept the hit's bytes as
+// scratch, the write's reply would be built over the cached result and the
+// second hit would read it.
+func TestCachedResultNeverReplyScratch(t *testing.T) {
+	l := startLocal(t, LocalOptions{Groups: []int{1}, Node: NodeOptions{Runtime: core.Options{CacheEntries: 64}}})
+	c := l.Client
+	for _, typ := range []*core.ObjectType{boxType(t), counterType(t)} {
+		if err := c.RegisterType(typ); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CreateObject("Box", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateObject("Counter", 2); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("a cached result longer than a write's")
+	args := [][]byte{want}
+	hits := l.Nodes()[0].Runtime().Cache().Stats().Hits
+	for i := 1; i <= 200; i++ {
+		first, err := c.InvokeRead(1, "echo", args)
+		if err != nil || !bytes.Equal(first, want) {
+			t.Fatalf("round %d: first echo = %q, %v", i, first, err)
+		}
+		if res, err := c.Invoke(2, "add", [][]byte{core.I64Bytes(1)}); err != nil || core.BytesI64(res) != int64(i) {
+			t.Fatalf("round %d: add = %d, %v", i, core.BytesI64(res), err)
+		}
+		again, err := c.InvokeRead(1, "echo", args)
+		if err != nil || !bytes.Equal(again, first) {
+			t.Fatalf("round %d: echo after a write = %q, %v; want %q", i, again, err, first)
+		}
+	}
+	if got := l.Nodes()[0].Runtime().Cache().Stats().Hits - hits; got < 399 {
+		t.Fatalf("%d cache hits in 400 echoes, want >= 399", got)
+	}
+}
+
+// TestServedCreatePostAllocBound guards a write served over the wire: one
+// create_post to two followers on a one-node deployment, client and node in
+// this process. The node builds the result straight into the request
+// frame's reply scratch, so what is left per job is the client's side of
+// the call — its copy of the reply — and nothing per follower.
+func TestServedCreatePostAllocBound(t *testing.T) {
+	l := startLocal(t, LocalOptions{Groups: []int{1}})
+	c := l.Client
+	if err := c.RegisterType(retwis.MustType()); err != nil {
+		t.Fatal(err)
+	}
+	for id := core.ObjectID(1); id <= 3; id++ {
+		if err := c.CreateObject(retwis.TypeName, id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Invoke(id, "create_account", [][]byte{[]byte(fmt.Sprintf("user%d", id))}); err != nil {
+			t.Fatal(err)
+		}
+		if id > 1 {
+			if _, err := c.Invoke(id, "follow", [][]byte{core.I64Bytes(1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	args := [][]byte{[]byte("a post of a typical length, sixty-four bytes or so, like this")}
+	post := func() {
+		if res, err := c.Invoke(1, "create_post", args); err != nil || core.BytesI64(res) != 2 {
+			t.Fatalf("create_post = %d deliveries, %v", core.BytesI64(res), err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		post()
+	}
+	allocs := testing.AllocsPerRun(300, post)
+	if allocs > 1 && !raceEnabled {
+		t.Fatalf("a served create_post allocates %.1f objects, want <= 1", allocs)
+	}
+	t.Logf("served create_post: %.2f allocs", allocs)
 }

@@ -84,7 +84,7 @@ func TestHostEffectClasses(t *testing.T) {
 	for _, h := range core.HostImports() {
 		typ := oneCallType(t, h)
 		rec := &recorder{reached: map[string]bool{}}
-		_, err := pool.Run(rec, 1, typ, "m", [][]byte{[]byte("a")})
+		_, err := pool.Run(nil, rec, 1, typ, "m", [][]byte{[]byte("a")})
 		// A read must run to the end, or it could pass by trapping first.
 		if err != nil && h.Effects.ReadOnly() {
 			t.Fatalf("%s: %v", h.Name, err)

@@ -47,8 +47,9 @@ import (
 //     the two views of map_set (key, value) both read what the guest
 //     passed. So a host function reads its views, finishes with them before
 //     it writes into the guest, and copies exactly once what outlives the
-//     call: the result, a staged argument (into the guest's argument slab),
-//     a method name (into the intern table, once per name). A Backend is handed views and copies
+//     call: the result (into the guest's result buffer), a staged argument
+//     (into its argument slab), a method name (into the intern table, once
+//     per name). A Backend is handed views and copies
 //     what it keeps (a buffered write, a request body); a nested call's
 //     arguments are views of the caller's slab that Dispatch encodes or runs
 //     the callee on before it returns, and never keeps.
@@ -96,21 +97,27 @@ type Backend interface {
 }
 
 // guest is the half of a running method that is the same on every
-// architecture: who runs, with which arguments, the result sink, and the
+// architecture: who runs, with which arguments, the staged result, and the
 // nested-call staging. Host functions reach it through vm.Instance.Ctx.
 //
 // The staging is scratch its owner keeps from call to call — the pooled
 // invocation on the aggregated side, guestPool under InstancePool.Run — so a
-// fan-out allocates nothing per callee once warm. argBuf and argv only grow
-// while the method runs: an append that reallocates leaves the old array to
-// the views already handed out, and nothing writes where a view points until
-// reset, which runs after every parallel call has been joined.
+// fan-out allocates nothing per callee once warm, and neither does a result.
+// argBuf and argv only grow while the method runs: an append that
+// reallocates leaves the old array to the views already handed out, and
+// nothing writes where a view points until reset, which runs after every
+// parallel call has been joined.
 type guest struct {
 	be     Backend
 	obj    ObjectID
 	typ    *ObjectType
 	method *MethodInfo
 	args   [][]byte
+
+	// result holds the bytes the last set_result passed, copied out of
+	// guest memory. It is lent: the runtime hands it to its destination —
+	// a reply frame, the caller's buffer, the result cache's one copy —
+	// before the guest is reset.
 	result []byte
 
 	// argBuf holds every argument call_arg staged, back to back; argv has
@@ -140,12 +147,13 @@ func (g *guest) reset() {
 	}
 	clear(g.argv)
 	clear(g.asyncs)
-	*g = guest{argBuf: retainedStaging(g.argBuf), argv: retainedStaging(g.argv), asyncs: retainedStaging(g.asyncs)}
+	*g = guest{result: retainedStaging(g.result), argBuf: retainedStaging(g.argBuf), argv: retainedStaging(g.argv), asyncs: retainedStaging(g.asyncs)}
 }
 
 // stagingRetainMax bounds, in bytes, each staging buffer a pooled guest
 // keeps. A fan-out stages its width times its arguments, so the bound is four
-// times a txn's scratch: a create_post to 64 followers stages about 5 KB.
+// times a txn's scratch: a create_post to 64 followers stages about 5 KB, and
+// so is a get_timeline(40)'s result.
 const stagingRetainMax = 4 * scratchRetainMax
 
 // retainedStaging empties a staging buffer for reuse, or drops it if it
@@ -335,11 +343,11 @@ func newHostTable() (*vm.HostTable, map[string]Effects) {
 	})
 
 	reg("set_result", 2, false, 16, pure, func(g *guest, inst *vm.Instance, a []int64) (int64, error) {
-		data, err := inst.MemRead(a[0], a[1]) // retained: the one copy
+		data, err := inst.MemView(a[0], a[1])
 		if err != nil {
 			return 0, err
 		}
-		g.result = data
+		g.result = append(g.result[:0], data...) // staged: the one copy out of the guest
 		return 0, nil
 	})
 

@@ -17,6 +17,8 @@ import (
 //	                 nested self-invocation), value field, list element and
 //	                 map entry
 //	echo(p) -> p     returns its argument
+//	swap(p, q) -> q  sets p as its result, scribbles over p, then sets q
+//	snap(p) -> p     sets p as its result, then scribbles over p
 const keeperSrc = `
 ;; scribble(ptr, n): overwrite [ptr, ptr+n) with 0xEE.
 func scribble params=2
@@ -43,6 +45,36 @@ end
 
 func echo params=0 locals=1 export
   push 0
+  hostcall arg
+  local.set 0
+  local.get 0
+  unpack.ptr
+  local.get 0
+  unpack.len
+  hostcall set_result
+  ret
+end
+
+func snap params=0 locals=1 export
+  push 0
+  hostcall arg
+  local.set 0
+  local.get 0
+  unpack.ptr
+  local.get 0
+  unpack.len
+  hostcall set_result
+  local.get 0
+  unpack.ptr
+  local.get 0
+  unpack.len
+  call scribble
+  ret
+end
+
+func swap params=0 locals=1 export
+  call snap
+  push 1
   hostcall arg
   local.set 0
   local.get 0
@@ -121,7 +153,7 @@ func newKeeperType(t *testing.T) *ObjectType {
 			{Name: "log", Kind: FieldList},
 			{Name: "m", Kind: FieldMap},
 		},
-		[]MethodInfo{{Name: "keep"}, {Name: "echo"}}, mod)
+		[]MethodInfo{{Name: "keep"}, {Name: "echo"}, {Name: "snap"}, {Name: "swap"}}, mod)
 	if err != nil {
 		t.Fatalf("keeper type: %v", err)
 	}
@@ -171,6 +203,40 @@ func TestRetainedBytesSurviveGuestMemoryReuse(t *testing.T) {
 	}
 	if !bytes.Equal(firstResult, first) {
 		t.Fatalf("first call's result changed under the second call: %x", firstResult)
+	}
+}
+
+// TestResultIsTheLastSetResult checks set_result's snapshot semantics: the
+// result is the bytes the range held when set_result was called, whatever
+// the guest writes there afterwards, and a second call replaces the first
+// whole, a shorter result included. The staged bytes are lent, so both are
+// checked through Invoke and through InvokeTo into one reused buffer.
+func TestResultIsTheLastSetResult(t *testing.T) {
+	rt, _ := newTestRuntime(t, Options{})
+	if err := rt.RegisterType(newKeeperType(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.CreateObject("Keeper", 1, CallCtx{}); err != nil {
+		t.Fatal(err)
+	}
+	long, short := bytes.Repeat([]byte{0x33}, 48), bytes.Repeat([]byte{0x44}, 16)
+	if got := mustInvoke(t, rt, 1, "snap", long); !bytes.Equal(got, long) {
+		t.Fatalf("snap = %x, want the bytes as set_result saw them, %x", got, long)
+	}
+	if got := mustInvoke(t, rt, 1, "swap", long, short); !bytes.Equal(got, short) {
+		t.Fatalf("swap = %x, want the second set_result's %x", got, short)
+	}
+	var buf []byte
+	for round := 0; round < 3; round++ {
+		got, err := rt.InvokeTo(&buf, 1, "snap", [][]byte{long}, CallCtx{})
+		if err != nil || !bytes.Equal(got, long) {
+			t.Fatalf("round %d: snap into a buffer = %x, %v", round, got, err)
+		}
+		buf = buf[:0]
+		if got, err = rt.InvokeTo(&buf, 1, "swap", [][]byte{long, short}, CallCtx{}); err != nil || !bytes.Equal(got, short) {
+			t.Fatalf("round %d: swap into a buffer = %x, %v", round, got, err)
+		}
+		buf = buf[:0]
 	}
 }
 

@@ -266,7 +266,8 @@ func (iv *invocation) Dispatch(target ObjectID, method string, args [][]byte) ([
 }
 
 // run executes the method body in a pooled VM instance and commits on
-// success.
+// success. The result it returns is the guest's staged copy, lent until iv
+// recycles.
 func (iv *invocation) run() ([]byte, error) {
 	iv.rt.metrics.invocations.Inc()
 	defer iv.unlock()

@@ -66,8 +66,9 @@ func NewInstancePool(fuel int64, reg *telemetry.Registry, tracer *telemetry.Trac
 }
 
 // Run executes one method of an object of type typ against be and returns
-// what the guest passed to set_result.
-func (p *InstancePool) Run(be Backend, obj ObjectID, typ *ObjectType, method string, args [][]byte) ([]byte, error) {
+// dst with what the guest passed to set_result appended: the result's one
+// copy out of the pooled guest, into memory the caller lends.
+func (p *InstancePool) Run(dst []byte, be Backend, obj ObjectID, typ *ObjectType, method string, args [][]byte) ([]byte, error) {
 	mi, ok := typ.Method(method)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, typ.Name, method)
@@ -75,13 +76,15 @@ func (p *InstancePool) Run(be Backend, obj ObjectID, typ *ObjectType, method str
 	g := guestPool.Get().(*guest)
 	g.bind(be, obj, typ, mi, args)
 	err := p.exec(g, telemetry.SpanContext{})
-	result := g.result
+	if err == nil {
+		dst = append(dst, g.result...)
+	}
 	g.reset()
 	guestPool.Put(g)
 	if err != nil {
 		return nil, err
 	}
-	return result, nil
+	return dst, nil
 }
 
 // exec runs g's method body in a pooled instance and joins its parallel

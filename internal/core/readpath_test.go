@@ -95,10 +95,10 @@ func TestReadFastPathAllocBound(t *testing.T) {
 }
 
 // TestCacheMissStoresTheReturnedBytes: a cacheable miss allocates the bytes
-// it returns, nothing else. The cache entry holds the very result set_result
-// copied out of the guest — the next hit returns the same bytes, not a
-// second copy — and the version read set is copied from the invocation's
-// scratch into the entry. Every store here also evicts (two entries,
+// it returns, nothing else. The cache entry holds the very copy the miss
+// made of the result set_result staged — the next hit returns the same
+// bytes, not a second copy — and the version read set is copied from the
+// invocation's scratch into the entry. Every store here also evicts (two entries,
 // rotating over eight objects) and reuses the entry it evicted.
 func TestCacheMissStoresTheReturnedBytes(t *testing.T) {
 	rt, _ := newTestRuntime(t, Options{CacheEntries: 2})

@@ -345,30 +345,43 @@ type CallCtx struct {
 	Guard func(ObjectID) error
 }
 
-// Invoke runs a method on an object with invocation linearizability. It is
-// the entry point for client jobs and for cross-object calls routed here.
+// Invoke runs a method on an object with invocation linearizability and
+// returns bytes the caller may keep (read-only: a cached result is the
+// cache's own).
 func (rt *Runtime) Invoke(id ObjectID, method string, args [][]byte) ([]byte, error) {
 	return rt.InvokeCtx(id, method, args, CallCtx{})
 }
 
-// InvokeCtx is Invoke with an explicit call context. It records the
-// per-node "invoke" span (parented to the caller's span when the request is
-// traced) and the per-method invocation metrics, then nests every stage
-// span under it.
+// InvokeCtx is Invoke with an explicit call context: the entry point for
+// cross-object calls routed here, whose results their callers keep.
 func (rt *Runtime) InvokeCtx(id ObjectID, method string, args [][]byte, cc CallCtx) ([]byte, error) {
+	var buf []byte
+	return rt.InvokeTo(&buf, id, method, args, cc)
+}
+
+// InvokeTo is InvokeCtx building the result in memory the caller lends. An
+// uncached result is appended to *buf, which is left grown to hold it, and
+// returned as that tail; a cached one — a hit, or the copy a miss stored —
+// is the result cache's own bytes, read-only, and *buf is left as it was. So
+// *buf only ever holds memory the caller handed in or append grew from it,
+// and the caller may keep it as scratch for its next call. InvokeTo records
+// the per-node "invoke" span (parented to the caller's span when the request
+// is traced) and the per-method invocation metrics, then nests every stage
+// span under it.
+func (rt *Runtime) InvokeTo(buf *[]byte, id ObjectID, method string, args [][]byte, cc CallCtx) ([]byte, error) {
 	span := rt.tracer.StartSpan(cc.Trace, "invoke")
 	if span.Recording() {
 		cc.Trace = span.Context()
 	}
 	start := time.Now()
-	result, err := rt.invokeCtx(id, method, args, cc)
+	result, err := rt.invokeCtx(buf, id, method, args, cc)
 	rt.metrics.invokeUs.RecordTraced(time.Since(start), cc.Trace.Trace)
 	rt.metrics.methodCounter(method).Inc()
 	span.FinishErr(err)
 	return result, err
 }
 
-func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallCtx) ([]byte, error) {
+func (rt *Runtime) invokeCtx(buf *[]byte, id ObjectID, method string, args [][]byte, cc CallCtx) ([]byte, error) {
 	typ, err := rt.typeOf(id)
 	if err != nil {
 		return nil, err
@@ -421,21 +434,26 @@ func (rt *Runtime) invokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 	iv.txn = openTxn(rt.db)
 	defer iv.txn.close()
 
+	// result is the invocation's staged copy, lent until iv recycles.
 	result, err := iv.run()
 	if err != nil {
 		return nil, err
 	}
 
 	if cacheable {
-		// The cache keeps result, the bytes set_result copied out of the
-		// guest, and the version's hash in a slab slot it evicted or freed,
-		// so storing a miss allocates nothing; the version key it validates
-		// against is the next lookup's, built in that invocation's scratch.
+		// The cache keeps the one retained copy of the result, and the
+		// version's hash, in a slab slot it evicted or freed; the version key
+		// it validates against is the next lookup's, built in that
+		// invocation's scratch.
 		if h, ok := iv.versionHash(); ok {
-			rt.cache.StoreAt(uint64(id), argsHash, result, h, epoch)
+			kept := append([]byte(nil), result...)
+			rt.cache.StoreAt(uint64(id), argsHash, kept, h, epoch)
+			return kept, nil
 		}
 	}
-	return result, nil
+	start := len(*buf)
+	*buf = append(*buf, result...)
+	return (*buf)[start:], nil
 }
 
 // versionHash is the read set of a finished cacheable invocation: the hash

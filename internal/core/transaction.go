@@ -106,12 +106,12 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 		iv.locked = true   // the transaction holds the admissions
 		iv.external = true // commit and unlock are managed here
 		res, err := iv.run()
+		results[i] = append([]byte(nil), res...) // the call's own copy: res is lent until iv recycles
 		iv.recycle()
 		if err != nil {
 			return nil, fmt.Errorf("core: transaction call %d (%s.%s): %w",
 				i, rcalls[i].typ.Name, c.Method, err)
 		}
-		results[i] = res
 	}
 
 	if shared.dirty() {

@@ -88,28 +88,54 @@ func coldReader(tb testing.TB, rt *core.Runtime) func() {
 }
 
 // TestColdTimelineAllocBound guards the uncached read path end to end:
-// host-call boundary, LSM point reads and the one-element read set. A read
-// allocates the bytes it returns, which set_result copies out of the guest,
-// and nothing else: the result-cache entry that keeps them is the one its
-// store evicted, reused.
+// host-call boundary, LSM point reads and the one-element read set. Through
+// Invoke a read allocates the one copy of its result the cache keeps and
+// returns, and nothing else: the guest stages the bytes in its pooled
+// buffer, and the result-cache entry that keeps the copy is the one its
+// store evicted, reused. Run on an instance pool, into a buffer the caller
+// reuses, the same guest call allocates nothing.
 func TestColdTimelineAllocBound(t *testing.T) {
-	rt, _ := coldRuntime(t)
-	read := coldReader(t, rt)
-	// Two rotations warm the instance pool and the block cache.
-	for i := 0; i < 2*coldAccounts; i++ {
+	t.Run("Invoke", func(t *testing.T) {
+		rt, _ := coldRuntime(t)
+		read := coldReader(t, rt)
+		// Two rotations warm the instance pool and the block cache.
+		for i := 0; i < 2*coldAccounts; i++ {
+			read()
+		}
+		before := rt.Cache().Stats()
+		allocs := testing.AllocsPerRun(coldAccounts, read)
+		after := rt.Cache().Stats()
+		if hits := after.Hits - before.Hits; hits != 0 {
+			t.Fatalf("%d result-cache hits: the fixture is not cold", hits)
+		}
+		const bound = 1
+		if allocs > bound && !raceEnabled {
+			t.Fatalf("cold get_timeline(%d) allocs per Invoke = %.1f, want <= %d", coldPosts, allocs, bound)
+		}
+		t.Logf("cold get_timeline(%d): %.1f allocs per Invoke", coldPosts, allocs)
+	})
+	t.Run("InstancePool.Run", func(t *testing.T) {
+		be := coldListBackend()
+		pool := core.NewInstancePool(core.DefaultFuel, nil, nil)
+		typ, args := MustType(), [][]byte{core.I64Bytes(coldPosts)}
+		var buf []byte
+		read := func() {
+			res, err := pool.Run(buf[:0], be, 1, typ, "get_timeline", args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := coldPosts * (8 + 16 + coldBodyLen); len(res) != want {
+				t.Fatalf("timeline is %d bytes, want %d", len(res), want)
+			}
+			buf = res
+		}
 		read()
-	}
-	before := rt.Cache().Stats()
-	allocs := testing.AllocsPerRun(coldAccounts, read)
-	after := rt.Cache().Stats()
-	if hits := after.Hits - before.Hits; hits != 0 {
-		t.Fatalf("%d result-cache hits: the fixture is not cold", hits)
-	}
-	const bound = 1
-	if allocs > bound && !raceEnabled {
-		t.Fatalf("cold get_timeline(%d) allocs per Invoke = %.1f, want <= %d", coldPosts, allocs, bound)
-	}
-	t.Logf("cold get_timeline(%d): %.1f allocs per Invoke", coldPosts, allocs)
+		allocs := testing.AllocsPerRun(100, read)
+		if allocs > 0 && !raceEnabled {
+			t.Fatalf("cold get_timeline(%d) allocs per Run = %.1f, want 0", coldPosts, allocs)
+		}
+		t.Logf("cold get_timeline(%d): %.1f allocs per Run", coldPosts, allocs)
+	})
 }
 
 // BenchmarkColdTimeline is the inner loop for work on the uncached read
@@ -179,12 +205,8 @@ func (b *listBackend) Dispatch(core.ObjectID, string, [][]byte) ([]byte, error) 
 	return nil, fmt.Errorf("listBackend: call")
 }
 
-// TestColdTimelineFuelBound pins what one uncached get_timeline(40) over
-// the cold fixture's entries costs the guest: one list_get per entry, and
-// the fuel of a fetch pass plus a copy pass whose bytes move by memcopy.
-// Both are deterministic, so any change to the guest or to the host costs
-// shows here first.
-func TestColdTimelineFuelBound(t *testing.T) {
+// coldListBackend serves one timeline of the cold fixture's entries.
+func coldListBackend() *listBackend {
 	be := &listBackend{}
 	for i := uint64(0); i < coldPosts; i++ {
 		entry := make([]byte, 16+coldBodyLen)
@@ -192,9 +214,19 @@ func TestColdTimelineFuelBound(t *testing.T) {
 		binary.LittleEndian.PutUint64(entry[8:], i)
 		be.entries = append(be.entries, entry)
 	}
+	return be
+}
+
+// TestColdTimelineFuelBound pins what one uncached get_timeline(40) over
+// the cold fixture's entries costs the guest: one list_get per entry, and
+// the fuel of a fetch pass plus a copy pass whose bytes move by memcopy.
+// Both are deterministic, so any change to the guest or to the host costs
+// shows here first.
+func TestColdTimelineFuelBound(t *testing.T) {
+	be := coldListBackend()
 	reg := telemetry.NewRegistry()
 	pool := core.NewInstancePool(core.DefaultFuel, reg, nil)
-	res, err := pool.Run(be, 1, MustType(), "get_timeline", [][]byte{core.I64Bytes(coldPosts)})
+	res, err := pool.Run(nil, be, 1, MustType(), "get_timeline", [][]byte{core.I64Bytes(coldPosts)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,8 @@ func (m *message) decode(b []byte) (name []byte, err error) {
 // A server's request frame also carries what its handler goroutine needs —
 // the handler and the connection — so the task is handed over as f.run:
 // run is f.handle, bound once when the pool makes the frame, so handing it
-// to gopool.Go allocates nothing.
+// to gopool.Go allocates nothing. out is the reply scratch it lends the
+// handler (CallInfo.Reply), kept from request to request like buf.
 type inFrame struct {
 	msg       message
 	name      []byte
@@ -106,6 +107,7 @@ type inFrame struct {
 	h    HandlerCtx
 	conn *serverConn
 	run  func()
+	out  []byte
 }
 
 // inFrames recycles a server's request frames, buffers and bound run
@@ -208,12 +210,15 @@ func (f *inFrame) handOff(next *inFrame) {
 }
 
 // recycle returns a server's request frame to inFrames; nothing may use its
-// body or name afterwards.
+// body, its name or a reply built in out afterwards.
 func (f *inFrame) recycle() {
 	if cap(f.buf) > maxPooledFrame {
 		f.buf = nil
 	}
-	f.buf, f.off, f.size = f.buf[:0], 0, 0
+	if cap(f.out) > maxPooledFrame {
+		f.out = nil
+	}
+	f.buf, f.off, f.size, f.out = f.buf[:0], 0, 0, f.out[:0]
 	f.msg.body, f.name = nil, nil
 	f.h, f.conn = nil, nil
 	inFrames.Put(f)
@@ -315,9 +320,15 @@ func (w *connWriter) writeMsg(m *message) error {
 type Handler func(body []byte) ([]byte, error)
 
 // CallInfo carries per-request metadata into a handler: the caller's trace
-// context, restored from the request frame.
+// context, restored from the request frame, and scratch for the reply.
 type CallInfo struct {
 	Trace telemetry.SpanContext
+	// Reply is empty memory the request's frame owns. A handler may build
+	// its reply in it, growing *Reply as append does, and return it; once
+	// the reply is written the frame keeps whatever *Reply then holds for
+	// its next request. So a handler stores into *Reply only memory it grew
+	// from it, never bytes it does not own.
+	Reply *[]byte
 }
 
 // HandlerCtx is a Handler that also receives the request's CallInfo.
@@ -477,14 +488,15 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // handle runs one request's handler on a goroutine of its own (f.run) and
 // writes the response. The request allocates nothing on this end: the frame
-// is pooled, it carries the task's arguments, the goroutine is a parked
-// worker's when one waits, and the response lives on its stack.
+// is pooled, it carries the task's arguments and the reply scratch, the
+// goroutine is a parked worker's when one waits, and the response lives on
+// its stack.
 func (f *inFrame) handle() {
 	sc, h := f.conn, f.h
 	m := sc.m
 	defer sc.reqs.Done()
 	start := time.Now()
-	info := CallInfo{Trace: telemetry.SpanContext{Trace: f.msg.trace, Span: f.msg.parent}}
+	info := CallInfo{Trace: telemetry.SpanContext{Trace: f.msg.trace, Span: f.msg.parent}, Reply: &f.out}
 	resp := message{kind: msgResponse, id: f.msg.id}
 	if h == nil {
 		resp.errStr = ErrNoMethod.Error() + ": " + string(f.name)
@@ -498,7 +510,8 @@ func (f *inFrame) handle() {
 	m.inFlight.Dec()
 	// The handler has run and writeMsg has copied the response into the
 	// connection buffer, so the request's frame — which the response may
-	// alias, and the handler's views of the body do — can be recycled.
+	// alias, through the body or the reply scratch, and the handler's views
+	// of the body do — can be recycled.
 	sc.cw.writeMsg(&resp) //nolint:errcheck // writeMsg closes the conn on failure
 	f.recycle()
 }

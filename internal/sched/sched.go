@@ -89,8 +89,8 @@ type tableShard struct {
 type Table struct {
 	shards [numShards]tableShard
 
-	// Timeout bounds each acquisition; zero means 10s.
-	Timeout time.Duration
+	// wait bounds each acquisition; zero means 10s. Only tests set it.
+	wait time.Duration
 }
 
 // NewTable returns an empty lock table.
@@ -128,8 +128,8 @@ func (t *Table) shard(id uint64) *tableShard {
 
 // timeout returns the effective acquisition deadline.
 func (t *Table) timeout() time.Duration {
-	if t.Timeout > 0 {
-		return t.Timeout
+	if t.wait > 0 {
+		return t.wait
 	}
 	return 10 * time.Second
 }

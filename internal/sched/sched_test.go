@@ -151,7 +151,7 @@ func TestFIFOWriterNotStarved(t *testing.T) {
 
 func TestTimeout(t *testing.T) {
 	tbl := NewTable()
-	tbl.Timeout = 50 * time.Millisecond
+	tbl.wait = 50 * time.Millisecond
 	release, err := tbl.Acquire(1, Write)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestContendedAcquireAllocFree(t *testing.T) {
 // times out early nor misses its own timeout.
 func TestPooledWaiterTimesOutAfterReuse(t *testing.T) {
 	tbl := NewTable()
-	tbl.Timeout = 50 * time.Millisecond
+	tbl.wait = 50 * time.Millisecond
 	cycle, stop := contendedCycle(tbl, t)
 	defer stop()
 	for round := 0; round < 3; round++ {
