@@ -5,7 +5,7 @@
 #   make race    race-detector pass over the concurrency-heavy packages
 #   make chaos   seeded failover chaos suite under the race detector
 #   make fuzz-smoke  5 s of native fuzzing per Fuzz* target in the module (FUZZTIME=10s for longer)
-#   make bench   telemetry hot-path benchmarks (must report 0 allocs/op), the store's insert (random and in bulk-load order), commit, 64-batch bulk commit, table point-read and 41-read snapshot run (0 allocs/op) costs, one rpc round trip, with a small handler, with one that uses 32 KB of stack and from two goroutines on one pool to one peer (<= 1 allocs/op each), one lock-table admission, uncontended and queued behind a writer (0 allocs/op each), one create_post job to 8 followers into a reused result buffer (0 allocs/op), one uncached get_timeline(40) through Invoke (<= 1 allocs/op: the copy the result cache keeps), one pooled instance's ResetFast after 8 KB of writes (0 allocs/op) and one cold start of the Retwis guest (<= 2 allocs/op: the instance and its memory, <= 16 KB/op)
+#   make bench   telemetry hot-path benchmarks (must report 0 allocs/op), the store's insert (random and in bulk-load order), commit, 64-batch bulk commit, table point-read and 41-read snapshot run (0 allocs/op) costs, one rpc round trip, with a small handler, with one that uses 32 KB of stack and from two goroutines on one pool to one peer (<= 1 allocs/op each), one lock-table admission, uncontended and queued behind a writer (0 allocs/op each), one create_post job to 8 followers into a reused result buffer (0 allocs/op), one uncached get_timeline(40) into a reused result buffer (0 allocs/op), one pooled instance's ResetFast after 8 KB of writes (0 allocs/op) and one cold start of the Retwis guest (<= 2 allocs/op: the instance and its memory, <= 16 KB/op)
 #   make bench-paper  the paper's Figures 1-2, Table 1 and a delay sweep at quick scale (paper scale: go run ./cmd/retwis-bench)
 #   make bench-smoke  vet + smoke-test the benchmark module (it is not part of ./...)
 #   make vet     gofmt + go vet hygiene
@@ -20,7 +20,10 @@
 #   make heap    not part of check: W=<workload> runs one seed of the workload from a
 #                copy of benchmark/ in .heap/, patched to record every allocation and
 #                to write the heap profile where the run reads live_heap_mb, and prints
-#                in-use bytes by allocation site (REV=<rev> measures that revision)
+#                in-use bytes by allocation site (REV=<rev> measures that revision);
+#                ALLOCS=1 instead records the allocs profile right before and right
+#                after the measured window and prints the window's allocations by
+#                site (pprof -base), the count allocs_per_op divides
 #   make flakes  not part of check: builds one race-enabled test binary of FLAKEPKG
 #                (default internal/cluster), runs each of FLAKES FLAKERUNS times (one
 #                process per run) and tallies the failures by each run's first failing
@@ -124,8 +127,8 @@ ab:
 	bash scripts/ab.sh $(PARENT) $(ABRUNS) $(ABSECONDS) $(ABTRACE) $(ABWORKLOADS)
 
 heap:
-	@test -n "$(W)" || { echo "usage: make heap W=<workload> [REV=<rev>]"; exit 2; }
-	bash scripts/heap.sh $(W) $(REV)
+	@test -n "$(W)" || { echo "usage: make heap W=<workload> [REV=<rev>] [ALLOCS=1]"; exit 2; }
+	bash scripts/heap.sh $(if $(ALLOCS),-allocs) $(W) $(REV)
 
 # A run's first failing line is the first t.Error/t.Fatal line (file.go:N:),
 # panic or data-race report in its output; 127.0.0.1:port and 0x pointers

@@ -75,13 +75,21 @@ const none = -1
 // minSlab is the slot count a shard's first store allocates.
 const minSlab = 8
 
+// resultRetainMax bounds, in bytes, the emptied result buffer a removed
+// slot keeps for the next store; a larger one is dropped. It matches the
+// runtime's bound on a pooled guest's staging buffers.
+const resultRetainMax = 16 << 10
+
 // entry is one cached result, a slot of its shard's slab. It links to other
-// slots by number, so the slab holds no pointer but the result, and a store
-// at capacity allocates nothing: it reuses the slot it evicts, or one an
-// invalidation, a failed validation or a replace put on the free list.
+// slots by number, so the slab holds no pointer but the result buffer, and a
+// store at capacity allocates nothing: it reuses the slot it evicts, or one
+// an invalidation, a failed validation or a replace put on the free list,
+// and copies the result into the buffer that slot kept when it fits.
 // Because the next store rewrites a removed slot, and a store may move the
 // slab, every field is read and written only under the shard lock.
 type entry struct {
+	// result is the slot's own buffer: the cached bytes while the slot is
+	// live, emptied (at most resultRetainMax of capacity) while it is free.
 	result   []byte
 	object   uint64
 	argsHash uint64
@@ -203,30 +211,35 @@ func (c *Cache) shardFor(object uint64) *shard {
 
 // Lookup finds a cached result for (object, argsHash) and validates its
 // read set with readHash, which must return the fingerprint of the named
-// key's current committed value. It returns (result, true) only if every
-// dependency still matches; stale entries are dropped. method is already
-// part of argsHash (HashArgs) and is not looked at. An entry StoreAt made
-// never validates here: Lookup has no version key to read.
+// key's current committed value. It returns (a fresh copy of the result,
+// true) only if every dependency still matches; stale entries are dropped.
+// method is already part of argsHash (HashArgs) and is not looked at. An
+// entry StoreAt made never validates here: Lookup has no version key to
+// read.
 func (c *Cache) Lookup(object uint64, method string, argsHash uint64, readHash func(key []byte) uint64) ([]byte, bool) {
-	result, _, hit := c.LookupAt(object, argsHash, nil, func(key []byte) (uint64, bool) { return readHash(key), true })
+	var dst []byte
+	result, _, hit := c.LookupAt(&dst, object, argsHash, nil, func(key []byte) (uint64, bool) { return readHash(key), true })
 	return result, hit
 }
 
 // LookupAt is Lookup for a caller that executes on a miss and stores what it
-// computed with StoreAt. version is the object's version key: an entry
-// StoreAt made validates when readHash(version) still gives the hash it was
-// stored with, and a Store entry through its read set. readHash reports
-// ok=false when it could not read the key, which is a mismatch: a failed
-// read never validates an entry. On a miss, epoch is the shard's
-// invalidation count, taken before the caller can have pinned the snapshot
-// it will execute on; StoreAt takes it back.
+// computed with StoreAt. A hit's bytes are appended to *dst, which is left
+// grown to hold them, and returned as that tail; a miss leaves *dst as it
+// was. version is the object's version key: an entry StoreAt made
+// validates when readHash(version) still gives the hash it was stored with,
+// and a Store entry through its read set. readHash reports ok=false when it
+// could not read the key, which is a mismatch: a failed read never
+// validates an entry. On a miss, epoch is the shard's invalidation count,
+// taken before the caller can have pinned the snapshot it will execute on;
+// StoreAt takes it back.
 //
-// Validation runs under the shard lock, since the next store may reuse a
-// removed slot. Lock order: readHash (the runtime's committedHash) takes the
-// store's mutex briefly, and nothing calls into the cache while it holds
-// that mutex — a commit invalidates after its write returns — so a shard
-// lock is always taken first.
-func (c *Cache) LookupAt(object, argsHash uint64, version []byte, readHash func(key []byte) (hash uint64, ok bool)) (result []byte, epoch uint64, hit bool) {
+// Validation and the hit's copy run under the shard lock, since the next
+// store may reuse a removed slot and its buffer: no caller ever holds
+// memory of the cache's. Lock order: readHash (the runtime's committedHash)
+// takes the store's mutex briefly, and nothing calls into the cache while
+// it holds that mutex — a commit invalidates after its write returns — so
+// a shard lock is always taken first.
+func (c *Cache) LookupAt(dst *[]byte, object, argsHash uint64, version []byte, readHash func(key []byte) (hash uint64, ok bool)) (result []byte, epoch uint64, hit bool) {
 	s := c.shardFor(object)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -245,7 +258,9 @@ func (c *Cache) LookupAt(object, argsHash uint64, version []byte, readHash func(
 		s.pushFront(i)
 	}
 	s.stats.Hits++
-	return s.slab[i].result, 0, true
+	start := len(*dst)
+	*dst = append(*dst, s.slab[i].result...)
+	return (*dst)[start:], 0, true
 }
 
 // valid re-validates slot i's dependency. Caller holds s.mu.
@@ -268,19 +283,18 @@ func (s *shard) valid(i int32, version []byte, readHash func(key []byte) (uint64
 	return true
 }
 
-// Store records a validated result with its read set. The cache keeps
-// result itself: the caller hands it over and must not modify it afterwards,
-// and every hit returns it. The read set is copied. method is already part
-// of argsHash (HashArgs) and is not kept.
+// Store records a validated result with its read set. Both are copied, so
+// the caller may reuse their memory at once. method is already part of
+// argsHash (HashArgs) and is not kept.
 func (c *Cache) Store(object uint64, method string, argsHash uint64, result []byte, readSet []ReadDep) {
 	c.store(object, argsHash, result, readSet, false, 0, 0)
 }
 
-// StoreAt records a result computed on the object's version whose hash is
-// versionHash, which LookupAt checks against its version key. It stores
-// nothing if an InvalidateObject has reached the object's shard since the
-// LookupAt miss that returned epoch: the result was then computed on a
-// snapshot some commit may have overtaken, and a version that went 3 →
+// StoreAt records a copy of a result computed on the object's version whose
+// hash is versionHash, which LookupAt checks against its version key. It
+// stores nothing if an InvalidateObject has reached the object's shard
+// since the LookupAt miss that returned epoch: the result was then computed
+// on a snapshot some commit may have overtaken, and a version that went 3 →
 // deleted → re-created → 3 in the meantime would validate it. Dropping is
 // always safe (the next lookup misses and re-executes).
 func (c *Cache) StoreAt(object, argsHash uint64, result []byte, versionHash, epoch uint64) {
@@ -307,9 +321,13 @@ func (c *Cache) store(object, argsHash uint64, result []byte, readSet []ReadDep,
 		s.live++
 	}
 	e := &s.slab[i]
-	// The capacity is clipped so that no holder of the result can append
-	// into bytes another holder sees.
-	e.result = result[:len(result):len(result)]
+	// The slot's buffer is reused whenever the result fits; a new one is
+	// sized by the result alone, not doubled from the old.
+	buf := e.result[:0]
+	if cap(buf) < len(result) {
+		buf = nil
+	}
+	e.result = append(buf, result...)
 	e.versioned, e.version = at, versionHash
 	if s.readSets != nil || len(readSet) > 0 {
 		s.setReadSet(i, readSet)
@@ -437,8 +455,8 @@ func (s *shard) unindex(pos int) {
 	s.index[pos] = 0
 }
 
-// release removes a stored entry and puts its slot on the free list,
-// dropping what it referenced. Caller holds s.mu.
+// release removes a stored entry and puts its slot on the free list.
+// Caller holds s.mu.
 func (s *shard) release(i int32) {
 	e := &s.slab[i]
 	pos, head := s.find(e.object)
@@ -458,11 +476,15 @@ func (s *shard) release(i int32) {
 }
 
 // discard takes slot i, already out of its chain, off the LRU ring and onto
-// the free list. Caller holds s.mu.
+// the free list. The slot keeps its result buffer, emptied, for the next
+// store, unless it is larger than resultRetainMax. Caller holds s.mu.
 func (s *shard) discard(i int32) {
 	s.unlinkLRU(i)
 	e := &s.slab[i]
-	e.result, e.objNext, e.next = nil, none, s.free
+	if cap(e.result) > resultRetainMax {
+		e.result = nil
+	}
+	e.result, e.objNext, e.next = e.result[:0], none, s.free
 	if s.readSets != nil {
 		s.readSets[i] = nil
 	}

@@ -17,8 +17,8 @@ func storeFresh(c *Cache, object, argsHash uint64, result []byte, versionHash ui
 // capacity it reuses the slot it evicts, and after an InvalidateObject the
 // slot the invalidation freed, so neither allocates. An entry's links are
 // slot numbers inside the shard's slab, its dependency is the version's
-// hash, and the result is kept rather than copied. A Store read set costs
-// one slice and one slab of keys.
+// hash, and the result is copied into the buffer the reused slot kept. A
+// Store read set costs one slice and one slab of keys.
 func TestStoreAtCapacityAllocatesNothing(t *testing.T) {
 	c := New(64)
 	result := make([]byte, 4960)
@@ -135,9 +135,9 @@ func liveHeap() int64 {
 }
 
 // TestCacheEntryFootprint pins what the cache itself holds: an empty
-// deployment-sized cache, and the bookkeeping of each live entry — its slab
-// slot, its share of the index and the slab's growth slack — with every
-// entry's result shared, so results are excluded.
+// deployment-sized cache, and each live entry — its slab slot, its share of
+// the index and the slab's growth slack, plus its own copy of the result,
+// which costs the result's size class.
 func TestCacheEntryFootprint(t *testing.T) {
 	// Eight empty caches, so that what else the process frees or keeps
 	// meanwhile weighs an eighth.
@@ -151,6 +151,7 @@ func TestCacheEntryFootprint(t *testing.T) {
 	}
 	runtime.KeepAlive(empty)
 
+	// 64 B is a size class of its own, so each copy costs exactly that.
 	result := make([]byte, 64)
 	for _, n := range []int{256, 1024} {
 		c := NewSharded(1024, DefaultShards, nil)
@@ -162,43 +163,50 @@ func TestCacheEntryFootprint(t *testing.T) {
 		if live < n*9/10 {
 			t.Fatalf("%d of %d stores live", live, n)
 		}
-		if per := (liveHeap() - before) / int64(live); per > 112 {
-			t.Fatalf("%d live entries cost %d B each, want <= 112", live, per)
+		if per := (liveHeap() - before) / int64(live); per > 112+int64(len(result)) {
+			t.Fatalf("%d live entries cost %d B each, want <= 112 + %d for the result", live, per, len(result))
 		}
 		runtime.KeepAlive(c)
 	}
 }
 
-// TestStoreKeepsResultCopiesReadSet pins the ownership Store documents: a
-// hit returns the very bytes that were stored, clipped so an append cannot
-// reach past them, and the read set is the cache's own copy, so the caller
-// may reuse its key buffer at once.
-func TestStoreKeepsResultCopiesReadSet(t *testing.T) {
+// TestStoreCopiesResultAndReadSet pins the ownership Store documents: the
+// result and the read set are the cache's own copies, so the caller may
+// reuse both buffers at once, and a hit appends an equal copy to the
+// caller's buffer, never the cache's memory.
+func TestStoreCopiesResultAndReadSet(t *testing.T) {
 	for _, keyLen := range []int{3, 24, 25} {
 		c := New(16)
-		result := make([]byte, 5, 64)
+		result := []byte("result")
 		key := make([]byte, keyLen)
 		for i := range key {
 			key[i] = 'k'
 		}
-		want := string(key)
+		wantKey, wantResult := string(key), string(result)
 		c.Store(1, "m", 0, result, []ReadDep{{Key: key, ValueHash: 9}})
+		// The caller's scratch, reused for the next invocation.
 		for i := range key {
-			key[i] = 'x' // the caller's scratch, reused for the next invocation
+			key[i] = 'x'
 		}
+		copy(result, "xxxxxx")
 		var seen []string
-		res, ok := c.Lookup(1, "m", 0, func(k []byte) uint64 {
+		dst := []byte("prefix:")
+		res, _, ok := c.LookupAt(&dst, 1, 0, nil, func(k []byte) (uint64, bool) {
 			seen = append(seen, string(k))
-			return 9
+			return 9, true
 		})
 		if !ok {
 			t.Fatalf("key of %d bytes: the stored entry did not validate", keyLen)
 		}
-		if len(seen) != 1 || seen[0] != want {
-			t.Fatalf("key of %d bytes: validated %q, want [%q]", keyLen, seen, want)
+		if len(seen) != 1 || seen[0] != wantKey {
+			t.Fatalf("key of %d bytes: validated %q, want [%q]", keyLen, seen, wantKey)
 		}
-		if &res[0] != &result[0] || cap(res) != len(result) {
-			t.Fatalf("key of %d bytes: a hit returned a copy or an unclipped slice (cap %d)", keyLen, cap(res))
+		if string(res) != wantResult || string(dst) != "prefix:"+wantResult || &res[0] != &dst[len("prefix:")] {
+			t.Fatalf("key of %d bytes: a hit gave %q in %q, want %q appended to the caller's buffer", keyLen, res, dst, wantResult)
+		}
+		copy(res, "yyyyyy") // the caller owns what it got
+		if again, ok := c.Lookup(1, "m", 0, func([]byte) uint64 { return 9 }); !ok || string(again) != wantResult {
+			t.Fatalf("key of %d bytes: the next hit = %q, %v; want %q", keyLen, again, ok, wantResult)
 		}
 	}
 }
@@ -214,7 +222,8 @@ type churnKey struct{ object, argsHash uint64 }
 // chains reach exactly the ring's entries, every indexed object is found
 // from its home position, and the free list holds only cleared slots none
 // of them reaches, with live and free slots filling the slab within
-// capacity.
+// capacity. Results of three sizes, one above resultRetainMax, rotate
+// through the slots' buffers.
 func TestIndexesAgreeUnderChurn(t *testing.T) {
 	const capacity = 16
 	c := New(capacity)
@@ -235,6 +244,7 @@ func TestIndexesAgreeUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	version := []byte("v")
 	current := func([]byte) (uint64, bool) { return 1, true }
+	results := [][]byte{[]byte("r"), make([]byte, 100), make([]byte, resultRetainMax+1)}
 	var model []churnKey // most recent first
 	drop := func(match func(churnKey) bool) {
 		kept := model[:0]
@@ -246,13 +256,14 @@ func TestIndexesAgreeUnderChurn(t *testing.T) {
 		model = kept
 	}
 	for step := 0; step < 5000; step++ {
+		result := results[step%len(results)]
 		k := churnKey{object: objects[rng.Intn(len(objects))], argsHash: uint64(rng.Intn(4))}
 		switch op := rng.Intn(10); {
 		case op < 6:
 			if op < 3 {
-				c.Store(k.object, "m", k.argsHash, []byte("r"), nil)
+				c.Store(k.object, "m", k.argsHash, result, nil)
 			} else {
-				storeFresh(c, k.object, k.argsHash, []byte("r"), 1)
+				storeFresh(c, k.object, k.argsHash, result, 1)
 			}
 			drop(func(m churnKey) bool { return m == k })
 			model = append([]churnKey{k}, model...)
@@ -260,7 +271,7 @@ func TestIndexesAgreeUnderChurn(t *testing.T) {
 				model = model[:capacity]
 			}
 		case op < 8:
-			_, _, ok := c.LookupAt(k.object, k.argsHash, version, current)
+			_, _, ok := c.LookupAt(new([]byte), k.object, k.argsHash, version, current)
 			at := -1
 			for i, m := range model {
 				if m == k {
@@ -277,11 +288,11 @@ func TestIndexesAgreeUnderChurn(t *testing.T) {
 			if op == 7 && ok {
 				// A failed validation drops the entry, of either kind.
 				if rng.Intn(2) == 0 {
-					c.Store(k.object, "m", k.argsHash, []byte("r"), []ReadDep{{Key: []byte("k"), ValueHash: 2}})
+					c.Store(k.object, "m", k.argsHash, result, []ReadDep{{Key: []byte("k"), ValueHash: 2}})
 				} else {
-					storeFresh(c, k.object, k.argsHash, []byte("r"), 2)
+					storeFresh(c, k.object, k.argsHash, result, 2)
 				}
-				if _, _, hit := c.LookupAt(k.object, k.argsHash, version, current); hit {
+				if _, _, hit := c.LookupAt(new([]byte), k.object, k.argsHash, version, current); hit {
 					t.Fatalf("step %d: a stale entry validated", step)
 				}
 				model = model[1:]
@@ -295,7 +306,8 @@ func TestIndexesAgreeUnderChurn(t *testing.T) {
 }
 
 // checkIndexes compares a shard's ring, index, chains and free list with
-// model, most recent first.
+// model, most recent first. A free slot may keep an emptied result buffer
+// up to resultRetainMax.
 func checkIndexes(t *testing.T, step int, s *shard, model []churnKey) {
 	t.Helper()
 	reached := make(map[int32]bool)
@@ -351,8 +363,11 @@ func checkIndexes(t *testing.T, step int, s *shard, model []churnKey) {
 		if reached[i] {
 			t.Fatalf("step %d: free slot %d is reachable from the ring or a chain", step, i)
 		}
-		if e.prev != none || e.objNext != none || e.result != nil || (s.readSets != nil && s.readSets[i] != nil) {
-			t.Fatalf("step %d: free slot %d keeps links, a result or a read set", step, i)
+		if e.prev != none || e.objNext != none || (s.readSets != nil && s.readSets[i] != nil) {
+			t.Fatalf("step %d: free slot %d keeps links or a read set", step, i)
+		}
+		if len(e.result) != 0 || cap(e.result) > resultRetainMax {
+			t.Fatalf("step %d: free slot %d keeps a result of %d bytes in a buffer of %d", step, i, len(e.result), cap(e.result))
 		}
 		if free++; free > len(s.slab) {
 			t.Fatalf("step %d: the free list loops", step)

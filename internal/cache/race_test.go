@@ -3,6 +3,7 @@ package cache
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,7 +178,7 @@ func TestReusedEntriesServeTheirOwnObject(t *testing.T) {
 				obj := uint64(i % objects)
 				floor := published[obj].Load()
 				binary.BigEndian.PutUint64(key[:], obj)
-				if res, epoch, hit := c.LookupAt(obj, 1, key[:], readHash); hit {
+				if res, epoch, hit := c.LookupAt(new([]byte), obj, 1, key[:], readHash); hit {
 					gotObj, gotVersion := binary.BigEndian.Uint64(res), binary.BigEndian.Uint64(res[8:])
 					if ceil := state[obj].Load(); gotObj != obj || gotVersion < floor || gotVersion > ceil {
 						wrong.Add(1)
@@ -217,5 +218,133 @@ func TestReusedEntriesServeTheirOwnObject(t *testing.T) {
 	}
 	if s := c.Stats(); s.Hits == 0 || s.Evictions == 0 {
 		t.Fatalf("degenerate run: stats %+v", s)
+	}
+}
+
+// TestHitBytesSurviveSlotReuse: a hit's bytes are the reader's own. Readers
+// keep every result their hits appended, while a refiller invalidates and
+// re-stores the same one-shard cache of 16 slots over 64 objects, so that
+// nearly every store reuses the buffer of a slot some reader hit, with a
+// different result of the same length. Every kept result must still read
+// as it did when it was hit. Run under -race (make race), a hit that hands
+// out a slot's buffer is also a reported race.
+func TestHitBytesSurviveSlotReuse(t *testing.T) {
+	c := New(16)
+	if len(c.shards) != 1 {
+		t.Fatalf("%d shards, want 1", len(c.shards))
+	}
+	const objects, resultLen = 64, 256
+	// result is object obj's result at generation gen: both, then a fill
+	// byte both determine, so any overwrite by another result shows.
+	result := func(dst []byte, obj, gen uint64) []byte {
+		dst = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(dst, obj), gen)
+		for len(dst) < resultLen {
+			dst = append(dst, byte(obj*31+gen))
+		}
+		return dst
+	}
+	always := func([]byte) (uint64, bool) { return 0, true }
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var gens [objects]uint64
+		buf := make([]byte, 0, resultLen)
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%3 == 0 {
+				c.InvalidateObject((i - 1) * 7 % objects) // the last one stored
+			}
+			obj := i * 7 % objects
+			gens[obj]++
+			// The refiller reuses its own buffer too: the cache copies.
+			c.Store(obj, "m", 1, result(buf[:0], obj, gens[obj]), nil)
+		}
+	}()
+
+	type kept struct {
+		obj, gen uint64
+		bytes    []byte
+	}
+	var bad atomic.Uint64
+	readers := make([][]kept, 4)
+	var rwg sync.WaitGroup
+	for r := range readers {
+		rwg.Add(1)
+		go func(r int) {
+			defer rwg.Done()
+			for i := r; len(readers[r]) < 2000 && i < r+200000; i++ {
+				obj := uint64(i % objects)
+				dst := make([]byte, 0, resultLen)
+				res, _, hit := c.LookupAt(&dst, obj, 1, nil, always)
+				if !hit {
+					continue
+				}
+				k := kept{obj: binary.BigEndian.Uint64(res), gen: binary.BigEndian.Uint64(res[8:]), bytes: res}
+				if k.obj != obj || string(res) != string(result(nil, k.obj, k.gen)) {
+					bad.Add(1)
+				}
+				readers[r] = append(readers[r], k)
+			}
+		}(r)
+	}
+	rwg.Wait()
+	// Let the refiller rewrite every slot a few more times before the kept
+	// results are read back.
+	for s := c.Stats().Stores + 4*objects; c.Stats().Stores < s; {
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d hits returned a result other than their own object's", n)
+	}
+	hits := 0
+	for _, rs := range readers {
+		for _, k := range rs {
+			if string(k.bytes) != string(result(nil, k.obj, k.gen)) {
+				t.Fatalf("object %d's result at generation %d changed after its hit", k.obj, k.gen)
+			}
+		}
+		hits += len(rs)
+	}
+	if s := c.Stats(); hits == 0 || s.Evictions == 0 || s.Invalidations == 0 {
+		t.Fatalf("degenerate run: %d hits kept, stats %+v", hits, s)
+	}
+}
+
+// TestRemovedLargeResultIsNotRetained: a slot keeps its emptied buffer for
+// the next store only up to resultRetainMax, so a 1 MB result leaves the
+// live heap once it is invalidated or evicted.
+func TestRemovedLargeResultIsNotRetained(t *testing.T) {
+	for _, how := range []string{"invalidated", "evicted"} {
+		c := New(16)
+		c.Store(99, "m", 0, make([]byte, 16), nil) // the shard's slab and index exist
+		base := liveHeap()
+		c.Store(1, "m", 0, make([]byte, 1<<20), nil)
+		if held := liveHeap() - base; held < 1<<20 {
+			t.Fatalf("%s: the cache holds %d B after storing 1 MB: it did not copy the result", how, held)
+		}
+		if how == "invalidated" {
+			c.InvalidateObject(1)
+		} else {
+			for obj := uint64(100); obj < 116; obj++ {
+				c.Store(obj, "m", 0, make([]byte, 16), nil)
+			}
+			if _, ok := c.Lookup(1, "m", 0, func([]byte) uint64 { return 0 }); ok {
+				t.Fatalf("%s: the 1 MB entry was not evicted", how)
+			}
+		}
+		if held := liveHeap() - base; held > 64<<10 {
+			t.Fatalf("%s: the cache still holds %d B of a removed 1 MB result", how, held)
+		}
+		runtime.KeepAlive(c)
 	}
 }

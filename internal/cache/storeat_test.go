@@ -16,7 +16,7 @@ func TestFailedValidationReadNeverHits(t *testing.T) {
 	c.Store(1, "m", 7, []byte("res"), []ReadDep{{Key: []byte("k"), ValueHash: absent}})
 
 	failing := func([]byte) (uint64, bool) { return absent, false }
-	if _, _, hit := c.LookupAt(1, 7, nil, failing); hit {
+	if _, _, hit := c.LookupAt(new([]byte), 1, 7, nil, failing); hit {
 		t.Fatal("an entry validated through a failed read")
 	}
 	if s := c.Stats(); s.Hits != 0 || s.Validations != 1 {
@@ -24,19 +24,19 @@ func TestFailedValidationReadNeverHits(t *testing.T) {
 	}
 	// The entry went with the failed validation: a working validator misses.
 	working := func([]byte) (uint64, bool) { return absent, true }
-	if _, _, hit := c.LookupAt(1, 7, nil, working); hit {
+	if _, _, hit := c.LookupAt(new([]byte), 1, 7, nil, working); hit {
 		t.Fatal("entry survived a failed validation")
 	}
 
 	// The same holds for an entry StoreAt made, validated through the
 	// version key.
 	version := []byte("version")
-	_, epoch, _ := c.LookupAt(1, 7, version, working)
+	_, epoch, _ := c.LookupAt(new([]byte), 1, 7, version, working)
 	c.StoreAt(1, 7, []byte("res"), absent, epoch)
-	if _, _, hit := c.LookupAt(1, 7, version, failing); hit {
+	if _, _, hit := c.LookupAt(new([]byte), 1, 7, version, failing); hit {
 		t.Fatal("a StoreAt entry validated through a failed read")
 	}
-	if _, _, hit := c.LookupAt(1, 7, version, working); hit {
+	if _, _, hit := c.LookupAt(new([]byte), 1, 7, version, working); hit {
 		t.Fatal("StoreAt entry survived a failed validation")
 	}
 }
@@ -55,7 +55,7 @@ func TestStoreAtDropsResultAnInvalidationOvertook(t *testing.T) {
 		return three, true
 	}
 
-	_, epoch, hit := c.LookupAt(1, 7, version, sameVersion)
+	_, epoch, hit := c.LookupAt(new([]byte), 1, 7, version, sameVersion)
 	if hit {
 		t.Fatal("hit on empty cache")
 	}
@@ -64,24 +64,24 @@ func TestStoreAtDropsResultAnInvalidationOvertook(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("StoreAt planted a result computed before the invalidation")
 	}
-	if _, _, hit := c.LookupAt(1, 7, version, sameVersion); hit {
+	if _, _, hit := c.LookupAt(new([]byte), 1, 7, version, sameVersion); hit {
 		t.Fatal("the overtaken result validated")
 	}
 
 	// Without an invalidation in between, the same sequence stores and hits;
 	// an entry dropped by validation hands out a current epoch too.
-	_, epoch, _ = c.LookupAt(1, 7, version, sameVersion)
+	_, epoch, _ = c.LookupAt(new([]byte), 1, 7, version, sameVersion)
 	c.StoreAt(1, 7, []byte("current"), three, epoch)
-	if res, _, hit := c.LookupAt(1, 7, version, sameVersion); !hit || string(res) != "current" {
+	if res, _, hit := c.LookupAt(new([]byte), 1, 7, version, sameVersion); !hit || string(res) != "current" {
 		t.Fatalf("lookup after an undisturbed StoreAt = %q, %v", res, hit)
 	}
 	moved := func([]byte) (uint64, bool) { return 0, true }
-	_, epoch, hit = c.LookupAt(1, 7, version, moved)
+	_, epoch, hit = c.LookupAt(new([]byte), 1, 7, version, moved)
 	if hit {
 		t.Fatal("moved version validated")
 	}
 	c.StoreAt(1, 7, []byte("recomputed"), three, epoch)
-	if res, _, hit := c.LookupAt(1, 7, version, sameVersion); !hit || string(res) != "recomputed" {
+	if res, _, hit := c.LookupAt(new([]byte), 1, 7, version, sameVersion); !hit || string(res) != "recomputed" {
 		t.Fatalf("lookup after re-execution = %q, %v", res, hit)
 	}
 }
@@ -112,7 +112,7 @@ func TestStoreAtRacesInvalidation(t *testing.T) {
 					return
 				default:
 				}
-				_, epoch, hit := c.LookupAt(object, 1, version, valid)
+				_, epoch, hit := c.LookupAt(new([]byte), object, 1, version, valid)
 				if hit {
 					continue
 				}
@@ -133,7 +133,7 @@ func TestStoreAtRacesInvalidation(t *testing.T) {
 		generation.Unlock()
 		c.InvalidateObject(object)
 		runtime.Gosched() // let readers that executed before the commit store
-		if res, _, hit := c.LookupAt(object, 1, version, valid); hit && res[0] != byte(i+1) {
+		if res, _, hit := c.LookupAt(new([]byte), object, 1, version, valid); hit && res[0] != byte(i+1) {
 			t.Fatalf("after commit %d the cache served generation %d", i+1, res[0])
 		}
 	}

@@ -457,9 +457,8 @@ func (n *Node) registerHandlers() {
 		if err := req.decode(body); err != nil {
 			return nil, err
 		}
-		// An uncached result is built straight into the frame's reply
-		// scratch; a cached one is the cache's bytes, and the frame keeps
-		// its scratch as it was.
+		// The result, cached or not, is built straight into the frame's
+		// reply scratch.
 		return n.serve(info, []core.ObjectID{req.object}, req.method, func(cc core.CallCtx) ([]byte, error) {
 			return n.rt.InvokeTo(info.Reply, req.object, req.method, req.args, cc)
 		})

@@ -115,9 +115,9 @@ type guest struct {
 	args   [][]byte
 
 	// result holds the bytes the last set_result passed, copied out of
-	// guest memory. It is lent: the runtime hands it to its destination —
-	// a reply frame, the caller's buffer, the result cache's one copy —
-	// before the guest is reset.
+	// guest memory. It is lent: the runtime copies it to its destination —
+	// a reply frame or the caller's buffer, and the result cache's slot for
+	// a cacheable miss — before the guest is reset.
 	result []byte
 
 	// argBuf holds every argument call_arg staged, back to back; argv has

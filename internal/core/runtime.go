@@ -346,8 +346,7 @@ type CallCtx struct {
 }
 
 // Invoke runs a method on an object with invocation linearizability and
-// returns bytes the caller may keep (read-only: a cached result is the
-// cache's own).
+// returns bytes the caller may keep.
 func (rt *Runtime) Invoke(id ObjectID, method string, args [][]byte) ([]byte, error) {
 	return rt.InvokeCtx(id, method, args, CallCtx{})
 }
@@ -359,12 +358,11 @@ func (rt *Runtime) InvokeCtx(id ObjectID, method string, args [][]byte, cc CallC
 	return rt.InvokeTo(&buf, id, method, args, cc)
 }
 
-// InvokeTo is InvokeCtx building the result in memory the caller lends. An
-// uncached result is appended to *buf, which is left grown to hold it, and
-// returned as that tail; a cached one — a hit, or the copy a miss stored —
-// is the result cache's own bytes, read-only, and *buf is left as it was. So
-// *buf only ever holds memory the caller handed in or append grew from it,
-// and the caller may keep it as scratch for its next call. InvokeTo records
+// InvokeTo is InvokeCtx building the result in memory the caller lends: the
+// result is appended to *buf, which is left grown to hold it, and returned
+// as that tail. So *buf only ever holds memory the caller handed in or
+// append grew from it, and the caller may keep it as scratch for its next
+// call. InvokeTo records
 // the per-node "invoke" span (parented to the caller's span when the request
 // is traced) and the per-method invocation metrics, then nests every stage
 // span under it.
@@ -413,7 +411,7 @@ func (rt *Runtime) invokeCtx(buf *[]byte, id ObjectID, method string, args [][]b
 	var argsHash, epoch uint64
 	if cacheable {
 		argsHash = cache.HashArgs(method, args)
-		result, missEpoch, ok := rt.cache.LookupAt(uint64(id), argsHash, iv.fieldKey(subVersion, ""), rt.committedHash)
+		result, missEpoch, ok := rt.cache.LookupAt(buf, uint64(id), argsHash, iv.fieldKey(subVersion, ""), rt.committedHash)
 		if ok {
 			iv.unlock()
 			rt.metrics.cacheHits.Inc()
@@ -441,14 +439,12 @@ func (rt *Runtime) invokeCtx(buf *[]byte, id ObjectID, method string, args [][]b
 	}
 
 	if cacheable {
-		// The cache keeps the one retained copy of the result, and the
-		// version's hash, in a slab slot it evicted or freed; the version key
-		// it validates against is the next lookup's, built in that
-		// invocation's scratch.
+		// The cache copies the result, and keeps the version's hash, into a
+		// slab slot it evicted or freed and the buffer that slot kept; the
+		// version key it validates against is the next lookup's, built in
+		// that invocation's scratch.
 		if h, ok := iv.versionHash(); ok {
-			kept := append([]byte(nil), result...)
-			rt.cache.StoreAt(uint64(id), argsHash, kept, h, epoch)
-			return kept, nil
+			rt.cache.StoreAt(uint64(id), argsHash, result, h, epoch)
 		}
 	}
 	start := len(*buf)

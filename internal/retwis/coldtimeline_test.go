@@ -71,13 +71,22 @@ func coldRuntime(tb testing.TB) (*core.Runtime, *telemetry.Registry) {
 	return rt, reg
 }
 
-// coldReader returns a closure that reads the next account's full timeline.
-func coldReader(tb testing.TB, rt *core.Runtime) func() {
+// coldReader returns a closure that reads the next account's full timeline
+// through InvokeTo into *buf, emptied for each read, or through Invoke when
+// buf is nil.
+func coldReader(tb testing.TB, rt *core.Runtime, buf *[]byte) func() {
 	args := [][]byte{core.I64Bytes(coldPosts)}
 	next := core.ObjectID(0)
 	return func() {
 		next = next%coldAccounts + 1
-		res, err := rt.Invoke(next, "get_timeline", args)
+		var res []byte
+		var err error
+		if buf == nil {
+			res, err = rt.Invoke(next, "get_timeline", args)
+		} else {
+			*buf = (*buf)[:0]
+			res, err = rt.InvokeTo(buf, next, "get_timeline", args, core.CallCtx{})
+		}
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -88,32 +97,42 @@ func coldReader(tb testing.TB, rt *core.Runtime) func() {
 }
 
 // TestColdTimelineAllocBound guards the uncached read path end to end:
-// host-call boundary, LSM point reads and the one-element read set. Through
-// Invoke a read allocates the one copy of its result the cache keeps and
-// returns, and nothing else: the guest stages the bytes in its pooled
-// buffer, and the result-cache entry that keeps the copy is the one its
-// store evicted, reused. Run on an instance pool, into a buffer the caller
-// reuses, the same guest call allocates nothing.
+// host-call boundary, LSM point reads and the one-element read set. Into a
+// buffer the caller reuses (InvokeTo) a read allocates nothing: the guest
+// stages the bytes in its pooled buffer, and the result cache copies them
+// into the buffer of the entry its store evicted, reused. Through Invoke
+// the one allocation is the caller's fresh copy. Run on an instance pool,
+// into a buffer the caller reuses, the same guest call allocates nothing.
 func TestColdTimelineAllocBound(t *testing.T) {
-	t.Run("Invoke", func(t *testing.T) {
-		rt, _ := coldRuntime(t)
-		read := coldReader(t, rt)
-		// Two rotations warm the instance pool and the block cache.
-		for i := 0; i < 2*coldAccounts; i++ {
-			read()
-		}
-		before := rt.Cache().Stats()
-		allocs := testing.AllocsPerRun(coldAccounts, read)
-		after := rt.Cache().Stats()
-		if hits := after.Hits - before.Hits; hits != 0 {
-			t.Fatalf("%d result-cache hits: the fixture is not cold", hits)
-		}
-		const bound = 1
-		if allocs > bound && !raceEnabled {
-			t.Fatalf("cold get_timeline(%d) allocs per Invoke = %.1f, want <= %d", coldPosts, allocs, bound)
-		}
-		t.Logf("cold get_timeline(%d): %.1f allocs per Invoke", coldPosts, allocs)
-	})
+	var buf []byte
+	for _, c := range []struct {
+		name  string
+		buf   *[]byte
+		bound float64
+	}{{"Invoke", nil, 1}, {"InvokeTo", &buf, 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			rt, _ := coldRuntime(t)
+			read := coldReader(t, rt, c.buf)
+			// Two rotations warm the instance pool, the block cache and
+			// every cache entry's buffer.
+			for i := 0; i < 2*coldAccounts; i++ {
+				read()
+			}
+			before := rt.Cache().Stats()
+			allocs := testing.AllocsPerRun(coldAccounts, read)
+			after := rt.Cache().Stats()
+			if hits := after.Hits - before.Hits; hits != 0 {
+				t.Fatalf("%d result-cache hits: the fixture is not cold", hits)
+			}
+			if after.Stores == before.Stores {
+				t.Fatal("no read stored its result: the cache is not in the path")
+			}
+			if allocs > c.bound && !raceEnabled {
+				t.Fatalf("cold get_timeline(%d) allocs per %s = %.1f, want <= %.0f", coldPosts, c.name, allocs, c.bound)
+			}
+			t.Logf("cold get_timeline(%d): %.1f allocs per %s", coldPosts, allocs, c.name)
+		})
+	}
 	t.Run("InstancePool.Run", func(t *testing.T) {
 		be := coldListBackend()
 		pool := core.NewInstancePool(core.DefaultFuel, nil, nil)
@@ -139,10 +158,12 @@ func TestColdTimelineAllocBound(t *testing.T) {
 }
 
 // BenchmarkColdTimeline is the inner loop for work on the uncached read
-// path: `go test ./internal/retwis -run '^$' -bench ColdTimeline`.
+// path, through InvokeTo into a reused buffer: `go test ./internal/retwis
+// -run '^$' -bench ColdTimeline`.
 func BenchmarkColdTimeline(b *testing.B) {
 	rt, _ := coldRuntime(b)
-	read := coldReader(b, rt)
+	var buf []byte
+	read := coldReader(b, rt, &buf)
 	for i := 0; i < coldAccounts; i++ {
 		read()
 	}
@@ -160,7 +181,7 @@ func BenchmarkColdTimeline(b *testing.B) {
 // it), where a read without a cursor searches it once per read — 42 times.
 func TestColdTimelineTableSeeks(t *testing.T) {
 	rt, reg := coldRuntime(t)
-	read := coldReader(t, rt)
+	read := coldReader(t, rt, nil)
 	for i := 0; i < coldAccounts; i++ {
 		read()
 	}
