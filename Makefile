@@ -56,10 +56,12 @@ test:
 # its lock table, which recycles idle entries), paxos and the coordinator
 # (learners apply slots in order from concurrent handlers; a node
 # heartbeats every replica at once), the fault plane (process-global
-# state every connection's sends read), and gopool (every request's task
-# is claimed by, and parks, one of its process-global workers).
+# state every connection's sends read), gopool (every request's task
+# is claimed by, and parks, one of its process-global workers), and debug
+# (its operator methods run on RPC handler goroutines, and node.faults
+# writes the process-global fault plane).
 race:
-	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/replication/ ./internal/vm/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/ ./internal/retwis/ ./internal/sched/ ./internal/paxos/ ./internal/coordinator/ ./internal/fault/ ./internal/gopool/
+	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/replication/ ./internal/vm/ ./internal/rpc/ ./internal/baseline/ ./internal/recovery/ ./internal/retwis/ ./internal/sched/ ./internal/paxos/ ./internal/coordinator/ ./internal/fault/ ./internal/gopool/ ./internal/debug/
 
 # Deterministic failover chaos: every seed replays the same kill/partition/
 # fsync-failure schedule (see EXPERIMENTS.md "Chaos runs"). The smoke

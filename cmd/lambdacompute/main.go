@@ -36,7 +36,7 @@ func main() {
 		withLB    = flag.String("with-lb", "", "also run a load balancer on this address")
 		lbLog     = flag.String("lb-log", "", "request log directory for -with-lb")
 		fuel      = flag.Int64("fuel", core.DefaultFuel, "per-invocation fuel budget")
-		debugAddr = flag.String("debug", "", "debug HTTP address for /metrics, /healthz, pprof (empty disables)")
+		debugAddr = flag.String("debug", "", "pprof and /metrics text over HTTP on this address (empty disables; every other operator read and control is on the RPC port)")
 	)
 	flag.Parse()
 	if *storage == "" {
@@ -57,13 +57,13 @@ func main() {
 	}
 	log.Printf("lambdacompute: serving on %s (storage %s)", compute.Addr(), *storage)
 
-	var dbg *debug.Server
 	if *debugAddr != "" {
-		dbg, err = debug.Start(*debugAddr, debug.Options{Registry: reg})
+		dbg, err := debug.Start(*debugAddr, reg)
 		if err != nil {
 			log.Fatalf("lambdacompute: debug: %v", err)
 		}
-		log.Printf("lambdacompute: debug endpoints on http://%s", dbg.Addr())
+		defer dbg.Close()
+		log.Printf("lambdacompute: pprof and /metrics on http://%s", dbg.Addr())
 	}
 
 	var lb *baseline.LoadBalancer
@@ -89,9 +89,6 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	log.Printf("lambdacompute: shutting down")
-	if dbg != nil {
-		dbg.Close()
-	}
 	if lb != nil {
 		lb.Close()
 	}

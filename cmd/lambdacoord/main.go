@@ -56,7 +56,7 @@ func main() {
 		peers     = flag.String("peers", "", "all replicas as id=addr,... (including self)")
 		hbTimeout = flag.Duration("heartbeat-timeout", 2*time.Second, "declare a node dead after this silence")
 		dataDir   = flag.String("data", "", "directory for the durable acceptor log (strongly recommended)")
-		debugAddr = flag.String("debug", "", "debug HTTP address for /metrics, /healthz, pprof (empty disables)")
+		debugAddr = flag.String("debug", "", "pprof and /metrics text over HTTP on this address (empty disables; every other operator read and control is on the RPC port)")
 	)
 	flag.Parse()
 	if *id == 0 || *peers == "" {
@@ -95,21 +95,18 @@ func main() {
 	}
 	log.Printf("lambdacoord: replica %d serving on %s (%d peers)", *id, member.Addr, len(peerAddrs))
 
-	var dbg *debug.Server
 	if *debugAddr != "" {
-		dbg, err = debug.Start(*debugAddr, debug.Options{Registry: reg})
+		dbg, err := debug.Start(*debugAddr, reg)
 		if err != nil {
 			log.Fatalf("lambdacoord: debug: %v", err)
 		}
-		log.Printf("lambdacoord: debug endpoints on http://%s", dbg.Addr())
+		defer dbg.Close()
+		log.Printf("lambdacoord: pprof and /metrics on http://%s", dbg.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	log.Printf("lambdacoord: shutting down")
-	if dbg != nil {
-		dbg.Close()
-	}
 	member.Close()
 }

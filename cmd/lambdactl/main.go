@@ -1,9 +1,14 @@
 // Command lambdactl is the operator CLI for a LambdaStore cluster: create
 // and invoke objects, deploy object types, migrate microshards, assemble
-// and disassemble guest modules, and inspect node stats. What it shows of
-// the cluster's metrics it reads from the nodes themselves, each of which
-// keeps only cumulative instruments: stats and top take two samples and
-// report what happened between them.
+// and disassemble guest modules, and inspect and steer the daemons. Every
+// command speaks the daemons' RPC protocol on their RPC ports; there is no
+// second transport. What it shows of the cluster's metrics it reads from
+// the daemons themselves, each of which keeps only cumulative instruments:
+// stats and top take two samples and report what happened between them.
+//
+// The read-only commands and fault address every replica of every group in
+// -config, or the daemons -addrs lists instead — coordinators, compute
+// nodes, or a chosen subset of the storage nodes.
 //
 // Usage:
 //
@@ -14,12 +19,13 @@
 //	lambdactl -config cluster.json migrate -id 42 -dest 1
 //	lambdactl -config cluster.json stats
 //	lambdactl -config cluster.json top -n 0 -interval 5s
-//	lambdactl stats -debug 127.0.0.1:8080,127.0.0.1:8081
-//	lambdactl traces -debug 127.0.0.1:8080 [-min 10ms]
-//	lambdactl trace 1f3a... -debug 127.0.0.1:8080
-//	lambdactl fault -debug 127.0.0.1:8080
-//	lambdactl fault -debug 127.0.0.1:8080 rule *@10.0.0.2:7001 drop p=0.3
-//	lambdactl fault -debug 127.0.0.1:8080 -file scenario.fault
+//	lambdactl -config cluster.json traces [-min 10ms]
+//	lambdactl -config cluster.json trace 1f3a...
+//	lambdactl -config cluster.json recovery
+//	lambdactl -addrs 127.0.0.1:7101 stats
+//	lambdactl -addrs 127.0.0.1:7411 fault
+//	lambdactl -addrs 127.0.0.1:7411 fault rule *@10.0.0.2:7001 drop p=0.3
+//	lambdactl -config cluster.json fault -file scenario.fault
 //	lambdactl asm -file user.s -o user.mod
 //	lambdactl disasm -file user.mod
 package main
@@ -28,12 +34,11 @@ import (
 	"cmp"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net/http"
-	"net/url"
 	"os"
 	"slices"
 	"strconv"
@@ -44,7 +49,6 @@ import (
 	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
 	"lambdastore/internal/debug"
-	"lambdastore/internal/recovery"
 	"lambdastore/internal/retwis"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/shard"
@@ -53,7 +57,11 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `lambdactl [-config FILE] COMMAND [flags]
+	fmt.Fprintln(os.Stderr, `lambdactl [-config FILE] [-addrs HOST:PORT,...] COMMAND [flags]
+
+The read-only commands and fault go to every replica in -config, or to the
+daemons -addrs lists (coordinators and compute nodes answer them too); the
+other commands refuse -addrs. Each call to a daemon waits at most 5s.
 
 Commands:
   create          -type NAME -id N           create an object
@@ -64,22 +72,23 @@ Commands:
                                              name coordinators: a move commits
                                              only there)
   register-retwis                            deploy the Retwis User type
-  stats           [-debug HOST:PORT,...]     print each node's metrics snapshot
-                                             (totals and 1 s rates), over RPC or
-                                             from debug servers' /metrics.json
-  traces          -debug HOST:PORT,...       fetch /traces and print each trace
-                  [-min DUR]                 as a span tree across nodes (only
-                                             spans at least DUR long)
-  trace           ID -debug HOST:PORT,...    assemble one trace across nodes:
-                                             span tree + critical-path stage
-                                             attribution
+  stats                                      print each daemon's metrics snapshot
+                                             (totals and 1 s rates)
+  traces          [-min DUR]                 print each retained trace as a span
+                                             tree across the daemons (only spans
+                                             at least DUR long)
+  trace           ID                         assemble one trace across the
+                                             daemons: span tree + critical-path
+                                             stage attribution
   top             [-n COUNT] [-interval DUR] per-group table (ops/s, p99, WAL
                                              fsync lag, cache hit rate, queue
                                              depth) over each -interval, rolled
                                              up from every replica's node.stats
-  fault           -debug HOST:PORT [CMD...]  show the fault plane (no CMD),
-                  [-file SCRIPT]             apply one command, or POST a script
-  recovery        -debug HOST:PORT,...       show each node's rejoin state and
+  fault           [CMD... | -file SCRIPT]    show each daemon's fault plane (no
+                                             CMD), or apply one command or a
+                                             script (all or nothing on each
+                                             daemon; every daemon is tried)
+  recovery                                   show each node's rejoin state and
                                              the sessions it donates to (scope,
                                              epoch, relays forwarded, age; a
                                              lost relay ends its session)
@@ -99,15 +108,28 @@ type repeatedFlag []string
 func (r *repeatedFlag) String() string     { return strings.Join(*r, ",") }
 func (r *repeatedFlag) Set(s string) error { *r = append(*r, s); return nil }
 
+// addrsCmds are the commands -addrs can stand in -config's place for: they
+// read or steer daemons one by one and need no directory.
+var addrsCmds = []string{"stats", "traces", "trace", "recovery", "fault"}
+
+// operatorTimeout bounds each operator call, so a daemon that listens but
+// hangs holds a command up for no longer than this per address.
+const operatorTimeout = 5 * time.Second
+
 func main() {
-	var configPath string
+	var configPath, addrs string
 	flag.StringVar(&configPath, "config", "", "cluster configuration file (JSON)")
+	flag.StringVar(&addrs, "addrs", "", "comma-separated RPC addresses the read-only commands and fault go to, instead of every replica in -config")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() == 0 {
 		usage()
 	}
 	cmd, rest := flag.Arg(0), flag.Args()[1:]
+	o := &operator{addrs: splitAddrs(addrs), out: os.Stdout}
+	if len(o.addrs) > 0 && !slices.Contains(addrsCmds, cmd) {
+		log.Fatalf("lambdactl: %s does not take -addrs", cmd)
+	}
 
 	switch cmd {
 	case "asm":
@@ -116,52 +138,47 @@ func main() {
 	case "disasm":
 		runDisasm(rest)
 		return
-	case "traces":
-		runTraces(rest)
-		return
-	case "trace":
-		runTrace(rest)
-		return
-	case "fault":
-		runFault(rest)
-		return
-	case "recovery":
-		runRecovery(rest)
-		return
 	case "set-group":
 		runSetGroup(rest)
 		return
-	case "stats":
-		// With -debug, stats reads the HTTP endpoints and needs no cluster
-		// config; without it, it falls through to the RPC fetch below.
-		fs := flag.NewFlagSet("stats", flag.ExitOnError)
-		debugAddrs := fs.String("debug", "", "comma-separated debug HTTP addresses")
-		fs.Parse(rest)
-		if *debugAddrs != "" {
-			runStats(strings.Split(*debugAddrs, ","), func(addr string) ([]byte, error) {
-				return httpGet("http://" + strings.TrimSpace(addr) + "/metrics.json")
-			})
-			return
-		}
 	}
+	o.pool = rpc.NewPool(&rpc.ClientOptions{Timeout: operatorTimeout})
+	defer o.pool.Close()
 
-	if configPath == "" {
-		log.Fatal("lambdactl: -config is required for cluster commands")
+	// Without -addrs, a command goes through -config: to every replica of
+	// every group, or through a client to the cluster.
+	var client *cluster.Client
+	if len(o.addrs) == 0 {
+		if configPath == "" {
+			log.Fatal("lambdactl: -config is required for cluster commands")
+		}
+		cfg, err := cluster.LoadConfigFile(configPath)
+		if err != nil {
+			log.Fatalf("lambdactl: %v", err)
+		}
+		client, err = cluster.NewClient(cluster.ClientConfig{
+			Directory:    cfg.Directory(),
+			Coordinators: cfg.Coordinators,
+		})
+		if err != nil {
+			log.Fatalf("lambdactl: %v", err)
+		}
+		defer client.Close()
+		o.addrs = replicas(client.Directory())
 	}
-	cfg, err := cluster.LoadConfigFile(configPath)
-	if err != nil {
-		log.Fatalf("lambdactl: %v", err)
-	}
-	client, err := cluster.NewClient(cluster.ClientConfig{
-		Directory:    cfg.Directory(),
-		Coordinators: cfg.Coordinators,
-	})
-	if err != nil {
-		log.Fatalf("lambdactl: %v", err)
-	}
-	defer client.Close()
 
 	switch cmd {
+	case "stats":
+		must(o.stats(rest))
+	case "traces":
+		must(o.traces(rest))
+	case "trace":
+		must(o.trace(rest))
+	case "recovery":
+		must(o.recovery(rest))
+	case "fault":
+		must(o.fault(rest))
+
 	case "create":
 		fs := flag.NewFlagSet("create", flag.ExitOnError)
 		typeName := fs.String("type", "", "object type name")
@@ -251,195 +268,280 @@ func main() {
 		}
 		fmt.Println("registered type User on all replicas")
 
-	case "stats":
-		var addrs []string
-		for _, g := range client.Directory().Groups() {
-			for _, addr := range g.Replicas() {
-				if !slices.Contains(addrs, addr) {
-					addrs = append(addrs, addr)
-				}
-			}
-		}
-		runStats(addrs, client.Stats)
-
 	case "top":
-		runTop(client, rest)
+		runTop(o, client, rest)
 
 	default:
 		usage()
 	}
 }
 
-// statsWindow is how far apart runStats takes its two samples.
-const statsWindow = time.Second
-
-// runStats prints each node's metrics: the cumulative snapshot next to the
-// rates and percentiles of the window between two samples statsWindow apart,
-// so rates don't have to be eyeballed from two runs. fetch returns a node's
-// snapshot JSON — the node.stats RPC and /metrics.json serve the same bytes.
-func runStats(addrs []string, fetch func(addr string) ([]byte, error)) {
-	// A node that fails its first sample reports since its start.
-	s := newSampler(fetch)
-	for _, addr := range addrs {
-		_, _, _ = s.next(addr)
-	}
-	time.Sleep(statsWindow)
-	for _, addr := range addrs {
-		cur, win, err := s.next(addr)
-		if err != nil {
-			fmt.Printf("== %s: unreachable (%v)\n", addr, err)
-			continue
-		}
-		fmt.Printf("== %s (rates over %.1fs)\n", addr, win.Seconds)
-		printSnapshot(cur, win)
+// must ends the command on err.
+func must(err error) {
+	if err != nil {
+		log.Fatalf("lambdactl: %v", err)
 	}
 }
 
-// printSnapshot renders one node's instruments, one line each: counters
+// splitAddrs splits a comma-separated address list, dropping empty entries.
+func splitAddrs(list string) []string {
+	var addrs []string
+	for _, a := range strings.Split(list, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
+		}
+	}
+	return addrs
+}
+
+// replicas lists every replica of every group in dir, once each.
+func replicas(dir *shard.Directory) []string {
+	var addrs []string
+	for _, g := range dir.Groups() {
+		for _, addr := range g.Replicas() {
+			if !slices.Contains(addrs, addr) {
+				addrs = append(addrs, addr)
+			}
+		}
+	}
+	return addrs
+}
+
+// operator is how the commands that read or steer daemons reach them: one
+// pool to the daemons' RPC ports, the addresses they go to, and where they
+// print.
+type operator struct {
+	pool  *rpc.Pool
+	addrs []string
+	out   io.Writer
+}
+
+// snapshot returns addr's registry snapshot, as JSON, from its node.stats.
+func (o *operator) snapshot(addr string) ([]byte, error) {
+	return o.pool.Call(addr, debug.MethodStats, nil)
+}
+
+// statsWindow is how far apart stats takes its two samples.
+const statsWindow = time.Second
+
+// stats prints each daemon's metrics: the cumulative snapshot next to the
+// rates and percentiles of the window between two samples statsWindow apart,
+// so rates don't have to be eyeballed from two runs.
+func (o *operator) stats(args []string) error {
+	if err := flag.NewFlagSet("stats", flag.ContinueOnError).Parse(args); err != nil {
+		return err
+	}
+	// A daemon that fails its first sample reports since its start.
+	s := newSampler(o.snapshot)
+	for _, addr := range o.addrs {
+		_, _, _ = s.next(addr)
+	}
+	time.Sleep(statsWindow)
+	for _, addr := range o.addrs {
+		cur, win, err := s.next(addr)
+		if err != nil {
+			fmt.Fprintf(o.out, "== %s: unreachable (%v)\n", addr, err)
+			continue
+		}
+		fmt.Fprintf(o.out, "== %s (rates over %.1fs)\n", addr, win.Seconds)
+		printSnapshot(o.out, cur, win)
+	}
+	return nil
+}
+
+// printSnapshot renders one daemon's instruments, one line each: counters
 // with their rate over win, gauges, then histograms with cumulative and
 // windowed percentiles in the histogram's own unit.
-func printSnapshot(cur, win telemetry.RegistrySnapshot) {
+func printSnapshot(w io.Writer, cur, win telemetry.RegistrySnapshot) {
 	for _, n := range telemetry.SortedNames(cur.Counters) {
-		fmt.Printf("%-32s %12d  %10.1f/s\n", n, cur.Counters[n], win.Rate(n))
+		fmt.Fprintf(w, "%-32s %12d  %10.1f/s\n", n, cur.Counters[n], win.Rate(n))
 	}
 	for _, n := range telemetry.SortedNames(cur.Gauges) {
-		fmt.Printf("%-32s %12d\n", n, cur.Gauges[n])
+		fmt.Fprintf(w, "%-32s %12d\n", n, cur.Gauges[n])
 	}
 	for _, n := range telemetry.SortedNames(cur.Histograms) {
-		h, w := cur.Histograms[n], win.Histograms[n]
+		h, wh := cur.Histograms[n], win.Histograms[n]
 		unit := "us"
 		if h.Unit == telemetry.UnitCount {
 			unit = ""
 		}
 		rate := 0.0
 		if win.Seconds > 0 {
-			rate = float64(w.Count) / win.Seconds
+			rate = float64(wh.Count) / win.Seconds
 		}
-		fmt.Printf("%-32s %12d  %10.1f/s  p50=%d%s p99=%d%s p999=%d%s max=%d%s  (window p50=%d%s p99=%d%s)\n",
-			n, h.Count, rate, h.P50Us, unit, h.P99Us, unit, h.P999Us, unit, h.MaxUs, unit, w.P50Us, unit, w.P99Us, unit)
+		fmt.Fprintf(w, "%-32s %12d  %10.1f/s  p50=%d%s p99=%d%s p999=%d%s max=%d%s  (window p50=%d%s p99=%d%s)\n",
+			n, h.Count, rate, h.P50Us, unit, h.P99Us, unit, h.P999Us, unit, h.MaxUs, unit, wh.P50Us, unit, wh.P99Us, unit)
 		top := -1
-		for bucket := range w.Exemplars {
+		for bucket := range wh.Exemplars {
 			top = max(top, bucket)
 		}
 		if top >= 0 {
-			fmt.Printf("%-32s slowest-bucket exemplar trace=%s\n", "", w.Exemplars[top])
+			fmt.Fprintf(w, "%-32s slowest-bucket exemplar trace=%s\n", "", wh.Exemplars[top])
 		}
 	}
 }
 
-// runTrace fetches one trace's spans from every listed debug server,
-// assembles them into a cross-node tree, and prints the tree with
-// critical-path stage attribution.
-func runTrace(args []string) {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	debugAddrs := fs.String("debug", "", "comma-separated debug HTTP addresses (required)")
-	fs.Parse(args)
-	if *debugAddrs == "" {
-		log.Fatal("lambdactl: trace needs -debug")
+// parseTraceID parses a trace ID as given on the command line: hexadecimal
+// (the form trace IDs are logged in, with or without a 0x prefix), falling
+// back to decimal.
+func parseTraceID(s string) (uint64, error) {
+	s = strings.TrimPrefix(strings.TrimSpace(s), "0x")
+	if id, err := strconv.ParseUint(s, 16, 64); err == nil {
+		return id, nil
+	}
+	return strconv.ParseUint(s, 10, 64)
+}
+
+// trace fetches one trace's spans from every daemon, assembles them into a
+// cross-node tree, and prints the tree with critical-path stage
+// attribution.
+func (o *operator) trace(args []string) error {
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 	if fs.NArg() != 1 {
-		log.Fatal("lambdactl: trace needs exactly one trace ID (hex or decimal)")
+		return errors.New("trace needs exactly one trace ID (hex or decimal)")
 	}
-	id, err := debug.ParseTraceID(fs.Arg(0))
+	id, err := parseTraceID(fs.Arg(0))
 	if err != nil {
-		log.Fatalf("lambdactl: bad trace ID %q: %v", fs.Arg(0), err)
+		return fmt.Errorf("bad trace ID %q: %v", fs.Arg(0), err)
 	}
-	spans := fetchSpans(*debugAddrs, url.Values{"trace": {fmt.Sprintf("%016x", id)}})
+	spans, err := o.spans(debug.TracesQuery{Trace: id})
+	if err != nil {
+		return err
+	}
 	if len(spans) == 0 {
-		log.Fatalf("lambdactl: no spans found for trace %016x on any node", id)
+		return fmt.Errorf("no spans found for trace %016x on any node", id)
 	}
-	fmt.Print(telemetry.AssembleTrace(id, spans).Render())
+	fmt.Fprint(o.out, telemetry.AssembleTrace(id, spans).Render())
+	return nil
 }
 
-// runFault drives a node's /faults endpoint: with no trailing arguments it
-// prints the plane's current state (a re-POSTable command script); trailing
-// arguments are joined into one grammar command and POSTed; -file POSTs a
-// whole script. The plane is process-global on the node, so one endpoint
-// controls every site in that process.
-func runFault(args []string) {
-	fs := flag.NewFlagSet("fault", flag.ExitOnError)
-	debugAddr := fs.String("debug", "", "debug HTTP address (required)")
-	file := fs.String("file", "", "fault command script to POST")
-	fs.Parse(args)
-	if *debugAddr == "" {
-		log.Fatal("lambdactl: fault needs -debug")
+// traces fetches the retained spans from every daemon and prints each trace
+// among them, earliest first, as its span tree across the nodes — the
+// merged view of a distributed request. One trace by ID is trace's.
+func (o *operator) traces(args []string) error {
+	fs := flag.NewFlagSet("traces", flag.ContinueOnError)
+	minDur := fs.Duration("min", 0, "only spans at least this long")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	u := "http://" + strings.TrimSpace(*debugAddr) + "/faults"
-	var script string
-	switch {
-	case *file != "":
-		b, err := os.ReadFile(*file)
-		if err != nil {
-			log.Fatalf("lambdactl: %v", err)
-		}
-		script = string(b)
-	case fs.NArg() > 0:
-		script = strings.Join(fs.Args(), " ")
-	default:
-		body, err := httpGet(u)
-		if err != nil {
-			log.Fatalf("lambdactl: %v", err)
-		}
-		os.Stdout.Write(body)
-		return
-	}
-	body, err := httpPost(u, script)
+	spans, err := o.spans(debug.TracesQuery{Min: *minDur})
 	if err != nil {
-		log.Fatalf("lambdactl: %v", err)
+		return err
 	}
-	os.Stdout.Write(body)
+	slices.SortFunc(spans, func(a, b telemetry.Span) int { return cmp.Compare(a.Start, b.Start) })
+	byTrace := make(map[uint64][]telemetry.Span)
+	var order []uint64
+	for _, s := range spans {
+		if _, ok := byTrace[s.Trace]; !ok {
+			order = append(order, s.Trace)
+		}
+		byTrace[s.Trace] = append(byTrace[s.Trace], s)
+	}
+	for _, id := range order {
+		fmt.Fprint(o.out, telemetry.AssembleTrace(id, byTrace[id]).Render())
+	}
+	return nil
 }
 
-// runRecovery prints each node's anti-entropy picture: where its own
-// rejoin state machine sits (with cumulative catch-up telemetry) and any
-// catch-up sessions it is currently donating to.
-func runRecovery(args []string) {
-	fs := flag.NewFlagSet("recovery", flag.ExitOnError)
-	debugAddrs := fs.String("debug", "", "comma-separated debug HTTP addresses (required)")
-	fs.Parse(args)
-	if *debugAddrs == "" {
-		log.Fatal("lambdactl: recovery needs -debug")
-	}
-	for _, addr := range strings.Split(*debugAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		body, err := httpGet("http://" + addr + "/recovery")
+// spans merges what node.traces answers q with on every daemon; one that
+// does not answer is reported and skipped.
+func (o *operator) spans(q debug.TracesQuery) ([]telemetry.Span, error) {
+	var all []telemetry.Span
+	for _, addr := range o.addrs {
+		body, err := o.pool.Call(addr, debug.MethodTraces, q.Encode())
 		if err != nil {
-			fmt.Printf("== %s: unreachable (%v)\n", addr, err)
+			fmt.Fprintf(o.out, "== %s: unreachable (%v)\n", addr, err)
 			continue
 		}
-		var env struct {
-			Rejoin        recovery.Status          `json:"rejoin"`
-			DonorSessions []recovery.SessionStatus `json:"donor_sessions"`
+		var spans []telemetry.Span
+		if err := json.Unmarshal(body, &spans); err != nil {
+			return nil, fmt.Errorf("%s: bad node.traces answer: %v", addr, err)
 		}
-		if err := json.Unmarshal(body, &env); err != nil {
-			log.Fatalf("lambdactl: %s: bad /recovery response: %v", addr, err)
+		all = append(all, spans...)
+	}
+	return all, nil
+}
+
+// fault drives each daemon's fault plane through node.faults: with no
+// trailing arguments it prints the plane's state (a re-appliable command
+// script); trailing arguments are joined into one grammar command and
+// applied; -file applies a whole script. Each daemon applies a script all
+// or nothing, but one daemon's refusal does not stop the others: every
+// address is tried and reported, and fault fails if any refused. The plane
+// is process-global, so one call controls every site in that process.
+func (o *operator) fault(args []string) error {
+	fs := flag.NewFlagSet("fault", flag.ContinueOnError)
+	file := fs.String("file", "", "fault command script to apply")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	script := []byte(strings.Join(fs.Args(), " "))
+	if *file != "" {
+		var err error
+		if script, err = os.ReadFile(*file); err != nil {
+			return err
 		}
-		r := env.Rejoin
-		fmt.Printf("== %s (%s)\n", addr, r.Self)
-		fmt.Printf("  state=%s attempts=%d rejoins=%d", r.State, r.Attempts, r.Rejoins)
+	}
+	var failed []string
+	for _, addr := range o.addrs {
+		desc, err := o.pool.Call(addr, debug.MethodFaults, script)
+		if err != nil {
+			fmt.Fprintf(o.out, "== %s: refused (%v)\n", addr, err)
+			failed = append(failed, addr)
+			continue
+		}
+		fmt.Fprintf(o.out, "== %s\n%s", addr, desc)
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("fault: not applied on %s", strings.Join(failed, ", "))
+	}
+	return nil
+}
+
+// recovery prints each node's anti-entropy picture: where its own rejoin
+// state machine sits (with cumulative catch-up telemetry) and any catch-up
+// sessions it is currently donating to.
+func (o *operator) recovery(args []string) error {
+	if err := flag.NewFlagSet("recovery", flag.ContinueOnError).Parse(args); err != nil {
+		return err
+	}
+	for _, addr := range o.addrs {
+		body, err := o.pool.Call(addr, cluster.MethodRecovery, nil)
+		if err != nil {
+			fmt.Fprintf(o.out, "== %s: unreachable (%v)\n", addr, err)
+			continue
+		}
+		var rep cluster.RecoveryReport
+		if err := json.Unmarshal(body, &rep); err != nil {
+			return fmt.Errorf("%s: bad node.recovery answer: %v", addr, err)
+		}
+		r := rep.Rejoin
+		fmt.Fprintf(o.out, "== %s (%s)\n", addr, r.Self)
+		fmt.Fprintf(o.out, "  state=%s attempts=%d rejoins=%d", r.State, r.Attempts, r.Rejoins)
 		if r.Donor != "" {
-			fmt.Printf(" donor=%s", r.Donor)
+			fmt.Fprintf(o.out, " donor=%s", r.Donor)
 		}
-		fmt.Println()
+		fmt.Fprintln(o.out)
 		if r.Rejoins > 0 {
-			fmt.Printf("  last rejoin: %.3fs, %d ranges diverged, %d chunks, %d bytes streamed\n",
+			fmt.Fprintf(o.out, "  last rejoin: %.3fs, %d ranges diverged, %d chunks, %d bytes streamed\n",
 				r.LastRejoinSeconds, r.RangesDiverged, r.ChunksApplied, r.BytesStreamed)
 		}
 		if r.LastError != "" {
-			fmt.Printf("  last error: %s\n", r.LastError)
+			fmt.Fprintf(o.out, "  last error: %s\n", r.LastError)
 		}
-		if len(env.DonorSessions) == 0 {
-			fmt.Println("  donating to: (none)")
+		if len(rep.DonorSessions) == 0 {
+			fmt.Fprintln(o.out, "  donating to: (none)")
 			continue
 		}
-		for _, s := range env.DonorSessions {
-			fmt.Printf("  donating to %s: scope=%s epoch=%d forwarded=%d age=%.1fs\n",
+		for _, s := range rep.DonorSessions {
+			fmt.Fprintf(o.out, "  donating to %s: scope=%s epoch=%d forwarded=%d age=%.1fs\n",
 				s.Joiner, s.Scope, s.Epoch, s.Forwarded, s.AgeSeconds)
 		}
 	}
+	return nil
 }
 
 // runSetGroup installs (or replaces) one replica group on a live
@@ -456,102 +558,14 @@ func runSetGroup(args []string) {
 	if *coords == "" || *primary == "" {
 		log.Fatal("lambdactl: set-group needs -coordinators and -primary")
 	}
-	g := shard.Group{ID: *gid, Primary: *primary}
-	for _, b := range strings.Split(*backups, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			g.Backups = append(g.Backups, b)
-		}
-	}
+	g := shard.Group{ID: *gid, Primary: *primary, Backups: splitAddrs(*backups)}
 	pool := rpc.NewPool(nil)
 	defer pool.Close()
-	cc := coordinator.NewClient(pool, strings.Split(*coords, ","))
+	cc := coordinator.NewClient(pool, splitAddrs(*coords))
 	if err := cc.SetGroup(g); err != nil {
 		log.Fatalf("lambdactl: set-group: %v", err)
 	}
 	fmt.Printf("group %d: primary %s, backups %v\n", g.ID, g.Primary, g.Backups)
-}
-
-// runTraces fetches spans from one or more debug servers and prints each
-// trace among them, earliest first, as its span tree across the nodes — the
-// merged view of a distributed request. One trace by ID is runTrace's.
-func runTraces(args []string) {
-	fs := flag.NewFlagSet("traces", flag.ExitOnError)
-	debugAddrs := fs.String("debug", "", "comma-separated debug HTTP addresses (required)")
-	minDur := fs.Duration("min", 0, "only spans at least this long")
-	fs.Parse(args)
-	if *debugAddrs == "" {
-		log.Fatal("lambdactl: traces needs -debug")
-	}
-	q := url.Values{}
-	if *minDur > 0 {
-		q.Set("min", minDur.String())
-	}
-	spans := fetchSpans(*debugAddrs, q)
-	slices.SortFunc(spans, func(a, b telemetry.Span) int { return cmp.Compare(a.Start, b.Start) })
-	byTrace := make(map[uint64][]telemetry.Span)
-	var order []uint64
-	for _, s := range spans {
-		if _, ok := byTrace[s.Trace]; !ok {
-			order = append(order, s.Trace)
-		}
-		byTrace[s.Trace] = append(byTrace[s.Trace], s)
-	}
-	for _, id := range order {
-		fmt.Print(telemetry.AssembleTrace(id, byTrace[id]).Render())
-	}
-}
-
-// fetchSpans merges the spans /traces?q returns on every listed debug
-// server; one that does not answer is reported and skipped.
-func fetchSpans(debugAddrs string, q url.Values) []telemetry.Span {
-	var spans []telemetry.Span
-	for _, addr := range strings.Split(debugAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		body, err := httpGet("http://" + addr + "/traces?" + q.Encode())
-		if err != nil {
-			fmt.Printf("== %s: unreachable (%v)\n", addr, err)
-			continue
-		}
-		var env struct {
-			Spans []telemetry.Span `json:"spans"`
-		}
-		if err := json.Unmarshal(body, &env); err != nil {
-			log.Fatalf("lambdactl: %s: bad /traces response: %v", addr, err)
-		}
-		spans = append(spans, env.Spans...)
-	}
-	return spans
-}
-
-// debugClient talks to debug endpoints, with a short timeout.
-var debugClient = &http.Client{Timeout: 5 * time.Second}
-
-// httpPost sends a plain-text body to a debug endpoint.
-func httpPost(u, body string) ([]byte, error) {
-	return readReply(debugClient.Post(u, "text/plain", strings.NewReader(body)))
-}
-
-// httpGet fetches a debug endpoint.
-func httpGet(u string) ([]byte, error) { return readReply(debugClient.Get(u)) }
-
-// readReply returns a debug endpoint's reply body, or its status and body
-// as the error when it is not 200 OK.
-func readReply(resp *http.Response, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	return body, nil
 }
 
 func runAsm(args []string) {

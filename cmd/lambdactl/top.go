@@ -190,15 +190,15 @@ func (s *sampler) top(dir *shard.Directory) clusterMetrics {
 
 // runTop prints the table -n times (0: forever), -interval apart, each over
 // the window since the sample before it.
-func runTop(client *cluster.Client, args []string) {
+func runTop(o *operator, client *cluster.Client, args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	count := fs.Int("n", 1, "iterations (0 = forever)")
 	interval := fs.Duration("interval", 2*time.Second, "refresh interval: each table's window")
 	fs.Parse(args)
-	s := newSampler(client.Stats)
+	s := newSampler(o.snapshot)
 	s.top(client.Directory()) // the first table's window starts here
 	for i := 0; *count == 0 || i < *count; i++ {
 		time.Sleep(*interval)
-		fmt.Print(formatTop(s.top(client.Directory())))
+		fmt.Fprint(o.out, formatTop(s.top(client.Directory())))
 	}
 }

@@ -151,7 +151,7 @@ func TestTopLeavesOutItsOwnCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	s := newSampler(l.Client.Stats)
+	s := newSampler(newOperator(t).snapshot)
 	for range 2 {
 		if qd := s.top(l.Dir).Groups[0].Values["queue_depth"]; qd != 0 {
 			t.Errorf("idle group's QD = %v, want 0", qd)
@@ -181,7 +181,7 @@ func TestTopRollsUpStaticGroups(t *testing.T) {
 	}
 	defer l.Close()
 	c := l.Client
-	s := newSampler(c.Stats)
+	s := newSampler(newOperator(t).snapshot)
 	s.top(c.Directory())
 
 	typ, err := retwis.NewType()

@@ -23,6 +23,7 @@ import (
 
 	"lambdastore/internal/cluster"
 	"lambdastore/internal/core"
+	"lambdastore/internal/debug"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 		coords     = flag.String("coordinators", "", "comma-separated coordinator addresses")
 		cacheSize  = flag.Int("cache", 64<<10, "consistent result cache entries (0 disables)")
 		fuel       = flag.Int64("fuel", core.DefaultFuel, "per-invocation fuel budget")
-		debugAddr  = flag.String("debug", "", "debug HTTP address for /metrics, /traces, /healthz, pprof (empty disables)")
+		debugAddr  = flag.String("debug", "", "pprof and /metrics text over HTTP on this address (empty disables; every other operator read and control is on the RPC port)")
 		tracing    = flag.Bool("trace", false, "record per-stage spans for every traced invocation")
 		slow       = flag.Duration("slow", 0, "log invocations slower than this (0 disables)")
 		recRate    = flag.Int("recovery-rate", 0, "rejoin catch-up streaming rate limit in bytes/sec (0 = unlimited)")
@@ -54,7 +55,6 @@ func main() {
 			Fuel:         *fuel,
 			CacheEntries: *cacheSize,
 		},
-		DebugAddr:              *debugAddr,
 		Tracing:                *tracing,
 		SlowTraceThreshold:     *slow,
 		RecoveryMaxBytesPerSec: *recRate,
@@ -78,8 +78,13 @@ func main() {
 		log.Fatalf("lambdastore: start: %v", err)
 	}
 	log.Printf("lambdastore: serving on %s (group %d, data %s)", node.Addr(), *groupID, *dataDir)
-	if da := node.DebugAddr(); da != "" {
-		log.Printf("lambdastore: debug endpoints on http://%s (tracing=%v)", da, *tracing)
+	if *debugAddr != "" {
+		dbg, err := debug.Start(*debugAddr, node.Metrics())
+		if err != nil {
+			log.Fatalf("lambdastore: debug: %v", err)
+		}
+		defer dbg.Close()
+		log.Printf("lambdastore: pprof and /metrics on http://%s", dbg.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)

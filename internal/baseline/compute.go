@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lambdastore/internal/core"
+	"lambdastore/internal/debug"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/telemetry"
 	"lambdastore/internal/wire"
@@ -109,6 +110,7 @@ func StartCompute(opts ComputeOptions) (*ComputeNode, error) {
 		}
 		return out, err
 	})
+	debug.Register(n.srv, opts.Metrics, nil)
 	addr, err := n.srv.Serve(opts.Addr)
 	if err != nil {
 		return nil, err

@@ -156,8 +156,8 @@ func (c *Client) Invoke(id core.ObjectID, method string, args [][]byte) ([]byte,
 }
 
 // InvokeTraced is Invoke under a freshly minted trace; it returns the trace
-// ID so the caller can fetch the request's spans from the nodes' /traces
-// endpoints. Every other call goes untraced.
+// ID so the caller can fetch the request's spans with the nodes'
+// node.traces. Every other call goes untraced.
 func (c *Client) InvokeTraced(id core.ObjectID, method string, args [][]byte) ([]byte, uint64, error) {
 	ctx := telemetry.NewRootContext()
 	resp, err := c.invoke(ctx, id, method, args, false)
@@ -321,10 +321,4 @@ func (c *Client) Migrate(id core.ObjectID, destGroup uint64) error {
 	// The cutover committed at the coordinator: adopt its view.
 	c.refresh()
 	return nil
-}
-
-// Stats fetches a node's metrics snapshot — the JSON its /metrics.json debug
-// endpoint serves (a telemetry.RegistrySnapshot) — over the node's RPC port.
-func (c *Client) Stats(addr string) ([]byte, error) {
-	return c.pool.Call(addr, MethodStats, nil)
 }

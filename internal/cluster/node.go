@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -44,10 +43,6 @@ type NodeOptions struct {
 	// ClientOptions tunes this node's outbound connections (delay
 	// injection for experiments, timeouts).
 	ClientOptions *rpc.ClientOptions
-	// DebugAddr, if non-empty, starts the debug HTTP server (/metrics,
-	// /traces, /healthz, pprof) on that address ("127.0.0.1:0" for an
-	// ephemeral port).
-	DebugAddr string
 	// Tracing enables span recording. Off, the tracer costs one predicted
 	// branch per stage; metrics are always collected (atomic increments).
 	Tracing bool
@@ -101,7 +96,6 @@ type Node struct {
 
 	metrics    *telemetry.Registry
 	tracer     *telemetry.Tracer
-	debugSrv   *debug.Server
 	forwards   *telemetry.Counter // cross-object invocations routed off-node
 	migrations *telemetry.Counter
 }
@@ -232,26 +226,6 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	n.pool.SetFaultLabel(addr)
 	n.role.bind(addr)
 
-	if opts.DebugAddr != "" {
-		n.debugSrv, err = debug.Start(opts.DebugAddr, debug.Options{
-			Registry: reg,
-			Tracer:   tracer,
-			Health:   n.health,
-			Faults:   true,
-			JSON: map[string]func() any{
-				"/recovery": func() any {
-					return map[string]any{
-						"rejoin":         n.RecoveryStatus(),
-						"donor_sessions": n.transfer.Sessions(),
-					}
-				},
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	if len(opts.Coordinators) > 0 {
 		n.coord = coordinator.NewClient(n.pool, opts.Coordinators)
 		// Fetch the current configuration synchronously before serving
@@ -354,27 +328,8 @@ func (n *Node) MoveSessions() int {
 // Metrics returns the node's telemetry registry.
 func (n *Node) Metrics() *telemetry.Registry { return n.metrics }
 
-// DebugAddr returns the debug HTTP server's bound address, or "" when the
-// server is not running.
-func (n *Node) DebugAddr() string {
-	if n.debugSrv == nil {
-		return ""
-	}
-	return n.debugSrv.Addr()
-}
-
 // RecoveryStatus snapshots the node's rejoin state machine.
 func (n *Node) RecoveryStatus() recovery.Status { return n.transfer.Status() }
-
-// health backs /healthz: serving stops reporting healthy once Close began.
-func (n *Node) health() error {
-	select {
-	case <-n.stop:
-		return fmt.Errorf("cluster: node %s shutting down", n.addr)
-	default:
-		return nil
-	}
-}
 
 // Close shuts the node down. It is also StartNode's teardown, so it copes
 // with a node built only part of the way.
@@ -391,9 +346,6 @@ func (n *Node) Close() error {
 	}
 	if n.transfer != nil {
 		n.transfer.Close()
-	}
-	if n.debugSrv != nil {
-		n.debugSrv.Close()
 	}
 	n.srv.Close()
 	n.shipper.Close()
@@ -528,15 +480,17 @@ func (n *Node) registerHandlers() {
 		return nil, nil
 	})
 
-	// What /metrics.json serves, for operators without a debug port to
-	// reach. The snapshot is taken inside this call, which the RPC server
-	// counts in flight; it is the sampler's load, not the node's, and
-	// /metrics.json (served off the RPC port) never sees it.
-	n.srv.Handle(MethodStats, func(body []byte) ([]byte, error) {
-		snap := n.metrics.Snapshot()
-		snap.Gauges["rpc.server.in_flight"]--
-		return json.Marshal(snap)
+	debug.Register(n.srv, n.metrics, n.tracer)
+	n.srv.Handle(MethodRecovery, func([]byte) ([]byte, error) {
+		return json.Marshal(RecoveryReport{Rejoin: n.RecoveryStatus(), DonorSessions: n.transfer.Sessions()})
 	})
+}
+
+// RecoveryReport is what node.recovery answers with: where the node's
+// rejoin state machine sits, and the catch-up sessions it donates to.
+type RecoveryReport struct {
+	Rejoin        recovery.Status          `json:"rejoin"`
+	DonorSessions []recovery.SessionStatus `json:"donor_sessions"`
 }
 
 // routerInvoker routes a nested cross-object invocation: objects homed on

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -10,11 +9,13 @@ import (
 	"testing"
 
 	"lambdastore/internal/core"
+	"lambdastore/internal/debug"
+	"lambdastore/internal/rpc"
 	"lambdastore/internal/telemetry"
 	"lambdastore/internal/vm"
 )
 
-// fetchMetrics GETs a node's /metrics endpoint and parses the plain-text
+// fetchMetrics GETs a debug server's /metrics text and parses its
 // "name value" lines.
 func fetchMetrics(t *testing.T, addr string) map[string]int64 {
 	t.Helper()
@@ -42,27 +43,33 @@ func fetchMetrics(t *testing.T, addr string) map[string]int64 {
 	return out
 }
 
-// fetchTraceSpans GETs /traces?trace=<id> and returns the decoded spans.
-func fetchTraceSpans(t *testing.T, addr string, trace uint64) []telemetry.Span {
+// operatorCall calls one of a node's operator methods and decodes its JSON
+// answer into v.
+func operatorCall(t *testing.T, pool *rpc.Pool, addr, method string, body []byte, v any) {
 	t.Helper()
-	url := fmt.Sprintf("http://%s/traces?trace=%016x", addr, trace)
-	resp, err := http.Get(url)
+	raw, err := pool.Call(addr, method, body)
+	if err == nil {
+		err = json.Unmarshal(raw, v)
+	}
 	if err != nil {
-		t.Fatalf("GET /traces: %v", err)
+		t.Fatalf("%s at %s: %v", method, addr, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %s", url, resp.Status)
-	}
-	var env struct {
-		Node  string           `json:"node"`
-		Total uint64           `json:"total_recorded"`
-		Spans []telemetry.Span `json:"spans"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatalf("decode /traces: %v", err)
-	}
-	return env.Spans
+}
+
+// nodeStats is a node's registry snapshot, from its node.stats.
+func nodeStats(t *testing.T, pool *rpc.Pool, addr string) telemetry.RegistrySnapshot {
+	t.Helper()
+	var snap telemetry.RegistrySnapshot
+	operatorCall(t, pool, addr, debug.MethodStats, nil, &snap)
+	return snap
+}
+
+// fetchTraceSpans is one trace's spans on a node, from its node.traces.
+func fetchTraceSpans(t *testing.T, pool *rpc.Pool, addr string, trace uint64) []telemetry.Span {
+	t.Helper()
+	var spans []telemetry.Span
+	operatorCall(t, pool, addr, debug.MethodTraces, debug.TracesQuery{Trace: trace}.Encode(), &spans)
+	return spans
 }
 
 // relayType extends the Counter shape with relay_add(target, delta): it
@@ -188,14 +195,13 @@ end
 // TestEndToEndTraceAcrossNodes drives one traced invocation through three
 // nodes — forwarded cross-object invoke (group 0 -> group 1) plus
 // primary -> backup replication inside group 0 — and asserts that a single
-// trace, retrieved over the debug HTTP endpoints, spans all three nodes
+// trace, retrieved with each node's node.traces, spans all three nodes
 // with correct parent/child nesting.
 func TestEndToEndTraceAcrossNodes(t *testing.T) {
 	// Group 0 is n0 (primary) and n2 (backup), group 1 is n1.
 	l := startLocal(t, LocalOptions{Groups: []int{2, 1}, Node: NodeOptions{
-		DebugAddr: "127.0.0.1:0",
-		Tracing:   true,
-		Runtime:   core.Options{CacheEntries: 1024},
+		Tracing: true,
+		Runtime: core.Options{CacheEntries: 1024},
 	}})
 	n0, n2, n1 := l.Slots[0].Node, l.Slots[1].Node, l.Slots[2].Node
 
@@ -225,14 +231,11 @@ func TestEndToEndTraceAcrossNodes(t *testing.T) {
 		t.Fatal("InvokeTraced returned no trace ID")
 	}
 
-	// Collect the trace from every node's debug endpoint.
+	// Collect the trace from every node's node.traces.
 	byNode := make(map[string][]telemetry.Span) // rpc addr -> spans
 	var all []telemetry.Span
 	for _, n := range []*Node{n0, n2, n1} {
-		if n.DebugAddr() == "" {
-			t.Fatal("debug server not running")
-		}
-		spans := fetchTraceSpans(t, n.DebugAddr(), traceID)
+		spans := fetchTraceSpans(t, c.pool, n.Addr(), traceID)
 		for _, s := range spans {
 			if s.Trace != traceID {
 				t.Fatalf("span %+v leaked from another trace (want %016x)", s, traceID)
@@ -307,34 +310,34 @@ func TestEndToEndTraceAcrossNodes(t *testing.T) {
 		}
 	}
 
-	// /metrics must show the load: invocations by method, replication
+	// node.stats must show the load: invocations by method, replication
 	// traffic on both sides, forwarding, and cache hits somewhere.
-	m0 := fetchMetrics(t, n0.DebugAddr())
-	m1 := fetchMetrics(t, n1.DebugAddr())
-	m2 := fetchMetrics(t, n2.DebugAddr())
-	if m0["core.invoke.relay_add"] == 0 {
-		t.Errorf("n0 core.invoke.relay_add = 0; metrics = %v", m0)
+	m0 := nodeStats(t, c.pool, n0.Addr())
+	m1 := nodeStats(t, c.pool, n1.Addr())
+	m2 := nodeStats(t, c.pool, n2.Addr())
+	if m0.Counters["core.invoke.relay_add"] == 0 {
+		t.Errorf("n0 core.invoke.relay_add = 0; counters = %v", m0.Counters)
 	}
-	if m0["repl.shipped"] == 0 {
+	if m0.Counters["repl.shipped"] == 0 {
 		t.Error("n0 repl.shipped = 0")
 	}
-	if m2["repl.applied"] == 0 {
+	if m2.Counters["repl.applied"] == 0 {
 		t.Error("n2 repl.applied = 0")
 	}
-	if m0["cluster.forwards"] == 0 {
+	if m0.Counters["cluster.forwards"] == 0 {
 		t.Error("n0 cluster.forwards = 0")
 	}
-	if m1["core.invoke.add"] == 0 {
+	if m1.Counters["core.invoke.add"] == 0 {
 		t.Error("n1 core.invoke.add = 0")
 	}
-	if m1["core.cache_hits"] == 0 {
+	if m1.Counters["core.cache_hits"] == 0 {
 		t.Error("n1 core.cache_hits = 0 after repeated deterministic reads")
 	}
-	if m0["rpc.server.requests"] == 0 || m0["rpc.server.rx_bytes"] == 0 {
+	if m0.Counters["rpc.server.requests"] == 0 || m0.Counters["rpc.server.rx_bytes"] == 0 {
 		t.Error("n0 rpc server counters empty")
 	}
-	if m0["core.invoke_count"] == 0 {
-		t.Errorf("n0 invoke histogram empty; metrics = %v", m0)
+	if m0.Histograms["core.invoke"].Count == 0 {
+		t.Errorf("n0 invoke histogram empty; histograms = %v", m0.Histograms)
 	}
 }
 
@@ -348,44 +351,34 @@ func names(spans []telemetry.Span) []string {
 
 // TestStatsLeavesOutItsOwnCall: node.stats samples the node from inside
 // the call, which the RPC server counts in flight; an idle node's answer
-// still reads no request in flight, as its /metrics.json does.
+// still reads no request in flight, as its registry does when read in
+// process.
 func TestStatsLeavesOutItsOwnCall(t *testing.T) {
-	l := startLocal(t, LocalOptions{Groups: []int{1}, Node: NodeOptions{DebugAddr: "127.0.0.1:0"}})
+	l := startLocal(t, LocalOptions{Groups: []int{1}})
 	node := l.Slots[0].Node
 	for range 2 {
-		var overRPC, overHTTP telemetry.RegistrySnapshot
-		raw, err := l.Client.Stats(node.Addr())
-		if err == nil {
-			err = json.Unmarshal(raw, &overRPC)
-		}
-		if err != nil {
-			t.Fatalf("node.stats: %v", err)
-		}
-		body, err := httpGetBody(node.DebugAddr() + "/metrics.json")
-		if err == nil {
-			err = json.Unmarshal([]byte(body), &overHTTP)
-		}
-		if err != nil {
-			t.Fatalf("/metrics.json: %v", err)
-		}
-		rpcIn, rpcOK := overRPC.Gauges["rpc.server.in_flight"]
-		if httpIn := overHTTP.Gauges["rpc.server.in_flight"]; !rpcOK || rpcIn != 0 || httpIn != 0 {
-			t.Fatalf("idle node: node.stats reads %d requests in flight (present %v), /metrics.json %d; want 0", rpcIn, rpcOK, httpIn)
+		rpcIn, rpcOK := nodeStats(t, l.Client.pool, node.Addr()).Gauges["rpc.server.in_flight"]
+		if local := node.Metrics().Snapshot().Gauges["rpc.server.in_flight"]; !rpcOK || rpcIn != 0 || local != 0 {
+			t.Fatalf("idle node: node.stats reads %d requests in flight (present %v), the registry %d; want 0", rpcIn, rpcOK, local)
 		}
 	}
 }
 
-// TestOneSnapshotThreeExits boots a node and checks the one-surface
-// property end to end: the registry's snapshot is what /metrics renders,
-// what /metrics.json serves and what the node.stats RPC answers with —
-// instrument for instrument — and every point-in-time value that the node
-// used to re-enumerate by hand is there because its owner registered it.
-func TestOneSnapshotThreeExits(t *testing.T) {
+// TestOneSnapshotTwoExits boots a node and checks the one-surface property
+// end to end: the registry's snapshot is what the debug server's /metrics
+// renders and what the node.stats RPC answers with — instrument for
+// instrument — and every point-in-time value that the node used to
+// re-enumerate by hand is there because its owner registered it.
+func TestOneSnapshotTwoExits(t *testing.T) {
 	l := startLocal(t, LocalOptions{Groups: []int{1}, Node: NodeOptions{
-		DebugAddr: "127.0.0.1:0",
-		Runtime:   core.Options{CacheEntries: 64},
+		Runtime: core.Options{CacheEntries: 64},
 	}})
 	node, c := l.Slots[0].Node, l.Client
+	dbg, err := debug.Start("127.0.0.1:0", node.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dbg.Close()
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -397,44 +390,27 @@ func TestOneSnapshotThreeExits(t *testing.T) {
 	}
 
 	want := node.Metrics().Snapshot()
-	text := fetchMetrics(t, node.DebugAddr())
-	var overHTTP, overRPC telemetry.RegistrySnapshot
-	body, err := httpGetBody(node.DebugAddr() + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(body), &overHTTP); err != nil {
-		t.Fatalf("/metrics.json: %v", err)
-	}
-	raw, err := c.Stats(node.Addr())
-	if err != nil {
-		t.Fatalf("node.stats: %v", err)
-	}
-	if err := json.Unmarshal(raw, &overRPC); err != nil {
-		t.Fatalf("node.stats: %v", err)
-	}
+	text := fetchMetrics(t, dbg.Addr())
+	overRPC := nodeStats(t, c.pool, node.Addr())
 	for name := range want.Counters {
 		_, inText := text[name]
-		_, inHTTP := overHTTP.Counters[name]
 		_, inRPC := overRPC.Counters[name]
-		if !inText || !inHTTP || !inRPC {
-			t.Errorf("counter %s: /metrics %v, /metrics.json %v, node.stats %v", name, inText, inHTTP, inRPC)
+		if !inText || !inRPC {
+			t.Errorf("counter %s: /metrics %v, node.stats %v", name, inText, inRPC)
 		}
 	}
 	for name := range want.Gauges {
 		_, inText := text[name]
-		_, inHTTP := overHTTP.Gauges[name]
 		_, inRPC := overRPC.Gauges[name]
-		if !inText || !inHTTP || !inRPC {
-			t.Errorf("gauge %s: /metrics %v, /metrics.json %v, node.stats %v", name, inText, inHTTP, inRPC)
+		if !inText || !inRPC {
+			t.Errorf("gauge %s: /metrics %v, node.stats %v", name, inText, inRPC)
 		}
 	}
 	for name := range want.Histograms {
 		_, inText := text[name+"_count"]
-		_, inHTTP := overHTTP.Histograms[name]
 		_, inRPC := overRPC.Histograms[name]
-		if !inText || !inHTTP || !inRPC {
-			t.Errorf("histogram %s: /metrics %v, /metrics.json %v, node.stats %v", name, inText, inHTTP, inRPC)
+		if !inText || !inRPC {
+			t.Errorf("histogram %s: /metrics %v, node.stats %v", name, inText, inRPC)
 		}
 	}
 	for _, name := range []string{

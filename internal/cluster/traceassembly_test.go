@@ -20,10 +20,9 @@ import (
 func TestRetwisTracesAssembleAcrossNodes(t *testing.T) {
 	// Group 0 is n0 (primary) and n2 (backup), group 1 is n1.
 	l := startLocal(t, LocalOptions{Groups: []int{2, 1}, Node: NodeOptions{
-		DebugAddr: "127.0.0.1:0",
-		Tracing:   true,
-		Store:     &store.Options{SyncWrites: true},
-		Runtime:   core.Options{CacheEntries: 1024},
+		Tracing: true,
+		Store:   &store.Options{SyncWrites: true},
+		Runtime: core.Options{CacheEntries: 1024},
 	}})
 	n0, n2, n1 := l.Slots[0].Node, l.Slots[1].Node, l.Slots[2].Node
 
@@ -65,7 +64,7 @@ func TestRetwisTracesAssembleAcrossNodes(t *testing.T) {
 	collect := func(trace uint64) []telemetry.Span {
 		var all []telemetry.Span
 		for _, n := range []*Node{n0, n2, n1} {
-			all = append(all, fetchTraceSpans(t, n.DebugAddr(), trace)...)
+			all = append(all, fetchTraceSpans(t, c.pool, n.Addr(), trace)...)
 		}
 		return all
 	}
@@ -156,7 +155,7 @@ func TestRejoinAssemblesAsOneTrace(t *testing.T) {
 	var all []telemetry.Span
 	perNode := make(map[int]int)
 	for i, n := range rc.Nodes() {
-		spans := n.tracer.TraceSpans(root.Trace)
+		spans := fetchTraceSpans(t, rc.pool, n.Addr(), root.Trace)
 		perNode[i] = len(spans)
 		all = append(all, spans...)
 	}

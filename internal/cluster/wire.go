@@ -22,8 +22,8 @@ const (
 	MethodCreate       = "obj.create"
 	MethodDelete       = "obj.delete"
 	MethodRegisterType = "type.register"
-	MethodStats        = "node.stats"
 	MethodMigrate      = "node.migrate"
+	MethodRecovery     = "node.recovery"
 )
 
 // notResponsiblePrefix marks routing errors; the payload after the prefix

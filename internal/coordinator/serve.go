@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"lambdastore/internal/debug"
 	"lambdastore/internal/paxos"
 	"lambdastore/internal/rpc"
 	"lambdastore/internal/telemetry"
@@ -53,6 +54,7 @@ func listen(id uint64, ids []uint64, addr string, stable paxos.Stable, opts Opti
 	m.srv.SetTelemetry(reg)
 	m.pool.SetTelemetry(reg)
 	RegisterServer(m.srv, m.Service)
+	debug.Register(m.srv, reg, nil)
 	bound, err := m.srv.Serve(addr)
 	if err != nil {
 		m.pool.Close()

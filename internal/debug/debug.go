@@ -1,16 +1,16 @@
-// Package debug serves a node's observability surface over HTTP: /metrics
-// and /metrics.json (the registry's one snapshot, as text and as JSON),
-// /traces (recorded spans as JSON, filterable by trace ID and minimum
-// duration), /healthz, the standard net/http/pprof profiling endpoints,
-// whatever status documents the owner hands over in Options.JSON, and —
-// when enabled — /faults, the runtime control surface for the deterministic
-// fault-injection plane (internal/fault).
+// Package debug is a process's operator surface. Register installs the
+// operator's reads and controls on the process's RPC port, beside its data
+// plane: node.stats (the registry's one snapshot), node.traces (recorded
+// spans, filtered by trace ID and minimum duration) and node.faults (the
+// runtime control surface of the deterministic fault-injection plane,
+// internal/fault). Start serves the two things that stay on HTTP because
+// standard tools read them there: the snapshot as Prometheus-style
+// /metrics text and the net/http/pprof profiles.
 //
-// The server is strictly opt-in (NodeOptions.DebugAddr / the -debug flag).
-// Every endpoint except /faults is read-only: it exposes state, never
-// mutates it. /faults POST arms and disarms injection rules, which is why
-// it additionally requires Options.Faults. The server binds its own mux,
-// so nothing leaks onto http.DefaultServeMux.
+// The RPC port is unauthenticated and already accepts type.register,
+// obj.delete and node.migrate, so node.faults adds no privilege the port
+// lacks. The HTTP server is opt-in (each daemon's -debug flag), read-only,
+// and binds its own mux, so nothing leaks onto http.DefaultServeMux.
 package debug
 
 import (
@@ -20,31 +20,86 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
 	"lambdastore/internal/fault"
+	"lambdastore/internal/rpc"
 	"lambdastore/internal/telemetry"
+	"lambdastore/internal/wire"
 )
 
-// Options selects what the debug server exposes. All fields are optional.
-type Options struct {
-	// Registry supplies /metrics and /metrics.json.
-	Registry *telemetry.Registry
-	// Tracer supplies /traces spans.
-	Tracer *telemetry.Tracer
-	// Health, if set, backs /healthz; a non-nil error reports 503.
-	Health func() error
-	// Faults exposes the process fault-injection plane at /faults: GET
-	// renders the armed rules as a command script (re-POSTable as-is),
-	// POST applies a script in the internal/fault grammar. The plane is
-	// process-global, so on a node with Faults enabled this endpoint is
-	// the live-cluster counterpart of the chaos harness.
-	Faults bool
-	// JSON maps a path (a node's "/recovery") to the status document
-	// served there, encoded as JSON on every request.
-	JSON map[string]func() any
+// The operator's RPC methods, answered by every daemon.
+const (
+	// MethodStats answers with the registry's snapshot as JSON (a
+	// telemetry.RegistrySnapshot).
+	MethodStats = "node.stats"
+	// MethodTraces takes a TracesQuery and answers with the matching
+	// retained spans as a JSON array.
+	MethodTraces = "node.traces"
+	// MethodFaults applies a fault-grammar script, if the body holds one,
+	// and answers with the plane's state as a script (fault.Describe).
+	MethodFaults = "node.faults"
+)
+
+// maxFaultScript bounds a node.faults script.
+const maxFaultScript = 1 << 20
+
+// Register installs the operator methods on srv, reading reg and tracer
+// (either may be nil: a process without one answers with nothing).
+func Register(srv *rpc.Server, reg *telemetry.Registry, tracer *telemetry.Tracer) {
+	srv.Handle(MethodStats, func([]byte) ([]byte, error) {
+		// The snapshot is taken inside this call, which the server counts
+		// in flight: that is the sampler's load, not the process's.
+		snap := reg.Snapshot()
+		if _, ok := snap.Gauges["rpc.server.in_flight"]; ok {
+			snap.Gauges["rpc.server.in_flight"]--
+		}
+		return json.Marshal(snap)
+	})
+	srv.Handle(MethodTraces, func(body []byte) ([]byte, error) {
+		q, err := decodeTracesQuery(body)
+		if err != nil {
+			return nil, err
+		}
+		spans := tracer.Spans()
+		if q.Trace != 0 {
+			spans = tracer.TraceSpans(q.Trace)
+		}
+		return json.Marshal(slices.DeleteFunc(spans, func(s telemetry.Span) bool { return s.Dur < q.Min }))
+	})
+	// The plane is process-global, so this one method controls every site
+	// in the process: it is the live-cluster counterpart of the chaos
+	// harness. A script is applied all or nothing, and a bad line is
+	// refused with the grammar's message.
+	srv.Handle(MethodFaults, func(body []byte) ([]byte, error) {
+		if len(body) > maxFaultScript {
+			return nil, fmt.Errorf("debug: fault script of %d bytes exceeds %d", len(body), maxFaultScript)
+		}
+		if err := fault.ApplyAll(string(body)); err != nil {
+			return nil, err
+		}
+		return []byte(fault.Describe()), nil
+	})
+}
+
+// TracesQuery is a node.traces request: the spans of one trace (every
+// retained span for Trace 0) at least Min long.
+type TracesQuery struct {
+	Trace uint64
+	Min   time.Duration
+}
+
+// Encode returns the request body.
+func (q TracesQuery) Encode() []byte {
+	return wire.AppendUvarint(wire.AppendUvarint(nil, q.Trace), uint64(q.Min))
+}
+
+func decodeTracesQuery(body []byte) (TracesQuery, error) {
+	r := wire.NewReader(body)
+	q := TracesQuery{Trace: r.Uvarint(), Min: time.Duration(r.Uvarint())}
+	return q, r.ErrIn("debug: traces query")
 }
 
 // Server is a running debug HTTP endpoint.
@@ -54,8 +109,8 @@ type Server struct {
 }
 
 // Start listens on addr ("host:port", empty port for ephemeral) and serves
-// the debug endpoints until Close.
-func Start(addr string, o Options) (*Server, error) {
+// reg's /metrics text and the pprof profiles until Close.
+func Start(addr string, reg *telemetry.Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("debug: listen: %w", err)
@@ -63,31 +118,8 @@ func Start(addr string, o Options) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, RenderMetrics(o.Registry.Snapshot()))
+		io.WriteString(w, RenderMetrics(reg.Snapshot()))
 	})
-	serveJSON := func(path string, doc func() any) {
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(doc())
-		})
-	}
-	serveJSON("/metrics.json", func() any { return o.Registry.Snapshot() })
-	for path, doc := range o.JSON {
-		serveJSON(path, doc)
-	}
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) { serveTraces(w, r, o.Tracer) })
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if o.Health != nil {
-			if err := o.Health(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	if o.Faults {
-		mux.HandleFunc("/faults", serveFaults)
-	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -109,7 +141,7 @@ func (s *Server) Close() error { return s.http.Close() }
 // gauges, then histograms, each sorted by name. A histogram expands into
 // _count/_mean/_p50/_p99/_max summaries whose names carry the histogram's
 // unit ("_us" for latencies, nothing for plain magnitudes). It is the text
-// /metrics serves; everything in it is in /metrics.json too.
+// /metrics serves; everything in it is in node.stats too.
 func RenderMetrics(s telemetry.RegistrySnapshot) string {
 	var b strings.Builder
 	for _, name := range telemetry.SortedNames(s.Counters) {
@@ -135,89 +167,4 @@ func RenderMetrics(s telemetry.RegistrySnapshot) string {
 		fmt.Fprintf(&b, "%s_max%s %d\n", name, unit, h.MaxUs)
 	}
 	return b.String()
-}
-
-// serveFaults is the fault plane's HTTP surface: GET describes, POST
-// applies. Errors echo the offending grammar line so a mistyped rule in a
-// curl one-liner is diagnosable from the 400 body alone.
-func serveFaults(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet, "":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, fault.Describe())
-	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := fault.ApplyAll(string(body)); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	default:
-		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
-	}
-}
-
-// tracesResponse is the /traces JSON envelope.
-type tracesResponse struct {
-	Node  string           `json:"node,omitempty"`
-	Total uint64           `json:"total_recorded"`
-	Spans []telemetry.Span `json:"spans"`
-}
-
-// ParseTraceID parses a trace ID as given on the command line or in a
-// query string: hexadecimal (the form trace IDs are logged in, with or
-// without a 0x prefix), falling back to decimal.
-func ParseTraceID(s string) (uint64, error) {
-	s = strings.TrimPrefix(strings.TrimSpace(s), "0x")
-	if id, err := strconv.ParseUint(s, 16, 64); err == nil {
-		return id, nil
-	}
-	return strconv.ParseUint(s, 10, 64)
-}
-
-// serveTraces renders retained spans as JSON. Query parameters: trace
-// (hex or decimal trace ID) keeps one trace; min (a time.Duration such as
-// 10ms) drops spans shorter than it.
-func serveTraces(w http.ResponseWriter, r *http.Request, tracer *telemetry.Tracer) {
-	w.Header().Set("Content-Type", "application/json")
-	resp := tracesResponse{Spans: []telemetry.Span{}}
-	if tracer == nil {
-		json.NewEncoder(w).Encode(resp)
-		return
-	}
-	resp.Total = tracer.Total()
-	var spans []telemetry.Span
-	if tq := r.URL.Query().Get("trace"); tq != "" {
-		id, err := ParseTraceID(tq)
-		if err != nil {
-			http.Error(w, "bad trace id: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		spans = tracer.TraceSpans(id)
-	} else {
-		spans = tracer.Spans()
-	}
-	if mq := r.URL.Query().Get("min"); mq != "" {
-		min, err := time.ParseDuration(mq)
-		if err != nil {
-			http.Error(w, "bad min duration: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		kept := spans[:0]
-		for _, s := range spans {
-			if s.Dur >= min {
-				kept = append(kept, s)
-			}
-		}
-		spans = kept
-	}
-	if len(spans) > 0 {
-		resp.Node = spans[len(spans)-1].Node
-		resp.Spans = spans
-	}
-	json.NewEncoder(w).Encode(resp)
 }

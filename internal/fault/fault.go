@@ -1,8 +1,8 @@
 // Package fault is LambdaStore's deterministic fault-injection plane. Faults
 // live in two places, the network and the disk, and each is decided at one
 // seam: every message an rpc client sends (and every dial), and every WAL
-// fsync. The chaos harness (internal/chaos), the /faults debug endpoint and
-// the `lambdactl fault` subcommand all drive the same plane, so a failure
+// fsync. The chaos harness (internal/chaos), the node.faults operator
+// method and the `lambdactl fault` subcommand all drive the same plane, so a failure
 // scenario explored in a test can be replayed against a live cluster
 // verbatim.
 //

@@ -191,13 +191,34 @@ partition 127.0.0.1:9 *
 		t.Fatalf("heal + remove left %d rules (%v)", len(Rules()), err)
 	}
 	for _, bad := range []string{"rule rpc.send explode", "rule @x drop", "rule * drop p=NaN", "bogus", "heal *"} {
-		if err := Apply(bad); err == nil {
+		if err := ApplyAll(bad); err == nil {
 			t.Fatalf("%q accepted", bad)
 		}
 	}
 }
 
-// FuzzFaultGrammar: the grammar POST /faults parses never panics, and a
+// TestScriptAllOrNothing: a script with a bad line arms nothing, not the
+// lines before it, so re-sending the corrected script arms each rule once;
+// the error names the bad line by number and text.
+func TestScriptAllOrNothing(t *testing.T) {
+	Reset()
+	defer Reset()
+	err := ApplyAll("rule a drop\nbogus")
+	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("error = %v, want one naming line 2 and its text", err)
+	}
+	if rules := Rules(); len(rules) != 0 {
+		t.Fatalf("a refused script armed %d rule(s): %+v", len(rules), rules)
+	}
+	if err := ApplyAll("rule a drop\nrule b drop"); err != nil {
+		t.Fatal(err)
+	}
+	if rules := Rules(); len(rules) != 2 {
+		t.Fatalf("the corrected script armed %d rules, want 2: %+v", len(rules), rules)
+	}
+}
+
+// FuzzFaultGrammar: the grammar node.faults applies never panics, and a
 // parsed rule's String re-parses to an equal rule.
 func FuzzFaultGrammar(f *testing.F) {
 	for _, s := range []string{

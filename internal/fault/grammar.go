@@ -9,8 +9,8 @@ import (
 )
 
 // The fault-plane command grammar, one command per line. It is what the
-// /faults debug endpoint accepts over POST and what `lambdactl fault`
-// speaks; blank lines and #-comments are ignored.
+// node.faults operator method applies and what `lambdactl fault` speaks;
+// blank lines and #-comments are ignored.
 //
 //	seed <n>                        reseed the plane (decimal or 0x hex)
 //	rule <site>[@<to>] <action>[:<arg>] [from=<label>] [p=<prob>] [count=<n>]
@@ -84,17 +84,18 @@ func ParseRule(s string) (Rule, error) {
 	return r, nil
 }
 
-// Apply executes one grammar command against the process plane.
-func Apply(line string) error {
+// parse reads one grammar command into the change it makes to the process
+// plane; a blank or comment line makes none (nil).
+func parse(line string) (func(), error) {
 	fields := strings.Fields(line)
 	if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-		return nil
+		return nil, nil
 	}
 	cmd, rest := fields[0], fields[1:]
 	switch cmd {
 	case "seed":
 		if len(rest) != 1 {
-			return fmt.Errorf("fault: seed needs one value")
+			return nil, fmt.Errorf("fault: seed needs one value")
 		}
 		s := strings.TrimPrefix(rest[0], "0x")
 		base := 10
@@ -103,53 +104,59 @@ func Apply(line string) error {
 		}
 		n, err := strconv.ParseUint(s, base, 64)
 		if err != nil {
-			return fmt.Errorf("fault: bad seed %q: %v", rest[0], err)
+			return nil, fmt.Errorf("fault: bad seed %q: %v", rest[0], err)
 		}
-		SetSeed(n)
+		return func() { SetSeed(n) }, nil
 	case "rule":
 		r, err := ParseRule(strings.Join(rest, " "))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		Add(r)
+		return func() { Add(r) }, nil
 	case "partition", "heal":
 		if len(rest) != 2 {
-			return fmt.Errorf("fault: %s needs two endpoints", cmd)
+			return nil, fmt.Errorf("fault: %s needs two endpoints", cmd)
 		}
 		if cmd == "partition" {
-			Partition(rest[0], rest[1])
-		} else {
-			Heal(rest[0], rest[1])
+			return func() { Partition(rest[0], rest[1]) }, nil
 		}
+		return func() { Heal(rest[0], rest[1]) }, nil
 	case "remove":
 		if len(rest) != 1 {
-			return fmt.Errorf("fault: remove needs <site>[@to]")
+			return nil, fmt.Errorf("fault: remove needs <site>[@to]")
 		}
 		site, to, _ := strings.Cut(rest[0], "@")
-		Remove(site, to)
+		return func() { Remove(site, to) }, nil
 	case "clear":
-		Clear()
+		return Clear, nil
 	case "reset":
-		Reset()
-	default:
-		return fmt.Errorf("fault: unknown command %q", cmd)
+		return Reset, nil
 	}
-	return nil
+	return nil, fmt.Errorf("fault: unknown command %q", cmd)
 }
 
-// ApplyAll executes a newline-separated command script, stopping at the
-// first error.
+// ApplyAll executes a newline-separated command script against the process
+// plane, all or nothing: every line is parsed before any is applied, so a
+// script with a bad line changes nothing, and the error names that line.
 func ApplyAll(script string) error {
-	for _, line := range strings.Split(script, "\n") {
-		if err := Apply(line); err != nil {
-			return err
+	var changes []func()
+	for i, line := range strings.Split(script, "\n") {
+		change, err := parse(line)
+		if err != nil {
+			return fmt.Errorf("line %d (%q): %w", i+1, strings.TrimSpace(line), err)
 		}
+		if change != nil {
+			changes = append(changes, change)
+		}
+	}
+	for _, change := range changes {
+		change()
 	}
 	return nil
 }
 
 // Describe renders the plane's state as a command script (plus counter
-// comments): GET /faults output, re-POSTable as-is.
+// comments): what node.faults answers with, re-appliable as-is.
 func Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed %d\n", Seed())

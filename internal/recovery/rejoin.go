@@ -174,7 +174,7 @@ func (p *Plane) round(s *inbound) error {
 	return nil
 }
 
-// Status is the rejoin state machine as shown by /recovery and lambdactl
+// Status is the rejoin state machine as shown by node.recovery and lambdactl
 // recovery.
 type Status struct {
 	Self              string  `json:"self"`

@@ -221,7 +221,7 @@ func (p *Plane) admit(req *sessionReq) error {
 	return nil
 }
 
-// SessionStatus is one sender-side session as shown by /recovery and
+// SessionStatus is one sender-side session as shown by node.recovery and
 // lambdactl.
 type SessionStatus struct {
 	Joiner     string  `json:"joiner"`

@@ -37,7 +37,7 @@ func labelledPool(t *testing.T, label string, opts *ClientOptions) *Pool {
 // arm applies one fault-grammar command for the rest of the test.
 func arm(t *testing.T, cmd string) {
 	t.Helper()
-	if err := fault.Apply(cmd); err != nil {
+	if err := fault.ApplyAll(cmd); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,7 +2,7 @@
 // invocation and propagated through every RPC hop (the rpc package carries
 // the context in its frame header); each node records named spans — invoke,
 // lock-wait, vm-exec, commit, wal-sync, replicate, rpc — into a fixed-size
-// ring buffer that the debug HTTP server exposes as /traces.
+// ring buffer that the node.traces operator method serves (internal/debug).
 //
 // The design goals mirror the Histogram discipline: recording a span is
 // allocation-free (spans are value types written into a preallocated ring),
@@ -75,11 +75,10 @@ type Tracer struct {
 	enabled atomic.Bool
 	slowNs  atomic.Int64
 
-	mu    sync.Mutex
-	size  int
-	ring  []Span // allocated by the first SetEnabled(true)
-	next  uint64 // ring cursor; total spans recorded
-	total uint64
+	mu   sync.Mutex
+	size int
+	ring []Span // allocated by the first SetEnabled(true)
+	next uint64 // ring cursor; total spans recorded
 }
 
 // DefaultTraceBuffer is the span ring capacity when none is given.
@@ -208,23 +207,11 @@ func (s ActiveSpan) finish(errStr string) {
 	sp.Node = t.node
 	t.ring[t.next%uint64(len(t.ring))] = sp
 	t.next++
-	t.total++
 	t.mu.Unlock()
 	if slow := t.slowNs.Load(); slow > 0 && s.parent == 0 && dur >= time.Duration(slow) {
 		log.Printf("telemetry: slow invocation: trace=%016x span=%s node=%s dur=%v err=%q",
 			sp.Trace, sp.Name, sp.Node, dur, errStr)
 	}
-}
-
-// Total returns how many spans have ever been recorded (including those
-// that have rotated out of the ring).
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // Spans returns the retained spans, oldest first.

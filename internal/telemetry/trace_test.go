@@ -59,7 +59,7 @@ func TestTracerDisabledAndNil(t *testing.T) {
 	nilTracer.SetEnabled(true)
 	nilTracer.SetSlowThreshold(time.Second)
 	nilTracer.SetNode("n")
-	if nilTracer.Enabled() || nilTracer.Total() != 0 || nilTracer.Spans() != nil {
+	if nilTracer.Enabled() || nilTracer.Spans() != nil {
 		t.Fatal("nil tracer must stay inert")
 	}
 
@@ -72,8 +72,8 @@ func TestTracerDisabledAndNil(t *testing.T) {
 		t.Fatal("disabled tracer must not record")
 	}
 	sp.Finish()
-	if tr.Total() != 0 {
-		t.Fatalf("disabled tracer recorded %d spans", tr.Total())
+	if tr.next != 0 {
+		t.Fatalf("disabled tracer recorded %d spans", tr.next)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestTracerRingWrap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.StartSpan(SpanContext{Trace: uint64(i + 1)}, "s").Finish()
 	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d", tr.Total())
+	if tr.next != 10 {
+		t.Fatalf("total = %d", tr.next)
 	}
 	spans := tr.Spans()
 	if len(spans) != 4 {
@@ -230,7 +230,7 @@ func TestTracerRingAllocatedOnEnable(t *testing.T) {
 		t.Fatalf("disabled tracer holds a %d-slot ring", len(tr.ring))
 	}
 	tr.StartSpan(SpanContext{}, "invoke").Finish()
-	if spans := tr.Spans(); len(spans) != 0 || tr.Total() != 0 {
+	if spans := tr.Spans(); len(spans) != 0 || tr.next != 0 {
 		t.Fatalf("disabled tracer recorded %v", spans)
 	}
 	tr.SetEnabled(true)

@@ -210,8 +210,8 @@ func (d HistData) Sub(prev HistData) HistData {
 // RegistrySnapshot is every instrument of a registry at one instant, all
 // cumulative since the registry was created: histograms, counter totals,
 // and gauges (stored and sampled alike). It is the one thing that leaves a
-// node — /metrics renders it as text, /metrics.json and the node.stats RPC
-// serve it as JSON, `lambdactl top` merges it — and it is also what a window
+// node — /metrics renders it as text, the node.stats RPC serves it as
+// JSON, `lambdactl top` merges it — and it is also what a window
 // looks like: Sub of two snapshots has the same shape, counting only what
 // happened between them.
 type RegistrySnapshot struct {

@@ -719,8 +719,9 @@ func TestOneDecoder(t *testing.T) {
 // TestTwoFaultSeams is the "faults live on the network and the disk" guard:
 // the fault plane's decision (fault.Eval, behind its fault.Enabled gate) is
 // made in internal/rpc and internal/store and nowhere else, and besides them
-// only the plane's two drivers, the chaos harness and the debug endpoint,
-// import it. A component cannot grow a private injection site.
+// only the plane's two drivers, the chaos harness and the operator surface
+// (internal/debug), import it. A component cannot grow a private injection
+// site.
 func TestTwoFaultSeams(t *testing.T) {
 	fset := token.NewFileSet()
 	seams := map[string]bool{"internal/rpc": false, "internal/store": false}
@@ -749,6 +750,35 @@ func TestTwoFaultSeams(t *testing.T) {
 		if !seen {
 			t.Errorf("%s decides no fault: the guard is not looking at the source", dir)
 		}
+	}
+}
+
+// TestOneOperatorSurface is the "one transport" guard: every operator read
+// and control goes over the RPC port, registered by internal/debug, so the
+// only product package that speaks HTTP is internal/debug itself, for pprof
+// and the /metrics text.
+func TestOneOperatorSurface(t *testing.T) {
+	fset := token.NewFileSet()
+	seen := false
+	for _, c := range typeCheck(t, fset) {
+		if !isProduct(c.dir) {
+			continue
+		}
+		for _, f := range c.files {
+			for _, im := range f.Imports {
+				p, _ := strconv.Unquote(im.Path.Value)
+				if p != "net/http" && !strings.HasPrefix(p, "net/http/") {
+					continue
+				}
+				if c.dir != "internal/debug" {
+					t.Errorf("%s: %s imports %s: operator reads and controls go over the RPC port (debug.Register)", fset.Position(im.Pos()), c.dir, p)
+				}
+				seen = true
+			}
+		}
+	}
+	if !seen {
+		t.Error("found no net/http import in internal/debug: the guard no longer sees the debug server")
 	}
 }
 
