@@ -54,8 +54,8 @@ test:
 # retwis (its allocation guards must stand down under -race, where
 # sync.Pool drops puts), sched (every invocation is admitted through
 # its lock table, which recycles idle entries), paxos and the coordinator
-# (learners apply slots in order from concurrent handlers; a node
-# heartbeats every replica at once), the fault plane (process-global
+# (acceptors and learners take concurrent handlers' messages under one
+# lock; a node heartbeats every replica at once), the fault plane (process-global
 # state every connection's sends read), gopool (every request's task
 # is claimed by, and parks, one of its process-global workers), and debug
 # (its operator methods run on RPC handler goroutines, and node.faults

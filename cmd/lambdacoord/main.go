@@ -55,7 +55,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7101", "RPC listen address")
 		peers     = flag.String("peers", "", "all replicas as id=addr,... (including self)")
 		hbTimeout = flag.Duration("heartbeat-timeout", 2*time.Second, "declare a node dead after this silence")
-		dataDir   = flag.String("data", "", "directory for the durable acceptor log (strongly recommended)")
+		dataDir   = flag.String("data", "", "directory for the replica's durable state: its promise, vote and learned directory, one record in acceptor-<id>.log rewritten whole on each change, from which a restart serves at once (strongly recommended)")
 		debugAddr = flag.String("debug", "", "pprof and /metrics text over HTTP on this address (empty disables; every other operator read and control is on the RPC port)")
 	)
 	flag.Parse()
@@ -73,17 +73,14 @@ func main() {
 	}
 
 	reg := telemetry.NewRegistry()
-	var stable paxos.Stable
+	var stable *paxos.FileStable
 	if *dataDir != "" {
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 			log.Fatalf("lambdacoord: %v", err)
 		}
-		file, err := paxos.OpenFileStable(fmt.Sprintf("%s/acceptor-%d.log", *dataDir, *id))
-		if err != nil {
+		if stable, err = paxos.OpenFileStable(fmt.Sprintf("%s/acceptor-%d.log", *dataDir, *id)); err != nil {
 			log.Fatalf("lambdacoord: %v", err)
 		}
-		defer file.Close()
-		stable = file
 	} else {
 		log.Printf("lambdacoord: WARNING: running without -data; acceptor state will not survive restarts")
 	}

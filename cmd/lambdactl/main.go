@@ -562,10 +562,11 @@ func runSetGroup(args []string) {
 	pool := rpc.NewPool(nil)
 	defer pool.Close()
 	cc := coordinator.NewClient(pool, splitAddrs(*coords))
-	if err := cc.SetGroup(g); err != nil {
+	d, err := cc.SetGroup(g)
+	if err != nil {
 		log.Fatalf("lambdactl: set-group: %v", err)
 	}
-	fmt.Printf("group %d: primary %s, backups %v\n", g.ID, g.Primary, g.Backups)
+	fmt.Printf("group %d: primary %s, backups %v (epoch %d)\n", g.ID, g.Primary, g.Backups, d.Epoch())
 }
 
 func runAsm(args []string) {

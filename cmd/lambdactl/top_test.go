@@ -16,7 +16,8 @@ import (
 
 // goldenWindow is a hand-built merged window: two seconds in which a group
 // ran 1000 invocations (995 at ~1ms, 5 at ~100ms), fsynced 500 times at
-// ~2ms, hit the cache 3 times in 4, served 40 backup reads and bounced 10.
+// ~2ms (so p999 and fsync p99 read the maxima, not their buckets' 102400us
+// and 2048us upper bounds), hit the cache 3 times in 4, served 40 backup reads and bounced 10.
 func goldenWindow() telemetry.RegistrySnapshot {
 	var invoke, fsync telemetry.Histogram
 	for i := 0; i < 995; i++ {
@@ -59,8 +60,8 @@ func TestTopGolden(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
 	want := []string{
 		"GROUP  PRIMARY                   OPS/S   P50(us)   P99(us)  P999(us) FSYNC99(us)  CACHE    QD LEASES   BKRD/S    BNC/S",
-		"0      10.0.0.1:7000             500.0      1024      1024    102400        2048  75.0%     7      2     20.0      5.0",
-		"ALL    -                         500.0      1024      1024    102400        2048  75.0%     7      2     20.0      5.0",
+		"0      10.0.0.1:7000             500.0      1024      1024    100000        2000  75.0%     7      2     20.0      5.0",
+		"ALL    -                         500.0      1024      1024    100000        2000  75.0%     7      2     20.0      5.0",
 	}
 	if len(lines) != 4 || !strings.HasPrefix(lines[0], "cluster: 3/3 member(s) scraped, window 2.0s") {
 		t.Fatalf("top output:\n%s", got)

@@ -70,7 +70,7 @@ type Local struct {
 // Static boot: every node starts on the shared, still empty directory; the
 // groups are installed from the addresses the nodes bound; SetDirectory on
 // each node re-derives its role. Coordinated boot: the ensemble starts, the
-// nodes start against it, the groups go through the replicated log, and the
+// nodes start against it, the groups go through the coordinator, and the
 // nodes pick them up with their next heartbeat. Every node then runs the
 // cadence its failure detector's timeout gives (coordinator.Cadence), so a
 // lease always ends before the detector can promote around it.
@@ -122,7 +122,7 @@ func StartLocal(opts LocalOptions) (_ *Local, err error) {
 	for _, g := range groups {
 		if l.Dir != nil {
 			l.Dir.SetGroup(g)
-		} else if err = l.Client.coord.SetGroup(g); err != nil {
+		} else if _, err = l.Client.coord.SetGroup(g); err != nil {
 			return nil, fmt.Errorf("cluster: install group %d: %w", g.ID, err)
 		}
 	}

@@ -9,7 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
+	"lambdastore/internal/fault"
+	"lambdastore/internal/rpc"
 )
 
 // movers is the coordinated deployment the move tests share, two groups of
@@ -340,6 +343,53 @@ func TestMovesBackAndForthWithBackups(t *testing.T) {
 		if got := core.BytesI64(res); got != int64(i+1) {
 			t.Fatalf("value after move %d = %d, want %d", i, got, i+1)
 		}
+	}
+}
+
+// TestCutoverSurvivesLostCoordinatorReply: the coordinator's answer to a
+// cutover is lost after its round went ahead. The node's call to the first
+// replica times out while that replica's accepts are held for a second, and
+// the other replicas refuse the call, so the node's coordinator client
+// fails. That error says nothing about the round, which is chosen a moment
+// later: the node reads the directory back, and the move commits. Were the
+// move aborted instead, the source would serve the object while the
+// directory named the target its home.
+func TestCutoverSurvivesLostCoordinatorReply(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	l, err := StartLocal(coordinated([]int{1, 1}, NodeOptions{ClientOptions: &rpc.ClientOptions{Timeout: 300 * time.Millisecond}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	c := l.Client
+	if err := c.RegisterType(counterType(t)); err != nil {
+		t.Fatal(err)
+	}
+	obj := core.ObjectID(2) // group 0 of two
+	if err := c.CreateObject("Counter", obj); err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(t, c, obj, 42)
+
+	replicas := l.Coord.Addrs()
+	fault.Add(fault.Rule{Site: "paxos.accept", From: replicas[0], Action: fault.Delay, Delay: time.Second})
+	for _, r := range replicas[1:] {
+		fault.Add(fault.Rule{Site: coordinator.MethodMigrate, To: r, Action: fault.Error})
+	}
+	if err := c.Migrate(obj, 1); err != nil {
+		t.Fatalf("migrate past a lost coordinator reply: %v", err)
+	}
+	fault.Reset()
+	if g := homeGroup(t, l, obj); g != 1 {
+		t.Fatalf("after the move the directory names group %d", g)
+	}
+	res, err := c.Invoke(obj, "add", [][]byte{core.I64Bytes(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := core.BytesI64(res); got != 43 {
+		t.Fatalf("value after the move = %d, want 43", got)
 	}
 }
 

@@ -349,6 +349,45 @@ func names(spans []telemetry.Span) []string {
 	return out
 }
 
+// TestUntracedCreateIsOneTrace: on a -trace deployment an untraced create
+// mints one trace at its commit, and the backups' applies join it — its
+// commit, WAL sync, replicate and every backup's repl.applyBatch carry one
+// trace ID.
+func TestUntracedCreateIsOneTrace(t *testing.T) {
+	l := startLocal(t, LocalOptions{Groups: []int{3}, Node: NodeOptions{Tracing: true}})
+	if err := l.Client.RegisterType(relayType(t)); err != nil {
+		t.Fatal(err)
+	}
+	traces := func() map[uint64]map[string]bool { // trace -> node addr -> seen
+		out := make(map[uint64]map[string]bool)
+		for _, n := range l.Nodes() {
+			for _, sp := range fetchTraceSpans(t, l.Client.pool, n.Addr(), 0) {
+				if out[sp.Trace] == nil {
+					out[sp.Trace] = make(map[string]bool)
+				}
+				out[sp.Trace][n.Addr()] = true
+			}
+		}
+		return out
+	}
+	before := traces()
+	if err := l.Client.CreateObject("Relay", 1); err != nil {
+		t.Fatal(err)
+	}
+	var minted []uint64
+	for trace, nodes := range traces() {
+		if before[trace] == nil {
+			minted = append(minted, trace)
+			if len(nodes) != 3 {
+				t.Errorf("trace %016x has spans on %d of 3 replicas", trace, len(nodes))
+			}
+		}
+	}
+	if len(minted) != 1 {
+		t.Fatalf("one untraced create minted %d traces (%016x), want 1 across primary and backups", len(minted), minted)
+	}
+}
+
 // TestStatsLeavesOutItsOwnCall: node.stats samples the node from inside
 // the call, which the RPC server counts in flight; an idle node's answer
 // still reads no request in flight, as its registry does when read in

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -281,14 +282,14 @@ func (n *Node) admitJoiner(joiner string, expectEpoch uint64) error {
 		return fmt.Errorf("cluster: no coordinator to admit %s through", joiner)
 	}
 	return n.proposeFenced(fmt.Sprintf("admission of %s did not take effect (epoch %d)", joiner, expectEpoch),
-		func(d *shard.Directory) error {
+		func(d *shard.Directory) (*shard.Directory, error) {
 			if d.Epoch() > expectEpoch {
-				// The replica we read has applied past the fence point and
-				// the joiner is not in the group: the epoch fence rejected
-				// the proposal (the configuration changed under the
-				// session). The joiner re-syncs against the new one.
-				return fmt.Errorf("cluster: admission of %s fenced out at epoch %d (expected %d)",
-					joiner, d.Epoch(), expectEpoch)
+				// The directory moved past the fence point and the joiner
+				// is not in the group: the epoch fence rejects the
+				// admission (the configuration changed under the session).
+				// The joiner re-syncs against the new one.
+				return nil, refusal{fmt.Errorf("cluster: admission of %s fenced out at epoch %d (expected %d)",
+					joiner, d.Epoch(), expectEpoch)}
 			}
 			return n.coord.AddBackup(n.opts.GroupID, joiner, expectEpoch)
 		},
@@ -296,68 +297,101 @@ func (n *Node) admitJoiner(joiner string, expectEpoch uint64) error {
 }
 
 // proposeFenced is the node's one way to change the configuration through
-// the coordinator: fetch the view and adopt it, propose an epoch-fenced
-// change against it, and confirm by read-back — a fenced proposal that lost
-// its race is a silent no-op, so only the directory's own answer (landed)
-// proves the change took. A proposal that did not land is made again against
-// a fresh view every 10ms for 5s; then the error is "cluster: " + what. An
-// error from propose abandons the change for good.
-func (n *Node) proposeFenced(what string, propose func(*shard.Directory) error, landed func(*shard.Directory) bool) error {
+// the coordinator: fetch and adopt the view (the installed one may lag a
+// change, such as a group added since the last heartbeat, and propose's
+// refusals are judged against it), propose an epoch-fenced change against
+// it, and adopt the directory the proposal's round chose — a fenced
+// proposal that lost its race is a no-op that answers with the directory it
+// lost to, so only that directory (landed) shows whether the change took,
+// and a change that did not land is proposed again against it, for up to
+// 5s; then the error is "cluster: " + what. A refusal from propose abandons
+// the change at once. Any other error came from the coordinator and leaves
+// the round undecided (readBack).
+func (n *Node) proposeFenced(what string, propose func(*shard.Directory) (*shard.Directory, error), landed func(*shard.Directory) bool) error {
 	deadline := time.Now().Add(5 * time.Second)
-	proposed := false
-	for {
-		if d, err := n.coord.GetConfig(); err == nil {
-			n.role.install(d, true)
-			if landed(d) {
-				return nil
-			}
-			if !proposed {
-				if err := propose(d); err != nil {
-					return err
-				}
-				proposed = true
-				continue // read straight back
-			}
-		}
-		proposed = false
+	d, err := n.coord.GetConfig()
+	if err != nil {
+		d = n.role.load().dir // the proposal's fence corrects a stale one
+	}
+	n.role.install(d, true)
+	for !landed(d) {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("cluster: %s", what)
 		}
-		time.Sleep(10 * time.Millisecond)
+		next, err := propose(d)
+		var r refusal
+		if errors.As(err, &r) {
+			return r.error
+		}
+		if err != nil {
+			var ok bool
+			if next, ok = n.readBack(d.Epoch(), deadline, landed); !ok {
+				return fmt.Errorf("cluster: %s: %w; no read-back showed the change", what, err)
+			}
+		}
+		n.role.install(next, true)
+		d = next
 	}
+	return nil
 }
 
+// readBack answers a proposal whose coordinator call failed. The failure
+// says nothing about the round: it may have been chosen all the same (the
+// call timed out while the round waited on an unanswering acceptor), or be
+// chosen yet (a later round carries a value one acceptor took forward,
+// paxos.Node.Change), and proposing again would only duel with it. So it
+// reads the directory every 10ms until the directory shows the change or
+// has moved past epoch, where the proposal's fence makes it a no-op; false
+// once the deadline passed or the node is stopping.
+func (n *Node) readBack(epoch uint64, deadline time.Time, landed func(*shard.Directory) bool) (*shard.Directory, bool) {
+	for time.Now().Before(deadline) {
+		select {
+		case <-n.stop:
+			return nil, false
+		case <-time.After(10 * time.Millisecond):
+		}
+		if d, err := n.coord.GetConfig(); err == nil {
+			n.role.install(d, true)
+			if landed(d) || d.Epoch() > epoch {
+				return d, true
+			}
+		}
+	}
+	return nil, false
+}
+
+// refusal marks an error of proposeFenced's propose that is the node's own
+// refusal to make the change, not the coordinator's answer.
+type refusal struct{ error }
+
 // cutOverObject is the move's commit point: record the object's new home in
-// the coordinator's directory. It proposes through the replicated log with
-// the epoch fence, retrying with a refreshed view when a concurrent
-// configuration change fences the proposal out — the quiesced state at both
-// ends stays valid across retries. Moves back to the object's default hash
-// placement clear the override instead of recording one, which is what
-// keeps the override table from growing with every migration. Only a node
-// with coordinators gets here: node.migrate refuses a move without them.
+// the coordinator's directory. It proposes with the epoch fence, again
+// against the answer when a concurrent configuration change fenced the
+// proposal out — the quiesced state at both ends stays valid across
+// retries. Moves back to the object's default hash placement clear the
+// override instead of recording one, which is what keeps the override
+// table from growing with every migration. Only a node with coordinators
+// gets here: node.migrate refuses a move without them.
 func (n *Node) cutOverObject(object, targetGroup uint64) error {
 	return n.proposeFenced(fmt.Sprintf("cutover of %d to group %d did not take effect", object, targetGroup),
-		func(d *shard.Directory) error {
+		func(d *shard.Directory) (*shard.Directory, error) {
 			// Re-validate against the fresh view: the move is only safe
 			// while this node is still the object's primary and the
 			// target group still exists.
 			if !n.role.load().primary {
-				return fmt.Errorf("cluster: cutover of %d abandoned: no longer primary of group %d", object, n.opts.GroupID)
+				return nil, refusal{fmt.Errorf("cluster: cutover of %d abandoned: no longer primary of group %d", object, n.opts.GroupID)}
 			}
 			if _, ok := d.Group(targetGroup); !ok {
-				return fmt.Errorf("cluster: cutover of %d abandoned: target group %d is gone", object, targetGroup)
+				return nil, refusal{fmt.Errorf("cluster: cutover of %d abandoned: target group %d is gone", object, targetGroup)}
 			}
 			home, err := d.DefaultGroupID(object)
 			if err != nil {
-				return err
+				return nil, refusal{err}
 			}
-			// A proposal the coordinator could not take is made again.
 			if home == targetGroup {
-				_ = n.coord.ClearOverride(object, d.Epoch())
-			} else {
-				_ = n.coord.SetOverrideFenced(object, targetGroup, d.Epoch())
+				return n.coord.ClearOverride(object, d.Epoch())
 			}
-			return nil
+			return n.coord.SetOverrideFenced(object, targetGroup, d.Epoch())
 		},
 		func(d *shard.Directory) bool {
 			g, err := d.Lookup(object)

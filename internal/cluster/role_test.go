@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -283,5 +284,45 @@ func TestStalledCoordinatorReplicaSparesHeartbeats(t *testing.T) {
 	}
 	if n := fault.Counters()[coordinator.MethodHeartbeat+".drop"]; n != 1 {
 		t.Errorf("%d heartbeats lost to the stalled replica, want 1 (the one in flight)", n)
+	}
+}
+
+// TestPartitionedCoordinatorReplicaConverges: one coordinator replica is cut
+// off from everything while a primary fails and the other two promote a
+// backup. After the heal the cut-off replica learns the promotion from its
+// next sweep's pull, and all three report the same primary and promotion
+// count — and keep doing so: the heartbeats it missed while cut off are not
+// taken for the new primary's death.
+func TestPartitionedCoordinatorReplicaConverges(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	opts := coordinated([]int{3}, NodeOptions{})
+	l := startLocal(t, opts)
+	coords := l.Coord.Members
+	cut := coords[2]
+	fault.Partition(cut.Addr, fault.Wildcard)
+	fault.Partition(l.Slots[0].Addr, fault.Wildcard)
+	await(t, l, 10*time.Second, "the promotion on the two connected replicas", func() bool {
+		return coords[0].Service.PromoteCounts()[0] == 1 && coords[1].Service.PromoteCounts()[0] == 1
+	})
+	if n := cut.Service.PromoteCounts()[0]; n != 0 {
+		t.Fatalf("the cut-off replica learned %d promotions", n)
+	}
+	fault.Heal(cut.Addr, fault.Wildcard)
+	agree := func() error {
+		want, _ := coords[0].Service.Directory().Group(0)
+		for i, m := range coords {
+			g, _ := m.Service.Directory().Group(0)
+			if n := m.Service.PromoteCounts()[0]; n != 1 || g.Primary != want.Primary {
+				return fmt.Errorf("replica %d: primary %s after %d promotions; replica 1: %s after 1", i+1, g.Primary, n, want.Primary)
+			}
+		}
+		return nil
+	}
+	await(t, l, 4*opts.Coord.Cadence().Sweep, "every replica to agree on the promotion", func() bool { return agree() == nil })
+	for end := time.Now().Add(3 * opts.Coord.HeartbeatTimeout); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+		if err := agree(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

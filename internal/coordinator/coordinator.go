@@ -1,14 +1,15 @@
 // Package coordinator implements LambdaStore's cluster-wide coordination
-// service (paper §4.2.1): a Paxos-replicated configuration state machine
-// recording replica groups, object migrations, and node liveness. If a node
-// fails, the coordinator reconfigures the affected shards (promoting a
-// backup to primary) and participants pick up the new configuration and
-// reissue requests. The coordinator is only involved during
+// service (paper §4.2.1): a Paxos-replicated configuration register
+// recording replica groups and object migrations, and a failure detector
+// over node liveness. If a node fails, the coordinator reconfigures the
+// affected shards (promoting a backup to primary) and participants pick up
+// the new configuration and reissue requests. The coordinator is only involved during
 // reconfigurations, so it is never on the invocation fast path.
 package coordinator
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,13 +20,12 @@ import (
 	"lambdastore/internal/wire"
 )
 
-// Command kinds in the replicated log.
+// Command kinds.
 const (
 	cmdSetGroup = iota + 1
 	cmdPromote
 	cmdSetOverride
 	cmdClearOverride
-	cmdNoop
 	// cmdEvictBackup removes a dead backup from a group (GroupID +
 	// FailedPrimary name the victim) so strict primary-backup shipping can
 	// acknowledge writes again without it.
@@ -38,7 +38,8 @@ const (
 	cmdAddBackup
 )
 
-// Command is one replicated configuration change.
+// Command is one configuration change: a deterministic, epoch-fenced step
+// from one directory to the next (state.apply).
 type Command struct {
 	Kind uint8
 
@@ -142,20 +143,109 @@ func (o Options) Cadence() Cadence {
 // defaultHeartbeatTimeout is Options.HeartbeatTimeout's default.
 const defaultHeartbeatTimeout = 2 * time.Second
 
+// state is the replicated register's value: the directory, and per group
+// how many promotions took effect — the chaos harness's single-primary
+// probe, which so reads the same on every replica that learned the value.
+type state struct {
+	dir      *shard.Directory
+	promotes map[uint64]uint64
+}
+
+func (st *state) encode() []byte {
+	b := wire.AppendBytes(nil, st.dir.Snapshot())
+	b = wire.AppendUvarint(b, uint64(len(st.promotes)))
+	groups := make([]uint64, 0, len(st.promotes))
+	for g := range st.promotes {
+		groups = append(groups, g)
+	}
+	slices.Sort(groups)
+	for _, g := range groups {
+		b = wire.AppendUvarint(wire.AppendUvarint(b, g), st.promotes[g])
+	}
+	return b
+}
+
+func decodeState(data []byte) (*state, error) {
+	r := wire.NewReader(data)
+	snap := r.Bytes()
+	n := r.Count(2)
+	st := &state{promotes: make(map[uint64]uint64, n)}
+	for ; n > 0; n-- {
+		g := r.Uvarint()
+		st.promotes[g] = r.Uvarint()
+	}
+	if err := r.ErrIn("coordinator: state"); err != nil {
+		return nil, err
+	}
+	var err error
+	st.dir, err = shard.Load(snap)
+	return st, err
+}
+
+// stateOf decodes the register's value; before the first change it holds
+// nothing, which is the empty directory.
+func stateOf(value []byte) (*state, error) {
+	if len(value) == 0 {
+		return &state{dir: shard.NewDirectory(nil), promotes: map[uint64]uint64{}}, nil
+	}
+	return decodeState(value)
+}
+
+// apply is the coordinator's one step: c applied to st. It reports whether
+// c took effect; a command whose guard or epoch fence fails leaves st as it
+// was.
+func (st *state) apply(c *Command) bool {
+	// Epoch fence of the epoch-certified commands: an admission or a
+	// cutover was certified against a specific configuration, and any
+	// reconfiguration since (failover, eviction) voids it — the joiner
+	// re-syncs, the migration aborts.
+	fenced := c.Epoch != 0 && st.dir.Epoch() != c.Epoch
+	switch c.Kind {
+	case cmdSetGroup:
+		st.dir.SetGroup(c.Group)
+		return true
+	case cmdPromote:
+		// Guarded by FailedPrimary: racing detectors propose the same
+		// failover, and only the first takes effect.
+		if g, ok := st.dir.Group(c.GroupID); !ok || g.Primary != c.FailedPrimary {
+			return false
+		}
+		if _, err := st.dir.Promote(c.GroupID, c.NewPrimary); err != nil {
+			return false
+		}
+		st.promotes[c.GroupID]++
+		return true
+	case cmdEvictBackup:
+		return st.dir.EvictBackup(c.GroupID, c.FailedPrimary)
+	case cmdAddBackup:
+		return !fenced && st.dir.AddBackup(c.GroupID, c.NewPrimary)
+	case cmdSetOverride:
+		if !fenced {
+			st.dir.SetOverride(c.Object, c.TargetGroup)
+		}
+		return !fenced
+	case cmdClearOverride:
+		if !fenced {
+			st.dir.ClearOverride(c.Object)
+		}
+		return !fenced
+	}
+	return false
+}
+
 // Service is one coordinator replica.
 type Service struct {
 	opts Options
 	node *paxos.Node
 
 	mu       sync.Mutex
-	dir      *shard.Directory
 	lastSeen map[string]time.Time
-	applied  uint64
-	promotes map[uint64]uint64 // group -> effective (guard-matched) promotions
+	quorate  bool // the last sweep's pull reached a majority
 
-	// What this replica applied, published for the operator: a healthy
-	// cluster shows cutovers rising while coord.directory.overrides decays
-	// back toward zero as objects migrate home.
+	// What this replica's own proposals made take effect, published for
+	// the operator: a healthy cluster shows cutovers rising while
+	// coord.directory.overrides decays back toward zero as objects migrate
+	// home.
 	reg        *telemetry.Registry // for coord.rejoins.<group>, resolved when a group first re-admits
 	migrations *telemetry.Counter  // effective override installs/clears (cutovers)
 
@@ -164,7 +254,7 @@ type Service struct {
 }
 
 // New creates a coordinator replica with Paxos identity id among peers,
-// using trans for consensus traffic, and publishing what it applies in reg
+// using trans for consensus traffic, and publishing what it changes in reg
 // (nil for none). Call Start after registering the transport.
 func New(id uint64, peers []uint64, trans paxos.Transport, opts Options, reg *telemetry.Registry) *Service {
 	if opts.HeartbeatTimeout <= 0 {
@@ -172,20 +262,16 @@ func New(id uint64, peers []uint64, trans paxos.Transport, opts Options, reg *te
 	}
 	s := &Service{
 		opts:       opts,
-		dir:        shard.NewDirectory(nil),
+		node:       paxos.NewNode(id, peers, trans),
 		lastSeen:   make(map[string]time.Time),
-		promotes:   make(map[uint64]uint64),
 		reg:        reg,
 		migrations: reg.Counter("coord.migrations.cutovers"),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
 	reg.GaugeFunc("coord.directory.overrides", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return int64(s.dir.OverrideCount())
+		return int64(s.learned().dir.OverrideCount())
 	})
-	s.node = paxos.NewNode(id, peers, trans, s.apply)
 	return s
 }
 
@@ -208,80 +294,51 @@ func (s *Service) Close() {
 	s.node.Close()
 }
 
-// apply is the paxos learner callback: commands mutate the directory in
-// log order on every replica identically.
-func (s *Service) apply(slot uint64, value []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.applied++
-	if len(value) == 0 {
-		return // no-op filler from catch-up
-	}
-	c, err := DecodeCommand(value)
+// learned is the state this replica learned last. A value that does not
+// decode was never chosen (every proposal encodes its own step's result),
+// so it reads as empty.
+func (s *Service) learned() *state {
+	st, err := stateOf(s.node.Learned().Value)
 	if err != nil {
-		return // corrupt commands are ignored deterministically
+		st, _ = stateOf(nil)
 	}
-	switch c.Kind {
-	case cmdSetGroup:
-		s.dir.SetGroup(c.Group)
-	case cmdPromote:
-		groups := s.dir.Groups()
-		for _, g := range groups {
-			if g.ID == c.GroupID && g.Primary == c.FailedPrimary {
-				if _, err := s.dir.Promote(c.GroupID, c.NewPrimary); err == nil {
-					s.promotes[c.GroupID]++
-				}
-			}
+	return st
+}
+
+// ProposeCommand makes c one configuration change — one Paxos round over
+// the whole register — and returns the directory it chose. The round runs
+// even when c does not take effect (a failed guard or fence), so the
+// answer is the current directory either way; only the directory shows
+// whether c landed.
+func (s *Service) ProposeCommand(c *Command) (*shard.Directory, error) {
+	var next *state
+	var effective bool
+	_, err := s.node.Change(func(cur []byte) ([]byte, error) {
+		st, err := stateOf(cur)
+		if err != nil {
+			return nil, err
 		}
-	case cmdEvictBackup:
-		s.dir.EvictBackup(c.GroupID, c.FailedPrimary)
-	case cmdAddBackup:
-		// Epoch fence: the admission was certified against a specific
-		// configuration; any reconfiguration since (failover, eviction)
-		// invalidates the certification, so the command no-ops and the
-		// joiner re-syncs against the new configuration.
-		if c.Epoch != 0 && s.dir.Epoch() != c.Epoch {
-			return
-		}
-		if s.dir.AddBackup(c.GroupID, c.NewPrimary) {
+		next, effective = st, st.apply(c)
+		return st.encode(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if effective {
+		switch c.Kind {
+		case cmdSetOverride, cmdClearOverride:
+			s.migrations.Inc()
+		case cmdAddBackup:
 			// Effective backup re-admissions, per group.
 			s.reg.Counter(fmt.Sprintf("coord.rejoins.%d", c.GroupID)).Inc()
 		}
-	case cmdSetOverride:
-		// Same fence as cmdAddBackup: a live migration certifies its
-		// transfer against the epoch it ran under; a reconfiguration in
-		// between voids the cutover.
-		if c.Epoch != 0 && s.dir.Epoch() != c.Epoch {
-			return
-		}
-		s.dir.SetOverride(c.Object, c.TargetGroup)
-		s.migrations.Inc()
-	case cmdClearOverride:
-		if c.Epoch != 0 && s.dir.Epoch() != c.Epoch {
-			return
-		}
-		s.dir.ClearOverride(c.Object)
-		s.migrations.Inc()
 	}
+	return next.dir, nil
 }
 
-// ProposeCommand replicates a configuration change through Paxos.
-func (s *Service) ProposeCommand(c *Command) error {
-	_, err := s.node.ProposeMine(c.Encode())
-	return err
-}
-
-// Directory returns a snapshot copy of the current configuration.
-func (s *Service) Directory() *shard.Directory {
-	s.mu.Lock()
-	snap := s.dir.Snapshot()
-	s.mu.Unlock()
-	d, err := shard.Load(snap)
-	if err != nil {
-		return shard.NewDirectory(nil)
-	}
-	return d
-}
+// Directory returns a snapshot copy of the configuration this replica
+// learned last.
+func (s *Service) Directory() *shard.Directory { return s.learned().dir }
 
 // Heartbeat records that the node at addr is alive.
 func (s *Service) Heartbeat(addr string) {
@@ -310,11 +367,21 @@ func (s *Service) detectLoop() {
 // sweep finds groups whose primary has missed heartbeats and promotes the
 // freshest live backup; it also evicts dead backups so the strict
 // replication path (every write-set acknowledged by every backup before the
-// client ack) regains availability without them.
+// client ack) regains availability without them. It first pulls its peers'
+// learned values, so a replica that missed a change catches up even while
+// nothing else changes.
 func (s *Service) sweep() {
+	quorate := s.node.Pull()
+	groups := s.learned().dir.Groups()
 	s.mu.Lock()
 	now := time.Now()
-	groups := s.dir.Groups()
+	// A replica back from a partition heard no heartbeat through it, and
+	// may have learned a primary it has not heard from since: the silence
+	// was its own, so every member starts its probation again.
+	if quorate && !s.quorate {
+		clear(s.lastSeen)
+	}
+	s.quorate = quorate
 	// Group members this replica has never heard from go on probation:
 	// the clock starts at the first sweep that sees them configured, so a
 	// node that dies before its first heartbeat is still declared dead
@@ -361,22 +428,15 @@ func (s *Service) sweep() {
 	s.mu.Unlock()
 	for i := range proposals {
 		// Best effort: a lost proposal is retried next sweep.
-		_ = s.ProposeCommand(&proposals[i])
+		_, _ = s.ProposeCommand(&proposals[i])
 	}
 }
 
-// PromoteCounts returns how many effective (guard-matched) promotions this
-// replica has applied per group — the chaos harness's single-primary probe:
-// one failure must yield exactly one promotion on every replica.
-func (s *Service) PromoteCounts() map[uint64]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[uint64]uint64, len(s.promotes))
-	for g, n := range s.promotes {
-		out[g] = n
-	}
-	return out
-}
+// PromoteCounts returns how many effective (guard-matched) promotions the
+// value this replica learned last records per group — the chaos harness's
+// single-primary probe: one failure must yield exactly one promotion on
+// every replica.
+func (s *Service) PromoteCounts() map[uint64]uint64 { return s.learned().promotes }
 
 // LastSeen returns a copy of this replica's liveness table (how long
 // ago each storage node last heartbeated) — observability for the
@@ -408,9 +468,7 @@ const (
 func RegisterServer(srv *rpc.Server, s *Service) {
 	paxos.RegisterServer(srv, s.node)
 	srv.Handle(MethodGetConfig, func(body []byte) ([]byte, error) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.dir.Snapshot(), nil
+		return s.Directory().Snapshot(), nil
 	})
 	srv.Handle(MethodHeartbeat, func(body []byte) ([]byte, error) {
 		r := wire.NewReader(body)
@@ -421,31 +479,31 @@ func RegisterServer(srv *rpc.Server, s *Service) {
 		s.Heartbeat(addr)
 		return nil, nil
 	})
-	srv.Handle(MethodSetGroup, func(body []byte) ([]byte, error) {
+	// Each mutating method answers with the directory its round chose.
+	propose := func(body []byte, kind func(*Command)) ([]byte, error) {
 		c, err := DecodeCommand(body)
 		if err != nil {
 			return nil, err
 		}
-		c.Kind = cmdSetGroup
-		return nil, s.ProposeCommand(c)
+		kind(c)
+		d, err := s.ProposeCommand(c)
+		if err != nil {
+			return nil, err
+		}
+		return d.Snapshot(), nil
+	}
+	srv.Handle(MethodSetGroup, func(body []byte) ([]byte, error) {
+		return propose(body, func(c *Command) { c.Kind = cmdSetGroup })
 	})
 	srv.Handle(MethodAddBackup, func(body []byte) ([]byte, error) {
-		c, err := DecodeCommand(body)
-		if err != nil {
-			return nil, err
-		}
-		c.Kind = cmdAddBackup
-		return nil, s.ProposeCommand(c)
+		return propose(body, func(c *Command) { c.Kind = cmdAddBackup })
 	})
 	srv.Handle(MethodMigrate, func(body []byte) ([]byte, error) {
-		c, err := DecodeCommand(body)
-		if err != nil {
-			return nil, err
-		}
-		if c.Kind != cmdClearOverride {
-			c.Kind = cmdSetOverride
-		}
-		return nil, s.ProposeCommand(c)
+		return propose(body, func(c *Command) {
+			if c.Kind != cmdClearOverride {
+				c.Kind = cmdSetOverride
+			}
+		})
 	})
 }
 
@@ -490,38 +548,40 @@ func (c *Client) Heartbeat(replica, addr string) {
 	c.pool.Call(replica, MethodHeartbeat, wire.AppendString(nil, addr)) //nolint:errcheck // best effort
 }
 
+// propose sends a configuration change and returns the directory its round
+// chose.
+func (c *Client) propose(method string, cmd *Command) (*shard.Directory, error) {
+	body, err := c.call(method, cmd.Encode())
+	if err != nil {
+		return nil, err
+	}
+	return shard.Load(body)
+}
+
 // SetGroup installs a replica group.
-func (c *Client) SetGroup(g shard.Group) error {
-	cmd := Command{Kind: cmdSetGroup, Group: g}
-	_, err := c.call(MethodSetGroup, cmd.Encode())
-	return err
+func (c *Client) SetGroup(g shard.Group) (*shard.Directory, error) {
+	return c.propose(MethodSetGroup, &Command{Kind: cmdSetGroup, Group: g})
 }
 
 // AddBackup proposes re-admitting a caught-up joiner as a backup of
 // group gid, fenced on expectEpoch (the epoch the catch-up was
-// certified against; 0 = unfenced). The proposal landing does not mean
-// it took effect — callers confirm by reading the configuration back.
-func (c *Client) AddBackup(gid uint64, joiner string, expectEpoch uint64) error {
-	cmd := Command{Kind: cmdAddBackup, GroupID: gid, NewPrimary: joiner, Epoch: expectEpoch}
-	_, err := c.call(MethodAddBackup, cmd.Encode())
-	return err
+// certified against; 0 = unfenced). The answer is the directory the
+// proposal's round chose, which shows whether the admission took effect.
+func (c *Client) AddBackup(gid uint64, joiner string, expectEpoch uint64) (*shard.Directory, error) {
+	return c.propose(MethodAddBackup, &Command{Kind: cmdAddBackup, GroupID: gid, NewPrimary: joiner, Epoch: expectEpoch})
 }
 
 // SetOverrideFenced proposes a migration cutover certified against
 // expectEpoch: if the directory reconfigured since the transfer ran, the
-// command no-ops and the caller (which confirms by reading the
-// configuration back) aborts the migration.
-func (c *Client) SetOverrideFenced(object, group, expectEpoch uint64) error {
-	cmd := Command{Kind: cmdSetOverride, Object: object, TargetGroup: group, Epoch: expectEpoch}
-	_, err := c.call(MethodMigrate, cmd.Encode())
-	return err
+// command no-ops, and the directory it answers with shows the caller the
+// object still at home.
+func (c *Client) SetOverrideFenced(object, group, expectEpoch uint64) (*shard.Directory, error) {
+	return c.propose(MethodMigrate, &Command{Kind: cmdSetOverride, Object: object, TargetGroup: group, Epoch: expectEpoch})
 }
 
 // ClearOverride proposes removing an object's override — the cutover of
 // a migration back to the object's default placement, fenced the same
 // way (0 = unfenced).
-func (c *Client) ClearOverride(object, expectEpoch uint64) error {
-	cmd := Command{Kind: cmdClearOverride, Object: object, Epoch: expectEpoch}
-	_, err := c.call(MethodMigrate, cmd.Encode())
-	return err
+func (c *Client) ClearOverride(object, expectEpoch uint64) (*shard.Directory, error) {
+	return c.propose(MethodMigrate, &Command{Kind: cmdClearOverride, Object: object, Epoch: expectEpoch})
 }

@@ -22,11 +22,12 @@ type Member struct {
 }
 
 // Serve brings one ensemble member up end to end: the replica with Paxos
-// identity id, its acceptor state replayed from stable (nil keeps it in
-// memory only), serving on addr and reaching every replica in peers
-// (id -> address, this one included), failure detector running. The caller
-// keeps ownership of stable and closes it after the member.
-func Serve(id uint64, peers map[uint64]string, addr string, stable paxos.Stable, opts Options, reg *telemetry.Registry) (*Member, error) {
+// identity id, resuming from the acceptor state and learned directory in
+// stable (nil keeps them in memory only) — so a restarted member serves
+// its pre-restart directory at once — serving on addr and reaching every
+// replica in peers (id -> address, this one included), failure detector
+// running.
+func Serve(id uint64, peers map[uint64]string, addr string, stable *paxos.FileStable, opts Options, reg *telemetry.Registry) (*Member, error) {
 	ids := make([]uint64, 0, len(peers))
 	for peer := range peers {
 		ids = append(ids, peer)
@@ -43,13 +44,13 @@ func Serve(id uint64, peers map[uint64]string, addr string, stable paxos.Stable,
 // listen is Serve up to the point where the member's address is known;
 // connect is the rest. An ensemble on ephemeral ports needs every member
 // listening before any can be told where its peers are.
-func listen(id uint64, ids []uint64, addr string, stable paxos.Stable, opts Options, reg *telemetry.Registry) (*Member, error) {
-	m := &Member{Service: New(id, ids, nil, opts, reg), pool: rpc.NewPool(nil), srv: rpc.NewServer()}
+func listen(id uint64, ids []uint64, addr string, stable *paxos.FileStable, opts Options, reg *telemetry.Registry) (*Member, error) {
+	svc := New(id, ids, nil, opts, reg)
+	// A peer that never answers holds a sweep's pull, and each phase of a
+	// round, for one detector timeout rather than the pool's default 30s.
+	m := &Member{Service: svc, pool: rpc.NewPool(&rpc.ClientOptions{Timeout: svc.opts.HeartbeatTimeout}), srv: rpc.NewServer()}
 	if stable != nil {
-		if err := m.Service.Node().SetStable(stable); err != nil {
-			m.pool.Close()
-			return nil, fmt.Errorf("coordinator: load acceptor state: %w", err)
-		}
+		m.Service.Node().SetStable(stable)
 	}
 	m.srv.SetTelemetry(reg)
 	m.pool.SetTelemetry(reg)

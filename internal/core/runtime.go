@@ -494,12 +494,18 @@ func (rt *Runtime) committedHash(key []byte) (h uint64, ok bool) {
 // commit is the one commit tail, shared by an invocation, a transaction,
 // CreateObject and DeleteObject: write the write-set, which its write group
 // makes durable and replicates (the "wal-sync" span, under a "commit" span
-// covering the whole tail; the group's spans parent under ctx), publish it
-// — even if the group hook withheld its ack — then ask OnCommit.
+// covering the whole tail; the group's spans parent under ctx, or under the
+// "commit" span when ctx carries no trace, so an untraced write is one
+// trace from its commit to its backups), publish it — even if the group
+// hook withheld its ack — then ask OnCommit.
 func (rt *Runtime) commit(ctx telemetry.SpanContext, b *store.Batch, ids ...ObjectID) error {
 	sp := rt.tracer.StartSpan(ctx, "commit")
 	wsp := rt.tracer.StartSpan(sp.Context(), "wal-sync")
-	b.Replicate(uint64(ids[0]), ctx)
+	if ctx.Valid() {
+		b.Replicate(uint64(ids[0]), ctx)
+	} else {
+		b.Replicate(uint64(ids[0]), sp.Context())
+	}
 	applied, err := rt.write(b)
 	wsp.FinishErr(err)
 	if applied {

@@ -1,15 +1,22 @@
 // Package paxos implements the consensus protocol behind LambdaStore's
 // cluster coordination service. The paper (§4.2.1) replicates the
-// coordinator with Paxos "to ensure availability at all times"; this
-// package provides exactly that: a multi-decree Paxos log where each slot
-// is decided by the classic two-phase protocol (Lamport's "The Part-Time
-// Parliament", simplified as in "Paxos Made Simple").
+// coordinator with Paxos "to ensure availability at all times", and what it
+// keeps available is one small value, the placement directory. So this
+// package replicates one register, not a log: every change is one
+// single-decree round over the whole value (Rystsov, "CASPaxos: Replicated
+// State Machines without logs", 2018).
 //
 // Roles:
-//   - Acceptor: durable-vote state machine (promise / accept).
-//   - Proposer: drives phase 1 (prepare) and phase 2 (accept) against a
-//     quorum of acceptors, slot by slot.
-//   - Learner: observes chosen values and applies them in slot order.
+//   - Acceptor: keeps one promise and one vote (ballot, value), durable
+//     before it answers.
+//   - Proposer: Change(f) runs phase 1 on a majority, applies f to the value
+//     accepted at the highest ballot it was told of, and gets the result
+//     chosen in phase 2 — always, even when f changed nothing, so what it
+//     returns is chosen.
+//   - Learner: adopts any chosen (ballot, value) whose ballot is higher than
+//     its own. A value chosen at a higher ballot descends from every value
+//     chosen at a lower one, so a learn the learner missed heals at the
+//     next one, or at a pull (Pull).
 //
 // The Transport interface abstracts the wire; production uses the rpc
 // package, tests use an in-memory transport with injectable partitions.
@@ -17,7 +24,6 @@ package paxos
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"lambdastore/internal/wire"
@@ -43,60 +49,39 @@ func (b Ballot) Less(o Ballot) bool {
 	return b.Node < o.Node
 }
 
-func (b Ballot) String() string { return fmt.Sprintf("%d.%d", b.Round, b.Node) }
-
-// IsZero reports whether the ballot is the zero value.
-func (b Ballot) IsZero() bool { return b.Round == 0 && b.Node == 0 }
-
-// PrepareReq is phase-1a: a proposer asks acceptors to promise ballot for
-// slot.
-type PrepareReq struct {
-	Slot   uint64
-	Ballot Ballot
-}
-
-// PrepareResp is phase-1b.
-type PrepareResp struct {
-	OK       bool
-	Promised Ballot // highest promise (hint for the proposer on reject)
-	// If the acceptor already accepted a value in this slot, it reports it
-	// so the proposer must adopt the highest-ballot one.
-	AcceptedBallot Ballot
-	AcceptedValue  []byte
-	HasAccepted    bool
-}
-
-// AcceptReq is phase-2a.
-type AcceptReq struct {
-	Slot   uint64
+// Versioned is a register value and the ballot it was accepted at. It is
+// the phase-2a accept, the learn, and the answer to a pull; a zero Ballot
+// is no value at all.
+type Versioned struct {
 	Ballot Ballot
 	Value  []byte
 }
 
-// AcceptResp is phase-2b.
-type AcceptResp struct {
+// Reply is an acceptor's answer to a prepare (phase 1b) or an accept
+// (phase 2b): whether it took the ballot, the highest ballot it has
+// promised, and, to a prepare, the value it accepted last.
+type Reply struct {
 	OK       bool
 	Promised Ballot
-}
-
-// LearnReq informs learners that a value was chosen for slot.
-type LearnReq struct {
-	Slot  uint64
-	Value []byte
+	Accepted Versioned
 }
 
 // Transport delivers protocol messages to a peer. Implementations must be
 // safe for concurrent use. An error models an unreachable peer.
 type Transport interface {
-	Prepare(peer uint64, req *PrepareReq) (*PrepareResp, error)
-	Accept(peer uint64, req *AcceptReq) (*AcceptResp, error)
-	Learn(peer uint64, req *LearnReq) error
+	Prepare(peer uint64, b Ballot) (*Reply, error)
+	Accept(peer uint64, v *Versioned) (*Reply, error)
+	Learn(peer uint64, v *Versioned) error
+	// Pull asks peer for the value it learned last.
+	Pull(peer uint64) (*Versioned, error)
 }
 
-// acceptedEntry is an acceptor's vote for one slot.
-type acceptedEntry struct {
-	ballot Ballot
-	value  []byte
+// State is what a node must not forget across a restart: its acceptor's
+// promise and vote, and the value its learner learned last.
+type State struct {
+	Promised Ballot
+	Accepted Versioned
+	Learned  Versioned
 }
 
 // Node is one Paxos participant combining all three roles.
@@ -104,38 +89,18 @@ type Node struct {
 	id     uint64
 	peers  []uint64 // all node IDs, including self
 	trans  Transport
-	applyF func(slot uint64, value []byte)
-	stable Stable // optional durable acceptor storage
+	stable *FileStable // nil keeps the state in memory only
 
-	// applyMu serializes HandleLearn from computing the ready run to
-	// applying it, so two learns racing past mu still apply in slot order.
-	applyMu sync.Mutex
-	mu      sync.Mutex
-	// Acceptor state.
-	promised map[uint64]Ballot // slot -> highest promise
-	accepted map[uint64]acceptedEntry
-	// Learner state.
-	chosen    map[uint64][]byte
-	nextApply uint64 // lowest slot not yet applied
-	// Proposer state.
-	lastRound uint64
-	nextSlot  uint64 // lowest slot this node believes may be free
+	mu        sync.Mutex
+	st        State
+	lastRound uint64 // the proposer's last round
 	closed    bool
 }
 
 // NewNode creates a participant. peers must list every node ID including
-// id; apply is called exactly once per slot, in slot order, as values are
-// chosen (it must not call back into the node).
-func NewNode(id uint64, peers []uint64, trans Transport, apply func(slot uint64, value []byte)) *Node {
-	return &Node{
-		id:       id,
-		peers:    append([]uint64(nil), peers...),
-		trans:    trans,
-		applyF:   apply,
-		promised: make(map[uint64]Ballot),
-		accepted: make(map[uint64]acceptedEntry),
-		chosen:   make(map[uint64][]byte),
-	}
+// id.
+func NewNode(id uint64, peers []uint64, trans Transport) *Node {
+	return &Node{id: id, peers: append([]uint64(nil), peers...), trans: trans}
 }
 
 // ID returns the node's identifier.
@@ -150,6 +115,15 @@ func (n *Node) SetTransport(t Transport) {
 	n.mu.Unlock()
 }
 
+// SetStable makes s the node's durable state and resumes from what it
+// holds: the promise, the vote and the learned value. Must be called
+// before the node handles any message.
+func (n *Node) SetStable(s *FileStable) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.stable, n.st = s, s.state
+}
+
 // quorum returns the majority size.
 func (n *Node) quorum() int { return len(n.peers)/2 + 1 }
 
@@ -160,333 +134,243 @@ func (n *Node) Close() {
 	n.mu.Unlock()
 }
 
-// --- Acceptor role (invoked by the transport layer) ---
+// update makes next the node's state, durable first when the node has
+// stable storage; it reports false, changing nothing, when the save failed.
+// The caller holds mu.
+func (n *Node) update(next State) bool {
+	if n.stable != nil && n.stable.save(&next) != nil {
+		return false
+	}
+	n.st = next
+	return true
+}
 
-// HandlePrepare processes a phase-1a message.
-func (n *Node) HandlePrepare(req *PrepareReq) *PrepareResp {
+// --- Acceptor and learner roles (invoked by the transport layer) ---
+
+// HandlePrepare processes a phase-1a message. A promise must survive a
+// restart before the proposer may rely on it, so one that could not be
+// saved is refused.
+func (n *Node) HandlePrepare(b Ballot) *Reply {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	cur := n.promised[req.Slot]
-	if req.Ballot.Less(cur) {
-		return &PrepareResp{OK: false, Promised: cur}
+	if b.Less(n.st.Promised) {
+		return &Reply{Promised: n.st.Promised}
 	}
-	if n.stable != nil && cur.Less(req.Ballot) {
-		// The promise must survive a restart before the proposer may rely
-		// on it; refusing on persistence failure keeps safety.
-		if err := n.stable.SavePromise(req.Slot, req.Ballot); err != nil {
-			return &PrepareResp{OK: false, Promised: cur}
+	if b != n.st.Promised {
+		next := n.st
+		next.Promised = b
+		if !n.update(next) {
+			return &Reply{Promised: n.st.Promised}
 		}
 	}
-	n.promised[req.Slot] = req.Ballot
-	resp := &PrepareResp{OK: true, Promised: req.Ballot}
-	if acc, ok := n.accepted[req.Slot]; ok {
-		resp.HasAccepted = true
-		resp.AcceptedBallot = acc.ballot
-		resp.AcceptedValue = acc.value
-	}
-	return resp
+	return &Reply{OK: true, Promised: b, Accepted: n.st.Accepted}
 }
 
 // HandleAccept processes a phase-2a message.
-func (n *Node) HandleAccept(req *AcceptReq) *AcceptResp {
+func (n *Node) HandleAccept(v *Versioned) *Reply {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	cur := n.promised[req.Slot]
-	if req.Ballot.Less(cur) {
-		return &AcceptResp{OK: false, Promised: cur}
+	if v.Ballot.Less(n.st.Promised) {
+		return &Reply{Promised: n.st.Promised}
 	}
-	if n.stable != nil {
-		if err := n.stable.SaveAccepted(req.Slot, req.Ballot, req.Value); err != nil {
-			return &AcceptResp{OK: false, Promised: cur}
-		}
+	next := n.st
+	next.Promised = v.Ballot
+	next.Accepted = Versioned{Ballot: v.Ballot, Value: append([]byte(nil), v.Value...)}
+	if !n.update(next) {
+		return &Reply{Promised: n.st.Promised}
 	}
-	n.promised[req.Slot] = req.Ballot
-	n.accepted[req.Slot] = acceptedEntry{ballot: req.Ballot, value: append([]byte(nil), req.Value...)}
-	return &AcceptResp{OK: true, Promised: req.Ballot}
+	return &Reply{OK: true, Promised: v.Ballot}
 }
 
-// HandleLearn records a chosen value and applies ready slots in order.
-func (n *Node) HandleLearn(req *LearnReq) {
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
+// HandleLearn adopts a chosen value newer than the one this node learned
+// last.
+func (n *Node) HandleLearn(v *Versioned) {
 	n.mu.Lock()
-	if _, ok := n.chosen[req.Slot]; !ok {
-		n.chosen[req.Slot] = append([]byte(nil), req.Value...)
-	}
-	if req.Slot >= n.nextSlot {
-		n.nextSlot = req.Slot + 1
-	}
-	type chosen struct {
-		slot  uint64
-		value []byte
-	}
-	var ready []chosen
-	for {
-		v, ok := n.chosen[n.nextApply]
-		if !ok {
-			break
-		}
-		ready = append(ready, chosen{n.nextApply, v})
-		n.nextApply++
-	}
-	apply := n.applyF
-	n.mu.Unlock()
-	if apply != nil {
-		for _, r := range ready {
-			apply(r.slot, r.value)
-		}
+	defer n.mu.Unlock()
+	if n.st.Learned.Ballot.Less(v.Ballot) {
+		next := n.st
+		next.Learned = Versioned{Ballot: v.Ballot, Value: append([]byte(nil), v.Value...)}
+		_ = n.update(next) // unsaved, it is not adopted; a later learn or pull brings it again
 	}
 }
 
-// NumChosen returns how many consecutive slots from 0 have been applied.
-func (n *Node) NumChosen() uint64 {
+// Learned returns the value this node learned last (a zero Ballot and no
+// value before it learned any). The value is shared: read it, never write
+// it.
+func (n *Node) Learned() Versioned {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.nextApply
+	return n.st.Learned
 }
 
 // --- Proposer role ---
 
-// Propose drives value through consensus. It returns the slot at which a
-// value was chosen with this node as proposer and the chosen value — which
-// may be a DIFFERENT value if the slot turned out to be taken; callers loop
-// until their own value is chosen (see ProposeMine).
-func (n *Node) Propose(value []byte) (slot uint64, chosenValue []byte, err error) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return 0, nil, ErrClosed
-	}
-	slot = n.nextSlot
-	n.mu.Unlock()
-
-	chosen, err := n.proposeSlot(slot, value)
-	if err != nil {
-		return 0, nil, err
-	}
-	return slot, chosen, nil
-}
-
-// ProposeMine keeps proposing until value itself is chosen in some slot,
-// skipping slots taken by competing proposers. Returns the slot it landed
-// in.
-func (n *Node) ProposeMine(value []byte) (uint64, error) {
-	for {
-		slot, chosen, err := n.Propose(value)
-		if err != nil {
-			return 0, err
-		}
-		if string(chosen) == string(value) {
-			return slot, nil
-		}
-		// Slot was occupied by another proposal; try the next one.
-	}
-}
-
-// proposeSlot runs full Paxos for one slot and returns the value chosen
-// there (ours, or an earlier proposer's that we were obliged to adopt).
-func (n *Node) proposeSlot(slot uint64, value []byte) ([]byte, error) {
-	// Fast path: already known chosen.
-	n.mu.Lock()
-	if v, ok := n.chosen[slot]; ok {
-		if slot >= n.nextSlot {
-			n.nextSlot = slot + 1
-		}
-		n.mu.Unlock()
-		return v, nil
-	}
-	n.mu.Unlock()
-
+// Change runs one round over the register: f is applied to the value
+// accepted at the highest ballot a majority reports (nil before the first
+// change), and its result is chosen in phase 2 and taught to every learner.
+// A round that a competing proposer got ahead of is run again under a
+// higher ballot, so f may run more than once; it must neither keep nor
+// modify what it is given, and an error from it abandons the change. A
+// lost phase 2 may still leave its value with one acceptor, from which this
+// proposer's next round, or a rival's, carries it forward: f may so be
+// given a value that already holds its own step, which must then be a
+// no-op (every coordinator command is guarded or epoch-fenced). Change
+// returns the chosen value.
+func (n *Node) Change(f func(cur []byte) ([]byte, error)) ([]byte, error) {
 	for {
 		n.mu.Lock()
 		if n.closed {
 			n.mu.Unlock()
 			return nil, ErrClosed
 		}
-		n.lastRound++
+		n.lastRound = max(n.lastRound, n.st.Promised.Round) + 1
 		ballot := Ballot{Round: n.lastRound, Node: n.id}
 		n.mu.Unlock()
 
 		// Phase 1: prepare.
-		promises := 0
-		var adoptBallot Ballot
-		adoptValue := value
-		var highestPromise Ballot
+		var cur Versioned
+		promises, rival := 0, Ballot{}
 		for _, peer := range n.peers {
-			resp, err := n.trans.Prepare(peer, &PrepareReq{Slot: slot, Ballot: ballot})
+			resp, err := n.trans.Prepare(peer, ballot)
 			if err != nil {
 				continue
 			}
 			if !resp.OK {
-				if highestPromise.Less(resp.Promised) {
-					highestPromise = resp.Promised
-				}
+				rival = maxBallot(rival, resp.Promised)
 				continue
 			}
 			promises++
-			if resp.HasAccepted && adoptBallot.Less(resp.AcceptedBallot) {
-				adoptBallot = resp.AcceptedBallot
-				adoptValue = resp.AcceptedValue
+			if cur.Ballot.Less(resp.Accepted.Ballot) {
+				cur = resp.Accepted
 			}
 		}
 		if promises < n.quorum() {
-			if highestPromise.IsZero() {
-				return nil, ErrNoQuorum
+			if err := n.lost(rival); err != nil {
+				return nil, err
 			}
-			// Lost to a higher ballot: bump our round past it and retry.
-			n.mu.Lock()
-			if n.lastRound <= highestPromise.Round {
-				n.lastRound = highestPromise.Round
-			}
-			n.mu.Unlock()
 			continue
+		}
+		value, err := f(cur.Value)
+		if err != nil {
+			return nil, err
 		}
 
 		// Phase 2: accept.
+		chosen := &Versioned{Ballot: ballot, Value: value}
 		accepts := 0
-		highestPromise = Ballot{}
+		rival = Ballot{}
 		for _, peer := range n.peers {
-			resp, err := n.trans.Accept(peer, &AcceptReq{Slot: slot, Ballot: ballot, Value: adoptValue})
+			resp, err := n.trans.Accept(peer, chosen)
 			if err != nil {
 				continue
 			}
 			if resp.OK {
 				accepts++
-			} else if highestPromise.Less(resp.Promised) {
-				highestPromise = resp.Promised
+			} else {
+				rival = maxBallot(rival, resp.Promised)
 			}
 		}
 		if accepts < n.quorum() {
-			if highestPromise.IsZero() {
-				return nil, ErrNoQuorum
+			if err := n.lost(rival); err != nil {
+				return nil, err
 			}
-			n.mu.Lock()
-			if n.lastRound <= highestPromise.Round {
-				n.lastRound = highestPromise.Round
-			}
-			n.mu.Unlock()
 			continue
 		}
 
-		// Chosen: teach all learners (including ourselves).
-		learn := &LearnReq{Slot: slot, Value: adoptValue}
-		n.HandleLearn(learn)
+		// Chosen: teach all learners (including ourselves). Best effort: a
+		// learner that misses it adopts the next learn, or pulls.
+		n.HandleLearn(chosen)
 		for _, peer := range n.peers {
-			if peer == n.id {
-				continue
+			if peer != n.id {
+				_ = n.trans.Learn(peer, chosen)
 			}
-			// Best effort: lagging learners catch up via CatchUp.
-			_ = n.trans.Learn(peer, learn)
 		}
-		return adoptValue, nil
+		return value, nil
 	}
 }
 
-// CatchUp fills gaps in this node's learned log by re-running consensus
-// with no-op values for unknown slots up to (but excluding) limit. Paxos
-// guarantees re-proposing cannot change already-chosen values.
-func (n *Node) CatchUp(limit uint64) error {
-	for slot := uint64(0); slot < limit; slot++ {
-		n.mu.Lock()
-		_, known := n.chosen[slot]
-		n.mu.Unlock()
-		if known {
+// lost handles a phase that no majority took: with no rival ballot in
+// sight the majority is unreachable, and otherwise the next round starts
+// above the rival's.
+func (n *Node) lost(rival Ballot) error {
+	if rival == (Ballot{}) {
+		return ErrNoQuorum
+	}
+	n.mu.Lock()
+	n.lastRound = max(n.lastRound, rival.Round)
+	n.mu.Unlock()
+	return nil
+}
+
+func maxBallot(a, b Ballot) Ballot {
+	if a.Less(b) {
+		return b
+	}
+	return a
+}
+
+// Pull asks every peer for the value it learned last and adopts the
+// newest: a learner that missed a learn catches up without waiting for the
+// next change. It reports whether a majority, this node included, answered.
+func (n *Node) Pull() bool {
+	answered := 1
+	for _, peer := range n.peers {
+		if peer == n.id {
 			continue
 		}
-		chosen, err := n.proposeSlot(slot, nil)
-		if err != nil {
-			return err
+		if v, err := n.trans.Pull(peer); err == nil {
+			n.HandleLearn(v)
+			answered++
 		}
-		n.HandleLearn(&LearnReq{Slot: slot, Value: chosen})
 	}
-	return nil
+	return answered >= n.quorum()
 }
 
 // --- Message serialization (for the RPC transport) ---
 
-// EncodePrepareReq serializes req.
-func EncodePrepareReq(req *PrepareReq) []byte {
-	var b []byte
-	b = wire.AppendUvarint(b, req.Slot)
-	b = wire.AppendUvarint(b, req.Ballot.Round)
-	b = wire.AppendUvarint(b, req.Ballot.Node)
-	return b
+// EncodeBallot serializes a ballot: the prepare message.
+func EncodeBallot(b Ballot) []byte { return appendBallot(nil, b) }
+
+// DecodeBallot parses a serialized ballot.
+func DecodeBallot(data []byte) (Ballot, error) {
+	r := wire.NewReader(data)
+	b := readBallot(&r)
+	return b, r.ErrIn("paxos: prepare")
 }
 
-// DecodePrepareReq parses a serialized PrepareReq.
-func DecodePrepareReq(b []byte) (*PrepareReq, error) {
-	r := wire.NewReader(b)
-	req := &PrepareReq{Slot: r.Uvarint(), Ballot: readBallot(&r)}
-	return req, r.ErrIn("paxos: prepare request")
+func appendBallot(dst []byte, b Ballot) []byte {
+	return wire.AppendUvarint(wire.AppendUvarint(dst, b.Round), b.Node)
 }
 
 func readBallot(r *wire.Reader) Ballot { return Ballot{Round: r.Uvarint(), Node: r.Uvarint()} }
 
-// EncodePrepareResp serializes resp.
-func EncodePrepareResp(r *PrepareResp) []byte {
-	var b []byte
-	b = wire.AppendFlag(b, r.OK)
-	b = wire.AppendUvarint(b, r.Promised.Round)
-	b = wire.AppendUvarint(b, r.Promised.Node)
-	b = wire.AppendFlag(b, r.HasAccepted)
-	b = wire.AppendUvarint(b, r.AcceptedBallot.Round)
-	b = wire.AppendUvarint(b, r.AcceptedBallot.Node)
-	b = wire.AppendBytes(b, r.AcceptedValue)
-	return b
+func appendVersioned(dst []byte, v *Versioned) []byte {
+	return wire.AppendBytes(appendBallot(dst, v.Ballot), v.Value)
 }
 
-// DecodePrepareResp parses a serialized PrepareResp.
-func DecodePrepareResp(b []byte) (*PrepareResp, error) {
-	r := wire.NewReader(b)
-	resp := &PrepareResp{OK: r.Flag(), Promised: readBallot(&r),
-		HasAccepted: r.Flag(), AcceptedBallot: readBallot(&r), AcceptedValue: r.BytesCopy()}
-	return resp, r.ErrIn("paxos: prepare response")
+func readVersioned(r *wire.Reader) Versioned {
+	return Versioned{Ballot: readBallot(r), Value: r.BytesCopy()}
 }
 
-// EncodeAcceptReq serializes req.
-func EncodeAcceptReq(req *AcceptReq) []byte {
-	var b []byte
-	b = wire.AppendUvarint(b, req.Slot)
-	b = wire.AppendUvarint(b, req.Ballot.Round)
-	b = wire.AppendUvarint(b, req.Ballot.Node)
-	b = wire.AppendBytes(b, req.Value)
-	return b
+// EncodeVersioned serializes an accept, a learn or a pull's answer.
+func EncodeVersioned(v *Versioned) []byte { return appendVersioned(nil, v) }
+
+// DecodeVersioned parses a serialized Versioned.
+func DecodeVersioned(data []byte) (*Versioned, error) {
+	r := wire.NewReader(data)
+	v := readVersioned(&r)
+	return &v, r.ErrIn("paxos: versioned value")
 }
 
-// DecodeAcceptReq parses a serialized AcceptReq.
-func DecodeAcceptReq(b []byte) (*AcceptReq, error) {
-	r := wire.NewReader(b)
-	req := &AcceptReq{Slot: r.Uvarint(), Ballot: readBallot(&r), Value: r.BytesCopy()}
-	return req, r.ErrIn("paxos: accept request")
+// EncodeReply serializes an acceptor's reply.
+func EncodeReply(rep *Reply) []byte {
+	return appendVersioned(appendBallot(wire.AppendFlag(nil, rep.OK), rep.Promised), &rep.Accepted)
 }
 
-// EncodeAcceptResp serializes resp.
-func EncodeAcceptResp(r *AcceptResp) []byte {
-	var b []byte
-	b = wire.AppendFlag(b, r.OK)
-	b = wire.AppendUvarint(b, r.Promised.Round)
-	b = wire.AppendUvarint(b, r.Promised.Node)
-	return b
-}
-
-// DecodeAcceptResp parses a serialized AcceptResp.
-func DecodeAcceptResp(b []byte) (*AcceptResp, error) {
-	r := wire.NewReader(b)
-	resp := &AcceptResp{OK: r.Flag(), Promised: readBallot(&r)}
-	return resp, r.ErrIn("paxos: accept response")
-}
-
-// EncodeLearnReq serializes req.
-func EncodeLearnReq(req *LearnReq) []byte {
-	var b []byte
-	b = wire.AppendUvarint(b, req.Slot)
-	b = wire.AppendBytes(b, req.Value)
-	return b
-}
-
-// DecodeLearnReq parses a serialized LearnReq.
-func DecodeLearnReq(b []byte) (*LearnReq, error) {
-	r := wire.NewReader(b)
-	req := &LearnReq{Slot: r.Uvarint(), Value: r.BytesCopy()}
-	return req, r.ErrIn("paxos: learn request")
+// DecodeReply parses a serialized Reply.
+func DecodeReply(data []byte) (*Reply, error) {
+	r := wire.NewReader(data)
+	rep := &Reply{OK: r.Flag(), Promised: readBallot(&r)}
+	rep.Accepted = readVersioned(&r)
+	return rep, r.ErrIn("paxos: reply")
 }

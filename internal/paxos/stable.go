@@ -1,148 +1,100 @@
 package paxos
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
-	"sync"
+	"path/filepath"
 
 	"lambdastore/internal/wire"
 )
 
-// Stable is durable acceptor state. Paxos safety depends on an acceptor
-// never forgetting a promise or an accepted value across restarts; every
-// record must be durable before the acceptor responds to the proposer.
-type Stable interface {
-	// SavePromise records the highest promise for slot.
-	SavePromise(slot uint64, b Ballot) error
-	// SaveAccepted records the accepted (ballot, value) for slot.
-	SaveAccepted(slot uint64, b Ballot, value []byte) error
-	// Load replays the saved state in write order.
-	Load(fn func(slot uint64, promised Ballot, accepted bool, acceptedBallot Ballot, value []byte) error) error
-	// Close releases resources.
-	Close() error
+// stateMagic opens every stable record. The append-only log this record
+// replaced began with a frame length, so a file in that format fails here
+// instead of being half-read.
+const stateMagic = "paxos-register/1\n"
+
+// EncodeState serializes a node's durable state: the magic, then one
+// checksummed frame.
+func EncodeState(st *State) []byte {
+	p := appendBallot(nil, st.Promised)
+	p = appendVersioned(p, &st.Accepted)
+	p = appendVersioned(p, &st.Learned)
+	return wire.AppendFrame([]byte(stateMagic), p)
 }
 
-// Record kinds in the stable log.
-const (
-	stablePromise = 1
-	stableAccept  = 2
-)
+// DecodeState parses a serialized State.
+func DecodeState(data []byte) (*State, error) {
+	r := wire.NewReader(data)
+	if string(r.Raw(uint64(len(stateMagic)))) != stateMagic {
+		return nil, errors.New("paxos: not an acceptor state record (an append log from before the register?)")
+	}
+	payload := r.Frame()
+	if r.Len() > 0 {
+		return nil, errors.New("paxos: trailing bytes after the acceptor state record")
+	}
+	if err := r.ErrIn("paxos: acceptor state record"); err != nil {
+		return nil, err
+	}
+	p := wire.NewReader(payload)
+	st := &State{Promised: readBallot(&p)}
+	st.Accepted = readVersioned(&p)
+	st.Learned = readVersioned(&p)
+	return st, p.ErrIn("paxos: acceptor state")
+}
 
-// FileStable is an append-only, fsync-per-record implementation of Stable.
+// FileStable keeps a node's State in one file of one record. Each save
+// writes the whole record to a temporary file, syncs it, renames it over
+// the old one and syncs the directory, so the file never grows and a crash
+// leaves the old record or the new one.
 type FileStable struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	path  string
+	state State // what the file held at open
 }
 
-// OpenFileStable opens (creating if needed) the acceptor log at path.
+// OpenFileStable reads the state record at path; a missing file is a
+// fresh node. A file that is not one whole record is refused, never
+// half-read.
 func OpenFileStable(path string) (*FileStable, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return &FileStable{path: path}, nil
+	}
 	if err != nil {
-		return nil, fmt.Errorf("paxos: open stable log: %w", err)
+		return nil, fmt.Errorf("paxos: open stable state: %w", err)
 	}
-	return &FileStable{f: f, path: path}, nil
-}
-
-// append frames and fsyncs one record.
-func (s *FileStable) append(payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.f.Write(wire.AppendFrame(nil, payload)); err != nil {
-		return fmt.Errorf("paxos: stable write: %w", err)
+	st, err := DecodeState(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return s.f.Sync()
+	return &FileStable{path: path, state: *st}, nil
 }
 
-// SavePromise implements Stable.
-func (s *FileStable) SavePromise(slot uint64, b Ballot) error {
-	var p []byte
-	p = append(p, stablePromise)
-	p = wire.AppendUvarint(p, slot)
-	p = wire.AppendUvarint(p, b.Round)
-	p = wire.AppendUvarint(p, b.Node)
-	return s.append(p)
-}
-
-// SaveAccepted implements Stable.
-func (s *FileStable) SaveAccepted(slot uint64, b Ballot, value []byte) error {
-	var p []byte
-	p = append(p, stableAccept)
-	p = wire.AppendUvarint(p, slot)
-	p = wire.AppendUvarint(p, b.Round)
-	p = wire.AppendUvarint(p, b.Node)
-	p = wire.AppendBytes(p, value)
-	return s.append(p)
-}
-
-// Load implements Stable. A torn final record (crash during append) ends
-// replay silently.
-func (s *FileStable) Load(fn func(slot uint64, promised Ballot, accepted bool, acceptedBallot Ballot, value []byte) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, err := os.ReadFile(s.path)
+// save durably replaces the record with st.
+func (s *FileStable) save(st *State) error {
+	tmp := s.path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	log := wire.NewReader(data)
-	for log.Len() > 0 {
-		payload := log.Frame()
-		if log.Err() != nil {
-			return nil // torn tail
-		}
-		if len(payload) < 1 {
-			continue
-		}
-		r := wire.NewReader(payload)
-		kind, slot, b := r.Byte(), r.Uvarint(), readBallot(&r)
-		var value []byte
-		if kind == stableAccept {
-			value = r.BytesCopy()
-		}
-		if err := r.ErrIn("paxos: stable record"); err != nil {
-			return err
-		}
-		switch kind {
-		case stablePromise:
-			err = fn(slot, b, false, Ballot{}, nil)
-		case stableAccept:
-			err = fn(slot, Ballot{}, true, b, value)
-		}
-		if err != nil {
-			return err
-		}
+	_, err = f.Write(EncodeState(st))
+	if err == nil {
+		err = f.Sync()
 	}
-	return nil
-}
-
-// Close implements Stable.
-func (s *FileStable) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.f.Close()
-}
-
-// SetStable installs durable acceptor storage on the node and replays its
-// contents. Must be called before the node handles any message.
-func (n *Node) SetStable(s Stable) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	err := s.Load(func(slot uint64, promised Ballot, accepted bool, acceptedBallot Ballot, value []byte) error {
-		if accepted {
-			if cur, ok := n.accepted[slot]; !ok || cur.ballot.Less(acceptedBallot) {
-				n.accepted[slot] = acceptedEntry{ballot: acceptedBallot, value: value}
-			}
-			if n.promised[slot].Less(acceptedBallot) {
-				n.promised[slot] = acceptedBallot
-			}
-		} else if n.promised[slot].Less(promised) {
-			n.promised[slot] = promised
-		}
-		return nil
-	})
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, s.path)
+	}
+	if err != nil {
+		return fmt.Errorf("paxos: save stable state: %w", err)
+	}
+	dir, err := os.Open(filepath.Dir(s.path))
 	if err != nil {
 		return err
 	}
-	n.stable = s
-	return nil
+	defer dir.Close()
+	return dir.Sync()
 }

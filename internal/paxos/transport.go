@@ -31,7 +31,8 @@ func (t *LocalTransport) Register(n *Node) {
 	t.nodes[n.ID()] = n
 }
 
-// Disconnect makes peer unreachable (both directions) until Reconnect.
+// Disconnect makes every message to peer fail until Reconnect. The
+// transport does not know senders, so what peer sends still arrives.
 func (t *LocalTransport) Disconnect(id uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -45,45 +46,38 @@ func (t *LocalTransport) Reconnect(id uint64) {
 	delete(t.down, id)
 }
 
-func (t *LocalTransport) get(peer uint64) (*Node, error) {
+// deliver runs handle on peer's node, unless peer is down or unknown.
+func deliver[T any](t *LocalTransport, peer uint64, handle func(*Node) T) (T, error) {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.down[peer] {
-		return nil, ErrUnreachable
-	}
 	n, ok := t.nodes[peer]
+	ok = ok && !t.down[peer]
+	t.mu.RUnlock()
 	if !ok {
-		return nil, ErrUnreachable
+		var zero T
+		return zero, ErrUnreachable
 	}
-	return n, nil
+	return handle(n), nil
 }
 
 // Prepare implements Transport.
-func (t *LocalTransport) Prepare(peer uint64, req *PrepareReq) (*PrepareResp, error) {
-	n, err := t.get(peer)
-	if err != nil {
-		return nil, err
-	}
-	return n.HandlePrepare(req), nil
+func (t *LocalTransport) Prepare(peer uint64, b Ballot) (*Reply, error) {
+	return deliver(t, peer, func(n *Node) *Reply { return n.HandlePrepare(b) })
 }
 
 // Accept implements Transport.
-func (t *LocalTransport) Accept(peer uint64, req *AcceptReq) (*AcceptResp, error) {
-	n, err := t.get(peer)
-	if err != nil {
-		return nil, err
-	}
-	return n.HandleAccept(req), nil
+func (t *LocalTransport) Accept(peer uint64, v *Versioned) (*Reply, error) {
+	return deliver(t, peer, func(n *Node) *Reply { return n.HandleAccept(v) })
 }
 
 // Learn implements Transport.
-func (t *LocalTransport) Learn(peer uint64, req *LearnReq) error {
-	n, err := t.get(peer)
-	if err != nil {
-		return err
-	}
-	n.HandleLearn(req)
-	return nil
+func (t *LocalTransport) Learn(peer uint64, v *Versioned) error {
+	_, err := deliver(t, peer, func(n *Node) *Node { n.HandleLearn(v); return n })
+	return err
+}
+
+// Pull implements Transport.
+func (t *LocalTransport) Pull(peer uint64) (*Versioned, error) {
+	return deliver(t, peer, func(n *Node) *Versioned { v := n.Learned(); return &v })
 }
 
 // RPC method names used by the network transport.
@@ -91,31 +85,36 @@ const (
 	methodPrepare = "paxos.prepare"
 	methodAccept  = "paxos.accept"
 	methodLearn   = "paxos.learn"
+	methodPull    = "paxos.pull"
 )
 
 // RegisterServer exposes a node's acceptor/learner roles on an RPC server.
 func RegisterServer(srv *rpc.Server, n *Node) {
 	srv.Handle(methodPrepare, func(body []byte) ([]byte, error) {
-		req, err := DecodePrepareReq(body)
+		b, err := DecodeBallot(body)
 		if err != nil {
 			return nil, err
 		}
-		return EncodePrepareResp(n.HandlePrepare(req)), nil
+		return EncodeReply(n.HandlePrepare(b)), nil
 	})
 	srv.Handle(methodAccept, func(body []byte) ([]byte, error) {
-		req, err := DecodeAcceptReq(body)
+		v, err := DecodeVersioned(body)
 		if err != nil {
 			return nil, err
 		}
-		return EncodeAcceptResp(n.HandleAccept(req)), nil
+		return EncodeReply(n.HandleAccept(v)), nil
 	})
 	srv.Handle(methodLearn, func(body []byte) ([]byte, error) {
-		req, err := DecodeLearnReq(body)
+		v, err := DecodeVersioned(body)
 		if err != nil {
 			return nil, err
 		}
-		n.HandleLearn(req)
+		n.HandleLearn(v)
 		return nil, nil
+	})
+	srv.Handle(methodPull, func([]byte) ([]byte, error) {
+		v := n.Learned()
+		return EncodeVersioned(&v), nil
 	})
 }
 
@@ -137,48 +136,43 @@ func NewRPCTransport(self *Node, pool *rpc.Pool, addrs map[uint64]string) *RPCTr
 	return &RPCTransport{self: self, pool: pool, addrs: cp}
 }
 
-// Prepare implements Transport.
-func (t *RPCTransport) Prepare(peer uint64, req *PrepareReq) (*PrepareResp, error) {
+// call sends one message: handled in process when peer is the local node,
+// else over the pool, its answer parsed by decode.
+func call[T any](t *RPCTransport, peer uint64, method string, body []byte, local func(*Node) T, decode func([]byte) (T, error)) (T, error) {
 	if t.self != nil && peer == t.self.ID() {
-		return t.self.HandlePrepare(req), nil
+		return local(t.self), nil
 	}
+	var zero T
 	addr, ok := t.addrs[peer]
 	if !ok {
-		return nil, ErrUnreachable
+		return zero, ErrUnreachable
 	}
-	body, err := t.pool.Call(addr, methodPrepare, EncodePrepareReq(req))
+	resp, err := t.pool.Call(addr, method, body)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	return DecodePrepareResp(body)
+	return decode(resp)
+}
+
+// Prepare implements Transport.
+func (t *RPCTransport) Prepare(peer uint64, b Ballot) (*Reply, error) {
+	return call(t, peer, methodPrepare, EncodeBallot(b), func(n *Node) *Reply { return n.HandlePrepare(b) }, DecodeReply)
 }
 
 // Accept implements Transport.
-func (t *RPCTransport) Accept(peer uint64, req *AcceptReq) (*AcceptResp, error) {
-	if t.self != nil && peer == t.self.ID() {
-		return t.self.HandleAccept(req), nil
-	}
-	addr, ok := t.addrs[peer]
-	if !ok {
-		return nil, ErrUnreachable
-	}
-	body, err := t.pool.Call(addr, methodAccept, EncodeAcceptReq(req))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeAcceptResp(body)
+func (t *RPCTransport) Accept(peer uint64, v *Versioned) (*Reply, error) {
+	return call(t, peer, methodAccept, EncodeVersioned(v), func(n *Node) *Reply { return n.HandleAccept(v) }, DecodeReply)
 }
 
 // Learn implements Transport.
-func (t *RPCTransport) Learn(peer uint64, req *LearnReq) error {
-	if t.self != nil && peer == t.self.ID() {
-		t.self.HandleLearn(req)
-		return nil
-	}
-	addr, ok := t.addrs[peer]
-	if !ok {
-		return ErrUnreachable
-	}
-	_, err := t.pool.Call(addr, methodLearn, EncodeLearnReq(req))
+func (t *RPCTransport) Learn(peer uint64, v *Versioned) error {
+	_, err := call(t, peer, methodLearn, EncodeVersioned(v),
+		func(n *Node) []byte { n.HandleLearn(v); return nil },
+		func([]byte) ([]byte, error) { return nil, nil })
 	return err
+}
+
+// Pull implements Transport.
+func (t *RPCTransport) Pull(peer uint64) (*Versioned, error) {
+	return call(t, peer, methodPull, nil, func(n *Node) *Versioned { v := n.Learned(); return &v }, DecodeVersioned)
 }

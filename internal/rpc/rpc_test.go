@@ -239,6 +239,35 @@ func TestPoolRedialsAfterFailure(t *testing.T) {
 	}
 }
 
+// TestPoolDropsLaneClosedByPeer: a call made at once after the peer closed
+// the pool's lane and came back on the same address goes to the new peer.
+// Pool.lane hands out a lane whose peer closed it until the lane's reader
+// has read the close, so the call fails with ErrClosed in about 4 runs of
+// 10: a
+// known defect (ROADMAP, "A closed RPC lane is handed out"), skipped until
+// it is mended.
+func TestPoolDropsLaneClosedByPeer(t *testing.T) {
+	t.Skip("known defect: Pool.lane hands out a lane its peer closed (ROADMAP)")
+	s, addr := startEcho(t)
+	p := NewPool(nil)
+	defer p.Close()
+	for range 3 {
+		if _, err := p.Call(addr, "echo", []byte("a")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	s2 := NewServer()
+	s2.Handle("echo", func(b []byte) ([]byte, error) { return b, nil })
+	if _, err := s2.Serve(addr); err != nil {
+		t.Skipf("could not rebind %s: %v", addr, err)
+	}
+	defer s2.Close()
+	if _, err := p.Call(addr, "echo", []byte("b")); err != nil {
+		t.Fatalf("first call after the peer came back: %v", err)
+	}
+}
+
 func TestMessageEncodeDecode(t *testing.T) {
 	m := &message{kind: msgRequest, id: 77, method: "do.thing", body: []byte{1, 2, 3}}
 	var dec message

@@ -123,7 +123,12 @@ func (d HistData) quantileUs(q float64) uint64 {
 	for _, i := range d.sortedBuckets() {
 		seen += d.Buckets[i]
 		if seen > target {
-			return uint64(bucketValueUs(i))
+			// A bucket's value is its upper bound, which no observation
+			// in it may have reached: a quantile never reads above the max.
+			if v := uint64(bucketValueUs(i)); d.MaxUs == 0 || v <= d.MaxUs {
+				return v
+			}
+			return d.MaxUs
 		}
 	}
 	return d.MaxUs

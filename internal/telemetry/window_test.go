@@ -39,6 +39,20 @@ func TestQuantileBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestQuantileNeverAboveMax: one 611us observation lands in a bucket whose
+// upper bound is 640us; every quantile reports at most the 611us max.
+func TestQuantileNeverAboveMax(t *testing.T) {
+	var h Histogram
+	h.Record(611 * time.Microsecond)
+	d := h.Data()
+	if d.MaxUs != 611 || d.P50Us > d.MaxUs || d.P99Us > d.MaxUs || d.P999Us > d.MaxUs {
+		t.Fatalf("p50=%dus p99=%dus p999=%dus max=%dus", d.P50Us, d.P99Us, d.P999Us, d.MaxUs)
+	}
+	if got := d.Quantile(1); got != 611*time.Microsecond {
+		t.Fatalf("Quantile(1) = %v, want the max", got)
+	}
+}
+
 // TestQuantileOrdering checks p50 <= p99 <= p999 on a skewed distribution
 // and that each quantile separates the distribution where expected.
 func TestQuantileOrdering(t *testing.T) {

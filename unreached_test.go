@@ -46,8 +46,6 @@ var testOnly = map[string]string{
 	"paxos.LocalTransport.Register":   "paxos_test and coordinator_test attach their replicas to it",
 	"paxos.LocalTransport.Disconnect": "paxos_test partitions a replica",
 	"paxos.LocalTransport.Reconnect":  "paxos_test heals the partition",
-	"paxos.Node.CatchUp":              "paxos_test drives catch-up without waiting for the ticker",
-	"paxos.Node.NumChosen":            "paxos_test waits for a replica's applied prefix",
 	"rpc.Dial":                        "rpc_test talks to a server without a pool",
 	"rpc.Client.Call":                 "rpc_test calls through the client it dialed",
 	"store.DB.Delete":                 "store, replication, core and recovery tests delete one key outside a batch",
@@ -692,6 +690,71 @@ func TestOneDeployment(t *testing.T) {
 	}
 	if seen < 8 {
 		t.Fatalf("saw %d part-constructor calls: the guard is not looking at the source", seen)
+	}
+}
+
+// sleepSites lists every non-test time.Sleep call, by file and enclosing
+// function. Each is a wall-clock wait that one injected clock (ROADMAP item
+// 12) has to take over, so the list only shrinks: a new call fails
+// TestSleepSites, and so does an entry that no call matches any more.
+var sleepSites = []string{
+	"cmd/lambdactl/main.go operator.stats",
+	"cmd/lambdactl/top.go runTop",
+	"internal/baseline/compute.go ComputeNode.run",
+	"internal/chaos/schedule.go runner.awaitWrite",
+	"internal/chaos/schedule.go runner.awaitWriteObject",
+	"internal/chaos/schedule.go runner.runMigrateUnderChaos",
+	"internal/cluster/client.go Client.backoff",
+	"internal/cluster/local.go poll",
+	"internal/cluster/node.go Node.afterCommit",
+	"internal/recovery/receiver.go inbound.syncRange",
+	"internal/rpc/rpc.go Client.call",
+	"internal/rpc/rpc.go Client.call",
+	"internal/rpc/rpc.go dialFrom",
+	"internal/store/wal.go walWriter.appendAll",
+}
+
+// TestSleepSites pins sleepSites to the source.
+func TestSleepSites(t *testing.T) {
+	fset := token.NewFileSet()
+	var found []string
+	for _, s := range parseTree(t, fset, "internal", "cmd", "examples") {
+		for _, d := range s.file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil && len(fd.Recv.List) == 1 {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if idx, ok := recv.(*ast.IndexExpr); ok {
+					recv = idx.X
+				}
+				name = selectorPath(recv) + "." + name
+			}
+			ast.Inspect(fd, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && selectorPath(call.Fun) == "time.Sleep" {
+					found = append(found, s.path+" "+name)
+				}
+				return true
+			})
+		}
+	}
+	want := slices.Clone(sleepSites)
+	slices.Sort(found)
+	slices.Sort(want)
+	for _, site := range found {
+		if i := slices.Index(want, site); i >= 0 {
+			want = slices.Delete(want, i, i+1)
+		} else {
+			t.Errorf("%s calls time.Sleep: wait on a channel, a ticker or the caller's own clock instead", site)
+		}
+	}
+	for _, site := range want {
+		t.Errorf("sleepSites lists %q, which no longer sleeps: delete the entry", site)
 	}
 }
 
