@@ -24,11 +24,12 @@
 #                ALLOCS=1 instead records the allocs profile right before and right
 #                after the measured window and prints the window's allocations by
 #                site (pprof -base), the count allocs_per_op divides
-#   make flakes  not part of check: builds one race-enabled test binary of FLAKEPKG
-#                (default internal/cluster), runs each of FLAKES FLAKERUNS times (one
-#                process per run) and tallies the failures by each run's first failing
-#                line, with addresses masked (FLAKEPKG=internal/recovery
-#                FLAKES="TestA TestB" FLAKERUNS=200 to override)
+#   make flakes  not part of check: builds a race-enabled and a plain test binary of
+#                FLAKEPKG (default internal/cluster), runs each of FLAKES FLAKERUNS times
+#                on each, alternating the two run by run (one process per run), and
+#                tallies each build's failures by each run's first failing line, with
+#                addresses masked (FLAKEPKG=internal/recovery FLAKES="TestA TestB"
+#                FLAKERUNS=200 to override)
 
 GO ?= go
 
@@ -143,19 +144,23 @@ FLAKEDIR := $(CURDIR)/.flakes
 FLAKEBIN := $(FLAKEDIR)/$(notdir $(FLAKEPKG)).test
 flakes:
 	@mkdir -p $(FLAKEDIR)
-	$(GO) test -race -c -o $(FLAKEBIN) ./$(FLAKEPKG)/
+	$(GO) test -race -c -o $(FLAKEBIN).race ./$(FLAKEPKG)/
+	$(GO) test -c -o $(FLAKEBIN).plain ./$(FLAKEPKG)/
 	@cd $(FLAKEPKG) && for t in $(FLAKES); do \
-		tally=$(FLAKEDIR)/$$(echo "$$t" | tr / _).tally; : > $$tally; fails=0; \
+		tally=$(FLAKEDIR)/$$(echo "$$t" | tr / _); : > $$tally.race; : > $$tally.plain; \
 		for i in $$(seq $(FLAKERUNS)); do \
-			if ! $(FLAKEBIN) -test.run "^$$t\$$" -test.count=1 > $(FLAKEDIR)/run.out 2>&1; then \
-				fails=$$((fails + 1)); \
-				line=$$(grep -m1 -E '^\s+[A-Za-z0-9_]+\.go:[0-9]+: |^panic: |DATA RACE' $(FLAKEDIR)/run.out \
-					| sed -E 's/^\s+//; s/127\.0\.0\.1:[0-9]+/ADDR/g; s/0x[0-9a-f]+/0xADDR/g'); \
-				echo "$${line:-(no failing line)}" >> $$tally; \
-			fi; \
+			for b in race plain; do \
+				if ! $(FLAKEBIN).$$b -test.run "^$$t\$$" -test.count=1 > $(FLAKEDIR)/run.out 2>&1; then \
+					line=$$(grep -m1 -E '^\s+[A-Za-z0-9_]+\.go:[0-9]+: |^panic: |DATA RACE' $(FLAKEDIR)/run.out \
+						| sed -E 's/^\s+//; s/127\.0\.0\.1:[0-9]+/ADDR/g; s/0x[0-9a-f]+/0xADDR/g'); \
+					echo "$${line:-(no failing line)}" >> $$tally.$$b; \
+				fi; \
+			done; \
 		done; \
-		echo "== $$t: $$fails of $(FLAKERUNS) runs failed"; \
-		sort $$tally | uniq -c | sort -rn; \
+		for b in race plain; do \
+			echo "== $$t ($$b): $$(wc -l < $$tally.$$b) of $(FLAKERUNS) runs failed"; \
+			sort $$tally.$$b | uniq -c | sort -rn; \
+		done; \
 	done
 
 clean:

@@ -98,7 +98,7 @@ func homeGroup(t *testing.T, l *Local, obj core.ObjectID) uint64 {
 
 // TestMigrationNeedsACoordinator: a cutover commits only at the
 // coordinator, so a static deployment refuses a move before anything is
-// fenced or copied. No node's view changes, and the object still serves at
+// frozen or copied. No node's view changes, and the object still serves at
 // its old home.
 func TestMigrationNeedsACoordinator(t *testing.T) {
 	l := startLocal(t, LocalOptions{Groups: []int{2, 2}})
@@ -126,9 +126,6 @@ func TestMigrationNeedsACoordinator(t *testing.T) {
 		if g, err := n.Directory().Lookup(obj); err != nil || g.ID != 0 {
 			t.Fatalf("%s maps object %d to group %d, %v", n.Addr(), obj, g.ID, err)
 		}
-		if fenced := n.role.fenceCount.Load(); fenced != 0 {
-			t.Fatalf("%s fenced %d objects", n.Addr(), fenced)
-		}
 		if n.MoveSessions() != 0 {
 			t.Fatalf("%s has a move session", n.Addr())
 		}
@@ -147,7 +144,7 @@ func TestMigrationNeedsACoordinator(t *testing.T) {
 // while it is live-migrated between groups through the coordinator's
 // epoch-fenced cutover. Every acknowledged write must survive the move
 // (no lost ack), and the final state must live at exactly one group.
-// Run under -race this also exercises the fence/forward/seal paths for
+// Run under -race this also exercises the forward/seal/freeze paths for
 // data races.
 func TestLiveMigrationUnderWrites(t *testing.T) {
 	l := sharedMovers(t)
@@ -298,12 +295,95 @@ func TestLiveMigrationUnderWrites(t *testing.T) {
 	}
 }
 
-// TestMigrationRoundTripClearsFence moves an object away and straight back
-// with no request in between. The fence the first source raised self-clears
-// only when a request for the object reaches routeCheck; if it outlived the
-// object's return, the node would bounce every later request to the group it
-// moved the object to — forever.
-func TestMigrationRoundTripClearsFence(t *testing.T) {
+// TestFrozenCopyNotServedAfterCutover holds back the source group's news of
+// a cutover while the target installs it: the coordinator's answer to the
+// source's cutover waits on learns held for a second, and neither source
+// replica can fetch the directory. Until its own install the source
+// primary keeps granting its backup read leases at the old epoch, so the
+// backup's lagging view and valid lease would let it serve its copy. Once
+// the target acks a write, a read at the source backup — what a client
+// holding the pre-move directory sends — must not answer from the copy
+// older than that write: the move's freeze write reached the backup before
+// the cutover was proposed, and it answers with a redirect. After the
+// move's range delete, it still does, and its runtime reads the object as
+// moved to the target group, not as absent.
+func TestFrozenCopyNotServedAfterCutover(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	l := sharedMovers(t)
+	pool := rpc.NewPool(nil)
+	t.Cleanup(pool.Close)
+	obj := newObject(t, l)
+	mustAdd(t, l.Client, obj, 42)
+	src, tgt := primaryOf(t, l, 0), primaryOf(t, l, 1)
+	var backup *Node
+	for _, n := range groupNodes(l, 0) {
+		if n != src {
+			backup = n
+		}
+	}
+	if v := readAt(t, pool, backup.Addr(), obj); v != 42 {
+		t.Fatalf("leased read at the source backup = %d, want 42", v)
+	}
+
+	replicas := l.Coord.Addrs()
+	fault.Add(fault.Rule{Site: "paxos.learn", From: replicas[0], Action: fault.Delay, Delay: time.Second})
+	for _, n := range []*Node{src, backup} {
+		fault.Add(fault.Rule{Site: coordinator.MethodGetConfig, From: n.Addr(), Action: fault.Error})
+	}
+	moved := make(chan error, 1)
+	go func() { moved <- l.Client.Migrate(obj, 1) }()
+	await(t, l, 5*time.Second, "the target to install the cutover", func() bool {
+		g, err := tgt.Directory().Lookup(uint64(obj))
+		return err == nil && g.ID == 1
+	})
+	res, err := directInvoke(pool, tgt.Addr(), obj, "add", [][]byte{core.I64Bytes(1)})
+	if err != nil || core.BytesI64(res) != 43 {
+		t.Fatalf("write at the target = %d, %v; want 43", core.BytesI64(res), err)
+	}
+	if g, err := src.Directory().Lookup(uint64(obj)); err != nil || g.ID != 0 || len(moved) > 0 {
+		t.Fatalf("the source learned of the cutover too early: group %d, %v", g.ID, err)
+	}
+	res, err = directInvoke(pool, backup.Addr(), obj, "get", nil)
+	if err == nil {
+		t.Fatalf("the source backup served %d after the target acked 43", core.BytesI64(res))
+	}
+	if _, ok := ParseNotResponsible(err); !ok {
+		t.Fatalf("read at the source backup before the delete: %v, want a redirect", err)
+	}
+
+	if err := <-moved; err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	if g, err := backup.Directory().Lookup(uint64(obj)); err != nil || g.ID != 0 {
+		t.Fatalf("the source backup's view caught up: group %d, %v", g.ID, err)
+	}
+	await(t, l, 5*time.Second, "the source backup to apply the range delete", func() bool {
+		_, err := backup.Runtime().GetValueField(obj, "count")
+		return errors.Is(err, core.ErrNotFound)
+	})
+	_, err = directInvoke(pool, backup.Addr(), obj, "get", nil)
+	if _, ok := ParseNotResponsible(err); !ok {
+		t.Fatalf("read at the lagging source backup after the delete: %v, want a redirect", err)
+	}
+	var mark *core.MovedError
+	if _, err := backup.Runtime().Invoke(obj, "get", nil); !errors.As(err, &mark) || mark.Group != 1 {
+		t.Fatalf("the source backup's runtime after the delete: %v, want the object moved to group 1", err)
+	}
+	fault.Reset()
+	await(t, l, 5*time.Second, "the source backup's view to catch up", func() bool {
+		g, err := backup.Directory().Lookup(uint64(obj))
+		return err == nil && g.ID == 1
+	})
+}
+
+// TestMigrationRoundTripClearsMark moves an object away and straight back
+// with no request in between: a mark left by a move away does not outlive
+// the object's return. The first source keeps the freeze's mark after its
+// range delete; if the move back did not clear it, that group would answer
+// every later request with a redirect to the group it moved the object to —
+// forever — and its replicas would report the object absent.
+func TestMigrationRoundTripClearsMark(t *testing.T) {
 	l := sharedMovers(t)
 	c := l.Client
 	obj := newObject(t, l)
@@ -319,6 +399,11 @@ func TestMigrationRoundTripClearsFence(t *testing.T) {
 	}
 	if got := core.BytesI64(res); got != 43 {
 		t.Fatalf("value after the round trip = %d, want 43", got)
+	}
+	for _, n := range groupNodes(l, 0) {
+		if ok, err := n.Runtime().ObjectExists(obj); !ok || err != nil {
+			t.Fatalf("%s after the round trip: exists %v, %v", n.Addr(), ok, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -86,8 +87,8 @@ type Node struct {
 
 	// leases is this node's backup-side read-lease holder.
 	leases *replication.LeaseHolder
-	// role is the node's view of itself: its configuration view, role,
-	// write-ack barriers and object fences (role.go).
+	// role is the node's view of itself: its configuration view, role and
+	// write-ack barrier (role.go).
 	role   *roleMachine
 	stopMu sync.Mutex
 	stop   chan struct{}
@@ -174,7 +175,6 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		served:      reg.Counter("reads.backup_served"),
 		bounced:     reg.Counter("reads.primary_bounced"),
 		now:         time.Now,
-		fences:      make(map[uint64]string),
 	}
 	if opts.Directory == nil {
 		opts.Directory = shard.NewDirectory(nil)
@@ -186,7 +186,6 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		}
 		return 0
 	})
-	reg.GaugeFunc("cluster.fenced_objects", func() int64 { return int64(n.role.fenceCount.Load()) })
 	reg.GaugeFunc("shard.overrides", func() int64 { return int64(n.Directory().OverrideCount()) })
 
 	// State-transfer plane: every node can send state (it may be primary
@@ -205,8 +204,7 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 		LockObject: func(object uint64) (func(), error) {
 			return n.rt.LockObject(core.ObjectID(object))
 		},
-		Fence:              n.role.fence,
-		Unfence:            n.role.unfence,
+		Freeze:             n.freeze,
 		CutOver:            n.cutOverObject,
 		MaxBytesPerSec:     opts.RecoveryMaxBytesPerSec,
 		MoveSessionTimeout: opts.moveSession,
@@ -303,9 +301,30 @@ func (n *Node) applyTransferred(object uint64, b *store.Batch) error {
 // lease-breaking reconfiguration stalls the ack of a durable, replicated
 // write until any lease this primary can no longer invalidate has surely
 // expired (at most one lease TTL).
-func (n *Node) afterCommit(_ telemetry.SpanContext, obj core.ObjectID, _ uint64, _ *store.Batch) error {
-	time.Sleep(n.role.load().ackDelay(uint64(obj), n.role.now()))
+func (n *Node) afterCommit(telemetry.SpanContext, core.ObjectID, uint64, *store.Batch) error {
+	time.Sleep(n.role.load().ackDelay(n.role.now()))
 	return nil
+}
+
+// freeze is a move's freeze write (recovery.Options.Freeze, DESIGN §13)
+// through the group path, so it returns once every backup applied it; it
+// also waits afterCommit's barrier, as a commit's ack would, since a
+// replica that left the group may still hold a lease.
+func (n *Node) freeze(object, group uint64) (restore func() error, err error) {
+	key := core.HeaderKey(core.ObjectID(object))
+	header, err := n.db.Get(key)
+	if err != nil {
+		return nil, err
+	}
+	put := func(v []byte) error {
+		b := store.NewBatch()
+		b.Put(key, v)
+		return n.rt.ApplyReplicated(core.ObjectID(object), b)
+	}
+	if err = put(core.MovedHeader(group)); err == nil {
+		err = n.afterCommit(telemetry.SpanContext{}, core.ObjectID(object), 0, nil)
+	}
+	return func() error { return put(header) }, err
 }
 
 // Addr returns the node's RPC address.
@@ -359,9 +378,8 @@ func (n *Node) Close() error {
 // decoded: route → execute → classify. Per method only the decoder, the
 // objects to route — every one must be homed here, a transaction is
 // single-node — the invoked method ("" for requests that always write) and
-// the core call (exec) differ. Fences and placement reject before
-// execution, so a request this node may not run never waits on an object's
-// lock.
+// the core call (exec) differ. Placement rejects before execution, so a
+// request this node may not run never waits on an object's lock.
 func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, method string, exec func(core.CallCtx) ([]byte, error)) ([]byte, error) {
 	// Route.
 	for _, obj := range objects {
@@ -375,20 +393,32 @@ func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, method string, 
 	// Execute; the commit tail (core's commit, with replicateGroup inside
 	// its write, then afterCommit) runs inside it and may withhold the ack.
 	resp, err := exec(core.CallCtx{Trace: info.Trace})
-	// Classify: an object may have been migrated away after its request was
-	// routed, while it waited on the object's lock (a move fences, cuts over
-	// and deletes the local copy under that lock). If the view now maps it
-	// elsewhere, answer with the routing redirect the client follows, not a
-	// spurious no-such-object.
-	if errors.Is(err, core.ErrNoSuchObject) {
-		d := n.Directory()
-		for _, obj := range objects {
-			if g, lerr := d.Lookup(uint64(obj)); lerr == nil && g.ID != n.opts.GroupID {
-				return nil, notResponsibleError(g.Primary)
-			}
+	if err != nil {
+		return resp, n.classify(objects, err)
+	}
+	return resp, nil
+}
+
+// classify is serve's last step: an object that moved away after its
+// request was routed, or whose mark shows a cutover this node's view lags,
+// answers with the redirect the client follows, not no-such-object — to
+// its home in the view, else to the group the mark names.
+func (n *Node) classify(objects []core.ObjectID, err error) error {
+	var moved *core.MovedError
+	if !errors.As(err, &moved) && !errors.Is(err, core.ErrNoSuchObject) {
+		return err
+	}
+	d := n.Directory()
+	for _, obj := range objects {
+		if g, lerr := d.Lookup(uint64(obj)); lerr == nil && g.ID != n.opts.GroupID {
+			return notResponsibleError(g.Primary)
 		}
 	}
-	return resp, err
+	if moved != nil && slices.Contains(objects, moved.Object) {
+		g, _ := d.Group(moved.Group)
+		return notResponsibleError(g.Primary)
+	}
+	return err
 }
 
 // routedHook, when set, runs in serve between route and execute. It is nil
@@ -440,7 +470,6 @@ func (n *Node) registerHandlers() {
 			return nil, err
 		}
 		return n.serve(info, []core.ObjectID{req.object}, "", func(cc core.CallCtx) ([]byte, error) {
-			cc.Guard = n.role.createGuard
 			return nil, n.rt.CreateObject(req.typeName, req.object, cc)
 		})
 	})
@@ -469,7 +498,7 @@ func (n *Node) registerHandlers() {
 			return nil, err
 		}
 		// A cutover commits only at the coordinator: without one, refuse
-		// before anything is fenced or copied.
+		// before anything is frozen or copied.
 		if n.coord == nil {
 			return nil, errors.New("cluster: migration needs a coordinator")
 		}

@@ -455,7 +455,7 @@ func TestOneSnapshotTwoExits(t *testing.T) {
 	for _, name := range []string{
 		"core.invocations", "core.pool_warm", "core.pool_cold",
 		"cache.validations", "cache.evictions", "cache.bypass", "cache.invalidations",
-		"shard.overrides", "cluster.primary", "cluster.fenced_objects",
+		"shard.overrides", "cluster.primary",
 		"move.in_flight", "move.inbound_sessions",
 		"vm.compiled_modules", "vm.compile_ns",
 		"lease.held",

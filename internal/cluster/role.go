@@ -33,15 +33,6 @@ type roleMachine struct {
 	mu   sync.Mutex // install's; guards self
 	self string
 	cur  atomic.Pointer[view]
-
-	// Object fences: while an outbound move quiesces an object, route rejects
-	// it before it can wait on the object's lock (one atomic load when none
-	// is up). A fence outlives the cutover on purpose — it self-clears only
-	// once the view maps the object elsewhere, so a stale view can never let
-	// the old home serve post-move requests.
-	fenceCount atomic.Int32
-	fenceMu    sync.Mutex
-	fences     map[uint64]string
 }
 
 // leaseHolder is the machine's use of a *replication.LeaseHolder.
@@ -58,10 +49,8 @@ type view struct {
 	group   shard.Group // zero when the view has no such group
 	member  bool        // the view has this node's group
 	primary bool        // ... and names this node its primary
-	// Write-ack barriers (§14): no ack leaves before barrier, nor an ack of
-	// a commit of obj before objBarriers[obj].
-	barrier     time.Time
-	objBarriers map[uint64]time.Time
+	// The write-ack barrier (§14): no ack leaves before it.
+	barrier time.Time
 }
 
 // deposed reports that the view names another node primary of this node's
@@ -77,37 +66,28 @@ func (v *view) fanout() []string {
 	return nil
 }
 
-// ackDelay is how long a commit of obj must hold its ack at now: until
-// every barrier covering it has passed (zero in the common case).
-func (v *view) ackDelay(obj uint64, now time.Time) time.Duration {
-	until := v.barrier
-	if t := v.objBarriers[obj]; t.After(until) {
-		until = t
-	}
-	return max(until.Sub(now), 0)
+// ackDelay is how long a commit must hold its ack at now: until the
+// barrier has passed (zero in the common case).
+func (v *view) ackDelay(now time.Time) time.Duration {
+	return max(v.barrier.Sub(now), 0)
 }
 
 // next derives the value dir gives this node (self, of group) at now from
-// the value prev it replaces; unexpired barriers carry over. Another epoch
-// revokes any lease this node holds as a backup (a view at the installed
-// epoch re-derives the role only). As the new view's primary, a change that
-// could orphan a lease it can no longer invalidate — a replica left its
-// group (eviction, failover, its own promotion), or an object was mapped
-// into it while the old home's backups may still serve leased reads of it —
-// stalls acks one full ttl, group-wide or for that object: every such lease
-// has expired by then (backups honor 3/4 of the TTL, leaving margin for
-// skew and delivery latency).
+// the value prev it replaces; an unexpired barrier carries over. Another
+// epoch revokes any lease this node holds as a backup (a view at the
+// installed epoch re-derives the role only). As the new view's primary, a
+// change that could orphan a lease it can no longer invalidate — a replica
+// left its group (eviction, failover, its own promotion) — stalls acks one
+// full ttl: every such lease has expired by then (backups honor 3/4 of the
+// TTL, leaving margin for skew and delivery latency). An object moved in
+// needs no barrier: the move's freeze write reached every replica of its
+// old group before the cutover (DESIGN §13).
 func next(prev *view, dir *shard.Directory, self string, group uint64, now time.Time, ttl time.Duration) (v *view, revoke bool) {
-	v = &view{dir: dir, self: self, objBarriers: make(map[uint64]time.Time)}
+	v = &view{dir: dir, self: self}
 	v.group, v.member = dir.Group(group)
 	v.primary = v.member && v.group.Primary == self
 	if prev.barrier.After(now) {
 		v.barrier = prev.barrier
-	}
-	for obj, t := range prev.objBarriers {
-		if t.After(now) {
-			v.objBarriers[obj] = t
-		}
 	}
 	old := prev.dir
 	if old == nil || old.Epoch() == dir.Epoch() {
@@ -121,16 +101,6 @@ func next(prev *view, dir *shard.Directory, self string, group uint64, now time.
 	left := func(r string) bool { return !slices.Contains(replicas, r) }
 	if (!prev.primary || slices.ContainsFunc(prev.group.Replicas(), left)) && until.After(v.barrier) {
 		v.barrier = until
-	}
-	// Overrides installed, or cleared back to a default placement here.
-	for _, overrides := range []map[uint64]uint64{old.Overrides(), dir.Overrides()} {
-		for obj := range overrides {
-			g, err := dir.Lookup(obj)
-			was, werr := old.Lookup(obj)
-			if err == nil && g.ID == group && (werr != nil || was.ID != group) && until.After(v.objBarriers[obj]) {
-				v.objBarriers[obj] = until
-			}
-		}
 	}
 	return v, true
 }
@@ -186,15 +156,6 @@ func (m *roleMachine) bind(self string) {
 func (m *roleMachine) route(obj core.ObjectID, method string) error {
 	v := m.load()
 	g, err := v.dir.Lookup(uint64(obj))
-	if hint, fenced := m.fencedHint(uint64(obj)); fenced {
-		// Quiesced for (or moved by) a live migration; once the view maps
-		// the object elsewhere, the fence has done its job.
-		if err == nil && g.ID != m.group {
-			m.unfence(uint64(obj))
-			return notResponsibleError(g.Primary)
-		}
-		return notResponsibleError(hint)
-	}
 	if err != nil {
 		if m.coordinated {
 			// Without a configuration a coordinator-managed node is nobody's
@@ -235,42 +196,6 @@ func (m *roleMachine) readsFor(obj core.ObjectID) bool {
 		return true
 	}
 	return g.ReadReplica(uint64(obj), 0) == v.self
-}
-
-// createGuard is a create's route step again, under the object's write
-// admission (core.CallCtx.Guard): a move may have fenced, cut over and
-// deleted the object while the create waited on that lock, and the header
-// it then finds absent must not re-create the object at its old home.
-func (m *roleMachine) createGuard(obj core.ObjectID) error { return m.route(obj, "") }
-
-// fence makes route reject the object with not-responsible plus a hint at
-// its (future) home, before execution takes the object's lock.
-func (m *roleMachine) fence(object uint64, hint string) {
-	m.fenceMu.Lock()
-	m.fences[object] = hint
-	m.fenceCount.Store(int32(len(m.fences)))
-	m.fenceMu.Unlock()
-}
-
-// unfence lifts a fence (move abort, or self-clear once the view caught up
-// with a committed cutover).
-func (m *roleMachine) unfence(object uint64) {
-	m.fenceMu.Lock()
-	delete(m.fences, object)
-	m.fenceCount.Store(int32(len(m.fences)))
-	m.fenceMu.Unlock()
-}
-
-// fencedHint reports whether the object is fenced; one atomic load when no
-// fence is up.
-func (m *roleMachine) fencedHint(object uint64) (string, bool) {
-	if m.fenceCount.Load() == 0 {
-		return "", false
-	}
-	m.fenceMu.Lock()
-	hint, ok := m.fences[object]
-	m.fenceMu.Unlock()
-	return hint, ok
 }
 
 // admitJoiner is the donor's cutover callback: propose the epoch-fenced

@@ -49,8 +49,8 @@ func g0(primary string, backups ...string) shard.Group {
 var g1 = shard.Group{ID: 1, Primary: "other"}
 
 // TestNextView drives the view transition with an injected clock: which
-// changes revoke leases, which arm a write-ack barrier and for what, and
-// what the published role says.
+// changes revoke leases, which arm the write-ack barrier, and what the
+// published role says.
 func TestNextView(t *testing.T) {
 	const ttl = 100 * time.Millisecond
 	t0 := time.Unix(1000, 0)
@@ -58,8 +58,7 @@ func TestNextView(t *testing.T) {
 		name     string
 		from, to *shard.Directory
 		revoke   bool
-		group    time.Duration            // ackDelay of an object nothing moved
-		objects  map[uint64]time.Duration // ackDelay of moved objects
+		group    time.Duration // ackDelay
 		primary  bool
 		deposed  bool
 	}{
@@ -75,35 +74,24 @@ func TestNextView(t *testing.T) {
 		{name: "a backup added arms nothing",
 			from: dirAt(5, nil, g0("me", "b1"), g1), to: dirAt(6, nil, g0("me", "b1", "b2"), g1),
 			revoke: true, primary: true},
-		{name: "an object overridden into this group arms its own barrier",
-			from: dirAt(5, nil, g0("me"), g1), to: dirAt(6, map[uint64]uint64{3: 0}, g0("me"), g1),
-			revoke: true, objects: map[uint64]time.Duration{3: ttl}, primary: true},
-		{name: "an object cleared back to its hash home here arms its own barrier",
-			from: dirAt(5, map[uint64]uint64{4: 1}, g0("me"), g1), to: dirAt(6, nil, g0("me"), g1),
-			revoke: true, objects: map[uint64]time.Duration{4: ttl}, primary: true},
 		{name: "an object moved out arms nothing",
 			from: dirAt(5, nil, g0("me"), g1), to: dirAt(6, map[uint64]uint64{4: 1}, g0("me"), g1),
-			revoke: true, objects: map[uint64]time.Duration{4: 0}, primary: true},
+			revoke: true, primary: true},
 		{name: "deposed",
 			from: dirAt(5, nil, g0("me", "b1"), g1), to: dirAt(6, nil, g0("b1", "me"), g1),
 			revoke: true, deposed: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prev, revoke := next(&view{}, tc.from, "me", 0, t0, ttl)
-			if revoke || prev.ackDelay(2, t0) != 0 {
+			if revoke || prev.ackDelay(t0) != 0 {
 				t.Fatalf("the boot view revoked (%v) or armed a barrier", revoke)
 			}
 			v, revoke := next(prev, tc.to, "me", 0, t0, ttl)
 			if revoke != tc.revoke {
 				t.Errorf("revoke = %v, want %v", revoke, tc.revoke)
 			}
-			if got := v.ackDelay(2, t0); got != tc.group {
+			if got := v.ackDelay(t0); got != tc.group {
 				t.Errorf("group ackDelay = %v, want %v", got, tc.group)
-			}
-			for obj, want := range tc.objects {
-				if got := v.ackDelay(obj, t0); got != want {
-					t.Errorf("ackDelay(%d) = %v, want %v", obj, got, want)
-				}
 			}
 			if v.primary != tc.primary || v.deposed() != tc.deposed {
 				t.Errorf("primary %v deposed %v, want %v %v", v.primary, v.deposed(), tc.primary, tc.deposed)
@@ -123,29 +111,17 @@ func TestNextView(t *testing.T) {
 		v, _ := next(&view{}, d5, "me", 0, t0, ttl)
 		// t0: b2 evicted → group barrier until t0+ttl.
 		v, _ = next(v, dirAt(6, nil, g0("me", "b1"), g1), "me", 0, t0, ttl)
-		// t0+ttl/2: object 3 moves in → its barrier until t0+3ttl/2.
+		// t0+ttl/2: object 3 moves in, which arms nothing.
 		half := t0.Add(ttl / 2)
 		v, _ = next(v, dirAt(7, map[uint64]uint64{3: 0}, g0("me", "b1"), g1), "me", 0, half, ttl)
-		if got := v.ackDelay(2, half); got != ttl/2 {
+		if got := v.ackDelay(half); got != ttl/2 {
 			t.Fatalf("group barrier did not carry over: ackDelay %v, want %v", got, ttl/2)
 		}
-		if got := v.ackDelay(3, half); got != ttl {
-			t.Fatalf("object barrier ackDelay %v, want %v", got, ttl)
-		}
-		// Past the group barrier, a change that arms nothing drops it and
-		// keeps the object's.
+		// Past the group barrier, a change that arms nothing drops it.
 		late := t0.Add(ttl + time.Millisecond)
 		v, _ = next(v, dirAt(8, map[uint64]uint64{3: 0}, g0("me", "b1", "b2"), g1), "me", 0, late, ttl)
-		if !v.barrier.IsZero() || v.ackDelay(2, late) != 0 {
+		if !v.barrier.IsZero() || v.ackDelay(late) != 0 {
 			t.Fatalf("expired group barrier kept: %v", v.barrier)
-		}
-		if got := v.ackDelay(3, late); got != ttl/2-time.Millisecond {
-			t.Fatalf("object barrier ackDelay %v after the group's expired", got)
-		}
-		// Past both, nothing is carried.
-		v, _ = next(v, dirAt(9, map[uint64]uint64{3: 0}, g0("me", "b1", "b2"), g1), "me", 0, t0.Add(time.Hour), ttl)
-		if len(v.objBarriers) != 0 || !v.barrier.IsZero() {
-			t.Fatalf("expired barriers carried: %v %v", v.barrier, v.objBarriers)
 		}
 	})
 
@@ -154,15 +130,15 @@ func TestNextView(t *testing.T) {
 		v, _ := next(&view{}, d, "me", 0, t0, ttl)
 		d.SetGroup(g0("me")) // a static directory edited in place
 		v, revoke := next(v, d, "me", 0, t0, ttl)
-		if revoke || !v.primary || v.ackDelay(2, t0) != 0 {
-			t.Fatalf("in-place edit: revoke %v primary %v ackDelay %v", revoke, v.primary, v.ackDelay(2, t0))
+		if revoke || !v.primary || v.ackDelay(t0) != 0 {
+			t.Fatalf("in-place edit: revoke %v primary %v ackDelay %v", revoke, v.primary, v.ackDelay(t0))
 		}
 	})
 }
 
 // TestRoute drives the route decision over published views without a
-// node: primary, leased and unleased backup, fences, and a coordinator-
-// managed node with no configuration.
+// node: primary, leased and unleased backup, and a coordinator-managed
+// node with no configuration.
 func TestRoute(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	leases := &fakeLeases{}
@@ -172,7 +148,6 @@ func TestRoute(t *testing.T) {
 		reads:    reg.Counter("reads.served"),
 		served:   reg.Counter("reads.backup_served"),
 		bounced:  reg.Counter("reads.primary_bounced"),
-		fences:   make(map[uint64]string),
 	}
 	publish := func(d *shard.Directory) {
 		v, _ := next(&view{}, d, "me", 0, time.Unix(0, 0), time.Second)
@@ -205,17 +180,8 @@ func TestRoute(t *testing.T) {
 		t.Fatalf("reads %d (one at the primary) served %d bounced %d, want 2, 1 and 1", r, s, b)
 	}
 
-	publish(dirAt(2, nil, g0("me", "b1"), g1))
-	m.fence(2, "next:1")
-	check(t, m.route(2, "put"), "next:1")
-	if _, fenced := m.fencedHint(2); !fenced {
-		t.Fatal("the fence cleared before the view moved the object")
-	}
 	publish(dirAt(3, map[uint64]uint64{2: 1}, g0("me", "b1"), g1))
 	check(t, m.route(2, "put"), "other")
-	if _, fenced := m.fencedHint(2); fenced || m.fenceCount.Load() != 0 {
-		t.Fatal("the fence outlived a view that maps the object elsewhere")
-	}
 
 	publish(shard.NewDirectory(nil))
 	check(t, m.route(2, "put"), "-") // static: a single node runs everything

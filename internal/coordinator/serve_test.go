@@ -2,7 +2,6 @@ package coordinator
 
 import (
 	"fmt"
-	"net"
 	"path/filepath"
 	"testing"
 	"time"
@@ -22,23 +21,21 @@ import (
 // file holds the value it learned last.
 func TestServeMemberRestarts(t *testing.T) {
 	dir := t.TempDir()
-	peers := make(map[uint64]string)
-	for id := uint64(1); id <= 3; id++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[id] = ln.Addr().String()
-		ln.Close()
-	}
-	members := make(map[uint64]*Member)
-	open := func(id uint64) {
+	opts := Options{HeartbeatTimeout: time.Hour}
+	stableOf := func(id uint64) *paxos.FileStable {
 		t.Helper()
 		stable, err := paxos.OpenFileStable(filepath.Join(dir, fmt.Sprintf("acceptor-%d.log", id)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Serve(id, peers, peers[id], stable, Options{HeartbeatTimeout: time.Hour}, nil)
+		return stable
+	}
+	peers := make(map[uint64]string)
+	members := make(map[uint64]*Member)
+	// open restarts member id on its own address, which its stop released.
+	open := func(id uint64) {
+		t.Helper()
+		m, err := Serve(id, peers, peers[id], stableOf(id), opts, nil)
 		if err != nil {
 			t.Fatalf("serve replica %d on %s: %v", id, peers[id], err)
 		}
@@ -85,8 +82,19 @@ func TestServeMemberRestarts(t *testing.T) {
 		}
 	}
 
-	for id := uint64(1); id <= 3; id++ {
-		open(id)
+	// The first boot listens on ephemeral ports, as StartEnsemble does: a
+	// port reserved by listening and closing ahead of Serve can be taken in
+	// between.
+	ids := []uint64{1, 2, 3}
+	for _, id := range ids {
+		m, err := listen(id, ids, "127.0.0.1:0", stableOf(id), opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[id], peers[id] = m, m.Addr
+	}
+	for _, id := range ids {
+		members[id].connect(peers)
 	}
 	before := install(0, 1)
 

@@ -66,7 +66,8 @@ var typeMissHook func()
 
 // typeOf resolves an object's type: its binding, or on a miss its header,
 // read into a stack buffer, then bound unless the write path changed the
-// shard meanwhile (the object may have been deleted or re-created).
+// shard meanwhile (the object may have been deleted or re-created). A
+// move's mark reads as MovedError.
 func (rt *Runtime) typeOf(id ObjectID) (*ObjectType, error) {
 	s := rt.bindings.shard(id)
 	s.mu.RLock()
@@ -86,6 +87,9 @@ func (rt *Runtime) typeOf(id ObjectID) (*ObjectType, error) {
 	}
 	if !present {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchObject, id)
+	}
+	if err := moved(id, name); err != nil {
+		return nil, err
 	}
 	var t *ObjectType
 	if slot = rt.slot(name); slot != nil {
@@ -134,7 +138,8 @@ func (rt *Runtime) write(batches ...*store.Batch) (applied bool, err error) {
 }
 
 // rebind sets id's binding from the header value a write-set left: the slot
-// of the type it names, or none for a deleted header or an unknown type.
+// of the type it names, or none for a deleted header, a move's mark or an
+// unknown type.
 func (rt *Runtime) rebind(id ObjectID, header []byte) {
 	var slot *typeSlot
 	if len(header) > 0 {

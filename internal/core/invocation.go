@@ -128,10 +128,26 @@ func (iv *invocation) unlock() {
 
 // Transactional accessors: every state access is bracketed by admission.
 
+// pin admits the invocation and, at its first read, pins its snapshot and
+// resolves the object again: a move's freeze unbinds the object before its
+// range delete lands (at a backup too), so an object still bound then has
+// its state in the snapshot. A transaction resolves its own objects.
+func (iv *invocation) pin() error {
+	if err := iv.ensureLocked(); err != nil {
+		return err
+	}
+	if iv.txn.pinned || iv.external {
+		return nil
+	}
+	iv.txn.ensureSnap()
+	_, err := iv.rt.typeOf(iv.obj)
+	return err
+}
+
 // tGet reads key into the val scratch: the value is valid until the next
 // tGet.
 func (iv *invocation) tGet(key []byte) ([]byte, bool, error) {
-	if err := iv.ensureLocked(); err != nil {
+	if err := iv.pin(); err != nil {
 		return nil, false, err
 	}
 	v, present, err := iv.txn.get(iv.val[:0], key)
@@ -163,7 +179,7 @@ func (iv *invocation) tDel(key []byte) error {
 }
 
 func (iv *invocation) tScan(prefix []byte, fn func(key, value []byte) bool) error {
-	if err := iv.ensureLocked(); err != nil {
+	if err := iv.pin(); err != nil {
 		return err
 	}
 	return iv.txn.scan(prefix, fn)
@@ -290,17 +306,8 @@ func (iv *invocation) run() ([]byte, error) {
 // version counter in the same batch (real-time visibility: the batch is
 // durable and replicated before the reply).
 func (iv *invocation) commit() error {
-	if err := iv.ensureLocked(); err != nil {
-		return err
-	}
-	// Re-verify existence under the admission: the object may have been
-	// deleted or migrated away while this invocation waited for the lock
-	// (the type binding alone is a cache and cannot be trusted here).
-	if _, present, err := iv.tGet(iv.fieldKey(subHeader, "")); err != nil {
-		return err
-	} else if !present {
-		return fmt.Errorf("%w: %s (deleted or migrated during invocation)", ErrNoSuchObject, iv.obj)
-	}
+	// Its read pins the snapshot under the admission, if no read did yet,
+	// so pin finds an object deleted or moved while this one waited.
 	cur, _, err := iv.tGet(iv.fieldKey(subVersion, ""))
 	if err != nil {
 		return err

@@ -12,7 +12,7 @@ import (
 // migration, and range deletes remove it.
 //
 //	'T' <typeName>                          object type record
-//	'o' <id8> 0x00                          object header (type name)
+//	'o' <id8> 0x00                          object header (type name, or a move's mark)
 //	'o' <id8> 0x01 <field>                  value field
 //	'o' <id8> 0x02 <field> 0x00 <key>       map entry
 //	'o' <id8> 0x03 <field> 0x00 <idx8>      list element
@@ -107,6 +107,18 @@ func ListEntryKey(id ObjectID, field string, idx uint64) []byte {
 // ListLenKey returns the key of a list field's length counter.
 func ListLenKey(id ObjectID, field string) []byte {
 	return appendFieldKey(newKey(id, 1+len(field)), subListLen, field)
+}
+
+// MovedHeader is a move's mark, the header value its freeze write leaves:
+// a NUL, which no type name holds, and the group the object moved to.
+func MovedHeader(group uint64) []byte { return binary.BigEndian.AppendUint64([]byte{0}, group) }
+
+// moved is what a header value reads as: MovedError for a mark, else nil.
+func moved(id ObjectID, header []byte) error {
+	if len(header) != 9 || header[0] != 0 {
+		return nil
+	}
+	return &MovedError{Object: id, Group: binary.BigEndian.Uint64(header[1:])}
 }
 
 // EncodeU64 renders a counter value (a version or a list length).

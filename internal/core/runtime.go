@@ -251,15 +251,10 @@ func (rt *Runtime) CreateObject(typeName string, id ObjectID, cc CallCtx) error 
 		return err
 	}
 	defer release()
-	if cc.Guard != nil {
-		if err := cc.Guard(id); err != nil {
-			return err
-		}
-	}
-	if _, err := rt.db.Get(HeaderKey(id)); err == nil {
-		return fmt.Errorf("%w: %s", ErrExists, id)
-	} else if !errors.Is(err, store.ErrNotFound) {
+	if present, err := rt.header(id); err != nil {
 		return err
+	} else if present {
+		return fmt.Errorf("%w: %s", ErrExists, id)
 	}
 	b := store.NewBatch()
 	b.Put(HeaderKey(id), []byte(typeName))
@@ -274,14 +269,17 @@ func (rt *Runtime) DeleteObject(id ObjectID, cc CallCtx) error {
 		return err
 	}
 	defer release()
+	// A marked header is the mark's to keep.
+	if present, err := rt.header(id); err != nil {
+		return err
+	} else if !present {
+		return fmt.Errorf("%w: %s", ErrNoSuchObject, id)
+	}
 	b := store.NewBatch()
 	if err := rt.forEachObjectKey(id, func(key []byte) {
 		b.Delete(append([]byte(nil), key...))
 	}); err != nil {
 		return err
-	}
-	if b.Empty() {
-		return fmt.Errorf("%w: %s", ErrNoSuchObject, id)
 	}
 	return rt.commit(cc.Trace, b, id)
 }
@@ -304,16 +302,26 @@ func (rt *Runtime) forEachObjectKey(id ObjectID, fn func(key []byte)) error {
 	return it.Error()
 }
 
-// ObjectExists reports whether id exists.
-func (rt *Runtime) ObjectExists(id ObjectID) (bool, error) {
-	_, err := rt.db.Get(HeaderKey(id))
-	if err == nil {
-		return true, nil
-	}
+// header reads whether id's committed header names a type: false when it
+// is absent, MovedError when it holds a move's mark.
+func (rt *Runtime) header(id ObjectID) (present bool, err error) {
+	v, err := rt.db.Get(HeaderKey(id))
 	if errors.Is(err, store.ErrNotFound) {
 		return false, nil
 	}
-	return false, err
+	if err == nil {
+		err = moved(id, v)
+	}
+	return err == nil, err
+}
+
+// ObjectExists reports whether id exists here; a moved object does not.
+func (rt *Runtime) ObjectExists(id ObjectID) (bool, error) {
+	present, err := rt.header(id)
+	if errors.As(err, new(*MovedError)) {
+		return false, nil
+	}
+	return present, err
 }
 
 // ObjectVersion returns the object's committed version counter (number of
@@ -340,9 +348,6 @@ func (rt *Runtime) LockObject(id ObjectID) (release func(), err error) {
 type CallCtx struct {
 	Depth int
 	Trace telemetry.SpanContext
-	// Guard, if set, runs under the object's write admission before
-	// CreateObject looks for the header; its error refuses the create.
-	Guard func(ObjectID) error
 }
 
 // Invoke runs a method on an object with invocation linearizability and

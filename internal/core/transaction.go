@@ -93,6 +93,13 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 		}
 		releases = append(releases, release)
 	}
+	// Resolved again under the admissions, held through the commit: each
+	// object may have been deleted or frozen by a move meanwhile.
+	for _, o := range objs {
+		if _, err := rt.typeOf(o); err != nil {
+			return nil, err
+		}
+	}
 
 	// One shared buffer over one snapshot: calls see each other's writes,
 	// nothing outside sees any of them until commit.
@@ -127,11 +134,6 @@ func (rt *Runtime) invokeTransactionCtx(calls []TxCall, cc CallCtx) ([][]byte, e
 			}
 		}
 		for _, id := range touched {
-			if _, present, err := shared.get(nil, HeaderKey(id)); err != nil {
-				return nil, err
-			} else if !present {
-				return nil, fmt.Errorf("%w: %s (deleted during transaction)", ErrNoSuchObject, id)
-			}
 			cur, _, err := shared.get(nil, VersionKey(id))
 			if err != nil {
 				return nil, err

@@ -139,6 +139,17 @@ var (
 	ErrNotFound     = errors.New("core: not found")
 )
 
+// MovedError is what an object whose header holds a move's mark answers
+// with here: it is no longer this group's, and Group is its new home.
+type MovedError struct {
+	Object ObjectID
+	Group  uint64
+}
+
+func (e *MovedError) Error() string {
+	return fmt.Sprintf("core: object %s moved to group %d", e.Object, e.Group)
+}
+
 // ObjectType bundles fields and methods; objects are instantiated from it
 // (paper §3: "object types"). The zero value is not usable; construct with
 // NewObjectType or DecodeObjectType.

@@ -72,15 +72,17 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 	}
 	p.m.started.Inc()
 	var release func()
+	var restore func() error
 	defer func() {
 		p.end(out)
 		if err == nil {
 			return
 		}
-		// Abort: the object keeps serving here. Unfence (a no-op before the
-		// fence went up) before releasing the admission, so queued
-		// invocations find the route open.
-		p.opts.Unfence(object)
+		// Abort: the object keeps serving here. The header comes back
+		// before the admission is released, so queued invocations find it.
+		if restore != nil {
+			_ = restore()
+		}
 		if release != nil {
 			release()
 		}
@@ -94,10 +96,8 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 		return fmt.Errorf("offer: %w", err)
 	}
 
-	// Quiesce: fence first so routing rejects new requests before they
-	// wait on the object's lock, then drain in-flight invocations by taking
-	// the object's admission in that lock table.
-	p.opts.Fence(object, targetAddr)
+	// Quiesce: drain in-flight invocations by taking the object's
+	// admission in its lock table; new ones queue behind it.
 	blackout := time.Now()
 	if release, err = p.opts.LockObject(object); err != nil {
 		return fmt.Errorf("quiesce: %w", err)
@@ -116,6 +116,15 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 		return fmt.Errorf("seal: %w", err)
 	}
 
+	// Freeze: end the session (the target's copy keeps the real header),
+	// then mark the object moved at every replica of this group, whatever
+	// its view or lease: the target may ack the moment it installs the
+	// cutover.
+	p.end(out)
+	if restore, err = p.opts.Freeze(object, targetGroup); err != nil {
+		return fmt.Errorf("freeze: %w", err)
+	}
+
 	// Cutover — the commit point. After this the directory says the target
 	// owns the object; a failure before it leaves the source the owner.
 	// Either way exactly one group serves the object.
@@ -125,12 +134,10 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 
 	// Delete the moved range here, on this group's backups and at any
 	// joiner catching up (the move committed: a failed delete leaves
-	// garbage, it does not abort) — but not at the target: its session ends
-	// first, so the delete is not relayed there. The fence stays up: it
-	// self-clears when this node's view maps the object elsewhere, and until
-	// then it shields stale-view replicas.
-	p.end(out)
-	_ = p.deleteObjectRange(object)
+	// garbage, it does not abort), but for the header: its mark answers a
+	// replica's lagging view with a redirect until a move back's first
+	// chunk deletes it.
+	_ = p.deleteObjectRange(object, true)
 	p.m.blackoutH.Record(time.Since(blackout))
 	release()
 	release = nil
@@ -150,10 +157,6 @@ func (p *Plane) offer(trace telemetry.SpanContext, source string, object uint64)
 	if p.owns(object) {
 		return fmt.Errorf("recovery: refusing inbound move of object %d: this group already owns it", object)
 	}
-	// A fence this node raised when it last moved the object away has done
-	// its job (the view maps the object elsewhere); it must not outlive the
-	// object's return.
-	p.opts.Unfence(object)
 	s, err := p.openInbound(source, objectScope(object), 0, trace)
 	if err != nil {
 		return err
@@ -182,7 +185,7 @@ func (p *Plane) endInbound(s *inbound) error {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	s.ended = true
-	return p.deleteObjectRange(object)
+	return p.deleteObjectRange(object, false)
 }
 
 // janitor reclaims inbound move sessions whose source went quiet.

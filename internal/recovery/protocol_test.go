@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -37,7 +38,8 @@ type testNode struct {
 
 	mu      sync.Mutex
 	objMu   map[uint64]*sync.Mutex
-	fences  map[uint64]string
+	locking int   // LockObject calls made (mu)
+	cutOver error // what CutOver fails with, nil to commit (mu)
 	applied []*store.Batch
 	// onApply, if set, runs before each Apply reaches the store (under the
 	// session's applyMu for chunks and forwards): a test parks a chunk here
@@ -57,7 +59,7 @@ func startTestNode(t *testing.T, dir *shard.Directory, group uint64, moveTimeout
 	n := &testNode{
 		t: t, group: group, srv: rpc.NewServer(), pool: rpc.NewPool(nil),
 		reg: telemetry.NewRegistry(), dir: dir,
-		objMu: make(map[uint64]*sync.Mutex), fences: make(map[uint64]string),
+		objMu: make(map[uint64]*sync.Mutex),
 	}
 	n.ship = replication.NewShipper(n.pool, nil)
 	db, err := store.Open(t.TempDir(), &store.Options{OnGroup: func(g *store.Group) {
@@ -104,14 +106,33 @@ func startTestNode(t *testing.T, dir *shard.Directory, group uint64, moveTimeout
 		},
 		LockObject: func(object uint64) (func(), error) {
 			m := n.objectLock(object)
+			n.mu.Lock()
+			n.locking++
+			n.mu.Unlock()
 			m.Lock()
 			return m.Unlock, nil
 		},
-		Fence:   func(object uint64, hint string) { n.mu.Lock(); n.fences[object] = hint; n.mu.Unlock() },
-		Unfence: func(object uint64) { n.mu.Lock(); delete(n.fences, object); n.mu.Unlock() },
+		// The freeze write puts a mark at the object's header key, through
+		// the group path; restore deletes it (no fixture has a header).
+		Freeze: func(object, target uint64) (func() error, error) {
+			put := func(v []byte) error {
+				b := store.NewBatch()
+				if v == nil {
+					b.Delete(headerKey(object))
+				} else {
+					b.Put(headerKey(object), v)
+				}
+				return n.apply(object, b)
+			}
+			return func() error { return put(nil) }, put(movedMark)
+		},
 		CutOver: func(object, target uint64) error {
-			dir.SetOverride(object, target)
-			return nil
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			if n.cutOver == nil {
+				dir.SetOverride(object, target)
+			}
+			return n.cutOver
 		},
 		MoveSessionTimeout: moveTimeout,
 		Metrics:            n.reg,
@@ -131,6 +152,11 @@ func startTestNode(t *testing.T, dir *shard.Directory, group uint64, moveTimeout
 	})
 	return n
 }
+
+// headerKey is an object's header key; a freeze puts movedMark there.
+func headerKey(object uint64) []byte { return objKey(object, "\x00") }
+
+var movedMark = []byte("moved")
 
 func (n *testNode) objectLock(object uint64) *sync.Mutex {
 	n.mu.Lock()
@@ -662,14 +688,13 @@ func TestMoveStreamsPayloadOnce(t *testing.T) {
 	if got := dump(t, tgt.db); got != want {
 		t.Fatalf("target:\n%swant:\n%s", got, want)
 	}
-	if got := dump(t, src.db); got != "" {
-		t.Fatalf("source kept the moved range:\n%s", got)
+	// The source keeps the freeze's mark and nothing else; the target,
+	// whose session ended before the freeze, never saw the mark.
+	if got, mark := dump(t, src.db), fmt.Sprintf("%x=%s\n", headerKey(6), movedMark); got != mark {
+		t.Fatalf("source after the move:\n%swant only the mark:\n%s", got, mark)
 	}
 	if g, _ := dir.Lookup(6); g.ID != 1 {
 		t.Fatalf("object 6 on group %d after the move", g.ID)
-	}
-	if src.fences[6] != tgt.addr {
-		t.Fatalf("fence after cutover = %q, want it up and pointing at the target", src.fences[6])
 	}
 	if o, i := moves(src, tgt); o != 0 || i != 0 {
 		t.Fatalf("sessions left behind: %d outbound, %d inbound", o, i)
@@ -729,10 +754,10 @@ func TestMoveSealChecksItsOwnSession(t *testing.T) {
 	lock := src.objectLock(6)
 	lock.Lock()
 	release()
-	waitUntil(t, "the first move's fence", func() bool {
+	waitUntil(t, "the first move to wait for the admission", func() bool {
 		src.mu.Lock()
 		defer src.mu.Unlock()
-		return src.fences[6] != ""
+		return src.locking == 1
 	})
 	// The second move registers its session, then waits out a delayed offer
 	// while the first one seals.
@@ -793,8 +818,29 @@ func TestMoveAbortsWhenTargetReclaimedSession(t *testing.T) {
 	}
 }
 
-// A move that cannot seal aborts: the object stays, unfenced and writable,
-// at the source, and the target sheds its partial copy.
+// A move whose cutover fails after the freeze aborts: the freeze's mark is
+// taken back at the source, which serves the object as before, and the
+// target sheds its copy.
+func TestMoveAbortAfterFreezeRestoresHeader(t *testing.T) {
+	dir, src, tgt, _ := moveFixture(t, noReclaim)
+	want := dump(t, src.db)
+	src.mu.Lock()
+	src.cutOver = errors.New("no quorum")
+	src.mu.Unlock()
+	if err := src.plane.Move(6, tgt.addr, 1); err == nil || !strings.Contains(err.Error(), "cutover") {
+		t.Fatalf("move over a failed cutover: %v", err)
+	}
+	if g, _ := dir.Lookup(6); g.ID != 0 {
+		t.Fatalf("aborted move left object 6 on group %d", g.ID)
+	}
+	if got := dump(t, src.db); got != want {
+		t.Fatalf("source:\n%swant:\n%s", got, want)
+	}
+	waitUntil(t, "the target to shed its copy", func() bool { return dump(t, tgt.db) == "" })
+}
+
+// A move that cannot seal aborts: the object stays, writable, at the
+// source, and the target sheds its partial copy.
 func TestMoveAbortLeavesObjectAtSource(t *testing.T) {
 	dir, src, tgt, _ := moveFixture(t, noReclaim)
 	want := dump(t, src.db)
@@ -814,9 +860,6 @@ func TestMoveAbortLeavesObjectAtSource(t *testing.T) {
 	fault.Reset()
 	if g, _ := dir.Lookup(6); g.ID != 0 {
 		t.Fatalf("aborted move left object 6 on group %d", g.ID)
-	}
-	if _, fenced := src.fences[6]; fenced {
-		t.Fatal("aborted move left the object fenced")
 	}
 	src.mustCommit(6, "e", "after")
 	want += fmt.Sprintf("%x=after\n", objKey(6, "e"))

@@ -167,11 +167,14 @@ func (s *inbound) syncRange(start, end []byte, object uint64) error {
 	}
 }
 
-// deleteObjectRange deletes every committed key of the object's range in
-// one batch through Apply (so the group's backups and catch-up sessions drop
-// them too).
-func (p *Plane) deleteObjectRange(object uint64) error {
+// deleteObjectRange deletes every committed key of the object's range, but
+// its header with keepHeader, in one batch through Apply (so the group's
+// backups and catch-up sessions drop them too).
+func (p *Plane) deleteObjectRange(object uint64, keepHeader bool) error {
 	start, end := objectRange(object)
+	if keepHeader {
+		start = append(start, 0, 0) // the header, start+0x00, is the range's first key
+	}
 	keys, err := rangeKeys(p.opts.DB, start, end)
 	if err != nil || len(keys) == 0 {
 		return err

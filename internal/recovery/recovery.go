@@ -56,12 +56,11 @@ type Options struct {
 	// in-flight invocation (reads admit too), and returns the release (nil
 	// with an error).
 	LockObject func(object uint64) (func(), error)
-	// Fence makes routing reject the object with not-responsible plus the
-	// hint before it waits on the object's lock; Unfence lifts it (abort
-	// path, or the object coming back — after a cutover the fence
-	// self-clears when the directory view moves on).
-	Fence   func(object uint64, hint string)
-	Unfence func(object uint64)
+	// Freeze rewrites the object's header, through the group path, to a
+	// mark naming targetGroup, and returns once every backup applied it.
+	// restore puts the header back (abort); it is set, also with an error,
+	// once the mark may have been written anywhere.
+	Freeze func(object, targetGroup uint64) (restore func() error, err error)
 	// CutOver proposes the epoch-fenced directory change making targetGroup
 	// the object's home, confirms it landed, and refreshes this node's
 	// view. It is a move's single commit point.

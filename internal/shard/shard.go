@@ -186,19 +186,6 @@ func (d *Directory) DefaultGroupID(id uint64) (uint64, error) {
 	return d.groups[id%uint64(len(d.groups))].ID, nil
 }
 
-// Overrides returns a copy of the override table (object -> group ID).
-// Nodes diff it across directory installs to find objects migrating into
-// their group (read-lease write-ack barriers).
-func (d *Directory) Overrides() map[uint64]uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make(map[uint64]uint64, len(d.overrides))
-	for k, v := range d.overrides {
-		out[k] = v
-	}
-	return out
-}
-
 // SetOverride records a migrated object's new home.
 func (d *Directory) SetOverride(object, groupID uint64) {
 	d.mu.Lock()

@@ -455,7 +455,7 @@ func TestOneRequestPath(t *testing.T) {
 		dir, callee string // callee is the trailing selector path, e.g. "db.Write"
 		callers     []string
 	}{
-		{"internal/cluster", "route", []string{"serve", "createGuard"}},
+		{"internal/cluster", "route", []string{"serve"}},
 		// The role machine's one writer applies every view.
 		{"internal/cluster", "SetEpoch", []string{"install"}},
 		{"internal/cluster", "SetBackups", []string{"install"}},
