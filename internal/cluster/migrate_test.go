@@ -377,6 +377,130 @@ func TestFrozenCopyNotServedAfterCutover(t *testing.T) {
 	})
 }
 
+// TestConcurrentMovesOfOneObject: two moves of one object to different
+// groups overlap. The first ends its session before its freeze, so the
+// second passes both entry checks while the first's cutover is held; it
+// then waits on the object's admission and, once it has it, finds the
+// object homed elsewhere. Exactly one move commits, and the write acked
+// before both reads back at the one home. Were the second to go on, its
+// target's copy — the first's mark, relayed — would become the object.
+func TestConcurrentMovesOfOneObject(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	l := startLocal(t, coordinated([]int{1, 1, 1}, NodeOptions{}))
+	c := l.Client
+	if err := c.RegisterType(counterType(t)); err != nil {
+		t.Fatal(err)
+	}
+	const obj = core.ObjectID(3) // group 0 of three
+	if err := c.CreateObject("Counter", obj); err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(t, c, obj, 42)
+	src := primaryOf(t, l, 0)
+
+	fault.Add(fault.Rule{Site: coordinator.MethodMigrate, From: src.Addr(), Action: fault.Delay, Delay: time.Second})
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { first <- c.Migrate(obj, 1) }()
+	await(t, l, 5*time.Second, "the first move's freeze", func() bool {
+		ok, err := src.Runtime().ObjectExists(obj)
+		return err == nil && !ok
+	})
+	go func() { second <- c.Migrate(obj, 2) }()
+	await(t, l, 5*time.Second, "the second move's session", func() bool {
+		return src.Metrics().Snapshot().Gauges["move.in_flight"] == 1
+	})
+	if len(first) > 0 {
+		t.Fatal("the first move ended before the second began")
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("first move: %v", err)
+	}
+	if err := <-second; err == nil {
+		t.Fatal("the second move committed too")
+	}
+	fault.Reset()
+	if g := homeGroup(t, l, obj); g != 1 {
+		t.Fatalf("after both moves the directory names group %d", g)
+	}
+	res, err := c.Invoke(obj, "add", [][]byte{core.I64Bytes(1)})
+	if err != nil || core.BytesI64(res) != 43 {
+		t.Fatalf("write after both moves = %d, %v; want 43", core.BytesI64(res), err)
+	}
+	loser := primaryOf(t, l, 2)
+	await(t, l, 5*time.Second, "the second target to shed its copy", func() bool {
+		_, err := loser.Runtime().GetValueField(obj, "count")
+		return errors.Is(err, core.ErrNotFound)
+	})
+}
+
+// TestPromotedBackupTakesBackFrozenObject: the source primary fails after
+// its freeze write reached its backup and before its cutover's outcome,
+// and the cutover never commits. The promoted backup holds the mark while
+// the directory still homes the object in its group: it takes the mark
+// back on the first request and serves the object. Read as "moved", the
+// mark would bounce every request between the two groups for good.
+func TestPromotedBackupTakesBackFrozenObject(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	opts := coordinated([]int{2, 1}, NodeOptions{})
+	opts.Client.MaxRetries = 10
+	l := startLocal(t, opts)
+	c := l.Client
+	if err := c.RegisterType(counterType(t)); err != nil {
+		t.Fatal(err)
+	}
+	const obj = core.ObjectID(2) // group 0 of two
+	if err := c.CreateObject("Counter", obj); err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(t, c, obj, 42)
+	si, err := l.Primary(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := l.Slots[si].Node
+	var backup *Node
+	for _, n := range groupNodes(l, 0) {
+		if n != src {
+			backup = n
+		}
+	}
+
+	// The cutover never reaches the coordinator, and the source learns no
+	// newer directory.
+	for _, site := range []string{coordinator.MethodMigrate, coordinator.MethodGetConfig} {
+		fault.Add(fault.Rule{Site: site, From: src.Addr(), Action: fault.Error})
+	}
+	moved := make(chan error, 1)
+	go func() { moved <- c.Migrate(obj, 1) }()
+	await(t, l, 5*time.Second, "the freeze write at the source backup", func() bool {
+		_, err := backup.Runtime().Invoke(obj, "get", nil)
+		return errors.As(err, new(*core.MovedError))
+	})
+	// The source fails: nothing it sends arrives any more, the abort's
+	// restore included.
+	fault.Add(fault.Rule{Site: fault.Wildcard, From: src.Addr(), Action: fault.Error})
+	if err := l.Kill(si); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-moved; err == nil {
+		t.Fatal("the move committed")
+	}
+	await(t, l, 10*time.Second, "the backup's promotion", func() bool { return backup.role.load().primary })
+	fault.Reset()
+	if g := homeGroup(t, l, obj); g != 0 {
+		t.Fatalf("after the failed move the directory names group %d", g)
+	}
+	res, err := c.Invoke(obj, "add", [][]byte{core.I64Bytes(1)})
+	if err != nil || core.BytesI64(res) != 43 {
+		t.Fatalf("write at the promoted backup = %d, %v; want 43", core.BytesI64(res), err)
+	}
+	if ok, err := backup.Runtime().ObjectExists(obj); !ok || err != nil {
+		t.Fatalf("the promoted backup after the write: exists %v, %v", ok, err)
+	}
+}
+
 // TestMigrationRoundTripClearsMark moves an object away and straight back
 // with no request in between: a mark left by a move away does not outlive
 // the object's return. The first source keeps the freeze's mark after its

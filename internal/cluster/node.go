@@ -311,20 +311,47 @@ func (n *Node) afterCommit(telemetry.SpanContext, core.ObjectID, uint64, *store.
 // also waits afterCommit's barrier, as a commit's ack would, since a
 // replica that left the group may still hold a lease.
 func (n *Node) freeze(object, group uint64) (restore func() error, err error) {
-	key := core.HeaderKey(core.ObjectID(object))
-	header, err := n.db.Get(key)
+	header, err := n.db.Get(core.HeaderKey(core.ObjectID(object)))
 	if err != nil {
 		return nil, err
 	}
-	put := func(v []byte) error {
-		b := store.NewBatch()
-		b.Put(key, v)
-		return n.rt.ApplyReplicated(core.ObjectID(object), b)
-	}
-	if err = put(core.MovedHeader(group)); err == nil {
+	if err = n.putHeader(object, core.MovedHeader(group, header)); err == nil {
 		err = n.afterCommit(telemetry.SpanContext{}, core.ObjectID(object), 0, nil)
 	}
-	return func() error { return put(header) }, err
+	return func() error { return n.putHeader(object, core.TypeName(header)) }, err
+}
+
+// putHeader writes an object's header through the group path.
+func (n *Node) putHeader(object uint64, v []byte) error {
+	b := store.NewBatch()
+	b.Put(core.HeaderKey(core.ObjectID(object)), v)
+	return n.rt.ApplyReplicated(core.ObjectID(object), b)
+}
+
+// unmark takes back the mark err shows on one of a request's objects if
+// this node is the primary of the group its view homes that object in (a
+// move that never committed, DESIGN §13), and reports whether the request
+// should run again.
+func (n *Node) unmark(objects []core.ObjectID, err error) bool {
+	var moved *core.MovedError
+	if !errors.As(err, &moved) || !slices.Contains(objects, moved.Object) || !n.role.load().primary {
+		return false
+	}
+	release, err := n.rt.LockObject(moved.Object)
+	if err != nil {
+		return false
+	}
+	defer release()
+	v := n.role.load()
+	g, gerr := v.dir.Lookup(uint64(moved.Object))
+	header, err := n.db.Get(core.HeaderKey(moved.Object))
+	if gerr != nil || err != nil || !v.primary || g.ID != n.opts.GroupID {
+		return false
+	}
+	if name := core.TypeName(header); len(name) < len(header) {
+		err = n.putHeader(uint64(moved.Object), name)
+	}
+	return err == nil
 }
 
 // Addr returns the node's RPC address.
@@ -392,31 +419,36 @@ func (n *Node) serve(info rpc.CallInfo, objects []core.ObjectID, method string, 
 	}
 	// Execute; the commit tail (core's commit, with replicateGroup inside
 	// its write, then afterCommit) runs inside it and may withhold the ack.
+	// A request that found a mark this node takes back runs once more, as
+	// its client would have sent it again on a redirect.
 	resp, err := exec(core.CallCtx{Trace: info.Trace})
+	if err != nil && n.unmark(objects, err) {
+		resp, err = exec(core.CallCtx{Trace: info.Trace})
+	}
 	if err != nil {
 		return resp, n.classify(objects, err)
 	}
 	return resp, nil
 }
 
-// classify is serve's last step: an object that moved away after its
-// request was routed, or whose mark shows a cutover this node's view lags,
-// answers with the redirect the client follows, not no-such-object — to
-// its home in the view, else to the group the mark names.
+// classify is serve's last step. An object that moved away after its
+// request was routed answers with the redirect the client follows, not
+// no-such-object. So does a mark at a backup whose view homes the object
+// here: its primary settles it, redirecting a cutover this view lags or
+// taking back a move that never committed (unmark).
 func (n *Node) classify(objects []core.ObjectID, err error) error {
 	var moved *core.MovedError
 	if !errors.As(err, &moved) && !errors.Is(err, core.ErrNoSuchObject) {
 		return err
 	}
-	d := n.Directory()
+	v := n.role.load()
 	for _, obj := range objects {
-		if g, lerr := d.Lookup(uint64(obj)); lerr == nil && g.ID != n.opts.GroupID {
+		if g, lerr := v.dir.Lookup(uint64(obj)); lerr == nil && g.ID != n.opts.GroupID {
 			return notResponsibleError(g.Primary)
 		}
 	}
-	if moved != nil && slices.Contains(objects, moved.Object) {
-		g, _ := d.Group(moved.Group)
-		return notResponsibleError(g.Primary)
+	if moved != nil && v.member && !v.primary {
+		return notResponsibleError(v.group.Primary)
 	}
 	return err
 }

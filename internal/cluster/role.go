@@ -301,19 +301,18 @@ func (n *Node) cutOverObject(object, targetGroup uint64) error {
 	return n.proposeFenced(fmt.Sprintf("cutover of %d to group %d did not take effect", object, targetGroup),
 		func(d *shard.Directory) (*shard.Directory, error) {
 			// Re-validate against the fresh view: the move is only safe
-			// while this node is still the object's primary and the
-			// target group still exists.
+			// while this node is still the object's primary, its group
+			// still homes the object and the target group still exists.
 			if !n.role.load().primary {
 				return nil, refusal{fmt.Errorf("cluster: cutover of %d abandoned: no longer primary of group %d", object, n.opts.GroupID)}
 			}
 			if _, ok := d.Group(targetGroup); !ok {
 				return nil, refusal{fmt.Errorf("cluster: cutover of %d abandoned: target group %d is gone", object, targetGroup)}
 			}
-			home, err := d.DefaultGroupID(object)
-			if err != nil {
-				return nil, refusal{err}
+			if g, err := d.Lookup(object); err != nil || g.ID != n.opts.GroupID {
+				return nil, refusal{fmt.Errorf("cluster: cutover of %d abandoned: group %d no longer homes it", object, n.opts.GroupID)}
 			}
-			if home == targetGroup {
+			if home, _ := d.DefaultGroupID(object); home == targetGroup { // fails only where Lookup did
 				return n.coord.ClearOverride(object, d.Epoch())
 			}
 			return n.coord.SetOverrideFenced(object, targetGroup, d.Epoch())

@@ -66,9 +66,11 @@ func TestServeUniform(t *testing.T) {
 		return v
 	}
 
-	// An object a move's mark fences — its header names the group it
-	// moved to, at a node whose view still maps it here — is redirected to
-	// that group by every entry point; a create does not find it absent.
+	// A move's mark answers every entry point alike. Once the view maps the
+	// object elsewhere (the cutover committed) each is redirected there and
+	// nothing executes. While the view still homes it here (the move never
+	// committed) the primary takes the mark back and each runs; a create
+	// finds the object, not a mark.
 	t.Run("fenced", func(t *testing.T) {
 		nodes, dir := startStatic(t, NodeOptions{}, 1)
 		c := newGroupClient(t, dir)
@@ -81,17 +83,38 @@ func TestServeUniform(t *testing.T) {
 		}
 		// Objects hash to id % 2: object 2 stays in group 0.
 		dir.SetGroup(shard.Group{ID: 1, Primary: "new-home:1"})
-		if _, err := nodes[0].freeze(obj, 1); err != nil {
-			t.Fatal(err)
+		freeze := func() {
+			t.Helper()
+			if _, err := nodes[0].freeze(obj, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
+		freeze()
+		dir.SetOverride(obj, 1)
 		for _, e := range serveEntries {
 			wantRedirect(t, e.send(pool, nodes[0].Addr(), obj), "new-home:1")
 		}
 		if v := version(t, nodes[0], obj); v != 0 {
-			t.Fatalf("a request executed on a marked object: version %d", v)
+			t.Fatalf("a request executed on a moved object: version %d", v)
 		}
 		if ok, err := nodes[0].Runtime().ObjectExists(obj); ok || err != nil {
-			t.Fatalf("a marked object exists (%v, %v)", ok, err)
+			t.Fatalf("a moved object exists (%v, %v)", ok, err)
+		}
+
+		dir.ClearOverride(obj)
+		for _, e := range serveEntries {
+			freeze()
+			err := e.send(pool, nodes[0].Addr(), obj)
+			if e.name == "create" {
+				if err == nil || !strings.Contains(err.Error(), core.ErrExists.Error()) {
+					t.Fatalf("create of a marked object at its home: %v, want it to exist", err)
+				}
+			} else if err != nil {
+				t.Fatalf("%s of a marked object at its home: %v", e.name, err)
+			}
+		}
+		if ok, err := nodes[0].Runtime().ObjectExists(obj); ok || err != nil {
+			t.Fatalf("the object outlived its delete (%v, %v)", ok, err)
 		}
 	})
 

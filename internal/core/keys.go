@@ -109,13 +109,27 @@ func ListLenKey(id ObjectID, field string) []byte {
 	return appendFieldKey(newKey(id, 1+len(field)), subListLen, field)
 }
 
-// MovedHeader is a move's mark, the header value its freeze write leaves:
-// a NUL, which no type name holds, and the group the object moved to.
-func MovedHeader(group uint64) []byte { return binary.BigEndian.AppendUint64([]byte{0}, group) }
+// MovedHeader is a move's mark, the header value its freeze write leaves in
+// place of header: a NUL, which no type name holds, the group the object
+// moved to and header's type name, which a move that never committed
+// takes back (TypeName).
+func MovedHeader(group uint64, header []byte) []byte {
+	return append(binary.BigEndian.AppendUint64([]byte{0}, group), TypeName(header)...)
+}
+
+// TypeName is the type name a header value holds, a mark's included.
+func TypeName(header []byte) []byte {
+	if marked(header) {
+		return header[9:]
+	}
+	return header
+}
+
+func marked(header []byte) bool { return len(header) >= 9 && header[0] == 0 }
 
 // moved is what a header value reads as: MovedError for a mark, else nil.
 func moved(id ObjectID, header []byte) error {
-	if len(header) != 9 || header[0] != 0 {
+	if !marked(header) {
 		return nil
 	}
 	return &MovedError{Object: id, Group: binary.BigEndian.Uint64(header[1:])}

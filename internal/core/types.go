@@ -140,7 +140,9 @@ var (
 )
 
 // MovedError is what an object whose header holds a move's mark answers
-// with here: it is no longer this group's, and Group is its new home.
+// with here: a move to Group froze it. Whether that move committed is the
+// directory's to say; a mark the object's home finds is a move that did
+// not, and the home takes it back.
 type MovedError struct {
 	Object ObjectID
 	Group  uint64

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -81,7 +82,9 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 		// Abort: the object keeps serving here. The header comes back
 		// before the admission is released, so queued invocations find it.
 		if restore != nil {
-			_ = restore()
+			if rerr := restore(); rerr != nil { // the node takes the mark back later
+				err = errors.Join(err, fmt.Errorf("restore: %w", rerr))
+			}
 		}
 		if release != nil {
 			release()
@@ -101,6 +104,11 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 	blackout := time.Now()
 	if release, err = p.opts.LockObject(object); err != nil {
 		return fmt.Errorf("quiesce: %w", err)
+	}
+	// Another move of the object may have ended its session, frozen, cut
+	// over and released the object while this one waited for it.
+	if !p.owns(object) {
+		return fmt.Errorf("quiesce: object %d moved away meanwhile", object)
 	}
 
 	// Seal (the group hook holds the object's lock across its relay): a
