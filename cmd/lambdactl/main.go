@@ -6,8 +6,9 @@
 // the daemons themselves, each of which keeps only cumulative instruments:
 // stats and top take two samples and report what happened between them.
 //
-// The read-only commands and fault address every replica of every group in
-// -config, or the daemons -addrs lists instead — coordinators, compute
+// -config names the coordinators, which own the cluster's view. The
+// read-only commands and fault address every replica of every group in that
+// view, or the daemons -addrs lists instead — coordinators, compute
 // nodes, or a chosen subset of the storage nodes.
 //
 // Usage:
@@ -59,18 +60,17 @@ import (
 func usage() {
 	fmt.Fprintln(os.Stderr, `lambdactl [-config FILE] [-addrs HOST:PORT,...] COMMAND [flags]
 
-The read-only commands and fault go to every replica in -config, or to the
-daemons -addrs lists (coordinators and compute nodes answer them too); the
-other commands refuse -addrs. Each call to a daemon waits at most 5s.
+-config names the coordinators. The read-only commands and fault go to every
+replica in their view of the groups, or to the daemons -addrs lists
+(coordinators and compute nodes answer them too); the other commands refuse
+-addrs. Each call to a daemon waits at most 5s.
 
 Commands:
   create          -type NAME -id N           create an object
   delete          -id N                      delete an object
   invoke          -id N -method M [-arg S | -argi64 N | -arghex H]...
                   [-out raw|str|i64|hex]     invoke a method
-  migrate         -id N -dest GROUP          move a microshard (the config must
-                                             name coordinators: a move commits
-                                             only there)
+  migrate         -id N -dest GROUP          move a microshard
   register-retwis                            deploy the Retwis User type
   stats                                      print each daemon's metrics snapshot
                                              (totals and 1 s rates)
@@ -118,7 +118,7 @@ const operatorTimeout = 5 * time.Second
 
 func main() {
 	var configPath, addrs string
-	flag.StringVar(&configPath, "config", "", "cluster configuration file (JSON)")
+	flag.StringVar(&configPath, "config", "", "cluster configuration file (JSON naming the coordinators)")
 	flag.StringVar(&addrs, "addrs", "", "comma-separated RPC addresses the read-only commands and fault go to, instead of every replica in -config")
 	flag.Usage = usage
 	flag.Parse()
@@ -145,8 +145,9 @@ func main() {
 	o.pool = rpc.NewPool(&rpc.ClientOptions{Timeout: operatorTimeout})
 	defer o.pool.Close()
 
-	// Without -addrs, a command goes through -config: to every replica of
-	// every group, or through a client to the cluster.
+	// Without -addrs, a command goes through -config's coordinators: to
+	// every replica of every group in their view, or through a client to
+	// the cluster.
 	var client *cluster.Client
 	if len(o.addrs) == 0 {
 		if configPath == "" {
@@ -156,10 +157,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("lambdactl: %v", err)
 		}
-		client, err = cluster.NewClient(cluster.ClientConfig{
-			Directory:    cfg.Directory(),
-			Coordinators: cfg.Coordinators,
-		})
+		client, err = cluster.NewClient(cluster.ClientConfig{Coordinators: cfg.Coordinators})
 		if err != nil {
 			log.Fatalf("lambdactl: %v", err)
 		}
@@ -545,9 +543,8 @@ func (o *operator) recovery(args []string) error {
 }
 
 // runSetGroup installs (or replaces) one replica group on a live
-// coordinator quorum — the bootstrap step for a coordinator-managed
-// cluster, where nodes start with no static -config and learn their
-// role from the directory.
+// coordinator quorum — the bootstrap step of a cluster, whose nodes learn
+// their role from the directory.
 func runSetGroup(args []string) {
 	fs := flag.NewFlagSet("set-group", flag.ExitOnError)
 	coords := fs.String("coordinators", "", "comma-separated coordinator addresses (required)")

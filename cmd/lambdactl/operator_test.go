@@ -27,7 +27,8 @@ func newOperator(t *testing.T, addrs ...string) *operator {
 // one of them reaches the node over its RPC port alone.
 func TestOperatorCommands(t *testing.T) {
 	defer fault.Reset()
-	l, err := cluster.StartLocal(cluster.LocalOptions{Groups: []int{1}, Node: cluster.NodeOptions{Tracing: true}})
+	// One attempt per call: a retry would absorb the one-shot error below.
+	l, err := cluster.StartLocal(cluster.LocalOptions{Groups: []int{1}, Node: cluster.NodeOptions{Tracing: true}, Client: cluster.ClientConfig{MaxRetries: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,7 +154,7 @@ func TestTopLeavesOutItsOwnCall(t *testing.T) {
 	defer l.Close()
 	s := newSampler(newOperator(t).snapshot)
 	for range 2 {
-		if qd := s.top(l.Dir).Groups[0].Values["queue_depth"]; qd != 0 {
+		if qd := s.top(l.Client.Directory()).Groups[0].Values["queue_depth"]; qd != 0 {
 			t.Errorf("idle group's QD = %v, want 0", qd)
 		}
 	}
@@ -171,11 +171,12 @@ func TestTopLeavesOutItsOwnCall(t *testing.T) {
 	}
 }
 
-// TestTopRollsUpStaticGroups runs top's sampling against a static
-// deployment — no coordinator, no debug server — of two groups (group 0 a
-// primary and a backup, group 1 one node): after traffic to an object of
-// each group, every group's row shows the window's invocations.
-func TestTopRollsUpStaticGroups(t *testing.T) {
+// TestTopRollsUpGroups runs top's sampling against a deployment — no debug
+// server — of two groups (group 0 a primary and a backup, group 1 one
+// node), over the view its client took from the coordinator: after traffic
+// to an object of each group, every group's row shows the window's
+// invocations.
+func TestTopRollsUpGroups(t *testing.T) {
 	l, err := cluster.StartLocal(cluster.LocalOptions{Groups: []int{2, 1}})
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,15 @@
 // Command lambdastore runs one LambdaStore storage node: it persists
 // objects in the embedded LSM engine, executes their methods in the
 // isolation runtime, and replicates committed write-sets to its group's
-// backups. Configuration comes from a static cluster file and/or a
-// coordinator service; with a coordinator, a node that finds itself outside
-// its group (evicted while it was down) catches up from the primary and
-// re-admits itself.
+// backups. Its view of the cluster comes from the coordinator service
+// alone (groups are seeded there with lambdactl set-group); a node that
+// finds itself outside its group (evicted while it was down) catches up
+// from the primary and re-admits itself.
 //
 // Usage:
 //
 //	lambdastore -addr :7000 -data /var/lib/lambdastore -group 0 \
-//	    -config cluster.json [-coordinators host:port,...]
+//	    -coordinators host:port,...
 package main
 
 import (
@@ -28,21 +28,20 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:7000", "RPC listen address")
-		dataDir    = flag.String("data", "", "data directory (required)")
-		groupID    = flag.Uint64("group", 0, "replica group this node belongs to")
-		configPath = flag.String("config", "", "static cluster configuration file (JSON)")
-		coords     = flag.String("coordinators", "", "comma-separated coordinator addresses")
-		cacheSize  = flag.Int("cache", 64<<10, "consistent result cache entries (0 disables)")
-		fuel       = flag.Int64("fuel", core.DefaultFuel, "per-invocation fuel budget")
-		debugAddr  = flag.String("debug", "", "pprof and /metrics text over HTTP on this address (empty disables; every other operator read and control is on the RPC port)")
-		tracing    = flag.Bool("trace", false, "record per-stage spans for every traced invocation")
-		slow       = flag.Duration("slow", 0, "log invocations slower than this (0 disables)")
-		recRate    = flag.Int("recovery-rate", 0, "rejoin catch-up streaming rate limit in bytes/sec (0 = unlimited)")
+		addr      = flag.String("addr", "127.0.0.1:7000", "RPC listen address")
+		dataDir   = flag.String("data", "", "data directory (required)")
+		groupID   = flag.Uint64("group", 0, "replica group this node belongs to")
+		coords    = flag.String("coordinators", "", "comma-separated coordinator addresses (required)")
+		cacheSize = flag.Int("cache", 64<<10, "consistent result cache entries (0 disables)")
+		fuel      = flag.Int64("fuel", core.DefaultFuel, "per-invocation fuel budget")
+		debugAddr = flag.String("debug", "", "pprof and /metrics text over HTTP on this address (empty disables; every other operator read and control is on the RPC port)")
+		tracing   = flag.Bool("trace", false, "record per-stage spans for every traced invocation")
+		slow      = flag.Duration("slow", 0, "log invocations slower than this (0 disables)")
+		recRate   = flag.Int("recovery-rate", 0, "rejoin catch-up streaming rate limit in bytes/sec (0 = unlimited)")
 	)
 	flag.Parse()
-	if *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "lambdastore: -data is required")
+	if *dataDir == "" || *coords == "" {
+		fmt.Fprintln(os.Stderr, "lambdastore: -data and -coordinators are required")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -58,19 +57,7 @@ func main() {
 		Tracing:                *tracing,
 		SlowTraceThreshold:     *slow,
 		RecoveryMaxBytesPerSec: *recRate,
-	}
-	if *configPath != "" {
-		cfg, err := cluster.LoadConfigFile(*configPath)
-		if err != nil {
-			log.Fatalf("lambdastore: %v", err)
-		}
-		opts.Directory = cfg.Directory()
-		if *coords == "" && len(cfg.Coordinators) > 0 {
-			opts.Coordinators = cfg.Coordinators
-		}
-	}
-	if *coords != "" {
-		opts.Coordinators = strings.Split(*coords, ",")
+		Coordinators:           strings.Split(*coords, ","),
 	}
 
 	node, err := cluster.StartNode(opts)

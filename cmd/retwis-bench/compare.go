@@ -181,7 +181,12 @@ func boot(cfg config, delay time.Duration, sys system) (*deployment, error) {
 				return l.Client.Invoke(core.ObjectID(object), method, args)
 			}),
 			create: func(id uint64) error { return l.Client.CreateObject(retwis.TypeName, core.ObjectID(id)) },
-			close:  l.Close,
+			close: func() {
+				// The failure detector must not fire under a bench's load:
+				// a promotion is a fault of the run, not a cost of it.
+				log.Printf("retwis-bench: %s: %d promotions", systemNames[sys], l.Coord.Members[0].Service.PromoteCounts()[0])
+				l.Close()
+			},
 		}, nil
 	}
 	// Warm: clients contact the compute node directly, the paper's measured

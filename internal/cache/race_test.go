@@ -324,13 +324,23 @@ func TestHitBytesSurviveSlotReuse(t *testing.T) {
 // the next store only up to resultRetainMax, so a 1 MB result leaves the
 // live heap once it is invalidated or evicted.
 func TestRemovedLargeResultIsNotRetained(t *testing.T) {
+	// storeCopied stores a 1 MB result for object 1 and reports whether
+	// its slot holds a buffer of its own that size.
+	storeCopied := func(c *Cache) bool {
+		result := make([]byte, 1<<20)
+		c.Store(1, "m", 0, result, nil)
+		s := c.shardFor(1)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		i := s.lookup(1, 0)
+		return i != none && cap(s.slab[i].result) >= len(result) && &s.slab[i].result[0] != &result[0]
+	}
 	for _, how := range []string{"invalidated", "evicted"} {
 		c := New(16)
 		c.Store(99, "m", 0, make([]byte, 16), nil) // the shard's slab and index exist
 		base := liveHeap()
-		c.Store(1, "m", 0, make([]byte, 1<<20), nil)
-		if held := liveHeap() - base; held < 1<<20 {
-			t.Fatalf("%s: the cache holds %d B after storing 1 MB: it did not copy the result", how, held)
+		if !storeCopied(c) {
+			t.Fatalf("%s: the slot holds no 1 MB buffer of its own after storing 1 MB: it did not copy the result", how)
 		}
 		if how == "invalidated" {
 			c.InvalidateObject(1)

@@ -7,17 +7,17 @@ import (
 	"lambdastore/internal/core"
 )
 
-// affinityGroup boots one static group of three with hour-long leases and
+// affinityGroup boots one quiet group of three with hour-long leases and
 // a result cache, registers the Counter type and creates objects 1..n,
 // object i holding i. It returns the local deployment, a client and the
 // running nodes by address, once every backup holds its lease.
 func affinityGroup(t *testing.T, n int) (*Local, *Client, map[string]*Node) {
 	t.Helper()
-	l := startLocal(t, LocalOptions{Groups: []int{3}, Node: NodeOptions{
+	l := startLocal(t, quiet([]int{3}, NodeOptions{
 		leaseTTL: time.Hour,
 		Runtime:  core.Options{CacheEntries: 256},
-	}})
-	c := newGroupClient(t, l.Dir)
+	}))
+	c := l.Client
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestOneCachedCopyPerGroup(t *testing.T) {
 	const n = 24
 	l, c, byAddr := affinityGroup(t, n)
 	for obj := core.ObjectID(1); obj <= n; obj++ {
-		g, _ := l.Dir.Lookup(uint64(obj))
+		g, _ := c.Directory().Lookup(uint64(obj))
 		owner := byAddr[g.ReadReplica(uint64(obj), 0)]
 		before := readServed(owner)
 		res, err := c.InvokeRead(obj, "get", nil)
@@ -82,9 +82,13 @@ func TestOneCachedCopyPerGroup(t *testing.T) {
 	}
 
 	// Fail over: the first backup becomes primary and the old primary
-	// leaves the group. Its objects move to their next replica; every
-	// other object stays where it was read.
-	dir := l.Dir
+	// leaves the group, in a view installed on the nodes by hand. Its
+	// objects move to their next replica; every other object stays where
+	// it was read.
+	dir, err := l.View()
+	if err != nil {
+		t.Fatal(err)
+	}
 	old, _ := dir.Group(0)
 	g, err := dir.Promote(0, old.Backups[0])
 	if err != nil {
@@ -125,14 +129,14 @@ func TestOneCachedCopyPerGroup(t *testing.T) {
 // and succeeds there.
 func TestSpreadReadFailsOverInRendezvousOrder(t *testing.T) {
 	l, c, byAddr := affinityGroup(t, 1)
-	obj, addr := readAtBackup(t, l.Dir)
+	obj, addr := readAtBackup(t, c.Directory())
 	if obj != 1 {
 		if err := c.CreateObject("Counter", obj); err != nil {
 			t.Fatal(err)
 		}
 		mustAdd(t, c, obj, int64(obj))
 	}
-	g, _ := l.Dir.Lookup(uint64(obj))
+	g, _ := c.Directory().Lookup(uint64(obj))
 	next := byAddr[g.ReadReplica(uint64(obj), 1)]
 	for i, s := range l.Slots {
 		if s.Addr == addr {
@@ -156,8 +160,8 @@ func TestSpreadReadFailsOverInRendezvousOrder(t *testing.T) {
 // of later writes, so a read it serves right after a replicated write to the
 // object resolves the type without reading the header.
 func TestBackupReadAfterWriteReadsNoHeader(t *testing.T) {
-	l, c, byAddr := affinityGroup(t, 1)
-	obj, addr := readAtBackup(t, l.Dir)
+	_, c, byAddr := affinityGroup(t, 1)
+	obj, addr := readAtBackup(t, c.Directory())
 	backup := byAddr[addr]
 	misses := backup.Metrics().Counter("core.type_misses")
 	before := misses.Value()

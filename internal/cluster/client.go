@@ -35,9 +35,11 @@ type Client struct {
 
 // ClientConfig configures a Client.
 type ClientConfig struct {
-	// Directory is a static configuration (benchmarks, tests).
+	// Directory is a fixed view, the seam through which a client of a group
+	// booted by hand with no coordinator (the frozen benchmark's) and tests
+	// route; nil fetches the view from Coordinators.
 	Directory *shard.Directory
-	// Coordinators enables dynamic configuration refresh.
+	// Coordinators is where the client refreshes its view.
 	Coordinators []string
 	// RPC tunes outbound connections (latency injection, timeouts).
 	RPC *rpc.ClientOptions
@@ -100,13 +102,10 @@ func (c *Client) Close() { c.pool.Close() }
 // Directory returns the client's current configuration view.
 func (c *Client) Directory() *shard.Directory { return c.dir.Load() }
 
-// SetDirectory installs a configuration view (static reconfiguration).
-func (c *Client) SetDirectory(d *shard.Directory) { c.dir.Store(d) }
-
-// refresh pulls a fresh configuration from the coordinator, if any. A view
-// older than the one held (a lagging coordinator replica's) is not
-// installed, so the client's view never goes backwards; one at the same
-// epoch is, since a config file's epochs are not the coordinator's.
+// refresh pulls a fresh configuration from the coordinator, if any, and
+// installs it only if it is newer than the view held: a lagging coordinator
+// replica's view, or one at the held epoch, is not, so the client's view
+// only moves forward.
 func (c *Client) refresh() bool {
 	if c.coord == nil {
 		return false
@@ -117,7 +116,7 @@ func (c *Client) refresh() bool {
 	}
 	for {
 		held := c.dir.Load()
-		if d.Epoch() < held.Epoch() || c.dir.CompareAndSwap(held, d) {
+		if d.Epoch() <= held.Epoch() || c.dir.CompareAndSwap(held, d) {
 			return true
 		}
 	}
@@ -295,13 +294,11 @@ func (c *Client) RegisterType(t *core.ObjectType) error {
 }
 
 // Migrate moves an object to the given group via its current primary. The
-// cutover commits at the coordinator, so a deployment without one refuses
-// the move.
+// cutover commits at the coordinator.
 func (c *Client) Migrate(id core.ObjectID, destGroup uint64) error {
-	// A bootstrap directory (static config file) knows nothing about
-	// overrides installed by earlier migrations, so the "already there"
-	// check below would silently no-op a real move. Resolve the object's
-	// current primary against the coordinator's view when there is one.
+	// A held view may lag overrides installed by earlier migrations, and
+	// the "already there" check below would then no-op a real move: resolve
+	// the object's current primary against the coordinator's view.
 	c.refresh()
 	g, err := c.lookup(id)
 	if err != nil {

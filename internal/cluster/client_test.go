@@ -62,7 +62,7 @@ func TestClientRetryUniform(t *testing.T) {
 		{"CreateObject", func(c *Client) error { return c.CreateObject("T", 2) }},
 		{"DeleteObject", func(c *Client) error { return c.DeleteObject(2) }},
 	}
-	// A static directory, no coordinator: the view never changes, which is
+	// A fixed view, no coordinator: the view never changes, which is
 	// what a client sees after a live migration it was not told about.
 	clientAt := func(t *testing.T, primary string) *Client {
 		t.Helper()
@@ -105,37 +105,30 @@ func TestClientRetryUniform(t *testing.T) {
 	}
 }
 
-// TestClientViewNeverGoesBackwards: a coordinator-backed client whose view
-// is ahead of the one it fetches — a lagging coordinator replica's — keeps
-// its view when it refreshes. SetDirectory still installs any view, and a
-// refresh then brings an older one up to what the coordinator serves.
+// TestClientViewNeverGoesBackwards: a client installs a fetched view only
+// if it is newer than the one it holds. A view at the held epoch is not
+// installed, and neither is one behind it (a lagging coordinator
+// replica's), so the client's view only moves forward.
 func TestClientViewNeverGoesBackwards(t *testing.T) {
 	l := startLocal(t, coordinated([]int{1}, NodeOptions{}))
 	c := l.Client
+	held := c.Directory()
+	served := held.Epoch()
 	if !c.refresh() {
 		t.Fatal("refresh failed")
 	}
-	ahead := c.Directory()
-	served := ahead.Epoch()
-	// Two in-place edits, as Migrate makes, put the view two epochs ahead.
-	const object = 1 << 40
-	ahead.SetOverride(object, 0)
-	ahead.ClearOverride(object)
-	if !c.refresh() {
-		t.Fatal("refresh failed")
-	}
-	if got := c.Directory(); got != ahead || got.Epoch() != served+2 {
-		t.Fatalf("after refresh the view is at epoch %d, want the held one at %d", got.Epoch(), served+2)
+	if got := c.Directory(); got != held {
+		t.Fatalf("a refresh at the held epoch %d installed another view (epoch %d)", served, got.Epoch())
 	}
 
-	c.SetDirectory(shard.NewDirectory(nil))
-	if got := c.Directory().Epoch(); got >= served {
-		t.Fatalf("SetDirectory installed epoch %d, want the older view", got)
-	}
+	// Two in-place edits, as Migrate makes, put the view two epochs ahead.
+	const object = 1 << 40
+	held.SetOverride(object, 0)
+	held.ClearOverride(object)
 	if !c.refresh() {
 		t.Fatal("refresh failed")
 	}
-	if got := c.Directory().Epoch(); got < served {
-		t.Fatalf("refresh of an older view installed epoch %d, want at least %d", got, served)
+	if got := c.Directory(); got != held || got.Epoch() != served+2 {
+		t.Fatalf("after refresh the view is at epoch %d, want the held one at %d", got.Epoch(), served+2)
 	}
 }

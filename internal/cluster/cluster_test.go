@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,19 +121,8 @@ end
 	return typ
 }
 
-func newGroupClient(t *testing.T, dir *shard.Directory) *Client {
-	t.Helper()
-	c, err := NewClient(ClientConfig{Directory: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return c
-}
-
 func TestSingleGroupInvokeAndReplicate(t *testing.T) {
-	nodes, dir := startStatic(t, NodeOptions{}, 3)
-	c := newGroupClient(t, dir)
+	nodes, c := startGroups(t, NodeOptions{}, 3)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +167,11 @@ func readAtBackup(t *testing.T, dir *shard.Directory) (core.ObjectID, string) {
 }
 
 func TestReplicaReads(t *testing.T) {
-	nodes, dir := startStatic(t, NodeOptions{}, 3)
-	c := newGroupClient(t, dir)
+	nodes, c := startGroups(t, NodeOptions{}, 3)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
-	obj, replica := readAtBackup(t, dir)
+	obj, replica := readAtBackup(t, c.Directory())
 	if err := c.CreateObject("Counter", obj); err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +214,7 @@ func TestReplicaReads(t *testing.T) {
 }
 
 func TestBackupRejectsMutation(t *testing.T) {
-	nodes, dir := startStatic(t, NodeOptions{}, 2)
-	c := newGroupClient(t, dir)
+	nodes, c := startGroups(t, NodeOptions{}, 2)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +237,7 @@ func TestBackupRejectsMutation(t *testing.T) {
 func TestCrossObjectRoutingAcrossGroups(t *testing.T) {
 	// Two groups; objects land by id%2. A method on an object in group 0
 	// invokes an object in group 1 — the node must forward it.
-	nodes, dir := startStatic(t, NodeOptions{}, 1, 1)
-	c := newGroupClient(t, dir)
+	nodes, c := startGroups(t, NodeOptions{}, 1, 1)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +312,7 @@ func TestFailoverWithCoordinator(t *testing.T) {
 }
 
 func TestRegisterTypeReachesAllReplicas(t *testing.T) {
-	nodes, dir := startStatic(t, NodeOptions{}, 3)
-	c := newGroupClient(t, dir)
+	nodes, c := startGroups(t, NodeOptions{}, 3)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -359,8 +345,7 @@ func TestWireRoundTrips(t *testing.T) {
 }
 
 func TestClusterTransaction(t *testing.T) {
-	_, dir := startStatic(t, NodeOptions{}, 3)
-	c := newGroupClient(t, dir)
+	_, c := startGroups(t, NodeOptions{}, 3)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -391,8 +376,7 @@ func TestClusterTransaction(t *testing.T) {
 }
 
 func TestClusterTransactionSpanningGroupsRejected(t *testing.T) {
-	_, dir := startStatic(t, NodeOptions{}, 1, 1)
-	c := newGroupClient(t, dir)
+	_, c := startGroups(t, NodeOptions{}, 1, 1)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +391,7 @@ func TestClusterTransactionSpanningGroupsRejected(t *testing.T) {
 }
 
 func TestNodeRestartRecoversState(t *testing.T) {
-	l := startLocal(t, LocalOptions{Groups: []int{1}})
+	l := startLocal(t, quiet([]int{1}, NodeOptions{}))
 	c := l.Client
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -453,8 +437,7 @@ func TestNodeRestartRecoversState(t *testing.T) {
 // fan-out — its write lives on this node alone and must not be
 // acknowledged. The runtime is driven directly to land in that window.
 func TestDeposedPrimaryWithholdsAck(t *testing.T) {
-	nodes, dir := startStatic(t, NodeOptions{}, 2)
-	c := newGroupClient(t, dir)
+	nodes, c := startGroups(t, NodeOptions{}, 2)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -469,36 +452,34 @@ func TestDeposedPrimaryWithholdsAck(t *testing.T) {
 	}
 }
 
+// TestLoadConfigFile: a configuration file names the coordinators, and a
+// field it does not know — a group list, which only the coordinators hold —
+// is refused rather than ignored.
 func TestLoadConfigFile(t *testing.T) {
-	path := t.TempDir() + "/cluster.json"
-	cfg := `{
-  "groups": [
-    {"id": 0, "primary": "10.0.0.1:7000", "backups": ["10.0.0.2:7000"]},
-    {"id": 1, "primary": "10.0.1.1:7000"}
-  ],
-  "coordinators": ["10.0.9.1:7101"]
-}`
-	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		t.Helper()
+		path := dir + "/" + name
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	fc, err := LoadConfigFile(path)
+	fc, err := LoadConfigFile(write("cluster.json", `{"coordinators": ["10.0.9.1:7101", "10.0.9.2:7101"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fc.Groups) != 2 || fc.Coordinators[0] != "10.0.9.1:7101" {
+	if len(fc.Coordinators) != 2 || fc.Coordinators[1] != "10.0.9.2:7101" {
 		t.Fatalf("parsed %+v", fc)
 	}
-	d := fc.Directory()
-	g, err := d.Lookup(0)
-	if err != nil || g.Primary != "10.0.0.1:7000" || len(g.Backups) != 1 {
-		t.Fatalf("directory group %+v, %v", g, err)
-	}
-	if _, err := LoadConfigFile(path + ".missing"); err == nil {
+	if _, err := LoadConfigFile(dir + "/missing.json"); err == nil {
 		t.Fatal("missing file loaded")
 	}
-	bad := t.TempDir() + "/bad.json"
-	os.WriteFile(bad, []byte("{nope"), 0o644)
-	if _, err := LoadConfigFile(bad); err == nil {
+	if _, err := LoadConfigFile(write("bad.json", "{nope")); err == nil {
 		t.Fatal("bad JSON loaded")
+	}
+	groups := write("groups.json", `{"groups": [{"id": 0, "primary": "10.0.0.1:7000"}], "coordinators": ["10.0.9.1:7101"]}`)
+	if _, err := LoadConfigFile(groups); err == nil || !strings.Contains(err.Error(), `unknown field "groups"`) {
+		t.Fatalf("a file listing groups: %v, want it refused", err)
 	}
 }

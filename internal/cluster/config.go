@@ -1,29 +1,18 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"lambdastore/internal/shard"
 )
 
-// FileConfig is the JSON form of a static cluster configuration used by the
-// command-line tools:
+// FileConfig is the JSON form of a cluster configuration file used by the
+// command-line tools: it names the coordinator replicas, which own every
+// view of the groups.
 //
-//	{
-//	  "groups": [
-//	    {"id": 0, "primary": "10.0.0.1:7000",
-//	     "backups": ["10.0.0.2:7000", "10.0.0.3:7000"]}
-//	  ],
-//	  "coordinators": ["10.0.0.9:7100"]
-//	}
+//	{"coordinators": ["10.0.0.9:7100", "10.0.0.10:7100", "10.0.0.11:7100"]}
 type FileConfig struct {
-	Groups []struct {
-		ID      uint64   `json:"id"`
-		Primary string   `json:"primary"`
-		Backups []string `json:"backups"`
-	} `json:"groups"`
 	Coordinators []string `json:"coordinators"`
 }
 
@@ -33,18 +22,13 @@ func LoadConfigFile(path string) (*FileConfig, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: read config: %w", err)
 	}
+	// A field it does not know (such as a group list, which only the
+	// coordinators hold) is refused, not ignored.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var cfg FileConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("cluster: parse config %s: %w", path, err)
 	}
 	return &cfg, nil
-}
-
-// Directory converts the file form into a shard directory.
-func (c *FileConfig) Directory() *shard.Directory {
-	d := shard.NewDirectory(nil)
-	for _, g := range c.Groups {
-		d.SetGroup(shard.Group{ID: g.ID, Primary: g.Primary, Backups: g.Backups})
-	}
-	return d
 }

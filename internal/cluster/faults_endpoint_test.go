@@ -18,7 +18,10 @@ import (
 // invocation succeed.
 func TestFaultsEndpoint(t *testing.T) {
 	defer fault.Reset()
-	l := startLocal(t, LocalOptions{Groups: []int{1}})
+	// One attempt per call: a retry would absorb the one-shot error.
+	opts := quiet([]int{1}, NodeOptions{})
+	opts.Client.MaxRetries = 1
+	l := startLocal(t, opts)
 	node, c := l.Slots[0].Node, l.Client
 	faults := func(script string) (string, error) {
 		desc, err := c.pool.Call(node.Addr(), debug.MethodFaults, []byte(script))

@@ -84,7 +84,7 @@ end
 // vector must never answer another.
 func TestInvokeArgsAliasOnlyInsideHandler(t *testing.T) {
 	const writers, puts, readers = 8, 100, 4
-	l := startLocal(t, LocalOptions{Groups: []int{3}, Node: NodeOptions{Runtime: core.Options{CacheEntries: 64}}})
+	l := startLocal(t, quiet([]int{3}, NodeOptions{Runtime: core.Options{CacheEntries: 64}}))
 	c := l.Client
 	if err := c.RegisterType(boxType(t)); err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestInvokeArgsAliasOnlyInsideHandler(t *testing.T) {
 // goroutine (spawned from the pooled request frame), the invoke request, the
 // admission and the cache hit allocate nothing once warm.
 func TestHotInvokeAllocBound(t *testing.T) {
-	l := startLocal(t, LocalOptions{Groups: []int{3}, Node: NodeOptions{Runtime: core.Options{CacheEntries: 64}}})
+	l := startLocal(t, quiet([]int{3}, NodeOptions{Runtime: core.Options{CacheEntries: 64}}))
 	c := l.Client
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestHotInvokeAllocBound(t *testing.T) {
 // scratch, the write's reply would be built over the cached result and the
 // second hit would read it.
 func TestCachedResultNeverReplyScratch(t *testing.T) {
-	l := startLocal(t, LocalOptions{Groups: []int{1}, Node: NodeOptions{Runtime: core.Options{CacheEntries: 64}}})
+	l := startLocal(t, quiet([]int{1}, NodeOptions{Runtime: core.Options{CacheEntries: 64}}))
 	c := l.Client
 	for _, typ := range []*core.ObjectType{boxType(t), counterType(t)} {
 		if err := c.RegisterType(typ); err != nil {
@@ -231,7 +231,7 @@ func TestCachedResultNeverReplyScratch(t *testing.T) {
 // frame's reply scratch, so what is left per job is the client's side of
 // the call — its copy of the reply — and nothing per follower.
 func TestServedCreatePostAllocBound(t *testing.T) {
-	l := startLocal(t, LocalOptions{Groups: []int{1}})
+	l := startLocal(t, quiet([]int{1}, NodeOptions{}))
 	c := l.Client
 	if err := c.RegisterType(retwis.MustType()); err != nil {
 		t.Fatal(err)

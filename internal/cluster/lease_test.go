@@ -24,8 +24,7 @@ import (
 // times out, so the nodes' calls time out quickly.
 func TestLeaseRenewalLossBouncesReads(t *testing.T) {
 	const ttl = 120 * time.Millisecond
-	nodes, dir := startStatic(t, NodeOptions{leaseTTL: ttl, ClientOptions: &rpc.ClientOptions{Timeout: 500 * time.Millisecond}}, 3)
-	c := newGroupClient(t, dir)
+	nodes, c := startGroups(t, NodeOptions{leaseTTL: ttl, ClientOptions: &rpc.ClientOptions{Timeout: 500 * time.Millisecond}}, 3)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestLeaseRenewalLossBouncesReads(t *testing.T) {
 // serves the first read sent to it: none bounces, and the group's servers
 // take one request per read.
 func TestBackupsServeFromFirstRequest(t *testing.T) {
-	l := startLocal(t, LocalOptions{Groups: []int{3}, Node: NodeOptions{leaseTTL: time.Hour}})
+	l := startLocal(t, quiet([]int{3}, NodeOptions{leaseTTL: time.Hour}))
 	nodes, backups := l.Nodes(), l.Nodes()[1:]
 	// Seed the object into every replica's store the way a bulk load does:
 	// nothing is shipped.
@@ -204,8 +203,7 @@ func TestInferredReadOnlyServedAtBackup(t *testing.T) {
 		t.Fatal("a mutating method was classified read-only")
 	}
 
-	nodes, dir := startStatic(t, NodeOptions{leaseTTL: 150 * time.Millisecond}, 3)
-	c := newGroupClient(t, dir)
+	nodes, c := startGroups(t, NodeOptions{leaseTTL: 150 * time.Millisecond}, 3)
 	if err := c.RegisterType(typ); err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +240,7 @@ func TestInferredReadOnlyServedAtBackup(t *testing.T) {
 // executes, and InvokeRead of it runs once, at the primary, reaching every
 // replica through replication alone.
 func TestMutatingInvokeNeverRunsAtBackup(t *testing.T) {
-	nodes, dir := startStatic(t, NodeOptions{leaseTTL: 150 * time.Millisecond}, 3)
-	c := newGroupClient(t, dir)
+	nodes, c := startGroups(t, NodeOptions{leaseTTL: 150 * time.Millisecond}, 3)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +290,7 @@ func TestMutatingInvokeNeverRunsAtBackup(t *testing.T) {
 // race detector: a read that starts after a write is acknowledged
 // observes that write, wherever it is served.
 func TestLeasedReadsDuringWrites(t *testing.T) {
-	_, dir := startStatic(t, NodeOptions{leaseTTL: 150 * time.Millisecond}, 3)
-	c := newGroupClient(t, dir)
+	_, c := startGroups(t, NodeOptions{leaseTTL: 150 * time.Millisecond}, 3)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -358,16 +354,15 @@ func (e *staleReadError) Error() string {
 // and the same backup's next read must execute again and return the new
 // value.
 func TestLeasedBackupCachedReadSeesPrimaryCommit(t *testing.T) {
-	nodes, dir := startStatic(t, NodeOptions{
+	nodes, c := startGroups(t, NodeOptions{
 		leaseTTL: 150 * time.Millisecond,
 		Runtime:  core.Options{CacheEntries: 64},
 	}, 3)
-	c := newGroupClient(t, dir)
 	if err := c.RegisterType(counterType(t)); err != nil {
 		t.Fatal(err)
 	}
 	// The backup that is the object's read replica: the one that caches it.
-	obj, addr := readAtBackup(t, dir)
+	obj, addr := readAtBackup(t, c.Directory())
 	if err := c.CreateObject("Counter", obj); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,9 +19,7 @@ type LocalOptions struct {
 	// Groups is the topology: Groups[g] nodes form replica group g, the
 	// first of them its initial primary.
 	Groups []int
-	// Coordinators is the coordinator ensemble's size. Zero is static mode:
-	// nodes and client share one fixed directory, there is no failure
-	// detector and no object moves.
+	// Coordinators is the coordinator ensemble's size (0 is one replica).
 	Coordinators int
 	// Coord is what every ensemble member runs.
 	Coord coordinator.Options
@@ -29,10 +28,10 @@ type LocalOptions struct {
 	// system temp directory.
 	DataRoot string
 	// Node is every node's configuration. Addr, DataDir, GroupID and
-	// Directory or Coordinators are filled in per node.
+	// Coordinators are filled in per node.
 	Node NodeOptions
-	// Client is the deployment client's configuration (Directory or
-	// Coordinators filled in).
+	// Client is the deployment client's configuration (Coordinators filled
+	// in).
 	Client ClientConfig
 }
 
@@ -45,17 +44,14 @@ type Slot struct {
 	Node    *Node
 }
 
-// Local is a running LocalOptions: nodes, configuration source and client.
+// Local is a running LocalOptions: nodes, coordinator ensemble and client.
 // It is not safe for concurrent Kill/Restart.
 type Local struct {
 	// Slots holds the nodes in group-major order (group 0's primary first).
 	Slots []*Slot
-	// Dir is static mode's directory (nil with coordinators), fixed once
-	// the boot has set its groups.
-	Dir *shard.Directory
-	// Coord is the coordinator ensemble (nil in static mode).
+	// Coord is the coordinator ensemble.
 	Coord *coordinator.Ensemble
-	// Client routes by Dir, or refreshes from Coord.
+	// Client refreshes its view from Coord.
 	Client *Client
 
 	opts LocalOptions
@@ -64,21 +60,21 @@ type Local struct {
 
 // StartLocal stands the deployment up and returns once it is ready for
 // traffic: every node's published role is the one the configuration gives
-// it — so the first write finds a primary that knows its backups — and, with
-// coordinators, a majority of failure detectors watches every node.
+// it — so the first write finds a primary that knows its backups — and a
+// majority of failure detectors watches every node.
 //
-// Static boot: every node starts on the shared, still empty directory; the
-// groups are installed from the addresses the nodes bound; SetDirectory on
-// each node re-derives its role. Coordinated boot: the ensemble starts, the
-// nodes start against it, the groups go through the coordinator, and the
-// nodes pick them up with their next heartbeat. Every node then runs the
-// cadence its failure detector's timeout gives (coordinator.Cadence), so a
-// lease always ends before the detector can promote around it.
+// The ensemble starts, the nodes start against it, and the groups go
+// through the coordinator; the directory the last round chose is installed
+// on every node at once (a newer one a node fetched meanwhile is kept), so
+// readiness does not wait for the nodes' next configuration fetch, D/4
+// away, and as a new deployment's first view, so no primary's first write
+// waits out a lease barrier. Every node runs the cadence its failure detector's timeout D gives
+// (coordinator.Cadence), so a lease always ends before the detector can
+// promote around it; a same-package test may set a node's share itself.
 func StartLocal(opts LocalOptions) (_ *Local, err error) {
-	if opts.Coordinators > 0 {
-		c := opts.Coord.Cadence()
-		opts.Node.heartbeat, opts.Node.leaseTTL, opts.Node.moveSession = c.Heartbeat, c.Lease, c.MoveSession
-	}
+	c := opts.Coord.Cadence()
+	o := &opts.Node
+	o.heartbeat, o.leaseTTL, o.moveSession = cmp.Or(o.heartbeat, c.Heartbeat), cmp.Or(o.leaseTTL, c.Lease), cmp.Or(o.moveSession, c.MoveSession)
 	l := &Local{opts: opts}
 	defer func() {
 		if err != nil {
@@ -88,13 +84,10 @@ func StartLocal(opts LocalOptions) (_ *Local, err error) {
 	if l.root, err = os.MkdirTemp(opts.DataRoot, "lambdastore-*"); err != nil {
 		return nil, err
 	}
-	if opts.Coordinators > 0 {
-		if l.Coord, err = coordinator.StartEnsemble(opts.Coordinators, opts.Coord); err != nil {
-			return nil, err
-		}
-	} else {
-		l.Dir = shard.NewDirectory(nil)
+	if l.Coord, err = coordinator.StartEnsemble(max(opts.Coordinators, 1), opts.Coord); err != nil {
+		return nil, err
 	}
+	l.opts.Node.Coordinators = l.Coord.Addrs()
 	groups := make([]shard.Group, len(opts.Groups))
 	for g, replicas := range opts.Groups {
 		groups[g].ID = uint64(g)
@@ -112,34 +105,24 @@ func StartLocal(opts LocalOptions) (_ *Local, err error) {
 		}
 	}
 	cfg := opts.Client
-	cfg.Directory = l.Dir
-	if l.Coord != nil {
-		cfg.Coordinators = l.Coord.Addrs()
-	}
+	cfg.Coordinators = l.Coord.Addrs()
 	if l.Client, err = NewClient(cfg); err != nil {
 		return nil, err
 	}
+	var chosen *shard.Directory
 	for _, g := range groups {
-		if l.Dir != nil {
-			l.Dir.SetGroup(g)
-		} else if _, err = l.Client.coord.SetGroup(g); err != nil {
+		if chosen, err = l.Client.coord.SetGroup(g); err != nil {
 			return nil, fmt.Errorf("cluster: install group %d: %w", g.ID, err)
 		}
-	}
-	if l.Dir != nil {
-		for _, s := range l.Slots {
-			s.Node.SetDirectory(l.Dir)
-		}
-		return l, nil
 	}
 	addrs := make([]string, len(l.Slots))
 	for i, s := range l.Slots {
 		addrs[i] = s.Addr
+		s.Node.role.boot(chosen)
 	}
-	var view *shard.Directory
 	err = l.Await(10*time.Second, "every node to take its role and be watched by the failure detectors", func() bool {
-		var err error
-		if view, err = l.View(); err != nil || !l.Coord.Watching(addrs) {
+		view, err := l.View()
+		if err != nil || !l.Coord.Watching(addrs) {
 			return false
 		}
 		for _, s := range l.Slots {
@@ -153,24 +136,21 @@ func StartLocal(opts LocalOptions) (_ *Local, err error) {
 	if err != nil {
 		return nil, err
 	}
-	l.Client.SetDirectory(view)
+	l.Client.refresh()
 	return l, nil
 }
 
 // Restart starts slot i's node on the slot's address and data directory —
 // at boot, and after a Kill as a faithful crash recovery: same identity,
-// state replayed from WAL and SSTs. A coordinated node whose group evicted
-// it meanwhile comes up outside the group, catches up and re-admits itself.
+// state replayed from WAL and SSTs. A node whose group evicted it meanwhile
+// comes up outside the group, catches up and re-admits itself.
 func (l *Local) Restart(i int) error {
 	s := l.Slots[i]
 	if s.Node != nil {
 		return fmt.Errorf("cluster: node %d already up", i)
 	}
 	o := l.opts.Node
-	o.Addr, o.DataDir, o.GroupID, o.Directory = s.Addr, s.DataDir, s.Group, l.Dir
-	if l.Coord != nil {
-		o.Coordinators = l.Coord.Addrs()
-	}
+	o.Addr, o.DataDir, o.GroupID = s.Addr, s.DataDir, s.Group
 	node, err := StartNode(o)
 	if err != nil {
 		return fmt.Errorf("cluster: start node %d: %w", i, err)
@@ -202,12 +182,8 @@ func (l *Local) Nodes() []*Node {
 	return nodes
 }
 
-// View returns the configuration as its source has it now: the shared
-// directory, or what the coordinator ensemble answers.
+// View returns the configuration as the coordinator ensemble answers it now.
 func (l *Local) View() (*shard.Directory, error) {
-	if l.Dir != nil {
-		return l.Dir, nil
-	}
 	return l.Client.coord.GetConfig()
 }
 

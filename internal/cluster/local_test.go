@@ -9,7 +9,6 @@ import (
 
 	"lambdastore/internal/coordinator"
 	"lambdastore/internal/core"
-	"lambdastore/internal/shard"
 )
 
 // startLocal is StartLocal under the test's cleanup.
@@ -23,12 +22,18 @@ func startLocal(t *testing.T, opts LocalOptions) *Local {
 	return l
 }
 
-// startStatic boots one group per entry of groups, that many nodes each
-// running node, on a shared static directory.
-func startStatic(t *testing.T, node NodeOptions, groups ...int) ([]*Node, *shard.Directory) {
+// quiet is a deployment whose failure detector does not fire within a
+// test (D is an hour): its view changes only where the test changes it.
+func quiet(groups []int, node NodeOptions) LocalOptions {
+	return LocalOptions{Groups: groups, Coord: coordinator.Options{HeartbeatTimeout: time.Hour}, Node: node}
+}
+
+// startGroups boots a quiet deployment of one group per entry of groups,
+// that many nodes each running node, and returns its nodes and client.
+func startGroups(t *testing.T, node NodeOptions, groups ...int) ([]*Node, *Client) {
 	t.Helper()
-	l := startLocal(t, LocalOptions{Groups: groups, Node: node})
-	return l.Nodes(), l.Dir
+	l := startLocal(t, quiet(groups, node))
+	return l.Nodes(), l.Client
 }
 
 // coordinated is the cluster tests' coordinator-managed deployment: three
@@ -56,18 +61,25 @@ func await(t *testing.T, l *Local, timeout time.Duration, what string, cond func
 // sleep, every node's published role is the one the configuration gives it,
 // each group has exactly one primary and a write to each group is
 // acknowledged — and what Kill and Restart promise: a backup comes back on
-// its slot's address with its data, and in a coordinated deployment
-// re-admits itself holding the writes it missed.
+// its slot's address with its data and, if the detector evicted it
+// meanwhile, re-admits itself holding the writes it missed. The quiet row's
+// nodes would not fetch the configuration for D/4, a quarter of an hour:
+// the boot installs the directory its rounds chose on every node.
 func TestLocalBootInvariant(t *testing.T) {
+	hourD := quiet([]int{3, 2}, NodeOptions{})
+	hourD.Coordinators = 3
 	for _, tc := range []struct {
-		name string
-		opts LocalOptions
+		name   string
+		opts   LocalOptions
+		evicts bool // the detector evicts the killed backup within the test
 	}{
-		{"static", LocalOptions{Groups: []int{3, 2}}},
-		{"coordinated", coordinated([]int{3, 2}, NodeOptions{})},
+		{"quiet", hourD, false},
+		{"coordinated", coordinated([]int{3, 2}, NodeOptions{}), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
 			l := startLocal(t, tc.opts)
+			t.Logf("booted in %v", time.Since(start))
 			view, err := l.View()
 			if err != nil {
 				t.Fatal(err)
@@ -82,8 +94,7 @@ func TestLocalBootInvariant(t *testing.T) {
 				if r.primary {
 					primaries[s.Group]++
 				}
-				// Static nodes run the default coordinator's cadence; a
-				// coordinated deployment's, its own detector's.
+				// Every node runs its deployment's detector's cadence.
 				c, o := tc.opts.Coord.Cadence(), s.Node.opts
 				if o.heartbeat != c.Heartbeat || o.leaseTTL != c.Lease || o.moveSession != c.MoveSession {
 					t.Errorf("node %d runs heartbeat %v, lease %v, move session %v; the cadence is %+v", i, o.heartbeat, o.leaseTTL, o.moveSession, c)
@@ -93,6 +104,9 @@ func TestLocalBootInvariant(t *testing.T) {
 				if primaries[uint64(g)] != 1 {
 					t.Errorf("group %d has %d primaries", g, primaries[uint64(g)])
 				}
+			}
+			if got := l.Client.Directory().Epoch(); got != view.Epoch() {
+				t.Errorf("the client routes by epoch %d, the configuration is at %d", got, view.Epoch())
 			}
 			if t.Failed() {
 				t.FailNow()
@@ -120,7 +134,7 @@ func TestLocalBootInvariant(t *testing.T) {
 			if err := l.Kill(backup); err != nil {
 				t.Fatal(err)
 			}
-			if l.Coord != nil {
+			if tc.evicts {
 				// The failure detector evicts it; the group writes on.
 				await(t, l, 10*time.Second, "the killed backup's eviction", func() bool {
 					_, err := c.Invoke(2, "add", [][]byte{core.I64Bytes(1)})

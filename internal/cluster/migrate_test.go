@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,9 +14,9 @@ import (
 	"lambdastore/internal/rpc"
 )
 
-// movers is the coordinated deployment the move tests share, two groups of
-// two replicas: a coordinated boot takes about a second, and every test
-// moves objects of its own (newObject), so none sees another's.
+// movers is the deployment the move tests share, two groups of two
+// replicas: every test moves objects of its own (newObject), so none sees
+// another's.
 var movers struct {
 	once sync.Once
 	l    *Local
@@ -94,50 +93,6 @@ func homeGroup(t *testing.T, l *Local, obj core.ObjectID) uint64 {
 		t.Fatal(err)
 	}
 	return g.ID
-}
-
-// TestMigrationNeedsACoordinator: a cutover commits only at the
-// coordinator, so a static deployment refuses a move before anything is
-// frozen or copied. No node's view changes, and the object still serves at
-// its old home.
-func TestMigrationNeedsACoordinator(t *testing.T) {
-	l := startLocal(t, LocalOptions{Groups: []int{2, 2}})
-	c := l.Client
-	if err := c.RegisterType(counterType(t)); err != nil {
-		t.Fatal(err)
-	}
-	const obj = 4 // group 0
-	if err := c.CreateObject("Counter", obj); err != nil {
-		t.Fatal(err)
-	}
-	mustAdd(t, c, obj, 42)
-	epochs := map[*Node]uint64{}
-	for _, n := range l.Nodes() {
-		epochs[n] = n.Directory().Epoch()
-	}
-	err := c.Migrate(obj, 1)
-	if err == nil || !strings.Contains(err.Error(), "cluster: migration needs a coordinator") {
-		t.Fatalf("migrate without a coordinator: %v", err)
-	}
-	for n, e := range epochs {
-		if got := n.Directory().Epoch(); got != e {
-			t.Fatalf("%s's view moved from epoch %d to %d", n.Addr(), e, got)
-		}
-		if g, err := n.Directory().Lookup(obj); err != nil || g.ID != 0 {
-			t.Fatalf("%s maps object %d to group %d, %v", n.Addr(), obj, g.ID, err)
-		}
-		if n.MoveSessions() != 0 {
-			t.Fatalf("%s has a move session", n.Addr())
-		}
-	}
-	for _, s := range l.Slots[2:] {
-		if ok, _ := s.Node.Runtime().ObjectExists(obj); ok {
-			t.Fatalf("object %d was copied to group 1's %s", obj, s.Addr)
-		}
-	}
-	if res, err := c.Invoke(obj, "add", [][]byte{core.I64Bytes(1)}); err != nil || core.BytesI64(res) != 43 {
-		t.Fatalf("object at its old home after the refusal: %d, %v", core.BytesI64(res), err)
-	}
 }
 
 // TestLiveMigrationUnderWrites hammers one object with concurrent writers

@@ -32,14 +32,16 @@ type NodeOptions struct {
 	Runtime core.Options
 	// GroupID is the replica group this node belongs to.
 	GroupID uint64
-	// Directory is the initial configuration (static mode). With a
-	// Coordinator configured the node refreshes it periodically.
+	// Directory is an initial configuration view, the seam through which
+	// a group booted by hand with no coordinator (the frozen benchmark's)
+	// takes a fixed one. Nil is the empty view.
 	Directory *shard.Directory
-	// Coordinators lists coordinator replica addresses (optional). With
-	// them the node heartbeats every replica, and whenever it is not a
-	// member of its group (a restarted replica the failure detector
-	// evicted) it syncs from the group's primary by range digests and
-	// re-admits itself through the coordinator (DESIGN §11).
+	// Coordinators lists coordinator replica addresses, the source of
+	// every view: the node fetches the configuration from them, heartbeats
+	// every replica, and whenever it is not a member of its group (a
+	// restarted replica the failure detector evicted) it syncs from the
+	// group's primary by range digests and re-admits itself through the
+	// coordinator (DESIGN §11).
 	Coordinators []string
 	// ClientOptions tunes this node's outbound connections (delay
 	// injection for experiments, timeouts).
@@ -165,21 +167,17 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	}
 
 	n.role = &roleMachine{
-		group:       opts.GroupID,
-		coordinated: len(opts.Coordinators) > 0,
-		ttl:         opts.leaseTTL,
-		leases:      n.leases,
-		shipper:     n.shipper,
-		readOnly:    n.rt.MethodReadOnly,
-		reads:       reg.Counter("reads.served"),
-		served:      reg.Counter("reads.backup_served"),
-		bounced:     reg.Counter("reads.primary_bounced"),
-		now:         time.Now,
+		group:    opts.GroupID,
+		ttl:      opts.leaseTTL,
+		leases:   n.leases,
+		shipper:  n.shipper,
+		readOnly: n.rt.MethodReadOnly,
+		reads:    reg.Counter("reads.served"),
+		served:   reg.Counter("reads.backup_served"),
+		bounced:  reg.Counter("reads.primary_bounced"),
+		now:      time.Now,
 	}
-	if opts.Directory == nil {
-		opts.Directory = shard.NewDirectory(nil)
-	}
-	n.role.cur.Store(&view{dir: opts.Directory})
+	n.role.cur.Store(&view{dir: cmp.Or(opts.Directory, shard.NewDirectory(nil))})
 	reg.GaugeFunc("cluster.primary", func() int64 {
 		if n.role.load().primary {
 			return 1
@@ -224,13 +222,13 @@ func StartNode(opts NodeOptions) (_ *Node, err error) {
 	n.pool.SetFaultLabel(addr)
 	n.role.bind(addr)
 
+	n.coord = coordinator.NewClient(n.pool, opts.Coordinators)
 	if len(opts.Coordinators) > 0 {
-		n.coord = coordinator.NewClient(n.pool, opts.Coordinators)
 		// Fetch the current configuration synchronously before serving
 		// traffic: a restarting node must learn it was deposed (or that it
 		// still is primary, and of whom) before its first routing decision.
 		if d, err := n.coord.GetConfig(); err == nil {
-			n.SetDirectory(d)
+			n.role.install(d, true)
 		}
 		n.done = make(chan struct{})
 		go n.coordLoop()
@@ -528,11 +526,6 @@ func (n *Node) registerHandlers() {
 		req, err := decodeMigrateReq(body)
 		if err != nil {
 			return nil, err
-		}
-		// A cutover commits only at the coordinator: without one, refuse
-		// before anything is frozen or copied.
-		if n.coord == nil {
-			return nil, errors.New("cluster: migration needs a coordinator")
 		}
 		if err := n.transfer.Move(uint64(req.object), req.destPrimary, req.destGroup); err != nil {
 			return nil, err

@@ -199,10 +199,10 @@ end
 // with correct parent/child nesting.
 func TestEndToEndTraceAcrossNodes(t *testing.T) {
 	// Group 0 is n0 (primary) and n2 (backup), group 1 is n1.
-	l := startLocal(t, LocalOptions{Groups: []int{2, 1}, Node: NodeOptions{
+	l := startLocal(t, quiet([]int{2, 1}, NodeOptions{
 		Tracing: true,
 		Runtime: core.Options{CacheEntries: 1024},
-	}})
+	}))
 	n0, n2, n1 := l.Slots[0].Node, l.Slots[1].Node, l.Slots[2].Node
 
 	c := l.Client
@@ -354,7 +354,7 @@ func names(spans []telemetry.Span) []string {
 // commit, WAL sync, replicate and every backup's repl.applyBatch carry one
 // trace ID.
 func TestUntracedCreateIsOneTrace(t *testing.T) {
-	l := startLocal(t, LocalOptions{Groups: []int{3}, Node: NodeOptions{Tracing: true}})
+	l := startLocal(t, quiet([]int{3}, NodeOptions{Tracing: true}))
 	if err := l.Client.RegisterType(relayType(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestUntracedCreateIsOneTrace(t *testing.T) {
 // still reads no request in flight, as its registry does when read in
 // process.
 func TestStatsLeavesOutItsOwnCall(t *testing.T) {
-	l := startLocal(t, LocalOptions{Groups: []int{1}})
+	l := startLocal(t, quiet([]int{1}, NodeOptions{}))
 	node := l.Slots[0].Node
 	for range 2 {
 		rpcIn, rpcOK := nodeStats(t, l.Client.pool, node.Addr()).Gauges["rpc.server.in_flight"]
@@ -409,9 +409,9 @@ func TestStatsLeavesOutItsOwnCall(t *testing.T) {
 // instrument — and every point-in-time value that the node used to
 // re-enumerate by hand is there because its owner registered it.
 func TestOneSnapshotTwoExits(t *testing.T) {
-	l := startLocal(t, LocalOptions{Groups: []int{1}, Node: NodeOptions{
+	l := startLocal(t, quiet([]int{1}, NodeOptions{
 		Runtime: core.Options{CacheEntries: 64},
-	}})
+	}))
 	node, c := l.Slots[0].Node, l.Client
 	dbg, err := debug.Start("127.0.0.1:0", node.Metrics())
 	if err != nil {

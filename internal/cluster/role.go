@@ -17,20 +17,20 @@ import (
 // roleMachine is the node's view of itself (paper §4.2.1): per configuration
 // view, whether it is its group's primary (execute writes, ship before the
 // reply), a backup (serve reads under a lease) or neither, and which acks wait
-// out leases it cannot invalidate. install is its one writer.
+// out leases it cannot invalidate. publish is its one writer, through
+// install (and boot, a new deployment's first view).
 type roleMachine struct {
-	group       uint64
-	coordinated bool // a coordinator owns the view: without one, serve nothing
-	ttl         time.Duration
-	leases      leaseHolder
-	shipper     *replication.Shipper
-	readOnly    func(core.ObjectID, string) bool // the method's link-time facts prove it a read
-	reads       *telemetry.Counter               // reads served here, as primary or backup
-	served      *telemetry.Counter               // ... as a leased backup
-	bounced     *telemetry.Counter
-	now         func() time.Time // time.Now; same-package tests inject a clock
+	group    uint64
+	ttl      time.Duration
+	leases   leaseHolder
+	shipper  *replication.Shipper
+	readOnly func(core.ObjectID, string) bool // the method's link-time facts prove it a read
+	reads    *telemetry.Counter               // reads served here, as primary or backup
+	served   *telemetry.Counter               // ... as a leased backup
+	bounced  *telemetry.Counter
+	now      func() time.Time // time.Now; same-package tests inject a clock
 
-	mu   sync.Mutex // install's; guards self
+	mu   sync.Mutex // held by install and boot; guards self
 	self string
 	cur  atomic.Pointer[view]
 }
@@ -109,8 +109,9 @@ func next(prev *view, dir *shard.Directory, self string, group uint64, now time.
 func (n *Node) Directory() *shard.Directory { return n.role.load().dir }
 
 // SetDirectory installs a configuration view, whatever its epoch; the same
-// directory again (a static boot's, once its groups are set) re-derives the
-// role.
+// directory again, edited in place, re-derives the role. It is the seam
+// through which a deployment with no coordinator — the frozen benchmark's
+// hand-booted group — and tests inject a fixed view.
 func (n *Node) SetDirectory(d *shard.Directory) { n.role.install(d, false) }
 
 // load returns the published value.
@@ -130,11 +131,27 @@ func (m *roleMachine) install(d *shard.Directory, newerOnly bool) {
 	if newerOnly && d.Epoch() <= prev.dir.Epoch() {
 		return
 	}
-	v, revoke := next(prev, d, m.self, m.group, m.now(), m.ttl)
+	m.publish(next(prev, d, m.self, m.group, m.now(), m.ttl))
+}
+
+// boot is install for a new deployment's first view (StartLocal), unless a
+// newer one is installed. No lease was granted before it, so none can be
+// orphaned: it derives as from no view at all, and taking a group arms no
+// barrier. A restarted node's view goes through install, where it does.
+func (m *roleMachine) boot(d *shard.Directory) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if d.Epoch() >= m.load().dir.Epoch() {
+		m.publish(next(&view{}, d, m.self, m.group, m.now(), m.ttl))
+	}
+}
+
+// publish is install's tail, in its order; the caller holds m.mu.
+func (m *roleMachine) publish(v *view, revoke bool) {
 	if revoke {
 		m.leases.Revoke()
 	}
-	m.shipper.SetEpoch(d.Epoch())
+	m.shipper.SetEpoch(v.dir.Epoch())
 	m.cur.Store(v)
 	m.shipper.SetBackups(v.fanout())
 }
@@ -157,14 +174,10 @@ func (m *roleMachine) route(obj core.ObjectID, method string) error {
 	v := m.load()
 	g, err := v.dir.Lookup(uint64(obj))
 	if err != nil {
-		if m.coordinated {
-			// Without a configuration a coordinator-managed node is nobody's
-			// primary: a deposed one restarting with an empty view would
-			// otherwise ack writes it never replicates (zombie primary).
-			return notResponsibleError("")
-		}
-		// No configuration, static mode: a single node executes everything.
-		return nil
+		// Without a configuration a node is nobody's primary: a deposed one
+		// restarting with an empty view would otherwise ack writes it never
+		// replicates (zombie primary).
+		return notResponsibleError("")
 	}
 	if g.Primary == v.self {
 		if method != "" && m.readOnly(obj, method) {
@@ -203,9 +216,6 @@ func (m *roleMachine) readsFor(obj core.ObjectID) bool {
 // the view, so the shipper covers the joiner before the commit fence is
 // released.
 func (n *Node) admitJoiner(joiner string, expectEpoch uint64) error {
-	if n.coord == nil {
-		return fmt.Errorf("cluster: no coordinator to admit %s through", joiner)
-	}
 	return n.proposeFenced(fmt.Sprintf("admission of %s did not take effect (epoch %d)", joiner, expectEpoch),
 		func(d *shard.Directory) (*shard.Directory, error) {
 			if d.Epoch() > expectEpoch {
@@ -295,8 +305,7 @@ type refusal struct{ error }
 // proposal out — the quiesced state at both ends stays valid across
 // retries. Moves back to the object's default hash placement clear the
 // override instead of recording one, which is what keeps the override
-// table from growing with every migration. Only a node with coordinators
-// gets here: node.migrate refuses a move without them.
+// table from growing with every migration.
 func (n *Node) cutOverObject(object, targetGroup uint64) error {
 	return n.proposeFenced(fmt.Sprintf("cutover of %d to group %d did not take effect", object, targetGroup),
 		func(d *shard.Directory) (*shard.Directory, error) {

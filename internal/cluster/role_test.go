@@ -128,7 +128,7 @@ func TestNextView(t *testing.T) {
 	t.Run("the same directory again re-derives the role only", func(t *testing.T) {
 		d := dirAt(5, nil, g0("b1", "me"), g1)
 		v, _ := next(&view{}, d, "me", 0, t0, ttl)
-		d.SetGroup(g0("me")) // a static directory edited in place
+		d.SetGroup(g0("me")) // a view edited in place, as Node.SetDirectory's callers do
 		v, revoke := next(v, d, "me", 0, t0, ttl)
 		if revoke || !v.primary || v.ackDelay(t0) != 0 {
 			t.Fatalf("in-place edit: revoke %v primary %v ackDelay %v", revoke, v.primary, v.ackDelay(t0))
@@ -137,8 +137,8 @@ func TestNextView(t *testing.T) {
 }
 
 // TestRoute drives the route decision over published views without a
-// node: primary, leased and unleased backup, and a coordinator-managed
-// node with no configuration.
+// node: primary, leased and unleased backup, and a node with no
+// configuration.
 func TestRoute(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	leases := &fakeLeases{}
@@ -183,10 +183,12 @@ func TestRoute(t *testing.T) {
 	publish(dirAt(3, map[uint64]uint64{2: 1}, g0("me", "b1"), g1))
 	check(t, m.route(2, "put"), "other")
 
+	// A node with no configuration refuses every request, read or write.
 	publish(shard.NewDirectory(nil))
-	check(t, m.route(2, "put"), "-") // static: a single node runs everything
-	m.coordinated = true
-	check(t, m.route(2, "put"), "")
+	leases.valid.Store(true)
+	for _, method := range []string{"put", "get", ""} {
+		check(t, m.route(2, method), "")
+	}
 }
 
 // TestInstallKeepsNewestView races adopters of views with shuffled epochs:

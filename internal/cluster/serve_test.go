@@ -72,8 +72,7 @@ func TestServeUniform(t *testing.T) {
 	// committed) the primary takes the mark back and each runs; a create
 	// finds the object, not a mark.
 	t.Run("fenced", func(t *testing.T) {
-		nodes, dir := startStatic(t, NodeOptions{}, 1)
-		c := newGroupClient(t, dir)
+		nodes, c := startGroups(t, NodeOptions{}, 1)
 		if err := c.RegisterType(counterType(t)); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +80,9 @@ func TestServeUniform(t *testing.T) {
 		if err := c.CreateObject("Counter", obj); err != nil {
 			t.Fatal(err)
 		}
-		// Objects hash to id % 2: object 2 stays in group 0.
+		// Objects hash to id % 2: object 2 stays in group 0. The test edits
+		// the node's view in place.
+		dir := nodes[0].Directory()
 		dir.SetGroup(shard.Group{ID: 1, Primary: "new-home:1"})
 		freeze := func() {
 			t.Helper()
@@ -119,9 +120,8 @@ func TestServeUniform(t *testing.T) {
 	})
 
 	t.Run("backup", func(t *testing.T) {
-		nodes, dir := startStatic(t, NodeOptions{leaseTTL: 150 * time.Millisecond}, 2)
+		nodes, c := startGroups(t, NodeOptions{leaseTTL: 150 * time.Millisecond}, 2)
 		primary, backup := nodes[0], nodes[1]
-		c := newGroupClient(t, dir)
 		if err := c.RegisterType(counterType(t)); err != nil {
 			t.Fatal(err)
 		}
@@ -251,8 +251,7 @@ func TestCommitTailOrder(t *testing.T) {
 	// the primary's barrier probe.
 	group := func(t *testing.T, size int, opts NodeOptions) []*Node {
 		t.Helper()
-		nodes, dir := startStatic(t, opts, size)
-		c := newGroupClient(t, dir)
+		nodes, c := startGroups(t, opts, size)
 		if err := c.RegisterType(counterType(t)); err != nil {
 			t.Fatal(err)
 		}

@@ -19,11 +19,11 @@ import (
 // cmd/lambdactl's TestTopRollsUpStaticGroups.
 func TestRetwisTracesAssembleAcrossNodes(t *testing.T) {
 	// Group 0 is n0 (primary) and n2 (backup), group 1 is n1.
-	l := startLocal(t, LocalOptions{Groups: []int{2, 1}, Node: NodeOptions{
+	l := startLocal(t, quiet([]int{2, 1}, NodeOptions{
 		Tracing: true,
 		Store:   &store.Options{SyncWrites: true},
 		Runtime: core.Options{CacheEntries: 1024},
-	}})
+	}))
 	n0, n2, n1 := l.Slots[0].Node, l.Slots[1].Node, l.Slots[2].Node
 
 	// Retwis workload: user 2 lives in group 0 (replicated to n2), user 3

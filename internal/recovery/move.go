@@ -120,7 +120,10 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 	if !p.registered(out) {
 		return fmt.Errorf("seal: a relayed write failed to reach %s", targetAddr)
 	}
-	if err := call(MethodForward, encodeRelay(&sessionReq{peer: targetAddr, scope: out.key.scope}, new(store.Group))); err != nil {
+	touch := func() error {
+		return call(MethodForward, encodeRelay(&sessionReq{peer: targetAddr, scope: out.key.scope}, new(store.Group)))
+	}
+	if err := touch(); err != nil {
 		return fmt.Errorf("seal: %w", err)
 	}
 
@@ -135,8 +138,29 @@ func (p *Plane) Move(object uint64, targetAddr string, targetGroup uint64) (err 
 
 	// Cutover — the commit point. After this the directory says the target
 	// owns the object; a failure before it leaves the source the owner.
-	// Either way exactly one group serves the object.
-	if err := p.opts.CutOver(object, targetGroup); err != nil {
+	// Either way exactly one group serves the object. A cutover can outlast
+	// the target's idle timeout (a coordinator round held up, its retries):
+	// this source is not quiet meanwhile, so an empty relay every quarter
+	// timeout keeps the target's janitor off the copy the cutover may yet
+	// commit.
+	decided, touching := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(touching)
+		tick := time.NewTicker(p.opts.MoveSessionTimeout / 4)
+		defer tick.Stop()
+		for {
+			select {
+			case <-decided:
+				return
+			case <-tick.C:
+				_ = touch()
+			}
+		}
+	}()
+	err = p.opts.CutOver(object, targetGroup)
+	close(decided)
+	<-touching
+	if err != nil {
 		return fmt.Errorf("cutover: %w", err)
 	}
 

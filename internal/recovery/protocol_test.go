@@ -23,7 +23,7 @@ import (
 // cluster.Node. The store's group hook ships and relays as the node's does
 // (a primary ships to its group's admitted backups, which log the frame),
 // commit and apply mark their write-sets for it, and the orchestrator
-// callbacks act on a directory both nodes share by pointer (static mode).
+// callbacks act on a directory both nodes share by pointer.
 type testNode struct {
 	t     *testing.T
 	group uint64
@@ -40,7 +40,11 @@ type testNode struct {
 	objMu   map[uint64]*sync.Mutex
 	locking int   // LockObject calls made (mu)
 	cutOver error // what CutOver fails with, nil to commit (mu)
-	applied []*store.Batch
+	// cutOverDelay is how long CutOver takes to decide (mu).
+	cutOverDelay time.Duration
+	// afterAdmit, if set, runs once Admit has added the joiner (mu).
+	afterAdmit func()
+	applied    []*store.Batch
 	// onApply, if set, runs before each Apply reaches the store (under the
 	// session's applyMu for chunks and forwards): a test parks a chunk here
 	// to commit at the sender inside the fetch → apply window.
@@ -102,6 +106,11 @@ func startTestNode(t *testing.T, dir *shard.Directory, group uint64, moveTimeout
 			if epoch != dir.Epoch() || !dir.AddBackup(group, joiner) {
 				return fmt.Errorf("admission of %s fenced out", joiner)
 			}
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			if n.afterAdmit != nil {
+				n.afterAdmit()
+			}
 			return nil
 		},
 		LockObject: func(object uint64) (func(), error) {
@@ -127,6 +136,10 @@ func startTestNode(t *testing.T, dir *shard.Directory, group uint64, moveTimeout
 			return func() error { return put(nil) }, put(movedMark)
 		},
 		CutOver: func(object, target uint64) error {
+			n.mu.Lock()
+			delay := n.cutOverDelay
+			n.mu.Unlock()
+			time.Sleep(delay)
 			n.mu.Lock()
 			defer n.mu.Unlock()
 			if n.cutOver == nil {
@@ -489,6 +502,38 @@ func TestRefusedAdmitReturnsAtOnce(t *testing.T) {
 	}
 }
 
+// An admission that is revoked before the joiner sees it (an eviction right
+// after it) leaves a view past the session's epoch without the joiner, which
+// no membership can follow: the joiner begins again at once instead of
+// waiting out the membership deadline, and its next session is admitted.
+func TestRevokedAdmissionReturnsAtOnce(t *testing.T) {
+	dir, snd, rcv := pair(t, true, noReclaim)
+	snd.mustCommit(1, "f", "v0")
+	snd.mu.Lock()
+	snd.afterAdmit = func() {
+		g, _ := dir.Group(0)
+		g.Backups = slices.DeleteFunc(slices.Clone(g.Backups), func(a string) bool { return a == rcv.addr })
+		dir.SetGroup(g)
+	}
+	snd.mu.Unlock()
+	start := time.Now()
+	if err := rcv.plane.syncOnce(snd.addr, dir.Epoch()); err == nil {
+		t.Fatal("a joiner whose admission was revoked reported itself a member")
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("a revoked admission returned after %v", took)
+	}
+	snd.mu.Lock()
+	snd.afterAdmit = nil
+	snd.mu.Unlock()
+	if err := rcv.plane.syncOnce(snd.addr, dir.Epoch()); err != nil {
+		t.Fatalf("next session: %v", err)
+	}
+	if g, _ := dir.Group(0); !slices.Contains(g.Backups, rcv.addr) {
+		t.Fatalf("the joiner is not a backup after its next session: %+v", g)
+	}
+}
+
 // Commits keep landing between the joiner's digest scan and the sender's,
 // yet the rejoin's one round certifies it: no commit fails, the joiner is
 // admitted, and it ends equal to the sender.
@@ -815,6 +860,32 @@ func TestMoveAbortsWhenTargetReclaimedSession(t *testing.T) {
 	}
 	if a := src.counter("move.aborted"); a != 1 {
 		t.Fatalf("move.aborted = %d", a)
+	}
+}
+
+// A cutover that outlasts the target's idle timeout (a coordinator round
+// held up) commits a copy the target still holds: the source touches the
+// target's session until the cutover is decided, so the janitor never
+// reclaims it — it would see a session whose object it does not own yet,
+// and delete the one copy the directory is about to name.
+func TestSlowCutoverKeepsTargetCopy(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	dir, src, tgt, _ := moveFixture(t, timeout)
+	want := dump(t, src.db)
+	src.mu.Lock()
+	src.cutOverDelay = 4 * timeout
+	src.mu.Unlock()
+	if err := src.plane.Move(6, tgt.addr, 1); err != nil {
+		t.Fatalf("move: %v", err)
+	}
+	if n := tgt.counter("move.sessions_reclaimed"); n != 0 {
+		t.Fatalf("the target reclaimed %d sessions while the cutover was pending", n)
+	}
+	if g, _ := dir.Lookup(6); g.ID != 1 {
+		t.Fatalf("object 6 on group %d after the move", g.ID)
+	}
+	if got := dump(t, tgt.db); got != want {
+		t.Fatalf("target after the move:\n%swant:\n%s", got, want)
 	}
 }
 

@@ -102,11 +102,18 @@ func (p *Plane) syncOnce(sender string, epoch uint64) (err error) {
 		return fmt.Errorf("admit: %w", admitErr)
 	}
 	// Await membership in our own view even when admit otherwise errored:
-	// the proposal may have landed before the sender's reply was lost.
+	// the proposal may have landed before the sender's reply was lost. An
+	// admission is fenced on the session's epoch, so a view past it that
+	// leaves this node out is one where membership was never granted or was
+	// revoked since (an eviction right after the admission): begin again.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if g, ok := p.opts.Directory().Group(p.opts.GroupID); ok && slices.Contains(g.Replicas(), p.selfAddr()) {
+		d := p.opts.Directory()
+		if g, ok := d.Group(p.opts.GroupID); ok && slices.Contains(g.Replicas(), p.selfAddr()) {
 			break
+		}
+		if d.Epoch() > epoch {
+			return fmt.Errorf("admit: the view moved to epoch %d without this node (%v)", d.Epoch(), admitErr)
 		}
 		if time.Now().After(deadline) {
 			if admitErr != nil {

@@ -456,10 +456,12 @@ func TestOneRequestPath(t *testing.T) {
 		callers     []string
 	}{
 		{"internal/cluster", "route", []string{"serve"}},
-		// The role machine's one writer applies every view.
-		{"internal/cluster", "SetEpoch", []string{"install"}},
-		{"internal/cluster", "SetBackups", []string{"install"}},
-		{"internal/cluster", "leases.Revoke", []string{"install"}},
+		// The role machine's one writer applies every view: install's, and
+		// a new deployment's first (boot).
+		{"internal/cluster", "SetEpoch", []string{"publish"}},
+		{"internal/cluster", "SetBackups", []string{"publish"}},
+		{"internal/cluster", "leases.Revoke", []string{"publish"}},
+		{"internal/cluster", "m.publish", []string{"install", "boot"}},
 		// The write group is the one unit that leaves a node: its hook is the
 		// only sender of a frame to the backups and of a relay to a session.
 		{"internal/cluster", "shipper.ShipGroup", []string{"replicateGroup"}},
@@ -626,8 +628,9 @@ func TestOneCutoverPath(t *testing.T) {
 // assembly is written once, in the package that owns its parts, so the parts'
 // constructors are called from there, from the daemon that runs one part per
 // process, and (until the thaw) from the frozen benchmark's own boot. Tests
-// may start a bare node when that is their subject, but not re-encode the
-// static boot protocol around it.
+// may start a bare node when that is their subject, but not re-encode a
+// hand-set boot protocol around it. No product code outside the benchmark
+// sets a view by hand.
 func TestOneDeployment(t *testing.T) {
 	fset := token.NewFileSet()
 	// part constructor (as spelled outside its package) -> where product
@@ -683,13 +686,81 @@ func TestOneDeployment(t *testing.T) {
 				return true
 			})
 			if isTest && startsNode.IsValid() && spellsGroup.IsValid() {
-				t.Errorf("%s: %s starts a node and spells out its group (%s): that is the static boot protocol by hand — call StartLocal",
+				t.Errorf("%s: %s starts a node and spells out its group (%s): that is a boot protocol by hand — call StartLocal",
 					fset.Position(startsNode), fd.Name.Name, fset.Position(spellsGroup))
 			}
 		}
 	}
 	if seen < 8 {
 		t.Fatalf("saw %d part-constructor calls: the guard is not looking at the source", seen)
+	}
+
+	// Every deployment takes its view from its coordinators. The seam that
+	// sets one by hand — NodeOptions.Directory, Node.SetDirectory and
+	// ClientConfig.Directory — is the frozen benchmark's alone (its
+	// hand-booted group has no coordinator), until the thaw deletes it.
+	pkgs := typeCheck(t, fset)
+	seam := map[string]string{}
+	for _, c := range pkgs {
+		if c.dir != "internal/cluster" {
+			continue
+		}
+		for _, typ := range []string{"NodeOptions", "ClientConfig"} {
+			st := c.pkg.Scope().Lookup(typ).Type().Underlying().(*types.Struct)
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Name() == "Directory" {
+					seam[fieldKey(fset, f)] = "cluster." + typ + ".Directory"
+				}
+			}
+		}
+	}
+	benchSets := 0
+	for _, c := range pkgs {
+		bench := c.dir == "benchmark" || strings.HasPrefix(c.dir, "benchmark/")
+		set := func(id *ast.Ident) {
+			var name string
+			switch o := c.info.Uses[id].(type) {
+			case *types.Var:
+				if o.IsField() {
+					name = seam[fieldKey(fset, o)]
+				}
+			case *types.Func:
+				if o.Pkg() != nil && funcKey(o) == "cluster.Node.SetDirectory" {
+					name = "cluster.Node.SetDirectory"
+				}
+			}
+			switch {
+			case name == "":
+			case bench:
+				benchSets++
+			default:
+				t.Errorf("%s: %s sets a view by hand outside benchmark/: a deployment's view comes from its coordinators (boot through cluster.StartLocal)", fset.Position(id.Pos()), name)
+			}
+		}
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						set(id)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							set(sel.Sel)
+						}
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						set(sel.Sel)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(seam) != 2 || benchSets < 3 {
+		t.Fatalf("found %d seam fields and %d benchmark uses of the seam: the guard is not looking at the source", len(seam), benchSets)
 	}
 }
 
